@@ -2,7 +2,7 @@
 //!
 //! These keep `cargo bench` fast while exercising the same code paths as
 //! the full `fig9`/`fig10`/`fig11`/`fig12` binaries (which remain the way
-//! to regenerate the paper's tables — see EXPERIMENTS.md).
+//! to regenerate the paper's tables).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dp_bench::{fig9_variants, run_series, tuned_for, Harness};

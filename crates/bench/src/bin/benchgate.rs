@@ -8,7 +8,7 @@
 //!   `speedup_fused` may drop at most `--tolerance` (default 25%, sized
 //!   for shared-runner noise; the fused/baseline ratio is
 //!   wall-clock-noise-resistant because both rows run in the same
-//!   process). `speedup_parallel_extra` is reported but never gated.
+//!   process).
 //! - **servebench** (`BENCH_serve.json`, detected by its
 //!   `"benchmark":"servebench"` member): per-scenario request counts must
 //!   match exactly, and fresh p50/p99 latency may exceed the committed

@@ -2,32 +2,26 @@
 //!
 //! Runs BFS- and Bézier-style workloads, a synthetic ALU loop, and a
 //! launch-heavy many-block frontier-expansion kernel through the execution
-//! machine under three configurations per workload:
+//! machine under two configurations per workload:
 //!
 //! - **baseline**: `match` dispatch, superinstruction fusion off, per-block
 //!   state pooling off — the pre-overhaul interpreter;
-//! - **fused**: direct-threaded dispatch + fusion + arena reuse, blocks
-//!   sequential — the default single-thread configuration;
-//! - **fused+parallel**: the same plus speculative parallel block
-//!   execution at `DPOPT_JOBS` workers (default 4 for this benchmark).
+//! - **fused**: direct-threaded dispatch + fusion + arena reuse — the
+//!   default configuration.
 //!
-//! All three execute the *same original instruction stream* (fusion and
-//! parallel execution are accounting-transparent — asserted at runtime),
-//! so instructions/second are directly comparable: `speedup_fused` is pure
-//! interpreter overhead removed, `speedup_parallel_extra` is the
-//! *additional* wall-clock factor from parallel blocks and is bounded by
-//! the host's core count (1.0 on a single-core container). Each
-//! configuration runs `reps` times and the best (minimum) wall time is
-//! kept, the standard way to suppress scheduler noise.
+//! Both execute the *same original instruction stream* (fusion is
+//! accounting-transparent — asserted at runtime), so instructions/second
+//! are directly comparable: `speedup_fused` is pure interpreter overhead
+//! removed. Each configuration runs `reps` times and the best (minimum)
+//! wall time is kept, the standard way to suppress scheduler noise.
 //!
 //! Results are printed as a table and written to `BENCH_vm.json` at the
-//! repo root so future changes can track the interpreter's perf
-//! trajectory. Environment knobs: `DPOPT_VMBENCH_REPS` (default 5),
-//! `DPOPT_VMBENCH_SCALE` (workload size multiplier, default 1.0),
-//! `DPOPT_JOBS` (parallel-row worker count, default 4), and
-//! `DPOPT_VMBENCH_OUT` (output path override — the CI bench-regression
-//! gate writes a fresh measurement next to the committed reference and
-//! `benchgate`s the two).
+//! repo root (with the host's `nproc`) so future changes can track the
+//! interpreter's perf trajectory. Environment knobs: `DPOPT_VMBENCH_REPS`
+//! (default 5), `DPOPT_VMBENCH_SCALE` (workload size multiplier, default
+//! 1.0), and `DPOPT_VMBENCH_OUT` (output path override — the CI
+//! bench-regression gate writes a fresh measurement next to the committed
+//! reference and `benchgate`s the two).
 
 use dp_core::{Compiler, DispatchMode, OptConfig};
 use dp_frontend::parse;
@@ -46,34 +40,22 @@ struct Config {
     fuse: bool,
     reuse: bool,
     dispatch: DispatchMode,
-    jobs: usize,
 }
 
-fn configs(parallel_jobs: usize) -> [Config; 3] {
-    [
-        Config {
-            name: "baseline",
-            fuse: false,
-            reuse: false,
-            dispatch: DispatchMode::Match,
-            jobs: 1,
-        },
-        Config {
-            name: "fused",
-            fuse: true,
-            reuse: true,
-            dispatch: DispatchMode::Threaded,
-            jobs: 1,
-        },
-        Config {
-            name: "fused_parallel",
-            fuse: true,
-            reuse: true,
-            dispatch: DispatchMode::Threaded,
-            jobs: parallel_jobs,
-        },
-    ]
-}
+const CONFIGS: [Config; 2] = [
+    Config {
+        name: "baseline",
+        fuse: false,
+        reuse: false,
+        dispatch: DispatchMode::Match,
+    },
+    Config {
+        name: "fused",
+        fuse: true,
+        reuse: true,
+        dispatch: DispatchMode::Threaded,
+    },
+];
 
 struct Measurement {
     wall_s: f64,
@@ -88,19 +70,13 @@ impl Measurement {
 
 struct WorkloadResult {
     name: &'static str,
-    /// Indexed like `configs()`: baseline, fused, fused_parallel.
+    /// Indexed like `CONFIGS`: baseline, fused.
     rows: Vec<Measurement>,
 }
 
 impl WorkloadResult {
     fn speedup_fused(&self) -> f64 {
         self.rows[0].wall_s / self.rows[1].wall_s
-    }
-
-    /// The *additional* factor from parallel block execution on top of the
-    /// fused single-thread configuration.
-    fn speedup_parallel_extra(&self) -> f64 {
-        self.rows[1].wall_s / self.rows[2].wall_s
     }
 }
 
@@ -135,7 +111,6 @@ fn run_benchmark(
         .config(OptConfig::none())
         .fusion(config.fuse)
         .dispatch(config.dispatch)
-        .block_parallelism(config.jobs)
         .compile(bench.cdp_source())
         .expect("benchmark source compiles");
     best_of(reps, || {
@@ -149,7 +124,6 @@ fn run_benchmark(
 fn configure(mut machine: Machine, config: Config) -> Machine {
     machine.set_state_reuse(config.reuse);
     machine.set_dispatch(config.dispatch);
-    machine.set_block_parallelism(config.jobs);
     machine
 }
 
@@ -172,13 +146,11 @@ fn run_alu_loop(config: Config, iters: i64, reps: usize) -> Measurement {
     })
 }
 
-/// Launch-heavy, many-block BFS-style frontier expansion — the shape the
-/// parallel block executor exists for. Every parent thread serially
-/// expands its vertex's adjacency into a **disjoint** slice of `out`
-/// (blocks share nothing, so speculation always validates), and each
-/// parent block launches one multi-block child grid that re-processes its
-/// chunk's contiguous CSR edge span. Both the parent and the child grids
-/// have many independent blocks.
+/// Launch-heavy, many-block BFS-style frontier expansion. Every parent
+/// thread serially expands its vertex's adjacency into a disjoint slice
+/// of `out`, and each parent block launches one multi-block child grid
+/// that re-processes its chunk's contiguous CSR edge span — many grids,
+/// many blocks, so per-grid and per-block setup costs show.
 fn run_frontier_expand(
     config: Config,
     graph: &dp_workloads::datasets::csr::CsrGraph,
@@ -249,14 +221,10 @@ fn json_escape_free(name: &str) -> &str {
     name
 }
 
-fn write_json(
-    path: &std::path::Path,
-    results: &[WorkloadResult],
-    cfgs: &[Config],
-    parallel_jobs: usize,
-) -> std::io::Result<()> {
+fn write_json(path: &std::path::Path, results: &[WorkloadResult]) -> std::io::Result<()> {
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut out = format!(
-        "{{\n  \"benchmark\": \"vmbench\",\n  \"unit\": \"instructions_per_second\",\n  \"parallel_jobs\": {parallel_jobs},\n  \"workloads\": [\n"
+        "{{\n  \"benchmark\": \"vmbench\",\n  \"unit\": \"instructions_per_second\",\n  \"nproc\": {nproc},\n  \"workloads\": [\n"
     );
     for (i, r) in results.iter().enumerate() {
         out.push_str(&format!(
@@ -264,7 +232,7 @@ fn write_json(
             json_escape_free(r.name),
             r.rows[0].instructions,
         ));
-        for (j, (cfg, m)) in cfgs.iter().zip(&r.rows).enumerate() {
+        for (j, (cfg, m)) in CONFIGS.iter().zip(&r.rows).enumerate() {
             out.push_str(&format!(
                 "        \"{}\": {{ \"wall_s\": {:.6}, \"instr_per_sec\": {:.1} }}{}\n",
                 cfg.name,
@@ -274,15 +242,13 @@ fn write_json(
             ));
         }
         out.push_str(&format!(
-            "      }},\n      \"speedup_fused\": {:.3},\n      \"speedup_parallel_extra\": {:.3}\n    }}{}\n",
+            "      }},\n      \"speedup_fused\": {:.3}\n    }}{}\n",
             r.speedup_fused(),
-            r.speedup_parallel_extra(),
             if i + 1 < results.len() { "," } else { "" },
         ));
     }
-    // The registry snapshot rides along for drill-down (VM speculation
-    // counters, pool queue-wait); benchgate reads only the named fields
-    // above and ignores it.
+    // The registry snapshot rides along for drill-down (`vm.run_us`);
+    // benchgate reads only the named fields above and ignores it.
     out.push_str("  ],\n  \"metrics\": ");
     out.push_str(&dp_obs::metrics::snapshot().to_json_string());
     out.push_str("\n}\n");
@@ -294,14 +260,6 @@ fn main() {
     // `env_parsed` warns on stderr for set-but-unparsable values.
     let reps = env_parsed::<f64>("DPOPT_VMBENCH_REPS", 5.0) as usize;
     let scale: f64 = env_parsed("DPOPT_VMBENCH_SCALE", 1.0);
-    let parallel_jobs = match env_parsed::<usize>("DPOPT_JOBS", 4) {
-        0 => {
-            dp_obs::diag!("warning: ignoring DPOPT_JOBS=0; the parallel row uses 4 workers");
-            4
-        }
-        v => v,
-    };
-    let cfgs = configs(parallel_jobs);
 
     // BFS over a heavy-tailed R-MAT graph: branchy, memory- and
     // atomic-heavy, lots of device-side launches.
@@ -309,19 +267,17 @@ fn main() {
     // Bézier tessellation: float-dominated with per-line child kernels.
     let bt_input = BenchInput::Bezier(bezier_lines((600.0 * scale) as usize, 32, 16.0, 42));
     let alu_iters = (20_000.0 * scale) as i64;
-    // Frontier expansion: many-block grids with disjoint writes + one
-    // multi-block child launch per parent block.
+    // Frontier expansion: many-block grids + one multi-block child
+    // launch per parent block.
     let frontier_graph = rmat((11.0 + scale.log2()).round().max(7.0) as u32, 16, 42);
 
     let mut results = Vec::new();
     let mut measure = |name: &'static str, mut f: Box<dyn FnMut(Config) -> Measurement + '_>| {
-        let rows: Vec<Measurement> = cfgs.iter().map(|&c| f(c)).collect();
-        for row in &rows[1..] {
-            assert_eq!(
-                rows[0].instructions, row.instructions,
-                "{name}: fusion/parallelism must not change the original instruction count"
-            );
-        }
+        let rows: Vec<Measurement> = CONFIGS.iter().map(|&c| f(c)).collect();
+        assert_eq!(
+            rows[0].instructions, rows[1].instructions,
+            "{name}: fusion must not change the original instruction count"
+        );
         results.push(WorkloadResult { name, rows });
     };
     measure(
@@ -339,19 +295,17 @@ fn main() {
     );
 
     println!(
-        "{:<16} {:>14} {:>11} {:>11} {:>11} {:>8} {:>9}",
-        "workload", "instructions", "base ms", "fused ms", "par ms", "fusedX", "par extraX"
+        "{:<16} {:>14} {:>11} {:>11} {:>8}",
+        "workload", "instructions", "base ms", "fused ms", "fusedX"
     );
     for r in &results {
         println!(
-            "{:<16} {:>14} {:>11.2} {:>11.2} {:>11.2} {:>7.2}x {:>8.2}x",
+            "{:<16} {:>14} {:>11.2} {:>11.2} {:>7.2}x",
             r.name,
             r.rows[0].instructions,
             r.rows[0].wall_s * 1e3,
             r.rows[1].wall_s * 1e3,
-            r.rows[2].wall_s * 1e3,
             r.speedup_fused(),
-            r.speedup_parallel_extra(),
         );
     }
 
@@ -359,7 +313,7 @@ fn main() {
         Ok(out) if !out.trim().is_empty() => std::path::PathBuf::from(out),
         _ => std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_vm.json"),
     };
-    write_json(&path, &results, &cfgs, parallel_jobs).expect("write vmbench JSON");
+    write_json(&path, &results).expect("write vmbench JSON");
     let shown = path.canonicalize().unwrap_or(path);
     println!("\nwrote {}", shown.display());
 }

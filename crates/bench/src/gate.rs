@@ -8,15 +8,12 @@
 //!
 //! - **`instructions` must match exactly.** The dynamic original-unit
 //!   instruction count is part of the accounting-transparency contract
-//!   (fusion, dispatch mode, and parallel execution must not change it),
-//!   so any drift is a hard failure no tolerance can excuse — it means
+//!   (fusion and dispatch mode must not change it), so any drift is a hard failure no tolerance can excuse — it means
 //!   semantics moved, not the machine's speed.
 //! - **`speedup_fused` may regress up to a tolerance.** Wall-clock on a
 //!   shared CI runner is noisy; the fused/baseline *ratio* is the most
 //!   stable signal vmbench produces (both rows run in the same process,
 //!   same load), so the gate compares ratios, not absolute times.
-//!   `speedup_parallel_extra` is reported but never gated: it is bounded
-//!   by the runner's core count and legitimately ~1.0 on 1-CPU hosts.
 
 use dp_sweep::json::Json;
 
@@ -28,7 +25,6 @@ pub struct RowComparison {
     pub fresh_instructions: u64,
     pub committed_speedup_fused: f64,
     pub fresh_speedup_fused: f64,
-    pub fresh_parallel_extra: f64,
 }
 
 impl RowComparison {
@@ -66,15 +62,8 @@ impl GateReport {
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "{:<16} {:>14} {:>14} {:>9} {:>9} {:>7} {:>11}  {}\n",
-            "workload",
-            "instr (ref)",
-            "instr (new)",
-            "fusedX",
-            "fusedX'",
-            "ratio",
-            "par extra'",
-            "verdict"
+            "{:<16} {:>14} {:>14} {:>9} {:>9} {:>7}  {}\n",
+            "workload", "instr (ref)", "instr (new)", "fusedX", "fusedX'", "ratio", "verdict"
         ));
         for r in &self.rows {
             let verdict = if !r.instructions_ok() {
@@ -85,14 +74,13 @@ impl GateReport {
                 "ok"
             };
             out.push_str(&format!(
-                "{:<16} {:>14} {:>14} {:>8.2}x {:>8.2}x {:>7.3} {:>10.2}x  {}\n",
+                "{:<16} {:>14} {:>14} {:>8.2}x {:>8.2}x {:>7.3}  {}\n",
                 r.name,
                 r.committed_instructions,
                 r.fresh_instructions,
                 r.committed_speedup_fused,
                 r.fresh_speedup_fused,
                 r.fused_ratio(),
-                r.fresh_parallel_extra,
                 verdict,
             ));
         }
@@ -155,7 +143,6 @@ pub fn compare(committed: &Json, fresh: &Json, tolerance: f64) -> Result<GateRep
             fresh_instructions: field_u64(fresh_row, name, "instructions")?,
             committed_speedup_fused: field_f64(committed_row, name, "speedup_fused")?,
             fresh_speedup_fused: field_f64(fresh_row, name, "speedup_fused")?,
-            fresh_parallel_extra: field_f64(fresh_row, name, "speedup_parallel_extra")?,
         });
     }
     Ok(GateReport { tolerance, rows })
@@ -310,13 +297,11 @@ mod tests {
     use super::*;
     use dp_sweep::json::parse;
 
-    fn doc(rows: &[(&str, u64, f64, f64)]) -> Json {
+    fn doc(rows: &[(&str, u64, f64)]) -> Json {
         let body: Vec<String> = rows
             .iter()
-            .map(|(name, instr, fused, par)| {
-                format!(
-                    r#"{{"name":"{name}","instructions":{instr},"speedup_fused":{fused},"speedup_parallel_extra":{par}}}"#
-                )
+            .map(|(name, instr, fused)| {
+                format!(r#"{{"name":"{name}","instructions":{instr},"speedup_fused":{fused}}}"#)
             })
             .collect();
         parse(&format!(r#"{{"workloads":[{}]}}"#, body.join(","))).unwrap()
@@ -324,7 +309,7 @@ mod tests {
 
     #[test]
     fn identical_runs_pass() {
-        let a = doc(&[("bfs", 1000, 2.0, 1.0), ("alu", 500, 1.8, 0.9)]);
+        let a = doc(&[("bfs", 1000, 2.0), ("alu", 500, 1.8)]);
         let report = compare(&a, &a, 0.2).unwrap();
         assert!(report.ok(), "{}", report.render());
         assert_eq!(report.rows.len(), 2);
@@ -332,16 +317,16 @@ mod tests {
 
     #[test]
     fn regression_within_tolerance_passes() {
-        let committed = doc(&[("bfs", 1000, 2.0, 1.0)]);
-        let fresh = doc(&[("bfs", 1000, 1.7, 1.0)]);
+        let committed = doc(&[("bfs", 1000, 2.0)]);
+        let fresh = doc(&[("bfs", 1000, 1.7)]);
         let report = compare(&committed, &fresh, 0.2).unwrap();
         assert!(report.ok(), "15% drop inside a 20% tolerance must pass");
     }
 
     #[test]
     fn regression_beyond_tolerance_fails() {
-        let committed = doc(&[("bfs", 1000, 2.0, 1.0)]);
-        let fresh = doc(&[("bfs", 1000, 1.5, 1.0)]);
+        let committed = doc(&[("bfs", 1000, 2.0)]);
+        let fresh = doc(&[("bfs", 1000, 1.5)]);
         let report = compare(&committed, &fresh, 0.2).unwrap();
         assert!(!report.ok(), "25% drop outside a 20% tolerance must fail");
         assert!(report.render().contains("speedup_fused regressed"));
@@ -349,15 +334,15 @@ mod tests {
 
     #[test]
     fn improvement_always_passes() {
-        let committed = doc(&[("bfs", 1000, 2.0, 1.0)]);
-        let fresh = doc(&[("bfs", 1000, 3.5, 2.0)]);
+        let committed = doc(&[("bfs", 1000, 2.0)]);
+        let fresh = doc(&[("bfs", 1000, 3.5)]);
         assert!(compare(&committed, &fresh, 0.0).unwrap().ok());
     }
 
     #[test]
     fn instruction_drift_fails_regardless_of_tolerance() {
-        let committed = doc(&[("bfs", 1000, 2.0, 1.0)]);
-        let fresh = doc(&[("bfs", 1001, 9.9, 1.0)]);
+        let committed = doc(&[("bfs", 1000, 2.0)]);
+        let fresh = doc(&[("bfs", 1001, 9.9)]);
         let report = compare(&committed, &fresh, 0.99).unwrap();
         assert!(!report.ok(), "instruction drift is never tolerable");
         assert!(report.render().contains("instructions drifted"));
@@ -365,23 +350,15 @@ mod tests {
 
     #[test]
     fn missing_workload_is_an_error() {
-        let committed = doc(&[("bfs", 1000, 2.0, 1.0), ("alu", 500, 1.8, 0.9)]);
-        let fresh = doc(&[("bfs", 1000, 2.0, 1.0)]);
+        let committed = doc(&[("bfs", 1000, 2.0), ("alu", 500, 1.8)]);
+        let fresh = doc(&[("bfs", 1000, 2.0)]);
         let err = compare(&committed, &fresh, 0.2).unwrap_err();
         assert!(err.contains("`alu` missing"), "{err}");
     }
 
     #[test]
-    fn parallel_extra_is_informational_only() {
-        // A collapsed parallel row (e.g. a 1-CPU runner) must not gate.
-        let committed = doc(&[("frontier", 7000, 1.8, 1.9)]);
-        let fresh = doc(&[("frontier", 7000, 1.8, 0.4)]);
-        assert!(compare(&committed, &fresh, 0.1).unwrap().ok());
-    }
-
-    #[test]
     fn bad_tolerance_is_rejected() {
-        let a = doc(&[("bfs", 1000, 2.0, 1.0)]);
+        let a = doc(&[("bfs", 1000, 2.0)]);
         assert!(compare(&a, &a, 1.0).is_err());
         assert!(compare(&a, &a, -0.1).is_err());
     }
@@ -405,7 +382,7 @@ mod tests {
     #[test]
     fn serve_docs_are_detected_and_vm_docs_are_not() {
         assert!(is_serve_doc(&serve_doc(&[("warm-c1", 16, 100.0, 200.0)])));
-        assert!(!is_serve_doc(&doc(&[("bfs", 1000, 2.0, 1.0)])));
+        assert!(!is_serve_doc(&doc(&[("bfs", 1000, 2.0)])));
     }
 
     #[test]

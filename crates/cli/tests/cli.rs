@@ -469,7 +469,6 @@ fn sweep_stdout_is_identical_with_all_diagnostics_enabled() {
         // column) cannot differ for cache reasons.
         cmd.args(["sweep", spec.to_str().unwrap(), "--no-cache", "--jobs", "2"]);
         if diagnostics {
-            cmd.env("DPOPT_PAR_DEBUG", "1");
             cmd.env("DPOPT_METRICS", "1");
             cmd.env("DPOPT_TRACE", &trace);
         }

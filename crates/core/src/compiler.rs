@@ -32,7 +32,6 @@ pub struct Compiler {
     limits: ExecLimits,
     lower: LowerOptions,
     dispatch: DispatchMode,
-    block_parallelism: usize,
 }
 
 impl Default for Compiler {
@@ -50,7 +49,6 @@ impl Compiler {
             limits: ExecLimits::default(),
             lower: LowerOptions::default(),
             dispatch: DispatchMode::default(),
-            block_parallelism: 0,
         }
     }
 
@@ -89,15 +87,6 @@ impl Compiler {
         self
     }
 
-    /// Sets parallel block execution for executors of this compilation:
-    /// `0` (the default) draws workers from the process-wide `DPOPT_JOBS`
-    /// budget shared with the sweep engine; a non-zero value forces
-    /// exactly that many workers. Results are bit-identical either way.
-    pub fn block_parallelism(mut self, jobs: usize) -> Self {
-        self.block_parallelism = jobs;
-        self
-    }
-
     /// Parses, transforms, pretty-prints, and lowers `source`.
     ///
     /// # Errors
@@ -118,7 +107,6 @@ impl Compiler {
             cost: self.cost.clone(),
             limits: self.limits,
             dispatch: self.dispatch,
-            block_parallelism: self.block_parallelism,
         })
     }
 }
@@ -152,7 +140,6 @@ pub struct Compiled {
     cost: CostModel,
     limits: ExecLimits,
     dispatch: DispatchMode,
-    block_parallelism: usize,
 }
 
 impl Compiled {
@@ -183,7 +170,7 @@ impl Compiled {
     }
 
     /// Creates a fresh executor (simulated GPU) for this program,
-    /// inheriting the compiler's dispatch and block-parallelism settings.
+    /// inheriting the compiler's dispatch mode.
     pub fn executor(&self) -> Executor {
         let mut exec = Executor::new(
             self.module.clone(),
@@ -192,8 +179,6 @@ impl Compiled {
             self.limits,
         );
         exec.machine_mut().set_dispatch(self.dispatch);
-        exec.machine_mut()
-            .set_block_parallelism(self.block_parallelism);
         exec
     }
 

@@ -1,8 +1,7 @@
 //! The single stderr funnel for diagnostic logging.
 //!
-//! Every debug knob in the workspace (`DPOPT_PAR_DEBUG` overlap logs,
-//! serve fault-arming notices, cache write warnings, bench progress
-//! notes) routes through [`diag!`](crate::diag!) instead of a bare
+//! Every diagnostic in the workspace (serve fault-arming notices, cache
+//! write warnings, bench progress notes) routes through [`diag!`](crate::diag!) instead of a bare
 //! `eprintln!`. The point is auditability of the determinism contracts:
 //! stdout byte-identity is enforced by grep (one macro to look for) and
 //! by the stdout-purity regression test (a sweep with every debug env var

@@ -13,11 +13,10 @@
 //! - [`trace`] — span-correlated structured tracing. `DPOPT_TRACE=<path>`
 //!   appends JSONL start/end events; span ids flow across threads via
 //!   [`trace::TraceCtx`] so a serve request's span parents the pool job
-//!   that parents the sweep cell / VM grid it runs. Post-process with
+//!   that parents the sweep cell / VM run it executes. Post-process with
 //!   `dpopt trace-report`.
 //! - [`diag`] — the single stderr funnel for diagnostic logging
-//!   (`DPOPT_PAR_DEBUG` overlap logs, serve fault-arming notices, cache
-//!   warnings). Routing every debug knob through one helper is what lets
+//!   (serve fault-arming notices, cache warnings). Routing every debug knob through one helper is what lets
 //!   the stdout-purity regression test assert that no combination of
 //!   debug env vars can ever pollute a byte-identical stdout contract.
 

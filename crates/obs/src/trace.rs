@@ -24,7 +24,7 @@
 //! Parentage crosses threads explicitly: capture [`current_ctx`] where
 //! the work is *submitted*, [`TraceCtx::enter`] it where the work *runs*.
 //! `dp-pool` does this for every job, which is how a serve request's span
-//! parents the pool job that parents the sweep cell / VM grid.
+//! parents the pool job that parents the sweep cell / VM run.
 
 use std::cell::Cell;
 use std::fs::{File, OpenOptions};

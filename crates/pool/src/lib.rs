@@ -6,9 +6,8 @@
 //! The paper's core move is amortizing launch overhead by aggregating many
 //! small child grids into fewer larger ones; this crate is the software
 //! analogue applied to our own runtime. Spawning a fresh worker set per
-//! speculatively-executed grid or per sweep generation pays a thread-spawn
-//! tax exactly where the paper's workloads live (runs dominated by
-//! mid-size child grids), so instead every layer draws from a single
+//! sweep generation or per served request pays a thread-spawn tax on
+//! every small unit of work, so instead every layer draws from a single
 //! lazily-initialized, panic-surviving, process-lifetime pool:
 //!
 //! - [`jobs`] owns the `DPOPT_JOBS` convention and the token budget.
@@ -17,20 +16,20 @@
 //!   available parallelism.
 //! - [`Pool::shared`] is the process-lifetime pool, sized to the resolved
 //!   budget (it holds the whole [`jobs::Reservation`] for the life of the
-//!   process). The VM's speculative block executor, the sweep engine's
-//!   generation runner, and the serve daemon all schedule onto it.
+//!   process). The sweep engine's generation runner, the shard
+//!   scheduler's daemon drivers, and the serve daemon all schedule onto it.
 //! - [`Pool::scope`] lets callers borrow stack data into pool jobs (the
 //!   `std::thread::scope` shape, minus the per-call spawns). Submissions
-//!   from *inside* a pool worker — a sweep cell whose grid wants to
-//!   speculate, a served request that runs a sweep — degrade to inline
+//!   from *inside* a pool worker — a served request that runs a sweep —
+//!   degrade to inline
 //!   execution instead of queueing behind themselves, so the pool can
 //!   never deadlock on nested parallelism and nested layers stay
 //!   sequential, the same discipline the old reservation dance enforced.
 //! - Scheduling is **class-aware** ([`JobClass`]): jobs land in per-worker
 //!   deques and idle workers steal across slots, draining every
 //!   [`JobClass::Interactive`] queue (served requests, fleet drivers)
-//!   before any [`JobClass::Bulk`] queue (sweep generations, block
-//!   speculation, benches). Long bulk jobs call [`checkpoint`] at natural
+//!   before any [`JobClass::Bulk`] queue (sweep generations, benches).
+//!   Long bulk jobs call [`checkpoint`] at natural
 //!   boundaries to hand their worker to one waiting interactive job.
 //!   [`Pool::stats`] snapshots depths/steals/yields as one [`PoolStats`].
 //!

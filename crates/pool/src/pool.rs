@@ -2,18 +2,17 @@
 //! scheduling classes.
 //!
 //! [`Pool::shared`] is the process-lifetime instance every parallel layer
-//! in the workspace schedules onto (VM block speculation, sweep
-//! generations, served requests); it owns the whole `DPOPT_JOBS` budget
-//! for the life of the process, so there is nothing left to reserve and no
-//! per-grid reserve/release dance. Dedicated pools ([`Pool::new`],
+//! in the workspace schedules onto (sweep generations, shard daemon
+//! drivers, served requests); it owns the whole `DPOPT_JOBS` budget for
+//! the life of the process, so there is nothing left to reserve. Dedicated pools ([`Pool::new`],
 //! [`Pool::with_budget`]) remain available for layers that genuinely need
 //! their own workers — a dedicated pool's threads *also* mark themselves
 //! as pool workers, so nesting detection spans every pool in the process.
 //!
 //! Scheduling is class-aware. Every submission carries a [`JobClass`]:
 //! [`JobClass::Interactive`] for latency-sensitive work (served requests)
-//! and [`JobClass::Bulk`] for throughput work (sweep generations, block
-//! speculation, benches). Jobs land in per-worker deque slots via a
+//! and [`JobClass::Bulk`] for throughput work (sweep generations,
+//! benches). Jobs land in per-worker deque slots via a
 //! round-robin cursor; a worker pops its own slot from the front and
 //! *steals* from the back of every other slot, always draining every
 //! interactive queue in the pool before touching any bulk queue. A
@@ -71,7 +70,7 @@ pub enum JobClass {
     /// Latency-sensitive work: served requests, fleet drivers. Dequeued
     /// and stolen before any bulk job anywhere in the pool.
     Interactive,
-    /// Throughput work: sweep generations, VM block speculation, benches.
+    /// Throughput work: sweep generations, benches.
     Bulk,
 }
 
@@ -700,7 +699,9 @@ impl<'scope, 'env> Scope<'scope, 'env> {
     /// job has finished.
     pub fn spawn_as(&'scope self, class: JobClass, job: impl FnOnce() + Send + 'env) {
         if self.pool.workers.is_empty() || is_worker_thread() || !self.pool.shared.try_claim() {
-            observe_inline(job);
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| observe_inline(job))) {
+                self.state.record_panic(payload);
+            }
             return;
         }
         self.state.add_one();
@@ -802,6 +803,29 @@ mod tests {
         // The sibling job was not abandoned, and the workers survive.
         assert_eq!(finished.load(Ordering::SeqCst), 1);
         assert_eq!(pool.run(|| 7).unwrap(), 7);
+    }
+
+    #[test]
+    fn inline_scope_job_panic_is_deferred_until_siblings_ran() {
+        // Zero workers: every spawn takes the inline-degraded path, no
+        // timing involved.
+        let pool = Pool::build(0, None);
+        let finished = AtomicUsize::new(0);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool.scope(|scope| {
+                scope.spawn(|| panic!("inline job exploded"));
+                scope.spawn(|| {
+                    finished.fetch_add(1, Ordering::SeqCst);
+                });
+            })
+        }));
+        let payload = result.expect_err("Pool::scope re-raises the job's panic");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"inline job exploded"),
+            "the job's own payload is what propagates"
+        );
+        assert_eq!(finished.load(Ordering::SeqCst), 1, "sibling still ran");
     }
 
     #[test]

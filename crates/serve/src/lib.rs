@@ -18,9 +18,9 @@
 //!   [`dp_core::SharedCompiled`].
 //! - **The shared persistent worker pool** ([`dp_pool::Pool::shared`],
 //!   re-exported as [`pool`]): execution is scheduled onto the same
-//!   process-lifetime pool the VM's block executor and the sweep engine
-//!   use, so server-level concurrency, sweeps, and per-grid block
-//!   speculation coexist in one process under one `DPOPT_JOBS` budget.
+//!   process-lifetime pool the sweep engine uses, so server-level
+//!   concurrency and sweeps coexist in one process under one `DPOPT_JOBS`
+//!   budget.
 //!   `--jobs` caps how many requests this server runs concurrently.
 //! - **Deterministic responses** ([`server`]): for every op except
 //!   `stats`, response bytes are a pure function of request bytes — cold

@@ -13,8 +13,8 @@
 //! observe reordering. Compilation is deduplicated by the single-flight
 //! [`CompiledCache`]; execution — the CPU-heavy part — is scheduled onto
 //! the **shared** persistent pool ([`Pool::shared`]) under the `--jobs`
-//! concurrency cap, so serving, sweeps, and per-grid block speculation
-//! coexist under one `DPOPT_JOBS` budget.
+//! concurrency cap, so serving and sweeps coexist under one `DPOPT_JOBS`
+//! budget.
 //!
 //! Admission control: `--max-queue-depth` bounds how many admitted
 //! requests may wait for an execution slot; beyond it the server answers a

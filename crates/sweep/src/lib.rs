@@ -347,9 +347,8 @@ where
 }
 
 /// Resolves a requested worker count: explicit > `--jobs`-resolved /
-/// `DPOPT_JOBS` > available parallelism (min 1). The resolution is shared
-/// with the VM's parallel block executor
-/// ([`dp_pool::jobs::configured_jobs`]) so every layer agrees on the
+/// `DPOPT_JOBS` > available parallelism (min 1). The resolution is
+/// [`dp_pool::jobs::configured_jobs`], so every layer agrees on the
 /// convention. The result is this sweep's concurrency *cap*; actual
 /// helper submissions are additionally gated on idle shared-pool workers.
 pub fn effective_jobs(requested: usize) -> usize {
@@ -503,10 +502,8 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> SweepResult {
     let jobs = effective_jobs(opts.jobs);
     // Generations run on the shared persistent worker pool: helper loops
     // are pool submissions (gated on actually-idle workers), the calling
-    // thread always runs one loop itself, and cells that land on pool
-    // workers keep their grids sequential (`dp_pool::is_worker_thread`),
-    // so sweep × block-speculation nesting shares one `DPOPT_JOBS` budget
-    // without reserving or spawning anything per generation.
+    // thread always runs one loop itself — nothing is reserved or
+    // spawned per generation.
     let pool = dp_pool::Pool::shared();
 
     // Materialize each distinct dataset once: those needed by a pending

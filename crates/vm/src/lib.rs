@@ -15,7 +15,7 @@
 //!
 //! Interpreter throughput bounds how many configurations the benchmark
 //! harness and autotuner can sweep, so the execution core is engineered
-//! around four ideas (measured by `dp-bench`'s `vmbench` binary, tracked
+//! around three ideas (measured by `dp-bench`'s `vmbench` binary, tracked
 //! in `BENCH_vm.json` at the repo root):
 //!
 //! 1. **Direct-threaded dispatch**: at machine construction every
@@ -41,18 +41,10 @@
 //!    across the blocks of a grid, and call-frame locals are recycled
 //!    through a per-thread free list, so steady-state execution allocates
 //!    nothing. Kernel arguments are coerced once per grid, not per block.
-//! 4. **Parallel block execution**: grids with enough blocks run across a
-//!    worker pool drawn from the shared `DPOPT_JOBS` budget
-//!    ([`jobs`]). Blocks execute speculatively against a memory snapshot
-//!    with word-granular read/write tracking; a block-order merge
-//!    validates, applies, or transparently re-executes them, keeping
-//!    memory, traces, statistics, and launch order **bit-identical to
-//!    sequential execution at any worker count** (see
-//!    [`machine`]'s module docs for the contract).
 //!
 //! To add a new superinstruction, see the checklist on
 //! [`lower::fuse_function`]; for a new opcode under threaded dispatch,
-//! see the "VM hot path" section of `ROADMAP.md`.
+//! see the "New opcodes" standing invariant in `ROADMAP.md`.
 //!
 //! ## Example
 //!
@@ -77,13 +69,9 @@ pub mod machine;
 pub mod trace;
 pub mod value;
 
-// The budget moved to the shared worker-pool crate (`dp-pool`); the
-// re-export keeps every historical `dp_vm::jobs::` path working.
-pub use dp_pool::jobs;
-
 pub use bytecode::{CostClass, CostModel, Module};
 pub use error::{CompileError, ExecError};
 pub use lower::{compile_program, compile_program_unfused, fuse_module, LowerOptions};
-pub use machine::{DispatchMode, ExecLimits, Machine, MachineStats, Memory, ParallelStats};
+pub use machine::{DispatchMode, ExecLimits, Machine, MachineStats, Memory};
 pub use trace::{BlockTrace, ExecutionTrace, GridTrace, LaunchOrigin, LaunchRecord, OriginCycles};
 pub use value::Value;

@@ -17,68 +17,18 @@
 //! The original `match` dispatcher is kept behind
 //! [`DispatchMode::Match`] as the reference semantics for differential
 //! tests and as `vmbench`'s baseline.
-//!
-//! ## Parallel block execution
-//!
-//! Blocks of a grid are independent by construction (the premise the
-//! paper's aggregation/coarsening passes exploit), so grids with enough
-//! blocks execute across the shared persistent worker pool
-//! ([`dp_pool::Pool::shared`], sized once from the `DPOPT_JOBS` budget —
-//! no per-grid thread spawns). Workers run blocks
-//! *speculatively* against a snapshot of global memory, recording
-//! word-granular read/write sets; the parent then validates blocks **in
-//! linear block order** — a block is valid iff it read nothing an
-//! earlier block wrote — applies valid blocks' writes, and transparently
-//! re-executes conflicting blocks sequentially against live memory.
-//! Device launches are collected per block and enqueued in block order
-//! with ids assigned at merge time. The result: traces, statistics,
-//! memory, and launch order are **bit-identical to sequential execution
-//! at any worker count**, the same determinism contract the sweep engine
-//! enforces across cells. Kernels whose grids keep conflicting (e.g.
-//! cross-block atomic reductions) are adaptively marked serial so
-//! speculation overhead is not paid twice.
 
 use crate::bytecode::*;
 use crate::error::ExecError;
 use crate::trace::*;
 use crate::value::{Value, SHARED_SPACE_BASE};
 use dp_frontend::ast::{CodeOrigin, FnQual, Type};
-use dp_obs::metrics::{Counter, Histogram};
+use dp_obs::metrics::Histogram;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
 
-// Registry mirrors of the speculation outcomes in
-// [`Machine::parallel_stats`] — like `ParallelStats`, these live outside
-// the determinism contract (they are observability, not results).
-static VM_PAR_GRIDS: Counter = Counter::new("vm.spec.parallel_grids");
-static VM_SPEC_BLOCKS: Counter = Counter::new("vm.spec.speculated_blocks");
-static VM_CONFLICT_BLOCKS: Counter = Counter::new("vm.spec.conflict_blocks");
-static VM_SERIALIZED: Counter = Counter::new("vm.spec.serialized_kernels");
 /// Wall time of one `run_to_quiescence` call (a host launch's full
 /// device-side cascade).
 static VM_RUN_US: Histogram = Histogram::new("vm.run_us");
-
-/// Grids below this many blocks always run sequentially (thread spawn and
-/// merge bookkeeping would dominate).
-const MIN_PARALLEL_BLOCKS: u64 = 4;
-
-/// Per-block instruction budget during *speculative* execution. A block
-/// that reads stale pre-grid state can loop where sequential execution
-/// would not; exceeding this budget aborts the speculation and falls back
-/// to (unbounded) sequential re-execution, so parallel runs can never hang
-/// on programs that terminate sequentially.
-const SPEC_BLOCK_BUDGET: u64 = 1 << 26;
-
-/// `DPOPT_PAR_DEBUG=1` logs every speculation conflict (kernel, block,
-/// reason) — the debug-mode overlap detector for workloads that are
-/// expected to obey the disjoint-region discipline.
-fn par_debug() -> bool {
-    static DEBUG: OnceLock<bool> = OnceLock::new();
-    *DEBUG.get_or_init(|| {
-        std::env::var_os("DPOPT_PAR_DEBUG").is_some_and(|v| !v.is_empty() && v != "0")
-    })
-}
 
 /// Execution limits (to keep tests and runaway kernels bounded).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -590,9 +540,8 @@ fn op_sync(_op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
 }
 
 fn op_fence(_op: &ThreadedOp, _s: &mut StepCtx) -> OpResult {
-    // Blocks execute atomically relative to each other (sequentially or
-    // via validated speculation), so fences are functional no-ops; the
-    // cycle cost was already charged.
+    // Blocks execute one after another, so fences are functional no-ops;
+    // the cycle cost was already charged.
     Ok(Flow::Next)
 }
 
@@ -904,80 +853,8 @@ fn build_tables(module: &Module, cost: &CostModel) -> Vec<Box<[ThreadedOp]>> {
         .collect()
 }
 // ----------------------------------------------------------------------
-// Execution environment: memory views, launch sinks
+// Execution environment: launch queue, statistics, memory access
 // ----------------------------------------------------------------------
-
-/// A speculative view of global memory for one block: reads fall through
-/// to the immutable pre-grid snapshot, writes land in a private overlay,
-/// and both are recorded as word-granular bitsets for the merge phase's
-/// conflict validation. Reads of the block's *own* writes are served from
-/// the overlay and deliberately not recorded — they carry no cross-block
-/// dependence.
-struct SpecMem<'m> {
-    base: &'m Memory,
-    /// Full-size scratch; `overlay[a]` is meaningful only where the write
-    /// bit for `a` is set, so it needs no clearing between blocks.
-    overlay: &'m mut Vec<Value>,
-    read_bits: &'m mut Vec<u64>,
-    write_bits: &'m mut Vec<u64>,
-    /// 64-word chunks whose read/write bitmap word became non-zero —
-    /// makes per-block clearing O(touched), not O(memory).
-    read_touched: &'m mut Vec<u32>,
-    write_touched: &'m mut Vec<u32>,
-}
-
-impl SpecMem<'_> {
-    fn load(&mut self, addr: i64) -> Result<Value, ExecError> {
-        let a = self.base.check(addr)?;
-        let chunk = a >> 6;
-        let bit = 1u64 << (a & 63);
-        if self.write_bits[chunk] & bit != 0 {
-            return Ok(self.overlay[a]);
-        }
-        if self.read_bits[chunk] == 0 {
-            self.read_touched.push(chunk as u32);
-        }
-        self.read_bits[chunk] |= bit;
-        Ok(self.base.data[a])
-    }
-
-    fn store(&mut self, addr: i64, value: Value) -> Result<(), ExecError> {
-        let a = self.base.check(addr)?;
-        let chunk = a >> 6;
-        if self.write_bits[chunk] == 0 {
-            self.write_touched.push(chunk as u32);
-        }
-        self.write_bits[chunk] |= 1u64 << (a & 63);
-        self.overlay[a] = value;
-        Ok(())
-    }
-}
-
-/// Where global-memory accesses go: straight at the machine's memory
-/// (sequential execution and host-side helpers) or through a tracked
-/// speculative overlay (parallel block execution).
-enum MemView<'m> {
-    Direct(&'m mut Memory),
-    Spec(SpecMem<'m>),
-}
-
-impl MemView<'_> {
-    #[inline]
-    fn load(&mut self, addr: i64) -> Result<Value, ExecError> {
-        match self {
-            MemView::Direct(m) => m.read(addr),
-            MemView::Spec(s) => s.load(addr),
-        }
-    }
-
-    #[inline]
-    fn store(&mut self, addr: i64, value: Value) -> Result<(), ExecError> {
-        match self {
-            MemView::Direct(m) => m.write(addr, value),
-            MemView::Spec(s) => s.store(addr, value),
-        }
-    }
-}
 
 struct PendingGrid {
     kernel: FuncId,
@@ -988,66 +865,17 @@ struct PendingGrid {
     id: usize,
 }
 
-/// Static launch validation shared by every enqueue path (host, direct
-/// device, speculative device). The pending-buffer overflow check is *not*
-/// here: it depends on global queue state and is applied where the grid
-/// actually joins the queue.
-fn validate_launch(
-    module: &Module,
-    limits: &ExecLimits,
-    kernel: FuncId,
-    grid: [i64; 3],
-    block: [i64; 3],
-    nargs: usize,
-) -> Result<(), ExecError> {
-    let func = module.function(kernel);
-    if func.qual != FnQual::Global {
-        return Err(ExecError::new(format!(
-            "`{}` is not a __global__ kernel",
-            func.name
-        )));
-    }
-    if nargs != func.param_types.len() {
-        return Err(ExecError::new(format!(
-            "kernel `{}` takes {} arguments, got {}",
-            func.name,
-            func.param_types.len(),
-            nargs
-        )));
-    }
-    let threads = block[0] * block[1] * block[2];
-    if threads <= 0 || threads > limits.max_threads_per_block as i64 {
-        return Err(ExecError::new(format!(
-            "invalid block size {threads} for kernel `{}`",
-            func.name
-        )));
-    }
-    if grid.iter().any(|&d| d < 0) {
-        return Err(ExecError::new(format!(
-            "negative grid dimension for kernel `{}`",
-            func.name
-        )));
-    }
-    Ok(())
+/// The machine's FIFO of launched-but-not-yet-executed grids. Grid ids are
+/// assigned at enqueue time, so execution order equals id order.
+#[derive(Default)]
+struct LaunchQueue {
+    pending: VecDeque<PendingGrid>,
+    next_grid_id: usize,
 }
 
-fn pending_overflow() -> ExecError {
-    ExecError::new("pending launch buffer overflow (raise ExecLimits::max_pending)")
-}
-
-/// Where device-side launches go: straight onto the machine's FIFO queue
-/// (ids assigned immediately) or into a per-block list (ids are local
-/// placeholders renumbered at merge time, so the final queue and trace
-/// are identical to sequential execution).
-enum LaunchSink<'m> {
-    Direct {
-        pending: &'m mut VecDeque<PendingGrid>,
-        next_grid_id: &'m mut usize,
-    },
-    Spec(&'m mut Vec<PendingGrid>),
-}
-
-impl LaunchSink<'_> {
+impl LaunchQueue {
+    /// Validates a launch (host- or device-side) and appends it to the
+    /// queue, returning the new grid's id.
     #[allow(clippy::too_many_arguments)]
     fn enqueue(
         &mut self,
@@ -1059,40 +887,50 @@ impl LaunchSink<'_> {
         args: Vec<Value>,
         origin: LaunchOrigin,
     ) -> Result<usize, ExecError> {
-        validate_launch(module, limits, kernel, grid, block, args.len())?;
-        match self {
-            LaunchSink::Direct {
-                pending,
-                next_grid_id,
-            } => {
-                if pending.len() >= limits.max_pending {
-                    return Err(pending_overflow());
-                }
-                let id = **next_grid_id;
-                **next_grid_id += 1;
-                pending.push_back(PendingGrid {
-                    kernel,
-                    grid,
-                    block,
-                    args,
-                    origin,
-                    id,
-                });
-                Ok(id)
-            }
-            LaunchSink::Spec(list) => {
-                let id = list.len();
-                list.push(PendingGrid {
-                    kernel,
-                    grid,
-                    block,
-                    args,
-                    origin,
-                    id,
-                });
-                Ok(id)
-            }
+        let func = module.function(kernel);
+        if func.qual != FnQual::Global {
+            return Err(ExecError::new(format!(
+                "`{}` is not a __global__ kernel",
+                func.name
+            )));
         }
+        if args.len() != func.param_types.len() {
+            return Err(ExecError::new(format!(
+                "kernel `{}` takes {} arguments, got {}",
+                func.name,
+                func.param_types.len(),
+                args.len()
+            )));
+        }
+        let threads = block[0] * block[1] * block[2];
+        if threads <= 0 || threads > limits.max_threads_per_block as i64 {
+            return Err(ExecError::new(format!(
+                "invalid block size {threads} for kernel `{}`",
+                func.name
+            )));
+        }
+        if grid.iter().any(|&d| d < 0) {
+            return Err(ExecError::new(format!(
+                "negative grid dimension for kernel `{}`",
+                func.name
+            )));
+        }
+        if self.pending.len() >= limits.max_pending {
+            return Err(ExecError::new(
+                "pending launch buffer overflow (raise ExecLimits::max_pending)",
+            ));
+        }
+        let id = self.next_grid_id;
+        self.next_grid_id += 1;
+        self.pending.push_back(PendingGrid {
+            kernel,
+            grid,
+            block,
+            args,
+            origin,
+            id,
+        });
+        Ok(id)
     }
 }
 
@@ -1109,37 +947,27 @@ pub struct MachineStats {
     pub empty_launches: u64,
 }
 
-/// Bookkeeping about the parallel block executor. Deliberately **not**
-/// part of [`MachineStats`]: these counters depend on worker count and
-/// scheduling, while `MachineStats` is part of the determinism contract
-/// (bit-identical at any parallelism).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ParallelStats {
-    /// Grids executed through the speculative worker pool.
-    pub parallel_grids: u64,
-    /// Blocks executed speculatively.
-    pub speculated_blocks: u64,
-    /// Speculated blocks that conflicted (or failed) and were re-executed
-    /// sequentially.
-    pub conflict_blocks: u64,
-    /// Kernels adaptively marked serial after conflict-heavy grids.
-    pub serialized_kernels: u64,
-}
-
-/// The disjoint machine borrows the execution loop needs: read-only code
-/// and dispatch tables, a memory view, a launch sink, and statistics.
+/// The disjoint machine borrows the execution loop needs: read-only code,
+/// dispatch tables and configuration, global memory, the launch queue, and
+/// statistics.
 struct ExecEnv<'m> {
     module: &'m Module,
     tables: &'m [Box<[ThreadedOp]>],
+    cost: &'m CostModel,
     limits: &'m ExecLimits,
-    mem: MemView<'m>,
-    launches: LaunchSink<'m>,
+    dispatch: DispatchMode,
+    reuse_state: bool,
+    mem: &'m mut Memory,
+    launches: &'m mut LaunchQueue,
     stats: &'m mut MachineStats,
     instr_budget: &'m mut u64,
 }
 
+// `load`/`store` stay out of line: inlined into every memory-op handler
+// they cost ~7% of `vm.run` on a cold BFS sweep (30 alternating pairs
+// against the out-of-line build).
 impl ExecEnv<'_> {
-    #[inline]
+    #[inline(never)]
     fn load(&mut self, addr: i64, shared: &[Value]) -> Result<Value, ExecError> {
         if addr >= SHARED_SPACE_BASE {
             let off = (addr - SHARED_SPACE_BASE) as usize;
@@ -1147,11 +975,11 @@ impl ExecEnv<'_> {
                 ExecError::new(format!("shared memory access out of bounds: offset {off}"))
             })
         } else {
-            self.mem.load(addr)
+            self.mem.read(addr)
         }
     }
 
-    #[inline]
+    #[inline(never)]
     fn store(&mut self, addr: i64, value: Value, shared: &mut [Value]) -> Result<(), ExecError> {
         if addr >= SHARED_SPACE_BASE {
             let off = (addr - SHARED_SPACE_BASE) as usize;
@@ -1165,7 +993,7 @@ impl ExecEnv<'_> {
                 ))),
             }
         } else {
-            self.mem.store(addr, value)
+            self.mem.write(addr, value)
         }
     }
 }
@@ -1519,14 +1347,13 @@ fn run_thread_match(
 
 #[inline]
 fn run_thread(
-    dispatch: DispatchMode,
     env: &mut ExecEnv<'_>,
     thread: &mut Thread,
     block: &BlockCtx,
     shared: &mut [Value],
     btrace: &mut BlockTrace,
 ) -> Result<(), ExecError> {
-    match dispatch {
+    match env.dispatch {
         DispatchMode::Threaded => run_thread_threaded(env, thread, block, shared, btrace),
         DispatchMode::Match => run_thread_match(env, thread, block, shared, btrace),
     }
@@ -1534,18 +1361,12 @@ fn run_thread(
 
 /// Executes one block to completion against the given environment: arms
 /// the arena's threads, round-robins them between barriers, and settles
-/// the per-warp/per-origin accounting. Identical for the sequential and
-/// speculative paths — only the `ExecEnv` views differ.
-#[allow(clippy::too_many_arguments)]
+/// the per-warp/per-origin accounting.
 fn run_block(
     env: &mut ExecEnv<'_>,
     arena: &mut BlockArena,
-    reuse_state: bool,
-    dispatch: DispatchMode,
-    cost: &CostModel,
     grid: &PendingGrid,
     coerced_args: &[Value],
-    block_idx: [i64; 3],
     linear_block: u64,
 ) -> Result<BlockTrace, ExecError> {
     let func = env.module.function(grid.kernel);
@@ -1554,7 +1375,7 @@ fn run_block(
     let n_threads = (grid.block[0] * grid.block[1] * grid.block[2]) as usize;
     let shared_words = func.shared_words as usize;
 
-    if !reuse_state {
+    if !env.reuse_state {
         // Benchmarking baseline: behave like the pre-arena executor and
         // allocate everything fresh for this block.
         arena.threads.clear();
@@ -1580,7 +1401,7 @@ fn run_block(
     let ctx = BlockCtx {
         grid_dim: grid.grid,
         block_dim: grid.block,
-        block_idx,
+        block_idx: linear_to_block_idx(linear_block as i64, grid.grid),
         grid_id: grid.id,
         linear_block,
     };
@@ -1589,7 +1410,7 @@ fn run_block(
         let mut all_done = true;
         for thread in threads.iter_mut() {
             if matches!(thread.status, ThreadStatus::Running) {
-                run_thread(dispatch, env, thread, &ctx, shared, &mut btrace)?;
+                run_thread(env, thread, &ctx, shared, &mut btrace)?;
             }
             if !matches!(thread.status, ThreadStatus::Done) {
                 all_done = false;
@@ -1608,7 +1429,7 @@ fn run_block(
 
     // Per-warp cost: max thread cycles within each 32-thread group.
     let presence = if contains_launch {
-        cost.launch_presence_overhead
+        env.cost.launch_presence_overhead
     } else {
         0
     };
@@ -1627,155 +1448,6 @@ fn run_block(
     }
     env.stats.instructions += btrace.instructions;
     Ok(btrace)
-}
-// ----------------------------------------------------------------------
-// Parallel block execution
-// ----------------------------------------------------------------------
-
-/// Per-worker reusable state: an arena for thread structs plus the
-/// speculative memory overlay and its read/write tracking buffers. Owned
-/// by the machine so repeated parallel grids allocate nothing.
-#[derive(Default)]
-struct ParWorker {
-    arena: BlockArena,
-    overlay: Vec<Value>,
-    read_bits: Vec<u64>,
-    write_bits: Vec<u64>,
-    read_touched: Vec<u32>,
-    write_touched: Vec<u32>,
-}
-
-impl ParWorker {
-    /// Sizes the overlay/bitmaps for a memory snapshot of `words` words.
-    /// Bitmaps are kept clear between blocks via the touched lists.
-    fn prepare(&mut self, words: usize, chunks: usize) {
-        if self.overlay.len() < words {
-            self.overlay.resize(words, Value::Int(0));
-        }
-        if self.read_bits.len() < chunks {
-            self.read_bits.resize(chunks, 0);
-            self.write_bits.resize(chunks, 0);
-        }
-    }
-
-    /// Drains the tracking buffers into compact per-block sets, clearing
-    /// the bitmaps for the worker's next block. Returns `(reads,
-    /// write_set, writes)` with chunks in ascending order (deterministic
-    /// apply order).
-    #[allow(clippy::type_complexity)]
-    fn extract_and_clear(&mut self) -> (Vec<(u32, u64)>, Vec<(u32, u64)>, Vec<(usize, Value)>) {
-        self.read_touched.sort_unstable();
-        self.write_touched.sort_unstable();
-        let reads: Vec<(u32, u64)> = self
-            .read_touched
-            .iter()
-            .map(|&c| (c, self.read_bits[c as usize]))
-            .collect();
-        let write_set: Vec<(u32, u64)> = self
-            .write_touched
-            .iter()
-            .map(|&c| (c, self.write_bits[c as usize]))
-            .collect();
-        let mut writes = Vec::new();
-        for &(chunk, mask) in &write_set {
-            let base = (chunk as usize) << 6;
-            let mut m = mask;
-            while m != 0 {
-                let bit = m.trailing_zeros() as usize;
-                let addr = base + bit;
-                writes.push((addr, self.overlay[addr]));
-                m &= m - 1;
-            }
-        }
-        for &c in &self.read_touched {
-            self.read_bits[c as usize] = 0;
-        }
-        for &c in &self.write_touched {
-            self.write_bits[c as usize] = 0;
-        }
-        self.read_touched.clear();
-        self.write_touched.clear();
-        (reads, write_set, writes)
-    }
-}
-
-/// One speculated (or re-executed) block, ready for in-order validation
-/// and merge. An `Err` result from speculation means the block must be
-/// re-executed sequentially (a real error will then reproduce
-/// deterministically; a stale-state artifact will vanish); an `Err` from
-/// re-execution is the run's error, and the partial `writes`/`launches`
-/// issued before the fault are still applied so post-error machine state
-/// matches sequential execution exactly.
-struct SpecBlock {
-    result: Result<BlockTrace, ExecError>,
-    /// Device launches in issue order; `id` and the matching
-    /// `btrace.launches[k].child_grid` are local placeholders.
-    launches: Vec<PendingGrid>,
-    reads: Vec<(u32, u64)>,
-    write_set: Vec<(u32, u64)>,
-    writes: Vec<(usize, Value)>,
-    stats: MachineStats,
-}
-
-/// Runs one block speculatively against the snapshot through a worker's
-/// tracked overlay.
-#[allow(clippy::too_many_arguments)]
-fn spec_run_block(
-    worker: &mut ParWorker,
-    base: &Memory,
-    module: &Module,
-    tables: &[Box<[ThreadedOp]>],
-    limits: &ExecLimits,
-    cost: &CostModel,
-    dispatch: DispatchMode,
-    reuse_state: bool,
-    grid: &PendingGrid,
-    coerced_args: &[Value],
-    linear: u64,
-    spec_budget: u64,
-) -> SpecBlock {
-    let mut stats = MachineStats::default();
-    let mut budget = spec_budget;
-    let mut launches: Vec<PendingGrid> = Vec::new();
-    let block_idx = linear_to_block_idx(linear as i64, grid.grid);
-    let outcome = {
-        let mut env = ExecEnv {
-            module,
-            tables,
-            limits,
-            mem: MemView::Spec(SpecMem {
-                base,
-                overlay: &mut worker.overlay,
-                read_bits: &mut worker.read_bits,
-                write_bits: &mut worker.write_bits,
-                read_touched: &mut worker.read_touched,
-                write_touched: &mut worker.write_touched,
-            }),
-            launches: LaunchSink::Spec(&mut launches),
-            stats: &mut stats,
-            instr_budget: &mut budget,
-        };
-        run_block(
-            &mut env,
-            &mut worker.arena,
-            reuse_state,
-            dispatch,
-            cost,
-            grid,
-            coerced_args,
-            block_idx,
-            linear,
-        )
-    };
-    let (reads, write_set, writes) = worker.extract_and_clear();
-    SpecBlock {
-        result: outcome,
-        launches,
-        reads,
-        write_set,
-        writes,
-        stats,
-    }
 }
 
 fn linear_to_block_idx(linear: i64, grid_dim: [i64; 3]) -> [i64; 3] {
@@ -1797,23 +1469,13 @@ pub struct Machine {
     cost: CostModel,
     tables: Vec<Box<[ThreadedOp]>>,
     limits: ExecLimits,
-    pending: VecDeque<PendingGrid>,
-    next_grid_id: usize,
+    launches: LaunchQueue,
     trace: ExecutionTrace,
     stats: MachineStats,
     instr_budget: u64,
     arena: BlockArena,
     reuse_state: bool,
     dispatch: DispatchMode,
-    /// `None` = auto (shared `DPOPT_JOBS` budget); `Some(n)` = exactly `n`
-    /// workers, bypassing the budget (benchmark/test override).
-    par_jobs: Option<usize>,
-    /// Kernels adaptively marked serial after a conflict-heavy grid.
-    kernel_serial: Vec<bool>,
-    par_workers: Vec<ParWorker>,
-    par_stats: ParallelStats,
-    /// Cumulative write bitmap reused by the merge phase.
-    merge_write_bits: Vec<u64>,
 }
 
 impl Machine {
@@ -1826,26 +1488,19 @@ impl Machine {
     /// Creates a machine with an explicit cost model and limits.
     pub fn with_config(module: Module, cost: CostModel, limits: ExecLimits) -> Self {
         let tables = build_tables(&module, &cost);
-        let n_functions = module.functions.len();
         Machine {
             module,
             mem: Memory::new(),
             cost,
             tables,
             limits,
-            pending: VecDeque::new(),
-            next_grid_id: 0,
+            launches: LaunchQueue::default(),
             trace: ExecutionTrace::default(),
             stats: MachineStats::default(),
             instr_budget: limits.max_instructions,
             arena: BlockArena::default(),
             reuse_state: true,
             dispatch: DispatchMode::default(),
-            par_jobs: None,
-            kernel_serial: vec![false; n_functions],
-            par_workers: Vec::new(),
-            par_stats: ParallelStats::default(),
-            merge_write_bits: Vec::new(),
         }
     }
 
@@ -1867,25 +1522,6 @@ impl Machine {
     /// The current dispatch mode.
     pub fn dispatch(&self) -> DispatchMode {
         self.dispatch
-    }
-
-    /// Sets the worker count for parallel block execution. `0` restores
-    /// the default: draw workers from the process-wide `DPOPT_JOBS` budget
-    /// shared with the sweep engine (so nested parallelism cannot
-    /// oversubscribe). A non-zero value forces exactly that many workers,
-    /// bypassing the budget — results are identical either way; only
-    /// wall-clock changes.
-    pub fn set_block_parallelism(&mut self, jobs: usize) {
-        self.par_jobs = if jobs == 0 { None } else { Some(jobs) };
-        // A fresh explicit setting is a fresh chance for kernels that were
-        // adaptively serialized under the previous regime.
-        self.kernel_serial.fill(false);
-    }
-
-    /// Counters for the parallel block executor (not part of the
-    /// determinism contract — see [`ParallelStats`]).
-    pub fn parallel_stats(&self) -> ParallelStats {
-        self.par_stats
     }
 
     /// The compiled module.
@@ -1966,11 +1602,7 @@ impl Machine {
             .module
             .id_of(kernel)
             .ok_or_else(|| ExecError::new(format!("unknown kernel `{kernel}`")))?;
-        let mut sink = LaunchSink::Direct {
-            pending: &mut self.pending,
-            next_grid_id: &mut self.next_grid_id,
-        };
-        sink.enqueue(
+        self.launches.enqueue(
             &self.module,
             &self.limits,
             id,
@@ -1987,7 +1619,7 @@ impl Machine {
         let _span = dp_obs::trace::span("vm.run");
         let started = dp_obs::metrics::now();
         let result = (|| {
-            while let Some(grid) = self.pending.pop_front() {
+            while let Some(grid) = self.launches.pending.pop_front() {
                 // Grid boundaries are the VM's cooperative yield points:
                 // when this machine runs inside a bulk pool job (a sweep
                 // cell), a queued interactive request may borrow the
@@ -2011,49 +1643,26 @@ impl Machine {
         &self.trace
     }
 
-    /// Decides the worker count for a grid; `1` means sequential.
-    ///
-    /// In auto mode the count comes from the shared pool
-    /// ([`dp_pool::Pool::shared`]), which resolved the `DPOPT_JOBS` budget
-    /// once at pool init (precedence: `--jobs` flag > env > available
-    /// parallelism): speculation is worth starting only when pool workers
-    /// are actually idle, and a grid that is already running *on* a pool
-    /// worker (a sweep cell, a served request) stays sequential — the
-    /// nesting discipline the per-grid budget reservation used to enforce.
-    /// A forced count ([`Machine::set_block_parallelism`]) bypasses the
-    /// idle gate; its helper loops degrade inline if the pool is empty.
-    fn plan_workers(&self, kernel: FuncId, num_blocks: u64) -> usize {
-        if num_blocks < MIN_PARALLEL_BLOCKS {
-            return 1;
-        }
-        // A finite instruction budget is consumed in execution order;
-        // exhaustion mid-grid must reproduce exactly, so budgeted runs
-        // stay sequential.
-        if self.limits.max_instructions != u64::MAX {
-            return 1;
-        }
-        if self.kernel_serial[kernel as usize] {
-            return 1;
-        }
-        match self.par_jobs {
-            Some(forced) => forced.min(num_blocks as usize).max(1),
-            None => {
-                if dp_pool::is_worker_thread() {
-                    return 1;
-                }
-                let pool = dp_pool::Pool::shared();
-                let cap = (pool.threads() + 1).min(num_blocks as usize);
-                if cap <= 1 {
-                    return 1;
-                }
-                1 + pool.available_workers().min(cap - 1)
-            }
-        }
-    }
-
     fn execute_grid(&mut self, grid: PendingGrid) -> Result<(), ExecError> {
+        // Split the machine into disjoint borrows: the run loop reads the
+        // module/dispatch tables while mutating memory, the launch queue,
+        // and thread state.
+        let Machine {
+            module,
+            mem,
+            cost,
+            tables,
+            limits,
+            launches,
+            trace,
+            stats,
+            instr_budget,
+            arena,
+            reuse_state,
+            dispatch,
+        } = self;
         let num_blocks = grid.grid[0] * grid.grid[1] * grid.grid[2];
-        let func = self.module.function(grid.kernel);
+        let func = module.function(grid.kernel);
         // Coerce kernel arguments to their declared parameter types once per
         // grid — every block (and thread) starts from the same locals image.
         let coerced_args: Vec<Value> = grid
@@ -2070,284 +1679,29 @@ impl Machine {
             origin: grid.origin,
             blocks: Vec::with_capacity(num_blocks as usize),
         };
-
-        let workers = self.plan_workers(grid.kernel, num_blocks as u64);
-        if workers > 1 {
-            self.execute_grid_parallel(&grid, &coerced_args, &mut gtrace, workers)?;
-        } else {
-            for linear in 0..num_blocks {
-                let block_idx = linear_to_block_idx(linear, grid.grid);
-                let btrace =
-                    self.run_block_direct(&grid, &coerced_args, block_idx, linear as u64)?;
-                gtrace.blocks.push(btrace);
-            }
-        }
-
-        self.stats.grids_executed += 1;
-        // Grid ids are assigned at enqueue time in FIFO order, so the
-        // executed order matches id order.
-        debug_assert_eq!(gtrace.id, self.trace.grids.len());
-        self.trace.grids.push(gtrace);
-        Ok(())
-    }
-
-    /// Sequential block execution straight against machine state.
-    fn run_block_direct(
-        &mut self,
-        grid: &PendingGrid,
-        coerced_args: &[Value],
-        block_idx: [i64; 3],
-        linear_block: u64,
-    ) -> Result<BlockTrace, ExecError> {
-        // Split the machine into disjoint borrows: the run loop reads the
-        // module/dispatch tables while mutating memory, the launch queue,
-        // and thread state.
-        let Machine {
-            module,
-            mem,
-            cost,
-            tables,
-            limits,
-            pending,
-            next_grid_id,
-            stats,
-            instr_budget,
-            arena,
-            reuse_state,
-            dispatch,
-            ..
-        } = self;
         let mut env = ExecEnv {
             module,
             tables,
-            limits,
-            mem: MemView::Direct(mem),
-            launches: LaunchSink::Direct {
-                pending,
-                next_grid_id,
-            },
-            stats,
-            instr_budget,
-        };
-        run_block(
-            &mut env,
-            arena,
-            *reuse_state,
-            *dispatch,
             cost,
-            grid,
-            coerced_args,
-            block_idx,
-            linear_block,
-        )
-    }
-
-    /// Speculative parallel execution of one grid's blocks, followed by an
-    /// in-block-order validate/merge pass that keeps every observable
-    /// output bit-identical to sequential execution.
-    fn execute_grid_parallel(
-        &mut self,
-        grid: &PendingGrid,
-        coerced_args: &[Value],
-        gtrace: &mut GridTrace,
-        workers: usize,
-    ) -> Result<(), ExecError> {
-        let num_blocks = (grid.grid[0] * grid.grid[1] * grid.grid[2]) as usize;
-        let blocks_attr;
-        let _span = if dp_obs::trace::active() {
-            blocks_attr = num_blocks.to_string();
-            dp_obs::trace::span_with(
-                "vm.grid",
-                &[
-                    ("kernel", &self.module.function(grid.kernel).name),
-                    ("blocks", &blocks_attr),
-                ],
-            )
-        } else {
-            dp_obs::trace::span("vm.grid")
-        };
-        let words = self.mem.allocated_words();
-        let chunks = words.div_ceil(64);
-        while self.par_workers.len() < workers {
-            self.par_workers.push(ParWorker::default());
-        }
-        let Machine {
-            module,
+            limits,
+            dispatch: *dispatch,
+            reuse_state: *reuse_state,
             mem,
-            cost,
-            tables,
-            limits,
-            pending,
-            next_grid_id,
+            launches,
             stats,
             instr_budget,
-            reuse_state,
-            dispatch,
-            kernel_serial,
-            par_workers,
-            par_stats,
-            merge_write_bits,
-            ..
-        } = self;
-        let (reuse_state, dispatch) = (*reuse_state, *dispatch);
-
-        // ---- Speculation: workers race through the block list against an
-        // immutable snapshot of memory.
-        let mut results: Vec<Mutex<Option<SpecBlock>>> =
-            (0..num_blocks).map(|_| Mutex::new(None)).collect();
-        {
-            let base: &Memory = mem;
-            let next = AtomicUsize::new(0);
-            let results = &results;
-            let run_worker = |worker: &mut ParWorker| {
-                worker.prepare(words, chunks);
-                loop {
-                    let linear = next.fetch_add(1, Ordering::Relaxed);
-                    if linear >= num_blocks {
-                        return;
-                    }
-                    let r = spec_run_block(
-                        worker,
-                        base,
-                        module,
-                        tables,
-                        limits,
-                        cost,
-                        dispatch,
-                        reuse_state,
-                        grid,
-                        coerced_args,
-                        linear as u64,
-                        SPEC_BLOCK_BUDGET,
-                    );
-                    *results[linear].lock().expect("results lock") = Some(r);
-                }
-            };
-            // Helper loops run on the shared persistent pool (no per-grid
-            // thread spawns); the calling thread is always one of the
-            // workers, so progress never depends on pool availability.
-            dp_pool::Pool::shared().scope(|scope| {
-                let mut iter = par_workers[..workers].iter_mut();
-                let mine = iter.next().expect("at least one worker");
-                for worker in iter {
-                    scope.spawn_as(dp_pool::JobClass::Bulk, || run_worker(worker));
-                }
-                run_worker(mine);
-            });
+        };
+        for linear in 0..num_blocks as u64 {
+            gtrace
+                .blocks
+                .push(run_block(&mut env, arena, &grid, &coerced_args, linear)?);
         }
 
-        // ---- Merge in linear block order: validate against everything
-        // earlier blocks wrote, apply or re-execute, then enqueue the
-        // block's launches with their real grid ids.
-        let cum = merge_write_bits;
-        cum.clear();
-        cum.resize(chunks, 0);
-        let mut invalid_blocks = 0u64;
-        for (linear, slot) in results.iter_mut().enumerate() {
-            let r = slot
-                .get_mut()
-                .expect("results lock")
-                .take()
-                .expect("block speculated");
-            let valid = r.result.is_ok()
-                && !r
-                    .reads
-                    .iter()
-                    .any(|&(chunk, mask)| cum[chunk as usize] & mask != 0);
-            let spec = if valid {
-                r
-            } else {
-                invalid_blocks += 1;
-                if par_debug() {
-                    let reason = match &r.result {
-                        Ok(_) => "read/write overlap with an earlier block".to_string(),
-                        Err(e) => format!("speculation aborted: {e}"),
-                    };
-                    dp_obs::diag!(
-                        "[dp-vm] overlap: kernel `{}` block {linear}: {reason}; re-executing sequentially",
-                        module.function(grid.kernel).name
-                    );
-                }
-                // Deterministic sequential re-execution against live
-                // memory (all earlier blocks applied), still through a
-                // tracked view so later validation sees its writes.
-                let worker = &mut par_workers[0];
-                worker.prepare(words, chunks);
-                spec_run_block(
-                    worker,
-                    mem,
-                    module,
-                    tables,
-                    limits,
-                    cost,
-                    dispatch,
-                    reuse_state,
-                    grid,
-                    coerced_args,
-                    linear as u64,
-                    u64::MAX,
-                )
-            };
-            // Apply writes and enqueue launches *before* propagating any
-            // re-execution error: a sequential run's fault leaves its
-            // partial effects behind, and so must the parallel run.
-            for &(addr, v) in &spec.writes {
-                mem.data[addr] = v;
-            }
-            for &(chunk, mask) in &spec.write_set {
-                cum[chunk as usize] |= mask;
-            }
-            let mut btrace = match spec.result {
-                Ok(btrace) => btrace,
-                Err(e) => {
-                    for mut pg in spec.launches {
-                        if pending.len() >= limits.max_pending {
-                            return Err(pending_overflow());
-                        }
-                        pg.id = *next_grid_id;
-                        *next_grid_id += 1;
-                        pending.push_back(pg);
-                    }
-                    stats.device_launches += spec.stats.device_launches;
-                    stats.empty_launches += spec.stats.empty_launches;
-                    return Err(e);
-                }
-            };
-            for (k, mut pg) in spec.launches.into_iter().enumerate() {
-                if pending.len() >= limits.max_pending {
-                    return Err(pending_overflow());
-                }
-                pg.id = *next_grid_id;
-                *next_grid_id += 1;
-                btrace.launches[k].child_grid = pg.id;
-                pending.push_back(pg);
-            }
-            stats.instructions += btrace.instructions;
-            stats.device_launches += spec.stats.device_launches;
-            stats.empty_launches += spec.stats.empty_launches;
-            *instr_budget = instr_budget.saturating_sub(btrace.instructions);
-            gtrace.blocks.push(btrace);
-        }
-
-        par_stats.parallel_grids += 1;
-        par_stats.speculated_blocks += num_blocks as u64;
-        par_stats.conflict_blocks += invalid_blocks;
-        VM_PAR_GRIDS.incr();
-        VM_SPEC_BLOCKS.add(num_blocks as u64);
-        VM_CONFLICT_BLOCKS.add(invalid_blocks);
-        if invalid_blocks * 2 > num_blocks as u64 && !kernel_serial[grid.kernel as usize] {
-            // This kernel's blocks are coupled (e.g. a cross-block atomic
-            // reduction): stop paying speculation for it.
-            kernel_serial[grid.kernel as usize] = true;
-            par_stats.serialized_kernels += 1;
-            VM_SERIALIZED.incr();
-            if par_debug() {
-                dp_obs::diag!(
-                    "[dp-vm] kernel `{}` marked serial after {invalid_blocks}/{num_blocks} conflicting blocks",
-                    module.function(grid.kernel).name
-                );
-            }
-        }
+        env.stats.grids_executed += 1;
+        // Grid ids are assigned at enqueue time in FIFO order, so the
+        // executed order matches id order.
+        debug_assert_eq!(gtrace.id, trace.grids.len());
+        trace.grids.push(gtrace);
         Ok(())
     }
 }
@@ -2705,6 +2059,40 @@ mod tests {
     }
 
     #[test]
+    fn budget_is_consumed_in_block_order_across_a_grid() {
+        let p = dp_frontend::parse(
+            "__global__ void k(int* d) { d[blockIdx.x * blockDim.x + threadIdx.x] = 1; }",
+        )
+        .unwrap();
+        let module = compile_program(&p).unwrap();
+        let run = |max_instructions: u64| {
+            let limits = ExecLimits {
+                max_instructions,
+                ..Default::default()
+            };
+            let mut m = Machine::with_config(module.clone(), CostModel::default(), limits);
+            let d = m.alloc(256);
+            m.launch_host("k", 8, 32, &[Value::Int(d)]).unwrap();
+            let result = m.run_to_quiescence();
+            (result, m.read_i64s(d, 256).unwrap(), m.stats().instructions)
+        };
+        let (result, mem, needed) = run(u64::MAX);
+        result.unwrap();
+        assert_eq!(mem, vec![1; 256]);
+        // A budget of exactly the grid's instruction count suffices.
+        let (result, mem, _) = run(needed);
+        result.unwrap();
+        assert_eq!(mem, vec![1; 256]);
+        // One instruction short: every thread but the last one finished.
+        let (result, mem, _) = run(needed - 1);
+        assert!(result
+            .unwrap_err()
+            .to_string()
+            .contains("instruction budget"));
+        assert_eq!(mem[..255], [1; 255][..]);
+    }
+
+    #[test]
     fn oversized_block_rejected() {
         let mut m = machine("__global__ void k(int* d) { d[0] = 1; }");
         let buf = m.alloc(1);
@@ -2884,42 +2272,16 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Parallel block execution + dispatch-mode determinism
+    // Dispatch-mode × fusion determinism
     // ------------------------------------------------------------------
 
-    /// Runs `src` under one (fusion, dispatch, jobs) configuration and
-    /// returns every observable output.
-    #[allow(clippy::too_many_arguments)]
-    fn run_configured(
-        src: &str,
-        setup: &dyn Fn(&mut Machine) -> Vec<Value>,
-        words: usize,
-        fuse: bool,
-        dispatch: DispatchMode,
-        jobs: usize,
-        kernel: &str,
-        grid: i64,
-        block: i64,
-    ) -> (Vec<i64>, MachineStats, ExecutionTrace) {
-        let p = dp_frontend::parse(src).unwrap();
-        let module =
-            crate::lower::compile_program_with(&p, crate::lower::LowerOptions { fuse }).unwrap();
-        let mut m = Machine::new(module);
-        m.set_dispatch(dispatch);
-        m.set_block_parallelism(jobs);
-        let args = setup(&mut m);
-        m.launch_host(kernel, grid, block, &args).unwrap();
-        m.run_to_quiescence().unwrap();
-        (m.read_i64s(1, words).unwrap(), m.stats(), m.take_trace())
-    }
-
-    /// The full determinism matrix of the acceptance criteria: fusion
-    /// on/off × jobs 1/N × dispatch threaded/match must agree bit-exactly
-    /// on memory, statistics, and the entire execution trace — on a
-    /// disjoint-write kernel, a conflict-heavy cross-block atomic kernel,
-    /// a barrier/shared-memory kernel, and a device-launching kernel.
+    /// The determinism matrix: fusion on/off × dispatch threaded/match
+    /// must agree bit-exactly on memory, statistics, and the entire
+    /// execution trace — on a disjoint-write kernel, a cross-block atomic
+    /// kernel, a barrier/shared-memory kernel, and a device-launching
+    /// kernel.
     #[test]
-    fn parallel_and_dispatch_matrix_is_bit_identical() {
+    fn dispatch_and_fusion_matrix_is_bit_identical() {
         struct Case {
             name: &'static str,
             src: &'static str,
@@ -2979,120 +2341,72 @@ mod tests {
             },
         ];
         for case in cases {
-            let setup = |m: &mut Machine| {
+            // Every observable output of one (fusion, dispatch) configuration.
+            let run = |fuse: bool, dispatch: DispatchMode| {
+                let p = dp_frontend::parse(case.src).unwrap();
+                let module =
+                    crate::lower::compile_program_with(&p, crate::lower::LowerOptions { fuse })
+                        .unwrap();
+                let mut m = Machine::new(module);
+                m.set_dispatch(dispatch);
                 let d = m.alloc(case.words);
-                assert_eq!(d, 1, "single allocation starts at 1");
-                vec![Value::Int(d)]
+                m.launch_host(case.kernel, case.grid, case.block, &[Value::Int(d)])
+                    .unwrap();
+                m.run_to_quiescence().unwrap();
+                (
+                    m.read_i64s(d, case.words).unwrap(),
+                    m.stats(),
+                    m.take_trace(),
+                )
             };
-            let reference = run_configured(
-                case.src,
-                &setup,
-                case.words,
-                true,
-                DispatchMode::Threaded,
-                1,
-                case.kernel,
-                case.grid,
-                case.block,
-            );
+            let reference = run(true, DispatchMode::Threaded);
             for fuse in [true, false] {
                 for dispatch in [DispatchMode::Threaded, DispatchMode::Match] {
-                    for jobs in [1, 3] {
-                        let got = run_configured(
-                            case.src,
-                            &setup,
-                            case.words,
-                            fuse,
-                            dispatch,
-                            jobs,
-                            case.kernel,
-                            case.grid,
-                            case.block,
-                        );
-                        assert_eq!(
-                            got.0, reference.0,
-                            "{}: memory diverged (fuse={fuse}, {dispatch:?}, jobs={jobs})",
-                            case.name
-                        );
-                        assert_eq!(
-                            got.1, reference.1,
-                            "{}: stats diverged (fuse={fuse}, {dispatch:?}, jobs={jobs})",
-                            case.name
-                        );
-                        assert_eq!(
-                            got.2, reference.2,
-                            "{}: trace diverged (fuse={fuse}, {dispatch:?}, jobs={jobs})",
-                            case.name
-                        );
-                    }
+                    let got = run(fuse, dispatch);
+                    assert_eq!(
+                        got.0, reference.0,
+                        "{}: memory diverged (fuse={fuse}, {dispatch:?})",
+                        case.name
+                    );
+                    assert_eq!(
+                        got.1, reference.1,
+                        "{}: stats diverged (fuse={fuse}, {dispatch:?})",
+                        case.name
+                    );
+                    assert_eq!(
+                        got.2, reference.2,
+                        "{}: trace diverged (fuse={fuse}, {dispatch:?})",
+                        case.name
+                    );
                 }
             }
         }
     }
 
     #[test]
-    fn parallel_execution_speculates_and_detects_conflicts() {
-        // Disjoint writes: everything validates, nothing re-executes.
-        let mut m =
-            machine("__global__ void k(int* d) { d[blockIdx.x * blockDim.x + threadIdx.x] = 7; }");
-        m.set_block_parallelism(3);
-        let d = m.alloc(256);
-        m.launch_host("k", 8, 32, &[Value::Int(d)]).unwrap();
-        m.run_to_quiescence().unwrap();
-        let ps = m.parallel_stats();
-        assert_eq!(ps.parallel_grids, 1);
-        assert_eq!(ps.speculated_blocks, 8);
-        assert_eq!(ps.conflict_blocks, 0);
-        assert_eq!(ps.serialized_kernels, 0);
-
-        // Cross-block atomics on one counter: later blocks read earlier
-        // blocks' writes, so every block after the first conflicts, the
-        // result still matches sequential, and the kernel is adaptively
-        // marked serial for its next grid.
-        let mut m = machine("__global__ void k(int* d) { atomicAdd(&d[0], 1); }");
-        m.set_block_parallelism(3);
-        let d = m.alloc(4);
-        m.launch_host("k", 8, 16, &[Value::Int(d)]).unwrap();
-        m.run_to_quiescence().unwrap();
-        assert_eq!(m.read_i64s(d, 1).unwrap()[0], 128);
-        let ps = m.parallel_stats();
-        assert_eq!(ps.speculated_blocks, 8);
-        assert!(ps.conflict_blocks >= 7, "{ps:?}");
-        assert_eq!(ps.serialized_kernels, 1);
-        m.launch_host("k", 8, 16, &[Value::Int(d)]).unwrap();
-        m.run_to_quiescence().unwrap();
-        assert_eq!(m.read_i64s(d, 1).unwrap()[0], 256);
-        let ps2 = m.parallel_stats();
-        assert_eq!(
-            ps2.speculated_blocks, 8,
-            "serialized kernel must not speculate again"
-        );
-    }
-
-    #[test]
-    fn parallel_launch_ids_match_sequential_fifo_order() {
+    fn launch_ids_follow_linear_block_order() {
         let src = "__global__ void child(int* d, int slot) { atomicAdd(&d[slot], 1); }\n\
                    __global__ void k(int* d) { \
                        if (threadIdx.x == 0) { child<<<1, 4>>>(d, blockIdx.x); } }";
-        let run = |jobs: usize| {
+        let run = |dispatch: DispatchMode| {
             let p = dp_frontend::parse(src).unwrap();
             let mut m = Machine::new(compile_program(&p).unwrap());
-            m.set_block_parallelism(jobs);
+            m.set_dispatch(dispatch);
             let d = m.alloc(16);
             m.launch_host("k", 8, 8, &[Value::Int(d)]).unwrap();
             m.run_to_quiescence().unwrap();
             (m.read_i64s(d, 8).unwrap(), m.take_trace())
         };
-        let (seq_mem, seq_trace) = run(1);
-        let (par_mem, par_trace) = run(4);
-        assert_eq!(seq_mem, vec![4; 8]);
-        assert_eq!(par_mem, seq_mem);
-        assert_eq!(par_trace, seq_trace);
+        let (mem, trace) = run(DispatchMode::Threaded);
+        let (match_mem, match_trace) = run(DispatchMode::Match);
+        assert_eq!(mem, vec![4; 8]);
+        assert_eq!(match_mem, mem);
+        assert_eq!(match_trace, trace);
         // Child grid ids follow the parent in linear block order.
-        for (i, g) in par_trace.grids.iter().enumerate() {
+        for (i, g) in trace.grids.iter().enumerate() {
             assert_eq!(g.id, i);
         }
-        let children: Vec<usize> = par_trace.grids[0]
+        let children: Vec<usize> = trace.grids[0]
             .blocks
             .iter()
             .flat_map(|b| b.launches.iter().map(|l| l.child_grid))
@@ -3101,56 +2415,30 @@ mod tests {
     }
 
     #[test]
-    fn parallel_errors_reproduce_sequential_errors() {
-        // Block 5 faults; speculation must re-execute and surface the same
-        // error sequential execution reports.
+    fn errors_leave_the_same_partial_state_under_both_dispatch_modes() {
+        // Block 5 faults in its thread 8, after blocks 0..5 and its own
+        // threads 0..8 ran to completion.
         let src = "__global__ void k(int* d) { \
-                       if (blockIdx.x == 5 && threadIdx.x == 0) { d[1000000] = 1; } \
+                       if (blockIdx.x == 5 && threadIdx.x == 8) { d[1000000] = 1; } \
                        d[blockIdx.x * blockDim.x + threadIdx.x] = 1; }";
-        let run = |jobs: usize| {
+        let run = |dispatch: DispatchMode| {
             let p = dp_frontend::parse(src).unwrap();
             let mut m = Machine::new(compile_program(&p).unwrap());
-            m.set_block_parallelism(jobs);
+            m.set_dispatch(dispatch);
             let d = m.alloc(256);
             m.launch_host("k", 8, 16, &[Value::Int(d)]).unwrap();
             let err = m.run_to_quiescence().unwrap_err().to_string();
             (err, m.read_i64s(d, 256).unwrap())
         };
-        let (seq_err, seq_mem) = run(1);
-        let (par_err, par_mem) = run(4);
-        assert_eq!(seq_err, par_err);
-        assert!(par_err.contains("out of bounds"));
+        let (err, mem) = run(DispatchMode::Threaded);
+        let (match_err, match_mem) = run(DispatchMode::Match);
+        assert_eq!(err, match_err);
+        assert!(err.contains("out of bounds"));
         // The faulting block's *partial* writes (and every earlier
-        // block's writes) must survive identically at any worker count.
-        assert_eq!(seq_mem, par_mem, "post-error memory must match");
-        assert_eq!(
-            seq_mem[..5 * 16],
-            [1; 80][..],
-            "blocks before the fault ran"
-        );
-    }
-
-    #[test]
-    fn budgeted_runs_stay_sequential_and_deterministic() {
-        let p = dp_frontend::parse(
-            "__global__ void k(int* d) { d[blockIdx.x * blockDim.x + threadIdx.x] = 1; }",
-        )
-        .unwrap();
-        let limits = ExecLimits {
-            max_instructions: 10_000_000,
-            ..Default::default()
-        };
-        let mut m =
-            Machine::with_config(compile_program(&p).unwrap(), CostModel::default(), limits);
-        m.set_block_parallelism(4);
-        let d = m.alloc(256);
-        m.launch_host("k", 8, 32, &[Value::Int(d)]).unwrap();
-        m.run_to_quiescence().unwrap();
-        assert_eq!(
-            m.parallel_stats().parallel_grids,
-            0,
-            "finite budgets must serialize"
-        );
-        assert_eq!(m.read_i64s(d, 256).unwrap(), vec![1; 256]);
+        // block's writes) survive identically.
+        assert_eq!(mem, match_mem, "post-error memory must match");
+        assert_eq!(mem[..5 * 16], [1; 80][..], "blocks before the fault ran");
+        assert_eq!(mem[80..88], [1; 8][..], "partial writes survive");
+        assert_eq!(mem[88..], [0; 168][..], "nothing ran after the fault");
     }
 }

@@ -1,10 +1,8 @@
-//! The parallel-block-execution determinism contract, property-tested:
-//! for random programs with device launches — disjoint writes, cross-block
-//! atomic conflicts, or a mix — execution with `DPOPT_JOBS`-style worker
-//! pools (`set_block_parallelism(N)`) must produce **bit-identical**
-//! `ExecutionTrace` + `MachineStats` + memory to sequential execution, and
-//! the threaded dispatcher must agree with the reference `match`
-//! dispatcher instruction-for-instruction.
+//! The VM determinism contract, property-tested: for random programs
+//! with device launches — disjoint writes, cross-block atomic conflicts,
+//! or a mix — the threaded dispatcher must produce **bit-identical**
+//! `ExecutionTrace` + `MachineStats` + memory to the reference `match`
+//! dispatcher, with superinstruction fusion on or off.
 
 use dpopt::vm::lower::{compile_program, compile_program_unfused};
 use dpopt::vm::machine::{DispatchMode, Machine, MachineStats};
@@ -14,8 +12,8 @@ use proptest::prelude::*;
 /// Builds a parent/child program over a random degree sequence. Parent
 /// threads expand their vertex's slice of `out` serially (disjoint) and
 /// launch a child grid over the same slice; children optionally also bump
-/// a shared counter with an atomic (`conflict`), which couples blocks and
-/// forces the speculative executor through its re-execution fallback.
+/// a shared counter with an atomic (`conflict`), which couples blocks
+/// through memory in linear block order.
 fn program(conflict: bool, child_block: i64) -> String {
     let atomic = if conflict {
         "atomicAdd(&counters[0], 1); atomicMax(&counters[1], base + e);"
@@ -53,7 +51,6 @@ fn run(
     degrees: &[i64],
     fuse: bool,
     dispatch: DispatchMode,
-    jobs: usize,
     parent_block: i64,
 ) -> Observed {
     let p = dpopt::frontend::parse(src).unwrap_or_else(|e| panic!("{}\n{src}", e.render(src)));
@@ -64,7 +61,6 @@ fn run(
     };
     let mut m = Machine::new(module);
     m.set_dispatch(dispatch);
-    m.set_block_parallelism(jobs);
     let mut offsets = vec![0i64];
     for d in degrees {
         offsets.push(offsets.last().unwrap() + d);
@@ -98,42 +94,35 @@ fn run(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Parallel (jobs > 1) and sequential block execution are bit-identical
-    /// on random launch-generating programs — whether blocks are disjoint
-    /// or conflict through cross-block atomics — and the threaded and
-    /// match dispatchers agree under both.
+    /// The threaded and match dispatchers, with fusion on and off, are
+    /// bit-identical on random launch-generating programs — whether blocks
+    /// are disjoint or conflict through cross-block atomics.
     #[test]
-    fn parallel_and_sequential_traces_are_bit_identical(
+    fn dispatch_and_fusion_traces_are_bit_identical(
         degrees in prop::collection::vec(0i64..40, 4..24),
         conflict in (0i64..2).prop_map(|v| v == 1),
         parent_block in 1i64..5,
         child_block in 2i64..9,
-        jobs in 2usize..5,
     ) {
         let src = program(conflict, child_block);
-        let reference = run(&src, &degrees, true, DispatchMode::Threaded, 1, parent_block);
+        let reference = run(&src, &degrees, true, DispatchMode::Match, parent_block);
         prop_assert!(reference.stats.instructions > 0);
 
-        // Parallel execution, threaded dispatch.
-        let par = run(&src, &degrees, true, DispatchMode::Threaded, jobs, parent_block);
-        prop_assert_eq!(&par.memory, &reference.memory, "memory diverged under jobs={}", jobs);
-        prop_assert_eq!(par.stats, reference.stats);
-        prop_assert_eq!(&par.trace, &reference.trace, "trace diverged under jobs={}", jobs);
-
-        // Differential dispatch: match loop, sequential and parallel.
-        let seq_match = run(&src, &degrees, true, DispatchMode::Match, 1, parent_block);
-        prop_assert_eq!(&seq_match.memory, &reference.memory);
-        prop_assert_eq!(seq_match.stats, reference.stats);
-        prop_assert_eq!(&seq_match.trace, &reference.trace);
-        let par_match = run(&src, &degrees, true, DispatchMode::Match, jobs, parent_block);
-        prop_assert_eq!(&par_match.memory, &reference.memory);
-        prop_assert_eq!(par_match.stats, reference.stats);
-        prop_assert_eq!(&par_match.trace, &reference.trace);
-
-        // Fusion off composes with both axes.
-        let unfused_par = run(&src, &degrees, false, DispatchMode::Threaded, jobs, parent_block);
-        prop_assert_eq!(&unfused_par.memory, &reference.memory);
-        prop_assert_eq!(unfused_par.stats, reference.stats);
-        prop_assert_eq!(&unfused_par.trace, &reference.trace);
+        for (fuse, dispatch) in [
+            (true, DispatchMode::Threaded),
+            (false, DispatchMode::Threaded),
+            (false, DispatchMode::Match),
+        ] {
+            let got = run(&src, &degrees, fuse, dispatch, parent_block);
+            prop_assert_eq!(
+                &got.memory, &reference.memory,
+                "memory diverged (fuse={}, {:?})", fuse, dispatch
+            );
+            prop_assert_eq!(got.stats, reference.stats);
+            prop_assert_eq!(
+                &got.trace, &reference.trace,
+                "trace diverged (fuse={}, {:?})", fuse, dispatch
+            );
+        }
     }
 }

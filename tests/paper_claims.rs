@@ -1,6 +1,6 @@
 //! Shape checks for the paper's qualitative claims, on inputs small enough
 //! for debug-mode CI. The full quantitative reproduction lives in the
-//! `dp-bench` binaries (see EXPERIMENTS.md); these tests pin down the
+//! `dp-bench` binaries; these tests pin down the
 //! *directions* the paper reports so a regression in the passes or the
 //! timing model fails loudly.
 
