@@ -4,27 +4,33 @@
 //! — no raw `std::thread::scope` / `std::thread::spawn` is allowed to
 //! reappear there (each one is a per-grid/per-generation thread-spawn
 //! tax the pool exists to remove, and a worker set the shared budget
-//! cannot see).
+//! cannot see). The daemon's server is policed the same way, with an
+//! exact allowance of named `thread::Builder` sites — the metrics-dump
+//! thread, the session thread, and the launched-request thread — so a
+//! fourth cannot appear unnoticed.
 //!
 //! Comments and doc lines are stripped before matching so the files can
 //! still *talk* about threads; only code is policed.
 
 use std::path::Path;
 
-/// Source files on the no-raw-threads list, relative to this crate.
-const POLICED: &[&str] = &[
-    "../vm/src/machine.rs",
-    "../sweep/src/lib.rs",
-    "../shard/src/lib.rs",
+/// Source files on the no-raw-threads list, relative to this crate, each
+/// with the number of `thread::Builder` sites it is allowed.
+const POLICED: &[(&str, usize)] = &[
+    ("../vm/src/machine.rs", 0),
+    ("../sweep/src/lib.rs", 0),
+    ("../shard/src/lib.rs", 0),
+    ("../serve/src/server.rs", 3),
 ];
 
 #[test]
 fn grid_execution_and_generation_runner_use_the_shared_pool() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    for rel in POLICED {
+    for (rel, allowed_builders) in POLICED {
         let path = root.join(rel);
         let source = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+        let mut builders = 0;
         for (lineno, line) in source.lines().enumerate() {
             let code = strip_comment(line);
             for needle in ["thread::spawn", "thread::scope"] {
@@ -36,7 +42,15 @@ fn grid_execution_and_generation_runner_use_the_shared_pool() {
                     lineno + 1,
                 );
             }
+            builders += code.matches("thread::Builder").count();
         }
+        assert_eq!(
+            builders,
+            *allowed_builders,
+            "{}: `thread::Builder` sites — a new thread needs a reason and a \
+             new allowance here (and in the CI grep step)",
+            path.display(),
+        );
     }
 }
 

@@ -156,6 +156,10 @@ fn run_now_is_bounded_under_bulk_saturation() {
 fn free_worker_steals_from_parked_workers_slots() {
     let pool = Pool::new(4);
     let parked = park_workers(&pool, 3);
+    // The fourth worker waits too until everything is queued: a free
+    // worker racing the submissions below could finish half the bulk jobs
+    // before the interactive one exists.
+    let gate = park_workers(&pool, 1);
     let baseline_steals = pool.stats().steals;
     let done = Arc::new(AtomicUsize::new(0));
     let interactive_pos = Arc::new(AtomicUsize::new(usize::MAX));
@@ -176,6 +180,7 @@ fn free_worker_steals_from_parked_workers_slots() {
     }
     // Three workers stay parked the whole time: only the free worker can
     // run any of this, and ~3/4 of the jobs sit in slots it does not own.
+    drop(gate);
     wait_until(20, || done.load(Ordering::SeqCst) == BULK + 1);
     let stolen = pool.stats().steals - baseline_steals;
     assert!(

@@ -4,13 +4,30 @@
 //! Threading model: the accept loop runs on the caller of
 //! [`Server::serve`]; each connection gets a session thread that reads
 //! requests off the socket. Requests carrying an `id` are **pipelined**:
-//! each one is handled on its own short-lived request thread and its
-//! response (tagged with the echoed `id`) is written whenever it is ready,
-//! so a slow compile never convoys fast requests behind it on the same
-//! connection. Requests *without* an `id` keep the legacy strictly-in-order
-//! protocol byte-for-byte: the session waits for every pipelined response
-//! to flush, then handles the request inline — an id-less client cannot
-//! observe reordering. Compilation is deduplicated by the single-flight
+//! the response (tagged with the echoed `id`) is written whenever it is
+//! ready, so a slow compile never convoys fast requests behind it on the
+//! same connection. Launching a request thread is **thresholded**, the way
+//! the paper thresholds a child grid: a thread is worth its launch only
+//! when there is something to overlap with. A tagged request runs on the
+//! session thread, like an id-less one, unless
+//!
+//! - another tagged request of this session is still outstanding, or
+//! - the session's read buffer already holds a further byte (the client
+//!   sent its lines together: it really is pipelining), or
+//! - no execution slot is free at admission (the session thread never
+//!   waits for a slot on behalf of a tagged request);
+//!
+//! only then is it launched on a short-lived request thread. The one
+//! visible consequence: a line that arrives *while* an inline request runs
+//! is read when that request has answered. Clients that want overlap send
+//! their lines together, as `dp-shard`'s window fill does. An inline
+//! tagged request holds the execution slot it was admitted with until its
+//! response is built, so it never expires. Requests *without* an `id` keep
+//! the legacy strictly-in-order protocol byte-for-byte: the session waits
+//! for every pipelined response to flush, then handles the request inline
+//! — an id-less client cannot observe reordering. Byte accounting and the
+//! echoed `id` depend on the presence of `id`, never on which thread ran
+//! the request. Compilation is deduplicated by the single-flight
 //! [`CompiledCache`]; execution — the CPU-heavy part — is scheduled onto
 //! the **shared** persistent pool ([`Pool::shared`]) under the `--jobs`
 //! concurrency cap, so serving and sweeps coexist under one `DPOPT_JOBS`
@@ -98,6 +115,11 @@ static BYTES_READ_PIPELINED: Counter = Counter::new("serve.bytes_read.pipelined"
 static BYTES_READ_INORDER: Counter = Counter::new("serve.bytes_read.inorder");
 static BYTES_WRITTEN_PIPELINED: Counter = Counter::new("serve.bytes_written.pipelined");
 static BYTES_WRITTEN_INORDER: Counter = Counter::new("serve.bytes_written.inorder");
+
+// Where admitted requests ran: on the session thread that read them, or
+// on a launched request thread (see the module docs for the rule).
+static REQUESTS_INLINE: Counter = Counter::new("serve.requests.inline");
+static REQUESTS_LAUNCHED: Counter = Counter::new("serve.requests.launched");
 
 fn op_counter(op: &str) -> Option<&'static Counter> {
     match op {
@@ -290,9 +312,12 @@ impl State {
 
     /// Admits a request into the execution queue, or refuses it when the
     /// queue is saturated (`max_queue_depth` waiters and no free slot).
-    /// The returned token holds one `waiting` count; it is consumed by
-    /// [`State::exec_within`] or released on drop.
-    fn admit(self: &Arc<Self>) -> Option<QueueSlot> {
+    /// With `try_slot`, a free execution slot is taken in the same
+    /// critical section, so "a slot is free now" is an acquisition and not
+    /// a peek. The returned token holds that slot or one `waiting` count;
+    /// [`State::exec_within`] turns the latter into the former, and
+    /// dropping the token releases whichever it holds.
+    fn admit(self: &Arc<Self>, try_slot: bool) -> Option<QueueSlot> {
         let mut exec = self.exec.lock().unwrap();
         if self.limits.max_queue_depth > 0
             && exec.free_slots == 0
@@ -300,10 +325,15 @@ impl State {
         {
             return None;
         }
-        exec.waiting += 1;
+        let running = try_slot && exec.free_slots > 0;
+        if running {
+            exec.free_slots -= 1;
+        } else {
+            exec.waiting += 1;
+        }
         Some(QueueSlot {
             state: Arc::clone(self),
-            consumed: false,
+            running,
         })
     }
 
@@ -328,34 +358,29 @@ impl State {
         deadline: Option<Instant>,
         f: impl FnOnce() -> T + Send + 'static,
     ) -> Result<std::thread::Result<T>, ()> {
-        let mut exec = self.exec.lock().unwrap();
-        while exec.free_slots == 0 {
-            match deadline {
-                None => exec = self.exec_free.wait(exec).unwrap(),
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        exec.waiting -= 1;
-                        slot.consumed = true;
-                        return Err(());
+        if !slot.running {
+            let mut exec = self.exec.lock().unwrap();
+            while exec.free_slots == 0 {
+                match deadline {
+                    None => exec = self.exec_free.wait(exec).unwrap(),
+                    Some(d) => {
+                        let now = Instant::now();
+                        if now >= d {
+                            return Err(());
+                        }
+                        exec = self.exec_free.wait_timeout(exec, d - now).unwrap().0;
                     }
-                    exec = self.exec_free.wait_timeout(exec, d - now).unwrap().0;
                 }
             }
+            exec.free_slots -= 1;
+            exec.waiting -= 1;
+            slot.running = true;
         }
-        exec.free_slots -= 1;
-        exec.waiting -= 1;
-        slot.consumed = true;
-        drop(exec);
         // Interactive class: if the job does queue (claim succeeded), every
         // worker steals it ahead of bulk backlog, and long bulk cells yield
         // to it at their next `dp_pool::checkpoint()`.
         let result = self.pool.run_now_as(dp_pool::JobClass::Interactive, f);
-        self.exec.lock().unwrap().free_slots += 1;
-        // `notify_all`, not `notify_one`: waiters carry distinct deadlines,
-        // and a woken waiter may immediately expire instead of taking the
-        // slot — every waiter must get the chance to re-check.
-        self.exec_free.notify_all();
+        drop(slot);
         Ok(result)
     }
 
@@ -427,18 +452,33 @@ impl Drop for InflightGuard {
     }
 }
 
-/// One admitted request's place in the execution queue (a `waiting`
-/// count). Consumed by [`State::exec_within`]; released on drop for
-/// requests that never reach the executor (compiles, domain errors).
+/// One admitted request's place in the execution queue: a `waiting`
+/// count until it is `running`, an execution slot from then on. Dropping
+/// it releases whichever it holds — a waiter that never reaches the
+/// executor (compiles, domain errors, an expired deadline) or a finished
+/// execution.
 struct QueueSlot {
     state: Arc<State>,
-    consumed: bool,
+    running: bool,
 }
 
 impl Drop for QueueSlot {
     fn drop(&mut self) {
-        if !self.consumed {
-            self.state.exec.lock().unwrap().waiting -= 1;
+        let mut exec = self
+            .state
+            .exec
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        if self.running {
+            exec.free_slots += 1;
+            drop(exec);
+            // `notify_all`, not `notify_one`: waiters carry distinct
+            // deadlines, and a woken waiter may immediately expire instead
+            // of taking the slot — every waiter must get the chance to
+            // re-check.
+            self.state.exec_free.notify_all();
+        } else {
+            exec.waiting -= 1;
         }
     }
 }
@@ -468,18 +508,23 @@ impl Session {
     }
 
     /// Reserves a pipelined request, blocking while the window is full.
-    fn begin_pipelined(&self) {
+    /// The reservation is released when the returned guard drops — also
+    /// when the request thread unwinds from a panic, or was never started.
+    fn begin_pipelined(self: &Arc<Self>) -> PipelinedGuard {
         let mut pending = self.pending.lock().unwrap();
         while *pending >= PIPELINE_WINDOW {
             pending = self.idle.wait(pending).unwrap();
         }
         *pending += 1;
+        PipelinedGuard {
+            session: Arc::clone(self),
+        }
     }
 
-    fn finish_pipelined(&self) {
-        let mut pending = self.pending.lock().unwrap();
-        *pending -= 1;
-        self.idle.notify_all();
+    /// Whether no pipelined request is outstanding. Only the session
+    /// thread reserves, so `true` stays true until that thread launches.
+    fn is_idle(&self) -> bool {
+        *self.pending.lock().unwrap() == 0
     }
 
     /// Blocks until every pipelined response has been written.
@@ -488,6 +533,23 @@ impl Session {
         while *pending > 0 {
             pending = self.idle.wait(pending).unwrap();
         }
+    }
+}
+
+/// One launched request's count in [`Session::pending`].
+struct PipelinedGuard {
+    session: Arc<Session>,
+}
+
+impl Drop for PipelinedGuard {
+    fn drop(&mut self) {
+        let mut pending = self
+            .session
+            .pending
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        *pending -= 1;
+        self.session.idle.notify_all();
     }
 }
 
@@ -686,9 +748,10 @@ fn spawn_session(state: Arc<State>, stream: Stream, endpoint: &Endpoint) {
         .expect("spawn session thread");
 }
 
-/// Serves one connection. Pipelined (`id`-tagged) requests each run on
-/// their own request thread and respond out of order; id-less requests
-/// preserve the legacy strictly-in-order protocol.
+/// Serves one connection. Pipelined (`id`-tagged) requests may respond
+/// out of order: each runs here or on a launched request thread by the
+/// threshold rule in the module docs. Id-less requests preserve the legacy
+/// strictly-in-order protocol.
 fn run_session(state: Arc<State>, stream: Stream, endpoint: &Endpoint) -> std::io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let session = Arc::new(Session {
@@ -845,7 +908,11 @@ fn run_session(state: Arc<State>, stream: Stream, endpoint: &Endpoint) -> std::i
                     )?;
                     continue;
                 };
-                let Some(slot) = state.admit() else {
+                // The threshold: with nothing of this session to overlap
+                // with, try for an execution slot; holding one, the request
+                // runs right here.
+                let alone = pipelined && reader.buffer().is_empty() && session.is_idle();
+                let Some(slot) = state.admit(alone) else {
                     drop(guard);
                     state.count_reject("overloaded");
                     session.write(
@@ -861,33 +928,31 @@ fn run_session(state: Arc<State>, stream: Stream, endpoint: &Endpoint) -> std::i
                     )?;
                     continue;
                 };
-                let op = op_name(&request);
-                state.count_request(op);
+                state.count_request(op_name(&request));
                 let deadline = state.deadline();
-                if pipelined {
-                    session.begin_pipelined();
+                if pipelined && !slot.running {
+                    REQUESTS_LAUNCHED.incr();
+                    let pending = session.begin_pipelined();
                     let state2 = Arc::clone(&state);
                     let session2 = Arc::clone(&session);
                     let id2 = id.clone();
                     let spawned = std::thread::Builder::new()
                         .name("dp-serve-request".to_string())
                         .spawn(move || {
-                            let _span = dp_obs::trace::span_with("serve.request", &[("op", op)]);
-                            let started = dp_obs::metrics::now();
-                            let response = dispatch(&state2, request, id2.as_ref(), slot, deadline);
-                            // Write before the guards drop: a drain must
-                            // not complete with this response unwritten.
-                            let _ = deliver(&state2, &session2, op, &response, true);
-                            if let Some(h) = req_histogram(op) {
-                                h.record_since(started);
-                            }
-                            drop(guard);
-                            session2.finish_pipelined();
+                            let _pending = pending;
+                            let _ = answer(
+                                &state2,
+                                &session2,
+                                request,
+                                id2.as_ref(),
+                                slot,
+                                deadline,
+                                guard,
+                            );
                         });
                     if spawned.is_err() {
                         // Thread exhaustion; the closure (and its guards)
                         // was dropped unrun. Degrade to a fast-fail.
-                        session.finish_pipelined();
                         state.count_reject("overloaded");
                         session.write(
                             &proto::error_response_kind(
@@ -899,18 +964,45 @@ fn run_session(state: Arc<State>, stream: Stream, endpoint: &Endpoint) -> std::i
                         )?;
                     }
                 } else {
-                    let _span = dp_obs::trace::span_with("serve.request", &[("op", op)]);
-                    let started = dp_obs::metrics::now();
-                    let response = dispatch(&state, request, id.as_ref(), slot, deadline);
-                    deliver(&state, &session, op, &response, false)?;
-                    if let Some(h) = req_histogram(op) {
-                        h.record_since(started);
-                    }
-                    drop(guard); // response is on the wire: now drainable
+                    REQUESTS_INLINE.incr();
+                    answer(
+                        &state,
+                        &session,
+                        request,
+                        id.as_ref(),
+                        slot,
+                        deadline,
+                        guard,
+                    )?;
                 }
             }
         }
     }
+    Ok(())
+}
+
+/// Runs one admitted request to its written response, on whichever thread
+/// the threshold chose.
+fn answer(
+    state: &Arc<State>,
+    session: &Session,
+    request: Request,
+    id: Option<&Json>,
+    slot: QueueSlot,
+    deadline: Option<Instant>,
+    guard: InflightGuard,
+) -> std::io::Result<()> {
+    let op = op_name(&request);
+    let _span = dp_obs::trace::span_with("serve.request", &[("op", op)]);
+    let started = dp_obs::metrics::now();
+    let response = dispatch(state, request, id, slot, deadline);
+    // Write before the guard drops: a drain must not complete with this
+    // response unwritten.
+    deliver(state, session, op, &response, id.is_some())?;
+    if let Some(h) = req_histogram(op) {
+        h.record_since(started);
+    }
+    drop(guard); // response is on the wire: now drainable
     Ok(())
 }
 
@@ -979,8 +1071,8 @@ fn op_name(request: &Request) -> &'static str {
     }
 }
 
-/// Compiles through the single-flight cache (on the request thread — never
-/// from a pool worker, see module docs).
+/// Compiles through the single-flight cache (on the session or request
+/// thread — never from a pool worker, see module docs).
 fn cached_compile(
     state: &State,
     source: &str,

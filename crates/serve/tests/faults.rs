@@ -153,6 +153,36 @@ fn worker_panic_answers_an_error_and_the_daemon_survives() {
     shutdown(&endpoint);
 }
 
+/// A launched request thread that panics outside the executor's
+/// `catch_unwind` (here: at `pre-write`) answers nothing, but must still
+/// give back its place in the session's pipeline window: the id-less
+/// request behind it waits for that window to empty and then answers.
+#[test]
+fn panicking_request_thread_does_not_wedge_its_session() {
+    let endpoint = serve_with(with_faults(1, "panic@pre-write:execute*1"));
+
+    let mut client = Client::connect(&endpoint).expect("connect");
+    // A hang is the failure mode; turn it into a read error.
+    client
+        .writer_mut()
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    {
+        use std::io::Write;
+        // One write, so the tagged request sees a further line buffered
+        // and is launched on a request thread rather than run inline.
+        let both = format!("{}\n{}\n", execute_line(Some(1)), execute_line(None));
+        client_writer(&mut client)
+            .write_all(both.as_bytes())
+            .expect("send");
+        client_writer(&mut client).flush().expect("flush");
+    }
+    let answered = client_read(&mut client).expect("the id-less request answers");
+    assert!(answered.contains(r#""ok":true"#), "{answered}");
+    assert!(!answered.contains(r#""id""#), "{answered}");
+    shutdown(&endpoint);
+}
+
 /// Slow-loris: a client that writes half a request line and stalls must
 /// not block other connections (sessions read independently; only its own
 /// session waits).

@@ -517,7 +517,9 @@ pub struct GcReport {
 /// refreshes it on every hit). Ties break on file name so eviction order
 /// is deterministic. Stale `*.tmp.*` files from interrupted writes are
 /// always removed. A missing cache directory is an empty cache, not an
-/// error.
+/// error, and a file that live traffic removes or renames between the
+/// directory scan and its turn (a publish renaming its `*.tmp.*`, a
+/// [`load`] quarantining, another `gc`) is already gone, not an error.
 pub fn gc(dir: &Path, max_bytes: u64) -> std::io::Result<GcReport> {
     let mut report = GcReport::default();
     let entries = match std::fs::read_dir(dir) {
@@ -531,7 +533,10 @@ pub fn gc(dir: &Path, max_bytes: u64) -> std::io::Result<GcReport> {
         let entry = entry?;
         let path = entry.path();
         let name = entry.file_name().to_string_lossy().into_owned();
-        if !entry.file_type()?.is_file() {
+        let Some(file_type) = unless_gone(entry.file_type())? else {
+            continue;
+        };
+        if !file_type.is_file() {
             continue;
         }
         if name.contains(".tmp.") {
@@ -546,7 +551,9 @@ pub fn gc(dir: &Path, max_bytes: u64) -> std::io::Result<GcReport> {
         } else {
             continue;
         };
-        let meta = entry.metadata()?;
+        let Some(meta) = unless_gone(entry.metadata())? else {
+            continue;
+        };
         let mtime = meta.modified().unwrap_or(std::time::UNIX_EPOCH);
         cells.push((rank, mtime, name, meta.len(), path));
     }
@@ -567,11 +574,21 @@ pub fn gc(dir: &Path, max_bytes: u64) -> std::io::Result<GcReport> {
         if report.bytes_after <= max_bytes {
             break;
         }
-        std::fs::remove_file(&path)?;
+        if unless_gone(std::fs::remove_file(&path))?.is_some() {
+            report.evicted += 1;
+        }
         report.bytes_after -= len;
-        report.evicted += 1;
     }
     Ok(report)
+}
+
+/// `Ok(None)` for `NotFound`: the file vanished under a concurrent writer.
+fn unless_gone<T>(result: std::io::Result<T>) -> std::io::Result<Option<T>> {
+    match result {
+        Ok(value) => Ok(Some(value)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e),
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -1039,7 +1056,9 @@ mod tests {
         dp_obs::metrics::enable();
         let before = corrupt_count();
         quarantine_rejected(&dir, 41, &entry, "checksum mismatch");
-        assert_eq!(corrupt_count(), before + 1);
+        // `>`: the counter is process-wide and neighbouring tests bump it
+        // too; the quarantine file is this test's own evidence.
+        assert!(corrupt_count() > before);
         assert!(dir.join(format!("{:016x}.corrupt", 41u64)).exists());
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_dir_all(&src).ok();

@@ -1,0 +1,152 @@
+//! Property tests for `dp_sweep::json`, the parser every socket line,
+//! cache entry and sweep spec goes through: writer/parser round-trips over
+//! strings that exercise every escape, and byte-mutated documents that
+//! must fail cleanly.
+
+use dp_sweep::json::{parse, Json};
+use proptest::prelude::*;
+
+/// Characters a generated string draws from: plain ASCII, every character
+/// `write_string` escapes (quote, backslash, `\n` `\r` `\t`, other
+/// controls), the two extra escapes the parser reads (`\b` `\f`), `/`, and
+/// scalars of two, three and four UTF-8 bytes.
+const CHARS: &[char] = &[
+    'a',
+    'Z',
+    '0',
+    ' ',
+    '/',
+    '"',
+    '\\',
+    '\n',
+    '\r',
+    '\t',
+    '\u{0}',
+    '\u{1}',
+    '\u{8}',
+    '\u{c}',
+    '\u{1f}',
+    '\u{7f}',
+    'é',
+    'ß',
+    '€',
+    '你',
+    '\u{ffff}',
+    '😀',
+    '\u{10ffff}',
+];
+
+fn arb_string() -> impl Strategy<Value = String> {
+    prop::collection::vec(0usize..CHARS.len(), 0..12)
+        .prop_map(|picks| picks.into_iter().map(|i| CHARS[i]).collect())
+}
+
+/// Trees that `to_string` → `parse` must reproduce exactly. Floats carry a
+/// fraction: an integral `Float` prints without one and re-parses as `Int`
+/// by design (see the module docs), which `==` on `Json` tells apart.
+fn arb_json() -> impl Strategy<Value = Json> {
+    let leaf = prop_oneof![
+        Just(Json::Null),
+        Just(Json::Bool(true)),
+        Just(Json::Bool(false)),
+        (-1_000_000i64..1_000_000).prop_map(Json::Int),
+        Just(Json::Int(i64::MIN)),
+        Just(Json::Int(i64::MAX)),
+        (-1_000_000i64..1_000_000).prop_map(|n| Json::Float(n as f64 / 64.0 + 1.0 / 128.0)),
+        arb_string().prop_map(Json::Str),
+    ];
+    leaf.prop_recursive(4, 64, 4, |inner| {
+        prop_oneof![
+            prop::collection::vec(inner.clone(), 0..5).prop_map(Json::Array),
+            prop::collection::vec((arb_string(), inner), 0..5)
+                .prop_map(|members| Json::Object(members.into_iter().collect())),
+        ]
+    })
+}
+
+/// The string with every UTF-16 unit written as a `\uXXXX` escape, or
+/// `None` if it holds a scalar outside the basic plane (the parser rejects
+/// surrogate pairs on purpose).
+fn all_unicode_escapes(s: &str) -> Option<String> {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        if c as u32 > 0xffff {
+            return None;
+        }
+        out.push_str(&format!("\\u{:04x}", c as u32));
+    }
+    out.push('"');
+    Some(out)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// parse ∘ write is the identity on trees.
+    #[test]
+    fn written_documents_parse_back_to_the_same_tree(v in arb_json()) {
+        let text = v.to_string();
+        let back = parse(&text);
+        prop_assert_eq!(back.as_ref(), Ok(&v), "document: {}", text);
+        // And write ∘ parse ∘ write is the identity on bytes.
+        prop_assert_eq!(back.unwrap().to_string(), text);
+    }
+
+    /// `\uXXXX` reads as the scalar it names, whatever surrounds it.
+    #[test]
+    fn unicode_escapes_read_as_their_scalars(s in arb_string(), tail in arb_string()) {
+        if let Some(escaped) = all_unicode_escapes(&s) {
+            prop_assert_eq!(parse(&escaped), Ok(Json::Str(s.clone())));
+            // Mixed with a raw run after the escapes.
+            let mixed = format!("[{escaped},{}]", Json::Str(tail.clone()));
+            prop_assert_eq!(parse(&mixed), Ok(Json::Array(vec![Json::Str(s), Json::Str(tail)])));
+        }
+    }
+
+    /// Valid documents with bytes overwritten, inserted or removed — then
+    /// made UTF-8 again the way `read_line_limited` does — never panic the
+    /// parser; they parse or fail with a message.
+    #[test]
+    fn mutated_documents_never_panic(
+        v in arb_json(),
+        edits in prop::collection::vec((0usize..3, 0usize..4096, 0u8..255), 1..6),
+    ) {
+        let mut bytes = v.to_string().into_bytes();
+        for (kind, at, byte) in edits {
+            let at = at % (bytes.len() + 1);
+            match kind {
+                0 if at < bytes.len() => bytes[at] = byte,
+                1 if at < bytes.len() => { bytes.remove(at); }
+                _ => bytes.insert(at, byte),
+            }
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        if let Err(message) = parse(&text) {
+            prop_assert!(!message.is_empty());
+        }
+    }
+
+    /// Every prefix of a valid document (cut on a scalar boundary) is
+    /// handled: a torn line is an error or a shorter document, not a panic.
+    #[test]
+    fn truncated_documents_never_panic(v in arb_json()) {
+        let text = v.to_string();
+        for (cut, _) in text.char_indices() {
+            let _ = parse(&text[..cut]);
+        }
+    }
+}
+
+/// The error texts clients and tests match on.
+#[test]
+fn string_error_texts_are_pinned() {
+    let err = |text: &str| parse(text).unwrap_err();
+    assert_eq!(err(r#""abc"#), "unterminated string");
+    assert_eq!(err(r#"["é€😀"#), "unterminated string");
+    assert_eq!(err(r#""a\q""#), "invalid escape at byte 3");
+    assert_eq!(err(r#"{"k":"é\x"}"#), "invalid escape at byte 9");
+    assert_eq!(err(r#""abc\"#), "invalid escape at byte 5");
+    assert_eq!(err(r#""\u12"#), "truncated \\u escape");
+    assert_eq!(err(r#""\u"#), "truncated \\u escape");
+    assert_eq!(err(r#""\ud800""#), "unsupported \\u escape d800");
+}
