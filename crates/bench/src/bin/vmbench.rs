@@ -17,8 +17,13 @@
 //!
 //! Results are printed as a table and written to `BENCH_vm.json` at the
 //! repo root (with the host's `nproc`) so future changes can track the
-//! interpreter's perf trajectory. Environment knobs: `DPOPT_VMBENCH_REPS`
-//! (default 5), `DPOPT_VMBENCH_SCALE` (workload size multiplier, default
+//! interpreter's perf trajectory. Three numbers ride along that say what a
+//! dispatched op costs in memory and accounting: `value_bytes` (one VM
+//! word), `threaded_op_bytes` (one dispatch-table slot), and per workload
+//! `ops_per_block` — table slots dispatched per basic-block charge in the
+//! fused configuration, counted by one untimed run under the `Match`
+//! dispatcher (the only one that counts; see `DispatchProfile`).
+//! Environment knobs: `DPOPT_VMBENCH_REPS` (default 5), `DPOPT_VMBENCH_SCALE` (workload size multiplier, default
 //! 1.0), and `DPOPT_VMBENCH_OUT` (output path override — the CI
 //! bench-regression gate writes a fresh measurement next to the committed
 //! reference and `benchgate`s the two).
@@ -27,6 +32,7 @@ use dp_core::{Compiler, DispatchMode, OptConfig};
 use dp_frontend::parse;
 use dp_sweep::env_parsed;
 use dp_vm::lower::{compile_program_with, LowerOptions};
+use dp_vm::machine::{DispatchProfile, THREADED_OP_BYTES};
 use dp_vm::{Machine, Value};
 use dp_workloads::benchmarks::{bfs::Bfs, bt::Bt, BenchInput, Benchmark};
 use dp_workloads::datasets::bezier::bezier_lines;
@@ -60,6 +66,8 @@ const CONFIGS: [Config; 2] = [
 struct Measurement {
     wall_s: f64,
     instructions: u64,
+    /// The last repetition's dispatch counts (zero unless `Match`).
+    profile: DispatchProfile,
 }
 
 impl Measurement {
@@ -72,6 +80,8 @@ struct WorkloadResult {
     name: &'static str,
     /// Indexed like `CONFIGS`: baseline, fused.
     rows: Vec<Measurement>,
+    /// Table slots dispatched per block charge, fused configuration.
+    ops_per_block: f64,
 }
 
 impl WorkloadResult {
@@ -80,13 +90,15 @@ impl WorkloadResult {
     }
 }
 
-fn best_of<F: FnMut() -> u64>(reps: usize, mut run: F) -> Measurement {
+fn best_of<F: FnMut() -> (u64, DispatchProfile)>(reps: usize, mut run: F) -> Measurement {
     let mut best = f64::INFINITY;
     let mut instructions = 0;
+    let mut profile = DispatchProfile::default();
     for _ in 0..reps {
         let start = Instant::now();
-        let instrs = run();
+        let (instrs, counts) = run();
         let elapsed = start.elapsed().as_secs_f64();
+        profile = counts;
         if instructions == 0 {
             instructions = instrs;
         } else {
@@ -97,6 +109,7 @@ fn best_of<F: FnMut() -> u64>(reps: usize, mut run: F) -> Measurement {
     Measurement {
         wall_s: best,
         instructions,
+        profile,
     }
 }
 
@@ -117,7 +130,10 @@ fn run_benchmark(
         let mut exec = compiled.executor();
         exec.machine_mut().set_state_reuse(config.reuse);
         bench.run(&mut exec, input).expect("benchmark runs");
-        exec.stats().instructions
+        (
+            exec.stats().instructions,
+            exec.machine_mut().dispatch_profile(),
+        )
     })
 }
 
@@ -142,7 +158,7 @@ fn run_alu_loop(config: Config, iters: i64, reps: usize) -> Measurement {
         m.launch_host("k", 4, 64, &[Value::Int(buf), Value::Int(iters)])
             .expect("launch");
         m.run_to_quiescence().expect("run");
-        m.stats().instructions
+        (m.stats().instructions, m.dispatch_profile())
     })
 }
 
@@ -209,7 +225,7 @@ __global__ void frontier(int* offsets, int* edges, int* out, int numV) {
         )
         .expect("launch");
         m.run_to_quiescence().expect("run");
-        m.stats().instructions
+        (m.stats().instructions, m.dispatch_profile())
     })
 }
 
@@ -224,7 +240,8 @@ fn json_escape_free(name: &str) -> &str {
 fn write_json(path: &std::path::Path, results: &[WorkloadResult]) -> std::io::Result<()> {
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut out = format!(
-        "{{\n  \"benchmark\": \"vmbench\",\n  \"unit\": \"instructions_per_second\",\n  \"nproc\": {nproc},\n  \"workloads\": [\n"
+        "{{\n  \"benchmark\": \"vmbench\",\n  \"unit\": \"instructions_per_second\",\n  \"nproc\": {nproc},\n  \"value_bytes\": {},\n  \"threaded_op_bytes\": {THREADED_OP_BYTES},\n  \"workloads\": [\n",
+        std::mem::size_of::<Value>(),
     );
     for (i, r) in results.iter().enumerate() {
         out.push_str(&format!(
@@ -242,7 +259,8 @@ fn write_json(path: &std::path::Path, results: &[WorkloadResult]) -> std::io::Re
             ));
         }
         out.push_str(&format!(
-            "      }},\n      \"speedup_fused\": {:.3}\n    }}{}\n",
+            "      }},\n      \"ops_per_block\": {:.3},\n      \"speedup_fused\": {:.3}\n    }}{}\n",
+            r.ops_per_block,
             r.speedup_fused(),
             if i + 1 < results.len() { "," } else { "" },
         ));
@@ -272,40 +290,58 @@ fn main() {
     let frontier_graph = rmat((11.0 + scale.log2()).round().max(7.0) as u32, 16, 42);
 
     let mut results = Vec::new();
-    let mut measure = |name: &'static str, mut f: Box<dyn FnMut(Config) -> Measurement + '_>| {
-        let rows: Vec<Measurement> = CONFIGS.iter().map(|&c| f(c)).collect();
+    type Run<'a> = Box<dyn FnMut(Config, usize) -> Measurement + 'a>;
+    let mut measure = |name: &'static str, mut f: Run<'_>| {
+        let rows: Vec<Measurement> = CONFIGS.iter().map(|&c| f(c, reps)).collect();
         assert_eq!(
             rows[0].instructions, rows[1].instructions,
             "{name}: fusion must not change the original instruction count"
         );
-        results.push(WorkloadResult { name, rows });
+        // One untimed run of the fused program under the dispatcher that
+        // counts.
+        let counting = Config {
+            dispatch: DispatchMode::Match,
+            ..CONFIGS[1]
+        };
+        let counted = f(counting, 1);
+        assert_eq!(counted.instructions, rows[1].instructions);
+        let ops_per_block = counted.profile.ops as f64 / counted.profile.blocks as f64;
+        results.push(WorkloadResult {
+            name,
+            rows,
+            ops_per_block,
+        });
     };
     measure(
         "bfs-rmat",
-        Box::new(|c| run_benchmark(&Bfs, &bfs_input, c, reps)),
+        Box::new(|c, reps| run_benchmark(&Bfs, &bfs_input, c, reps)),
     );
     measure(
         "bezier-tess",
-        Box::new(|c| run_benchmark(&Bt, &bt_input, c, reps)),
+        Box::new(|c, reps| run_benchmark(&Bt, &bt_input, c, reps)),
     );
-    measure("alu-loop", Box::new(|c| run_alu_loop(c, alu_iters, reps)));
+    measure(
+        "alu-loop",
+        Box::new(|c, reps| run_alu_loop(c, alu_iters, reps)),
+    );
     measure(
         "frontier-expand",
-        Box::new(|c| run_frontier_expand(c, &frontier_graph, reps)),
+        Box::new(|c, reps| run_frontier_expand(c, &frontier_graph, reps)),
     );
 
     println!(
-        "{:<16} {:>14} {:>11} {:>11} {:>8}",
-        "workload", "instructions", "base ms", "fused ms", "fusedX"
+        "{:<16} {:>14} {:>11} {:>11} {:>8} {:>10}",
+        "workload", "instructions", "base ms", "fused ms", "fusedX", "ops/block"
     );
     for r in &results {
         println!(
-            "{:<16} {:>14} {:>11.2} {:>11.2} {:>7.2}x",
+            "{:<16} {:>14} {:>11.2} {:>11.2} {:>7.2}x {:>10.2}",
             r.name,
             r.rows[0].instructions,
             r.rows[0].wall_s * 1e3,
             r.rows[1].wall_s * 1e3,
             r.speedup_fused(),
+            r.ops_per_block,
         );
     }
 

@@ -357,6 +357,21 @@ mod tests {
     }
 
     #[test]
+    fn members_the_gate_does_not_know_are_ignored() {
+        // vmbench grew `value_bytes`, `threaded_op_bytes` and per-workload
+        // `ops_per_block`; a committed file from before them still gates a
+        // fresh one that has them, and the other way round.
+        let old = doc(&[("bfs", 1000, 2.0)]);
+        let new = parse(
+            r#"{"value_bytes":16,"threaded_op_bytes":64,"workloads":[{"name":"bfs",
+                "instructions":1000,"ops_per_block":4.25,"speedup_fused":2.0}]}"#,
+        )
+        .unwrap();
+        assert!(compare(&old, &new, 0.1).unwrap().ok());
+        assert!(compare(&new, &old, 0.1).unwrap().ok());
+    }
+
+    #[test]
     fn bad_tolerance_is_rejected() {
         let a = doc(&[("bfs", 1000, 2.0)]);
         assert!(compare(&a, &a, 1.0).is_err());

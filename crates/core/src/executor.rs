@@ -8,7 +8,7 @@ use dp_transform::{AggSiteMeta, BufferParam, TransformManifest};
 use dp_vm::bytecode::{CostModel, Module};
 use dp_vm::machine::{ExecLimits, Machine, MachineStats};
 use dp_vm::trace::ExecutionTrace;
-use dp_vm::Value;
+use dp_vm::{LaunchDim, Value};
 use std::collections::HashMap;
 
 /// Everything a run produces: the functional trace, machine statistics, and
@@ -116,12 +116,12 @@ impl Executor {
     pub fn launch(
         &mut self,
         kernel: &str,
-        grid: impl Into<Value>,
-        block: impl Into<Value>,
+        grid: impl Into<LaunchDim>,
+        block: impl Into<LaunchDim>,
         args: &[Value],
     ) -> Result<()> {
-        let grid = grid.into();
-        let block = block.into();
+        let LaunchDim(g) = grid.into();
+        let LaunchDim(b) = block.into();
         let mut full_args = args.to_vec();
 
         let sites: Vec<AggSiteMeta> = self
@@ -132,8 +132,6 @@ impl Executor {
             .cloned()
             .collect();
         for (site_idx, site) in sites.iter().enumerate() {
-            let g = grid.as_dim3();
-            let b = block.as_dim3();
             let grid_blocks = (g[0] * g[1] * g[2]) as u64;
             let block_threads = (b[0] * b[1] * b[2]) as u64;
             let groups = site.group_count(grid_blocks, block_threads).max(1);
@@ -181,7 +179,7 @@ impl Executor {
             }
         }
 
-        let gid = self.machine.launch_host(kernel, grid, block, &full_args)?;
+        let gid = self.machine.launch_host(kernel, g, b, &full_args)?;
         self.host_events.push(HostEvent::Launch(gid));
         Ok(())
     }

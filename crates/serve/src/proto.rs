@@ -262,6 +262,12 @@ pub struct ReadSpec {
     pub floats: bool,
 }
 
+/// The most words of `"words"` buffers one `execute` request may ask for
+/// (256 MiB of device memory). A line's `ints`/`floats` are bounded by the
+/// line; `words` is a few bytes that name an allocation, so it has a bound
+/// of its own — a protocol constant, not an option.
+pub const MAX_EXECUTE_WORDS: u64 = 1 << 24;
+
 /// An `execute` request: compile (through the cache), provision buffers,
 /// launch one kernel, synchronize, read back results.
 #[derive(Debug, Clone, PartialEq)]
@@ -459,6 +465,7 @@ fn parse_execute(doc: &Json) -> Result<ExecuteRequest, String> {
         .ok_or("`block` must be an integer")?;
 
     let mut buffers = Vec::new();
+    let mut words_left = MAX_EXECUTE_WORDS;
     for b in doc.get("buffers").and_then(Json::as_array).unwrap_or(&[]) {
         let name = b
             .get("name")
@@ -467,6 +474,12 @@ fn parse_execute(doc: &Json) -> Result<ExecuteRequest, String> {
             .to_string();
         let data = if let Some(w) = b.get("words") {
             let w = w.as_u64().ok_or("`words` must be a non-negative integer")?;
+            words_left = words_left.checked_sub(w).ok_or_else(|| {
+                format!(
+                    "buffer `{name}`: `words` {w} takes the request past the limit of \
+                     {MAX_EXECUTE_WORDS} words"
+                )
+            })?;
             BufferData::Words(w as usize)
         } else if let Some(ints) = b.get("ints").and_then(Json::as_array) {
             BufferData::Ints(
@@ -1052,6 +1065,17 @@ mod tests {
                 r#"{"op":"compile","source":"s","threshold":"big","id":14}"#,
                 "threshold",
                 Some(Json::Int(14)),
+            ),
+            (
+                r#"{"op":"execute","source":"s","kernel":"k","grid":1,"block":1,"buffers":[{"name":"d","words":893353197568}],"id":15}"#,
+                "limit of 16777216 words",
+                Some(Json::Int(15)),
+            ),
+            (
+                // Each within the limit, together past it.
+                r#"{"op":"execute","source":"s","kernel":"k","grid":1,"block":1,"buffers":[{"name":"a","words":16777216},{"name":"b","words":1}],"id":16}"#,
+                "buffer `b`",
+                Some(Json::Int(16)),
             ),
         ];
         for (line, fragment, id) in table {

@@ -153,6 +153,56 @@ fn worker_panic_answers_an_error_and_the_daemon_survives() {
     shutdown(&endpoint);
 }
 
+/// Two request lines whose *numbers* ask for more memory than any host
+/// has. A 2^33-block grid used to reserve one block trace per block before
+/// running the first (`memory allocation of 893353197568 bytes failed`,
+/// SIGABRT, every session lost); a `words` count is allocated as it stands.
+/// Each now answers a structured error, and the daemon answers `stats`
+/// after each.
+#[test]
+fn lines_that_name_huge_allocations_get_errors_and_the_daemon_survives() {
+    let endpoint = serve_with(ServeOptions {
+        jobs: 1,
+        ..ServeOptions::default()
+    });
+    let mut client = Client::connect(&endpoint).expect("connect");
+    let src = Json::Str("__global__ void k(int* d) { d[blockIdx.x] = 1; }".to_string());
+    let execute = |grid: u64, words: u64, id: u64| {
+        format!(
+            r#"{{"op":"execute","source":{src},"kernel":"k","grid":{grid},"block":1,"buffers":[{{"name":"d","words":{words}}}],"args":["@d"],"read":[{{"buffer":"d","len":4}}],"id":{id}}}"#
+        )
+    };
+    let mut answer = |line: String| {
+        let answer = client
+            .roundtrip_line(&line)
+            .expect("round-trip")
+            .expect("answered");
+        let stats = client.request(&bare_request("stats")).expect("stats");
+        assert!(stats.get("compiled_cache").is_some(), "{stats}");
+        answer
+    };
+
+    // Nothing is reserved for the grid up front: it runs until block 4
+    // stores past the buffer.
+    let huge_grid = answer(execute(1 << 33, 4, 1));
+    assert!(huge_grid.contains(r#""ok":false"#), "{huge_grid}");
+    assert!(huge_grid.contains("out of bounds"), "{huge_grid}");
+    assert!(huge_grid.contains(r#""id":1"#), "{huge_grid}");
+
+    let huge_words = answer(execute(1, 893_353_197_568, 2));
+    assert!(huge_words.contains(r#""kind":"parse""#), "{huge_words}");
+    assert!(
+        huge_words.contains("limit of 16777216 words"),
+        "{huge_words}"
+    );
+    assert!(huge_words.contains(r#""id":2"#), "{huge_words}");
+
+    // The same program at a sane size still runs.
+    let healthy = answer(execute(4, 4, 3));
+    assert!(healthy.contains(r#""ints":[1,1,1,1]"#), "{healthy}");
+    shutdown(&endpoint);
+}
+
 /// A launched request thread that panics outside the executor's
 /// `catch_unwind` (here: at `pre-write`) answers nothing, but must still
 /// give back its place in the session's pipeline window: the id-less

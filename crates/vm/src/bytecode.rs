@@ -6,6 +6,7 @@
 //! cycles per origin, which is how the paper's Fig. 10 execution-time
 //! breakdown is produced.
 
+use crate::trace::OriginCycles;
 use dp_frontend::ast::{CodeOrigin, FnQual, Type};
 use std::collections::HashMap;
 
@@ -221,7 +222,7 @@ impl Instr {
     /// the prefix/`Add` sequence even when it was fused from the postfix or
     /// `Sub` variant (all variants have identical cost classes, so the
     /// accounting is unaffected). [`Instr::cost`] and [`Instr::width`] are
-    /// derived from this expansion, which is what keeps fused execution
+    /// this expansion's sums, which is what keeps fused execution
     /// trace-identical to unfused execution.
     pub fn expansion(&self) -> Option<Vec<Instr>> {
         match *self {
@@ -256,15 +257,33 @@ impl Instr {
     /// How many original (pre-fusion) instructions this instruction counts
     /// as: 1 for primitives, the expansion length for superinstructions.
     pub fn width(&self) -> u32 {
-        self.expansion().map_or(1, |e| e.len() as u32)
+        match self {
+            Instr::IncLocal(..) => 6,
+            Instr::CmpBranchLocals(..) => 4,
+            Instr::BinLocals(..) => 3,
+            Instr::BinImm(..) | Instr::LoadLocalMem(_) | Instr::StoreLoadLocal(_) => 2,
+            _ => 1,
+        }
     }
 
     /// Cycles charged for one execution of this instruction under `model` —
     /// for fused instructions, the sum over the expansion.
+    ///
+    /// Both are written out, not computed from [`Instr::expansion`]: a
+    /// machine is built per request and asks these of every instruction
+    /// (twice, once for the slot and once for its block), and the expansion
+    /// is a heap allocation. `fused_instructions_cost_their_expansion` holds
+    /// the two spellings together.
     pub fn cost(&self, model: &CostModel) -> u64 {
-        match self.expansion() {
-            Some(parts) => parts.iter().map(|p| model.cycles(p.cost_class())).sum(),
-            None => model.cycles(self.cost_class()),
+        let bin = |op: BinKind| model.cycles(Instr::Bin(op).cost_class());
+        match *self {
+            Instr::IncLocal(..) => 6 * model.alu,
+            Instr::CmpBranchLocals(op, ..) => 2 * model.alu + bin(op) + model.branch,
+            Instr::BinLocals(op, ..) => 2 * model.alu + bin(op),
+            Instr::BinImm(op, _) => model.alu + bin(op),
+            Instr::LoadLocalMem(_) => model.alu + model.mem,
+            Instr::StoreLoadLocal(_) => 2 * model.alu,
+            _ => model.cycles(self.cost_class()),
         }
     }
 
@@ -431,6 +450,79 @@ pub struct CompiledFunction {
     pub shared_words: u32,
 }
 
+/// The summed accounting of one basic block: what executing it from its
+/// leader to its last instruction charges a thread. Everything here is
+/// static, so the execution machine charges a block once, at its leader,
+/// instead of once per instruction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockCharge {
+    /// Index of the block's first instruction (its leader).
+    pub start: u32,
+    /// Instruction slots in the block.
+    pub len: u32,
+    /// Sum of [`Instr::cost`].
+    pub cycles: u64,
+    /// Sum of [`Instr::width`] (original, pre-fusion instructions).
+    pub width: u64,
+    /// `cycles` split by the slots' origin tags.
+    pub origin: OriginCycles,
+}
+
+impl CompiledFunction {
+    /// Cuts the instruction stream into basic blocks, in order, and sums
+    /// each one's accounting under `cost`.
+    ///
+    /// A leader is: instruction 0; every branch target and the instruction
+    /// after a branch; the instruction after a `Call`, `Ret`, `RetVoid` or
+    /// `Sync` (where a thread resumes). A `Launch` is a block of its own:
+    /// it records the thread's cycle count, which therefore has to be
+    /// exact when it runs.
+    pub fn block_charges(&self, cost: &CostModel) -> Vec<BlockCharge> {
+        let mut leader = vec![false; self.code.len() + 1];
+        leader[0] = true;
+        for (pc, instr) in self.code.iter().enumerate() {
+            match *instr {
+                Instr::Jump(t)
+                | Instr::JumpIfZero(t)
+                | Instr::JumpIfNonZero(t)
+                | Instr::CmpBranchLocals(_, _, _, t) => {
+                    if let Some(l) = leader.get_mut(t as usize) {
+                        *l = true;
+                    }
+                    leader[pc + 1] = true;
+                }
+                Instr::Call(..) | Instr::Ret | Instr::RetVoid | Instr::Sync => {
+                    leader[pc + 1] = true;
+                }
+                Instr::Launch(..) => {
+                    leader[pc] = true;
+                    leader[pc + 1] = true;
+                }
+                _ => {}
+            }
+        }
+        let mut blocks: Vec<BlockCharge> = Vec::new();
+        for (pc, (instr, origin)) in self.code.iter().zip(&self.origins).enumerate() {
+            if leader[pc] {
+                blocks.push(BlockCharge {
+                    start: pc as u32,
+                    len: 0,
+                    cycles: 0,
+                    width: 0,
+                    origin: OriginCycles::default(),
+                });
+            }
+            let block = blocks.last_mut().expect("instruction 0 is a leader");
+            let cycles = instr.cost(cost);
+            block.len += 1;
+            block.cycles += cycles;
+            block.width += instr.width() as u64;
+            block.origin.add(*origin, cycles);
+        }
+        blocks
+    }
+}
+
 /// A compiled translation unit.
 #[derive(Debug, Clone, Default)]
 pub struct Module {
@@ -489,7 +581,15 @@ mod tests {
 
     #[test]
     fn fused_instructions_cost_their_expansion() {
-        let m = CostModel::default();
+        // No two classes alike, so a cycle taken from the wrong one shows.
+        let m = CostModel {
+            alu: 2,
+            mul: 3,
+            div: 5,
+            mem: 7,
+            branch: 11,
+            ..CostModel::default()
+        };
         for (fused, width) in [
             (Instr::BinLocals(BinKind::Mul, 0, 1), 3),
             (Instr::BinImm(BinKind::Div, 7), 2),

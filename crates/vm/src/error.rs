@@ -43,8 +43,14 @@ impl fmt::Display for CompileError {
 impl Error for CompileError {}
 
 /// A runtime error during simulated execution.
+///
+/// One pointer wide: every op handler returns `Result<_, ExecError>`, and a
+/// result that fits two registers does not travel through memory.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExecError {
+pub struct ExecError(Box<ExecErrorInner>);
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct ExecErrorInner {
     message: String,
     context: Option<String>,
 }
@@ -52,29 +58,29 @@ pub struct ExecError {
 impl ExecError {
     /// Creates a new execution error.
     pub fn new(message: impl Into<String>) -> Self {
-        ExecError {
+        ExecError(Box::new(ExecErrorInner {
             message: message.into(),
             context: None,
-        }
+        }))
     }
 
     /// Attaches kernel/block/thread context.
     pub fn with_context(mut self, context: impl Into<String>) -> Self {
-        self.context = Some(context.into());
+        self.0.context = Some(context.into());
         self
     }
 
     /// The error message.
     pub fn message(&self) -> &str {
-        &self.message
+        &self.0.message
     }
 }
 
 impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.context {
-            Some(ctx) => write!(f, "execution error ({ctx}): {}", self.message),
-            None => write!(f, "execution error: {}", self.message),
+        match &self.0.context {
+            Some(ctx) => write!(f, "execution error ({ctx}): {}", self.0.message),
+            None => write!(f, "execution error: {}", self.0.message),
         }
     }
 }

@@ -18,15 +18,18 @@
 //! around three ideas (measured by `dp-bench`'s `vmbench` binary, tracked
 //! in `BENCH_vm.json` at the repo root):
 //!
-//! 1. **Direct-threaded dispatch**: at machine construction every
-//!    function's instruction stream is decoded into a table of op slots —
-//!    a handler function pointer plus pre-resolved operands, cycles,
-//!    width, and origin — so the hot loop is an indirect call per
-//!    instruction instead of a `match` over the opcode space. Hot binary
-//!    families are specialized per [`bytecode::BinKind`]. The classic
-//!    `match` loop survives as
-//!    [`machine::DispatchMode::Match`] for differential testing and as
-//!    the benchmark baseline.
+//! 1. **Direct-threaded dispatch, block-charged accounting**: at machine
+//!    construction every function's instruction stream is decoded into a
+//!    table of op slots — a handler function pointer plus pre-resolved
+//!    operands — and cut into basic blocks
+//!    ([`bytecode::CompiledFunction::block_charges`]), each with its
+//!    summed cycles, width and per-origin cycles. The hot loop is an
+//!    indirect call per instruction instead of a `match` over the opcode
+//!    space, and one charge (budget included) per basic block instead of
+//!    one per instruction. Hot binary families are specialized per
+//!    [`bytecode::BinKind`]. The classic `match` loop survives as
+//!    [`machine::DispatchMode::Match`], charging per instruction, for
+//!    differential testing and as the benchmark baseline.
 //! 2. **Superinstruction fusion** ([`lower::fuse_function`]): a peephole
 //!    pass collapses hot stack-shuffle sequences (`LoadLocal;LoadLocal;Bin`,
 //!    `PushInt;Bin`, the six-instruction `i += k` statement pattern,
@@ -69,9 +72,9 @@ pub mod machine;
 pub mod trace;
 pub mod value;
 
-pub use bytecode::{CostClass, CostModel, Module};
+pub use bytecode::{BlockCharge, CostClass, CostModel, Module};
 pub use error::{CompileError, ExecError};
 pub use lower::{compile_program, compile_program_unfused, fuse_module, LowerOptions};
 pub use machine::{DispatchMode, ExecLimits, Machine, MachineStats, Memory};
 pub use trace::{BlockTrace, ExecutionTrace, GridTrace, LaunchOrigin, LaunchRecord, OriginCycles};
-pub use value::Value;
+pub use value::{Dim3Table, LaunchDim, Value};

@@ -147,7 +147,10 @@ pub fn fuse_module(module: &mut Module) {
 /// in `bytecode.rs`, a match arm in `try_fuse_at` here, and a dispatch arm
 /// in `machine.rs` that replicates the expansion's observable semantics
 /// (including error cases). The accounting (cycles, instruction counts,
-/// origin attribution) follows from the expansion automatically.
+/// origin attribution) follows from the expansion automatically. Say in
+/// [`CompiledFunction::block_charges`](crate::bytecode::CompiledFunction::block_charges)
+/// whether the opcode ends a basic block (anything that writes `pc`, changes
+/// the frame, or yields) or must observe an exact `thread.cycles`.
 pub fn fuse_function(f: &mut CompiledFunction) {
     let n = f.code.len();
     // Instruction indices some jump lands on (code.len() is a valid target

@@ -12,16 +12,22 @@
 //! The interpreter is **direct-threaded**: at machine construction every
 //! function's instruction stream is decoded into a table of
 //! [`ThreadedOp`]s — a function pointer per opcode plus pre-resolved
-//! operands, cycles, width, and origin — so the hot loop is an indirect
-//! call per instruction instead of a `match` over the whole opcode space.
+//! operands — so the hot loop is an indirect call per instruction instead
+//! of a `match` over the whole opcode space. Accounting (cycles, width,
+//! origin, budget) is static per basic block, so the table also holds one
+//! [`BlockCharge`] per block and the loop charges it when it dispatches the
+//! block's leader, and nothing otherwise. An opcode that ends a basic block
+//! or must observe an exact `thread.cycles` has to say so in
+//! [`CompiledFunction::block_charges`].
 //! The original `match` dispatcher is kept behind
 //! [`DispatchMode::Match`] as the reference semantics for differential
-//! tests and as `vmbench`'s baseline.
+//! tests and as `vmbench`'s baseline; it charges per instruction, which
+//! makes it the oracle for the block charges as well.
 
 use crate::bytecode::*;
 use crate::error::ExecError;
 use crate::trace::*;
-use crate::value::{Value, SHARED_SPACE_BASE};
+use crate::value::{Dim3Table, LaunchDim, Value, SHARED_SPACE_BASE};
 use dp_frontend::ast::{CodeOrigin, FnQual, Type};
 use dp_obs::metrics::Histogram;
 use std::collections::VecDeque;
@@ -33,7 +39,8 @@ static VM_RUN_US: Histogram = Histogram::new("vm.run_us");
 /// Execution limits (to keep tests and runaway kernels bounded).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecLimits {
-    /// Maximum dynamic instructions per `run_to_quiescence` call.
+    /// Maximum dynamic instructions over the machine's lifetime (see
+    /// [`Machine::instructions_left`]).
     pub max_instructions: u64,
     /// Maximum pending (not yet executed) grids, modelling CUDA's pending
     /// launch buffer (the paper sets `cudaLimitDevRuntimePendingLaunchCount`
@@ -292,24 +299,36 @@ type OpResult = Result<Flow, ExecError>;
 type OpFn = fn(&ThreadedOp, &mut StepCtx<'_, '_>) -> OpResult;
 
 /// One decoded instruction slot: handler pointer, pre-resolved operands,
-/// and the accounting (cycles in the machine's cost model, original
-/// instruction width, origin tag) that dispatch charges before calling the
-/// handler. Built once per function at machine construction.
+/// and the block it leads (if any). Built once per function at machine
+/// construction.
 #[derive(Clone, Copy)]
 struct ThreadedOp {
     exec: OpFn,
-    /// The original instruction — used by the `Match` dispatcher and by
-    /// handlers with cold or many-variant payloads (atomics, intrinsics).
+    /// The original instruction — used by the `Match` dispatcher (which
+    /// also asks it for its cost and width) and by handlers with cold or
+    /// many-variant payloads (atomics, intrinsics).
     instr: Instr,
-    cycles: u64,
     /// Integer immediate / float bits / branch target (CmpBranchLocals).
     imm: i64,
     /// First operand: local slot, jump target, FuncId, special index, lane.
     a: u32,
     /// Second operand: local slot, argument count, lane.
     b: u32,
-    width: u32,
-    origin: CodeOrigin,
+    /// Index into [`FuncTable::charges`] of the basic block this slot
+    /// leads, or [`NOT_A_LEADER`].
+    charge: u32,
+}
+
+const NOT_A_LEADER: u32 = u32::MAX;
+
+// Splitting a slot into a 32-byte hot half and a cold side array for
+// `Match` measured under 1 % on a cold sweep: not built.
+const _: () = assert!(std::mem::size_of::<ThreadedOp>() == 48);
+
+/// One function's dispatch table.
+struct FuncTable {
+    ops: Box<[ThreadedOp]>,
+    charges: Box<[BlockCharge]>,
 }
 
 /// Borrow bundle passed to op handlers — the whole mutable per-step state,
@@ -510,10 +529,9 @@ fn op_launch(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
     for i in (0..nargs).rev() {
         args[i] = pop(&mut s.thread.stack)?;
     }
-    let block = pop(&mut s.thread.stack)?.as_dim3();
-    let grid = pop(&mut s.thread.stack)?.as_dim3();
-    let total_blocks = grid[0] * grid[1] * grid[2];
-    if total_blocks <= 0 {
+    let block = s.env.dim3s.resolve(pop(&mut s.thread.stack)?);
+    let grid = s.env.dim3s.resolve(pop(&mut s.thread.stack)?);
+    if dim_product(grid, "grid")? <= 0 {
         s.env.stats.empty_launches += 1;
     } else {
         let origin = LaunchOrigin::Device {
@@ -611,7 +629,7 @@ const fn special_index(sp: Special) -> u32 {
 
 fn op_read_special(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
     let d = special_dims(op.a, s);
-    s.thread.stack.push(Value::Dim3(d));
+    s.thread.stack.push(s.env.dim3s.intern(d));
     Ok(Flow::Next)
 }
 
@@ -625,21 +643,21 @@ fn op_make_dim3(_op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
     let z = pop(&mut s.thread.stack)?.as_int();
     let y = pop(&mut s.thread.stack)?.as_int();
     let x = pop(&mut s.thread.stack)?.as_int();
-    s.thread.stack.push(Value::Dim3([x, y, z]));
+    s.thread.stack.push(s.env.dim3s.intern([x, y, z]));
     Ok(Flow::Next)
 }
 
 fn op_dim3_member(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let d = pop(&mut s.thread.stack)?.as_dim3();
+    let d = s.env.dim3s.resolve(pop(&mut s.thread.stack)?);
     s.thread.stack.push(Value::Int(d[op.a as usize]));
     Ok(Flow::Next)
 }
 
 fn op_dim3_set_member(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
     let v = pop(&mut s.thread.stack)?.as_int();
-    let mut d = pop(&mut s.thread.stack)?.as_dim3();
+    let mut d = s.env.dim3s.resolve(pop(&mut s.thread.stack)?);
     d[op.a as usize] = v;
-    s.thread.stack.push(Value::Dim3(d));
+    s.thread.stack.push(s.env.dim3s.intern(d));
     Ok(Flow::Next)
 }
 
@@ -718,16 +736,14 @@ fn op_store_load_local(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
 }
 
 /// Decodes one instruction into its table slot.
-fn threaded_op(instr: Instr, origin: CodeOrigin, cost: &CostModel) -> ThreadedOp {
+fn threaded_op(instr: Instr) -> ThreadedOp {
     let mut op = ThreadedOp {
         exec: op_fence, // placeholder, overwritten below
         instr,
-        cycles: instr.cost(cost),
         imm: 0,
         a: 0,
         b: 0,
-        width: instr.width(),
-        origin,
+        charge: NOT_A_LEADER,
     };
     op.exec = match instr {
         Instr::PushInt(v) => {
@@ -836,19 +852,20 @@ fn threaded_op(instr: Instr, origin: CodeOrigin, cost: &CostModel) -> ThreadedOp
     op
 }
 
-/// Builds the per-function dispatch tables (one decoded slot per
-/// instruction, carrying the cost model's cycles and the fusion-transparent
-/// width/origin accounting).
-fn build_tables(module: &Module, cost: &CostModel) -> Vec<Box<[ThreadedOp]>> {
+/// Builds the per-function dispatch tables: one decoded slot per
+/// instruction, and one charge per basic block carrying the cost model's
+/// cycles and the fusion-transparent width/origin accounting.
+fn build_tables(module: &Module, cost: &CostModel) -> Vec<FuncTable> {
     module
         .functions
         .iter()
         .map(|f| {
-            f.code
-                .iter()
-                .zip(&f.origins)
-                .map(|(i, og)| threaded_op(*i, *og, cost))
-                .collect()
+            let mut ops: Box<[ThreadedOp]> = f.code.iter().map(|i| threaded_op(*i)).collect();
+            let charges: Box<[BlockCharge]> = f.block_charges(cost).into();
+            for (i, block) in charges.iter().enumerate() {
+                ops[block.start as usize].charge = i as u32;
+            }
+            FuncTable { ops, charges }
         })
         .collect()
 }
@@ -902,7 +919,7 @@ impl LaunchQueue {
                 args.len()
             )));
         }
-        let threads = block[0] * block[1] * block[2];
+        let threads = dim_product(block, "block")?;
         if threads <= 0 || threads > limits.max_threads_per_block as i64 {
             return Err(ExecError::new(format!(
                 "invalid block size {threads} for kernel `{}`",
@@ -915,6 +932,7 @@ impl LaunchQueue {
                 func.name
             )));
         }
+        dim_product(grid, "grid")?;
         if self.pending.len() >= limits.max_pending {
             return Err(ExecError::new(
                 "pending launch buffer overflow (raise ExecLimits::max_pending)",
@@ -947,27 +965,45 @@ pub struct MachineStats {
     pub empty_launches: u64,
 }
 
+/// What the `Match` dispatcher — and only it: the threaded loop does not
+/// pay for this — counts on its way: table slots dispatched, and how many
+/// of them led a basic block. Their ratio is the number of handler calls
+/// the threaded loop makes per block charge (`vmbench`'s `ops_per_block`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DispatchProfile {
+    /// Table slots dispatched (a fused superinstruction is one).
+    pub ops: u64,
+    /// Of those, block leaders.
+    pub blocks: u64,
+}
+
+/// Bytes of one decoded table slot (`vmbench` records it).
+pub const THREADED_OP_BYTES: usize = std::mem::size_of::<ThreadedOp>();
+
 /// The disjoint machine borrows the execution loop needs: read-only code,
 /// dispatch tables and configuration, global memory, the launch queue, and
 /// statistics.
 struct ExecEnv<'m> {
     module: &'m Module,
-    tables: &'m [Box<[ThreadedOp]>],
+    tables: &'m [FuncTable],
     cost: &'m CostModel,
     limits: &'m ExecLimits,
     dispatch: DispatchMode,
     reuse_state: bool,
     mem: &'m mut Memory,
+    dim3s: &'m mut Dim3Table,
     launches: &'m mut LaunchQueue,
     stats: &'m mut MachineStats,
+    profile: &'m mut DispatchProfile,
     instr_budget: &'m mut u64,
 }
 
-// `load`/`store` stay out of line: inlined into every memory-op handler
-// they cost ~7% of `vm.run` on a cold BFS sweep (30 alternating pairs
-// against the out-of-line build).
+// `load`/`store` are inlined into the memory-op handlers: 6–8 % of a cold
+// BFS sweep (40 alternating pairs against the out-of-line build). While
+// `ExecError` was 48 bytes wide the same inlining *cost* ~7 %: every copy
+// carried a by-memory error return.
 impl ExecEnv<'_> {
-    #[inline(never)]
+    #[inline]
     fn load(&mut self, addr: i64, shared: &[Value]) -> Result<Value, ExecError> {
         if addr >= SHARED_SPACE_BASE {
             let off = (addr - SHARED_SPACE_BASE) as usize;
@@ -979,7 +1015,7 @@ impl ExecEnv<'_> {
         }
     }
 
-    #[inline(never)]
+    #[inline]
     fn store(&mut self, addr: i64, value: Value, shared: &mut [Value]) -> Result<(), ExecError> {
         if addr >= SHARED_SPACE_BASE {
             let off = (addr - SHARED_SPACE_BASE) as usize;
@@ -1006,6 +1042,14 @@ struct BlockCtx {
     linear_block: u64,
 }
 
+/// `d[0] * d[1] * d[2]` of a launch configuration; a product beyond `i64`
+/// is an error, not a wrap-around.
+fn dim_product(d: [i64; 3], what: &str) -> Result<i64, ExecError> {
+    d[0].checked_mul(d[1])
+        .and_then(|xy| xy.checked_mul(d[2]))
+        .ok_or_else(|| ExecError::new(format!("{what} size {d:?} overflows")))
+}
+
 fn budget_exhausted() -> ExecError {
     ExecError::new(
         "instruction budget exhausted (possible infinite loop; raise ExecLimits::max_instructions)",
@@ -1017,9 +1061,10 @@ fn budget_exhausted() -> ExecError {
 // ----------------------------------------------------------------------
 
 /// Runs one thread until it returns, reaches a barrier, or errors —
-/// direct-threaded dispatch: per instruction, charge the pre-resolved
-/// accounting and tail into the opcode's handler through its function
-/// pointer. The per-function table is re-derived only when the frame
+/// direct-threaded dispatch: per instruction, tail into the opcode's
+/// handler through its function pointer; per basic block, charge the
+/// block's summed accounting at its leader. Every way into this loop lands
+/// on a leader. The per-function table is re-derived only when the frame
 /// stack changes.
 fn run_thread_threaded(
     env: &mut ExecEnv<'_>,
@@ -1037,29 +1082,46 @@ fn run_thread_threaded(
         btrace,
     };
     'frames: loop {
-        let table: &[ThreadedOp] = &tables[s.thread.frame.func as usize];
+        let table = &tables[s.thread.frame.func as usize];
         loop {
             let pc = s.thread.frame.pc;
-            let Some(op) = table.get(pc) else {
+            let Some(leader) = table.ops.get(pc) else {
                 // Fell off the end of a void function.
                 if fall_off_end(s.thread) {
                     continue 'frames;
                 }
                 return Ok(());
             };
-            s.thread.frame.pc = pc + 1;
-            let width = op.width as u64;
-            s.thread.cycles += op.cycles;
-            s.thread.instructions += width;
-            s.thread.origin_cycles.add(op.origin, op.cycles);
-            if *s.env.instr_budget < width {
-                return Err(budget_exhausted());
+            let charge = &table.charges[leader.charge as usize];
+            if *s.env.instr_budget < charge.width {
+                // The budget ends inside this block: the reference loop
+                // charges per instruction and stops at the same one, with
+                // the same message, as it always did.
+                return run_thread_match(s.env, s.thread, s.block, s.shared, s.btrace);
             }
-            *s.env.instr_budget -= width;
-            match (op.exec)(op, &mut s)? {
-                Flow::Next => {}
-                Flow::Frame => continue 'frames,
-                Flow::Yield => return Ok(()),
+            *s.env.instr_budget -= charge.width;
+            s.thread.cycles += charge.cycles;
+            s.thread.instructions += charge.width;
+            s.thread.origin_cycles.merge(&charge.origin);
+            // Only a block's last instruction reads or writes `pc`.
+            let end = pc + charge.len as usize;
+            s.thread.frame.pc = end;
+            for (i, op) in table.ops[pc..end].iter().enumerate() {
+                match (op.exec)(op, &mut s) {
+                    Ok(Flow::Next) => {}
+                    Ok(Flow::Frame) => continue 'frames,
+                    Ok(Flow::Yield) => return Ok(()),
+                    Err(e) => {
+                        // Hand back the budget of the instructions after
+                        // the failed one: a failed run leaves `instr_budget`
+                        // where per-instruction charging does. (The thread's
+                        // own counters die with its block's trace.)
+                        let rest = &table.ops[pc + i + 1..end];
+                        *s.env.instr_budget +=
+                            rest.iter().map(|op| op.instr.width() as u64).sum::<u64>();
+                        return Err(e);
+                    }
+                }
             }
         }
     }
@@ -1078,7 +1140,8 @@ fn run_thread_match(
     let tables = env.tables;
     let t = thread;
     'frames: loop {
-        let table: &[ThreadedOp] = &tables[t.frame.func as usize];
+        let table = &tables[t.frame.func as usize].ops;
+        let origins = &env.module.functions[t.frame.func as usize].origins;
         loop {
             let pc = t.frame.pc;
             let Some(op) = table.get(pc) else {
@@ -1088,14 +1151,17 @@ fn run_thread_match(
                 return Ok(());
             };
             t.frame.pc = pc + 1;
-            let width = op.width as u64;
-            t.cycles += op.cycles;
+            let width = op.instr.width() as u64;
+            let cycles = op.instr.cost(env.cost);
+            t.cycles += cycles;
             t.instructions += width;
-            t.origin_cycles.add(op.origin, op.cycles);
+            t.origin_cycles.add(origins[pc], cycles);
             if *env.instr_budget < width {
                 return Err(budget_exhausted());
             }
             *env.instr_budget -= width;
+            env.profile.ops += 1;
+            env.profile.blocks += (op.charge != NOT_A_LEADER) as u64;
 
             match op.instr {
                 Instr::PushInt(v) => t.stack.push(Value::Int(v)),
@@ -1189,10 +1255,9 @@ fn run_thread_match(
                     for i in (0..nargs as usize).rev() {
                         args[i] = pop(&mut t.stack)?;
                     }
-                    let b = pop(&mut t.stack)?.as_dim3();
-                    let g = pop(&mut t.stack)?.as_dim3();
-                    let total_blocks = g[0] * g[1] * g[2];
-                    if total_blocks <= 0 {
+                    let b = env.dim3s.resolve(pop(&mut t.stack)?);
+                    let g = env.dim3s.resolve(pop(&mut t.stack)?);
+                    if dim_product(g, "grid")? <= 0 {
                         env.stats.empty_launches += 1;
                     } else {
                         let origin = LaunchOrigin::Device {
@@ -1260,7 +1325,7 @@ fn run_thread_match(
                         Special::BlockDim => block.block_dim,
                         Special::GridDim => block.grid_dim,
                     };
-                    t.stack.push(Value::Dim3(d));
+                    t.stack.push(env.dim3s.intern(d));
                 }
                 Instr::ReadSpecialComp(sp, lane) => {
                     let d = match sp {
@@ -1275,17 +1340,17 @@ fn run_thread_match(
                     let z = pop(&mut t.stack)?.as_int();
                     let y = pop(&mut t.stack)?.as_int();
                     let x = pop(&mut t.stack)?.as_int();
-                    t.stack.push(Value::Dim3([x, y, z]));
+                    t.stack.push(env.dim3s.intern([x, y, z]));
                 }
                 Instr::Dim3Member(lane) => {
-                    let d = pop(&mut t.stack)?.as_dim3();
+                    let d = env.dim3s.resolve(pop(&mut t.stack)?);
                     t.stack.push(Value::Int(d[lane as usize]));
                 }
                 Instr::Dim3SetMember(lane) => {
                     let v = pop(&mut t.stack)?.as_int();
-                    let mut d = pop(&mut t.stack)?.as_dim3();
+                    let mut d = env.dim3s.resolve(pop(&mut t.stack)?);
                     d[lane as usize] = v;
-                    t.stack.push(Value::Dim3(d));
+                    t.stack.push(env.dim3s.intern(d));
                 }
                 Instr::Pop => {
                     pop(&mut t.stack)?;
@@ -1466,12 +1531,14 @@ pub struct Machine {
     module: Module,
     /// Global device memory.
     pub mem: Memory,
+    dim3s: Dim3Table,
     cost: CostModel,
-    tables: Vec<Box<[ThreadedOp]>>,
+    tables: Vec<FuncTable>,
     limits: ExecLimits,
     launches: LaunchQueue,
     trace: ExecutionTrace,
     stats: MachineStats,
+    profile: DispatchProfile,
     instr_budget: u64,
     arena: BlockArena,
     reuse_state: bool,
@@ -1491,12 +1558,14 @@ impl Machine {
         Machine {
             module,
             mem: Memory::new(),
+            dim3s: Dim3Table::default(),
             cost,
             tables,
             limits,
             launches: LaunchQueue::default(),
             trace: ExecutionTrace::default(),
             stats: MachineStats::default(),
+            profile: DispatchProfile::default(),
             instr_budget: limits.max_instructions,
             arena: BlockArena::default(),
             reuse_state: true,
@@ -1532,6 +1601,19 @@ impl Machine {
     /// Statistics so far.
     pub fn stats(&self) -> MachineStats {
         self.stats
+    }
+
+    /// The `Match` dispatcher's counts so far (zero under `Threaded`).
+    pub fn dispatch_profile(&self) -> DispatchProfile {
+        self.profile
+    }
+
+    /// What is left of [`ExecLimits::max_instructions`]. Every dispatched
+    /// instruction is charged its width before it executes, the one that
+    /// fails included; a failed run charges nothing after it, under either
+    /// dispatcher.
+    pub fn instructions_left(&self) -> u64 {
+        self.instr_budget
     }
 
     /// Allocates device memory.
@@ -1594,8 +1676,8 @@ impl Machine {
     pub fn launch_host(
         &mut self,
         kernel: &str,
-        grid: impl Into<Value>,
-        block: impl Into<Value>,
+        grid: impl Into<LaunchDim>,
+        block: impl Into<LaunchDim>,
         args: &[Value],
     ) -> Result<usize, ExecError> {
         let id = self
@@ -1606,8 +1688,8 @@ impl Machine {
             &self.module,
             &self.limits,
             id,
-            grid.into().as_dim3(),
-            block.into().as_dim3(),
+            grid.into().0,
+            block.into().0,
             args.to_vec(),
             LaunchOrigin::Host,
         )
@@ -1650,18 +1732,20 @@ impl Machine {
         let Machine {
             module,
             mem,
+            dim3s,
             cost,
             tables,
             limits,
             launches,
             trace,
             stats,
+            profile,
             instr_budget,
             arena,
             reuse_state,
             dispatch,
         } = self;
-        let num_blocks = grid.grid[0] * grid.grid[1] * grid.grid[2];
+        let num_blocks = dim_product(grid.grid, "grid")?;
         let func = module.function(grid.kernel);
         // Coerce kernel arguments to their declared parameter types once per
         // grid — every block (and thread) starts from the same locals image.
@@ -1677,7 +1761,8 @@ impl Machine {
             grid_dim: grid.grid,
             block_dim: grid.block,
             origin: grid.origin,
-            blocks: Vec::with_capacity(num_blocks as usize),
+            // Not reserved up front: `num_blocks` is the launcher's word.
+            blocks: Vec::new(),
         };
         let mut env = ExecEnv {
             module,
@@ -1687,8 +1772,10 @@ impl Machine {
             dispatch: *dispatch,
             reuse_state: *reuse_state,
             mem,
+            dim3s,
             launches,
             stats,
+            profile,
             instr_budget,
         };
         for linear in 0..num_blocks as u64 {
@@ -1710,7 +1797,7 @@ fn coerce(v: Value, ty: &Type) -> Value {
     match ty {
         Type::Int | Type::UInt | Type::Long | Type::ULong | Type::Bool => Value::Int(v.as_int()),
         Type::Float | Type::Double => Value::Float(v.as_float()),
-        Type::Dim3 => Value::Dim3(v.as_dim3()),
+        Type::Dim3 => v.to_dim3(),
         Type::Ptr(_) | Type::Void => v,
     }
 }
@@ -2016,7 +2103,7 @@ mod tests {
                  d[i] = blockIdx.y; }",
         );
         let buf = m.alloc(24);
-        m.launch_host("k", Value::Dim3([3, 2, 1]), 4, &[Value::Int(buf)])
+        m.launch_host("k", [3, 2, 1], 4, &[Value::Int(buf)])
             .unwrap();
         m.run_to_quiescence().unwrap();
         let d = m.read_i64s(buf, 24).unwrap();

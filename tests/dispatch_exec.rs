@@ -126,3 +126,147 @@ proptest! {
         }
     }
 }
+
+// ----------------------------------------------------------------------
+// The instruction budget under block-charged accounting
+// ----------------------------------------------------------------------
+
+use dpopt::vm::{CostModel, ExecLimits};
+
+/// Everything a run with a finite budget lets a caller see, failed or not.
+#[derive(Debug, PartialEq)]
+struct Budgeted {
+    /// `Err` carries the full error string.
+    outcome: Result<(MachineStats, ExecutionTrace), String>,
+    memory: Vec<i64>,
+    /// [`Machine::instructions_left`] after the run.
+    left: u64,
+}
+
+fn run_budgeted(
+    src: &str,
+    kernel: &str,
+    fuse: bool,
+    dispatch: DispatchMode,
+    budget: u64,
+) -> Budgeted {
+    let p = dpopt::frontend::parse(src).unwrap_or_else(|e| panic!("{}\n{src}", e.render(src)));
+    let module = if fuse {
+        compile_program(&p).unwrap()
+    } else {
+        compile_program_unfused(&p).unwrap()
+    };
+    let limits = ExecLimits {
+        max_instructions: budget,
+        ..ExecLimits::default()
+    };
+    let mut m = Machine::with_config(module, CostModel::default(), limits);
+    m.set_dispatch(dispatch);
+    let out = m.alloc_i64s(&[7; 8]);
+    m.launch_host(kernel, 2, 4, &[Value::Int(out), Value::Int(3)])
+        .unwrap();
+    let outcome = m.run_to_quiescence().map_err(|e| e.to_string());
+    Budgeted {
+        memory: m.read_i64s(out, 8).unwrap(),
+        left: m.instructions_left(),
+        outcome: outcome.map(|()| (m.stats(), m.take_trace())),
+    }
+}
+
+/// Branches, a loop, a device-function call, shared memory, a barrier and
+/// a device-side launch: every kind of basic-block boundary.
+const BUDGET_KERNEL: &str = "\
+__device__ int tri(int n) { int s = 0; for (int i = 0; i < n; ++i) { s += i; } return s; }
+__global__ void child(int* out, int base) { out[base + threadIdx.x] = out[base + threadIdx.x] + 1; }
+__global__ void k(int* out, int n) {
+    __shared__ int tile[4];
+    tile[threadIdx.x] = tri(threadIdx.x + n);
+    __syncthreads();
+    int v = tile[3 - threadIdx.x];
+    if (v % 2 == 0) { out[threadIdx.x] = v; } else { out[threadIdx.x] = 0 - v; }
+    if (threadIdx.x == 0 && blockIdx.x == 1) { child<<<1, 4>>>(out, 4); }
+}";
+
+/// For **every** budget from 0 to one past what the run needs, the
+/// block-charging threaded loop and the per-instruction `match` loop agree
+/// on success or failure, the error string, memory, the trace, the
+/// statistics and what is left of the budget — fused and unfused. A budget
+/// that ends in the middle of a basic block is most of them.
+#[test]
+fn every_budget_ends_the_same_way_under_both_dispatchers() {
+    for fuse in [true, false] {
+        let full = run_budgeted(BUDGET_KERNEL, "k", fuse, DispatchMode::Match, u64::MAX);
+        let (stats, _) = full.outcome.as_ref().expect("the unlimited run succeeds");
+        let total = stats.instructions;
+        assert_eq!(full.left, u64::MAX - total);
+        assert!(total > 200 && total < 5_000, "{total}");
+        let mut failures = 0;
+        for budget in 0..=total + 1 {
+            let reference = run_budgeted(BUDGET_KERNEL, "k", fuse, DispatchMode::Match, budget);
+            let got = run_budgeted(BUDGET_KERNEL, "k", fuse, DispatchMode::Threaded, budget);
+            assert_eq!(got, reference, "budget {budget} of {total}, fuse={fuse}");
+            match &got.outcome {
+                Ok((stats, trace)) => {
+                    assert!(budget >= total);
+                    assert_eq!(got.left, budget - total);
+                    assert_eq!(stats.instructions, trace.instructions());
+                }
+                Err(message) => {
+                    failures += 1;
+                    assert!(budget < total, "{message}");
+                    assert!(
+                        message.contains("instruction budget exhausted"),
+                        "{message}"
+                    );
+                    // An instruction that does not fit is not charged: what
+                    // is left is less than one (fused) instruction's width.
+                    assert!(got.left < 6, "{} left of {budget}", got.left);
+                }
+            }
+        }
+        assert_eq!(failures, total);
+    }
+}
+
+/// A handler that fails in the middle of a block — an out-of-bounds store
+/// between two in-bounds ones — with the budget one short of it, exactly at
+/// it and one past it. What `instructions_left` is after a failed run is
+/// pinned here: every dispatched instruction was charged, the one that
+/// failed included, and nothing after it — although the threaded loop
+/// charged the whole block up front.
+#[test]
+fn a_fault_in_mid_block_leaves_the_same_budget_under_both_dispatchers() {
+    let src = "__global__ void k(int* out, int n) { \
+                   int a = out[0] + n; \
+                   out[1] = a; \
+                   out[1000000] = a; \
+                   out[2] = a + 1; }";
+    for fuse in [true, false] {
+        let unlimited = run_budgeted(src, "k", fuse, DispatchMode::Match, u64::MAX);
+        let message = unlimited.outcome.unwrap_err();
+        assert!(message.contains("out of bounds"), "{message}");
+        // Instructions charged up to and including the faulting store.
+        let at_fault = u64::MAX - unlimited.left;
+        assert!(at_fault > 10);
+        for budget in [at_fault - 1, at_fault, at_fault + 1, u64::MAX] {
+            let reference = run_budgeted(src, "k", fuse, DispatchMode::Match, budget);
+            let got = run_budgeted(src, "k", fuse, DispatchMode::Threaded, budget);
+            assert_eq!(
+                got, reference,
+                "budget {budget}, fault at {at_fault}, fuse={fuse}"
+            );
+            let message = got.outcome.unwrap_err();
+            if budget < at_fault {
+                assert!(
+                    message.contains("instruction budget exhausted"),
+                    "{message}"
+                );
+            } else {
+                assert!(message.contains("out of bounds"), "{message}");
+                assert_eq!(got.left, budget - at_fault);
+            }
+            // Block 0's thread 0 stored `out[1]` and nothing later.
+            assert_eq!(got.memory[1..3], [10, 7]);
+        }
+    }
+}

@@ -347,3 +347,182 @@ fn logical_operators_short_circuit() {
     );
     assert_eq!(out, vec![2, 3]);
 }
+
+#[test]
+fn a_dim3_survives_locals_memory_an_atomic_and_a_kernel_argument() {
+    // A `dim3` word travels: constructor → local → member update → global
+    // store → load back → `atomicCAS` against an equal triple (equal
+    // triples must compare equal wherever they were made) → a kernel
+    // argument of a child → its members, and a launch configuration.
+    let out = run_kernel(
+        "__global__ void leaf(int* d, int at) { atomicAdd(&d[at], 1); }\n\
+         __global__ void child(int* d, dim3 g) { \
+             d[0] = g.x; d[1] = g.y; d[2] = g.z; \
+             leaf<<<g, 1>>>(d, 3); }\n\
+         __global__ void k(int* d, int n) { \
+             dim3 a = dim3(2, n, 4); \
+             a.y = a.y + 2; \
+             d[8] = a; \
+             dim3 same = dim3(2, n + 2, 4); \
+             dim3 other = dim3(2, 4, n + 2); \
+             d[4] = atomicCAS(&d[8], other, 77) == a; \
+             d[5] = atomicCAS(&d[8], same, blockDim) == same; \
+             dim3 b = d[8]; \
+             d[6] = b.x * 100 + b.y * 10 + b.z; \
+             d[8] = 0; \
+             child<<<1, 1>>>(d, a); }",
+        "k",
+        1,
+        1,
+        9,
+        &[3],
+    );
+    // `child` saw (2, 5, 4) and launched 2 * 5 * 4 leaf blocks.
+    assert_eq!(out[..4], [2, 5, 4, 40]);
+    // The CAS against a permutation of the triple failed (and returned the
+    // stored triple); the one against an equal triple made elsewhere
+    // succeeded and stored `blockDim`, which reads back as (1, 1, 1).
+    assert_eq!(out[4..7], [1, 1, 111]);
+}
+
+#[test]
+fn launch_dimensions_that_overflow_are_an_error_not_a_wrap() {
+    // 2^32 * 2^32 wraps to 0 in release and panics in debug when
+    // multiplied unchecked; under both dispatchers it is the same error.
+    let src = "__global__ void c(int* d) { d[0] = 1; }\n\
+               __global__ void grid(int* d, int n) { dim3 g = dim3(n, n, 1); c<<<g, 1>>>(d); }\n\
+               __global__ void block(int* d, int n) { dim3 b = dim3(n, n, 1); c<<<1, b>>>(d); }";
+    for (kernel, what) in [("grid", "grid"), ("block", "block")] {
+        let mut messages = Vec::new();
+        for dispatch in [
+            dpopt::core::DispatchMode::Threaded,
+            dpopt::core::DispatchMode::Match,
+        ] {
+            let compiled = Compiler::new()
+                .dispatch(dispatch)
+                .compile(src)
+                .expect("compiles");
+            let mut exec = compiled.executor();
+            let buf = exec.alloc(1);
+            exec.launch(kernel, 1, 1, &[Value::Int(buf), Value::Int(1 << 32)])
+                .expect("launches");
+            messages.push(exec.sync().unwrap_err().to_string());
+        }
+        assert_eq!(messages[0], messages[1]);
+        assert!(
+            messages[0].contains(&format!(
+                "{what} size [4294967296, 4294967296, 1] overflows"
+            )),
+            "{}",
+            messages[0]
+        );
+    }
+    // From the host, too.
+    let compiled = Compiler::new().compile(src).expect("compiles");
+    let mut exec = compiled.executor();
+    let buf = exec.alloc(1);
+    let err = exec
+        .launch("c", [i64::MAX, 2, 1], 1, &[Value::Int(buf)])
+        .and_then(|()| exec.sync())
+        .unwrap_err();
+    assert!(err.to_string().contains("overflows"), "{err}");
+}
+
+/// The table the threaded loop charges from, checked against the ops it
+/// summarises: for all seven benchmarks × the nine sweep variants, fused
+/// and unfused, every place a thread can (re-)enter a function is a block
+/// leader, blocks tile the code, a `Launch` stands alone, and each block's
+/// `{cycles, width, origin}` is the sum over its instructions.
+#[test]
+fn block_charges_summarise_the_ops_they_cover() {
+    use dpopt::core::{AggConfig, AggGranularity};
+    use dpopt::vm::bytecode::Instr;
+    use dpopt::vm::{compile_program_unfused, CostModel, OriginCycles};
+    use dpopt::workloads::benchmarks::all_benchmarks;
+
+    // Distinct primes, so a cycle charged to the wrong class shows.
+    let cost = CostModel {
+        alu: 2,
+        mul: 3,
+        div: 5,
+        mem: 7,
+        branch: 11,
+        call: 13,
+        launch: 17,
+        sync: 19,
+        fence: 23,
+        atomic: 29,
+        intrinsic: 31,
+        launch_presence_overhead: 37,
+    };
+    let agg = || AggConfig::new(AggGranularity::MultiBlock(8));
+    let none = OptConfig::none;
+    let variants = [
+        None, // the No-CDP source
+        Some(none()),
+        Some(none().threshold(128)),
+        Some(none().coarsen_factor(16)),
+        Some(none().aggregation(agg())),
+        Some(none().threshold(128).coarsen_factor(16)),
+        Some(none().threshold(128).aggregation(agg())),
+        Some(none().coarsen_factor(16).aggregation(agg())),
+        Some(none().threshold(128).coarsen_factor(16).aggregation(agg())),
+    ];
+    let (mut functions, mut blocks_seen, mut launches) = (0, 0, 0);
+    for bench in all_benchmarks() {
+        for variant in &variants {
+            let compiled = match variant {
+                None => Compiler::new().compile(bench.no_cdp_source()),
+                Some(config) => Compiler::new().config(*config).compile(bench.cdp_source()),
+            }
+            .expect("benchmark compiles");
+            let unfused = compile_program_unfused(compiled.program()).expect("lowers");
+            for f in compiled.module().functions.iter().chain(&unfused.functions) {
+                functions += 1;
+                let blocks = f.block_charges(&cost);
+                let is_leader =
+                    |pc: usize| pc >= f.code.len() || blocks.iter().any(|b| b.start as usize == pc);
+                let mut next = 0;
+                for b in &blocks {
+                    blocks_seen += 1;
+                    assert_eq!(b.start, next, "{}: blocks tile the code", f.name);
+                    assert!(b.len > 0);
+                    next += b.len;
+                    let range = b.start as usize..next as usize;
+                    let (mut cycles, mut width) = (0, 0);
+                    let mut origin = OriginCycles::default();
+                    for (instr, og) in f.code[range.clone()].iter().zip(&f.origins[range]) {
+                        cycles += instr.cost(&cost);
+                        width += instr.width() as u64;
+                        origin.add(*og, instr.cost(&cost));
+                    }
+                    assert_eq!((b.cycles, b.width, b.origin), (cycles, width, origin));
+                    assert_eq!(b.origin.total(), b.cycles);
+                }
+                assert_eq!(next as usize, f.code.len());
+                for (pc, instr) in f.code.iter().enumerate() {
+                    match *instr {
+                        Instr::Jump(t)
+                        | Instr::JumpIfZero(t)
+                        | Instr::JumpIfNonZero(t)
+                        | Instr::CmpBranchLocals(_, _, _, t) => {
+                            assert!(is_leader(t as usize), "{}: target {t}", f.name);
+                            assert!(is_leader(pc + 1), "{}: after branch {pc}", f.name);
+                        }
+                        Instr::Call(..) | Instr::Ret | Instr::RetVoid | Instr::Sync => {
+                            assert!(is_leader(pc + 1), "{}: after {instr:?} at {pc}", f.name);
+                        }
+                        Instr::Launch(..) => {
+                            launches += 1;
+                            let own = blocks.iter().find(|b| b.start as usize == pc);
+                            assert_eq!(own.map(|b| b.len), Some(1), "{}: launch {pc}", f.name);
+                            assert!(is_leader(pc + 1));
+                        }
+                        _ => {}
+                    }
+                }
+            }
+        }
+    }
+    assert!(functions >= 7 * 9 * 2 && blocks_seen > 1_000 && launches > 50);
+}
