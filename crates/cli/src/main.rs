@@ -20,10 +20,11 @@
 //!       [--token TOKEN]
 //! ```
 
-use dp_core::{AggConfig, AggGranularity, Compiler, OptConfig};
+use dp_core::{AggConfig, Compiler, OptConfig};
 use dp_serve::proto::{bare_request, Endpoint};
 use dp_serve::{ServeOptions, Server};
 use dp_sweep::json::{self, Json};
+use dp_sweep::spec::{checked_coarsen_factor, parse_granularity};
 use dp_sweep::{run_sweep, spec_from_json, SweepOptions, SweepResult};
 use std::io::BufRead;
 use std::process::ExitCode;
@@ -69,8 +70,9 @@ USAGE:
 
 TRANSFORM OPTIONS:
     --threshold <N>        serialize child grids below N threads (pass T)
-    --coarsen <F>          coarsen child blocks by factor F (pass C)
+    --coarsen <F>          coarsen child blocks by factor F >= 1 (pass C)
     --agg <G>              aggregate launches; G = warp | block | multiblock:<K> | grid
+                           (K >= 1)
     --agg-threshold <N>    aggregation threshold (requires --agg)
     -o <file>              write transformed source to file (default: stdout)
     --remote <addr>        transform on a dp-serve daemon (host:port or unix:/path)
@@ -170,8 +172,9 @@ fn transform(args: &[String]) -> ExitCode {
                 Some(v) => config = config.threshold(v),
                 None => return fail("--threshold needs an integer"),
             },
-            "--coarsen" => match parse_arg(args, &mut i) {
-                Some(v) => config = config.coarsen_factor(v),
+            "--coarsen" => match parse_arg(args, &mut i).map(checked_coarsen_factor) {
+                Some(Ok(v)) => config = config.coarsen_factor(v),
+                Some(Err(msg)) => return fail(&msg),
                 None => return fail("--coarsen needs an integer"),
             },
             "--agg" => {
@@ -181,7 +184,9 @@ fn transform(args: &[String]) -> ExitCode {
                 };
                 let granularity = match parse_granularity(spec) {
                     Some(g) => g,
-                    None => return fail("granularity must be warp|block|multiblock:<K>|grid"),
+                    None => {
+                        return fail("granularity must be warp|block|multiblock:<K>|grid, K >= 1")
+                    }
                 };
                 config = config.aggregation(AggConfig::new(granularity));
                 i += 1;
@@ -1101,18 +1106,6 @@ fn parse_arg(args: &[String], i: &mut usize) -> Option<i64> {
     let v = args.get(*i)?.parse().ok()?;
     *i += 1;
     Some(v)
-}
-
-fn parse_granularity(spec: &str) -> Option<AggGranularity> {
-    match spec {
-        "warp" => Some(AggGranularity::Warp),
-        "block" => Some(AggGranularity::Block),
-        "grid" => Some(AggGranularity::Grid),
-        other => {
-            let rest = other.strip_prefix("multiblock:")?;
-            rest.parse().ok().map(AggGranularity::MultiBlock)
-        }
-    }
 }
 
 fn fail(msg: &str) -> ExitCode {

@@ -296,6 +296,27 @@ fn bad_granularity_is_rejected() {
 }
 
 #[test]
+fn degenerate_tuning_values_are_rejected() {
+    // Each would come back as a program that divides by zero.
+    let input = write_temp("degenerate", EXAMPLE);
+    for (flag, value, needle) in [
+        ("--agg", "multiblock:0", "granularity"),
+        ("--coarsen", "0", "`coarsen` must be at least 1"),
+        ("--coarsen", "-3", "`coarsen` must be at least 1"),
+    ] {
+        let out = dpopt()
+            .args(["transform", input.to_str().unwrap(), flag, value])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{flag} {value}");
+        assert!(out.stdout.is_empty(), "{flag} {value}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.starts_with("error: ") && err.contains(needle), "{err}");
+    }
+    std::fs::remove_file(input).ok();
+}
+
+#[test]
 fn agg_threshold_without_agg_is_an_error() {
     let input = write_temp("aggthr", EXAMPLE);
     // The flag used to be silently ignored; it must now fail loudly.

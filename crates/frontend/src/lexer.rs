@@ -6,6 +6,11 @@
 //! [`TokenKind::Directive`] tokens so a source-to-source pipeline can print
 //! them back out.
 //!
+//! Tokens borrow the source: an identifier or a directive is a slice of the
+//! text handed to [`lex`], not a copy (a directive with a `\` continuation,
+//! which has to be spliced, is the one exception). The parser makes the one
+//! owned copy the AST keeps.
+//!
 //! One CUDA-specific wrinkle handled here: `>>>` is only a launch-close token
 //! in launch position. The lexer always emits `>>>` as
 //! [`Punct::LaunchClose`]; the parser re-splits it when it is actually
@@ -15,6 +20,7 @@
 use crate::error::{ParseError, Result};
 use crate::span::Span;
 use crate::token::{Keyword, Punct, Token, TokenKind};
+use std::borrow::Cow;
 
 /// Converts CUDA-subset source text into tokens.
 ///
@@ -25,26 +31,27 @@ use crate::token::{Keyword, Punct, Token, TokenKind};
 /// let tokens = lex("int x = 42;").unwrap();
 /// assert_eq!(tokens.len(), 6); // int, x, =, 42, ;, EOF
 /// ```
-pub fn lex(source: &str) -> Result<Vec<Token>> {
+pub fn lex(source: &str) -> Result<Vec<Token<'_>>> {
     Lexer::new(source).run()
 }
 
 struct Lexer<'s> {
-    src: &'s [u8],
+    src: &'s str,
     pos: usize,
-    tokens: Vec<Token>,
+    tokens: Vec<Token<'s>>,
 }
 
 impl<'s> Lexer<'s> {
     fn new(source: &'s str) -> Self {
         Lexer {
-            src: source.as_bytes(),
+            src: source,
             pos: 0,
-            tokens: Vec::new(),
+            // The workload sources run 3.5 to 5.4 bytes a token.
+            tokens: Vec::with_capacity(source.len() / 3 + 1),
         }
     }
 
-    fn run(mut self) -> Result<Vec<Token>> {
+    fn run(mut self) -> Result<Vec<Token<'s>>> {
         loop {
             self.skip_trivia()?;
             let start = self.pos;
@@ -53,7 +60,7 @@ impl<'s> Lexer<'s> {
                 return Ok(self.tokens);
             };
             match c {
-                b'#' => self.lex_directive(start)?,
+                b'#' => self.lex_directive(start),
                 b'0'..=b'9' => self.lex_number(start)?,
                 b'.' if self.peek_at(1).is_some_and(|c| c.is_ascii_digit()) => {
                     self.lex_number(start)?
@@ -67,11 +74,11 @@ impl<'s> Lexer<'s> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.peek_at(0)
     }
 
     fn peek_at(&self, n: usize) -> Option<u8> {
-        self.src.get(self.pos + n).copied()
+        self.src.as_bytes().get(self.pos + n).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -80,7 +87,7 @@ impl<'s> Lexer<'s> {
         Some(c)
     }
 
-    fn push(&mut self, kind: TokenKind, start: usize) {
+    fn push(&mut self, kind: TokenKind<'s>, start: usize) {
         self.tokens.push(Token {
             kind,
             span: Span::new(start as u32, self.pos as u32),
@@ -125,23 +132,33 @@ impl<'s> Lexer<'s> {
         }
     }
 
-    /// Lexes a whole preprocessor line verbatim (handling `\` continuations).
-    fn lex_directive(&mut self, start: usize) -> Result<()> {
-        let mut text = String::new();
-        while let Some(c) = self.peek() {
-            if c == b'\n' {
-                if text.ends_with('\\') {
-                    text.pop();
-                    self.pos += 1;
-                    continue;
-                }
+    /// Lexes a whole preprocessor line verbatim: a slice of the source,
+    /// unless `\` continuations have to be spliced out of it.
+    fn lex_directive(&mut self, start: usize) {
+        let mut text = Cow::Borrowed("");
+        loop {
+            let rest = &self.src[self.pos..];
+            let line = &rest[..rest.find('\n').unwrap_or(rest.len())];
+            self.pos += line.len();
+            if text.is_empty() {
+                text = Cow::Borrowed(line);
+            } else {
+                text.to_mut().push_str(line);
+            }
+            if self.peek() != Some(b'\n') || !text.ends_with('\\') {
                 break;
             }
-            text.push(c as char);
+            text.to_mut().pop();
             self.pos += 1;
         }
-        self.push(TokenKind::Directive(text.trim_end().to_string()), start);
-        Ok(())
+        let text = match text {
+            Cow::Borrowed(t) => Cow::Borrowed(t.trim_end()),
+            Cow::Owned(mut t) => {
+                t.truncate(t.trim_end().len());
+                Cow::Owned(t)
+            }
+        };
+        self.push(TokenKind::Directive(text), start);
     }
 
     fn lex_number(&mut self, start: usize) -> Result<()> {
@@ -155,7 +172,7 @@ impl<'s> Lexer<'s> {
             while self.peek().is_some_and(|c| c.is_ascii_hexdigit()) {
                 self.pos += 1;
             }
-            let text = std::str::from_utf8(&self.src[digits_start..self.pos]).unwrap();
+            let text = &self.src[digits_start..self.pos];
             let value = i64::from_str_radix(text, 16).map_err(|_| {
                 ParseError::new(
                     "hexadecimal literal out of range",
@@ -191,7 +208,7 @@ impl<'s> Lexer<'s> {
                 }
             }
         }
-        let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap();
+        let text = &self.src[start..self.pos];
         if is_float || matches!(self.peek(), Some(b'f') | Some(b'F')) {
             let value: f64 = text.parse().map_err(|_| {
                 ParseError::new(
@@ -233,10 +250,10 @@ impl<'s> Lexer<'s> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap();
+        let text = &self.src[start..self.pos];
         let kind = match Keyword::from_str(text) {
             Some(kw) => TokenKind::Keyword(kw),
-            None => TokenKind::Ident(text.to_string()),
+            None => TokenKind::Ident(text),
         };
         self.push(kind, start);
     }
@@ -363,10 +380,12 @@ impl<'s> Lexer<'s> {
             (b'[', _, _) => (LBracket, 1),
             (b']', _, _) => (RBracket, 1),
             _ => {
+                // Token starts lie on char boundaries; name the whole scalar.
+                let c = self.src[start..].chars().next().expect("peeked a byte");
                 return Err(ParseError::new(
-                    format!("unexpected character `{}`", c0 as char),
-                    Span::new(start as u32, start as u32 + 1),
-                ))
+                    format!("unexpected character `{c}`"),
+                    Span::new(start as u32, (start + c.len_utf8()) as u32),
+                ));
             }
         };
         self.pos += len;
@@ -379,7 +398,7 @@ impl<'s> Lexer<'s> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -427,9 +446,9 @@ mod tests {
             kinds("__global__ foo int intx"),
             vec![
                 TokenKind::Keyword(Keyword::Global),
-                TokenKind::Ident("foo".into()),
+                TokenKind::Ident("foo"),
                 TokenKind::Keyword(Keyword::Int),
-                TokenKind::Ident("intx".into()),
+                TokenKind::Ident("intx"),
                 TokenKind::Eof,
             ]
         );
@@ -440,14 +459,14 @@ mod tests {
         assert_eq!(
             kinds("k<<<g, b>>>(x);"),
             vec![
-                TokenKind::Ident("k".into()),
+                TokenKind::Ident("k"),
                 TokenKind::Punct(Punct::LaunchOpen),
-                TokenKind::Ident("g".into()),
+                TokenKind::Ident("g"),
                 TokenKind::Punct(Punct::Comma),
-                TokenKind::Ident("b".into()),
+                TokenKind::Ident("b"),
                 TokenKind::Punct(Punct::LaunchClose),
                 TokenKind::Punct(Punct::LParen),
-                TokenKind::Ident("x".into()),
+                TokenKind::Ident("x"),
                 TokenKind::Punct(Punct::RParen),
                 TokenKind::Punct(Punct::Semi),
                 TokenKind::Eof,
@@ -460,11 +479,11 @@ mod tests {
         assert_eq!(
             kinds("a<<b >>c <= >= == != && ||"),
             vec![
-                TokenKind::Ident("a".into()),
+                TokenKind::Ident("a"),
                 TokenKind::Punct(Punct::Shl),
-                TokenKind::Ident("b".into()),
+                TokenKind::Ident("b"),
                 TokenKind::Punct(Punct::Shr),
-                TokenKind::Ident("c".into()),
+                TokenKind::Ident("c"),
                 TokenKind::Punct(Punct::Le),
                 TokenKind::Punct(Punct::Ge),
                 TokenKind::Punct(Punct::EqEq),
@@ -481,9 +500,9 @@ mod tests {
         assert_eq!(
             kinds("a // line comment\n b /* block \n comment */ c"),
             vec![
-                TokenKind::Ident("a".into()),
-                TokenKind::Ident("b".into()),
-                TokenKind::Ident("c".into()),
+                TokenKind::Ident("a"),
+                TokenKind::Ident("b"),
+                TokenKind::Ident("c"),
                 TokenKind::Eof,
             ]
         );
@@ -508,7 +527,33 @@ mod tests {
             toks[0],
             TokenKind::Directive("#define M(a)   (a + 1)".into())
         );
-        assert_eq!(toks[1], TokenKind::Ident("x".into()));
+        assert_eq!(toks[1], TokenKind::Ident("x"));
+    }
+
+    #[test]
+    fn directives_keep_multi_byte_text() {
+        // Verbatim means the `str`, not its bytes re-read as Latin-1.
+        let toks = kinds("#include <é.h> \t\n#define S \\\n  \"naïve→\"  \nx");
+        assert_eq!(toks[0], TokenKind::Directive("#include <é.h>".into()));
+        assert!(matches!(&toks[0], TokenKind::Directive(Cow::Borrowed(_))));
+        assert_eq!(
+            toks[1],
+            TokenKind::Directive("#define S   \"naïve→\"".into())
+        );
+        assert_eq!(toks[2], TokenKind::Ident("x"));
+        assert_eq!(
+            kinds("#pragma é \\"),
+            vec![TokenKind::Directive("#pragma é \\".into()), TokenKind::Eof]
+        );
+    }
+
+    #[test]
+    fn unexpected_multi_byte_character_is_named_whole() {
+        let src = "p[0] = 1é;";
+        let err = lex(src).unwrap_err();
+        assert!(err.message().contains("`é`"), "{}", err.message());
+        let span = err.span();
+        assert_eq!(&src[span.start as usize..span.end as usize], "é");
     }
 
     #[test]

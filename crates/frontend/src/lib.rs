@@ -6,9 +6,12 @@
 //!
 //! The crate provides:
 //!
-//! - [`lexer::lex`] — hand-written lexer producing [`token::Token`]s,
-//! - [`parser::parse`] — recursive-descent parser producing an [`ast::Program`],
+//! - [`lexer::lex`] — hand-written lexer producing [`token::Token`]s that
+//!   borrow the source text (an identifier is a slice of it, never a copy),
+//! - [`parser::parse`] — recursive-descent parser producing an
+//!   [`ast::Program`]; the AST owns its names, so it outlives the source,
 //! - [`printer::print_program`] — pretty-printer back to `.cu`-subset text,
+//!   written into one `String`,
 //! - [`visit`] — AST walkers shared by the analyses and passes.
 //!
 //! Together these make each optimization a *source-to-source* stage exactly

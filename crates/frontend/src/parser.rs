@@ -56,21 +56,23 @@ pub fn parse_stmt(source: &str) -> Result<Stmt> {
     Ok(stmt)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+/// The parser never backtracks, so it reads tokens in place: a name is
+/// copied once, into the AST node that keeps it.
+struct Parser<'s> {
+    tokens: Vec<Token<'s>>,
     pos: usize,
 }
 
-impl Parser {
-    fn new(tokens: Vec<Token>) -> Self {
+impl<'s> Parser<'s> {
+    fn new(tokens: Vec<Token<'s>>) -> Self {
         Parser { tokens, pos: 0 }
     }
 
-    fn peek(&self) -> &TokenKind {
+    fn peek(&self) -> &TokenKind<'s> {
         &self.tokens[self.pos.min(self.tokens.len() - 1)].kind
     }
 
-    fn peek_at(&self, n: usize) -> &TokenKind {
+    fn peek_at(&self, n: usize) -> &TokenKind<'s> {
         &self.tokens[(self.pos + n).min(self.tokens.len() - 1)].kind
     }
 
@@ -82,14 +84,10 @@ impl Parser {
         self.tokens[self.pos.saturating_sub(1)].span
     }
 
-    fn bump(&mut self) -> TokenKind {
-        let kind = self.tokens[self.pos.min(self.tokens.len() - 1)]
-            .kind
-            .clone();
+    fn bump(&mut self) {
         if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
         }
-        kind
     }
 
     fn eat_punct(&mut self, p: Punct) -> bool {
@@ -119,10 +117,10 @@ impl Parser {
     }
 
     fn expect_ident(&mut self) -> Result<String> {
-        match self.peek().clone() {
+        match *self.peek() {
             TokenKind::Ident(name) => {
                 self.bump();
-                Ok(name)
+                Ok(name.to_string())
             }
             _ => Err(self.unexpected("expected identifier")),
         }
@@ -147,11 +145,11 @@ impl Parser {
     fn program(&mut self) -> Result<Program> {
         let mut program = Program::new();
         loop {
-            match self.peek().clone() {
+            match self.peek() {
                 TokenKind::Eof => return Ok(program),
                 TokenKind::Directive(text) => {
+                    program.items.push(parse_directive(text));
                     self.bump();
-                    program.items.push(parse_directive(&text));
                 }
                 _ => {
                     let func = self.function()?;
@@ -240,7 +238,7 @@ impl Parser {
     }
 
     fn ty(&mut self) -> Result<Type> {
-        let base = match self.peek().clone() {
+        let base = match *self.peek() {
             TokenKind::Keyword(Keyword::Void) => {
                 self.bump();
                 Type::Void
@@ -329,7 +327,7 @@ impl Parser {
 
     fn stmt(&mut self) -> Result<Stmt> {
         let start = self.span();
-        match self.peek().clone() {
+        match *self.peek() {
             TokenKind::Punct(Punct::LBrace) => {
                 self.bump();
                 let stmts = self.block_body()?;
@@ -603,66 +601,55 @@ impl Parser {
 
     fn expr_bp(&mut self, min_bp: u8) -> Result<Expr> {
         let mut lhs = self.unary()?;
-        loop {
-            let (op_bp, right_assoc): (u8, bool) = match self.peek() {
-                TokenKind::Punct(Punct::Assign)
-                | TokenKind::Punct(Punct::PlusAssign)
-                | TokenKind::Punct(Punct::MinusAssign)
-                | TokenKind::Punct(Punct::StarAssign)
-                | TokenKind::Punct(Punct::SlashAssign)
-                | TokenKind::Punct(Punct::PercentAssign)
-                | TokenKind::Punct(Punct::AmpAssign)
-                | TokenKind::Punct(Punct::PipeAssign)
-                | TokenKind::Punct(Punct::CaretAssign)
-                | TokenKind::Punct(Punct::ShlAssign)
-                | TokenKind::Punct(Punct::ShrAssign) => (2, true),
-                TokenKind::Punct(Punct::Question) => (4, true),
-                TokenKind::Punct(Punct::OrOr) => (6, false),
-                TokenKind::Punct(Punct::AndAnd) => (8, false),
-                TokenKind::Punct(Punct::Pipe) => (10, false),
-                TokenKind::Punct(Punct::Caret) => (12, false),
-                TokenKind::Punct(Punct::Amp) => (14, false),
-                TokenKind::Punct(Punct::EqEq) | TokenKind::Punct(Punct::Ne) => (16, false),
-                TokenKind::Punct(Punct::Lt)
-                | TokenKind::Punct(Punct::Le)
-                | TokenKind::Punct(Punct::Gt)
-                | TokenKind::Punct(Punct::Ge) => (18, false),
-                TokenKind::Punct(Punct::Shl) | TokenKind::Punct(Punct::Shr) => (20, false),
-                TokenKind::Punct(Punct::Plus) | TokenKind::Punct(Punct::Minus) => (22, false),
-                TokenKind::Punct(Punct::Star)
-                | TokenKind::Punct(Punct::Slash)
-                | TokenKind::Punct(Punct::Percent) => (24, false),
+        while let TokenKind::Punct(p) = *self.peek() {
+            let (op_bp, right_assoc): (u8, bool) = match p {
+                Punct::Assign
+                | Punct::PlusAssign
+                | Punct::MinusAssign
+                | Punct::StarAssign
+                | Punct::SlashAssign
+                | Punct::PercentAssign
+                | Punct::AmpAssign
+                | Punct::PipeAssign
+                | Punct::CaretAssign
+                | Punct::ShlAssign
+                | Punct::ShrAssign => (2, true),
+                Punct::Question => (4, true),
+                Punct::OrOr => (6, false),
+                Punct::AndAnd => (8, false),
+                Punct::Pipe => (10, false),
+                Punct::Caret => (12, false),
+                Punct::Amp => (14, false),
+                Punct::EqEq | Punct::Ne => (16, false),
+                Punct::Lt | Punct::Le | Punct::Gt | Punct::Ge => (18, false),
+                Punct::Shl | Punct::Shr => (20, false),
+                Punct::Plus | Punct::Minus => (22, false),
+                Punct::Star | Punct::Slash | Punct::Percent => (24, false),
                 _ => break,
             };
             if op_bp < min_bp {
                 break;
             }
-            let tok = self.bump();
+            self.bump();
             let next_bp = if right_assoc { op_bp } else { op_bp + 1 };
-            lhs = match tok {
-                TokenKind::Punct(Punct::Question) => {
-                    let then_e = self.expr_bp(0)?;
-                    self.expect_punct(Punct::Colon)?;
-                    let else_e = self.expr_bp(next_bp)?;
-                    let span = lhs.span.join(else_e.span);
-                    Expr::new(
-                        ExprKind::Ternary(Box::new(lhs), Box::new(then_e), Box::new(else_e)),
-                        span,
-                    )
-                }
-                TokenKind::Punct(p) => {
-                    if let Some(aop) = assign_op_of(p) {
-                        let rhs = self.expr_bp(next_bp)?;
-                        let span = lhs.span.join(rhs.span);
-                        Expr::new(ExprKind::Assign(aop, Box::new(lhs), Box::new(rhs)), span)
-                    } else {
-                        let bop = bin_op_of(p).expect("binary operator");
-                        let rhs = self.expr_bp(next_bp)?;
-                        let span = lhs.span.join(rhs.span);
-                        Expr::new(ExprKind::Binary(bop, Box::new(lhs), Box::new(rhs)), span)
-                    }
-                }
-                _ => unreachable!("operator token"),
+            lhs = if p == Punct::Question {
+                let then_e = self.expr_bp(0)?;
+                self.expect_punct(Punct::Colon)?;
+                let else_e = self.expr_bp(next_bp)?;
+                let span = lhs.span.join(else_e.span);
+                Expr::new(
+                    ExprKind::Ternary(Box::new(lhs), Box::new(then_e), Box::new(else_e)),
+                    span,
+                )
+            } else if let Some(aop) = assign_op_of(p) {
+                let rhs = self.expr_bp(next_bp)?;
+                let span = lhs.span.join(rhs.span);
+                Expr::new(ExprKind::Assign(aop, Box::new(lhs), Box::new(rhs)), span)
+            } else {
+                let bop = bin_op_of(p).expect("binary operator");
+                let rhs = self.expr_bp(next_bp)?;
+                let span = lhs.span.join(rhs.span);
+                Expr::new(ExprKind::Binary(bop, Box::new(lhs), Box::new(rhs)), span)
             };
         }
         Ok(lhs)
@@ -670,7 +657,7 @@ impl Parser {
 
     fn unary(&mut self) -> Result<Expr> {
         let start = self.span();
-        let expr = match self.peek().clone() {
+        let expr = match *self.peek() {
             TokenKind::Punct(Punct::Minus) => {
                 self.bump();
                 let operand = self.unary()?;
@@ -705,8 +692,9 @@ impl Parser {
                 self.bump();
                 self.unary()?
             }
-            TokenKind::Punct(Punct::PlusPlus) | TokenKind::Punct(Punct::MinusMinus) => {
-                let inc = self.bump() == TokenKind::Punct(Punct::PlusPlus);
+            TokenKind::Punct(p @ (Punct::PlusPlus | Punct::MinusMinus)) => {
+                self.bump();
+                let inc = p == Punct::PlusPlus;
                 let operand = self.unary()?;
                 let span = start.join(operand.span);
                 Expr::new(
@@ -754,7 +742,7 @@ impl Parser {
     fn postfix(&mut self) -> Result<Expr> {
         let mut expr = self.primary()?;
         loop {
-            match self.peek() {
+            match *self.peek() {
                 TokenKind::Punct(Punct::LBracket) => {
                     self.bump();
                     let index = self.expr()?;
@@ -768,8 +756,9 @@ impl Parser {
                     let span = expr.span.join(self.prev_span());
                     expr = Expr::new(ExprKind::Member(Box::new(expr), field), span);
                 }
-                TokenKind::Punct(Punct::PlusPlus) | TokenKind::Punct(Punct::MinusMinus) => {
-                    let inc = self.bump() == TokenKind::Punct(Punct::PlusPlus);
+                TokenKind::Punct(p @ (Punct::PlusPlus | Punct::MinusMinus)) => {
+                    self.bump();
+                    let inc = p == Punct::PlusPlus;
                     let span = expr.span.join(self.prev_span());
                     expr = Expr::new(
                         ExprKind::IncDec {
@@ -787,7 +776,7 @@ impl Parser {
 
     fn primary(&mut self) -> Result<Expr> {
         let start = self.span();
-        match self.peek().clone() {
+        match *self.peek() {
             TokenKind::IntLit(v) => {
                 self.bump();
                 Ok(Expr::new(ExprKind::IntLit(v), start))
@@ -842,11 +831,11 @@ impl Parser {
                         }
                     }
                     Ok(Expr::new(
-                        ExprKind::Call(name, args),
+                        ExprKind::Call(name.to_string(), args),
                         start.join(self.prev_span()),
                     ))
                 } else {
-                    Ok(Expr::new(ExprKind::Ident(name), start))
+                    Ok(Expr::new(ExprKind::Ident(name.to_string()), start))
                 }
             }
             TokenKind::Punct(Punct::LParen) => {

@@ -6,8 +6,12 @@
 //! composable source-to-source stages as in the paper's Fig. 8(a).
 
 use crate::ast::*;
+use std::fmt::Write;
 
 /// Pretty-prints a whole translation unit.
+///
+/// Everything is pushed into the one returned `String`; no node of the AST
+/// gets a string of its own.
 ///
 /// # Examples
 ///
@@ -22,7 +26,7 @@ pub fn print_program(program: &Program) -> String {
     for (i, item) in program.items.iter().enumerate() {
         match item {
             Item::Define { name, value } => {
-                out.push_str(&format!("#define {name} {value}\n"));
+                let _ = writeln!(out, "#define {name} {value}");
             }
             Item::Directive(text) => {
                 out.push_str(text);
@@ -46,15 +50,12 @@ pub fn print_function(out: &mut String, func: &Function) {
         FnQual::Device => out.push_str("__device__ "),
         FnQual::Host => {}
     }
-    out.push_str(&func.ret.to_string());
-    out.push(' ');
-    out.push_str(&func.name);
-    out.push('(');
+    let _ = write!(out, "{} {}(", func.ret, func.name);
     for (i, p) in func.params.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
-        out.push_str(&format!("{} {}", p.ty, p.name));
+        let _ = write!(out, "{} {}", p.ty, p.name);
     }
     out.push_str(") {\n");
     for stmt in &func.body {
@@ -63,18 +64,22 @@ pub fn print_function(out: &mut String, func: &Function) {
     out.push_str("}\n");
 }
 
+fn push_pad(out: &mut String, indent: usize) {
+    for _ in 0..indent {
+        out.push_str("    ");
+    }
+}
+
 /// Pretty-prints a statement at the given indent level.
 pub fn print_stmt(out: &mut String, stmt: &Stmt, indent: usize) {
-    let pad = "    ".repeat(indent);
+    push_pad(out, indent);
     match &stmt.kind {
         StmtKind::Decl(decl) => {
-            out.push_str(&pad);
             print_decl(out, decl);
             out.push_str(";\n");
         }
         StmtKind::Expr(e) => {
-            out.push_str(&pad);
-            out.push_str(&print_expr(e));
+            write_expr(out, e);
             out.push_str(";\n");
         }
         StmtKind::If {
@@ -82,14 +87,17 @@ pub fn print_stmt(out: &mut String, stmt: &Stmt, indent: usize) {
             then_branch,
             else_branch,
         } => {
-            out.push_str(&pad);
-            out.push_str(&format!("if ({}) ", print_expr(cond)));
+            out.push_str("if (");
+            write_expr(out, cond);
+            out.push_str(") ");
             print_braced(out, then_branch, indent);
             if let Some(els) = else_branch {
-                out.push_str(&pad);
+                out.push('\n');
+                push_pad(out, indent);
                 out.push_str("else ");
                 print_braced(out, els, indent);
             }
+            out.push('\n');
         }
         StmtKind::For {
             init,
@@ -97,123 +105,84 @@ pub fn print_stmt(out: &mut String, stmt: &Stmt, indent: usize) {
             step,
             body,
         } => {
-            out.push_str(&pad);
             out.push_str("for (");
-            match init {
-                Some(s) => match &s.kind {
-                    StmtKind::Decl(d) => {
-                        print_decl(out, d);
-                        out.push_str("; ");
-                    }
-                    StmtKind::Expr(e) => {
-                        out.push_str(&print_expr(e));
-                        out.push_str("; ");
-                    }
-                    _ => out.push_str("; "),
-                },
-                None => out.push_str("; "),
+            match init.as_deref().map(|s| &s.kind) {
+                Some(StmtKind::Decl(d)) => print_decl(out, d),
+                Some(StmtKind::Expr(e)) => write_expr(out, e),
+                _ => {}
             }
+            out.push_str("; ");
             if let Some(c) = cond {
-                out.push_str(&print_expr(c));
+                write_expr(out, c);
             }
             out.push_str("; ");
             if let Some(s) = step {
-                out.push_str(&print_expr(s));
+                write_expr(out, s);
             }
             out.push_str(") ");
             print_braced(out, body, indent);
+            out.push('\n');
         }
         StmtKind::While { cond, body } => {
-            out.push_str(&pad);
-            out.push_str(&format!("while ({}) ", print_expr(cond)));
+            out.push_str("while (");
+            write_expr(out, cond);
+            out.push_str(") ");
             print_braced(out, body, indent);
+            out.push('\n');
         }
         StmtKind::DoWhile { body, cond } => {
-            out.push_str(&pad);
             out.push_str("do ");
-            print_braced_no_newline(out, body, indent);
-            out.push_str(&format!(" while ({});\n", print_expr(cond)));
-        }
-        StmtKind::Return(value) => {
-            out.push_str(&pad);
-            match value {
-                Some(e) => out.push_str(&format!("return {};\n", print_expr(e))),
-                None => out.push_str("return;\n"),
-            }
-        }
-        StmtKind::Break => {
-            out.push_str(&pad);
-            out.push_str("break;\n");
-        }
-        StmtKind::Continue => {
-            out.push_str(&pad);
-            out.push_str("continue;\n");
-        }
-        StmtKind::Block(stmts) => {
-            out.push_str(&pad);
-            out.push_str("{\n");
-            for s in stmts {
-                print_stmt(out, s, indent + 1);
-            }
-            out.push_str(&pad);
-            out.push_str("}\n");
-        }
-        StmtKind::Launch(launch) => {
-            out.push_str(&pad);
-            out.push_str(&launch.kernel);
-            out.push_str("<<<");
-            out.push_str(&print_expr(&launch.grid));
-            out.push_str(", ");
-            out.push_str(&print_expr(&launch.block));
-            if let Some(s) = &launch.shmem {
-                out.push_str(", ");
-                out.push_str(&print_expr(s));
-            }
-            if let Some(s) = &launch.stream {
-                out.push_str(", ");
-                out.push_str(&print_expr(s));
-            }
-            out.push_str(">>>(");
-            for (i, arg) in launch.args.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&print_expr(arg));
-            }
+            print_braced(out, body, indent);
+            out.push_str(" while (");
+            write_expr(out, cond);
             out.push_str(");\n");
         }
-        StmtKind::Empty => {
-            out.push_str(&pad);
+        StmtKind::Return(value) => {
+            out.push_str("return");
+            if let Some(e) = value {
+                out.push(' ');
+                write_expr(out, e);
+            }
             out.push_str(";\n");
         }
+        StmtKind::Break => out.push_str("break;\n"),
+        StmtKind::Continue => out.push_str("continue;\n"),
+        StmtKind::Block(_) => {
+            print_braced(out, stmt, indent);
+            out.push('\n');
+        }
+        StmtKind::Launch(launch) => {
+            out.push_str(&launch.kernel);
+            out.push_str("<<<");
+            write_expr(out, &launch.grid);
+            out.push_str(", ");
+            write_expr(out, &launch.block);
+            for extra in [&launch.shmem, &launch.stream].into_iter().flatten() {
+                out.push_str(", ");
+                write_expr(out, extra);
+            }
+            out.push_str(">>>(");
+            write_args(out, &launch.args);
+            out.push_str(");\n");
+        }
+        StmtKind::Empty => out.push_str(";\n"),
     }
 }
 
-/// Prints a statement as a braced body (wrapping non-blocks in braces so the
-/// output is always unambiguous).
+/// Prints a statement as a braced body without the trailing newline
+/// (wrapping non-blocks in braces so the output is always unambiguous).
 fn print_braced(out: &mut String, stmt: &Stmt, indent: usize) {
-    print_braced_no_newline(out, stmt, indent);
-    out.push('\n');
-}
-
-fn print_braced_no_newline(out: &mut String, stmt: &Stmt, indent: usize) {
-    let pad = "    ".repeat(indent);
+    out.push_str("{\n");
     match &stmt.kind {
         StmtKind::Block(stmts) => {
-            out.push_str("{\n");
             for s in stmts {
                 print_stmt(out, s, indent + 1);
             }
-            out.push_str(&pad);
-            out.push('}');
         }
-        _ => {
-            out.push_str("{\n");
-            print_stmt(out, stmt, indent + 1);
-            out.push_str(&pad);
-            out.push('}');
-        }
+        _ => print_stmt(out, stmt, indent + 1),
     }
+    push_pad(out, indent);
+    out.push('}');
 }
 
 fn print_decl(out: &mut String, decl: &VarDecl) {
@@ -223,18 +192,20 @@ fn print_decl(out: &mut String, decl: &VarDecl) {
     if decl.is_const {
         out.push_str("const ");
     }
-    out.push_str(&decl.ty.to_string());
-    out.push(' ');
+    let _ = write!(out, "{} ", decl.ty);
     for (i, d) in decl.declarators.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
         out.push_str(&d.name);
         if let Some(len) = &d.array_len {
-            out.push_str(&format!("[{}]", print_expr(len)));
+            out.push('[');
+            write_expr(out, len);
+            out.push(']');
         }
         if let Some(init) = &d.init {
-            out.push_str(&format!(" = {}", print_expr(init)));
+            out.push_str(" = ");
+            write_expr(out, init);
         }
     }
 }
@@ -264,35 +235,45 @@ fn prec(expr: &Expr) -> u8 {
 
 /// Pretty-prints an expression with minimal parentheses.
 pub fn print_expr(expr: &Expr) -> String {
+    let mut out = String::new();
+    write_expr(&mut out, expr);
+    out
+}
+
+/// Appends an expression to `out`. (`write!` into a `String` cannot fail.)
+fn write_expr(out: &mut String, expr: &Expr) {
+    let p = prec(expr);
     match &expr.kind {
-        ExprKind::IntLit(v) => v.to_string(),
+        ExprKind::IntLit(v) => {
+            let _ = write!(out, "{v}");
+        }
         ExprKind::FloatLit(v) => {
             // Always keep a decimal point or exponent so it re-lexes as float.
-            let s = format!("{v}");
-            if s.contains('.') || s.contains('e') || s.contains("inf") || s.contains("NaN") {
-                s
-            } else {
-                format!("{s}.0")
+            let start = out.len();
+            let _ = write!(out, "{v}");
+            let s = &out[start..];
+            if !(s.contains('.') || s.contains('e') || s.contains("inf") || s.contains("NaN")) {
+                out.push_str(".0");
             }
         }
-        ExprKind::BoolLit(b) => b.to_string(),
-        ExprKind::Ident(name) => name.clone(),
+        ExprKind::BoolLit(b) => out.push_str(if *b { "true" } else { "false" }),
+        ExprKind::Ident(name) => out.push_str(name),
         ExprKind::Binary(op, lhs, rhs) => {
-            let p = prec(expr);
-            let l = child(lhs, p, false);
-            let r = child(rhs, p, true);
-            format!("{l} {op} {r}")
+            child(out, lhs, p, false);
+            let _ = write!(out, " {op} ");
+            child(out, rhs, p, true);
         }
         ExprKind::Unary(op, operand) => {
-            let o = child(operand, prec(expr), false);
-            // Avoid `--x` from Neg(Neg(x)) and `&&` from AddrOf chains.
-            match (&op, &operand.kind) {
+            out.push_str(op.as_str());
+            // Avoid `--x` from Neg(Neg(x)) and `&&` from AddrOf chains:
+            // no precedence reaches `u8::MAX`, so the operand is
+            // parenthesized whatever it is.
+            let doubled = matches!(
+                (op, &operand.kind),
                 (UnOp::Neg, ExprKind::Unary(UnOp::Neg, _))
-                | (UnOp::AddrOf, ExprKind::Unary(UnOp::AddrOf, _)) => {
-                    format!("{}({})", op.as_str(), print_expr(operand))
-                }
-                _ => format!("{}{o}", op.as_str()),
-            }
+                    | (UnOp::AddrOf, ExprKind::Unary(UnOp::AddrOf, _))
+            );
+            child(out, operand, if doubled { u8::MAX } else { p }, false);
         }
         ExprKind::IncDec {
             inc,
@@ -300,56 +281,75 @@ pub fn print_expr(expr: &Expr) -> String {
             operand,
         } => {
             let op = if *inc { "++" } else { "--" };
-            let o = child(operand, 26, false);
             if *prefix {
-                format!("{op}{o}")
-            } else {
-                format!("{o}{op}")
+                out.push_str(op);
+            }
+            child(out, operand, 26, false);
+            if !*prefix {
+                out.push_str(op);
             }
         }
         ExprKind::Assign(op, lhs, rhs) => {
-            let l = child(lhs, prec(expr) + 1, false);
-            let r = child(rhs, prec(expr), false);
-            format!("{l} {} {r}", op.as_str())
+            child(out, lhs, p + 1, false);
+            let _ = write!(out, " {} ", op.as_str());
+            child(out, rhs, p, false);
         }
         ExprKind::Ternary(c, t, e) => {
-            let pc = child(c, prec(expr) + 1, false);
-            let pt = print_expr(t);
-            let pe = child(e, prec(expr), false);
-            format!("{pc} ? {pt} : {pe}")
+            child(out, c, p + 1, false);
+            out.push_str(" ? ");
+            write_expr(out, t);
+            out.push_str(" : ");
+            child(out, e, p, false);
         }
         ExprKind::Call(name, args) => {
-            let inner: Vec<String> = args.iter().map(print_expr).collect();
-            format!("{name}({})", inner.join(", "))
+            out.push_str(name);
+            out.push('(');
+            write_args(out, args);
+            out.push(')');
         }
         ExprKind::Index(base, index) => {
-            let b = child(base, 30, false);
-            format!("{b}[{}]", print_expr(index))
+            child(out, base, 30, false);
+            out.push('[');
+            write_expr(out, index);
+            out.push(']');
         }
         ExprKind::Member(base, field) => {
-            let b = child(base, 30, false);
-            format!("{b}.{field}")
+            child(out, base, 30, false);
+            out.push('.');
+            out.push_str(field);
         }
         ExprKind::Cast(ty, operand) => {
-            let o = child(operand, prec(expr), false);
-            format!("({ty}){o}")
+            let _ = write!(out, "({ty})");
+            child(out, operand, p, false);
         }
         ExprKind::Dim3Ctor(args) => {
-            let inner: Vec<String> = args.iter().map(print_expr).collect();
-            format!("dim3({})", inner.join(", "))
+            out.push_str("dim3(");
+            write_args(out, args);
+            out.push(')');
         }
     }
 }
 
-/// Prints a child expression, parenthesizing when its precedence is lower
+/// Appends comma-separated expressions.
+fn write_args(out: &mut String, args: &[Expr]) {
+    for (i, arg) in args.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        write_expr(out, arg);
+    }
+}
+
+/// Appends a child expression, parenthesizing when its precedence is lower
 /// than required (or equal, for the right operand of left-associative ops).
-fn child(expr: &Expr, parent_prec: u8, is_right_of_left_assoc: bool) -> String {
+fn child(out: &mut String, expr: &Expr, parent_prec: u8, is_right_of_left_assoc: bool) {
     let p = prec(expr);
-    let needs_parens = p < parent_prec || (p == parent_prec && is_right_of_left_assoc);
-    if needs_parens {
-        format!("({})", print_expr(expr))
+    if p < parent_prec || (p == parent_prec && is_right_of_left_assoc) {
+        out.push('(');
+        write_expr(out, expr);
+        out.push(')');
     } else {
-        print_expr(expr)
+        write_expr(out, expr);
     }
 }
 

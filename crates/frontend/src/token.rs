@@ -1,37 +1,42 @@
 //! Token definitions for the CUDA-C subset lexer.
+//!
+//! Tokens borrow the source text they were lexed from: an identifier is a
+//! slice of it, and so is a directive unless a `\` continuation had to be
+//! spliced out. The first owned copy of a name is the one the AST keeps.
 
 use crate::span::Span;
+use std::borrow::Cow;
 use std::fmt;
 
 /// A lexical token with its source span.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub struct Token<'s> {
     /// What kind of token this is.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'s>,
     /// Where in the source it came from.
     pub span: Span,
 }
 
 /// The kinds of tokens produced by [`crate::lexer::Lexer`].
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+pub enum TokenKind<'s> {
     /// Integer literal, e.g. `42`, `0x1F`.
     IntLit(i64),
     /// Floating-point literal, e.g. `1.5`, `2e3`, `1.0f`.
     FloatLit(f64),
     /// Identifier or non-reserved word.
-    Ident(String),
+    Ident(&'s str),
     /// Reserved keyword.
     Keyword(Keyword),
     /// Punctuation or operator.
     Punct(Punct),
     /// A preprocessor directive line kept verbatim (e.g. `#include <x.h>`).
-    Directive(String),
+    Directive(Cow<'s, str>),
     /// End of input.
     Eof,
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::IntLit(v) => write!(f, "integer `{v}`"),
@@ -214,10 +219,7 @@ mod tests {
     #[test]
     fn token_kind_display() {
         assert_eq!(TokenKind::IntLit(7).to_string(), "integer `7`");
-        assert_eq!(
-            TokenKind::Ident("foo".into()).to_string(),
-            "identifier `foo`"
-        );
+        assert_eq!(TokenKind::Ident("foo").to_string(), "identifier `foo`");
         assert_eq!(TokenKind::Eof.to_string(), "end of input");
     }
 }

@@ -111,7 +111,7 @@ impl CompiledCache {
         key: u64,
         compile: impl FnOnce() -> CompileResult,
     ) -> CompileResult {
-        let slot = {
+        let (slot, evicted) = {
             let mut inner = self.inner.lock().unwrap();
             inner.clock += 1;
             let clock = inner.clock;
@@ -140,9 +140,13 @@ impl CompiledCache {
                     last_used: clock,
                 },
             );
-            self.evict_over_capacity(&mut inner);
-            slot
+            let evicted = self.evict_over_capacity(&mut inner);
+            (slot, evicted)
         };
+        // Freed here, not under the lock every hit on every session takes:
+        // the last handle to a compilation is an AST, a module, a manifest
+        // and a source string.
+        drop(evicted);
         // The slot must be filled even if the compiler panics: a forever-
         // pending slot would hang every later request for this key (and,
         // transitively, a server drain). The panic becomes a cached error —
@@ -163,8 +167,10 @@ impl CompiledCache {
     }
 
     /// Evicts least-recently-used **ready** entries until at most
-    /// `capacity` remain (in-flight compilations are pinned).
-    fn evict_over_capacity(&self, inner: &mut Inner) {
+    /// `capacity` remain (in-flight compilations are pinned), and returns
+    /// them for the caller to drop once the lock is released.
+    fn evict_over_capacity(&self, inner: &mut Inner) -> Vec<Entry> {
+        let mut evicted = Vec::new();
         while inner.entries.len() > self.capacity {
             let victim = inner
                 .entries
@@ -174,13 +180,14 @@ impl CompiledCache {
                 .map(|(k, _)| *k);
             match victim {
                 Some(k) => {
-                    inner.entries.remove(&k);
+                    evicted.extend(inner.entries.remove(&k));
                     inner.evictions += 1;
                     CACHE_EVICTIONS.incr();
                 }
                 None => break, // everything is in flight; let it land
             }
         }
+        evicted
     }
 
     /// Current counters.

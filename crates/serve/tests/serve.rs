@@ -396,6 +396,52 @@ fn invalid_utf8_line_answers_a_parse_error_and_keeps_the_session() {
     client.request(&bare_request("shutdown")).expect("shutdown");
 }
 
+/// A source-to-source compiler hands directives back verbatim, multi-byte
+/// text included, and refuses tuning values that would come back as a
+/// program dividing by zero — with a structured error, on a session (and a
+/// daemon) that keeps answering.
+#[test]
+fn transform_keeps_directive_bytes_and_rejects_degenerate_tuning() {
+    let endpoint = start_server();
+    let mut client = Client::connect(&endpoint).expect("connect");
+    let mut ask = |line: String| {
+        let answer = client.roundtrip_line(&line).expect("round-trip");
+        dp_sweep::json::parse(&answer.expect("server answered")).expect("answer is JSON")
+    };
+
+    let directive = "#include <é.h>";
+    let src = Json::Str(format!("{directive}  \n{SRC}")).to_string();
+    let answer = ask(format!(
+        r#"{{"op":"transform","source":{src},"threshold":32}}"#
+    ));
+    let transformed = answer.get("source").and_then(Json::as_str).expect("source");
+    let in_process = dp_core::Compiler::new()
+        .config(dp_core::OptConfig::none().threshold(32))
+        .compile(&format!("{directive}\n{SRC}"))
+        .expect("compiles");
+    assert_eq!(transformed, in_process.transformed_source());
+    assert_eq!(transformed.lines().nth(1), Some(directive), "{transformed}");
+
+    for tuning in [
+        r#""agg":"multiblock:0""#,
+        r#""coarsen":0"#,
+        r#""coarsen":-3"#,
+    ] {
+        for op in ["compile", "transform"] {
+            let answer = ask(format!(r#"{{"op":"{op}","source":{src},{tuning}}}"#));
+            assert_eq!(answer.get("ok"), Some(&Json::Bool(false)), "{tuning}");
+            assert_eq!(
+                answer.get("kind").and_then(Json::as_str),
+                Some("parse"),
+                "{tuning}: {answer}"
+            );
+        }
+    }
+    let stats = ask(bare_request("stats").to_string());
+    assert_eq!(stats.get("ok"), Some(&Json::Bool(true)), "{stats}");
+    client.request(&bare_request("shutdown")).expect("shutdown");
+}
+
 /// `connect_with` must ride out a server that binds late.
 #[cfg(unix)]
 #[test]

@@ -48,7 +48,9 @@ pub fn dataset_by_name(name: &str) -> Option<DatasetId> {
 const KNOWN_BENCHMARKS: [&str; 7] = ["BFS", "BT", "MSTF", "MSTV", "SP", "SSSP", "TC"];
 
 /// Parses an aggregation granularity spec (`warp`, `block`,
-/// `multiblock:<K>`, `grid`).
+/// `multiblock:<K>`, `grid`) — the one parser for sweep specs, `dp-serve`
+/// requests and the CLI's `--agg`. `K` becomes `_AGG_GRANULARITY`, which
+/// every transformed parent divides by, so `K < 1` is not a granularity.
 pub fn parse_granularity(spec: &str) -> Option<AggGranularity> {
     match spec {
         "warp" => Some(AggGranularity::Warp),
@@ -56,9 +58,19 @@ pub fn parse_granularity(spec: &str) -> Option<AggGranularity> {
         "grid" => Some(AggGranularity::Grid),
         other => {
             let rest = other.strip_prefix("multiblock:")?;
-            rest.parse().ok().map(AggGranularity::MultiBlock)
+            let k = rest.parse().ok().filter(|&k| k >= 1)?;
+            Some(AggGranularity::MultiBlock(k))
         }
     }
+}
+
+/// Checks a coarsening factor read from outside the program: it becomes
+/// `_CFACTOR`, which the rewritten launches divide by.
+pub fn checked_coarsen_factor(factor: i64) -> Result<i64, String> {
+    if factor < 1 {
+        return Err(format!("`coarsen` must be at least 1, got {factor}"));
+    }
+    Ok(factor)
 }
 
 /// Parses the optimization-configuration members of a JSON object
@@ -70,12 +82,14 @@ pub fn config_from_json(v: &Json) -> Result<OptConfig, String> {
         config = config.threshold(t.as_i64().ok_or("`threshold` must be an integer")?);
     }
     if let Some(c) = v.get("coarsen") {
-        config = config.coarsen_factor(c.as_i64().ok_or("`coarsen` must be an integer")?);
+        let factor = c.as_i64().ok_or("`coarsen` must be an integer")?;
+        config = config.coarsen_factor(checked_coarsen_factor(factor)?);
     }
     if let Some(a) = v.get("agg") {
         let spec = a.as_str().ok_or("`agg` must be a string")?;
-        let granularity = parse_granularity(spec)
-            .ok_or_else(|| format!("bad granularity `{spec}` (warp|block|multiblock:<K>|grid)"))?;
+        let granularity = parse_granularity(spec).ok_or_else(|| {
+            format!("bad granularity `{spec}` (warp|block|multiblock:<K>|grid, K >= 1)")
+        })?;
         let mut agg = AggConfig::new(granularity);
         if let Some(t) = v.get("agg_threshold") {
             agg.agg_threshold = Some(t.as_i64().ok_or("`agg_threshold` must be an integer")?);
@@ -253,6 +267,21 @@ mod tests {
                 .unwrap_err()
                 .contains("granularity")
         );
+        // Values that would come back as a program dividing by zero.
+        for (variant, needle) in [
+            (r#"{"agg": "multiblock:0"}"#, "granularity"),
+            (r#"{"agg": "multiblock:-2"}"#, "granularity"),
+            (r#"{"coarsen": 0}"#, "`coarsen` must be at least 1"),
+            (r#"{"coarsen": -3}"#, "`coarsen` must be at least 1"),
+        ] {
+            let spec = format!(r#"{{"benchmarks": ["BFS"], "variants": [{variant}]}}"#);
+            let err = spec_from_json(&spec).unwrap_err();
+            assert!(err.contains(needle), "{variant}: {err}");
+        }
+        assert!(spec_from_json(
+            r#"{"benchmarks": ["BFS"], "variants": [{"coarsen": 1, "agg": "multiblock:1"}]}"#
+        )
+        .is_ok());
         // A dangling agg_threshold would silently do nothing — reject it.
         assert!(
             spec_from_json(r#"{"benchmarks": ["BFS"], "variants": [{"agg_threshold": 4}]}"#)

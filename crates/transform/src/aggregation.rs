@@ -116,22 +116,10 @@ fn transform_parent(
     site_counter: &mut usize,
     manifest: &mut TransformManifest,
 ) {
-    let snapshot = program.clone();
     let Some(parent) = program.function(parent_name) else {
         return;
     };
-    let has_launch = {
-        let mut found = false;
-        for stmt in &parent.body {
-            dp_frontend::visit::for_each_stmt(stmt, &mut |s| {
-                if matches!(s.kind, StmtKind::Launch(_)) {
-                    found = true;
-                }
-            });
-        }
-        found
-    };
-    if !has_launch {
+    if !contains_launch(&parent.body) {
         return;
     }
     if contains_return(&parent.body) {
@@ -146,17 +134,20 @@ fn transform_parent(
         return;
     }
 
-    let parent = program.function_mut(parent_name).expect("parent exists");
-    normalize_blocks(parent);
+    // A child is read from `program` all the way down to building its
+    // aggregated kernel, and a kernel that launches itself is its own
+    // child: the parent is rewritten on a copy of its body, and nothing is
+    // written to `program` before the last child has been read.
+    let mut body = parent.body.clone();
+    normalize_blocks(&mut body);
 
     // Replace each valid launch statement with participation assignments.
     let mut sites: Vec<SiteInfo> = Vec::new();
-    let mut body = std::mem::take(&mut parent.body);
     for stmt in &mut body {
         replace_launches(
             stmt,
             0,
-            &snapshot,
+            program,
             parent_name,
             site_counter,
             &mut sites,
@@ -164,64 +155,33 @@ fn transform_parent(
         );
     }
 
-    if sites.is_empty() {
-        let parent = program.function_mut(parent_name).expect("parent exists");
-        parent.body = body;
-        return;
-    }
-
-    // Hoisted participation variables at the top of the kernel.
-    let mut hoisted = Vec::new();
+    // Hoisted participation variables at the top of the kernel, the
+    // aggregation epilogue per site at its end, the buffer parameters
+    // appended to its signature, and the aggregated child kernels.
+    let mut new_body = Vec::new();
+    let mut epilogue = Vec::new();
+    let mut new_params = Vec::new();
+    let mut agg_kernels: Vec<(&str, Function)> = Vec::new();
     for site in &sites {
         let s = site.id;
-        hoisted.push(Stmt::decl(
-            Type::Int,
-            format!("_a_g{s}"),
-            Some(Expr::int(0, CodeOrigin::AggLogic)),
-            CodeOrigin::AggLogic,
-        ));
-        hoisted.push(Stmt::decl(
-            Type::Int,
-            format!("_a_b{s}"),
-            Some(Expr::int(0, CodeOrigin::AggLogic)),
-            CodeOrigin::AggLogic,
-        ));
-        let child_fn = snapshot.function(&site.child).expect("validated");
+        let child_fn = program.function(&site.child).expect("validated");
+        for name in ["_a_g", "_a_b"] {
+            new_body.push(Stmt::decl(
+                Type::Int,
+                format!("{name}{s}"),
+                Some(Expr::int(0, CodeOrigin::AggLogic)),
+                CodeOrigin::AggLogic,
+            ));
+        }
+        let mut buffer_params = Vec::new();
         for (j, param) in child_fn.params.iter().enumerate() {
-            hoisted.push(Stmt::decl(
+            new_body.push(Stmt::decl(
                 param.ty.clone(),
                 format!("_a_arg{s}_{j}"),
                 None,
                 CodeOrigin::AggLogic,
             ));
-        }
-    }
-    for h in &mut hoisted {
-        h.origin = CodeOrigin::AggLogic;
-    }
-
-    // Aggregation epilogue per site, at the end of the kernel.
-    let mut epilogue = Vec::new();
-    for site in &sites {
-        let child_fn = snapshot.function(&site.child).expect("validated");
-        let stmts = build_epilogue(site, child_fn, granularity, agg_threshold);
-        epilogue.extend(stmts);
-    }
-
-    let parent = program.function_mut(parent_name).expect("parent exists");
-    let mut new_body = hoisted;
-    new_body.extend(body);
-    new_body.extend(epilogue);
-    parent.body = new_body;
-
-    // Appended buffer parameters + manifest entries.
-    for site in &sites {
-        let s = site.id;
-        let child_fn = snapshot.function(&site.child).expect("validated");
-        let mut buffer_params = Vec::new();
-        let parent = program.function_mut(parent_name).expect("parent exists");
-        for (j, param) in child_fn.params.iter().enumerate() {
-            parent.params.push(Param {
+            new_params.push(Param {
                 ty: param.ty.clone().ptr_to(),
                 name: format!("_a_arr{s}_{j}"),
             });
@@ -230,60 +190,40 @@ fn transform_parent(
                 ty: param.ty.clone(),
             });
         }
-        parent.params.push(Param {
-            ty: Type::Int.ptr_to(),
-            name: format!("_a_scan{s}"),
-        });
-        buffer_params.push(BufferParam::GDimScanned);
-        parent.params.push(Param {
-            ty: Type::Int.ptr_to(),
-            name: format!("_a_bArr{s}"),
-        });
-        buffer_params.push(BufferParam::BDimArray);
-        parent.params.push(Param {
-            ty: Type::Long.ptr_to(),
-            name: format!("_a_ctr{s}"),
-        });
-        buffer_params.push(BufferParam::PackedCounter);
-        parent.params.push(Param {
-            ty: Type::Int.ptr_to(),
-            name: format!("_a_maxB{s}"),
-        });
-        buffer_params.push(BufferParam::MaxBDim);
+        epilogue.extend(build_epilogue(site, child_fn, granularity, agg_threshold));
+
+        let mut buffer = |ty: Type, name: &str, kind: BufferParam| {
+            new_params.push(Param {
+                ty,
+                name: format!("{name}{s}"),
+            });
+            buffer_params.push(kind);
+        };
+        buffer(Type::Int.ptr_to(), "_a_scan", BufferParam::GDimScanned);
+        buffer(Type::Int.ptr_to(), "_a_bArr", BufferParam::BDimArray);
+        buffer(Type::Long.ptr_to(), "_a_ctr", BufferParam::PackedCounter);
+        buffer(Type::Int.ptr_to(), "_a_maxB", BufferParam::MaxBDim);
         if matches!(
             granularity,
             AggGranularity::Warp | AggGranularity::MultiBlock(_)
         ) {
-            parent.params.push(Param {
-                ty: Type::Int.ptr_to(),
-                name: format!("_a_fin{s}"),
-            });
-            buffer_params.push(BufferParam::FinishedCounter);
+            buffer(Type::Int.ptr_to(), "_a_fin", BufferParam::FinishedCounter);
         }
         if agg_threshold.is_some() {
-            parent.params.push(Param {
-                ty: Type::Int.ptr_to(),
-                name: format!("_a_part{s}"),
-            });
-            buffer_params.push(BufferParam::ParticipantCounter);
+            buffer(
+                Type::Int.ptr_to(),
+                "_a_part",
+                BufferParam::ParticipantCounter,
+            );
         }
-        parent.params.push(Param {
-            ty: Type::Int,
-            name: format!("_a_slots{s}"),
-        });
-        buffer_params.push(BufferParam::SlotsPerGroup);
+        buffer(Type::Int, "_a_slots", BufferParam::SlotsPerGroup);
 
         // Generate the aggregated child kernel (once per child).
         let agg_kernel = format!("{}_agg", site.child);
-        if program.function(&agg_kernel).is_none() {
-            let kernel = build_agg_child(&agg_kernel, child_fn);
-            let pos = program
-                .items
-                .iter()
-                .position(|item| matches!(item, Item::Function(f) if f.name == site.child))
-                .map(|p| p + 1)
-                .unwrap_or(program.items.len());
-            program.items.insert(pos, Item::Function(kernel));
+        if program.function(&agg_kernel).is_none()
+            && !agg_kernels.iter().any(|(_, k)| k.name == agg_kernel)
+        {
+            agg_kernels.push((&site.child, build_agg_child(&agg_kernel, child_fn)));
         }
 
         manifest.agg_sites.push(AggSiteMeta {
@@ -295,6 +235,24 @@ fn transform_parent(
             host_side_launch: granularity == AggGranularity::Grid,
         });
     }
+    for h in &mut new_body {
+        h.origin = CodeOrigin::AggLogic;
+    }
+    new_body.extend(body);
+    new_body.extend(epilogue);
+
+    let parent = program.function_mut(parent_name).expect("parent exists");
+    parent.body = new_body;
+    parent.params.extend(new_params);
+    for (child, kernel) in agg_kernels {
+        let pos = program
+            .items
+            .iter()
+            .position(|item| matches!(item, Item::Function(f) if f.name == child))
+            .map(|p| p + 1)
+            .unwrap_or(program.items.len());
+        program.items.insert(pos, Item::Function(kernel));
+    }
 }
 
 /// Recursively replaces valid launch statements with participation
@@ -304,7 +262,7 @@ fn transform_parent(
 fn replace_launches(
     stmt: &mut Stmt,
     loop_depth: usize,
-    snapshot: &Program,
+    program: &Program,
     parent_name: &str,
     site_counter: &mut usize,
     sites: &mut Vec<SiteInfo>,
@@ -316,7 +274,7 @@ fn replace_launches(
                 replace_launches(
                     s,
                     loop_depth,
-                    snapshot,
+                    program,
                     parent_name,
                     site_counter,
                     sites,
@@ -333,7 +291,7 @@ fn replace_launches(
             replace_launches(
                 then_branch,
                 loop_depth,
-                snapshot,
+                program,
                 parent_name,
                 site_counter,
                 sites,
@@ -343,7 +301,7 @@ fn replace_launches(
                 replace_launches(
                     e,
                     loop_depth,
-                    snapshot,
+                    program,
                     parent_name,
                     site_counter,
                     sites,
@@ -358,7 +316,7 @@ fn replace_launches(
             replace_launches(
                 body,
                 loop_depth + 1,
-                snapshot,
+                program,
                 parent_name,
                 site_counter,
                 sites,
@@ -374,7 +332,7 @@ fn replace_launches(
         unreachable!()
     };
     let span = stmt.span;
-    if let Err(message) = validate_site(snapshot, launch, loop_depth) {
+    if let Err(message) = validate_site(program, launch, loop_depth) {
         manifest.diagnostics.push(Diagnostic {
             pass: "aggregation",
             function: parent_name.to_string(),

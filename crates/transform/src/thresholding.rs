@@ -43,26 +43,30 @@ pub fn apply(program: &mut Program, threshold: i64) -> TransformManifest {
     let mut counter = 0usize;
 
     for parent_name in parent_names {
-        // Decide per-site transformations against an immutable snapshot,
-        // because generating the serial child needs the whole program.
-        let snapshot = program.clone();
-        let Some(parent) = program.function_mut(&parent_name) else {
+        let parent = program
+            .function_mut(&parent_name)
+            .expect("name was collected from this program");
+        if !contains_launch(&parent.body) {
+            normalize_blocks(&mut parent.body);
             continue;
-        };
-        normalize_blocks(parent);
-        let mut body = std::mem::take(&mut parent.body);
+        }
+        // Generating a serial child reads everything the child reaches, and
+        // under recursion that includes this parent: rewrite a copy of the
+        // body, so `program` still holds the definition the pass found.
+        let mut body = parent.body.clone();
+        normalize_blocks(&mut body);
         process_block(
             &mut body,
-            &snapshot,
+            program,
             &parent_name,
             &mut serial_fns,
             &mut manifest,
             &mut counter,
         );
-        let Some(parent) = program.function_mut(&parent_name) else {
-            continue;
-        };
-        parent.body = body;
+        program
+            .function_mut(&parent_name)
+            .expect("name was collected from this program")
+            .body = body;
     }
 
     // Insert generated serial functions right after their child kernels.
@@ -87,8 +91,8 @@ pub fn apply(program: &mut Program, threshold: i64) -> TransformManifest {
 
 /// Rewrites every non-block body of control statements into a block so the
 /// pass can treat all statement lists uniformly.
-pub fn normalize_blocks(func: &mut Function) {
-    for stmt in &mut func.body {
+pub fn normalize_blocks(body: &mut [Stmt]) {
+    for stmt in body {
         dp_frontend::visit::walk_stmt_mut(stmt, &mut |s| {
             let origin = s.origin;
             match &mut s.kind {
@@ -127,7 +131,7 @@ fn ensure_block(stmt: &mut Box<Stmt>, origin: CodeOrigin) {
 
 fn process_block(
     stmts: &mut Vec<Stmt>,
-    snapshot: &Program,
+    program: &Program,
     parent_name: &str,
     serial_fns: &mut Vec<Function>,
     manifest: &mut TransformManifest,
@@ -138,7 +142,7 @@ fn process_block(
         // Recurse into nested statement lists first.
         match &mut stmts[i].kind {
             StmtKind::Block(inner) => {
-                process_block(inner, snapshot, parent_name, serial_fns, manifest, counter);
+                process_block(inner, program, parent_name, serial_fns, manifest, counter);
             }
             StmtKind::If {
                 then_branch,
@@ -146,11 +150,11 @@ fn process_block(
                 ..
             } => {
                 if let StmtKind::Block(inner) = &mut then_branch.kind {
-                    process_block(inner, snapshot, parent_name, serial_fns, manifest, counter);
+                    process_block(inner, program, parent_name, serial_fns, manifest, counter);
                 }
                 if let Some(e) = else_branch {
                     if let StmtKind::Block(inner) = &mut e.kind {
-                        process_block(inner, snapshot, parent_name, serial_fns, manifest, counter);
+                        process_block(inner, program, parent_name, serial_fns, manifest, counter);
                     }
                 }
             }
@@ -158,7 +162,7 @@ fn process_block(
             | StmtKind::While { body, .. }
             | StmtKind::DoWhile { body, .. } => {
                 if let StmtKind::Block(inner) = &mut body.kind {
-                    process_block(inner, snapshot, parent_name, serial_fns, manifest, counter);
+                    process_block(inner, program, parent_name, serial_fns, manifest, counter);
                 }
             }
             _ => {}
@@ -172,7 +176,7 @@ fn process_block(
         let launch_span = stmts[i].span;
 
         // Section III-C: reject non-serializable children.
-        let blockers = dp_analysis::serialization_blockers(snapshot, &child_name);
+        let blockers = dp_analysis::serialization_blockers(program, &child_name);
         if !blockers.is_empty() {
             let reasons: Vec<String> = blockers.iter().map(|b| b.to_string()).collect();
             manifest.diagnostics.push(Diagnostic {
@@ -200,7 +204,7 @@ fn process_block(
         *counter += 1;
 
         // Make sure the serial version of the child exists.
-        let serial_name = ensure_serial_fn(snapshot, &child_name, serial_fns);
+        let serial_name = ensure_serial_fn(program, &child_name, serial_fns);
 
         // Insert `int _threads = N;` before the statement where N lived.
         let mut threads_decl = Stmt::decl(

@@ -5,6 +5,16 @@
 //! the regular frontend, origin-tagged, and spliced into the AST. This keeps
 //! each pass readable and guarantees the generated code stays inside the
 //! supported subset.
+//!
+//! A pass reads the program in place and writes the program in place; it
+//! never copies it. The one thing a pass may not do is read a function it
+//! has half rewritten: a kernel can launch itself, or launch a child that
+//! calls back into it, and then the child's serial or aggregated version is
+//! built from — and its serializability judged on — the parent *as the pass
+//! found it*. So a launching parent is rewritten on a copy of its body
+//! while the program still holds the old one, and the copy is assigned back
+//! after the last read ([`contains_launch`] keeps functions that launch
+//! nothing, most of them, out of even that).
 
 use dp_frontend::ast::*;
 use dp_frontend::parser::parse;
@@ -164,13 +174,18 @@ pub fn fresh_name(base: &str, used: &HashSet<String>) -> String {
 
 /// Whether any statement in the function is a `return` (at any depth).
 pub fn contains_return(body: &[Stmt]) -> bool {
+    any_stmt(body, |s| matches!(s.kind, StmtKind::Return(_)))
+}
+
+/// Whether any statement in the function is a kernel launch (at any depth).
+pub fn contains_launch(body: &[Stmt]) -> bool {
+    any_stmt(body, |s| matches!(s.kind, StmtKind::Launch(_)))
+}
+
+fn any_stmt(body: &[Stmt], pred: impl Fn(&Stmt) -> bool) -> bool {
     let mut found = false;
     for stmt in body {
-        dp_frontend::visit::for_each_stmt(stmt, &mut |s| {
-            if matches!(s.kind, StmtKind::Return(_)) {
-                found = true;
-            }
-        });
+        dp_frontend::visit::for_each_stmt(stmt, &mut |s| found |= pred(s));
     }
     found
 }

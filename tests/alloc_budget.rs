@@ -1,0 +1,80 @@
+//! An allocation budget for one compile — the gate that catches a copy
+//! creeping back into the miss path.
+//!
+//! This binary holds a single `#[test]` so nothing else allocates while it
+//! counts, and it asserts a *count*, which repeats exactly run to run; it
+//! cannot flake the way a timing would.
+//!
+//! BFS's `cdp_source()` under T=128, C=16, `multiblock:8`:
+//!
+//! | | allocations per compile | of which `print_program` |
+//! |---|---|---|
+//! | at the parent commit (program copied per function) | 5 255 | 1 341 |
+//! | now | 2 085 | 11 |
+//!
+//! The budget is half the old count. If a change needs more, find the copy
+//! before raising it.
+
+use dpopt::core::{AggConfig, AggGranularity, Compiler, OptConfig};
+use dpopt::workloads::benchmarks::{bfs::Bfs, Benchmark};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is a relaxed statistic on the side.
+// (`realloc` keeps its default, which calls `alloc`, so a growing `Vec` or
+// `String` counts once per growth.)
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let value = f();
+    (value, ALLOCATIONS.load(Ordering::Relaxed) - before)
+}
+
+const PARENT_COMPILE_ALLOCATIONS: u64 = 5_255;
+
+#[test]
+fn one_compile_stays_inside_its_allocation_budget() {
+    let compiler = Compiler::new().config(
+        OptConfig::none()
+            .threshold(128)
+            .coarsen_factor(16)
+            .aggregation(AggConfig::new(AggGranularity::MultiBlock(8))),
+    );
+    let source = Bfs.cdp_source();
+
+    let (compiled, compile) = allocations_during(|| compiler.compile(source).expect("compiles"));
+    let (printed, print) =
+        allocations_during(|| dpopt::frontend::print_program(compiled.program()));
+    assert_eq!(printed, compiled.transformed_source());
+    println!("compile: {compile} allocations, print_program: {print}");
+
+    assert!(
+        compile * 2 <= PARENT_COMPILE_ALLOCATIONS,
+        "one compile made {compile} allocations; the budget is half of {PARENT_COMPILE_ALLOCATIONS}"
+    );
+    assert!(
+        print <= 32,
+        "print_program made {print} allocations for {} bytes; it should only grow its output",
+        printed.len()
+    );
+}
