@@ -4,10 +4,10 @@
 //! launch-heavy many-block frontier-expansion kernel through the execution
 //! machine under two configurations per workload:
 //!
-//! - **baseline**: `match` dispatch, superinstruction fusion off, per-block
-//!   state pooling off — the pre-overhaul interpreter;
-//! - **fused**: direct-threaded dispatch + fusion + arena reuse — the
-//!   default configuration.
+//! - **baseline**: the reference interpreter (`match` dispatch, charged per
+//!   instruction) on the unfused program;
+//! - **fused**: direct-threaded dispatch + fusion — the default
+//!   configuration.
 //!
 //! Both execute the *same original instruction stream* (fusion is
 //! accounting-transparent — asserted at runtime), so instructions/second
@@ -44,7 +44,6 @@ use std::time::Instant;
 struct Config {
     name: &'static str,
     fuse: bool,
-    reuse: bool,
     dispatch: DispatchMode,
 }
 
@@ -52,13 +51,11 @@ const CONFIGS: [Config; 2] = [
     Config {
         name: "baseline",
         fuse: false,
-        reuse: false,
         dispatch: DispatchMode::Match,
     },
     Config {
         name: "fused",
         fuse: true,
-        reuse: true,
         dispatch: DispatchMode::Threaded,
     },
 ];
@@ -128,19 +125,12 @@ fn run_benchmark(
         .expect("benchmark source compiles");
     best_of(reps, || {
         let mut exec = compiled.executor();
-        exec.machine_mut().set_state_reuse(config.reuse);
         bench.run(&mut exec, input).expect("benchmark runs");
         (
             exec.stats().instructions,
             exec.machine_mut().dispatch_profile(),
         )
     })
-}
-
-fn configure(mut machine: Machine, config: Config) -> Machine {
-    machine.set_state_reuse(config.reuse);
-    machine.set_dispatch(config.dispatch);
-    machine
 }
 
 /// The synthetic ALU/loop kernel measured under one VM configuration.
@@ -153,7 +143,8 @@ fn run_alu_loop(config: Config, iters: i64, reps: usize) -> Measurement {
     let module = compile_program_with(&program, LowerOptions { fuse: config.fuse })
         .expect("kernel compiles");
     best_of(reps, || {
-        let mut m = configure(Machine::new(module.clone()), config);
+        let mut m = Machine::new(module.clone());
+        m.set_dispatch(config.dispatch);
         let buf = m.alloc(64);
         m.launch_host("k", 4, 64, &[Value::Int(buf), Value::Int(iters)])
             .expect("launch");
@@ -208,7 +199,8 @@ __global__ void frontier(int* offsets, int* edges, int* out, int numV) {
     let num_v = graph.num_vertices as i64;
     let num_e = graph.edges.len();
     best_of(reps, || {
-        let mut m = configure(Machine::new(module.clone()), config);
+        let mut m = Machine::new(module.clone());
+        m.set_dispatch(config.dispatch);
         let offsets = m.alloc_i64s(&graph.offsets);
         let edges = m.alloc_i64s(&graph.edges);
         let out = m.alloc(num_e.max(1));

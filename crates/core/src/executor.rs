@@ -8,7 +8,7 @@ use dp_transform::{AggSiteMeta, BufferParam, TransformManifest};
 use dp_vm::bytecode::{CostModel, Module};
 use dp_vm::machine::{ExecLimits, Machine, MachineStats};
 use dp_vm::trace::ExecutionTrace;
-use dp_vm::{LaunchDim, Value};
+use dp_vm::{ExecError, LaunchDim, Value};
 use std::collections::HashMap;
 
 /// Everything a run produces: the functional trace, machine statistics, and
@@ -50,6 +50,7 @@ struct PendingHostAgg {
 pub struct Executor {
     machine: Machine,
     manifest: TransformManifest,
+    max_threads_per_block: u64,
     host_events: Vec<HostEvent>,
     pending_host_agg: Vec<PendingHostAgg>,
     buffer_cache: HashMap<(String, usize, usize), (i64, usize)>,
@@ -65,6 +66,7 @@ impl Executor {
         Executor {
             machine: Machine::with_config(module, cost, limits),
             manifest,
+            max_threads_per_block: limits.max_threads_per_block,
             host_events: Vec::new(),
             pending_host_agg: Vec::new(),
             buffer_cache: HashMap::new(),
@@ -131,31 +133,37 @@ impl Executor {
             .filter(|s| s.parent == kernel)
             .cloned()
             .collect();
+        // The buffers are sized from the launch's dimensions, which may come
+        // off a socket: a launch the machine is going to refuse is refused
+        // here, before anything is provisioned for it, and no size wraps.
+        let refused = || {
+            ExecError::new(format!(
+                "cannot provision aggregation buffers for kernel `{kernel}` at grid {g:?}, \
+                 block {b:?}"
+            ))
+        };
+        let threads = dim_count(b).filter(|t| (1..=self.max_threads_per_block).contains(t));
+        let counts = dim_count(g).zip(threads);
         for (site_idx, site) in sites.iter().enumerate() {
-            let grid_blocks = (g[0] * g[1] * g[2]) as u64;
-            let block_threads = (b[0] * b[1] * b[2]) as u64;
-            let groups = site.group_count(grid_blocks, block_threads).max(1);
-            let slots = site.slots_per_group(grid_blocks, block_threads).max(1);
-
+            let (grid_blocks, block_threads) = counts.ok_or_else(refused)?;
             let mut arg_ptrs = Vec::new();
             let mut scan_ptr = 0;
             let mut barr_ptr = 0;
             let mut ctr_ptr = 0;
             let mut maxb_ptr = 0;
             for (param_idx, param) in site.buffer_params.iter().enumerate() {
-                let words = match param {
-                    BufferParam::ArgArray { .. }
-                    | BufferParam::GDimScanned
-                    | BufferParam::BDimArray => (groups * slots) as usize,
-                    BufferParam::PackedCounter
-                    | BufferParam::MaxBDim
-                    | BufferParam::FinishedCounter
-                    | BufferParam::ParticipantCounter => groups as usize,
-                    BufferParam::SlotsPerGroup => {
-                        full_args.push(Value::Int(slots as i64));
-                        continue;
-                    }
-                };
+                if *param == BufferParam::SlotsPerGroup {
+                    let slots = site
+                        .slots_per_group(grid_blocks, block_threads)
+                        .and_then(|slots| i64::try_from(slots.max(1)).ok())
+                        .ok_or_else(refused)?;
+                    full_args.push(Value::Int(slots));
+                    continue;
+                }
+                let words = site
+                    .buffer_words(param, grid_blocks, block_threads)
+                    .and_then(|words| usize::try_from(words).ok())
+                    .ok_or_else(refused)?;
                 let ptr = self.buffer(kernel, site_idx, param_idx, words)?;
                 match param {
                     BufferParam::ArgArray { .. } => arg_ptrs.push(ptr),
@@ -248,6 +256,14 @@ impl Executor {
             host_events: self.host_events,
         }
     }
+}
+
+/// Blocks in a grid or threads in a block, counted as the machine counts
+/// them; `None` for a negative dimension or a product past `i64`.
+fn dim_count(d: [i64; 3]) -> Option<u64> {
+    d.iter()
+        .try_fold(1i64, |n, &x| n.checked_mul(x).filter(|_| x >= 0))
+        .map(|n| n as u64)
 }
 
 #[cfg(test)]

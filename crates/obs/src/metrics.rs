@@ -489,17 +489,21 @@ mod tests {
 
     #[test]
     fn snapshot_json_is_valid_and_deterministic_in_shape() {
+        // Its own metrics: tests run on parallel threads, and the round-trip
+        // test above counts exactly what it recorded.
+        static JSON_COUNTER: Counter = Counter::new("test.metrics.json_counter");
+        static JSON_HIST: Histogram = Histogram::new("test.metrics.json_hist_us");
         enable();
-        TEST_COUNTER.incr();
-        TEST_HIST.record_us(10);
+        JSON_COUNTER.incr();
+        JSON_HIST.record_us(10);
         let s = snapshot().to_json_string();
         assert!(s.starts_with("{\"counters\":{"));
-        assert!(s.contains("\"test.metrics.counter\":"));
-        assert!(s.contains("\"test.metrics.hist_us\":{\"buckets\":["));
+        assert!(s.contains("\"test.metrics.json_counter\":"));
+        assert!(s.contains("\"test.metrics.json_hist_us\":{\"buckets\":["));
         assert!(s.contains("\"p50_us\":"));
         assert!(s.ends_with("}}"));
         // Overflow bucket renders as le=-1 when present.
-        TEST_HIST.record_us(u64::MAX / 2);
+        JSON_HIST.record_us(u64::MAX / 2);
         assert!(snapshot().to_json_string().contains("[-1,"));
     }
 

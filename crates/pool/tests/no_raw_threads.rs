@@ -15,9 +15,12 @@
 use std::path::Path;
 
 /// Source files on the no-raw-threads list, relative to this crate, each
-/// with the number of `thread::Builder` sites it is allowed.
+/// with the number of `thread::Builder` sites it is allowed. A directory
+/// stands for every `.rs` file in it: the VM's execution path is spread
+/// over `machine.rs`, `ops.rs`, `reference.rs` and `memory.rs`, and a
+/// thread must not hide in whichever file comes next.
 const POLICED: &[(&str, usize)] = &[
-    ("../vm/src/machine.rs", 0),
+    ("../vm/src", 0),
     ("../sweep/src/lib.rs", 0),
     ("../shard/src/lib.rs", 0),
     ("../serve/src/server.rs", 3),
@@ -26,8 +29,23 @@ const POLICED: &[(&str, usize)] = &[
 #[test]
 fn grid_execution_and_generation_runner_use_the_shared_pool() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    for (rel, allowed_builders) in POLICED {
+    let policed = POLICED.iter().flat_map(|(rel, allowed)| {
         let path = root.join(rel);
+        let files = if path.is_dir() {
+            let mut files: Vec<_> = std::fs::read_dir(&path)
+                .unwrap_or_else(|e| panic!("cannot list {}: {e}", path.display()))
+                .map(|entry| entry.expect("directory entry").path())
+                .filter(|file| file.extension().is_some_and(|ext| ext == "rs"))
+                .collect();
+            files.sort();
+            assert!(!files.is_empty(), "{} holds no source", path.display());
+            files
+        } else {
+            vec![path]
+        };
+        files.into_iter().map(move |file| (file, allowed))
+    });
+    for (path, allowed_builders) in policed {
         let source = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
         let mut builders = 0;

@@ -54,7 +54,7 @@ use crate::cache::CompiledCache;
 use crate::faults::{FaultKind, FaultPlan, FaultPoint};
 use crate::proto::{
     self, Arg, BufferData, Endpoint, ExecuteRequest, LineRead, ParsedRequest, Request, Stream,
-    SweepCellRequest,
+    SweepCellRequest, MAX_EXECUTE_WORDS,
 };
 use dp_core::{Compiler, OptConfig, SharedCompiled, TimingParams};
 use dp_obs::metrics::{Counter, Histogram};
@@ -1169,6 +1169,10 @@ fn dispatch(
             match result {
                 Err(e) => proto::error_response(id, &e),
                 Ok(compiled) => {
+                    if let Some(e) = aggregation_past_limit(&compiled, &request) {
+                        state.count_reject("parse");
+                        return proto::error_response_kind(id, "parse", &e);
+                    }
                     let faults = state.faults.clone();
                     match state.exec_within(slot, deadline, move || {
                         apply_exec_fault(&faults, "execute");
@@ -1222,6 +1226,41 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "opaque panic".to_string());
     format!("request panicked: {msg}")
+}
+
+/// The aggregation buffers a transformed kernel's launch provisions count
+/// against [`MAX_EXECUTE_WORDS`] like the `words` buffers the request names:
+/// `grid` and `block` are a few bytes that name an allocation, too. `Some`
+/// is the refusal. Dimensions the machine refuses are left to it.
+fn aggregation_past_limit(compiled: &SharedCompiled, request: &ExecuteRequest) -> Option<String> {
+    let sites = compiled.manifest().agg_sites.iter();
+    let mut sites = sites
+        .filter(|site| site.parent == request.kernel)
+        .peekable();
+    sites.peek()?;
+    let grid = u64::try_from(request.grid).ok()?;
+    let block = u64::try_from(request.block).ok()?;
+    let named: u64 = request
+        .buffers
+        .iter()
+        .map(|buffer| match buffer.data {
+            BufferData::Words(words) => words as u64,
+            BufferData::Ints(_) | BufferData::Floats(_) => 0,
+        })
+        .sum();
+    let mut left = MAX_EXECUTE_WORDS.checked_sub(named);
+    for site in sites {
+        for param in &site.buffer_params {
+            left = left.and_then(|left| left.checked_sub(site.buffer_words(param, grid, block)?));
+        }
+    }
+    left.is_none().then(|| {
+        format!(
+            "`grid` {grid}, `block` {block}: the aggregation buffers of `{}` take the request \
+             past the limit of {MAX_EXECUTE_WORDS} words",
+            request.kernel
+        )
+    })
 }
 
 /// The execution half of an `execute` request, run on a pool worker.

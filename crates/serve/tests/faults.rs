@@ -200,6 +200,36 @@ fn lines_that_name_huge_allocations_get_errors_and_the_daemon_survives() {
     // The same program at a sane size still runs.
     let healthy = answer(execute(4, 4, 3));
     assert!(healthy.contains(r#""ints":[1,1,1,1]"#), "{healthy}");
+
+    // An aggregated parent's `grid` and `block` name an allocation too: the
+    // buffers the runtime provisions for the launch, which no `words` names.
+    let parent = Json::Str(
+        "__global__ void child(int* d, int base) { d[base + threadIdx.x] = 1; }\n\
+         __global__ void parent(int* d) { child<<<1, 4>>>(d, threadIdx.x * 4); }"
+            .to_string(),
+    );
+    let aggregated = |agg: &str, grid: u64, block: u64, id: u64| {
+        format!(
+            r#"{{"op":"execute","source":{parent},"agg":"{agg}","kernel":"parent","grid":{grid},"block":{block},"buffers":[{{"name":"d","words":16}}],"args":["@d"],"read":[{{"buffer":"d","len":8}}],"id":{id}}}"#
+        )
+    };
+    for (id, agg) in [(4, "block"), (5, "grid"), (6, "multiblock:3")] {
+        for (grid, block) in [(1 << 40, 2), (u64::MAX >> 1, 1024)] {
+            let huge = answer(aggregated(agg, grid, block, id));
+            assert!(huge.contains(r#""kind":"parse""#), "{agg}: {huge}");
+            assert!(
+                huge.contains("aggregation buffers of `parent`")
+                    && huge.contains("limit of 16777216 words"),
+                "{agg}: {huge}"
+            );
+            assert!(huge.contains(&format!(r#""id":{id}"#)), "{agg}: {huge}");
+        }
+        let healthy = answer(aggregated(agg, 1, 2, id));
+        assert!(
+            healthy.contains(r#""ints":[1,1,1,1,1,1,1,1]"#),
+            "{agg}: {healthy}"
+        );
+    }
     shutdown(&endpoint);
 }
 

@@ -94,23 +94,47 @@ pub struct AggSiteMeta {
 
 impl AggSiteMeta {
     /// Number of groups for a parent launch with `grid_blocks` blocks of
-    /// `block_threads` threads.
-    pub fn group_count(&self, grid_blocks: u64, block_threads: u64) -> u64 {
+    /// `block_threads` threads; `None` when it does not fit a `u64` (the
+    /// dimensions may come off a socket).
+    pub fn group_count(&self, grid_blocks: u64, block_threads: u64) -> Option<u64> {
         match self.granularity {
-            AggGranularity::Warp => grid_blocks * block_threads.div_ceil(32),
-            AggGranularity::Block => grid_blocks,
-            AggGranularity::MultiBlock(n) => grid_blocks.div_ceil(n as u64),
-            AggGranularity::Grid => 1,
+            AggGranularity::Warp => grid_blocks.checked_mul(block_threads.div_ceil(32)),
+            AggGranularity::Block => Some(grid_blocks),
+            AggGranularity::MultiBlock(n) => Some(grid_blocks.div_ceil(n as u64)),
+            AggGranularity::Grid => Some(1),
         }
     }
 
-    /// Parent-thread slots per group for the same launch.
-    pub fn slots_per_group(&self, grid_blocks: u64, block_threads: u64) -> u64 {
+    /// Parent-thread slots per group for the same launch, checked likewise.
+    pub fn slots_per_group(&self, grid_blocks: u64, block_threads: u64) -> Option<u64> {
         match self.granularity {
-            AggGranularity::Warp => 32,
-            AggGranularity::Block => block_threads,
-            AggGranularity::MultiBlock(n) => n as u64 * block_threads,
-            AggGranularity::Grid => grid_blocks * block_threads,
+            AggGranularity::Warp => Some(32),
+            AggGranularity::Block => Some(block_threads),
+            AggGranularity::MultiBlock(n) => block_threads.checked_mul(n as u64),
+            AggGranularity::Grid => grid_blocks.checked_mul(block_threads),
+        }
+    }
+
+    /// Words of device memory the runtime provisions for hidden parameter
+    /// `param` at the same launch (none for a scalar): per-slot arrays are
+    /// groups × slots, per-group counters one word a group, and an empty
+    /// launch still gets one group of one slot.
+    pub fn buffer_words(
+        &self,
+        param: &BufferParam,
+        grid_blocks: u64,
+        block_threads: u64,
+    ) -> Option<u64> {
+        let groups = self.group_count(grid_blocks, block_threads)?.max(1);
+        match param {
+            BufferParam::ArgArray { .. } | BufferParam::GDimScanned | BufferParam::BDimArray => {
+                groups.checked_mul(self.slots_per_group(grid_blocks, block_threads)?.max(1))
+            }
+            BufferParam::PackedCounter
+            | BufferParam::MaxBDim
+            | BufferParam::FinishedCounter
+            | BufferParam::ParticipantCounter => Some(groups),
+            BufferParam::SlotsPerGroup => Some(0),
         }
     }
 }
@@ -185,22 +209,56 @@ mod tests {
 
     #[test]
     fn group_counts_by_granularity() {
-        assert_eq!(meta(AggGranularity::Warp).group_count(4, 96), 4 * 3);
-        assert_eq!(meta(AggGranularity::Warp).group_count(4, 100), 4 * 4);
-        assert_eq!(meta(AggGranularity::Block).group_count(10, 256), 10);
-        assert_eq!(meta(AggGranularity::MultiBlock(4)).group_count(10, 256), 3);
-        assert_eq!(meta(AggGranularity::Grid).group_count(10, 256), 1);
+        assert_eq!(meta(AggGranularity::Warp).group_count(4, 96), Some(4 * 3));
+        assert_eq!(meta(AggGranularity::Warp).group_count(4, 100), Some(4 * 4));
+        assert_eq!(meta(AggGranularity::Block).group_count(10, 256), Some(10));
+        assert_eq!(
+            meta(AggGranularity::MultiBlock(4)).group_count(10, 256),
+            Some(3)
+        );
+        assert_eq!(meta(AggGranularity::Grid).group_count(10, 256), Some(1));
     }
 
     #[test]
     fn slots_by_granularity() {
-        assert_eq!(meta(AggGranularity::Warp).slots_per_group(4, 96), 32);
-        assert_eq!(meta(AggGranularity::Block).slots_per_group(4, 96), 96);
+        assert_eq!(meta(AggGranularity::Warp).slots_per_group(4, 96), Some(32));
+        assert_eq!(meta(AggGranularity::Block).slots_per_group(4, 96), Some(96));
         assert_eq!(
             meta(AggGranularity::MultiBlock(4)).slots_per_group(10, 256),
-            1024
+            Some(1024)
         );
-        assert_eq!(meta(AggGranularity::Grid).slots_per_group(10, 256), 2560);
+        assert_eq!(
+            meta(AggGranularity::Grid).slots_per_group(10, 256),
+            Some(2560)
+        );
+    }
+
+    #[test]
+    fn buffer_words_are_checked() {
+        let per_slot = BufferParam::GDimScanned;
+        let per_group = BufferParam::PackedCounter;
+        let block = meta(AggGranularity::Block);
+        assert_eq!(block.buffer_words(&per_slot, 10, 256), Some(2560));
+        assert_eq!(block.buffer_words(&per_group, 10, 256), Some(10));
+        assert_eq!(
+            block.buffer_words(&BufferParam::SlotsPerGroup, 10, 256),
+            Some(0)
+        );
+        // An empty launch is provisioned as one group of one slot.
+        assert_eq!(block.buffer_words(&per_slot, 0, 0), Some(1));
+        for granularity in [
+            AggGranularity::Warp,
+            AggGranularity::Block,
+            AggGranularity::MultiBlock(3),
+            AggGranularity::Grid,
+        ] {
+            let site = meta(granularity);
+            assert_eq!(
+                site.buffer_words(&per_slot, 1 << 40, 1 << 40),
+                None,
+                "{granularity}"
+            );
+        }
     }
 
     #[test]

@@ -254,6 +254,29 @@ impl Instr {
         }
     }
 
+    /// The instruction index this instruction may jump to: the one list of
+    /// opcodes that carry a jump target (block cutting and the fuser ask here).
+    pub fn branch_target(&self) -> Option<u32> {
+        match *self {
+            Instr::Jump(t)
+            | Instr::JumpIfZero(t)
+            | Instr::JumpIfNonZero(t)
+            | Instr::CmpBranchLocals(.., t) => Some(t),
+            _ => None,
+        }
+    }
+
+    /// [`Instr::branch_target`], to rewrite it.
+    pub fn branch_target_mut(&mut self) -> Option<&mut u32> {
+        match self {
+            Instr::Jump(t)
+            | Instr::JumpIfZero(t)
+            | Instr::JumpIfNonZero(t)
+            | Instr::CmpBranchLocals(.., t) => Some(t),
+            _ => None,
+        }
+    }
+
     /// How many original (pre-fusion) instructions this instruction counts
     /// as: 1 for primitives, the expansion length for superinstructions.
     pub fn width(&self) -> u32 {
@@ -481,16 +504,13 @@ impl CompiledFunction {
         let mut leader = vec![false; self.code.len() + 1];
         leader[0] = true;
         for (pc, instr) in self.code.iter().enumerate() {
-            match *instr {
-                Instr::Jump(t)
-                | Instr::JumpIfZero(t)
-                | Instr::JumpIfNonZero(t)
-                | Instr::CmpBranchLocals(_, _, _, t) => {
-                    if let Some(l) = leader.get_mut(t as usize) {
-                        *l = true;
-                    }
-                    leader[pc + 1] = true;
+            if let Some(t) = instr.branch_target() {
+                if let Some(l) = leader.get_mut(t as usize) {
+                    *l = true;
                 }
+                leader[pc + 1] = true;
+            }
+            match *instr {
                 Instr::Call(..) | Instr::Ret | Instr::RetVoid | Instr::Sync => {
                     leader[pc + 1] = true;
                 }
@@ -603,10 +623,26 @@ mod tests {
             assert_eq!(parts.len() as u32, width);
             let expanded_cost: u64 = parts.iter().map(|p| m.cycles(p.cost_class())).sum();
             assert_eq!(fused.cost(&m), expanded_cost);
+            // What the reference interpreter's walk over an expansion
+            // relies on: the parts are primitive, none changes the frame,
+            // yields or launches, and only the last may write `pc`.
             assert!(
                 parts.iter().all(|p| p.expansion().is_none()),
                 "expansion is primitive"
             );
+            assert!(
+                !parts.iter().any(|p| matches!(
+                    p,
+                    Instr::Call(..) | Instr::Ret | Instr::RetVoid | Instr::Sync | Instr::Launch(..)
+                )),
+                "{fused:?}"
+            );
+            let (last, before) = parts.split_last().expect("an expansion is not empty");
+            assert!(
+                before.iter().all(|p| p.branch_target().is_none()),
+                "{fused:?} branches before its last part"
+            );
+            assert_eq!(fused.branch_target(), last.branch_target());
         }
         assert_eq!(Instr::Bin(BinKind::Add).width(), 1);
         assert_eq!(Instr::LoadMem.cost(&m), m.mem);

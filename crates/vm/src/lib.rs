@@ -27,9 +27,9 @@
 //!    indirect call per instruction instead of a `match` over the opcode
 //!    space, and one charge (budget included) per basic block instead of
 //!    one per instruction. Hot binary families are specialized per
-//!    [`bytecode::BinKind`]. The classic `match` loop survives as
-//!    [`machine::DispatchMode::Match`], charging per instruction, for
-//!    differential testing and as the benchmark baseline.
+//!    [`bytecode::BinKind`]. [`machine::DispatchMode::Match`] selects the
+//!    reference interpreter — primitive instructions only, charged one by
+//!    one, a superinstruction run as its expansion — for differential tests.
 //! 2. **Superinstruction fusion** ([`lower::fuse_function`]): a peephole
 //!    pass collapses hot stack-shuffle sequences (`LoadLocal;LoadLocal;Bin`,
 //!    `PushInt;Bin`, the six-instruction `i += k` statement pattern,
@@ -46,8 +46,8 @@
 //!    nothing. Kernel arguments are coerced once per grid, not per block.
 //!
 //! To add a new superinstruction, see the checklist on
-//! [`lower::fuse_function`]; for a new opcode under threaded dispatch,
-//! see the "New opcodes" standing invariant in `ROADMAP.md`.
+//! [`lower::fuse_function`]; for a new primitive, the "New opcodes"
+//! standing invariant in `ROADMAP.md`.
 //!
 //! ## Example
 //!
@@ -69,6 +69,9 @@ pub mod bytecode;
 pub mod error;
 pub mod lower;
 pub mod machine;
+mod memory;
+mod ops;
+mod reference;
 pub mod trace;
 pub mod value;
 

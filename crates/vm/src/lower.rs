@@ -143,27 +143,21 @@ pub fn fuse_module(module: &mut Module) {
 /// pattern, so `int v = e; if (v < n)` keeps its more valuable
 /// `CmpBranchLocals` fusion.
 ///
-/// To add a new superinstruction: add the opcode + its [`Instr::expansion`]
-/// in `bytecode.rs`, a match arm in `try_fuse_at` here, and a dispatch arm
-/// in `machine.rs` that replicates the expansion's observable semantics
-/// (including error cases). The accounting (cycles, instruction counts,
-/// origin attribution) follows from the expansion automatically. Say in
-/// [`CompiledFunction::block_charges`](crate::bytecode::CompiledFunction::block_charges)
-/// whether the opcode ends a basic block (anything that writes `pc`, changes
-/// the frame, or yields) or must observe an exact `thread.cycles`.
+/// To add a new superinstruction: the opcode with its [`Instr::expansion`],
+/// `cost` and `width` in `bytecode.rs` (and in [`Instr::branch_target`] if
+/// it jumps — that makes it end a basic block), a row in
+/// `fused_instructions_cost_their_expansion`, a match arm in `try_fuse_at`
+/// here, and one handler plus its decode row in `ops.rs`. Nothing in
+/// `reference.rs`: the reference interpreter runs the expansion, so the
+/// differential suites check the handler against that definition, error
+/// cases included.
 pub fn fuse_function(f: &mut CompiledFunction) {
     let n = f.code.len();
     // Instruction indices some jump lands on (code.len() is a valid target
     // for loops that end the function).
     let mut is_target = vec![false; n + 1];
-    for instr in &f.code {
-        if let Instr::Jump(t)
-        | Instr::JumpIfZero(t)
-        | Instr::JumpIfNonZero(t)
-        | Instr::CmpBranchLocals(.., t) = instr
-        {
-            is_target[*t as usize] = true;
-        }
+    for t in f.code.iter().filter_map(Instr::branch_target) {
+        is_target[t as usize] = true;
     }
 
     let mut code = Vec::with_capacity(n);
@@ -190,14 +184,8 @@ pub fn fuse_function(f: &mut CompiledFunction) {
     }
     map[n] = code.len() as u32;
 
-    for instr in &mut code {
-        if let Instr::Jump(t)
-        | Instr::JumpIfZero(t)
-        | Instr::JumpIfNonZero(t)
-        | Instr::CmpBranchLocals(.., t) = instr
-        {
-            *t = map[*t as usize];
-        }
+    for t in code.iter_mut().filter_map(Instr::branch_target_mut) {
+        *t = map[*t as usize];
     }
     f.code = code;
     f.origins = origins;
@@ -382,9 +370,10 @@ impl<'a> Lowerer<'a> {
     }
 
     fn patch(&mut self, at: usize, target: u32) {
-        match &mut self.code[at] {
-            Instr::Jump(t) | Instr::JumpIfZero(t) | Instr::JumpIfNonZero(t) => *t = target,
-            other => panic!("patching non-jump {other:?}"),
+        let instr = &mut self.code[at];
+        match instr.branch_target_mut() {
+            Some(t) => *t = target,
+            None => panic!("patching non-jump {instr:?}"),
         }
     }
 

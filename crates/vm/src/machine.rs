@@ -1,5 +1,5 @@
-//! The GPU execution machine: global memory, grids, blocks, threads,
-//! barriers, atomics, and device-side launches.
+//! The GPU execution machine: grids, blocks, threads, barriers, the launch
+//! queue, and the threaded dispatch loop.
 //!
 //! Execution is *functionally deterministic*: grids run in FIFO launch
 //! order; within a block, threads run in index order between barriers.
@@ -10,25 +10,32 @@
 //! ## Dispatch
 //!
 //! The interpreter is **direct-threaded**: at machine construction every
-//! function's instruction stream is decoded into a table of
-//! [`ThreadedOp`]s — a function pointer per opcode plus pre-resolved
-//! operands — so the hot loop is an indirect call per instruction instead
-//! of a `match` over the whole opcode space. Accounting (cycles, width,
-//! origin, budget) is static per basic block, so the table also holds one
-//! [`BlockCharge`] per block and the loop charges it when it dispatches the
-//! block's leader, and nothing otherwise. An opcode that ends a basic block
-//! or must observe an exact `thread.cycles` has to say so in
+//! function's instruction stream is decoded into a table of slots — a
+//! function pointer per opcode plus pre-resolved operands (`ops.rs`) — so
+//! the hot loop is an indirect call per instruction instead of a `match`
+//! over the whole opcode space. Accounting (cycles, width, origin, budget)
+//! is static per basic block, so the table also holds one [`BlockCharge`]
+//! per block and the loop charges it when it dispatches the block's leader,
+//! and nothing otherwise. An opcode that ends a basic block or must observe
+//! an exact `thread.cycles` has to say so in
 //! [`CompiledFunction::block_charges`].
-//! The original `match` dispatcher is kept behind
-//! [`DispatchMode::Match`] as the reference semantics for differential
-//! tests and as `vmbench`'s baseline; it charges per instruction, which
-//! makes it the oracle for the block charges as well.
+//!
+//! [`DispatchMode::Match`] selects the reference interpreter
+//! (`reference.rs`): the oracle of the differential tests, `vmbench`'s
+//! baseline, and where this loop lands when the budget ends inside a block.
+//!
+//! The layers: `bytecode.rs` says what an instruction means and costs,
+//! `lower.rs` plans, this file is the runtime, `ops.rs` is the backend and
+//! `memory.rs` the device memory under it.
 
 use crate::bytecode::*;
 use crate::error::ExecError;
+pub use crate::memory::Memory;
+use crate::ops::{build_tables, coerce, Flow, FuncTable, StepCtx, ThreadedOp};
+use crate::reference::run_thread_match;
 use crate::trace::*;
 use crate::value::{Dim3Table, LaunchDim, Value, SHARED_SPACE_BASE};
-use dp_frontend::ast::{CodeOrigin, FnQual, Type};
+use dp_frontend::ast::{CodeOrigin, FnQual};
 use dp_obs::metrics::Histogram;
 use std::collections::VecDeque;
 
@@ -60,118 +67,13 @@ impl Default for ExecLimits {
     }
 }
 
-/// Simulated device global memory (word-addressed).
-#[derive(Debug, Default)]
-pub struct Memory {
-    data: Vec<Value>,
-    bump: usize,
+pub(crate) struct Frame {
+    pub(crate) func: FuncId,
+    pub(crate) pc: usize,
+    pub(crate) locals: Vec<Value>,
 }
 
-impl Memory {
-    fn new() -> Self {
-        // Address 0 is reserved as a null pointer.
-        Memory {
-            data: vec![Value::Int(0)],
-            bump: 1,
-        }
-    }
-
-    /// Allocates `words` words, returning the base address.
-    pub fn alloc(&mut self, words: usize) -> i64 {
-        let base = self.bump;
-        self.bump += words;
-        if self.data.len() < self.bump {
-            self.data.resize(self.bump, Value::Int(0));
-        }
-        base as i64
-    }
-
-    fn check(&self, addr: i64) -> Result<usize, ExecError> {
-        let a = addr as usize;
-        if addr <= 0 || a >= self.bump {
-            return Err(ExecError::new(format!(
-                "memory access out of bounds: address {addr} (allocated up to {})",
-                self.bump
-            )));
-        }
-        Ok(a)
-    }
-
-    /// Bounds-checks `words` words starting at `addr` in one comparison,
-    /// returning the base index. `words` must be non-zero.
-    fn check_range(&self, addr: i64, words: usize) -> Result<usize, ExecError> {
-        let a = addr as usize;
-        if addr <= 0 || words > self.bump || a > self.bump - words {
-            return Err(ExecError::new(format!(
-                "memory access out of bounds: range {addr}..{} (allocated up to {})",
-                addr.saturating_add(words as i64),
-                self.bump
-            )));
-        }
-        Ok(a)
-    }
-
-    /// Reads one word.
-    pub fn read(&self, addr: i64) -> Result<Value, ExecError> {
-        Ok(self.data[self.check(addr)?])
-    }
-
-    /// Writes one word.
-    pub fn write(&mut self, addr: i64, value: Value) -> Result<(), ExecError> {
-        let a = self.check(addr)?;
-        self.data[a] = value;
-        Ok(())
-    }
-
-    /// Reads `words` consecutive words as a slice (single bounds check).
-    pub fn read_range(&self, addr: i64, words: usize) -> Result<&[Value], ExecError> {
-        if words == 0 {
-            return Ok(&[]);
-        }
-        let a = self.check_range(addr, words)?;
-        Ok(&self.data[a..a + words])
-    }
-
-    /// Writes `values` consecutively starting at `addr` (single bounds
-    /// check + `copy_from_slice`).
-    pub fn write_range(&mut self, addr: i64, values: &[Value]) -> Result<(), ExecError> {
-        if values.is_empty() {
-            return Ok(());
-        }
-        let a = self.check_range(addr, values.len())?;
-        self.data[a..a + values.len()].copy_from_slice(values);
-        Ok(())
-    }
-
-    /// Mutable view of `words` consecutive words (single bounds check).
-    pub fn slice_mut(&mut self, addr: i64, words: usize) -> Result<&mut [Value], ExecError> {
-        if words == 0 {
-            return Ok(&mut []);
-        }
-        let a = self.check_range(addr, words)?;
-        Ok(&mut self.data[a..a + words])
-    }
-
-    /// Fills a range with a value (buffer zeroing): one bounds check plus a
-    /// `slice::fill`, not a checked store per word.
-    pub fn fill(&mut self, addr: i64, words: usize, value: Value) -> Result<(), ExecError> {
-        self.slice_mut(addr, words)?.fill(value);
-        Ok(())
-    }
-
-    /// Words currently allocated.
-    pub fn allocated_words(&self) -> usize {
-        self.bump
-    }
-}
-
-struct Frame {
-    func: FuncId,
-    pc: usize,
-    locals: Vec<Value>,
-}
-
-enum ThreadStatus {
+pub(crate) enum ThreadStatus {
     Running,
     AtBarrier,
     Done,
@@ -181,18 +83,18 @@ enum ThreadStatus {
 /// the top of a `Vec`), so the dispatch loops and op handlers reach
 /// `pc`/`locals` without an indirection or `last_mut` check; suspended
 /// caller frames live in `callers`.
-struct Thread {
-    frame: Frame,
-    callers: Vec<Frame>,
-    stack: Vec<Value>,
-    status: ThreadStatus,
-    cycles: u64,
-    instructions: u64,
-    origin_cycles: OriginCycles,
-    tidx: [i64; 3],
+pub(crate) struct Thread {
+    pub(crate) frame: Frame,
+    pub(crate) callers: Vec<Frame>,
+    pub(crate) stack: Vec<Value>,
+    pub(crate) status: ThreadStatus,
+    pub(crate) cycles: u64,
+    pub(crate) instructions: u64,
+    pub(crate) origin_cycles: OriginCycles,
+    pub(crate) tidx: [i64; 3],
     /// Locals vectors of popped frames, reused by later calls so steady-state
     /// call/return traffic allocates nothing.
-    spare_locals: Vec<Vec<Value>>,
+    pub(crate) spare_locals: Vec<Vec<Value>>,
 }
 
 impl Thread {
@@ -236,7 +138,8 @@ impl Thread {
     /// Pops the current frame, resuming the caller. Returns `false` when
     /// the kernel frame itself returned (the thread is done; the frame and
     /// its locals are kept for reuse by the next `reset`).
-    fn pop_frame(&mut self) -> bool {
+    #[inline]
+    pub(crate) fn pop_frame(&mut self) -> bool {
         match self.callers.pop() {
             Some(caller) => {
                 let done = std::mem::replace(&mut self.frame, caller);
@@ -251,7 +154,8 @@ impl Thread {
 /// Shared per-instruction return helper: pops the current frame after a
 /// (value-less) function end. `true` → resume the caller (`continue
 /// 'frames`), `false` → the thread is done.
-fn fall_off_end(thread: &mut Thread) -> bool {
+#[inline]
+pub(crate) fn fall_off_end(thread: &mut Thread) -> bool {
     if thread.pop_frame() {
         thread.stack.push(Value::Int(0));
         true
@@ -270,9 +174,6 @@ struct BlockArena {
     threads: Vec<Thread>,
     shared: Vec<Value>,
 }
-// ----------------------------------------------------------------------
-// Direct-threaded dispatch
-// ----------------------------------------------------------------------
 
 /// How the interpreter dispatches instructions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -280,595 +181,11 @@ pub enum DispatchMode {
     /// Precomputed function-pointer table per instruction (the default).
     #[default]
     Threaded,
-    /// The classic `match (opcode)` loop — reference semantics for
-    /// differential tests and the `vmbench` baseline.
+    /// The reference interpreter: a `match` over the primitive
+    /// instructions, for differential tests and the `vmbench` baseline.
     Match,
 }
 
-/// Outcome of one op handler.
-enum Flow {
-    /// Fall through to the next instruction.
-    Next,
-    /// The frame stack changed (call/return) — re-enter the frame loop.
-    Frame,
-    /// The thread yielded (barrier) or finished.
-    Yield,
-}
-
-type OpResult = Result<Flow, ExecError>;
-type OpFn = fn(&ThreadedOp, &mut StepCtx<'_, '_>) -> OpResult;
-
-/// One decoded instruction slot: handler pointer, pre-resolved operands,
-/// and the block it leads (if any). Built once per function at machine
-/// construction.
-#[derive(Clone, Copy)]
-struct ThreadedOp {
-    exec: OpFn,
-    /// The original instruction — used by the `Match` dispatcher (which
-    /// also asks it for its cost and width) and by handlers with cold or
-    /// many-variant payloads (atomics, intrinsics).
-    instr: Instr,
-    /// Integer immediate / float bits / branch target (CmpBranchLocals).
-    imm: i64,
-    /// First operand: local slot, jump target, FuncId, special index, lane.
-    a: u32,
-    /// Second operand: local slot, argument count, lane.
-    b: u32,
-    /// Index into [`FuncTable::charges`] of the basic block this slot
-    /// leads, or [`NOT_A_LEADER`].
-    charge: u32,
-}
-
-const NOT_A_LEADER: u32 = u32::MAX;
-
-// Splitting a slot into a 32-byte hot half and a cold side array for
-// `Match` measured under 1 % on a cold sweep: not built.
-const _: () = assert!(std::mem::size_of::<ThreadedOp>() == 48);
-
-/// One function's dispatch table.
-struct FuncTable {
-    ops: Box<[ThreadedOp]>,
-    charges: Box<[BlockCharge]>,
-}
-
-/// Borrow bundle passed to op handlers — the whole mutable per-step state,
-/// split so handlers can touch disjoint fields without re-borrowing.
-struct StepCtx<'a, 'm> {
-    env: &'a mut ExecEnv<'m>,
-    thread: &'a mut Thread,
-    block: &'a BlockCtx,
-    shared: &'a mut [Value],
-    btrace: &'a mut BlockTrace,
-}
-
-fn pop(stack: &mut Vec<Value>) -> Result<Value, ExecError> {
-    stack
-        .pop()
-        .ok_or_else(|| ExecError::new("operand stack underflow"))
-}
-
-/// Maps a const-generic discriminant back to its [`BinKind`] — handlers
-/// specialized per kind constant-fold `bin_op` into a single operation.
-const fn bk(k: u8) -> BinKind {
-    match k {
-        0 => BinKind::Add,
-        1 => BinKind::Sub,
-        2 => BinKind::Mul,
-        3 => BinKind::Div,
-        4 => BinKind::Rem,
-        5 => BinKind::Lt,
-        6 => BinKind::Le,
-        7 => BinKind::Gt,
-        8 => BinKind::Ge,
-        9 => BinKind::Eq,
-        10 => BinKind::Ne,
-        11 => BinKind::BitAnd,
-        12 => BinKind::BitOr,
-        13 => BinKind::BitXor,
-        14 => BinKind::Shl,
-        _ => BinKind::Shr,
-    }
-}
-
-/// Selects the per-kind specialization of a const-generic handler.
-macro_rules! select_bin {
-    ($kind:expr, $f:ident) => {
-        match $kind {
-            BinKind::Add => $f::<0>,
-            BinKind::Sub => $f::<1>,
-            BinKind::Mul => $f::<2>,
-            BinKind::Div => $f::<3>,
-            BinKind::Rem => $f::<4>,
-            BinKind::Lt => $f::<5>,
-            BinKind::Le => $f::<6>,
-            BinKind::Gt => $f::<7>,
-            BinKind::Ge => $f::<8>,
-            BinKind::Eq => $f::<9>,
-            BinKind::Ne => $f::<10>,
-            BinKind::BitAnd => $f::<11>,
-            BinKind::BitOr => $f::<12>,
-            BinKind::BitXor => $f::<13>,
-            BinKind::Shl => $f::<14>,
-            BinKind::Shr => $f::<15>,
-        }
-    };
-}
-
-fn op_push_int(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    s.thread.stack.push(Value::Int(op.imm));
-    Ok(Flow::Next)
-}
-
-fn op_push_float(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    s.thread
-        .stack
-        .push(Value::Float(f64::from_bits(op.imm as u64)));
-    Ok(Flow::Next)
-}
-
-fn op_load_local(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let v = s.thread.frame.locals[op.a as usize];
-    s.thread.stack.push(v);
-    Ok(Flow::Next)
-}
-
-fn op_store_local(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let v = pop(&mut s.thread.stack)?;
-    s.thread.frame.locals[op.a as usize] = v;
-    Ok(Flow::Next)
-}
-
-fn op_load_mem(_op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let addr = pop(&mut s.thread.stack)?.as_int();
-    let v = s.env.load(addr, s.shared)?;
-    s.thread.stack.push(v);
-    Ok(Flow::Next)
-}
-
-fn op_store_mem(_op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let v = pop(&mut s.thread.stack)?;
-    let addr = pop(&mut s.thread.stack)?.as_int();
-    s.env.store(addr, v, s.shared)?;
-    Ok(Flow::Next)
-}
-
-fn op_bin<const K: u8>(_op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let b = pop(&mut s.thread.stack)?;
-    let a = pop(&mut s.thread.stack)?;
-    s.thread.stack.push(bin_op(bk(K), a, b)?);
-    Ok(Flow::Next)
-}
-
-fn op_un(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let Instr::Un(kind) = op.instr else {
-        unreachable!("op_un bound to non-Un instruction")
-    };
-    let a = pop(&mut s.thread.stack)?;
-    s.thread.stack.push(un_op(kind, a));
-    Ok(Flow::Next)
-}
-
-fn op_cast_int(_op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let a = pop(&mut s.thread.stack)?;
-    s.thread.stack.push(Value::Int(a.as_int()));
-    Ok(Flow::Next)
-}
-
-fn op_cast_float(_op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let a = pop(&mut s.thread.stack)?;
-    s.thread.stack.push(Value::Float(a.as_float()));
-    Ok(Flow::Next)
-}
-
-fn op_jump(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    s.thread.frame.pc = op.a as usize;
-    Ok(Flow::Next)
-}
-
-fn op_jump_if_zero(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    if !pop(&mut s.thread.stack)?.is_truthy() {
-        s.thread.frame.pc = op.a as usize;
-    }
-    Ok(Flow::Next)
-}
-
-fn op_jump_if_non_zero(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    if pop(&mut s.thread.stack)?.is_truthy() {
-        s.thread.frame.pc = op.a as usize;
-    }
-    Ok(Flow::Next)
-}
-
-fn op_call(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let id = op.a as FuncId;
-    let nargs = op.b as usize;
-    let callee = &s.env.module.functions[id as usize];
-    let mut locals = s.thread.spare_locals.pop().unwrap_or_default();
-    locals.clear();
-    locals.resize(callee.n_locals as usize, Value::Int(0));
-    for i in (0..nargs).rev() {
-        let v = pop(&mut s.thread.stack)?;
-        locals[i] = coerce(v, &callee.param_types[i]);
-    }
-    if s.thread.callers.len() + 1 > 512 {
-        return Err(ExecError::new("device call stack overflow"));
-    }
-    let new_frame = Frame {
-        func: id,
-        pc: 0,
-        locals,
-    };
-    let caller = std::mem::replace(&mut s.thread.frame, new_frame);
-    s.thread.callers.push(caller);
-    Ok(Flow::Frame)
-}
-
-fn op_ret(_op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let v = pop(&mut s.thread.stack)?;
-    if s.thread.pop_frame() {
-        s.thread.stack.push(v);
-        Ok(Flow::Frame)
-    } else {
-        s.thread.status = ThreadStatus::Done;
-        Ok(Flow::Yield)
-    }
-}
-
-fn op_ret_void(_op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    if fall_off_end(s.thread) {
-        Ok(Flow::Frame)
-    } else {
-        Ok(Flow::Yield)
-    }
-}
-
-fn op_launch(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let id = op.a as FuncId;
-    let nargs = op.b as usize;
-    let mut args = vec![Value::Int(0); nargs];
-    for i in (0..nargs).rev() {
-        args[i] = pop(&mut s.thread.stack)?;
-    }
-    let block = s.env.dim3s.resolve(pop(&mut s.thread.stack)?);
-    let grid = s.env.dim3s.resolve(pop(&mut s.thread.stack)?);
-    if dim_product(grid, "grid")? <= 0 {
-        s.env.stats.empty_launches += 1;
-    } else {
-        let origin = LaunchOrigin::Device {
-            parent_grid: s.block.grid_id,
-            parent_block: s.block.linear_block,
-            issue_cycles: s.thread.cycles,
-        };
-        let env = &mut *s.env;
-        let child = env
-            .launches
-            .enqueue(env.module, env.limits, id, grid, block, args, origin)?;
-        s.btrace.launches.push(LaunchRecord {
-            child_grid: child,
-            issue_cycles: s.thread.cycles,
-        });
-        s.env.stats.device_launches += 1;
-    }
-    Ok(Flow::Next)
-}
-
-fn op_sync(_op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    s.thread.status = ThreadStatus::AtBarrier;
-    Ok(Flow::Yield)
-}
-
-fn op_fence(_op: &ThreadedOp, _s: &mut StepCtx) -> OpResult {
-    // Blocks execute one after another, so fences are functional no-ops;
-    // the cycle cost was already charged.
-    Ok(Flow::Next)
-}
-
-fn op_atomic(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let Instr::Atomic(kind) = op.instr else {
-        unreachable!("op_atomic bound to non-Atomic instruction")
-    };
-    let old = match kind {
-        AtomicOp::Cas => {
-            let val = pop(&mut s.thread.stack)?;
-            let cmp = pop(&mut s.thread.stack)?;
-            let addr = pop(&mut s.thread.stack)?.as_int();
-            let old = s.env.load(addr, s.shared)?;
-            let new = if old == cmp { val } else { old };
-            s.env.store(addr, new, s.shared)?;
-            old
-        }
-        _ => {
-            let operand = pop(&mut s.thread.stack)?;
-            let addr = pop(&mut s.thread.stack)?.as_int();
-            let old = s.env.load(addr, s.shared)?;
-            let new = atomic_apply(kind, old, operand)?;
-            s.env.store(addr, new, s.shared)?;
-            old
-        }
-    };
-    s.thread.stack.push(old);
-    Ok(Flow::Next)
-}
-
-fn op_intrinsic1(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let Instr::Intrinsic(i) = op.instr else {
-        unreachable!("op_intrinsic1 bound to non-Intrinsic instruction")
-    };
-    let a = pop(&mut s.thread.stack)?;
-    s.thread.stack.push(intrinsic1(i, a));
-    Ok(Flow::Next)
-}
-
-fn op_intrinsic2(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let Instr::Intrinsic(i) = op.instr else {
-        unreachable!("op_intrinsic2 bound to non-Intrinsic instruction")
-    };
-    let b = pop(&mut s.thread.stack)?;
-    let a = pop(&mut s.thread.stack)?;
-    s.thread.stack.push(intrinsic2(i, a, b));
-    Ok(Flow::Next)
-}
-
-fn special_dims(which: u32, s: &StepCtx) -> [i64; 3] {
-    match which {
-        0 => s.thread.tidx,
-        1 => s.block.block_idx,
-        2 => s.block.block_dim,
-        _ => s.block.grid_dim,
-    }
-}
-
-const fn special_index(sp: Special) -> u32 {
-    match sp {
-        Special::ThreadIdx => 0,
-        Special::BlockIdx => 1,
-        Special::BlockDim => 2,
-        Special::GridDim => 3,
-    }
-}
-
-fn op_read_special(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let d = special_dims(op.a, s);
-    s.thread.stack.push(s.env.dim3s.intern(d));
-    Ok(Flow::Next)
-}
-
-fn op_read_special_comp(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let d = special_dims(op.a, s);
-    s.thread.stack.push(Value::Int(d[op.b as usize]));
-    Ok(Flow::Next)
-}
-
-fn op_make_dim3(_op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let z = pop(&mut s.thread.stack)?.as_int();
-    let y = pop(&mut s.thread.stack)?.as_int();
-    let x = pop(&mut s.thread.stack)?.as_int();
-    s.thread.stack.push(s.env.dim3s.intern([x, y, z]));
-    Ok(Flow::Next)
-}
-
-fn op_dim3_member(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let d = s.env.dim3s.resolve(pop(&mut s.thread.stack)?);
-    s.thread.stack.push(Value::Int(d[op.a as usize]));
-    Ok(Flow::Next)
-}
-
-fn op_dim3_set_member(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let v = pop(&mut s.thread.stack)?.as_int();
-    let mut d = s.env.dim3s.resolve(pop(&mut s.thread.stack)?);
-    d[op.a as usize] = v;
-    s.thread.stack.push(s.env.dim3s.intern(d));
-    Ok(Flow::Next)
-}
-
-fn op_pop(_op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    pop(&mut s.thread.stack)?;
-    Ok(Flow::Next)
-}
-
-fn op_dup(_op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let v = *s
-        .thread
-        .stack
-        .last()
-        .ok_or_else(|| ExecError::new("stack underflow on dup"))?;
-    s.thread.stack.push(v);
-    Ok(Flow::Next)
-}
-
-fn op_swap(_op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let n = s.thread.stack.len();
-    if n < 2 {
-        return Err(ExecError::new("stack underflow on swap"));
-    }
-    s.thread.stack.swap(n - 1, n - 2);
-    Ok(Flow::Next)
-}
-
-// Fused superinstructions: each handler replicates the exact observable
-// semantics (including error cases) of its expansion — see
-// `Instr::expansion`. Accounting was already charged from the table.
-
-fn op_bin_locals<const K: u8>(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let a = s.thread.frame.locals[op.a as usize];
-    let b = s.thread.frame.locals[op.b as usize];
-    s.thread.stack.push(bin_op(bk(K), a, b)?);
-    Ok(Flow::Next)
-}
-
-fn op_bin_imm<const K: u8>(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let a = pop(&mut s.thread.stack)?;
-    s.thread.stack.push(bin_op(bk(K), a, Value::Int(op.imm))?);
-    Ok(Flow::Next)
-}
-
-fn op_inc_local(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let slot = op.a as usize;
-    let old = s.thread.frame.locals[slot];
-    s.thread.frame.locals[slot] = bin_op(BinKind::Add, old, Value::Int(op.imm))?;
-    Ok(Flow::Next)
-}
-
-fn op_load_local_mem(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let addr = s.thread.frame.locals[op.a as usize].as_int();
-    let v = s.env.load(addr, s.shared)?;
-    s.thread.stack.push(v);
-    Ok(Flow::Next)
-}
-
-fn op_cmp_branch_locals<const K: u8>(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let a = s.thread.frame.locals[op.a as usize];
-    let b = s.thread.frame.locals[op.b as usize];
-    if !bin_op(bk(K), a, b)?.is_truthy() {
-        s.thread.frame.pc = op.imm as usize;
-    }
-    Ok(Flow::Next)
-}
-
-fn op_store_load_local(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let v = *s
-        .thread
-        .stack
-        .last()
-        .ok_or_else(|| ExecError::new("operand stack underflow"))?;
-    s.thread.frame.locals[op.a as usize] = v;
-    Ok(Flow::Next)
-}
-
-/// Decodes one instruction into its table slot.
-fn threaded_op(instr: Instr) -> ThreadedOp {
-    let mut op = ThreadedOp {
-        exec: op_fence, // placeholder, overwritten below
-        instr,
-        imm: 0,
-        a: 0,
-        b: 0,
-        charge: NOT_A_LEADER,
-    };
-    op.exec = match instr {
-        Instr::PushInt(v) => {
-            op.imm = v;
-            op_push_int
-        }
-        Instr::PushFloat(v) => {
-            op.imm = v.to_bits() as i64;
-            op_push_float
-        }
-        Instr::LoadLocal(s) => {
-            op.a = s as u32;
-            op_load_local
-        }
-        Instr::StoreLocal(s) => {
-            op.a = s as u32;
-            op_store_local
-        }
-        Instr::LoadMem => op_load_mem,
-        Instr::StoreMem => op_store_mem,
-        Instr::Bin(k) => select_bin!(k, op_bin),
-        Instr::Un(_) => op_un,
-        Instr::CastInt => op_cast_int,
-        Instr::CastFloat => op_cast_float,
-        Instr::Jump(t) => {
-            op.a = t;
-            op_jump
-        }
-        Instr::JumpIfZero(t) => {
-            op.a = t;
-            op_jump_if_zero
-        }
-        Instr::JumpIfNonZero(t) => {
-            op.a = t;
-            op_jump_if_non_zero
-        }
-        Instr::Call(id, n) => {
-            op.a = id;
-            op.b = n as u32;
-            op_call
-        }
-        Instr::Ret => op_ret,
-        Instr::RetVoid => op_ret_void,
-        Instr::Launch(id, n) => {
-            op.a = id;
-            op.b = n as u32;
-            op_launch
-        }
-        Instr::Sync => op_sync,
-        Instr::Fence => op_fence,
-        Instr::Atomic(_) => op_atomic,
-        Instr::Intrinsic(i) => match i {
-            Intrinsic::Min | Intrinsic::Max | Intrinsic::Pow => op_intrinsic2,
-            _ => op_intrinsic1,
-        },
-        Instr::ReadSpecial(sp) => {
-            op.a = special_index(sp);
-            op_read_special
-        }
-        Instr::ReadSpecialComp(sp, lane) => {
-            op.a = special_index(sp);
-            op.b = lane as u32;
-            op_read_special_comp
-        }
-        Instr::MakeDim3 => op_make_dim3,
-        Instr::Dim3Member(lane) => {
-            op.a = lane as u32;
-            op_dim3_member
-        }
-        Instr::Dim3SetMember(lane) => {
-            op.a = lane as u32;
-            op_dim3_set_member
-        }
-        Instr::Pop => op_pop,
-        Instr::Dup => op_dup,
-        Instr::Swap => op_swap,
-        Instr::BinLocals(k, a, b) => {
-            op.a = a as u32;
-            op.b = b as u32;
-            select_bin!(k, op_bin_locals)
-        }
-        Instr::BinImm(k, v) => {
-            op.imm = v;
-            select_bin!(k, op_bin_imm)
-        }
-        Instr::IncLocal(s, d) => {
-            op.a = s as u32;
-            op.imm = d;
-            op_inc_local
-        }
-        Instr::LoadLocalMem(s) => {
-            op.a = s as u32;
-            op_load_local_mem
-        }
-        Instr::CmpBranchLocals(k, a, b, t) => {
-            op.a = a as u32;
-            op.b = b as u32;
-            op.imm = t as i64;
-            select_bin!(k, op_cmp_branch_locals)
-        }
-        Instr::StoreLoadLocal(s) => {
-            op.a = s as u32;
-            op_store_load_local
-        }
-    };
-    op
-}
-
-/// Builds the per-function dispatch tables: one decoded slot per
-/// instruction, and one charge per basic block carrying the cost model's
-/// cycles and the fusion-transparent width/origin accounting.
-fn build_tables(module: &Module, cost: &CostModel) -> Vec<FuncTable> {
-    module
-        .functions
-        .iter()
-        .map(|f| {
-            let mut ops: Box<[ThreadedOp]> = f.code.iter().map(|i| threaded_op(*i)).collect();
-            let charges: Box<[BlockCharge]> = f.block_charges(cost).into();
-            for (i, block) in charges.iter().enumerate() {
-                ops[block.start as usize].charge = i as u32;
-            }
-            FuncTable { ops, charges }
-        })
-        .collect()
-}
 // ----------------------------------------------------------------------
 // Execution environment: launch queue, statistics, memory access
 // ----------------------------------------------------------------------
@@ -885,7 +202,7 @@ struct PendingGrid {
 /// The machine's FIFO of launched-but-not-yet-executed grids. Grid ids are
 /// assigned at enqueue time, so execution order equals id order.
 #[derive(Default)]
-struct LaunchQueue {
+pub(crate) struct LaunchQueue {
     pending: VecDeque<PendingGrid>,
     next_grid_id: usize,
 }
@@ -894,7 +211,7 @@ impl LaunchQueue {
     /// Validates a launch (host- or device-side) and appends it to the
     /// queue, returning the new grid's id.
     #[allow(clippy::too_many_arguments)]
-    fn enqueue(
+    pub(crate) fn enqueue(
         &mut self,
         module: &Module,
         limits: &ExecLimits,
@@ -983,28 +300,28 @@ pub const THREADED_OP_BYTES: usize = std::mem::size_of::<ThreadedOp>();
 /// The disjoint machine borrows the execution loop needs: read-only code,
 /// dispatch tables and configuration, global memory, the launch queue, and
 /// statistics.
-struct ExecEnv<'m> {
-    module: &'m Module,
-    tables: &'m [FuncTable],
-    cost: &'m CostModel,
-    limits: &'m ExecLimits,
+pub(crate) struct ExecEnv<'m> {
+    pub(crate) module: &'m Module,
+    pub(crate) tables: &'m [FuncTable],
+    pub(crate) cost: &'m CostModel,
+    pub(crate) limits: &'m ExecLimits,
     dispatch: DispatchMode,
-    reuse_state: bool,
     mem: &'m mut Memory,
-    dim3s: &'m mut Dim3Table,
-    launches: &'m mut LaunchQueue,
-    stats: &'m mut MachineStats,
-    profile: &'m mut DispatchProfile,
-    instr_budget: &'m mut u64,
+    pub(crate) dim3s: &'m mut Dim3Table,
+    pub(crate) launches: &'m mut LaunchQueue,
+    pub(crate) stats: &'m mut MachineStats,
+    pub(crate) profile: &'m mut DispatchProfile,
+    pub(crate) instr_budget: &'m mut u64,
 }
 
-// `load`/`store` are inlined into the memory-op handlers: 6–8 % of a cold
+// `load`/`store` are inlined into the memory-op handlers (`ops.rs`, another
+// codegen unit — `Memory::read`/`write` are `#[inline]` too): 6–8 % of a cold
 // BFS sweep (40 alternating pairs against the out-of-line build). While
 // `ExecError` was 48 bytes wide the same inlining *cost* ~7 %: every copy
 // carried a by-memory error return.
 impl ExecEnv<'_> {
     #[inline]
-    fn load(&mut self, addr: i64, shared: &[Value]) -> Result<Value, ExecError> {
+    pub(crate) fn load(&mut self, addr: i64, shared: &[Value]) -> Result<Value, ExecError> {
         if addr >= SHARED_SPACE_BASE {
             let off = (addr - SHARED_SPACE_BASE) as usize;
             shared.get(off).copied().ok_or_else(|| {
@@ -1016,7 +333,12 @@ impl ExecEnv<'_> {
     }
 
     #[inline]
-    fn store(&mut self, addr: i64, value: Value, shared: &mut [Value]) -> Result<(), ExecError> {
+    pub(crate) fn store(
+        &mut self,
+        addr: i64,
+        value: Value,
+        shared: &mut [Value],
+    ) -> Result<(), ExecError> {
         if addr >= SHARED_SPACE_BASE {
             let off = (addr - SHARED_SPACE_BASE) as usize;
             match shared.get_mut(off) {
@@ -1034,30 +356,30 @@ impl ExecEnv<'_> {
     }
 }
 
-struct BlockCtx {
-    grid_dim: [i64; 3],
-    block_dim: [i64; 3],
-    block_idx: [i64; 3],
-    grid_id: usize,
-    linear_block: u64,
+pub(crate) struct BlockCtx {
+    pub(crate) grid_dim: [i64; 3],
+    pub(crate) block_dim: [i64; 3],
+    pub(crate) block_idx: [i64; 3],
+    pub(crate) grid_id: usize,
+    pub(crate) linear_block: u64,
 }
 
 /// `d[0] * d[1] * d[2]` of a launch configuration; a product beyond `i64`
 /// is an error, not a wrap-around.
-fn dim_product(d: [i64; 3], what: &str) -> Result<i64, ExecError> {
+pub(crate) fn dim_product(d: [i64; 3], what: &str) -> Result<i64, ExecError> {
     d[0].checked_mul(d[1])
         .and_then(|xy| xy.checked_mul(d[2]))
         .ok_or_else(|| ExecError::new(format!("{what} size {d:?} overflows")))
 }
 
-fn budget_exhausted() -> ExecError {
+pub(crate) fn budget_exhausted() -> ExecError {
     ExecError::new(
         "instruction budget exhausted (possible infinite loop; raise ExecLimits::max_instructions)",
     )
 }
 
 // ----------------------------------------------------------------------
-// Thread execution loops
+// The threaded loop, and a block of threads
 // ----------------------------------------------------------------------
 
 /// Runs one thread until it returns, reaches a barrier, or errors —
@@ -1127,303 +449,6 @@ fn run_thread_threaded(
     }
 }
 
-/// The reference `match (opcode)` dispatcher — byte-identical accounting
-/// and semantics to [`run_thread_threaded`], kept for differential testing
-/// and as the benchmark baseline.
-fn run_thread_match(
-    env: &mut ExecEnv<'_>,
-    thread: &mut Thread,
-    block: &BlockCtx,
-    shared: &mut [Value],
-    btrace: &mut BlockTrace,
-) -> Result<(), ExecError> {
-    let tables = env.tables;
-    let t = thread;
-    'frames: loop {
-        let table = &tables[t.frame.func as usize].ops;
-        let origins = &env.module.functions[t.frame.func as usize].origins;
-        loop {
-            let pc = t.frame.pc;
-            let Some(op) = table.get(pc) else {
-                if fall_off_end(t) {
-                    continue 'frames;
-                }
-                return Ok(());
-            };
-            t.frame.pc = pc + 1;
-            let width = op.instr.width() as u64;
-            let cycles = op.instr.cost(env.cost);
-            t.cycles += cycles;
-            t.instructions += width;
-            t.origin_cycles.add(origins[pc], cycles);
-            if *env.instr_budget < width {
-                return Err(budget_exhausted());
-            }
-            *env.instr_budget -= width;
-            env.profile.ops += 1;
-            env.profile.blocks += (op.charge != NOT_A_LEADER) as u64;
-
-            match op.instr {
-                Instr::PushInt(v) => t.stack.push(Value::Int(v)),
-                Instr::PushFloat(v) => t.stack.push(Value::Float(v)),
-                Instr::LoadLocal(slot) => {
-                    let v = t.frame.locals[slot as usize];
-                    t.stack.push(v);
-                }
-                Instr::StoreLocal(slot) => {
-                    let v = pop(&mut t.stack)?;
-                    t.frame.locals[slot as usize] = v;
-                }
-                Instr::LoadMem => {
-                    let addr = pop(&mut t.stack)?.as_int();
-                    let v = env.load(addr, shared)?;
-                    t.stack.push(v);
-                }
-                Instr::StoreMem => {
-                    let v = pop(&mut t.stack)?;
-                    let addr = pop(&mut t.stack)?.as_int();
-                    env.store(addr, v, shared)?;
-                }
-                Instr::Bin(kind) => {
-                    let b = pop(&mut t.stack)?;
-                    let a = pop(&mut t.stack)?;
-                    t.stack.push(bin_op(kind, a, b)?);
-                }
-                Instr::Un(kind) => {
-                    let a = pop(&mut t.stack)?;
-                    t.stack.push(un_op(kind, a));
-                }
-                Instr::CastInt => {
-                    let a = pop(&mut t.stack)?;
-                    t.stack.push(Value::Int(a.as_int()));
-                }
-                Instr::CastFloat => {
-                    let a = pop(&mut t.stack)?;
-                    t.stack.push(Value::Float(a.as_float()));
-                }
-                Instr::Jump(target) => t.frame.pc = target as usize,
-                Instr::JumpIfZero(target) => {
-                    if !pop(&mut t.stack)?.is_truthy() {
-                        t.frame.pc = target as usize;
-                    }
-                }
-                Instr::JumpIfNonZero(target) => {
-                    if pop(&mut t.stack)?.is_truthy() {
-                        t.frame.pc = target as usize;
-                    }
-                }
-                Instr::Call(id, nargs) => {
-                    let callee = &env.module.functions[id as usize];
-                    let mut locals = t.spare_locals.pop().unwrap_or_default();
-                    locals.clear();
-                    locals.resize(callee.n_locals as usize, Value::Int(0));
-                    for i in (0..nargs as usize).rev() {
-                        let v = pop(&mut t.stack)?;
-                        locals[i] = coerce(v, &callee.param_types[i]);
-                    }
-                    if t.callers.len() + 1 > 512 {
-                        return Err(ExecError::new("device call stack overflow"));
-                    }
-                    let caller = std::mem::replace(
-                        &mut t.frame,
-                        Frame {
-                            func: id,
-                            pc: 0,
-                            locals,
-                        },
-                    );
-                    t.callers.push(caller);
-                    continue 'frames;
-                }
-                Instr::Ret => {
-                    let v = pop(&mut t.stack)?;
-                    if t.pop_frame() {
-                        t.stack.push(v);
-                        continue 'frames;
-                    }
-                    t.status = ThreadStatus::Done;
-                    return Ok(());
-                }
-                Instr::RetVoid => {
-                    if fall_off_end(t) {
-                        continue 'frames;
-                    }
-                    return Ok(());
-                }
-                Instr::Launch(id, nargs) => {
-                    let mut args = vec![Value::Int(0); nargs as usize];
-                    for i in (0..nargs as usize).rev() {
-                        args[i] = pop(&mut t.stack)?;
-                    }
-                    let b = env.dim3s.resolve(pop(&mut t.stack)?);
-                    let g = env.dim3s.resolve(pop(&mut t.stack)?);
-                    if dim_product(g, "grid")? <= 0 {
-                        env.stats.empty_launches += 1;
-                    } else {
-                        let origin = LaunchOrigin::Device {
-                            parent_grid: block.grid_id,
-                            parent_block: block.linear_block,
-                            issue_cycles: t.cycles,
-                        };
-                        let child = env
-                            .launches
-                            .enqueue(env.module, env.limits, id, g, b, args, origin)?;
-                        btrace.launches.push(LaunchRecord {
-                            child_grid: child,
-                            issue_cycles: t.cycles,
-                        });
-                        env.stats.device_launches += 1;
-                    }
-                }
-                Instr::Sync => {
-                    t.status = ThreadStatus::AtBarrier;
-                    return Ok(());
-                }
-                Instr::Fence => {
-                    // Functional no-op; the cycle cost was already charged.
-                }
-                Instr::Atomic(kind) => {
-                    let old = match kind {
-                        AtomicOp::Cas => {
-                            let val = pop(&mut t.stack)?;
-                            let cmp = pop(&mut t.stack)?;
-                            let addr = pop(&mut t.stack)?.as_int();
-                            let old = env.load(addr, shared)?;
-                            let new = if old == cmp { val } else { old };
-                            env.store(addr, new, shared)?;
-                            old
-                        }
-                        _ => {
-                            let operand = pop(&mut t.stack)?;
-                            let addr = pop(&mut t.stack)?.as_int();
-                            let old = env.load(addr, shared)?;
-                            let new = atomic_apply(kind, old, operand)?;
-                            env.store(addr, new, shared)?;
-                            old
-                        }
-                    };
-                    t.stack.push(old);
-                }
-                Instr::Intrinsic(i) => {
-                    let v = match i {
-                        Intrinsic::Min | Intrinsic::Max | Intrinsic::Pow => {
-                            let b = pop(&mut t.stack)?;
-                            let a = pop(&mut t.stack)?;
-                            intrinsic2(i, a, b)
-                        }
-                        _ => {
-                            let a = pop(&mut t.stack)?;
-                            intrinsic1(i, a)
-                        }
-                    };
-                    t.stack.push(v);
-                }
-                Instr::ReadSpecial(sp) => {
-                    let d = match sp {
-                        Special::ThreadIdx => t.tidx,
-                        Special::BlockIdx => block.block_idx,
-                        Special::BlockDim => block.block_dim,
-                        Special::GridDim => block.grid_dim,
-                    };
-                    t.stack.push(env.dim3s.intern(d));
-                }
-                Instr::ReadSpecialComp(sp, lane) => {
-                    let d = match sp {
-                        Special::ThreadIdx => t.tidx,
-                        Special::BlockIdx => block.block_idx,
-                        Special::BlockDim => block.block_dim,
-                        Special::GridDim => block.grid_dim,
-                    };
-                    t.stack.push(Value::Int(d[lane as usize]));
-                }
-                Instr::MakeDim3 => {
-                    let z = pop(&mut t.stack)?.as_int();
-                    let y = pop(&mut t.stack)?.as_int();
-                    let x = pop(&mut t.stack)?.as_int();
-                    t.stack.push(env.dim3s.intern([x, y, z]));
-                }
-                Instr::Dim3Member(lane) => {
-                    let d = env.dim3s.resolve(pop(&mut t.stack)?);
-                    t.stack.push(Value::Int(d[lane as usize]));
-                }
-                Instr::Dim3SetMember(lane) => {
-                    let v = pop(&mut t.stack)?.as_int();
-                    let mut d = env.dim3s.resolve(pop(&mut t.stack)?);
-                    d[lane as usize] = v;
-                    t.stack.push(env.dim3s.intern(d));
-                }
-                Instr::Pop => {
-                    pop(&mut t.stack)?;
-                }
-                Instr::Dup => {
-                    let v = *t
-                        .stack
-                        .last()
-                        .ok_or_else(|| ExecError::new("stack underflow on dup"))?;
-                    t.stack.push(v);
-                }
-                Instr::Swap => {
-                    let n = t.stack.len();
-                    if n < 2 {
-                        return Err(ExecError::new("stack underflow on swap"));
-                    }
-                    t.stack.swap(n - 1, n - 2);
-                }
-
-                // Fused superinstructions: each arm replicates the exact
-                // observable semantics (including error cases) of its
-                // expansion — see `Instr::expansion`.
-                Instr::BinLocals(kind, a, b) => {
-                    let a = t.frame.locals[a as usize];
-                    let b = t.frame.locals[b as usize];
-                    t.stack.push(bin_op(kind, a, b)?);
-                }
-                Instr::BinImm(kind, v) => {
-                    let a = pop(&mut t.stack)?;
-                    t.stack.push(bin_op(kind, a, Value::Int(v))?);
-                }
-                Instr::IncLocal(slot, delta) => {
-                    let old = t.frame.locals[slot as usize];
-                    t.frame.locals[slot as usize] = bin_op(BinKind::Add, old, Value::Int(delta))?;
-                }
-                Instr::LoadLocalMem(slot) => {
-                    let addr = t.frame.locals[slot as usize].as_int();
-                    let v = env.load(addr, shared)?;
-                    t.stack.push(v);
-                }
-                Instr::CmpBranchLocals(kind, a, b, target) => {
-                    let a = t.frame.locals[a as usize];
-                    let b = t.frame.locals[b as usize];
-                    if !bin_op(kind, a, b)?.is_truthy() {
-                        t.frame.pc = target as usize;
-                    }
-                }
-                Instr::StoreLoadLocal(slot) => {
-                    let v = *t
-                        .stack
-                        .last()
-                        .ok_or_else(|| ExecError::new("operand stack underflow"))?;
-                    t.frame.locals[slot as usize] = v;
-                }
-            }
-        }
-    }
-}
-
-#[inline]
-fn run_thread(
-    env: &mut ExecEnv<'_>,
-    thread: &mut Thread,
-    block: &BlockCtx,
-    shared: &mut [Value],
-    btrace: &mut BlockTrace,
-) -> Result<(), ExecError> {
-    match env.dispatch {
-        DispatchMode::Threaded => run_thread_threaded(env, thread, block, shared, btrace),
-        DispatchMode::Match => run_thread_match(env, thread, block, shared, btrace),
-    }
-}
-
 /// Executes one block to completion against the given environment: arms
 /// the arena's threads, round-robins them between barriers, and settles
 /// the per-warp/per-origin accounting.
@@ -1440,12 +465,6 @@ fn run_block(
     let n_threads = (grid.block[0] * grid.block[1] * grid.block[2]) as usize;
     let shared_words = func.shared_words as usize;
 
-    if !env.reuse_state {
-        // Benchmarking baseline: behave like the pre-arena executor and
-        // allocate everything fresh for this block.
-        arena.threads.clear();
-        arena.shared = Vec::new();
-    }
     arena.shared.clear();
     arena.shared.resize(shared_words, Value::Int(0));
     arena.threads.truncate(n_threads);
@@ -1475,7 +494,14 @@ fn run_block(
         let mut all_done = true;
         for thread in threads.iter_mut() {
             if matches!(thread.status, ThreadStatus::Running) {
-                run_thread(env, thread, &ctx, shared, &mut btrace)?;
+                match env.dispatch {
+                    DispatchMode::Threaded => {
+                        run_thread_threaded(env, thread, &ctx, shared, &mut btrace)?
+                    }
+                    DispatchMode::Match => {
+                        run_thread_match(env, thread, &ctx, shared, &mut btrace)?
+                    }
+                }
             }
             if !matches!(thread.status, ThreadStatus::Done) {
                 all_done = false;
@@ -1541,7 +567,6 @@ pub struct Machine {
     profile: DispatchProfile,
     instr_budget: u64,
     arena: BlockArena,
-    reuse_state: bool,
     dispatch: DispatchMode,
 }
 
@@ -1568,17 +593,8 @@ impl Machine {
             profile: DispatchProfile::default(),
             instr_budget: limits.max_instructions,
             arena: BlockArena::default(),
-            reuse_state: true,
             dispatch: DispatchMode::default(),
         }
-    }
-
-    /// Enables or disables pooling of per-block execution state (on by
-    /// default). Disabling forces every block to allocate fresh thread
-    /// state, reproducing the pre-arena executor — a benchmarking knob for
-    /// `vmbench`'s baseline, not something callers should normally touch.
-    pub fn set_state_reuse(&mut self, on: bool) {
-        self.reuse_state = on;
     }
 
     /// Selects the dispatch loop (threaded by default). Both modes are
@@ -1586,16 +602,6 @@ impl Machine {
     /// differential tests and the `vmbench` baseline.
     pub fn set_dispatch(&mut self, mode: DispatchMode) {
         self.dispatch = mode;
-    }
-
-    /// The current dispatch mode.
-    pub fn dispatch(&self) -> DispatchMode {
-        self.dispatch
-    }
-
-    /// The compiled module.
-    pub fn module(&self) -> &Module {
-        &self.module
     }
 
     /// Statistics so far.
@@ -1720,11 +726,6 @@ impl Machine {
         std::mem::take(&mut self.trace)
     }
 
-    /// Read-only view of the trace so far.
-    pub fn trace(&self) -> &ExecutionTrace {
-        &self.trace
-    }
-
     fn execute_grid(&mut self, grid: PendingGrid) -> Result<(), ExecError> {
         // Split the machine into disjoint borrows: the run loop reads the
         // module/dispatch tables while mutating memory, the launch queue,
@@ -1742,7 +743,6 @@ impl Machine {
             profile,
             instr_budget,
             arena,
-            reuse_state,
             dispatch,
         } = self;
         let num_blocks = dim_product(grid.grid, "grid")?;
@@ -1770,7 +770,6 @@ impl Machine {
             cost,
             limits,
             dispatch: *dispatch,
-            reuse_state: *reuse_state,
             mem,
             dim3s,
             launches,
@@ -1793,141 +792,6 @@ impl Machine {
     }
 }
 
-fn coerce(v: Value, ty: &Type) -> Value {
-    match ty {
-        Type::Int | Type::UInt | Type::Long | Type::ULong | Type::Bool => Value::Int(v.as_int()),
-        Type::Float | Type::Double => Value::Float(v.as_float()),
-        Type::Dim3 => v.to_dim3(),
-        Type::Ptr(_) | Type::Void => v,
-    }
-}
-
-fn bin_op(kind: BinKind, a: Value, b: Value) -> Result<Value, ExecError> {
-    use BinKind::*;
-    if a.is_float() || b.is_float() {
-        let (x, y) = (a.as_float(), b.as_float());
-        let v = match kind {
-            Add => Value::Float(x + y),
-            Sub => Value::Float(x - y),
-            Mul => Value::Float(x * y),
-            Div => Value::Float(x / y),
-            Rem => Value::Float(x % y),
-            Lt => Value::from(x < y),
-            Le => Value::from(x <= y),
-            Gt => Value::from(x > y),
-            Ge => Value::from(x >= y),
-            Eq => Value::from(x == y),
-            Ne => Value::from(x != y),
-            BitAnd | BitOr | BitXor | Shl | Shr => {
-                return Err(ExecError::new("bitwise operation on float"))
-            }
-        };
-        return Ok(v);
-    }
-    let (x, y) = (a.as_int(), b.as_int());
-    let v = match kind {
-        Add => Value::Int(x.wrapping_add(y)),
-        Sub => Value::Int(x.wrapping_sub(y)),
-        Mul => Value::Int(x.wrapping_mul(y)),
-        Div => {
-            if y == 0 {
-                return Err(ExecError::new("integer division by zero"));
-            }
-            Value::Int(x.wrapping_div(y))
-        }
-        Rem => {
-            if y == 0 {
-                return Err(ExecError::new("integer remainder by zero"));
-            }
-            Value::Int(x.wrapping_rem(y))
-        }
-        Lt => Value::from(x < y),
-        Le => Value::from(x <= y),
-        Gt => Value::from(x > y),
-        Ge => Value::from(x >= y),
-        Eq => Value::from(x == y),
-        Ne => Value::from(x != y),
-        BitAnd => Value::Int(x & y),
-        BitOr => Value::Int(x | y),
-        BitXor => Value::Int(x ^ y),
-        Shl => Value::Int(x.wrapping_shl((y & 63) as u32)),
-        Shr => Value::Int(x.wrapping_shr((y & 63) as u32)),
-    };
-    Ok(v)
-}
-
-fn un_op(kind: UnKind, a: Value) -> Value {
-    match kind {
-        UnKind::Neg => match a {
-            Value::Float(f) => Value::Float(-f),
-            other => Value::Int(-other.as_int()),
-        },
-        UnKind::Not => Value::from(!a.is_truthy()),
-        UnKind::BitNot => Value::Int(!a.as_int()),
-    }
-}
-
-fn atomic_apply(op: AtomicOp, old: Value, operand: Value) -> Result<Value, ExecError> {
-    let v = match op {
-        AtomicOp::Add => bin_op(BinKind::Add, old, operand)?,
-        AtomicOp::Sub => bin_op(BinKind::Sub, old, operand)?,
-        AtomicOp::Max => {
-            if old.is_float() || operand.is_float() {
-                Value::Float(old.as_float().max(operand.as_float()))
-            } else {
-                Value::Int(old.as_int().max(operand.as_int()))
-            }
-        }
-        AtomicOp::Min => {
-            if old.is_float() || operand.is_float() {
-                Value::Float(old.as_float().min(operand.as_float()))
-            } else {
-                Value::Int(old.as_int().min(operand.as_int()))
-            }
-        }
-        AtomicOp::Exch => operand,
-        AtomicOp::Or => Value::Int(old.as_int() | operand.as_int()),
-        AtomicOp::And => Value::Int(old.as_int() & operand.as_int()),
-        AtomicOp::Cas => unreachable!("handled separately"),
-    };
-    Ok(v)
-}
-
-fn intrinsic1(i: Intrinsic, a: Value) -> Value {
-    match i {
-        Intrinsic::Abs => match a {
-            Value::Float(f) => Value::Float(f.abs()),
-            other => Value::Int(other.as_int().abs()),
-        },
-        Intrinsic::Sqrt => Value::Float(a.as_float().sqrt()),
-        Intrinsic::Ceil => Value::Float(a.as_float().ceil()),
-        Intrinsic::Floor => Value::Float(a.as_float().floor()),
-        Intrinsic::Exp => Value::Float(a.as_float().exp()),
-        Intrinsic::Log => Value::Float(a.as_float().ln()),
-        _ => unreachable!("binary intrinsic"),
-    }
-}
-
-fn intrinsic2(i: Intrinsic, a: Value, b: Value) -> Value {
-    match i {
-        Intrinsic::Min => {
-            if a.is_float() || b.is_float() {
-                Value::Float(a.as_float().min(b.as_float()))
-            } else {
-                Value::Int(a.as_int().min(b.as_int()))
-            }
-        }
-        Intrinsic::Max => {
-            if a.is_float() || b.is_float() {
-                Value::Float(a.as_float().max(b.as_float()))
-            } else {
-                Value::Int(a.as_int().max(b.as_int()))
-            }
-        }
-        Intrinsic::Pow => Value::Float(a.as_float().powf(b.as_float())),
-        _ => unreachable!("unary intrinsic"),
-    }
-}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2292,27 +1156,6 @@ mod tests {
         m.run_to_quiescence().unwrap();
         let trace = m.take_trace();
         assert!(trace.grids[0].blocks[0].critical_warp_cycles() > 10_000_000_000);
-    }
-
-    #[test]
-    fn state_reuse_knob_does_not_change_results() {
-        let src = "__global__ void k(int* d) { \
-                       __shared__ int tile[8]; \
-                       tile[threadIdx.x] = threadIdx.x + blockIdx.x; \
-                       __syncthreads(); \
-                       d[blockIdx.x * 8 + threadIdx.x] = tile[7 - threadIdx.x]; }";
-        let run = |reuse: bool| {
-            let mut m = machine(src);
-            m.set_state_reuse(reuse);
-            let d = m.alloc(64);
-            m.launch_host("k", 8, 8, &[Value::Int(d)]).unwrap();
-            m.run_to_quiescence().unwrap();
-            (m.read_i64s(d, 64).unwrap(), m.take_trace())
-        };
-        let (out_pool, trace_pool) = run(true);
-        let (out_fresh, trace_fresh) = run(false);
-        assert_eq!(out_pool, out_fresh);
-        assert_eq!(trace_pool, trace_fresh);
     }
 
     #[test]

@@ -270,3 +270,244 @@ fn a_fault_in_mid_block_leaves_the_same_budget_under_both_dispatchers() {
         }
     }
 }
+
+// ----------------------------------------------------------------------
+// Each superinstruction against its definition
+// ----------------------------------------------------------------------
+
+use dpopt::frontend::ast::{CodeOrigin, FnQual, Type};
+use dpopt::vm::bytecode::{BinKind, CompiledFunction, Instr, Module, Special};
+
+/// Runs `code` as the body of `k(int* out)` — four threads, four locals,
+/// `out` eight words of 7 — without going through the lowerer or the fuser,
+/// so shapes neither of them emits are reachable. Odd slots are tagged
+/// `AggLogic`, so a slot charged to the wrong origin shows in the trace.
+fn run_hand_built(code: &[Instr], dispatch: DispatchMode, budget: u64) -> Budgeted {
+    let mut module = Module::new();
+    module.add(CompiledFunction {
+        name: "k".into(),
+        qual: FnQual::Global,
+        param_types: vec![Type::Ptr(Box::new(Type::Int))],
+        n_locals: 4,
+        code: code.to_vec(),
+        origins: (0..code.len())
+            .map(|pc| match pc % 2 {
+                0 => CodeOrigin::Original,
+                _ => CodeOrigin::AggLogic,
+            })
+            .collect(),
+        contains_launch: false,
+        shared_words: 0,
+    });
+    let limits = ExecLimits {
+        max_instructions: budget,
+        ..ExecLimits::default()
+    };
+    let mut m = Machine::with_config(module, CostModel::default(), limits);
+    m.set_dispatch(dispatch);
+    let out = m.alloc_i64s(&[7; 8]);
+    m.launch_host("k", 1, 4, &[Value::Int(out)]).unwrap();
+    let outcome = m.run_to_quiescence().map_err(|e| e.to_string());
+    Budgeted {
+        memory: m.read_i64s(out, 8).unwrap(),
+        left: m.instructions_left(),
+        outcome: outcome.map(|()| (m.stats(), m.take_trace())),
+    }
+}
+
+/// The threaded loop runs a superinstruction's handler; the reference runs
+/// its `Instr::expansion()` through the primitive arms. They must agree on
+/// everything a caller can see — success or the error string, memory, the
+/// trace, the statistics and what is left of the budget — for every
+/// superinstruction, on its error paths, and for every budget up to what
+/// the program needs (most of them end inside a fused slot).
+#[test]
+fn each_superinstruction_matches_its_expansion() {
+    use Instr::*;
+    // `out[threadIdx.x] = <top of stack>`, for a value computed before it.
+    let tid = ReadSpecialComp(Special::ThreadIdx, 0);
+    let oob = 1_000_000;
+    // (name, code, the error the program must end with)
+    let programs: Vec<(&str, Vec<Instr>, Option<&str>)> = vec![
+        (
+            "BinLocals",
+            vec![
+                tid,
+                StoreLocal(1),
+                PushInt(6),
+                StoreLocal(2),
+                BinLocals(BinKind::Add, 0, 1),
+                BinLocals(BinKind::Mul, 1, 2),
+                StoreMem,
+                RetVoid,
+            ],
+            None,
+        ),
+        (
+            "BinLocals fails",
+            vec![
+                PushFloat(1.5),
+                StoreLocal(1),
+                BinLocals(BinKind::BitAnd, 0, 1),
+                RetVoid,
+            ],
+            Some("bitwise operation on float"),
+        ),
+        (
+            "BinImm",
+            vec![
+                LoadLocal(0),
+                tid,
+                Bin(BinKind::Add),
+                tid,
+                BinImm(BinKind::Shl, 3),
+                BinImm(BinKind::Sub, -5),
+                StoreMem,
+                RetVoid,
+            ],
+            None,
+        ),
+        (
+            "BinImm(Div, 0) after a store",
+            vec![
+                LoadLocal(0),
+                PushInt(11),
+                StoreMem,
+                tid,
+                BinImm(BinKind::Div, 0),
+                RetVoid,
+            ],
+            Some("integer division by zero"),
+        ),
+        (
+            "BinImm(Shl, _) on a float",
+            vec![PushFloat(2.5), BinImm(BinKind::Shl, 1), RetVoid],
+            Some("bitwise operation on float"),
+        ),
+        (
+            "IncLocal, on an int and on a float",
+            vec![
+                tid,
+                StoreLocal(1),
+                IncLocal(1, 3),
+                IncLocal(1, -1),
+                PushFloat(0.5),
+                StoreLocal(2),
+                IncLocal(2, 4),
+                IncLocal(0, 4),
+                LoadLocal(0),
+                LoadLocal(1),
+                LoadLocal(2),
+                Bin(BinKind::Mul),
+                StoreMem,
+                RetVoid,
+            ],
+            None,
+        ),
+        (
+            "LoadLocalMem",
+            vec![
+                BinLocals(BinKind::Add, 0, 0),
+                Pop,
+                LoadLocal(0),
+                tid,
+                Bin(BinKind::Add),
+                StoreLocal(1),
+                IncLocal(1, 4),
+                LoadLocal(1),
+                LoadLocalMem(0),
+                tid,
+                Bin(BinKind::Add),
+                StoreMem,
+                RetVoid,
+            ],
+            None,
+        ),
+        (
+            "LoadLocalMem out of bounds",
+            vec![
+                LoadLocal(0),
+                PushInt(3),
+                StoreMem,
+                PushInt(oob),
+                StoreLocal(1),
+                LoadLocalMem(1),
+                RetVoid,
+            ],
+            Some("memory access out of bounds: address 1000000"),
+        ),
+        (
+            "StoreLoadLocal",
+            vec![
+                LoadLocal(0),
+                tid,
+                Bin(BinKind::Add),
+                StoreLoadLocal(1),
+                LoadLocal(1),
+                StoreMem,
+                RetVoid,
+            ],
+            None,
+        ),
+        (
+            "StoreLoadLocal on an empty stack",
+            vec![StoreLoadLocal(1), RetVoid],
+            Some("operand stack underflow"),
+        ),
+        (
+            // Threads 0 and 1 fall through, 2 and 3 take the branch; the
+            // second one is a shape the fuser never emits (not a
+            // comparison: taken when `tid - 3` is zero), is itself a branch
+            // target, and jumps to the function's end.
+            "CmpBranchLocals, taken and not taken",
+            vec![
+                tid,
+                StoreLocal(1),
+                PushInt(2),
+                StoreLocal(2),
+                PushInt(3),
+                StoreLocal(3),
+                CmpBranchLocals(BinKind::Lt, 1, 2, 12),
+                BinLocals(BinKind::Add, 0, 1),
+                PushInt(100),
+                StoreMem,
+                RetVoid,
+                RetVoid,
+                CmpBranchLocals(BinKind::Sub, 1, 3, 18),
+                BinLocals(BinKind::Add, 0, 1),
+                PushInt(200),
+                StoreMem,
+                Jump(18),
+                RetVoid,
+            ],
+            None,
+        ),
+        (
+            "CmpBranchLocals fails",
+            vec![
+                PushFloat(1.0),
+                StoreLocal(1),
+                CmpBranchLocals(BinKind::Shr, 0, 1, 0),
+                RetVoid,
+            ],
+            Some("bitwise operation on float"),
+        ),
+    ];
+    for (name, code, error) in programs {
+        let reference = run_hand_built(&code, DispatchMode::Match, u64::MAX);
+        match (&reference.outcome, error) {
+            (Ok(_), None) => assert_ne!(reference.memory, [7; 8], "{name} stores something"),
+            (Err(message), Some(expected)) => {
+                assert!(message.contains(expected), "{name}: {message}")
+            }
+            (outcome, _) => panic!("{name}: {outcome:?}"),
+        }
+        let charged = u64::MAX - reference.left;
+        assert!(charged > 0, "{name}");
+        for budget in (0..=charged + 1).chain([u64::MAX]) {
+            let reference = run_hand_built(&code, DispatchMode::Match, budget);
+            let got = run_hand_built(&code, DispatchMode::Threaded, budget);
+            assert_eq!(got, reference, "{name}, budget {budget} of {charged}");
+        }
+    }
+}
