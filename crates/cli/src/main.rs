@@ -522,7 +522,7 @@ fn serve(args: &[String]) -> ExitCode {
     // Fault plans come only from the environment at the CLI layer (the
     // programmatic field is for in-process tests); a malformed spec is a
     // startup failure, not a silently-unarmed plan.
-    match dp_serve::FaultPlan::from_env() {
+    match dp_faults::FaultPlan::from_env() {
         Ok(plan) => {
             if !plan.is_empty() {
                 dp_obs::diag!("dp-serve: fault injection armed via DPOPT_FAULTS");

@@ -18,7 +18,6 @@ fn dpopt() -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_dpopt"));
     // Hermetic against CI jobs that arm plans for the whole environment.
     cmd.env_remove("DPOPT_FAULTS");
-    cmd.env_remove("DPOPT_SERVE_FAULTS");
     cmd
 }
 

@@ -103,7 +103,6 @@ impl Compiler {
             transformed_source,
             manifest,
             module,
-            config: self.config,
             cost: self.cost.clone(),
             limits: self.limits,
             dispatch: self.dispatch,
@@ -136,7 +135,6 @@ pub struct Compiled {
     transformed_source: String,
     manifest: TransformManifest,
     module: Module,
-    config: OptConfig,
     cost: CostModel,
     limits: ExecLimits,
     dispatch: DispatchMode,
@@ -162,11 +160,6 @@ impl Compiled {
     /// The compiled bytecode module.
     pub fn module(&self) -> &Module {
         &self.module
-    }
-
-    /// The optimization configuration used.
-    pub fn opt_config(&self) -> &OptConfig {
-        &self.config
     }
 
     /// Creates a fresh executor (simulated GPU) for this program,

@@ -12,8 +12,7 @@
 //!
 //! Plans are built programmatically (`ServeOptions::faults`) by
 //! in-process tests, or parsed from the `DPOPT_FAULTS` environment
-//! variable (with `DPOPT_SERVE_FAULTS` kept as an alias for the
-//! daemon-era spelling) for out-of-process smoke runs:
+//! variable for out-of-process smoke runs:
 //!
 //! ```text
 //! DPOPT_FAULTS="delay-ms500@exec:sweep-cell;bit-flip@fs-read:sweep-cache"
@@ -165,15 +164,12 @@ impl FaultPlan {
         })
     }
 
-    /// The plan armed by `DPOPT_FAULTS`, falling back to the
-    /// `DPOPT_SERVE_FAULTS` alias (empty when both are unset).
+    /// The plan armed by `DPOPT_FAULTS` (empty when it is unset).
     pub fn from_env() -> Result<FaultPlan, String> {
-        for var in ["DPOPT_FAULTS", "DPOPT_SERVE_FAULTS"] {
-            if let Ok(spec) = std::env::var(var) {
-                return FaultPlan::parse(&spec).map_err(|e| format!("{var}: {e}"));
-            }
+        match std::env::var("DPOPT_FAULTS") {
+            Ok(spec) => FaultPlan::parse(&spec).map_err(|e| format!("DPOPT_FAULTS: {e}")),
+            Err(_) => Ok(FaultPlan::default()),
         }
-        Ok(FaultPlan::default())
     }
 
     /// Consumes and returns one matching armed fault at `point` for `op`,

@@ -173,14 +173,6 @@ impl BinOp {
             BinOp::Shr => ">>",
         }
     }
-
-    /// Whether the operator produces a boolean result.
-    pub fn is_comparison(&self) -> bool {
-        matches!(
-            self,
-            BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::Eq | BinOp::Ne
-        )
-    }
 }
 
 impl fmt::Display for BinOp {

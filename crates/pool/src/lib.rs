@@ -42,10 +42,9 @@
 //!    [`Pool::shared`] — never `std::thread::spawn`/`std::thread::scope`
 //!    (grep-enforced by `crates/pool/tests/no_raw_threads.rs`).
 //! 3. Pick the [`JobClass`] deliberately: `Interactive` only for work a
-//!    human or a remote daemon is blocked on; everything else is `Bulk`
-//!    (the class-less entry points default to it). If a bulk loop
-//!    iteration can run long, call [`checkpoint`] at iteration
-//!    boundaries.
+//!    human or a remote daemon is blocked on; everything else is `Bulk`.
+//!    If a bulk loop iteration can run long, call [`checkpoint`] at
+//!    iteration boundaries.
 //! 4. Have the *caller* participate (run one worker loop itself) and size
 //!    helper submissions from [`Pool::available_workers`] — spawns are
 //!    claim-gated anyway, so a busy pool means graceful degradation to

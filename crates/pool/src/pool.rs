@@ -25,7 +25,7 @@
 //! Three properties keep the substrate safe to share:
 //!
 //! - **Panic survival.** A panicking job is caught on the worker; the
-//!   thread lives on to serve the next job, and [`Pool::run`]/[`Scope`]
+//!   thread lives on to serve the next job, and [`Pool::run_as`]/[`Scope`]
 //!   surface the payload to the submitter.
 //! - **Nested submission degrades inline.** Work submitted *from* a pool
 //!   worker (any pool) runs inline on that worker instead of queueing —
@@ -63,8 +63,6 @@ static YIELDS: Counter = Counter::new("pool.yields");
 /// pool before touching any [`Bulk`](JobClass::Bulk) queue, so interactive
 /// work is never queued behind bulk backlog — at worst it waits for one
 /// in-flight job per worker (and [`checkpoint`] shortens even that).
-/// The class-less entry points ([`Pool::submit`], [`Pool::run`],
-/// [`Pool::run_now`], [`Scope::spawn`]) default to `Bulk`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JobClass {
     /// Latency-sensitive work: served requests, fleet drivers. Dequeued
@@ -132,7 +130,7 @@ pub fn is_worker_thread() -> bool {
 ///
 /// A panic in the yielded job is caught here: it cannot unwind into the
 /// host bulk job (the yielded job's own submitter still observes the
-/// payload through its `run`/`run_now` result channel).
+/// payload through its `run_as`/`run_now_as` result channel).
 pub fn checkpoint() -> bool {
     WORKER_CTX.with(|slot| {
         let borrow = slot.borrow();
@@ -176,7 +174,7 @@ impl Slot {
 struct Shared {
     slots: Vec<Slot>,
     /// Jobs pushed but not yet popped, per class — the source of truth for
-    /// [`Pool::queue_depth`] and the cheap "anything interactive waiting?"
+    /// [`Pool::stats`] and the cheap "anything interactive waiting?"
     /// probe in [`checkpoint`]. Incremented *before* the slot insert and
     /// decremented *after* the slot removal, so a non-zero count is always
     /// visible by the time a job is findable (workers may transiently
@@ -329,8 +327,7 @@ pub struct PoolStats {
 }
 
 impl PoolStats {
-    /// Total queued jobs across classes — the value [`Pool::queue_depth`]
-    /// reports.
+    /// Total queued jobs across classes.
     pub fn queued_total(&self) -> usize {
         self.queued_interactive + self.queued_bulk
     }
@@ -440,14 +437,6 @@ impl Pool {
         );
     }
 
-    /// Total jobs pushed but not yet popped, across *both* classes — a
-    /// racy snapshot, exposed so layers above (serve admission control,
-    /// stats) can observe backlog without owning the pool's internals.
-    /// Per-class depths live in [`Pool::stats`].
-    pub fn queue_depth(&self) -> usize {
-        self.shared.total_queued()
-    }
-
     /// Worker count. The shared pool's count is the resolved job count
     /// minus one (the submitting thread is the remaining worker), so it
     /// can legitimately be zero.
@@ -492,12 +481,6 @@ impl Pool {
         }
     }
 
-    /// Enqueues a fire-and-forget [`JobClass::Bulk`] job — see
-    /// [`Pool::submit_as`].
-    pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
-        self.submit_as(JobClass::Bulk, job);
-    }
-
     /// Enqueues a fire-and-forget job under `class`. Runs the job inline
     /// when the pool has no workers or the caller *is* a pool worker
     /// (nested submission must not queue behind itself).
@@ -507,15 +490,6 @@ impl Pool {
             return;
         }
         self.enqueue(class, Box::new(job));
-    }
-
-    /// Runs `f` as a [`JobClass::Bulk`] job and blocks for its result —
-    /// see [`Pool::run_as`].
-    pub fn run<T: Send + 'static>(
-        &self,
-        f: impl FnOnce() -> T + Send + 'static,
-    ) -> std::thread::Result<T> {
-        self.run_as(JobClass::Bulk, f)
     }
 
     /// Runs `f` on a pool worker under `class` and blocks for its result —
@@ -540,14 +514,6 @@ impl Pool {
             }),
         );
         rx.recv().expect("pool worker delivered a result")
-    }
-
-    /// Claim-gated [`JobClass::Bulk`] variant of [`Pool::run_now_as`].
-    pub fn run_now<T: Send + 'static>(
-        &self,
-        f: impl FnOnce() -> T + Send + 'static,
-    ) -> std::thread::Result<T> {
-        self.run_now_as(JobClass::Bulk, f)
     }
 
     /// Like [`Pool::run_as`], but never queues behind busy workers: the
@@ -684,12 +650,6 @@ pub struct Scope<'scope, 'env: 'scope> {
 }
 
 impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawns a borrowing [`JobClass::Bulk`] job — see
-    /// [`Scope::spawn_as`].
-    pub fn spawn(&'scope self, job: impl FnOnce() + Send + 'env) {
-        self.spawn_as(JobClass::Bulk, job);
-    }
-
     /// Submits a job under `class` that may borrow `'env` data. Runs
     /// inline immediately when the pool has no workers, the caller is a
     /// pool worker, or no idle worker can be claimed
@@ -738,7 +698,9 @@ mod tests {
     fn runs_jobs_and_returns_results() {
         let pool = Pool::new(3);
         assert_eq!(pool.threads(), 3);
-        let results: Vec<i64> = (0..16).map(|i| pool.run(move || i * 2).unwrap()).collect();
+        let results: Vec<i64> = (0..16)
+            .map(|i| pool.run_as(JobClass::Bulk, move || i * 2).unwrap())
+            .collect();
         assert_eq!(results, (0..16).map(|i| i * 2).collect::<Vec<_>>());
     }
 
@@ -748,7 +710,7 @@ mod tests {
         let counter = Arc::new(AtomicUsize::new(0));
         for _ in 0..32 {
             let counter = Arc::clone(&counter);
-            pool.submit(move || {
+            pool.submit_as(JobClass::Bulk, move || {
                 counter.fetch_add(1, Ordering::SeqCst);
             });
         }
@@ -759,10 +721,10 @@ mod tests {
     #[test]
     fn panicking_job_does_not_kill_the_worker() {
         let pool = Pool::new(1);
-        let r = pool.run(|| panic!("job exploded"));
+        let r = pool.run_as(JobClass::Bulk, || panic!("job exploded"));
         assert!(r.is_err());
         // The single worker survived and serves the next job.
-        assert_eq!(pool.run(|| 41 + 1).unwrap(), 42);
+        assert_eq!(pool.run_as(JobClass::Bulk, || 41 + 1).unwrap(), 42);
     }
 
     #[test]
@@ -777,7 +739,7 @@ mod tests {
         pool.scope(|scope| {
             for (i, slot) in partial.iter().enumerate() {
                 let data = &data;
-                scope.spawn(move || {
+                scope.spawn_as(JobClass::Bulk, move || {
                     let sum: u64 = data.iter().skip(i).step_by(3).sum();
                     slot.store(sum as usize, Ordering::SeqCst);
                 });
@@ -793,8 +755,8 @@ mod tests {
         let finished = AtomicUsize::new(0);
         let result = catch_unwind(AssertUnwindSafe(|| {
             pool.scope(|scope| {
-                scope.spawn(|| panic!("scoped job exploded"));
-                scope.spawn(|| {
+                scope.spawn_as(JobClass::Bulk, || panic!("scoped job exploded"));
+                scope.spawn_as(JobClass::Bulk, || {
                     finished.fetch_add(1, Ordering::SeqCst);
                 });
             })
@@ -802,7 +764,7 @@ mod tests {
         assert!(result.is_err());
         // The sibling job was not abandoned, and the workers survive.
         assert_eq!(finished.load(Ordering::SeqCst), 1);
-        assert_eq!(pool.run(|| 7).unwrap(), 7);
+        assert_eq!(pool.run_as(JobClass::Bulk, || 7).unwrap(), 7);
     }
 
     #[test]
@@ -813,8 +775,8 @@ mod tests {
         let finished = AtomicUsize::new(0);
         let result = catch_unwind(AssertUnwindSafe(|| {
             pool.scope(|scope| {
-                scope.spawn(|| panic!("inline job exploded"));
-                scope.spawn(|| {
+                scope.spawn_as(JobClass::Bulk, || panic!("inline job exploded"));
+                scope.spawn_as(JobClass::Bulk, || {
                     finished.fetch_add(1, Ordering::SeqCst);
                 });
             })
@@ -834,12 +796,12 @@ mod tests {
         // A pool job that itself opens a scope on the same single-worker
         // pool: without inline degradation this queues behind itself and
         // hangs forever.
-        let r = pool.run(|| {
+        let r = pool.run_as(JobClass::Bulk, || {
             assert!(is_worker_thread());
             let mut acc = 0usize;
             Pool::shared().scope(|scope| {
                 let acc = &mut acc;
-                scope.spawn(move || *acc += 1);
+                scope.spawn_as(JobClass::Bulk, move || *acc += 1);
             });
             acc
         });
@@ -850,11 +812,11 @@ mod tests {
     fn zero_worker_run_is_inline() {
         let pool = Pool::build(0, None);
         assert_eq!(pool.threads(), 0);
-        assert_eq!(pool.run(|| 5).unwrap(), 5);
+        assert_eq!(pool.run_as(JobClass::Bulk, || 5).unwrap(), 5);
         let mut hits = 0;
         pool.scope(|scope| {
             let hits = &mut hits;
-            scope.spawn(move || *hits += 1);
+            scope.spawn_as(JobClass::Bulk, move || *hits += 1);
         });
         assert_eq!(hits, 1);
     }
@@ -864,7 +826,7 @@ mod tests {
         let pool = Pool::new(1);
         let (block_tx, block_rx) = sync_channel::<()>(0);
         let (entered_tx, entered_rx) = sync_channel::<()>(0);
-        pool.submit(move || {
+        pool.submit_as(JobClass::Bulk, move || {
             entered_tx.send(()).unwrap();
             block_rx.recv().unwrap();
         });
@@ -875,7 +837,7 @@ mod tests {
         // observable synchronously, before the worker is unblocked.
         let ran = TestBool::new(false);
         pool.scope(|scope| {
-            scope.spawn(|| ran.store(true, Ordering::SeqCst));
+            scope.spawn_as(JobClass::Bulk, || ran.store(true, Ordering::SeqCst));
             assert!(
                 ran.load(Ordering::SeqCst),
                 "spawn must degrade inline while the worker is busy"
@@ -889,23 +851,23 @@ mod tests {
         let pool = Pool::new(1);
         let (block_tx, block_rx) = sync_channel::<()>(0);
         let (entered_tx, entered_rx) = sync_channel::<()>(0);
-        pool.submit(move || {
+        pool.submit_as(JobClass::Bulk, move || {
             entered_tx.send(()).unwrap();
             block_rx.recv().unwrap();
         });
         entered_rx.recv().unwrap();
-        // `run` would block here until the worker frees; `run_now` must
+        // `run_as` would block here until the worker frees; `run_now_as` must
         // execute on the calling thread immediately.
-        assert_eq!(pool.run_now(|| 11).unwrap(), 11);
+        assert_eq!(pool.run_now_as(JobClass::Bulk, || 11).unwrap(), 11);
         block_tx.send(()).unwrap();
-        // With the worker idle again, run_now claims and uses it.
+        // With the worker idle again, run_now_as claims and uses it.
         for _ in 0..100 {
             if pool.available_workers() == 1 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(2));
         }
-        assert_eq!(pool.run_now(|| 13).unwrap(), 13);
+        assert_eq!(pool.run_now_as(JobClass::Bulk, || 13).unwrap(), 13);
     }
 
     #[test]
@@ -913,25 +875,29 @@ mod tests {
         let pool = Pool::new(1);
         let (block_tx, block_rx) = sync_channel::<()>(0);
         let (entered_tx, entered_rx) = sync_channel::<()>(0);
-        pool.submit(move || {
+        pool.submit_as(JobClass::Bulk, move || {
             entered_tx.send(()).unwrap();
             block_rx.recv().unwrap();
         });
         entered_rx.recv().unwrap();
-        assert_eq!(pool.queue_depth(), 0, "the running job is not queued");
+        assert_eq!(
+            pool.stats().queued_total(),
+            0,
+            "the running job is not queued"
+        );
         // Three jobs behind a blocked single worker: all three sit queued.
         for _ in 0..3 {
-            pool.submit(|| {});
+            pool.submit_as(JobClass::Bulk, || {});
         }
-        assert_eq!(pool.queue_depth(), 3);
+        assert_eq!(pool.stats().queued_total(), 3);
         block_tx.send(()).unwrap();
         for _ in 0..200 {
-            if pool.queue_depth() == 0 {
+            if pool.stats().queued_total() == 0 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(2));
         }
-        assert_eq!(pool.queue_depth(), 0, "drained backlog reads zero");
+        assert_eq!(pool.stats().queued_total(), 0, "drained backlog reads zero");
     }
 
     #[test]
@@ -947,7 +913,7 @@ mod tests {
         assert_eq!(pool.idle_workers(), 2);
         let (block_tx, block_rx) = sync_channel::<()>(0);
         let (entered_tx, entered_rx) = sync_channel::<()>(0);
-        pool.submit(move || {
+        pool.submit_as(JobClass::Bulk, move || {
             entered_tx.send(()).unwrap();
             block_rx.recv().unwrap();
         });
@@ -961,7 +927,7 @@ mod tests {
         let pool = Pool::new(1);
         let (block_tx, block_rx) = sync_channel::<()>(0);
         let (entered_tx, entered_rx) = sync_channel::<()>(0);
-        pool.submit(move || {
+        pool.submit_as(JobClass::Bulk, move || {
             entered_tx.send(()).unwrap();
             block_rx.recv().unwrap();
         });
@@ -1004,7 +970,7 @@ mod tests {
         assert_eq!(stats.queued_total(), 0);
         let (block_tx, block_rx) = sync_channel::<()>(0);
         let (entered_tx, entered_rx) = sync_channel::<()>(0);
-        pool.submit(move || {
+        pool.submit_as(JobClass::Bulk, move || {
             entered_tx.send(()).unwrap();
             block_rx.recv().unwrap();
         });
@@ -1016,7 +982,6 @@ mod tests {
         assert_eq!(stats.queued_bulk, 2);
         assert_eq!(stats.queued_interactive, 1);
         assert_eq!(stats.queued_total(), 3);
-        assert_eq!(stats.queued_total(), pool.queue_depth());
         block_tx.send(()).unwrap();
     }
 

@@ -1,4 +1,4 @@
-//! `Pool::queue_depth()` under contention: concurrent submitters against
+//! `Pool::stats().queued_total()` under contention: concurrent submitters against
 //! a saturated pool. The reported depth is a racy snapshot by contract,
 //! so the assertions bracket the true queue length instead of pinning it:
 //! it never exceeds what was submitted, it reaches the full backlog while
@@ -21,7 +21,7 @@ fn saturate(pool: &Pool) -> std::sync::mpsc::SyncSender<()> {
     for _ in 0..workers {
         let entered_tx = entered_tx.clone();
         let release_rx = Arc::clone(&release_rx);
-        pool.submit(move || {
+        pool.submit_as(JobClass::Bulk, move || {
             entered_tx.send(()).unwrap();
             let guard = release_rx.lock().unwrap();
             // A closed channel (sender dropped) releases too.
@@ -36,13 +36,13 @@ fn saturate(pool: &Pool) -> std::sync::mpsc::SyncSender<()> {
 
 fn wait_for_drain(pool: &Pool, jobs_done: &AtomicUsize, expect: usize) {
     let deadline = Instant::now() + Duration::from_secs(20);
-    while jobs_done.load(Ordering::SeqCst) < expect || pool.queue_depth() > 0 {
+    while jobs_done.load(Ordering::SeqCst) < expect || pool.stats().queued_total() > 0 {
         assert!(
             Instant::now() < deadline,
             "pool failed to drain: {}/{} jobs done, depth {}",
             jobs_done.load(Ordering::SeqCst),
             expect,
-            pool.queue_depth()
+            pool.stats().queued_total()
         );
         std::thread::sleep(Duration::from_millis(2));
     }
@@ -56,7 +56,11 @@ fn queue_depth_brackets_backlog_under_concurrent_submitters() {
 
     let pool = Arc::new(Pool::new(2));
     let release = saturate(&pool);
-    assert_eq!(pool.queue_depth(), 0, "running jobs are not queued");
+    assert_eq!(
+        pool.stats().queued_total(),
+        0,
+        "running jobs are not queued"
+    );
 
     let jobs_done = Arc::new(AtomicUsize::new(0));
     let max_seen = Arc::new(AtomicUsize::new(0));
@@ -71,10 +75,10 @@ fn queue_depth_brackets_backlog_under_concurrent_submitters() {
             s.spawn(move || {
                 for _ in 0..JOBS_EACH {
                     let jobs_done = Arc::clone(&jobs_done);
-                    pool.submit(move || {
+                    pool.submit_as(JobClass::Bulk, move || {
                         jobs_done.fetch_add(1, Ordering::SeqCst);
                     });
-                    let depth = pool.queue_depth();
+                    let depth = pool.stats().queued_total();
                     assert!(depth <= TOTAL, "depth {depth} exceeds submitted {TOTAL}");
                     max_seen.fetch_max(depth, Ordering::SeqCst);
                 }
@@ -84,7 +88,7 @@ fn queue_depth_brackets_backlog_under_concurrent_submitters() {
 
     // Workers are still parked, so at quiescence the snapshot is exact:
     // every submitted job is sitting in the queue.
-    assert_eq!(pool.queue_depth(), TOTAL);
+    assert_eq!(pool.stats().queued_total(), TOTAL);
     assert!(
         max_seen.load(Ordering::SeqCst) > 0,
         "submitters racing a saturated pool must observe a backlog"
@@ -95,7 +99,7 @@ fn queue_depth_brackets_backlog_under_concurrent_submitters() {
     drop(release);
     wait_for_drain(&pool, &jobs_done, TOTAL);
     assert_eq!(jobs_done.load(Ordering::SeqCst), TOTAL);
-    assert_eq!(pool.queue_depth(), 0);
+    assert_eq!(pool.stats().queued_total(), 0);
 }
 
 #[test]
@@ -116,12 +120,11 @@ fn queue_depth_is_the_total_across_classes() {
         });
     }
     // At quiescence (workers parked) the per-class depths are exact and
-    // `queue_depth` is their sum — the backward-compatible total.
+    // the total is their sum.
     let stats = pool.stats();
     assert_eq!(stats.queued_bulk, 3);
     assert_eq!(stats.queued_interactive, 2);
     assert_eq!(stats.queued_total(), 5);
-    assert_eq!(pool.queue_depth(), 5);
     drop(release);
     wait_for_drain(&pool, &jobs_done, 5);
     let stats = pool.stats();
@@ -136,13 +139,17 @@ fn queue_depth_is_zero_across_repeated_saturation_cycles() {
         let jobs_done = Arc::new(AtomicUsize::new(0));
         for _ in 0..10 {
             let jobs_done = Arc::clone(&jobs_done);
-            pool.submit(move || {
+            pool.submit_as(JobClass::Bulk, move || {
                 jobs_done.fetch_add(1, Ordering::SeqCst);
             });
         }
-        assert_eq!(pool.queue_depth(), 10);
+        assert_eq!(pool.stats().queued_total(), 10);
         drop(release);
         wait_for_drain(&pool, &jobs_done, 10);
-        assert_eq!(pool.queue_depth(), 0, "each cycle must end fully drained");
+        assert_eq!(
+            pool.stats().queued_total(),
+            0,
+            "each cycle must end fully drained"
+        );
     }
 }

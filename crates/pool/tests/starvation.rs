@@ -8,7 +8,7 @@
 //! - A bulk-saturated pool still completes an interactive job promptly:
 //!   interactive work overtakes any amount of bulk backlog because every
 //!   worker scans all interactive queues before any bulk queue.
-//! - `run_now` latency is bounded under bulk saturation: the claim gate
+//! - `run_now_as` latency is bounded under bulk saturation: the claim gate
 //!   degrades it inline rather than parking it behind the backlog.
 //! - A single free worker drains slots it does not own (work stealing),
 //!   so parked or busy workers never strand queued jobs.
@@ -28,7 +28,7 @@ fn park_workers(pool: &Pool, count: usize) -> std::sync::mpsc::SyncSender<()> {
     for _ in 0..count {
         let entered_tx = entered_tx.clone();
         let release_rx = Arc::clone(&release_rx);
-        pool.submit(move || {
+        pool.submit_as(JobClass::Bulk, move || {
             entered_tx.send(()).unwrap();
             let guard = release_rx.lock().unwrap();
             let _ = guard.recv();
@@ -117,7 +117,7 @@ fn interactive_overtakes_bulk_backlog_multi_worker() {
     }
 }
 
-/// Claim-gated `run_now` under full bulk saturation must not wait for the
+/// Claim-gated `run_now_as` under full bulk saturation must not wait for the
 /// backlog: the claim fails and the job runs inline, so its latency is
 /// bounded by the job body, not the queue. Covers pool sizes 1, 2, 4 (the
 /// matrix worker counts).
@@ -142,7 +142,7 @@ fn run_now_is_bounded_under_bulk_saturation() {
         // distinguishes it from draining 50ms+ of backlog first.
         assert!(
             latency < Duration::from_secs(5),
-            "{workers} workers: run_now took {latency:?} under saturation"
+            "{workers} workers: run_now_as took {latency:?} under saturation"
         );
         drop(release);
     }

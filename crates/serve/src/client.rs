@@ -1,6 +1,6 @@
 //! The client side: one connection, NDJSON round-trips, connect/read
 //! timeouts with deterministic retry backoff, and the helpers behind
-//! `dpopt --remote` (remote transform, remote sweep).
+//! `dpopt --remote` (remote transform; remote sweeps are `dp-shard`'s).
 //!
 //! Two tiers: [`Client`] is one raw connection — connect (optionally with
 //! [`ClientOptions`] timeouts and a bounded, seeded-jitter retry loop),
@@ -16,10 +16,6 @@
 use crate::proto::{self, Endpoint, Stream};
 use dp_core::OptConfig;
 use dp_sweep::json::Json;
-use dp_sweep::{
-    cache as sweep_cache, CacheStats, CellSummary, DatasetSpec, SeriesResult, SweepResult,
-    SweepSpec,
-};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::io::BufReader;
@@ -382,94 +378,9 @@ pub fn remote_transform(
     Ok((transformed, diagnostics))
 }
 
-/// Runs a whole sweep remotely, one `sweep-cell` request per cell over a
-/// single connection, merging in spec order with the same cross-variant
-/// verification the local engine performs. Timing/cost models must be the
-/// defaults (the protocol has no knobs for them — see `proto`).
-pub fn remote_sweep(endpoint: &Endpoint, spec: &SweepSpec) -> Result<SweepResult, String> {
-    use dp_sweep::key::{canonical_cost, canonical_timing};
-    // Resilient: a dropped connection mid-sweep reconnects and re-sends
-    // the current cell — sound because sweep cells are deterministic and
-    // the server's compiled cache makes the replay cheap.
-    let mut client = ResilientClient::new(endpoint, ClientOptions::default());
-    let mut series_results = Vec::new();
-    for series in &spec.series {
-        let DatasetSpec::Table { id, scale, seed } = &series.dataset else {
-            return Err("remote sweeps support Table datasets only".to_string());
-        };
-        // The protocol carries no timing/cost models; silently running a
-        // recalibrated spec under the defaults would return wrong numbers.
-        if canonical_timing(&series.timing) != canonical_timing(&dp_core::TimingParams::default())
-            || canonical_cost(&series.cost)
-                != canonical_cost(&dp_vm::bytecode::CostModel::default())
-        {
-            return Err(format!(
-                "remote sweeps require default timing/cost models ({}/{} overrides them)",
-                series.benchmark,
-                id.name()
-            ));
-        }
-        let mut cells: Vec<CellSummary> = Vec::new();
-        for vspec in &series.variants {
-            let request = proto::sweep_cell_request(
-                &series.benchmark,
-                id.name(),
-                *scale,
-                *seed,
-                &vspec.label,
-                &vspec.variant,
-            );
-            let response = client.request(&request)?;
-            let mut summary = sweep_cache::summary_from_json(&response).ok_or_else(|| {
-                format!(
-                    "malformed sweep-cell response for {}/{} [{}]",
-                    series.benchmark,
-                    id.name(),
-                    vspec.label
-                )
-            })?;
-            summary.label = vspec.label.clone();
-            // The server executed it (its compiled-program cache is not
-            // this sweep's result cache): report it as computed.
-            summary.from_cache = false;
-            cells.push(summary);
-        }
-        if let Some(reference) = cells.first().map(|c| c.output()) {
-            for cell in &mut cells {
-                cell.verified = cell.output().approx_eq(&reference, 1e-6);
-            }
-        }
-        series_results.push(SeriesResult {
-            benchmark: series.benchmark.clone(),
-            dataset_name: series.dataset.name(),
-            dataset_description: None,
-            cells,
-        });
-    }
-    Ok(SweepResult {
-        series: series_results,
-        cache: CacheStats::default(),
-        jobs: 1,
-    })
-}
-
 /// Forwards raw NDJSON request lines and hands each response line to
 /// `sink` — the one entry point behind `dpopt client FILE` and the CI
-/// smoke scripts. Authenticates first from `DPOPT_SERVE_TOKEN` when set.
-pub fn forward_lines(
-    endpoint: &Endpoint,
-    lines: impl Iterator<Item = String>,
-    sink: impl FnMut(&str),
-) -> Result<(), String> {
-    forward_lines_auth(
-        endpoint,
-        std::env::var("DPOPT_SERVE_TOKEN").ok().as_deref(),
-        lines,
-        sink,
-    )
-}
-
-/// [`forward_lines`] with an explicit token (`dpopt client --token`). The
+/// smoke scripts. With a token (`dpopt client --token`), the
 /// `hello` handshake happens before the first line is forwarded and its
 /// response never reaches `sink`, so forwarded output is unchanged by
 /// authentication.

@@ -16,11 +16,10 @@
 //!   bounded, with single-flight deduplication so N concurrent identical
 //!   compiles perform one compile and share the
 //!   [`dp_core::SharedCompiled`].
-//! - **The shared persistent worker pool** ([`dp_pool::Pool::shared`],
-//!   re-exported as [`pool`]): execution is scheduled onto the same
-//!   process-lifetime pool the sweep engine uses, so server-level
-//!   concurrency and sweeps coexist in one process under one `DPOPT_JOBS`
-//!   budget.
+//! - **The shared persistent worker pool** ([`dp_pool::Pool::shared`]):
+//!   execution is scheduled onto the same process-lifetime pool the sweep
+//!   engine uses, so server-level concurrency and sweeps coexist in one
+//!   process under one `DPOPT_JOBS` budget.
 //!   `--jobs` caps how many requests this server runs concurrently.
 //! - **Deterministic responses** ([`server`]): for every op except
 //!   `stats`, response bytes are a pure function of request bytes — cold
@@ -38,8 +37,9 @@
 //!   bounded, deterministically-jittered retry loop
 //!   ([`client::ResilientClient`]) behind the `--remote` helpers — sound
 //!   to re-send because the ops are deterministic.
-//! - **Fault injection** ([`faults`]): a test-only [`FaultPlan`]
-//!   (`DPOPT_SERVE_FAULTS`) arms torn writes, disconnects, delays, and
+//! - **Fault injection** ([`dp_faults`]): a test-only
+//!   [`dp_faults::FaultPlan`] ([`ServeOptions::faults`], or `DPOPT_FAULTS`
+//!   for out-of-process runs) arms torn writes, disconnects, delays, and
 //!   panics at named points in the request path; the `faults.rs` suite
 //!   proves the daemon stays serviceable through each.
 //!
@@ -63,18 +63,10 @@
 
 pub mod cache;
 pub mod client;
-pub mod faults;
 pub mod proto;
 pub mod server;
 
-// The worker pool was promoted to the shared `dp-pool` crate (every
-// parallel layer draws from it now); these re-exports keep historical
-// `dp_serve::pool::…`/`dp_serve::Pool` paths working.
-pub use dp_pool::pool;
-
 pub use cache::{CompiledCache, CompiledCacheStats};
 pub use client::{Client, ClientOptions, RequestError, ResilientClient};
-pub use dp_pool::Pool;
-pub use faults::{FaultKind, FaultPlan, FaultPoint};
 pub use proto::{parse_endpoint_list, Endpoint};
 pub use server::{ServeOptions, Server};

@@ -51,12 +51,12 @@
 //! is never dropped.
 
 use crate::cache::CompiledCache;
-use crate::faults::{FaultKind, FaultPlan, FaultPoint};
 use crate::proto::{
     self, Arg, BufferData, Endpoint, ExecuteRequest, LineRead, ParsedRequest, Request, Stream,
     SweepCellRequest, MAX_EXECUTE_WORDS,
 };
 use dp_core::{Compiler, OptConfig, SharedCompiled, TimingParams};
+use dp_faults::{FaultKind, FaultPlan, FaultPoint};
 use dp_obs::metrics::{Counter, Histogram};
 use dp_pool::Pool;
 use dp_sweep::json::{self, object, Json};
@@ -346,7 +346,7 @@ impl State {
     /// Schedules CPU-heavy work onto the shared pool, bounded by the
     /// `--jobs` cap: at most `jobs_cap` requests execute at once no matter
     /// how many sessions are connected or how large the shared pool is.
-    /// `run_now` executes on an idle pool worker when one is free and
+    /// `run_now_as` executes on an idle pool worker when one is free and
     /// inline on the calling thread otherwise — the calling thread counts
     /// as an execution vehicle, so a cap of N really means N concurrent
     /// requests even when the shared pool is smaller or busy. `Err(())`
@@ -533,6 +533,16 @@ impl Session {
         while *pending > 0 {
             pending = self.idle.wait(pending).unwrap();
         }
+    }
+}
+
+/// One live session's count in [`State::sessions`], given back on drop so
+/// that a session thread that panics frees its `--max-connections` slot.
+struct SessionCount(Arc<State>);
+
+impl Drop for SessionCount {
+    fn drop(&mut self) {
+        self.0.sessions.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -742,8 +752,8 @@ fn spawn_session(state: Arc<State>, stream: Stream, endpoint: &Endpoint) {
     std::thread::Builder::new()
         .name("dp-serve-session".to_string())
         .spawn(move || {
-            let _ = run_session(Arc::clone(&state), stream, &endpoint);
-            state.sessions.fetch_sub(1, Ordering::SeqCst);
+            let _live = SessionCount(Arc::clone(&state));
+            let _ = run_session(state, stream, &endpoint);
         })
         .expect("spawn session thread");
 }

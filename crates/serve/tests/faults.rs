@@ -9,8 +9,9 @@
 //! armed programmatically via [`ServeOptions::faults`] so concurrent tests
 //! never share environment state.
 
+use dp_faults::FaultPlan;
 use dp_serve::proto::{bare_request, Endpoint};
-use dp_serve::{Client, FaultPlan, ServeOptions, Server};
+use dp_serve::{Client, ServeOptions, Server};
 use dp_sweep::json::Json;
 use std::time::{Duration, Instant};
 
@@ -56,6 +57,16 @@ fn with_faults(jobs: usize, plan: &str) -> ServeOptions {
         faults: FaultPlan::parse(plan).expect("fault plan"),
         ..ServeOptions::default()
     }
+}
+
+/// One member of `stats.queue` (`free_slots` or `waiting`).
+fn queue_stat(client: &mut Client, member: &str) -> u64 {
+    let stats = client.request(&bare_request("stats")).expect("stats");
+    stats
+        .get("queue")
+        .and_then(|q| q.get(member))
+        .and_then(Json::as_u64)
+        .expect("stats.queue member")
 }
 
 fn shutdown(endpoint: &Endpoint) {
@@ -263,6 +274,51 @@ fn panicking_request_thread_does_not_wedge_its_session() {
     shutdown(&endpoint);
 }
 
+/// A session thread that panics (here: at `session-read`) still gives its
+/// connection slot back: under `max_connections: 1` the next connection is
+/// admitted and served, and it is the only session `stats` counts.
+#[test]
+fn panicking_session_thread_gives_its_connection_slot_back() {
+    let endpoint = serve_with(ServeOptions {
+        jobs: 1,
+        max_connections: 1,
+        faults: FaultPlan::parse("panic@session-read*1").expect("plan"),
+        ..ServeOptions::default()
+    });
+
+    let mut victim = Client::connect(&endpoint).expect("connect victim");
+    let answer = victim.roundtrip_line(r#"{"op":"stats"}"#);
+    assert!(
+        !matches!(answer, Ok(Some(_))),
+        "the session must die before it answers: {answer:?}"
+    );
+
+    // The dead thread's socket closes before its slot is released: poll.
+    // A refused connection still accepts at the TCP level, so "admitted"
+    // means a request succeeds.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let (mut client, stats) = loop {
+        let admitted = Client::connect(&endpoint).ok().and_then(|mut client| {
+            let stats = client.request(&bare_request("stats")).ok()?;
+            Some((client, stats))
+        });
+        if let Some(admitted) = admitted {
+            break admitted;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the panicked session still holds the only connection slot"
+        );
+        std::thread::yield_now();
+    };
+    assert_eq!(
+        stats.get("sessions").and_then(Json::as_u64),
+        Some(1),
+        "{stats}"
+    );
+    client.request(&bare_request("shutdown")).expect("shutdown");
+}
+
 /// Slow-loris: a client that writes half a request line and stalls must
 /// not block other connections (sessions read independently; only its own
 /// session waits).
@@ -385,7 +441,10 @@ fn saturated_queue_fast_fails_with_bounded_latency() {
                 .expect("round-trip")
                 .expect("answered")
         });
-        std::thread::sleep(Duration::from_millis(150));
+        let mut observer = Client::connect(&endpoint).expect("connect observer");
+        while queue_stat(&mut observer, "free_slots") != 0 {
+            std::thread::yield_now();
+        }
         // Fills the queue (waits behind the holder).
         let queued = scope.spawn(|| {
             let mut client = Client::connect(&endpoint).expect("connect queued");
@@ -394,7 +453,9 @@ fn saturated_queue_fast_fails_with_bounded_latency() {
                 .expect("round-trip")
                 .expect("answered")
         });
-        std::thread::sleep(Duration::from_millis(150));
+        while queue_stat(&mut observer, "waiting") != 1 {
+            std::thread::yield_now();
+        }
         // Over the limit: must fast-fail, not queue.
         let mut client = Client::connect(&endpoint).expect("connect overload");
         let started = Instant::now();

@@ -57,15 +57,6 @@ static CELLS_FAILED: Counter = Counter::new("shard.cells.failed");
 const IN_FLIGHT_WINDOW: usize = 32;
 
 // ----------------------------------------------------------------------
-// Endpoint lists
-// ----------------------------------------------------------------------
-
-// The list grammar moved next to [`Endpoint`] itself (one public type,
-// one parser, shared by every `--remote`/`--connect` call site); this
-// re-export keeps the historical `dp_shard::parse_endpoint_list` path.
-pub use dp_serve::parse_endpoint_list;
-
-// ----------------------------------------------------------------------
 // Rendezvous routing
 // ----------------------------------------------------------------------
 
@@ -83,7 +74,7 @@ pub fn route(key: u64, endpoints: &[Endpoint]) -> usize {
     let mut best = 0usize;
     let mut best_weight = 0u64;
     for (i, endpoint) in endpoints.iter().enumerate() {
-        let weight = cache::fnv1a(format!("{key:016x}|{endpoint}").as_bytes());
+        let weight = dp_sweep::key::fnv1a(format!("{key:016x}|{endpoint}").as_bytes());
         if i == 0 || weight > best_weight {
             best = i;
             best_weight = weight;
@@ -726,18 +717,18 @@ mod tests {
 
     #[test]
     fn endpoint_lists_parse_and_reject_bad_entries() {
-        let list = parse_endpoint_list("127.0.0.1:7477,host:1,unix:/tmp/dp.sock").unwrap();
+        let list = proto::parse_endpoint_list("127.0.0.1:7477,host:1,unix:/tmp/dp.sock").unwrap();
         assert_eq!(list.len(), 3);
         assert_eq!(list[0].to_string(), "127.0.0.1:7477");
         assert_eq!(list[2].to_string(), "unix:/tmp/dp.sock");
 
-        let err = parse_endpoint_list("127.0.0.1:7477,,host:1").unwrap_err();
+        let err = proto::parse_endpoint_list("127.0.0.1:7477,,host:1").unwrap_err();
         assert!(err.contains("empty endpoint"), "{err}");
-        let err = parse_endpoint_list("a:1,b:2,").unwrap_err();
+        let err = proto::parse_endpoint_list("a:1,b:2,").unwrap_err();
         assert!(err.contains("empty endpoint"), "{err}");
-        let err = parse_endpoint_list("a:1,b:2,a:1").unwrap_err();
+        let err = proto::parse_endpoint_list("a:1,b:2,a:1").unwrap_err();
         assert!(err.contains("duplicate endpoint `a:1`"), "{err}");
-        let err = parse_endpoint_list("no-port").unwrap_err();
+        let err = proto::parse_endpoint_list("no-port").unwrap_err();
         assert!(err.contains("bad endpoint"), "{err}");
     }
 

@@ -30,14 +30,8 @@
 //! delayed rename) exercise exactly the code paths production crashes hit
 //! — see `crates/cli/tests/chaos.rs` for the process-level proof.
 
-// The key helpers lived here before they were shared with dp-serve; the
-// old `cache::…` paths stay valid via this re-export.
-pub use crate::key::{
-    canonical_config, canonical_dataset, canonical_variant, cell_key, compiled_key, digest_input,
-    fnv1a, CACHE_FORMAT_VERSION,
-};
-
 use crate::json::{self, num, object, uint, Json};
+use crate::key::{fnv1a, CACHE_FORMAT_VERSION};
 use crate::CellSummary;
 use dp_obs::metrics::Counter;
 use std::path::{Path, PathBuf};

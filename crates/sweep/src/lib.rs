@@ -372,7 +372,7 @@ pub struct CellRef {
     pub series_idx: usize,
     /// Index into that series' [`SeriesSpec::variants`].
     pub cell_idx: usize,
-    /// The cell's [`cache::cell_key`] — identical to what [`run_sweep`]
+    /// The cell's [`key::cell_key`] — identical to what [`run_sweep`]
     /// probes and stores under.
     pub key: u64,
 }
@@ -397,7 +397,7 @@ pub fn enumerate_cells(spec: &SweepSpec) -> Result<Vec<CellRef>, String> {
                 Variant::NoCdp => bench.no_cdp_source(),
                 Variant::Cdp(_) => bench.cdp_source(),
             };
-            let key = cache::cell_key(
+            let key = key::cell_key(
                 &series.benchmark,
                 source,
                 &vspec.variant,
@@ -470,7 +470,7 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> SweepResult {
                 Variant::NoCdp => benches[series_idx].no_cdp_source(),
                 Variant::Cdp(_) => benches[series_idx].cdp_source(),
             };
-            let key = cache::cell_key(
+            let key = key::cell_key(
                 &series.benchmark,
                 source,
                 &vspec.variant,
@@ -522,7 +522,7 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> SweepResult {
         if !wants_dataset[series_idx] {
             continue;
         }
-        let canon = cache::canonical_dataset(&series.dataset);
+        let canon = key::canonical_dataset(&series.dataset);
         let slot = *seen_datasets.entry(canon).or_insert_with(|| {
             needed.push(series_idx);
             needed.len() - 1
@@ -684,7 +684,7 @@ fn run_cell(
         "{}|{:?}|{}|{:?}",
         bench.name(),
         vspec.variant,
-        cache::canonical_config(&config),
+        key::canonical_config(&config),
         cost
     );
     let compiled: dp_core::SharedCompiled = {

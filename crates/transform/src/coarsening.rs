@@ -15,7 +15,6 @@ use crate::manifest::{CoarsenSiteMeta, Diagnostic, TransformManifest};
 use crate::util::*;
 use dp_frontend::ast::*;
 use dp_frontend::visit::{for_each_stmt, replace_builtin_member};
-use std::collections::HashSet;
 
 /// Name of the compile-time coarsening-factor macro.
 pub const CFACTOR_MACRO: &str = "_CFACTOR";
@@ -224,11 +223,6 @@ fn one_dimensional_grid(grid: &Expr) -> Expr {
         ExprKind::Dim3Ctor(args) => args[0].clone(),
         _ => grid.clone(),
     }
-}
-
-/// Identifier prefixes reserved by this pass (exposed for tests).
-pub fn reserved_prefixes() -> HashSet<&'static str> {
-    ["_c_gDim", "_c_bx", "_c_cgDim"].into_iter().collect()
 }
 
 fn diag(child: &str, message: &str) -> Diagnostic {

@@ -66,14 +66,6 @@ pub enum BufferParam {
     SlotsPerGroup,
 }
 
-impl BufferParam {
-    /// Whether the parameter is a pointer into the buffer pool (as opposed
-    /// to a scalar).
-    pub fn is_buffer(&self) -> bool {
-        !matches!(self, BufferParam::SlotsPerGroup)
-    }
-}
-
 /// Metadata for one aggregated launch site.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AggSiteMeta {

@@ -18,7 +18,6 @@ use crate::manifest::{Diagnostic, ThresholdSiteMeta, TransformManifest};
 use crate::util::*;
 use dp_frontend::ast::*;
 use dp_frontend::visit::{replace_builtin_ident, replace_builtin_member};
-use std::collections::HashSet;
 
 /// Name of the compile-time threshold macro.
 pub const THRESHOLD_MACRO: &str = "_THRESHOLD";
@@ -383,13 +382,6 @@ fn make_device_fn(name: &str, params_src: &str, body: Vec<Stmt>) -> Function {
     };
     f.body = body;
     f
-}
-
-/// Identifiers used by generated serial functions (for collision tests).
-pub fn serial_index_names() -> HashSet<&'static str> {
-    ["_s_bz", "_s_by", "_s_bx", "_s_tz", "_s_ty", "_s_tx"]
-        .into_iter()
-        .collect()
 }
 
 #[cfg(test)]

@@ -41,13 +41,6 @@ pub fn parse_template_stmts(template: &str) -> Vec<Stmt> {
     f.body.drain(..).collect()
 }
 
-/// Parses a single statement from template text.
-pub fn parse_template_stmt(template: &str) -> Stmt {
-    let mut stmts = parse_template_stmts(template);
-    assert_eq!(stmts.len(), 1, "template must be one statement: {template}");
-    stmts.pop().unwrap()
-}
-
 /// Parses one expression from template text.
 pub fn parse_template_expr(template: &str) -> Expr {
     dp_frontend::parser::parse_expr(template)
