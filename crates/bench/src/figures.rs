@@ -40,8 +40,7 @@ fn variant_specs(variants: Vec<(&'static str, Variant)>) -> Vec<VariantSpec> {
         .collect()
 }
 
-/// Speedup of every cell over the cell labelled `baseline` (the summary
-/// analogue of `speedups_over`).
+/// Speedup of every cell over the cell labelled `baseline`.
 fn summary_speedups(cells: &[CellSummary], baseline: &str) -> Vec<(String, f64)> {
     let base = cells
         .iter()
@@ -105,15 +104,7 @@ pub fn table1_format(result: &SweepResult, harness: &Harness) -> String {
     }
     let _ = writeln!(out);
     let _ = writeln!(out, "# dataset substitutions (see DESIGN.md)");
-    for id in [
-        DatasetId::Kron,
-        DatasetId::Cnr,
-        DatasetId::RoadNy,
-        DatasetId::Rand3,
-        DatasetId::Sat5,
-        DatasetId::T0032C16,
-        DatasetId::T2048C64,
-    ] {
+    for id in DatasetId::ALL {
         let _ = writeln!(out, "{:<12} {}", id.name(), id.description());
     }
     out

@@ -39,7 +39,7 @@ pub mod gate;
 
 use dp_core::{AggConfig, AggGranularity, OptConfig, TimingParams};
 use dp_sweep::env_parsed;
-use dp_workloads::benchmarks::{run_variant, BenchInput, Benchmark, Variant, VariantRun};
+use dp_workloads::benchmarks::Variant;
 
 /// Harness-wide configuration (scale, seed, timing model).
 #[derive(Debug, Clone)]
@@ -168,55 +168,6 @@ pub fn fig9_variants(t: Tuned) -> Vec<(&'static str, Variant)> {
     ]
 }
 
-/// One measured cell.
-#[derive(Debug, Clone)]
-pub struct Cell {
-    /// Variant label.
-    pub label: String,
-    /// Simulated end-to-end time (µs).
-    pub time_us: f64,
-    /// Device launches performed.
-    pub device_launches: u64,
-    /// Whether the output matched the No-CDP reference.
-    pub verified: bool,
-    /// The full run (trace etc.).
-    pub run: VariantRun,
-}
-
-/// Runs one benchmark × input across a variant list, verifying every output
-/// against the first variant's output.
-pub fn run_series(
-    bench: &dyn Benchmark,
-    input: &BenchInput,
-    variants: &[(&'static str, Variant)],
-    timing: &TimingParams,
-) -> Vec<Cell> {
-    let mut cells: Vec<Cell> = Vec::new();
-    let mut reference: Option<dp_workloads::BenchOutput> = None;
-    for (label, variant) in variants {
-        let run = match run_variant(bench, *variant, input) {
-            Ok(r) => r,
-            Err(e) => panic!("{} [{label}]: {e}", bench.name()),
-        };
-        let sim = run.report.simulate(timing);
-        let verified = match &reference {
-            Some(r) => run.output.approx_eq(r, 1e-6),
-            None => {
-                reference = Some(run.output.clone());
-                true
-            }
-        };
-        cells.push(Cell {
-            label: label.to_string(),
-            time_us: sim.total_us,
-            device_launches: run.report.stats.device_launches,
-            verified,
-            run,
-        });
-    }
-    cells
-}
-
 /// Per-benchmark dataset scale adjustment: TC's intersection kernel is
 /// quadratic in degree, so its inputs are capped — the paper does the same
 /// ("for TC, we use parts of the graphs ... due to memory constraints",
@@ -236,19 +187,6 @@ pub fn geomean(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
-/// Speedups of each cell over the cell labelled `baseline`.
-pub fn speedups_over(cells: &[Cell], baseline: &str) -> Vec<(String, f64)> {
-    let base = cells
-        .iter()
-        .find(|c| c.label == baseline)
-        .unwrap_or_else(|| panic!("baseline `{baseline}` not in series"))
-        .time_us;
-    cells
-        .iter()
-        .map(|c| (c.label.clone(), base / c.time_us))
-        .collect()
-}
-
 /// Formats a row of a fixed-width table.
 pub fn row(cols: &[String], widths: &[usize]) -> String {
     cols.iter()
@@ -261,8 +199,10 @@ pub fn row(cols: &[String], widths: &[usize]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dp_workloads::benchmarks::bfs::Bfs;
+    use dp_sweep::{DatasetSpec, SeriesSpec, SweepOptions, SweepSpec, VariantSpec};
     use dp_workloads::datasets::graphs::rmat;
+    use dp_workloads::BenchInput;
+    use std::sync::Arc;
 
     #[test]
     fn geomean_basics() {
@@ -290,9 +230,25 @@ mod tests {
 
     #[test]
     fn series_runs_and_verifies_on_tiny_input() {
-        let input = BenchInput::Graph(rmat(6, 4, 5));
-        let variants = fig9_variants(tuned_for("BFS"));
-        let cells = run_series(&Bfs, &input, &variants, &TimingParams::default());
+        let input = Arc::new(BenchInput::Graph(rmat(6, 4, 5)));
+        let variants = fig9_variants(tuned_for("BFS"))
+            .into_iter()
+            .map(|(label, variant)| VariantSpec::new(label, variant))
+            .collect();
+        let spec = SweepSpec {
+            series: vec![SeriesSpec::new(
+                "BFS",
+                DatasetSpec::provided(input, "tiny"),
+                variants,
+            )],
+        };
+        let opts = SweepOptions {
+            jobs: 1,
+            cache: false,
+            cache_dir: None,
+            quiet: true,
+        };
+        let cells = dp_sweep::run_sweep(&spec, &opts).series.remove(0).cells;
         assert_eq!(cells.len(), 9);
         assert!(
             cells.iter().all(|c| c.verified),
@@ -302,7 +258,5 @@ mod tests {
                 .map(|c| (&c.label, c.verified))
                 .collect::<Vec<_>>()
         );
-        let speedups = speedups_over(&cells, "CDP");
-        assert_eq!(speedups.len(), 9);
     }
 }

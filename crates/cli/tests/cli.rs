@@ -271,14 +271,30 @@ fn sweep_gc_prunes_lru_entries() {
 #[test]
 fn sweep_rejects_bad_specs() {
     let spec = std::env::temp_dir().join(format!("dpopt-bad-spec-{}.json", std::process::id()));
-    std::fs::write(&spec, r#"{"benchmarks": ["XXX"], "variants": [{}]}"#).unwrap();
-    let out = dpopt()
-        .args(["sweep", spec.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert!(err.contains("unknown benchmark"), "{err}");
+    for (text, needle) in [
+        (
+            r#"{"benchmarks": ["XXX"], "variants": [{}]}"#,
+            "unknown benchmark",
+        ),
+        // Well-formed, but BFS's driver cannot read Bézier lines: refused
+        // before anything runs, not by a panic inside the first cell.
+        (
+            r#"{"benchmarks":["BFS"],"datasets":["T0032-C16"],"scale":0.01,"variants":[{"no_cdp":true}]}"#,
+            "dataset `T0032-C16` is Bézier lines, but `BFS` reads a graph",
+        ),
+    ] {
+        std::fs::write(&spec, text).unwrap();
+        let out = dpopt()
+            .args(["sweep", spec.to_str().unwrap(), "--no-cache"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{text}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains("bad sweep spec"), "{text}: {err}");
+        assert!(err.contains(needle), "{text}: {err}");
+        assert!(!err.contains("panicked"), "{text}: {err}");
+        assert!(err.lines().count() == 1, "one line, not a dump: {err}");
+    }
     std::fs::remove_file(&spec).ok();
 }
 

@@ -8,8 +8,9 @@
 //! - [`metrics`] — a process-wide registry of lock-free sharded counters
 //!   and fixed-bucket latency histograms. Off by default; when disabled
 //!   every record call is a branch on a static. Enabled by
-//!   `DPOPT_METRICS=1` (via [`metrics::init_from_env`]), programmatically
-//!   by the serve daemon at bind, and by the bench binaries.
+//!   `DPOPT_METRICS=1` (the registry reads it on first use),
+//!   programmatically by the serve daemon at bind, and by the bench
+//!   binaries.
 //! - [`trace`] — span-correlated structured tracing. `DPOPT_TRACE=<path>`
 //!   appends JSONL start/end events; span ids flow across threads via
 //!   [`trace::TraceCtx`] so a serve request's span parents the pool job

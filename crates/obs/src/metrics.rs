@@ -4,9 +4,9 @@
 //! Design constraints (all load-bearing for the serve hot path):
 //!
 //! - **Disabled cost is a branch on a static.** Every record call starts
-//!   with a relaxed load of one `AtomicBool`; until something calls
-//!   [`enable`] (or `DPOPT_METRICS=1` via [`init_from_env`]) that is the
-//!   entire cost.
+//!   with a relaxed load of one atomic; unless `DPOPT_METRICS` is set (read
+//!   once, by the first such call) or something calls [`enable`], that is
+//!   the entire cost.
 //! - **No allocation on the hot path.** Handles are `static` items
 //!   ([`Counter::new`] / [`Histogram::new`] are `const fn`); recording is
 //!   a relaxed `fetch_add` on a pre-sized atomic. The only lock in the
@@ -27,7 +27,7 @@
 //! determinism-contract exemption.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Mutex, Once, OnceLock};
 use std::time::Instant;
 
@@ -35,30 +35,41 @@ use std::time::Instant;
 // Global enable switch
 // ----------------------------------------------------------------------
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// `UNSET` until the first [`enabled`] call has read `DPOPT_METRICS`.
+static STATE: AtomicU8 = AtomicU8::new(UNSET);
+const UNSET: u8 = 0;
+const OFF: u8 = 1;
+const ON: u8 = 2;
 
-/// Whether recording is on. This is the branch every disabled-path record
-/// call reduces to.
+/// Whether recording is on: `DPOPT_METRICS` set to anything but `0` or the
+/// empty string, or [`enable`] called. This is the branch every
+/// disabled-path record call reduces to.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    match STATE.load(Ordering::Relaxed) {
+        UNSET => read_env(),
+        state => state == ON,
+    }
+}
+
+#[cold]
+fn read_env() -> bool {
+    let on = matches!(std::env::var("DPOPT_METRICS"), Ok(v) if !v.is_empty() && v != "0");
+    // Only ever leaves `UNSET`: an `enable` that ran meanwhile stands.
+    let _ = STATE.compare_exchange(
+        UNSET,
+        if on { ON } else { OFF },
+        Ordering::Relaxed,
+        Ordering::Relaxed,
+    );
+    STATE.load(Ordering::Relaxed) == ON
 }
 
 /// Turns recording on for the rest of the process. Idempotent; there is
-/// deliberately no `disable` (half-recorded histograms mislead).
+/// deliberately no `disable` (half-recorded histograms mislead). The
+/// serve daemon and the bench binaries call this unconditionally.
 pub fn enable() {
-    ENABLED.store(true, Ordering::Relaxed);
-}
-
-/// Enables recording if `DPOPT_METRICS` is set to anything but `0` or the
-/// empty string. Front-ends call this once at startup; the serve daemon
-/// and the bench binaries call [`enable`] unconditionally instead.
-pub fn init_from_env() {
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| match std::env::var("DPOPT_METRICS") {
-        Ok(v) if !v.is_empty() && v != "0" => enable(),
-        _ => {}
-    });
+    STATE.store(ON, Ordering::Relaxed);
 }
 
 /// `Some(Instant::now())` when recording is on, `None` otherwise — the

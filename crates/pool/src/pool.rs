@@ -4,10 +4,10 @@
 //! [`Pool::shared`] is the process-lifetime instance every parallel layer
 //! in the workspace schedules onto (sweep generations, shard daemon
 //! drivers, served requests); it owns the whole `DPOPT_JOBS` budget for
-//! the life of the process, so there is nothing left to reserve. Dedicated pools ([`Pool::new`],
-//! [`Pool::with_budget`]) remain available for layers that genuinely need
-//! their own workers — a dedicated pool's threads *also* mark themselves
-//! as pool workers, so nesting detection spans every pool in the process.
+//! the life of the process, so there is nothing left to reserve. A
+//! dedicated pool ([`Pool::new`]) remains available for a layer that
+//! genuinely needs its own workers — its threads *also* mark themselves as
+//! pool workers, so nesting detection spans every pool in the process.
 //!
 //! Scheduling is class-aware. Every submission carries a [`JobClass`]:
 //! [`JobClass::Interactive`] for latency-sensitive work (served requests)
@@ -348,24 +348,6 @@ impl Pool {
     /// parallelism on top of whatever the shared pool is doing.
     pub fn new(threads: usize) -> Self {
         Pool::build(threads.max(1), None)
-    }
-
-    /// A dedicated pool sized from the shared `DPOPT_JOBS` budget: `want`
-    /// workers requested (`0` means the configured job count), granted the
-    /// caller's own thread plus whatever extra tokens
-    /// [`crate::jobs::reserve_up_to`] yields. The reservation is held
-    /// until the pool drops. Note the shared pool takes the entire budget
-    /// at first use, so a dedicated pool created after it sees an
-    /// exhausted budget and gets a single worker.
-    pub fn with_budget(want: usize) -> Self {
-        let want = if want == 0 {
-            crate::jobs::configured_jobs()
-        } else {
-            want
-        };
-        let reservation = crate::jobs::reserve_up_to(want.saturating_sub(1));
-        let threads = reservation.count() + 1;
-        Pool::build(threads, Some(reservation))
     }
 
     /// The process-lifetime shared pool. Lazily initialized on first use;

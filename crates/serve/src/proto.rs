@@ -43,8 +43,7 @@
 
 use dp_core::OptConfig;
 use dp_sweep::json::{self, object, Json};
-use dp_sweep::spec::{config_from_json, dataset_by_name};
-use dp_sweep::DatasetSpec;
+use dp_sweep::spec::{cell_from_json, config_from_json, CellSpec};
 use dp_workloads::benchmarks::Variant;
 use std::io::{BufRead, Read, Write};
 use std::net::TcpStream;
@@ -290,22 +289,6 @@ pub struct ExecuteRequest {
     pub reads: Vec<ReadSpec>,
 }
 
-/// A `sweep-cell` request: one benchmark × dataset × variant cell, using
-/// default timing and cost models (the protocol deliberately has no
-/// timing/cost knobs so the compiled-program cache key — source + config —
-/// fully determines the compilation).
-#[derive(Debug, Clone)]
-pub struct SweepCellRequest {
-    /// Benchmark name ("BFS", "BT", …).
-    pub benchmark: String,
-    /// Table-I dataset.
-    pub dataset: DatasetSpec,
-    /// Display label for the summary.
-    pub label: String,
-    /// What to run.
-    pub variant: Variant,
-}
-
 /// A parsed request body.
 #[derive(Debug, Clone)]
 pub enum Request {
@@ -326,7 +309,7 @@ pub enum Request {
     /// Compile and run one kernel launch.
     Execute(Box<ExecuteRequest>),
     /// Run one sweep cell.
-    SweepCell(Box<SweepCellRequest>),
+    SweepCell(Box<CellSpec>),
     /// Authenticate the session (`--auth-token` servers reject every
     /// other op until a `hello` with the right token succeeds).
     Hello {
@@ -402,7 +385,7 @@ fn parse_body(doc: &Json) -> Result<Request, String> {
             })
         }
         "execute" => parse_execute(doc).map(|r| Request::Execute(Box::new(r))),
-        "sweep-cell" => parse_sweep_cell(doc).map(|r| Request::SweepCell(Box::new(r))),
+        "sweep-cell" => cell_from_json(doc).map(|r| Request::SweepCell(Box::new(r))),
         "hello" => Ok(Request::Hello {
             token: doc
                 .get("token")
@@ -545,52 +528,6 @@ fn parse_execute(doc: &Json) -> Result<ExecuteRequest, String> {
         buffers,
         args,
         reads,
-    })
-}
-
-fn parse_sweep_cell(doc: &Json) -> Result<SweepCellRequest, String> {
-    let benchmark = doc
-        .get("benchmark")
-        .and_then(Json::as_str)
-        .ok_or("`benchmark` must be a string")?
-        .to_string();
-    let d = doc.get("dataset").ok_or("sweep-cell needs a `dataset`")?;
-    let id_name = d
-        .get("id")
-        .and_then(Json::as_str)
-        .ok_or("dataset needs an `id` string")?;
-    let id = dataset_by_name(id_name).ok_or_else(|| format!("unknown dataset `{id_name}`"))?;
-    let scale = d
-        .get("scale")
-        .map(|v| v.as_f64().ok_or("`scale` must be a number"))
-        .transpose()?
-        .unwrap_or(0.05);
-    if !(scale > 0.0 && scale <= 1.0) {
-        return Err(format!("`scale` must be in (0, 1], got {scale}"));
-    }
-    let seed = d
-        .get("seed")
-        .map(|v| v.as_u64().ok_or("`seed` must be a non-negative integer"))
-        .transpose()?
-        .unwrap_or(42);
-    let v = doc.get("variant").ok_or("sweep-cell needs a `variant`")?;
-    let (variant, default_label) = if v.get("no_cdp") == Some(&Json::Bool(true)) {
-        (Variant::NoCdp, "No CDP".to_string())
-    } else {
-        let config = config_from_json(v)?;
-        let label = config.label();
-        (Variant::Cdp(config), label)
-    };
-    let label = v
-        .get("label")
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .unwrap_or(default_label);
-    Ok(SweepCellRequest {
-        benchmark,
-        dataset: DatasetSpec::table(id, scale, seed),
-        label,
-        variant,
     })
 }
 
@@ -908,11 +845,11 @@ mod tests {
             panic!("{:?}", parsed.body)
         };
         assert_eq!(req.benchmark, "BFS");
-        assert_eq!(req.label, "CDP+T");
-        assert!(matches!(req.variant, Variant::Cdp(c) if c.threshold == Some(128)));
+        assert_eq!(req.variant.label, "CDP+T");
+        assert!(matches!(req.variant.variant, Variant::Cdp(c) if c.threshold == Some(128)));
         assert!(matches!(
             req.dataset,
-            DatasetSpec::Table { scale, seed, .. } if scale == 0.002 && seed == 42
+            dp_sweep::DatasetSpec::Table { scale, seed, .. } if scale == 0.002 && seed == 42
         ));
     }
 

@@ -53,15 +53,16 @@
 use crate::cache::CompiledCache;
 use crate::proto::{
     self, Arg, BufferData, Endpoint, ExecuteRequest, LineRead, ParsedRequest, Request, Stream,
-    SweepCellRequest, MAX_EXECUTE_WORDS,
+    MAX_EXECUTE_WORDS,
 };
 use dp_core::{Compiler, OptConfig, SharedCompiled, TimingParams};
 use dp_faults::{FaultKind, FaultPlan, FaultPoint};
 use dp_obs::metrics::{Counter, Histogram};
 use dp_pool::Pool;
 use dp_sweep::json::{self, object, Json};
+use dp_sweep::spec::CellSpec;
 use dp_sweep::{cache as sweep_cache, key};
-use dp_workloads::benchmarks::{all_benchmarks, Variant};
+use dp_workloads::benchmarks::benchmark_by_name;
 use dp_workloads::BenchInput;
 use std::collections::{BTreeMap, HashMap};
 use std::io::BufReader;
@@ -283,13 +284,11 @@ struct State {
     metrics_dump_secs: u64,
     /// Shared secret sessions must present via `hello` (`None` = open).
     auth_token: Option<String>,
-    /// Directory of the on-disk sweep-cell result cache (`None` = off).
-    disk_cache: Option<PathBuf>,
+    /// The on-disk sweep-cell result cache (`None` = off). Once its
+    /// directory is full or read-only, stores stop and reads continue.
+    disk_cache: Option<sweep_cache::ResultCache>,
     /// Disk-cache size budget in bytes (`0` = unbounded).
     disk_cache_budget: u64,
-    /// Latched when the disk cache becomes unusable (disk full /
-    /// read-only): stores stop, reads continue, one warning is logged.
-    disk_cache_broken: AtomicBool,
 }
 
 impl State {
@@ -420,12 +419,7 @@ impl State {
         }
         // Instantiate outside the lock (generation can be slow); a racing
         // session may duplicate the work once, after which the map serves.
-        let input = match spec {
-            dp_sweep::DatasetSpec::Table { id, scale, seed } => {
-                Arc::new(id.instantiate(*scale, *seed))
-            }
-            dp_sweep::DatasetSpec::Provided { input, .. } => Arc::clone(input),
-        };
+        let input = spec.instantiate();
         let mut map = self.datasets.lock().unwrap();
         if map.len() >= 32 {
             map.clear();
@@ -659,9 +653,11 @@ impl Server {
             started: Instant::now(),
             metrics_dump_secs: options.metrics_dump_secs,
             auth_token: options.auth_token.clone(),
-            disk_cache: options.disk_cache.clone(),
+            disk_cache: options
+                .disk_cache
+                .clone()
+                .map(sweep_cache::ResultCache::new),
             disk_cache_budget: options.max_disk_cache_mb * 1024 * 1024,
-            disk_cache_broken: AtomicBool::new(false),
         });
         Ok(Server {
             listener,
@@ -1350,28 +1346,19 @@ fn run_execute(
 /// on the pool, summarized through the sweep engine's single path.
 fn run_sweep_cell(
     state: &Arc<State>,
-    request: SweepCellRequest,
+    request: CellSpec,
     id: Option<&Json>,
     slot: QueueSlot,
     deadline: Option<Instant>,
 ) -> Json {
-    let bench = match all_benchmarks()
-        .into_iter()
-        .find(|b| b.name() == request.benchmark)
-    {
-        Some(b) => b,
-        None => {
-            return proto::error_response(id, &format!("unknown benchmark `{}`", request.benchmark))
-        }
+    let Some(bench) = benchmark_by_name(&request.benchmark) else {
+        return proto::error_response(id, &format!("unknown benchmark `{}`", request.benchmark));
     };
-    let (source, config) = match request.variant {
-        Variant::NoCdp => (bench.no_cdp_source(), OptConfig::none()),
-        Variant::Cdp(config) => (bench.cdp_source(), config),
-    };
+    let (source, config) = request.variant.variant.program(bench.as_ref());
     let cell_key = key::cell_key(
         &request.benchmark,
         source,
-        &request.variant,
+        &request.variant.variant,
         &request.dataset,
         &TimingParams::default(),
         &dp_vm::bytecode::CostModel::default(),
@@ -1379,8 +1366,8 @@ fn run_sweep_cell(
     // Disk-cache probe before compiling: a hit skips the compile and the
     // execution queue entirely. Corrupt entries were already quarantined
     // by `load`, so a hit is always checksum-verified.
-    if let Some(dir) = &state.disk_cache {
-        if let Some(summary) = sweep_cache::load(dir, cell_key) {
+    if let Some(cache) = &state.disk_cache {
+        if let Some(summary) = cache.load(cell_key) {
             DISK_CACHE_HITS.incr();
             return sweep_cell_response(cell_key, &summary, &request, id);
         }
@@ -1392,7 +1379,7 @@ fn run_sweep_cell(
         Err(e) => return proto::error_response(id, &e),
     };
     let input = state.dataset(&request.dataset);
-    let label = request.label.clone();
+    let label = request.variant.label.clone();
     let faults = state.faults.clone();
     let outcome = match state.exec_within(slot, deadline, move || {
         apply_exec_fault(&faults, "sweep-cell");
@@ -1412,24 +1399,10 @@ fn run_sweep_cell(
         Err(payload) => proto::error_response_kind(id, "panic", &panic_message(payload)),
         Ok(Err(e)) => proto::error_response(id, &e),
         Ok(Ok(summary)) => {
-            if let Some(dir) = &state.disk_cache {
-                if !state.disk_cache_broken.load(Ordering::Relaxed) {
-                    match sweep_cache::store(dir, cell_key, &summary) {
-                        sweep_cache::StoreOutcome::Stored => {
-                            DISK_CACHE_STORES.incr();
-                            enforce_disk_cache_budget(state);
-                        }
-                        sweep_cache::StoreOutcome::TransientError => {}
-                        sweep_cache::StoreOutcome::Unavailable => {
-                            if !state.disk_cache_broken.swap(true, Ordering::Relaxed) {
-                                dp_obs::diag!(
-                                    "[dp-serve] disk cache {} unavailable (disk full or \
-                                     read-only); continuing without storing",
-                                    dir.display()
-                                );
-                            }
-                        }
-                    }
+            if let Some(cache) = &state.disk_cache {
+                if cache.store(cell_key, &summary) == sweep_cache::StoreOutcome::Stored {
+                    DISK_CACHE_STORES.incr();
+                    enforce_disk_cache_budget(state);
                 }
             }
             sweep_cell_response(cell_key, &summary, &request, id)
@@ -1443,8 +1416,8 @@ fn enforce_disk_cache_budget(state: &State) {
     if state.disk_cache_budget == 0 {
         return;
     }
-    if let Some(dir) = &state.disk_cache {
-        let _ = sweep_cache::gc(dir, state.disk_cache_budget);
+    if let Some(cache) = &state.disk_cache {
+        let _ = sweep_cache::gc(cache.dir(), state.disk_cache_budget);
     }
 }
 
@@ -1453,7 +1426,7 @@ fn enforce_disk_cache_budget(state: &State) {
 /// is quarantined (never published under the live key) and answered with
 /// a `kind:"cache"` error; replication can never spread a bad byte.
 fn run_cache_push(state: &Arc<State>, key: u64, entry: &str, id: Option<&Json>) -> Json {
-    let Some(dir) = &state.disk_cache else {
+    let Some(dir) = state.disk_cache.as_ref().map(|cache| cache.dir()) else {
         return proto::error_response(id, "disk cache not enabled (start with --disk-cache)");
     };
     // Idempotence: a key whose verified entry is already on disk answers
@@ -1497,7 +1470,7 @@ fn run_cache_push(state: &Arc<State>, key: u64, entry: &str, id: Option<&Json>) 
 /// `cache-pull`: hand back one sealed entry's exact bytes (the receiver
 /// re-verifies), or — with no key — the sorted inventory of held keys.
 fn run_cache_pull(state: &Arc<State>, key: Option<u64>, id: Option<&Json>) -> Json {
-    let Some(dir) = &state.disk_cache else {
+    let Some(dir) = state.disk_cache.as_ref().map(|cache| cache.dir()) else {
         return proto::error_response(id, "disk cache not enabled (start with --disk-cache)");
     };
     match key {
@@ -1543,7 +1516,7 @@ fn run_cache_pull(state: &Arc<State>, key: Option<u64>, id: Option<&Json>) -> Js
 fn sweep_cell_response(
     cell_key: u64,
     summary: &dp_sweep::CellSummary,
-    request: &SweepCellRequest,
+    request: &CellSpec,
     id: Option<&Json>,
 ) -> Json {
     let mut v = sweep_cache::summary_json(cell_key, summary);
@@ -1556,7 +1529,10 @@ fn sweep_cell_response(
             "dataset".to_string(),
             Json::Str(key::canonical_dataset(&request.dataset)),
         );
-        map.insert("label".to_string(), Json::Str(request.label.clone()));
+        map.insert(
+            "label".to_string(),
+            Json::Str(request.variant.label.clone()),
+        );
         map.insert("ok".to_string(), Json::Bool(true));
         map.insert("op".to_string(), Json::Str("sweep-cell".to_string()));
         if let Some(id) = id {

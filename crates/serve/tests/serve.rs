@@ -442,6 +442,41 @@ fn transform_keeps_directive_bytes_and_rejects_degenerate_tuning() {
     client.request(&bare_request("shutdown")).expect("shutdown");
 }
 
+/// A `sweep-cell` pairing a benchmark with a dataset its driver cannot read
+/// is refused where it is parsed, with one short line — it used to reach
+/// the driver, panic there, and answer with a dump of the whole input.
+#[test]
+fn sweep_cell_on_a_dataset_of_the_wrong_kind_is_a_short_parse_error() {
+    let endpoint = start_server();
+    let mut client = Client::connect(&endpoint).expect("connect");
+    for (benchmark, dataset) in [("BFS", "T0032-C16"), ("BT", "KRON"), ("SP", "ROAD-NY")] {
+        let line = format!(
+            r#"{{"op":"sweep-cell","benchmark":"{benchmark}","dataset":{{"id":"{dataset}","scale":0.01}},"variant":{{"no_cdp":true}},"id":1}}"#
+        );
+        let answer = client
+            .roundtrip_line(&line)
+            .expect("round-trip")
+            .expect("server answered");
+        assert!(answer.len() < 512, "{} bytes: {answer}", answer.len());
+        let answer = dp_sweep::json::parse(&answer).expect("answer is JSON");
+        assert_eq!(answer.get("ok"), Some(&Json::Bool(false)), "{answer}");
+        assert_eq!(
+            answer.get("kind").and_then(Json::as_str),
+            Some("parse"),
+            "{answer}"
+        );
+        let message = answer.get("error").and_then(Json::as_str).expect("error");
+        assert!(
+            message.contains(dataset) && message.contains(benchmark),
+            "{message}"
+        );
+    }
+    // The session and the daemon keep answering.
+    let stats = client.request(&bare_request("stats")).expect("stats");
+    assert_eq!(stats.get("ok"), Some(&Json::Bool(true)), "{stats}");
+    client.request(&bare_request("shutdown")).expect("shutdown");
+}
+
 /// `connect_with` must ride out a server that binds late.
 #[cfg(unix)]
 #[test]

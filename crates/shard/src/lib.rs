@@ -6,6 +6,15 @@
 //! sequential run at any fleet size — the same contract the local engine
 //! keeps at any worker count.
 //!
+//! This crate owns *placement* and nothing else. The cells, their keys,
+//! the local cache probe, the label-and-store of an answered cell, the
+//! local execution of whatever no daemon could take, and the spec-order
+//! merge with verification are [`dp_sweep::Sweep`]'s — the calls a local
+//! `run_sweep` makes — so the two cannot drift apart. [`shard_sweep`] is:
+//! validate → `Sweep::probe` → route / drive / fail over → `complete` per
+//! answered cell → `run_local` for the rest once the fleet is gone →
+//! `finish`.
+//!
 //! Scheduling is cache-aware at both ends:
 //!
 //! - **Local short-circuit.** Cells already in the local result cache
@@ -28,23 +37,20 @@
 //!   set only when its response has been read, and a torn connection's
 //!   stale responses die with the socket.
 //!
-//! Completed cells are stored into the local result cache as they arrive,
-//! so a warm rerun never touches the network. [`sync_caches`] goes
+//! Completed cells are stored into the local result cache as they arrive
+//! (`Sweep::complete`), so a warm rerun never touches the network. [`sync_caches`] goes
 //! further: the `cache-push`/`cache-pull` serve ops move sealed cache
 //! entries (checksummed bytes, re-verified on every receipt) between the
 //! local cache and every daemon until the whole fleet holds the union.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::path::PathBuf;
 
 use dp_obs::metrics::{labeled_counter, Counter};
 use dp_serve::client::{backoff_schedule, ClientOptions, RequestError, ResilientClient};
 use dp_serve::proto::{self, Endpoint};
 use dp_sweep::json::{uint, Json};
-use dp_sweep::{
-    cache, enumerate_cells, run_sweep, CacheStats, CellRef, CellSummary, DatasetSpec, SeriesResult,
-    SeriesSpec, SweepOptions, SweepResult, SweepSpec,
-};
+use dp_sweep::{cache, CellSummary, DatasetSpec, Sweep, SweepOptions, SweepResult, SweepSpec};
 
 static CELLS_LOCAL_HITS: Counter = Counter::new("shard.cells.local_hits");
 static CELLS_ROUTED: Counter = Counter::new("shard.cells.routed");
@@ -158,39 +164,23 @@ pub fn shard_sweep(
         }
     }
 
-    let cells = enumerate_cells(spec)?;
-    let cache_dir = cache::resolve_cache_dir(opts.cache_dir.as_deref());
-    let mut stats = CacheStats {
-        enabled: opts.cache,
-        ..CacheStats::default()
-    };
-    let mut grid: Vec<Vec<Option<CellSummary>>> = spec
-        .series
-        .iter()
-        .map(|s| vec![None; s.variants.len()])
-        .collect();
-
     // Local short-circuit: cells the local cache already holds never
     // leave the machine.
-    let mut pending: Vec<usize> = Vec::new();
-    for (slot, cell) in cells.iter().enumerate() {
-        if opts.cache {
-            if let Some(mut cached) = cache::load(&cache_dir, cell.key) {
-                cached.label = spec.series[cell.series_idx].variants[cell.cell_idx]
-                    .label
-                    .clone();
-                grid[cell.series_idx][cell.cell_idx] = Some(cached);
-                stats.hits += 1;
-                CELLS_LOCAL_HITS.incr();
-                continue;
-            }
-            stats.misses += 1;
-        }
-        pending.push(slot);
-    }
+    let mut sweep = Sweep::probe(
+        spec,
+        &SweepOptions {
+            jobs: 0,
+            cache: opts.cache,
+            cache_dir: opts.cache_dir.clone(),
+            quiet: true,
+        },
+    )?;
+    let cells = sweep.cells().to_vec();
+    let mut pending = sweep.pending();
+    CELLS_LOCAL_HITS.add((cells.len() - pending.len()) as u64);
 
-    // One request per cell, pipeline id = its global slot, prebuilt so
-    // every (re)send of a cell is the identical byte sequence.
+    // One request per cell, pipeline id = its slot, prebuilt so every
+    // (re)send of a cell is the identical byte sequence.
     let requests: Vec<Json> = cells
         .iter()
         .enumerate()
@@ -215,42 +205,13 @@ pub fn shard_sweep(
         })
         .collect();
 
-    // Graceful cache degradation, same latch as the local engine.
-    let mut cache_broken = false;
-    let mut store_result =
-        |grid: &mut Vec<Vec<Option<CellSummary>>>, slot: usize, mut summary: CellSummary| {
-            let cell = &cells[slot];
-            summary.label = spec.series[cell.series_idx].variants[cell.cell_idx]
-                .label
-                .clone();
-            // The daemon executed it (or served its own disk cache); from
-            // this machine's view the cell was computed, not cached.
-            summary.from_cache = false;
-            if opts.cache
-                && !cache_broken
-                && cache::store(&cache_dir, cell.key, &summary) == cache::StoreOutcome::Unavailable
-            {
-                cache_broken = true;
-                dp_obs::diag!(
-                    "[dp-shard] cache dir {} unavailable (disk full or read-only); \
-                 continuing without the cache",
-                    cache_dir.display()
-                );
-            }
-            grid[cell.series_idx][cell.cell_idx] = Some(summary);
-        };
-
     let mut alive: Vec<bool> = vec![true; endpoints.len()];
     let mut first_round = true;
     while !pending.is_empty() {
         let live: Vec<usize> = (0..endpoints.len()).filter(|&i| alive[i]).collect();
         if live.is_empty() {
             // Every daemon is gone: compute the remainder locally.
-            let local = run_local(spec, &cells, &pending, opts)?;
-            for (slot, summary) in local {
-                let cell = &cells[slot];
-                grid[cell.series_idx][cell.cell_idx] = Some(summary);
-            }
+            sweep.run_local(&pending);
             break;
         }
         let live_endpoints: Vec<Endpoint> = live.iter().map(|&i| endpoints[i].clone()).collect();
@@ -330,7 +291,7 @@ pub fn shard_sweep(
         let mut server_error: Option<String> = None;
         for outcome in outcomes {
             for (slot, summary) in outcome.done {
-                store_result(&mut grid, slot, summary);
+                sweep.complete(slot, summary);
             }
             if let Some(message) = outcome.server_error {
                 // Authoritative: the daemon looked at a cell and said no.
@@ -369,80 +330,12 @@ pub fn shard_sweep(
         first_round = false;
     }
 
-    // Spec-order merge with cross-variant verification — identical to the
-    // local engine's.
-    let series_results: Vec<SeriesResult> = spec
-        .series
-        .iter()
-        .enumerate()
-        .map(|(series_idx, series)| {
-            let mut cells_out: Vec<CellSummary> = grid[series_idx]
-                .iter_mut()
-                .map(|slot| slot.take().expect("cell resolved"))
-                .collect();
-            if let Some(reference) = cells_out.first().map(|c| c.output()) {
-                for cell in &mut cells_out {
-                    cell.verified = cell.output().approx_eq(&reference, 1e-6);
-                }
-            }
-            SeriesResult {
-                benchmark: series.benchmark.clone(),
-                dataset_name: series.dataset.name(),
-                dataset_description: None,
-                cells: cells_out,
-            }
-        })
-        .collect();
+    // A sharded run reports the width of the local merge, whatever the
+    // fallback used.
     Ok(SweepResult {
-        series: series_results,
-        cache: stats,
         jobs: 1,
+        ..sweep.finish()
     })
-}
-
-/// Computes `pending` cells locally through the ordinary engine — the
-/// no-survivors fallback. Returns `(slot, summary)` pairs.
-fn run_local(
-    spec: &SweepSpec,
-    cells: &[CellRef],
-    pending: &[usize],
-    opts: &ShardOptions,
-) -> Result<Vec<(usize, CellSummary)>, String> {
-    let mut by_series: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for &slot in pending {
-        by_series
-            .entry(cells[slot].series_idx)
-            .or_default()
-            .push(slot);
-    }
-    let mut sub_series: Vec<SeriesSpec> = Vec::new();
-    let mut slot_order: Vec<usize> = Vec::new();
-    for (&series_idx, slots) in &by_series {
-        let series = &spec.series[series_idx];
-        let variants = slots
-            .iter()
-            .map(|&slot| series.variants[cells[slot].cell_idx].clone())
-            .collect();
-        slot_order.extend(slots.iter().copied());
-        sub_series.push(SeriesSpec {
-            benchmark: series.benchmark.clone(),
-            dataset: series.dataset.clone(),
-            variants,
-            timing: series.timing.clone(),
-            cost: series.cost.clone(),
-        });
-    }
-    let result = run_sweep(
-        &SweepSpec { series: sub_series },
-        &SweepOptions {
-            jobs: 0,
-            cache: opts.cache,
-            cache_dir: opts.cache_dir.clone(),
-            quiet: true,
-        },
-    );
-    let summaries = result.series.into_iter().flat_map(|s| s.cells);
-    Ok(slot_order.into_iter().zip(summaries).collect())
 }
 
 /// Drives one daemon through its assigned slots: pipelined sends with a
@@ -459,48 +352,35 @@ fn drive_daemon(
     let schedule = backoff_schedule(&opts);
     let mut client = ResilientClient::new(endpoint, opts);
     let mut remaining: VecDeque<usize> = slots.iter().copied().collect();
-    let mut done: Vec<(usize, CellSummary)> = Vec::new();
+    let mut outcome = DriveOutcome {
+        endpoint_idx,
+        done: Vec::new(),
+        server_error: None,
+        transport_error: None,
+        unfinished: Vec::new(),
+    };
     let mut attempt = 0usize;
-    loop {
-        if remaining.is_empty() {
-            return DriveOutcome {
-                endpoint_idx,
-                done,
-                server_error: None,
-                transport_error: None,
-                unfinished: Vec::new(),
-            };
-        }
-        match drive_session(&mut client, requests, &mut remaining, &mut done) {
+    while !remaining.is_empty() {
+        match drive_session(&mut client, requests, &mut remaining, &mut outcome.done) {
             Ok(()) => continue,
-            Err(RequestError::Server(message)) => {
-                return DriveOutcome {
-                    endpoint_idx,
-                    done,
-                    server_error: Some(message),
-                    transport_error: None,
-                    unfinished: remaining.into_iter().collect(),
-                }
-            }
+            Err(RequestError::Server(message)) => outcome.server_error = Some(message),
             Err(RequestError::Transport(message)) => {
                 // Poisoned connection: any response still in flight dies
                 // with the socket, so re-sending every unacknowledged
                 // slot on a fresh session cannot produce duplicates.
                 client.reset();
-                if attempt >= schedule.len() {
-                    return DriveOutcome {
-                        endpoint_idx,
-                        done,
-                        server_error: None,
-                        transport_error: Some(message),
-                        unfinished: remaining.into_iter().collect(),
-                    };
+                if attempt < schedule.len() {
+                    std::thread::sleep(schedule[attempt]);
+                    attempt += 1;
+                    continue;
                 }
-                std::thread::sleep(schedule[attempt]);
-                attempt += 1;
+                outcome.transport_error = Some(message);
             }
         }
+        break;
     }
+    outcome.unfinished = remaining.into_iter().collect();
+    outcome
 }
 
 /// One session's worth of pipelined driving. On success `remaining` is

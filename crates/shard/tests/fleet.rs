@@ -232,6 +232,83 @@ fn a_fully_lost_fleet_falls_back_to_local_execution() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The same fallback with the local cache on: the lifecycle that probed
+/// the cells is the one that runs them, so every cell is hashed and probed
+/// once (the fallback used to re-enter `run_sweep` on a rebuilt sub-spec),
+/// its result is stored by the one store, and a warm rerun is all hits.
+///
+/// The registry is process-wide and the other tests of this binary run
+/// beside this one, so the counting happens in a child copy of the binary
+/// that runs this test alone.
+#[test]
+fn a_fully_lost_fleet_with_the_cache_on_probes_each_cell_once() {
+    const CHILD_MARKER: &str = "DP_SHARD_FLEET_CHILD";
+    if std::env::var_os(CHILD_MARKER).is_none() {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([
+                "a_fully_lost_fleet_with_the_cache_on_probes_each_cell_once",
+                "--exact",
+                "--nocapture",
+            ])
+            .env(CHILD_MARKER, "1")
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "child run failed:\n{stdout}\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        return;
+    }
+
+    let reference = local_reference(&spec());
+    let lost = || {
+        start_daemon(ServeOptions {
+            jobs: 1,
+            faults: FaultPlan::parse("disconnect@session-read*100000").expect("fault plan"),
+            ..ServeOptions::default()
+        })
+    };
+    let fleet = [lost(), lost()];
+    let dir = tmp("all-lost-cached");
+    let opts = ShardOptions {
+        client: client_options(None),
+        cache: true,
+        cache_dir: Some(dir.clone()),
+    };
+    // `Server::bind` switched the registry on.
+    let counted = |name: &str| dp_obs::metrics::snapshot().counter(name);
+    let (hits, misses) = (counted("sweep.cache.hits"), counted("sweep.cache.misses"));
+
+    let cold = shard_sweep(&fleet, &spec(), &opts).expect("local fallback completes the sweep");
+    assert_same_result(&cold, &reference);
+    assert_eq!((cold.cache.hits, cold.cache.misses), (0, 6));
+    assert_eq!(
+        counted("sweep.cache.misses") - misses,
+        6,
+        "one probe a cell"
+    );
+    assert_eq!(counted("sweep.cache.hits") - hits, 0);
+    assert_eq!(cache::list_keys(&dir).expect("inventory").len(), 6);
+
+    let warm = shard_sweep(&fleet, &spec(), &opts).expect("warm rerun");
+    assert_same_result(&warm, &reference);
+    assert_eq!((warm.cache.hits, warm.cache.misses), (6, 0));
+    assert_eq!(counted("sweep.cache.hits") - hits, 6);
+    assert_eq!(
+        counted("sweep.cache.misses") - misses,
+        6,
+        "the rerun missed nothing"
+    );
+    assert!(warm
+        .series
+        .iter()
+        .flat_map(|s| &s.cells)
+        .all(|c| c.from_cache));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn cache_sync_converges_local_and_fleet_caches() {
     // Populate the local cache by running the sweep for real.

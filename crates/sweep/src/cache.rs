@@ -35,6 +35,7 @@ use crate::key::{fnv1a, CACHE_FORMAT_VERSION};
 use crate::CellSummary;
 use dp_obs::metrics::Counter;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 static CACHE_CORRUPT: Counter = Counter::new("sweep.cache.corrupt");
 
@@ -484,6 +485,53 @@ fn store_with(
         return classify_store_error(&e);
     }
     StoreOutcome::Stored
+}
+
+/// One cache directory and its disk-full latch: what a sweep, a sharded
+/// sweep and a daemon's `--disk-cache` each hold for as long as they run.
+/// The first store the directory refuses as full or read-only
+/// ([`StoreOutcome::Unavailable`]) stops every later one and is reported
+/// once; loads go on. Results still flow — the cache is an accelerator,
+/// never a correctness dependency.
+pub struct ResultCache {
+    dir: PathBuf,
+    broken: AtomicBool,
+}
+
+impl ResultCache {
+    /// A handle on `dir`, which need not exist yet.
+    pub fn new(dir: PathBuf) -> Self {
+        ResultCache {
+            dir,
+            broken: AtomicBool::new(false),
+        }
+    }
+
+    /// The directory.
+    pub fn dir(&self) -> &Path {
+        &self.dir
+    }
+
+    /// [`load`] from this directory.
+    pub fn load(&self, key: u64) -> Option<CellSummary> {
+        load(&self.dir, key)
+    }
+
+    /// [`store`] into this directory, unless it was found unusable before.
+    pub fn store(&self, key: u64, summary: &CellSummary) -> StoreOutcome {
+        if self.broken.load(Ordering::Relaxed) {
+            return StoreOutcome::Unavailable;
+        }
+        let outcome = store(&self.dir, key, summary);
+        if outcome == StoreOutcome::Unavailable && !self.broken.swap(true, Ordering::Relaxed) {
+            dp_obs::diag!(
+                "[dp-sweep] cache dir {} unavailable (disk full or read-only); \
+                 continuing without the cache",
+                self.dir.display()
+            );
+        }
+        outcome
+    }
 }
 
 // ----------------------------------------------------------------------

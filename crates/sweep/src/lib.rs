@@ -24,6 +24,22 @@
 //!   recomputes only that column; a repeated identical sweep is 100% cache
 //!   hits.
 //!
+//! ## Who owns which step
+//!
+//! A cell's life is written once, in [`Sweep`]: [`enumerate_cells`] names
+//! the cells and hashes their keys; [`Sweep::probe`] loads what the cache
+//! holds; [`Sweep::complete`] applies the label rule and stores a computed
+//! summary through the one [`cache::ResultCache`] (directory + disk-full
+//! latch + the one warning); [`Sweep::run_local`] materializes datasets and
+//! runs cells on the pool; [`Sweep::finish`] merges in spec order and
+//! verifies against cell 0. [`run_sweep`] is those calls in sequence.
+//! `dp-shard` makes the same calls and adds only *where* a pending cell is
+//! computed; `dp-serve` answers one cell with [`execute_cell`] and holds a
+//! `ResultCache` of its own for `--disk-cache`. What a cell *is* when it
+//! arrives as bytes — names, ranges, a dataset its benchmark can read — is
+//! decided once too, in [`spec`], for spec files and `sweep-cell` requests
+//! alike.
+//!
 //! ```no_run
 //! use dp_sweep::{DatasetSpec, SeriesSpec, SweepOptions, SweepSpec, VariantSpec};
 //! use dp_core::OptConfig;
@@ -57,12 +73,12 @@ pub use spec::spec_from_json;
 use dp_core::{Compiler, Error, TimingParams};
 use dp_obs::metrics::{Counter, Histogram};
 use dp_vm::bytecode::CostModel;
-use dp_workloads::benchmarks::{all_benchmarks, Benchmark, Variant};
+use dp_workloads::benchmarks::{benchmark_by_name, Benchmark, Variant};
 use dp_workloads::{datasets::DatasetId, describe, BenchInput, BenchOutput};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Wall time of one cold cell: compile-cache fetch + full VM execution +
 /// summarization ([`execute_cell`] — shared with the serve daemon's
@@ -116,6 +132,15 @@ impl DatasetSpec {
         }
     }
 
+    /// The input itself: generated for a Table-I dataset, shared for a
+    /// provided one.
+    pub fn instantiate(&self) -> Arc<BenchInput> {
+        match self {
+            DatasetSpec::Table { id, scale, seed } => Arc::new(id.instantiate(*scale, *seed)),
+            DatasetSpec::Provided { input, .. } => Arc::clone(input),
+        }
+    }
+
     /// Display name ("KRON", or the caller-provided name).
     pub fn name(&self) -> String {
         match self {
@@ -147,10 +172,9 @@ impl VariantSpec {
 /// One benchmark × dataset across an ordered variant list.
 ///
 /// Cell 0 of a non-empty series is the *verification reference*: every
-/// other cell's functional output is compared against it (mirroring the
-/// sequential `run_series` contract). A series with an empty variant list
-/// is legal and contributes only its dataset description (used by
-/// `table1`).
+/// other cell's functional output is compared against it. A series with an
+/// empty variant list is legal and contributes only its dataset description
+/// (used by `table1`).
 #[derive(Debug, Clone)]
 pub struct SeriesSpec {
     /// Benchmark name as in the paper ("BFS", "BT", …).
@@ -359,7 +383,7 @@ pub fn effective_jobs(requested: usize) -> usize {
 }
 
 // ----------------------------------------------------------------------
-// Cell partitioning
+// Cell enumeration
 // ----------------------------------------------------------------------
 
 /// One cell of an expanded sweep grid: its position in the spec plus the
@@ -372,31 +396,22 @@ pub struct CellRef {
     pub series_idx: usize,
     /// Index into that series' [`SeriesSpec::variants`].
     pub cell_idx: usize,
-    /// The cell's [`key::cell_key`] — identical to what [`run_sweep`]
-    /// probes and stores under.
+    /// The cell's [`key::cell_key`] — what [`Sweep`] probes and stores
+    /// under.
     pub key: u64,
 }
 
-/// Expands a spec to its deterministic cell grid, in spec order — the
-/// exact enumeration [`run_sweep`] performs, exposed so external
-/// schedulers (the `dp-shard` fleet scheduler) partition the same cells
-/// under the same keys. Errs (instead of panicking like `run_sweep`) on
-/// an unknown benchmark name, since a scheduler wants a structured error.
+/// Expands a spec to its deterministic cell grid, in spec order. The one
+/// enumeration: [`Sweep::probe`] calls it, so a local sweep and a sharded
+/// one work on the same cells under the same keys. An unknown benchmark
+/// name is an `Err`, since a scheduler wants a structured error.
 pub fn enumerate_cells(spec: &SweepSpec) -> Result<Vec<CellRef>, String> {
-    let registry: HashMap<String, Box<dyn Benchmark>> = all_benchmarks()
-        .into_iter()
-        .map(|b| (b.name().to_string(), b))
-        .collect();
     let mut cells = Vec::with_capacity(spec.cell_count());
     for (series_idx, series) in spec.series.iter().enumerate() {
-        let bench = registry
-            .get(&series.benchmark)
+        let bench = benchmark_by_name(&series.benchmark)
             .ok_or_else(|| format!("unknown benchmark `{}`", series.benchmark))?;
         for (cell_idx, vspec) in series.variants.iter().enumerate() {
-            let source = match vspec.variant {
-                Variant::NoCdp => bench.no_cdp_source(),
-                Variant::Cdp(_) => bench.cdp_source(),
-            };
+            let (source, _) = vspec.variant.program(bench.as_ref());
             let key = key::cell_key(
                 &series.benchmark,
                 source,
@@ -419,177 +434,188 @@ pub fn enumerate_cells(spec: &SweepSpec) -> Result<Vec<CellRef>, String> {
 // Engine
 // ----------------------------------------------------------------------
 
-/// A cell still to execute.
-struct PendingCell {
-    series_idx: usize,
-    cell_idx: usize,
-    key: u64,
+/// A compiled program per (benchmark, variant, cost model), shared by the
+/// workers of one sweep. The map's lock is held for the lookup only; the
+/// compile runs inside the entry's `OnceLock`, so workers compiling
+/// different programs do not wait for each other and one program is
+/// compiled once.
+type CompileCache = Mutex<HashMap<String, Arc<OnceLock<dp_core::SharedCompiled>>>>;
+
+/// Calls `body(i)` for every `i < n` on the shared persistent worker pool:
+/// helper loops are pool submissions (gated on actually-idle workers, at
+/// most `jobs - 1` of them) and the calling thread always runs one loop
+/// itself — nothing is reserved or spawned per call. Between two indices a
+/// loop hands its worker to one queued interactive job (a served request).
+fn for_each_on_pool(jobs: usize, n: usize, body: impl Fn(usize) + Sync) {
+    if n == 0 {
+        return;
+    }
+    let next = AtomicUsize::new(0);
+    let work = || loop {
+        dp_pool::checkpoint();
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            return;
+        }
+        body(i);
+    };
+    let pool = dp_pool::Pool::shared();
+    pool.scope(|scope| {
+        let helpers = pool
+            .available_workers()
+            .min(jobs.saturating_sub(1))
+            .min(n - 1);
+        for _ in 0..helpers {
+            scope.spawn_as(dp_pool::JobClass::Bulk, work);
+        }
+        work();
+    });
 }
 
-type CompileCache = Mutex<HashMap<String, dp_core::SharedCompiled>>;
+/// The label rule: a summary carries its variant's label from the spec,
+/// never one from the cache or the wire.
+fn label_of(spec: &SweepSpec, cell: &CellRef) -> String {
+    spec.series[cell.series_idx].variants[cell.cell_idx]
+        .label
+        .clone()
+}
 
-/// Runs a sweep: cache probe, parallel execution of the misses, spec-order
-/// merge with cross-variant verification.
+/// One sweep in flight — the owner of a cell's life: key → cache probe →
+/// (compile → run, here or on a daemon) → store → spec-order merge with
+/// cross-variant verification. A *slot* is a cell's index in the
+/// [`enumerate_cells`] order.
 ///
-/// # Panics
-///
-/// Panics when a benchmark name is unknown or a cell's compilation/run
-/// fails — exactly like the sequential `run_series` path it replaces.
-pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> SweepResult {
-    let registry: HashMap<String, Box<dyn Benchmark>> = all_benchmarks()
-        .into_iter()
-        .map(|b| (b.name().to_string(), b))
-        .collect();
-    let benches: Vec<&dyn Benchmark> = spec
-        .series
-        .iter()
-        .map(|s| {
-            registry
-                .get(&s.benchmark)
-                .unwrap_or_else(|| panic!("unknown benchmark `{}`", s.benchmark))
-                .as_ref()
-        })
-        .collect();
+/// [`run_sweep`] is [`probe`](Sweep::probe), [`run_local`](Sweep::run_local)
+/// on what is [`pending`](Sweep::pending), [`finish`](Sweep::finish). A
+/// scheduler that computes cells elsewhere (`dp-shard`) answers a pending
+/// slot with [`complete`](Sweep::complete) instead, and may hand whatever
+/// it could not place to `run_local`.
+pub struct Sweep<'a> {
+    spec: &'a SweepSpec,
+    jobs: usize,
+    quiet: bool,
+    cells: Vec<CellRef>,
+    cache: Option<cache::ResultCache>,
+    stats: CacheStats,
+    /// Per slot; `None` until the probe hits or the cell is completed.
+    summaries: Vec<Mutex<Option<CellSummary>>>,
+    /// Per series; `None` until `run_local` needs the dataset.
+    inputs: Vec<Option<Arc<BenchInput>>>,
+}
 
-    let cache_dir = cache::resolve_cache_dir(opts.cache_dir.as_deref());
-    let mut stats = CacheStats {
-        enabled: opts.cache,
-        ..CacheStats::default()
-    };
-
-    // Keyed cache probe; anything not served becomes a pending cell.
-    let mut summaries: Vec<Vec<Option<CellSummary>>> = spec
-        .series
-        .iter()
-        .map(|s| vec![None; s.variants.len()])
-        .collect();
-    let mut pending: Vec<PendingCell> = Vec::new();
-    for (series_idx, series) in spec.series.iter().enumerate() {
-        for (cell_idx, vspec) in series.variants.iter().enumerate() {
-            let source = match vspec.variant {
-                Variant::NoCdp => benches[series_idx].no_cdp_source(),
-                Variant::Cdp(_) => benches[series_idx].cdp_source(),
-            };
-            let key = key::cell_key(
-                &series.benchmark,
-                source,
-                &vspec.variant,
-                &series.dataset,
-                &series.timing,
-                &series.cost,
-            );
-            if opts.cache {
-                let probe = dp_obs::metrics::now();
-                if let Some(mut cached) = cache::load(&cache_dir, key) {
-                    CELL_WARM_US.record_since(probe);
-                    CACHE_HITS.incr();
-                    cached.label = vspec.label.clone();
-                    summaries[series_idx][cell_idx] = Some(cached);
-                    stats.hits += 1;
-                    continue;
-                }
-                CACHE_MISSES.incr();
-                stats.misses += 1;
-            }
-            pending.push(PendingCell {
-                series_idx,
-                cell_idx,
-                key,
-            });
-        }
-    }
-
-    let jobs = effective_jobs(opts.jobs);
-    // Generations run on the shared persistent worker pool: helper loops
-    // are pool submissions (gated on actually-idle workers), the calling
-    // thread always runs one loop itself — nothing is reserved or
-    // spawned per generation.
-    let pool = dp_pool::Pool::shared();
-
-    // Materialize each distinct dataset once: those needed by a pending
-    // cell, plus empty-variant series (their description *is* the result).
-    let mut needed: Vec<usize> = Vec::new();
-    let mut seen_datasets: HashMap<String, usize> = HashMap::new();
-    let mut dataset_of_series: Vec<Option<usize>> = vec![None; spec.series.len()];
-    let wants_dataset: Vec<bool> = {
-        let mut wants: Vec<bool> = spec.series.iter().map(|s| s.variants.is_empty()).collect();
-        for cell in &pending {
-            wants[cell.series_idx] = true;
-        }
-        wants
-    };
-    for (series_idx, series) in spec.series.iter().enumerate() {
-        if !wants_dataset[series_idx] {
-            continue;
-        }
-        let canon = key::canonical_dataset(&series.dataset);
-        let slot = *seen_datasets.entry(canon).or_insert_with(|| {
-            needed.push(series_idx);
-            needed.len() - 1
-        });
-        dataset_of_series[series_idx] = Some(slot);
-    }
-    let inputs: Vec<Arc<BenchInput>> = {
-        let slots: Vec<Mutex<Option<Arc<BenchInput>>>> =
-            needed.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let materialize = || loop {
-            // Dataset instantiation is bulk work; let a waiting serve
-            // request borrow this worker between datasets.
-            dp_pool::checkpoint();
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(&series_idx) = needed.get(i) else {
-                return;
-            };
-            let input = match &spec.series[series_idx].dataset {
-                DatasetSpec::Table { id, scale, seed } => Arc::new(id.instantiate(*scale, *seed)),
-                DatasetSpec::Provided { input, .. } => Arc::clone(input),
-            };
-            *slots[i].lock().unwrap() = Some(input);
+impl<'a> Sweep<'a> {
+    /// Enumerates the spec's cells and, with the cache on, loads every one
+    /// the cache holds. Errs on an unknown benchmark name.
+    pub fn probe(spec: &'a SweepSpec, opts: &SweepOptions) -> Result<Self, String> {
+        let cells = enumerate_cells(spec)?;
+        let cache = opts
+            .cache
+            .then(|| cache::ResultCache::new(cache::resolve_cache_dir(opts.cache_dir.as_deref())));
+        let mut stats = CacheStats {
+            enabled: opts.cache,
+            ..CacheStats::default()
         };
-        pool.scope(|scope| {
-            let helpers = pool
-                .available_workers()
-                .min(jobs.saturating_sub(1))
-                .min(needed.len().saturating_sub(1));
-            for _ in 0..helpers {
-                scope.spawn_as(dp_pool::JobClass::Bulk, materialize);
-            }
-            materialize();
-        });
-        slots
-            .into_iter()
-            .map(|slot| slot.into_inner().unwrap().expect("dataset instantiated"))
-            .collect()
-    };
+        let summaries = cells
+            .iter()
+            .map(|cell| {
+                let cache = cache.as_ref()?;
+                let started = dp_obs::metrics::now();
+                let Some(mut cached) = cache.load(cell.key) else {
+                    CACHE_MISSES.incr();
+                    stats.misses += 1;
+                    return None;
+                };
+                CELL_WARM_US.record_since(started);
+                CACHE_HITS.incr();
+                stats.hits += 1;
+                cached.label = label_of(spec, cell);
+                Some(cached)
+            })
+            .map(Mutex::new)
+            .collect();
+        Ok(Sweep {
+            spec,
+            jobs: effective_jobs(opts.jobs),
+            quiet: opts.quiet,
+            cells,
+            cache,
+            stats,
+            summaries,
+            inputs: vec![None; spec.series.len()],
+        })
+    }
 
-    // Execute the pending cells across the pool. Workers share a compile
-    // cache (compiled programs are immutable and Send) but each owns its
-    // executor and VM state.
-    let compile_cache: CompileCache = Mutex::new(HashMap::new());
-    // Graceful degradation: the first disk-full / read-only store demotes
-    // the whole sweep to cache-off with one warning. Results still flow —
-    // the cache is an accelerator, never a correctness dependency — and
-    // stdout stays byte-identical because cache state is never printed by
-    // the deterministic outputs.
-    let cache_broken = AtomicBool::new(false);
-    if !pending.is_empty() {
-        let results: Vec<Mutex<Option<CellSummary>>> =
-            pending.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let run_generation = || loop {
-            // Cell boundaries are the natural yield points of a sweep:
-            // a long generation hands its worker to one queued
-            // interactive job (a served request) before the next cell.
-            dp_pool::checkpoint();
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(cell) = pending.get(i) else {
-                return;
-            };
+    /// Every cell of the spec, indexed by slot.
+    pub fn cells(&self) -> &[CellRef] {
+        &self.cells
+    }
+
+    /// The slots with no summary yet, ascending.
+    pub fn pending(&self) -> Vec<usize> {
+        (0..self.cells.len())
+            .filter(|&slot| self.summaries[slot].lock().unwrap().is_none())
+            .collect()
+    }
+
+    /// Records the freshly computed summary of `slot` — whoever computed
+    /// it: the label is the spec's, the cell counts as a miss, and the
+    /// summary is stored when the cache is on and still usable.
+    pub fn complete(&self, slot: usize, mut summary: CellSummary) {
+        let cell = &self.cells[slot];
+        summary.label = label_of(self.spec, cell);
+        summary.from_cache = false;
+        if let Some(cache) = &self.cache {
+            cache.store(cell.key, &summary);
+        }
+        *self.summaries[slot].lock().unwrap() = Some(summary);
+    }
+
+    /// Computes `slots` in this process and completes them. Each distinct
+    /// dataset they run on — and that of every empty-variant series, whose
+    /// description *is* its result — is materialized once. Workers share
+    /// compiled programs (immutable and `Send`) but each owns its executor
+    /// and VM state.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a cell's compilation or run fails.
+    pub fn run_local(&mut self, slots: &[usize]) {
+        let spec = self.spec;
+        let mut wanted: Vec<bool> = spec.series.iter().map(|s| s.variants.is_empty()).collect();
+        for &slot in slots {
+            wanted[self.cells[slot].series_idx] = true;
+        }
+        // Distinct datasets still to make, each with the series that run on it.
+        let mut missing: Vec<(String, Vec<usize>)> = Vec::new();
+        for (series_idx, series) in spec.series.iter().enumerate() {
+            if !wanted[series_idx] || self.inputs[series_idx].is_some() {
+                continue;
+            }
+            let canon = key::canonical_dataset(&series.dataset);
+            match missing.iter_mut().find(|(seen, _)| *seen == canon) {
+                Some((_, users)) => users.push(series_idx),
+                None => missing.push((canon, vec![series_idx])),
+            }
+        }
+        let made: Vec<OnceLock<Arc<BenchInput>>> =
+            missing.iter().map(|_| OnceLock::new()).collect();
+        for_each_on_pool(self.jobs, missing.len(), |i| {
+            let input = spec.series[missing[i].1[0]].dataset.instantiate();
+            assert!(made[i].set(input).is_ok(), "one worker per dataset");
+        });
+        for ((_, users), input) in missing.into_iter().zip(made) {
+            for series_idx in users {
+                self.inputs[series_idx] = input.get().cloned();
+            }
+        }
+
+        let sweep = &*self;
+        let compile_cache: CompileCache = Mutex::new(HashMap::new());
+        for_each_on_pool(sweep.jobs, slots.len(), |i| {
+            let cell = &sweep.cells[slots[i]];
             let series = &spec.series[cell.series_idx];
             let vspec = &series.variants[cell.cell_idx];
-            let input = &inputs[dataset_of_series[cell.series_idx].expect("dataset resolved")];
-            if !opts.quiet {
+            if !sweep.quiet {
                 dp_obs::diag!(
                     "[dp-sweep] run {}/{} [{}]",
                     series.benchmark,
@@ -597,114 +623,107 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> SweepResult {
                     vspec.label
                 );
             }
-            let summary = run_cell(
-                benches[cell.series_idx],
-                vspec,
-                input,
-                &series.timing,
-                &series.cost,
-                &compile_cache,
-            );
-            if opts.cache
-                && !cache_broken.load(Ordering::Relaxed)
-                && cache::store(&cache_dir, cell.key, &summary) == cache::StoreOutcome::Unavailable
-                && !cache_broken.swap(true, Ordering::Relaxed)
-            {
-                dp_obs::diag!(
-                    "[dp-sweep] cache dir {} unavailable (disk full or read-only); \
-                     continuing without the cache",
-                    cache_dir.display()
-                );
-            }
-            *results[i].lock().unwrap() = Some(summary);
-        };
-        pool.scope(|scope| {
-            let helpers = pool
-                .available_workers()
-                .min(jobs.saturating_sub(1))
-                .min(pending.len().saturating_sub(1));
-            for _ in 0..helpers {
-                scope.spawn_as(dp_pool::JobClass::Bulk, run_generation);
-            }
-            run_generation();
+            let input = sweep.inputs[cell.series_idx]
+                .as_ref()
+                .expect("dataset materialized above");
+            sweep.complete(slots[i], run_cell(series, vspec, input, &compile_cache));
         });
-        for (cell, result) in pending.iter().zip(results) {
-            summaries[cell.series_idx][cell.cell_idx] =
-                Some(result.into_inner().unwrap().expect("cell executed"));
+    }
+
+    /// Merges in spec order and verifies every cell against its series
+    /// reference (cell 0).
+    ///
+    /// # Panics
+    ///
+    /// Panics when a slot was neither a cache hit nor completed.
+    pub fn finish(self) -> SweepResult {
+        let mut summaries = self.summaries.into_iter();
+        let series = self
+            .spec
+            .series
+            .iter()
+            .zip(self.inputs)
+            .map(|(series, input)| {
+                let mut cells: Vec<CellSummary> = summaries
+                    .by_ref()
+                    .take(series.variants.len())
+                    .map(|slot| slot.into_inner().unwrap().expect("cell resolved"))
+                    .collect();
+                if let Some(reference) = cells.first().map(|c| c.output()) {
+                    for cell in &mut cells {
+                        cell.verified = cell.output().approx_eq(&reference, 1e-6);
+                    }
+                }
+                SeriesResult {
+                    benchmark: series.benchmark.clone(),
+                    dataset_name: series.dataset.name(),
+                    dataset_description: input.map(|input| describe(&input)),
+                    cells,
+                }
+            })
+            .collect();
+        SweepResult {
+            series,
+            cache: self.stats,
+            jobs: self.jobs,
         }
     }
+}
 
-    // Merge in spec order; verify every cell against its series reference.
-    let series_results: Vec<SeriesResult> = spec
-        .series
-        .iter()
-        .enumerate()
-        .map(|(series_idx, series)| {
-            let mut cells: Vec<CellSummary> = summaries[series_idx]
-                .iter_mut()
-                .map(|slot| slot.take().expect("cell resolved"))
-                .collect();
-            if let Some(reference) = cells.first().map(|c| c.output()) {
-                for cell in &mut cells {
-                    cell.verified = cell.output().approx_eq(&reference, 1e-6);
-                }
-            }
-            SeriesResult {
-                benchmark: series.benchmark.clone(),
-                dataset_name: series.dataset.name(),
-                dataset_description: dataset_of_series[series_idx]
-                    .map(|slot| describe(&inputs[slot])),
-                cells,
-            }
-        })
-        .collect();
-
-    SweepResult {
-        series: series_results,
-        cache: stats,
-        jobs,
-    }
+/// Runs a sweep: cache probe, parallel execution of the misses, spec-order
+/// merge with cross-variant verification.
+///
+/// # Panics
+///
+/// Panics when a benchmark name is unknown or a cell's compilation/run
+/// fails.
+pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> SweepResult {
+    let mut sweep = Sweep::probe(spec, opts).unwrap_or_else(|e| panic!("{e}"));
+    let pending = sweep.pending();
+    sweep.run_local(&pending);
+    sweep.finish()
 }
 
 /// Compiles (or fetches) the variant's program and runs it on one input,
 /// producing the persistent summary.
 fn run_cell(
-    bench: &dyn Benchmark,
+    series: &SeriesSpec,
     vspec: &VariantSpec,
     input: &BenchInput,
-    timing: &TimingParams,
-    cost: &CostModel,
     compile_cache: &CompileCache,
 ) -> CellSummary {
-    let (source, config) = match vspec.variant {
-        Variant::NoCdp => (bench.no_cdp_source(), dp_core::OptConfig::none()),
-        Variant::Cdp(config) => (bench.cdp_source(), config),
-    };
+    let bench = benchmark_by_name(&series.benchmark).expect("enumerate_cells resolved the name");
+    let (source, config) = vspec.variant.program(bench.as_ref());
     let compile_key = format!(
         "{}|{:?}|{}|{:?}",
-        bench.name(),
+        series.benchmark,
         vspec.variant,
         key::canonical_config(&config),
-        cost
+        series.cost
     );
-    let compiled: dp_core::SharedCompiled = {
-        let mut cache = compile_cache.lock().unwrap();
-        match cache.get(&compile_key) {
-            Some(c) => Arc::clone(c),
-            None => {
-                let shared = Compiler::new()
-                    .config(config)
-                    .cost_model(cost.clone())
-                    .compile(source)
-                    .unwrap_or_else(|e: Error| panic!("{} [{}]: {e}", bench.name(), vspec.label))
-                    .into_shared();
-                cache.insert(compile_key, Arc::clone(&shared));
-                shared
-            }
-        }
-    };
-    execute_cell(bench, &vspec.label, &compiled, input, timing)
-        .unwrap_or_else(|e| panic!("{} [{}]: {e}", bench.name(), vspec.label))
+    let entry = Arc::clone(
+        compile_cache
+            .lock()
+            .unwrap()
+            .entry(compile_key)
+            .or_default(),
+    );
+    let compiled = entry.get_or_init(|| {
+        Compiler::new()
+            .config(config)
+            .cost_model(series.cost.clone())
+            .compile(source)
+            .unwrap_or_else(|e: Error| panic!("{} [{}]: {e}", series.benchmark, vspec.label))
+            .into_shared()
+    });
+    execute_cell(
+        bench.as_ref(),
+        &vspec.label,
+        compiled,
+        input,
+        &series.timing,
+    )
+    .unwrap_or_else(|e| panic!("{} [{}]: {e}", series.benchmark, vspec.label))
 }
 
 /// Runs one benchmark cell against an already-compiled program and

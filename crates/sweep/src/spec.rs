@@ -26,26 +26,8 @@
 use crate::json::{self, Json};
 use crate::{DatasetSpec, SeriesSpec, SweepSpec, VariantSpec};
 use dp_core::{AggConfig, AggGranularity, OptConfig};
-use dp_workloads::benchmarks::Variant;
-use dp_workloads::{datasets_for, DatasetId};
-
-/// All Table-I dataset ids, name → id (also used by the `dp-serve`
-/// protocol's `sweep-cell` requests).
-pub fn dataset_by_name(name: &str) -> Option<DatasetId> {
-    [
-        DatasetId::Kron,
-        DatasetId::Cnr,
-        DatasetId::RoadNy,
-        DatasetId::Rand3,
-        DatasetId::Sat5,
-        DatasetId::T0032C16,
-        DatasetId::T2048C64,
-    ]
-    .into_iter()
-    .find(|id| id.name() == name)
-}
-
-const KNOWN_BENCHMARKS: [&str; 7] = ["BFS", "BT", "MSTF", "MSTV", "SP", "SSSP", "TC"];
+use dp_workloads::benchmarks::{all_benchmarks, benchmark_by_name, Variant};
+use dp_workloads::{datasets_for, input_kind_for, DatasetId};
 
 /// Parses an aggregation granularity spec (`warp`, `block`,
 /// `multiblock:<K>`, `grid`) — the one parser for sweep specs, `dp-serve`
@@ -101,36 +83,23 @@ pub fn config_from_json(v: &Json) -> Result<OptConfig, String> {
     Ok(config)
 }
 
-fn parse_variant(v: &Json) -> Result<VariantSpec, String> {
-    if v.get("no_cdp")
-        .map(|b| b == &Json::Bool(true))
-        .unwrap_or(false)
-    {
-        let label = v
-            .get("label")
-            .and_then(Json::as_str)
-            .unwrap_or("No CDP")
-            .to_string();
-        return Ok(VariantSpec::new(label, Variant::NoCdp));
+/// A benchmark name read from outside the program, checked against the
+/// registry.
+fn checked_benchmark(name: &Json) -> Result<String, String> {
+    let name = name.as_str().ok_or("benchmark names must be strings")?;
+    if benchmark_by_name(name).is_none() {
+        let known: Vec<&str> = all_benchmarks().iter().map(|b| b.name()).collect();
+        return Err(format!(
+            "unknown benchmark `{name}` (expected one of {})",
+            known.join(", ")
+        ));
     }
-    let config = config_from_json(v)?;
-    let label = v
-        .get("label")
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .unwrap_or_else(|| config.label());
-    Ok(VariantSpec::new(label, Variant::Cdp(config)))
+    Ok(name.to_string())
 }
 
-/// Parses a sweep-spec JSON document into a [`SweepSpec`].
-///
-/// # Errors
-///
-/// Returns a human-readable message for syntax errors, unknown
-/// benchmark/dataset names, or malformed variant entries.
-pub fn spec_from_json(text: &str) -> Result<SweepSpec, String> {
-    let doc = json::parse(text)?;
-    let scale = doc
+/// The optional `scale` and `seed` members of `v` (defaults 0.05 / 42).
+fn scale_and_seed(v: &Json) -> Result<(f64, u64), String> {
+    let scale = v
         .get("scale")
         .map(|v| v.as_f64().ok_or("`scale` must be a number"))
         .transpose()?
@@ -138,27 +107,98 @@ pub fn spec_from_json(text: &str) -> Result<SweepSpec, String> {
     if !(scale > 0.0 && scale <= 1.0) {
         return Err(format!("`scale` must be in (0, 1], got {scale}"));
     }
-    let seed = doc
+    let seed = v
         .get("seed")
         .map(|v| v.as_u64().ok_or("`seed` must be a non-negative integer"))
         .transpose()?
         .unwrap_or(42);
+    Ok((scale, seed))
+}
+
+/// A Table-I dataset named from outside the program.
+fn checked_dataset(name: &Json) -> Result<DatasetId, String> {
+    let name = name.as_str().ok_or("dataset names must be strings")?;
+    DatasetId::ALL
+        .into_iter()
+        .find(|id| id.name() == name)
+        .ok_or_else(|| format!("unknown dataset `{name}`"))
+}
+
+/// Refuses to pair a benchmark with a dataset it cannot read: the driver
+/// would panic on the input once the cell runs.
+fn checked_pair(benchmark: &str, id: DatasetId) -> Result<(), String> {
+    let reads = input_kind_for(benchmark);
+    if id.kind() != reads {
+        return Err(format!(
+            "dataset `{}` is {}, but `{benchmark}` reads {reads}",
+            id.name(),
+            id.kind()
+        ));
+    }
+    Ok(())
+}
+
+fn parse_variant(v: &Json) -> Result<VariantSpec, String> {
+    let variant = if v.get("no_cdp") == Some(&Json::Bool(true)) {
+        Variant::NoCdp
+    } else {
+        Variant::Cdp(config_from_json(v)?)
+    };
+    let label = match v.get("label").and_then(Json::as_str) {
+        Some(label) => label.to_string(),
+        None => variant.label(),
+    };
+    Ok(VariantSpec::new(label, variant))
+}
+
+/// One cell named from outside the program — the body of a `dp-serve`
+/// `sweep-cell` request — with default timing and cost models (the
+/// protocol deliberately has no knobs for them, so source + config fully
+/// determine the compilation).
+#[derive(Debug, Clone)]
+pub struct CellSpec {
+    /// Benchmark name ("BFS", "BT", …).
+    pub benchmark: String,
+    /// Table-I dataset, of the kind the benchmark reads.
+    pub dataset: DatasetSpec,
+    /// What to run, and the label of its summary.
+    pub variant: VariantSpec,
+}
+
+/// Parses one cell: `benchmark`, `dataset` (`id`, optional `scale` and
+/// `seed`) and `variant` (as in a spec's `variants`). Shares every check
+/// with [`spec_from_json`].
+pub fn cell_from_json(doc: &Json) -> Result<CellSpec, String> {
+    let benchmark = checked_benchmark(doc.get("benchmark").ok_or("cell needs a `benchmark`")?)?;
+    let d = doc.get("dataset").ok_or("cell needs a `dataset`")?;
+    let id = checked_dataset(d.get("id").ok_or("dataset needs an `id`")?)?;
+    checked_pair(&benchmark, id)?;
+    let (scale, seed) = scale_and_seed(d)?;
+    let variant = parse_variant(doc.get("variant").ok_or("cell needs a `variant`")?)?;
+    Ok(CellSpec {
+        benchmark,
+        dataset: DatasetSpec::table(id, scale, seed),
+        variant,
+    })
+}
+
+/// Parses a sweep-spec JSON document into a [`SweepSpec`].
+///
+/// # Errors
+///
+/// Returns a human-readable message for syntax errors, unknown
+/// benchmark/dataset names, a dataset its benchmark cannot read, or
+/// malformed variant entries.
+pub fn spec_from_json(text: &str) -> Result<SweepSpec, String> {
+    let doc = json::parse(text)?;
+    let (scale, seed) = scale_and_seed(&doc)?;
 
     let benchmarks: Vec<String> = doc
         .get("benchmarks")
         .and_then(Json::as_array)
         .ok_or("spec needs a `benchmarks` array")?
         .iter()
-        .map(|b| {
-            let name = b.as_str().ok_or("benchmark names must be strings")?;
-            if !KNOWN_BENCHMARKS.contains(&name) {
-                return Err(format!(
-                    "unknown benchmark `{name}` (expected one of {})",
-                    KNOWN_BENCHMARKS.join(", ")
-                ));
-            }
-            Ok(name.to_string())
-        })
+        .map(checked_benchmark)
         .collect::<Result<_, String>>()?;
     if benchmarks.is_empty() {
         return Err("`benchmarks` must not be empty".to_string());
@@ -167,15 +207,7 @@ pub fn spec_from_json(text: &str) -> Result<SweepSpec, String> {
     let explicit_datasets: Option<Vec<DatasetId>> = doc
         .get("datasets")
         .and_then(Json::as_array)
-        .map(|items| {
-            items
-                .iter()
-                .map(|d| {
-                    let name = d.as_str().ok_or("dataset names must be strings")?;
-                    dataset_by_name(name).ok_or_else(|| format!("unknown dataset `{name}`"))
-                })
-                .collect::<Result<Vec<_>, String>>()
-        })
+        .map(|items| items.iter().map(checked_dataset).collect())
         .transpose()?;
 
     let variants: Vec<VariantSpec> = doc
@@ -196,6 +228,7 @@ pub fn spec_from_json(text: &str) -> Result<SweepSpec, String> {
             None => datasets_for(bench),
         };
         for id in datasets {
+            checked_pair(bench, id)?;
             series.push(SeriesSpec::new(
                 bench.clone(),
                 DatasetSpec::table(id, scale, seed),
@@ -215,7 +248,7 @@ mod tests {
         let spec = spec_from_json(
             r#"{
                 "scale": 0.01, "seed": 7,
-                "benchmarks": ["BFS", "SP"],
+                "benchmarks": ["BFS", "SSSP"],
                 "datasets": ["KRON"],
                 "variants": [
                     {"no_cdp": true},
@@ -282,6 +315,17 @@ mod tests {
             r#"{"benchmarks": ["BFS"], "variants": [{"coarsen": 1, "agg": "multiblock:1"}]}"#
         )
         .is_ok());
+        // A dataset the benchmark's driver would panic on, whether the spec
+        // names it for one benchmark or for several.
+        for benchmarks in [r#"["BFS"]"#, r#"["BT", "BFS"]"#] {
+            let spec = format!(
+                r#"{{"benchmarks": {benchmarks}, "datasets": ["T0032-C16"], "variants": [{{}}]}}"#
+            );
+            assert_eq!(
+                spec_from_json(&spec).unwrap_err(),
+                "dataset `T0032-C16` is Bézier lines, but `BFS` reads a graph"
+            );
+        }
         // A dangling agg_threshold would silently do nothing — reject it.
         assert!(
             spec_from_json(r#"{"benchmarks": ["BFS"], "variants": [{"agg_threshold": 4}]}"#)

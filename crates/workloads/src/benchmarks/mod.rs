@@ -39,7 +39,37 @@ pub enum BenchInput {
     Bezier(BezierLines),
 }
 
+/// The three shapes of input: what a benchmark reads and a dataset holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InputKind {
+    /// A CSR graph.
+    Graph,
+    /// A k-SAT formula.
+    Sat,
+    /// Bézier lines.
+    Bezier,
+}
+
+impl std::fmt::Display for InputKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            InputKind::Graph => "a graph",
+            InputKind::Sat => "a SAT formula",
+            InputKind::Bezier => "Bézier lines",
+        })
+    }
+}
+
 impl BenchInput {
+    /// Which shape this input is.
+    pub fn kind(&self) -> InputKind {
+        match self {
+            BenchInput::Graph(_) => InputKind::Graph,
+            BenchInput::Sat(_) => InputKind::Sat,
+            BenchInput::Bezier(_) => InputKind::Bezier,
+        }
+    }
+
     /// The graph, if this input is one.
     ///
     /// # Panics
@@ -48,7 +78,7 @@ impl BenchInput {
     pub fn graph(&self) -> &CsrGraph {
         match self {
             BenchInput::Graph(g) => g,
-            other => panic!("benchmark expected a graph input, got {other:?}"),
+            other => panic!("benchmark expected a graph, got {}", other.kind()),
         }
     }
 
@@ -60,7 +90,7 @@ impl BenchInput {
     pub fn sat(&self) -> &KSatFormula {
         match self {
             BenchInput::Sat(f) => f,
-            other => panic!("benchmark expected a SAT input, got {other:?}"),
+            other => panic!("benchmark expected a SAT formula, got {}", other.kind()),
         }
     }
 
@@ -72,7 +102,7 @@ impl BenchInput {
     pub fn bezier(&self) -> &BezierLines {
         match self {
             BenchInput::Bezier(b) => b,
-            other => panic!("benchmark expected Bézier input, got {other:?}"),
+            other => panic!("benchmark expected Bézier lines, got {}", other.kind()),
         }
     }
 }
@@ -131,6 +161,15 @@ impl Variant {
             Variant::Cdp(c) => c.label(),
         }
     }
+
+    /// The source of `bench` this variant compiles, and the configuration
+    /// it compiles it under.
+    pub fn program(&self, bench: &dyn Benchmark) -> (&'static str, OptConfig) {
+        match *self {
+            Variant::NoCdp => (bench.no_cdp_source(), OptConfig::none()),
+            Variant::Cdp(config) => (bench.cdp_source(), config),
+        }
+    }
 }
 
 /// Output and trace of one variant run.
@@ -148,10 +187,7 @@ pub fn run_variant(
     variant: Variant,
     input: &BenchInput,
 ) -> Result<VariantRun> {
-    let (source, config) = match variant {
-        Variant::NoCdp => (bench.no_cdp_source(), OptConfig::none()),
-        Variant::Cdp(config) => (bench.cdp_source(), config),
-    };
+    let (source, config) = variant.program(bench);
     let compiled = Compiler::new().config(config).compile(source)?;
     let mut exec = compiled.executor();
     let output = bench.run(&mut exec, input)?;
@@ -172,6 +208,11 @@ pub fn all_benchmarks() -> Vec<Box<dyn Benchmark>> {
         Box::new(sssp::Sssp),
         Box::new(tc::Tc),
     ]
+}
+
+/// The benchmark the paper calls `name`.
+pub fn benchmark_by_name(name: &str) -> Option<Box<dyn Benchmark>> {
+    all_benchmarks().into_iter().find(|b| b.name() == name)
 }
 
 /// Uploads a CSR graph, returning `(offsets, edges, weights)` pointers.
@@ -214,6 +255,15 @@ mod tests {
     fn registry_has_seven_benchmarks() {
         let names: Vec<&str> = all_benchmarks().iter().map(|b| b.name()).collect();
         assert_eq!(names, vec!["BFS", "BT", "MSTF", "MSTV", "SP", "SSSP", "TC"]);
+        assert_eq!(benchmark_by_name("SP").map(|b| b.name()), Some("SP"));
+        assert!(benchmark_by_name("sp").is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "benchmark expected a graph, got Bézier lines")]
+    fn a_wrong_kind_input_is_named_not_dumped() {
+        let lines = crate::datasets::bezier::bezier_lines(4, 32, 16.0, 1);
+        BenchInput::Bezier(lines).graph();
     }
 
     #[test]

@@ -5,7 +5,7 @@ pub mod csr;
 pub mod graphs;
 pub mod ksat;
 
-use crate::benchmarks::BenchInput;
+use crate::benchmarks::{BenchInput, InputKind};
 use bezier::bezier_lines;
 use graphs::{rmat, road, web};
 use ksat::random_ksat;
@@ -30,6 +30,17 @@ pub enum DatasetId {
 }
 
 impl DatasetId {
+    /// Every dataset, in Table-I order with the road graph after its kind.
+    pub const ALL: [DatasetId; 7] = [
+        DatasetId::Kron,
+        DatasetId::Cnr,
+        DatasetId::RoadNy,
+        DatasetId::Rand3,
+        DatasetId::Sat5,
+        DatasetId::T0032C16,
+        DatasetId::T2048C64,
+    ];
+
     /// Name as used in the paper.
     pub fn name(&self) -> &'static str {
         match self {
@@ -40,6 +51,15 @@ impl DatasetId {
             DatasetId::Sat5 => "5-SAT",
             DatasetId::T0032C16 => "T0032-C16",
             DatasetId::T2048C64 => "T2048-C64",
+        }
+    }
+
+    /// The shape of input the generator produces.
+    pub fn kind(&self) -> InputKind {
+        match self {
+            DatasetId::Kron | DatasetId::Cnr | DatasetId::RoadNy => InputKind::Graph,
+            DatasetId::Rand3 | DatasetId::Sat5 => InputKind::Sat,
+            DatasetId::T0032C16 | DatasetId::T2048C64 => InputKind::Bezier,
         }
     }
 
@@ -124,6 +144,15 @@ pub fn datasets_for(benchmark: &str) -> Vec<DatasetId> {
     }
 }
 
+/// The shape of input `benchmark` reads: that of its Table-I datasets.
+///
+/// # Panics
+///
+/// Panics on an unknown benchmark name, like [`datasets_for`].
+pub fn input_kind_for(benchmark: &str) -> InputKind {
+    datasets_for(benchmark)[0].kind()
+}
+
 /// Summary statistics for Table I output.
 pub fn describe(input: &BenchInput) -> String {
     match input {
@@ -156,16 +185,9 @@ mod tests {
 
     #[test]
     fn every_dataset_instantiates_at_small_scale() {
-        for id in [
-            DatasetId::Kron,
-            DatasetId::Cnr,
-            DatasetId::RoadNy,
-            DatasetId::Rand3,
-            DatasetId::Sat5,
-            DatasetId::T0032C16,
-            DatasetId::T2048C64,
-        ] {
+        for id in DatasetId::ALL {
             let input = id.instantiate(0.01, 42);
+            assert_eq!(input.kind(), id.kind(), "{}", id.name());
             let desc = describe(&input);
             assert!(!desc.is_empty(), "{}: {desc}", id.name());
         }
@@ -174,7 +196,12 @@ mod tests {
     #[test]
     fn table1_mapping_is_complete() {
         for b in ["BFS", "BT", "MSTF", "MSTV", "SP", "SSSP", "TC"] {
-            assert_eq!(datasets_for(b).len(), 2);
+            let datasets = datasets_for(b);
+            assert_eq!(datasets.len(), 2);
+            assert!(
+                datasets.iter().all(|d| d.kind() == input_kind_for(b)),
+                "{b}"
+            );
         }
     }
 

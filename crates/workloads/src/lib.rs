@@ -20,5 +20,8 @@
 pub mod benchmarks;
 pub mod datasets;
 
-pub use benchmarks::{all_benchmarks, run_variant, BenchInput, BenchOutput, Benchmark, Variant};
-pub use datasets::{datasets_for, describe, DatasetId};
+pub use benchmarks::{
+    all_benchmarks, benchmark_by_name, run_variant, BenchInput, BenchOutput, Benchmark, InputKind,
+    Variant,
+};
+pub use datasets::{datasets_for, describe, input_kind_for, DatasetId};
