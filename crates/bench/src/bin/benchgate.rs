@@ -1,21 +1,18 @@
 //! `benchgate` — the CI bench-regression gate.
 //!
 //! Compares a freshly-measured `vmbench` JSON against the committed
-//! `BENCH_vm.json` and exits nonzero on regression: `instructions` must
-//! match **exactly** (the accounting contract — drift means semantics
-//! moved), and `speedup_fused` may drop at most `--tolerance` (default
-//! 25%, sized for shared-runner noise; the fused/baseline ratio is
-//! wall-clock-noise-resistant because both rows run in the same process).
+//! `BENCH_vm.json` and exits nonzero when `instructions` does not match
+//! **exactly**. Nothing timed is gated; see `dp_bench::gate`.
 //!
 //! ```text
-//! benchgate <committed.json> <fresh.json> [--tolerance F] [-o report.txt]
+//! benchgate <committed.json> <fresh.json> [-o report.txt]
 //! ```
 //!
 //! The rendered comparison goes to stdout (and to `-o` for CI artifact
 //! upload) whether the gate passes or fails.
 
 use dp_bench::gate;
-use dp_sweep::json;
+use dp_obs::json;
 use std::process::ExitCode;
 
 fn load(path: &str) -> Result<json::Json, String> {
@@ -24,51 +21,28 @@ fn load(path: &str) -> Result<json::Json, String> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut positional = Vec::new();
-    let mut tolerance = 0.25;
     let mut report_path = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--tolerance" => {
-                i += 1;
-                match args.get(i).and_then(|v| v.parse::<f64>().ok()) {
-                    Some(v) => tolerance = v,
-                    None => return fail("--tolerance needs a number"),
-                }
-                i += 1;
-            }
-            "-o" => {
-                i += 1;
-                let Some(path) = args.get(i) else {
-                    return fail("-o needs a path");
-                };
-                report_path = Some(path.clone());
-                i += 1;
-            }
-            other if !other.starts_with('-') => {
-                positional.push(other.to_string());
-                i += 1;
-            }
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "-o" => match args.next() {
+                Some(path) => report_path = Some(path),
+                None => return fail("-o needs a path"),
+            },
+            other if !other.starts_with('-') => positional.push(arg),
             other => return fail(&format!("unexpected argument `{other}`")),
         }
     }
     let [committed_path, fresh_path] = positional.as_slice() else {
-        return fail("usage: benchgate <committed.json> <fresh.json> [--tolerance F] [-o report]");
+        return fail("usage: benchgate <committed.json> <fresh.json> [-o report]");
     };
-
-    let committed = match load(committed_path) {
-        Ok(v) => v,
-        Err(e) => return fail(&e),
-    };
-    let fresh = match load(fresh_path) {
-        Ok(v) => v,
-        Err(e) => return fail(&e),
-    };
-    let report = match gate::compare(&committed, &fresh, tolerance) {
-        Ok(r) => r,
-        Err(e) => return fail(&e),
+    let report = match (load(committed_path), load(fresh_path)) {
+        (Ok(committed), Ok(fresh)) => match gate::compare(&committed, &fresh) {
+            Ok(report) => report,
+            Err(e) => return fail(&e),
+        },
+        (Err(e), _) | (_, Err(e)) => return fail(&e),
     };
     let rendered = report.render();
     print!("{rendered}");

@@ -221,14 +221,6 @@ __global__ void frontier(int* offsets, int* edges, int* out, int numV) {
     })
 }
 
-fn json_escape_free(name: &str) -> &str {
-    // Workload names are static identifiers; keep the writer honest anyway.
-    assert!(name
-        .chars()
-        .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_'));
-    name
-}
-
 fn write_json(path: &std::path::Path, results: &[WorkloadResult]) -> std::io::Result<()> {
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut out = format!(
@@ -237,8 +229,8 @@ fn write_json(path: &std::path::Path, results: &[WorkloadResult]) -> std::io::Re
     );
     for (i, r) in results.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\n      \"name\": \"{}\",\n      \"instructions\": {},\n      \"configs\": {{\n",
-            json_escape_free(r.name),
+            "    {{\n      \"name\": {},\n      \"instructions\": {},\n      \"configs\": {{\n",
+            dp_obs::json::Json::Str(r.name.to_string()),
             r.rows[0].instructions,
         ));
         for (j, (cfg, m)) in CONFIGS.iter().zip(&r.rows).enumerate() {
@@ -260,7 +252,7 @@ fn write_json(path: &std::path::Path, results: &[WorkloadResult]) -> std::io::Re
     // The registry snapshot rides along for drill-down (`vm.run_us`);
     // benchgate reads only the named fields above and ignores it.
     out.push_str("  ],\n  \"metrics\": ");
-    out.push_str(&dp_obs::metrics::snapshot().to_json_string());
+    out.push_str(&dp_obs::metrics::snapshot().to_json().to_string());
     out.push_str("\n}\n");
     std::fs::write(path, out)
 }

@@ -21,9 +21,9 @@
 //! ```
 
 use dp_core::{AggConfig, Compiler, OptConfig};
+use dp_obs::json::{self, Json};
 use dp_serve::proto::{bare_request, Endpoint};
 use dp_serve::{ServeOptions, Server};
-use dp_sweep::json::{self, Json};
 use dp_sweep::spec::{checked_coarsen_factor, parse_granularity};
 use dp_sweep::{run_sweep, spec_from_json, SweepOptions, SweepResult};
 use std::io::BufRead;
@@ -31,23 +31,25 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("transform") => transform(&args[1..]),
-        Some("info") => info(&args[1..]),
-        Some("sweep") => sweep(&args[1..]),
-        Some("cache") => cache_cmd(&args[1..]),
-        Some("serve") => serve(&args[1..]),
-        Some("client") => client(&args[1..]),
-        Some("trace-report") => trace_report(&args[1..]),
-        Some("--version") | Some("-V") => {
+    // Help is decided here, once: no subcommand parser knows the flag.
+    let help = args.iter().any(|a| a == "--help" || a == "-h");
+    let Some(command) = args.first().filter(|_| !help) else {
+        print!("{USAGE}");
+        return ExitCode::SUCCESS;
+    };
+    match command.as_str() {
+        "transform" => transform(&args[1..]),
+        "info" => info(&args[1..]),
+        "sweep" => sweep(&args[1..]),
+        "cache" => cache_cmd(&args[1..]),
+        "serve" => serve(&args[1..]),
+        "client" => client(&args[1..]),
+        "trace-report" => trace_report(&args[1..]),
+        "--version" | "-V" => {
             println!("dpopt {}", env!("CARGO_PKG_VERSION"));
             ExitCode::SUCCESS
         }
-        Some("--help") | Some("-h") | None => {
-            print!("{USAGE}");
-            ExitCode::SUCCESS
-        }
-        Some(other) => {
+        other => {
             eprintln!("unknown command `{other}`\n{USAGE}");
             ExitCode::FAILURE
         }

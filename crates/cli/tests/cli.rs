@@ -35,6 +35,35 @@ fn help_prints_usage() {
     assert!(text.contains("--threshold"));
 }
 
+/// `--help` / `-h` after a subcommand is help, not an unexpected argument.
+#[test]
+fn help_after_any_subcommand_prints_usage() {
+    let usage = dpopt().arg("--help").output().unwrap().stdout;
+    for command in [
+        "transform",
+        "info",
+        "sweep",
+        "cache",
+        "serve",
+        "client",
+        "trace-report",
+    ] {
+        for args in [
+            &["--help"][..],
+            &["-h"],
+            &["input", "--jobs", "2", "--help"],
+        ] {
+            let out = dpopt().arg(command).args(args).output().unwrap();
+            assert_eq!(out.status.code(), Some(0), "{command} {args:?}");
+            assert!(
+                out.stdout == usage,
+                "{command} {args:?} prints the usage text"
+            );
+            assert!(out.stderr.is_empty(), "{command} {args:?}");
+        }
+    }
+}
+
 #[test]
 fn unknown_command_fails() {
     let out = dpopt().arg("explode").output().unwrap();
@@ -271,7 +300,10 @@ fn sweep_gc_prunes_lru_entries() {
 #[test]
 fn sweep_rejects_bad_specs() {
     let spec = std::env::temp_dir().join(format!("dpopt-bad-spec-{}.json", std::process::id()));
+    // Nested past the parser's cap (it used to overflow the stack and abort).
+    let deep = "[".repeat(200_000);
     for (text, needle) in [
+        (deep.as_str(), "nesting deeper than 128"),
         (
             r#"{"benchmarks": ["XXX"], "variants": [{}]}"#,
             "unknown benchmark",
@@ -288,6 +320,7 @@ fn sweep_rejects_bad_specs() {
             .args(["sweep", spec.to_str().unwrap(), "--no-cache"])
             .output()
             .unwrap();
+        let text: String = text.chars().take(100).collect();
         assert_eq!(out.status.code(), Some(1), "{text}");
         let err = String::from_utf8(out.stderr).unwrap();
         assert!(err.contains("bad sweep spec"), "{text}: {err}");
@@ -296,6 +329,42 @@ fn sweep_rejects_bad_specs() {
         assert!(err.lines().count() == 1, "one line, not a dump: {err}");
     }
     std::fs::remove_file(&spec).ok();
+}
+
+/// The fsck must survive what it is there to remove: a footerless entry —
+/// planted, or `cache-push`ed and quarantined — nested deep enough to have
+/// overflowed the parser's stack is reported corrupt, removed, and gone on
+/// the re-run.
+#[test]
+fn cache_verify_repairs_a_deeply_nested_entry() {
+    let dir = std::env::temp_dir().join(format!("dpopt-deep-cache-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("00000000deadbeef.json"), "[".repeat(400_000)).unwrap();
+    let verify = || {
+        let out = dpopt()
+            .args([
+                "cache",
+                "verify",
+                "--repair",
+                "--dir",
+                dir.to_str().unwrap(),
+            ])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let first = verify();
+    assert!(
+        first.contains("1 scanned, 0 ok, 0 torn, 1 corrupt"),
+        "{first}"
+    );
+    assert!(first.contains("1 repaired"), "{first}");
+    assert!(first.contains("00000000deadbeef.json"), "{first}");
+    let second = verify();
+    assert!(second.contains("0 scanned"), "{second}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

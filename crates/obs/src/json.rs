@@ -1,8 +1,11 @@
-//! A minimal JSON reader/writer for the result cache and sweep spec files.
+//! The workspace's one JSON reader/writer: every socket line, cache entry,
+//! sweep spec, trace event and registry snapshot goes through it.
 //!
 //! The build environment has no network access, so `serde_json` is not
-//! available; this module implements exactly the subset the sweep engine
-//! needs. Two properties matter beyond plain conformance:
+//! available; this module implements exactly the subset the workspace
+//! needs, on `std` alone — it sits in `dp-obs`, at the bottom of the crate
+//! graph, so that the metrics registry can speak [`Json`] like every layer
+//! above it. Three properties matter beyond plain conformance:
 //!
 //! - **Exact float round-trips.** Floats are written with Rust's `{}`
 //!   formatting, which emits the shortest decimal string that parses back
@@ -10,6 +13,10 @@
 //!   reproduce cold-run output *byte for byte*.
 //! - **Exact integers.** Number tokens without `.`/`e` parse as [`Json::Int`]
 //!   (`i64`), so instruction and launch counters never pass through `f64`.
+//! - **Bounded nesting.** The parser is recursive and reads bytes from
+//!   outside the process (a request line is parsed before the auth check),
+//!   so a document nested deeper than [`MAX_DEPTH`] is a parse error, not a
+//!   stack overflow.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -141,7 +148,9 @@ impl std::fmt::Display for Json {
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a JSON string literal, quotes included — the
+/// one string writer (the trace emitter's line builder escapes through it).
+pub(crate) fn write_string(out: &mut String, s: &str) {
     out.push('"');
     // Copy each run of bytes that need no escape with one `push_str`.
     // Every byte that does need one is ASCII, so a run always ends on a
@@ -178,14 +187,19 @@ pub fn object(members: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
     )
 }
 
+/// The deepest nesting of arrays and objects [`parse`] accepts. The deepest
+/// document the workspace writes nests 6.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document.
 ///
 /// # Errors
 ///
-/// Returns a message with the byte offset of the first syntax error.
+/// Returns a message with the byte offset of the first syntax error, or
+/// `nesting deeper than 128` for a document past [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut pos = 0;
-    let value = parse_value(text, &mut pos)?;
+    let value = parse_value(text, &mut pos, 0)?;
     skip_ws(text.as_bytes(), &mut pos);
     if pos != text.len() {
         return Err(format!("trailing content at byte {pos}"));
@@ -199,11 +213,13 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(text: &str, pos: &mut usize) -> Result<Json, String> {
+/// `depth` counts the arrays and objects already open around this value.
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
     let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!("nesting deeper than {MAX_DEPTH}")),
         Some(b'{') => {
             *pos += 1;
             let mut members = BTreeMap::new();
@@ -214,7 +230,7 @@ fn parse_value(text: &str, pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = match parse_value(text, pos)? {
+                let key = match parse_value(text, pos, depth + 1)? {
                     Json::Str(s) => s,
                     other => return Err(format!("object key must be a string, got {other:?}")),
                 };
@@ -223,7 +239,7 @@ fn parse_value(text: &str, pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected `:` at byte {pos}"));
                 }
                 *pos += 1;
-                let value = parse_value(text, pos)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 members.insert(key, value);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -245,7 +261,7 @@ fn parse_value(text: &str, pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Array(items));
             }
             loop {
-                items.push(parse_value(text, pos)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -408,6 +424,16 @@ mod tests {
         assert!(parse("nul").is_err());
         assert!(parse("{}extra").is_err());
         assert!(parse(r#"{"a" 1}"#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let nested = |n: usize| open.repeat(n) + "0" + &close.repeat(n);
+            assert!(parse(&nested(MAX_DEPTH)).is_ok());
+            let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+            assert_eq!(err, "nesting deeper than 128");
+        }
     }
 
     #[test]

@@ -20,29 +20,15 @@
 //!   (serve fault-arming notices, cache warnings). Routing every debug knob through one helper is what lets
 //!   the stdout-purity regression test assert that no combination of
 //!   debug env vars can ever pollute a byte-identical stdout contract.
+//!
+//! A fourth module is here because this crate is the bottom of the graph
+//! (`std` only; every other crate links it): [`json`], the workspace's one
+//! JSON value, writer and parser (nesting capped at [`json::MAX_DEPTH`]).
+//! With it the registry hands out a [`json::Json`]
+//! ([`metrics::Snapshot::to_json`]) and no layer above parses a string
+//! back. `dp-sweep`, its first user, re-exports the module as its `json`.
 
 pub mod diag;
+pub mod json;
 pub mod metrics;
 pub mod trace;
-
-/// Appends `s` to `out` as a JSON string literal (quotes included),
-/// escaping per RFC 8259. Shared by the metrics snapshot renderer and the
-/// trace event writer so both emit parseable JSON without a serializer
-/// dependency.
-pub(crate) fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}

@@ -26,6 +26,7 @@
 //! which is exactly why the serve `metrics` op joins `stats` in the
 //! determinism-contract exemption.
 
+use crate::json::{object, Json};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Mutex, Once, OnceLock};
@@ -355,7 +356,9 @@ impl Snapshot {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Renders the snapshot as one line of deterministic-shape JSON:
+    /// The snapshot as a deterministic-shape JSON value — the body of the
+    /// serve `metrics` op, the `--metrics-dump-secs` line and vmbench's
+    /// `metrics` member:
     ///
     /// ```json
     /// {"counters":{"name":N,...},
@@ -365,49 +368,41 @@ impl Snapshot {
     /// ```
     ///
     /// Names sort lexicographically; buckets are sparse with the overflow
-    /// bucket's `le_us` rendered as `-1`. The output parses with
-    /// `dp_sweep::json` (it is the body of the serve `metrics` op).
-    pub fn to_json_string(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str("{\"counters\":{");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            crate::push_json_str(&mut out, name);
-            out.push(':');
-            out.push_str(&value.to_string());
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            crate::push_json_str(&mut out, name);
-            out.push_str(":{\"buckets\":[");
-            for (j, &(le, n)) in h.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                if le == u64::MAX {
-                    out.push_str(&format!("[-1,{n}]"));
+    /// bucket's `le_us` rendered as `-1`.
+    pub fn to_json(&self) -> Json {
+        let counters = self.counters.iter().map(|(k, v)| (k.clone(), count(*v)));
+        let histograms = self.histograms.iter().map(|(name, h)| {
+            let buckets = h.buckets.iter().map(|&(le, n)| {
+                let le = if le == u64::MAX {
+                    Json::Int(-1)
                 } else {
-                    out.push_str(&format!("[{le},{n}]"));
-                }
-            }
-            out.push_str(&format!(
-                "],\"count\":{},\"max_us\":{},\"p50_us\":{},\"p90_us\":{},\"p99_us\":{},\"sum_us\":{}}}",
-                h.count,
-                h.max_us,
-                h.quantile_us(0.50),
-                h.quantile_us(0.90),
-                h.quantile_us(0.99),
-                h.sum_us,
-            ));
-        }
-        out.push_str("}}");
-        out
+                    count(le)
+                };
+                Json::Array(vec![le, count(n)])
+            });
+            let members = object([
+                ("buckets", Json::Array(buckets.collect())),
+                ("count", count(h.count)),
+                ("max_us", count(h.max_us)),
+                ("p50_us", count(h.quantile_us(0.50))),
+                ("p90_us", count(h.quantile_us(0.90))),
+                ("p99_us", count(h.quantile_us(0.99))),
+                ("sum_us", count(h.sum_us)),
+            ]);
+            (name.clone(), members)
+        });
+        object([
+            ("counters", Json::Object(counters.collect())),
+            ("histograms", Json::Object(histograms.collect())),
+        ])
     }
+}
+
+/// A registry value as JSON. Values are event counts and sums of
+/// microseconds; one past `i64::MAX` saturates (a snapshot must never
+/// panic the daemon that serves it).
+fn count(v: u64) -> Json {
+    Json::Int(i64::try_from(v).unwrap_or(i64::MAX))
 }
 
 /// Snapshots every registered counter and histogram. Read-side only;
@@ -500,22 +495,33 @@ mod tests {
 
     #[test]
     fn snapshot_json_is_valid_and_deterministic_in_shape() {
-        // Its own metrics: tests run on parallel threads, and the round-trip
-        // test above counts exactly what it recorded.
-        static JSON_COUNTER: Counter = Counter::new("test.metrics.json_counter");
-        static JSON_HIST: Histogram = Histogram::new("test.metrics.json_hist_us");
-        enable();
-        JSON_COUNTER.incr();
-        JSON_HIST.record_us(10);
-        let s = snapshot().to_json_string();
-        assert!(s.starts_with("{\"counters\":{"));
-        assert!(s.contains("\"test.metrics.json_counter\":"));
-        assert!(s.contains("\"test.metrics.json_hist_us\":{\"buckets\":["));
-        assert!(s.contains("\"p50_us\":"));
-        assert!(s.ends_with("}}"));
-        // Overflow bucket renders as le=-1 when present.
-        JSON_HIST.record_us(u64::MAX / 2);
-        assert!(snapshot().to_json_string().contains("[-1,"));
+        // The bytes the hand-rolled writer this replaced produced for the
+        // same snapshot: a name that needs escaping, an overflow bucket.
+        let mut snap = Snapshot::default();
+        snap.counters.insert("serve.op.compile".to_string(), 3);
+        snap.counters.insert("odd \"name\"\\\n\u{1}".to_string(), 0);
+        snap.histograms.insert(
+            "serve.req.compile_us".to_string(),
+            HistogramSnapshot {
+                count: 4,
+                sum_us: 70_000_107,
+                max_us: 70_000_000,
+                buckets: vec![(1, 1), (128, 2), (u64::MAX, 1)],
+            },
+        );
+        assert_eq!(
+            snap.to_json().to_string(),
+            concat!(
+                r#"{"counters":{"odd \"name\"\\\n\u0001":0,"serve.op.compile":3},"#,
+                r#""histograms":{"serve.req.compile_us":{"buckets":[[1,1],[128,2],[-1,1]],"#,
+                r#""count":4,"max_us":70000000,"p50_us":128,"p90_us":70000000,"#,
+                r#""p99_us":70000000,"sum_us":70000107}}}"#
+            )
+        );
+        // Past `i64::MAX` a value saturates; nothing panics.
+        snap.counters.insert("huge".to_string(), u64::MAX);
+        let text = snap.to_json().to_string();
+        assert!(text.contains("\"huge\":9223372036854775807"), "{text}");
     }
 
     #[test]

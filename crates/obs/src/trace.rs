@@ -145,7 +145,7 @@ pub fn span_with(name: &str, attrs: &[(&str, &str)]) -> Span {
     line.push_str(",\"parent\":");
     line.push_str(&prev.to_string());
     line.push_str(",\"name\":");
-    crate::push_json_str(&mut line, name);
+    crate::json::write_string(&mut line, name);
     line.push_str(",\"t_us\":");
     line.push_str(&t_us().to_string());
     if !attrs.is_empty() {
@@ -154,9 +154,9 @@ pub fn span_with(name: &str, attrs: &[(&str, &str)]) -> Span {
             if i > 0 {
                 line.push(',');
             }
-            crate::push_json_str(&mut line, k);
+            crate::json::write_string(&mut line, k);
             line.push(':');
-            crate::push_json_str(&mut line, v);
+            crate::json::write_string(&mut line, v);
         }
         line.push('}');
     }

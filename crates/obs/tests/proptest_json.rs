@@ -1,9 +1,9 @@
-//! Property tests for `dp_sweep::json`, the parser every socket line,
+//! Property tests for `dp_obs::json`, the parser every socket line,
 //! cache entry and sweep spec goes through: writer/parser round-trips over
-//! strings that exercise every escape, and byte-mutated documents that
-//! must fail cleanly.
+//! strings that exercise every escape, byte-mutated documents that must
+//! fail cleanly, and nesting on both sides of the cap.
 
-use dp_sweep::json::{parse, Json};
+use dp_obs::json::{parse, Json, MAX_DEPTH};
 use proptest::prelude::*;
 
 /// Characters a generated string draws from: plain ASCII, every character
@@ -62,6 +62,24 @@ fn arb_json() -> impl Strategy<Value = Json> {
                 .prop_map(|members| Json::Object(members.into_iter().collect())),
         ]
     })
+}
+
+/// `depth` containers around a `0`, each an array or a one-member object
+/// as `shape`'s bits say, with a little whitespace — or, `closed` false, the
+/// openers alone, as a hostile line arrives.
+fn nested(depth: usize, shape: i64, closed: bool) -> String {
+    let object = |level: usize| shape >> (level % 63) & 1 == 1;
+    let mut text = String::new();
+    for level in 0..depth {
+        text.push_str(if object(level) { "{ \"k\":" } else { "[ " });
+    }
+    if closed {
+        text.push('0');
+        for level in (0..depth).rev() {
+            text.push(if object(level) { '}' } else { ']' });
+        }
+    }
+    text
 }
 
 /// The string with every UTF-16 unit written as a `\uXXXX` escape, or
@@ -133,6 +151,31 @@ proptest! {
         let text = v.to_string();
         for (cut, _) in text.char_indices() {
             let _ = parse(&text[..cut]);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Up to the cap a nested document parses and writes back; past it —
+    /// by one level or by a hundred thousand, closed or not — the answer is
+    /// the one message, never a deep recursion.
+    #[test]
+    fn nesting_parses_to_the_cap_and_is_refused_past_it(
+        depth in 1usize..MAX_DEPTH + 1,
+        excess in prop_oneof![1usize..4, 1_000usize..300_000],
+        shape in 0i64..i64::MAX,
+    ) {
+        let doc = parse(&nested(depth, shape, true));
+        prop_assert!(doc.is_ok(), "depth {}: {:?}", depth, doc);
+        let doc = doc.unwrap();
+        prop_assert_eq!(parse(&doc.to_string()), Ok(doc));
+        for closed in [true, false] {
+            prop_assert_eq!(
+                parse(&nested(MAX_DEPTH + excess, shape, closed)),
+                Err(format!("nesting deeper than {MAX_DEPTH}"))
+            );
         }
     }
 }

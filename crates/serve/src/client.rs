@@ -15,7 +15,7 @@
 
 use crate::proto::{self, Endpoint, Stream};
 use dp_core::OptConfig;
-use dp_sweep::json::Json;
+use dp_obs::json::Json;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::io::BufReader;
@@ -220,7 +220,7 @@ impl Client {
         let line = proto::read_line(&mut self.reader)
             .map_err(|e| RequestError::Transport(format!("receive: {e}")))?
             .ok_or_else(|| RequestError::Transport("server closed the connection".to_string()))?;
-        let response = dp_sweep::json::parse(line.trim())
+        let response = dp_obs::json::parse(line.trim())
             .map_err(|e| RequestError::Transport(format!("torn response: {e}")))?;
         if response.get("ok") == Some(&Json::Bool(true)) {
             Ok(response)

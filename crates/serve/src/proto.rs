@@ -42,7 +42,7 @@
 //! state and sit outside it too.)
 
 use dp_core::OptConfig;
-use dp_sweep::json::{self, object, Json};
+use dp_obs::json::{self, object, Json};
 use dp_sweep::spec::{cell_from_json, config_from_json, CellSpec};
 use dp_workloads::benchmarks::Variant;
 use std::io::{BufRead, Read, Write};
@@ -631,27 +631,28 @@ pub fn hello_request(token: &str) -> Json {
 // Response builders (server side)
 // ----------------------------------------------------------------------
 
+/// `response` with the request's `id` echoed in, when it carried one.
+fn echo_id(mut response: Json, id: Option<&Json>) -> Json {
+    if let (Json::Object(map), Some(id)) = (&mut response, id) {
+        map.insert("id".to_string(), id.clone());
+    }
+    response
+}
+
 /// A successful response: `ok:true` + the op's members + the echoed id.
 pub fn ok_response(id: Option<&Json>, members: Vec<(&'static str, Json)>) -> Json {
     let mut all = vec![("ok", Json::Bool(true))];
     all.extend(members);
-    let mut v = object(all);
-    if let (Json::Object(map), Some(id)) = (&mut v, id) {
-        map.insert("id".to_string(), id.clone());
-    }
-    v
+    echo_id(object(all), id)
 }
 
 /// An error response: `ok:false` + the message + the echoed id.
 pub fn error_response(id: Option<&Json>, message: &str) -> Json {
-    let mut v = object([
+    let members = [
         ("ok", Json::Bool(false)),
         ("error", Json::Str(message.to_string())),
-    ]);
-    if let (Json::Object(map), Some(id)) = (&mut v, id) {
-        map.insert("id".to_string(), id.clone());
-    }
-    v
+    ];
+    echo_id(object(members), id)
 }
 
 /// A structured robustness error: `{"op":"error","kind":…,…}`. The
@@ -661,16 +662,13 @@ pub fn error_response(id: Option<&Json>, message: &str) -> Json {
 /// without parsing prose. Domain errors (compile failures, unknown
 /// buffers) keep the legacy kind-less [`error_response`] shape.
 pub fn error_response_kind(id: Option<&Json>, kind: &'static str, message: &str) -> Json {
-    let mut v = object([
+    let members = [
         ("error", Json::Str(message.to_string())),
         ("kind", Json::Str(kind.to_string())),
         ("ok", Json::Bool(false)),
         ("op", Json::Str("error".to_string())),
-    ]);
-    if let (Json::Object(map), Some(id)) = (&mut v, id) {
-        map.insert("id".to_string(), id.clone());
-    }
-    v
+    ];
+    echo_id(object(members), id)
 }
 
 // ----------------------------------------------------------------------

@@ -49,6 +49,16 @@
 //! request — pipelined ones included — has **written its response**, then
 //! answers the shutdown and wakes the accept loop to exit. In-flight work
 //! is never dropped.
+//!
+//! One book of counts: an event is counted once, in the process-wide
+//! `dp-obs` registry (always enabled in a server process). The op and
+//! refusal vocabularies are one table each — [`OPS`], a row per wire op
+//! with its `serve.op.*` counter and `serve.req.*_us` histogram, and
+//! [`REJECTS`], a row per refusal kind with its `serve.reject.*` counter —
+//! and the `stats` op's `requests`, `rejects`, `bytes` and `disk_cache`
+//! members read those counters; `metrics` is the registry's own `Json`.
+//! What tests need exact per instance stays an instance book:
+//! [`CompiledCache`]'s counts and the pool's steals and yields.
 
 use crate::cache::CompiledCache;
 use crate::proto::{
@@ -57,14 +67,14 @@ use crate::proto::{
 };
 use dp_core::{Compiler, OptConfig, SharedCompiled, TimingParams};
 use dp_faults::{FaultKind, FaultPlan, FaultPoint};
+use dp_obs::json::{self, object, Json};
 use dp_obs::metrics::{Counter, Histogram};
 use dp_pool::Pool;
-use dp_sweep::json::{self, object, Json};
 use dp_sweep::spec::CellSpec;
 use dp_sweep::{cache as sweep_cache, key};
 use dp_workloads::benchmarks::benchmark_by_name;
 use dp_workloads::BenchInput;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::TcpListener;
 #[cfg(unix)]
@@ -79,29 +89,86 @@ use std::time::{Duration, Instant};
 /// ordinary TCP backpressure rather than an error.
 const PIPELINE_WINDOW: usize = 64;
 
-// Request latency per op (admission to response-ready). The daemon
-// enables the registry at bind, so these are always live in a server
-// process; everything they record stays off the response bytes.
-static REQ_COMPILE_US: Histogram = Histogram::new("serve.req.compile_us");
-static REQ_TRANSFORM_US: Histogram = Histogram::new("serve.req.transform_us");
-static REQ_EXECUTE_US: Histogram = Histogram::new("serve.req.execute_us");
-static REQ_SWEEP_CELL_US: Histogram = Histogram::new("serve.req.sweep_cell_us");
-static REQ_CACHE_PUSH_US: Histogram = Histogram::new("serve.req.cache_push_us");
-static REQ_CACHE_PULL_US: Histogram = Histogram::new("serve.req.cache_pull_us");
-static REQ_STATS_US: Histogram = Histogram::new("serve.req.stats_us");
-static REQ_METRICS_US: Histogram = Histogram::new("serve.req.metrics_us");
+/// One wire op's row in the daemon's book: its name, its `serve.op.*`
+/// request counter and — for the ops whose latency is measured, admission
+/// to response-ready — its `serve.req.*_us` histogram. The daemon enables
+/// the registry at bind, so the rows are always live in a server process;
+/// everything they record stays off the response bytes.
+struct OpRow {
+    name: &'static str,
+    requests: Counter,
+    latency: Option<Histogram>,
+}
 
-// Per-op request counters (the registry mirror of `State::requests`).
-static OP_COMPILE: Counter = Counter::new("serve.op.compile");
-static OP_TRANSFORM: Counter = Counter::new("serve.op.transform");
-static OP_EXECUTE: Counter = Counter::new("serve.op.execute");
-static OP_SWEEP_CELL: Counter = Counter::new("serve.op.sweep-cell");
-static OP_CACHE_PUSH: Counter = Counter::new("serve.op.cache-push");
-static OP_CACHE_PULL: Counter = Counter::new("serve.op.cache-pull");
-static OP_STATS: Counter = Counter::new("serve.op.stats");
-static OP_METRICS: Counter = Counter::new("serve.op.metrics");
-static OP_SHUTDOWN: Counter = Counter::new("serve.op.shutdown");
-static OP_HELLO: Counter = Counter::new("serve.op.hello");
+impl OpRow {
+    fn record_since(&'static self, started: Option<Instant>) {
+        if let Some(latency) = &self.latency {
+            latency.record_since(started);
+        }
+    }
+}
+
+const fn row(name: &'static str, requests: &'static str, latency: Option<Histogram>) -> OpRow {
+    OpRow {
+        name,
+        requests: Counter::new(requests),
+        latency,
+    }
+}
+
+/// The op vocabulary's one table: [`op_row`] finds a request's row by its
+/// wire name, and `stats.requests` is a walk of the counters.
+#[rustfmt::skip]
+static OPS: [OpRow; 10] = [
+    row("compile",    "serve.op.compile",    Some(Histogram::new("serve.req.compile_us"))),
+    row("transform",  "serve.op.transform",  Some(Histogram::new("serve.req.transform_us"))),
+    row("execute",    "serve.op.execute",    Some(Histogram::new("serve.req.execute_us"))),
+    row("sweep-cell", "serve.op.sweep-cell", Some(Histogram::new("serve.req.sweep_cell_us"))),
+    row("cache-push", "serve.op.cache-push", Some(Histogram::new("serve.req.cache_push_us"))),
+    row("cache-pull", "serve.op.cache-pull", Some(Histogram::new("serve.req.cache_pull_us"))),
+    row("stats",      "serve.op.stats",      Some(Histogram::new("serve.req.stats_us"))),
+    row("metrics",    "serve.op.metrics",    Some(Histogram::new("serve.req.metrics_us"))),
+    row("shutdown",   "serve.op.shutdown",   None),
+    row("hello",      "serve.op.hello",      None),
+];
+
+/// The row of a request's op.
+fn op_row(request: &Request) -> &'static OpRow {
+    let name = op_name(request);
+    let row = OPS.iter().find(|row| row.name == name);
+    row.expect("every op has a row in OPS")
+}
+
+/// The kinds of refusal the daemon counts, in [`REJECTS`] order.
+#[derive(Clone, Copy)]
+enum Reject {
+    Auth,
+    DeadlineExceeded,
+    Draining,
+    Overloaded,
+    Parse,
+    TooLarge,
+}
+
+/// One row per refusal kind: its wire `kind` and its `serve.reject.*`
+/// counter. `stats.rejects` is a walk of this table.
+#[rustfmt::skip]
+static REJECTS: [(&str, Counter); 6] = [
+    ("auth",              Counter::new("serve.reject.auth")),
+    ("deadline_exceeded", Counter::new("serve.reject.deadline_exceeded")),
+    ("draining",          Counter::new("serve.reject.draining")),
+    ("overloaded",        Counter::new("serve.reject.overloaded")),
+    ("parse",             Counter::new("serve.reject.parse")),
+    ("too_large",         Counter::new("serve.reject.too_large")),
+];
+
+/// Counts one refusal and builds its answer. Every counted kind reaches the
+/// wire through here, so none can go uncounted.
+fn refusal(kind: Reject, id: Option<&Json>, message: &str) -> Json {
+    let (name, count) = &REJECTS[kind as usize];
+    count.incr();
+    proto::error_response_kind(id, name, message)
+}
 
 // The opt-in on-disk sweep-cell result cache (`--disk-cache`), backed by
 // the crash-safe `dp_sweep::cache` storage tier.
@@ -109,64 +176,23 @@ static DISK_CACHE_HITS: Counter = Counter::new("serve.disk_cache.hits");
 static DISK_CACHE_MISSES: Counter = Counter::new("serve.disk_cache.misses");
 static DISK_CACHE_STORES: Counter = Counter::new("serve.disk_cache.stores");
 
-// Cumulative wire bytes per session class. A request (and its response)
-// is `pipelined` when it carries an `id`; id-less traffic is the legacy
-// in-order protocol. Request lines count their newline; so do responses.
-static BYTES_READ_PIPELINED: Counter = Counter::new("serve.bytes_read.pipelined");
-static BYTES_READ_INORDER: Counter = Counter::new("serve.bytes_read.inorder");
-static BYTES_WRITTEN_PIPELINED: Counter = Counter::new("serve.bytes_written.pipelined");
-static BYTES_WRITTEN_INORDER: Counter = Counter::new("serve.bytes_written.inorder");
+// Cumulative wire bytes per session class, indexed by `pipelined as usize`:
+// a request (and its response) is pipelined when it carries an `id`; id-less
+// traffic is the legacy in-order protocol. Request lines count their
+// newline; so do responses.
+static BYTES_READ: [Counter; 2] = [
+    Counter::new("serve.bytes_read.inorder"),
+    Counter::new("serve.bytes_read.pipelined"),
+];
+static BYTES_WRITTEN: [Counter; 2] = [
+    Counter::new("serve.bytes_written.inorder"),
+    Counter::new("serve.bytes_written.pipelined"),
+];
 
 // Where admitted requests ran: on the session thread that read them, or
 // on a launched request thread (see the module docs for the rule).
 static REQUESTS_INLINE: Counter = Counter::new("serve.requests.inline");
 static REQUESTS_LAUNCHED: Counter = Counter::new("serve.requests.launched");
-
-fn op_counter(op: &str) -> Option<&'static Counter> {
-    match op {
-        "compile" => Some(&OP_COMPILE),
-        "transform" => Some(&OP_TRANSFORM),
-        "execute" => Some(&OP_EXECUTE),
-        "sweep-cell" => Some(&OP_SWEEP_CELL),
-        "cache-push" => Some(&OP_CACHE_PUSH),
-        "cache-pull" => Some(&OP_CACHE_PULL),
-        "stats" => Some(&OP_STATS),
-        "metrics" => Some(&OP_METRICS),
-        "shutdown" => Some(&OP_SHUTDOWN),
-        "hello" => Some(&OP_HELLO),
-        _ => None,
-    }
-}
-
-fn req_histogram(op: &str) -> Option<&'static Histogram> {
-    match op {
-        "compile" => Some(&REQ_COMPILE_US),
-        "transform" => Some(&REQ_TRANSFORM_US),
-        "execute" => Some(&REQ_EXECUTE_US),
-        "sweep-cell" => Some(&REQ_SWEEP_CELL_US),
-        "cache-push" => Some(&REQ_CACHE_PUSH_US),
-        "cache-pull" => Some(&REQ_CACHE_PULL_US),
-        "stats" => Some(&REQ_STATS_US),
-        "metrics" => Some(&REQ_METRICS_US),
-        _ => None,
-    }
-}
-
-fn count_bytes_read(len: usize, pipelined: bool) {
-    if pipelined {
-        BYTES_READ_PIPELINED.add(len as u64);
-    } else {
-        BYTES_READ_INORDER.add(len as u64);
-    }
-}
-
-fn count_bytes_written(len: usize, pipelined: bool) {
-    if pipelined {
-        BYTES_WRITTEN_PIPELINED.add(len as u64);
-    } else {
-        BYTES_WRITTEN_INORDER.add(len as u64);
-    }
-}
 
 /// Server construction options.
 #[derive(Debug, Clone)]
@@ -272,9 +298,6 @@ struct State {
     /// Live session count (the `--max-connections` admission signal).
     sessions: AtomicUsize,
     datasets: Mutex<HashMap<String, Arc<BenchInput>>>,
-    requests: Mutex<BTreeMap<String, u64>>,
-    /// Refused/expired request counts by error kind, for `stats`.
-    rejects: Mutex<BTreeMap<&'static str, u64>>,
     draining: AtomicBool,
     inflight: Mutex<usize>,
     drained: Condvar,
@@ -383,22 +406,6 @@ impl State {
         Ok(result)
     }
 
-    fn count_request(&self, op: &str) {
-        if let Some(counter) = op_counter(op) {
-            counter.incr();
-        }
-        *self
-            .requests
-            .lock()
-            .unwrap()
-            .entry(op.to_string())
-            .or_insert(0) += 1;
-    }
-
-    fn count_reject(&self, kind: &'static str) {
-        *self.rejects.lock().unwrap().entry(kind).or_insert(0) += 1;
-    }
-
     /// Stops new work and blocks until every in-flight request has written
     /// its response. Idempotent; safe to call from several sessions.
     fn drain(&self) {
@@ -493,8 +500,13 @@ impl Session {
     /// session class (`pipelined` = the request carried an `id`).
     fn write(&self, response: &Json, pipelined: bool) -> std::io::Result<()> {
         let n = proto::write_line(&mut *self.writer.lock().unwrap(), response)?;
-        count_bytes_written(n, pipelined);
+        BYTES_WRITTEN[pipelined as usize].add(n as u64);
         Ok(())
+    }
+
+    /// Refuses a request: counts the refusal and writes its answer.
+    fn refuse(&self, kind: Reject, id: Option<&Json>, message: &str) -> std::io::Result<()> {
+        self.write(&refusal(kind, id, message), id.is_some())
     }
 
     fn shutdown_socket(&self) {
@@ -645,8 +657,6 @@ impl Server {
             exec_free: Condvar::new(),
             sessions: AtomicUsize::new(0),
             datasets: Mutex::new(HashMap::new()),
-            requests: Mutex::new(BTreeMap::new()),
-            rejects: Mutex::new(BTreeMap::new()),
             draining: AtomicBool::new(false),
             inflight: Mutex::new(0),
             drained: Condvar::new(),
@@ -687,10 +697,7 @@ impl Server {
                     if state.draining.load(Ordering::SeqCst) {
                         break;
                     }
-                    dp_obs::diag!(
-                        "dp-serve metrics {}",
-                        dp_obs::metrics::snapshot().to_json_string()
-                    );
+                    dp_obs::diag!("dp-serve metrics {}", dp_obs::metrics::snapshot().to_json());
                 });
         }
         match &self.listener {
@@ -733,14 +740,9 @@ fn spawn_session(state: Arc<State>, stream: Stream, endpoint: &Endpoint) {
     // make the count smaller — the cap never over-admits a live set).
     let max = state.limits.max_connections;
     if max > 0 && state.sessions.load(Ordering::SeqCst) >= max {
-        state.count_reject("overloaded");
         let mut stream = stream;
-        let refusal = proto::error_response_kind(
-            None,
-            "overloaded",
-            &format!("connection limit ({max}) reached"),
-        );
-        let _ = proto::write_line(&mut stream, &refusal);
+        let message = format!("connection limit ({max}) reached");
+        let _ = proto::write_line(&mut stream, &refusal(Reject::Overloaded, None, &message));
         return;
     }
     state.sessions.fetch_add(1, Ordering::SeqCst);
@@ -772,22 +774,13 @@ fn run_session(state: Arc<State>, stream: Stream, endpoint: &Endpoint) -> std::i
         let line = match proto::read_line_limited(&mut reader, state.limits.max_request_bytes)? {
             LineRead::Eof => break,
             LineRead::TooLarge => {
-                state.count_reject("too_large");
                 // Flush outstanding pipelined responses, answer, close:
                 // past the cap the line boundary is unknown, so the
                 // connection cannot be resynchronized.
                 session.wait_idle();
-                session.write(
-                    &proto::error_response_kind(
-                        None,
-                        "too_large",
-                        &format!(
-                            "request line exceeds {} bytes",
-                            state.limits.max_request_bytes
-                        ),
-                    ),
-                    false,
-                )?;
+                let cap = state.limits.max_request_bytes;
+                let message = format!("request line exceeds {cap} bytes");
+                session.refuse(Reject::TooLarge, None, &message)?;
                 session.shutdown_socket();
                 break;
             }
@@ -807,28 +800,21 @@ fn run_session(state: Arc<State>, stream: Stream, endpoint: &Endpoint) -> std::i
             Some(_) | None => {}
         }
         let ParsedRequest { id, body } = proto::parse_request(&line);
-        count_bytes_read(line.len(), id.is_some());
+        BYTES_READ[id.is_some() as usize].add(line.len() as u64);
         let request = match body {
             Err(e) => {
-                state.count_reject("parse");
-                session.write(
-                    &proto::error_response_kind(id.as_ref(), "parse", &e),
-                    id.is_some(),
-                )?;
+                session.refuse(Reject::Parse, id.as_ref(), &e)?;
                 continue;
             }
             Ok(request) => request,
         };
+        let op = op_row(&request);
         if let Request::Hello { token } = &request {
-            state.count_request("hello");
+            op.requests.incr();
             match &state.auth_token {
                 Some(expected) if token.as_deref() != Some(expected.as_str()) => {
-                    state.count_reject("auth");
                     session.wait_idle();
-                    session.write(
-                        &proto::error_response_kind(id.as_ref(), "auth", "invalid token"),
-                        id.is_some(),
-                    )?;
+                    session.refuse(Reject::Auth, id.as_ref(), "invalid token")?;
                     session.shutdown_socket();
                     break;
                 }
@@ -850,22 +836,15 @@ fn run_session(state: Arc<State>, stream: Stream, endpoint: &Endpoint) -> std::i
         }
         if !authed {
             // Every op — including stats and shutdown — is gated.
-            state.count_reject("auth");
             session.wait_idle();
-            session.write(
-                &proto::error_response_kind(
-                    id.as_ref(),
-                    "auth",
-                    "authentication required: send `hello` with the token first",
-                ),
-                id.is_some(),
-            )?;
+            let message = "authentication required: send `hello` with the token first";
+            session.refuse(Reject::Auth, id.as_ref(), message)?;
             session.shutdown_socket();
             break;
         }
         match request {
             Request::Shutdown => {
-                state.count_request("shutdown");
+                op.requests.incr();
                 // Pipelined requests hold inflight guards until their
                 // responses are written, so the drain covers them; the
                 // wait_idle then orders this session's shutdown answer
@@ -887,17 +866,15 @@ fn run_session(state: Arc<State>, stream: Stream, endpoint: &Endpoint) -> std::i
                 let _ = wake_endpoint(endpoint).connect();
                 return Ok(());
             }
-            Request::Stats => {
-                state.count_request("stats");
+            Request::Stats | Request::Metrics => {
+                op.requests.incr();
                 let started = dp_obs::metrics::now();
-                session.write(&stats_response(&state, id.as_ref()), id.is_some())?;
-                REQ_STATS_US.record_since(started);
-            }
-            Request::Metrics => {
-                state.count_request("metrics");
-                let started = dp_obs::metrics::now();
-                session.write(&metrics_response(id.as_ref()), id.is_some())?;
-                REQ_METRICS_US.record_since(started);
+                let response = match request {
+                    Request::Stats => stats_response(&state, id.as_ref()),
+                    _ => metrics_response(id.as_ref()),
+                };
+                session.write(&response, id.is_some())?;
+                op.record_since(started);
             }
             request => {
                 let pipelined = id.is_some();
@@ -907,11 +884,7 @@ fn run_session(state: Arc<State>, stream: Stream, endpoint: &Endpoint) -> std::i
                     session.wait_idle();
                 }
                 let Some(guard) = state.begin_request() else {
-                    state.count_reject("draining");
-                    session.write(
-                        &proto::error_response_kind(id.as_ref(), "draining", "server is draining"),
-                        pipelined,
-                    )?;
+                    session.refuse(Reject::Draining, id.as_ref(), "server is draining")?;
                     continue;
                 };
                 // The threshold: with nothing of this session to overlap
@@ -920,21 +893,12 @@ fn run_session(state: Arc<State>, stream: Stream, endpoint: &Endpoint) -> std::i
                 let alone = pipelined && reader.buffer().is_empty() && session.is_idle();
                 let Some(slot) = state.admit(alone) else {
                     drop(guard);
-                    state.count_reject("overloaded");
-                    session.write(
-                        &proto::error_response_kind(
-                            id.as_ref(),
-                            "overloaded",
-                            &format!(
-                                "queue depth limit ({}) reached",
-                                state.limits.max_queue_depth
-                            ),
-                        ),
-                        pipelined,
-                    )?;
+                    let depth = state.limits.max_queue_depth;
+                    let message = format!("queue depth limit ({depth}) reached");
+                    session.refuse(Reject::Overloaded, id.as_ref(), &message)?;
                     continue;
                 };
-                state.count_request(op_name(&request));
+                op.requests.incr();
                 let deadline = state.deadline();
                 if pipelined && !slot.running {
                     REQUESTS_LAUNCHED.incr();
@@ -959,15 +923,8 @@ fn run_session(state: Arc<State>, stream: Stream, endpoint: &Endpoint) -> std::i
                     if spawned.is_err() {
                         // Thread exhaustion; the closure (and its guards)
                         // was dropped unrun. Degrade to a fast-fail.
-                        state.count_reject("overloaded");
-                        session.write(
-                            &proto::error_response_kind(
-                                id.as_ref(),
-                                "overloaded",
-                                "cannot spawn a request thread",
-                            ),
-                            pipelined,
-                        )?;
+                        let message = "cannot spawn a request thread";
+                        session.refuse(Reject::Overloaded, id.as_ref(), message)?;
                     }
                 } else {
                     REQUESTS_INLINE.incr();
@@ -998,16 +955,14 @@ fn answer(
     deadline: Option<Instant>,
     guard: InflightGuard,
 ) -> std::io::Result<()> {
-    let op = op_name(&request);
-    let _span = dp_obs::trace::span_with("serve.request", &[("op", op)]);
+    let op = op_row(&request);
+    let _span = dp_obs::trace::span_with("serve.request", &[("op", op.name)]);
     let started = dp_obs::metrics::now();
     let response = dispatch(state, request, id, slot, deadline);
     // Write before the guard drops: a drain must not complete with this
     // response unwritten.
-    deliver(state, session, op, &response, id.is_some())?;
-    if let Some(h) = req_histogram(op) {
-        h.record_since(started);
-    }
+    deliver(state, session, op.name, &response, id.is_some())?;
+    op.record_since(started);
     drop(guard); // response is on the wire: now drainable
     Ok(())
 }
@@ -1109,15 +1064,9 @@ fn apply_exec_fault(faults: &FaultPlan, op: &str) {
 /// never from measured time, so the bytes are a pure function of the
 /// request and the server's flags.
 fn deadline_response(state: &State, id: Option<&Json>) -> Json {
-    state.count_reject("deadline_exceeded");
-    proto::error_response_kind(
-        id,
-        "deadline_exceeded",
-        &format!(
-            "request expired after {} ms before an execution slot freed",
-            state.limits.request_timeout_ms
-        ),
-    )
+    let ms = state.limits.request_timeout_ms;
+    let message = format!("request expired after {ms} ms before an execution slot freed");
+    refusal(Reject::DeadlineExceeded, id, &message)
 }
 
 fn dispatch(
@@ -1176,8 +1125,7 @@ fn dispatch(
                 Err(e) => proto::error_response(id, &e),
                 Ok(compiled) => {
                     if let Some(e) = aggregation_past_limit(&compiled, &request) {
-                        state.count_reject("parse");
-                        return proto::error_response_kind(id, "parse", &e);
+                        return refusal(Reject::Parse, id, &e);
                     }
                     let faults = state.faults.clone();
                     match state.exec_within(slot, deadline, move || {
@@ -1542,47 +1490,49 @@ fn sweep_cell_response(
     v
 }
 
+/// The counters of one table that have counted anything, by name: `stats`
+/// reports an op or a refusal kind only once it has been seen.
+fn seen_counts<'a>(rows: impl Iterator<Item = (&'a str, &'a Counter)>) -> Json {
+    Json::Object(
+        rows.map(|(name, count)| (name, count.value()))
+            .filter(|(_, n)| *n > 0)
+            .map(|(name, n)| (name.to_string(), json::uint(n)))
+            .collect(),
+    )
+}
+
 /// Live counters — deliberately **outside** the determinism contract.
+/// `requests` and `rejects` are walks of [`OPS`] and [`REJECTS`], so they
+/// are the registry's `serve.op.*` and `serve.reject.*` under shorter names.
 fn stats_response(state: &Arc<State>, id: Option<&Json>) -> Json {
+    let size = |n: usize| json::uint(n as u64);
     let cache = state.cache.stats();
-    let requests = state.requests.lock().unwrap();
-    let request_counts = Json::Object(
-        requests
-            .iter()
-            .map(|(op, n)| (op.clone(), json::uint(*n)))
-            .collect(),
-    );
-    drop(requests);
-    let rejects = state.rejects.lock().unwrap();
-    let reject_counts = Json::Object(
-        rejects
-            .iter()
-            .map(|(kind, n)| (kind.to_string(), json::uint(*n)))
-            .collect(),
-    );
-    drop(rejects);
     let exec = state.exec.lock().unwrap();
     let (free_slots, waiting) = (exec.free_slots, exec.waiting);
     drop(exec);
+    let inflight = *state.inflight.lock().unwrap();
+    let limits = &state.limits;
+    // One coherent scheduler snapshot. `queued` stays the total across
+    // classes (backward-compatible with the pre-deque shape); the per-class
+    // depths and the steal/yield totals are additive.
+    let pool = state.pool.stats();
+    let bytes = [
+        ("read_inorder", &BYTES_READ[0]),
+        ("read_pipelined", &BYTES_READ[1]),
+        ("written_inorder", &BYTES_WRITTEN[0]),
+        ("written_pipelined", &BYTES_WRITTEN[1]),
+    ];
     proto::ok_response(
         id,
         vec![
             (
                 "bytes",
-                object([
-                    ("read_inorder", json::uint(BYTES_READ_INORDER.value())),
-                    ("read_pipelined", json::uint(BYTES_READ_PIPELINED.value())),
-                    ("written_inorder", json::uint(BYTES_WRITTEN_INORDER.value())),
-                    (
-                        "written_pipelined",
-                        json::uint(BYTES_WRITTEN_PIPELINED.value()),
-                    ),
-                ]),
+                object(bytes.map(|(k, c)| (k, json::uint(c.value())))),
             ),
             (
                 "compiled_cache",
                 object([
-                    ("entries", json::uint(cache.entries as u64)),
+                    ("entries", size(cache.entries)),
                     ("evictions", json::uint(cache.evictions)),
                     ("hits", json::uint(cache.hits)),
                     ("misses", json::uint(cache.misses)),
@@ -1599,65 +1549,40 @@ fn stats_response(state: &Arc<State>, id: Option<&Json>) -> Json {
                     ("stores", json::uint(DISK_CACHE_STORES.value())),
                 ]),
             ),
-            (
-                "inflight",
-                json::uint(*state.inflight.lock().unwrap() as u64),
-            ),
-            ("jobs", json::uint(state.jobs_cap as u64)),
+            ("inflight", size(inflight)),
+            ("jobs", size(state.jobs_cap)),
             (
                 "limits",
                 object([
-                    (
-                        "max_connections",
-                        json::uint(state.limits.max_connections as u64),
-                    ),
-                    (
-                        "max_queue_depth",
-                        json::uint(state.limits.max_queue_depth as u64),
-                    ),
-                    (
-                        "max_request_bytes",
-                        json::uint(state.limits.max_request_bytes as u64),
-                    ),
-                    (
-                        "request_timeout_ms",
-                        json::uint(state.limits.request_timeout_ms),
-                    ),
+                    ("max_connections", size(limits.max_connections)),
+                    ("max_queue_depth", size(limits.max_queue_depth)),
+                    ("max_request_bytes", size(limits.max_request_bytes)),
+                    ("request_timeout_ms", json::uint(limits.request_timeout_ms)),
                 ]),
             ),
             ("op", Json::Str("stats".to_string())),
-            ("pool", {
-                // One coherent scheduler snapshot. `queued` stays the
-                // total across classes (backward-compatible with the
-                // pre-deque shape); the per-class depths and the
-                // steal/yield totals are additive.
-                let pool = state.pool.stats();
-                object([
-                    ("idle", json::uint(pool.idle as u64)),
-                    ("queued", json::uint(pool.queued_total() as u64)),
-                    ("queued_bulk", json::uint(pool.queued_bulk as u64)),
-                    (
-                        "queued_interactive",
-                        json::uint(pool.queued_interactive as u64),
-                    ),
-                    ("steals", json::uint(pool.steals)),
-                    ("threads", json::uint(pool.threads as u64)),
-                    ("yields", json::uint(pool.yields)),
-                ])
-            }),
             (
-                "queue",
+                "pool",
                 object([
-                    ("free_slots", json::uint(free_slots as u64)),
-                    ("waiting", json::uint(waiting as u64)),
+                    ("idle", size(pool.idle)),
+                    ("queued", size(pool.queued_total())),
+                    ("queued_bulk", size(pool.queued_bulk)),
+                    ("queued_interactive", size(pool.queued_interactive)),
+                    ("steals", json::uint(pool.steals)),
+                    ("threads", size(pool.threads)),
+                    ("yields", json::uint(pool.yields)),
                 ]),
             ),
-            ("rejects", reject_counts),
-            ("requests", request_counts),
             (
-                "sessions",
-                json::uint(state.sessions.load(Ordering::SeqCst) as u64),
+                "queue",
+                object([("free_slots", size(free_slots)), ("waiting", size(waiting))]),
             ),
+            ("rejects", seen_counts(REJECTS.iter().map(|(k, c)| (*k, c)))),
+            (
+                "requests",
+                seen_counts(OPS.iter().map(|op| (op.name, &op.requests))),
+            ),
+            ("sessions", size(state.sessions.load(Ordering::SeqCst))),
             (
                 "uptime_ms",
                 json::uint(state.started.elapsed().as_millis() as u64),
@@ -1670,12 +1595,10 @@ fn stats_response(state: &Arc<State>, id: Option<&Json>) -> Json {
 /// deliberately **outside** the determinism contract: the values are
 /// live process counters, not a function of the request bytes.
 fn metrics_response(id: Option<&Json>) -> Json {
-    let snapshot = dp_obs::metrics::snapshot().to_json_string();
-    let metrics = json::parse(&snapshot).unwrap_or(Json::Null);
     proto::ok_response(
         id,
         vec![
-            ("metrics", metrics),
+            ("metrics", dp_obs::metrics::snapshot().to_json()),
             ("op", Json::Str("metrics".to_string())),
         ],
     )

@@ -10,6 +10,7 @@
 use dp_serve::proto::{bare_request, Endpoint};
 use dp_serve::{Client, ServeOptions, Server};
 use dp_sweep::json::Json;
+use std::time::{Duration, Instant};
 
 /// A source with real dynamic parallelism so execute responses exercise
 /// the machine, the simulator, and the launch accounting.
@@ -88,6 +89,19 @@ fn start_server_with(options: ServeOptions) -> Endpoint {
     endpoint
 }
 
+/// Polls `ready` until it yields, in place of a sleep that hopes the server
+/// got there: ten seconds without an answer fail the test with `what`.
+fn poll_until<T>(what: &str, mut ready: impl FnMut() -> Option<T>) -> T {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        if let Some(value) = ready() {
+            return value;
+        }
+        assert!(Instant::now() < deadline, "{what}");
+        std::thread::yield_now();
+    }
+}
+
 #[test]
 fn responses_are_byte_identical_cold_warm_and_concurrent() {
     let endpoint = start_server();
@@ -157,16 +171,13 @@ fn responses_are_byte_identical_cold_warm_and_concurrent() {
     // --- Shutdown: drains, answers, closes the listener.
     let down = client.request(&bare_request("shutdown")).expect("shutdown");
     assert_eq!(down.get("drained"), Some(&Json::Bool(true)));
-    // The listener is gone: a fresh connection either refuses or closes
-    // without answering.
-    std::thread::sleep(std::time::Duration::from_millis(100));
-    match Client::connect(&endpoint) {
-        Err(_) => {}
-        Ok(mut late) => {
-            let outcome = late.request(&bare_request("stats"));
-            assert!(outcome.is_err(), "post-shutdown request must not be served");
-        }
-    }
+    // The listener is gone once the accept loop has seen its wake-up: a
+    // fresh connection either refuses or closes without answering.
+    poll_until("post-shutdown request must not be served", || {
+        let served = Client::connect(&endpoint)
+            .is_ok_and(|mut late| late.request(&bare_request("stats")).is_ok());
+        (!served).then_some(())
+    });
 }
 
 /// Pins the `stats` pool-object JSON shape for the class-aware deque
@@ -219,13 +230,14 @@ fn shutdown_drains_inflight_requests_before_answering() {
                 .expect("slow round-trip")
                 .expect("slow answered")
         });
-        // Give the slow request a head start so it is in flight when the
-        // shutdown lands.
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        let down = {
-            let mut client = Client::connect(&endpoint).expect("connect shutdown");
-            client.request(&bare_request("shutdown")).expect("shutdown")
-        };
+        // The shutdown goes out only once the slow request is in flight
+        // (sent earlier, it would turn the slow answer into `draining`).
+        let mut client = Client::connect(&endpoint).expect("connect shutdown");
+        poll_until("the slow request must be admitted", || {
+            let stats = client.request(&bare_request("stats")).expect("stats");
+            (stats.get("inflight").and_then(Json::as_u64) >= Some(1)).then_some(())
+        });
+        let down = client.request(&bare_request("shutdown")).expect("shutdown");
         assert_eq!(down.get("drained"), Some(&Json::Bool(true)));
         let slow_response = slow_handle.join().unwrap();
         assert!(
@@ -323,17 +335,11 @@ fn connection_limit_refuses_with_a_structured_error() {
     // close asynchronously). A refused connection still accepts at the
     // TCP level, so "recovered" means a request actually succeeds.
     drop(first);
-    let mut recovered = None;
-    for _ in 0..50 {
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        if let Ok(mut client) = Client::connect(&endpoint) {
-            if client.request(&bare_request("stats")).is_ok() {
-                recovered = Some(client);
-                break;
-            }
-        }
-    }
-    let mut client = recovered.expect("limit must release with the connection");
+    let mut client = poll_until("limit must release with the connection", || {
+        let mut client = Client::connect(&endpoint).ok()?;
+        client.request(&bare_request("stats")).ok()?;
+        Some(client)
+    });
     client.request(&bare_request("shutdown")).expect("shutdown");
 }
 
@@ -393,6 +399,40 @@ fn invalid_utf8_line_answers_a_parse_error_and_keeps_the_session() {
     assert!(second.contains(r#""op":"stats""#), "{second}");
 
     let mut client = Client::connect(&endpoint).expect("connect");
+    client.request(&bare_request("shutdown")).expect("shutdown");
+}
+
+/// A line is parsed before the session is asked who it is, so the parser's
+/// nesting cap is what stands between an anonymous peer and the daemon's
+/// stack: 200 000 `[` are one `parse` refusal, and the daemon keeps serving.
+/// (Without the cap the session thread overflowed its stack and the process
+/// aborted.)
+#[test]
+fn deep_nesting_from_an_unauthenticated_peer_is_a_parse_error() {
+    let endpoint = start_server_with(ServeOptions {
+        jobs: 1,
+        auth_token: Some("s3cret".to_string()),
+        ..ServeOptions::default()
+    });
+
+    let mut anonymous = Client::connect(&endpoint).expect("connect");
+    let answer = anonymous
+        .roundtrip_line(&"[".repeat(200_000))
+        .expect("round-trip")
+        .expect("the daemon answers");
+    assert_eq!(
+        answer.trim_end(),
+        r#"{"error":"bad request JSON: nesting deeper than 128","kind":"parse","ok":false,"op":"error"}"#
+    );
+
+    let mut client = Client::connect(&endpoint).expect("the daemon is still up");
+    client.authenticate("s3cret").expect("hello");
+    let stats = client.request(&bare_request("stats")).expect("stats");
+    let rejects = stats.get("rejects").expect("rejects");
+    assert!(
+        rejects.get("parse").and_then(Json::as_u64) >= Some(1),
+        "{stats}"
+    );
     client.request(&bare_request("shutdown")).expect("shutdown");
 }
 
@@ -487,15 +527,18 @@ fn client_retry_rides_out_a_late_binding_server() {
     let _ = std::fs::remove_file(&path);
     let endpoint = Endpoint::Unix(path.clone());
 
+    // The bind is late by the clock the assertion below reads: taken before
+    // the binder exists, so a slow spawn cannot shorten the delay.
+    let started = Instant::now();
     let bind_endpoint = endpoint.clone();
     let server_thread = std::thread::spawn(move || {
         // Bind well after the client's first attempt fails.
-        std::thread::sleep(std::time::Duration::from_millis(300));
+        let bind_at = started + Duration::from_millis(300);
+        std::thread::sleep(bind_at.saturating_duration_since(Instant::now()));
         let server = Server::bind(&bind_endpoint, &ServeOptions::default()).expect("bind");
         server.serve().expect("serve");
     });
 
-    let started = std::time::Instant::now();
     let mut client = Client::connect_with(
         &endpoint,
         &ClientOptions {
@@ -506,7 +549,7 @@ fn client_retry_rides_out_a_late_binding_server() {
     )
     .expect("retries must outlast the bind delay");
     assert!(
-        started.elapsed() >= std::time::Duration::from_millis(250),
+        started.elapsed() >= Duration::from_millis(250),
         "the first attempts must have failed and backed off"
     );
     client.request(&bare_request("stats")).expect("stats");

@@ -46,10 +46,10 @@
 use std::collections::{BTreeSet, VecDeque};
 use std::path::PathBuf;
 
+use dp_obs::json::{uint, Json};
 use dp_obs::metrics::{labeled_counter, Counter};
 use dp_serve::client::{backoff_schedule, ClientOptions, RequestError, ResilientClient};
 use dp_serve::proto::{self, Endpoint};
-use dp_sweep::json::{uint, Json};
 use dp_sweep::{cache, CellSummary, DatasetSpec, Sweep, SweepOptions, SweepResult, SweepSpec};
 
 static CELLS_LOCAL_HITS: Counter = Counter::new("shard.cells.local_hits");
@@ -409,7 +409,7 @@ fn drive_session(
             .read_response_line()
             .map_err(|e| RequestError::Transport(format!("receive: {e}")))?
             .ok_or_else(|| RequestError::Transport("server closed the connection".to_string()))?;
-        let response = dp_sweep::json::parse(line.trim())
+        let response = dp_obs::json::parse(line.trim())
             .map_err(|e| RequestError::Transport(format!("torn response: {e}")))?;
         let Some(slot) = response
             .get("id")

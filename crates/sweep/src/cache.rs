@@ -30,9 +30,9 @@
 //! delayed rename) exercise exactly the code paths production crashes hit
 //! — see `crates/cli/tests/chaos.rs` for the process-level proof.
 
-use crate::json::{self, num, object, uint, Json};
 use crate::key::{fnv1a, CACHE_FORMAT_VERSION};
 use crate::CellSummary;
+use dp_obs::json::{self, num, object, uint, Json};
 use dp_obs::metrics::Counter;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};

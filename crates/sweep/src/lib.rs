@@ -62,11 +62,14 @@
 //! ```
 
 pub mod cache;
-pub mod json;
 pub mod key;
 pub mod spec;
 
 pub use cache::CacheStats;
+/// The JSON module lives in `dp-obs`, below every crate, so that the metrics
+/// registry can speak it; `crates/*/src` imports it from there. This is the
+/// path `benchmark/README.md` pins and the integration tests use.
+pub use dp_obs::json;
 pub use key::{digest_input, CACHE_FORMAT_VERSION};
 pub use spec::spec_from_json;
 

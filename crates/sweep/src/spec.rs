@@ -23,9 +23,9 @@
 //!   (int). `label` is optional (defaults to the paper-style config label).
 //! - `scale`/`seed` — optional (defaults 0.05 / 42).
 
-use crate::json::{self, Json};
 use crate::{DatasetSpec, SeriesSpec, SweepSpec, VariantSpec};
 use dp_core::{AggConfig, AggGranularity, OptConfig};
+use dp_obs::json::{self, Json};
 use dp_workloads::benchmarks::{all_benchmarks, benchmark_by_name, Variant};
 use dp_workloads::{datasets_for, input_kind_for, DatasetId};
 
