@@ -797,6 +797,9 @@ fn trace_report(args: &[String]) -> ExitCode {
     let Some(input) = input else {
         return fail("missing trace file (usage: dpopt trace-report <trace.jsonl>)");
     };
+    if tree && collapse {
+        return fail("--tree and --collapse are two reports; ask for one");
+    }
     let text = match read_input(&input) {
         Ok(s) => s,
         Err(code) => return code,
@@ -869,6 +872,9 @@ fn info(args: &[String]) -> ExitCode {
     let Some(input) = args.first() else {
         return fail("missing input file (usage: dpopt info <input.cu>)");
     };
+    if let Some(extra) = args.get(1) {
+        return fail(&format!("unexpected argument `{extra}`"));
+    }
     let source = match read_input(input) {
         Ok(s) => s,
         Err(code) => return code,
@@ -955,8 +961,12 @@ fn sweep(args: &[String]) -> ExitCode {
         }
     }
     if gc {
-        if input.is_some() {
-            return fail("--gc takes no spec file (it prunes the cache and exits)");
+        let swept = input.is_some() || output.is_some() || remote.is_some();
+        if swept || opts.jobs != 0 || !opts.cache || cache_stats {
+            return fail(
+                "--gc takes no spec file and no option but --max-cache-mb \
+                 (it prunes the cache and exits)",
+            );
         }
         let dir = dp_sweep::cache::resolve_cache_dir(opts.cache_dir.as_deref());
         let budget = (max_cache_mb as u64).saturating_mul(1024 * 1024);

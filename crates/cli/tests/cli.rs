@@ -367,6 +367,121 @@ fn cache_verify_repairs_a_deeply_nested_entry() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A valid entry copied over another key's file — the one corruption a
+/// checksum cannot see — is a miss that is recomputed, never another cell's
+/// numbers, and `cache verify` names the file.
+#[test]
+fn a_misfiled_cache_entry_is_recomputed_and_reported() {
+    let tag = format!("{}-misfiled", std::process::id());
+    let spec_text = r#"{"scale": 0.002, "seed": 42, "benchmarks": ["BFS"], "datasets": ["KRON"],
+        "variants": [{"no_cdp": true}, {"label": "CDP"}, {"threshold": 128},
+                     {"threshold": 128, "coarsen": 4}, {"agg": "block"},
+                     {"threshold": 128, "coarsen": 4, "agg": "block"}]}"#;
+    let spec = std::env::temp_dir().join(format!("dpopt-spec-{tag}.json"));
+    std::fs::write(&spec, spec_text).unwrap();
+    let cache = std::env::temp_dir().join(format!("dpopt-cache-{tag}"));
+    let _ = std::fs::remove_dir_all(&cache);
+    // Each row's last four columns: time_us, launches, verified, cached.
+    let sweep = || {
+        let out = dpopt()
+            .env("DPOPT_CACHE_DIR", &cache)
+            .args(["sweep", spec.to_str().unwrap(), "--jobs", "2"])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8(out.stdout).unwrap();
+        let rows: Vec<Vec<String>> = text
+            .lines()
+            .filter(|l| l.starts_with("BFS"))
+            .map(|l| l.split_whitespace().map(str::to_string).collect())
+            .map(|mut cols: Vec<String>| cols.split_off(cols.len() - 4))
+            .collect();
+        assert_eq!(rows.len(), 6, "{text}");
+        rows
+    };
+    let cold = sweep();
+    assert!(cold.iter().all(|row| row[3] == "miss"), "{cold:?}");
+
+    // cp A B: the CDP cell's entry over the thresholded cell's.
+    let cells = dp_sweep::enumerate_cells(&dp_sweep::spec_from_json(spec_text).unwrap()).unwrap();
+    let file_of = |cell: usize| cache.join(format!("{:016x}.json", cells[cell].key));
+    let (a, b) = (file_of(1), file_of(2));
+    std::fs::copy(&a, &b).unwrap();
+
+    let verify = dpopt()
+        .args(["cache", "verify", "--dir", cache.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(verify.status.code(), Some(1));
+    let report = String::from_utf8(verify.stdout).unwrap();
+    let b_name = b.file_name().unwrap().to_str().unwrap();
+    assert!(
+        report.contains("6 scanned, 5 ok") && report.contains("1 corrupt"),
+        "{report}"
+    );
+    assert!(
+        report.contains(&format!("{b_name} — key mismatch")),
+        "{report}"
+    );
+
+    let warm = sweep();
+    for (i, (cold, warm)) in cold.iter().zip(&warm).enumerate() {
+        assert_eq!(cold[..3], warm[..3], "row {i} changed its numbers");
+        assert_eq!(warm[3], if i == 2 { "miss" } else { "hit" }, "row {i}");
+    }
+    assert!(b.with_extension("corrupt").exists(), "B was quarantined");
+
+    std::fs::remove_file(&spec).ok();
+    std::fs::remove_dir_all(&cache).ok();
+}
+
+/// Command lines that used to run with part of what they said ignored.
+#[test]
+fn half_understood_command_lines_are_refused() {
+    let input = write_temp("strict", EXAMPLE);
+    let input = input.to_str().unwrap();
+    for (args, needle) in [
+        (
+            &["info", input, "--bogus", "extra"][..],
+            "unexpected argument `--bogus`",
+        ),
+        (&["info", input, input], "unexpected argument"),
+        (
+            &["sweep", "--gc", "--jobs", "3"],
+            "no option but --max-cache-mb",
+        ),
+        (&["sweep", "--gc", "--no-cache"], "no option but"),
+        (&["sweep", "--gc", "--cache-stats"], "no option but"),
+        (&["sweep", "--gc", "-o", "x.json"], "no option but"),
+        (
+            &["sweep", "--gc", "--remote", "127.0.0.1:1"],
+            "no option but",
+        ),
+        (
+            &["trace-report", input, "--tree", "--collapse"],
+            "--tree and --collapse",
+        ),
+    ] {
+        let out = dpopt()
+            .env(
+                "DPOPT_CACHE_DIR",
+                std::env::temp_dir().join("dpopt-strict-none"),
+            )
+            .args(args)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.starts_with("error: ") && err.contains(needle), "{err}");
+    }
+    std::fs::remove_file(input).ok();
+}
+
 #[test]
 fn bad_granularity_is_rejected() {
     let input = write_temp("gran", EXAMPLE);

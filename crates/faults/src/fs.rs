@@ -1,10 +1,10 @@
 //! Fault-injectable filesystem wrappers — the one I/O path the on-disk
 //! caches go through.
 //!
-//! Each wrapper consults a [`FaultPlan`] (the process-global
-//! [`global()`](crate::global) plan by default, an explicit plan via the
-//! `*_with` variants for unit tests) at its matching point and then
-//! performs — or corrupts, delays, or fails — the real syscall:
+//! Each wrapper consults a [`FaultPlan`] (the one it is handed: the
+//! process-global [`global()`](crate::global) plan in production, an
+//! explicit one in unit tests) at its matching point and then performs —
+//! or corrupts, delays, or fails — the real syscall:
 //!
 //! | kind         | `fs-read`                   | `fs-write`                         | `fs-rename`        |
 //! |--------------|-----------------------------|------------------------------------|--------------------|
@@ -69,12 +69,7 @@ pub fn read_to_string_with(plan: &FaultPlan, path: &Path, tag: &str) -> io::Resu
     std::fs::read_to_string(path)
 }
 
-/// [`std::fs::write`] through the global fault plan.
-pub fn write(path: &Path, contents: &[u8], tag: &str) -> io::Result<()> {
-    write_with(crate::global(), path, contents, tag)
-}
-
-/// [`write`] against an explicit plan.
+/// [`std::fs::write`] through `plan`.
 pub fn write_with(plan: &FaultPlan, path: &Path, contents: &[u8], tag: &str) -> io::Result<()> {
     match plan.fire(FaultPoint::FsWrite, tag) {
         Some(FaultKind::DelayMs(ms)) => std::thread::sleep(std::time::Duration::from_millis(ms)),
@@ -99,12 +94,7 @@ pub fn write_with(plan: &FaultPlan, path: &Path, contents: &[u8], tag: &str) -> 
     std::fs::write(path, contents)
 }
 
-/// [`std::fs::rename`] through the global fault plan.
-pub fn rename(from: &Path, to: &Path, tag: &str) -> io::Result<()> {
-    rename_with(crate::global(), from, to, tag)
-}
-
-/// [`rename`] against an explicit plan.
+/// [`std::fs::rename`] through `plan`.
 pub fn rename_with(plan: &FaultPlan, from: &Path, to: &Path, tag: &str) -> io::Result<()> {
     match plan.fire(FaultPoint::FsRename, tag) {
         Some(FaultKind::DelayMs(ms)) => std::thread::sleep(std::time::Duration::from_millis(ms)),

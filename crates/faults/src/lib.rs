@@ -96,9 +96,9 @@ pub enum FaultPoint {
     PreWrite,
     /// An [`fs::read_to_string`] call, before the real read.
     FsRead,
-    /// An [`fs::write`] call, before the real write.
+    /// An [`fs::write_with`] call, before the real write.
     FsWrite,
-    /// An [`fs::rename`] call, before the real rename.
+    /// An [`fs::rename_with`] call, before the real rename.
     FsRename,
 }
 

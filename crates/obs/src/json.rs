@@ -8,8 +8,8 @@
 //! above it. Three properties matter beyond plain conformance:
 //!
 //! - **Exact float round-trips.** Floats are written with Rust's `{}`
-//!   formatting, which emits the shortest decimal string that parses back
-//!   to the identical bit pattern. Cached `CellSummary` values therefore
+//!   formatting (`{:e}` past `i64`), which emits the shortest decimal
+//!   string that parses back to the identical bit pattern. Cached `CellSummary` values therefore
 //!   reproduce cold-run output *byte for byte*.
 //! - **Exact integers.** Number tokens without `.`/`e` parse as [`Json::Int`]
 //!   (`i64`), so instruction and launch counters never pass through `f64`.
@@ -103,10 +103,14 @@ impl Json {
                 // print without a fraction and would re-parse as Int, which
                 // `as_f64` converts back losslessly — except -0.0, whose
                 // `{}` form "-0" would reparse as integer 0 and lose the
-                // sign bit, so it keeps an explicit fraction.
+                // sign bit, so it keeps an explicit fraction, and past
+                // `i64`, where the parser refuses bare digits as an
+                // overflowing Int, so the float keeps an exponent.
                 assert!(v.is_finite(), "JSON cannot represent {v}");
                 if v.to_bits() == (-0.0f64).to_bits() {
                     out.push_str("-0.0");
+                } else if v.abs() >= 9_223_372_036_854_775_808.0 {
+                    let _ = write!(out, "{v:e}");
                 } else {
                     let _ = write!(out, "{v}");
                 }
@@ -402,6 +406,9 @@ mod tests {
             -2.2250738585072014e-308,
             9007199254740993.0,
             -0.0,
+            9_223_372_036_854_775_808.0,
+            -1.8446744073709552e19,
+            f64::MAX,
         ] {
             let text = Json::Float(x).to_string();
             let back = parse(&text).unwrap().as_f64().unwrap();

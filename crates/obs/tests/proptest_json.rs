@@ -42,8 +42,9 @@ fn arb_string() -> impl Strategy<Value = String> {
 }
 
 /// Trees that `to_string` → `parse` must reproduce exactly. Floats carry a
-/// fraction: an integral `Float` prints without one and re-parses as `Int`
-/// by design (see the module docs), which `==` on `Json` tells apart.
+/// fraction, or are past `i64` and written with an exponent: an integral
+/// `Float` below 2^63 prints without either and re-parses as `Int` by
+/// design (see the module docs), which `==` on `Json` tells apart.
 fn arb_json() -> impl Strategy<Value = Json> {
     let leaf = prop_oneof![
         Just(Json::Null),
@@ -53,6 +54,10 @@ fn arb_json() -> impl Strategy<Value = Json> {
         Just(Json::Int(i64::MIN)),
         Just(Json::Int(i64::MAX)),
         (-1_000_000i64..1_000_000).prop_map(|n| Json::Float(n as f64 / 64.0 + 1.0 / 128.0)),
+        (-1_000_000i64..1_000_000, 63i32..1024).prop_map(|(n, exp)| {
+            let mantissa = (1.0 + n.abs() as f64 / 1e6).copysign(n as f64);
+            Json::Float(mantissa * 2f64.powi(exp))
+        }),
         arb_string().prop_map(Json::Str),
     ];
     leaf.prop_recursive(4, 64, 4, |inner| {

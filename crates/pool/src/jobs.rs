@@ -10,15 +10,11 @@
 //! > parallelism
 //!
 //! so nesting layers — a sweep whose cells each run large grids — never
-//! oversubscribes the host. The budget is owned by the shared pool
-//! ([`crate::Pool::shared`] holds the whole [`Reservation`] for the life
-//! of the process); layers that need a *dedicated* pool can still carve
-//! tokens out with [`reserve_up_to`].
-//!
-//! The budget counts *extra* threads beyond the caller's own (a
-//! single-threaded process with `DPOPT_JOBS=1` has zero tokens).
+//! oversubscribes the host. The budget *is* the shared pool:
+//! [`crate::Pool::shared`] is sized to [`configured_jobs`] minus one, the
+//! threads beyond the caller's own (a single-threaded process with
+//! `DPOPT_JOBS=1` has a shared pool of zero workers).
 
-use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::OnceLock;
 
 static CONFIGURED: OnceLock<usize> = OnceLock::new();
@@ -70,60 +66,6 @@ pub fn configured_jobs() -> usize {
     resolve_jobs(None)
 }
 
-/// Tokens for worker threads beyond the main one.
-fn extra_tokens() -> &'static AtomicIsize {
-    static TOKENS: OnceLock<AtomicIsize> = OnceLock::new();
-    TOKENS.get_or_init(|| AtomicIsize::new(configured_jobs() as isize - 1))
-}
-
-/// A granted share of the worker-thread budget, released on drop.
-#[derive(Debug)]
-#[must_use = "dropping the reservation releases the threads immediately"]
-pub struct Reservation {
-    granted: usize,
-}
-
-impl Reservation {
-    /// How many extra worker threads were actually granted (possibly 0).
-    pub fn count(&self) -> usize {
-        self.granted
-    }
-}
-
-impl Drop for Reservation {
-    fn drop(&mut self) {
-        if self.granted > 0 {
-            extra_tokens().fetch_add(self.granted as isize, Ordering::SeqCst);
-        }
-    }
-}
-
-/// Reserves up to `want` extra worker threads from the shared budget,
-/// granting whatever is available (possibly 0 — callers then run
-/// sequentially on their own thread).
-pub fn reserve_up_to(want: usize) -> Reservation {
-    if want == 0 {
-        return Reservation { granted: 0 };
-    }
-    let tokens = extra_tokens();
-    let mut current = tokens.load(Ordering::SeqCst);
-    loop {
-        let grant = current.max(0).min(want as isize);
-        if grant == 0 {
-            return Reservation { granted: 0 };
-        }
-        match tokens.compare_exchange(current, current - grant, Ordering::SeqCst, Ordering::SeqCst)
-        {
-            Ok(_) => {
-                return Reservation {
-                    granted: grant as usize,
-                }
-            }
-            Err(observed) => current = observed,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,18 +77,5 @@ mod tests {
         assert_eq!(a, configured_jobs());
         // Once resolved, a conflicting flag cannot change it.
         assert_eq!(resolve_jobs(Some(a + 7)), a);
-    }
-
-    #[test]
-    fn reservations_never_exceed_request_and_release_on_drop() {
-        // The budget is process-global and other tests may hold pieces of
-        // it, so assert only relative invariants.
-        let r = reserve_up_to(2);
-        assert!(r.count() <= 2);
-        let before = extra_tokens().load(Ordering::SeqCst);
-        drop(r);
-        let after = extra_tokens().load(Ordering::SeqCst);
-        assert!(after >= before, "drop must return tokens");
-        assert_eq!(reserve_up_to(0).count(), 0);
     }
 }

@@ -10,21 +10,21 @@
 //! every small unit of work, so instead every layer draws from a single
 //! lazily-initialized, panic-surviving, process-lifetime pool:
 //!
-//! - [`jobs`] owns the `DPOPT_JOBS` convention and the token budget.
+//! - [`jobs`] owns the `DPOPT_JOBS` convention and the job count.
 //!   Resolution happens **once per process** with the precedence
 //!   `--jobs` flag ([`jobs::resolve_jobs`]) > `DPOPT_JOBS` env >
 //!   available parallelism.
 //! - [`Pool::shared`] is the process-lifetime pool, sized to the resolved
-//!   budget (it holds the whole [`jobs::Reservation`] for the life of the
-//!   process). The sweep engine's generation runner, the shard
-//!   scheduler's daemon drivers, and the serve daemon all schedule onto it.
+//!   budget minus the caller's own thread. The sweep engine's generation
+//!   runner, the shard scheduler's daemon drivers, and the serve daemon
+//!   all schedule onto it.
 //! - [`Pool::scope`] lets callers borrow stack data into pool jobs (the
 //!   `std::thread::scope` shape, minus the per-call spawns). Submissions
 //!   from *inside* a pool worker — a served request that runs a sweep —
 //!   degrade to inline
 //!   execution instead of queueing behind themselves, so the pool can
 //!   never deadlock on nested parallelism and nested layers stay
-//!   sequential, the same discipline the old reservation dance enforced.
+//!   sequential.
 //! - Scheduling is **class-aware** ([`JobClass`]): jobs land in per-worker
 //!   deques and idle workers steal across slots, draining every
 //!   [`JobClass::Interactive`] queue (served requests, fleet drivers)

@@ -337,9 +337,6 @@ impl PoolStats {
 pub struct Pool {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    // Held (not read) so the budget tokens stay reserved while the pool
-    // lives; released to `crate::jobs` on drop.
-    _reservation: Option<crate::jobs::Reservation>,
 }
 
 impl Pool {
@@ -347,26 +344,21 @@ impl Pool {
     /// shared budget. Prefer [`Pool::shared`] — a dedicated pool is extra
     /// parallelism on top of whatever the shared pool is doing.
     pub fn new(threads: usize) -> Self {
-        Pool::build(threads.max(1), None)
+        Pool::build(threads.max(1))
     }
 
     /// The process-lifetime shared pool. Lazily initialized on first use;
     /// sized to the resolved job count (see [`crate::jobs::resolve_jobs`]
     /// for the precedence) minus one — the budget counts threads *beyond*
     /// the submitting caller's own, and [`Pool::scope`] callers are
-    /// expected to run one worker loop themselves. Holds the whole budget
-    /// reservation forever: this pool *is* the budget.
+    /// expected to run one worker loop themselves. This pool *is* the
+    /// budget.
     pub fn shared() -> &'static Pool {
         static SHARED: OnceLock<Pool> = OnceLock::new();
-        SHARED.get_or_init(|| {
-            let want = crate::jobs::configured_jobs().saturating_sub(1);
-            let reservation = crate::jobs::reserve_up_to(want);
-            let threads = reservation.count();
-            Pool::build(threads, Some(reservation))
-        })
+        SHARED.get_or_init(|| Pool::build(crate::jobs::configured_jobs() - 1))
     }
 
-    fn build(threads: usize, reservation: Option<crate::jobs::Reservation>) -> Self {
+    fn build(threads: usize) -> Self {
         let shared = Arc::new(Shared {
             slots: (0..threads).map(|_| Slot::new()).collect(),
             queued: [AtomicUsize::new(0), AtomicUsize::new(0)],
@@ -388,11 +380,7 @@ impl Pool {
                     .expect("spawn pool worker")
             })
             .collect();
-        Pool {
-            shared,
-            workers,
-            _reservation: reservation,
-        }
+        Pool { shared, workers }
     }
 
     /// Pushes a job to the scheduler, keeping the queued counts exact (the
@@ -569,8 +557,8 @@ impl Drop for Pool {
     fn drop(&mut self) {
         // Workers drain the deques before exiting (they only stop once a
         // full scan comes up empty *and* shutdown is set), preserving the
-        // submit-then-drop guarantee; join so the budget reservation is
-        // only released once no worker can still be running.
+        // submit-then-drop guarantee; join so no worker can still be
+        // running once the pool is gone.
         self.shared.shutdown.store(true, Ordering::SeqCst);
         {
             let _lot = self.shared.sleep.lock().unwrap();
@@ -753,7 +741,7 @@ mod tests {
     fn inline_scope_job_panic_is_deferred_until_siblings_ran() {
         // Zero workers: every spawn takes the inline-degraded path, no
         // timing involved.
-        let pool = Pool::build(0, None);
+        let pool = Pool::build(0);
         let finished = AtomicUsize::new(0);
         let result = catch_unwind(AssertUnwindSafe(|| {
             pool.scope(|scope| {
@@ -792,7 +780,7 @@ mod tests {
 
     #[test]
     fn zero_worker_run_is_inline() {
-        let pool = Pool::build(0, None);
+        let pool = Pool::build(0);
         assert_eq!(pool.threads(), 0);
         assert_eq!(pool.run_as(JobClass::Bulk, || 5).unwrap(), 5);
         let mut hits = 0;

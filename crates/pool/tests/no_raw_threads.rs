@@ -66,7 +66,7 @@ fn grid_execution_and_generation_runner_use_the_shared_pool() {
             builders,
             *allowed_builders,
             "{}: `thread::Builder` sites — a new thread needs a reason and a \
-             new allowance here (and in the CI grep step)",
+             new allowance here",
             path.display(),
         );
     }

@@ -1369,10 +1369,11 @@ fn enforce_disk_cache_budget(state: &State) {
     }
 }
 
-/// `cache-push`: store one sealed entry verbatim — but only after its
-/// checksum and key re-verify on this side of the wire. A corrupt payload
-/// is quarantined (never published under the live key) and answered with
-/// a `kind:"cache"` error; replication can never spread a bad byte.
+/// `cache-push`: store one sealed entry verbatim — but only after it
+/// re-verifies against its key on this side of the wire
+/// (`sweep_cache::receive`). A corrupt payload is quarantined (never
+/// published under the live key) and answered with a `kind:"cache"` error;
+/// replication can never spread a bad byte.
 fn run_cache_push(state: &Arc<State>, key: u64, entry: &str, id: Option<&Json>) -> Json {
     let Some(dir) = state.disk_cache.as_ref().map(|cache| cache.dir()) else {
         return proto::error_response(id, "disk cache not enabled (start with --disk-cache)");
@@ -1380,39 +1381,30 @@ fn run_cache_push(state: &Arc<State>, key: u64, entry: &str, id: Option<&Json>) 
     // Idempotence: a key whose verified entry is already on disk answers
     // `stored:false` without touching the file (sealed entries for one
     // key are byte-identical by construction).
-    if sweep_cache::load_sealed(dir, key).is_some() {
-        return proto::ok_response(
-            id,
-            vec![
-                ("key", Json::Str(format!("{key:016x}"))),
-                ("op", Json::Str("cache-push".to_string())),
-                ("stored", Json::Bool(false)),
-            ],
-        );
-    }
-    match sweep_cache::store_sealed(dir, key, entry) {
-        Err(reason) => {
-            sweep_cache::quarantine_rejected(dir, key, entry, reason);
-            proto::error_response_kind(
-                id,
-                "cache",
-                &format!("rejected corrupt cache entry {key:016x} ({reason})"),
-            )
+    let stored = sweep_cache::load_sealed(dir, key).is_none();
+    if stored {
+        match sweep_cache::receive(dir, key, entry) {
+            Err(reason) => {
+                let message = format!("rejected corrupt cache entry {key:016x} ({reason})");
+                return proto::error_response_kind(id, "cache", &message);
+            }
+            Ok(sweep_cache::StoreOutcome::Stored) => {
+                DISK_CACHE_STORES.incr();
+                enforce_disk_cache_budget(state);
+            }
+            Ok(_) => {
+                return proto::error_response(id, &format!("cannot store cache entry {key:016x}"))
+            }
         }
-        Ok(sweep_cache::StoreOutcome::Stored) => {
-            DISK_CACHE_STORES.incr();
-            enforce_disk_cache_budget(state);
-            proto::ok_response(
-                id,
-                vec![
-                    ("key", Json::Str(format!("{key:016x}"))),
-                    ("op", Json::Str("cache-push".to_string())),
-                    ("stored", Json::Bool(true)),
-                ],
-            )
-        }
-        Ok(_) => proto::error_response(id, &format!("cannot store cache entry {key:016x}")),
     }
+    proto::ok_response(
+        id,
+        vec![
+            ("key", Json::Str(format!("{key:016x}"))),
+            ("op", Json::Str("cache-push".to_string())),
+            ("stored", Json::Bool(stored)),
+        ],
+    )
 }
 
 /// `cache-pull`: hand back one sealed entry's exact bytes (the receiver

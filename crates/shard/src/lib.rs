@@ -474,9 +474,10 @@ pub struct SyncReport {
 
 /// Converges the local result cache and every daemon's disk cache to the
 /// union of their entries. Entries travel as their exact sealed on-disk
-/// bytes; every receipt re-verifies the checksum (a corrupt payload is
-/// quarantined on the receiving side and another source is tried), so
-/// replication can never spread a bad byte. Key order is deterministic.
+/// bytes; every receipt re-verifies them against the key
+/// ([`cache::receive`]: a corrupt payload is quarantined on the receiving
+/// side and another source is tried), so replication can never spread a
+/// bad byte. Key order is deterministic.
 pub fn sync_caches(endpoints: &[Endpoint], opts: &SyncOptions) -> Result<SyncReport, String> {
     if endpoints.is_empty() {
         return Err("no remote endpoints".to_string());
@@ -546,25 +547,20 @@ pub fn sync_caches(endpoints: &[Endpoint], opts: &SyncOptions) -> Result<SyncRep
                 };
                 labeled_counter("shard.daemon", &endpoints[i].to_string(), "pull_bytes")
                     .add(text.len() as u64);
-                match cache::verify_sealed(text, key) {
-                    Ok(()) => {
+                match cache::receive(&dir, key, text) {
+                    Ok(outcome) => {
+                        report.pulled += usize::from(outcome == cache::StoreOutcome::Stored);
                         entry = Some(text.to_string());
                         break;
                     }
                     Err(reason) => {
                         report.rejected += 1;
                         have[i].remove(&key);
-                        cache::quarantine_rejected(&dir, key, text, reason);
                         dp_obs::diag!(
                             "[dp-shard] rejected corrupt entry {key:016x} pulled from {} ({reason})",
                             endpoints[i]
                         );
                     }
-                }
-            }
-            if let Some(text) = &entry {
-                if cache::store_sealed(&dir, key, text) == Ok(cache::StoreOutcome::Stored) {
-                    report.pulled += 1;
                 }
             }
         }

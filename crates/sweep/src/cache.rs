@@ -5,30 +5,43 @@
 //! definition between this on-disk cache and the `dp-serve` daemon's
 //! in-memory compiled-program cache).
 //!
-//! Summaries are persisted as one file per cell under the cache directory
-//! (default `.dpopt-cache/`, override with `DPOPT_CACHE_DIR`). The entry
-//! format is integrity-checked end to end:
+//! Summaries are persisted as one file per cell, `<key:016x>.json`, under
+//! the cache directory (default `.dpopt-cache/`, override with
+//! `DPOPT_CACHE_DIR`). The entry format is integrity-checked end to end:
 //!
 //! ```text
-//! {"version":2,"key":"...", ...}                      ← JSON body
+//! {"version":2,"key":"<key:016x>", ...}               ← JSON body
 //! #dpopt-cache v2 len=<body bytes> fnv1a=<16 hex>     ← integrity footer
 //! ```
 //!
-//! [`store`] seals the body with a [`fnv1a`] content checksum and a length
-//! field, publishes via write-then-rename, and reports whether the
-//! directory is still usable ([`StoreOutcome`] — disk-full and read-only
-//! directories demote the sweep to cache-off instead of spamming errors).
-//! [`load`] verifies length and checksum before parsing; an entry that
-//! fails is **quarantined** to `<key>.corrupt` (counted in the
-//! `sweep.cache.corrupt` metric, diagnosed on stderr) rather than silently
-//! re-parsed as a miss every run. [`verify`] is the fsck behind
-//! `dpopt cache verify [--repair]`, and [`gc`] evicts quarantined entries
-//! before touching live ones.
+//! An entry is **bound to its key**: the body names the key it answers, and
+//! filed under any other name it is `corrupt (key mismatch)` — a copied,
+//! renamed or mis-routed entry is never served as another cell's result.
 //!
-//! All cache I/O goes through [`dp_faults::fs`], so the fault plans in
-//! `DPOPT_FAULTS` (torn write, short read, bit flip, `ENOSPC`, `EIO`,
-//! delayed rename) exercise exactly the code paths production crashes hit
-//! — see `crates/cli/tests/chaos.rs` for the process-level proof.
+//! Each thing that happens to a sealed entry is written once:
+//!
+//! - [`check`] is the one verdict — footer, length, checksum, version,
+//!   body, schema, key — behind [`load`], [`load_sealed`], [`verify`] and
+//!   [`receive`].
+//! - `read_checked` reads the entry filed under a key, checks it and
+//!   **quarantines** a corrupt one to `<key>.corrupt` (counted in
+//!   `sweep.cache.corrupt`, diagnosed on stderr) rather than re-parsing it
+//!   as a miss every run. [`load`] (typed, refreshes the LRU clock) and
+//!   [`load_sealed`] (the raw bytes, for `cache-pull`) are its two views.
+//! - `publish` is the write-then-rename that puts bytes under the live
+//!   name, for [`store`] (which seals a summary first and reports whether
+//!   the directory is still usable — [`StoreOutcome`]) and [`receive`].
+//! - [`receive`] takes an entry from a peer — the `cache-push` handler and
+//!   `dp_shard::sync_caches`' pull loop — and publishes or quarantines it.
+//! - `scan` walks the directory and owns the naming rules, for [`gc`]
+//!   (quarantined entries go before live ones), [`verify`] (the fsck behind
+//!   `dpopt cache verify [--repair]`) and [`list_keys`].
+//!
+//! All cache I/O except the fsck's goes through [`dp_faults::fs`], so the
+//! fault plans in `DPOPT_FAULTS` (torn write, short read, bit flip,
+//! `ENOSPC`, `EIO`, delayed rename) exercise exactly the code paths
+//! production crashes hit — see `crates/cli/tests/chaos.rs` for the
+//! process-level proof.
 
 use crate::key::{fnv1a, CACHE_FORMAT_VERSION};
 use crate::CellSummary;
@@ -92,108 +105,118 @@ fn touch(path: &Path) {
 }
 
 // ----------------------------------------------------------------------
-// Entry sealing and decoding
+// Sealing and checking
 // ----------------------------------------------------------------------
 
 const FOOTER_MARK: &str = "\n#dpopt-cache v";
 
+/// [`check`]'s reason for an intact entry of another format version: a
+/// miss that is left in place to age out, where every other reason is
+/// corruption.
+const STALE: &str = "stale format version";
+
+fn footer(version: u32, len: usize, sum: u64) -> String {
+    format!("{FOOTER_MARK}{version} len={len} fnv1a={sum:016x}\n")
+}
+
 /// Appends the integrity footer to a serialized body.
 fn seal_entry(body: &str) -> String {
-    format!(
-        "{body}\n#dpopt-cache v{CACHE_FORMAT_VERSION} len={} fnv1a={:016x}\n",
-        body.len(),
-        fnv1a(body.as_bytes())
-    )
+    let sum = fnv1a(body.as_bytes());
+    body.to_string() + &footer(CACHE_FORMAT_VERSION, body.len(), sum)
 }
 
-/// How an on-disk entry decoded.
-enum EntryState {
-    /// Footer verified, body parsed, schema current.
-    Ok(CellSummary),
-    /// Intact but written by a different format version — a miss, left in
-    /// place to age out ([`verify`] reports it, `--repair` evicts it).
-    Stale,
-    /// Integrity failure: torn, bit-flipped, truncated, or undecodable.
-    /// [`load`] quarantines these.
-    Corrupt(&'static str),
-}
-
-/// Verifies and parses one entry's raw text (body + footer).
-fn decode_entry(text: &str) -> EntryState {
+/// The one verdict on an entry's raw text (body + footer) offered as the
+/// answer to `key`: the footer is exactly what [`store`] writes, its length
+/// and fnv1a checksum match the body, the version is current, the body
+/// (parsed once) decodes as a summary **and names `key`**. `Err` carries
+/// the reason: `"stale format version"` for an intact entry of another
+/// version — decided before the key is looked at — and otherwise what is
+/// corrupt about it, the strings quarantine diagnostics and `cache verify`
+/// print. Nothing here allocates by a number read from `text`.
+pub fn check(text: &str, key: u64) -> Result<CellSummary, &'static str> {
     let Some(idx) = text.rfind(FOOTER_MARK) else {
         // No footer. A pre-checksum (v1) entry still decodes as versioned
         // JSON — stale, not corrupt; anything else is torn bytes.
         return match json::parse(text.trim()) {
-            Ok(v) if v.get("version").and_then(Json::as_u64).is_some() => EntryState::Stale,
-            _ => EntryState::Corrupt("missing checksum footer"),
+            Ok(v) if v.get("version").and_then(Json::as_u64).is_some() => Err(STALE),
+            _ => Err("missing checksum footer"),
         };
     };
-    let body = &text[..idx];
-    let footer = text[idx + 1..].trim_end();
-    let mut parts = footer.split_whitespace();
-    parts.next(); // the "#dpopt-cache" tag located by rfind
-    let version: Option<u32> = parts
-        .next()
-        .and_then(|p| p.strip_prefix('v'))
-        .and_then(|v| v.parse().ok());
-    let len: Option<usize> = parts
+    let (body, tail) = text.split_at(idx);
+    let mut fields = tail[FOOTER_MARK.len()..].split_whitespace();
+    let version: Option<u32> = fields.next().and_then(|v| v.parse().ok());
+    let len: Option<usize> = fields
         .next()
         .and_then(|p| p.strip_prefix("len="))
         .and_then(|v| v.parse().ok());
-    let sum: Option<u64> = parts
+    let sum: Option<u64> = fields
         .next()
         .and_then(|p| p.strip_prefix("fnv1a="))
         .and_then(|v| u64::from_str_radix(v, 16).ok());
     let (Some(version), Some(len), Some(sum)) = (version, len, sum) else {
-        return EntryState::Corrupt("malformed footer");
+        return Err("malformed footer");
     };
+    // Only the bytes `footer` renders are a footer: no sign, no upper-case
+    // digit, no padding, nothing after the checksum.
+    if tail != footer(version, len, sum) {
+        return Err("malformed footer");
+    }
     if len != body.len() {
-        return EntryState::Corrupt("length mismatch");
+        return Err("length mismatch");
     }
     if sum != fnv1a(body.as_bytes()) {
-        return EntryState::Corrupt("checksum mismatch");
+        return Err("checksum mismatch");
     }
     if version != CACHE_FORMAT_VERSION {
-        return EntryState::Stale;
+        return Err(STALE);
     }
     let Ok(v) = json::parse(body) else {
-        return EntryState::Corrupt("undecodable body");
+        return Err("undecodable body");
     };
-    match summary_from_json(&v) {
-        Some(summary) => EntryState::Ok(summary),
+    let Some(summary) = summary_from_json(&v) else {
         // The checksum passed, so the bytes are what the writer meant;
-        // a version field below tells stale from a genuine schema bug.
-        None => match v.get("version").and_then(Json::as_u64) {
-            Some(n) if n != CACHE_FORMAT_VERSION as u64 => EntryState::Stale,
-            _ => EntryState::Corrupt("schema mismatch"),
-        },
+        // a version field tells stale from a genuine schema bug.
+        return match v.get("version").and_then(Json::as_u64) {
+            Some(n) if n != CACHE_FORMAT_VERSION as u64 => Err(STALE),
+            _ => Err("schema mismatch"),
+        };
+    };
+    match v.get("key").and_then(Json::as_str) {
+        Some(k) if k == format!("{key:016x}") => Ok(summary),
+        _ => Err("key mismatch"),
     }
 }
 
-/// Moves a failed entry aside as `<key>.corrupt` so it is never re-parsed
-/// (and [`gc`] evicts it first), and counts it in `sweep.cache.corrupt`.
-fn quarantine(path: &Path, key: u64, reason: &str) {
+/// Puts a failed entry aside as `<key>.corrupt` so it is never re-parsed
+/// (and [`gc`] evicts it first), and counts it in `sweep.cache.corrupt`:
+/// the file under the live name is moved there, or — for `rejected` bytes
+/// that [`receive`] never published — they are written there.
+fn quarantine(dir: &Path, key: u64, reason: &str, rejected: Option<&str>) {
     CACHE_CORRUPT.incr();
-    let target = path.with_extension("corrupt");
-    match std::fs::rename(path, &target) {
+    let target = dir.join(format!("{key:016x}.corrupt"));
+    let (what, moved) = match rejected {
+        None => ("corrupt", std::fs::rename(cell_path(dir, key), &target)),
+        Some(entry) => (
+            "rejected",
+            std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&target, entry)),
+        ),
+    };
+    match moved {
         Ok(()) => dp_obs::diag!(
-            "[dp-sweep] quarantined corrupt cache entry {key:016x} ({reason}) -> {}",
+            "[dp-sweep] quarantined {what} cache entry {key:016x} ({reason}) -> {}",
             target.display()
         ),
         Err(e) => dp_obs::diag!(
-            "[dp-sweep] corrupt cache entry {key:016x} ({reason}); quarantine failed: {e}"
+            "[dp-sweep] {what} cache entry {key:016x} ({reason}); quarantine failed: {e}"
         ),
     }
 }
 
-/// Loads a cached summary, if present and **verified**: the footer's
-/// length and fnv1a checksum must match the body before it is parsed.
-/// Entries that fail verification are quarantined to `<key>.corrupt`
-/// (never served, never re-parsed); stale-format entries are plain
-/// misses. A *hit* (and only a hit — stale entries must keep aging toward
-/// eviction) refreshes the entry's modification time, the LRU clock used
-/// by [`gc`].
-pub fn load(dir: &Path, key: u64) -> Option<CellSummary> {
+/// Reads the entry filed under `key` and [`check`]s it: `Some` (its path,
+/// raw text and summary) only for a current entry that answers `key`. A
+/// corrupt one is quarantined — never served, never re-parsed; a stale,
+/// absent or unreadable one is a plain miss.
+fn read_checked(dir: &Path, key: u64) -> Option<(PathBuf, String, CellSummary)> {
     let path = cell_path(dir, key);
     let text = match dp_faults::fs::read_to_string(&path, FS_TAG) {
         Ok(text) => text,
@@ -205,17 +228,31 @@ pub fn load(dir: &Path, key: u64) -> Option<CellSummary> {
             return None;
         }
     };
-    match decode_entry(&text) {
-        EntryState::Ok(summary) => {
-            touch(&path);
-            Some(summary)
-        }
-        EntryState::Stale => None,
-        EntryState::Corrupt(reason) => {
-            quarantine(&path, key, reason);
+    match check(&text, key) {
+        Ok(summary) => Some((path, text, summary)),
+        Err(STALE) => None,
+        Err(reason) => {
+            quarantine(dir, key, reason, None);
             None
         }
     }
+}
+
+/// Loads a cached summary, if present and **verified** ([`check`]). A
+/// *hit* (and only a hit — stale entries must keep aging toward eviction)
+/// refreshes the entry's modification time, the LRU clock used by [`gc`].
+pub fn load(dir: &Path, key: u64) -> Option<CellSummary> {
+    let (path, _, summary) = read_checked(dir, key)?;
+    touch(&path);
+    Some(summary)
+}
+
+/// One entry's raw sealed text (body + footer), verified exactly as
+/// [`load`] would — what `cache-pull` ships, so a replicated entry can
+/// never differ from the original by a byte. Stale-format entries are
+/// `None`: replicating an old format across the fleet helps nobody.
+pub fn load_sealed(dir: &Path, key: u64) -> Option<String> {
+    read_checked(dir, key).map(|(_, text, _)| text)
 }
 
 /// Parses the JSON form written by [`summary_json`] back into a
@@ -291,139 +328,8 @@ pub fn summary_json(key: u64, summary: &CellSummary) -> Json {
 }
 
 // ----------------------------------------------------------------------
-// Raw sealed-entry access (fleet cache push/pull)
+// Publishing: a summary of ours, or sealed bytes from a peer
 // ----------------------------------------------------------------------
-//
-// The `cache-push`/`cache-pull` serve ops move entries between machines as
-// their exact on-disk bytes — body plus integrity footer — so the checksum
-// written by the producer is re-verified on every receiving side and a
-// replicated entry can never differ from the original by a byte.
-
-/// Verifies a sealed entry's integrity footer **and** that its body names
-/// `key` — the binding that stops a valid entry from being published under
-/// the wrong name. `Err` carries the same reason strings [`load`] uses for
-/// quarantine diagnostics.
-pub fn verify_sealed(entry: &str, key: u64) -> Result<(), &'static str> {
-    match decode_entry(entry) {
-        EntryState::Ok(_) => {}
-        EntryState::Stale => return Err("stale format version"),
-        EntryState::Corrupt(reason) => return Err(reason),
-    }
-    // decode_entry verified the footer exists and the body parses.
-    let idx = entry.rfind(FOOTER_MARK).expect("footer verified");
-    let v = json::parse(&entry[..idx]).expect("body verified");
-    match v.get("key").and_then(Json::as_str) {
-        Some(k) if k == format!("{key:016x}") => Ok(()),
-        _ => Err("key mismatch"),
-    }
-}
-
-/// Reads one entry's raw sealed text (body + footer), verified against
-/// `key` first: a corrupt file is quarantined exactly as [`load`] would,
-/// and never shipped. Stale-format entries are `None` — replicating an
-/// old format across the fleet helps nobody.
-pub fn load_sealed(dir: &Path, key: u64) -> Option<String> {
-    let path = cell_path(dir, key);
-    let text = match dp_faults::fs::read_to_string(&path, FS_TAG) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
-        Err(e) => {
-            dp_obs::diag!("[dp-sweep] cache read failed for {key:016x}: {e}");
-            return None;
-        }
-    };
-    match verify_sealed(&text, key) {
-        Ok(()) => Some(text),
-        Err("stale format version") => None,
-        Err(reason) => {
-            quarantine(&path, key, reason);
-            None
-        }
-    }
-}
-
-/// Publishes a received sealed entry verbatim under `key`, re-verifying it
-/// first ([`verify_sealed`]): a corrupt or mis-keyed payload is rejected
-/// with the reason and **nothing is written to the live namespace**.
-/// Publication is the same tmp-write-then-rename as [`store`].
-pub fn store_sealed(dir: &Path, key: u64, entry: &str) -> Result<StoreOutcome, &'static str> {
-    verify_sealed(entry, key)?;
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        dp_obs::diag!("[dp-sweep] cannot create cache dir {}: {e}", dir.display());
-        return Ok(classify_store_error(&e));
-    }
-    let path = cell_path(dir, key);
-    let tmp = dir.join(format!("{key:016x}.tmp.{}", std::process::id()));
-    if let Err(e) = dp_faults::fs::write(&tmp, entry.as_bytes(), FS_TAG) {
-        dp_obs::diag!("[dp-sweep] cannot write {}: {e}", tmp.display());
-        let _ = std::fs::remove_file(&tmp);
-        return Ok(classify_store_error(&e));
-    }
-    if let Err(e) = dp_faults::fs::rename(&tmp, &path, FS_TAG) {
-        dp_obs::diag!("[dp-sweep] cannot publish {}: {e}", path.display());
-        let _ = std::fs::remove_file(&tmp);
-        return Ok(classify_store_error(&e));
-    }
-    Ok(StoreOutcome::Stored)
-}
-
-/// Quarantines a **rejected incoming** payload — bytes that failed
-/// [`verify_sealed`] on receipt and were never published. They are written
-/// to `<key>.corrupt` (best effort) for post-incident inspection and
-/// counted in `sweep.cache.corrupt`, mirroring what [`load`] does to
-/// corrupt on-disk entries.
-pub fn quarantine_rejected(dir: &Path, key: u64, entry: &str, reason: &str) {
-    CACHE_CORRUPT.incr();
-    let target = dir.join(format!("{key:016x}.corrupt"));
-    let _ = std::fs::create_dir_all(dir);
-    match std::fs::write(&target, entry.as_bytes()) {
-        Ok(()) => dp_obs::diag!(
-            "[dp-sweep] quarantined rejected cache entry {key:016x} ({reason}) -> {}",
-            target.display()
-        ),
-        Err(e) => dp_obs::diag!(
-            "[dp-sweep] rejected cache entry {key:016x} ({reason}); quarantine failed: {e}"
-        ),
-    }
-}
-
-/// Lifetime total of entries this process has quarantined (corrupt on
-/// load, rejected on push) — `sweep.cache.corrupt`, exposed so the serve
-/// `stats` op can report it without a metrics snapshot.
-pub fn corrupt_count() -> u64 {
-    CACHE_CORRUPT.value()
-}
-
-/// The keys of every live entry in the cache directory, sorted — the
-/// inventory `cache-pull` answers so a fleet can converge. Quarantine
-/// files, tmp leftovers, and unparsable names are skipped; a missing
-/// directory is an empty cache.
-pub fn list_keys(dir: &Path) -> std::io::Result<Vec<u64>> {
-    let entries = match std::fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e),
-    };
-    let mut keys = Vec::new();
-    for entry in entries {
-        let entry = entry?;
-        if !entry.file_type()?.is_file() {
-            continue;
-        }
-        let name = entry.file_name().to_string_lossy().into_owned();
-        let Some(hex) = name.strip_suffix(".json") else {
-            continue;
-        };
-        if hex.len() != 16 {
-            continue;
-        }
-        if let Ok(key) = u64::from_str_radix(hex, 16) {
-            keys.push(key);
-        }
-    }
-    keys.sort_unstable();
-    Ok(keys)
-}
 
 /// What [`store`] managed to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -450,41 +356,60 @@ fn classify_store_error(e: &std::io::Error) -> StoreOutcome {
     }
 }
 
-/// Persists a summary: seals the serialized body with the integrity
-/// footer, writes `<key>.tmp.<pid>`, and publishes via rename so
-/// concurrent workers and interrupted runs never expose a torn file under
-/// the final name. Errors are reported to stderr but do not fail the
-/// sweep (the cache is an accelerator, not a correctness dependency); the
-/// returned [`StoreOutcome`] tells callers when the directory itself is
-/// gone so they can stop trying.
-pub fn store(dir: &Path, key: u64, summary: &CellSummary) -> StoreOutcome {
-    store_with(dp_faults::global(), dir, key, summary)
-}
-
-fn store_with(
-    plan: &dp_faults::FaultPlan,
-    dir: &Path,
-    key: u64,
-    summary: &CellSummary,
-) -> StoreOutcome {
-    let payload = seal_entry(&summary_json(key, summary).to_string());
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        dp_obs::diag!("[dp-sweep] cannot create cache dir {}: {e}", dir.display());
-        return classify_store_error(&e);
-    }
+/// Puts `bytes` under `key`'s live name: writes `<key>.tmp.<pid>`, then
+/// renames, so concurrent workers and interrupted runs never expose a torn
+/// file under the final name. Errors are reported to stderr, not raised
+/// (the cache is an accelerator, not a correctness dependency); the
+/// [`StoreOutcome`] tells callers when the directory itself is gone.
+fn publish(plan: &dp_faults::FaultPlan, dir: &Path, key: u64, bytes: &[u8]) -> StoreOutcome {
     let path = cell_path(dir, key);
     let tmp = dir.join(format!("{key:016x}.tmp.{}", std::process::id()));
-    if let Err(e) = dp_faults::fs::write_with(plan, &tmp, payload.as_bytes(), FS_TAG) {
-        dp_obs::diag!("[dp-sweep] cannot write {}: {e}", tmp.display());
+    let failed = |what: &str, at: &Path, e: std::io::Error| {
+        dp_obs::diag!("[dp-sweep] cannot {what} {}: {e}", at.display());
         let _ = std::fs::remove_file(&tmp);
-        return classify_store_error(&e);
+        classify_store_error(&e)
+    };
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        return failed("create cache dir", dir, e);
+    }
+    if let Err(e) = dp_faults::fs::write_with(plan, &tmp, bytes, FS_TAG) {
+        return failed("write", &tmp, e);
     }
     if let Err(e) = dp_faults::fs::rename_with(plan, &tmp, &path, FS_TAG) {
-        dp_obs::diag!("[dp-sweep] cannot publish {}: {e}", path.display());
-        let _ = std::fs::remove_file(&tmp);
-        return classify_store_error(&e);
+        return failed("publish", &path, e);
     }
     StoreOutcome::Stored
+}
+
+/// Persists a summary: seals the serialized body with the integrity footer
+/// and publishes it under `key`. The returned [`StoreOutcome`] tells
+/// callers when the directory itself is gone so they can stop trying.
+pub fn store(dir: &Path, key: u64, summary: &CellSummary) -> StoreOutcome {
+    let entry = seal_entry(&summary_json(key, summary).to_string());
+    publish(dp_faults::global(), dir, key, entry.as_bytes())
+}
+
+/// Takes a sealed entry a peer offers as the answer to `key` — a
+/// `cache-push` payload, a `cache-pull` response — and publishes it
+/// verbatim if it passes [`check`]. Otherwise **nothing is written to the
+/// live namespace**: the bytes are quarantined to `<key>.corrupt` for
+/// inspection, counted in `sweep.cache.corrupt`, and `Err` says why, so
+/// replication can never spread a bad byte or a mis-keyed entry.
+pub fn receive(dir: &Path, key: u64, entry: &str) -> Result<StoreOutcome, &'static str> {
+    match check(entry, key) {
+        Ok(_) => Ok(publish(dp_faults::global(), dir, key, entry.as_bytes())),
+        Err(reason) => {
+            quarantine(dir, key, reason, Some(entry));
+            Err(reason)
+        }
+    }
+}
+
+/// Lifetime total of entries this process has quarantined (corrupt on
+/// load, rejected on receipt) — `sweep.cache.corrupt`, exposed so the serve
+/// `stats` op can report it without a metrics snapshot.
+pub fn corrupt_count() -> u64 {
+    CACHE_CORRUPT.value()
 }
 
 /// One cache directory and its disk-full latch: what a sweep, a sharded
@@ -535,8 +460,80 @@ impl ResultCache {
 }
 
 // ----------------------------------------------------------------------
-// Cache eviction (GC)
+// The directory: scan, inventory, eviction (GC), verification (fsck)
 // ----------------------------------------------------------------------
+
+/// What a file name in the cache directory says the file is.
+enum FileKind {
+    /// `*.tmp.*`: what an interrupted [`publish`] leaves behind.
+    Torn,
+    /// `*.corrupt`: put aside by [`quarantine`].
+    Quarantined,
+    /// `<key:016x>.json`, as [`cell_path`] spells it: the entry for `key`.
+    Entry(u64),
+}
+
+fn classify(name: &str) -> Option<FileKind> {
+    if name.contains(".tmp.") {
+        return Some(FileKind::Torn);
+    }
+    if name.ends_with(".corrupt") {
+        return Some(FileKind::Quarantined);
+    }
+    let hex = name.strip_suffix(".json")?;
+    if hex.len() != 16 || !hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
+        return None;
+    }
+    u64::from_str_radix(hex, 16).ok().map(FileKind::Entry)
+}
+
+/// Every cache file in `dir` — name, kind, path — sorted by name, which
+/// sorts entries by key. Names that are none of the three kinds are not
+/// the cache's and are left alone. A missing directory is an empty cache,
+/// and a file that live traffic removes or renames during the walk (a
+/// publish renaming its `*.tmp.*`, a [`load`] quarantining, a [`gc`]) is
+/// already gone, not an error.
+fn scan(dir: &Path) -> std::io::Result<Vec<(String, FileKind, PathBuf)>> {
+    let entries = match std::fs::read_dir(dir) {
+        Ok(e) => e,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(e),
+    };
+    let mut files = Vec::new();
+    for entry in entries {
+        let entry = entry?;
+        let name = entry.file_name().to_string_lossy().into_owned();
+        let Some(kind) = classify(&name) else {
+            continue;
+        };
+        if unless_gone(entry.file_type())?.is_some_and(|t| t.is_file()) {
+            files.push((name, kind, entry.path()));
+        }
+    }
+    files.sort_by(|a, b| a.0.cmp(&b.0));
+    Ok(files)
+}
+
+/// `Ok(None)` for `NotFound`: the file vanished under a concurrent writer.
+fn unless_gone<T>(result: std::io::Result<T>) -> std::io::Result<Option<T>> {
+    match result {
+        Ok(value) => Ok(Some(value)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
+/// The keys of every entry in the cache directory, sorted — the inventory
+/// `cache-pull` answers so a fleet can converge.
+pub fn list_keys(dir: &Path) -> std::io::Result<Vec<u64>> {
+    let keys = scan(dir)?
+        .into_iter()
+        .filter_map(|(_, kind, _)| match kind {
+            FileKind::Entry(key) => Some(key),
+            _ => None,
+        });
+    Ok(keys.collect())
+}
 
 /// What [`gc`] did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -558,60 +555,37 @@ pub struct GcReport {
 /// (modification time is the LRU clock: [`store`] stamps it and [`load`]
 /// refreshes it on every hit). Ties break on file name so eviction order
 /// is deterministic. Stale `*.tmp.*` files from interrupted writes are
-/// always removed. A missing cache directory is an empty cache, not an
-/// error, and a file that live traffic removes or renames between the
-/// directory scan and its turn (a publish renaming its `*.tmp.*`, a
-/// [`load`] quarantining, another `gc`) is already gone, not an error.
+/// always removed. Like the scan, it takes a file that vanishes before its
+/// turn as already gone.
 pub fn gc(dir: &Path, max_bytes: u64) -> std::io::Result<GcReport> {
-    let mut report = GcReport::default();
-    let entries = match std::fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(report),
-        Err(e) => return Err(e),
-    };
-    // rank 0 = quarantined (first out), rank 1 = live summaries.
-    let mut cells: Vec<(u8, std::time::SystemTime, String, u64, PathBuf)> = Vec::new();
-    for entry in entries {
-        let entry = entry?;
-        let path = entry.path();
-        let name = entry.file_name().to_string_lossy().into_owned();
-        let Some(file_type) = unless_gone(entry.file_type())? else {
-            continue;
-        };
-        if !file_type.is_file() {
-            continue;
-        }
-        if name.contains(".tmp.") {
+    // (live, mtime, name, bytes, path): sorted, that is quarantined first,
+    // then oldest; the name keeps eviction deterministic when a
+    // filesystem's timestamps are coarse.
+    let mut cells = Vec::new();
+    for (name, kind, path) in scan(dir)? {
+        if matches!(kind, FileKind::Torn) {
             // Torn write leftovers are garbage regardless of budget.
             let _ = std::fs::remove_file(&path);
             continue;
         }
-        let rank = if name.ends_with(".corrupt") {
-            0
-        } else if name.ends_with(".json") {
-            1
-        } else {
-            continue;
-        };
-        let Some(meta) = unless_gone(entry.metadata())? else {
+        let Some(meta) = unless_gone(std::fs::metadata(&path))? else {
             continue;
         };
         let mtime = meta.modified().unwrap_or(std::time::UNIX_EPOCH);
-        cells.push((rank, mtime, name, meta.len(), path));
+        let live = matches!(kind, FileKind::Entry(_));
+        cells.push((live, mtime, name, meta.len(), path));
     }
-    report.entries = cells.iter().filter(|c| c.0 == 1).count();
-    report.bytes_before = cells.iter().map(|c| c.3).sum();
-    report.bytes_after = report.bytes_before;
-    if report.bytes_before <= max_bytes {
+    let bytes_before = cells.iter().map(|c| c.3).sum();
+    let mut report = GcReport {
+        entries: cells.iter().filter(|c| c.0).count(),
+        evicted: 0,
+        bytes_before,
+        bytes_after: bytes_before,
+    };
+    if bytes_before <= max_bytes {
         return Ok(report);
     }
-    // Quarantined first, then oldest; name tiebreak keeps eviction
-    // deterministic when a filesystem's timestamps are coarse.
-    cells.sort_by(|a, b| {
-        a.0.cmp(&b.0)
-            .then_with(|| a.1.cmp(&b.1))
-            .then_with(|| a.2.cmp(&b.2))
-    });
+    cells.sort();
     for (_, _, _, len, path) in cells {
         if report.bytes_after <= max_bytes {
             break;
@@ -624,26 +598,13 @@ pub fn gc(dir: &Path, max_bytes: u64) -> std::io::Result<GcReport> {
     Ok(report)
 }
 
-/// `Ok(None)` for `NotFound`: the file vanished under a concurrent writer.
-fn unless_gone<T>(result: std::io::Result<T>) -> std::io::Result<Option<T>> {
-    match result {
-        Ok(value) => Ok(Some(value)),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(e),
-    }
-}
-
-// ----------------------------------------------------------------------
-// Verification (fsck)
-// ----------------------------------------------------------------------
-
 /// What is wrong with one cache file (see [`VerifyFinding`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EntryProblem {
     /// A `*.tmp.*` leftover from an interrupted write.
     Torn,
-    /// Failed integrity verification (bad footer, length, checksum, or
-    /// body).
+    /// Failed [`check`] (bad footer, length, checksum or body, or filed
+    /// under a key it does not answer).
     Corrupt,
     /// Intact, but written by a different format version.
     Stale,
@@ -706,68 +667,43 @@ impl VerifyReport {
 
 /// Walks the cache directory and verifies every entry — the fsck behind
 /// `dpopt cache verify [--repair]`. Classifies `*.tmp.*` leftovers as
-/// torn, `*.corrupt` files as quarantined, and checks each `*.json` entry
-/// against its integrity footer (corrupt) and format version (stale).
-/// With `repair`, problem files are removed. Reads go straight to the
-/// filesystem, not through the fault plan: fsck must see the real bytes.
-/// A missing directory is an empty (clean) cache.
+/// torn, `*.corrupt` files as quarantined, and [`check`]s each entry
+/// against the key it is filed under (corrupt, or stale). With `repair`,
+/// problem files are removed. Reads go straight to the filesystem, not
+/// through the fault plan: fsck must see the real bytes.
 pub fn verify(dir: &Path, repair: bool) -> std::io::Result<VerifyReport> {
     let mut report = VerifyReport::default();
-    let entries = match std::fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(report),
-        Err(e) => return Err(e),
-    };
-    let mut files: Vec<(String, PathBuf)> = Vec::new();
-    for entry in entries {
-        let entry = entry?;
-        if !entry.file_type()?.is_file() {
-            continue;
-        }
-        files.push((
-            entry.file_name().to_string_lossy().into_owned(),
-            entry.path(),
-        ));
-    }
-    files.sort();
-    for (name, path) in files {
-        let problem: Option<(EntryProblem, String)> = if name.contains(".tmp.") {
-            Some((EntryProblem::Torn, "interrupted write".to_string()))
-        } else if name.ends_with(".corrupt") {
-            Some((EntryProblem::Quarantined, "quarantined by load".to_string()))
-        } else if name.ends_with(".json") {
-            match std::fs::read_to_string(&path) {
-                Ok(text) => match decode_entry(&text) {
-                    EntryState::Ok(_) => None,
-                    EntryState::Stale => Some((
+    for (name, kind, path) in scan(dir)? {
+        let problem = match kind {
+            FileKind::Torn => Some((EntryProblem::Torn, "interrupted write".to_string())),
+            FileKind::Quarantined => {
+                Some((EntryProblem::Quarantined, "quarantined by load".to_string()))
+            }
+            FileKind::Entry(key) => {
+                match std::fs::read_to_string(&path).map(|text| check(&text, key)) {
+                    Ok(Ok(_)) => None,
+                    Ok(Err(STALE)) => Some((
                         EntryProblem::Stale,
                         format!("not format v{CACHE_FORMAT_VERSION}"),
                     )),
-                    EntryState::Corrupt(reason) => {
-                        Some((EntryProblem::Corrupt, reason.to_string()))
-                    }
-                },
-                Err(e) => Some((EntryProblem::Corrupt, format!("unreadable: {e}"))),
+                    Ok(Err(reason)) => Some((EntryProblem::Corrupt, reason.to_string())),
+                    Err(e) => Some((EntryProblem::Corrupt, format!("unreadable: {e}"))),
+                }
             }
-        } else {
-            continue;
         };
         report.scanned += 1;
-        match problem {
-            None => report.ok += 1,
-            Some((problem, detail)) => {
-                let repaired = repair && std::fs::remove_file(&path).is_ok();
-                if repaired {
-                    report.repaired += 1;
-                }
-                report.findings.push(VerifyFinding {
-                    name,
-                    problem,
-                    detail,
-                    repaired,
-                });
-            }
-        }
+        let Some((problem, detail)) = problem else {
+            report.ok += 1;
+            continue;
+        };
+        let repaired = repair && std::fs::remove_file(&path).is_ok();
+        report.repaired += usize::from(repaired);
+        report.findings.push(VerifyFinding {
+            name,
+            problem,
+            detail,
+            repaired,
+        });
     }
     Ok(report)
 }
@@ -837,6 +773,17 @@ mod tests {
             verified: true,
             from_cache: false,
         }
+    }
+
+    /// [`store`] against an explicit fault plan.
+    fn store_with(
+        plan: &dp_faults::FaultPlan,
+        dir: &Path,
+        key: u64,
+        summary: &CellSummary,
+    ) -> StoreOutcome {
+        let entry = seal_entry(&summary_json(key, summary).to_string());
+        publish(plan, dir, key, entry.as_bytes())
     }
 
     fn set_age(dir: &Path, key: u64, seconds_ago: u64) {
@@ -1065,9 +1012,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&b);
         store(&a, 31, &sample_summary("x"));
         let entry = load_sealed(&a, 31).expect("stored entry ships");
-        assert!(verify_sealed(&entry, 31).is_ok());
-        assert_eq!(verify_sealed(&entry, 32), Err("key mismatch"));
-        assert_eq!(store_sealed(&b, 31, &entry), Ok(StoreOutcome::Stored));
+        assert!(check(&entry, 31).is_ok());
+        assert_eq!(check(&entry, 32).err(), Some("key mismatch"));
+        assert_eq!(receive(&b, 31, &entry), Ok(StoreOutcome::Stored));
         // The replica is byte-identical and serves as a normal hit.
         assert_eq!(
             std::fs::read(cell_path(&a, 31)).unwrap(),
@@ -1089,15 +1036,14 @@ mod tests {
         let mut entry = load_sealed(&src, 41).unwrap().into_bytes();
         entry[10] ^= 0x20; // bit-flip in transit
         let entry = String::from_utf8(entry).unwrap();
-        assert_eq!(store_sealed(&dir, 41, &entry), Err("checksum mismatch"));
+        dp_obs::metrics::enable();
+        let before = corrupt_count();
+        assert_eq!(receive(&dir, 41, &entry), Err("checksum mismatch"));
         assert!(
             !cell_path(&dir, 41).exists(),
             "rejected payload never published"
         );
         // Receiving-side quarantine: counted and kept for inspection.
-        dp_obs::metrics::enable();
-        let before = corrupt_count();
-        quarantine_rejected(&dir, 41, &entry, "checksum mismatch");
         // `>`: the counter is process-wide and neighbouring tests bump it
         // too; the quarantine file is this test's own evidence.
         assert!(corrupt_count() > before);
@@ -1129,6 +1075,54 @@ mod tests {
         assert!(load_sealed(&dir, 2).is_none());
         assert!(cell_path(&dir, 2).exists());
         assert_eq!(list_keys(&dir).unwrap(), vec![2]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_entry_filed_under_another_key_is_corrupt_to_every_reader() {
+        let dir = std::env::temp_dir().join(format!("dp-sweep-misfiled-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        store(&dir, 1, &sample_summary("a"));
+        // A valid entry copied under keys it does not answer, and a stale
+        // one beside them.
+        std::fs::copy(cell_path(&dir, 1), cell_path(&dir, 2)).unwrap();
+        std::fs::copy(cell_path(&dir, 1), cell_path(&dir, 3)).unwrap();
+        std::fs::copy(cell_path(&dir, 1), cell_path(&dir, 4)).unwrap();
+        let body = "{\"version\":1}";
+        std::fs::write(
+            cell_path(&dir, 5),
+            body.to_string() + &footer(1, body.len(), fnv1a(body.as_bytes())),
+        )
+        .unwrap();
+
+        dp_obs::metrics::enable();
+        let before = corrupt_count();
+        assert!(load(&dir, 2).is_none(), "another cell's result is a miss");
+        assert!(corrupt_count() > before, "counted in sweep.cache.corrupt");
+        assert!(!cell_path(&dir, 2).exists(), "gone from the live namespace");
+        assert!(dir.join(format!("{:016x}.corrupt", 2u64)).exists());
+        assert!(load_sealed(&dir, 3).is_none(), "never shipped to a peer");
+        assert!(dir.join(format!("{:016x}.corrupt", 3u64)).exists());
+        std::fs::remove_file(dir.join(format!("{:016x}.corrupt", 2u64))).unwrap();
+        std::fs::remove_file(dir.join(format!("{:016x}.corrupt", 3u64))).unwrap();
+
+        let report = verify(&dir, false).unwrap();
+        assert_eq!((report.scanned, report.ok), (3, 1));
+        assert_eq!(report.count(EntryProblem::Corrupt), 1);
+        assert_eq!(report.count(EntryProblem::Stale), 1, "stale comes first");
+        let finding = &report.findings[0];
+        assert_eq!(finding.name, format!("{:016x}.json", 4u64));
+        assert_eq!(finding.problem, EntryProblem::Corrupt);
+        assert_eq!(finding.detail, "key mismatch");
+        assert_eq!(verify(&dir, true).unwrap().repaired, 2);
+        assert!(
+            !cell_path(&dir, 4).exists(),
+            "repair removes the mis-filed entry"
+        );
+        assert!(
+            load(&dir, 1).is_some(),
+            "the entry under its own key is a hit"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

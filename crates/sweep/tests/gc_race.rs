@@ -48,7 +48,6 @@ fn gc_racing_stores_and_loads_never_serves_a_torn_entry() {
         let stop = Arc::clone(&stop);
         let loads_ok = Arc::clone(&loads_ok);
         workers.push(std::thread::spawn(move || {
-            let mut round = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 for key in (t * KEYS / 2)..(t * KEYS / 2 + KEYS / 2 + 4) {
                     let outcome = cache::store(&dir, key, &summary_for(key));
@@ -65,37 +64,50 @@ fn gc_racing_stores_and_loads_never_serves_a_torn_entry() {
                         loads_ok.fetch_add(1, Ordering::Relaxed);
                     }
                 }
-                round += 1;
-                let _ = round;
             }
         }));
     }
 
     // The collector: aggressive budget so evictions genuinely overlap the
     // writers' publishes and touches.
-    let gc_dir = Arc::clone(&dir);
-    let gc_stop = Arc::clone(&stop);
-    let collector = std::thread::spawn(move || {
-        let mut passes = 0u64;
-        while !gc_stop.load(Ordering::Relaxed) {
-            let report = cache::gc(&gc_dir, 4 * 1024).expect("gc survives live traffic");
-            passes += 1;
-            let _ = report;
-        }
-        passes
-    });
+    let gc_passes = Arc::new(AtomicU64::new(0));
+    let collector = {
+        let (dir, stop, gc_passes) = (dir.clone(), stop.clone(), gc_passes.clone());
+        std::thread::spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                cache::gc(&dir, 4 * 1024).expect("gc survives live traffic");
+                gc_passes.fetch_add(1, Ordering::Relaxed);
+            }
+        })
+    };
 
-    std::thread::sleep(std::time::Duration::from_millis(400));
+    // Run until the race has demonstrably happened — both sides well past
+    // a floor — rather than for a fixed time a loaded runner may not honour.
+    const LOADS_FLOOR: u64 = 2_000;
+    const GC_FLOOR: u64 = 100;
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    let progress = || {
+        (
+            loads_ok.load(Ordering::Relaxed),
+            gc_passes.load(Ordering::Relaxed),
+        )
+    };
+    while progress().0 < LOADS_FLOOR || progress().1 < GC_FLOOR {
+        if std::time::Instant::now() > deadline {
+            stop.store(true, Ordering::Relaxed);
+            panic!(
+                "after 60 s only {:?} of ({LOADS_FLOOR}, {GC_FLOOR}) (verified loads, gc passes): \
+                 the race never exercised both paths",
+                progress()
+            );
+        }
+        std::thread::yield_now();
+    }
     stop.store(true, Ordering::Relaxed);
     for w in workers {
         w.join().expect("worker panicked");
     }
-    let gc_passes = collector.join().expect("collector panicked");
-    assert!(gc_passes > 0, "gc never ran");
-    assert!(
-        loads_ok.load(Ordering::Relaxed) > 0,
-        "no load ever hit; the race never exercised the read path"
-    );
+    collector.join().expect("collector panicked");
 
     // After the dust settles the directory must be fsck-clean: eviction
     // races are allowed to delete entries, never to corrupt them.
