@@ -916,7 +916,7 @@ fn sweep(args: &[String]) -> ExitCode {
     let mut opts = SweepOptions::default();
     let mut cache_stats = false;
     let mut gc = false;
-    let mut max_cache_mb: i64 = 512;
+    let mut max_cache_mb = None;
     let mut remote = None;
     let mut i = 0;
     while i < args.len() {
@@ -942,7 +942,7 @@ fn sweep(args: &[String]) -> ExitCode {
                 i += 1;
             }
             "--max-cache-mb" => match parse_arg(args, &mut i) {
-                Some(v) if v >= 0 => max_cache_mb = v,
+                Some(v) if v >= 0 => max_cache_mb = Some(v),
                 _ => return fail("--max-cache-mb needs a non-negative integer"),
             },
             "-o" => {
@@ -969,6 +969,7 @@ fn sweep(args: &[String]) -> ExitCode {
             );
         }
         let dir = dp_sweep::cache::resolve_cache_dir(opts.cache_dir.as_deref());
+        let max_cache_mb = max_cache_mb.unwrap_or(512);
         let budget = (max_cache_mb as u64).saturating_mul(1024 * 1024);
         return match dp_sweep::cache::gc(&dir, budget) {
             Ok(report) => {
@@ -985,6 +986,9 @@ fn sweep(args: &[String]) -> ExitCode {
             }
             Err(e) => fail(&format!("cache gc failed in `{}`: {e}", dir.display())),
         };
+    }
+    if max_cache_mb.is_some() {
+        return fail("--max-cache-mb only applies to --gc");
     }
     let Some(input) = input else {
         return fail("missing input file (usage: dpopt sweep <spec.json>)");

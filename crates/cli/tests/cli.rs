@@ -462,6 +462,10 @@ fn half_understood_command_lines_are_refused() {
             "no option but",
         ),
         (
+            &["sweep", input, "--max-cache-mb", "64"],
+            "--max-cache-mb only applies to --gc",
+        ),
+        (
             &["trace-report", input, "--tree", "--collapse"],
             "--tree and --collapse",
         ),

@@ -1,8 +1,8 @@
 //! Acceptance test for span-correlated tracing: a serve request's trace
-//! must form a **connected** span tree — `serve.request` → `pool.job` →
-//! `sweep.cell` / `vm.run` — even though those spans open on different
-//! threads (the session thread, a request thread, and wherever the pool
-//! runs the job, including the inline degrade on zero-worker pools).
+//! must form a **connected** span tree — `serve.request` → `sweep.cell` /
+//! `vm.run`, with no `pool.job` between them: an execution runs on the
+//! thread that holds its slot — whether that is the session thread or a
+//! launched request thread.
 //!
 //! The tree is asserted from *start* events only: a start event carries
 //! the span's parent id, and every start is on disk before the response
@@ -13,6 +13,7 @@ use dp_serve::proto::{bare_request, Endpoint};
 use dp_serve::{Client, ServeOptions, Server};
 use dp_sweep::json::{self, Json};
 use std::collections::HashMap;
+use std::io::Write;
 
 const SRC: &str = "__global__ void child(int* d, int n) { \
      int i = blockIdx.x * blockDim.x + threadIdx.x; \
@@ -73,18 +74,19 @@ fn ancestry(spans: &HashMap<u64, (String, u64)>, mut id: u64) -> Vec<String> {
     names
 }
 
-/// True if some span named `leaf` has `pool.job` and then `serve.request`
-/// among its ancestors (in that order walking rootward).
-fn has_connected_chain(spans: &HashMap<u64, (String, u64)>, leaf: &str) -> bool {
-    spans.iter().any(|(&id, (name, _))| {
-        if name != leaf {
-            return false;
-        }
-        let chain = ancestry(spans, id);
-        let job = chain.iter().position(|n| n == "pool.job");
-        let request = chain.iter().position(|n| n == "serve.request");
-        matches!((job, request), (Some(j), Some(r)) if j < r)
-    })
+/// True if at least `n` spans are named `leaf` and every one of them has
+/// `serve.request` among its ancestors and no `pool.job`.
+fn every_chain_is_connected(spans: &HashMap<u64, (String, u64)>, leaf: &str, n: usize) -> bool {
+    let chains: Vec<Vec<String>> = spans
+        .iter()
+        .filter(|(_, (name, _))| name == leaf)
+        .map(|(&id, _)| ancestry(spans, id))
+        .collect();
+    chains.len() >= n
+        && chains.iter().all(|chain| {
+            chain.iter().any(|name| name == "serve.request")
+                && !chain.iter().any(|name| name == "pool.job")
+        })
 }
 
 #[test]
@@ -116,6 +118,24 @@ fn serve_request_trace_is_a_connected_tree() {
         .expect("round-trip")
         .expect("sweep-cell response");
     assert!(cell.contains(r#""ok":true"#), "{cell}");
+    // Two lines written together: the first is launched on a request thread.
+    let together = format!("{}\n{}\n", sweep_cell_line(3), execute_line(4));
+    client
+        .writer_mut()
+        .write_all(together.as_bytes())
+        .expect("send");
+    client.writer_mut().flush().expect("flush");
+    for _ in 0..2 {
+        let answer = client.read_response_line().expect("read").expect("answer");
+        assert!(answer.contains(r#""ok":true"#), "{answer}");
+    }
+    let metrics = client.request(&bare_request("metrics")).expect("metrics");
+    let launched = metrics
+        .get("metrics")
+        .and_then(|m| m.get("counters"))
+        .and_then(|c| c.get("serve.requests.launched"))
+        .and_then(Json::as_u64);
+    assert!(launched >= Some(1), "nothing was launched: {metrics}");
     client
         .request(&bare_request("shutdown"))
         .expect("shutdown drains in-flight work");
@@ -128,12 +148,12 @@ fn serve_request_trace_is_a_connected_tree() {
         "no serve.request span in:\n{text}"
     );
     assert!(
-        has_connected_chain(&spans, "vm.run"),
-        "no vm.run → pool.job → serve.request chain in:\n{text}"
+        every_chain_is_connected(&spans, "vm.run", 4),
+        "a vm.run is not under a serve.request, or is under a pool.job, in:\n{text}"
     );
     assert!(
-        has_connected_chain(&spans, "sweep.cell"),
-        "no sweep.cell → pool.job → serve.request chain in:\n{text}"
+        every_chain_is_connected(&spans, "sweep.cell", 2),
+        "a sweep.cell is not under a serve.request, or is under a pool.job, in:\n{text}"
     );
     let _ = std::fs::remove_file(&path);
 }

@@ -6,9 +6,9 @@
 //! The paper's core move is amortizing launch overhead by aggregating many
 //! small child grids into fewer larger ones; this crate is the software
 //! analogue applied to our own runtime. Spawning a fresh worker set per
-//! sweep generation or per served request pays a thread-spawn tax on
-//! every small unit of work, so instead every layer draws from a single
-//! lazily-initialized, panic-surviving, process-lifetime pool:
+//! sweep generation pays a thread-spawn tax on every small unit of work,
+//! so instead every layer draws from a single lazily-initialized,
+//! panic-surviving, process-lifetime pool:
 //!
 //! - [`jobs`] owns the `DPOPT_JOBS` convention and the job count.
 //!   Resolution happens **once per process** with the precedence
@@ -16,21 +16,22 @@
 //!   available parallelism.
 //! - [`Pool::shared`] is the process-lifetime pool, sized to the resolved
 //!   budget minus the caller's own thread. The sweep engine's generation
-//!   runner, the shard scheduler's daemon drivers, and the serve daemon
-//!   all schedule onto it.
+//!   runner and the shard scheduler's daemon drivers schedule onto it —
+//!   both claim-gated ([`Scope::spawn_as`]), so it lends idle workers and
+//!   nothing waits in its queues. The serve daemon runs an execution on
+//!   the thread that admitted it and the VM never sees the pool.
 //! - [`Pool::scope`] lets callers borrow stack data into pool jobs (the
 //!   `std::thread::scope` shape, minus the per-call spawns). Submissions
-//!   from *inside* a pool worker — a served request that runs a sweep —
-//!   degrade to inline
-//!   execution instead of queueing behind themselves, so the pool can
-//!   never deadlock on nested parallelism and nested layers stay
-//!   sequential.
+//!   from *inside* a pool worker degrade to inline execution instead of
+//!   queueing behind themselves, so the pool can never deadlock on nested
+//!   parallelism and nested layers stay sequential.
 //! - Scheduling is **class-aware** ([`JobClass`]): jobs land in per-worker
 //!   deques and idle workers steal across slots, draining every
-//!   [`JobClass::Interactive`] queue (served requests, fleet drivers)
-//!   before any [`JobClass::Bulk`] queue (sweep generations, benches).
-//!   Long bulk jobs call [`checkpoint`] at natural
-//!   boundaries to hand their worker to one waiting interactive job.
+//!   [`JobClass::Interactive`] queue (fleet drivers) before any
+//!   [`JobClass::Bulk`] queue (sweep generations, benches). A bulk job
+//!   may call [`checkpoint`] to hand its worker to one waiting interactive
+//!   job; no layer does — with every submission claim-gated no job waits,
+//!   and `steals` and `yields` read 0 on every measured workload.
 //!   [`Pool::stats`] snapshots depths/steals/yields as one [`PoolStats`].
 //!
 //! ## Checklist for adding a new parallel layer
@@ -43,8 +44,6 @@
 //!    (grep-enforced by `crates/pool/tests/no_raw_threads.rs`).
 //! 3. Pick the [`JobClass`] deliberately: `Interactive` only for work a
 //!    human or a remote daemon is blocked on; everything else is `Bulk`.
-//!    If a bulk loop iteration can run long, call [`checkpoint`] at
-//!    iteration boundaries.
 //! 4. Have the *caller* participate (run one worker loop itself) and size
 //!    helper submissions from [`Pool::available_workers`] — spawns are
 //!    claim-gated anyway, so a busy pool means graceful degradation to

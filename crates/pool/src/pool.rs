@@ -3,14 +3,14 @@
 //!
 //! [`Pool::shared`] is the process-lifetime instance every parallel layer
 //! in the workspace schedules onto (sweep generations, shard daemon
-//! drivers, served requests); it owns the whole `DPOPT_JOBS` budget for
+//! drivers); it owns the whole `DPOPT_JOBS` budget for
 //! the life of the process, so there is nothing left to reserve. A
 //! dedicated pool ([`Pool::new`]) remains available for a layer that
 //! genuinely needs its own workers — its threads *also* mark themselves as
 //! pool workers, so nesting detection spans every pool in the process.
 //!
 //! Scheduling is class-aware. Every submission carries a [`JobClass`]:
-//! [`JobClass::Interactive`] for latency-sensitive work (served requests)
+//! [`JobClass::Interactive`] for latency-sensitive work (fleet drivers)
 //! and [`JobClass::Bulk`] for throughput work (sweep generations,
 //! benches). Jobs land in per-worker deque slots via a
 //! round-robin cursor; a worker pops its own slot from the front and
@@ -65,7 +65,7 @@ static YIELDS: Counter = Counter::new("pool.yields");
 /// in-flight job per worker (and [`checkpoint`] shortens even that).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JobClass {
-    /// Latency-sensitive work: served requests, fleet drivers. Dequeued
+    /// Latency-sensitive work: fleet drivers. Dequeued
     /// and stolen before any bulk job anywhere in the pool.
     Interactive,
     /// Throughput work: sweep generations, benches.
@@ -489,11 +489,11 @@ impl Pool {
     /// Like [`Pool::run_as`], but never queues behind busy workers: the
     /// job runs on a *claimed* idle worker, or inline on the calling
     /// thread when none is free. For callers whose own thread is a
-    /// legitimate execution vehicle — e.g. serve session threads under a
-    /// concurrency cap — where "wait in the queue" is strictly worse than
-    /// "do it yourself". Serve submits request execution with
-    /// [`JobClass::Interactive`] so that, when it *does* queue, every
-    /// worker (and every bulk [`checkpoint`]) prefers it over backlog.
+    /// legitimate execution vehicle, where "wait in the queue" is strictly
+    /// worse than "do it yourself". No layer calls it since the serve
+    /// daemon stopped hopping each execution onto a worker with its caller
+    /// blocked on the result; `dpbench`'s `pool.run_now_us` rung still
+    /// prices that hop.
     pub fn run_now_as<T: Send + 'static>(
         &self,
         class: JobClass,

@@ -16,11 +16,12 @@
 //!   bounded, with single-flight deduplication so N concurrent identical
 //!   compiles perform one compile and share the
 //!   [`dp_core::SharedCompiled`].
-//! - **The shared persistent worker pool** ([`dp_pool::Pool::shared`]):
-//!   execution is scheduled onto the same process-lifetime pool the sweep
-//!   engine uses, so server-level concurrency and sweeps coexist in one
-//!   process under one `DPOPT_JOBS` budget.
-//!   `--jobs` caps how many requests this server runs concurrently.
+//! - **Two scheduling mechanisms** ([`server`]): a request gets its own
+//!   thread only when its session has something to overlap it with, and
+//!   `--jobs` execution slots cap the `execute` / `sweep-cell` requests
+//!   running at once. An execution runs on the thread that holds its
+//!   slot, not on a `dp-pool` worker: with the caller blocked on the
+//!   answer, that hop was a launch with nothing to overlap.
 //! - **Deterministic responses** ([`server`]): for every op except
 //!   `stats`, response bytes are a pure function of request bytes — cold
 //!   cache, warm cache, or 16 concurrent clients, the bytes are identical.

@@ -14,8 +14,8 @@
 //! - another tagged request of this session is still outstanding, or
 //! - the session's read buffer already holds a further byte (the client
 //!   sent its lines together: it really is pipelining), or
-//! - no execution slot is free at admission (the session thread never
-//!   waits for a slot on behalf of a tagged request);
+//! - it is an execution and no slot is free at admission (the session
+//!   thread never waits for a slot on behalf of a tagged request);
 //!
 //! only then is it launched on a short-lived request thread. The one
 //! visible consequence: a line that arrives *while* an inline request runs
@@ -28,13 +28,22 @@
 //! — an id-less client cannot observe reordering. Byte accounting and the
 //! echoed `id` depend on the presence of `id`, never on which thread ran
 //! the request. Compilation is deduplicated by the single-flight
-//! [`CompiledCache`]; execution — the CPU-heavy part — is scheduled onto
-//! the **shared** persistent pool ([`Pool::shared`]) under the `--jobs`
-//! concurrency cap, so serving and sweeps coexist under one `DPOPT_JOBS`
-//! budget.
+//! [`CompiledCache`].
+//!
+//! Where the work runs — two mechanisms: the launched request thread above
+//! and the **slot gate**, `--jobs` execution slots that only `execute` and
+//! `sweep-cell` take (a compile, a transform or a cache transfer never
+//! enters the queue, so a daemon busy executing still answers them). An
+//! execution runs on the thread that holds its slot, under `catch_unwind`:
+//! a panicking request answers `kind:"panic"` and the daemon lives on. It
+//! is not handed to a worker of the shared `dp-pool`: with the caller
+//! blocked on the answer and the cap already held by the slot, that is one
+//! child and a waiting parent — a launch with nothing to overlap, the
+//! overhead the threshold exists to avoid. The daemon submits nothing to
+//! the pool; a sweep in the same process does, under the same budget.
 //!
 //! Admission control: `--max-queue-depth` bounds how many admitted
-//! requests may wait for an execution slot; beyond it the server answers a
+//! executions may wait for a slot; beyond it the server answers a
 //! deterministic `{"op":"error","kind":"overloaded"}` fast-fail instead of
 //! queueing without bound. `--request-timeout-ms` arms a per-request
 //! deadline: work still *waiting* for a slot when the deadline passes is
@@ -58,7 +67,8 @@
 //! and the `stats` op's `requests`, `rejects`, `bytes` and `disk_cache`
 //! members read those counters; `metrics` is the registry's own `Json`.
 //! What tests need exact per instance stays an instance book:
-//! [`CompiledCache`]'s counts and the pool's steals and yields.
+//! [`CompiledCache`]'s counts and the shared pool's steals and yields
+//! (`stats.pool` reads [`Pool::shared`]).
 
 use crate::cache::CompiledCache;
 use crate::proto::{
@@ -79,6 +89,7 @@ use std::io::BufReader;
 use std::net::TcpListener;
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -134,7 +145,18 @@ static OPS: [OpRow; 10] = [
 
 /// The row of a request's op.
 fn op_row(request: &Request) -> &'static OpRow {
-    let name = op_name(request);
+    let name = match request {
+        Request::Compile { .. } => "compile",
+        Request::Transform { .. } => "transform",
+        Request::Execute(_) => "execute",
+        Request::SweepCell(_) => "sweep-cell",
+        Request::CachePush { .. } => "cache-push",
+        Request::CachePull { .. } => "cache-pull",
+        Request::Stats => "stats",
+        Request::Metrics => "metrics",
+        Request::Shutdown => "shutdown",
+        Request::Hello { .. } => "hello",
+    };
     let row = OPS.iter().find(|row| row.name == name);
     row.expect("every op has a row in OPS")
 }
@@ -197,9 +219,8 @@ static REQUESTS_LAUNCHED: Counter = Counter::new("serve.requests.launched");
 /// Server construction options.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Cap on concurrently-executing requests, scheduled onto the shared
-    /// persistent pool ([`dp_pool::Pool::shared`]); `0` means the
-    /// configured `DPOPT_JOBS` count.
+    /// Cap on concurrently-executing requests (the execution slots); `0`
+    /// means the configured `DPOPT_JOBS` count.
     pub jobs: usize,
     /// Compiled-program cache capacity (entries).
     pub cache_capacity: usize,
@@ -259,20 +280,26 @@ impl Default for ServeOptions {
     }
 }
 
-/// The request limits copied out of [`ServeOptions`] (shared by every
-/// session through [`State`]).
-#[derive(Debug, Clone, Copy)]
-struct Limits {
-    max_connections: usize,
-    max_queue_depth: usize,
-    request_timeout_ms: u64,
-    max_request_bytes: usize,
-}
-
 enum Listener {
     Tcp(TcpListener),
     #[cfg(unix)]
     Unix(UnixListener, PathBuf),
+}
+
+impl Listener {
+    fn accept(&self) -> std::io::Result<Stream> {
+        match self {
+            Listener::Tcp(listener) => {
+                let (stream, _) = listener.accept()?;
+                // Responses are single lines; without nodelay the last
+                // segment waits on the client's delayed ACK.
+                let _ = stream.set_nodelay(true);
+                Ok(Stream::Tcp(stream))
+            }
+            #[cfg(unix)]
+            Listener::Unix(listener, _) => Ok(Stream::Unix(listener.accept()?.0)),
+        }
+    }
 }
 
 /// Execution-slot accounting: `free_slots` is the remaining `--jobs`
@@ -285,14 +312,10 @@ struct ExecState {
 }
 
 struct State {
+    /// What the server was bound with, `jobs` and `faults` resolved: the
+    /// one statement of every limit a request meets.
+    options: ServeOptions,
     cache: CompiledCache,
-    /// The process-wide shared pool — the daemon owns no workers of its
-    /// own, so serving, sweeps, and grids coexist under one budget.
-    pool: &'static Pool,
-    /// `--jobs` cap on concurrently-executing requests.
-    jobs_cap: usize,
-    limits: Limits,
-    faults: FaultPlan,
     exec: Mutex<ExecState>,
     exec_free: Condvar,
     /// Live session count (the `--max-connections` admission signal).
@@ -303,15 +326,9 @@ struct State {
     drained: Condvar,
     /// Daemon start time, for the `uptime_ms` stats field.
     started: Instant,
-    /// Period of the stderr metrics-snapshot dump (`0` = off).
-    metrics_dump_secs: u64,
-    /// Shared secret sessions must present via `hello` (`None` = open).
-    auth_token: Option<String>,
     /// The on-disk sweep-cell result cache (`None` = off). Once its
     /// directory is full or read-only, stores stop and reads continue.
     disk_cache: Option<sweep_cache::ResultCache>,
-    /// Disk-cache size budget in bytes (`0` = unbounded).
-    disk_cache_budget: u64,
 }
 
 impl State {
@@ -332,18 +349,19 @@ impl State {
         })
     }
 
-    /// Admits a request into the execution queue, or refuses it when the
-    /// queue is saturated (`max_queue_depth` waiters and no free slot).
-    /// With `try_slot`, a free execution slot is taken in the same
-    /// critical section, so "a slot is free now" is an acquisition and not
-    /// a peek. The returned token holds that slot or one `waiting` count;
-    /// [`State::exec_within`] turns the latter into the former, and
-    /// dropping the token releases whichever it holds.
+    /// Admits an execution into the queue, or refuses it when the queue
+    /// is saturated (`max_queue_depth` waiters and no free slot). With
+    /// `try_slot`, a free execution slot is taken in the same critical
+    /// section, so "a slot is free now" is an acquisition and not a peek.
+    /// The returned token holds that slot or one `waiting` count, and the
+    /// deadline it must start by; [`State::exec_within`] turns a wait into
+    /// a slot, and dropping the token releases whichever it holds.
     fn admit(self: &Arc<Self>, try_slot: bool) -> Option<QueueSlot> {
+        let options = &self.options;
         let mut exec = self.exec.lock().unwrap();
-        if self.limits.max_queue_depth > 0
+        if options.max_queue_depth > 0
             && exec.free_slots == 0
-            && exec.waiting >= self.limits.max_queue_depth
+            && exec.waiting >= options.max_queue_depth
         {
             return None;
         }
@@ -356,39 +374,62 @@ impl State {
         Some(QueueSlot {
             state: Arc::clone(self),
             running,
+            deadline: (options.request_timeout_ms > 0)
+                .then(|| Instant::now() + Duration::from_millis(options.request_timeout_ms)),
         })
     }
 
-    /// The absolute deadline a request admitted now must start by.
-    fn deadline(&self) -> Option<Instant> {
-        (self.limits.request_timeout_ms > 0)
-            .then(|| Instant::now() + Duration::from_millis(self.limits.request_timeout_ms))
+    /// Fires any fault armed at `point` for `op` and applies the two kinds
+    /// that mean the same at every point: a delay sleeps, a panic panics
+    /// here. Whatever kind is left is the call site's to act on.
+    fn fault(&self, point: FaultPoint, op: &str) -> Option<FaultKind> {
+        match self.options.faults.fire(point, op)? {
+            FaultKind::DelayMs(ms) => {
+                std::thread::sleep(Duration::from_millis(ms));
+                None
+            }
+            FaultKind::Panic => {
+                let at = match point {
+                    FaultPoint::SessionRead => "session-read",
+                    FaultPoint::PreWrite => "pre-write",
+                    _ => "exec",
+                };
+                panic!("injected fault: panic at {at}")
+            }
+            kind => Some(kind),
+        }
     }
 
-    /// Schedules CPU-heavy work onto the shared pool, bounded by the
-    /// `--jobs` cap: at most `jobs_cap` requests execute at once no matter
-    /// how many sessions are connected or how large the shared pool is.
-    /// `run_now_as` executes on an idle pool worker when one is free and
-    /// inline on the calling thread otherwise — the calling thread counts
-    /// as an execution vehicle, so a cap of N really means N concurrent
-    /// requests even when the shared pool is smaller or busy. `Err(())`
-    /// means the deadline passed while the request was still waiting for
-    /// a slot; once work starts it always runs to completion.
-    fn exec_within<T: Send + 'static>(
+    /// Runs one execution under the `--jobs` cap on the calling thread,
+    /// the one that holds the slot: the session thread, or the request
+    /// thread the threshold launched. At most `jobs` requests execute at
+    /// once however many sessions are connected. `Err` is the answer of an
+    /// execution that produced none: its deadline passed while it waited
+    /// for a slot (work that starts always runs to completion), it
+    /// panicked (the thread and the daemon survive), or `f` refused it.
+    fn exec_within<T>(
         &self,
         mut slot: QueueSlot,
-        deadline: Option<Instant>,
-        f: impl FnOnce() -> T + Send + 'static,
-    ) -> Result<std::thread::Result<T>, ()> {
+        op: &str,
+        id: Option<&Json>,
+        f: impl FnOnce() -> Result<T, String>,
+    ) -> Result<T, Json> {
         if !slot.running {
             let mut exec = self.exec.lock().unwrap();
             while exec.free_slots == 0 {
-                match deadline {
+                match slot.deadline {
                     None => exec = self.exec_free.wait(exec).unwrap(),
                     Some(d) => {
                         let now = Instant::now();
                         if now >= d {
-                            return Err(());
+                            // Built from the *configured* timeout, never
+                            // from measured time: the bytes are a pure
+                            // function of the request and the flags.
+                            let ms = self.options.request_timeout_ms;
+                            let message = format!(
+                                "request expired after {ms} ms before an execution slot freed"
+                            );
+                            return Err(refusal(Reject::DeadlineExceeded, id, &message));
                         }
                         exec = self.exec_free.wait_timeout(exec, d - now).unwrap().0;
                     }
@@ -398,12 +439,24 @@ impl State {
             exec.waiting -= 1;
             slot.running = true;
         }
-        // Interactive class: if the job does queue (claim succeeded), every
-        // worker steals it ahead of bulk backlog, and long bulk cells yield
-        // to it at their next `dp_pool::checkpoint()`.
-        let result = self.pool.run_now_as(dp_pool::JobClass::Interactive, f);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            self.fault(FaultPoint::Exec, op);
+            f()
+        }));
         drop(slot);
-        Ok(result)
+        match outcome {
+            Ok(Ok(value)) => Ok(value),
+            Ok(Err(e)) => Err(proto::error_response(id, &e)),
+            Err(payload) => {
+                let message = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "opaque panic".to_string());
+                let message = format!("request panicked: {message}");
+                Err(proto::error_response_kind(id, "panic", &message))
+            }
+        }
     }
 
     /// Stops new work and blocks until every in-flight request has written
@@ -453,14 +506,16 @@ impl Drop for InflightGuard {
     }
 }
 
-/// One admitted request's place in the execution queue: a `waiting`
-/// count until it is `running`, an execution slot from then on. Dropping
-/// it releases whichever it holds — a waiter that never reaches the
-/// executor (compiles, domain errors, an expired deadline) or a finished
+/// One admitted execution's place in the queue: a `waiting` count until
+/// it is `running`, an execution slot from then on. Dropping it releases
+/// whichever it holds — a waiter that never reaches the executor (a
+/// compile error, a disk-cache hit, an expired deadline) or a finished
 /// execution.
 struct QueueSlot {
     state: Arc<State>,
     running: bool,
+    /// When the request must have started by (`None` = no deadline).
+    deadline: Option<Instant>,
 }
 
 impl Drop for QueueSlot {
@@ -579,7 +634,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds a listener and builds the shared state (pool + caches).
+    /// Binds a listener and builds the shared state.
     ///
     /// A Unix bind that hits a leftover socket file probes it first: a
     /// refused connect means the previous daemon died without unlinking,
@@ -628,30 +683,18 @@ impl Server {
         // environment. Collection writes only to the in-process registry,
         // never to stdout or the wire.
         dp_obs::metrics::enable();
-        let jobs_cap = if options.jobs > 0 {
-            options.jobs
-        } else {
-            dp_pool::jobs::configured_jobs()
-        };
-        let faults = if options.faults.is_empty() {
-            FaultPlan::from_env()
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?
-        } else {
-            options.faults.clone()
-        };
+        let mut options = options.clone();
+        if options.jobs == 0 {
+            options.jobs = dp_pool::jobs::configured_jobs();
+        }
+        if options.faults.is_empty() {
+            options.faults = FaultPlan::from_env()
+                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
+        }
         let state = Arc::new(State {
             cache: CompiledCache::new(options.cache_capacity),
-            pool: Pool::shared(),
-            jobs_cap,
-            limits: Limits {
-                max_connections: options.max_connections,
-                max_queue_depth: options.max_queue_depth,
-                request_timeout_ms: options.request_timeout_ms,
-                max_request_bytes: options.max_request_bytes,
-            },
-            faults,
             exec: Mutex::new(ExecState {
-                free_slots: jobs_cap,
+                free_slots: options.jobs,
                 waiting: 0,
             }),
             exec_free: Condvar::new(),
@@ -661,13 +704,11 @@ impl Server {
             inflight: Mutex::new(0),
             drained: Condvar::new(),
             started: Instant::now(),
-            metrics_dump_secs: options.metrics_dump_secs,
-            auth_token: options.auth_token.clone(),
             disk_cache: options
                 .disk_cache
                 .clone()
                 .map(sweep_cache::ResultCache::new),
-            disk_cache_budget: options.max_disk_cache_mb * 1024 * 1024,
+            options,
         });
         Ok(Server {
             listener,
@@ -684,9 +725,9 @@ impl Server {
     /// Accepts and serves connections until a `shutdown` request drains
     /// the server. Blocks the calling thread.
     pub fn serve(self) -> std::io::Result<()> {
-        let endpoint = self.endpoint.clone();
-        if self.state.metrics_dump_secs > 0 {
-            let period = Duration::from_secs(self.state.metrics_dump_secs);
+        let dump_secs = self.state.options.metrics_dump_secs;
+        if dump_secs > 0 {
+            let period = Duration::from_secs(dump_secs);
             let state = Arc::clone(&self.state);
             // Detached: the dump loop holds no guards and dies with the
             // process; it exits on its own once a drain begins.
@@ -700,30 +741,13 @@ impl Server {
                     dp_obs::diag!("dp-serve metrics {}", dp_obs::metrics::snapshot().to_json());
                 });
         }
-        match &self.listener {
-            Listener::Tcp(listener) => {
-                for stream in listener.incoming() {
-                    if self.state.draining.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    if let Ok(stream) = stream {
-                        // Responses are single lines; without nodelay the
-                        // last segment waits on the client's delayed ACK.
-                        let _ = stream.set_nodelay(true);
-                        spawn_session(Arc::clone(&self.state), Stream::Tcp(stream), &endpoint);
-                    }
-                }
+        loop {
+            let stream = self.listener.accept();
+            if self.state.draining.load(Ordering::SeqCst) {
+                break;
             }
-            #[cfg(unix)]
-            Listener::Unix(listener, _) => {
-                for stream in listener.incoming() {
-                    if self.state.draining.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    if let Ok(stream) = stream {
-                        spawn_session(Arc::clone(&self.state), Stream::Unix(stream), &endpoint);
-                    }
-                }
+            if let Ok(stream) = stream {
+                spawn_session(Arc::clone(&self.state), stream, &self.endpoint);
             }
         }
         #[cfg(unix)]
@@ -738,7 +762,7 @@ fn spawn_session(state: Arc<State>, stream: Stream, endpoint: &Endpoint) {
     // The accept loop is single-threaded, so the load-then-increment is
     // not racing other admissions (an exiting session's decrement can only
     // make the count smaller — the cap never over-admits a live set).
-    let max = state.limits.max_connections;
+    let max = state.options.max_connections;
     if max > 0 && state.sessions.load(Ordering::SeqCst) >= max {
         let mut stream = stream;
         let message = format!("connection limit ({max}) reached");
@@ -746,14 +770,19 @@ fn spawn_session(state: Arc<State>, stream: Stream, endpoint: &Endpoint) {
         return;
     }
     state.sessions.fetch_add(1, Ordering::SeqCst);
+    let live = SessionCount(Arc::clone(&state));
     let endpoint = endpoint.clone();
-    std::thread::Builder::new()
+    let spawned = std::thread::Builder::new()
         .name("dp-serve-session".to_string())
         .spawn(move || {
-            let _live = SessionCount(Arc::clone(&state));
+            let _live = live;
             let _ = run_session(state, stream, &endpoint);
-        })
-        .expect("spawn session thread");
+        });
+    if let Err(e) = spawned {
+        // Thread exhaustion; the closure was dropped unrun, which closed
+        // the connection and gave its `sessions` count back. Keep accepting.
+        dp_obs::diag!("dp-serve: cannot spawn a session thread: {e}");
+    }
 }
 
 /// Serves one connection. Pipelined (`id`-tagged) requests may respond
@@ -769,16 +798,17 @@ fn run_session(state: Arc<State>, stream: Stream, endpoint: &Endpoint) -> std::i
     });
     // Open servers start authenticated; token-protected ones require a
     // matching `hello` before anything else.
-    let mut authed = state.auth_token.is_none();
+    let options = &state.options;
+    let mut authed = options.auth_token.is_none();
     loop {
-        let line = match proto::read_line_limited(&mut reader, state.limits.max_request_bytes)? {
+        let line = match proto::read_line_limited(&mut reader, options.max_request_bytes)? {
             LineRead::Eof => break,
             LineRead::TooLarge => {
                 // Flush outstanding pipelined responses, answer, close:
                 // past the cap the line boundary is unknown, so the
                 // connection cannot be resynchronized.
                 session.wait_idle();
-                let cap = state.limits.max_request_bytes;
+                let cap = options.max_request_bytes;
                 let message = format!("request line exceeds {cap} bytes");
                 session.refuse(Reject::TooLarge, None, &message)?;
                 session.shutdown_socket();
@@ -789,15 +819,12 @@ fn run_session(state: Arc<State>, stream: Stream, endpoint: &Endpoint) -> std::i
         if line.trim().is_empty() {
             continue;
         }
-        match state.faults.fire(FaultPoint::SessionRead, "") {
-            Some(FaultKind::DelayMs(ms)) => std::thread::sleep(Duration::from_millis(ms)),
-            Some(FaultKind::Panic) => panic!("injected fault: panic at session-read"),
-            Some(FaultKind::TornWrite | FaultKind::Disconnect) => {
-                session.shutdown_socket();
-                break;
-            }
-            // Filesystem-surface kinds have no meaning on the socket.
-            Some(_) | None => {}
+        // Filesystem-surface kinds have no meaning on the socket.
+        if let Some(FaultKind::TornWrite | FaultKind::Disconnect) =
+            state.fault(FaultPoint::SessionRead, "")
+        {
+            session.shutdown_socket();
+            break;
         }
         let ParsedRequest { id, body } = proto::parse_request(&line);
         BYTES_READ[id.is_some() as usize].add(line.len() as u64);
@@ -811,7 +838,7 @@ fn run_session(state: Arc<State>, stream: Stream, endpoint: &Endpoint) -> std::i
         let op = op_row(&request);
         if let Request::Hello { token } = &request {
             op.requests.incr();
-            match &state.auth_token {
+            match &options.auth_token {
                 Some(expected) if token.as_deref() != Some(expected.as_str()) => {
                     session.wait_idle();
                     session.refuse(Reject::Auth, id.as_ref(), "invalid token")?;
@@ -869,10 +896,7 @@ fn run_session(state: Arc<State>, stream: Stream, endpoint: &Endpoint) -> std::i
             Request::Stats | Request::Metrics => {
                 op.requests.incr();
                 let started = dp_obs::metrics::now();
-                let response = match request {
-                    Request::Stats => stats_response(&state, id.as_ref()),
-                    _ => metrics_response(id.as_ref()),
-                };
+                let (Ok(response) | Err(response)) = dispatch(&state, request, id.as_ref(), None);
                 session.write(&response, id.is_some())?;
                 op.record_since(started);
             }
@@ -888,19 +912,25 @@ fn run_session(state: Arc<State>, stream: Stream, endpoint: &Endpoint) -> std::i
                     continue;
                 };
                 // The threshold: with nothing of this session to overlap
-                // with, try for an execution slot; holding one, the request
-                // runs right here.
+                // with, the request runs right here — an execution only if
+                // it also holds a slot, and only executions queue for one.
                 let alone = pipelined && reader.buffer().is_empty() && session.is_idle();
-                let Some(slot) = state.admit(alone) else {
-                    drop(guard);
-                    let depth = state.limits.max_queue_depth;
-                    let message = format!("queue depth limit ({depth}) reached");
-                    session.refuse(Reject::Overloaded, id.as_ref(), &message)?;
-                    continue;
+                let executes = matches!(request, Request::Execute(_) | Request::SweepCell(_));
+                let slot = if executes {
+                    let Some(slot) = state.admit(alone) else {
+                        drop(guard);
+                        let depth = options.max_queue_depth;
+                        let message = format!("queue depth limit ({depth}) reached");
+                        session.refuse(Reject::Overloaded, id.as_ref(), &message)?;
+                        continue;
+                    };
+                    Some(slot)
+                } else {
+                    None
                 };
                 op.requests.incr();
-                let deadline = state.deadline();
-                if pipelined && !slot.running {
+                let here = slot.as_ref().map_or(alone, |slot| slot.running);
+                if pipelined && !here {
                     REQUESTS_LAUNCHED.incr();
                     let pending = session.begin_pipelined();
                     let state2 = Arc::clone(&state);
@@ -910,15 +940,8 @@ fn run_session(state: Arc<State>, stream: Stream, endpoint: &Endpoint) -> std::i
                         .name("dp-serve-request".to_string())
                         .spawn(move || {
                             let _pending = pending;
-                            let _ = answer(
-                                &state2,
-                                &session2,
-                                request,
-                                id2.as_ref(),
-                                slot,
-                                deadline,
-                                guard,
-                            );
+                            let _ =
+                                answer(&state2, &session2, op, request, id2.as_ref(), slot, guard);
                         });
                     if spawned.is_err() {
                         // Thread exhaustion; the closure (and its guards)
@@ -928,15 +951,7 @@ fn run_session(state: Arc<State>, stream: Stream, endpoint: &Endpoint) -> std::i
                     }
                 } else {
                     REQUESTS_INLINE.incr();
-                    answer(
-                        &state,
-                        &session,
-                        request,
-                        id.as_ref(),
-                        slot,
-                        deadline,
-                        guard,
-                    )?;
+                    answer(&state, &session, op, request, id.as_ref(), slot, guard)?;
                 }
             }
         }
@@ -949,16 +964,15 @@ fn run_session(state: Arc<State>, stream: Stream, endpoint: &Endpoint) -> std::i
 fn answer(
     state: &Arc<State>,
     session: &Session,
+    op: &'static OpRow,
     request: Request,
     id: Option<&Json>,
-    slot: QueueSlot,
-    deadline: Option<Instant>,
+    slot: Option<QueueSlot>,
     guard: InflightGuard,
 ) -> std::io::Result<()> {
-    let op = op_row(&request);
     let _span = dp_obs::trace::span_with("serve.request", &[("op", op.name)]);
     let started = dp_obs::metrics::now();
-    let response = dispatch(state, request, id, slot, deadline);
+    let (Ok(response) | Err(response)) = dispatch(state, request, id, slot);
     // Write before the guard drops: a drain must not complete with this
     // response unwritten.
     deliver(state, session, op.name, &response, id.is_some())?;
@@ -975,9 +989,7 @@ fn deliver(
     response: &Json,
     pipelined: bool,
 ) -> std::io::Result<()> {
-    match state.faults.fire(FaultPoint::PreWrite, op) {
-        Some(FaultKind::DelayMs(ms)) => std::thread::sleep(Duration::from_millis(ms)),
-        Some(FaultKind::Panic) => panic!("injected fault: panic at pre-write"),
+    match state.fault(FaultPoint::PreWrite, op) {
         Some(FaultKind::TornWrite) => {
             use std::io::Write;
             let mut text = response.to_string();
@@ -986,16 +998,15 @@ fn deliver(
             writer.write_all(&text.as_bytes()[..text.len() / 2])?;
             writer.flush()?;
             writer.shutdown();
-            return Ok(());
+            Ok(())
         }
         Some(FaultKind::Disconnect) => {
             session.shutdown_socket();
-            return Ok(());
+            Ok(())
         }
         // Filesystem-surface kinds have no meaning on the socket.
-        Some(_) | None => {}
+        Some(_) | None => session.write(response, pipelined),
     }
-    session.write(response, pipelined)
 }
 
 /// The address a session connects to in order to wake the accept loop: a
@@ -1017,28 +1028,14 @@ fn wake_endpoint(bound: &Endpoint) -> Endpoint {
     }
 }
 
-fn op_name(request: &Request) -> &'static str {
-    match request {
-        Request::Compile { .. } => "compile",
-        Request::Transform { .. } => "transform",
-        Request::Execute(_) => "execute",
-        Request::SweepCell(_) => "sweep-cell",
-        Request::CachePush { .. } => "cache-push",
-        Request::CachePull { .. } => "cache-pull",
-        Request::Stats => "stats",
-        Request::Metrics => "metrics",
-        Request::Shutdown => "shutdown",
-        Request::Hello { .. } => "hello",
-    }
-}
-
-/// Compiles through the single-flight cache (on the session or request
-/// thread — never from a pool worker, see module docs).
+/// Compiles through the single-flight cache. `Err` is the answer to a
+/// source that does not compile.
 fn cached_compile(
     state: &State,
     source: &str,
     config: &OptConfig,
-) -> (u64, Result<SharedCompiled, String>) {
+    id: Option<&Json>,
+) -> Result<(u64, SharedCompiled), Json> {
     let compile_key = key::compiled_key(source, config);
     let result = state.cache.get_or_compile(compile_key, || {
         Compiler::new()
@@ -1047,117 +1044,71 @@ fn cached_compile(
             .map(|c| c.into_shared())
             .map_err(|e| e.to_string())
     });
-    (compile_key, result)
+    result
+        .map(|compiled| (compile_key, compiled))
+        .map_err(|e| proto::error_response(id, &e))
 }
 
-/// Applies any armed `exec` fault inside the execution slot.
-fn apply_exec_fault(faults: &FaultPlan, op: &str) {
-    match faults.fire(FaultPoint::Exec, op) {
-        Some(FaultKind::DelayMs(ms)) => std::thread::sleep(Duration::from_millis(ms)),
-        Some(FaultKind::Panic) => panic!("injected fault: panic at exec"),
-        // Socket and filesystem faults have no meaning inside the executor.
-        Some(_) | None => {}
-    }
-}
-
-/// The deterministic deadline error: built from the *configured* timeout,
-/// never from measured time, so the bytes are a pure function of the
-/// request and the server's flags.
-fn deadline_response(state: &State, id: Option<&Json>) -> Json {
-    let ms = state.limits.request_timeout_ms;
-    let message = format!("request expired after {ms} ms before an execution slot freed");
-    refusal(Reject::DeadlineExceeded, id, &message)
-}
-
+/// Builds one request's response; `Err` is a response too, one that left
+/// early (a compile error, a refusal, an expired deadline, a panic).
+/// `slot` is the place in the execution queue `run_session` admitted an
+/// `execute` or a `sweep-cell` with; no other op has one.
 fn dispatch(
     state: &Arc<State>,
     request: Request,
     id: Option<&Json>,
-    slot: QueueSlot,
-    deadline: Option<Instant>,
-) -> Json {
-    match request {
+    slot: Option<QueueSlot>,
+) -> Result<Json, Json> {
+    let admitted = || slot.expect("run_session admits every execution");
+    Ok(match request {
         Request::Compile { source, config } => {
-            drop(slot); // compiles never enter the execution queue
-            let (compile_key, result) = cached_compile(state, &source, &config);
-            match result {
-                Err(e) => proto::error_response(id, &e),
-                Ok(compiled) => {
-                    let kernels: Vec<Json> = compiled
-                        .program()
-                        .functions()
-                        .filter(|f| f.is_kernel())
-                        .map(|f| Json::Str(f.name.clone()))
-                        .collect();
-                    proto::ok_response(
-                        id,
-                        vec![
-                            ("diagnostics", diagnostics_json(&compiled)),
-                            ("kernels", Json::Array(kernels)),
-                            ("key", Json::Str(format!("{compile_key:016x}"))),
-                            ("op", Json::Str("compile".to_string())),
-                        ],
-                    )
-                }
-            }
+            let (compile_key, compiled) = cached_compile(state, &source, &config, id)?;
+            let kernels: Vec<Json> = compiled
+                .program()
+                .functions()
+                .filter(|f| f.is_kernel())
+                .map(|f| Json::Str(f.name.clone()))
+                .collect();
+            proto::ok_response(
+                id,
+                vec![
+                    ("diagnostics", diagnostics_json(&compiled)),
+                    ("kernels", Json::Array(kernels)),
+                    ("key", Json::Str(format!("{compile_key:016x}"))),
+                    ("op", Json::Str("compile".to_string())),
+                ],
+            )
         }
         Request::Transform { source, config } => {
-            drop(slot);
-            let (_, result) = cached_compile(state, &source, &config);
-            match result {
-                Err(e) => proto::error_response(id, &e),
-                Ok(compiled) => proto::ok_response(
-                    id,
-                    vec![
-                        ("diagnostics", diagnostics_json(&compiled)),
-                        ("op", Json::Str("transform".to_string())),
-                        (
-                            "source",
-                            Json::Str(compiled.transformed_source().to_string()),
-                        ),
-                    ],
-                ),
-            }
+            let (_, compiled) = cached_compile(state, &source, &config, id)?;
+            proto::ok_response(
+                id,
+                vec![
+                    ("diagnostics", diagnostics_json(&compiled)),
+                    ("op", Json::Str("transform".to_string())),
+                    (
+                        "source",
+                        Json::Str(compiled.transformed_source().to_string()),
+                    ),
+                ],
+            )
         }
         Request::Execute(request) => {
-            let (_, result) = cached_compile(state, &request.source, &request.config);
-            match result {
-                Err(e) => proto::error_response(id, &e),
-                Ok(compiled) => {
-                    if let Some(e) = aggregation_past_limit(&compiled, &request) {
-                        return refusal(Reject::Parse, id, &e);
-                    }
-                    let faults = state.faults.clone();
-                    match state.exec_within(slot, deadline, move || {
-                        apply_exec_fault(&faults, "execute");
-                        run_execute(&compiled, &request)
-                    }) {
-                        Err(()) => deadline_response(state, id),
-                        Ok(outcome) => match outcome {
-                            Ok(Ok(members)) => proto::ok_response(id, members),
-                            Ok(Err(e)) => proto::error_response(id, &e),
-                            Err(payload) => {
-                                proto::error_response_kind(id, "panic", &panic_message(payload))
-                            }
-                        },
-                    }
-                }
+            let (_, compiled) = cached_compile(state, &request.source, &request.config, id)?;
+            if let Some(e) = aggregation_past_limit(&compiled, &request) {
+                return Err(refusal(Reject::Parse, id, &e));
             }
+            let run = || run_execute(&compiled, &request);
+            proto::ok_response(id, state.exec_within(admitted(), "execute", id, run)?)
         }
-        Request::SweepCell(request) => run_sweep_cell(state, *request, id, slot, deadline),
-        Request::CachePush { key, entry } => {
-            drop(slot); // disk I/O, not compute: never enters the queue
-            run_cache_push(state, key, &entry, id)
-        }
-        Request::CachePull { key } => {
-            drop(slot);
-            run_cache_pull(state, key, id)
-        }
-        // Handled in `run_session`; kept for exhaustiveness.
+        Request::SweepCell(request) => run_sweep_cell(state, &request, id, admitted())?,
+        Request::CachePush { key, entry } => run_cache_push(state, key, &entry, id),
+        Request::CachePull { key } => run_cache_pull(state, key, id),
         Request::Stats => stats_response(state, id),
         Request::Metrics => metrics_response(id),
+        // Answered by `run_session` itself.
         Request::Shutdown | Request::Hello { .. } => proto::error_response(id, "unreachable"),
-    }
+    })
 }
 
 fn diagnostics_json(compiled: &SharedCompiled) -> Json {
@@ -1169,17 +1120,6 @@ fn diagnostics_json(compiled: &SharedCompiled) -> Json {
             .map(|d| Json::Str(d.to_string()))
             .collect(),
     )
-}
-
-/// Renders a panic payload as the deterministic message the daemon
-/// answers with (the worker survives; see `dp_pool`).
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    let msg = payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "opaque panic".to_string());
-    format!("request panicked: {msg}")
 }
 
 /// The aggregation buffers a transformed kernel's launch provisions count
@@ -1217,7 +1157,7 @@ fn aggregation_past_limit(compiled: &SharedCompiled, request: &ExecuteRequest) -
     })
 }
 
-/// The execution half of an `execute` request, run on a pool worker.
+/// The execution half of an `execute` request, run inside its slot.
 fn run_execute(
     compiled: &SharedCompiled,
     request: &ExecuteRequest,
@@ -1291,16 +1231,16 @@ fn run_execute(
 }
 
 /// One sweep cell: compile through the cache, memoized dataset, execution
-/// on the pool, summarized through the sweep engine's single path.
+/// inside its slot, summarized through the sweep engine's single path.
 fn run_sweep_cell(
     state: &Arc<State>,
-    request: CellSpec,
+    request: &CellSpec,
     id: Option<&Json>,
     slot: QueueSlot,
-    deadline: Option<Instant>,
-) -> Json {
+) -> Result<Json, Json> {
     let Some(bench) = benchmark_by_name(&request.benchmark) else {
-        return proto::error_response(id, &format!("unknown benchmark `{}`", request.benchmark));
+        let message = format!("unknown benchmark `{}`", request.benchmark);
+        return Err(proto::error_response(id, &message));
     };
     let (source, config) = request.variant.variant.program(bench.as_ref());
     let cell_key = key::cell_key(
@@ -1317,55 +1257,34 @@ fn run_sweep_cell(
     if let Some(cache) = &state.disk_cache {
         if let Some(summary) = cache.load(cell_key) {
             DISK_CACHE_HITS.incr();
-            return sweep_cell_response(cell_key, &summary, &request, id);
+            return Ok(sweep_cell_response(cell_key, &summary, request, id));
         }
         DISK_CACHE_MISSES.incr();
     }
-    let (_, result) = cached_compile(state, source, &config);
-    let compiled = match result {
-        Ok(c) => c,
-        Err(e) => return proto::error_response(id, &e),
-    };
+    let (_, compiled) = cached_compile(state, source, &config, id)?;
     let input = state.dataset(&request.dataset);
-    let label = request.variant.label.clone();
-    let faults = state.faults.clone();
-    let outcome = match state.exec_within(slot, deadline, move || {
-        apply_exec_fault(&faults, "sweep-cell");
-        dp_sweep::execute_cell(
-            bench.as_ref(),
-            &label,
-            &compiled,
-            &input,
-            &TimingParams::default(),
-        )
-        .map_err(|e| e.to_string())
-    }) {
-        Err(()) => return deadline_response(state, id),
-        Ok(outcome) => outcome,
+    let label = &request.variant.label;
+    let timing = TimingParams::default();
+    let run = || {
+        dp_sweep::execute_cell(bench.as_ref(), label, &compiled, &input, &timing)
+            .map_err(|e| e.to_string())
     };
-    match outcome {
-        Err(payload) => proto::error_response_kind(id, "panic", &panic_message(payload)),
-        Ok(Err(e)) => proto::error_response(id, &e),
-        Ok(Ok(summary)) => {
-            if let Some(cache) = &state.disk_cache {
-                if cache.store(cell_key, &summary) == sweep_cache::StoreOutcome::Stored {
-                    DISK_CACHE_STORES.incr();
-                    enforce_disk_cache_budget(state);
-                }
-            }
-            sweep_cell_response(cell_key, &summary, &request, id)
+    let summary = state.exec_within(slot, "sweep-cell", id, run)?;
+    if let Some(cache) = &state.disk_cache {
+        if cache.store(cell_key, &summary) == sweep_cache::StoreOutcome::Stored {
+            DISK_CACHE_STORES.incr();
+            enforce_disk_cache_budget(state);
         }
     }
+    Ok(sweep_cell_response(cell_key, &summary, request, id))
 }
 
 /// Trims the disk cache to its `--max-disk-cache-mb` budget (LRU,
 /// quarantined entries first) after a successful store or push.
 fn enforce_disk_cache_budget(state: &State) {
-    if state.disk_cache_budget == 0 {
-        return;
-    }
-    if let Some(cache) = &state.disk_cache {
-        let _ = sweep_cache::gc(cache.dir(), state.disk_cache_budget);
+    let budget = state.options.max_disk_cache_mb * 1024 * 1024;
+    if let (Some(cache), true) = (&state.disk_cache, budget > 0) {
+        let _ = sweep_cache::gc(cache.dir(), budget);
     }
 }
 
@@ -1503,11 +1422,10 @@ fn stats_response(state: &Arc<State>, id: Option<&Json>) -> Json {
     let (free_slots, waiting) = (exec.free_slots, exec.waiting);
     drop(exec);
     let inflight = *state.inflight.lock().unwrap();
-    let limits = &state.limits;
-    // One coherent scheduler snapshot. `queued` stays the total across
-    // classes (backward-compatible with the pre-deque shape); the per-class
-    // depths and the steal/yield totals are additive.
-    let pool = state.pool.stats();
+    let limits = &state.options;
+    // The shared pool's snapshot, in its pinned shape: the daemon submits
+    // nothing to it, a sweep in the same process does.
+    let pool = Pool::shared().stats();
     let bytes = [
         ("read_inorder", &BYTES_READ[0]),
         ("read_pipelined", &BYTES_READ[1]),
@@ -1542,7 +1460,7 @@ fn stats_response(state: &Arc<State>, id: Option<&Json>) -> Json {
                 ]),
             ),
             ("inflight", size(inflight)),
-            ("jobs", size(state.jobs_cap)),
+            ("jobs", size(limits.jobs)),
             (
                 "limits",
                 object([

@@ -134,8 +134,8 @@ fn pre_write_disconnect_then_resend_succeeds() {
     shutdown(&endpoint);
 }
 
-/// A worker panic inside the execution slot must not take the daemon (or
-/// its pool worker) down: the victim request answers a structured
+/// A panic inside the execution slot must not take the daemon (or the
+/// session thread it ran on) down: the victim request answers a structured
 /// `kind:"panic"` error and the next request runs normally.
 #[test]
 fn worker_panic_answers_an_error_and_the_daemon_survives() {
@@ -153,7 +153,7 @@ fn worker_panic_answers_an_error_and_the_daemon_survives() {
     );
     assert!(poisoned.contains(r#""id":1"#), "{poisoned}");
 
-    // Same connection, same request: the fault is spent, the pool worker
+    // Same connection, same request: the fault is spent, the session
     // survived, and the cached compile is still valid.
     let healthy = client
         .roundtrip_line(&execute_line(Some(2)))
@@ -421,10 +421,10 @@ fn queued_request_past_its_deadline_is_cancelled() {
     shutdown(&endpoint);
 }
 
-/// Queue-depth saturation fast-fails deterministically, with bounded
-/// latency, while admitted work completes.
-#[test]
-fn saturated_queue_fast_fails_with_bounded_latency() {
+/// Runs `probe` against a `--jobs 1 --max-queue-depth 1` daemon whose one
+/// slot is held for ~800ms by an `execute` with a second one queued behind
+/// it, then checks that both admitted requests were unaffected.
+fn with_saturated_queue(probe: impl FnOnce(&Endpoint)) {
     let endpoint = serve_with(ServeOptions {
         jobs: 1,
         max_queue_depth: 1,
@@ -456,8 +456,22 @@ fn saturated_queue_fast_fails_with_bounded_latency() {
         while queue_stat(&mut observer, "waiting") != 1 {
             std::thread::yield_now();
         }
+        probe(&endpoint);
+
+        // The admitted work was unaffected.
+        assert!(holder.join().unwrap().contains(r#""ok":true"#));
+        assert!(queued.join().unwrap().contains(r#""ok":true"#));
+    });
+    shutdown(&endpoint);
+}
+
+/// Queue-depth saturation fast-fails deterministically, with bounded
+/// latency, while admitted work completes.
+#[test]
+fn saturated_queue_fast_fails_with_bounded_latency() {
+    with_saturated_queue(|endpoint| {
         // Over the limit: must fast-fail, not queue.
-        let mut client = Client::connect(&endpoint).expect("connect overload");
+        let mut client = Client::connect(endpoint).expect("connect overload");
         let started = Instant::now();
         let refused = client
             .roundtrip_line(&execute_line(None))
@@ -470,12 +484,30 @@ fn saturated_queue_fast_fails_with_bounded_latency() {
             latency < Duration::from_millis(400),
             "an overload refusal must not wait for the backlog: {latency:?}"
         );
-
-        // The admitted work was unaffected.
-        assert!(holder.join().unwrap().contains(r#""ok":true"#));
-        assert!(queued.join().unwrap().contains(r#""ok":true"#));
     });
-    shutdown(&endpoint);
+}
+
+/// The queue is the execution queue: a request that never executes is not
+/// refused by it. A daemon saturated with executions still compiles (and
+/// so still answers `dpopt cache sync`'s transfers), tagged or not, while
+/// a further `execute` on the same connection is still refused.
+#[test]
+fn saturated_queue_does_not_refuse_a_request_that_never_executes() {
+    with_saturated_queue(|endpoint| {
+        let mut client = Client::connect(endpoint).expect("connect third");
+        for line in [compile_line(None), compile_line(Some(5))] {
+            let compiled = client
+                .roundtrip_line(&line)
+                .expect("round-trip")
+                .expect("answered");
+            assert!(compiled.contains(r#""ok":true"#), "{compiled}");
+        }
+        let refused = client
+            .roundtrip_line(&execute_line(None))
+            .expect("round-trip")
+            .expect("answered");
+        assert!(refused.contains(r#""kind":"overloaded""#), "{refused}");
+    });
 }
 
 /// Graceful drain under pipelining: a slow sweep-cell and a fast execute

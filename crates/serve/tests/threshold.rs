@@ -57,21 +57,24 @@ fn turn() -> MutexGuard<'static, ()> {
     TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// `(inline, launched)` as the `metrics` op reports them.
-fn branch_counts(client: &mut Client) -> (u64, u64) {
+/// The named registry counters as the `metrics` op reports them (a counter
+/// that has counted nothing is absent, and reads 0).
+fn counters<const N: usize>(client: &mut Client, names: [&str; N]) -> [u64; N] {
     let metrics = client.request(&bare_request("metrics")).expect("metrics");
-    let read = |name: &str| {
+    names.map(|name| {
         metrics
             .get("metrics")
             .and_then(|m| m.get("counters"))
             .and_then(|c| c.get(name))
             .and_then(Json::as_u64)
             .unwrap_or(0)
-    };
-    (
-        read("serve.requests.inline"),
-        read("serve.requests.launched"),
-    )
+    })
+}
+
+/// `(inline, launched)`: where admitted requests ran.
+fn branch_counts(client: &mut Client) -> (u64, u64) {
+    let [inline, launched] = counters(client, ["serve.requests.inline", "serve.requests.launched"]);
+    (inline, launched)
 }
 
 fn free_slots(client: &mut Client) -> u64 {
@@ -216,5 +219,56 @@ fn tagged_request_without_a_free_slot_is_launched_and_expires_on_time() {
 
     let held = holder.read_response_line().expect("read").expect("holder");
     assert!(held.contains(r#""ok":true"#), "{held}");
+    shutdown(&endpoint);
+}
+
+/// An execution runs on the thread that holds its slot — the session
+/// thread or the launched request thread — and never on the shared pool:
+/// after id-less, inline and launched `execute` and `sweep-cell` traffic
+/// the pool has been handed no job, queued or inline. The pool's counters
+/// belong to the process too, and nothing else in this file feeds them.
+#[test]
+fn the_daemon_submits_nothing_to_the_pool() {
+    let _turn = turn();
+    let endpoint = serve_with(ServeOptions {
+        jobs: 2,
+        ..ServeOptions::default()
+    });
+    let mut client = Client::connect(&endpoint).expect("connect");
+    let (inline_before, launched_before) = branch_counts(&mut client);
+
+    let untagged_cell = sweep_cell_line(0).replace(r#","id":0"#, "");
+    let together = format!("{}\n{}", sweep_cell_line(3), execute_line(4, Some(4)));
+    for lines in [
+        execute_line(0, None),
+        untagged_cell,
+        execute_line(1, Some(1)),
+        sweep_cell_line(2),
+        together,
+    ] {
+        client
+            .writer_mut()
+            .write_all(format!("{lines}\n").as_bytes())
+            .expect("send");
+        client.writer_mut().flush().expect("flush");
+        for _ in lines.lines() {
+            let answer = client.read_response_line().expect("read").expect("answer");
+            assert!(answer.contains(r#""ok":true"#), "{answer}");
+        }
+    }
+    let (inline_after, launched_after) = branch_counts(&mut client);
+    assert!(
+        inline_after - inline_before >= 4,
+        "four lines were sent alone"
+    );
+    assert!(
+        launched_after - launched_before >= 1,
+        "two were sent together"
+    );
+    assert_eq!(
+        counters(&mut client, ["pool.jobs.queued", "pool.jobs.inline"]),
+        [0, 0],
+        "an execution was handed to the pool"
+    );
     shutdown(&endpoint);
 }

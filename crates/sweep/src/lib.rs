@@ -447,15 +447,13 @@ type CompileCache = Mutex<HashMap<String, Arc<OnceLock<dp_core::SharedCompiled>>
 /// Calls `body(i)` for every `i < n` on the shared persistent worker pool:
 /// helper loops are pool submissions (gated on actually-idle workers, at
 /// most `jobs - 1` of them) and the calling thread always runs one loop
-/// itself — nothing is reserved or spawned per call. Between two indices a
-/// loop hands its worker to one queued interactive job (a served request).
+/// itself — nothing is reserved or spawned per call.
 fn for_each_on_pool(jobs: usize, n: usize, body: impl Fn(usize) + Sync) {
     if n == 0 {
         return;
     }
     let next = AtomicUsize::new(0);
     let work = || loop {
-        dp_pool::checkpoint();
         let i = next.fetch_add(1, Ordering::Relaxed);
         if i >= n {
             return;

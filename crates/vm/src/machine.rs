@@ -708,11 +708,6 @@ impl Machine {
         let started = dp_obs::metrics::now();
         let result = (|| {
             while let Some(grid) = self.launches.pending.pop_front() {
-                // Grid boundaries are the VM's cooperative yield points:
-                // when this machine runs inside a bulk pool job (a sweep
-                // cell), a queued interactive request may borrow the
-                // worker between grids. Off-pool threads: cheap no-op.
-                dp_pool::checkpoint();
                 self.execute_grid(grid)?;
             }
             Ok(())
