@@ -2,7 +2,8 @@
 //!
 //! Compares a freshly-measured `vmbench` JSON against the committed
 //! `BENCH_vm.json` and exits nonzero when `instructions` does not match
-//! **exactly**. Nothing timed is gated; see `dp_bench::gate`.
+//! **exactly** or a workload's `dispatched_ops` **rose**. Nothing timed is
+//! gated; see `dp_bench::gate`.
 //!
 //! ```text
 //! benchgate <committed.json> <fresh.json> [-o report.txt]

@@ -20,9 +20,11 @@
 //! interpreter's perf trajectory. Three numbers ride along that say what a
 //! dispatched op costs in memory and accounting: `value_bytes` (one VM
 //! word), `threaded_op_bytes` (one dispatch-table slot), and per workload
-//! `ops_per_block` — table slots dispatched per basic-block charge in the
-//! fused configuration, counted by one untimed run under the `Match`
-//! dispatcher (the only one that counts; see `DispatchProfile`).
+//! `dispatched_ops` and `ops_per_block` — table slots the fused
+//! configuration dispatches, in all and per basic-block charge, counted by
+//! one untimed run under the `Match` dispatcher (the only one that counts;
+//! see `DispatchProfile`). `dispatched_ops` is exact and `benchgate` fails
+//! when it rises: a lost fusion window shows there and in no test.
 //! Environment knobs: `DPOPT_VMBENCH_REPS` (default 5), `DPOPT_VMBENCH_SCALE` (workload size multiplier, default
 //! 1.0), and `DPOPT_VMBENCH_OUT` (output path override — the CI
 //! bench-regression gate writes a fresh measurement next to the committed
@@ -77,13 +79,19 @@ struct WorkloadResult {
     name: &'static str,
     /// Indexed like `CONFIGS`: baseline, fused.
     rows: Vec<Measurement>,
-    /// Table slots dispatched per block charge, fused configuration.
-    ops_per_block: f64,
+    /// Table slots dispatched by the fused configuration, and how many of
+    /// them led a basic block.
+    dispatched: DispatchProfile,
 }
 
 impl WorkloadResult {
     fn speedup_fused(&self) -> f64 {
         self.rows[0].wall_s / self.rows[1].wall_s
+    }
+
+    /// Handler calls per block charge.
+    fn ops_per_block(&self) -> f64 {
+        self.dispatched.ops as f64 / self.dispatched.blocks as f64
     }
 }
 
@@ -243,8 +251,9 @@ fn write_json(path: &std::path::Path, results: &[WorkloadResult]) -> std::io::Re
             ));
         }
         out.push_str(&format!(
-            "      }},\n      \"ops_per_block\": {:.3},\n      \"speedup_fused\": {:.3}\n    }}{}\n",
-            r.ops_per_block,
+            "      }},\n      \"dispatched_ops\": {},\n      \"ops_per_block\": {:.3},\n      \"speedup_fused\": {:.3}\n    }}{}\n",
+            r.dispatched.ops,
+            r.ops_per_block(),
             r.speedup_fused(),
             if i + 1 < results.len() { "," } else { "" },
         ));
@@ -289,11 +298,10 @@ fn main() {
         };
         let counted = f(counting, 1);
         assert_eq!(counted.instructions, rows[1].instructions);
-        let ops_per_block = counted.profile.ops as f64 / counted.profile.blocks as f64;
         results.push(WorkloadResult {
             name,
             rows,
-            ops_per_block,
+            dispatched: counted.profile,
         });
     };
     measure(
@@ -325,7 +333,7 @@ fn main() {
             r.rows[0].wall_s * 1e3,
             r.rows[1].wall_s * 1e3,
             r.speedup_fused(),
-            r.ops_per_block,
+            r.ops_per_block(),
         );
     }
 

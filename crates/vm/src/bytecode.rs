@@ -212,6 +212,19 @@ pub enum Instr {
     /// the `int x = e; use(x);` shape common in lowered accumulator
     /// updates).
     StoreLoadLocal(u16),
+    /// Fused `CastInt; StoreLocal(slot)` — truncate the top of stack to an
+    /// integer and pop it into the local (the tail of every `int x = e;`).
+    StoreLocalInt(u16),
+    /// Fused `Dup; StoreLocal(slot); Pop` — pop the top of stack into the
+    /// local (the tail of every assignment *statement* `x = e;`).
+    SetLocal(u16),
+    /// Fused `LoadLocal(a); LoadLocal(b); Bin(Add); LoadMem` — push
+    /// `mem[locals[a] + locals[b]]` (the indexed load `p[i]`).
+    LoadMemAt(u16, u16),
+    /// Fused `Bin(cmp); JumpIfZero(target)` — compare the two values on top
+    /// of the stack and jump to `target` when the comparison is false. The
+    /// fuser emits it for comparison [`BinKind`]s only.
+    CmpBranch(BinKind, u32),
 }
 
 impl Instr {
@@ -250,29 +263,37 @@ impl Instr {
             Instr::StoreLoadLocal(slot) => {
                 Some(vec![Instr::StoreLocal(slot), Instr::LoadLocal(slot)])
             }
+            Instr::StoreLocalInt(slot) => Some(vec![Instr::CastInt, Instr::StoreLocal(slot)]),
+            Instr::SetLocal(slot) => Some(vec![Instr::Dup, Instr::StoreLocal(slot), Instr::Pop]),
+            Instr::LoadMemAt(a, b) => Some(vec![
+                Instr::LoadLocal(a),
+                Instr::LoadLocal(b),
+                Instr::Bin(BinKind::Add),
+                Instr::LoadMem,
+            ]),
+            Instr::CmpBranch(op, target) => Some(vec![Instr::Bin(op), Instr::JumpIfZero(target)]),
             _ => None,
         }
     }
 
-    /// The instruction index this instruction may jump to: the one list of
-    /// opcodes that carry a jump target (block cutting and the fuser ask here).
+    /// The instruction index this instruction may jump to (block cutting and
+    /// the fuser ask here). Read off a copy through
+    /// [`Instr::branch_target_mut`], which holds the one list of opcodes
+    /// that carry a jump target.
     pub fn branch_target(&self) -> Option<u32> {
-        match *self {
-            Instr::Jump(t)
-            | Instr::JumpIfZero(t)
-            | Instr::JumpIfNonZero(t)
-            | Instr::CmpBranchLocals(.., t) => Some(t),
-            _ => None,
-        }
+        let mut copy = *self;
+        copy.branch_target_mut().copied()
     }
 
-    /// [`Instr::branch_target`], to rewrite it.
+    /// The jump target, to rewrite it. A new jumping opcode is a row here
+    /// and nowhere else; it then ends a basic block.
     pub fn branch_target_mut(&mut self) -> Option<&mut u32> {
         match self {
             Instr::Jump(t)
             | Instr::JumpIfZero(t)
             | Instr::JumpIfNonZero(t)
-            | Instr::CmpBranchLocals(.., t) => Some(t),
+            | Instr::CmpBranchLocals(.., t)
+            | Instr::CmpBranch(_, t) => Some(t),
             _ => None,
         }
     }
@@ -282,9 +303,13 @@ impl Instr {
     pub fn width(&self) -> u32 {
         match self {
             Instr::IncLocal(..) => 6,
-            Instr::CmpBranchLocals(..) => 4,
-            Instr::BinLocals(..) => 3,
-            Instr::BinImm(..) | Instr::LoadLocalMem(_) | Instr::StoreLoadLocal(_) => 2,
+            Instr::CmpBranchLocals(..) | Instr::LoadMemAt(..) => 4,
+            Instr::BinLocals(..) | Instr::SetLocal(_) => 3,
+            Instr::BinImm(..)
+            | Instr::LoadLocalMem(_)
+            | Instr::StoreLoadLocal(_)
+            | Instr::StoreLocalInt(_)
+            | Instr::CmpBranch(..) => 2,
             _ => 1,
         }
     }
@@ -305,7 +330,10 @@ impl Instr {
             Instr::BinLocals(op, ..) => 2 * model.alu + bin(op),
             Instr::BinImm(op, _) => model.alu + bin(op),
             Instr::LoadLocalMem(_) => model.alu + model.mem,
-            Instr::StoreLoadLocal(_) => 2 * model.alu,
+            Instr::StoreLoadLocal(_) | Instr::StoreLocalInt(_) => 2 * model.alu,
+            Instr::SetLocal(_) => 3 * model.alu,
+            Instr::LoadMemAt(..) => 2 * model.alu + bin(BinKind::Add) + model.mem,
+            Instr::CmpBranch(op, _) => bin(op) + model.branch,
             _ => model.cycles(self.cost_class()),
         }
     }
@@ -345,9 +373,11 @@ impl Instr {
             Instr::Intrinsic(_) => CostClass::Intrinsic,
             Instr::BinLocals(op, ..) | Instr::BinImm(op, _) => Instr::Bin(*op).cost_class(),
             Instr::IncLocal(..) => CostClass::Alu,
-            Instr::LoadLocalMem(_) => CostClass::Mem,
-            Instr::CmpBranchLocals(..) => CostClass::Branch,
-            Instr::StoreLoadLocal(_) => CostClass::Alu,
+            Instr::LoadLocalMem(_) | Instr::LoadMemAt(..) => CostClass::Mem,
+            Instr::CmpBranchLocals(..) | Instr::CmpBranch(..) => CostClass::Branch,
+            Instr::StoreLoadLocal(_) | Instr::StoreLocalInt(_) | Instr::SetLocal(_) => {
+                CostClass::Alu
+            }
         }
     }
 }
@@ -617,6 +647,10 @@ mod tests {
             (Instr::LoadLocalMem(0), 2),
             (Instr::CmpBranchLocals(BinKind::Lt, 0, 1, 9), 4),
             (Instr::StoreLoadLocal(3), 2),
+            (Instr::StoreLocalInt(3), 2),
+            (Instr::SetLocal(3), 3),
+            (Instr::LoadMemAt(0, 1), 4),
+            (Instr::CmpBranch(BinKind::Rem, 9), 2),
         ] {
             let parts = fused.expansion().expect("fused ops expand");
             assert_eq!(fused.width(), width);

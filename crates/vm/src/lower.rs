@@ -133,24 +133,38 @@ pub fn fuse_module(module: &mut Module) {
 /// | `LoadLocal s; PushInt k; Bin ±; Dup; StoreLocal s; Pop` | `IncLocal(s, ±k)` |
 /// | `LoadLocal s; Dup; PushInt k; Bin ±; StoreLocal s; Pop` | `IncLocal(s, ±k)` |
 /// | `LoadLocal a; LoadLocal b; Bin cmp; JumpIfZero t` | `CmpBranchLocals(cmp, a, b, t)` |
+/// | `LoadLocal a; LoadLocal b; Bin Add; LoadMem` | `LoadMemAt(a, b)` |
 /// | `LoadLocal a; LoadLocal b; Bin op` | `BinLocals(op, a, b)` |
+/// | `Dup; StoreLocal s; Pop` | `SetLocal(s)` |
 /// | `LoadLocal s; LoadMem` | `LoadLocalMem(s)` |
 /// | `PushInt v; Bin op` | `BinImm(op, v)` |
 /// | `StoreLocal s; LoadLocal s` | `StoreLoadLocal(s)` |
+/// | `CastInt; StoreLocal s` | `StoreLocalInt(s)` |
+/// | `Bin cmp; JumpIfZero t` | `CmpBranch(cmp, t)` |
 ///
 /// `StoreLoadLocal` additionally looks one window ahead: it is skipped when
 /// the `LoadLocal` it would consume starts a wider (≥ 3 instruction)
 /// pattern, so `int v = e; if (v < n)` keeps its more valuable
-/// `CmpBranchLocals` fusion.
+/// `CmpBranchLocals` fusion. `StoreLocalInt` looks ahead the same way and
+/// leaves its `StoreLocal` to a `StoreLoadLocal` that would take it (two
+/// slots either way).
+///
+/// `StoreLocalInt`, `SetLocal`, `LoadMemAt` and `CmpBranch` were picked by
+/// a dynamic count of dispatched windows on a cold BFS/KRON sweep, not by
+/// eye (ROADMAP item 6 has the count and what it says not to build).
 ///
 /// To add a new superinstruction: the opcode with its [`Instr::expansion`],
-/// `cost` and `width` in `bytecode.rs` (and in [`Instr::branch_target`] if
-/// it jumps — that makes it end a basic block), a row in
+/// `cost`, `width` and `cost_class` in `bytecode.rs` (and a row in
+/// [`Instr::branch_target_mut`] if it jumps — that makes it end a basic
+/// block and has the fuser remap its target), a row in
 /// `fused_instructions_cost_their_expansion`, a match arm in `try_fuse_at`
-/// here, and one handler plus its decode row in `ops.rs`. Nothing in
-/// `reference.rs`: the reference interpreter runs the expansion, so the
-/// differential suites check the handler against that definition, error
-/// cases included.
+/// here, one handler plus its decode row in `ops.rs`, and rows in
+/// `tests/dispatch_exec.rs`'s hand-built table for the success case and
+/// every error its expansion can raise. Nothing in `reference.rs`: the
+/// reference interpreter runs the expansion, so the differential suites
+/// check the handler against that definition, error cases included. A
+/// pattern earns its place with a count of the window and ≥ 3 % on
+/// `sweep-cold` by itself; `benchgate` then holds `dispatched_ops` down.
 pub fn fuse_function(f: &mut CompiledFunction) {
     let n = f.code.len();
     // Instruction indices some jump lands on (code.len() is a valid target
@@ -231,23 +245,47 @@ fn try_fuse_at(
             }
         }
     }
+    let is_cmp = |op: BinKind| {
+        matches!(
+            op,
+            BinKind::Lt | BinKind::Le | BinKind::Gt | BinKind::Ge | BinKind::Eq | BinKind::Ne
+        )
+    };
     if fusible(4) {
         // Loop-condition shape: compare two locals, branch when false.
         if let [LoadLocal(a), LoadLocal(b), Bin(op), JumpIfZero(t), ..] = *code {
-            if matches!(
-                op,
-                BinKind::Lt | BinKind::Le | BinKind::Gt | BinKind::Ge | BinKind::Eq | BinKind::Ne
-            ) {
+            if is_cmp(op) {
                 return Some((CmpBranchLocals(op, a, b, t), 4));
             }
+        }
+        // `p[i]` with both in locals.
+        if let [LoadLocal(a), LoadLocal(b), Bin(BinKind::Add), LoadMem, ..] = *code {
+            return Some((LoadMemAt(a, b), 4));
         }
     }
     if fusible(3) {
         if let [LoadLocal(a), LoadLocal(b), Bin(op), ..] = *code {
             return Some((BinLocals(op, a, b), 3));
         }
+        // The tail of an assignment statement, `x = e;`.
+        if let [Dup, StoreLocal(s), Pop, ..] = *code {
+            return Some((SetLocal(s), 3));
+        }
     }
     if fusible(2) {
+        // The tail of `int x = e;`. Where the store is reloaded at once,
+        // `StoreLoadLocal` keeps it: two slots either way.
+        if let [CastInt, StoreLocal(s), ..] = *code {
+            if try_fuse_at(&code[1..], &origins[1..], &targets_after[1..]).is_none() {
+                return Some((StoreLocalInt(s), 2));
+            }
+        }
+        // A comparison whose operands are already on the stack.
+        if let [Bin(op), JumpIfZero(t), ..] = *code {
+            if is_cmp(op) {
+                return Some((CmpBranch(op, t), 2));
+            }
+        }
         if let [LoadLocal(s), LoadMem, ..] = *code {
             return Some((LoadLocalMem(s), 2));
         }
@@ -1274,6 +1312,20 @@ mod tests {
         .unwrap()
     }
 
+    /// A two-local kernel of exactly this code, for the fuser alone.
+    fn hand_built(code: Vec<Instr>, origins: Vec<CodeOrigin>) -> CompiledFunction {
+        CompiledFunction {
+            name: "k".into(),
+            qual: dp_frontend::ast::FnQual::Global,
+            param_types: vec![],
+            n_locals: 2,
+            code,
+            origins,
+            contains_launch: false,
+            shared_words: 0,
+        }
+    }
+
     #[test]
     fn fusion_emits_superinstructions() {
         let src = "__global__ void k(int* d, int n) { \
@@ -1312,17 +1364,7 @@ mod tests {
 
     #[test]
     fn fusion_respects_origin_and_jump_boundaries() {
-        use dp_frontend::ast::FnQual;
-        let mk = |origins: Vec<CodeOrigin>, code: Vec<Instr>| CompiledFunction {
-            name: "k".into(),
-            qual: FnQual::Global,
-            param_types: vec![],
-            n_locals: 2,
-            code,
-            origins,
-            contains_launch: false,
-            shared_words: 0,
-        };
+        let mk = |origins, code| hand_built(code, origins);
         let window = vec![
             Instr::LoadLocal(0),
             Instr::LoadLocal(1),
@@ -1492,6 +1534,93 @@ mod tests {
             | Instr::CmpBranchLocals(.., t) = instr
             {
                 assert!((*t as usize) <= code.len());
+            }
+        }
+    }
+
+    #[test]
+    fn binary_search_loop_fuses_the_counted_windows() {
+        // The shape of the generated `_agg` kernel's parent lookup: the four
+        // windows a dynamic count of dispatched slots picked.
+        let src = "__global__ void k(int* p, int n) { \
+                       int lo = 0; int hi = n; \
+                       while (lo < hi) { \
+                           int mid = (lo + hi) / 2; \
+                           if (p[mid] > threadIdx.x) { hi = mid; } else { lo = mid + 1; } } \
+                       p[0] = lo; }";
+        let fused = compile(src);
+        let unfused = compile_unfused(src);
+        let code = &fused.by_name("k").unwrap().code;
+        for want in [
+            Instr::StoreLocalInt(4),
+            Instr::LoadMemAt(0, 4),
+            Instr::SetLocal(3),
+            Instr::SetLocal(2),
+        ] {
+            assert!(code.contains(&want), "{want:?} missing: {code:?}");
+        }
+        assert!(
+            code.iter()
+                .any(|i| matches!(i, Instr::CmpBranch(BinKind::Gt, _))),
+            "a comparison of stack operands fuses with its branch: {code:?}"
+        );
+        let total: u32 = code.iter().map(|i| i.width()).sum();
+        assert_eq!(total as usize, unfused.by_name("k").unwrap().code.len());
+        // An arithmetic condition is no comparison: it keeps its `JumpIfZero`.
+        let m = compile("__global__ void k(int* d) { if (d[0] + threadIdx.x) { d[1] = 1; } }");
+        let code = &m.by_name("k").unwrap().code;
+        assert!(!code.iter().any(|i| matches!(i, Instr::CmpBranch(..))));
+    }
+
+    #[test]
+    fn counted_windows_respect_origin_and_jump_boundaries() {
+        use Instr::*;
+        let mk = hand_built;
+        let windows = [
+            (vec![CastInt, StoreLocal(1)], StoreLocalInt(1)),
+            (vec![Dup, StoreLocal(1), Pop], SetLocal(1)),
+            (
+                vec![LoadLocal(0), LoadLocal(1), Bin(BinKind::Add), LoadMem],
+                LoadMemAt(0, 1),
+            ),
+            (
+                vec![Bin(BinKind::Ge), JumpIfZero(0)],
+                CmpBranch(BinKind::Ge, 0),
+            ),
+        ];
+        for (window, fused) in windows {
+            let w = window.len();
+            let mut code = window.clone();
+            code.push(RetVoid);
+
+            let mut f = mk(code.clone(), vec![CodeOrigin::Original; w + 1]);
+            fuse_function(&mut f);
+            assert_eq!(f.code, [fused, RetVoid]);
+            assert_eq!(f.origins.len(), 2);
+
+            for inside in 1..w {
+                // The origin changes inside the window: fusing it would
+                // charge one origin for the other's instructions.
+                let mut origins = vec![CodeOrigin::Original; w + 1];
+                origins[inside..w].fill(CodeOrigin::AggLogic);
+                let mut f = mk(code.clone(), origins);
+                fuse_function(&mut f);
+                assert!(!f.code.contains(&fused), "{fused:?} at {inside}");
+                assert_eq!(f.code.iter().map(|i| i.width()).sum::<u32>(), w as u32 + 1);
+
+                // A jump lands inside the window: it must still find the
+                // instruction it named.
+                let mut jumped = code.clone();
+                jumped.push(Jump(inside as u32));
+                let mut f = mk(jumped, vec![CodeOrigin::Original; w + 2]);
+                fuse_function(&mut f);
+                assert!(!f.code.contains(&fused), "{fused:?} at {inside}");
+                let Some(Jump(t)) = f.code.last() else {
+                    panic!("{:?}", f.code)
+                };
+                let landed = f.code[*t as usize];
+                let first = landed.expansion().map_or(landed, |parts| parts[0]);
+                assert_eq!(first, window[inside], "{fused:?} at {inside}");
             }
         }
     }

@@ -285,7 +285,8 @@ pub struct MachineStats {
 /// What the `Match` dispatcher — and only it: the threaded loop does not
 /// pay for this — counts on its way: table slots dispatched, and how many
 /// of them led a basic block. Their ratio is the number of handler calls
-/// the threaded loop makes per block charge (`vmbench`'s `ops_per_block`).
+/// the threaded loop makes per block charge (`vmbench`'s `ops_per_block`;
+/// `ops` itself is its `dispatched_ops`, which `benchgate` holds down).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DispatchProfile {
     /// Table slots dispatched (a fused superinstruction is one).

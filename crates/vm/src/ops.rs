@@ -8,7 +8,13 @@
 //! LTO, and an out-of-line `ExecEnv::load` measured 5–8 % of a cold sweep.
 //!
 //! A new opcode is a handler and a row in [`threaded_op`]; a primitive
-//! also gets an arm in `reference.rs`, a superinstruction never does.
+//! also gets an arm in `reference.rs`, a superinstruction never does. A
+//! superinstruction's handler is its expansion with the operand-stack
+//! traffic between the parts removed, and nothing else: what a caller can
+//! see of it — the value, which error and its text — is the expansion's,
+//! shapes the fuser never emits included (`tests/dispatch_exec.rs`). What a
+//! dispatched slot costs beyond its handler's work — the indirect call, the
+//! `Result` return, `Vec` push and pop — is what fusion removes.
 
 use crate::bytecode::*;
 use crate::error::ExecError;
@@ -386,6 +392,41 @@ fn op_store_load_local(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
     Ok(Flow::Next)
 }
 
+fn op_store_local_int(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
+    let v = pop(&mut s.thread.stack)?;
+    s.thread.frame.locals[op.a as usize] = Value::Int(v.as_int());
+    Ok(Flow::Next)
+}
+
+fn op_set_local(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
+    // The expansion fails in its `Dup`, so the text is that one's.
+    let v = s
+        .thread
+        .stack
+        .pop()
+        .ok_or_else(|| ExecError::new("stack underflow on dup"))?;
+    s.thread.frame.locals[op.a as usize] = v;
+    Ok(Flow::Next)
+}
+
+fn op_load_mem_at(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
+    let a = s.thread.frame.locals[op.a as usize];
+    let b = s.thread.frame.locals[op.b as usize];
+    let addr = bin_op(BinKind::Add, a, b)?.as_int();
+    let v = s.env.load(addr, s.shared)?;
+    s.thread.stack.push(v);
+    Ok(Flow::Next)
+}
+
+fn op_cmp_branch<const K: u8>(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
+    let b = pop(&mut s.thread.stack)?;
+    let a = pop(&mut s.thread.stack)?;
+    if !bin_op(BIN_KINDS[K as usize], a, b)?.is_truthy() {
+        s.thread.frame.pc = op.a as usize;
+    }
+    Ok(Flow::Next)
+}
+
 /// Decodes one instruction into its table slot: the handler, then the
 /// operands it reads as `a`, `b` and `imm`.
 fn threaded_op(instr: Instr) -> ThreadedOp {
@@ -433,6 +474,10 @@ fn threaded_op(instr: Instr) -> ThreadedOp {
             t as i64,
         ),
         Instr::StoreLoadLocal(s) => (op_store_load_local, s as u32, 0, 0),
+        Instr::StoreLocalInt(s) => (op_store_local_int, s as u32, 0, 0),
+        Instr::SetLocal(s) => (op_set_local, s as u32, 0, 0),
+        Instr::LoadMemAt(a, b) => (op_load_mem_at, a as u32, b as u32, 0),
+        Instr::CmpBranch(k, t) => (select_bin!(k, op_cmp_branch), t, 0, 0),
     };
     ThreadedOp {
         exec,
@@ -629,7 +674,7 @@ pub(crate) fn un_op(kind: UnKind, a: Value) -> Value {
     match kind {
         UnKind::Neg => match a {
             Value::Float(f) => Value::Float(-f),
-            other => Value::Int(-other.as_int()),
+            other => Value::Int(other.as_int().wrapping_neg()),
         },
         UnKind::Not => Value::from(!a.is_truthy()),
         UnKind::BitNot => Value::Int(!a.as_int()),
@@ -666,7 +711,7 @@ pub(crate) fn intrinsic1(i: Intrinsic, a: Value) -> Value {
     match i {
         Intrinsic::Abs => match a {
             Value::Float(f) => Value::Float(f.abs()),
-            other => Value::Int(other.as_int().abs()),
+            other => Value::Int(other.as_int().wrapping_abs()),
         },
         Intrinsic::Sqrt => Value::Float(a.as_float().sqrt()),
         Intrinsic::Ceil => Value::Float(a.as_float().ceil()),

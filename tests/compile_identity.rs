@@ -3,19 +3,25 @@
 //! `transform_golden.rs` checks the *shape* of the generated code with
 //! `contains`; it cannot see a reordered statement, a changed origin tag or
 //! a different instruction. This suite pins every byte the compiler hands
-//! on — transformed source, transformed AST (spans and origin tags),
-//! manifest and bytecode — for the 14 workload sources under a 17-config
-//! matrix, as one digest per (source, config), and pins the full output text
-//! for recursive dynamic parallelism, where a pass reads the definition of
-//! the very function it is rewriting.
+//! on for the 14 workload sources under a 17-config matrix, as two digests
+//! per (source, config) — the passes' output (transformed source,
+//! transformed AST with spans and origin tags, manifest) and the bytecode —
+//! and pins the full output text for recursive dynamic parallelism, where a
+//! pass reads the definition of the very function it is rewriting.
 //!
-//! The digests were generated from the commit *before* the passes stopped
-//! copying the program, so they hold any refactor of the compile path to
-//! the old output. A failure prints the whole fresh table; paste it only
-//! when the output is *meant* to change.
+//! The two columns are apart so that a change to the VM's instruction set
+//! re-pins the bytecode and cannot move the half that guards the passes:
+//! `EXPECTED_PASSES` is what this file printed on the commit before the
+//! count-picked superinstructions (PR 24's parent), which compiled every
+//! source to the bytes pinned before the passes stopped copying the
+//! program. A failure prints every fresh table; paste one only when that
+//! output is *meant* to change.
 
 use dpopt::core::{AggConfig, AggGranularity, Compiler, OptConfig};
+use dpopt::frontend::ast::Program;
 use dpopt::sweep::key::fnv1a;
+use dpopt::vm::bytecode::CompiledFunction;
+use dpopt::vm::compile_program_unfused;
 use dpopt::workloads::benchmarks::all_benchmarks;
 
 /// none, T, C, all, then A / T+A / T+C+A at each granularity, then block
@@ -61,74 +67,139 @@ fn configs() -> Vec<(String, OptConfig)> {
     out
 }
 
-/// Everything a compile hands on, as one digest. `Module` itself is not
-/// `{:?}`-ed: its `by_name` is a `HashMap` and prints in a per-process order.
-fn digest(source: &str, config: OptConfig) -> u64 {
+/// The two halves of what a compile hands on, digested apart: what the
+/// passes made (transformed source, AST, manifest) and what the lowerer and
+/// the fuser made of it (the bytecode). A change to the VM's instruction
+/// set re-pins the second column and must leave the first alone. `Module`
+/// itself is not `{:?}`-ed: its `by_name` is a `HashMap` and prints in a
+/// per-process order.
+fn digests(source: &str, config: OptConfig) -> (u64, u64) {
     let compiled = Compiler::new()
         .config(config)
         .compile(source)
         .expect("workload source compiles");
-    let text = format!(
-        "{}\u{0}{:?}\u{0}{:?}\u{0}{:?}",
+    let passes = format!(
+        "{}\u{0}{:?}\u{0}{:?}",
         compiled.transformed_source(),
         compiled.program(),
-        compiled.module().functions,
         compiled.manifest(),
     );
-    fnv1a(text.as_bytes())
+    let functions = &compiled.module().functions;
+    widths_conserve_the_unfused_count(compiled.program(), functions, config);
+    (
+        fnv1a(passes.as_bytes()),
+        fnv1a(format!("{functions:?}").as_bytes()),
+    )
 }
 
-/// One row per workload source, one digest per entry of [`configs`].
+/// Fusion is accounting-transparent on every workload source under every
+/// config: a function's widths sum to the length of its unfused code.
+fn widths_conserve_the_unfused_count(
+    program: &Program,
+    fused: &[CompiledFunction],
+    config: OptConfig,
+) {
+    let unfused = compile_program_unfused(program).expect("lowers unfused");
+    assert_eq!(fused.len(), unfused.functions.len());
+    for (f, u) in fused.iter().zip(&unfused.functions) {
+        let widths: u32 = f.code.iter().map(|i| i.width()).sum();
+        assert_eq!(
+            widths as usize,
+            u.code.len(),
+            "`{}` under {config:?}",
+            f.name
+        );
+        assert_eq!(f.code.len(), f.origins.len(), "`{}`", f.name);
+    }
+}
+
+/// The passes' output — transformed source, AST (spans and origin tags) and
+/// manifest: one row per workload source, one digest per entry of
+/// [`configs`]. These are what item 10 of the roadmap is held to; a change
+/// that touches only the VM leaves them as they are.
 #[rustfmt::skip]
-const EXPECTED: &[(&str, [u64; 17])] = &[
-    ("BFS/cdp", [0xe72cce1b1af57c04, 0x59f2f1a5ee09a56b, 0x10ba603feb683090, 0x3881572dfecdb9d2, 0xc3d0f5b47d7c48d4, 0xe24e8379da1bc19c, 0x976e3a57d45197e5, 0x04b572fccad29a8c, 0x1413a2e8fec6e44e, 0xb19ec26b442b2948, 0xa3059311225914db, 0x4f76421cddb30f77, 0x6ec0efefe8a1bcf7, 0xda146b39046bbcf8, 0x353aab3ae5a1d3b9, 0x3fae4f2e5cdd26e1, 0x7a53fdadb720aeab]),
-    ("BFS/nocdp", [0x9b594f97f9bf9e0a, 0xc2ce7d5d10810415, 0x4aaacf7143b7d015, 0x2b69c1889d34fc67, 0x9b594f97f9bf9e0a, 0xc2ce7d5d10810415, 0x7a5c721ee8fa4c20, 0x9b594f97f9bf9e0a, 0xc2ce7d5d10810415, 0x7a5c721ee8fa4c20, 0x92618de33946aa93, 0x0e122929acc1fc1e, 0x6a939b136e29d5f3, 0x9b594f97f9bf9e0a, 0xc2ce7d5d10810415, 0x7a5c721ee8fa4c20, 0xf368311009b73331]),
-    ("BT/cdp", [0x16017031de752857, 0xeadfd6d2970ccf87, 0x2222946d39d151e0, 0xb76f92d02a2b300d, 0xc744d9995811ae15, 0x54d190e747d07a36, 0xccd73a70291e7b84, 0xde730893a3014426, 0xe740659fd5854f9d, 0xa9272cc218578e13, 0x4338034f1dcd3500, 0xadd61f5559aa3557, 0xc4e3e2dfd6e01644, 0x46ad9345bfb1ef46, 0xbbe2f596ef3cd4b9, 0x1e0e788af23c0957, 0xa1cdb02ec84f55ef]),
-    ("BT/nocdp", [0xa9879a4d8b4f0c8e, 0xac4cb28252e3d3fb, 0x427aded091c9f3b5, 0x57afbe18bae7f9b5, 0xa9879a4d8b4f0c8e, 0xac4cb28252e3d3fb, 0xce49eec8adc7ac6a, 0xa9879a4d8b4f0c8e, 0xac4cb28252e3d3fb, 0xce49eec8adc7ac6a, 0xbea4a03a6646dab5, 0x541b00c72dd43f32, 0x0f6813268ccf90b3, 0xa9879a4d8b4f0c8e, 0xac4cb28252e3d3fb, 0xce49eec8adc7ac6a, 0x9af022ad736fac93]),
-    ("MSTF/cdp", [0xd9df355ae6aaeb97, 0xfe9300e6a990f5d3, 0x465898f61434d42c, 0x6393e8860e828649, 0xfce78a0ae9c9d83e, 0x12a7c7b7a19bf0d5, 0xed7becdfd788e639, 0x02f009ff674e8156, 0x7fc2ee431a22ff91, 0x5f3049ec0705e6f4, 0xe734e48e58b6a4c8, 0x52ea987a8f26838e, 0xa15e6203ce9f75e0, 0xdfaf4a82a4c39e8b, 0xe8ca0c4c4093de8a, 0x6728362e42878702, 0x0a9307c938b9963e]),
-    ("MSTF/nocdp", [0x81ed3b26d085b023, 0x6b5e70ff455cf198, 0x1ac5dadfe611af9c, 0x7a0c0eb9a8fccb5e, 0x81ed3b26d085b023, 0x6b5e70ff455cf198, 0x59aa5df39349b529, 0x81ed3b26d085b023, 0x6b5e70ff455cf198, 0x59aa5df39349b529, 0x746309a1d95c3692, 0x514799891480a117, 0x43bf1ec56311c8be, 0x81ed3b26d085b023, 0x6b5e70ff455cf198, 0x59aa5df39349b529, 0xec00a8f4292f1c80]),
-    ("MSTV/cdp", [0x804ce51bf6a9db51, 0x08344e8218b873a4, 0x83de8ceadd38dbde, 0x0c92c89b21b05592, 0x20bdacf2b0e2c60a, 0x2b50b2bfe2315f2d, 0x162ff03136664d0e, 0x7700ca791d0df250, 0x0a5e92694ddf9275, 0x4c2f133a0d1cdfb2, 0xf4658f61198c536b, 0x774b99fe3b639d30, 0x94d3dbb60b216903, 0xcbe728abe49abe11, 0xec847aa5b4cfe5eb, 0x59286f9d15c582d6, 0x4458069b93e6b84f]),
-    ("MSTV/nocdp", [0xf342efb68d5d5c69, 0x581e9de0360aa50e, 0x97ba2e780e9f9734, 0x723a264e47690e80, 0xf342efb68d5d5c69, 0x581e9de0360aa50e, 0x1a73e4ab18b343e9, 0xf342efb68d5d5c69, 0x581e9de0360aa50e, 0x1a73e4ab18b343e9, 0xc4b545b87f6df43c, 0xa2a23dc282963b01, 0x48fc5e885eb5ca7e, 0xf342efb68d5d5c69, 0x581e9de0360aa50e, 0x1a73e4ab18b343e9, 0xde48738e3614de36]),
-    ("SP/cdp", [0xbf37eb50d3ded7aa, 0x43220353219761df, 0x62b1797ffad90d18, 0xb8f7b408c5140972, 0x40804bf44019a09d, 0xa0f9558bf28bc0a7, 0xa69b451d0a48443d, 0x20c75ac0b063be52, 0x5c9cae20c62ce45e, 0x1aa4148180f7d0d8, 0x04dcd3b983ee555d, 0xf1300afbc32df987, 0xdd85be352cc33288, 0x1be3bb833576b56e, 0xa575baa45def610b, 0x8dee5cff1a455334, 0x627132b33912e398]),
-    ("SP/nocdp", [0x41b34ebf71dc55cf, 0xee2c4874f3e4359a, 0x9758b4457bbbd328, 0xcd39ff3f19b7a984, 0x41b34ebf71dc55cf, 0xee2c4874f3e4359a, 0x4098e8acfba7ca8b, 0x41b34ebf71dc55cf, 0xee2c4874f3e4359a, 0x4098e8acfba7ca8b, 0x4cb7b6531bd0ef48, 0x164f879a88878bf7, 0x07e22da54afaac26, 0x41b34ebf71dc55cf, 0xee2c4874f3e4359a, 0x4098e8acfba7ca8b, 0x1245ed507c839c1e]),
-    ("SSSP/cdp", [0x24c6f861d81045dc, 0xd11dde72c9aad43c, 0xf935d4c540caa2ae, 0x96a40a1e4afd94fb, 0xa8ed47580d23f89c, 0x43491f63c0b25fb5, 0x882558fcaf8b6d2d, 0x22dc5d1bd9218e6c, 0x3fb75c66a781803f, 0x73563b64e17d81fb, 0xb4197c42f046f4fb, 0x1329b8bca6aacfb0, 0x739c4ef211c25b96, 0xa8fe816009768db6, 0x07500081a4267259, 0xceccc74a15d413b5, 0xf2189d47859c589a]),
-    ("SSSP/nocdp", [0x7cc5762e93c892e9, 0xe559bebd93aef136, 0x718b3ce7e2e2ccc2, 0x41dcd5ffcec87b5c, 0x7cc5762e93c892e9, 0xe559bebd93aef136, 0x03bbec0b4750fc6f, 0x7cc5762e93c892e9, 0xe559bebd93aef136, 0x03bbec0b4750fc6f, 0x1dcaa2bf1bc14dcc, 0x964cd59f163bae89, 0xc098eb885d6dbb80, 0x7cc5762e93c892e9, 0xe559bebd93aef136, 0x03bbec0b4750fc6f, 0x9e78670381939512]),
-    ("TC/cdp", [0x04f0bd26188048d4, 0x5c66c8a4a5c6ea28, 0xc485ed2c33ab1504, 0xf85b5974d96c93fc, 0x332df8d3fb3489b3, 0x3807624f8329335b, 0x25fa3fd71fb37a20, 0x7d1a26de8199f905, 0xaea3c87d2e960f49, 0x07ea25ff4addbca3, 0xb2c12c55f1fb4564, 0x34288cfbc73faa92, 0x6c1c955da93f0041, 0xf058240973c9f62c, 0x90fb4001998eb893, 0x3f57ddcf2b906183, 0x390c124b7da1ad58]),
-    ("TC/nocdp", [0x2e314fe6fec8a858, 0xf7fdb3a92bccbb67, 0xed7efb97ef432223, 0x78bd573381cd36c9, 0x2e314fe6fec8a858, 0xf7fdb3a92bccbb67, 0x3f1fdb621bc3a266, 0x2e314fe6fec8a858, 0xf7fdb3a92bccbb67, 0x3f1fdb621bc3a266, 0x0e871ae4ca0ce145, 0x9cf5872b930eb5a4, 0x59f2f1b885017e55, 0x2e314fe6fec8a858, 0xf7fdb3a92bccbb67, 0x3f1fdb621bc3a266, 0x0f97c2a10fb50f35]),
+const EXPECTED_PASSES: &[(&str, [u64; 17])] = &[
+    ("BFS/cdp", [0x1c1150256e807f6e, 0x398d47f609d39edf, 0xfc19611cc74a5bb0, 0x93bae0621f34dca0, 0x59eee902a699c47c, 0x8cbb392c8a68df45, 0x262f54fd060e5376, 0x8410d960827b6851, 0xade9751579163740, 0xe29c3e16eb49f579, 0xcf1fcfd8b4073b5d, 0x27832e0316a21cc0, 0xf6c1c4578bf57edb, 0xe3e064f62152ae54, 0x1d51d92d406019f7, 0x30a205ebbacacb05, 0xfc8520b948b50201]),
+    ("BFS/nocdp", [0xe4907a7737dfcfe4, 0x677af2c1c83534f3, 0x2e194763a2e0c0f3, 0x48c540b1d092cb29, 0xe4907a7737dfcfe4, 0x677af2c1c83534f3, 0x54aa799e8700ec36, 0xe4907a7737dfcfe4, 0x677af2c1c83534f3, 0x54aa799e8700ec36, 0x5ed14d7fd3e6a1ed, 0xba94832c34923830, 0x984a8f2c67fc8c4d, 0xe4907a7737dfcfe4, 0x677af2c1c83534f3, 0x54aa799e8700ec36, 0x6f442dfa87f24707]),
+    ("BT/cdp", [0xce7243de4cacc0b7, 0xd82c4011a3a8f78f, 0xe96bd189009135fa, 0x2d238138a73b883b, 0x59a330e923f39a6a, 0x64f11d42cb8142b0, 0x7e00eabccc1f2e07, 0x98ad04259f59af60, 0xe01d8649fd0aa3da, 0xa4337235abf27d42, 0xa48bc01df2410420, 0x05d7e373e5fb4a06, 0xb15f2e064bf737e0, 0x37fca75321012a97, 0x02e22a910397dc55, 0xcb46915cd83e78e3, 0x6986b69e79c6564d]),
+    ("BT/nocdp", [0x98c5b568bb3118ae, 0x3b429d1adaba4809, 0xdf7288906bbb6827, 0xde30a9f3ad139a27, 0x98c5b568bb3118ae, 0x3b429d1adaba4809, 0xf47abbbbe587d3a2, 0x98c5b568bb3118ae, 0x3b429d1adaba4809, 0xf47abbbbe587d3a2, 0xdedcb7d70a19ed27, 0x1a3baf36034656aa, 0x2c0ec5d23d9c6de1, 0x98c5b568bb3118ae, 0x3b429d1adaba4809, 0xf47abbbbe587d3a2, 0xbc5ee3faacbdfcc1]),
+    ("MSTF/cdp", [0xe7e901f6adf73a54, 0x1b8154b950fd40d7, 0x7298e768346a4f49, 0xfe9fbb96093c1dc4, 0x2d65df807360da59, 0xd521587c21df508c, 0x20c1f592dbd34c50, 0xa88deddccd8f8a95, 0x3c09dcbf013e738a, 0x93d5c2bd1b6b25a1, 0xaf4aea7c0df49906, 0xe4713aa600314413, 0x0ae01631240fe4dd, 0x413e84e6b688e3aa, 0x242031ea5dd0af05, 0x3819fe87ae96868a, 0x933200071f654f4b]),
+    ("MSTF/nocdp", [0x78d21c6dd7e490fc, 0x83795afaad6601bf, 0xc7962c18538cf243, 0x86964f972f854725, 0x78d21c6dd7e490fc, 0x83795afaad6601bf, 0xa85823efa369c94a, 0x78d21c6dd7e490fc, 0x83795afaad6601bf, 0xa85823efa369c94a, 0x0533241ad501a669, 0x60a08629f6c533c0, 0x25874e75dc863ec5, 0x78d21c6dd7e490fc, 0x83795afaad6601bf, 0xa85823efa369c94a, 0xa822307cd1457f27]),
+    ("MSTV/cdp", [0x5d88c9455cf60979, 0x09c7ddcd004b787e, 0xdb21a6486ec455a4, 0x0554a0f427a81344, 0xc09d5ecd4f5d11bc, 0x08f02f395ab88677, 0x6fa518b5c8a19268, 0x50533a7e7551d059, 0x16e96d536eeefe16, 0xd0d70eaf23ba5626, 0x339be284f53fe575, 0xbe4568735f26106c, 0x675c0628c454afcf, 0xe8e6d8c637e74c6c, 0x0b9ae3778ab10c21, 0xfd9d047fb2a97406, 0x94402b7119798e22]),
+    ("MSTV/nocdp", [0xae9c5375ddd2bf89, 0xe25bf7aaea3ae056, 0xbd910d76b362d020, 0xde39d71fe6669a9c, 0xae9c5375ddd2bf89, 0xe25bf7aaea3ae056, 0xe25cbd6c795a5b09, 0xae9c5375ddd2bf89, 0xe25bf7aaea3ae056, 0xe25cbd6c795a5b09, 0x601b0b681fe60948, 0x360f76ee663a7dc1, 0xdbc0d65707ecdc06, 0xae9c5375ddd2bf89, 0xe25bf7aaea3ae056, 0xe25cbd6c795a5b09, 0xf2f1a254328889fe]),
+    ("SP/cdp", [0x3dd85d2a278daa41, 0x3dd69bfc426fab0c, 0x8893f12ff0f6df11, 0x0b981f987ceab868, 0xf6afd04176254df0, 0x250395cd46d27399, 0x84deb4dabb898d65, 0x4efc07b3441f808b, 0x386df99fa6e97c7e, 0xf722099ac753afd6, 0x426e8b712326e672, 0x5e12474204e42055, 0x91ea5634239ad70a, 0x226dc060ded68a0c, 0xdd86b0624a232417, 0x16bf654bdf4a9408, 0xed341cc34d130b26]),
+    ("SP/nocdp", [0x782eea427f222752, 0xf44620230ce7992b, 0xe5b87284c7033f35, 0x61b3ef704dae46f1, 0x782eea427f222752, 0xf44620230ce7992b, 0x01c4f4dfeefe5a9e, 0x782eea427f222752, 0xf44620230ce7992b, 0x01c4f4dfeefe5a9e, 0xa21be7557f565015, 0x8158e301ce83c3da, 0x10b4eee3059da3c7, 0x782eea427f222752, 0xf44620230ce7992b, 0x01c4f4dfeefe5a9e, 0x678b169dbef8b51f]),
+    ("SSSP/cdp", [0xb1986ef7ce7a9b39, 0x9671fee22db60314, 0x29d863fc3a1c2055, 0x71315c10b41a8b6c, 0x72d13478c714032e, 0xc817a99f703eb799, 0x09c6968a72ae4fc6, 0x36eb477873f34f48, 0x65e83931384253fd, 0x1bdcddfa6cd729af, 0x14459620b4777ca9, 0xd7430770cebf450a, 0x3c69e88b033c7845, 0x83d411462a61b83c, 0x993ce3e0563f0003, 0x99195ab348323a4e, 0x683d267f4f699d0f]),
+    ("SSSP/nocdp", [0xff9d4b7778892312, 0xe065ddf06b98cefd, 0x7fedeb7aa1d32ee9, 0xd634134b8864fc1f, 0xff9d4b7778892312, 0xe065ddf06b98cefd, 0xd92d2b2f45b38eac, 0xff9d4b7778892312, 0xe065ddf06b98cefd, 0xd92d2b2f45b38eac, 0x8edf19d79983fd8f, 0x667694fbb09c5132, 0x51f51fb20daecce3, 0xff9d4b7778892312, 0xe065ddf06b98cefd, 0xd92d2b2f45b38eac, 0xd83318674275b5b9]),
+    ("TC/cdp", [0x00b2a77e818b66d6, 0x3847de5a1b961d3f, 0xe82a446675d6bed7, 0x3205aab3dd3708da, 0x79762514dd5db8c3, 0x5ceb6fa02e224b0e, 0xf52537076365283b, 0x994ea17cd3fea6c0, 0x60aa53d12cf898a7, 0x0884eebe05a02a90, 0xff15ccc53e0bcbf8, 0xc26bedbcf350fa1b, 0x4e6b89ed71ef55f5, 0xfeba5a0a7b01d769, 0xabde6bd61cb9cc4a, 0xf201f7eef35e9a58, 0xf401c90bfb3845a2]),
+    ("TC/nocdp", [0xd84c4df6885e949a, 0xcff3b55693ee2c49, 0x4953803a5f635555, 0x1b9786bb686af657, 0xd84c4df6885e949a, 0xcff3b55693ee2c49, 0x4448af131155291c, 0xd84c4df6885e949a, 0xcff3b55693ee2c49, 0x4448af131155291c, 0x2e9073e123c9bad3, 0x663f400b3f923f76, 0x8e7e9e17250a3783, 0xd84c4df6885e949a, 0xcff3b55693ee2c49, 0x4448af131155291c, 0x77f7675715731c63]),
+];
+
+/// The fused bytecode of the same compiles. Re-pinned whenever the lowerer
+/// or the fuser is meant to emit something else.
+#[rustfmt::skip]
+const EXPECTED_BYTECODE: &[(&str, [u64; 17])] = &[
+    ("BFS/cdp", [0xab7cf2ad0286ba20, 0x06a9ec21abcc2082, 0x7136d4a8c2718ad6, 0x4406f52fce9d634e, 0xc60e41f2d3b9c04c, 0xf4f54fb2cc418223, 0x0c30f19cd130a339, 0xf957a1e5eb302867, 0x4cbe94418fb13892, 0x7c846a5a5b84598e, 0x8fe89797450cf576, 0x7a193a3f6f9356f0, 0xd19bcaeec7ec1f38, 0x1a933f56ebb8e0a2, 0x427ac10f39d9bf88, 0xb51831b054d1b471, 0xf24998fb8f6de712]),
+    ("BFS/nocdp", [0x7a57d079eb982b45, 0x7a57d079eb982b45, 0x7a57d079eb982b45, 0x7a57d079eb982b45, 0x7a57d079eb982b45, 0x7a57d079eb982b45, 0x7a57d079eb982b45, 0x7a57d079eb982b45, 0x7a57d079eb982b45, 0x7a57d079eb982b45, 0x7a57d079eb982b45, 0x7a57d079eb982b45, 0x7a57d079eb982b45, 0x7a57d079eb982b45, 0x7a57d079eb982b45, 0x7a57d079eb982b45, 0x7a57d079eb982b45]),
+    ("BT/cdp", [0xeff2617307d59096, 0x63ebe6facb35499f, 0xc7ec27c00345de06, 0x75224068ee04440f, 0x0b5b0b9fb8dee8a2, 0x652e58b8d4d63599, 0x36d9fd4346a358c5, 0xfe1937a240d17c58, 0x4c3d5ee9fb6a7b07, 0x92aa319d2584f67a, 0xe6cdfa9a9f502170, 0x5055e22cb599b2bd, 0x888fd3caf8ef9d85, 0x0df6d5126bb2fb7b, 0xeb917845e21bb2e6, 0x314ed37664101ffd, 0xfaf77f55f62924aa]),
+    ("BT/nocdp", [0x4deba4bd5a7c068c, 0x4deba4bd5a7c068c, 0x4deba4bd5a7c068c, 0x4deba4bd5a7c068c, 0x4deba4bd5a7c068c, 0x4deba4bd5a7c068c, 0x4deba4bd5a7c068c, 0x4deba4bd5a7c068c, 0x4deba4bd5a7c068c, 0x4deba4bd5a7c068c, 0x4deba4bd5a7c068c, 0x4deba4bd5a7c068c, 0x4deba4bd5a7c068c, 0x4deba4bd5a7c068c, 0x4deba4bd5a7c068c, 0x4deba4bd5a7c068c, 0x4deba4bd5a7c068c]),
+    ("MSTF/cdp", [0xfd44b5740cad105e, 0xdacfe4de2600a2a2, 0xc1257a2a2a69a88f, 0x81b99fc5eb5f1043, 0xd5add67790f9064e, 0xdd64521e2ad905db, 0x7dd426849e0e68d8, 0xd74c23ccd713ca10, 0xb979131e55f2ecb3, 0x15e8b9fce21e4085, 0xd9d2e886e060379f, 0xee6ab85cadebab42, 0x81bbdec7cad2e5d9, 0xa1fde9580564b7ec, 0x3f431a6509e8bc01, 0xb60c7f6b3abe1158, 0xde637c41292ece4e]),
+    ("MSTF/nocdp", [0x3c49ed19d40c97e9, 0x3c49ed19d40c97e9, 0x3c49ed19d40c97e9, 0x3c49ed19d40c97e9, 0x3c49ed19d40c97e9, 0x3c49ed19d40c97e9, 0x3c49ed19d40c97e9, 0x3c49ed19d40c97e9, 0x3c49ed19d40c97e9, 0x3c49ed19d40c97e9, 0x3c49ed19d40c97e9, 0x3c49ed19d40c97e9, 0x3c49ed19d40c97e9, 0x3c49ed19d40c97e9, 0x3c49ed19d40c97e9, 0x3c49ed19d40c97e9, 0x3c49ed19d40c97e9]),
+    ("MSTV/cdp", [0x68ca41a2b01c6ec9, 0x802a588eaae221ef, 0x982aaf4edec3e71d, 0xaf371b97b27d33eb, 0x8b510993d86b6d0d, 0x764ec18b2a05fba2, 0xbec1886fe2423679, 0x150b8dd3a5ccadf9, 0xf8af6e0ebea08105, 0xa68078bcb7bb843b, 0xd964770c23f123dc, 0xbe7979627009e218, 0xafa827e6ba1ddf5d, 0xcaeadb977bd64d17, 0x8e182f517c532b64, 0x975e2189a08527d7, 0x34245f0c276e6a90]),
+    ("MSTV/nocdp", [0x3dfcdd0a9580b5c7, 0x3dfcdd0a9580b5c7, 0x3dfcdd0a9580b5c7, 0x3dfcdd0a9580b5c7, 0x3dfcdd0a9580b5c7, 0x3dfcdd0a9580b5c7, 0x3dfcdd0a9580b5c7, 0x3dfcdd0a9580b5c7, 0x3dfcdd0a9580b5c7, 0x3dfcdd0a9580b5c7, 0x3dfcdd0a9580b5c7, 0x3dfcdd0a9580b5c7, 0x3dfcdd0a9580b5c7, 0x3dfcdd0a9580b5c7, 0x3dfcdd0a9580b5c7, 0x3dfcdd0a9580b5c7, 0x3dfcdd0a9580b5c7]),
+    ("SP/cdp", [0x0efe422c5059b379, 0x64c08e6de5e39f9f, 0xf48a99282c4997fa, 0x6e8675d1ebfe9f4c, 0x6c5ec0b8ed0bd311, 0xb4e9490359c3c946, 0x668e5e4daa353b90, 0x1736b517af29548b, 0xf22a0e96c73af39e, 0xac6d483110db672e, 0x0ed9000eb3c2436b, 0x54649c80aa9ed6a6, 0x8828758d6db63758, 0x63054430a1d682bc, 0x76d584d9c40a5af4, 0xdd3cb5b109144c74, 0x3ff5311616f49ff2]),
+    ("SP/nocdp", [0x2818eb0cf3c3a74a, 0x2818eb0cf3c3a74a, 0x2818eb0cf3c3a74a, 0x2818eb0cf3c3a74a, 0x2818eb0cf3c3a74a, 0x2818eb0cf3c3a74a, 0x2818eb0cf3c3a74a, 0x2818eb0cf3c3a74a, 0x2818eb0cf3c3a74a, 0x2818eb0cf3c3a74a, 0x2818eb0cf3c3a74a, 0x2818eb0cf3c3a74a, 0x2818eb0cf3c3a74a, 0x2818eb0cf3c3a74a, 0x2818eb0cf3c3a74a, 0x2818eb0cf3c3a74a, 0x2818eb0cf3c3a74a]),
+    ("SSSP/cdp", [0x6d293b22d9bc0f8b, 0x743e0d1bb572ae8b, 0xf241f8b3be54223e, 0xb3d79bf3eae11979, 0x72adb50d2f44c3c2, 0x55b0aff3e50ce721, 0x4eabe12f68a952ec, 0x6f1dce462342c574, 0x340f16280be2099a, 0x3e75737ce00d219b, 0xab6852aeff5eba4f, 0x2131c604c281e52e, 0x7f22b4d320f97447, 0x19e5931e6d60a94e, 0xee0acace097ef120, 0x978e7bd04e22f51a, 0x92f392440d96cb6c]),
+    ("SSSP/nocdp", [0x89d46d658e45b85c, 0x89d46d658e45b85c, 0x89d46d658e45b85c, 0x89d46d658e45b85c, 0x89d46d658e45b85c, 0x89d46d658e45b85c, 0x89d46d658e45b85c, 0x89d46d658e45b85c, 0x89d46d658e45b85c, 0x89d46d658e45b85c, 0x89d46d658e45b85c, 0x89d46d658e45b85c, 0x89d46d658e45b85c, 0x89d46d658e45b85c, 0x89d46d658e45b85c, 0x89d46d658e45b85c, 0x89d46d658e45b85c]),
+    ("TC/cdp", [0xc4ffe95b60247e96, 0xc756ad0df22ebc7b, 0x26757bb358014125, 0xae114f79d4575e53, 0x532895cd513538cf, 0xd6ac548383979b96, 0xb49c962af3293d71, 0x7b3babef0c16acd7, 0x1bb26132bb6075b8, 0xfdc4ebecbba6388b, 0x673eaa32e2b73c4d, 0x30d9231efbe0c8e5, 0x3f4687e896653fdd, 0x676c9a44ede7a4b5, 0x443933459eac9809, 0x4f11dc6dccf48745, 0x454b6f022f9d6537]),
+    ("TC/nocdp", [0x450fafca6b2eeffd, 0x450fafca6b2eeffd, 0x450fafca6b2eeffd, 0x450fafca6b2eeffd, 0x450fafca6b2eeffd, 0x450fafca6b2eeffd, 0x450fafca6b2eeffd, 0x450fafca6b2eeffd, 0x450fafca6b2eeffd, 0x450fafca6b2eeffd, 0x450fafca6b2eeffd, 0x450fafca6b2eeffd, 0x450fafca6b2eeffd, 0x450fafca6b2eeffd, 0x450fafca6b2eeffd, 0x450fafca6b2eeffd, 0x450fafca6b2eeffd]),
 ];
 
 #[test]
 fn workload_sources_compile_to_the_pinned_bytes() {
     let configs = configs();
     assert_eq!(configs.len(), 17);
-    let mut fresh = Vec::new();
+    let (mut passes, mut bytecode) = (Vec::new(), Vec::new());
     for bench in all_benchmarks() {
         for (kind, source) in [
             ("cdp", bench.cdp_source()),
             ("nocdp", bench.no_cdp_source()),
         ] {
-            let row: Vec<u64> = configs.iter().map(|(_, c)| digest(source, *c)).collect();
-            fresh.push((format!("{}/{kind}", bench.name()), row));
+            let name = format!("{}/{kind}", bench.name());
+            let (p, b): (Vec<u64>, Vec<u64>) =
+                configs.iter().map(|(_, c)| digests(source, *c)).unzip();
+            passes.push((name.clone(), p));
+            bytecode.push((name, b));
         }
     }
 
-    let mut table = String::new();
-    let mut mismatches = Vec::new();
-    for (i, (name, row)) in fresh.iter().enumerate() {
-        table.push_str(&format!("    (\"{name}\", ["));
-        for (j, d) in row.iter().enumerate() {
-            table.push_str(&format!("{d:#018x}, "));
-            match EXPECTED.get(i) {
-                Some((exp_name, exp)) if exp_name == name && exp[j] == *d => {}
-                _ => mismatches.push(format!("{name} under {}", configs[j].0)),
+    // Both columns are checked before either fails, so one run prints
+    // every table that needs pasting.
+    let mut report = String::new();
+    for (what, fresh, expected) in [
+        ("EXPECTED_PASSES", &passes, EXPECTED_PASSES),
+        ("EXPECTED_BYTECODE", &bytecode, EXPECTED_BYTECODE),
+    ] {
+        let mut table = String::new();
+        let mut mismatches = Vec::new();
+        for (i, (name, row)) in fresh.iter().enumerate() {
+            table.push_str(&format!("    (\"{name}\", ["));
+            for (j, d) in row.iter().enumerate() {
+                table.push_str(&format!("{d:#018x}, "));
+                match expected.get(i) {
+                    Some((exp_name, exp)) if exp_name == name && exp[j] == *d => {}
+                    _ => mismatches.push(format!("{name} under {}", configs[j].0)),
+                }
             }
+            table.push_str("]),\n");
         }
-        table.push_str("]),\n");
+        if !mismatches.is_empty() || fresh.len() != expected.len() {
+            report.push_str(&format!(
+                "{what} changed for: {mismatches:?}\nfresh {what}:\n{table}"
+            ));
+        }
     }
-    assert!(
-        mismatches.is_empty() && fresh.len() == EXPECTED.len(),
-        "compiler output changed for: {mismatches:?}\nfresh table:\n{table}"
-    );
+    assert!(report.is_empty(), "{report}");
 }
 
 // ---------------------------------------------------------------------

@@ -492,6 +492,162 @@ fn each_superinstruction_matches_its_expansion() {
             ],
             Some("bitwise operation on float"),
         ),
+        (
+            // A float is truncated on its way into the local.
+            "StoreLocalInt",
+            vec![
+                LoadLocal(0),
+                tid,
+                Bin(BinKind::Add),
+                PushFloat(9.75),
+                StoreLocalInt(1),
+                LoadLocal(1),
+                StoreMem,
+                RetVoid,
+            ],
+            None,
+        ),
+        (
+            "StoreLocalInt on an empty stack",
+            vec![StoreLocalInt(1), RetVoid],
+            Some("operand stack underflow"),
+        ),
+        (
+            "SetLocal",
+            vec![
+                tid,
+                BinImm(BinKind::Mul, 5),
+                SetLocal(1),
+                LoadLocal(0),
+                tid,
+                Bin(BinKind::Add),
+                LoadLocal(1),
+                StoreMem,
+                RetVoid,
+            ],
+            None,
+        ),
+        (
+            // The expansion fails in its `Dup`, not in its `StoreLocal`.
+            "SetLocal on an empty stack",
+            vec![SetLocal(1), RetVoid],
+            Some("stack underflow on dup"),
+        ),
+        (
+            // out[tid + 4] = out[tid] + tid, after out[tid] = 20 + tid.
+            "LoadMemAt",
+            vec![
+                tid,
+                StoreLocal(1),
+                BinLocals(BinKind::Add, 0, 1),
+                LoadLocal(1),
+                BinImm(BinKind::Add, 20),
+                StoreMem,
+                BinLocals(BinKind::Add, 0, 1),
+                BinImm(BinKind::Add, 4),
+                LoadMemAt(0, 1),
+                LoadLocal(1),
+                Bin(BinKind::Add),
+                StoreMem,
+                RetVoid,
+            ],
+            None,
+        ),
+        (
+            "LoadMemAt out of bounds, after a store",
+            vec![
+                LoadLocal(0),
+                PushInt(3),
+                StoreMem,
+                PushInt(oob),
+                StoreLocal(1),
+                LoadMemAt(1, 0),
+                RetVoid,
+            ],
+            Some("memory access out of bounds: address 100000"),
+        ),
+        (
+            // The sum is a float; the load truncates it to an address, as
+            // `LoadMem` does: out[tid] = out[(int)(out + 2.5)] + 1.
+            "LoadMemAt with a float operand",
+            vec![
+                PushFloat(2.5),
+                StoreLocal(1),
+                LoadLocal(0),
+                tid,
+                Bin(BinKind::Add),
+                LoadMemAt(0, 1),
+                BinImm(BinKind::Add, 1),
+                StoreMem,
+                RetVoid,
+            ],
+            None,
+        ),
+        (
+            // Threads 0 and 1 fall through the first, 2 and 3 take it; the
+            // second is a shape the fuser never emits (not a comparison:
+            // taken when `tid - 3` is zero) and jumps to the function's end.
+            "CmpBranch, taken and not taken",
+            vec![
+                tid,
+                StoreLocal(1),
+                LoadLocal(1),
+                PushInt(2),
+                CmpBranch(BinKind::Lt, 10),
+                BinLocals(BinKind::Add, 0, 1),
+                PushInt(100),
+                StoreMem,
+                RetVoid,
+                RetVoid,
+                LoadLocal(1),
+                PushInt(3),
+                CmpBranch(BinKind::Sub, 18),
+                BinLocals(BinKind::Add, 0, 1),
+                PushInt(200),
+                StoreMem,
+                Jump(18),
+                RetVoid,
+            ],
+            None,
+        ),
+        (
+            // The `Jump` lands on the `CmpBranch`: a block leader that is a
+            // fused slot, entered with its operands already on the stack.
+            "CmpBranch as a branch target",
+            vec![
+                tid,
+                StoreLocal(1),
+                LoadLocal(1),
+                PushInt(1),
+                Jump(6),
+                RetVoid,
+                CmpBranch(BinKind::Gt, 11),
+                BinLocals(BinKind::Add, 0, 1),
+                PushInt(300),
+                StoreMem,
+                RetVoid,
+                BinLocals(BinKind::Add, 0, 1),
+                PushInt(400),
+                StoreMem,
+                RetVoid,
+            ],
+            None,
+        ),
+        (
+            "CmpBranch fails",
+            vec![
+                PushFloat(1.0),
+                PushInt(1),
+                CmpBranch(BinKind::BitXor, 0),
+                RetVoid,
+            ],
+            Some("bitwise operation on float"),
+        ),
+        (
+            "CmpBranch on one operand",
+            vec![PushInt(1), CmpBranch(BinKind::Lt, 0), RetVoid],
+            Some("operand stack underflow"),
+        ),
     ];
     for (name, code, error) in programs {
         let reference = run_hand_built(&code, DispatchMode::Match, u64::MAX);

@@ -386,6 +386,33 @@ fn a_dim3_survives_locals_memory_an_atomic_and_a_kernel_argument() {
 }
 
 #[test]
+fn integer_negate_and_abs_wrap_like_every_other_integer_op() {
+    // `-x` and `abs(x)` of `i64::MIN` have no `i64` result. `+ - * / %`
+    // wrap; these two panicked in a debug build and wrapped in a release
+    // one. The expectation below is the same under both profiles.
+    use dpopt::core::DispatchMode;
+    let src = "__global__ void k(long long* d) { \
+                   long long x = d[0]; \
+                   d[1] = -x; d[2] = abs(x); d[3] = -(x + 1); d[4] = abs(x + 1); }";
+    for dispatch in [DispatchMode::Match, DispatchMode::Threaded] {
+        let compiled = Compiler::new()
+            .dispatch(dispatch)
+            .compile(src)
+            .expect("compiles");
+        let mut exec = compiled.executor();
+        let buf = exec.alloc_i64s(&[i64::MIN, 0, 0, 0, 0]);
+        exec.launch("k", 1, 1, &[Value::Int(buf)])
+            .expect("launches");
+        exec.sync().expect("runs");
+        assert_eq!(
+            exec.read_i64s(buf, 5).expect("reads"),
+            [i64::MIN, i64::MIN, i64::MIN, i64::MAX, i64::MAX],
+            "{dispatch:?}"
+        );
+    }
+}
+
+#[test]
 fn launch_dimensions_that_overflow_are_an_error_not_a_wrap() {
     // 2^32 * 2^32 wraps to 0 in release and panics in debug when
     // multiplied unchecked; under both dispatchers it is the same error.
@@ -505,7 +532,8 @@ fn block_charges_summarise_the_ops_they_cover() {
                         Instr::Jump(t)
                         | Instr::JumpIfZero(t)
                         | Instr::JumpIfNonZero(t)
-                        | Instr::CmpBranchLocals(_, _, _, t) => {
+                        | Instr::CmpBranchLocals(_, _, _, t)
+                        | Instr::CmpBranch(_, t) => {
                             assert!(is_leader(t as usize), "{}: target {t}", f.name);
                             assert!(is_leader(pc + 1), "{}: after branch {pc}", f.name);
                         }
