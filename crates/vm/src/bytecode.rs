@@ -298,6 +298,56 @@ impl Instr {
         }
     }
 
+    /// Whether it reads no thread index and writes nothing outside the
+    /// thread's frame and operand stack (a load is uniform: a replayed prefix
+    /// checks what it read, `machine.rs` "Dispatch"). A superinstruction is
+    /// lane-uniform exactly when every part of its expansion is.
+    pub fn lane_uniform(&self) -> bool {
+        match self {
+            Instr::PushInt(_)
+            | Instr::PushFloat(_)
+            | Instr::LoadLocal(_)
+            | Instr::StoreLocal(_)
+            | Instr::LoadMem
+            | Instr::Bin(_)
+            | Instr::Un(_)
+            | Instr::CastInt
+            | Instr::CastFloat
+            | Instr::Jump(_)
+            | Instr::JumpIfZero(_)
+            | Instr::JumpIfNonZero(_)
+            | Instr::Fence
+            | Instr::Intrinsic(_)
+            | Instr::Dim3Member(_)
+            | Instr::Pop
+            | Instr::Dup
+            | Instr::Swap
+            | Instr::BinLocals(..)
+            | Instr::BinImm(..)
+            | Instr::IncLocal(..)
+            | Instr::LoadLocalMem(_)
+            | Instr::CmpBranchLocals(..)
+            | Instr::StoreLoadLocal(_)
+            | Instr::StoreLocalInt(_)
+            | Instr::SetLocal(_)
+            | Instr::LoadMemAt(..)
+            | Instr::CmpBranch(..) => true,
+            Instr::ReadSpecialComp(sp, _) => *sp != Special::ThreadIdx,
+            // Memory writes, the frame stack, barriers and launches; and the
+            // three that intern into the machine's dim3 table.
+            Instr::StoreMem
+            | Instr::Atomic(_)
+            | Instr::Launch(..)
+            | Instr::Call(..)
+            | Instr::Ret
+            | Instr::RetVoid
+            | Instr::Sync
+            | Instr::ReadSpecial(_)
+            | Instr::MakeDim3
+            | Instr::Dim3SetMember(_) => false,
+        }
+    }
+
     /// How many original (pre-fusion) instructions this instruction counts
     /// as: 1 for primitives, the expansion length for superinstructions.
     pub fn width(&self) -> u32 {
@@ -519,6 +569,8 @@ pub struct BlockCharge {
     pub width: u64,
     /// `cycles` split by the slots' origin tags.
     pub origin: OriginCycles,
+    /// Every slot is [`Instr::lane_uniform`].
+    pub uniform: bool,
 }
 
 impl CompiledFunction {
@@ -560,6 +612,7 @@ impl CompiledFunction {
                     cycles: 0,
                     width: 0,
                     origin: OriginCycles::default(),
+                    uniform: true,
                 });
             }
             let block = blocks.last_mut().expect("instruction 0 is a leader");
@@ -568,6 +621,7 @@ impl CompiledFunction {
             block.cycles += cycles;
             block.width += instr.width() as u64;
             block.origin.add(*origin, cycles);
+            block.uniform &= instr.lane_uniform();
         }
         blocks
     }
@@ -640,23 +694,34 @@ mod tests {
             branch: 11,
             ..CostModel::default()
         };
-        for (fused, width) in [
-            (Instr::BinLocals(BinKind::Mul, 0, 1), 3),
-            (Instr::BinImm(BinKind::Div, 7), 2),
-            (Instr::IncLocal(2, 1), 6),
-            (Instr::LoadLocalMem(0), 2),
-            (Instr::CmpBranchLocals(BinKind::Lt, 0, 1, 9), 4),
-            (Instr::StoreLoadLocal(3), 2),
-            (Instr::StoreLocalInt(3), 2),
-            (Instr::SetLocal(3), 3),
-            (Instr::LoadMemAt(0, 1), 4),
-            (Instr::CmpBranch(BinKind::Rem, 9), 2),
+        for (fused, width, uniform) in [
+            (Instr::BinLocals(BinKind::Mul, 0, 1), 3, true),
+            (Instr::BinImm(BinKind::Div, 7), 2, true),
+            (Instr::IncLocal(2, 1), 6, true),
+            (Instr::LoadLocalMem(0), 2, true),
+            (Instr::CmpBranchLocals(BinKind::Lt, 0, 1, 9), 4, true),
+            (Instr::StoreLoadLocal(3), 2, true),
+            (Instr::StoreLocalInt(3), 2, true),
+            (Instr::SetLocal(3), 3, true),
+            (Instr::LoadMemAt(0, 1), 4, true),
+            (Instr::CmpBranch(BinKind::Rem, 9), 2, true),
         ] {
             let parts = fused.expansion().expect("fused ops expand");
             assert_eq!(fused.width(), width);
             assert_eq!(parts.len() as u32, width);
             let expanded_cost: u64 = parts.iter().map(|p| m.cycles(p.cost_class())).sum();
             assert_eq!(fused.cost(&m), expanded_cost);
+            assert_eq!(fused.lane_uniform(), uniform, "{fused:?}");
+            assert_eq!(
+                uniform,
+                parts.iter().all(Instr::lane_uniform),
+                "{fused:?} is lane-uniform exactly when its expansion is"
+            );
+            // A recorded prefix logs a fused slot's load, if it has one.
+            let operands = [crate::value::Value::Int(1); 4];
+            let logged = crate::ops::load_address(fused, &operands, &operands).is_some();
+            let loads = parts.iter().filter(|p| **p == Instr::LoadMem).count();
+            assert_eq!(logged as usize, loads, "{fused:?}");
             // What the reference interpreter's walk over an expansion
             // relies on: the parts are primitive, none changes the frame,
             // yields or launches, and only the last may write `pc`.

@@ -15,7 +15,7 @@
 //!
 //! Interpreter throughput bounds how many configurations the benchmark
 //! harness and autotuner can sweep, so the execution core is engineered
-//! around three ideas (measured by `dp-bench`'s `vmbench` binary, tracked
+//! around four ideas (measured by `dp-bench`'s `vmbench` binary, tracked
 //! in `BENCH_vm.json` at the repo root):
 //!
 //! 1. **Direct-threaded dispatch, block-charged accounting**: at machine
@@ -44,6 +44,10 @@
 //!    across the blocks of a grid, and call-frame locals are recycled
 //!    through a per-thread free list, so steady-state execution allocates
 //!    nothing. Kernel arguments are coerced once per grid, not per block.
+//! 4. **Uniform-prefix replay**: the basic blocks from a kernel's entry up
+//!    to the first that is not [`bytecode::Instr::lane_uniform`] are run by
+//!    a block's first lane and replayed on each later lane whose logged
+//!    loads still read the same bits (see [`machine`], "Dispatch").
 //!
 //! To add a new superinstruction, see the checklist on
 //! [`lower::fuse_function`]; for a new primitive, the "New opcodes"

@@ -156,8 +156,10 @@ pub fn fuse_module(module: &mut Module) {
 /// To add a new superinstruction: the opcode with its [`Instr::expansion`],
 /// `cost`, `width` and `cost_class` in `bytecode.rs` (and a row in
 /// [`Instr::branch_target_mut`] if it jumps — that makes it end a basic
-/// block and has the fuser remap its target), a row in
-/// `fused_instructions_cost_their_expansion`, a match arm in `try_fuse_at`
+/// block and has the fuser remap its target), an arm in
+/// [`Instr::lane_uniform`] saying whether it is lane-uniform (exactly when
+/// its whole expansion is; if it loads, a row in `ops::load_address`), a
+/// row in `fused_instructions_cost_their_expansion`, a match arm in `try_fuse_at`
 /// here, one handler plus its decode row in `ops.rs`, and rows in
 /// `tests/dispatch_exec.rs`'s hand-built table for the success case and
 /// every error its expansion can raise. Nothing in `reference.rs`: the

@@ -20,6 +20,14 @@
 //! an exact `thread.cycles` has to say so in
 //! [`CompiledFunction::block_charges`].
 //!
+//! A block's **uniform prefix** — the [`BlockCharge::uniform`] blocks from
+//! the kernel's entry, such as an aggregated child's search for its parent
+//! — reads no thread index and stores nothing, so what it computes is
+//! decided by the values it loads. The first lane runs it and records
+//! (`Prefix`); a later lane whose logged addresses hold the same bits when
+//! it starts takes the recorded state and is charged, all at once, exactly
+//! what dispatching the prefix would charge.
+//!
 //! [`DispatchMode::Match`] selects the reference interpreter
 //! (`reference.rs`): the oracle of the differential tests, `vmbench`'s
 //! baseline, and where this loop lands when the budget ends inside a block.
@@ -31,7 +39,7 @@
 use crate::bytecode::*;
 use crate::error::ExecError;
 pub use crate::memory::Memory;
-use crate::ops::{build_tables, coerce, Flow, FuncTable, StepCtx, ThreadedOp};
+use crate::ops::{build_tables, coerce, load_address, Flow, FuncTable, StepCtx, ThreadedOp};
 use crate::reference::run_thread_match;
 use crate::trace::*;
 use crate::value::{Dim3Table, LaunchDim, Value, SHARED_SPACE_BASE};
@@ -173,6 +181,74 @@ pub(crate) fn fall_off_end(thread: &mut Thread) -> bool {
 struct BlockArena {
     threads: Vec<Thread>,
     shared: Vec<Value>,
+    prefix: Prefix,
+}
+
+/// Most loads a recorded prefix logs; a lane reading more stops recording
+/// at the next leader and runs on, and nothing is replayed from it.
+const PREFIX_LOADS_MAX: usize = 64;
+
+/// A block's uniform prefix as the lane that last ran it saw it: each load
+/// `(address, value)` in order, and the lane's state where it left.
+#[derive(Default)]
+struct Prefix {
+    /// The fields below are a complete recording made in this block.
+    recorded: bool,
+    loads: Vec<(i64, Value)>,
+    pc: usize,
+    locals: Vec<Value>,
+    stack: Vec<Value>,
+    cycles: u64,
+    instructions: u64,
+    origin_cycles: OriginCycles,
+}
+
+impl Prefix {
+    /// Saves `thread`'s state at the first leader the prefix does not cover.
+    fn finish(&mut self, thread: &Thread) {
+        self.recorded = self.loads.len() <= PREFIX_LOADS_MAX;
+        self.pc = thread.frame.pc;
+        self.locals.clone_from(&thread.frame.locals);
+        self.stack.clone_from(&thread.stack);
+        self.cycles = thread.cycles;
+        self.instructions = thread.instructions;
+        self.origin_cycles = thread.origin_cycles;
+    }
+
+    /// Moves `thread`, a lane at its kernel's entry, to where the recording
+    /// lane left the prefix, charging what dispatching it would — if the
+    /// budget covers it and every logged address still holds the same bits.
+    /// Else touches nothing and returns `false`.
+    fn replay(&self, env: &mut ExecEnv<'_>, thread: &mut Thread, shared: &[Value]) -> bool {
+        if !self.recorded || *env.instr_budget < self.instructions {
+            return false;
+        }
+        let unchanged = |&(addr, logged): &(i64, Value)| {
+            env.load(addr, shared)
+                .is_ok_and(|now| same_bits(now, logged))
+        };
+        if !self.loads.iter().all(unchanged) {
+            return false;
+        }
+        *env.instr_budget -= self.instructions;
+        env.profile.replayed_lanes += 1;
+        env.profile.replayed_instructions += self.instructions;
+        thread.frame.pc = self.pc;
+        thread.frame.locals.copy_from_slice(&self.locals);
+        thread.stack.clone_from(&self.stack);
+        thread.cycles = self.cycles;
+        thread.instructions = self.instructions;
+        thread.origin_cycles = self.origin_cycles;
+        true
+    }
+}
+
+/// Equality of the bits: `-0.0` is not `0.0`, and a NaN is itself.
+fn same_bits(a: Value, b: Value) -> bool {
+    match (a, b) {
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        _ => a == b,
+    }
 }
 
 /// How the interpreter dispatches instructions.
@@ -293,6 +369,10 @@ pub struct DispatchProfile {
     pub ops: u64,
     /// Of those, block leaders.
     pub blocks: u64,
+    /// Lanes whose uniform prefix the threaded loop replayed (never `Match`).
+    pub replayed_lanes: u64,
+    /// Instructions those replays charged (kept out of [`MachineStats`]).
+    pub replayed_instructions: u64,
 }
 
 /// Bytes of one decoded table slot (`vmbench` records it).
@@ -389,12 +469,15 @@ pub(crate) fn budget_exhausted() -> ExecError {
 /// block's summed accounting at its leader. Every way into this loop lands
 /// on a leader. The per-function table is re-derived only when the frame
 /// stack changes.
-fn run_thread_threaded(
+/// `RECORD` runs a lane from its kernel's entry through the uniform prefix
+/// only, logging each load into `prefix`, and returns it still running.
+fn run_thread_threaded<const RECORD: bool>(
     env: &mut ExecEnv<'_>,
     thread: &mut Thread,
     block: &BlockCtx,
     shared: &mut [Value],
     btrace: &mut BlockTrace,
+    prefix: &mut Prefix,
 ) -> Result<(), ExecError> {
     let tables = env.tables;
     let mut s = StepCtx {
@@ -408,6 +491,14 @@ fn run_thread_threaded(
         let table = &tables[s.thread.frame.func as usize];
         loop {
             let pc = s.thread.frame.pc;
+            if RECORD {
+                let leader = table.ops.get(pc);
+                let uniform = leader.is_some_and(|op| table.charges[op.charge as usize].uniform);
+                if !uniform || prefix.loads.len() > PREFIX_LOADS_MAX {
+                    prefix.finish(s.thread);
+                    return Ok(());
+                }
+            }
             let Some(leader) = table.ops.get(pc) else {
                 // Fell off the end of a void function.
                 if fall_off_end(s.thread) {
@@ -430,8 +521,18 @@ fn run_thread_threaded(
             let end = pc + charge.len as usize;
             s.thread.frame.pc = end;
             for (i, op) in table.ops[pc..end].iter().enumerate() {
+                let load = if RECORD {
+                    load_address(op.instr, &s.thread.frame.locals, &s.thread.stack)
+                } else {
+                    None
+                };
                 match (op.exec)(op, &mut s) {
-                    Ok(Flow::Next) => {}
+                    Ok(Flow::Next) => {
+                        if let Some(addr) = load {
+                            // The prefix stores nothing: this is what was read.
+                            prefix.loads.push((addr, s.env.load(addr, s.shared)?));
+                        }
+                    }
                     Ok(Flow::Frame) => continue 'frames,
                     Ok(Flow::Yield) => return Ok(()),
                     Err(e) => {
@@ -481,6 +582,11 @@ fn run_block(
     }
     let threads = &mut arena.threads;
     let shared = &mut arena.shared;
+    let prefix = &mut arena.prefix;
+    prefix.recorded = false;
+    // Lanes start the first round at the kernel's entry block.
+    let entry = env.tables[grid.kernel as usize].charges.first();
+    let mut prefix_round = entry.is_some_and(|block| block.uniform);
 
     let mut btrace = BlockTrace::default();
     let ctx = BlockCtx {
@@ -494,20 +600,21 @@ fn run_block(
     loop {
         let mut all_done = true;
         for thread in threads.iter_mut() {
-            if matches!(thread.status, ThreadStatus::Running) {
-                match env.dispatch {
-                    DispatchMode::Threaded => {
-                        run_thread_threaded(env, thread, &ctx, shared, &mut btrace)?
-                    }
-                    DispatchMode::Match => {
-                        run_thread_match(env, thread, &ctx, shared, &mut btrace)?
-                    }
+            let running = matches!(thread.status, ThreadStatus::Running);
+            if running && env.dispatch == DispatchMode::Match {
+                run_thread_match(env, thread, &ctx, shared, &mut btrace)?;
+            } else if running {
+                if prefix_round && !prefix.replay(env, thread, shared) {
+                    prefix.loads.clear();
+                    run_thread_threaded::<true>(env, thread, &ctx, shared, &mut btrace, prefix)?;
                 }
+                run_thread_threaded::<false>(env, thread, &ctx, shared, &mut btrace, prefix)?;
             }
             if !matches!(thread.status, ThreadStatus::Done) {
                 all_done = false;
             }
         }
+        prefix_round = false;
         if all_done {
             break;
         }
@@ -618,7 +725,9 @@ impl Machine {
     /// What is left of [`ExecLimits::max_instructions`]. Every dispatched
     /// instruction is charged its width before it executes, the one that
     /// fails included; a failed run charges nothing after it, under either
-    /// dispatcher.
+    /// dispatcher. A replayed uniform prefix (see the module doc) is charged
+    /// exactly what dispatching it would charge, all at once, and only when
+    /// the budget covers all of it.
     pub fn instructions_left(&self) -> u64 {
         self.instr_budget
     }

@@ -427,6 +427,21 @@ fn op_cmp_branch<const K: u8>(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
     Ok(Flow::Next)
 }
 
+/// The address `instr` is about to load from, read off its operands; `None`
+/// if it reads no memory (or lacks operands, and fails by itself). Every
+/// lane-uniform load is here (`fused_instructions_cost_their_expansion`).
+pub(crate) fn load_address(instr: Instr, locals: &[Value], stack: &[Value]) -> Option<i64> {
+    match instr {
+        Instr::LoadMem => stack.last().map(Value::as_int),
+        Instr::LoadLocalMem(s) => Some(locals[s as usize].as_int()),
+        Instr::LoadMemAt(a, b) => {
+            let sum = bin_op(BinKind::Add, locals[a as usize], locals[b as usize]);
+            sum.ok().map(|v| v.as_int())
+        }
+        _ => None,
+    }
+}
+
 /// Decodes one instruction into its table slot: the handler, then the
 /// operands it reads as `a`, `b` and `imm`.
 fn threaded_op(instr: Instr) -> ThreadedOp {

@@ -667,3 +667,275 @@ fn each_superinstruction_matches_its_expansion() {
         }
     }
 }
+
+// ----------------------------------------------------------------------
+// Replayed uniform prefixes
+// ----------------------------------------------------------------------
+
+use dpopt::vm::machine::DispatchProfile;
+
+/// Everything a run lets a caller see, each memory word with its bits.
+#[derive(Debug, PartialEq)]
+struct Seen {
+    outcome: Result<(MachineStats, ExecutionTrace), String>,
+    /// Every allocated word, `Debug`-printed: `-0.0` is not `0.0` here.
+    memory: Vec<String>,
+    left: u64,
+}
+
+/// Runs `k(int* d, float* f, int n)` on two blocks of eight threads, `d`
+/// 256 words starting with `d_init` and zero after it, `f` four `0.0`s and
+/// `n` three, returning what the run shows and what the dispatcher counted.
+fn run_prefix_case(
+    src: &str,
+    d_init: &[i64],
+    fuse: bool,
+    dispatch: DispatchMode,
+    budget: u64,
+) -> (Seen, DispatchProfile) {
+    let p = dpopt::frontend::parse(src).unwrap_or_else(|e| panic!("{}\n{src}", e.render(src)));
+    let module = if fuse {
+        compile_program(&p).unwrap()
+    } else {
+        compile_program_unfused(&p).unwrap()
+    };
+    let limits = ExecLimits {
+        max_instructions: budget,
+        ..ExecLimits::default()
+    };
+    let mut m = Machine::with_config(module, CostModel::default(), limits);
+    m.set_dispatch(dispatch);
+    let mut d = d_init.to_vec();
+    d.resize(256, 0);
+    let d = m.alloc_i64s(&d);
+    let f = m.alloc_f64s(&[0.0; 4]);
+    m.launch_host("k", 2, 8, &[Value::Int(d), Value::Int(f), Value::Int(3)])
+        .unwrap();
+    let outcome = m.run_to_quiescence().map_err(|e| e.to_string());
+    let words = m.mem.allocated_words();
+    let memory = m.mem.read_range(1, words - 1).unwrap();
+    let seen = Seen {
+        memory: memory.iter().map(|v| format!("{v:?}")).collect(),
+        left: m.instructions_left(),
+        outcome: outcome.map(|()| (m.stats(), m.take_trace())),
+    };
+    (seen, m.dispatch_profile())
+}
+
+/// The pointer chase `p = d[p]` from 0 to the first zero, whose addresses
+/// are each a function of the value read before. Lane 3 shortens the chain,
+/// so lane 4 of block 0 records a shorter path; in block 1 the chain is
+/// short from the start.
+const CHASE: &str = "__global__ void k(int* d, float* f, int n) { \
+    int p = 0; int steps = blockIdx.x; \
+    while (d[p] != 0) { p = d[p]; steps = steps + 1; } \
+    d[200 + blockIdx.x * 8 + threadIdx.x] = steps * 1000 + p; \
+    if (threadIdx.x == 3) { d[2] = 0; } }";
+
+/// A chain `0 → 1 → … → len` whose last link is zero.
+fn chain(len: i64) -> Vec<i64> {
+    (1..=len).chain([0]).collect()
+}
+
+/// One replay case: its name, source, the start of `d`, the lanes the
+/// threaded loop replays, and whether every budget is run.
+struct PrefixCase {
+    name: &'static str,
+    src: String,
+    d_init: Vec<i64>,
+    replayed_lanes: u64,
+    every_budget: bool,
+}
+
+/// The threaded loop, which replays a block's uniform prefix on every lane
+/// after the first where each logged load still reads the same bits, must
+/// agree with `Match`, which replays nothing, on memory (every bit), the
+/// statistics, the trace, the error text and what is left of the budget —
+/// fused and unfused. Each case pins how many lanes replayed, so a change
+/// that stops replaying (or replays where a load changed) shows.
+#[test]
+fn replayed_prefixes_match_the_reference() {
+    let cases = [
+        PrefixCase {
+            // Every lane's body rewrites what the prefix read: every replay
+            // misses and the lane records afresh.
+            name: "prefix reads a word every body rewrites",
+            src: "__global__ void k(int* d, float* f, int n) { \
+                      int s = d[0] + blockIdx.x; \
+                      if (s > 0) { s = s * 2; } \
+                      d[200 + blockIdx.x * 8 + threadIdx.x] = s; \
+                      d[0] = d[0] + 1; }"
+                .into(),
+            d_init: vec![5],
+            replayed_lanes: 0,
+            every_budget: false,
+        },
+        PrefixCase {
+            // Lane 0 stores -0.0 over 0.0; `==` would replay lane 0's +inf
+            // on lane 1, whose prefix divides by -0.0.
+            name: "a float prefix divides by a negated zero",
+            src: "__global__ void k(int* d, float* f, int n) { \
+                      float q = 1.0 / f[0]; \
+                      if (q > 0.0) { q = 1.0; } else { q = 0.0 - 1.0; } \
+                      d[200 + blockIdx.x * 8 + threadIdx.x] = (int)q; \
+                      if (threadIdx.x == 0) { f[0] = -f[0]; } }"
+                .into(),
+            d_init: vec![],
+            replayed_lanes: 12,
+            every_budget: false,
+        },
+        PrefixCase {
+            // Lane 2 zeroes the divisor: lanes 1 and 2 replay, lane 3
+            // records afresh and fails where dispatch would.
+            name: "a later lane's prefix divides by zero",
+            src: "__global__ void k(int* d, float* f, int n) { \
+                      int q = 100 / d[1]; \
+                      if (q > 0) { q = q + n; } \
+                      d[200 + blockIdx.x * 8 + threadIdx.x] = q; \
+                      if (threadIdx.x == 2) { d[1] = 0; } }"
+                .into(),
+            d_init: vec![0, 7],
+            replayed_lanes: 2,
+            every_budget: true,
+        },
+        PrefixCase {
+            name: "a data-dependent loop under the log cap",
+            src: CHASE.into(),
+            d_init: chain(6),
+            replayed_lanes: 13,
+            every_budget: true,
+        },
+        PrefixCase {
+            // 100 loads: past the cap, so lanes 0 to 3 of block 0 record
+            // nothing and each runs the prefix; the chain lane 3 shortens is
+            // recorded by lane 4 and replayed by the ten lanes after it.
+            name: "a data-dependent loop over the log cap",
+            src: CHASE.into(),
+            d_init: chain(100),
+            replayed_lanes: 10,
+            every_budget: false,
+        },
+        PrefixCase {
+            // Lane 2 writes the tile word the prefix reads: lanes 1 and 2
+            // replay, lane 3 records afresh, lanes 4 to 7 replay that.
+            name: "a prefix reads shared memory an earlier lane wrote",
+            src: "__global__ void k(int* d, float* f, int n) { \
+                      __shared__ int tile[4]; \
+                      int v = tile[1] + blockIdx.x; \
+                      if (v > 0) { v = v * 10; } \
+                      d[200 + blockIdx.x * 8 + threadIdx.x] = v; \
+                      if (threadIdx.x == 2) { tile[1] = 5; } }"
+                .into(),
+            d_init: vec![],
+            replayed_lanes: 12,
+            every_budget: false,
+        },
+        PrefixCase {
+            // The round after the barrier starts mid-kernel: no prefix.
+            name: "a barrier kernel",
+            src: "__global__ void k(int* d, float* f, int n) { \
+                      __shared__ int tile[8]; \
+                      int base = d[blockIdx.x]; \
+                      if (base >= 0) { base = base + n; } \
+                      tile[threadIdx.x] = base + threadIdx.x; \
+                      __syncthreads(); \
+                      d[200 + blockIdx.x * 8 + threadIdx.x] = tile[7 - threadIdx.x]; }"
+                .into(),
+            d_init: vec![4, 9],
+            replayed_lanes: 14,
+            every_budget: true,
+        },
+        PrefixCase {
+            // The child's entry block reads `threadIdx`: it has no prefix.
+            name: "a launching kernel",
+            src: "__global__ void child(int* d, float* f, int n) { \
+                      d[100 + threadIdx.x] = d[100 + threadIdx.x] + n; }\n\
+                  __global__ void k(int* d, float* f, int n) { \
+                      int c = d[2] + blockIdx.x; \
+                      if (c > 0) { c = c + n; } \
+                      if (threadIdx.x == 0) { child<<<1, 4>>>(d, f, c); } }"
+                .into(),
+            d_init: vec![0, 0, 6],
+            replayed_lanes: 14,
+            every_budget: false,
+        },
+    ];
+    for case in &cases {
+        let name = case.name;
+        let run = |fuse, dispatch, budget| {
+            run_prefix_case(&case.src, &case.d_init, fuse, dispatch, budget)
+        };
+        for fuse in [true, false] {
+            let (reference, counted) = run(fuse, DispatchMode::Match, u64::MAX);
+            assert_eq!(counted.replayed_lanes, 0, "{name}: `Match` replays nothing");
+            let (got, profile) = run(fuse, DispatchMode::Threaded, u64::MAX);
+            assert_eq!(got, reference, "{name}, fuse={fuse}");
+            assert_eq!(
+                profile.replayed_lanes, case.replayed_lanes,
+                "{name}, fuse={fuse}: {profile:?}"
+            );
+            assert_eq!(
+                profile.replayed_lanes == 0,
+                profile.replayed_instructions == 0
+            );
+            if !case.every_budget {
+                continue;
+            }
+            let charged = u64::MAX - reference.left;
+            for budget in 0..=charged + 1 {
+                let (reference, _) = run(fuse, DispatchMode::Match, budget);
+                let (got, _) = run(fuse, DispatchMode::Threaded, budget);
+                assert_eq!(
+                    got, reference,
+                    "{name}, fuse={fuse}, budget {budget} of {charged}"
+                );
+            }
+        }
+    }
+}
+
+/// The count that catches a reversal: the generated `_agg` child's parent
+/// lookup — a binary search over the aggregated launch's scanned grid
+/// sizes, run by every thread of every child block — is most of what an
+/// aggregated BFS executes, and the threaded loop replays it. A transform
+/// or lowering change that puts a `threadIdx` read into the `_agg` entry
+/// block, or a VM change that stops replaying, fails here; the run still
+/// agrees with `Match` bit for bit.
+#[test]
+fn an_aggregated_bfs_replays_most_of_its_instructions() {
+    use dpopt::core::{AggConfig, AggGranularity, Compiler, OptConfig};
+    use dpopt::workloads::benchmarks::{bfs::Bfs, Benchmark};
+    use dpopt::workloads::DatasetId;
+
+    // `sweep-cold`'s input: KRON at its floor size.
+    let input = DatasetId::Kron.instantiate(0.001, 42);
+    let config = OptConfig::none().aggregation(AggConfig::new(AggGranularity::MultiBlock(8)));
+    let run = |dispatch: DispatchMode| {
+        let compiled = Compiler::new()
+            .config(config)
+            .dispatch(dispatch)
+            .compile(Bfs.cdp_source())
+            .unwrap();
+        let mut exec = compiled.executor();
+        let levels = Bfs.run(&mut exec, &input).unwrap().ints;
+        let m = exec.machine_mut();
+        let memory = m.read_i64s(1, m.mem.allocated_words() - 1).unwrap();
+        let profile = m.dispatch_profile();
+        let report = exec.finish();
+        (levels, memory, report.stats, report.trace, profile)
+    };
+    let threaded = run(DispatchMode::Threaded);
+    let reference = run(DispatchMode::Match);
+    assert_eq!(threaded.0, reference.0, "levels");
+    assert_eq!(threaded.1, reference.1, "memory");
+    assert_eq!(threaded.2, reference.2, "stats");
+    assert_eq!(threaded.3, reference.3, "trace");
+    assert_eq!(reference.4.replayed_lanes, 0);
+    let profile = threaded.4;
+    let share = profile.replayed_instructions as f64 / threaded.2.instructions as f64;
+    assert!(
+        share >= 0.5,
+        "{share:.3} of {} instructions replayed ({profile:?})",
+        threaded.2.instructions
+    );
+}
