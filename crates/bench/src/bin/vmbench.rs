@@ -23,8 +23,11 @@
 //! `dispatched_ops` and `ops_per_block` — table slots the fused
 //! configuration dispatches, in all and per basic-block charge, counted by
 //! one untimed run under the `Match` dispatcher (the only one that counts;
-//! see `DispatchProfile`). `dispatched_ops` is exact and `benchgate` fails
-//! when it rises: a lost fusion window shows there and in no test.
+//! see `DispatchProfile`) — and `replayed_instructions`, the instructions
+//! the fused configuration charged by replaying a uniform prefix, which the
+//! threaded dispatcher counts on its runs. Both are exact; `benchgate` fails
+//! when `dispatched_ops` rises or `replayed_instructions` falls: a lost
+//! fusion window or a lost replay shows there and in no test.
 //! Environment knobs: `DPOPT_VMBENCH_REPS` (default 5), `DPOPT_VMBENCH_SCALE` (workload size multiplier, default
 //! 1.0), and `DPOPT_VMBENCH_OUT` (output path override — the CI
 //! bench-regression gate writes a fresh measurement next to the committed
@@ -65,7 +68,8 @@ const CONFIGS: [Config; 2] = [
 struct Measurement {
     wall_s: f64,
     instructions: u64,
-    /// The last repetition's dispatch counts (zero unless `Match`).
+    /// The last repetition's dispatch counts (`ops` and `blocks` under
+    /// `Match`, the replay counts under `Threaded`).
     profile: DispatchProfile,
 }
 
@@ -251,9 +255,10 @@ fn write_json(path: &std::path::Path, results: &[WorkloadResult]) -> std::io::Re
             ));
         }
         out.push_str(&format!(
-            "      }},\n      \"dispatched_ops\": {},\n      \"ops_per_block\": {:.3},\n      \"speedup_fused\": {:.3}\n    }}{}\n",
+            "      }},\n      \"dispatched_ops\": {},\n      \"ops_per_block\": {:.3},\n      \"replayed_instructions\": {},\n      \"speedup_fused\": {:.3}\n    }}{}\n",
             r.dispatched.ops,
             r.ops_per_block(),
+            r.rows[1].profile.replayed_instructions,
             r.speedup_fused(),
             if i + 1 < results.len() { "," } else { "" },
         ));

@@ -581,7 +581,10 @@ impl CompiledFunction {
     /// after a branch; the instruction after a `Call`, `Ret`, `RetVoid` or
     /// `Sync` (where a thread resumes). A `Launch` is a block of its own:
     /// it records the thread's cycle count, which therefore has to be
-    /// exact when it runs.
+    /// exact when it runs. In a kernel, the first instruction that is not
+    /// [`Instr::lane_uniform`] in a block the uniform prefix reaches is a
+    /// leader too, so a replayed prefix ends where the kernel first depends
+    /// on its thread (`cut_uniform_prefix`).
     pub fn block_charges(&self, cost: &CostModel) -> Vec<BlockCharge> {
         let mut leader = vec![false; self.code.len() + 1];
         leader[0] = true;
@@ -602,6 +605,9 @@ impl CompiledFunction {
                 }
                 _ => {}
             }
+        }
+        if self.qual == FnQual::Global {
+            self.cut_uniform_prefix(&mut leader);
         }
         let mut blocks: Vec<BlockCharge> = Vec::new();
         for (pc, (instr, origin)) in self.code.iter().zip(&self.origins).enumerate() {
@@ -624,6 +630,35 @@ impl CompiledFunction {
             block.uniform &= instr.lane_uniform();
         }
         blocks
+    }
+
+    /// Makes the uniform prefix end at an instruction, not at a block: walks
+    /// from instruction 0 through the blocks all of whose instructions are
+    /// lane-uniform (to a block's branch target, and to its fall-through
+    /// unless it ends in a `Jump`), and where the walk reaches a block that
+    /// starts uniform and later reads a thread index or writes outside the
+    /// frame, cuts it there. A superinstruction is uniform only if all of its
+    /// expansion is, so a cut never falls inside one.
+    fn cut_uniform_prefix(&self, leader: &mut [bool]) {
+        let len = self.code.len();
+        let mut seen = vec![false; len];
+        let mut work = vec![0];
+        while let Some(start) = work.pop() {
+            if start >= len || std::mem::replace(&mut seen[start], true) {
+                continue;
+            }
+            let end = (start + 1..len).find(|&pc| leader[pc]).unwrap_or(len);
+            match (start..end).find(|&pc| !self.code[pc].lane_uniform()) {
+                Some(pc) => leader[pc] = true,
+                None => {
+                    let last = self.code[end - 1];
+                    work.extend(last.branch_target().map(|t| t as usize));
+                    if !matches!(last, Instr::Jump(_)) {
+                        work.push(end);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -745,6 +780,78 @@ mod tests {
         }
         assert_eq!(Instr::Bin(BinKind::Add).width(), 1);
         assert_eq!(Instr::LoadMem.cost(&m), m.mem);
+    }
+
+    #[test]
+    fn the_uniform_prefix_is_cut_where_it_first_depends_on_the_thread() {
+        use Instr::*;
+        let tid = ReadSpecialComp(Special::ThreadIdx, 0);
+        let code = vec![
+            LoadLocal(0),
+            JumpIfZero(6),
+            // Reached from the entry: cut at the `threadIdx` read.
+            BinLocals(BinKind::Add, 0, 1),
+            tid,
+            BinImm(BinKind::Lt, 3),
+            JumpIfZero(13),
+            // Reached from the entry and uniform; its `Jump` skips 9.
+            PushInt(2),
+            SetLocal(1),
+            Jump(11),
+            // A loop body entered only by the back-edge at 12: not cut.
+            PushInt(4),
+            tid,
+            tid,
+            JumpIfNonZero(9),
+            // Reached only through the `threadIdx` branch at 5: not cut.
+            PushInt(5),
+            tid,
+            Bin(BinKind::Add),
+            RetVoid,
+        ];
+        let kernel = CompiledFunction {
+            name: "k".into(),
+            qual: FnQual::Global,
+            param_types: vec![],
+            n_locals: 2,
+            origins: (0..code.len())
+                .map(|pc| [CodeOrigin::Original, CodeOrigin::AggLogic][pc % 2])
+                .collect(),
+            code,
+            contains_launch: false,
+            shared_words: 0,
+        };
+        let cost = CostModel {
+            alu: 2,
+            branch: 11,
+            ..CostModel::default()
+        };
+        let starts = |f: &CompiledFunction| -> Vec<u32> {
+            f.block_charges(&cost).iter().map(|b| b.start).collect()
+        };
+        assert_eq!(starts(&kernel), [0, 2, 3, 6, 9, 11, 13]);
+        let blocks = kernel.block_charges(&cost);
+        let uniform: Vec<bool> = blocks.iter().map(|b| b.uniform).collect();
+        assert_eq!(uniform, [true, true, false, true, false, false, false]);
+        // Only a kernel's entry starts a prefix.
+        let device = CompiledFunction {
+            qual: FnQual::Device,
+            ..kernel.clone()
+        };
+        assert_eq!(starts(&device), [0, 2, 6, 9, 11, 13]);
+        // Cutting splits the sums and changes none of them.
+        let mut origin = OriginCycles::default();
+        for (instr, og) in kernel.code.iter().zip(&kernel.origins) {
+            origin.add(*og, instr.cost(&cost));
+        }
+        let width: u64 = kernel.code.iter().map(|i| i.width() as u64).sum();
+        let mut charged = OriginCycles::default();
+        for b in &blocks {
+            charged.merge(&b.origin);
+        }
+        assert_eq!(charged, origin);
+        assert_eq!(blocks.iter().map(|b| b.cycles).sum::<u64>(), origin.total());
+        assert_eq!(blocks.iter().map(|b| b.width).sum::<u64>(), width);
     }
 
     #[test]

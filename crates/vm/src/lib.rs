@@ -39,12 +39,14 @@
 //!    [`Instr::width`](bytecode::Instr::width) original instructions, so
 //!    traces, statistics, and per-origin attribution are byte-identical
 //!    with fusion on or off.
-//! 3. **Arena-reused thread state**: per-block `Thread` structs (frames,
-//!    locals, operand stacks) and the shared-memory buffer are pooled
-//!    across the blocks of a grid, and call-frame locals are recycled
-//!    through a per-thread free list, so steady-state execution allocates
-//!    nothing. Kernel arguments are coerced once per grid, not per block.
-//! 4. **Uniform-prefix replay**: the basic blocks from a kernel's entry up
+//! 3. **Arena-reused thread state**: a block's lanes run one at a time in
+//!    one reused `Thread` (frame, locals, operand stack); only a lane
+//!    waiting at a barrier keeps one of its own. Threads and the
+//!    shared-memory buffer are pooled across blocks and grids, and
+//!    call-frame locals are recycled through a per-thread free list, so
+//!    steady-state execution allocates nothing. Kernel arguments are
+//!    coerced once per grid, not per block.
+//! 4. **Uniform-prefix replay**: a kernel's instructions from its entry up
 //!    to the first that is not [`bytecode::Instr::lane_uniform`] are run by
 //!    a block's first lane and replayed on each later lane whose logged
 //!    loads still read the same bits (see [`machine`], "Dispatch").

@@ -20,13 +20,21 @@
 //! an exact `thread.cycles` has to say so in
 //! [`CompiledFunction::block_charges`].
 //!
-//! A block's **uniform prefix** — the [`BlockCharge::uniform`] blocks from
-//! the kernel's entry, such as an aggregated child's search for its parent
-//! — reads no thread index and stores nothing, so what it computes is
-//! decided by the values it loads. The first lane runs it and records
-//! (`Prefix`); a later lane whose logged addresses hold the same bits when
-//! it starts takes the recorded state and is charged, all at once, exactly
-//! what dispatching the prefix would charge.
+//! A block's **uniform prefix** — a kernel's instructions from its entry up
+//! to the first that reads a thread index or writes outside the thread's
+//! frame, such as an aggregated child's search for its parent and the loads
+//! of that parent's arguments — stores nothing, so what it computes is
+//! decided by the values it loads. `block_charges` makes that first
+//! instruction a leader, so the prefix is the [`BlockCharge::uniform`]
+//! blocks from the entry and ends at an instruction, not at a block. The
+//! first lane runs it and records (`Prefix`); a later lane whose logged
+//! addresses hold the same bits when it starts takes the recorded state and
+//! is charged, all at once, exactly what dispatching the prefix would
+//! charge.
+//!
+//! A block's lanes run one after another in one reused `Thread`; only a
+//! lane that stops at a barrier keeps a thread of its own until it is
+//! released (`BlockArena`).
 //!
 //! [`DispatchMode::Match`] selects the reference interpreter
 //! (`reference.rs`): the oracle of the differential tests, `vmbench`'s
@@ -105,8 +113,8 @@ pub(crate) struct Thread {
     pub(crate) spare_locals: Vec<Vec<Value>>,
 }
 
-impl Thread {
-    fn new() -> Self {
+impl Default for Thread {
+    fn default() -> Self {
         Thread {
             frame: Frame {
                 func: 0,
@@ -123,24 +131,33 @@ impl Thread {
             spare_locals: Vec::new(),
         }
     }
+}
 
-    /// Re-arms a (possibly previously used) thread for a new block,
-    /// reusing its frame/locals/stack allocations.
-    fn reset(&mut self, kernel: FuncId, n_locals: u16, args: &[Value], tidx: [i64; 3]) {
+impl Thread {
+    /// Makes a (possibly previously used) thread lane `tidx` of a `kernel`
+    /// block, setting what a replayed prefix does not — the frame's
+    /// function, the status and the thread index — and unwinding the frames
+    /// a failed run left.
+    fn enter(&mut self, kernel: FuncId, tidx: [i64; 3]) {
         while let Some(f) = self.callers.pop() {
             self.spare_locals.push(f.locals);
         }
         self.frame.func = kernel;
+        self.status = ThreadStatus::Running;
+        self.tidx = tidx;
+    }
+
+    /// Starts an entered lane at its kernel's first instruction with fresh
+    /// locals and counters, reusing the frame's and stack's allocations.
+    fn reset(&mut self, n_locals: u16, args: &[Value]) {
         self.frame.pc = 0;
         self.frame.locals.clear();
         self.frame.locals.resize(n_locals as usize, Value::Int(0));
         self.frame.locals[..args.len()].copy_from_slice(args);
         self.stack.clear();
-        self.status = ThreadStatus::Running;
         self.cycles = 0;
         self.instructions = 0;
         self.origin_cycles = OriginCycles::default();
-        self.tidx = tidx;
     }
 
     /// Pops the current frame, resuming the caller. Returns `false` when
@@ -174,12 +191,21 @@ pub(crate) fn fall_off_end(thread: &mut Thread) -> bool {
 }
 
 /// Per-block execution state pooled across the blocks of a grid (and across
-/// grids): thread structs with their frame/locals/stack vectors, and the
-/// shared-memory buffer. Reuse turns per-block setup from O(threads)
-/// allocations into O(threads) resets of already-sized buffers.
+/// grids). A block's lanes run one at a time in `lane`; one that stops at a
+/// barrier is parked with the thread it stopped in, and `lane` is replaced
+/// from `spare`. So a block holds as many threads as lanes wait at one
+/// barrier at once, not one per lane, and steady-state execution allocates
+/// nothing.
 #[derive(Default)]
 struct BlockArena {
-    threads: Vec<Thread>,
+    /// The thread the next lane runs in.
+    lane: Thread,
+    /// Lanes waiting at a barrier, in thread order, with their lane index.
+    parked: Vec<(usize, Thread)>,
+    /// Threads no lane holds.
+    spare: Vec<Thread>,
+    /// Each lane's cycles when it finished, for the warp maxima.
+    cycles: Vec<u64>,
     shared: Vec<Value>,
     prefix: Prefix,
 }
@@ -215,10 +241,11 @@ impl Prefix {
         self.origin_cycles = thread.origin_cycles;
     }
 
-    /// Moves `thread`, a lane at its kernel's entry, to where the recording
-    /// lane left the prefix, charging what dispatching it would — if the
-    /// budget covers it and every logged address still holds the same bits.
-    /// Else touches nothing and returns `false`.
+    /// Moves `thread`, a lane just [`Thread::enter`]ed, to where the
+    /// recording lane left the prefix — `pc`, locals, stack and counters —
+    /// charging what dispatching it would, if the budget covers it and every
+    /// logged address still holds the same bits. Else touches nothing and
+    /// returns `false`.
     fn replay(&self, env: &mut ExecEnv<'_>, thread: &mut Thread, shared: &[Value]) -> bool {
         if !self.recorded || *env.instr_budget < self.instructions {
             return false;
@@ -234,7 +261,7 @@ impl Prefix {
         env.profile.replayed_lanes += 1;
         env.profile.replayed_instructions += self.instructions;
         thread.frame.pc = self.pc;
-        thread.frame.locals.copy_from_slice(&self.locals);
+        thread.frame.locals.clone_from(&self.locals);
         thread.stack.clone_from(&self.stack);
         thread.cycles = self.cycles;
         thread.instructions = self.instructions;
@@ -551,9 +578,38 @@ fn run_thread_threaded<const RECORD: bool>(
     }
 }
 
-/// Executes one block to completion against the given environment: arms
-/// the arena's threads, round-robins them between barriers, and settles
-/// the per-warp/per-origin accounting.
+/// Runs `thread` until it finishes or stops at a barrier, under the
+/// machine's dispatcher.
+fn run_lane(
+    env: &mut ExecEnv<'_>,
+    thread: &mut Thread,
+    block: &BlockCtx,
+    shared: &mut [Value],
+    btrace: &mut BlockTrace,
+    prefix: &mut Prefix,
+) -> Result<(), ExecError> {
+    match env.dispatch {
+        DispatchMode::Threaded => {
+            run_thread_threaded::<false>(env, thread, block, shared, btrace, prefix)
+        }
+        DispatchMode::Match => run_thread_match(env, thread, block, shared, btrace),
+    }
+}
+
+/// Folds finished lane `t`'s counters into its block's.
+fn retire(btrace: &mut BlockTrace, cycles: &mut [u64], t: usize, thread: &Thread) {
+    cycles[t] = thread.cycles;
+    btrace.origin_cycles.merge(&thread.origin_cycles);
+    btrace.instructions += thread.instructions;
+}
+
+/// Executes one block to completion against the given environment. The
+/// first round runs lanes one at a time, in thread order, in the arena's
+/// one working thread, replaying the uniform prefix where it can; a lane
+/// that stops at a barrier is parked in its own thread. Each later round
+/// releases the barrier and runs the parked lanes in thread order, as a
+/// round-robin over every lane would. Then it settles the per-warp and
+/// per-origin accounting.
 fn run_block(
     env: &mut ExecEnv<'_>,
     arena: &mut BlockArena,
@@ -565,28 +621,25 @@ fn run_block(
     let contains_launch = func.contains_launch;
     let n_locals = func.n_locals;
     let n_threads = (grid.block[0] * grid.block[1] * grid.block[2]) as usize;
-    let shared_words = func.shared_words as usize;
 
-    arena.shared.clear();
-    arena.shared.resize(shared_words, Value::Int(0));
-    arena.threads.truncate(n_threads);
-    while arena.threads.len() < n_threads {
-        arena.threads.push(Thread::new());
-    }
-    for (t, thread) in arena.threads.iter_mut().enumerate() {
-        let t = t as i64;
-        let tx = t % grid.block[0];
-        let ty = (t / grid.block[0]) % grid.block[1];
-        let tz = t / (grid.block[0] * grid.block[1]);
-        thread.reset(grid.kernel, n_locals, coerced_args, [tx, ty, tz]);
-    }
-    let threads = &mut arena.threads;
-    let shared = &mut arena.shared;
-    let prefix = &mut arena.prefix;
+    let BlockArena {
+        lane,
+        parked,
+        spare,
+        cycles,
+        shared,
+        prefix,
+    } = arena;
+    // A block that failed may have left lanes parked.
+    spare.extend(parked.drain(..).map(|(_, thread)| thread));
+    shared.clear();
+    shared.resize(func.shared_words as usize, Value::Int(0));
+    cycles.clear();
+    cycles.resize(n_threads, 0);
     prefix.recorded = false;
-    // Lanes start the first round at the kernel's entry block.
+    // Lanes start at the kernel's entry block.
     let entry = env.tables[grid.kernel as usize].charges.first();
-    let mut prefix_round = entry.is_some_and(|block| block.uniform);
+    let replays = env.dispatch == DispatchMode::Threaded && entry.is_some_and(|b| b.uniform);
 
     let mut btrace = BlockTrace::default();
     let ctx = BlockCtx {
@@ -597,33 +650,43 @@ fn run_block(
         linear_block,
     };
 
-    loop {
-        let mut all_done = true;
-        for thread in threads.iter_mut() {
-            let running = matches!(thread.status, ThreadStatus::Running);
-            if running && env.dispatch == DispatchMode::Match {
-                run_thread_match(env, thread, &ctx, shared, &mut btrace)?;
-            } else if running {
-                if prefix_round && !prefix.replay(env, thread, shared) {
-                    prefix.loads.clear();
-                    run_thread_threaded::<true>(env, thread, &ctx, shared, &mut btrace, prefix)?;
-                }
-                run_thread_threaded::<false>(env, thread, &ctx, shared, &mut btrace, prefix)?;
-            }
-            if !matches!(thread.status, ThreadStatus::Done) {
-                all_done = false;
+    for t in 0..n_threads {
+        let i = t as i64;
+        let tx = i % grid.block[0];
+        let ty = (i / grid.block[0]) % grid.block[1];
+        let tz = i / (grid.block[0] * grid.block[1]);
+        lane.enter(grid.kernel, [tx, ty, tz]);
+        if !(replays && prefix.replay(env, lane, shared)) {
+            lane.reset(n_locals, coerced_args);
+            if replays {
+                prefix.loads.clear();
+                run_thread_threaded::<true>(env, lane, &ctx, shared, &mut btrace, prefix)?;
             }
         }
-        prefix_round = false;
-        if all_done {
-            break;
+        run_lane(env, lane, &ctx, shared, &mut btrace, prefix)?;
+        if matches!(lane.status, ThreadStatus::AtBarrier) {
+            let next = spare.pop().unwrap_or_default();
+            parked.push((t, std::mem::replace(lane, next)));
+        } else {
+            retire(&mut btrace, cycles, t, lane);
         }
-        // Every live thread is at the barrier: release them.
-        for thread in threads.iter_mut() {
+    }
+    // Every lane not finished waits at the barrier: release them. Finished
+    // lanes leave `parked` by one in-place compaction per round.
+    while !parked.is_empty() {
+        let mut kept = 0;
+        for i in 0..parked.len() {
+            let (t, thread) = &mut parked[i];
+            thread.status = ThreadStatus::Running;
+            run_lane(env, thread, &ctx, shared, &mut btrace, prefix)?;
             if matches!(thread.status, ThreadStatus::AtBarrier) {
-                thread.status = ThreadStatus::Running;
+                parked.swap(kept, i);
+                kept += 1;
+            } else {
+                retire(&mut btrace, cycles, *t, thread);
             }
         }
+        spare.extend(parked.drain(kept..).map(|(_, thread)| thread));
     }
 
     // Per-warp cost: max thread cycles within each 32-thread group.
@@ -632,13 +695,9 @@ fn run_block(
     } else {
         0
     };
-    for chunk in threads.chunks(32) {
-        let max = chunk.iter().map(|t| t.cycles + presence).max().unwrap_or(0);
+    for chunk in cycles.chunks(32) {
+        let max = chunk.iter().map(|c| c + presence).max().unwrap_or(0);
         btrace.warp_cycles.push(max);
-    }
-    for thread in threads.iter() {
-        btrace.origin_cycles.merge(&thread.origin_cycles);
-        btrace.instructions += thread.instructions;
     }
     if presence > 0 {
         btrace
@@ -725,9 +784,12 @@ impl Machine {
     /// What is left of [`ExecLimits::max_instructions`]. Every dispatched
     /// instruction is charged its width before it executes, the one that
     /// fails included; a failed run charges nothing after it, under either
-    /// dispatcher. A replayed uniform prefix (see the module doc) is charged
-    /// exactly what dispatching it would charge, all at once, and only when
-    /// the budget covers all of it.
+    /// dispatcher. Both run a block's lanes in the same order — thread order,
+    /// one round per barrier — so a budget ends at the same lane and
+    /// instruction under either. A replayed uniform prefix (see the module
+    /// doc), which ends at the kernel's first thread-dependent instruction,
+    /// is charged exactly what dispatching it would charge, all at once, and
+    /// only when the budget covers all of it.
     pub fn instructions_left(&self) -> u64 {
         self.instr_budget
     }
