@@ -6,7 +6,9 @@
 //! - **Block slots.** The device offers `num_sms × max_blocks_per_sm`
 //!   resident-block slots; a block occupies slots proportional to its
 //!   thread count. Small grids leave the device underutilized — the
-//!   paper's second CDP pathology.
+//!   paper's second CDP pathology. Free slots are kept as runs of slots
+//!   that fall free at the same time, so a replay costs what the trace
+//!   holds (its blocks and grids), not what the device holds.
 //! - **Launch pipe.** Device-side launches queue through a single
 //!   grid-management pipe with fixed service time; tens of thousands of
 //!   concurrent launches produce exactly the congestion the paper
@@ -20,8 +22,8 @@
 use crate::params::TimingParams;
 use dp_frontend::ast::CodeOrigin;
 use dp_vm::trace::{ExecutionTrace, LaunchOrigin};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::cmp::{Ordering, Reverse};
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// Host-side actions in program order, recorded by the executor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,198 +98,69 @@ pub struct SimResult {
 /// `host_events` must reference every host-launched grid in the trace in
 /// program order; device-launched grids are timed from their parent block's
 /// issue point through the launch pipe.
+///
+/// A call costs what the trace holds: free resident-block slots are kept as
+/// runs of slots that fall free together, so a block takes and returns runs
+/// rather than one entry per slot, and device grids are scheduled in one
+/// pass over launch order. Nothing scales with the device's slot count.
 pub fn simulate(
     trace: &ExecutionTrace,
     host_events: &[HostEvent],
     params: &TimingParams,
 ) -> SimResult {
     let n = trace.grids.len();
-    let mut timings = vec![GridTiming::default(); n];
-    let mut scheduled = vec![false; n];
-
-    // Resident-block slots as a min-heap of free times.
     let total_slots = params.total_block_slots() as usize;
-    let mut slots: BinaryHeap<Reverse<OrderedF64>> = BinaryHeap::with_capacity(total_slots);
-    for _ in 0..total_slots {
-        slots.push(Reverse(OrderedF64(0.0)));
-    }
-    let mut dispatcher_free = 0.0f64;
-    let mut pipe_free = 0.0f64;
+    let mut device = Device {
+        trace,
+        params,
+        total_slots,
+        slots: BinaryHeap::from(vec![Reverse(Free {
+            at: 0.0,
+            count: total_slots,
+        })]),
+        dispatcher_free: 0.0,
+        pipe_free: 0.0,
+        pipe_busy_us: 0.0,
+        dispatch_us: 0.0,
+        done: 0.0,
+        timings: vec![GridTiming::default(); n],
+        scheduled: vec![false; n],
+    };
     let mut host_clock = 0.0f64;
-    let mut launch_pipe_busy_us = 0.0f64;
     let mut host_launch_us = 0.0f64;
-    let mut dispatch_us = 0.0f64;
 
-    // Grids must be scheduled in id order (parents before children); we
-    // walk host events and schedule device-launched descendants eagerly.
-    let mut pending_device: Vec<usize> = Vec::new();
+    // Device-launched grids in id order; after each host-scheduled grid,
+    // flush those whose parents are scheduled.
+    let mut pending: Vec<usize> = trace
+        .grids
+        .iter()
+        .filter(|g| g.origin.is_device())
+        .map(|g| g.id)
+        .collect();
 
-    let schedule_grid = |gid: usize,
-                         ready: f64,
-                         timings: &mut Vec<GridTiming>,
-                         slots: &mut BinaryHeap<Reverse<OrderedF64>>,
-                         dispatcher_free: &mut f64,
-                         dispatch_us: &mut f64| {
-        let g = &trace.grids[gid];
-        let threads = g.threads_per_block();
-        let need = params.slots_for_block(threads).min(total_slots as u64) as usize;
-        let mut start_min = ready;
-        let mut grid_start = f64::INFINITY;
-        let mut grid_end: f64 = ready;
-        for block in &g.blocks {
-            // Pop the `need` earliest-free slots.
-            let mut popped = Vec::with_capacity(need);
-            let mut avail: f64 = 0.0;
-            for _ in 0..need {
-                let Reverse(OrderedF64(t)) = slots.pop().expect("slot pool is non-empty");
-                avail = avail.max(t);
-                popped.push(t);
-            }
-            *dispatcher_free = dispatcher_free.max(start_min) + params.block_dispatch_us;
-            *dispatch_us += params.block_dispatch_us;
-            let start = start_min.max(avail).max(*dispatcher_free);
-            let cycles = (block.critical_warp_cycles() as f64)
-                .max(block.total_warp_cycles() as f64 / params.issue_slots_per_sm);
-            let dur = cycles / (params.clock_ghz * 1000.0);
-            let end = start + dur;
-            for _ in 0..need {
-                slots.push(Reverse(OrderedF64(end)));
-            }
-            grid_start = grid_start.min(start);
-            grid_end = grid_end.max(end);
-            start_min = ready; // blocks are independent once the grid is ready
-        }
-        if g.blocks.is_empty() {
-            grid_start = ready;
-        }
-        timings[gid] = GridTiming {
-            ready_us: ready,
-            start_us: grid_start,
-            end_us: grid_end,
-        };
-    };
-
-    // Process: walk host events; after each host-scheduled grid, flush any
-    // device-launched grids whose parents are scheduled (ids ascend, so a
-    // single forward scan suffices).
-    let flush = |pending: &mut Vec<usize>,
-                 timings: &mut Vec<GridTiming>,
-                 scheduled: &mut Vec<bool>,
-                 slots: &mut BinaryHeap<Reverse<OrderedF64>>,
-                 dispatcher_free: &mut f64,
-                 pipe_free: &mut f64,
-                 pipe_busy: &mut f64,
-                 dispatch_us: &mut f64| {
-        loop {
-            let mut progressed = false;
-            let mut i = 0;
-            while i < pending.len() {
-                let gid = pending[i];
-                let LaunchOrigin::Device {
-                    parent_grid,
-                    parent_block,
-                    issue_cycles,
-                } = trace.grids[gid].origin
-                else {
-                    unreachable!("pending grids are device-launched")
-                };
-                if scheduled[parent_grid] {
-                    // Issue time: parent block start + offset within block.
-                    let parent_timing = timings[parent_grid];
-                    let block_start = parent_timing.start_us.max(parent_timing.ready_us);
-                    let _ = parent_block;
-                    let issue = block_start + params.cycles_to_us(issue_cycles);
-                    *pipe_free = pipe_free.max(issue) + params.device_launch_pipe_us;
-                    *pipe_busy += params.device_launch_pipe_us;
-                    let ready = *pipe_free;
-                    schedule_grid(gid, ready, timings, slots, dispatcher_free, dispatch_us);
-                    scheduled[gid] = true;
-                    pending.remove(i);
-                    progressed = true;
-                } else {
-                    i += 1;
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
-    };
-
-    // Collect device-launched grids up front (in id order).
-    for g in &trace.grids {
-        if g.origin.is_device() {
-            pending_device.push(g.id);
-        }
-    }
-
-    let mut completed_max = 0.0f64;
     for event in host_events {
         match event {
             HostEvent::Launch(gid) | HostEvent::AggLaunch(gid) => {
                 host_clock += params.host_launch_latency_us;
                 host_launch_us += params.host_launch_latency_us;
-                schedule_grid(
-                    *gid,
-                    host_clock,
-                    &mut timings,
-                    &mut slots,
-                    &mut dispatcher_free,
-                    &mut dispatch_us,
-                );
-                scheduled[*gid] = true;
-                flush(
-                    &mut pending_device,
-                    &mut timings,
-                    &mut scheduled,
-                    &mut slots,
-                    &mut dispatcher_free,
-                    &mut pipe_free,
-                    &mut launch_pipe_busy_us,
-                    &mut dispatch_us,
-                );
+                device.schedule(*gid, host_clock);
+                device.flush(&mut pending);
             }
             HostEvent::Sync => {
-                flush(
-                    &mut pending_device,
-                    &mut timings,
-                    &mut scheduled,
-                    &mut slots,
-                    &mut dispatcher_free,
-                    &mut pipe_free,
-                    &mut launch_pipe_busy_us,
-                    &mut dispatch_us,
-                );
-                let device_done = timings
-                    .iter()
-                    .zip(&scheduled)
-                    .filter(|(_, s)| **s)
-                    .map(|(t, _)| t.end_us)
-                    .fold(0.0f64, f64::max);
-                host_clock = host_clock.max(device_done) + params.host_sync_overhead_us;
+                device.flush(&mut pending);
+                host_clock = host_clock.max(device.done) + params.host_sync_overhead_us;
             }
         }
     }
     // Final flush for any grids launched after the last sync.
-    flush(
-        &mut pending_device,
-        &mut timings,
-        &mut scheduled,
-        &mut slots,
-        &mut dispatcher_free,
-        &mut pipe_free,
-        &mut launch_pipe_busy_us,
-        &mut dispatch_us,
-    );
-    for t in &timings {
-        completed_max = completed_max.max(t.end_us);
-    }
+    device.flush(&mut pending);
+    let completed_max = device.done;
     let total_us = host_clock.max(completed_max);
 
     // Work breakdown (device-throughput-normalized, plus launch path).
     let throughput = params.device_throughput_cycles_per_us();
     let mut breakdown = Breakdown {
-        launch_us: launch_pipe_busy_us + host_launch_us + dispatch_us,
+        launch_us: device.pipe_busy_us + host_launch_us + device.dispatch_us,
         ..Default::default()
     };
     for g in &trace.grids {
@@ -310,28 +183,138 @@ pub fn simulate(
     SimResult {
         total_us,
         device_span_us: completed_max,
-        grid_timings: timings,
+        grid_timings: device.timings,
         breakdown,
         device_launches: trace.device_launches(),
         host_launches: trace.host_launches(),
     }
 }
 
-/// f64 wrapper with total ordering for the slot heap.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct OrderedF64(f64);
+/// The device side of a replay: the slot pool, the block dispatcher, the
+/// launch pipe and the grids timed so far.
+struct Device<'a> {
+    trace: &'a ExecutionTrace,
+    params: &'a TimingParams,
+    total_slots: usize,
+    /// Free resident-block slots, earliest first.
+    slots: BinaryHeap<Reverse<Free>>,
+    dispatcher_free: f64,
+    pipe_free: f64,
+    pipe_busy_us: f64,
+    dispatch_us: f64,
+    /// Latest `end_us` of the grids scheduled so far.
+    done: f64,
+    timings: Vec<GridTiming>,
+    scheduled: Vec<bool>,
+}
 
-impl Eq for OrderedF64 {}
+impl Device<'_> {
+    /// Times grid `gid`, which becomes ready at `ready`.
+    fn schedule(&mut self, gid: usize, ready: f64) {
+        let params = self.params;
+        let g = &self.trace.grids[gid];
+        let threads = g.threads_per_block();
+        let need = params.slots_for_block(threads).min(self.total_slots as u64) as usize;
+        let mut grid_start = f64::INFINITY;
+        let mut grid_end: f64 = ready;
+        for block in &g.blocks {
+            // Take the `need` earliest-free slots; `avail` is the latest of
+            // their free times. A run larger than what is still needed only
+            // shrinks: its `at` is unchanged, so it keeps its heap position.
+            let mut avail: f64 = 0.0;
+            let mut left = need;
+            while left > 0 {
+                let mut run = self.slots.peek_mut().expect("slot pool is non-empty");
+                avail = avail.max(run.0.at);
+                if run.0.count > left {
+                    run.0.count -= left;
+                    break;
+                }
+                left -= run.0.count;
+                PeekMut::pop(run);
+            }
+            // Blocks are independent once the grid is ready.
+            self.dispatcher_free = self.dispatcher_free.max(ready) + params.block_dispatch_us;
+            self.dispatch_us += params.block_dispatch_us;
+            let start = ready.max(avail).max(self.dispatcher_free);
+            let cycles = (block.critical_warp_cycles() as f64)
+                .max(block.total_warp_cycles() as f64 / params.issue_slots_per_sm);
+            let dur = cycles / (params.clock_ghz * 1000.0);
+            let end = start + dur;
+            self.slots.push(Reverse(Free {
+                at: end,
+                count: need,
+            }));
+            grid_start = grid_start.min(start);
+            grid_end = grid_end.max(end);
+        }
+        if g.blocks.is_empty() {
+            grid_start = ready;
+        }
+        self.timings[gid] = GridTiming {
+            ready_us: ready,
+            start_us: grid_start,
+            end_us: grid_end,
+        };
+        self.scheduled[gid] = true;
+        self.done = self.done.max(grid_end);
+    }
 
-impl PartialOrd for OrderedF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+    /// Schedules, in id order, every pending device grid whose parent is
+    /// scheduled, and keeps the rest pending. Ids follow launch order, so a
+    /// parent comes before its children and one pass reaches every grid
+    /// that can be scheduled.
+    fn flush(&mut self, pending: &mut Vec<usize>) {
+        pending.retain(|&gid| {
+            let LaunchOrigin::Device {
+                parent_grid,
+                issue_cycles,
+                ..
+            } = self.trace.grids[gid].origin
+            else {
+                unreachable!("pending grids are device-launched")
+            };
+            debug_assert!(parent_grid < gid, "grid {gid} precedes its parent");
+            if !self.scheduled[parent_grid] {
+                return true;
+            }
+            // Issue time: parent block start + offset within block.
+            let parent = self.timings[parent_grid];
+            let block_start = parent.start_us.max(parent.ready_us);
+            let issue = block_start + self.params.cycles_to_us(issue_cycles);
+            self.pipe_free = self.pipe_free.max(issue) + self.params.device_launch_pipe_us;
+            self.pipe_busy_us += self.params.device_launch_pipe_us;
+            self.schedule(gid, self.pipe_free);
+            false
+        });
+    }
+}
+
+/// `count` resident-block slots that all fall free at `at` (µs), ordered
+/// by `at` alone.
+#[derive(Debug, Clone, Copy)]
+struct Free {
+    at: f64,
+    count: usize,
+}
+
+impl PartialEq for Free {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Free {}
+
+impl PartialOrd for Free {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for OrderedF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
+impl Ord for Free {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.at.total_cmp(&other.at)
     }
 }
 
@@ -466,6 +449,25 @@ mod tests {
             full > 1.7 * half,
             "two waves should take ~2x one wave: {half} vs {full}"
         );
+    }
+
+    #[test]
+    fn cost_does_not_grow_with_the_device() {
+        // 2^31 resident-block slots: a pool with one entry per slot would
+        // need 16 GiB before it timed the one block.
+        let huge = TimingParams {
+            num_sms: 1 << 21,
+            max_blocks_per_sm: 1 << 10,
+            ..Default::default()
+        };
+        assert_eq!(huge.total_block_slots(), 1 << 31);
+        let trace = ExecutionTrace {
+            grids: vec![host_grid(0, 1, 1380)],
+        };
+        let events = [HostEvent::Launch(0), HostEvent::Sync];
+        let on_huge = simulate(&trace, &events, &huge).total_us;
+        let on_default = simulate(&trace, &events, &TimingParams::default()).total_us;
+        assert_eq!(on_huge.to_bits(), on_default.to_bits());
     }
 
     #[test]
