@@ -49,7 +49,9 @@
 //! 4. **Uniform-prefix replay**: a kernel's instructions from its entry up
 //!    to the first that is not [`bytecode::Instr::lane_uniform`] are run by
 //!    a block's first lane and replayed on each later lane whose logged
-//!    loads still read the same bits (see [`machine`], "Dispatch").
+//!    loads still read the same bits (see [`machine`], "Dispatch"). They
+//!    are compared only when a device store happened since they were last
+//!    compared.
 //!
 //! To add a new superinstruction, see the checklist on
 //! [`lower::fuse_function`]; for a new primitive, the "New opcodes"

@@ -30,7 +30,9 @@
 //! first lane runs it and records (`Prefix`); a later lane whose logged
 //! addresses hold the same bits when it starts takes the recorded state and
 //! is charged, all at once, exactly what dispatching the prefix would
-//! charge.
+//! charge. The logged loads are compared only when a device store happened
+//! since they were last compared: the grid counts its stores, and while the
+//! count stands still every logged address holds what it held.
 //!
 //! A block's lanes run one after another in one reused `Thread`; only a
 //! lane that stops at a barrier keeps a thread of its own until it is
@@ -215,12 +217,16 @@ struct BlockArena {
 const PREFIX_LOADS_MAX: usize = 64;
 
 /// A block's uniform prefix as the lane that last ran it saw it: each load
-/// `(address, value)` in order, and the lane's state where it left.
+/// `(address, value)` in order, and the lane's state where it left. The
+/// loads are compared again only when a device store happened since they
+/// were last compared: until then every logged address holds what it held.
 #[derive(Default)]
 struct Prefix {
     /// The fields below are a complete recording made in this block.
     recorded: bool,
     loads: Vec<(i64, Value)>,
+    /// The grid's store count (`ExecEnv::stores`) when `loads` last held.
+    checked_at: u64,
     pc: usize,
     locals: Vec<Value>,
     stack: Vec<Value>,
@@ -231,8 +237,11 @@ struct Prefix {
 
 impl Prefix {
     /// Saves `thread`'s state at the first leader the prefix does not cover.
-    fn finish(&mut self, thread: &Thread) {
+    /// The lane stored nothing while it logged, so its loads hold at
+    /// `stores`.
+    fn finish(&mut self, thread: &Thread, stores: u64) {
         self.recorded = self.loads.len() <= PREFIX_LOADS_MAX;
+        self.checked_at = stores;
         self.pc = thread.frame.pc;
         self.locals.clone_from(&thread.frame.locals);
         self.stack.clone_from(&thread.stack);
@@ -245,17 +254,22 @@ impl Prefix {
     /// recording lane left the prefix — `pc`, locals, stack and counters —
     /// charging what dispatching it would, if the budget covers it and every
     /// logged address still holds the same bits. Else touches nothing and
-    /// returns `false`.
-    fn replay(&self, env: &mut ExecEnv<'_>, thread: &mut Thread, shared: &[Value]) -> bool {
+    /// returns `false`. The addresses are read only when a device store
+    /// happened since they were last compared; a compare that passes
+    /// refreshes `checked_at`.
+    fn replay(&mut self, env: &mut ExecEnv<'_>, thread: &mut Thread, shared: &[Value]) -> bool {
         if !self.recorded || *env.instr_budget < self.instructions {
             return false;
         }
-        let unchanged = |&(addr, logged): &(i64, Value)| {
-            env.load(addr, shared)
-                .is_ok_and(|now| same_bits(now, logged))
-        };
-        if !self.loads.iter().all(unchanged) {
-            return false;
+        if env.stores != self.checked_at {
+            let unchanged = |&(addr, logged): &(i64, Value)| {
+                env.load(addr, shared)
+                    .is_ok_and(|now| same_bits(now, logged))
+            };
+            if !self.loads.iter().all(unchanged) {
+                return false;
+            }
+            self.checked_at = env.stores;
         }
         *env.instr_budget -= self.instructions;
         env.profile.replayed_lanes += 1;
@@ -420,6 +434,9 @@ pub(crate) struct ExecEnv<'m> {
     pub(crate) stats: &'m mut MachineStats,
     pub(crate) profile: &'m mut DispatchProfile,
     pub(crate) instr_budget: &'m mut u64,
+    /// Stores this grid has made, global and shared: every device write
+    /// goes through `store`, and the host writes only between grids.
+    stores: u64,
 }
 
 // `load`/`store` are inlined into the memory-op handlers (`ops.rs`, another
@@ -447,6 +464,7 @@ impl ExecEnv<'_> {
         value: Value,
         shared: &mut [Value],
     ) -> Result<(), ExecError> {
+        self.stores += 1;
         if addr >= SHARED_SPACE_BASE {
             let off = (addr - SHARED_SPACE_BASE) as usize;
             match shared.get_mut(off) {
@@ -522,7 +540,7 @@ fn run_thread_threaded<const RECORD: bool>(
                 let leader = table.ops.get(pc);
                 let uniform = leader.is_some_and(|op| table.charges[op.charge as usize].uniform);
                 if !uniform || prefix.loads.len() > PREFIX_LOADS_MAX {
-                    prefix.finish(s.thread);
+                    prefix.finish(s.thread, s.env.stores);
                     return Ok(());
                 }
             }
@@ -636,6 +654,8 @@ fn run_block(
     shared.resize(func.shared_words as usize, Value::Int(0));
     cycles.clear();
     cycles.resize(n_threads, 0);
+    // Each block records afresh, so `checked_at` is set in this grid before
+    // any lane compares it with the grid's store count.
     prefix.recorded = false;
     // Lanes start at the kernel's entry block.
     let entry = env.tables[grid.kernel as usize].charges.first();
@@ -650,12 +670,21 @@ fn run_block(
         linear_block,
     };
 
+    // Lane `t`'s thread index, carried `x → y → z` from lane to lane.
+    let mut tidx = [0i64; 3];
     for t in 0..n_threads {
-        let i = t as i64;
-        let tx = i % grid.block[0];
-        let ty = (i / grid.block[0]) % grid.block[1];
-        let tz = i / (grid.block[0] * grid.block[1]);
-        lane.enter(grid.kernel, [tx, ty, tz]);
+        if t > 0 {
+            tidx[0] += 1;
+            if tidx[0] == grid.block[0] {
+                tidx[0] = 0;
+                tidx[1] += 1;
+                if tidx[1] == grid.block[1] {
+                    tidx[1] = 0;
+                    tidx[2] += 1;
+                }
+            }
+        }
+        lane.enter(grid.kernel, tidx);
         if !(replays && prefix.replay(env, lane, shared)) {
             lane.reset(n_locals, coerced_args);
             if replays {
@@ -789,7 +818,9 @@ impl Machine {
     /// instruction under either. A replayed uniform prefix (see the module
     /// doc), which ends at the kernel's first thread-dependent instruction,
     /// is charged exactly what dispatching it would charge, all at once, and
-    /// only when the budget covers all of it.
+    /// only when the budget covers all of it. Its logged loads are compared
+    /// only when a device store happened since they were last compared, and
+    /// comparing charges nothing.
     pub fn instructions_left(&self) -> u64 {
         self.instr_budget
     }
@@ -943,6 +974,7 @@ impl Machine {
             stats,
             profile,
             instr_budget,
+            stores: 0,
         };
         for linear in 0..num_blocks as u64 {
             gtrace

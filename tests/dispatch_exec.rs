@@ -868,6 +868,89 @@ fn replayed_prefixes_match_the_reference() {
             replayed_lanes: 20,
             every_budget: false,
         },
+        PrefixCase {
+            // Every lane stores, but never to a word the prefix reads: the
+            // store count moves, each compare runs and passes, and every
+            // lane after the first replays.
+            name: "every body stores beside what the prefix read",
+            src: "__global__ void k(int* d, float* f, int n) { \
+                      int s = d[0] + d[1] + blockIdx.x; \
+                      if (s > 8) { s = s * 2; } \
+                      d[200 + blockIdx.x * 8 + threadIdx.x] = s; }"
+                .into(),
+            d_init: vec![4, 5],
+            replayed_lanes: 14,
+            every_budget: true,
+        },
+        PrefixCase {
+            // Lane 3 rewrites the logged word with the bits it holds: the
+            // compare runs and passes.
+            name: "a middle lane rewrites a logged word with the same bits",
+            src: "__global__ void k(int* d, float* f, int n) { \
+                      int q = d[1] + blockIdx.x; \
+                      if (q > 0) { q = q + n; } \
+                      d[200 + blockIdx.x * 8 + threadIdx.x] = q; \
+                      if (threadIdx.x == 3) { d[1] = 7; } }"
+                .into(),
+            d_init: vec![0, 7],
+            replayed_lanes: 14,
+            every_budget: false,
+        },
+        PrefixCase {
+            // Lane 2's `atomicCAS` fails and stores the old value back; lane
+            // 5's succeeds, so lane 6 records afresh and lane 7 replays it.
+            name: "a failing atomicCAS stores a logged word's bits back",
+            src: "__global__ void k(int* d, float* f, int n) { \
+                      int q = d[1] + blockIdx.x; \
+                      if (q > 7) { q = q + n; } \
+                      d[200 + blockIdx.x * 8 + threadIdx.x] = q; \
+                      if (threadIdx.x == 2) { atomicCAS(&d[1], 0 - 1, 50); } \
+                      if (threadIdx.x == 5) { atomicCAS(&d[1], d[1], d[1] + 1); } }"
+                .into(),
+            d_init: vec![0, 7],
+            replayed_lanes: 12,
+            every_budget: false,
+        },
+        PrefixCase {
+            // The prefix reads only `__shared__` words and the body stores
+            // only to them; lane 7 copies the tile out. Lane 3 changes the
+            // logged word, so lane 4 records afresh and lanes 5 to 7 replay.
+            name: "a prefix reads only shared words and lane 3 stores one",
+            src: "__global__ void k(int* d, float* f, int n) { \
+                      __shared__ int tile[16]; \
+                      int v = tile[1] + blockIdx.x; \
+                      if (v > 0) { v = v * 10; } \
+                      tile[8 + threadIdx.x] = v; \
+                      if (threadIdx.x == 3) { tile[1] = 5; } \
+                      if (threadIdx.x == 7) { \
+                          for (int i = 0; i < 8; ++i) { d[200 + blockIdx.x * 8 + i] = tile[8 + i]; } } }"
+                .into(),
+            d_init: vec![],
+            replayed_lanes: 12,
+            every_budget: false,
+        },
+        PrefixCase {
+            // A later grid starts its count at zero. The parent's compares
+            // leave the arena's prefix checked at store 15; each child lane
+            // stores three times and rewrites the word its prefix read, so
+            // every child lane records afresh, lane 5 at store 15.
+            name: "a child grid's prefix recorded below an earlier grid's count",
+            src: "__global__ void child(int* d, float* f, int n) { \
+                      int c = d[1]; \
+                      if (c > 0) { c = c + n; } \
+                      d[100 + threadIdx.x] = c; \
+                      d[1] = d[1] + 1; \
+                      d[108 + threadIdx.x] = 1; }\n\
+                  __global__ void k(int* d, float* f, int n) { \
+                      int s = d[0] + blockIdx.x; \
+                      if (s > 0) { s = s * 2; } \
+                      d[200 + blockIdx.x * 8 + threadIdx.x] = s; \
+                      if (blockIdx.x == 1 && threadIdx.x == 7) { child<<<1, 8>>>(d, f, n); } }"
+                .into(),
+            d_init: vec![4, 1],
+            replayed_lanes: 14,
+            every_budget: false,
+        },
     ];
     for case in &cases {
         let name = case.name;
@@ -1060,6 +1143,53 @@ fn parked_lanes_run_in_thread_order() {
                     run(fuse, DispatchMode::Threaded, budget),
                     run(fuse, DispatchMode::Match, budget),
                     "{name}, fuse={fuse}, budget {budget} of {charged}"
+                );
+            }
+        }
+    }
+}
+
+/// Lane `t` of a `[bx, by, bz]` block is thread `(t % bx, t / bx % by,
+/// t / (bx * by))`. Each lane writes its `threadIdx.{x,y,z}` and linear
+/// index before and after a barrier, so the index a parked lane keeps is
+/// checked too, on a two-block grid, under both dispatchers, fused and
+/// unfused, against memory computed here.
+#[test]
+fn three_dimensional_blocks_see_their_thread_indices() {
+    let src = "__global__ void k(int* d) { \
+                   int lin = (threadIdx.z * blockDim.y + threadIdx.y) * blockDim.x + threadIdx.x; \
+                   int n = blockDim.x * blockDim.y * blockDim.z; \
+                   int at = blockIdx.x * 8 * n + 4 * lin; \
+                   d[at] = threadIdx.x; d[at + 1] = threadIdx.y; \
+                   d[at + 2] = threadIdx.z; d[at + 3] = lin; \
+                   __syncthreads(); \
+                   at = at + 4 * n; \
+                   d[at] = threadIdx.x; d[at + 1] = threadIdx.y; \
+                   d[at + 2] = threadIdx.z; d[at + 3] = lin; }";
+    let p = dpopt::frontend::parse(src).unwrap_or_else(|e| panic!("{}\n{src}", e.render(src)));
+    for block in [[4, 3, 2], [1, 5, 3], [7, 1, 1], [2, 2, 2]] {
+        let [bx, by, bz] = block;
+        let n = bx * by * bz;
+        // Two blocks, each two phases of `n` lanes' four words.
+        let expected: Vec<i64> = (0..2 * 2)
+            .flat_map(|_| (0..n).flat_map(|t| [t % bx, t / bx % by, t / (bx * by), t]))
+            .collect();
+        for fuse in [true, false] {
+            for dispatch in [DispatchMode::Threaded, DispatchMode::Match] {
+                let module = if fuse {
+                    compile_program(&p).unwrap()
+                } else {
+                    compile_program_unfused(&p).unwrap()
+                };
+                let mut m = Machine::new(module);
+                m.set_dispatch(dispatch);
+                let d = m.alloc(expected.len());
+                m.launch_host("k", 2, block, &[Value::Int(d)]).unwrap();
+                m.run_to_quiescence().unwrap();
+                assert_eq!(
+                    m.read_i64s(d, expected.len()).unwrap(),
+                    expected,
+                    "block {block:?}, fuse={fuse}, {dispatch:?}"
                 );
             }
         }

@@ -1,12 +1,13 @@
 //! Property tests for the VM: arithmetic agrees with a host-side reference
-//! evaluator, atomics are linearizable, and the aggregation scan invariant
-//! holds on random degree distributions.
+//! evaluator, atomics are linearizable, the aggregation scan invariant
+//! holds on random degree distributions, and a replayed uniform prefix
+//! agrees with the reference interpreter on generated kernels.
 
 use dpopt::core::{AggConfig, AggGranularity, Compiler, OptConfig};
 use dpopt::vm::bytecode::Instr;
 use dpopt::vm::lower::{compile_program, compile_program_unfused};
-use dpopt::vm::machine::Machine;
-use dpopt::vm::Value;
+use dpopt::vm::machine::{DispatchMode, Machine, MachineStats};
+use dpopt::vm::{CostModel, ExecLimits, Value};
 use proptest::prelude::*;
 
 /// A little integer expression AST mirrored on host and device.
@@ -310,5 +311,194 @@ proptest! {
         prop_assert_eq!(mem_f, mem_u, "memory diverged for:\n{}", src);
         prop_assert_eq!(stats_f, stats_u);
         prop_assert_eq!(trace_f, trace_u, "trace diverged for:\n{}", src);
+    }
+}
+
+// ----------------------------------------------------------------------
+// Uniform-prefix replay on generated kernels
+// ----------------------------------------------------------------------
+
+/// One load of a generated kernel's uniform prefix.
+#[derive(Debug, Clone)]
+enum PrefixLoad {
+    /// `d[w]`.
+    Word(usize),
+    /// `d[d[w]]` (depth 1) or `d[d[d[w]]]` (depth 2): each address is a
+    /// value read before.
+    Chase(usize, usize),
+    /// `64 / d[w]`: fails where `d[w]` is zero.
+    Divide(usize),
+    /// `tile[w]`, a `__shared__` word.
+    Tile(usize),
+}
+
+fn arb_prefix_load() -> impl Strategy<Value = PrefixLoad> {
+    prop_oneof![
+        (0usize..8).prop_map(PrefixLoad::Word),
+        (0usize..8, 1usize..3).prop_map(|(w, depth)| PrefixLoad::Chase(w, depth)),
+        (0usize..8).prop_map(PrefixLoad::Divide),
+        (0usize..8).prop_map(PrefixLoad::Tile),
+    ]
+}
+
+fn load_source(load: &PrefixLoad) -> String {
+    match *load {
+        PrefixLoad::Word(w) => format!("d[{w}]"),
+        PrefixLoad::Chase(w, depth) => (0..=depth).fold(w.to_string(), |at, _| format!("d[{at}]")),
+        PrefixLoad::Divide(w) => format!("(64 / d[{w}])"),
+        PrefixLoad::Tile(w) => format!("tile[{w}]"),
+    }
+}
+
+/// The body's one store: to `d[word]` or `tile[word]`, from the lanes whose
+/// bit is set in `lanes`. `value` 0 stores the word's own bits back, 1 a
+/// different value (`(old + shift) % 8`), 2 the literal `shift % 8`, which
+/// may or may not be what the word holds. Every `d[0..8]` and `tile[0..8]`
+/// value stays in `0..8`, so a pointer chase stays in bounds.
+#[derive(Debug, Clone)]
+struct BodyStore {
+    shared: bool,
+    word: usize,
+    value: usize,
+    shift: i64,
+    lanes: i64,
+}
+
+fn arb_body_store() -> impl Strategy<Value = BodyStore> {
+    ((0usize..2, 0usize..8), 0usize..3, 1i64..8, 0i64..4096).prop_map(
+        |((shared, word), value, shift, lanes)| BodyStore {
+            shared: shared == 1,
+            word,
+            value,
+            shift,
+            lanes,
+        },
+    )
+}
+
+/// `k(int* d)`: a uniform prefix folding `loads` into `acc` and branching on
+/// it, then — where the first thread index is read — the body's store and a
+/// sink for `acc`: `d` (0), the tile (1) or nowhere but the trace (2).
+fn replay_kernel(loads: &[PrefixLoad], store: &BodyStore, sink: usize) -> String {
+    let prefix: String = loads
+        .iter()
+        .map(|load| format!("acc = acc * 3 + {}; ", load_source(load)))
+        .collect();
+    let target = format!(
+        "{}[{}]",
+        if store.shared { "tile" } else { "d" },
+        store.word
+    );
+    let value = match store.value {
+        0 => target.clone(),
+        1 => format!("({target} + {}) % 8", store.shift),
+        _ => format!("{}", store.shift % 8),
+    };
+    let sink = [
+        "d[16 + blockIdx.x * 16 + threadIdx.x] = acc;",
+        "tile[8 + threadIdx.x] = acc;",
+        "",
+    ][sink];
+    format!(
+        "__global__ void k(int* d) {{ \
+             __shared__ int tile[24]; \
+             int acc = blockIdx.x; \
+             {prefix} \
+             if (acc % 2 == 0) {{ acc = acc / 2; }} else {{ acc = acc * 3 + 1; }} \
+             if ((({lanes} >> threadIdx.x) & 1) == 1) {{ {target} = {value}; }} \
+             {sink} }}",
+        lanes = store.lanes,
+    )
+}
+
+/// Everything a replay case lets a caller see, each memory word with its
+/// bits.
+#[derive(Debug, PartialEq)]
+struct ReplaySeen {
+    outcome: Result<(), String>,
+    memory: Vec<String>,
+    stats: MachineStats,
+    trace: dpopt::vm::ExecutionTrace,
+    left: u64,
+}
+
+/// Launches `k` twice from the host, so the second grid's prefixes are
+/// recorded on an arena the first grid's compares left behind.
+fn run_replay_case(
+    src: &str,
+    d_init: &[i64],
+    grid: (i64, i64),
+    fuse: bool,
+    dispatch: DispatchMode,
+    budget: u64,
+) -> ReplaySeen {
+    let program =
+        dpopt::frontend::parse(src).unwrap_or_else(|e| panic!("{}\n{src}", e.render(src)));
+    let module = if fuse {
+        compile_program(&program).unwrap()
+    } else {
+        compile_program_unfused(&program).unwrap()
+    };
+    let limits = ExecLimits {
+        max_instructions: budget,
+        ..ExecLimits::default()
+    };
+    let mut m = Machine::with_config(module, CostModel::default(), limits);
+    m.set_dispatch(dispatch);
+    let mut d = d_init.to_vec();
+    d.resize(64, 0);
+    let d = m.alloc_i64s(&d);
+    for _ in 0..2 {
+        m.launch_host("k", grid.0, grid.1, &[Value::Int(d)])
+            .unwrap();
+    }
+    let outcome = m.run_to_quiescence().map_err(|e| e.to_string());
+    let words = m.mem.allocated_words();
+    ReplaySeen {
+        outcome,
+        memory: m
+            .mem
+            .read_range(1, words - 1)
+            .unwrap()
+            .iter()
+            .map(|v| format!("{v:?}"))
+            .collect(),
+        stats: m.stats(),
+        trace: m.take_trace(),
+        left: m.instructions_left(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The threaded loop replays a block's uniform prefix where its logged
+    /// loads still hold, and compares them only after a store; `Match`
+    /// replays nothing. On generated prefixes — direct loads, pointer
+    /// chases, divisions and `__shared__` reads — and a body that stores the
+    /// same or a different value from a generated set of lanes, both agree
+    /// on every memory word's bits, the statistics, the trace, the error
+    /// text and the budget left, fused and unfused.
+    #[test]
+    fn replayed_prefixes_match_the_reference_on_generated_kernels(
+        loads in prop::collection::vec(arb_prefix_load(), 0..7),
+        store in arb_body_store(),
+        sink in 0usize..3,
+        d_init in prop::collection::vec(0i64..8, 8..9),
+        blocks in 1i64..3,
+        threads in 1i64..13,
+        budget in (0i64..4, 0i64..3000).prop_map(|(b, n)| if b == 0 { n as u64 } else { u64::MAX }),
+    ) {
+        let src = replay_kernel(&loads, &store, sink);
+        let run = |fuse, dispatch| {
+            run_replay_case(&src, &d_init, (blocks, threads), fuse, dispatch, budget)
+        };
+        // Fused and unfused runs may stop a budget at different instructions
+        // (a superinstruction is charged whole), so each is its own reference.
+        for fuse in [true, false] {
+            let reference = run(fuse, DispatchMode::Match);
+            let got = run(fuse, DispatchMode::Threaded);
+            prop_assert_eq!(&got, &reference, "fuse={}, budget {}:\n{}", fuse, budget, src);
+        }
     }
 }
