@@ -22,12 +22,15 @@
 //! word), `threaded_op_bytes` (one dispatch-table slot), and per workload
 //! `dispatched_ops` and `ops_per_block` — table slots the fused
 //! configuration dispatches, in all and per basic-block charge, counted by
-//! one untimed run under the `Match` dispatcher (the only one that counts;
-//! see `DispatchProfile`) — and `replayed_instructions`, the instructions
-//! the fused configuration charged by replaying a uniform prefix, which the
-//! threaded dispatcher counts on its runs. Both are exact; `benchgate` fails
-//! when `dispatched_ops` rises or `replayed_instructions` falls: a lost
-//! fusion window or a lost replay shows there and in no test.
+//! one untimed run under the `Match` dispatcher (the only one that counts
+//! them; see `DispatchProfile`) — and `replayed_instructions` and
+//! `skipped_instructions`, the instructions the fused configuration charged
+//! by replaying a uniform prefix and by skipping loop iterations, which the
+//! threaded dispatcher counts on its runs. All are exact; `benchgate` fails
+//! when `dispatched_ops` rises or either of the other two falls: a lost
+//! fusion window, a lost replay or a lost skip shows there and in no test.
+//! `bfs-serial` is `bfs-rmat` thresholded at 128, so that small child grids
+//! run as the serial loops loop skipping is for.
 //! Environment knobs: `DPOPT_VMBENCH_REPS` (default 5), `DPOPT_VMBENCH_SCALE` (workload size multiplier, default
 //! 1.0), and `DPOPT_VMBENCH_OUT` (output path override — the CI
 //! bench-regression gate writes a fresh measurement next to the committed
@@ -69,7 +72,7 @@ struct Measurement {
     wall_s: f64,
     instructions: u64,
     /// The last repetition's dispatch counts (`ops` and `blocks` under
-    /// `Match`, the replay counts under `Threaded`).
+    /// `Match`, the replay and skip counts under `Threaded`).
     profile: DispatchProfile,
 }
 
@@ -122,15 +125,17 @@ fn best_of<F: FnMut() -> (u64, DispatchProfile)>(reps: usize, mut run: F) -> Mea
     }
 }
 
-/// One benchmark-driver workload measured under one VM configuration.
+/// One benchmark-driver workload, transformed by `passes`, measured under
+/// one VM configuration.
 fn run_benchmark(
     bench: &dyn Benchmark,
     input: &BenchInput,
+    passes: OptConfig,
     config: Config,
     reps: usize,
 ) -> Measurement {
     let compiled = Compiler::new()
-        .config(OptConfig::none())
+        .config(passes)
         .fusion(config.fuse)
         .dispatch(config.dispatch)
         .compile(bench.cdp_source())
@@ -255,10 +260,11 @@ fn write_json(path: &std::path::Path, results: &[WorkloadResult]) -> std::io::Re
             ));
         }
         out.push_str(&format!(
-            "      }},\n      \"dispatched_ops\": {},\n      \"ops_per_block\": {:.3},\n      \"replayed_instructions\": {},\n      \"speedup_fused\": {:.3}\n    }}{}\n",
+            "      }},\n      \"dispatched_ops\": {},\n      \"ops_per_block\": {:.3},\n      \"replayed_instructions\": {},\n      \"skipped_instructions\": {},\n      \"speedup_fused\": {:.3}\n    }}{}\n",
             r.dispatched.ops,
             r.ops_per_block(),
             r.rows[1].profile.replayed_instructions,
+            r.rows[1].profile.skipped_instructions,
             r.speedup_fused(),
             if i + 1 < results.len() { "," } else { "" },
         ));
@@ -311,11 +317,11 @@ fn main() {
     };
     measure(
         "bfs-rmat",
-        Box::new(|c, reps| run_benchmark(&Bfs, &bfs_input, c, reps)),
+        Box::new(|c, reps| run_benchmark(&Bfs, &bfs_input, OptConfig::none(), c, reps)),
     );
     measure(
         "bezier-tess",
-        Box::new(|c, reps| run_benchmark(&Bt, &bt_input, c, reps)),
+        Box::new(|c, reps| run_benchmark(&Bt, &bt_input, OptConfig::none(), c, reps)),
     );
     measure(
         "alu-loop",
@@ -324,6 +330,11 @@ fn main() {
     measure(
         "frontier-expand",
         Box::new(|c, reps| run_frontier_expand(c, &frontier_graph, reps)),
+    );
+    let thresholded = OptConfig::none().threshold(128);
+    measure(
+        "bfs-serial",
+        Box::new(|c, reps| run_benchmark(&Bfs, &bfs_input, thresholded, c, reps)),
     );
 
     println!(

@@ -1,5 +1,5 @@
 //! The bench-regression gate: compares a freshly-measured `vmbench`
-//! document against the committed `BENCH_vm.json` on three counts, all
+//! document against the committed `BENCH_vm.json` on four counts, all
 //! exact and repeatable on any host.
 //!
 //! **`instructions` must match exactly.** The dynamic original-unit
@@ -18,6 +18,13 @@
 //! prefix instead of dispatching it. A prefix that stops replaying — a
 //! lowering change that puts a `threadIdx` read into it, a leader rule that
 //! ends it earlier — lowers it with every result unchanged.
+//!
+//! **`skipped_instructions` must not fall.** It is how many the threaded
+//! loop charged by skipping loop iterations that all take one pure, affine
+//! path instead of dispatching them. A lowering change that puts an impure
+//! or nonlinear instruction into a thresholded serial loop's idle path, or
+//! an analysis that stops recognising it, lowers it with every result
+//! unchanged.
 //!
 //! A committed file from before a count existed does not gate that count.
 //!
@@ -39,6 +46,8 @@ pub struct RowComparison {
     /// `(committed, fresh)` replayed instructions, when the committed
     /// document records them.
     pub replayed_instructions: Option<(u64, u64)>,
+    /// `(committed, fresh)` skipped instructions, likewise.
+    pub skipped_instructions: Option<(u64, u64)>,
 }
 
 impl RowComparison {
@@ -59,8 +68,17 @@ impl RowComparison {
             .is_none_or(|(committed, fresh)| fresh >= committed)
     }
 
+    /// The threaded loop skips no fewer instructions than committed.
+    pub fn skipped_ok(&self) -> bool {
+        self.skipped_instructions
+            .is_none_or(|(committed, fresh)| fresh >= committed)
+    }
+
     fn ok(&self) -> bool {
-        self.instructions_ok() && self.dispatched_ops_ok() && self.replayed_ok()
+        self.instructions_ok()
+            && self.dispatched_ops_ok()
+            && self.replayed_ok()
+            && self.skipped_ok()
     }
 }
 
@@ -72,7 +90,8 @@ pub struct GateReport {
 
 impl GateReport {
     /// True iff every row's instruction count matches, no row dispatches
-    /// more slots than committed and none replays fewer instructions.
+    /// more slots than committed and none replays or skips fewer
+    /// instructions.
     pub fn ok(&self) -> bool {
         self.rows.iter().all(RowComparison::ok)
     }
@@ -80,7 +99,7 @@ impl GateReport {
     /// Human- and artifact-friendly comparison table plus the verdict line.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "{:<16} {:>14} {:>14} {:>14} {:>14} {:>14} {:>14}  {}\n",
+            "{:<16} {:>14} {:>14} {:>14} {:>14} {:>14} {:>14} {:>14} {:>14}  {}\n",
             "workload",
             "instr (ref)",
             "instr (new)",
@@ -88,6 +107,8 @@ impl GateReport {
             "ops (new)",
             "replayed (ref)",
             "replayed (new)",
+            "skipped (ref)",
+            "skipped (new)",
             "verdict"
         );
         let pair = |counts: Option<(u64, u64)>| match counts {
@@ -101,18 +122,21 @@ impl GateReport {
                 "FAIL: dispatched ops rose"
             } else if !r.replayed_ok() {
                 "FAIL: replayed instructions fell"
+            } else if !r.skipped_ok() {
+                "FAIL: skipped instructions fell"
             } else {
                 "ok"
             };
             let (ops_ref, ops_new) = pair(r.dispatched_ops);
             let (replayed_ref, replayed_new) = pair(r.replayed_instructions);
+            let (skipped_ref, skipped_new) = pair(r.skipped_instructions);
             out.push_str(&format!(
-                "{:<16} {:>14} {:>14} {ops_ref:>14} {ops_new:>14} {replayed_ref:>14} {replayed_new:>14}  {verdict}\n",
+                "{:<16} {:>14} {:>14} {ops_ref:>14} {ops_new:>14} {replayed_ref:>14} {replayed_new:>14} {skipped_ref:>14} {skipped_new:>14}  {verdict}\n",
                 r.name, r.committed_instructions, r.fresh_instructions,
             ));
         }
         out.push_str(&format!(
-            "gate: instructions exact, dispatched ops no higher, replayed instructions no lower — {}\n",
+            "gate: instructions exact, dispatched ops no higher, replayed and skipped instructions no lower — {}\n",
             if self.ok() { "PASS" } else { "FAIL" }
         ));
         out
@@ -125,6 +149,7 @@ struct Counts {
     instructions: u64,
     dispatched_ops: Option<u64>,
     replayed_instructions: Option<u64>,
+    skipped_instructions: Option<u64>,
 }
 
 /// The counts of every workload row in a vmbench document.
@@ -148,6 +173,7 @@ fn counts(doc: &Json, which: &str) -> Result<Vec<Counts>, String> {
                 instructions,
                 dispatched_ops: row.get("dispatched_ops").and_then(Json::as_u64),
                 replayed_instructions: row.get("replayed_instructions").and_then(Json::as_u64),
+                skipped_instructions: row.get("skipped_instructions").and_then(Json::as_u64),
             })
         })
         .collect()
@@ -193,6 +219,12 @@ pub fn compare(committed: &Json, fresh: &Json) -> Result<GateReport, String> {
                     c.replayed_instructions,
                     f.replayed_instructions,
                 )?,
+                skipped_instructions: paired(
+                    &c.name,
+                    "skipped_instructions",
+                    c.skipped_instructions,
+                    f.skipped_instructions,
+                )?,
                 name: c.name,
                 committed_instructions: c.instructions,
                 fresh_instructions: f.instructions,
@@ -207,22 +239,35 @@ mod tests {
     use super::*;
     use dp_obs::json::parse;
 
-    /// A vmbench document of `(name, instructions, dispatched_ops,
-    /// replayed_instructions)` rows.
-    fn doc_with(rows: &[(&str, u64, Option<u64>, Option<u64>)]) -> Json {
+    /// `(name, instructions, dispatched_ops, replayed_instructions,
+    /// skipped_instructions)`.
+    type Row<'a> = (&'a str, u64, Option<u64>, Option<u64>, Option<u64>);
+
+    /// A vmbench document of these rows.
+    fn doc_with_skips(rows: &[Row<'_>]) -> Json {
         let field =
             |key: &str, n: Option<u64>| n.map_or(String::new(), |n| format!(r#","{key}":{n}"#));
         let body: Vec<String> = rows
             .iter()
-            .map(|&(name, instr, ops, replayed)| {
+            .map(|&(name, instr, ops, replayed, skipped)| {
                 format!(
-                    r#"{{"name":"{name}","instructions":{instr}{}{}}}"#,
+                    r#"{{"name":"{name}","instructions":{instr}{}{}{}}}"#,
                     field("dispatched_ops", ops),
-                    field("replayed_instructions", replayed)
+                    field("replayed_instructions", replayed),
+                    field("skipped_instructions", skipped)
                 )
             })
             .collect();
         parse(&format!(r#"{{"workloads":[{}]}}"#, body.join(","))).unwrap()
+    }
+
+    /// The same, from a run that did not count skipped instructions.
+    fn doc_with(rows: &[(&str, u64, Option<u64>, Option<u64>)]) -> Json {
+        let rows: Vec<_> = rows
+            .iter()
+            .map(|&(name, instr, ops, replayed)| (name, instr, ops, replayed, None))
+            .collect();
+        doc_with_skips(&rows)
     }
 
     /// The same, from a run that did not count replayed instructions.
@@ -292,6 +337,22 @@ mod tests {
         assert!(compare(&older, &fewer).unwrap().ok());
         let err = compare(&committed, &older).unwrap_err();
         assert!(err.contains("no `replayed_instructions`"), "{err}");
+    }
+
+    #[test]
+    fn skipped_instructions_may_rise_and_may_not_fall() {
+        let committed = doc_with_skips(&[("bfs", 1000, Some(400), Some(700), Some(90))]);
+        assert!(compare(&committed, &committed).unwrap().ok());
+        let more = doc_with_skips(&[("bfs", 1000, Some(400), Some(700), Some(91))]);
+        assert!(compare(&committed, &more).unwrap().ok());
+        let fewer = doc_with_skips(&[("bfs", 1000, Some(400), Some(700), Some(89))]);
+        let report = compare(&committed, &fewer).unwrap();
+        assert!(!report.ok(), "a lost skip is a failure");
+        assert!(report.render().contains("skipped instructions fell"));
+        let older = doc_with(&[("bfs", 1000, Some(400), Some(700))]);
+        assert!(compare(&older, &fewer).unwrap().ok());
+        let err = compare(&committed, &older).unwrap_err();
+        assert!(err.contains("no `skipped_instructions`"), "{err}");
     }
 
     #[test]

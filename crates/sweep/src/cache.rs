@@ -48,7 +48,7 @@ use crate::CellSummary;
 use dp_obs::json::{self, num, object, uint, Json};
 use dp_obs::metrics::Counter;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 static CACHE_CORRUPT: Counter = Counter::new("sweep.cache.corrupt");
 
@@ -356,14 +356,27 @@ fn classify_store_error(e: &std::io::Error) -> StoreOutcome {
     }
 }
 
-/// Puts `bytes` under `key`'s live name: writes `<key>.tmp.<pid>`, then
+/// Puts `bytes` under `key`'s live name: writes `<key>.tmp.<pid>.<n>`, then
 /// renames, so concurrent workers and interrupted runs never expose a torn
-/// file under the final name. Errors are reported to stderr, not raised
-/// (the cache is an accelerator, not a correctness dependency); the
-/// [`StoreOutcome`] tells callers when the directory itself is gone.
+/// file under the final name. `n` counts this process's publishes, so two
+/// threads publishing one key never truncate each other's tmp file. When
+/// the live entry already holds exactly `bytes`, nothing is written and its
+/// LRU clock is refreshed: renaming over an existing file is the slow path
+/// on ext4, which flushes the new file's data first (tens of ms per store).
+/// Errors are reported to stderr, not raised (the cache is an accelerator,
+/// not a correctness dependency); the [`StoreOutcome`] tells callers when
+/// the directory itself is gone.
 fn publish(plan: &dp_faults::FaultPlan, dir: &Path, key: u64, bytes: &[u8]) -> StoreOutcome {
+    static PUBLISHES: AtomicU64 = AtomicU64::new(0);
     let path = cell_path(dir, key);
-    let tmp = dir.join(format!("{key:016x}.tmp.{}", std::process::id()));
+    if dp_faults::fs::read_to_string_with(plan, &path, FS_TAG)
+        .is_ok_and(|live| live.as_bytes() == bytes)
+    {
+        touch(&path);
+        return StoreOutcome::Stored;
+    }
+    let n = PUBLISHES.fetch_add(1, Ordering::Relaxed);
+    let tmp = dir.join(format!("{key:016x}.tmp.{}.{n}", std::process::id()));
     let failed = |what: &str, at: &Path, e: std::io::Error| {
         dp_obs::diag!("[dp-sweep] cannot {what} {}: {e}", at.display());
         let _ = std::fs::remove_file(&tmp);

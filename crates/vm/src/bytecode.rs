@@ -348,6 +348,61 @@ impl Instr {
         }
     }
 
+    /// Whether loop skipping (`loops.rs`) may summarise it: it reads and
+    /// writes only the frame's locals and the operand stack, and what it
+    /// computes from `Int`s is a wrapping sum, difference, product or
+    /// comparison — so a path of these is affine when its products are. A
+    /// superinstruction is pure exactly when every part of its expansion is.
+    pub fn loop_pure(&self) -> bool {
+        use BinKind::*;
+        match self {
+            Instr::PushInt(_)
+            | Instr::LoadLocal(_)
+            | Instr::StoreLocal(_)
+            | Instr::CastInt
+            | Instr::Jump(_)
+            | Instr::JumpIfZero(_)
+            | Instr::JumpIfNonZero(_)
+            | Instr::ReadSpecialComp(..)
+            | Instr::Dim3Member(_)
+            | Instr::Pop
+            | Instr::Dup
+            | Instr::Swap
+            | Instr::IncLocal(..)
+            | Instr::StoreLoadLocal(_)
+            | Instr::StoreLocalInt(_)
+            | Instr::SetLocal(_)
+            | Instr::Un(UnKind::Neg) => true,
+            Instr::Bin(k)
+            | Instr::BinLocals(k, ..)
+            | Instr::BinImm(k, _)
+            | Instr::CmpBranchLocals(k, ..)
+            | Instr::CmpBranch(k, _) => {
+                matches!(k, Add | Sub | Mul | Lt | Le | Gt | Ge | Eq | Ne)
+            }
+            // Memory, the frame stack, barriers and launches, the dim3
+            // table, floats, intrinsics, and operations that are not affine.
+            Instr::PushFloat(_)
+            | Instr::LoadMem
+            | Instr::StoreMem
+            | Instr::Un(UnKind::Not | UnKind::BitNot)
+            | Instr::CastFloat
+            | Instr::Call(..)
+            | Instr::Ret
+            | Instr::RetVoid
+            | Instr::Launch(..)
+            | Instr::Sync
+            | Instr::Fence
+            | Instr::Atomic(_)
+            | Instr::Intrinsic(_)
+            | Instr::ReadSpecial(_)
+            | Instr::MakeDim3
+            | Instr::Dim3SetMember(_)
+            | Instr::LoadLocalMem(_)
+            | Instr::LoadMemAt(..) => false,
+        }
+    }
+
     /// How many original (pre-fusion) instructions this instruction counts
     /// as: 1 for primitives, the expansion length for superinstructions.
     pub fn width(&self) -> u32 {
@@ -751,6 +806,11 @@ mod tests {
                 uniform,
                 parts.iter().all(Instr::lane_uniform),
                 "{fused:?} is lane-uniform exactly when its expansion is"
+            );
+            assert_eq!(
+                fused.loop_pure(),
+                parts.iter().all(Instr::loop_pure),
+                "{fused:?} is loop-pure exactly when its expansion is"
             );
             // A recorded prefix logs a fused slot's load, if it has one.
             let operands = [crate::value::Value::Int(1); 4];

@@ -15,7 +15,7 @@
 //!
 //! Interpreter throughput bounds how many configurations the benchmark
 //! harness and autotuner can sweep, so the execution core is engineered
-//! around four ideas (measured by `dp-bench`'s `vmbench` binary, tracked
+//! around five ideas (measured by `dp-bench`'s `vmbench` binary, tracked
 //! in `BENCH_vm.json` at the repo root):
 //!
 //! 1. **Direct-threaded dispatch, block-charged accounting**: at machine
@@ -52,6 +52,13 @@
 //!    loads still read the same bits (see [`machine`], "Dispatch"). They
 //!    are compared only when a device store happened since they were last
 //!    compared.
+//! 5. **Loop skipping**: at table build, each loop whose path from its
+//!    head back to it is [`bytecode::Instr::loop_pure`] and affine in the
+//!    iteration number gets a summary; a lane that came round such a loop
+//!    solves for how many coming iterations stay on the path — a
+//!    thresholded child's idle virtual threads, above all — and jumps past
+//!    them, charged exactly what dispatching them would charge
+//!    (`loops.rs`).
 //!
 //! To add a new superinstruction, see the checklist on
 //! [`lower::fuse_function`]; for a new primitive, the "New opcodes"
@@ -75,6 +82,7 @@
 
 pub mod bytecode;
 pub mod error;
+mod loops;
 pub mod lower;
 pub mod machine;
 mod memory;

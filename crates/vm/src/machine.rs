@@ -34,6 +34,22 @@
 //! since they were last compared: the grid counts its stores, and while the
 //! count stands still every logged address holds what it held.
 //!
+//! A loop whose coming iterations all take one **pure, affine path** is
+//! skipped, not interpreted (`loops.rs`). The table holds a summary for
+//! each loop head whose path from the head back to it reads and writes
+//! only the frame's locals and stack, and computes only values affine in
+//! the iteration number — a thresholded child's serial loop over its
+//! virtual threads is one, where an idle thread (`e >= count`) only tests,
+//! computes `e` and loops. When a lane that came round such a loop and
+//! passed its test reaches the block the path takes next, before that
+//! block is charged, the loop evaluates the path at the first two coming
+//! iterations, solves for how many stay on it (and keep every compared
+//! value inside `i64`), moves the lane's locals past them and charges them
+//! — cycles, instructions, origin cycles and budget — exactly what
+//! dispatching them would; at most what the budget covers. Then the block
+//! runs as usual. No skip happens under `Match` or while a prefix is
+//! recorded.
+//!
 //! A block's lanes run one after another in one reused `Thread`; only a
 //! lane that stops at a barrier keeps a thread of its own until it is
 //! released (`BlockArena`).
@@ -49,7 +65,9 @@
 use crate::bytecode::*;
 use crate::error::ExecError;
 pub use crate::memory::Memory;
-use crate::ops::{build_tables, coerce, load_address, Flow, FuncTable, StepCtx, ThreadedOp};
+use crate::ops::{
+    build_tables, coerce, load_address, Flow, FuncTable, StepCtx, ThreadedOp, NO_SKIP,
+};
 use crate::reference::run_thread_match;
 use crate::trace::*;
 use crate::value::{Dim3Table, LaunchDim, Value, SHARED_SPACE_BASE};
@@ -110,6 +128,10 @@ pub(crate) struct Thread {
     pub(crate) instructions: u64,
     pub(crate) origin_cycles: OriginCycles,
     pub(crate) tidx: [i64; 3],
+    /// The lane came round a loop with a skip (`loops.rs`) since a skip was
+    /// last tried: only then is one tried, so a lane that runs a loop once
+    /// never pays for trying.
+    pub(crate) looped: bool,
     /// Locals vectors of popped frames, reused by later calls so steady-state
     /// call/return traffic allocates nothing.
     pub(crate) spare_locals: Vec<Vec<Value>>,
@@ -130,6 +152,7 @@ impl Default for Thread {
             instructions: 0,
             origin_cycles: OriginCycles::default(),
             tidx: [0; 3],
+            looped: false,
             spare_locals: Vec::new(),
         }
     }
@@ -147,6 +170,7 @@ impl Thread {
         self.frame.func = kernel;
         self.status = ThreadStatus::Running;
         self.tidx = tidx;
+        self.looped = false;
     }
 
     /// Starts an entered lane at its kernel's first instruction with fresh
@@ -399,21 +423,30 @@ pub struct MachineStats {
     pub empty_launches: u64,
 }
 
-/// What the `Match` dispatcher — and only it: the threaded loop does not
-/// pay for this — counts on its way: table slots dispatched, and how many
-/// of them led a basic block. Their ratio is the number of handler calls
-/// the threaded loop makes per block charge (`vmbench`'s `ops_per_block`;
-/// `ops` itself is its `dispatched_ops`, which `benchgate` holds down).
+/// What each dispatcher counts of its own way of working. These differ
+/// between the two by design, so they stay out of [`MachineStats`].
+///
+/// `Match` counts table slots dispatched and how many of them led a basic
+/// block (the threaded loop does not pay for this). Their ratio is the
+/// number of handler calls the threaded loop makes per block charge
+/// (`vmbench`'s `ops_per_block`; `ops` itself is its `dispatched_ops`,
+/// which `benchgate` holds down). The threaded loop counts what it did not
+/// dispatch: replayed uniform prefixes and skipped loop iterations (module
+/// doc, "Dispatch"), which `Match` never does.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DispatchProfile {
-    /// Table slots dispatched (a fused superinstruction is one).
+    /// Table slots dispatched (a fused superinstruction is one; `Match` only).
     pub ops: u64,
     /// Of those, block leaders.
     pub blocks: u64,
-    /// Lanes whose uniform prefix the threaded loop replayed (never `Match`).
+    /// Lanes whose uniform prefix the threaded loop replayed.
     pub replayed_lanes: u64,
-    /// Instructions those replays charged (kept out of [`MachineStats`]).
+    /// Instructions those replays charged.
     pub replayed_instructions: u64,
+    /// Loop iterations the threaded loop skipped.
+    pub skipped_iterations: u64,
+    /// Instructions those skips charged.
+    pub skipped_instructions: u64,
 }
 
 /// Bytes of one decoded table slot (`vmbench` records it).
@@ -551,6 +584,9 @@ fn run_thread_threaded<const RECORD: bool>(
                 }
                 return Ok(());
             };
+            if !RECORD && leader.skip != NO_SKIP {
+                table.skips[leader.skip as usize].skip(&mut s);
+            }
             let charge = &table.charges[leader.charge as usize];
             if *s.env.instr_budget < charge.width {
                 // The budget ends inside this block: the reference loop
@@ -805,7 +841,8 @@ impl Machine {
         self.stats
     }
 
-    /// The `Match` dispatcher's counts so far (zero under `Threaded`).
+    /// What the dispatcher counted so far: slots under `Match`, replays and
+    /// skips under `Threaded` (see [`DispatchProfile`]).
     pub fn dispatch_profile(&self) -> DispatchProfile {
         self.profile
     }
@@ -820,7 +857,9 @@ impl Machine {
     /// is charged exactly what dispatching it would charge, all at once, and
     /// only when the budget covers all of it. Its logged loads are compared
     /// only when a device store happened since they were last compared, and
-    /// comparing charges nothing.
+    /// comparing charges nothing. Skipped loop iterations are charged the
+    /// same way, as many as the budget covers, so a budget that ends inside
+    /// a skippable loop ends at the same instruction under either.
     pub fn instructions_left(&self) -> u64 {
         self.instr_budget
     }

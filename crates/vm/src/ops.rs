@@ -18,6 +18,7 @@
 
 use crate::bytecode::*;
 use crate::error::ExecError;
+use crate::loops::{loop_skips, LoopSkip};
 use crate::machine::{dim_product, fall_off_end, BlockCtx, ExecEnv, Frame, Thread, ThreadStatus};
 use crate::trace::{BlockTrace, LaunchOrigin, LaunchRecord};
 use crate::value::Value;
@@ -55,9 +56,13 @@ pub(crate) struct ThreadedOp {
     /// Index into [`FuncTable::charges`] of the basic block this slot
     /// leads, or [`NOT_A_LEADER`].
     pub(crate) charge: u32,
+    /// Index into [`FuncTable::skips`] of the loop whose skip is tried at
+    /// this slot, or [`NO_SKIP`].
+    pub(crate) skip: u32,
 }
 
 pub(crate) const NOT_A_LEADER: u32 = u32::MAX;
+pub(crate) const NO_SKIP: u32 = u32::MAX;
 
 // Splitting a slot into a 32-byte hot half and a cold side array for
 // `Match` measured under 1 % on a cold sweep: not built.
@@ -67,6 +72,8 @@ const _: () = assert!(std::mem::size_of::<ThreadedOp>() == 48);
 pub(crate) struct FuncTable {
     pub(crate) ops: Box<[ThreadedOp]>,
     pub(crate) charges: Box<[BlockCharge]>,
+    /// The summarised loops (`loops.rs`).
+    pub(crate) skips: Box<[LoopSkip]>,
 }
 
 /// Borrow bundle passed to op handlers — the whole mutable per-step state,
@@ -181,6 +188,13 @@ fn op_cast_float(_op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
 }
 
 fn op_jump(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
+    s.thread.frame.pc = op.a as usize;
+    Ok(Flow::Next)
+}
+
+/// The back edge of a loop with a skip: the lane has come round it.
+fn op_jump_back(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
+    s.thread.looped = true;
     s.thread.frame.pc = op.a as usize;
     Ok(Flow::Next)
 }
@@ -501,12 +515,14 @@ fn threaded_op(instr: Instr) -> ThreadedOp {
         a,
         b,
         charge: NOT_A_LEADER,
+        skip: NO_SKIP,
     }
 }
 
 /// Builds the per-function dispatch tables: one decoded slot per
-/// instruction, and one charge per basic block carrying the cost model's
-/// cycles and the fusion-transparent width/origin accounting.
+/// instruction, one charge per basic block carrying the cost model's
+/// cycles and the fusion-transparent width/origin accounting, and one skip
+/// per summarised loop.
 pub(crate) fn build_tables(module: &Module, cost: &CostModel) -> Vec<FuncTable> {
     module
         .functions
@@ -517,7 +533,16 @@ pub(crate) fn build_tables(module: &Module, cost: &CostModel) -> Vec<FuncTable> 
             for (i, block) in charges.iter().enumerate() {
                 ops[block.start as usize].charge = i as u32;
             }
-            FuncTable { ops, charges }
+            let skips: Box<[LoopSkip]> = loop_skips(f, &charges).into();
+            for (i, skip) in skips.iter().enumerate() {
+                ops[skip.at as usize].skip = i as u32;
+                ops[skip.back as usize].exec = op_jump_back;
+            }
+            FuncTable {
+                ops,
+                charges,
+                skips,
+            }
         })
         .collect()
 }

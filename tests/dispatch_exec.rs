@@ -1249,3 +1249,281 @@ fn an_aggregated_bfs_replays_most_of_its_instructions() {
         );
     }
 }
+
+/// The count that catches a lost loop skip: a thresholded BFS runs each
+/// small child grid as a serial loop over all 128 virtual threads of each
+/// virtual block, and on KRON at its floor size 25 153 of the 29 824 it
+/// walks are idle (`e >= count`). Each of the 233 serial calls ends in a
+/// run of idle ones; the threaded loop skips all but the last — whose loop
+/// test fails, so it is interpreted — three blocks, 24 instructions each,
+/// and agrees with `Match` bit for bit. The coarsened child's grid-stride
+/// loop skips nothing: a lane whose last stride is idle leaves there.
+#[test]
+fn a_thresholded_bfs_skips_its_idle_virtual_threads() {
+    use dpopt::core::{AggConfig, AggGranularity, Compiler, OptConfig};
+    use dpopt::workloads::benchmarks::{bfs::Bfs, Benchmark};
+    use dpopt::workloads::DatasetId;
+
+    let input = DatasetId::Kron.instantiate(0.001, 42);
+    let t = OptConfig::none().threshold(128);
+    let agg = AggConfig::new(AggGranularity::MultiBlock(8));
+    for (variant, config) in [
+        ("CDP+T", t),
+        ("CDP+T+C", t.coarsen_factor(16)),
+        ("CDP+T+A", t.aggregation(agg)),
+        ("CDP+T+C+A", t.coarsen_factor(16).aggregation(agg)),
+    ] {
+        let run = |dispatch: DispatchMode| {
+            let compiled = Compiler::new()
+                .config(config)
+                .dispatch(dispatch)
+                .compile(Bfs.cdp_source())
+                .unwrap();
+            let mut exec = compiled.executor();
+            let levels = Bfs.run(&mut exec, &input).unwrap().ints;
+            let m = exec.machine_mut();
+            let memory = m.read_i64s(1, m.mem.allocated_words() - 1).unwrap();
+            let profile = m.dispatch_profile();
+            let report = exec.finish();
+            (levels, memory, report.stats, report.trace, profile)
+        };
+        let threaded = run(DispatchMode::Threaded);
+        let reference = run(DispatchMode::Match);
+        assert_eq!(threaded.0, reference.0, "{variant}: levels");
+        assert_eq!(threaded.1, reference.1, "{variant}: memory");
+        assert_eq!(threaded.2, reference.2, "{variant}: stats");
+        assert_eq!(threaded.3, reference.3, "{variant}: trace");
+        assert_eq!(reference.4.skipped_iterations, 0, "{variant}");
+        assert_eq!(reference.4.skipped_instructions, 0, "{variant}");
+        let profile = threaded.4;
+        assert_eq!(
+            (profile.skipped_iterations, profile.skipped_instructions),
+            (25_153 - 233, (25_153 - 233) * 24),
+            "{variant}: {profile:?}"
+        );
+    }
+}
+
+// ----------------------------------------------------------------------
+// Skipped loop iterations
+// ----------------------------------------------------------------------
+
+/// One loop-skip case: its name, a `k(int* d, float* f, int n)` source run
+/// on two blocks of `threads` lanes, the start of `d`, the iterations the
+/// threaded loop skips in all, and whether every budget is run.
+struct SkipCase {
+    name: &'static str,
+    src: &'static str,
+    threads: i64,
+    d_init: Vec<i64>,
+    skipped: u64,
+    every_budget: bool,
+}
+
+/// The threaded loop skips the coming iterations of a loop that all take
+/// one pure, affine path; `Match` runs every one. Both must agree on every
+/// memory word's bits, the statistics, the trace, the error text and the
+/// budget left, fused and unfused, and each case pins how many iterations
+/// were skipped — so a skip that stops firing, or fires where it must not
+/// (a float, an accumulator, a nonlinear temporary), shows. A lane tries
+/// only once it came round the loop and passed its test, so of a run of
+/// idle iterations the first is interpreted if it is the loop's first, and
+/// the last if it is the loop's last.
+#[test]
+fn skipped_loops_match_the_reference() {
+    let cases = [
+        SkipCase {
+            name: "decreasing loop",
+            src: "__global__ void k(int* d, float* f, int n) { \
+                      int at = blockIdx.x * 8 + threadIdx.x; \
+                      for (int i = 9 + threadIdx.x; i > 0; --i) { \
+                          if (i < 4) { d[at] = d[at] * 3 + i; } } }",
+            threads: 3,
+            d_init: vec![],
+            // Lane t's first 6 + t iterations are idle: all but the first
+            // are skipped.
+            skipped: 2 * (5 + 6 + 7),
+            every_budget: true,
+        },
+        SkipCase {
+            name: "<= loop, >= guard",
+            src: "__global__ void k(int* d, float* f, int n) { \
+                      int at = blockIdx.x * 8 + threadIdx.x; \
+                      for (int i = 0; i <= 20 + threadIdx.x; i += 3) { \
+                          if (i >= 12) { d[at] = d[at] * 5 + i; } } }",
+            threads: 3,
+            d_init: vec![],
+            // i = 0, 3, 6, 9 are idle: 3, 6 and 9 are skipped.
+            skipped: 2 * 3 * 3,
+            every_budget: true,
+        },
+        SkipCase {
+            name: "!= loop, == guard",
+            src: "__global__ void k(int* d, float* f, int n) { \
+                      int at = blockIdx.x * 8 + threadIdx.x; \
+                      for (int i = 2 * threadIdx.x; i != 40; i += 2) { \
+                          if (i == 30) { d[at] = d[at] + i; } } }",
+            threads: 8,
+            d_init: vec![],
+            // Lane t: 15 - t idle iterations from the loop's first to 30,
+            // and 4 from 32 to its last.
+            skipped: 2 * (0..8).map(|t| (15 - t - 1) + (4 - 1)).sum::<u64>(),
+            every_budget: false,
+        },
+        SkipCase {
+            name: "a step of gridDim.x",
+            src: "__global__ void k(int* d, float* f, int n) { \
+                      for (int b = blockIdx.x; b < 20; b += gridDim.x) { \
+                          int e = b * blockDim.x + threadIdx.x; \
+                          if (e < n * 5) { d[e] = d[e] + b + 1; } } }",
+            threads: 4,
+            d_init: vec![],
+            // Each lane takes ten iterations, and e < 15 holds at b = 0 and 2
+            // in block 0, at b = 1 and, for lanes 0..3, at b = 3 in block 1:
+            // the idle ones after a lane's busy ones are skipped but the last.
+            skipped: 4 * 7 + 3 * 7 + 8,
+            every_budget: false,
+        },
+        SkipCase {
+            name: "a guard on e = c - i",
+            src: "__global__ void k(int* d, float* f, int n) { \
+                      int c = 25 + threadIdx.x + blockIdx.x; \
+                      for (int i = 0; i < 30; ++i) { \
+                          int e = c - i; \
+                          if (e < 5) { d[blockIdx.x * 8 + threadIdx.x] += e; } } }",
+            threads: 4,
+            d_init: vec![],
+            // Lane t of block b is idle from the loop's first iteration while
+            // i <= 20 + t + b.
+            skipped: (0..2)
+                .flat_map(|b| (0..4).map(move |t| 20 + t + b))
+                .sum(),
+            every_budget: false,
+        },
+        SkipCase {
+            name: "an operand that wraps inside the skipped range",
+            src: "__global__ void k(int* d, float* f, int n) { \
+                      int big = d[0] - threadIdx.x; \
+                      for (int i = 0; i < 60; ++i) { \
+                          int e = big + i; \
+                          if (e < 0) { d[1 + blockIdx.x * 8 + threadIdx.x] += i; } } }",
+            threads: 3,
+            d_init: vec![i64::MAX - 40],
+            // Lane t: e >= 0 from the loop's first iteration while
+            // i <= 40 + t, then it wraps negative.
+            skipped: 2 * (40 + 41 + 42),
+            every_budget: false,
+        },
+        SkipCase {
+            name: "a float in the guard",
+            src: "__global__ void k(int* d, float* f, int n) { \
+                      float lim = 3.5 + threadIdx.x; \
+                      for (int i = 0; i < 12; ++i) { \
+                          if (i > lim) { d[blockIdx.x * 8 + threadIdx.x] += i; } } }",
+            threads: 3,
+            d_init: vec![],
+            skipped: 0,
+            every_budget: false,
+        },
+        SkipCase {
+            name: "a float literal in the guard",
+            src: "__global__ void k(int* d, float* f, int n) { \
+                      for (int i = 0; i < 12; ++i) { \
+                          if (i * 0.5 > 4.0) { d[blockIdx.x * 8 + threadIdx.x] += i; } } }",
+            threads: 3,
+            d_init: vec![],
+            skipped: 0,
+            every_budget: false,
+        },
+        SkipCase {
+            name: "a loop-carried accumulator",
+            src: "__global__ void k(int* d, float* f, int n) { \
+                      int acc = threadIdx.x; \
+                      for (int i = 0; i < 12; ++i) { \
+                          acc = acc + i; \
+                          if (acc > 40) { d[blockIdx.x * 8 + threadIdx.x] += acc; } } }",
+            threads: 3,
+            d_init: vec![],
+            skipped: 0,
+            every_budget: true,
+        },
+        SkipCase {
+            name: "a nonlinear temporary",
+            src: "__global__ void k(int* d, float* f, int n) { \
+                      for (int i = 0; i < 12; ++i) { \
+                          int sq = i * i; int half = i / 2; \
+                          if (sq > 50 + threadIdx.x) { d[blockIdx.x * 8 + threadIdx.x] += half; } } }",
+            threads: 3,
+            d_init: vec![],
+            skipped: 0,
+            every_budget: false,
+        },
+        SkipCase {
+            name: "a square in the guard",
+            src: "__global__ void k(int* d, float* f, int n) { \
+                      for (int i = 0; i < 12; ++i) { \
+                          if (i * i > 50 + threadIdx.x) { d[blockIdx.x * 8 + threadIdx.x] += i; } } }",
+            threads: 3,
+            d_init: vec![],
+            skipped: 0,
+            every_budget: false,
+        },
+        SkipCase {
+            // The nest the threshold pass emits for a 3-D launch, over a
+            // grid of (2, 2, 1) blocks of (4, 2, 2) threads.
+            name: "six nested serial loops",
+            src: "__device__ void serial(int* d, int count, dim3 g, dim3 b) { \
+                      for (int bz = 0; bz < g.z; ++bz) { \
+                      for (int by = 0; by < g.y; ++by) { \
+                      for (int bx = 0; bx < g.x; ++bx) { \
+                      for (int tz = 0; tz < b.z; ++tz) { \
+                      for (int ty = 0; ty < b.y; ++ty) { \
+                      for (int tx = 0; tx < b.x; ++tx) { \
+                          int e = bx * b.x + tx; \
+                          if (e < count) { d[64 + e] = d[64 + e] * 3 + ty + 2 * tz + 4 * by; } \
+                      } } } } } } }\n\
+                  __global__ void k(int* d, float* f, int n) { \
+                      serial(d, n + 2 * threadIdx.x, dim3(2, 2, 1), dim3(4, 2, 2)); }",
+            threads: 2,
+            d_init: vec![],
+            // Lane t: count 3 + 2t over e = bx * 4 + tx < 8. For each of the
+            // eight (by, tz, ty), a virtual block's idle tail ends the loop
+            // and loses its last iteration: lane 0's are 1 and 4 long (the
+            // second also starts the loop and loses its first), lane 1's 3.
+            // Lane 0 skips 0 + 2, lane 1 skips 2.
+            skipped: 2 * 8 * (2 + 2),
+            every_budget: false,
+        },
+    ];
+    for case in &cases {
+        let name = case.name;
+        for fuse in [true, false] {
+            let run = |dispatch, budget| {
+                run_prefix_case(case.src, &case.d_init, case.threads, fuse, dispatch, budget)
+            };
+            let (reference, counted) = run(DispatchMode::Match, u64::MAX);
+            let (got, profile) = run(DispatchMode::Threaded, u64::MAX);
+            assert_eq!(got, reference, "{name}, fuse={fuse}");
+            assert!(reference.outcome.is_ok(), "{name}: {:?}", reference.outcome);
+            assert_eq!(
+                counted.skipped_iterations, 0,
+                "{name}: `Match` skips nothing"
+            );
+            assert_eq!(
+                profile.skipped_iterations, case.skipped,
+                "{name}, fuse={fuse}"
+            );
+            if !case.every_budget {
+                continue;
+            }
+            let charged = u64::MAX - reference.left;
+            for budget in 0..=charged + 1 {
+                assert_eq!(
+                    run(DispatchMode::Threaded, budget).0,
+                    run(DispatchMode::Match, budget).0,
+                    "{name}, fuse={fuse}, budget {budget} of {charged}"
+                );
+            }
+        }
+    }
+}

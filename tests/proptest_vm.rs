@@ -502,3 +502,261 @@ proptest! {
         }
     }
 }
+
+// ----------------------------------------------------------------------
+// Loop skipping on generated counted loops
+// ----------------------------------------------------------------------
+
+/// A loop bound, step or guard operand: a constant, parameter `p0` or
+/// `p1`, a special register's component, or a component of the `dim3` `g`.
+#[derive(Debug, Clone)]
+enum Term {
+    Const(i64),
+    Param(usize),
+    Special(usize),
+    Member(usize),
+}
+
+const SPECIALS: [&str; 6] = [
+    "threadIdx.x",
+    "blockIdx.x",
+    "threadIdx.y",
+    "blockDim.x",
+    "blockDim.y",
+    "gridDim.x",
+];
+
+fn arb_term() -> impl Strategy<Value = Term> {
+    prop_oneof![
+        (-8i64..24).prop_map(Term::Const),
+        (0usize..2).prop_map(Term::Param),
+        (0usize..6).prop_map(Term::Special),
+        (0usize..3).prop_map(Term::Member),
+    ]
+}
+
+/// A term that is at least 1: `p1`, a dimension, or a component of `g`.
+fn arb_step() -> impl Strategy<Value = Term> {
+    prop_oneof![
+        (1i64..4).prop_map(Term::Const),
+        Just(Term::Param(1)),
+        (3usize..6).prop_map(Term::Special),
+        (0usize..3).prop_map(Term::Member),
+    ]
+}
+
+fn term_source(t: &Term) -> String {
+    match *t {
+        Term::Const(v) => format!("({v})"),
+        Term::Param(p) => format!("p{p}"),
+        Term::Special(s) => SPECIALS[s].into(),
+        Term::Member(lane) => format!("g.{}", ["x", "y", "z"][lane]),
+    }
+}
+
+/// The guard's temporary `e`, computed from the counter `i` each iteration.
+#[derive(Debug, Clone)]
+enum Temp {
+    /// `c * i + b`, a constant `c`: affine.
+    Scaled(i64, Term),
+    /// `t * i + b`, an invariant `t`: affine.
+    Times(Term, Term),
+    /// `i * i + b`: not affine.
+    Square(Term),
+    /// `i / 2 + b`: a division, which is not pure.
+    Half(Term),
+}
+
+/// Affine three times in four.
+fn arb_temp() -> impl Strategy<Value = Temp> {
+    prop_oneof![
+        ((-3i64..4), arb_term()).prop_map(|(c, b)| Temp::Scaled(c, b)),
+        ((-3i64..4), arb_term()).prop_map(|(c, b)| Temp::Scaled(c, b)),
+        (arb_term(), arb_term()).prop_map(|(t, b)| Temp::Times(t, b)),
+        (arb_term(), arb_term()).prop_map(|(t, b)| Temp::Times(t, b)),
+        (arb_term(), arb_term()).prop_map(|(t, b)| Temp::Times(t, b)),
+        (arb_term(), arb_term()).prop_map(|(t, b)| Temp::Times(t, b)),
+        arb_term().prop_map(Temp::Square),
+        arb_term().prop_map(Temp::Half),
+    ]
+}
+
+/// One generated counted loop with an idle guard.
+#[derive(Debug, Clone)]
+struct CountedLoop {
+    start: Term,
+    /// The loop runs from `start` to `start + span + extent`.
+    span: Term,
+    extent: i64,
+    step: Term,
+    /// Counts up with `<`/`<=`, or down to `start` with `>`/`>=`.
+    up: bool,
+    inclusive: bool,
+    temp: Temp,
+    /// The guard `e <op> operand`, an index into `CMPS`.
+    cmp: usize,
+    operand: Term,
+    /// 2: an accumulator; 3: a float in the guard; 0, 1, 4 and 5: neither.
+    extra: usize,
+    /// The temporary adds `p2`, which is near `i64::MAX`, so that it may
+    /// wrap inside the loop.
+    near_max: bool,
+    /// The loop sits in a `__device__` function the kernel calls.
+    device: bool,
+}
+
+const CMPS: [&str; 6] = ["<", "<=", ">", ">=", "==", "!="];
+
+fn arb_counted_loop() -> impl Strategy<Value = CountedLoop> {
+    (
+        (arb_term(), arb_term(), 0i64..40, arb_step()),
+        (0usize..2, 0usize..2, arb_temp()),
+        (0usize..6, arb_term(), 0usize..6, (0usize..4, 0usize..2)),
+    )
+        .prop_map(
+            |(
+                (start, span, extent, step),
+                (up, inclusive, temp),
+                (cmp, operand, extra, (near_max, device)),
+            )| {
+                CountedLoop {
+                    start,
+                    span,
+                    extent,
+                    step,
+                    up: up == 1,
+                    inclusive: inclusive == 1,
+                    temp,
+                    cmp,
+                    operand,
+                    extra,
+                    near_max: near_max == 0,
+                    device: device == 1,
+                }
+            },
+        )
+}
+
+/// `k(int* d, int p0, int p1, int p2)`: lane `at` runs the loop and, on
+/// the iterations its guard takes, folds `i` into `d[at]`.
+fn loop_kernel(l: &CountedLoop) -> String {
+    let (start, step) = (term_source(&l.start), term_source(&l.step));
+    let bound = format!("{start} + {} + {}", term_source(&l.span), l.extent);
+    let eq = if l.inclusive { "=" } else { "" };
+    let head = if l.up {
+        format!("for (int i = {start}; i <{eq} {bound}; i += {step})")
+    } else {
+        format!("for (int i = {bound}; i >{eq} {start}; i -= {step})")
+    };
+    let near = if l.near_max { " + p2" } else { "" };
+    let temp = match &l.temp {
+        Temp::Scaled(c, b) => format!("int e = ({c}) * i + {}{near};", term_source(b)),
+        Temp::Times(t, b) => format!("int e = {} * i + {}{near};", term_source(t), term_source(b)),
+        Temp::Square(b) => format!("int e = i * i + {}{near};", term_source(b)),
+        Temp::Half(b) => format!("int e = i / 2 + {}{near};", term_source(b)),
+    };
+    let operand = if l.extra == 3 {
+        "fl".to_string()
+    } else {
+        term_source(&l.operand)
+    };
+    let (acc, sink) = match l.extra {
+        2 => ("acc = acc + i;", "d[32 + at] = acc;"),
+        _ => ("", ""),
+    };
+    let body = format!(
+        "int acc = 0; float fl = p0 * 0.5; \
+         {head} {{ {temp} {acc} if (e {} {operand}) {{ d[at] = d[at] * 3 + i; }} }} {sink}",
+        CMPS[l.cmp]
+    );
+    let prologue = "dim3 g = dim3(p1, 2, 3); int at = blockIdx.x * blockDim.x + threadIdx.x;";
+    if l.device {
+        format!(
+            "__device__ void body(int* d, int p0, int p1, int p2, dim3 g, int at) {{ {body} }}\n\
+             __global__ void k(int* d, int p0, int p1, int p2) {{ {prologue} body(d, p0, p1, p2, g, at); }}"
+        )
+    } else {
+        format!("__global__ void k(int* d, int p0, int p1, int p2) {{ {prologue} {body} }}")
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The threaded loop skips the iterations of a loop that all take one
+    /// pure, affine path; `Match` runs every one. On generated counted
+    /// loops — bounds and steps from constants, parameters, special
+    /// registers and a `dim3`; an idle guard on an affine or a nonlinear
+    /// temporary, sometimes one that wraps past `i64::MAX`; sometimes an
+    /// accumulator or a float — both agree on every memory word's bits, the
+    /// statistics, the trace, the error text and the budget left, fused and
+    /// unfused.
+    #[test]
+    fn skipped_loops_match_the_reference_on_generated_kernels(
+        l in arb_counted_loop(),
+        p0 in -10i64..40,
+        p1 in 1i64..4,
+        p2 in (i64::MAX - 120)..i64::MAX,
+        blocks in 1i64..3,
+        threads in 1i64..8,
+        budget in (0i64..4, 0i64..3000).prop_map(|(b, n)| if b == 0 { n as u64 } else { u64::MAX }),
+    ) {
+        let src = loop_kernel(&l);
+        let run = |fuse, dispatch| {
+            run_loop_case(&src, [p0, p1, p2], (blocks, threads), fuse, dispatch, budget)
+        };
+        for fuse in [true, false] {
+            let reference = run(fuse, DispatchMode::Match);
+            let got = run(fuse, DispatchMode::Threaded);
+            prop_assert_eq!(&got, &reference, "fuse={}, budget {}:\n{}", fuse, budget, src);
+        }
+    }
+}
+
+/// Runs `k(d, p0, p1, p2)` once, `d` 64 zeroed words.
+fn run_loop_case(
+    src: &str,
+    [p0, p1, p2]: [i64; 3],
+    grid: (i64, i64),
+    fuse: bool,
+    dispatch: DispatchMode,
+    budget: u64,
+) -> ReplaySeen {
+    let program =
+        dpopt::frontend::parse(src).unwrap_or_else(|e| panic!("{}\n{src}", e.render(src)));
+    let module = if fuse {
+        compile_program(&program).unwrap()
+    } else {
+        compile_program_unfused(&program).unwrap()
+    };
+    let limits = ExecLimits {
+        max_instructions: budget,
+        ..ExecLimits::default()
+    };
+    let mut m = Machine::with_config(module, CostModel::default(), limits);
+    m.set_dispatch(dispatch);
+    let d = m.alloc(64);
+    m.launch_host(
+        "k",
+        grid.0,
+        grid.1,
+        &[
+            Value::Int(d),
+            Value::Int(p0),
+            Value::Int(p1),
+            Value::Int(p2),
+        ],
+    )
+    .unwrap();
+    let outcome = m.run_to_quiescence().map_err(|e| e.to_string());
+    let words = m.mem.allocated_words();
+    ReplaySeen {
+        outcome,
+        memory: (m.mem.read_range(1, words - 1).unwrap().iter())
+            .map(|v| format!("{v:?}"))
+            .collect(),
+        stats: m.stats(),
+        trace: m.take_trace(),
+        left: m.instructions_left(),
+    }
+}
