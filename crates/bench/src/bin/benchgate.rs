@@ -2,8 +2,9 @@
 //!
 //! Compares a freshly-measured `vmbench` JSON against the committed
 //! `BENCH_vm.json` and exits nonzero when `instructions` does not match
-//! **exactly** or a workload's `dispatched_ops` **rose**. Nothing timed is
-//! gated; see `dp_bench::gate`.
+//! **exactly**, a workload's `dispatched_ops` **rose**, or its
+//! `replayed_instructions`, `skipped_instructions` or `skipped_lanes`
+//! **fell**. Nothing timed is gated; see `dp_bench::gate`.
 //!
 //! ```text
 //! benchgate <committed.json> <fresh.json> [-o report.txt]

@@ -23,12 +23,14 @@
 //! `dispatched_ops` and `ops_per_block` — table slots the fused
 //! configuration dispatches, in all and per basic-block charge, counted by
 //! one untimed run under the `Match` dispatcher (the only one that counts
-//! them; see `DispatchProfile`) — and `replayed_instructions` and
-//! `skipped_instructions`, the instructions the fused configuration charged
-//! by replaying a uniform prefix and by skipping loop iterations, which the
+//! them; see `DispatchProfile`) — and `replayed_instructions`,
+//! `skipped_instructions` and `skipped_lanes`: the instructions the fused
+//! configuration charged by replaying a uniform prefix and by skipping loop
+//! iterations, and the lanes it retired without running them, which the
 //! threaded dispatcher counts on its runs. All are exact; `benchgate` fails
-//! when `dispatched_ops` rises or either of the other two falls: a lost
+//! when `dispatched_ops` rises or any of the other three falls: a lost
 //! fusion window, a lost replay or a lost skip shows there and in no test.
+//! `bfs-rmat` is CDP BFS, whose small child grids end in idle lanes.
 //! `bfs-serial` is `bfs-rmat` thresholded at 128, so that small child grids
 //! run as the serial loops loop skipping is for.
 //! Environment knobs: `DPOPT_VMBENCH_REPS` (default 5), `DPOPT_VMBENCH_SCALE` (workload size multiplier, default
@@ -260,11 +262,12 @@ fn write_json(path: &std::path::Path, results: &[WorkloadResult]) -> std::io::Re
             ));
         }
         out.push_str(&format!(
-            "      }},\n      \"dispatched_ops\": {},\n      \"ops_per_block\": {:.3},\n      \"replayed_instructions\": {},\n      \"skipped_instructions\": {},\n      \"speedup_fused\": {:.3}\n    }}{}\n",
+            "      }},\n      \"dispatched_ops\": {},\n      \"ops_per_block\": {:.3},\n      \"replayed_instructions\": {},\n      \"skipped_instructions\": {},\n      \"skipped_lanes\": {},\n      \"speedup_fused\": {:.3}\n    }}{}\n",
             r.dispatched.ops,
             r.ops_per_block(),
             r.rows[1].profile.replayed_instructions,
             r.rows[1].profile.skipped_instructions,
+            r.rows[1].profile.skipped_lanes,
             r.speedup_fused(),
             if i + 1 < results.len() { "," } else { "" },
         ));

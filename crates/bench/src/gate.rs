@@ -1,5 +1,5 @@
 //! The bench-regression gate: compares a freshly-measured `vmbench`
-//! document against the committed `BENCH_vm.json` on four counts, all
+//! document against the committed `BENCH_vm.json` on five counts, all
 //! exact and repeatable on any host.
 //!
 //! **`instructions` must match exactly.** The dynamic original-unit
@@ -26,6 +26,13 @@
 //! an analysis that stops recognising it, lowers it with every result
 //! unchanged.
 //!
+//! **`skipped_lanes` must not fall.** It is how many lanes of a kernel
+//! block the threaded loop retired without running them, because their
+//! path from their start point to the kernel's end is pure and affine in
+//! `threadIdx.x` — a CDP child's idle tail. A lowering or transform change
+//! that puts an impure instruction into that path, or a walk that stops
+//! reaching the end, lowers it with every result unchanged.
+//!
 //! A committed file from before a count existed does not gate that count.
 //!
 //! Nothing timed is gated. `vmbench` still records `speedup_fused`, but
@@ -34,20 +41,41 @@
 
 use dp_obs::json::Json;
 
+/// Which way a gated count may not move.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Worse {
+    Rise,
+    Fall,
+}
+
+/// The counts gated besides `instructions`: the row member, its column in
+/// the table, which way it may not move, and the verdict when it does.
+const GATED: [(&str, &str, Worse, &str); 4] = [
+    ("dispatched_ops", "ops", Worse::Rise, "dispatched ops rose"),
+    (
+        "replayed_instructions",
+        "replayed",
+        Worse::Fall,
+        "replayed instructions fell",
+    ),
+    (
+        "skipped_instructions",
+        "skipped",
+        Worse::Fall,
+        "skipped instructions fell",
+    ),
+    ("skipped_lanes", "lanes", Worse::Fall, "skipped lanes fell"),
+];
+
 /// One workload's committed-vs-fresh comparison.
 #[derive(Debug)]
 pub struct RowComparison {
     pub name: String,
     pub committed_instructions: u64,
     pub fresh_instructions: u64,
-    /// `(committed, fresh)` dispatched table slots, when the committed
-    /// document records them.
-    pub dispatched_ops: Option<(u64, u64)>,
-    /// `(committed, fresh)` replayed instructions, when the committed
-    /// document records them.
-    pub replayed_instructions: Option<(u64, u64)>,
-    /// `(committed, fresh)` skipped instructions, likewise.
-    pub skipped_instructions: Option<(u64, u64)>,
+    /// Per entry of `GATED`, `(committed, fresh)` when the committed
+    /// document records the count.
+    pub gated: [Option<(u64, u64)>; GATED.len()],
 }
 
 impl RowComparison {
@@ -56,29 +84,23 @@ impl RowComparison {
         self.committed_instructions == self.fresh_instructions
     }
 
-    /// The fused program dispatches no more slots than it was committed to.
-    pub fn dispatched_ops_ok(&self) -> bool {
-        self.dispatched_ops
-            .is_none_or(|(committed, fresh)| fresh <= committed)
-    }
-
-    /// The threaded loop replays no fewer instructions than committed.
-    pub fn replayed_ok(&self) -> bool {
-        self.replayed_instructions
-            .is_none_or(|(committed, fresh)| fresh >= committed)
-    }
-
-    /// The threaded loop skips no fewer instructions than committed.
-    pub fn skipped_ok(&self) -> bool {
-        self.skipped_instructions
-            .is_none_or(|(committed, fresh)| fresh >= committed)
-    }
-
-    fn ok(&self) -> bool {
-        self.instructions_ok()
-            && self.dispatched_ops_ok()
-            && self.replayed_ok()
-            && self.skipped_ok()
+    /// Why the row fails, if it does: its instructions drifted, or the
+    /// first gated count that moved the wrong way.
+    fn failure(&self) -> Option<&'static str> {
+        if !self.instructions_ok() {
+            return Some("instructions drifted");
+        }
+        GATED
+            .iter()
+            .zip(&self.gated)
+            .find_map(|(&(.., worse, verdict), pair)| {
+                let (committed, fresh) = (*pair)?;
+                let moved = match worse {
+                    Worse::Rise => fresh > committed,
+                    Worse::Fall => fresh < committed,
+                };
+                moved.then_some(verdict)
+            })
     }
 }
 
@@ -90,53 +112,44 @@ pub struct GateReport {
 
 impl GateReport {
     /// True iff every row's instruction count matches, no row dispatches
-    /// more slots than committed and none replays or skips fewer
-    /// instructions.
+    /// more slots than committed and none replays or skips less.
     pub fn ok(&self) -> bool {
-        self.rows.iter().all(RowComparison::ok)
+        self.rows.iter().all(|r| r.failure().is_none())
     }
 
     /// Human- and artifact-friendly comparison table plus the verdict line.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "{:<16} {:>14} {:>14} {:>14} {:>14} {:>14} {:>14} {:>14} {:>14}  {}\n",
-            "workload",
-            "instr (ref)",
-            "instr (new)",
-            "ops (ref)",
-            "ops (new)",
-            "replayed (ref)",
-            "replayed (new)",
-            "skipped (ref)",
-            "skipped (new)",
-            "verdict"
+            "{:<16} {:>14} {:>14}",
+            "workload", "instr (ref)", "instr (new)"
         );
-        let pair = |counts: Option<(u64, u64)>| match counts {
-            Some((committed, fresh)) => (committed.to_string(), fresh.to_string()),
-            None => ("-".to_string(), "-".to_string()),
-        };
-        for r in &self.rows {
-            let verdict = if !r.instructions_ok() {
-                "FAIL: instructions drifted"
-            } else if !r.dispatched_ops_ok() {
-                "FAIL: dispatched ops rose"
-            } else if !r.replayed_ok() {
-                "FAIL: replayed instructions fell"
-            } else if !r.skipped_ok() {
-                "FAIL: skipped instructions fell"
-            } else {
-                "ok"
-            };
-            let (ops_ref, ops_new) = pair(r.dispatched_ops);
-            let (replayed_ref, replayed_new) = pair(r.replayed_instructions);
-            let (skipped_ref, skipped_new) = pair(r.skipped_instructions);
+        for (_, column, ..) in GATED {
             out.push_str(&format!(
-                "{:<16} {:>14} {:>14} {ops_ref:>14} {ops_new:>14} {replayed_ref:>14} {replayed_new:>14} {skipped_ref:>14} {skipped_new:>14}  {verdict}\n",
-                r.name, r.committed_instructions, r.fresh_instructions,
+                " {:>14} {:>14}",
+                format!("{column} (ref)"),
+                format!("{column} (new)")
             ));
         }
+        out.push_str("  verdict\n");
+        for r in &self.rows {
+            out.push_str(&format!(
+                "{:<16} {:>14} {:>14}",
+                r.name, r.committed_instructions, r.fresh_instructions
+            ));
+            for pair in &r.gated {
+                let (committed, fresh) = match pair {
+                    Some((committed, fresh)) => (committed.to_string(), fresh.to_string()),
+                    None => ("-".to_string(), "-".to_string()),
+                };
+                out.push_str(&format!(" {committed:>14} {fresh:>14}"));
+            }
+            match r.failure() {
+                Some(verdict) => out.push_str(&format!("  FAIL: {verdict}\n")),
+                None => out.push_str("  ok\n"),
+            }
+        }
         out.push_str(&format!(
-            "gate: instructions exact, dispatched ops no higher, replayed and skipped instructions no lower — {}\n",
+            "gate: instructions exact, dispatched ops no higher, replayed and skipped instructions and skipped lanes no lower — {}\n",
             if self.ok() { "PASS" } else { "FAIL" }
         ));
         out
@@ -147,9 +160,8 @@ impl GateReport {
 struct Counts {
     name: String,
     instructions: u64,
-    dispatched_ops: Option<u64>,
-    replayed_instructions: Option<u64>,
-    skipped_instructions: Option<u64>,
+    /// Per entry of `GATED`.
+    gated: [Option<u64>; GATED.len()],
 }
 
 /// The counts of every workload row in a vmbench document.
@@ -171,32 +183,16 @@ fn counts(doc: &Json, which: &str) -> Result<Vec<Counts>, String> {
             Ok(Counts {
                 name: name.to_string(),
                 instructions,
-                dispatched_ops: row.get("dispatched_ops").and_then(Json::as_u64),
-                replayed_instructions: row.get("replayed_instructions").and_then(Json::as_u64),
-                skipped_instructions: row.get("skipped_instructions").and_then(Json::as_u64),
+                gated: GATED.map(|(field, ..)| row.get(field).and_then(Json::as_u64)),
             })
         })
         .collect()
 }
 
-/// `(committed, fresh)` of a count the committed row records; a fresh run
-/// that lost it is a coverage hole, not a pass.
-fn paired(
-    name: &str,
-    field: &str,
-    committed: Option<u64>,
-    fresh: Option<u64>,
-) -> Result<Option<(u64, u64)>, String> {
-    match (committed, fresh) {
-        (Some(committed), Some(fresh)) => Ok(Some((committed, fresh))),
-        (Some(_), None) => Err(format!("workload `{name}`: the fresh run has no `{field}`")),
-        (None, _) => Ok(None),
-    }
-}
-
 /// Compares two parsed vmbench documents. Every committed workload must
 /// appear in the fresh run (a disappeared row is a silent-coverage hole,
-/// so it is an error, not a pass).
+/// so it is an error, not a pass), and so must every count its committed
+/// row records.
 pub fn compare(committed: &Json, fresh: &Json) -> Result<GateReport, String> {
     let measured = counts(fresh, "fresh")?;
     let rows = counts(committed, "committed")?
@@ -206,28 +202,24 @@ pub fn compare(committed: &Json, fresh: &Json) -> Result<GateReport, String> {
                 .iter()
                 .find(|f| f.name == c.name)
                 .ok_or_else(|| format!("workload `{}` missing from the fresh run", c.name))?;
+            let mut gated = [None; GATED.len()];
+            for (i, (field, ..)) in GATED.iter().enumerate() {
+                gated[i] = match (c.gated[i], f.gated[i]) {
+                    (Some(committed), Some(fresh)) => Some((committed, fresh)),
+                    (Some(_), None) => {
+                        return Err(format!(
+                            "workload `{}`: the fresh run has no `{field}`",
+                            c.name
+                        ))
+                    }
+                    (None, _) => None,
+                };
+            }
             Ok(RowComparison {
-                dispatched_ops: paired(
-                    &c.name,
-                    "dispatched_ops",
-                    c.dispatched_ops,
-                    f.dispatched_ops,
-                )?,
-                replayed_instructions: paired(
-                    &c.name,
-                    "replayed_instructions",
-                    c.replayed_instructions,
-                    f.replayed_instructions,
-                )?,
-                skipped_instructions: paired(
-                    &c.name,
-                    "skipped_instructions",
-                    c.skipped_instructions,
-                    f.skipped_instructions,
-                )?,
                 name: c.name,
                 committed_instructions: c.instructions,
                 fresh_instructions: f.instructions,
+                gated,
             })
         })
         .collect::<Result<_, String>>()?;
@@ -239,58 +231,26 @@ mod tests {
     use super::*;
     use dp_obs::json::parse;
 
-    /// `(name, instructions, dispatched_ops, replayed_instructions,
-    /// skipped_instructions)`.
-    type Row<'a> = (&'a str, u64, Option<u64>, Option<u64>, Option<u64>);
+    /// `(name, instructions, counts)`, each count a `(member, value)`.
+    type Row<'a> = (&'a str, u64, &'a [(&'a str, u64)]);
 
     /// A vmbench document of these rows.
-    fn doc_with_skips(rows: &[Row<'_>]) -> Json {
-        let field =
-            |key: &str, n: Option<u64>| n.map_or(String::new(), |n| format!(r#","{key}":{n}"#));
+    fn doc(rows: &[Row<'_>]) -> Json {
         let body: Vec<String> = rows
             .iter()
-            .map(|&(name, instr, ops, replayed, skipped)| {
-                format!(
-                    r#"{{"name":"{name}","instructions":{instr}{}{}{}}}"#,
-                    field("dispatched_ops", ops),
-                    field("replayed_instructions", replayed),
-                    field("skipped_instructions", skipped)
-                )
+            .map(|&(name, instr, counts)| {
+                let counts: String = (counts.iter())
+                    .map(|(key, n)| format!(r#","{key}":{n}"#))
+                    .collect();
+                format!(r#"{{"name":"{name}","instructions":{instr}{counts}}}"#)
             })
             .collect();
         parse(&format!(r#"{{"workloads":[{}]}}"#, body.join(","))).unwrap()
     }
 
-    /// The same, from a run that did not count skipped instructions.
-    fn doc_with(rows: &[(&str, u64, Option<u64>, Option<u64>)]) -> Json {
-        let rows: Vec<_> = rows
-            .iter()
-            .map(|&(name, instr, ops, replayed)| (name, instr, ops, replayed, None))
-            .collect();
-        doc_with_skips(&rows)
-    }
-
-    /// The same, from a run that did not count replayed instructions.
-    fn doc_with_ops(rows: &[(&str, u64, Option<u64>)]) -> Json {
-        let rows: Vec<_> = rows
-            .iter()
-            .map(|&(name, instr, ops)| (name, instr, ops, None))
-            .collect();
-        doc_with(&rows)
-    }
-
-    /// The same, from a run that did not count dispatched slots.
-    fn doc(rows: &[(&str, u64)]) -> Json {
-        let rows: Vec<_> = rows
-            .iter()
-            .map(|&(name, instr)| (name, instr, None))
-            .collect();
-        doc_with_ops(&rows)
-    }
-
     #[test]
     fn identical_runs_pass() {
-        let a = doc(&[("bfs", 1000), ("alu", 500)]);
+        let a = doc(&[("bfs", 1000, &[]), ("alu", 500, &[])]);
         let report = compare(&a, &a).unwrap();
         assert!(report.ok(), "{}", report.render());
         assert_eq!(report.rows.len(), 2);
@@ -298,67 +258,71 @@ mod tests {
 
     #[test]
     fn instruction_drift_fails() {
-        let report = compare(&doc(&[("bfs", 1000)]), &doc(&[("bfs", 1001)])).unwrap();
+        let report = compare(&doc(&[("bfs", 1000, &[])]), &doc(&[("bfs", 1001, &[])])).unwrap();
         assert!(!report.ok(), "instruction drift is never tolerable");
         assert!(report.render().contains("instructions drifted"));
     }
 
+    /// The gated count `field` passes unchanged and moved the right way, and
+    /// fails moved the wrong way, whatever the other counts do. A committed
+    /// file from before the count gates the rest; a fresh file that lost it
+    /// is a coverage hole, not a pass.
+    fn moves_one_way_only(field: &str) {
+        let (_, _, worse, verdict) = *GATED.iter().find(|g| g.0 == field).unwrap();
+        let counts = |n: u64| -> Vec<(&str, u64)> {
+            (GATED.iter())
+                .map(|&(f, ..)| (f, if f == field { n } else { 100 }))
+                .collect()
+        };
+        let (better, worse) = match worse {
+            Worse::Rise => (399, 401),
+            Worse::Fall => (401, 399),
+        };
+        let committed = doc(&[("bfs", 1000, &counts(400)), ("alu", 500, &counts(400))]);
+        assert!(compare(&committed, &committed).unwrap().ok());
+        let improved = doc(&[("bfs", 1000, &counts(better)), ("alu", 500, &counts(400))]);
+        assert!(compare(&committed, &improved).unwrap().ok());
+        let regressed = doc(&[("bfs", 1000, &counts(400)), ("alu", 500, &counts(worse))]);
+        let report = compare(&committed, &regressed).unwrap();
+        assert!(!report.ok(), "{}", report.render());
+        assert!(report.render().contains(verdict), "{}", report.render());
+        let older: Vec<(&str, u64)> = (counts(400).into_iter())
+            .filter(|&(f, _)| f != field)
+            .collect();
+        let older = doc(&[("bfs", 1000, &older), ("alu", 500, &older)]);
+        assert!(compare(&older, &regressed).unwrap().ok());
+        let err = compare(&committed, &older).unwrap_err();
+        assert!(err.contains(&format!("no `{field}`")), "{err}");
+    }
+
+    /// A lost fusion window.
     #[test]
     fn dispatched_ops_may_fall_and_may_not_rise() {
-        let committed = doc_with_ops(&[("bfs", 1000, Some(400)), ("alu", 500, Some(90))]);
-        let same = compare(&committed, &committed).unwrap();
-        assert!(same.ok(), "{}", same.render());
-        let fewer = doc_with_ops(&[("bfs", 1000, Some(399)), ("alu", 500, Some(90))]);
-        assert!(compare(&committed, &fewer).unwrap().ok());
-        let more = doc_with_ops(&[("bfs", 1000, Some(400)), ("alu", 500, Some(91))]);
-        let report = compare(&committed, &more).unwrap();
-        assert!(!report.ok(), "a lost fusion window is a failure");
-        assert!(report.render().contains("dispatched ops rose"));
-        // A committed file from before the count gates `instructions` only;
-        // a fresh file that lost the count is a coverage hole, not a pass.
-        assert!(compare(&doc(&[("bfs", 1000)]), &more).unwrap().ok());
-        let err = compare(&committed, &doc(&[("bfs", 1000), ("alu", 500)])).unwrap_err();
-        assert!(err.contains("no `dispatched_ops`"), "{err}");
+        moves_one_way_only("dispatched_ops");
     }
 
+    /// A lost replay.
     #[test]
     fn replayed_instructions_may_rise_and_may_not_fall() {
-        let committed = doc_with(&[("bfs", 1000, Some(400), Some(700))]);
-        assert!(compare(&committed, &committed).unwrap().ok());
-        let more = doc_with(&[("bfs", 1000, Some(400), Some(701))]);
-        assert!(compare(&committed, &more).unwrap().ok());
-        let fewer = doc_with(&[("bfs", 1000, Some(400), Some(699))]);
-        let report = compare(&committed, &fewer).unwrap();
-        assert!(!report.ok(), "a lost replay is a failure");
-        assert!(report.render().contains("replayed instructions fell"));
-        // As for `dispatched_ops`: an older committed file gates the rest,
-        // and a fresh file that lost the count is an error.
-        let older = doc_with_ops(&[("bfs", 1000, Some(400))]);
-        assert!(compare(&older, &fewer).unwrap().ok());
-        let err = compare(&committed, &older).unwrap_err();
-        assert!(err.contains("no `replayed_instructions`"), "{err}");
+        moves_one_way_only("replayed_instructions");
     }
 
+    /// A lost loop skip.
     #[test]
     fn skipped_instructions_may_rise_and_may_not_fall() {
-        let committed = doc_with_skips(&[("bfs", 1000, Some(400), Some(700), Some(90))]);
-        assert!(compare(&committed, &committed).unwrap().ok());
-        let more = doc_with_skips(&[("bfs", 1000, Some(400), Some(700), Some(91))]);
-        assert!(compare(&committed, &more).unwrap().ok());
-        let fewer = doc_with_skips(&[("bfs", 1000, Some(400), Some(700), Some(89))]);
-        let report = compare(&committed, &fewer).unwrap();
-        assert!(!report.ok(), "a lost skip is a failure");
-        assert!(report.render().contains("skipped instructions fell"));
-        let older = doc_with(&[("bfs", 1000, Some(400), Some(700))]);
-        assert!(compare(&older, &fewer).unwrap().ok());
-        let err = compare(&committed, &older).unwrap_err();
-        assert!(err.contains("no `skipped_instructions`"), "{err}");
+        moves_one_way_only("skipped_instructions");
+    }
+
+    /// A lost lane skip.
+    #[test]
+    fn skipped_lanes_may_rise_and_may_not_fall() {
+        moves_one_way_only("skipped_lanes");
     }
 
     #[test]
     fn missing_workload_is_an_error() {
-        let committed = doc(&[("bfs", 1000), ("alu", 500)]);
-        let err = compare(&committed, &doc(&[("bfs", 1000)])).unwrap_err();
+        let committed = doc(&[("bfs", 1000, &[]), ("alu", 500, &[])]);
+        let err = compare(&committed, &doc(&[("bfs", 1000, &[])])).unwrap_err();
         assert!(err.contains("`alu` missing"), "{err}");
     }
 
@@ -368,7 +332,7 @@ mod tests {
         // `ops_per_block`, and still records the `speedup_fused` this gate
         // no longer reads; a file without them gates one that has them, and
         // the other way round.
-        let old = doc(&[("bfs", 1000)]);
+        let old = doc(&[("bfs", 1000, &[])]);
         let new = parse(
             r#"{"value_bytes":16,"threaded_op_bytes":64,"workloads":[{"name":"bfs",
                 "instructions":1000,"ops_per_block":4.25,"speedup_fused":0.5}]}"#,

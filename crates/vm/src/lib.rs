@@ -15,7 +15,7 @@
 //!
 //! Interpreter throughput bounds how many configurations the benchmark
 //! harness and autotuner can sweep, so the execution core is engineered
-//! around five ideas (measured by `dp-bench`'s `vmbench` binary, tracked
+//! around six ideas (measured by `dp-bench`'s `vmbench` binary, tracked
 //! in `BENCH_vm.json` at the repo root):
 //!
 //! 1. **Direct-threaded dispatch, block-charged accounting**: at machine
@@ -59,6 +59,12 @@
 //!    thresholded child's idle virtual threads, above all — and jumps past
 //!    them, charged exactly what dispatching them would charge
 //!    (`loops.rs`).
+//! 6. **Lane skipping**: at its start point a block's lane walks on with
+//!    each value affine in its lane offset; where the walk reaches the
+//!    kernel's end through [`bytecode::Instr::loop_pure`] instructions only,
+//!    the lanes its tests admit — a CDP child's idle tail, above all — are
+//!    retired together, each charged exactly what dispatching it would
+//!    charge (`lanes.rs`).
 //!
 //! To add a new superinstruction, see the checklist on
 //! [`lower::fuse_function`]; for a new primitive, the "New opcodes"
@@ -82,6 +88,7 @@
 
 pub mod bytecode;
 pub mod error;
+mod lanes;
 mod loops;
 pub mod lower;
 pub mod machine;

@@ -512,11 +512,7 @@ impl Walk {
 
 impl Test {
     fn holds(&self, v: &[i64]) -> bool {
-        compare(
-            self.kind,
-            v[self.x as usize] as i128,
-            v[self.y as usize] as i128,
-        ) == self.want
+        compare(self.kind, v[self.x as usize], v[self.y as usize]) == self.want
     }
 
     /// The first iteration `n ≥ 1` at which the test leaves the path or an
@@ -525,25 +521,33 @@ impl Test {
     fn first_exit(&self, v0: &[i64], v1: &[i64]) -> i128 {
         let line = |n: u8| {
             let (a, b) = (v0[n as usize], v1[n as usize]);
-            (a as i128, b.wrapping_sub(a) as i128)
+            (a, b.wrapping_sub(a))
         };
-        let ((x0, dx), (y0, dy)) = (line(self.x), line(self.y));
-        let (z0, dz) = (x0 - y0, dx - dy);
-        // `x - y` must stay `≥ 0`, `≤ 0`, `> 0`, `< 0`, `= 0` or `≠ 0`;
-        // the first four as `w0 + n·dw ≥ 0`.
-        use BinKind::*;
-        let at_least = |w0: i128, dw: i128| if dw >= 0 { i128::MAX } else { w0 / -dw + 1 };
-        let exit = match (self.kind, self.want) {
-            (Lt, true) | (Ge, false) => at_least(-z0 - 1, -dz),
-            (Lt, false) | (Ge, true) => at_least(z0, dz),
-            (Le, true) | (Gt, false) => at_least(-z0, -dz),
-            (Le, false) | (Gt, true) => at_least(z0 - 1, dz),
-            (Eq, true) | (Ne, false) if dz != 0 => 1,
-            (Eq, false) | (Ne, true) if dz != 0 && z0 % dz == 0 && -z0 / dz > 0 => -z0 / dz,
-            _ => i128::MAX,
-        };
-        exit.min(leaves_i64(x0, dx)).min(leaves_i64(y0, dy))
+        first_exit(self.kind, self.want, line(self.x), line(self.y))
     }
+}
+
+/// The first `n ≥ 1` at which `x kind y` stops being `want`, or an operand
+/// leaves `i64`, where each operand is `v0 + n·d` given as `(v0, d)` and the
+/// test holds at `n = 0`; `i128::MAX` if there is none. Loop skipping solves
+/// its tests over iterations with it, lane skipping (`lanes.rs`) over lanes.
+pub(crate) fn first_exit(kind: BinKind, want: bool, x: (i64, i64), y: (i64, i64)) -> i128 {
+    let ((x0, dx), (y0, dy)) = ((x.0 as i128, x.1 as i128), (y.0 as i128, y.1 as i128));
+    let (z0, dz) = (x0 - y0, dx - dy);
+    // `x - y` must stay `≥ 0`, `≤ 0`, `> 0`, `< 0`, `= 0` or `≠ 0`; the
+    // first four as `w0 + n·dw ≥ 0`.
+    use BinKind::*;
+    let at_least = |w0: i128, dw: i128| if dw >= 0 { i128::MAX } else { w0 / -dw + 1 };
+    let exit = match (kind, want) {
+        (Lt, true) | (Ge, false) => at_least(-z0 - 1, -dz),
+        (Lt, false) | (Ge, true) => at_least(z0, dz),
+        (Le, true) | (Gt, false) => at_least(-z0, -dz),
+        (Le, false) | (Gt, true) => at_least(z0 - 1, dz),
+        (Eq, true) | (Ne, false) if dz != 0 => 1,
+        (Eq, false) | (Ne, true) if dz != 0 && z0 % dz == 0 && -z0 / dz > 0 => -z0 / dz,
+        _ => i128::MAX,
+    };
+    exit.min(leaves_i64(x0, dx)).min(leaves_i64(y0, dy))
 }
 
 /// The first `n` at which `a0 + n·d` is outside `i64`; `i128::MAX` if never.
@@ -555,7 +559,8 @@ fn leaves_i64(a0: i128, d: i128) -> i128 {
     }
 }
 
-fn compare(kind: BinKind, x: i128, y: i128) -> bool {
+/// `x kind y` for a comparison `kind`.
+pub(crate) fn compare(kind: BinKind, x: i64, y: i64) -> bool {
     match kind {
         BinKind::Lt => x < y,
         BinKind::Le => x <= y,

@@ -50,6 +50,25 @@
 //! runs as usual. No skip happens under `Match` or while a prefix is
 //! recorded.
 //!
+//! A block's lanes whose **remaining path is pure and affine in
+//! `threadIdx.x`** are retired together, not run (`lanes.rs`) — a CDP
+//! child's idle tail, whose lanes only test `e < count` and return. At its
+//! start point (its kernel's entry, or the end of its replayed or recorded
+//! prefix) a lane holds what every lane of its block holds but for its
+//! thread index, so a walk from there with each value held as `v0 + n·d`
+//! in the lane offset `n` finds the route lane `t` takes and, solving each
+//! comparison that depends on `n`, how many lanes from `t` on take it too.
+//! If it ends at the kernel's `RetVoid` through pure instructions only,
+//! those lanes — up to the row's end, for lanes step in x only, and as many
+//! as the budget covers — are retired at once: each is charged its prefix
+//! (lane `t`'s is charged already; a later lane's counts as replayed where
+//! it would have been) and the route's summed block charges, into its
+//! cycles, instructions, origin cycles and the budget. If the walk stops at
+//! an instruction it does not evaluate, the lanes it admits reach that
+//! instruction the same way: they run as usual, and the next walk is tried
+//! after them, so a run of busy lanes pays one walk. No lane is skipped
+//! under `Match`.
+//!
 //! A block's lanes run one after another in one reused `Thread`; only a
 //! lane that stops at a barrier keeps a thread of its own until it is
 //! released (`BlockArena`).
@@ -64,6 +83,7 @@
 
 use crate::bytecode::*;
 use crate::error::ExecError;
+use crate::lanes::{self, Charge, Route};
 pub use crate::memory::Memory;
 use crate::ops::{
     build_tables, coerce, load_address, Flow, FuncTable, StepCtx, ThreadedOp, NO_SKIP,
@@ -431,8 +451,10 @@ pub struct MachineStats {
 /// number of handler calls the threaded loop makes per block charge
 /// (`vmbench`'s `ops_per_block`; `ops` itself is its `dispatched_ops`,
 /// which `benchgate` holds down). The threaded loop counts what it did not
-/// dispatch: replayed uniform prefixes and skipped loop iterations (module
-/// doc, "Dispatch"), which `Match` never does.
+/// dispatch: replayed uniform prefixes, skipped loop iterations and
+/// skipped lanes (module doc, "Dispatch"), which `Match` never does. A lane
+/// retired with its block's idle tail is counted as skipped and, where its
+/// prefix would have been replayed, as replayed too.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DispatchProfile {
     /// Table slots dispatched (a fused superinstruction is one; `Match` only).
@@ -447,6 +469,11 @@ pub struct DispatchProfile {
     pub skipped_iterations: u64,
     /// Instructions those skips charged.
     pub skipped_instructions: u64,
+    /// Lanes the threaded loop retired without running them.
+    pub skipped_lanes: u64,
+    /// Instructions those retirements charged: each lane's route, and each
+    /// lane's prefix but the first of a run's, whose prefix ran before.
+    pub skipped_lane_instructions: u64,
 }
 
 /// Bytes of one decoded table slot (`vmbench` records it).
@@ -657,6 +684,50 @@ fn retire(btrace: &mut BlockTrace, cycles: &mut [u64], t: usize, thread: &Thread
     btrace.instructions += thread.instructions;
 }
 
+/// Retires up to `lanes` lanes from lane `t`, which all take the idle
+/// `route` from the start point `lane` is at to their kernel's end — as
+/// many as the budget covers — and returns how many. Each is charged what
+/// dispatching it would charge: lane `t` the route, for its prefix is
+/// charged; each later one its prefix too, as replayed when `replayed`.
+#[allow(clippy::too_many_arguments)]
+fn skip_lanes(
+    env: &mut ExecEnv<'_>,
+    btrace: &mut BlockTrace,
+    cycles: &mut [u64],
+    t: usize,
+    lane: &Thread,
+    lanes: u64,
+    route: &Charge,
+    replayed: bool,
+) -> usize {
+    let (prefix, each) = (lane.instructions, lane.instructions + route.width);
+    let covered = match env.instr_budget.checked_sub(route.width) {
+        Some(rest) => rest.checked_div(each).map_or(u64::MAX, |later| later + 1),
+        None => 0,
+    };
+    let k = lanes.min(covered);
+    if k == 0 {
+        return 0;
+    }
+    let charged = route.width + (k - 1) * each;
+    *env.instr_budget -= charged;
+    env.profile.skipped_lanes += k;
+    env.profile.skipped_lane_instructions += charged;
+    if replayed {
+        env.profile.replayed_lanes += k - 1;
+        env.profile.replayed_instructions += (k - 1) * prefix;
+    }
+    let k = k as usize;
+    cycles[t..t + k].fill(lane.cycles + route.cycles);
+    let mut origin = lane.origin_cycles;
+    origin.merge(&route.origin);
+    for (to, c) in btrace.origin_cycles.0.iter_mut().zip(origin.0) {
+        *to = to.wrapping_add((k as u64).wrapping_mul(c));
+    }
+    btrace.instructions += k as u64 * each;
+    k
+}
+
 /// Executes one block to completion against the given environment. The
 /// first round runs lanes one at a time, in thread order, in the arena's
 /// one working thread, replaying the uniform prefix where it can; a lane
@@ -694,8 +765,9 @@ fn run_block(
     // any lane compares it with the grid's store count.
     prefix.recorded = false;
     // Lanes start at the kernel's entry block.
-    let entry = env.tables[grid.kernel as usize].charges.first();
-    let replays = env.dispatch == DispatchMode::Threaded && entry.is_some_and(|b| b.uniform);
+    let table = &env.tables[grid.kernel as usize];
+    let threaded = env.dispatch == DispatchMode::Threaded;
+    let replays = threaded && table.charges.first().is_some_and(|b| b.uniform);
 
     let mut btrace = BlockTrace::default();
     let ctx = BlockCtx {
@@ -706,20 +778,12 @@ fn run_block(
         linear_block,
     };
 
-    // Lane `t`'s thread index, carried `x → y → z` from lane to lane.
+    // Lane `t`'s thread index, carried `x → y → z` from lane to lane; lanes
+    // from `walk_at` on try a walk (`lanes.rs`) at their start point.
     let mut tidx = [0i64; 3];
-    for t in 0..n_threads {
-        if t > 0 {
-            tidx[0] += 1;
-            if tidx[0] == grid.block[0] {
-                tidx[0] = 0;
-                tidx[1] += 1;
-                if tidx[1] == grid.block[1] {
-                    tidx[1] = 0;
-                    tidx[2] += 1;
-                }
-            }
-        }
+    let mut t = 0;
+    let mut walk_at = 0;
+    while t < n_threads {
         lane.enter(grid.kernel, tidx);
         if !(replays && prefix.replay(env, lane, shared)) {
             lane.reset(n_locals, coerced_args);
@@ -728,12 +792,41 @@ fn run_block(
                 run_thread_threaded::<true>(env, lane, &ctx, shared, &mut btrace, prefix)?;
             }
         }
-        run_lane(env, lane, &ctx, shared, &mut btrace, prefix)?;
-        if matches!(lane.status, ThreadStatus::AtBarrier) {
-            let next = spare.pop().unwrap_or_default();
-            parked.push((t, std::mem::replace(lane, next)));
-        } else {
-            retire(&mut btrace, cycles, t, lane);
+        // The lanes from `t` this step settles.
+        let mut settled = 0;
+        if threaded && t >= walk_at {
+            // Lanes step in x only: a route is shared to the row's end.
+            let row = (grid.block[0] - tidx[0]) as u64;
+            match lanes::walk(table, lane, &ctx) {
+                Route::Idle(admitted, route) => {
+                    let replayed = replays && prefix.recorded;
+                    let lanes = admitted.min(row);
+                    settled =
+                        skip_lanes(env, &mut btrace, cycles, t, lane, lanes, &route, replayed);
+                    walk_at = t + 1;
+                }
+                Route::Busy(admitted) => walk_at = t + admitted.min(row) as usize,
+            }
+        }
+        if settled == 0 {
+            settled = 1;
+            run_lane(env, lane, &ctx, shared, &mut btrace, prefix)?;
+            if matches!(lane.status, ThreadStatus::AtBarrier) {
+                let next = spare.pop().unwrap_or_default();
+                parked.push((t, std::mem::replace(lane, next)));
+            } else {
+                retire(&mut btrace, cycles, t, lane);
+            }
+        }
+        t += settled;
+        tidx[0] += settled as i64;
+        if tidx[0] == grid.block[0] {
+            tidx[0] = 0;
+            tidx[1] += 1;
+            if tidx[1] == grid.block[1] {
+                tidx[1] = 0;
+                tidx[2] += 1;
+            }
         }
     }
     // Every lane not finished waits at the barrier: release them. Finished
@@ -859,7 +952,11 @@ impl Machine {
     /// only when a device store happened since they were last compared, and
     /// comparing charges nothing. Skipped loop iterations are charged the
     /// same way, as many as the budget covers, so a budget that ends inside
-    /// a skippable loop ends at the same instruction under either.
+    /// a skippable loop ends at the same instruction under either. So are
+    /// skipped lanes: a block's lanes are retired only as far as the budget
+    /// covers each one whole, prefix and route, so a budget that ends
+    /// inside a block's idle tail ends in the first lane it does not cover,
+    /// which runs as usual.
     pub fn instructions_left(&self) -> u64 {
         self.instr_budget
     }

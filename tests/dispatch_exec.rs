@@ -673,6 +673,7 @@ fn each_superinstruction_matches_its_expansion() {
 // ----------------------------------------------------------------------
 
 use dpopt::vm::machine::DispatchProfile;
+use dpopt::vm::LaunchDim;
 
 /// Everything a run lets a caller see, each memory word with its bits.
 #[derive(Debug, PartialEq)]
@@ -683,14 +684,14 @@ struct Seen {
     left: u64,
 }
 
-/// Runs `k(int* d, float* f, int n)` on two blocks of `threads` threads,
-/// `d` 256 words starting with `d_init` and zero after it, `f` four `0.0`s
-/// and `n` three, returning what the run shows and what the dispatcher
-/// counted.
+/// Runs `k(int* d, float* f, int n)` on two blocks of `threads` threads (a
+/// count or a `dim3`), `d` 256 words starting with `d_init` and zero after
+/// it, `f` four `0.0`s and `n` three, returning what the run shows and what
+/// the dispatcher counted.
 fn run_prefix_case(
     src: &str,
     d_init: &[i64],
-    threads: i64,
+    threads: impl Into<LaunchDim>,
     fuse: bool,
     dispatch: DispatchMode,
     budget: u64,
@@ -1304,6 +1305,115 @@ fn a_thresholded_bfs_skips_its_idle_virtual_threads() {
     }
 }
 
+/// The count that catches a lost lane skip: BFS launches ⌈d/128⌉ blocks of
+/// 128 threads for a vertex of degree d, and on KRON at its floor size 233
+/// of the 234 vertices it reaches have degree below 128, so most lanes of
+/// the sweep's child grids only test `e < count` and return. The threaded
+/// loop retires each block's idle tail from its first idle lane without
+/// running it, and agrees with `Match` bit for bit. A retired lane whose
+/// prefix would have been replayed still counts as replayed, and no loop
+/// skip moves: each variant's `replayed_*` and loop counters are pinned as
+/// they were before lanes were skipped.
+#[test]
+fn the_idle_lanes_of_launched_bfs_children_are_skipped() {
+    use dpopt::core::{AggConfig, AggGranularity, Compiler, OptConfig};
+    use dpopt::workloads::benchmarks::{bfs::Bfs, Benchmark};
+    use dpopt::workloads::DatasetId;
+
+    let input = DatasetId::Kron.instantiate(0.001, 42);
+    let none = OptConfig::none();
+    let (t, c) = (none.threshold(128), none.coarsen_factor(16));
+    let agg = AggConfig::new(AggGranularity::MultiBlock(8));
+    // (variant, config, skipped lanes, replayed lanes and instructions,
+    // skipped iterations)
+    let serial = 24_920;
+    for (variant, config, lanes, replayed, iterations) in [
+        ("No-CDP", None, 0, (765, 2_295), 0),
+        ("CDP", Some(none), 25_246, (30_610, 91_830), 0),
+        ("CDP+T", Some(t), 93, (1_019, 3_057), serial),
+        ("CDP+C", Some(c), 25_153, (30_483, 299_475), 0),
+        (
+            "CDP+A",
+            Some(none.aggregation(agg)),
+            25_246,
+            (30_610, 7_734_708),
+            0,
+        ),
+        (
+            "CDP+T+C",
+            Some(t.coarsen_factor(16)),
+            0,
+            (892, 3_565),
+            serial,
+        ),
+        (
+            "CDP+T+A",
+            Some(t.aggregation(agg)),
+            93,
+            (1_019, 26_951),
+            serial,
+        ),
+        (
+            "CDP+C+A",
+            Some(c.aggregation(agg)),
+            25_153,
+            (30_483, 7_902_983),
+            0,
+        ),
+        (
+            "CDP+T+C+A",
+            Some(t.coarsen_factor(16).aggregation(agg)),
+            0,
+            (892, 17_680),
+            serial,
+        ),
+    ] {
+        let run = |dispatch: DispatchMode| {
+            let source = match config {
+                Some(_) => Bfs.cdp_source(),
+                None => Bfs.no_cdp_source(),
+            };
+            let compiled = Compiler::new()
+                .config(config.unwrap_or(none))
+                .dispatch(dispatch)
+                .compile(source)
+                .unwrap();
+            let mut exec = compiled.executor();
+            let levels = Bfs.run(&mut exec, &input).unwrap().ints;
+            let m = exec.machine_mut();
+            let memory = m.read_i64s(1, m.mem.allocated_words() - 1).unwrap();
+            let profile = m.dispatch_profile();
+            let report = exec.finish();
+            (levels, memory, report.stats, report.trace, profile)
+        };
+        let threaded = run(DispatchMode::Threaded);
+        let reference = run(DispatchMode::Match);
+        assert_eq!(threaded.0, reference.0, "{variant}: levels");
+        assert_eq!(threaded.1, reference.1, "{variant}: memory");
+        assert_eq!(threaded.2, reference.2, "{variant}: stats");
+        assert_eq!(threaded.3, reference.3, "{variant}: trace");
+        assert_eq!(reference.4.skipped_lanes, 0, "{variant}");
+        assert_eq!(reference.4.skipped_lane_instructions, 0, "{variant}");
+        let profile = threaded.4;
+        assert_eq!(profile.skipped_lanes, lanes, "{variant}: {profile:?}");
+        assert_eq!(
+            profile.skipped_lanes == 0,
+            profile.skipped_lane_instructions == 0,
+            "{variant}: {profile:?}"
+        );
+        assert_eq!(
+            (profile.replayed_lanes, profile.replayed_instructions),
+            replayed,
+            "{variant}: {profile:?}"
+        );
+        assert_eq!(
+            (profile.skipped_iterations, profile.skipped_instructions),
+            (iterations, iterations * 24),
+            "{variant}: {profile:?}"
+        );
+    }
+}
+
 // ----------------------------------------------------------------------
 // Skipped loop iterations
 // ----------------------------------------------------------------------
@@ -1512,6 +1622,235 @@ fn skipped_loops_match_the_reference() {
             assert_eq!(
                 profile.skipped_iterations, case.skipped,
                 "{name}, fuse={fuse}"
+            );
+            if !case.every_budget {
+                continue;
+            }
+            let charged = u64::MAX - reference.left;
+            for budget in 0..=charged + 1 {
+                assert_eq!(
+                    run(DispatchMode::Threaded, budget).0,
+                    run(DispatchMode::Match, budget).0,
+                    "{name}, fuse={fuse}, budget {budget} of {charged}"
+                );
+            }
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
+// Skipped lanes
+// ----------------------------------------------------------------------
+
+/// One lane-skip case: its name, a `k(int* d, float* f, int n)` source run
+/// on two blocks of `threads`, the start of `d`, the lanes the threaded
+/// loop retires without running them, and whether every budget is run.
+struct LaneCase {
+    name: &'static str,
+    src: &'static str,
+    threads: [i64; 3],
+    d_init: Vec<i64>,
+    skipped: u64,
+    every_budget: bool,
+}
+
+/// The threaded loop retires the lanes of a block whose path from their
+/// start point to the kernel's end is pure and affine in `threadIdx.x`;
+/// `Match` runs every one. Both must agree on every memory word's bits, the
+/// statistics, the trace, the error text and the budget left, fused and
+/// unfused, and each case pins how many lanes were retired — so a skip that
+/// stops firing, or fires where it must not (a nonlinear or non-affine
+/// guard, a float, a load, a barrier), shows. A walk is tried at a lane's
+/// start point, and the lanes a busy route admits run without one, so a
+/// block's idle lanes are retired from the first of each idle run that
+/// follows a run of busy ones, up to its row's end.
+#[test]
+fn skipped_lanes_match_the_reference() {
+    let cases = [
+        LaneCase {
+            // The CDP child's shape: its prefix leaves `blockIdx.x *
+            // blockDim.x` on the stack. Lanes 5 to 7 of block 0 and all of
+            // block 1 are idle.
+            name: "a `<` guard after a prefix that leaves a value on the stack",
+            src: "__global__ void k(int* d, float* f, int n) { \
+                      int e = blockIdx.x * blockDim.x + threadIdx.x; \
+                      if (e < n + 2) { d[e] = e + 1; } }",
+            threads: [8, 1, 1],
+            d_init: vec![],
+            skipped: 3 + 8,
+            every_budget: true,
+        },
+        LaneCase {
+            name: "a `<=` guard",
+            src: "__global__ void k(int* d, float* f, int n) { \
+                      if (threadIdx.x <= n) { d[blockIdx.x * 8 + threadIdx.x] = 1; } }",
+            threads: [8, 1, 1],
+            d_init: vec![],
+            skipped: 2 * 4,
+            every_budget: false,
+        },
+        LaneCase {
+            name: "a `>` guard",
+            src: "__global__ void k(int* d, float* f, int n) { \
+                      if (threadIdx.x > 5) { d[blockIdx.x * 8 + threadIdx.x] = 1; } }",
+            threads: [8, 1, 1],
+            d_init: vec![],
+            skipped: 2 * 6,
+            every_budget: false,
+        },
+        LaneCase {
+            name: "an idle head, `>=`",
+            src: "__global__ void k(int* d, float* f, int n) { \
+                      if (threadIdx.x >= n) { d[blockIdx.x * 8 + threadIdx.x] = 1; } }",
+            threads: [8, 1, 1],
+            d_init: vec![],
+            skipped: 2 * 3,
+            every_budget: false,
+        },
+        LaneCase {
+            // The `serve-hit` parent's guard: lane 0 works, lanes 1 to 7 of
+            // each block are retired together.
+            name: "an `==` guard",
+            src: "__global__ void k(int* d, float* f, int n) { \
+                      int c = d[0] + blockIdx.x; \
+                      if (threadIdx.x == 0) { d[1 + blockIdx.x] = c + n; } }",
+            threads: [8, 1, 1],
+            d_init: vec![40],
+            skipped: 2 * 7,
+            every_budget: true,
+        },
+        LaneCase {
+            // Lane 5 alone is idle: `!=` admits one lane.
+            name: "a `!=` guard",
+            src: "__global__ void k(int* d, float* f, int n) { \
+                      if (threadIdx.x != 5) { d[blockIdx.x * 8 + threadIdx.x] = 1; } }",
+            threads: [8, 1, 1],
+            d_init: vec![],
+            skipped: 2,
+            every_budget: false,
+        },
+        LaneCase {
+            // Row y = 0: lane (3, 0) is idle, and the skip stops at the row's
+            // end; row y = 1 is idle throughout.
+            name: "a 2-D block",
+            src: "__global__ void k(int* d, float* f, int n) { \
+                      if (threadIdx.x + threadIdx.y * 4 < n) { \
+                          d[blockIdx.x * 8 + threadIdx.y * 4 + threadIdx.x] = 1; } }",
+            threads: [4, 2, 1],
+            d_init: vec![],
+            skipped: 2 * (1 + 4),
+            every_budget: true,
+        },
+        LaneCase {
+            // Rows with z = 0 are idle without a test, each to its end; in
+            // rows with z = 1 lane x = 1 is.
+            name: "a 3-D block",
+            src: "__global__ void k(int* d, float* f, int n) { \
+                      if (threadIdx.z == 1 && threadIdx.x == 0) { \
+                          d[blockIdx.x * 8 + threadIdx.y * 4 + threadIdx.z] = 1; } }",
+            threads: [2, 2, 2],
+            d_init: vec![],
+            skipped: 2 * (2 * 2 + 2),
+            every_budget: false,
+        },
+        LaneCase {
+            // The kernel reads `threadIdx.x` first: lanes start at its entry.
+            name: "no uniform prefix",
+            src: "__global__ void k(int* d, float* f, int n) { \
+                      if (threadIdx.x < 2) { d[blockIdx.x * 8 + threadIdx.x] = n; } }",
+            threads: [8, 1, 1],
+            d_init: vec![],
+            skipped: 2 * 6,
+            every_budget: false,
+        },
+        LaneCase {
+            // A coarsened child: an idle lane passes the loop's head twice.
+            name: "a route through a coarsening loop's head",
+            src: "__global__ void k(int* d, float* f, int n) { \
+                      for (int b = blockIdx.x; b < 4; b += gridDim.x) { \
+                          int e = b * blockDim.x + threadIdx.x; \
+                          if (e < n + 2) { d[e] = e + 1; } } }",
+            threads: [8, 1, 1],
+            d_init: vec![],
+            skipped: 3 + 8,
+            every_budget: true,
+        },
+        LaneCase {
+            // `big` is `i64::MAX` at lane 3 and wraps at lane 4: the skip
+            // stops where an operand would leave `i64`.
+            name: "an operand that would leave i64 inside the run",
+            src: "__global__ void k(int* d, float* f, int n) { \
+                      int big = d[0] + threadIdx.x; \
+                      if (big < 0) { d[1 + blockIdx.x * 8 + threadIdx.x] = 1; } }",
+            threads: [8, 1, 1],
+            d_init: vec![i64::MAX - 3],
+            skipped: 2 * 4,
+            every_budget: false,
+        },
+        LaneCase {
+            name: "a square in the guard",
+            src: "__global__ void k(int* d, float* f, int n) { \
+                      if (threadIdx.x * threadIdx.x < n) { d[blockIdx.x * 8 + threadIdx.x] = 1; } }",
+            threads: [8, 1, 1],
+            d_init: vec![],
+            skipped: 0,
+            every_budget: false,
+        },
+        LaneCase {
+            name: "a remainder in the guard",
+            src: "__global__ void k(int* d, float* f, int n) { \
+                      if (threadIdx.x % 2 == 1) { d[blockIdx.x * 8 + threadIdx.x] = 1; } }",
+            threads: [8, 1, 1],
+            d_init: vec![],
+            skipped: 0,
+            every_budget: false,
+        },
+        LaneCase {
+            name: "a float guard",
+            src: "__global__ void k(int* d, float* f, int n) { \
+                      float x = threadIdx.x * 0.5; \
+                      if (x < 1.0) { d[blockIdx.x * 8 + threadIdx.x] = 1; } }",
+            threads: [8, 1, 1],
+            d_init: vec![],
+            skipped: 0,
+            every_budget: false,
+        },
+        LaneCase {
+            name: "a shared-memory read in the guard",
+            src: "__global__ void k(int* d, float* f, int n) { \
+                      __shared__ int tile[8]; \
+                      if (tile[threadIdx.x] + threadIdx.x < 2) { d[blockIdx.x * 8 + threadIdx.x] = 1; } }",
+            threads: [8, 1, 1],
+            d_init: vec![],
+            skipped: 0,
+            every_budget: false,
+        },
+        LaneCase {
+            name: "a barrier after the guard",
+            src: "__global__ void k(int* d, float* f, int n) { \
+                      __shared__ int tile[8]; \
+                      if (threadIdx.x < 2) { tile[threadIdx.x] = 1; } \
+                      __syncthreads(); }",
+            threads: [8, 1, 1],
+            d_init: vec![],
+            skipped: 0,
+            every_budget: false,
+        },
+    ];
+    for case in &cases {
+        let name = case.name;
+        for fuse in [true, false] {
+            let run = |dispatch, budget| {
+                run_prefix_case(case.src, &case.d_init, case.threads, fuse, dispatch, budget)
+            };
+            let (reference, counted) = run(DispatchMode::Match, u64::MAX);
+            let (got, profile) = run(DispatchMode::Threaded, u64::MAX);
+            assert_eq!(got, reference, "{name}, fuse={fuse}");
+            assert!(reference.outcome.is_ok(), "{name}: {:?}", reference.outcome);
+            assert_eq!(counted.skipped_lanes, 0, "{name}: `Match` skips nothing");
+            assert_eq!(
+                profile.skipped_lanes, case.skipped,
+                "{name}, fuse={fuse}: {profile:?}"
             );
             if !case.every_budget {
                 continue;

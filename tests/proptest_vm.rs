@@ -1,13 +1,14 @@
 //! Property tests for the VM: arithmetic agrees with a host-side reference
 //! evaluator, atomics are linearizable, the aggregation scan invariant
-//! holds on random degree distributions, and a replayed uniform prefix
-//! agrees with the reference interpreter on generated kernels.
+//! holds on random degree distributions, and a replayed uniform prefix, a
+//! skipped loop and a skipped lane agree with the reference interpreter on
+//! generated kernels.
 
 use dpopt::core::{AggConfig, AggGranularity, Compiler, OptConfig};
 use dpopt::vm::bytecode::Instr;
 use dpopt::vm::lower::{compile_program, compile_program_unfused};
 use dpopt::vm::machine::{DispatchMode, Machine, MachineStats};
-use dpopt::vm::{CostModel, ExecLimits, Value};
+use dpopt::vm::{CostModel, ExecLimits, LaunchDim, Value};
 use proptest::prelude::*;
 
 /// A little integer expression AST mirrored on host and device.
@@ -703,7 +704,7 @@ proptest! {
     ) {
         let src = loop_kernel(&l);
         let run = |fuse, dispatch| {
-            run_loop_case(&src, [p0, p1, p2], (blocks, threads), fuse, dispatch, budget)
+            run_loop_case(&src, [p0, p1, p2], 0, (blocks, threads), fuse, dispatch, budget)
         };
         for fuse in [true, false] {
             let reference = run(fuse, DispatchMode::Match);
@@ -713,11 +714,13 @@ proptest! {
     }
 }
 
-/// Runs `k(d, p0, p1, p2)` once, `d` 64 zeroed words.
+/// Runs `k(d, p0, p1, p2)` once on `grid.0` blocks of `grid.1` threads, `d`
+/// 64 words, zero but for `d[63]`.
 fn run_loop_case(
     src: &str,
     [p0, p1, p2]: [i64; 3],
-    grid: (i64, i64),
+    d63: i64,
+    grid: (i64, impl Into<LaunchDim>),
     fuse: bool,
     dispatch: DispatchMode,
     budget: u64,
@@ -735,7 +738,9 @@ fn run_loop_case(
     };
     let mut m = Machine::with_config(module, CostModel::default(), limits);
     m.set_dispatch(dispatch);
-    let d = m.alloc(64);
+    let mut d = vec![0; 64];
+    d[63] = d63;
+    let d = m.alloc_i64s(&d);
     m.launch_host(
         "k",
         grid.0,
@@ -758,5 +763,163 @@ fn run_loop_case(
         stats: m.stats(),
         trace: m.take_trace(),
         left: m.instructions_left(),
+    }
+}
+
+// ----------------------------------------------------------------------
+// Lane skipping on generated guards
+// ----------------------------------------------------------------------
+
+/// A lane kernel's guarded value, computed from the thread index first.
+#[derive(Debug, Clone)]
+enum LaneTemp {
+    /// `threadIdx.x * c + b`: affine.
+    Scaled(i64, Term),
+    /// `threadIdx.x * t + b`, a term `t`: nonlinear where `t` is
+    /// `threadIdx.x`.
+    Times(Term, Term),
+    /// `threadIdx.x + (threadIdx.z * blockDim.y + threadIdx.y) * blockDim.x
+    /// + b`: the lane's index in its block, affine along a row.
+    Linear(Term),
+    /// `threadIdx.x * threadIdx.x + b`: not affine.
+    Square(Term),
+    /// `threadIdx.x % 3 + b`: a remainder, which is not pure.
+    Rem(Term),
+}
+
+/// A constant, a parameter or a special register's component: a guard's
+/// terms read no `dim3` local.
+fn arb_lane_term() -> impl Strategy<Value = Term> {
+    prop_oneof![
+        (-8i64..24).prop_map(Term::Const),
+        (0usize..2).prop_map(Term::Param),
+        (0usize..6).prop_map(Term::Special),
+    ]
+}
+
+/// Affine three times in five.
+fn arb_lane_temp() -> impl Strategy<Value = LaneTemp> {
+    prop_oneof![
+        ((-3i64..4), arb_lane_term()).prop_map(|(c, b)| LaneTemp::Scaled(c, b)),
+        ((-3i64..4), arb_lane_term()).prop_map(|(c, b)| LaneTemp::Scaled(c, b)),
+        (arb_lane_term(), arb_lane_term()).prop_map(|(t, b)| LaneTemp::Times(t, b)),
+        arb_lane_term().prop_map(LaneTemp::Linear),
+        arb_lane_term().prop_map(LaneTemp::Linear),
+        arb_lane_term().prop_map(LaneTemp::Square),
+        arb_lane_term().prop_map(LaneTemp::Rem),
+    ]
+}
+
+/// One generated kernel whose lanes store under a guard on a value of
+/// their thread index.
+#[derive(Debug, Clone)]
+struct LaneGuard {
+    temp: LaneTemp,
+    /// The guard `e <op> operand`, an index into `CMPS`.
+    cmp: usize,
+    operand: Term,
+    /// A uniform prefix loads `d[63]` and adds parameters before the
+    /// kernel first reads `threadIdx.x`.
+    prefix: bool,
+    /// The value adds `p2`, which is near `i64::MAX`, so that it may wrap
+    /// inside a block.
+    near_max: bool,
+    /// 1: a float in the guard; 2: a `__shared__` read in it; 3: a barrier
+    /// after it; 0 and 4 to 7: none.
+    extra: usize,
+}
+
+fn arb_lane_guard() -> impl Strategy<Value = LaneGuard> {
+    (
+        arb_lane_temp(),
+        (0usize..6, arb_lane_term()),
+        (0usize..2, 0usize..3, 0usize..8),
+    )
+        .prop_map(
+            |(temp, (cmp, operand), (prefix, near_max, extra))| LaneGuard {
+                temp,
+                cmp,
+                operand,
+                prefix: prefix == 0,
+                near_max: near_max == 0,
+                extra,
+            },
+        )
+}
+
+/// `k(int* d, int p0, int p1, int p2)`: a lane whose guard holds folds its
+/// value into `d[at]`, `at` its index in the grid.
+fn lane_kernel(g: &LaneGuard) -> String {
+    let b = |t: &Term| term_source(t);
+    let temp = match &g.temp {
+        LaneTemp::Scaled(c, t) => format!("threadIdx.x * ({c}) + {}", b(t)),
+        LaneTemp::Times(f, t) => format!("threadIdx.x * {} + {}", b(f), b(t)),
+        LaneTemp::Linear(t) => format!(
+            "threadIdx.x + (threadIdx.z * blockDim.y + threadIdx.y) * blockDim.x + {}",
+            b(t)
+        ),
+        LaneTemp::Square(t) => format!("threadIdx.x * threadIdx.x + {}", b(t)),
+        LaneTemp::Rem(t) => format!("threadIdx.x % 3 + {}", b(t)),
+    };
+    let (prologue, base) = if g.prefix {
+        ("int base = d[63] + p0 * blockIdx.x; ", " + base")
+    } else {
+        ("", "")
+    };
+    let near = if g.near_max { " + p2" } else { "" };
+    let (float, operand) = match g.extra {
+        1 => ("float fl = p1 * 0.5; ", "fl".to_string()),
+        2 => ("", "tile[1]".to_string()),
+        _ => ("", b(&g.operand)),
+    };
+    let barrier = if g.extra == 3 { "__syncthreads();" } else { "" };
+    format!(
+        "__global__ void k(int* d, int p0, int p1, int p2) {{ \
+             __shared__ int tile[4]; \
+             {prologue}int e = {temp}{base}{near}; {float}\
+             if (e {} {operand}) {{ \
+                 int at = blockIdx.x * 32 + (threadIdx.z * blockDim.y + threadIdx.y) * blockDim.x + threadIdx.x; \
+                 d[at] = d[at] * 3 + e; }} \
+             {barrier} }}",
+        CMPS[g.cmp]
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The threaded loop retires the lanes of a block whose path from their
+    /// start point to the kernel's end is pure and affine in `threadIdx.x`;
+    /// `Match` runs every one. On generated guards — on an affine or a
+    /// nonlinear value of the thread index, `blockIdx`, `blockDim` and the
+    /// parameters, sometimes one that wraps past `i64::MAX`, sometimes a
+    /// float, a `__shared__` read or a barrier; in 1- to 3-D blocks, with and
+    /// without a uniform prefix — both agree on every memory word's bits,
+    /// the statistics, the trace, the error text and the budget left, fused
+    /// and unfused.
+    #[test]
+    fn skipped_lanes_match_the_reference_on_generated_kernels(
+        g in arb_lane_guard(),
+        p0 in -10i64..40,
+        p1 in 1i64..4,
+        p2 in (i64::MAX - 40)..i64::MAX,
+        d63 in -4i64..8,
+        blocks in 1i64..3,
+        dims in (1i64..9, 1i64..3, 1i64..3, 0usize..3).prop_map(|(x, y, z, n)| match n {
+            0 => [x, 1, 1],
+            1 => [x, y, 1],
+            _ => [x, y, z],
+        }),
+        budget in (0i64..4, 0i64..2000).prop_map(|(b, n)| if b == 0 { n as u64 } else { u64::MAX }),
+    ) {
+        let src = lane_kernel(&g);
+        let run = |fuse, dispatch| {
+            run_loop_case(&src, [p0, p1, p2], d63, (blocks, dims), fuse, dispatch, budget)
+        };
+        for fuse in [true, false] {
+            let reference = run(fuse, DispatchMode::Match);
+            let got = run(fuse, DispatchMode::Threaded);
+            prop_assert_eq!(&got, &reference, "fuse={}, budget {}:\n{}", fuse, budget, src);
+        }
     }
 }
