@@ -26,7 +26,7 @@ use dp_serve::proto::{bare_request, Endpoint};
 use dp_serve::{ServeOptions, Server};
 use dp_sweep::spec::{checked_coarsen_factor, parse_granularity};
 use dp_sweep::{run_sweep, spec_from_json, SweepOptions, SweepResult};
-use std::io::BufRead;
+use std::io::{BufRead, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -1031,48 +1031,20 @@ fn sweep(args: &[String]) -> ExitCode {
         }
     };
 
-    println!(
-        "# dp-sweep — {} cells across {} series ({} workers)",
-        spec.cell_count(),
-        result.series.len(),
-        result.jobs
-    );
-    println!(
-        "{:<10} {:<10} {:<14} {:>14} {:>10} {:>9} {:>7}",
-        "benchmark", "dataset", "variant", "time_us", "launches", "verified", "cached"
-    );
-    for series in &result.series {
-        for cell in &series.cells {
-            println!(
-                "{:<10} {:<10} {:<14} {:>14.3} {:>10} {:>9} {:>7}",
-                series.benchmark,
-                series.dataset_name,
-                cell.label,
-                cell.total_us,
-                cell.device_launches,
-                if cell.verified { "yes" } else { "NO" },
-                if cell.from_cache { "hit" } else { "miss" }
-            );
-        }
-    }
-    if cache_stats {
-        let c = result.cache;
-        if c.enabled {
-            println!(
-                "cache: {} hits, {} misses ({:.1}% hit rate)",
-                c.hits,
-                c.misses,
-                c.hit_rate() * 100.0
-            );
-        } else {
-            println!("cache: disabled");
-        }
-    }
+    // The table goes out in one buffered write. A reader that has gone
+    // (`| head`) is reported after `-o` is written, not a panic.
+    let table = {
+        let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+        write_table(&mut out, &spec, &result, cache_stats).and_then(|()| out.flush())
+    };
     if let Some(path) = output {
         if let Err(e) = std::fs::write(&path, result_json(&result)) {
             return fail(&format!("cannot write `{path}`: {e}"));
         }
         eprintln!("wrote {path}");
+    }
+    if let Err(e) = table {
+        return fail(&format!("cannot write the sweep table to stdout: {e}"));
     }
     if result
         .series
@@ -1082,6 +1054,58 @@ fn sweep(args: &[String]) -> ExitCode {
         return fail("output verification failed for at least one cell");
     }
     ExitCode::SUCCESS
+}
+
+/// The sweep's table: a header, one row per cell and, with
+/// `--cache-stats`, the cache line.
+fn write_table(
+    out: &mut impl Write,
+    spec: &dp_sweep::SweepSpec,
+    result: &SweepResult,
+    cache_stats: bool,
+) -> std::io::Result<()> {
+    writeln!(
+        out,
+        "# dp-sweep — {} cells across {} series ({} workers)",
+        spec.cell_count(),
+        result.series.len(),
+        result.jobs
+    )?;
+    writeln!(
+        out,
+        "{:<10} {:<10} {:<14} {:>14} {:>10} {:>9} {:>7}",
+        "benchmark", "dataset", "variant", "time_us", "launches", "verified", "cached"
+    )?;
+    for series in &result.series {
+        for cell in &series.cells {
+            writeln!(
+                out,
+                "{:<10} {:<10} {:<14} {:>14.3} {:>10} {:>9} {:>7}",
+                series.benchmark,
+                series.dataset_name,
+                cell.label,
+                cell.total_us,
+                cell.device_launches,
+                if cell.verified { "yes" } else { "NO" },
+                if cell.from_cache { "hit" } else { "miss" }
+            )?;
+        }
+    }
+    if cache_stats {
+        let c = result.cache;
+        if c.enabled {
+            writeln!(
+                out,
+                "cache: {} hits, {} misses ({:.1}% hit rate)",
+                c.hits,
+                c.misses,
+                c.hit_rate() * 100.0
+            )?;
+        } else {
+            writeln!(out, "cache: disabled")?;
+        }
+    }
+    Ok(())
 }
 
 /// Serializes a merged sweep result as JSON (cells in spec order).

@@ -748,3 +748,38 @@ fn sweep_stdout_is_identical_with_all_diagnostics_enabled() {
     std::fs::remove_file(&spec).ok();
     std::fs::remove_file(&trace).ok();
 }
+
+/// A reader that has gone before the table is written (`dpopt sweep … |
+/// head -1`) is one `error:` line and a failing exit, not a panic, and `-o`
+/// is still written.
+#[test]
+fn a_closed_stdout_fails_the_sweep_cleanly_and_still_writes_the_json() {
+    let tag = format!("{}-closed-stdout", std::process::id());
+    let spec = std::env::temp_dir().join(format!("dpopt-spec-{tag}.json"));
+    std::fs::write(&spec, SWEEP_SPEC).unwrap();
+    let json_out = std::env::temp_dir().join(format!("dpopt-out-{tag}.json"));
+    let _ = std::fs::remove_file(&json_out);
+
+    // The read end is closed before the child starts, so its first write
+    // to stdout fails with a broken pipe, whatever the schedule.
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let run = dpopt()
+        .args(["sweep", spec.to_str().unwrap(), "--no-cache", "-o"])
+        .arg(&json_out)
+        .stdout(writer)
+        .output()
+        .unwrap();
+
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+    assert_eq!(errors.len(), 1, "{stderr}");
+    assert!(errors[0].contains("stdout"), "{stderr}");
+    let written = std::fs::read_to_string(&json_out).expect("-o is written");
+    assert!(written.contains("\"verified\":true"), "{written}");
+
+    std::fs::remove_file(&spec).ok();
+    std::fs::remove_file(&json_out).ok();
+}

@@ -339,7 +339,16 @@ fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Reads the number token at `*pos` — the token [`parse`] reads for a
+/// number value, by the same `str::parse` call — and leaves `*pos` after
+/// it. Public for decoders of one known document shape that must read
+/// every number exactly as the tree does.
+///
+/// # Errors
+///
+/// Returns a message when the token is empty or does not parse.
+#[inline]
+pub fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;

@@ -47,6 +47,7 @@ use crate::key::{fnv1a, CACHE_FORMAT_VERSION};
 use crate::CellSummary;
 use dp_obs::json::{self, num, object, uint, Json};
 use dp_obs::metrics::Counter;
+use std::fmt::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -115,14 +116,42 @@ const FOOTER_MARK: &str = "\n#dpopt-cache v";
 /// corruption.
 const STALE: &str = "stale format version";
 
-fn footer(version: u32, len: usize, sum: u64) -> String {
-    format!("{FOOTER_MARK}{version} len={len} fnv1a={sum:016x}\n")
+/// The integrity footer, as `Display`.
+struct Footer {
+    version: u32,
+    len: usize,
+    sum: u64,
+}
+
+impl fmt::Display for Footer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Footer { version, len, sum } = self;
+        writeln!(f, "{FOOTER_MARK}{version} len={len} fnv1a={sum:016x}")
+    }
 }
 
 /// Appends the integrity footer to a serialized body.
 fn seal_entry(body: &str) -> String {
-    let sum = fnv1a(body.as_bytes());
-    body.to_string() + &footer(CACHE_FORMAT_VERSION, body.len(), sum)
+    let footer = Footer {
+        version: CACHE_FORMAT_VERSION,
+        len: body.len(),
+        sum: fnv1a(body.as_bytes()),
+    };
+    format!("{body}{footer}")
+}
+
+/// Whether `text` is exactly what `shown` renders, decided while it
+/// renders: nothing is allocated.
+fn renders_as(text: &str, shown: impl fmt::Display) -> bool {
+    struct Rest<'a>(&'a str);
+    impl fmt::Write for Rest<'_> {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0 = self.0.strip_prefix(s).ok_or(fmt::Error)?;
+            Ok(())
+        }
+    }
+    let mut rest = Rest(text);
+    write!(rest, "{shown}").is_ok() && rest.0.is_empty()
 }
 
 /// The one verdict on an entry's raw text (body + footer) offered as the
@@ -133,6 +162,10 @@ fn seal_entry(body: &str) -> String {
 /// version — decided before the key is looked at — and otherwise what is
 /// corrupt about it, the strings quarantine diagnostics and `cache verify`
 /// print. Nothing here allocates by a number read from `text`.
+///
+/// A body in exactly the shape [`summary_json`] writes, naming `key`, is
+/// decoded in one pass (`decode_summary`); any other body is parsed as a
+/// JSON tree and decided there, with the same verdict.
 pub fn check(text: &str, key: u64) -> Result<CellSummary, &'static str> {
     let Some(idx) = text.rfind(FOOTER_MARK) else {
         // No footer. A pre-checksum (v1) entry still decodes as versioned
@@ -158,7 +191,7 @@ pub fn check(text: &str, key: u64) -> Result<CellSummary, &'static str> {
     };
     // Only the bytes `footer` renders are a footer: no sign, no upper-case
     // digit, no padding, nothing after the checksum.
-    if tail != footer(version, len, sum) {
+    if !renders_as(tail, Footer { version, len, sum }) {
         return Err("malformed footer");
     }
     if len != body.len() {
@@ -169,6 +202,9 @@ pub fn check(text: &str, key: u64) -> Result<CellSummary, &'static str> {
     }
     if version != CACHE_FORMAT_VERSION {
         return Err(STALE);
+    }
+    if let Some(summary) = decode_summary(body, key) {
+        return Ok(summary);
     }
     let Ok(v) = json::parse(body) else {
         return Err("undecodable body");
@@ -184,6 +220,134 @@ pub fn check(text: &str, key: u64) -> Result<CellSummary, &'static str> {
     match v.get("key").and_then(Json::as_str) {
         Some(k) if k == format!("{key:016x}") => Ok(summary),
         _ => Err("key mismatch"),
+    }
+}
+
+/// The members [`summary_json`] writes, in the order it writes them.
+const MEMBERS: [&str; 16] = [
+    "aggregation_us",
+    "child_us",
+    "device_launches",
+    "device_span_us",
+    "disaggregation_us",
+    "host_launches",
+    "instructions",
+    "key",
+    "launch_us",
+    "origin_cycles_total",
+    "output_floats",
+    "output_ints",
+    "parent_us",
+    "total_us",
+    "version",
+    "warp_avg_total_us",
+];
+
+/// [`check`]'s one pass over a body in the shape [`summary_json`] writes,
+/// straight into a summary: no whitespace, each of the [`MEMBERS`] exactly
+/// once under an unescaped name, every number read by
+/// [`json::parse_number`] and converted as [`Json::as_f64`] /
+/// [`Json::as_u64`] / [`Json::as_i64`] do, nothing after the closing
+/// brace, the version current and the key `key`. It answers only then, and
+/// such a body is one the tree path accepts with the same summary; for
+/// anything else it says `None` and the tree path decides. So the verdicts
+/// are the tree's by construction.
+fn decode_summary(body: &str, key: u64) -> Option<CellSummary> {
+    let mut r = Reader { text: body, pos: 0 };
+    let mut s = CellSummary {
+        verified: true,
+        from_cache: true,
+        ..CellSummary::default()
+    };
+    let mut seen = 0u16;
+    r.expect(b'{')?;
+    loop {
+        let name = r.string()?;
+        r.expect(b':')?;
+        let bit = 1 << MEMBERS.iter().position(|&m| m == name)?;
+        if seen & bit != 0 {
+            return None;
+        }
+        seen |= bit;
+        match name {
+            "version" => (r.number()?.as_u64()? == u64::from(CACHE_FORMAT_VERSION)).then_some(())?,
+            "key" => renders_as(r.string()?, format_args!("{key:016x}")).then_some(())?,
+            "total_us" => s.total_us = r.number()?.as_f64()?,
+            "device_span_us" => s.device_span_us = r.number()?.as_f64()?,
+            "parent_us" => s.parent_us = r.number()?.as_f64()?,
+            "child_us" => s.child_us = r.number()?.as_f64()?,
+            "launch_us" => s.launch_us = r.number()?.as_f64()?,
+            "aggregation_us" => s.aggregation_us = r.number()?.as_f64()?,
+            "disaggregation_us" => s.disaggregation_us = r.number()?.as_f64()?,
+            "warp_avg_total_us" => s.warp_avg_total_us = r.number()?.as_f64()?,
+            "device_launches" => s.device_launches = r.number()?.as_u64()?,
+            "host_launches" => s.host_launches = r.number()?.as_u64()?,
+            "origin_cycles_total" => s.origin_cycles_total = r.number()?.as_u64()?,
+            "instructions" => s.instructions = r.number()?.as_u64()?,
+            "output_ints" => s.output_ints = r.numbers(Json::as_i64)?,
+            "output_floats" => s.output_floats = r.numbers(Json::as_f64)?,
+            _ => return None,
+        }
+        if !r.eat(b',') {
+            break;
+        }
+    }
+    r.expect(b'}')?;
+    (r.pos == body.len() && seen == u16::MAX).then_some(s)
+}
+
+/// A cursor over a compact JSON text, for [`decode_summary`].
+struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn eat(&mut self, byte: u8) -> bool {
+        let next = self.text.as_bytes().get(self.pos) == Some(&byte);
+        self.pos += usize::from(next);
+        next
+    }
+
+    fn expect(&mut self, byte: u8) -> Option<()> {
+        self.eat(byte).then_some(())
+    }
+
+    /// A string without escapes: the bytes between its quotes.
+    fn string(&mut self) -> Option<&'a str> {
+        self.expect(b'"')?;
+        let rest = &self.text[self.pos..];
+        let len = rest.find(['"', '\\'])?;
+        (rest.as_bytes()[len] == b'"').then_some(())?;
+        self.pos += len + 1;
+        Some(&rest[..len])
+    }
+
+    fn number(&mut self) -> Option<Json> {
+        json::parse_number(self.text.as_bytes(), &mut self.pos).ok()
+    }
+
+    /// An array of numbers, each converted by `convert`, in a vector
+    /// allocated once: its length is counted from the commas before `]`.
+    fn numbers<T>(&mut self, convert: fn(&Json) -> Option<T>) -> Option<Vec<T>> {
+        self.expect(b'[')?;
+        let rest = &self.text[self.pos..];
+        let items = &rest[..rest.find(']')?];
+        let mut out = Vec::with_capacity(match items {
+            "" => 0,
+            _ => 1 + items.bytes().filter(|&b| b == b',').count(),
+        });
+        if self.eat(b']') {
+            return Some(out);
+        }
+        loop {
+            out.push(convert(&self.number()?)?);
+            if !self.eat(b',') {
+                break;
+            }
+        }
+        self.expect(b']')?;
+        Some(out)
     }
 }
 
@@ -766,6 +930,21 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    #[test]
+    fn the_one_pass_decoder_reads_the_members_summary_json_writes() {
+        let Json::Object(members) = summary_json(7, &sample_summary("x")) else {
+            unreachable!("a summary is an object");
+        };
+        assert_eq!(members.keys().collect::<Vec<_>>(), MEMBERS);
+        let body = summary_json(7, &sample_summary("x")).to_string();
+        let decoded = decode_summary(&body, 7).expect("a canonical body decodes in one pass");
+        assert_eq!(summary_json(7, &decoded).to_string(), body);
+        assert!(
+            decode_summary(&body, 8).is_none(),
+            "another key is the tree's to refuse"
+        );
+    }
+
     fn sample_summary(label: &str) -> CellSummary {
         CellSummary {
             label: label.to_string(),
@@ -1104,7 +1283,14 @@ mod tests {
         let body = "{\"version\":1}";
         std::fs::write(
             cell_path(&dir, 5),
-            body.to_string() + &footer(1, body.len(), fnv1a(body.as_bytes())),
+            format!(
+                "{body}{}",
+                Footer {
+                    version: 1,
+                    len: body.len(),
+                    sum: fnv1a(body.as_bytes())
+                }
+            ),
         )
         .unwrap();
 

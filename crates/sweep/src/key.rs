@@ -27,6 +27,7 @@ use dp_core::{AggGranularity, OptConfig, TimingParams};
 use dp_vm::bytecode::CostModel;
 use dp_workloads::benchmarks::Variant;
 use dp_workloads::BenchInput;
+use std::fmt::{self, Write as _};
 
 /// Bump to invalidate every cached summary and compiled-program cache entry
 /// (schema or semantics change).
@@ -34,12 +35,44 @@ pub const CACHE_FORMAT_VERSION: u32 = 2;
 
 /// 64-bit FNV-1a over a byte string — stable across builds and platforms.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut hash = Fnv1a::default();
+    hash.update(bytes);
+    hash.0
+}
+
+/// FNV-1a fed piecewise. As a [`fmt::Write`] it hashes a canonical string
+/// while `write!` renders it, so a key never builds the string it digests:
+/// the digest of the pieces is the digest of their concatenation.
+struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    hash
+}
+
+impl Fnv1a {
+    fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The digest of what `args` renders.
+    fn of(args: fmt::Arguments) -> u64 {
+        let mut hash = Fnv1a::default();
+        // Writing to a hasher cannot fail.
+        let _ = hash.write_fmt(args);
+        hash.0
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Content digest of a caller-provided input (used when a sweep runs on an
@@ -91,91 +124,180 @@ pub fn digest_input(input: &BenchInput) -> u64 {
 /// of the serve protocol's `agg` member (one definition, guarded by the
 /// pinned-digest tests below).
 pub fn canonical_granularity(g: AggGranularity) -> String {
-    match g {
-        AggGranularity::Warp => "warp".to_string(),
-        AggGranularity::Block => "block".to_string(),
-        AggGranularity::MultiBlock(n) => format!("multiblock:{n}"),
-        AggGranularity::Grid => "grid".to_string(),
-    }
+    Granularity(g).to_string()
 }
 
 /// Canonical string for an optimization configuration.
 pub fn canonical_config(config: &OptConfig) -> String {
-    let agg = match &config.aggregation {
-        None => "none".to_string(),
-        Some(a) => format!(
-            "{}/{}",
-            canonical_granularity(a.granularity),
-            a.agg_threshold
-                .map_or("none".to_string(), |t| t.to_string())
-        ),
-    };
-    format!(
-        "t={};c={};a={}",
-        config
-            .threshold
-            .map_or("none".to_string(), |t| t.to_string()),
-        config
-            .coarsen_factor
-            .map_or("none".to_string(), |c| c.to_string()),
-        agg
-    )
+    Config(config).to_string()
 }
 
 /// Canonical string for a variant (No-CDP, or CDP with a configuration).
 pub fn canonical_variant(variant: &Variant) -> String {
-    match variant {
-        Variant::NoCdp => "nocdp".to_string(),
-        Variant::Cdp(config) => format!("cdp[{}]", canonical_config(config)),
+    VariantCanon(variant).to_string()
+}
+
+// The canonical strings above as `Display`, so a key renders them straight
+// into its hasher.
+
+struct Granularity(AggGranularity);
+
+impl fmt::Display for Granularity {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            AggGranularity::Warp => f.write_str("warp"),
+            AggGranularity::Block => f.write_str("block"),
+            AggGranularity::MultiBlock(n) => write!(f, "multiblock:{n}"),
+            AggGranularity::Grid => f.write_str("grid"),
+        }
+    }
+}
+
+/// A setting, or `none` when it is off.
+struct OrNone<T>(Option<T>);
+
+impl<T: fmt::Display> fmt::Display for OrNone<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.0 {
+            Some(v) => write!(f, "{v}"),
+            None => f.write_str("none"),
+        }
+    }
+}
+
+struct Config<'a>(&'a OptConfig);
+
+impl fmt::Display for Config<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let config = self.0;
+        write!(
+            f,
+            "t={};c={};a=",
+            OrNone(config.threshold),
+            OrNone(config.coarsen_factor)
+        )?;
+        match &config.aggregation {
+            None => f.write_str("none"),
+            Some(a) => write!(
+                f,
+                "{}/{}",
+                Granularity(a.granularity),
+                OrNone(a.agg_threshold)
+            ),
+        }
+    }
+}
+
+struct VariantCanon<'a>(&'a Variant);
+
+impl fmt::Display for VariantCanon<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Variant::NoCdp => f.write_str("nocdp"),
+            Variant::Cdp(config) => write!(f, "cdp[{}]", Config(config)),
+        }
     }
 }
 
 /// Canonical string for the timing parameters (public so callers can
 /// compare models for equality — `TimingParams` has no `PartialEq`).
 pub fn canonical_timing(t: &TimingParams) -> String {
-    format!(
-        "sms={};bps={};tps={};ghz={};issue={};hll={};hso={};pipe={};bd={}",
-        t.num_sms,
-        t.max_blocks_per_sm,
-        t.max_threads_per_sm,
-        t.clock_ghz,
-        t.issue_slots_per_sm,
-        t.host_launch_latency_us,
-        t.host_sync_overhead_us,
-        t.device_launch_pipe_us,
-        t.block_dispatch_us
-    )
+    Timing(t).to_string()
 }
 
 /// Canonical string for the instruction cost model (public for the same
 /// reason as [`canonical_timing`]).
 pub fn canonical_cost(c: &CostModel) -> String {
-    format!(
-        "alu={};mul={};div={};mem={};br={};call={};launch={};sync={};fence={};atomic={};intr={};lpo={}",
-        c.alu,
-        c.mul,
-        c.div,
-        c.mem,
-        c.branch,
-        c.call,
-        c.launch,
-        c.sync,
-        c.fence,
-        c.atomic,
-        c.intrinsic,
-        c.launch_presence_overhead
-    )
+    Cost(c).to_string()
 }
 
 /// Canonical identity of a dataset spec (used both in cell keys and for
 /// engine-side dataset dedup — one definition so they can never diverge).
 pub fn canonical_dataset(dataset: &DatasetSpec) -> String {
-    match dataset {
-        DatasetSpec::Table { id, scale, seed } => {
-            format!("table[{};scale={scale};seed={seed}]", id.name())
-        }
-        DatasetSpec::Provided { digest, .. } => format!("provided[{digest:016x}]"),
+    Dataset(dataset).to_string()
+}
+
+struct Timing<'a>(&'a TimingParams);
+
+impl fmt::Display for Timing<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let t = self.0;
+        write!(
+            f,
+            "sms={};bps={};tps={};ghz={};issue={};hll={};hso={};pipe={};bd={}",
+            t.num_sms,
+            t.max_blocks_per_sm,
+            t.max_threads_per_sm,
+            t.clock_ghz,
+            t.issue_slots_per_sm,
+            t.host_launch_latency_us,
+            t.host_sync_overhead_us,
+            t.device_launch_pipe_us,
+            t.block_dispatch_us
+        )
     }
+}
+
+struct Cost<'a>(&'a CostModel);
+
+impl fmt::Display for Cost<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let c = self.0;
+        write!(
+            f,
+            "alu={};mul={};div={};mem={};br={};call={};launch={};sync={};fence={};atomic={};intr={};lpo={}",
+            c.alu,
+            c.mul,
+            c.div,
+            c.mem,
+            c.branch,
+            c.call,
+            c.launch,
+            c.sync,
+            c.fence,
+            c.atomic,
+            c.intrinsic,
+            c.launch_presence_overhead
+        )
+    }
+}
+
+struct Dataset<'a>(&'a DatasetSpec);
+
+impl fmt::Display for Dataset<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            DatasetSpec::Table { id, scale, seed } => {
+                write!(f, "table[{};scale={scale};seed={seed}]", id.name())
+            }
+            DatasetSpec::Provided { digest, .. } => write!(f, "provided[{digest:016x}]"),
+        }
+    }
+}
+
+/// The part of a cell's canonical string that every cell of a series
+/// shares: its dataset, timing and cost model.
+pub fn series_tail(dataset: &DatasetSpec, timing: &TimingParams, cost: &CostModel) -> String {
+    // Room for the default models' ~230 bytes, so it is allocated once.
+    let mut tail = String::with_capacity(320);
+    let _ = write!(
+        tail,
+        "|dataset={}|timing={}|cost={}",
+        Dataset(dataset),
+        Timing(timing),
+        Cost(cost),
+    );
+    tail
+}
+
+/// [`cell_key`] from its parts: the [`fnv1a`] digest of the source text
+/// and the series' [`series_tail`]. A sweep hashes each source and builds
+/// each tail once, then keys every cell from them.
+pub fn cell_key_from(benchmark: &str, source_digest: u64, variant: &Variant, tail: &str) -> u64 {
+    Fnv1a::of(format_args!(
+        "v{CACHE_FORMAT_VERSION}|bench={benchmark}|src={source_digest:016x}|variant={}{tail}",
+        VariantCanon(variant),
+    ))
 }
 
 /// Computes the content-addressed key of one sweep cell.
@@ -187,15 +309,12 @@ pub fn cell_key(
     timing: &TimingParams,
     cost: &CostModel,
 ) -> u64 {
-    let canon = format!(
-        "v{CACHE_FORMAT_VERSION}|bench={benchmark}|src={:016x}|variant={}|dataset={}|timing={}|cost={}",
+    cell_key_from(
+        benchmark,
         fnv1a(source.as_bytes()),
-        canonical_variant(variant),
-        canonical_dataset(dataset),
-        canonical_timing(timing),
-        canonical_cost(cost),
-    );
-    fnv1a(canon.as_bytes())
+        variant,
+        &series_tail(dataset, timing, cost),
+    )
 }
 
 /// Computes the content-addressed key of one **compilation**: source text +
@@ -204,12 +323,11 @@ pub fn cell_key(
 /// the axes [`cell_key`] hashes, so a compilation shared by many cells is
 /// keyed identically everywhere.
 pub fn compiled_key(source: &str, config: &OptConfig) -> u64 {
-    let canon = format!(
+    Fnv1a::of(format_args!(
         "v{CACHE_FORMAT_VERSION}|src={:016x}|config={}",
         fnv1a(source.as_bytes()),
-        canonical_config(config),
-    );
-    fnv1a(canon.as_bytes())
+        Config(config),
+    ))
 }
 
 #[cfg(test)]

@@ -242,7 +242,7 @@ impl SweepSpec {
 /// Everything the formatters need from one cell, in a form that survives a
 /// JSON round-trip byte-exactly (floats are written with shortest-exact
 /// formatting).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CellSummary {
     /// Variant label (from the spec, not the cache).
     pub label: String,
@@ -410,19 +410,25 @@ pub struct CellRef {
 /// name is an `Err`, since a scheduler wants a structured error.
 pub fn enumerate_cells(spec: &SweepSpec) -> Result<Vec<CellRef>, String> {
     let mut cells = Vec::with_capacity(spec.cell_count());
+    // Each source text (a benchmark has two: CDP and No-CDP) is hashed
+    // once per sweep and found again by address; each series' tail is
+    // built once. The keys are `key::cell_key`'s, composed from its parts.
+    let mut digests: Vec<(&'static str, u64)> = Vec::new();
     for (series_idx, series) in spec.series.iter().enumerate() {
         let bench = benchmark_by_name(&series.benchmark)
             .ok_or_else(|| format!("unknown benchmark `{}`", series.benchmark))?;
+        let tail = key::series_tail(&series.dataset, &series.timing, &series.cost);
         for (cell_idx, vspec) in series.variants.iter().enumerate() {
             let (source, _) = vspec.variant.program(bench.as_ref());
-            let key = key::cell_key(
-                &series.benchmark,
-                source,
-                &vspec.variant,
-                &series.dataset,
-                &series.timing,
-                &series.cost,
-            );
+            let digest = match digests.iter().find(|(s, _)| std::ptr::eq(*s, source)) {
+                Some(&(_, digest)) => digest,
+                None => {
+                    let digest = key::fnv1a(source.as_bytes());
+                    digests.push((source, digest));
+                    digest
+                }
+            };
+            let key = key::cell_key_from(&series.benchmark, digest, &vspec.variant, &tail);
             cells.push(CellRef {
                 series_idx,
                 cell_idx,
@@ -914,6 +920,72 @@ mod tests {
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `enumerate_cells` hashes each source once and builds each series'
+    /// tail once; neither may carry over to a cell it does not belong to.
+    /// Here one benchmark runs on two datasets and on a provided input, a
+    /// second benchmark shares the first's datasets, and one series has its
+    /// own timing and cost models.
+    #[test]
+    fn enumerate_cells_keys_every_cell_as_cell_key_does() {
+        use dp_workloads::datasets::graphs::rmat;
+        let variants = || {
+            vec![
+                VariantSpec::new("No CDP", Variant::NoCdp),
+                VariantSpec::new("CDP", Variant::Cdp(OptConfig::none())),
+                VariantSpec::new("CDP+T", Variant::Cdp(OptConfig::none().threshold(128))),
+                VariantSpec::new("CDP+T+C+A", Variant::Cdp(OptConfig::all())),
+            ]
+        };
+        let timing = TimingParams {
+            device_launch_pipe_us: 0.5,
+            ..TimingParams::default()
+        };
+        let cost = CostModel {
+            launch_presence_overhead: 0,
+            ..CostModel::default()
+        };
+        let input = Arc::new(BenchInput::Graph(rmat(6, 4, 5)));
+        let series = |bench: &str, dataset| SeriesSpec::new(bench, dataset, variants());
+        let table = |id| DatasetSpec::table(id, 0.002, 42);
+        let spec = SweepSpec {
+            series: vec![
+                series("BFS", table(DatasetId::Kron)),
+                series("BFS", table(DatasetId::Cnr)),
+                series("BFS", DatasetSpec::provided(input, "inline")),
+                series("SSSP", table(DatasetId::Kron)),
+                series("BFS", table(DatasetId::Kron))
+                    .with_timing(timing)
+                    .with_cost(cost),
+                series("SSSP", table(DatasetId::Cnr)),
+            ],
+        };
+        let cells = enumerate_cells(&spec).unwrap();
+        assert_eq!(cells.len(), spec.cell_count());
+        for cell in &cells {
+            let series = &spec.series[cell.series_idx];
+            let variant = &series.variants[cell.cell_idx].variant;
+            let bench = benchmark_by_name(&series.benchmark).unwrap();
+            let (source, _) = variant.program(bench.as_ref());
+            let expected = key::cell_key(
+                &series.benchmark,
+                source,
+                variant,
+                &series.dataset,
+                &series.timing,
+                &series.cost,
+            );
+            assert_eq!(
+                cell.key, expected,
+                "series {} cell {}",
+                cell.series_idx, cell.cell_idx
+            );
+        }
+        let mut keys: Vec<u64> = cells.iter().map(|c| c.key).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), cells.len(), "every cell differs in some axis");
     }
 
     #[test]

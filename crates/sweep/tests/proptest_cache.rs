@@ -3,8 +3,10 @@
 //! and `cache-pull`, and `cache::receive`, which publishes what it accepts.
 //! Neither may panic on anything, nor allocate by a number the input
 //! carries; every refusal is one of eight reasons; whatever is accepted is
-//! the entry `store` would have written for that key; and a refused offer
-//! leaves nothing under the live name.
+//! the entry `store` would have written for that key; a refused offer
+//! leaves nothing under the live name; and every verdict is the one the
+//! JSON tree gives (`tree_check` below), also on bodies that are valid JSON
+//! in another shape than the one `summary_json` writes.
 
 use dp_sweep::cache::{self, StoreOutcome};
 use dp_sweep::json::{self, Json};
@@ -192,6 +194,124 @@ fn edited_body(p: &mut Picks, key: u64, summary: &CellSummary) -> String {
     Json::Object(members).to_string()
 }
 
+/// A body that is valid JSON but not in the shape `summary_json` writes,
+/// for the offer to re-seal under a true checksum: members reordered,
+/// whitespace between tokens, an escaped member name, a member repeated
+/// with a bad value first or last, a number spelled another way, an unknown
+/// member holding a number past `i64`, something after the closing brace.
+fn respelled_body(p: &mut Picks, key: u64, summary: &CellSummary) -> String {
+    let Json::Object(members) = cache::summary_json(key, summary) else {
+        unreachable!("a summary is an object");
+    };
+    let mut members: Vec<(String, String)> = members
+        .into_iter()
+        .map(|(name, value)| (Json::Str(name).to_string(), value.to_string()))
+        .collect();
+    let at = p.next() % members.len();
+    let mut after = "";
+    match p.next() % 8 {
+        0 => {
+            let by = 1 + p.next() % (members.len() - 1);
+            members.rotate_left(by);
+        }
+        1 => {
+            let ws = p.of(&[" ", "\n", "\t", "\r\n  "]);
+            let (name, value) = &mut members[at];
+            match p.next() % 3 {
+                0 => name.insert_str(0, ws),
+                1 => name.push_str(ws),
+                _ => value.push_str(ws),
+            }
+        }
+        2 => {
+            let name = &mut members[at].0;
+            let first = name.as_bytes()[1];
+            name.replace_range(1..2, &format!("\\u{first:04x}"));
+        }
+        3 | 4 => {
+            let name = members[at].0.clone();
+            let bad = p
+                .of(&["null", "\"x\"", "-1", "0.5", "[null]", "{}"])
+                .to_string();
+            let bad_first = p.of(&[true, false]);
+            members.insert(if bad_first { 0 } else { members.len() }, (name, bad));
+        }
+        5 => {
+            let value = &mut members[at].1;
+            match json::parse(value) {
+                Ok(Json::Int(n)) => *value = p.of(&[format!("{n}.0"), format!("{n}e0")]),
+                Ok(Json::Float(f)) => *value = p.of(&[format!("{f:.0}"), format!("{f:e}")]),
+                _ => {}
+            }
+        }
+        6 => {
+            let big = p.of(&["99999999999999999999", "-9223372036854775809", "1e400"]);
+            members.insert(at, ("\"zz\"".to_string(), big.to_string()));
+        }
+        _ => after = p.of(&[" ", "\n", "x", "}", ",", "0", "{}"]),
+    }
+    let mut body = String::from("{");
+    for (i, (name, value)) in members.iter().enumerate() {
+        if i > 0 {
+            body.push(',');
+        }
+        body.push_str(&format!("{name}:{value}"));
+    }
+    body.push('}');
+    body + after
+}
+
+/// `check` as the JSON tree decides it: the footer as the format documents
+/// it, then `json::parse` → `summary_from_json` → the named key compared.
+/// `Ok` holds the summary as `summary_json` writes it, which tells every
+/// field's bits apart.
+fn tree_check(text: &str, key: u64) -> Result<String, &'static str> {
+    let stale = "stale format version";
+    let Some(idx) = text.rfind(MARK) else {
+        return match json::parse(text.trim()) {
+            Ok(v) if v.get("version").and_then(Json::as_u64).is_some() => Err(stale),
+            _ => Err("missing checksum footer"),
+        };
+    };
+    let (body, tail) = text.split_at(idx);
+    let mut fields = tail[MARK.len()..].split_whitespace();
+    let version = fields.next().and_then(|v| v.parse::<u32>().ok());
+    let len = fields
+        .next()
+        .and_then(|v| v.strip_prefix("len="))
+        .and_then(|v| v.parse::<usize>().ok());
+    let sum = fields
+        .next()
+        .and_then(|v| v.strip_prefix("fnv1a="))
+        .and_then(|v| u64::from_str_radix(v, 16).ok());
+    let (Some(version), Some(len), Some(sum)) = (version, len, sum) else {
+        return Err("malformed footer");
+    };
+    if tail != format!("{MARK}{version} len={len} fnv1a={sum:016x}\n") {
+        return Err("malformed footer");
+    }
+    if len != body.len() {
+        return Err("length mismatch");
+    }
+    if sum != fnv1a(body.as_bytes()) {
+        return Err("checksum mismatch");
+    }
+    if version != CACHE_FORMAT_VERSION {
+        return Err(stale);
+    }
+    let v = json::parse(body).map_err(|_| "undecodable body")?;
+    let Some(summary) = cache::summary_from_json(&v) else {
+        return match v.get("version").and_then(Json::as_u64) {
+            Some(n) if n != u64::from(CACHE_FORMAT_VERSION) => Err(stale),
+            _ => Err("schema mismatch"),
+        };
+    };
+    if v.get("key").and_then(Json::as_str) != Some(format!("{key:016x}").as_str()) {
+        return Err("key mismatch");
+    }
+    Ok(body_of(key, &summary))
+}
+
 /// One thing a disk or a peer might hand over as the entry for a key.
 struct Offer {
     text: String,
@@ -207,7 +327,7 @@ fn offer(p: &mut Picks) -> Offer {
     let body = body_of(key, &summary);
     let entry = seal(&body);
     let mut canonical_body = true;
-    let text = match p.next() % 7 {
+    let text = match p.next() % 8 {
         0 => {
             let n = p.next() % 64;
             String::from_utf8_lossy(&p.bytes(n)).into_owned()
@@ -226,6 +346,10 @@ fn offer(p: &mut Picks) -> Offer {
             canonical_body = false;
             seal(&edited_body(p, key, &summary))
         }
+        6 => {
+            canonical_body = false;
+            seal(&respelled_body(p, key, &summary))
+        }
         _ => entry,
     };
     // The same key, or — one time in three — another.
@@ -241,6 +365,12 @@ fn offer(p: &mut Picks) -> Offer {
 /// an acceptance, the reason for a refusal.
 fn verdict(offer: &Offer) -> Result<Option<&'static str>, TestCaseError> {
     let Offer { text, key, .. } = offer;
+    prop_assert_eq!(
+        cache::check(text, *key).map(|s| body_of(*key, &s)),
+        tree_check(text, *key),
+        "check and the tree disagree on {:?}",
+        text
+    );
     let summary = match cache::check(text, *key) {
         Ok(summary) => summary,
         Err(reason) => {
