@@ -608,6 +608,8 @@ fn build_agg_child(name: &str, child_fn: &Function) -> Function {
     let Item::Function(mut kernel) = program.items.into_iter().next().unwrap() else {
         unreachable!()
     };
+    kernel.span = dp_frontend::Span::SYNTH;
+    synth_spans(&mut kernel.body);
     tag_origin(&mut kernel.body, CodeOrigin::DisaggLogic);
 
     // Child body with x-dimension builtins rebound to the disaggregated

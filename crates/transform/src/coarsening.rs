@@ -118,6 +118,7 @@ fn coarsen_child(
             unreachable!()
         };
         body_fn.body = body;
+        body_fn.span = dp_frontend::Span::SYNTH;
 
         let fwd = args_source(&body_params);
         let loop_src = format!(

@@ -49,7 +49,9 @@ pub fn apply_pipeline(program: &mut Program, config: &OptConfig) -> TransformMan
 mod tests {
     use super::*;
     use crate::config::{AggConfig, AggGranularity};
+    use dp_frontend::ast::Stmt;
     use dp_frontend::printer::print_program;
+    use dp_frontend::visit::{for_each_stmt, for_each_stmt_expr};
 
     const BASIC: &str = "\
 __global__ void child(int* data, int n) {
@@ -100,6 +102,50 @@ __global__ void parent(int* data, int* offsets, int numV) {
             3 + 3, // 3 arg arrays + scan + bArr + np
         );
         dp_frontend::parse(&out).unwrap();
+    }
+
+    /// Every node a pass generates carries `Span::SYNTH`: only code the
+    /// user wrote points into the source. With an early `return` in the
+    /// child, the serial child, the coarsened child and the aggregated
+    /// child are generated code all through.
+    #[test]
+    fn generated_code_carries_synthetic_spans() {
+        let src = BASIC.replace(
+            "    if (i < n) {\n        data[i] = data[i] + 1;\n    }\n",
+            "    if (i >= n) {\n        return;\n    }\n    data[i] = i;\n",
+        );
+        let mut p = dp_frontend::parse(&src).unwrap();
+        apply_pipeline(
+            &mut p,
+            &OptConfig::none()
+                .threshold(64)
+                .coarsen_factor(4)
+                .aggregation(AggConfig::new(AggGranularity::MultiBlock(8))),
+        );
+        let synthetic = |stmts: &[Stmt]| {
+            let mut all = true;
+            for stmt in stmts {
+                for_each_stmt(stmt, &mut |s| all &= s.span.is_synthetic());
+                for_each_stmt_expr(stmt, &mut |e| all &= e.span.is_synthetic());
+            }
+            all
+        };
+        for name in [
+            "child_serial",
+            "child_serial_body",
+            "_child_coarsen_body",
+            "child_agg",
+        ] {
+            assert!(p.function(name).unwrap().span.is_synthetic(), "{name}");
+        }
+        for name in ["child_serial", "child", "child_agg"] {
+            assert!(synthetic(&p.function(name).unwrap().body), "{name}");
+        }
+        // Hoisted participation variables, the user's two statements, then
+        // the aggregation epilogue.
+        let parent = &p.function("parent").unwrap().body;
+        assert!(synthetic(&parent[..5]) && synthetic(&parent[7..]));
+        assert!(!synthetic(&parent[5..7]));
     }
 
     #[test]

@@ -381,6 +381,7 @@ fn make_device_fn(name: &str, params_src: &str, body: Vec<Stmt>) -> Function {
         unreachable!()
     };
     f.body = body;
+    f.span = dp_frontend::Span::SYNTH;
     f
 }
 

@@ -18,7 +18,8 @@
 
 use dp_frontend::ast::*;
 use dp_frontend::parser::parse;
-use dp_frontend::visit::{for_each_stmt_expr, walk_stmt_exprs_mut, walk_stmt_mut};
+use dp_frontend::visit::{for_each_stmt_expr, walk_expr_mut, walk_stmt_exprs_mut, walk_stmt_mut};
+use dp_frontend::Span;
 use std::collections::HashSet;
 
 /// Parses a brace-free sequence of statements from template text.
@@ -38,13 +39,27 @@ pub fn parse_template_stmts(template: &str) -> Vec<Stmt> {
     let Item::Function(mut f) = program.items.into_iter().next().unwrap() else {
         unreachable!("template wraps a single function")
     };
-    f.body.drain(..).collect()
+    let mut stmts: Vec<Stmt> = f.body.drain(..).collect();
+    synth_spans(&mut stmts);
+    stmts
 }
 
 /// Parses one expression from template text.
 pub fn parse_template_expr(template: &str) -> Expr {
-    dp_frontend::parser::parse_expr(template)
-        .unwrap_or_else(|e| panic!("internal template expr failed to parse: {e}\n{template}"))
+    let mut expr = dp_frontend::parser::parse_expr(template)
+        .unwrap_or_else(|e| panic!("internal template expr failed to parse: {e}\n{template}"));
+    walk_expr_mut(&mut expr, &mut |e| e.span = Span::SYNTH);
+    expr
+}
+
+/// Marks every statement and expression in `stmts` as generated: a node
+/// parsed from a template would otherwise carry an offset into the
+/// template's text, which is no source the user wrote.
+pub fn synth_spans(stmts: &mut [Stmt]) {
+    for stmt in stmts {
+        walk_stmt_mut(stmt, &mut |s| s.span = Span::SYNTH);
+        walk_stmt_exprs_mut(stmt, &mut |e| e.span = Span::SYNTH);
+    }
 }
 
 /// Tags every statement and expression in `stmts` with `origin`,
