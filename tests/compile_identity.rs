@@ -748,3 +748,740 @@ __device__ void work_serial(int* data, int n, dim3 _s_gDim, dim3 _s_bDim) {
     }
 }
 ";
+
+// ---------------------------------------------------------------------
+// Generated-code paths no workload source reaches: full expected text.
+// ---------------------------------------------------------------------
+
+/// A child that returns early: thresholding moves its body into a
+/// `_serial_body` function and coarsening into a `_coarsen_body` function,
+/// so that `return` ends one virtual thread, not the loop around them all.
+const EARLY_RETURN: &str = "\
+__global__ void child(int* data, int n) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    if (i >= n) {
+        return;
+    }
+    data[i] = data[i] + 1;
+}
+
+__global__ void parent(int* data, int* offsets, int numV) {
+    int v = blockIdx.x * blockDim.x + threadIdx.x;
+    if (v < numV) {
+        int count = offsets[v + 1] - offsets[v];
+        child<<<(count + 31) / 32, 32>>>(data, count);
+    }
+}
+";
+
+/// A child whose parameters are neither `int` nor `int*`: the generated
+/// signatures, argument buffers and disaggregated parameter loads must
+/// carry each type through unchanged.
+const MIXED_PARAMS: &str = "\
+__global__ void scale(float* out, long long base, int** rows, unsigned int n) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    if (i < n) {
+        int* row = rows[i];
+        out[i] = out[i] * 2.0 + row[0] + base;
+    }
+}
+
+__global__ void parent(float* out, int** rows, int* counts, int numV) {
+    int v = blockIdx.x * blockDim.x + threadIdx.x;
+    if (v < numV) {
+        long long base = v;
+        scale<<<(counts[v] + 31) / 32, 32>>>(out, base, rows, counts[v]);
+    }
+}
+";
+
+fn tca(granularity: AggGranularity, agg_threshold: Option<i64>) -> OptConfig {
+    OptConfig::none()
+        .threshold(128)
+        .coarsen_factor(16)
+        .aggregation(AggConfig {
+            granularity,
+            agg_threshold,
+        })
+}
+
+#[test]
+fn early_return_child_under_thresholding() {
+    check(
+        "early return, T",
+        EARLY_RETURN,
+        OptConfig::none().threshold(128),
+        EARLY_RETURN_T,
+        0x596cbd73d3450bec,
+    );
+}
+
+#[test]
+fn early_return_child_under_coarsening() {
+    check(
+        "early return, C",
+        EARLY_RETURN,
+        OptConfig::none().coarsen_factor(16),
+        EARLY_RETURN_C,
+        0x6f85755a35c235c1,
+    );
+}
+
+#[test]
+fn early_return_child_under_the_full_pipeline() {
+    check(
+        "early return, T+C+A",
+        EARLY_RETURN,
+        tca(AggGranularity::MultiBlock(8), None),
+        EARLY_RETURN_TCA,
+        0x0cc85aa36c5a2a4f,
+    );
+}
+
+#[test]
+fn mixed_parameter_types_under_the_full_pipeline() {
+    check(
+        "mixed params, T+C+A",
+        MIXED_PARAMS,
+        tca(AggGranularity::MultiBlock(8), None),
+        MIXED_PARAMS_TCA,
+        0x7546b204d1063034,
+    );
+}
+
+#[test]
+fn early_return_child_with_an_aggregation_threshold() {
+    check(
+        "early return, T+C+A block at 32",
+        EARLY_RETURN,
+        tca(AggGranularity::Block, Some(32)),
+        EARLY_RETURN_TCA_AT32,
+        0x60c1d4fad512bcf9,
+    );
+}
+
+#[test]
+fn mixed_parameter_types_with_an_aggregation_threshold() {
+    check(
+        "mixed params, T+C+A block at 32",
+        MIXED_PARAMS,
+        tca(AggGranularity::Block, Some(32)),
+        MIXED_PARAMS_TCA_AT32,
+        0x30e86bfb430665b9,
+    );
+}
+
+const EARLY_RETURN_T: &str = "\
+#define _THRESHOLD 128
+
+__global__ void child(int* data, int n) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    if (i >= n) {
+        return;
+    }
+    data[i] = data[i] + 1;
+}
+
+__device__ void child_serial(int* data, int n, dim3 _s_gDim, dim3 _s_bDim) {
+    for (int _s_bz = 0; _s_bz < _s_gDim.z; ++_s_bz) {
+        for (int _s_by = 0; _s_by < _s_gDim.y; ++_s_by) {
+            for (int _s_bx = 0; _s_bx < _s_gDim.x; ++_s_bx) {
+                for (int _s_tz = 0; _s_tz < _s_bDim.z; ++_s_tz) {
+                    for (int _s_ty = 0; _s_ty < _s_bDim.y; ++_s_ty) {
+                        for (int _s_tx = 0; _s_tx < _s_bDim.x; ++_s_tx) {
+                            child_serial_body(data, n, _s_gDim, _s_bDim, _s_bz, _s_by, _s_bx, _s_tz, _s_ty, _s_tx);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+__device__ void child_serial_body(int* data, int n, dim3 _s_gDim, dim3 _s_bDim, int _s_bz, int _s_by, int _s_bx, int _s_tz, int _s_ty, int _s_tx) {
+    int i = _s_bx * _s_bDim.x + _s_tx;
+    if (i >= n) {
+        return;
+    }
+    data[i] = data[i] + 1;
+}
+
+__global__ void parent(int* data, int* offsets, int numV) {
+    int v = blockIdx.x * blockDim.x + threadIdx.x;
+    if (v < numV) {
+        int count = offsets[v + 1] - offsets[v];
+        int _threads0 = count;
+        if (_threads0 >= _THRESHOLD) {
+            child<<<(_threads0 + 31) / 32, 32>>>(data, count);
+        }
+        else {
+            child_serial(data, count, (_threads0 + 31) / 32, 32);
+        }
+    }
+}
+";
+const EARLY_RETURN_C: &str = "\
+#define _CFACTOR 16
+
+__device__ void _child_coarsen_body(int* data, int n, int _c_gDim, int _c_bx) {
+    int i = _c_bx * blockDim.x + threadIdx.x;
+    if (i >= n) {
+        return;
+    }
+    data[i] = data[i] + 1;
+}
+
+__global__ void child(int* data, int n, int _c_gDim) {
+    for (int _c_bx = blockIdx.x; _c_bx < _c_gDim; _c_bx += gridDim.x) {
+        _child_coarsen_body(data, n, _c_gDim, _c_bx);
+    }
+}
+
+__global__ void parent(int* data, int* offsets, int numV) {
+    int v = blockIdx.x * blockDim.x + threadIdx.x;
+    if (v < numV) {
+        int count = offsets[v + 1] - offsets[v];
+        {
+            int _c_gDim0 = (count + 31) / 32;
+            int _c_cgDim0 = (_c_gDim0 + _CFACTOR - 1) / _CFACTOR;
+            child<<<_c_cgDim0, 32>>>(data, count, _c_gDim0);
+        }
+    }
+}
+";
+const EARLY_RETURN_TCA: &str = "\
+#define _AGG_GRANULARITY 8
+#define _CFACTOR 16
+#define _THRESHOLD 128
+
+__device__ void _child_coarsen_body(int* data, int n, int _c_gDim, int _c_bx) {
+    int i = _c_bx * blockDim.x + threadIdx.x;
+    if (i >= n) {
+        return;
+    }
+    data[i] = data[i] + 1;
+}
+
+__global__ void child(int* data, int n, int _c_gDim) {
+    for (int _c_bx = blockIdx.x; _c_bx < _c_gDim; _c_bx += gridDim.x) {
+        _child_coarsen_body(data, n, _c_gDim, _c_bx);
+    }
+}
+
+__global__ void child_agg(int** _da_arr0, int* _da_arr1, int* _da_arr2, int* _da_scan, int* _da_bArr, int _da_np) {
+    int _da_lo = 0;
+    int _da_hi = _da_np - 1;
+    while (_da_lo < _da_hi) {
+        int _da_mid = (_da_lo + _da_hi) / 2;
+        if (_da_scan[_da_mid] > blockIdx.x) {
+            _da_hi = _da_mid;
+        }
+        else {
+            _da_lo = _da_mid + 1;
+        }
+    }
+    int _da_pi = _da_lo;
+    int _da_prev = 0;
+    if (_da_pi > 0) {
+        _da_prev = _da_scan[_da_pi - 1];
+    }
+    int* data = _da_arr0[_da_pi];
+    int n = _da_arr1[_da_pi];
+    int _c_gDim = _da_arr2[_da_pi];
+    int _da_gd = _da_scan[_da_pi] - _da_prev;
+    int _da_bx = blockIdx.x - _da_prev;
+    int _da_bd = _da_bArr[_da_pi];
+    if (threadIdx.x < _da_bd) {
+        for (int _c_bx = _da_bx; _c_bx < _c_gDim; _c_bx += _da_gd) {
+            _child_coarsen_body(data, n, _c_gDim, _c_bx);
+        }
+    }
+}
+
+__device__ void child_serial(int* data, int n, dim3 _s_gDim, dim3 _s_bDim) {
+    for (int _s_bz = 0; _s_bz < _s_gDim.z; ++_s_bz) {
+        for (int _s_by = 0; _s_by < _s_gDim.y; ++_s_by) {
+            for (int _s_bx = 0; _s_bx < _s_gDim.x; ++_s_bx) {
+                for (int _s_tz = 0; _s_tz < _s_bDim.z; ++_s_tz) {
+                    for (int _s_ty = 0; _s_ty < _s_bDim.y; ++_s_ty) {
+                        for (int _s_tx = 0; _s_tx < _s_bDim.x; ++_s_tx) {
+                            child_serial_body(data, n, _s_gDim, _s_bDim, _s_bz, _s_by, _s_bx, _s_tz, _s_ty, _s_tx);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+__device__ void child_serial_body(int* data, int n, dim3 _s_gDim, dim3 _s_bDim, int _s_bz, int _s_by, int _s_bx, int _s_tz, int _s_ty, int _s_tx) {
+    int i = _s_bx * _s_bDim.x + _s_tx;
+    if (i >= n) {
+        return;
+    }
+    data[i] = data[i] + 1;
+}
+
+__global__ void parent(int* data, int* offsets, int numV, int** _a_arr0_0, int* _a_arr0_1, int* _a_arr0_2, int* _a_scan0, int* _a_bArr0, long long* _a_ctr0, int* _a_maxB0, int* _a_fin0, int _a_slots0) {
+    int _a_g0 = 0;
+    int _a_b0 = 0;
+    int* _a_arg0_0;
+    int _a_arg0_1;
+    int _a_arg0_2;
+    int v = blockIdx.x * blockDim.x + threadIdx.x;
+    if (v < numV) {
+        int count = offsets[v + 1] - offsets[v];
+        int _threads0 = count;
+        if (_threads0 >= _THRESHOLD) {
+            {
+                int _c_gDim0 = (_threads0 + 31) / 32;
+                int _c_cgDim0 = (_c_gDim0 + _CFACTOR - 1) / _CFACTOR;
+                {
+                    _a_g0 = _c_cgDim0;
+                    _a_b0 = 32;
+                    _a_arg0_0 = data;
+                    _a_arg0_1 = count;
+                    _a_arg0_2 = _c_gDim0;
+                }
+            }
+        }
+        else {
+            child_serial(data, count, (_threads0 + 31) / 32, 32);
+        }
+    }
+    int _a_grp0 = blockIdx.x / _AGG_GRANULARITY;
+    int _a_base0 = _a_grp0 * _a_slots0;
+    if (_a_g0 > 0) {
+        long long _a_pk0 = atomicAdd(&_a_ctr0[_a_grp0], ((long long)1 << 32) + (long long)_a_g0);
+        int _a_pi0 = (int)(_a_pk0 >> 32);
+        int _a_sp0 = (int)(_a_pk0 & 4294967295);
+        _a_arr0_0[_a_base0 + _a_pi0] = _a_arg0_0;
+        _a_arr0_1[_a_base0 + _a_pi0] = _a_arg0_1;
+        _a_arr0_2[_a_base0 + _a_pi0] = _a_arg0_2;
+        _a_scan0[_a_base0 + _a_pi0] = _a_sp0 + _a_g0;
+        _a_bArr0[_a_base0 + _a_pi0] = _a_b0;
+        atomicMax(&_a_maxB0[_a_grp0], _a_b0);
+    }
+    __threadfence();
+    __syncthreads();
+    if (threadIdx.x == 0) {
+        int _a_nfb0 = atomicAdd(&_a_fin0[_a_grp0], 1) + 1;
+        int _a_gb0 = min(_AGG_GRANULARITY, gridDim.x - _a_grp0 * _AGG_GRANULARITY);
+        if (_a_nfb0 == _a_gb0) {
+            long long _a_pkf0 = _a_ctr0[_a_grp0];
+            int _a_np0 = (int)(_a_pkf0 >> 32);
+            int _a_tot0 = (int)(_a_pkf0 & 4294967295);
+            if (_a_np0 > 0) {
+                child_agg<<<_a_tot0, _a_maxB0[_a_grp0]>>>(_a_arr0_0 + _a_base0, _a_arr0_1 + _a_base0, _a_arr0_2 + _a_base0, _a_scan0 + _a_base0, _a_bArr0 + _a_base0, _a_np0);
+            }
+        }
+    }
+}
+";
+const MIXED_PARAMS_TCA: &str = "\
+#define _AGG_GRANULARITY 8
+#define _CFACTOR 16
+#define _THRESHOLD 128
+
+__global__ void scale(float* out, long long base, int** rows, unsigned int n, int _c_gDim) {
+    for (int _c_bx = blockIdx.x; _c_bx < _c_gDim; _c_bx += gridDim.x) {
+        int i = _c_bx * blockDim.x + threadIdx.x;
+        if (i < n) {
+            int* row = rows[i];
+            out[i] = out[i] * 2.0 + row[0] + base;
+        }
+    }
+}
+
+__global__ void scale_agg(float** _da_arr0, long long* _da_arr1, int*** _da_arr2, unsigned int* _da_arr3, int* _da_arr4, int* _da_scan, int* _da_bArr, int _da_np) {
+    int _da_lo = 0;
+    int _da_hi = _da_np - 1;
+    while (_da_lo < _da_hi) {
+        int _da_mid = (_da_lo + _da_hi) / 2;
+        if (_da_scan[_da_mid] > blockIdx.x) {
+            _da_hi = _da_mid;
+        }
+        else {
+            _da_lo = _da_mid + 1;
+        }
+    }
+    int _da_pi = _da_lo;
+    int _da_prev = 0;
+    if (_da_pi > 0) {
+        _da_prev = _da_scan[_da_pi - 1];
+    }
+    float* out = _da_arr0[_da_pi];
+    long long base = _da_arr1[_da_pi];
+    int** rows = _da_arr2[_da_pi];
+    unsigned int n = _da_arr3[_da_pi];
+    int _c_gDim = _da_arr4[_da_pi];
+    int _da_gd = _da_scan[_da_pi] - _da_prev;
+    int _da_bx = blockIdx.x - _da_prev;
+    int _da_bd = _da_bArr[_da_pi];
+    if (threadIdx.x < _da_bd) {
+        for (int _c_bx = _da_bx; _c_bx < _c_gDim; _c_bx += _da_gd) {
+            int i = _c_bx * _da_bd + threadIdx.x;
+            if (i < n) {
+                int* row = rows[i];
+                out[i] = out[i] * 2.0 + row[0] + base;
+            }
+        }
+    }
+}
+
+__device__ void scale_serial(float* out, long long base, int** rows, unsigned int n, dim3 _s_gDim, dim3 _s_bDim) {
+    for (int _s_bz = 0; _s_bz < _s_gDim.z; ++_s_bz) {
+        for (int _s_by = 0; _s_by < _s_gDim.y; ++_s_by) {
+            for (int _s_bx = 0; _s_bx < _s_gDim.x; ++_s_bx) {
+                for (int _s_tz = 0; _s_tz < _s_bDim.z; ++_s_tz) {
+                    for (int _s_ty = 0; _s_ty < _s_bDim.y; ++_s_ty) {
+                        for (int _s_tx = 0; _s_tx < _s_bDim.x; ++_s_tx) {
+                            int i = _s_bx * _s_bDim.x + _s_tx;
+                            if (i < n) {
+                                int* row = rows[i];
+                                out[i] = out[i] * 2.0 + row[0] + base;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+__global__ void parent(float* out, int** rows, int* counts, int numV, float** _a_arr0_0, long long* _a_arr0_1, int*** _a_arr0_2, unsigned int* _a_arr0_3, int* _a_arr0_4, int* _a_scan0, int* _a_bArr0, long long* _a_ctr0, int* _a_maxB0, int* _a_fin0, int _a_slots0) {
+    int _a_g0 = 0;
+    int _a_b0 = 0;
+    float* _a_arg0_0;
+    long long _a_arg0_1;
+    int** _a_arg0_2;
+    unsigned int _a_arg0_3;
+    int _a_arg0_4;
+    int v = blockIdx.x * blockDim.x + threadIdx.x;
+    if (v < numV) {
+        long long base = v;
+        int _threads0 = counts[v];
+        if (_threads0 >= _THRESHOLD) {
+            {
+                int _c_gDim0 = (_threads0 + 31) / 32;
+                int _c_cgDim0 = (_c_gDim0 + _CFACTOR - 1) / _CFACTOR;
+                {
+                    _a_g0 = _c_cgDim0;
+                    _a_b0 = 32;
+                    _a_arg0_0 = out;
+                    _a_arg0_1 = base;
+                    _a_arg0_2 = rows;
+                    _a_arg0_3 = counts[v];
+                    _a_arg0_4 = _c_gDim0;
+                }
+            }
+        }
+        else {
+            scale_serial(out, base, rows, counts[v], (_threads0 + 31) / 32, 32);
+        }
+    }
+    int _a_grp0 = blockIdx.x / _AGG_GRANULARITY;
+    int _a_base0 = _a_grp0 * _a_slots0;
+    if (_a_g0 > 0) {
+        long long _a_pk0 = atomicAdd(&_a_ctr0[_a_grp0], ((long long)1 << 32) + (long long)_a_g0);
+        int _a_pi0 = (int)(_a_pk0 >> 32);
+        int _a_sp0 = (int)(_a_pk0 & 4294967295);
+        _a_arr0_0[_a_base0 + _a_pi0] = _a_arg0_0;
+        _a_arr0_1[_a_base0 + _a_pi0] = _a_arg0_1;
+        _a_arr0_2[_a_base0 + _a_pi0] = _a_arg0_2;
+        _a_arr0_3[_a_base0 + _a_pi0] = _a_arg0_3;
+        _a_arr0_4[_a_base0 + _a_pi0] = _a_arg0_4;
+        _a_scan0[_a_base0 + _a_pi0] = _a_sp0 + _a_g0;
+        _a_bArr0[_a_base0 + _a_pi0] = _a_b0;
+        atomicMax(&_a_maxB0[_a_grp0], _a_b0);
+    }
+    __threadfence();
+    __syncthreads();
+    if (threadIdx.x == 0) {
+        int _a_nfb0 = atomicAdd(&_a_fin0[_a_grp0], 1) + 1;
+        int _a_gb0 = min(_AGG_GRANULARITY, gridDim.x - _a_grp0 * _AGG_GRANULARITY);
+        if (_a_nfb0 == _a_gb0) {
+            long long _a_pkf0 = _a_ctr0[_a_grp0];
+            int _a_np0 = (int)(_a_pkf0 >> 32);
+            int _a_tot0 = (int)(_a_pkf0 & 4294967295);
+            if (_a_np0 > 0) {
+                scale_agg<<<_a_tot0, _a_maxB0[_a_grp0]>>>(_a_arr0_0 + _a_base0, _a_arr0_1 + _a_base0, _a_arr0_2 + _a_base0, _a_arr0_3 + _a_base0, _a_arr0_4 + _a_base0, _a_scan0 + _a_base0, _a_bArr0 + _a_base0, _a_np0);
+            }
+        }
+    }
+}
+";
+const EARLY_RETURN_TCA_AT32: &str = "\
+#define _AGG_THRESHOLD 32
+#define _CFACTOR 16
+#define _THRESHOLD 128
+
+__device__ void _child_coarsen_body(int* data, int n, int _c_gDim, int _c_bx) {
+    int i = _c_bx * blockDim.x + threadIdx.x;
+    if (i >= n) {
+        return;
+    }
+    data[i] = data[i] + 1;
+}
+
+__global__ void child(int* data, int n, int _c_gDim) {
+    for (int _c_bx = blockIdx.x; _c_bx < _c_gDim; _c_bx += gridDim.x) {
+        _child_coarsen_body(data, n, _c_gDim, _c_bx);
+    }
+}
+
+__global__ void child_agg(int** _da_arr0, int* _da_arr1, int* _da_arr2, int* _da_scan, int* _da_bArr, int _da_np) {
+    int _da_lo = 0;
+    int _da_hi = _da_np - 1;
+    while (_da_lo < _da_hi) {
+        int _da_mid = (_da_lo + _da_hi) / 2;
+        if (_da_scan[_da_mid] > blockIdx.x) {
+            _da_hi = _da_mid;
+        }
+        else {
+            _da_lo = _da_mid + 1;
+        }
+    }
+    int _da_pi = _da_lo;
+    int _da_prev = 0;
+    if (_da_pi > 0) {
+        _da_prev = _da_scan[_da_pi - 1];
+    }
+    int* data = _da_arr0[_da_pi];
+    int n = _da_arr1[_da_pi];
+    int _c_gDim = _da_arr2[_da_pi];
+    int _da_gd = _da_scan[_da_pi] - _da_prev;
+    int _da_bx = blockIdx.x - _da_prev;
+    int _da_bd = _da_bArr[_da_pi];
+    if (threadIdx.x < _da_bd) {
+        for (int _c_bx = _da_bx; _c_bx < _c_gDim; _c_bx += _da_gd) {
+            _child_coarsen_body(data, n, _c_gDim, _c_bx);
+        }
+    }
+}
+
+__device__ void child_serial(int* data, int n, dim3 _s_gDim, dim3 _s_bDim) {
+    for (int _s_bz = 0; _s_bz < _s_gDim.z; ++_s_bz) {
+        for (int _s_by = 0; _s_by < _s_gDim.y; ++_s_by) {
+            for (int _s_bx = 0; _s_bx < _s_gDim.x; ++_s_bx) {
+                for (int _s_tz = 0; _s_tz < _s_bDim.z; ++_s_tz) {
+                    for (int _s_ty = 0; _s_ty < _s_bDim.y; ++_s_ty) {
+                        for (int _s_tx = 0; _s_tx < _s_bDim.x; ++_s_tx) {
+                            child_serial_body(data, n, _s_gDim, _s_bDim, _s_bz, _s_by, _s_bx, _s_tz, _s_ty, _s_tx);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+__device__ void child_serial_body(int* data, int n, dim3 _s_gDim, dim3 _s_bDim, int _s_bz, int _s_by, int _s_bx, int _s_tz, int _s_ty, int _s_tx) {
+    int i = _s_bx * _s_bDim.x + _s_tx;
+    if (i >= n) {
+        return;
+    }
+    data[i] = data[i] + 1;
+}
+
+__global__ void parent(int* data, int* offsets, int numV, int** _a_arr0_0, int* _a_arr0_1, int* _a_arr0_2, int* _a_scan0, int* _a_bArr0, long long* _a_ctr0, int* _a_maxB0, int* _a_part0, int _a_slots0) {
+    int _a_g0 = 0;
+    int _a_b0 = 0;
+    int* _a_arg0_0;
+    int _a_arg0_1;
+    int _a_arg0_2;
+    int v = blockIdx.x * blockDim.x + threadIdx.x;
+    if (v < numV) {
+        int count = offsets[v + 1] - offsets[v];
+        int _threads0 = count;
+        if (_threads0 >= _THRESHOLD) {
+            {
+                int _c_gDim0 = (_threads0 + 31) / 32;
+                int _c_cgDim0 = (_c_gDim0 + _CFACTOR - 1) / _CFACTOR;
+                {
+                    _a_g0 = _c_cgDim0;
+                    _a_b0 = 32;
+                    _a_arg0_0 = data;
+                    _a_arg0_1 = count;
+                    _a_arg0_2 = _c_gDim0;
+                }
+            }
+        }
+        else {
+            child_serial(data, count, (_threads0 + 31) / 32, 32);
+        }
+    }
+    int _a_grp0 = blockIdx.x;
+    int _a_base0 = _a_grp0 * _a_slots0;
+    if (_a_g0 > 0) {
+        atomicAdd(&_a_part0[_a_grp0], 1);
+    }
+    __syncthreads();
+    if (_a_part0[_a_grp0] >= _AGG_THRESHOLD) {
+        if (_a_g0 > 0) {
+            long long _a_pk0 = atomicAdd(&_a_ctr0[_a_grp0], ((long long)1 << 32) + (long long)_a_g0);
+            int _a_pi0 = (int)(_a_pk0 >> 32);
+            int _a_sp0 = (int)(_a_pk0 & 4294967295);
+            _a_arr0_0[_a_base0 + _a_pi0] = _a_arg0_0;
+            _a_arr0_1[_a_base0 + _a_pi0] = _a_arg0_1;
+            _a_arr0_2[_a_base0 + _a_pi0] = _a_arg0_2;
+            _a_scan0[_a_base0 + _a_pi0] = _a_sp0 + _a_g0;
+            _a_bArr0[_a_base0 + _a_pi0] = _a_b0;
+            atomicMax(&_a_maxB0[_a_grp0], _a_b0);
+        }
+        __syncthreads();
+        if (threadIdx.x == 0) {
+            long long _a_pkf0 = _a_ctr0[_a_grp0];
+            int _a_np0 = (int)(_a_pkf0 >> 32);
+            int _a_tot0 = (int)(_a_pkf0 & 4294967295);
+            if (_a_np0 > 0) {
+                child_agg<<<_a_tot0, _a_maxB0[_a_grp0]>>>(_a_arr0_0 + _a_base0, _a_arr0_1 + _a_base0, _a_arr0_2 + _a_base0, _a_scan0 + _a_base0, _a_bArr0 + _a_base0, _a_np0);
+            }
+        }
+    }
+    else {
+        if (_a_g0 > 0) {
+            child<<<_a_g0, _a_b0>>>(_a_arg0_0, _a_arg0_1, _a_arg0_2);
+        }
+    }
+}
+";
+const MIXED_PARAMS_TCA_AT32: &str = "\
+#define _AGG_THRESHOLD 32
+#define _CFACTOR 16
+#define _THRESHOLD 128
+
+__global__ void scale(float* out, long long base, int** rows, unsigned int n, int _c_gDim) {
+    for (int _c_bx = blockIdx.x; _c_bx < _c_gDim; _c_bx += gridDim.x) {
+        int i = _c_bx * blockDim.x + threadIdx.x;
+        if (i < n) {
+            int* row = rows[i];
+            out[i] = out[i] * 2.0 + row[0] + base;
+        }
+    }
+}
+
+__global__ void scale_agg(float** _da_arr0, long long* _da_arr1, int*** _da_arr2, unsigned int* _da_arr3, int* _da_arr4, int* _da_scan, int* _da_bArr, int _da_np) {
+    int _da_lo = 0;
+    int _da_hi = _da_np - 1;
+    while (_da_lo < _da_hi) {
+        int _da_mid = (_da_lo + _da_hi) / 2;
+        if (_da_scan[_da_mid] > blockIdx.x) {
+            _da_hi = _da_mid;
+        }
+        else {
+            _da_lo = _da_mid + 1;
+        }
+    }
+    int _da_pi = _da_lo;
+    int _da_prev = 0;
+    if (_da_pi > 0) {
+        _da_prev = _da_scan[_da_pi - 1];
+    }
+    float* out = _da_arr0[_da_pi];
+    long long base = _da_arr1[_da_pi];
+    int** rows = _da_arr2[_da_pi];
+    unsigned int n = _da_arr3[_da_pi];
+    int _c_gDim = _da_arr4[_da_pi];
+    int _da_gd = _da_scan[_da_pi] - _da_prev;
+    int _da_bx = blockIdx.x - _da_prev;
+    int _da_bd = _da_bArr[_da_pi];
+    if (threadIdx.x < _da_bd) {
+        for (int _c_bx = _da_bx; _c_bx < _c_gDim; _c_bx += _da_gd) {
+            int i = _c_bx * _da_bd + threadIdx.x;
+            if (i < n) {
+                int* row = rows[i];
+                out[i] = out[i] * 2.0 + row[0] + base;
+            }
+        }
+    }
+}
+
+__device__ void scale_serial(float* out, long long base, int** rows, unsigned int n, dim3 _s_gDim, dim3 _s_bDim) {
+    for (int _s_bz = 0; _s_bz < _s_gDim.z; ++_s_bz) {
+        for (int _s_by = 0; _s_by < _s_gDim.y; ++_s_by) {
+            for (int _s_bx = 0; _s_bx < _s_gDim.x; ++_s_bx) {
+                for (int _s_tz = 0; _s_tz < _s_bDim.z; ++_s_tz) {
+                    for (int _s_ty = 0; _s_ty < _s_bDim.y; ++_s_ty) {
+                        for (int _s_tx = 0; _s_tx < _s_bDim.x; ++_s_tx) {
+                            int i = _s_bx * _s_bDim.x + _s_tx;
+                            if (i < n) {
+                                int* row = rows[i];
+                                out[i] = out[i] * 2.0 + row[0] + base;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+__global__ void parent(float* out, int** rows, int* counts, int numV, float** _a_arr0_0, long long* _a_arr0_1, int*** _a_arr0_2, unsigned int* _a_arr0_3, int* _a_arr0_4, int* _a_scan0, int* _a_bArr0, long long* _a_ctr0, int* _a_maxB0, int* _a_part0, int _a_slots0) {
+    int _a_g0 = 0;
+    int _a_b0 = 0;
+    float* _a_arg0_0;
+    long long _a_arg0_1;
+    int** _a_arg0_2;
+    unsigned int _a_arg0_3;
+    int _a_arg0_4;
+    int v = blockIdx.x * blockDim.x + threadIdx.x;
+    if (v < numV) {
+        long long base = v;
+        int _threads0 = counts[v];
+        if (_threads0 >= _THRESHOLD) {
+            {
+                int _c_gDim0 = (_threads0 + 31) / 32;
+                int _c_cgDim0 = (_c_gDim0 + _CFACTOR - 1) / _CFACTOR;
+                {
+                    _a_g0 = _c_cgDim0;
+                    _a_b0 = 32;
+                    _a_arg0_0 = out;
+                    _a_arg0_1 = base;
+                    _a_arg0_2 = rows;
+                    _a_arg0_3 = counts[v];
+                    _a_arg0_4 = _c_gDim0;
+                }
+            }
+        }
+        else {
+            scale_serial(out, base, rows, counts[v], (_threads0 + 31) / 32, 32);
+        }
+    }
+    int _a_grp0 = blockIdx.x;
+    int _a_base0 = _a_grp0 * _a_slots0;
+    if (_a_g0 > 0) {
+        atomicAdd(&_a_part0[_a_grp0], 1);
+    }
+    __syncthreads();
+    if (_a_part0[_a_grp0] >= _AGG_THRESHOLD) {
+        if (_a_g0 > 0) {
+            long long _a_pk0 = atomicAdd(&_a_ctr0[_a_grp0], ((long long)1 << 32) + (long long)_a_g0);
+            int _a_pi0 = (int)(_a_pk0 >> 32);
+            int _a_sp0 = (int)(_a_pk0 & 4294967295);
+            _a_arr0_0[_a_base0 + _a_pi0] = _a_arg0_0;
+            _a_arr0_1[_a_base0 + _a_pi0] = _a_arg0_1;
+            _a_arr0_2[_a_base0 + _a_pi0] = _a_arg0_2;
+            _a_arr0_3[_a_base0 + _a_pi0] = _a_arg0_3;
+            _a_arr0_4[_a_base0 + _a_pi0] = _a_arg0_4;
+            _a_scan0[_a_base0 + _a_pi0] = _a_sp0 + _a_g0;
+            _a_bArr0[_a_base0 + _a_pi0] = _a_b0;
+            atomicMax(&_a_maxB0[_a_grp0], _a_b0);
+        }
+        __syncthreads();
+        if (threadIdx.x == 0) {
+            long long _a_pkf0 = _a_ctr0[_a_grp0];
+            int _a_np0 = (int)(_a_pkf0 >> 32);
+            int _a_tot0 = (int)(_a_pkf0 & 4294967295);
+            if (_a_np0 > 0) {
+                scale_agg<<<_a_tot0, _a_maxB0[_a_grp0]>>>(_a_arr0_0 + _a_base0, _a_arr0_1 + _a_base0, _a_arr0_2 + _a_base0, _a_arr0_3 + _a_base0, _a_arr0_4 + _a_base0, _a_scan0 + _a_base0, _a_bArr0 + _a_base0, _a_np0);
+            }
+        }
+    }
+    else {
+        if (_a_g0 > 0) {
+            scale<<<_a_g0, _a_b0>>>(_a_arg0_0, _a_arg0_1, _a_arg0_2, _a_arg0_3, _a_arg0_4);
+        }
+    }
+}
+";
