@@ -1485,3 +1485,327 @@ __global__ void parent(float* out, int** rows, int* counts, int numV, float** _a
     }
 }
 ";
+
+// ---------------------------------------------------------------------
+// Hygiene: a generated name never captures or rebinds a user's name.
+// ---------------------------------------------------------------------
+
+/// The parent every hygiene counter-example shares: each vertex's child
+/// grid adds one to its own slice of `data`, so the final memory does not
+/// depend on the order the grids run in.
+const HYGIENE_PARENT: &str = "
+__global__ void parent(int* data, int* offsets, int numV) {
+    int v = blockIdx.x * blockDim.x + threadIdx.x;
+    if (v < numV) {
+        int count = offsets[v + 1] - offsets[v];
+        child<<<(count + 31) / 32, 32>>>(data + offsets[v], count);
+    }
+}
+";
+
+/// A child local named like the disaggregated block index.
+const CHILD_LOCAL_DA_BX: &str = "\
+__global__ void child(int* data, int n) {
+    int _da_bx = 0;
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    if (i < n) {
+        data[i] = data[i] + 1 + _da_bx;
+    }
+}
+";
+
+/// A child parameter named like the binary search's result.
+const CHILD_PARAM_DA_PI: &str = "\
+__global__ void child(int* data, int _da_pi) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    if (i < _da_pi) {
+        data[i] = data[i] + 1;
+    }
+}
+";
+
+/// A parent local named like the participation count.
+const PARENT_LOCAL_A_G0: &str = "\
+__global__ void child(int* data, int n) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    if (i < n) {
+        data[i] = data[i] + 1;
+    }
+}
+
+__global__ void parent(int* data, int* offsets, int numV) {
+    int _a_g0 = blockIdx.x * blockDim.x + threadIdx.x;
+    if (_a_g0 < numV) {
+        int count = offsets[_a_g0 + 1] - offsets[_a_g0];
+        child<<<(count + 31) / 32, 32>>>(data + offsets[_a_g0], count);
+    }
+}
+";
+
+fn agg_block() -> OptConfig {
+    OptConfig::none().aggregation(AggConfig::new(AggGranularity::Block))
+}
+
+#[test]
+fn a_child_local_does_not_capture_the_disaggregated_block_index() {
+    check(
+        "child local _da_bx",
+        &format!("{CHILD_LOCAL_DA_BX}{HYGIENE_PARENT}"),
+        agg_block(),
+        HYGIENE_DA_BX,
+        0x44df251fde4a5465,
+    );
+}
+
+#[test]
+fn a_child_parameter_does_not_rebind_the_search_result() {
+    check(
+        "child parameter _da_pi",
+        &format!("{CHILD_PARAM_DA_PI}{HYGIENE_PARENT}"),
+        agg_block(),
+        HYGIENE_DA_PI,
+        0xceb9c17dea7a1f81,
+    );
+}
+
+#[test]
+fn a_parent_local_does_not_rebind_the_participation_count() {
+    check(
+        "parent local _a_g0",
+        PARENT_LOCAL_A_G0,
+        agg_block(),
+        HYGIENE_A_G0,
+        0xee0ac198ec8f7415,
+    );
+}
+
+const HYGIENE_DA_BX: &str = "\
+__global__ void child(int* data, int n) {
+    int _da_bx = 0;
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    if (i < n) {
+        data[i] = data[i] + 1 + _da_bx;
+    }
+}
+
+__global__ void child_agg(int** _da_arr0, int* _da_arr1, int* _da_scan, int* _da_bArr, int _da_np) {
+    int _da_lo = 0;
+    int _da_hi = _da_np - 1;
+    while (_da_lo < _da_hi) {
+        int _da_mid = (_da_lo + _da_hi) / 2;
+        if (_da_scan[_da_mid] > blockIdx.x) {
+            _da_hi = _da_mid;
+        }
+        else {
+            _da_lo = _da_mid + 1;
+        }
+    }
+    int _da_pi = _da_lo;
+    int _da_prev = 0;
+    if (_da_pi > 0) {
+        _da_prev = _da_scan[_da_pi - 1];
+    }
+    int* data = _da_arr0[_da_pi];
+    int n = _da_arr1[_da_pi];
+    int _da_gd = _da_scan[_da_pi] - _da_prev;
+    int _da_bx = blockIdx.x - _da_prev;
+    int _da_bd = _da_bArr[_da_pi];
+    if (threadIdx.x < _da_bd) {
+        int _da_bx = 0;
+        int i = _da_bx * _da_bd + threadIdx.x;
+        if (i < n) {
+            data[i] = data[i] + 1 + _da_bx;
+        }
+    }
+}
+
+__global__ void parent(int* data, int* offsets, int numV, int** _a_arr0_0, int* _a_arr0_1, int* _a_scan0, int* _a_bArr0, long long* _a_ctr0, int* _a_maxB0, int _a_slots0) {
+    int _a_g0 = 0;
+    int _a_b0 = 0;
+    int* _a_arg0_0;
+    int _a_arg0_1;
+    int v = blockIdx.x * blockDim.x + threadIdx.x;
+    if (v < numV) {
+        int count = offsets[v + 1] - offsets[v];
+        {
+            _a_g0 = (count + 31) / 32;
+            _a_b0 = 32;
+            _a_arg0_0 = data + offsets[v];
+            _a_arg0_1 = count;
+        }
+    }
+    int _a_grp0 = blockIdx.x;
+    int _a_base0 = _a_grp0 * _a_slots0;
+    if (_a_g0 > 0) {
+        long long _a_pk0 = atomicAdd(&_a_ctr0[_a_grp0], ((long long)1 << 32) + (long long)_a_g0);
+        int _a_pi0 = (int)(_a_pk0 >> 32);
+        int _a_sp0 = (int)(_a_pk0 & 4294967295);
+        _a_arr0_0[_a_base0 + _a_pi0] = _a_arg0_0;
+        _a_arr0_1[_a_base0 + _a_pi0] = _a_arg0_1;
+        _a_scan0[_a_base0 + _a_pi0] = _a_sp0 + _a_g0;
+        _a_bArr0[_a_base0 + _a_pi0] = _a_b0;
+        atomicMax(&_a_maxB0[_a_grp0], _a_b0);
+    }
+    __syncthreads();
+    if (threadIdx.x == 0) {
+        long long _a_pkf0 = _a_ctr0[_a_grp0];
+        int _a_np0 = (int)(_a_pkf0 >> 32);
+        int _a_tot0 = (int)(_a_pkf0 & 4294967295);
+        if (_a_np0 > 0) {
+            child_agg<<<_a_tot0, _a_maxB0[_a_grp0]>>>(_a_arr0_0 + _a_base0, _a_arr0_1 + _a_base0, _a_scan0 + _a_base0, _a_bArr0 + _a_base0, _a_np0);
+        }
+    }
+}
+";
+const HYGIENE_DA_PI: &str = "\
+__global__ void child(int* data, int _da_pi) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    if (i < _da_pi) {
+        data[i] = data[i] + 1;
+    }
+}
+
+__global__ void child_agg(int** _da_arr0, int* _da_arr1, int* _da_scan, int* _da_bArr, int _da_np) {
+    int _da_lo = 0;
+    int _da_hi = _da_np - 1;
+    while (_da_lo < _da_hi) {
+        int _da_mid = (_da_lo + _da_hi) / 2;
+        if (_da_scan[_da_mid] > blockIdx.x) {
+            _da_hi = _da_mid;
+        }
+        else {
+            _da_lo = _da_mid + 1;
+        }
+    }
+    int _da_pi = _da_lo;
+    int _da_prev = 0;
+    if (_da_pi > 0) {
+        _da_prev = _da_scan[_da_pi - 1];
+    }
+    int* data = _da_arr0[_da_pi];
+    int _da_pi = _da_arr1[_da_pi];
+    int _da_gd = _da_scan[_da_pi] - _da_prev;
+    int _da_bx = blockIdx.x - _da_prev;
+    int _da_bd = _da_bArr[_da_pi];
+    if (threadIdx.x < _da_bd) {
+        int i = _da_bx * _da_bd + threadIdx.x;
+        if (i < _da_pi) {
+            data[i] = data[i] + 1;
+        }
+    }
+}
+
+__global__ void parent(int* data, int* offsets, int numV, int** _a_arr0_0, int* _a_arr0_1, int* _a_scan0, int* _a_bArr0, long long* _a_ctr0, int* _a_maxB0, int _a_slots0) {
+    int _a_g0 = 0;
+    int _a_b0 = 0;
+    int* _a_arg0_0;
+    int _a_arg0_1;
+    int v = blockIdx.x * blockDim.x + threadIdx.x;
+    if (v < numV) {
+        int count = offsets[v + 1] - offsets[v];
+        {
+            _a_g0 = (count + 31) / 32;
+            _a_b0 = 32;
+            _a_arg0_0 = data + offsets[v];
+            _a_arg0_1 = count;
+        }
+    }
+    int _a_grp0 = blockIdx.x;
+    int _a_base0 = _a_grp0 * _a_slots0;
+    if (_a_g0 > 0) {
+        long long _a_pk0 = atomicAdd(&_a_ctr0[_a_grp0], ((long long)1 << 32) + (long long)_a_g0);
+        int _a_pi0 = (int)(_a_pk0 >> 32);
+        int _a_sp0 = (int)(_a_pk0 & 4294967295);
+        _a_arr0_0[_a_base0 + _a_pi0] = _a_arg0_0;
+        _a_arr0_1[_a_base0 + _a_pi0] = _a_arg0_1;
+        _a_scan0[_a_base0 + _a_pi0] = _a_sp0 + _a_g0;
+        _a_bArr0[_a_base0 + _a_pi0] = _a_b0;
+        atomicMax(&_a_maxB0[_a_grp0], _a_b0);
+    }
+    __syncthreads();
+    if (threadIdx.x == 0) {
+        long long _a_pkf0 = _a_ctr0[_a_grp0];
+        int _a_np0 = (int)(_a_pkf0 >> 32);
+        int _a_tot0 = (int)(_a_pkf0 & 4294967295);
+        if (_a_np0 > 0) {
+            child_agg<<<_a_tot0, _a_maxB0[_a_grp0]>>>(_a_arr0_0 + _a_base0, _a_arr0_1 + _a_base0, _a_scan0 + _a_base0, _a_bArr0 + _a_base0, _a_np0);
+        }
+    }
+}
+";
+const HYGIENE_A_G0: &str = "\
+__global__ void child(int* data, int n) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    if (i < n) {
+        data[i] = data[i] + 1;
+    }
+}
+
+__global__ void child_agg(int** _da_arr0, int* _da_arr1, int* _da_scan, int* _da_bArr, int _da_np) {
+    int _da_lo = 0;
+    int _da_hi = _da_np - 1;
+    while (_da_lo < _da_hi) {
+        int _da_mid = (_da_lo + _da_hi) / 2;
+        if (_da_scan[_da_mid] > blockIdx.x) {
+            _da_hi = _da_mid;
+        }
+        else {
+            _da_lo = _da_mid + 1;
+        }
+    }
+    int _da_pi = _da_lo;
+    int _da_prev = 0;
+    if (_da_pi > 0) {
+        _da_prev = _da_scan[_da_pi - 1];
+    }
+    int* data = _da_arr0[_da_pi];
+    int n = _da_arr1[_da_pi];
+    int _da_gd = _da_scan[_da_pi] - _da_prev;
+    int _da_bx = blockIdx.x - _da_prev;
+    int _da_bd = _da_bArr[_da_pi];
+    if (threadIdx.x < _da_bd) {
+        int i = _da_bx * _da_bd + threadIdx.x;
+        if (i < n) {
+            data[i] = data[i] + 1;
+        }
+    }
+}
+
+__global__ void parent(int* data, int* offsets, int numV, int** _a_arr0_0, int* _a_arr0_1, int* _a_scan0, int* _a_bArr0, long long* _a_ctr0, int* _a_maxB0, int _a_slots0) {
+    int _a_g0 = 0;
+    int _a_b0 = 0;
+    int* _a_arg0_0;
+    int _a_arg0_1;
+    int _a_g0 = blockIdx.x * blockDim.x + threadIdx.x;
+    if (_a_g0 < numV) {
+        int count = offsets[_a_g0 + 1] - offsets[_a_g0];
+        {
+            _a_g0 = (count + 31) / 32;
+            _a_b0 = 32;
+            _a_arg0_0 = data + offsets[_a_g0];
+            _a_arg0_1 = count;
+        }
+    }
+    int _a_grp0 = blockIdx.x;
+    int _a_base0 = _a_grp0 * _a_slots0;
+    if (_a_g0 > 0) {
+        long long _a_pk0 = atomicAdd(&_a_ctr0[_a_grp0], ((long long)1 << 32) + (long long)_a_g0);
+        int _a_pi0 = (int)(_a_pk0 >> 32);
+        int _a_sp0 = (int)(_a_pk0 & 4294967295);
+        _a_arr0_0[_a_base0 + _a_pi0] = _a_arg0_0;
+        _a_arr0_1[_a_base0 + _a_pi0] = _a_arg0_1;
+        _a_scan0[_a_base0 + _a_pi0] = _a_sp0 + _a_g0;
+        _a_bArr0[_a_base0 + _a_pi0] = _a_b0;
+        atomicMax(&_a_maxB0[_a_grp0], _a_b0);
+    }
+    __syncthreads();
+    if (threadIdx.x == 0) {
+        long long _a_pkf0 = _a_ctr0[_a_grp0];
+        int _a_np0 = (int)(_a_pkf0 >> 32);
+        int _a_tot0 = (int)(_a_pkf0 & 4294967295);
+        if (_a_np0 > 0) {
+            child_agg<<<_a_tot0, _a_maxB0[_a_grp0]>>>(_a_arr0_0 + _a_base0, _a_arr0_1 + _a_base0, _a_scan0 + _a_base0, _a_bArr0 + _a_base0, _a_np0);
+        }
+    }
+}
+";
