@@ -154,7 +154,7 @@ pub fn walk_stmt_mut(stmt: &mut Stmt, f: &mut impl FnMut(&mut Stmt)) {
 }
 
 /// Immutable expression walk (post-order).
-pub fn for_each_expr(expr: &Expr, f: &mut impl FnMut(&Expr)) {
+pub fn for_each_expr<'a>(expr: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
     match &expr.kind {
         ExprKind::IntLit(_) | ExprKind::FloatLit(_) | ExprKind::BoolLit(_) | ExprKind::Ident(_) => {
         }
@@ -189,7 +189,7 @@ pub fn for_each_expr(expr: &Expr, f: &mut impl FnMut(&Expr)) {
 }
 
 /// Immutable walk over every expression in a statement tree.
-pub fn for_each_stmt_expr(stmt: &Stmt, f: &mut impl FnMut(&Expr)) {
+pub fn for_each_stmt_expr<'a>(stmt: &'a Stmt, f: &mut impl FnMut(&'a Expr)) {
     for_each_stmt(stmt, &mut |s| match &s.kind {
         StmtKind::Decl(decl) => {
             for d in &decl.declarators {
@@ -232,7 +232,7 @@ pub fn for_each_stmt_expr(stmt: &Stmt, f: &mut impl FnMut(&Expr)) {
 }
 
 /// Immutable walk over `stmt` and every nested statement (pre-order).
-pub fn for_each_stmt(stmt: &Stmt, f: &mut impl FnMut(&Stmt)) {
+pub fn for_each_stmt<'a>(stmt: &'a Stmt, f: &mut impl FnMut(&'a Stmt)) {
     f(stmt);
     match &stmt.kind {
         StmtKind::If {

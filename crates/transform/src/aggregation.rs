@@ -100,12 +100,24 @@ pub fn apply(program: &mut Program, config: &AggConfig) -> TransformManifest {
     manifest
 }
 
+/// One aggregated launch site: its number in the program, the kernel it
+/// launched and how many arguments it passed.
 struct SiteInfo {
     id: usize,
     child: String,
-    grid: Expr,
-    block: Expr,
-    args: Vec<Expr>,
+    args: usize,
+}
+
+impl SiteInfo {
+    /// The name `base` takes at this site: `_a_g` is `_a_g3` at site 3.
+    fn name(&self, base: &str) -> String {
+        format!("{base}{}", self.id)
+    }
+
+    /// The name of argument `j`'s variable or buffer at this site.
+    fn arg(&self, base: &str, j: usize) -> String {
+        format!("{base}{}_{j}", self.id)
+    }
 }
 
 fn transform_parent(
@@ -163,40 +175,30 @@ fn transform_parent(
     let mut new_params = Vec::new();
     let mut agg_kernels: Vec<(&str, Function)> = Vec::new();
     for site in &sites {
-        let s = site.id;
         let child_fn = program.function(&site.child).expect("validated");
         for name in ["_a_g", "_a_b"] {
+            let zero = Expr::int(0, CodeOrigin::AggLogic);
             new_body.push(Stmt::decl(
                 Type::Int,
-                format!("{name}{s}"),
-                Some(Expr::int(0, CodeOrigin::AggLogic)),
+                site.name(name),
+                Some(zero),
                 CodeOrigin::AggLogic,
             ));
         }
         let mut buffer_params = Vec::new();
-        for (j, param) in child_fn.params.iter().enumerate() {
-            new_body.push(Stmt::decl(
-                param.ty.clone(),
-                format!("_a_arg{s}_{j}"),
-                None,
-                CodeOrigin::AggLogic,
-            ));
-            new_params.push(Param {
-                ty: param.ty.clone().ptr_to(),
-                name: format!("_a_arr{s}_{j}"),
-            });
+        for (j, p) in child_fn.params.iter().enumerate() {
+            let arg = site.arg("_a_arg", j);
+            new_body.push(Stmt::decl(p.ty.clone(), arg, None, CodeOrigin::AggLogic));
+            new_params.push(param(p.ty.clone().ptr_to(), &site.arg("_a_arr", j)));
             buffer_params.push(BufferParam::ArgArray {
                 index: j,
-                ty: param.ty.clone(),
+                ty: p.ty.clone(),
             });
         }
-        epilogue.extend(build_epilogue(site, child_fn, granularity, agg_threshold));
+        epilogue.extend(build_epilogue(site, granularity, agg_threshold));
 
         let mut buffer = |ty: Type, name: &str, kind: BufferParam| {
-            new_params.push(Param {
-                ty,
-                name: format!("{name}{s}"),
-            });
+            new_params.push(param(ty, &site.name(name)));
             buffer_params.push(kind);
         };
         buffer(Type::Int.ptr_to(), "_a_scan", BufferParam::GDimScanned);
@@ -342,47 +344,28 @@ fn replace_launches(
         return;
     }
 
-    let id = *site_counter;
-    *site_counter += 1;
-    let info = SiteInfo {
-        id,
-        child: launch.kernel.clone(),
-        grid: one_dimensional(&launch.grid),
-        block: one_dimensional(&launch.block),
-        args: launch.args.clone(),
+    let StmtKind::Launch(launch) = std::mem::replace(&mut stmt.kind, StmtKind::Empty) else {
+        unreachable!("matched above")
     };
+    let site = SiteInfo {
+        id: *site_counter,
+        child: launch.kernel,
+        args: launch.args.len(),
+    };
+    *site_counter += 1;
 
     // `{ _a_gS = grid; _a_bS = block; _a_argS_j = arg_j; ... }`
-    let mut stmts = Vec::new();
-    stmts.push(Stmt::expr(
-        Expr::assign(
-            Expr::ident(format!("_a_g{id}"), CodeOrigin::AggLogic),
-            info.grid.clone(),
-            CodeOrigin::AggLogic,
-        ),
-        CodeOrigin::AggLogic,
-    ));
-    stmts.push(Stmt::expr(
-        Expr::assign(
-            Expr::ident(format!("_a_b{id}"), CodeOrigin::AggLogic),
-            info.block.clone(),
-            CodeOrigin::AggLogic,
-        ),
-        CodeOrigin::AggLogic,
-    ));
-    for (j, arg) in info.args.iter().enumerate() {
-        stmts.push(Stmt::expr(
-            Expr::assign(
-                Expr::ident(format!("_a_arg{id}_{j}"), CodeOrigin::AggLogic),
-                arg.clone(),
-                CodeOrigin::AggLogic,
-            ),
-            CodeOrigin::AggLogic,
-        ));
+    let a = Gen(CodeOrigin::AggLogic);
+    let mut stmts = vec![
+        a.set(a.id(&site.name("_a_g")), one_dimensional(launch.grid)),
+        a.set(a.id(&site.name("_a_b")), one_dimensional(launch.block)),
+    ];
+    for (j, arg) in launch.args.into_iter().enumerate() {
+        stmts.push(a.set(a.id(&site.arg("_a_arg", j)), arg));
     }
     stmt.kind = StmtKind::Block(stmts);
     stmt.origin = CodeOrigin::AggLogic;
-    sites.push(info);
+    sites.push(site);
 }
 
 fn validate_site(program: &Program, launch: &LaunchStmt, loop_depth: usize) -> Result<(), String> {
@@ -424,204 +407,237 @@ fn validate_site(program: &Program, launch: &LaunchStmt, loop_depth: usize) -> R
     Ok(())
 }
 
-fn is_one_dimensional(e: &Expr) -> bool {
-    match &e.kind {
-        ExprKind::Dim3Ctor(args) => args
-            .iter()
-            .skip(1)
-            .all(|a| matches!(a.kind, ExprKind::IntLit(1))),
-        _ => true,
-    }
-}
-
-fn one_dimensional(e: &Expr) -> Expr {
-    match &e.kind {
-        ExprKind::Dim3Ctor(args) => args[0].clone(),
-        _ => e.clone(),
-    }
-}
-
-/// Builds the per-site aggregation epilogue appended to the parent kernel.
+/// Builds the per-site aggregation epilogue appended to the parent kernel
+/// (Fig. 7 lines 12–35): store this thread's launch, then let the group's
+/// last thread launch the aggregated child.
 fn build_epilogue(
     site: &SiteInfo,
-    child_fn: &Function,
     granularity: AggGranularity,
     agg_threshold: Option<i64>,
 ) -> Vec<Stmt> {
-    let s = site.id;
-    let group_expr = match granularity {
+    use BinOp::{Add, BitAnd, Div, Eq, Ge, Gt, Mul, Shl, Shr, Sub};
+    let a = Gen(CodeOrigin::AggLogic);
+    let [g, b, grp, base, pk, pi, sp, pkf, np, tot] = [
+        "_a_g", "_a_b", "_a_grp", "_a_base", "_a_pk", "_a_pi", "_a_sp", "_a_pkf", "_a_np", "_a_tot",
+    ]
+    .map(|n| site.name(n));
+    let [scan, barr, ctr, maxb, fin, part, slots] = [
+        "_a_scan", "_a_bArr", "_a_ctr", "_a_maxB", "_a_fin", "_a_part", "_a_slots",
+    ]
+    .map(|n| site.name(n));
+    let arrs: Vec<String> = (0..site.args).map(|j| site.arg("_a_arr", j)).collect();
+
+    let group = match granularity {
         AggGranularity::Warp => {
-            "blockIdx.x * ((blockDim.x + 31) / 32) + threadIdx.x / 32".to_string()
+            let warps = a.bin(
+                Div,
+                a.bin(Add, a.dot("blockDim", "x"), a.int(31)),
+                a.int(32),
+            );
+            let warp = a.bin(Div, a.dot("threadIdx", "x"), a.int(32));
+            a.bin(Add, a.bin(Mul, a.dot("blockIdx", "x"), warps), warp)
         }
-        AggGranularity::Block => "blockIdx.x".to_string(),
-        AggGranularity::MultiBlock(_) => format!("blockIdx.x / {AGG_GRANULARITY_MACRO}"),
-        AggGranularity::Grid => "0".to_string(),
+        AggGranularity::Block => a.dot("blockIdx", "x"),
+        AggGranularity::MultiBlock(_) => {
+            a.bin(Div, a.dot("blockIdx", "x"), a.id(AGG_GRANULARITY_MACRO))
+        }
+        AggGranularity::Grid => a.int(0),
     };
+    // `&buffer[_a_grp]`, `buffer[_a_base + _a_pi]`, and the two halves of
+    // a packed `(numParents, sumGDim)` counter.
+    let of_group = |buffer: &str| a.addr(a.index(buffer, a.id(&grp)));
+    let at_slot = |buffer: &str| a.index(buffer, a.bin(Add, a.id(&base), a.id(&pi)));
+    let high = |packed: &str| a.cast(Type::Int, a.bin(Shr, a.id(packed), a.int(32)));
+    let low = |packed: &str| a.cast(Type::Int, a.bin(BitAnd, a.id(packed), a.int(4294967295)));
+    let participates = || a.bin(Gt, a.id(&g), a.int(0));
+    let sync = || a.expr(a.call("__syncthreads", vec![]));
+    let fence = || a.expr(a.call("__threadfence", vec![]));
+    let finished = || {
+        a.bin(
+            Add,
+            a.call("atomicAdd", vec![of_group(&fin), a.int(1)]),
+            a.int(1),
+        )
+    };
+    let thread_zero = || a.bin(Eq, a.dot("threadIdx", "x"), a.int(0));
 
-    let arg_stores: String = (0..child_fn.params.len())
-        .map(|j| format!("_a_arr{s}_{j}[_a_base{s} + _a_pi{s}] = _a_arg{s}_{j};\n"))
+    // Fig. 7 lines 19–20: one atomic adds 1 to numParents and _a_g to sumGDim.
+    let one_and_g = a.bin(
+        Add,
+        a.bin(Shl, a.cast(Type::Long, a.int(1)), a.int(32)),
+        a.cast(Type::Long, a.id(&g)),
+    );
+    let mut store = vec![
+        a.decl(
+            Type::Long,
+            &pk,
+            a.call("atomicAdd", vec![of_group(&ctr), one_and_g]),
+        ),
+        a.decl(Type::Int, &pi, high(&pk)),
+        a.decl(Type::Int, &sp, low(&pk)),
+    ];
+    for (j, arr) in arrs.iter().enumerate() {
+        store.push(a.set(at_slot(arr), a.id(&site.arg("_a_arg", j))));
+    }
+    store.push(a.set(at_slot(&scan), a.bin(Add, a.id(&sp), a.id(&g))));
+    store.push(a.set(at_slot(&barr), a.id(&b)));
+    store.push(a.expr(a.call("atomicMax", vec![of_group(&maxb), a.id(&b)])));
+    let store_phase = a.if_(participates(), store);
+
+    let mut agg_args: Vec<Expr> = (arrs.iter().chain([&scan, &barr]))
+        .map(|buffer| a.bin(Add, a.id(buffer), a.id(&base)))
         .collect();
-
-    let store_phase = format!(
-        "if (_a_g{s} > 0) {{
-             long long _a_pk{s} = atomicAdd(&_a_ctr{s}[_a_grp{s}], ((long long)1 << 32) + (long long)_a_g{s});
-             int _a_pi{s} = (int)(_a_pk{s} >> 32);
-             int _a_sp{s} = (int)(_a_pk{s} & 4294967295);
-             {arg_stores}
-             _a_scan{s}[_a_base{s} + _a_pi{s}] = _a_sp{s} + _a_g{s};
-             _a_bArr{s}[_a_base{s} + _a_pi{s}] = _a_b{s};
-             atomicMax(&_a_maxB{s}[_a_grp{s}], _a_b{s});
-         }}"
+    agg_args.push(a.id(&np));
+    let agg_launch = a.launch(
+        format!("{}_agg", site.child),
+        a.id(&tot),
+        a.index(&maxb, a.id(&grp)),
+        agg_args,
     );
-
-    let agg_args: String = (0..child_fn.params.len())
-        .map(|j| format!("_a_arr{s}_{j} + _a_base{s}, "))
-        .collect();
-    let agg_launch = format!(
-        "{child}_agg<<<_a_tot{s}, _a_maxB{s}[_a_grp{s}]>>>({agg_args}_a_scan{s} + _a_base{s}, _a_bArr{s} + _a_base{s}, _a_np{s});",
-        child = site.child
-    );
-    let read_and_launch = format!(
-        "long long _a_pkf{s} = _a_ctr{s}[_a_grp{s}];
-         int _a_np{s} = (int)(_a_pkf{s} >> 32);
-         int _a_tot{s} = (int)(_a_pkf{s} & 4294967295);
-         if (_a_np{s} > 0) {{
-             {agg_launch}
-         }}"
-    );
+    let read_and_launch = vec![
+        a.decl(Type::Long, &pkf, a.index(&ctr, a.id(&grp))),
+        a.decl(Type::Int, &np, high(&pkf)),
+        a.decl(Type::Int, &tot, low(&pkf)),
+        a.if_(a.bin(Gt, a.id(&np), a.int(0)), vec![agg_launch]),
+    ];
 
     let completion = match granularity {
-        AggGranularity::Warp => format!(
-            "__threadfence();
-             int _a_fn{s} = atomicAdd(&_a_fin{s}[_a_grp{s}], 1) + 1;
-             int _a_wsz{s} = min(32, blockDim.x - (threadIdx.x / 32) * 32);
-             if (_a_fn{s} == _a_wsz{s}) {{
-                 {read_and_launch}
-             }}"
-        ),
-        AggGranularity::Block => format!(
-            "__syncthreads();
-             if (threadIdx.x == 0) {{
-                 {read_and_launch}
-             }}"
-        ),
-        AggGranularity::MultiBlock(_) => format!(
-            "__threadfence();
-             __syncthreads();
-             if (threadIdx.x == 0) {{
-                 int _a_nfb{s} = atomicAdd(&_a_fin{s}[_a_grp{s}], 1) + 1;
-                 int _a_gb{s} = min({AGG_GRANULARITY_MACRO}, gridDim.x - _a_grp{s} * {AGG_GRANULARITY_MACRO});
-                 if (_a_nfb{s} == _a_gb{s}) {{
-                     {read_and_launch}
-                 }}
-             }}"
-        ),
-        AggGranularity::Grid => String::new(),
+        AggGranularity::Warp => {
+            let [done, lanes] = ["_a_fn", "_a_wsz"].map(|n| site.name(n));
+            let warp_start = a.bin(
+                Mul,
+                a.bin(Div, a.dot("threadIdx", "x"), a.int(32)),
+                a.int(32),
+            );
+            let width = a.bin(Sub, a.dot("blockDim", "x"), warp_start);
+            vec![
+                fence(),
+                a.decl(Type::Int, &done, finished()),
+                a.decl(Type::Int, &lanes, a.call("min", vec![a.int(32), width])),
+                a.if_(a.bin(Eq, a.id(&done), a.id(&lanes)), read_and_launch),
+            ]
+        }
+        AggGranularity::Block => vec![sync(), a.if_(thread_zero(), read_and_launch)],
+        AggGranularity::MultiBlock(_) => {
+            let [done, blocks] = ["_a_nfb", "_a_gb"].map(|n| site.name(n));
+            let group_start = a.bin(Mul, a.id(&grp), a.id(AGG_GRANULARITY_MACRO));
+            let rest = a.bin(Sub, a.dot("gridDim", "x"), group_start);
+            let last_block = vec![
+                a.decl(Type::Int, &done, finished()),
+                a.decl(
+                    Type::Int,
+                    &blocks,
+                    a.call("min", vec![a.id(AGG_GRANULARITY_MACRO), rest]),
+                ),
+                a.if_(a.bin(Eq, a.id(&done), a.id(&blocks)), read_and_launch),
+            ];
+            vec![fence(), sync(), a.if_(thread_zero(), last_block)]
+        }
+        AggGranularity::Grid => Vec::new(),
     };
 
-    let body = if agg_threshold.is_some() {
+    let mut stmts = vec![
+        a.decl(Type::Int, &grp, group),
+        a.decl(Type::Int, &base, a.bin(Mul, a.id(&grp), a.id(&slots))),
+    ];
+    let mut aggregate = vec![store_phase];
+    aggregate.extend(completion);
+    if agg_threshold.is_some() {
         // Section V-B: count participants first; aggregate only when enough
         // parent threads participate, otherwise launch directly.
-        let direct_args = args_list(site);
-        format!(
-            "int _a_grp{s} = {group_expr};
-             int _a_base{s} = _a_grp{s} * _a_slots{s};
-             if (_a_g{s} > 0) {{
-                 atomicAdd(&_a_part{s}[_a_grp{s}], 1);
-             }}
-             __syncthreads();
-             if (_a_part{s}[_a_grp{s}] >= {AGG_THRESHOLD_MACRO}) {{
-                 {store_phase}
-                 {completion}
-             }} else {{
-                 if (_a_g{s} > 0) {{
-                     {child}<<<_a_g{s}, _a_b{s}>>>({direct_args});
-                 }}
-             }}",
-            child = site.child
-        )
+        let count = a.expr(a.call("atomicAdd", vec![of_group(&part), a.int(1)]));
+        let enough = a.bin(Ge, a.index(&part, a.id(&grp)), a.id(AGG_THRESHOLD_MACRO));
+        let args = (0..site.args)
+            .map(|j| a.id(&site.arg("_a_arg", j)))
+            .collect();
+        let direct = a.launch(site.child.clone(), a.id(&g), a.id(&b), args);
+        let direct = vec![a.if_(participates(), vec![direct])];
+        stmts.extend([
+            a.if_(participates(), vec![count]),
+            sync(),
+            a.if_else(enough, aggregate, direct),
+        ]);
     } else {
-        format!(
-            "int _a_grp{s} = {group_expr};
-             int _a_base{s} = _a_grp{s} * _a_slots{s};
-             {store_phase}
-             {completion}"
-        )
-    };
-
-    let mut stmts = parse_template_stmts(&body);
-    tag_origin(&mut stmts, CodeOrigin::AggLogic);
+        stmts.extend(aggregate);
+    }
     stmts
 }
 
-fn args_list(site: &SiteInfo) -> String {
-    (0..site.args.len())
-        .map(|j| format!("_a_arg{}_{j}", site.id))
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
 /// Builds the aggregated child kernel with the disaggregation prologue
-/// (Fig. 7 lines 01–11).
+/// (Fig. 7 lines 01–11): a binary search of the scanned grid dimensions
+/// finds the parent whose launch this block belongs to, and the child's
+/// parameters and x-dimension builtins are rebound to that launch's.
 fn build_agg_child(name: &str, child_fn: &Function) -> Function {
-    let arr_params: String = child_fn
-        .params
-        .iter()
-        .enumerate()
-        .map(|(j, p)| format!("{}* _da_arr{j}, ", p.ty))
-        .collect();
-    let param_loads: String = child_fn
-        .params
-        .iter()
-        .enumerate()
-        .map(|(j, p)| format!("{} {} = _da_arr{j}[_da_pi];\n", p.ty, p.name))
+    use BinOp::{Add, Div, Gt, Lt, Sub};
+    let d = Gen(CodeOrigin::DisaggLogic);
+    let [lo, hi, mid, pi, prev, gd, bx, bd, scan, barr, np] = [
+        "_da_lo", "_da_hi", "_da_mid", "_da_pi", "_da_prev", "_da_gd", "_da_bx", "_da_bd",
+        "_da_scan", "_da_bArr", "_da_np",
+    ]
+    .map(String::from);
+    let arrs: Vec<String> = (0..child_fn.params.len())
+        .map(|j| format!("_da_arr{j}"))
         .collect();
 
-    let src = format!(
-        "__global__ void {name}({arr_params}int* _da_scan, int* _da_bArr, int _da_np) {{
-             int _da_lo = 0;
-             int _da_hi = _da_np - 1;
-             while (_da_lo < _da_hi) {{
-                 int _da_mid = (_da_lo + _da_hi) / 2;
-                 if (_da_scan[_da_mid] > blockIdx.x) {{
-                     _da_hi = _da_mid;
-                 }} else {{
-                     _da_lo = _da_mid + 1;
-                 }}
-             }}
-             int _da_pi = _da_lo;
-             int _da_prev = 0;
-             if (_da_pi > 0) {{
-                 _da_prev = _da_scan[_da_pi - 1];
-             }}
-             {param_loads}
-             int _da_gd = _da_scan[_da_pi] - _da_prev;
-             int _da_bx = blockIdx.x - _da_prev;
-             int _da_bd = _da_bArr[_da_pi];
-             if (threadIdx.x < _da_bd) {{
-                 {BODY_MARKER}();
-             }}
-         }}"
-    );
-    let program = dp_frontend::parse(&src)
-        .unwrap_or_else(|e| panic!("internal agg-child template failed: {e}\n{src}"));
-    let Item::Function(mut kernel) = program.items.into_iter().next().unwrap() else {
-        unreachable!()
-    };
-    kernel.span = dp_frontend::Span::SYNTH;
-    synth_spans(&mut kernel.body);
-    tag_origin(&mut kernel.body, CodeOrigin::DisaggLogic);
+    let mut params: Vec<Param> = (child_fn.params.iter().zip(&arrs))
+        .map(|(p, arr)| param(p.ty.clone().ptr_to(), arr))
+        .collect();
+    params.extend([
+        param(Type::Int.ptr_to(), &scan),
+        param(Type::Int.ptr_to(), &barr),
+        param(Type::Int, &np),
+    ]);
+
+    let search = vec![
+        d.decl(
+            Type::Int,
+            &mid,
+            d.bin(Div, d.bin(Add, d.id(&lo), d.id(&hi)), d.int(2)),
+        ),
+        d.if_else(
+            d.bin(Gt, d.index(&scan, d.id(&mid)), d.dot("blockIdx", "x")),
+            vec![d.set(d.id(&hi), d.id(&mid))],
+            vec![d.set(d.id(&lo), d.bin(Add, d.id(&mid), d.int(1)))],
+        ),
+    ];
+    let mut body = vec![
+        d.decl(Type::Int, &lo, d.int(0)),
+        d.decl(Type::Int, &hi, d.bin(Sub, d.id(&np), d.int(1))),
+        d.while_(d.bin(Lt, d.id(&lo), d.id(&hi)), search),
+        d.decl(Type::Int, &pi, d.id(&lo)),
+        d.decl(Type::Int, &prev, d.int(0)),
+        d.if_(
+            d.bin(Gt, d.id(&pi), d.int(0)),
+            vec![d.set(d.id(&prev), d.index(&scan, d.bin(Sub, d.id(&pi), d.int(1))))],
+        ),
+    ];
+    for (p, arr) in child_fn.params.iter().zip(&arrs) {
+        body.push(d.decl(p.ty.clone(), &p.name, d.index(arr, d.id(&pi))));
+    }
+    body.extend([
+        d.decl(
+            Type::Int,
+            &gd,
+            d.bin(Sub, d.index(&scan, d.id(&pi)), d.id(&prev)),
+        ),
+        d.decl(
+            Type::Int,
+            &bx,
+            d.bin(Sub, d.dot("blockIdx", "x"), d.id(&prev)),
+        ),
+        d.decl(Type::Int, &bd, d.index(&barr, d.id(&pi))),
+    ]);
 
     // Child body with x-dimension builtins rebound to the disaggregated
     // values (body keeps its own origin tags).
-    let mut body = child_fn.body.clone();
-    for stmt in &mut body {
-        replace_builtin_member(stmt, "blockIdx", "x", "_da_bx");
-        replace_builtin_member(stmt, "gridDim", "x", "_da_gd");
-        replace_builtin_member(stmt, "blockDim", "x", "_da_bd");
+    let mut child_body = child_fn.body.clone();
+    for stmt in &mut child_body {
+        replace_builtin_member(stmt, "blockIdx", "x", &bx);
+        replace_builtin_member(stmt, "gridDim", "x", &gd);
+        replace_builtin_member(stmt, "blockDim", "x", &bd);
     }
-    assert!(splice_body(&mut kernel.body, body));
-    kernel
+    body.push(d.if_(d.bin(Lt, d.dot("threadIdx", "x"), d.id(&bd)), child_body));
+    gen_function(FnQual::Global, name.to_string(), params, body)
 }
 
 #[cfg(test)]

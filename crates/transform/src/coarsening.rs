@@ -73,7 +73,7 @@ fn coarsen_child(
         for stmt in &parent.body {
             for_each_stmt(stmt, &mut |s| {
                 if let StmtKind::Launch(l) = &s.kind {
-                    if l.kernel == child && !grid_is_one_dimensional(&l.grid) {
+                    if l.kernel == child && !is_one_dimensional(&l.grid) {
                         ok = false;
                     }
                 }
@@ -97,38 +97,26 @@ fn coarsen_child(
         replace_builtin_member(stmt, "blockIdx", "x", &bx);
         replace_builtin_member(stmt, "gridDim", "x", &g);
     }
-    child_fn.params.push(Param {
-        ty: Type::Int,
-        name: g.clone(),
-    });
+    child_fn.params.push(param(Type::Int, &g));
 
+    let c = Gen(CodeOrigin::CoarsenLoop);
+    let mut body_fn = None;
     if contains_return(&body) {
         // `return` would abort the remaining coarsening iterations, so the
         // body moves to a device function (per-original-block semantics).
         let body_name = format!("_{child}_coarsen_body");
         let mut body_params = child_fn.params.clone();
-        body_params.push(Param {
-            ty: Type::Int,
-            name: bx.clone(),
-        });
-        let params_src = params_source(&body_params);
-        let body_fn_src = format!("__device__ void {body_name}({params_src}) {{ }}");
-        let body_prog = dp_frontend::parse(&body_fn_src).expect("internal template");
-        let Item::Function(mut body_fn) = body_prog.items.into_iter().next().unwrap() else {
-            unreachable!()
-        };
-        body_fn.body = body;
-        body_fn.span = dp_frontend::Span::SYNTH;
+        body_params.push(param(Type::Int, &bx));
+        let args = body_params.iter().map(|p| c.id(&p.name)).collect();
+        let call = c.expr(c.call(&body_name, args));
+        body_fn = Some(gen_function(FnQual::Device, body_name, body_params, body));
+        body = vec![call];
+    }
+    let step = c.assign(AssignOp::Add, c.id(&bx), c.dot("gridDim", "x"));
+    let cond = c.bin(BinOp::Lt, c.id(&bx), c.id(&g));
+    child_fn.body = vec![c.for_(&bx, c.dot("blockIdx", "x"), cond, step, body)];
 
-        let fwd = args_source(&body_params);
-        let loop_src = format!(
-            "for (int {bx} = blockIdx.x; {bx} < {g}; {bx} += gridDim.x) {{ {body_name}({fwd}); }}"
-        );
-        let mut loop_stmts = parse_template_stmts(&loop_src);
-        tag_origin(&mut loop_stmts, CodeOrigin::CoarsenLoop);
-        let child_fn = program.function_mut(child).expect("still present");
-        child_fn.body = loop_stmts;
-
+    if let Some(body_fn) = body_fn {
         // Insert the body function before the child kernel.
         let pos = program
             .items
@@ -136,14 +124,6 @@ fn coarsen_child(
             .position(|item| matches!(item, Item::Function(f) if f.name == child))
             .unwrap_or(0);
         program.items.insert(pos, Item::Function(body_fn));
-    } else {
-        let loop_src = format!(
-            "for (int {bx} = blockIdx.x; {bx} < {g}; {bx} += gridDim.x) {{ {BODY_MARKER}(); }}"
-        );
-        let mut loop_stmts = parse_template_stmts(&loop_src);
-        tag_origin(&mut loop_stmts, CodeOrigin::CoarsenLoop);
-        assert!(splice_body(&mut loop_stmts, body));
-        child_fn.body = loop_stmts;
     }
     Ok(())
 }
@@ -157,72 +137,41 @@ fn rewrite_launch_sites(program: &mut Program, child: &str) {
         let func = program.function_mut(&name).expect("function exists");
         for stmt in &mut func.body {
             dp_frontend::visit::walk_stmt_mut(stmt, &mut |s| {
-                let StmtKind::Launch(launch) = &mut s.kind else {
-                    return;
-                };
-                if launch.kernel != child {
+                if !matches!(&s.kind, StmtKind::Launch(l) if l.kernel == child) {
                     return;
                 }
                 let g_name = format!("_c_gDim{counter}");
                 let cg_name = format!("_c_cgDim{counter}");
                 counter += 1;
 
-                let grid_int = one_dimensional_grid(&launch.grid);
-                let mut launch_new = launch.clone();
-                launch_new.grid = Expr::ident(&cg_name, CodeOrigin::CoarsenLoop);
-                launch_new
-                    .args
-                    .push(Expr::ident(&g_name, CodeOrigin::CoarsenLoop));
-
+                let c = Gen(CodeOrigin::CoarsenLoop);
+                let StmtKind::Launch(mut launch) = std::mem::replace(&mut s.kind, StmtKind::Empty)
+                else {
+                    unreachable!("matched above")
+                };
+                let grid = std::mem::replace(&mut launch.grid, c.id(&cg_name));
+                launch.args.push(c.id(&g_name));
                 let g_decl = Stmt::decl(
                     Type::Int,
-                    g_name.clone(),
-                    Some(grid_int),
+                    &g_name,
+                    Some(one_dimensional(grid)),
                     CodeOrigin::CoarsenLoop,
                 );
-                let cg_init = parse_template_expr(&format!(
-                    "({g_name} + {CFACTOR_MACRO} - 1) / {CFACTOR_MACRO}"
-                ));
-                let mut cg_decl =
-                    Stmt::decl(Type::Int, cg_name, Some(cg_init), CodeOrigin::CoarsenLoop);
-                cg_decl.origin = CodeOrigin::CoarsenLoop;
-                tag_stmt(&mut cg_decl);
-
-                let launch_span = s.span;
-                let mut launch_stmt = Stmt::new(StmtKind::Launch(launch_new), launch_span);
-                launch_stmt.origin = CodeOrigin::Original;
+                let cg_init = c.bin(
+                    BinOp::Div,
+                    c.bin(
+                        BinOp::Sub,
+                        c.bin(BinOp::Add, c.id(&g_name), c.id(CFACTOR_MACRO)),
+                        c.int(1),
+                    ),
+                    c.id(CFACTOR_MACRO),
+                );
+                let cg_decl = c.decl(Type::Int, &cg_name, cg_init);
+                let launch_stmt = Stmt::new(StmtKind::Launch(launch), s.span);
                 s.kind = StmtKind::Block(vec![g_decl, cg_decl, launch_stmt]);
                 s.origin = CodeOrigin::CoarsenLoop;
             });
         }
-    }
-}
-
-fn tag_stmt(stmt: &mut Stmt) {
-    let mut v = vec![std::mem::replace(
-        stmt,
-        Stmt::synth(StmtKind::Empty, CodeOrigin::CoarsenLoop),
-    )];
-    tag_origin(&mut v, CodeOrigin::CoarsenLoop);
-    *stmt = v.pop().unwrap();
-}
-
-/// Whether a grid expression denotes a 1-D grid we can coarsen.
-fn grid_is_one_dimensional(grid: &Expr) -> bool {
-    match &grid.kind {
-        ExprKind::Dim3Ctor(args) => args
-            .iter()
-            .skip(1)
-            .all(|a| matches!(a.kind, ExprKind::IntLit(1))),
-        _ => true, // int expression
-    }
-}
-
-/// The x-extent of a 1-D grid expression.
-fn one_dimensional_grid(grid: &Expr) -> Expr {
-    match &grid.kind {
-        ExprKind::Dim3Ctor(args) => args[0].clone(),
-        _ => grid.clone(),
     }
 }
 

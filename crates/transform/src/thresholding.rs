@@ -276,10 +276,7 @@ fn ensure_serial_fn(program: &Program, child: &str, serial_fns: &mut Vec<Functio
     let used = idents_in_function(child_fn);
     let g = fresh_name("_s_gDim", &used);
     let b = fresh_name("_s_bDim", &used);
-    let idx: Vec<String> = ["_s_bz", "_s_by", "_s_bx", "_s_tz", "_s_ty", "_s_tx"]
-        .iter()
-        .map(|n| fresh_name(n, &used))
-        .collect();
+    let idx = ["_s_bz", "_s_by", "_s_bx", "_s_tz", "_s_ty", "_s_tx"].map(|n| fresh_name(n, &used));
 
     // Replace builtin index/dimension uses in a copy of the child body.
     let mut body = child_fn.body.clone();
@@ -295,94 +292,50 @@ fn ensure_serial_fn(program: &Program, child: &str, serial_fns: &mut Vec<Functio
     }
     tag_origin(&mut body, CodeOrigin::ThresholdSerial);
 
-    let params = params_source(&child_fn.params);
-    let comma = if child_fn.params.is_empty() { "" } else { ", " };
-
-    if contains_return(&child_fn.body) {
+    let mut params = child_fn.params.clone();
+    params.extend([param(Type::Dim3, &g), param(Type::Dim3, &b)]);
+    let t = Gen(CodeOrigin::ThresholdSerial);
+    let innermost = if contains_return(&child_fn.body) {
         // `return` inside serialization loops would abort all remaining
         // simulated threads, so the body goes into its own device function
         // and `return` keeps per-thread semantics.
         let body_name = format!("{child}_serial_body");
-        let idx_params = idx
-            .iter()
-            .map(|n| format!("int {n}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let mut body_fn = make_device_fn(
-            &body_name,
-            &format!("{params}{comma}dim3 {g}, dim3 {b}, {idx_params}"),
-            Vec::new(),
-        );
-        body_fn.body = body;
-        serial_fns.push(body_fn);
-
-        let fwd = args_source(&child_fn.params);
-        let fwd_comma = if child_fn.params.is_empty() { "" } else { ", " };
-        let call = format!("{body_name}({fwd}{fwd_comma}{g}, {b}, {});", idx.join(", "));
-        let loops = serial_loops(&g, &b, &idx, &call);
-        let mut stmts = parse_template_stmts(&loops);
-        tag_origin(&mut stmts, CodeOrigin::ThresholdSerial);
-        let mut serial_fn = make_device_fn(
-            &serial_name,
-            &format!("{params}{comma}dim3 {g}, dim3 {b}"),
-            Vec::new(),
-        );
-        serial_fn.body = stmts;
-        serial_fns.push(serial_fn);
+        let mut body_params = params.clone();
+        body_params.extend(idx.iter().map(|n| param(Type::Int, n)));
+        let args = body_params.iter().map(|p| t.id(&p.name)).collect();
+        let call = t.expr(t.call(&body_name, args));
+        serial_fns.push(gen_function(FnQual::Device, body_name, body_params, body));
+        vec![call]
     } else {
-        let loops = serial_loops(&g, &b, &idx, &format!("{BODY_MARKER}();"));
-        let mut stmts = parse_template_stmts(&loops);
-        tag_origin(&mut stmts, CodeOrigin::ThresholdSerial);
-        assert!(
-            splice_body(&mut stmts, body),
-            "serial template has a body marker"
-        );
-        let mut serial_fn = make_device_fn(
-            &serial_name,
-            &format!("{params}{comma}dim3 {g}, dim3 {b}"),
-            Vec::new(),
-        );
-        serial_fn.body = stmts;
-        serial_fns.push(serial_fn);
-    }
+        body
+    };
+    let loops = serial_loops(t, &g, &b, &idx, innermost);
+    serial_fns.push(gen_function(
+        FnQual::Device,
+        serial_name.clone(),
+        params,
+        loops,
+    ));
     serial_name
 }
 
-/// The six nested serialization loops over block and thread indices.
-fn serial_loops(g: &str, b: &str, idx: &[String], innermost: &str) -> String {
-    format!(
-        "for (int {bz} = 0; {bz} < {g}.z; ++{bz}) {{
-             for (int {by} = 0; {by} < {g}.y; ++{by}) {{
-                 for (int {bx} = 0; {bx} < {g}.x; ++{bx}) {{
-                     for (int {tz} = 0; {tz} < {b}.z; ++{tz}) {{
-                         for (int {ty} = 0; {ty} < {b}.y; ++{ty}) {{
-                             for (int {tx} = 0; {tx} < {b}.x; ++{tx}) {{
-                                 {innermost}
-                             }}
-                         }}
-                     }}
-                 }}
-             }}
-         }}",
-        bz = idx[0],
-        by = idx[1],
-        bx = idx[2],
-        tz = idx[3],
-        ty = idx[4],
-        tx = idx[5],
-    )
-}
-
-fn make_device_fn(name: &str, params_src: &str, body: Vec<Stmt>) -> Function {
-    let src = format!("__device__ void {name}({params_src}) {{ }}");
-    let program = dp_frontend::parse(&src)
-        .unwrap_or_else(|e| panic!("internal function template failed: {e}\n{src}"));
-    let Item::Function(mut f) = program.items.into_iter().next().unwrap() else {
-        unreachable!()
-    };
-    f.body = body;
-    f.span = dp_frontend::Span::SYNTH;
-    f
+/// The six nested serialization loops over block and thread indices,
+/// `for (int _s_bz = 0; _s_bz < _s_gDim.z; ++_s_bz)` outermost.
+fn serial_loops(t: Gen, g: &str, b: &str, idx: &[String], innermost: Vec<Stmt>) -> Vec<Stmt> {
+    let extents = [(g, "z"), (g, "y"), (g, "x"), (b, "z"), (b, "y"), (b, "x")];
+    let mut body = innermost;
+    for (var, (dim, field)) in idx.iter().zip(extents).rev() {
+        let cond = t.bin(BinOp::Lt, t.id(var), t.dot(dim, field));
+        let operand = Box::new(t.id(var));
+        let step = ExprKind::IncDec {
+            inc: true,
+            prefix: true,
+            operand,
+        };
+        let step = Expr::synth(step, t.0);
+        body = vec![t.for_(var, t.int(0), cond, step, body)];
+    }
+    body
 }
 
 #[cfg(test)]

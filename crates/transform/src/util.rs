@@ -1,10 +1,13 @@
 //! Shared helpers for the transformation passes.
 //!
-//! The passes generate code from *source templates*: the generated code is
-//! written as CUDA-subset text (mirroring the paper's figures), parsed with
-//! the regular frontend, origin-tagged, and spliced into the AST. This keeps
-//! each pass readable and guarantees the generated code stays inside the
-//! supported subset.
+//! A pass builds the code it generates as syntax, never as text: each
+//! structure of the paper's figures (the serial child of Fig. 3b, the
+//! coarsening loop of Fig. 6, the aggregation epilogue and the `_agg`
+//! kernel of Fig. 7) is a function that returns `Stmt`s made with [`Gen`].
+//! Every node it makes carries [`Span::SYNTH`] and the origin of the pass
+//! that made it, and a user body that goes inside generated code is moved
+//! into place. The transformed program can only be in the subset the
+//! frontend parses, because it is made of the parser's own node kinds.
 //!
 //! A pass reads the program in place and writes the program in place; it
 //! never copies it. The one thing a pass may not do is read a function it
@@ -17,48 +20,170 @@
 //! nothing, most of them, out of even that).
 
 use dp_frontend::ast::*;
-use dp_frontend::parser::parse;
-use dp_frontend::visit::{for_each_stmt_expr, walk_expr_mut, walk_stmt_exprs_mut, walk_stmt_mut};
+use dp_frontend::visit::{for_each_stmt_expr, walk_stmt_exprs_mut, walk_stmt_mut};
 use dp_frontend::Span;
 use std::collections::HashSet;
 
-/// Parses a brace-free sequence of statements from template text.
-///
-/// # Panics
-///
-/// Panics if the template does not parse — templates are compiler-internal,
-/// so a parse failure is a bug in the pass, not user error.
-pub fn parse_template_stmts(template: &str) -> Vec<Stmt> {
-    let wrapped = format!("__device__ void __template__() {{\n{template}\n}}");
-    let program = parse(&wrapped).unwrap_or_else(|e| {
-        panic!(
-            "internal template failed to parse: {}\n{template}",
-            e.render(&wrapped)
-        )
-    });
-    let Item::Function(mut f) = program.items.into_iter().next().unwrap() else {
-        unreachable!("template wraps a single function")
-    };
-    let mut stmts: Vec<Stmt> = f.body.drain(..).collect();
-    synth_spans(&mut stmts);
-    stmts
+/// Builds generated code: every node gets [`Span::SYNTH`] and this origin.
+/// Each method mirrors the C it stands for; `g.dot("blockIdx", "x")` is
+/// `blockIdx.x`, and a statement list in braces is a `Vec<Stmt>`.
+#[derive(Debug, Clone, Copy)]
+pub struct Gen(pub CodeOrigin);
+
+impl Gen {
+    /// `name`
+    pub fn id(self, name: &str) -> Expr {
+        Expr::ident(name, self.0)
+    }
+
+    /// An integer literal.
+    pub fn int(self, value: i64) -> Expr {
+        Expr::int(value, self.0)
+    }
+
+    /// `lhs op rhs`
+    pub fn bin(self, op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
+        Expr::bin(op, lhs, rhs, self.0)
+    }
+
+    /// `base.field`
+    pub fn dot(self, base: &str, field: &str) -> Expr {
+        Expr::member(self.id(base), field, self.0)
+    }
+
+    /// `base[index]`
+    pub fn index(self, base: &str, index: Expr) -> Expr {
+        Expr::index(self.id(base), index, self.0)
+    }
+
+    /// `name(args)`
+    pub fn call(self, name: &str, args: Vec<Expr>) -> Expr {
+        Expr::call(name, args, self.0)
+    }
+
+    /// `&operand`
+    pub fn addr(self, operand: Expr) -> Expr {
+        Expr::synth(ExprKind::Unary(UnOp::AddrOf, Box::new(operand)), self.0)
+    }
+
+    /// `(ty)operand`
+    pub fn cast(self, ty: Type, operand: Expr) -> Expr {
+        Expr::synth(ExprKind::Cast(ty, Box::new(operand)), self.0)
+    }
+
+    /// `lhs op rhs` for an assignment operator `op`.
+    pub fn assign(self, op: AssignOp, lhs: Expr, rhs: Expr) -> Expr {
+        Expr::synth(ExprKind::Assign(op, Box::new(lhs), Box::new(rhs)), self.0)
+    }
+
+    /// `lhs = rhs;`
+    pub fn set(self, lhs: Expr, rhs: Expr) -> Stmt {
+        self.expr(self.assign(AssignOp::Assign, lhs, rhs))
+    }
+
+    /// `expr;`
+    pub fn expr(self, expr: Expr) -> Stmt {
+        Stmt::expr(expr, self.0)
+    }
+
+    /// `ty name = init;`
+    pub fn decl(self, ty: Type, name: &str, init: Expr) -> Stmt {
+        Stmt::decl(ty, name, Some(init), self.0)
+    }
+
+    /// `{ stmts }`
+    pub fn block(self, stmts: Vec<Stmt>) -> Stmt {
+        Stmt::synth(StmtKind::Block(stmts), self.0)
+    }
+
+    /// `if (cond) { then }`
+    pub fn if_(self, cond: Expr, then: Vec<Stmt>) -> Stmt {
+        let then_branch = Box::new(self.block(then));
+        let kind = StmtKind::If {
+            cond,
+            then_branch,
+            else_branch: None,
+        };
+        Stmt::synth(kind, self.0)
+    }
+
+    /// `if (cond) { then } else { els }`
+    pub fn if_else(self, cond: Expr, then: Vec<Stmt>, els: Vec<Stmt>) -> Stmt {
+        let mut stmt = self.if_(cond, then);
+        if let StmtKind::If { else_branch, .. } = &mut stmt.kind {
+            *else_branch = Some(Box::new(self.block(els)));
+        }
+        stmt
+    }
+
+    /// `for (int var = init; cond; step) { body }`
+    pub fn for_(self, var: &str, init: Expr, cond: Expr, step: Expr, body: Vec<Stmt>) -> Stmt {
+        let kind = StmtKind::For {
+            init: Some(Box::new(self.decl(Type::Int, var, init))),
+            cond: Some(cond),
+            step: Some(step),
+            body: Box::new(self.block(body)),
+        };
+        Stmt::synth(kind, self.0)
+    }
+
+    /// `while (cond) { body }`
+    pub fn while_(self, cond: Expr, body: Vec<Stmt>) -> Stmt {
+        let body = Box::new(self.block(body));
+        Stmt::synth(StmtKind::While { cond, body }, self.0)
+    }
+
+    /// `kernel<<<grid, block>>>(args);`
+    pub fn launch(self, kernel: String, grid: Expr, block: Expr, args: Vec<Expr>) -> Stmt {
+        let launch = LaunchStmt {
+            kernel,
+            grid,
+            block,
+            shmem: None,
+            stream: None,
+            args,
+        };
+        Stmt::synth(StmtKind::Launch(launch), self.0)
+    }
 }
 
-/// Parses one expression from template text.
-pub fn parse_template_expr(template: &str) -> Expr {
-    let mut expr = dp_frontend::parser::parse_expr(template)
-        .unwrap_or_else(|e| panic!("internal template expr failed to parse: {e}\n{template}"));
-    walk_expr_mut(&mut expr, &mut |e| e.span = Span::SYNTH);
-    expr
+/// A generated `ret void name(params) { body }` definition.
+pub fn gen_function(qual: FnQual, name: String, params: Vec<Param>, body: Vec<Stmt>) -> Function {
+    Function {
+        qual,
+        ret: Type::Void,
+        name,
+        params,
+        body,
+        span: Span::SYNTH,
+    }
 }
 
-/// Marks every statement and expression in `stmts` as generated: a node
-/// parsed from a template would otherwise carry an offset into the
-/// template's text, which is no source the user wrote.
-pub fn synth_spans(stmts: &mut [Stmt]) {
-    for stmt in stmts {
-        walk_stmt_mut(stmt, &mut |s| s.span = Span::SYNTH);
-        walk_stmt_exprs_mut(stmt, &mut |e| e.span = Span::SYNTH);
+/// A parameter `ty name`.
+pub fn param(ty: Type, name: &str) -> Param {
+    Param {
+        ty,
+        name: name.to_string(),
+    }
+}
+
+/// Whether a launch dimension is 1-D: an `int` expression, or a `dim3`
+/// whose y and z are the literal 1.
+pub fn is_one_dimensional(dim: &Expr) -> bool {
+    match &dim.kind {
+        ExprKind::Dim3Ctor(args) => args
+            .iter()
+            .skip(1)
+            .all(|a| matches!(a.kind, ExprKind::IntLit(1))),
+        _ => true,
+    }
+}
+
+/// The x extent of a 1-D launch dimension.
+pub fn one_dimensional(dim: Expr) -> Expr {
+    match dim.kind {
+        ExprKind::Dim3Ctor(args) => args.into_iter().next().expect("dim3 has an x extent"),
+        kind => Expr { kind, ..dim },
     }
 }
 
@@ -80,85 +205,20 @@ pub fn tag_origin(stmts: &mut [Stmt], origin: CodeOrigin) {
     }
 }
 
-/// Marker call used in templates where a body will be spliced:
-/// `__DPOPT_BODY__();`.
-pub const BODY_MARKER: &str = "__DPOPT_BODY__";
-
-/// Replaces the `__DPOPT_BODY__();` marker statement with `body`
-/// (recursively searching nested statements). Returns `true` if found.
-pub fn splice_body(stmts: &mut Vec<Stmt>, body: Vec<Stmt>) -> bool {
-    // Find the marker at this level first.
-    for i in 0..stmts.len() {
-        if is_marker(&stmts[i]) {
-            stmts.splice(i..=i, body);
-            return true;
-        }
-        if splice_in_stmt(&mut stmts[i], &body) {
-            return true;
-        }
-    }
-    false
-}
-
-fn is_marker(stmt: &Stmt) -> bool {
-    matches!(
-        &stmt.kind,
-        StmtKind::Expr(Expr {
-            kind: ExprKind::Call(name, _),
-            ..
-        }) if name == BODY_MARKER
-    )
-}
-
-fn splice_in_stmt(stmt: &mut Stmt, body: &[Stmt]) -> bool {
-    match &mut stmt.kind {
-        StmtKind::Block(stmts) => {
-            for i in 0..stmts.len() {
-                if is_marker(&stmts[i]) {
-                    stmts.splice(i..=i, body.to_vec());
-                    return true;
-                }
-                if splice_in_stmt(&mut stmts[i], body) {
-                    return true;
-                }
-            }
-            false
-        }
-        StmtKind::If {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            if splice_in_stmt(then_branch, body) {
-                return true;
-            }
-            if let Some(e) = else_branch {
-                return splice_in_stmt(e, body);
-            }
-            false
-        }
-        StmtKind::For { body: b, .. }
-        | StmtKind::While { body: b, .. }
-        | StmtKind::DoWhile { body: b, .. } => splice_in_stmt(b, body),
-        _ => false,
-    }
-}
-
-/// Collects every identifier mentioned anywhere in a function.
-pub fn idents_in_function(func: &Function) -> HashSet<String> {
-    let mut names: HashSet<String> = func.params.iter().map(|p| p.name.clone()).collect();
-    names.insert(func.name.clone());
+/// Collects every identifier mentioned anywhere in a function, borrowed
+/// from it: pick names with [`fresh_name`] before the function changes.
+pub fn idents_in_function(func: &Function) -> HashSet<&str> {
+    let mut names: HashSet<&str> = func.params.iter().map(|p| p.name.as_str()).collect();
+    names.insert(&func.name);
     for stmt in &func.body {
         dp_frontend::visit::for_each_stmt(stmt, &mut |s| {
             if let StmtKind::Decl(d) = &s.kind {
-                for decl in &d.declarators {
-                    names.insert(decl.name.clone());
-                }
+                names.extend(d.declarators.iter().map(|d| d.name.as_str()));
             }
         });
         for_each_stmt_expr(stmt, &mut |e| {
             if let ExprKind::Ident(name) = &e.kind {
-                names.insert(name.clone());
+                names.insert(name);
             }
         });
     }
@@ -166,18 +226,15 @@ pub fn idents_in_function(func: &Function) -> HashSet<String> {
 }
 
 /// Returns `base` if unused, otherwise `base_2`, `base_3`, ….
-pub fn fresh_name(base: &str, used: &HashSet<String>) -> String {
-    if !used.contains(base) {
-        return base.to_string();
+pub fn fresh_name(base: impl Into<String>, used: &HashSet<&str>) -> String {
+    let base = base.into();
+    if !used.contains(base.as_str()) {
+        return base;
     }
-    let mut i = 2;
-    loop {
-        let candidate = format!("{base}_{i}");
-        if !used.contains(&candidate) {
-            return candidate;
-        }
-        i += 1;
-    }
+    (2..)
+        .map(|i| format!("{base}_{i}"))
+        .find(|candidate| !used.contains(candidate.as_str()))
+        .expect("a finite set leaves a suffix free")
 }
 
 /// Whether any statement in the function is a `return` (at any depth).
@@ -230,44 +287,70 @@ pub fn uses_builtin_whole(body: &[Stmt], base: &str) -> bool {
     whole > member
 }
 
-/// C-source rendering of a parameter list (for templates).
-pub fn params_source(params: &[Param]) -> String {
-    params
-        .iter()
-        .map(|p| format!("{} {}", p.ty, p.name))
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
-/// Comma-joined parameter names (for forwarding calls in templates).
-pub fn args_source(params: &[Param]) -> String {
-    params
-        .iter()
-        .map(|p| p.name.clone())
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dp_frontend::parser::parse_stmt;
 
-    #[test]
-    fn template_statements_parse() {
-        let stmts = parse_template_stmts("int x = 1;\nif (x > 0) { x = 2; }");
-        assert_eq!(stmts.len(), 2);
+    /// What the parser makes of `src`, with every span erased and every
+    /// origin set to `origin`: the tree a builder must equal.
+    fn parsed(src: &str, origin: CodeOrigin) -> Stmt {
+        let mut stmt = parse_stmt(src).unwrap();
+        walk_stmt_mut(&mut stmt, &mut |s| s.span = Span::SYNTH);
+        walk_stmt_exprs_mut(&mut stmt, &mut |e| e.span = Span::SYNTH);
+        tag_origin(std::slice::from_mut(&mut stmt), origin);
+        stmt
+    }
+
+    fn body(src: &str) -> Vec<Stmt> {
+        let StmtKind::Block(stmts) = parse_stmt(&format!("{{ {src} }}")).unwrap().kind else {
+            unreachable!("a braced statement list parses to a block")
+        };
+        stmts
     }
 
     #[test]
-    #[should_panic(expected = "internal template")]
-    fn bad_template_panics() {
-        parse_template_stmts("int = ;");
+    fn builders_equal_what_the_parser_makes_of_the_same_code() {
+        let g = Gen(CodeOrigin::AggLogic);
+        let built = g.for_(
+            "i",
+            g.dot("blockIdx", "x"),
+            g.bin(BinOp::Lt, g.id("i"), g.id("n")),
+            g.assign(AssignOp::Add, g.id("i"), g.dot("gridDim", "x")),
+            vec![
+                g.decl(
+                    Type::Long,
+                    "pk",
+                    g.call(
+                        "atomicAdd",
+                        vec![
+                            g.addr(g.index("ctr", g.id("grp"))),
+                            g.cast(Type::Long, g.int(1)),
+                        ],
+                    ),
+                ),
+                g.if_else(
+                    g.bin(BinOp::Gt, g.id("pk"), g.int(0)),
+                    vec![g.set(g.id("x"), g.int(1))],
+                    vec![g.while_(g.id("x"), vec![])],
+                ),
+                g.launch("k".into(), g.id("a"), g.int(32), vec![g.id("pk")]),
+            ],
+        );
+        let want = parsed(
+            "for (int i = blockIdx.x; i < n; i += gridDim.x) {
+                 long long pk = atomicAdd(&ctr[grp], (long long)1);
+                 if (pk > 0) { x = 1; } else { while (x) { } }
+                 k<<<a, 32>>>(pk);
+             }",
+            CodeOrigin::AggLogic,
+        );
+        assert_eq!(built, want);
     }
 
     #[test]
     fn tag_origin_preserves_existing_tags() {
-        let mut stmts = parse_template_stmts("x = 1;\ny = 2;");
+        let mut stmts = body("x = 1;\ny = 2;");
         tag_origin(&mut stmts[..1], CodeOrigin::DisaggLogic);
         tag_origin(&mut stmts, CodeOrigin::AggLogic);
         assert_eq!(stmts[0].origin, CodeOrigin::DisaggLogic);
@@ -275,75 +358,24 @@ mod tests {
     }
 
     #[test]
-    fn splice_replaces_marker_at_top_level() {
-        let mut stmts = parse_template_stmts("int a = 0;\n__DPOPT_BODY__();\nint b = 1;");
-        let body = parse_template_stmts("a = 7;\na = 8;");
-        assert!(splice_body(&mut stmts, body));
-        assert_eq!(stmts.len(), 4);
-        assert!(matches!(&stmts[1].kind, StmtKind::Expr(_)));
-    }
-
-    #[test]
-    fn splice_replaces_marker_in_nested_loop() {
-        let mut stmts = parse_template_stmts(
-            "for (int i = 0; i < n; ++i) { if (i > 0) { __DPOPT_BODY__(); } }",
-        );
-        let body = vec![parse_stmt("x = i;").unwrap()];
-        assert!(splice_body(&mut stmts, body));
-        let printed = {
-            let mut out = String::new();
-            for s in &stmts {
-                dp_frontend::printer::print_stmt(&mut out, s, 0);
-            }
-            out
-        };
-        assert!(printed.contains("x = i;"));
-        assert!(!printed.contains(BODY_MARKER));
-    }
-
-    #[test]
-    fn splice_without_marker_returns_false() {
-        let mut stmts = parse_template_stmts("int a = 0;");
-        assert!(!splice_body(&mut stmts, vec![]));
-    }
-
-    #[test]
     fn fresh_name_avoids_collisions() {
-        let used: HashSet<String> = ["_bx".to_string(), "_bx_2".to_string()].into();
+        let used: HashSet<&str> = ["_bx", "_bx_2"].into();
         assert_eq!(fresh_name("_bx", &used), "_bx_3");
         assert_eq!(fresh_name("_tx", &used), "_tx");
     }
 
     #[test]
     fn contains_return_finds_nested() {
-        let body = parse_template_stmts("if (x) { for (;;) { return; } }");
-        assert!(contains_return(&body));
-        let body = parse_template_stmts("x = 1;");
-        assert!(!contains_return(&body));
+        assert!(contains_return(&body("if (x) { for (;;) { return; } }")));
+        assert!(!contains_return(&body("x = 1;")));
     }
 
     #[test]
     fn builtin_member_and_whole_use() {
-        let body = parse_template_stmts("int i = blockIdx.x; f(gridDim);");
+        let body = body("int i = blockIdx.x; f(gridDim);");
         assert!(uses_builtin_member(&body, "blockIdx", "x"));
         assert!(!uses_builtin_member(&body, "blockIdx", "y"));
         assert!(uses_builtin_whole(&body, "gridDim"));
         assert!(!uses_builtin_whole(&body, "blockIdx"));
-    }
-
-    #[test]
-    fn param_rendering() {
-        let params = vec![
-            Param {
-                ty: Type::Int.ptr_to(),
-                name: "data".into(),
-            },
-            Param {
-                ty: Type::Float,
-                name: "alpha".into(),
-            },
-        ];
-        assert_eq!(params_source(&params), "int* data, float alpha");
-        assert_eq!(args_source(&params), "data, alpha");
     }
 }
