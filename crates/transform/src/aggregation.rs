@@ -34,6 +34,7 @@ use crate::thresholding::normalize_blocks;
 use crate::util::*;
 use dp_frontend::ast::*;
 use dp_frontend::visit::replace_builtin_member;
+use std::collections::HashSet;
 
 /// Name of the multi-block group-size macro.
 pub const AGG_GRANULARITY_MACRO: &str = "_AGG_GRANULARITY";
@@ -101,23 +102,35 @@ pub fn apply(program: &mut Program, config: &AggConfig) -> TransformManifest {
 }
 
 /// One aggregated launch site: its number in the program, the kernel it
-/// launched and how many arguments it passed.
-struct SiteInfo {
+/// launched, how many arguments it passed, and the identifiers of its
+/// parent, which no name it generates there may take.
+struct SiteInfo<'p> {
     id: usize,
     child: String,
     args: usize,
+    used: &'p HashSet<&'p str>,
 }
 
-impl SiteInfo {
+impl SiteInfo<'_> {
     /// The name `base` takes at this site: `_a_g` is `_a_g3` at site 3.
     fn name(&self, base: &str) -> String {
-        format!("{base}{}", self.id)
+        fresh_name(format!("{base}{}", self.id), self.used)
     }
 
     /// The name of argument `j`'s variable or buffer at this site.
     fn arg(&self, base: &str, j: usize) -> String {
-        format!("{base}{}_{j}", self.id)
+        fresh_name(format!("{base}{}_{j}", self.id), self.used)
     }
+}
+
+/// What [`replace_launches`] carries through one parent's body.
+struct Walk<'p> {
+    program: &'p Program,
+    parent: &'p str,
+    used: &'p HashSet<&'p str>,
+    next_id: usize,
+    sites: Vec<SiteInfo<'p>>,
+    diagnostics: Vec<Diagnostic>,
 }
 
 fn transform_parent(
@@ -154,18 +167,20 @@ fn transform_parent(
     normalize_blocks(&mut body);
 
     // Replace each valid launch statement with participation assignments.
-    let mut sites: Vec<SiteInfo> = Vec::new();
+    let used = idents_in_function(parent);
+    let mut walk = Walk {
+        program,
+        parent: parent_name,
+        used: &used,
+        next_id: *site_counter,
+        sites: Vec::new(),
+        diagnostics: Vec::new(),
+    };
     for stmt in &mut body {
-        replace_launches(
-            stmt,
-            0,
-            program,
-            parent_name,
-            site_counter,
-            &mut sites,
-            manifest,
-        );
+        replace_launches(stmt, 0, &mut walk);
     }
+    *site_counter = walk.next_id;
+    manifest.diagnostics.append(&mut walk.diagnostics);
 
     // Hoisted participation variables at the top of the kernel, the
     // aggregation epilogue per site at its end, the buffer parameters
@@ -173,8 +188,8 @@ fn transform_parent(
     let mut new_body = Vec::new();
     let mut epilogue = Vec::new();
     let mut new_params = Vec::new();
-    let mut agg_kernels: Vec<(&str, Function)> = Vec::new();
-    for site in &sites {
+    let mut agg_kernels: Vec<(String, Function)> = Vec::new();
+    for site in &walk.sites {
         let child_fn = program.function(&site.child).expect("validated");
         for name in ["_a_g", "_a_b"] {
             let zero = Expr::int(0, CodeOrigin::AggLogic);
@@ -225,7 +240,8 @@ fn transform_parent(
         if program.function(&agg_kernel).is_none()
             && !agg_kernels.iter().any(|(_, k)| k.name == agg_kernel)
         {
-            agg_kernels.push((&site.child, build_agg_child(&agg_kernel, child_fn)));
+            let kernel = build_agg_child(&agg_kernel, child_fn);
+            agg_kernels.push((site.child.clone(), kernel));
         }
 
         manifest.agg_sites.push(AggSiteMeta {
@@ -261,27 +277,11 @@ fn transform_parent(
 /// assignments, collecting site info. `loop_depth` tracks whether we are
 /// under a loop (launches in loops cannot be aggregated: a thread would
 /// participate more than once per kernel execution).
-fn replace_launches(
-    stmt: &mut Stmt,
-    loop_depth: usize,
-    program: &Program,
-    parent_name: &str,
-    site_counter: &mut usize,
-    sites: &mut Vec<SiteInfo>,
-    manifest: &mut TransformManifest,
-) {
+fn replace_launches(stmt: &mut Stmt, loop_depth: usize, walk: &mut Walk) {
     match &mut stmt.kind {
         StmtKind::Block(stmts) => {
             for s in stmts {
-                replace_launches(
-                    s,
-                    loop_depth,
-                    program,
-                    parent_name,
-                    site_counter,
-                    sites,
-                    manifest,
-                );
+                replace_launches(s, loop_depth, walk);
             }
             return;
         }
@@ -290,69 +290,42 @@ fn replace_launches(
             else_branch,
             ..
         } => {
-            replace_launches(
-                then_branch,
-                loop_depth,
-                program,
-                parent_name,
-                site_counter,
-                sites,
-                manifest,
-            );
+            replace_launches(then_branch, loop_depth, walk);
             if let Some(e) = else_branch {
-                replace_launches(
-                    e,
-                    loop_depth,
-                    program,
-                    parent_name,
-                    site_counter,
-                    sites,
-                    manifest,
-                );
+                replace_launches(e, loop_depth, walk);
             }
             return;
         }
         StmtKind::For { body, .. }
         | StmtKind::While { body, .. }
         | StmtKind::DoWhile { body, .. } => {
-            replace_launches(
-                body,
-                loop_depth + 1,
-                program,
-                parent_name,
-                site_counter,
-                sites,
-                manifest,
-            );
+            replace_launches(body, loop_depth + 1, walk);
             return;
         }
-        StmtKind::Launch(_) => {}
+        StmtKind::Launch(launch) => {
+            if let Err(message) = validate_site(walk.program, launch, loop_depth) {
+                walk.diagnostics.push(Diagnostic {
+                    pass: "aggregation",
+                    function: walk.parent.to_string(),
+                    message,
+                    span: stmt.span,
+                });
+                return;
+            }
+        }
         _ => return,
-    }
-
-    let StmtKind::Launch(launch) = &stmt.kind else {
-        unreachable!()
-    };
-    let span = stmt.span;
-    if let Err(message) = validate_site(program, launch, loop_depth) {
-        manifest.diagnostics.push(Diagnostic {
-            pass: "aggregation",
-            function: parent_name.to_string(),
-            message,
-            span,
-        });
-        return;
     }
 
     let StmtKind::Launch(launch) = std::mem::replace(&mut stmt.kind, StmtKind::Empty) else {
         unreachable!("matched above")
     };
     let site = SiteInfo {
-        id: *site_counter,
+        id: walk.next_id,
         child: launch.kernel,
         args: launch.args.len(),
+        used: walk.used,
     };
-    *site_counter += 1;
+    walk.next_id += 1;
 
     // `{ _a_gS = grid; _a_bS = block; _a_argS_j = arg_j; ... }`
     let a = Gen(CodeOrigin::AggLogic);
@@ -365,7 +338,7 @@ fn replace_launches(
     }
     stmt.kind = StmtKind::Block(stmts);
     stmt.origin = CodeOrigin::AggLogic;
-    sites.push(site);
+    walk.sites.push(site);
 }
 
 fn validate_site(program: &Program, launch: &LaunchStmt, loop_depth: usize) -> Result<(), String> {
@@ -570,13 +543,16 @@ fn build_epilogue(
 fn build_agg_child(name: &str, child_fn: &Function) -> Function {
     use BinOp::{Add, Div, Gt, Lt, Sub};
     let d = Gen(CodeOrigin::DisaggLogic);
+    // The kernel is the child's parameters and body under generated
+    // names: each must be fresh against the child.
+    let used = idents_in_function(child_fn);
     let [lo, hi, mid, pi, prev, gd, bx, bd, scan, barr, np] = [
         "_da_lo", "_da_hi", "_da_mid", "_da_pi", "_da_prev", "_da_gd", "_da_bx", "_da_bd",
         "_da_scan", "_da_bArr", "_da_np",
     ]
-    .map(String::from);
+    .map(|n| fresh_name(n, &used));
     let arrs: Vec<String> = (0..child_fn.params.len())
-        .map(|j| format!("_da_arr{j}"))
+        .map(|j| fresh_name(format!("_da_arr{j}"), &used))
         .collect();
 
     let mut params: Vec<Param> = (child_fn.params.iter().zip(&arrs))

@@ -132,18 +132,30 @@ fn coarsen_child(
 /// coarsened grid and pass the original grid dimension (Fig. 6 lines 08–10).
 fn rewrite_launch_sites(program: &mut Program, child: &str) {
     let mut counter = 0usize;
-    let func_names: Vec<String> = program.functions().map(|f| f.name.clone()).collect();
-    for name in func_names {
-        let func = program.function_mut(&name).expect("function exists");
+    let launches_child = |s: &Stmt| matches!(&s.kind, StmtKind::Launch(l) if l.kernel == child);
+    for func in program.functions_mut() {
+        if !contains_launch(&func.body) {
+            continue;
+        }
+        // Each site's two names, fresh against the function they land in.
+        let used = idents_in_function(func);
+        let mut names = Vec::new();
+        for stmt in &func.body {
+            for_each_stmt(stmt, &mut |s| {
+                if launches_child(s) {
+                    let g = fresh_name(format!("_c_gDim{counter}"), &used);
+                    names.push((g, fresh_name(format!("_c_cgDim{counter}"), &used)));
+                    counter += 1;
+                }
+            });
+        }
+        let mut names = names.into_iter();
         for stmt in &mut func.body {
             dp_frontend::visit::walk_stmt_mut(stmt, &mut |s| {
-                if !matches!(&s.kind, StmtKind::Launch(l) if l.kernel == child) {
+                if !launches_child(s) {
                     return;
                 }
-                let g_name = format!("_c_gDim{counter}");
-                let cg_name = format!("_c_cgDim{counter}");
-                counter += 1;
-
+                let (g_name, cg_name) = names.next().expect("one pair per launch");
                 let c = Gen(CodeOrigin::CoarsenLoop);
                 let StmtKind::Launch(mut launch) = std::mem::replace(&mut s.kind, StmtKind::Empty)
                 else {
@@ -361,6 +373,26 @@ __global__ void parent(int* d, int n, int m) {
         let out = print_program(&p);
         assert!(out.contains("_c_gDim0"));
         assert!(out.contains("_c_gDim1"));
+    }
+
+    #[test]
+    fn launch_site_names_avoid_parent_locals() {
+        let src = "\
+__global__ void child(int* d, int n) { d[blockIdx.x] = n; }
+__global__ void parent(int* d, int n) {
+    int _c_gDim0 = n;
+    int _c_cgDim0 = n + 1;
+    child<<<(n + 31) / 32, 32>>>(d, _c_gDim0 + _c_cgDim0);
+}
+";
+        let mut p = dp_frontend::parse(src).unwrap();
+        apply(&mut p, 8);
+        let out = print_program(&p);
+        assert!(out.contains("int _c_gDim0_2 = (n + 31) / 32;"), "{out}");
+        assert!(
+            out.contains("child<<<_c_cgDim0_2, 32>>>(d, _c_gDim0 + _c_cgDim0, _c_gDim0_2);"),
+            "{out}"
+        );
     }
 
     #[test]

@@ -18,6 +18,7 @@ use crate::manifest::{Diagnostic, ThresholdSiteMeta, TransformManifest};
 use crate::util::*;
 use dp_frontend::ast::*;
 use dp_frontend::visit::{replace_builtin_ident, replace_builtin_member};
+use std::collections::HashSet;
 
 /// Name of the compile-time threshold macro.
 pub const THRESHOLD_MACRO: &str = "_THRESHOLD";
@@ -43,9 +44,10 @@ pub fn apply(program: &mut Program, threshold: i64) -> TransformManifest {
 
     for parent_name in parent_names {
         let parent = program
-            .function_mut(&parent_name)
+            .function(&parent_name)
             .expect("name was collected from this program");
         if !contains_launch(&parent.body) {
+            let parent = program.function_mut(&parent_name).expect("found above");
             normalize_blocks(&mut parent.body);
             continue;
         }
@@ -54,10 +56,12 @@ pub fn apply(program: &mut Program, threshold: i64) -> TransformManifest {
         // body, so `program` still holds the definition the pass found.
         let mut body = parent.body.clone();
         normalize_blocks(&mut body);
+        let used = idents_in_function(parent);
         process_block(
             &mut body,
             program,
             &parent_name,
+            &used,
             &mut serial_fns,
             &mut manifest,
             &mut counter,
@@ -128,10 +132,13 @@ fn ensure_block(stmt: &mut Box<Stmt>, origin: CodeOrigin) {
     }
 }
 
+/// Thresholds every launch in `stmts`, a statement list of the parent
+/// `parent_name`, whose identifiers are `used`.
 fn process_block(
     stmts: &mut Vec<Stmt>,
     program: &Program,
     parent_name: &str,
+    used: &HashSet<&str>,
     serial_fns: &mut Vec<Function>,
     manifest: &mut TransformManifest,
     counter: &mut usize,
@@ -141,7 +148,15 @@ fn process_block(
         // Recurse into nested statement lists first.
         match &mut stmts[i].kind {
             StmtKind::Block(inner) => {
-                process_block(inner, program, parent_name, serial_fns, manifest, counter);
+                process_block(
+                    inner,
+                    program,
+                    parent_name,
+                    used,
+                    serial_fns,
+                    manifest,
+                    counter,
+                );
             }
             StmtKind::If {
                 then_branch,
@@ -149,11 +164,27 @@ fn process_block(
                 ..
             } => {
                 if let StmtKind::Block(inner) = &mut then_branch.kind {
-                    process_block(inner, program, parent_name, serial_fns, manifest, counter);
+                    process_block(
+                        inner,
+                        program,
+                        parent_name,
+                        used,
+                        serial_fns,
+                        manifest,
+                        counter,
+                    );
                 }
                 if let Some(e) = else_branch {
                     if let StmtKind::Block(inner) = &mut e.kind {
-                        process_block(inner, program, parent_name, serial_fns, manifest, counter);
+                        process_block(
+                            inner,
+                            program,
+                            parent_name,
+                            used,
+                            serial_fns,
+                            manifest,
+                            counter,
+                        );
                     }
                 }
             }
@@ -161,7 +192,15 @@ fn process_block(
             | StmtKind::While { body, .. }
             | StmtKind::DoWhile { body, .. } => {
                 if let StmtKind::Block(inner) = &mut body.kind {
-                    process_block(inner, program, parent_name, serial_fns, manifest, counter);
+                    process_block(
+                        inner,
+                        program,
+                        parent_name,
+                        used,
+                        serial_fns,
+                        manifest,
+                        counter,
+                    );
                 }
             }
             _ => {}
@@ -189,7 +228,7 @@ fn process_block(
         }
 
         // Section III-D: extract the desired thread count.
-        let threads_name = format!("_threads{}", *counter);
+        let threads_name = fresh_name(format!("_threads{counter}"), used);
         let Some(tc) = dp_analysis::extract_thread_count(stmts, i, &threads_name) else {
             manifest.diagnostics.push(Diagnostic {
                 pass: "thresholding",
@@ -503,6 +542,23 @@ __global__ void parent(int* d, int n) {
         let out = print_program(&p);
         assert!(out.contains("int _threads0 = n;"), "{out}");
         assert!(out.contains("(_threads0 - 1) / 256 + 1"), "{out}");
+    }
+
+    #[test]
+    fn hoisted_count_avoids_a_parent_local() {
+        let src = "\
+__global__ void child(int* d, int n) { d[0] = n; }
+__global__ void parent(int* d, int n) {
+    int _threads0 = n + 1;
+    child<<<(n + 31) / 32, 32>>>(d, _threads0);
+}
+";
+        let mut p = dp_frontend::parse(src).unwrap();
+        apply(&mut p, 64);
+        let out = print_program(&p);
+        assert!(out.contains("int _threads0_2 = n;"), "{out}");
+        assert!(out.contains("if (_threads0_2 >= _THRESHOLD)"), "{out}");
+        assert!(out.contains("(d, _threads0);"), "{out}");
     }
 
     #[test]

@@ -23,7 +23,7 @@ use dpopt::core::{AggConfig, AggGranularity, Compiler, OptConfig};
 use dpopt::frontend::ast::Program;
 use dpopt::sweep::key::fnv1a;
 use dpopt::vm::bytecode::CompiledFunction;
-use dpopt::vm::compile_program_unfused;
+use dpopt::vm::{compile_program_unfused, Value};
 use dpopt::workloads::benchmarks::all_benchmarks;
 
 /// none, T, C, all, then A / T+A / T+C+A at each granularity, then block
@@ -1553,7 +1553,7 @@ fn a_child_local_does_not_capture_the_disaggregated_block_index() {
         &format!("{CHILD_LOCAL_DA_BX}{HYGIENE_PARENT}"),
         agg_block(),
         HYGIENE_DA_BX,
-        0x44df251fde4a5465,
+        0xe056152c166c0ae5,
     );
 }
 
@@ -1564,7 +1564,7 @@ fn a_child_parameter_does_not_rebind_the_search_result() {
         &format!("{CHILD_PARAM_DA_PI}{HYGIENE_PARENT}"),
         agg_block(),
         HYGIENE_DA_PI,
-        0xceb9c17dea7a1f81,
+        0xedd79478136b6ade,
     );
 }
 
@@ -1575,8 +1575,48 @@ fn a_parent_local_does_not_rebind_the_participation_count() {
         PARENT_LOCAL_A_G0,
         agg_block(),
         HYGIENE_A_G0,
-        0xee0ac198ec8f7415,
+        0xdf85ac314525d85c,
     );
+}
+
+/// Runs `parent` over four vertices whose child grids are 40, 5, 65 and
+/// 40 threads wide, from two blocks of four parent threads (the second
+/// block has no vertex), and returns `data`.
+fn run_hygiene_case(source: &str, config: OptConfig) -> Vec<i64> {
+    let compiled = Compiler::new()
+        .config(config)
+        .compile(source)
+        .expect("compiles");
+    let mut exec = compiled.executor();
+    let data = exec.alloc(150);
+    let offsets = exec.alloc_i64s(&[0, 40, 45, 110, 150]);
+    let args = [Value::Int(data), Value::Int(offsets), Value::Int(4)];
+    exec.launch("parent", 2, 4, &args).expect("launches");
+    exec.sync().expect("runs");
+    exec.read_i64s(data, 150).expect("reads")
+}
+
+#[test]
+fn each_capture_counter_example_runs_as_written() {
+    for (what, source) in [
+        (
+            "child local _da_bx",
+            format!("{CHILD_LOCAL_DA_BX}{HYGIENE_PARENT}"),
+        ),
+        (
+            "child parameter _da_pi",
+            format!("{CHILD_PARAM_DA_PI}{HYGIENE_PARENT}"),
+        ),
+        ("parent local _a_g0", PARENT_LOCAL_A_G0.to_string()),
+    ] {
+        let untransformed = run_hygiene_case(&source, OptConfig::none());
+        assert_eq!(untransformed, vec![1; 150], "{what}: untransformed");
+        assert_eq!(
+            run_hygiene_case(&source, agg_block()),
+            untransformed,
+            "{what}: aggregated"
+        );
+    }
 }
 
 const HYGIENE_DA_BX: &str = "\
@@ -1608,11 +1648,11 @@ __global__ void child_agg(int** _da_arr0, int* _da_arr1, int* _da_scan, int* _da
     int* data = _da_arr0[_da_pi];
     int n = _da_arr1[_da_pi];
     int _da_gd = _da_scan[_da_pi] - _da_prev;
-    int _da_bx = blockIdx.x - _da_prev;
+    int _da_bx_2 = blockIdx.x - _da_prev;
     int _da_bd = _da_bArr[_da_pi];
     if (threadIdx.x < _da_bd) {
         int _da_bx = 0;
-        int i = _da_bx * _da_bd + threadIdx.x;
+        int i = _da_bx_2 * _da_bd + threadIdx.x;
         if (i < n) {
             data[i] = data[i] + 1 + _da_bx;
         }
@@ -1677,16 +1717,16 @@ __global__ void child_agg(int** _da_arr0, int* _da_arr1, int* _da_scan, int* _da
             _da_lo = _da_mid + 1;
         }
     }
-    int _da_pi = _da_lo;
+    int _da_pi_2 = _da_lo;
     int _da_prev = 0;
-    if (_da_pi > 0) {
-        _da_prev = _da_scan[_da_pi - 1];
+    if (_da_pi_2 > 0) {
+        _da_prev = _da_scan[_da_pi_2 - 1];
     }
-    int* data = _da_arr0[_da_pi];
-    int _da_pi = _da_arr1[_da_pi];
-    int _da_gd = _da_scan[_da_pi] - _da_prev;
+    int* data = _da_arr0[_da_pi_2];
+    int _da_pi = _da_arr1[_da_pi_2];
+    int _da_gd = _da_scan[_da_pi_2] - _da_prev;
     int _da_bx = blockIdx.x - _da_prev;
-    int _da_bd = _da_bArr[_da_pi];
+    int _da_bd = _da_bArr[_da_pi_2];
     if (threadIdx.x < _da_bd) {
         int i = _da_bx * _da_bd + threadIdx.x;
         if (i < _da_pi) {
@@ -1772,7 +1812,7 @@ __global__ void child_agg(int** _da_arr0, int* _da_arr1, int* _da_scan, int* _da
 }
 
 __global__ void parent(int* data, int* offsets, int numV, int** _a_arr0_0, int* _a_arr0_1, int* _a_scan0, int* _a_bArr0, long long* _a_ctr0, int* _a_maxB0, int _a_slots0) {
-    int _a_g0 = 0;
+    int _a_g0_2 = 0;
     int _a_b0 = 0;
     int* _a_arg0_0;
     int _a_arg0_1;
@@ -1780,7 +1820,7 @@ __global__ void parent(int* data, int* offsets, int numV, int** _a_arr0_0, int* 
     if (_a_g0 < numV) {
         int count = offsets[_a_g0 + 1] - offsets[_a_g0];
         {
-            _a_g0 = (count + 31) / 32;
+            _a_g0_2 = (count + 31) / 32;
             _a_b0 = 32;
             _a_arg0_0 = data + offsets[_a_g0];
             _a_arg0_1 = count;
@@ -1788,13 +1828,13 @@ __global__ void parent(int* data, int* offsets, int numV, int** _a_arr0_0, int* 
     }
     int _a_grp0 = blockIdx.x;
     int _a_base0 = _a_grp0 * _a_slots0;
-    if (_a_g0 > 0) {
-        long long _a_pk0 = atomicAdd(&_a_ctr0[_a_grp0], ((long long)1 << 32) + (long long)_a_g0);
+    if (_a_g0_2 > 0) {
+        long long _a_pk0 = atomicAdd(&_a_ctr0[_a_grp0], ((long long)1 << 32) + (long long)_a_g0_2);
         int _a_pi0 = (int)(_a_pk0 >> 32);
         int _a_sp0 = (int)(_a_pk0 & 4294967295);
         _a_arr0_0[_a_base0 + _a_pi0] = _a_arg0_0;
         _a_arr0_1[_a_base0 + _a_pi0] = _a_arg0_1;
-        _a_scan0[_a_base0 + _a_pi0] = _a_sp0 + _a_g0;
+        _a_scan0[_a_base0 + _a_pi0] = _a_sp0 + _a_g0_2;
         _a_bArr0[_a_base0 + _a_pi0] = _a_b0;
         atomicMax(&_a_maxB0[_a_grp0], _a_b0);
     }
