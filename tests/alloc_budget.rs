@@ -9,11 +9,13 @@
 //!
 //! | | allocations per compile | of which `print_program` |
 //! |---|---|---|
-//! | at the parent commit (program copied per function) | 5 255 | 1 341 |
-//! | now | 2 085 | 11 |
+//! | program copied per function | 5 255 | 1 341 |
+//! | passes stopped copying the program | 2 085 | 11 |
+//! | generated code built as syntax, not parsed from text | 1 771 | 11 |
 //!
-//! The budget is half the old count. If a change needs more, find the copy
-//! before raising it.
+//! The budget is the last row: a pass that went back to lexing and parsing
+//! template text, or to copying a body into place, would exceed it. If a
+//! change needs more, find the copy before raising it.
 
 use dpopt::core::{AggConfig, AggGranularity, Compiler, OptConfig};
 use dpopt::workloads::benchmarks::{bfs::Bfs, Benchmark};
@@ -50,7 +52,7 @@ fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (value, ALLOCATIONS.load(Ordering::Relaxed) - before)
 }
 
-const PARENT_COMPILE_ALLOCATIONS: u64 = 5_255;
+const COMPILE_ALLOCATIONS: u64 = 1_771;
 
 #[test]
 fn one_compile_stays_inside_its_allocation_budget() {
@@ -69,8 +71,8 @@ fn one_compile_stays_inside_its_allocation_budget() {
     println!("compile: {compile} allocations, print_program: {print}");
 
     assert!(
-        compile * 2 <= PARENT_COMPILE_ALLOCATIONS,
-        "one compile made {compile} allocations; the budget is half of {PARENT_COMPILE_ALLOCATIONS}"
+        compile <= COMPILE_ALLOCATIONS,
+        "one compile made {compile} allocations; the budget is {COMPILE_ALLOCATIONS}"
     );
     assert!(
         print <= 32,
