@@ -331,14 +331,6 @@ impl Expr {
     pub fn index(base: Expr, index: Expr, origin: CodeOrigin) -> Expr {
         Expr::synth(ExprKind::Index(Box::new(base), Box::new(index)), origin)
     }
-
-    /// Shorthand for a synthetic simple assignment `lhs = rhs`.
-    pub fn assign(lhs: Expr, rhs: Expr, origin: CodeOrigin) -> Expr {
-        Expr::synth(
-            ExprKind::Assign(AssignOp::Assign, Box::new(lhs), Box::new(rhs)),
-            origin,
-        )
-    }
 }
 
 /// Expression payloads.

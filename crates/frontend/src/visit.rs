@@ -188,7 +188,8 @@ pub fn for_each_expr<'a>(expr: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
     f(expr);
 }
 
-/// Immutable walk over every expression in a statement tree.
+/// Immutable walk over every expression in a statement tree. The callback
+/// may keep what it is handed for as long as `stmt` is borrowed.
 pub fn for_each_stmt_expr<'a>(stmt: &'a Stmt, f: &mut impl FnMut(&'a Expr)) {
     for_each_stmt(stmt, &mut |s| match &s.kind {
         StmtKind::Decl(decl) => {
@@ -231,7 +232,8 @@ pub fn for_each_stmt_expr<'a>(stmt: &'a Stmt, f: &mut impl FnMut(&'a Expr)) {
     });
 }
 
-/// Immutable walk over `stmt` and every nested statement (pre-order).
+/// Immutable walk over `stmt` and every nested statement (pre-order). The
+/// callback may keep what it is handed for as long as `stmt` is borrowed.
 pub fn for_each_stmt<'a>(stmt: &'a Stmt, f: &mut impl FnMut(&'a Stmt)) {
     f(stmt);
     match &stmt.kind {

@@ -192,11 +192,10 @@ fn transform_parent(
     for site in &walk.sites {
         let child_fn = program.function(&site.child).expect("validated");
         for name in ["_a_g", "_a_b"] {
-            let zero = Expr::int(0, CodeOrigin::AggLogic);
             new_body.push(Stmt::decl(
                 Type::Int,
                 site.name(name),
-                Some(zero),
+                Some(Expr::int(0, CodeOrigin::AggLogic)),
                 CodeOrigin::AggLogic,
             ));
         }

@@ -6,8 +6,9 @@
 //! kernel of Fig. 7) is a function that returns `Stmt`s made with [`Gen`].
 //! Every node it makes carries [`Span::SYNTH`] and the origin of the pass
 //! that made it, and a user body that goes inside generated code is moved
-//! into place. The transformed program can only be in the subset the
-//! frontend parses, because it is made of the parser's own node kinds.
+//! into place. Builders make the tree the parser would make of the same C,
+//! so the printed program re-parses to it (`compile_identity.rs` holds the
+//! passes to that, node for node).
 //!
 //! A pass reads the program in place and writes the program in place; it
 //! never copies it. The one thing a pass may not do is read a function it
@@ -147,7 +148,7 @@ impl Gen {
     }
 }
 
-/// A generated `ret void name(params) { body }` definition.
+/// A generated `qual void name(params) { body }` definition.
 pub fn gen_function(qual: FnQual, name: String, params: Vec<Param>, body: Vec<Stmt>) -> Function {
     Function {
         qual,
