@@ -93,7 +93,7 @@ impl Gen {
     }
 
     /// `{ stmts }`
-    pub fn block(self, stmts: Vec<Stmt>) -> Stmt {
+    fn block(self, stmts: Vec<Stmt>) -> Stmt {
         Stmt::synth(StmtKind::Block(stmts), self.0)
     }
 
