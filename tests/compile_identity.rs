@@ -1579,6 +1579,123 @@ fn a_parent_local_does_not_rebind_the_participation_count() {
     );
 }
 
+/// A user function named like thresholding's serial child.
+const USER_CHILD_SERIAL: &str = "\
+__global__ void child(int* data, int n) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    if (i < n) {
+        data[i] = data[i] + 1;
+    }
+}
+
+__device__ void child_serial(int* data, int n) {
+    data[0] = n;
+}
+";
+
+/// A user function named like coarsening's body function, beside a child
+/// that returns early (so the pass generates one).
+const USER_COARSEN_BODY: &str = "\
+__global__ void child(int* data, int n) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    if (i >= n) {
+        return;
+    }
+    data[i] = data[i] + 1;
+}
+
+__device__ void _child_coarsen_body(int* data, int n) {
+    data[0] = n;
+}
+";
+
+/// A user kernel named like the aggregated child, taking as many
+/// arguments as the aggregated launch passes.
+const USER_CHILD_AGG: &str = "\
+__global__ void child(int* data, int n) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    if (i < n) {
+        data[i] = data[i] + 1;
+    }
+}
+
+__global__ void child_agg(int* a, int* b, int* c, int* d, int e) {
+    a[threadIdx.x] = e;
+}
+";
+
+fn threshold_64() -> OptConfig {
+    OptConfig::none().threshold(64)
+}
+
+fn coarsen_2() -> OptConfig {
+    OptConfig::none().coarsen_factor(2)
+}
+
+/// Today thresholding names the serial child `child_serial` whatever the
+/// program holds: the output defines it twice, and lowering refuses it.
+#[test]
+fn a_user_child_serial_is_defined_twice() {
+    let source = format!("{USER_CHILD_SERIAL}{HYGIENE_PARENT}");
+    check(
+        "user child_serial",
+        &source,
+        threshold_64(),
+        TODAY_CHILD_SERIAL,
+        0xdc7fd46e613c695e,
+    );
+    let error = Compiler::new()
+        .config(threshold_64())
+        .compile(&source)
+        .err();
+    let error = error
+        .expect("a duplicate function does not lower")
+        .to_string();
+    assert!(
+        error.contains("duplicate function `child_serial`"),
+        "{error}"
+    );
+}
+
+/// Likewise coarsening's body function.
+#[test]
+fn a_user_coarsen_body_is_defined_twice() {
+    let source = format!("{USER_COARSEN_BODY}{HYGIENE_PARENT}");
+    check(
+        "user _child_coarsen_body",
+        &source,
+        coarsen_2(),
+        TODAY_COARSEN_BODY,
+        0xb28579bc5af2be9c,
+    );
+    let error = Compiler::new().config(coarsen_2()).compile(&source).err();
+    let error = error
+        .expect("a duplicate function does not lower")
+        .to_string();
+    assert!(
+        error.contains("duplicate function `_child_coarsen_body`"),
+        "{error}"
+    );
+}
+
+/// And aggregation takes a user `child_agg` for the aggregated child: no
+/// kernel is generated, the parent launches the user's, and the run's
+/// memory is not the untransformed program's.
+#[test]
+fn a_user_child_agg_is_launched_as_the_aggregated_child() {
+    let source = format!("{USER_CHILD_AGG}{HYGIENE_PARENT}");
+    check(
+        "user child_agg",
+        &source,
+        agg_block(),
+        TODAY_CHILD_AGG,
+        0xc85cf92b658031b2,
+    );
+    let untransformed = run_hygiene_case(&source, OptConfig::none());
+    assert_eq!(untransformed, vec![1; 150]);
+    assert_ne!(run_hygiene_case(&source, agg_block()), untransformed);
+}
+
 /// Runs `parent` over four vertices whose child grids are 40, 5, 65 and
 /// 40 threads wide, from two blocks of four parent threads (the second
 /// block has no vertex), and returns `data`.
@@ -1835,6 +1952,136 @@ __global__ void parent(int* data, int* offsets, int numV, int** _a_arr0_0, int* 
         _a_arr0_0[_a_base0 + _a_pi0] = _a_arg0_0;
         _a_arr0_1[_a_base0 + _a_pi0] = _a_arg0_1;
         _a_scan0[_a_base0 + _a_pi0] = _a_sp0 + _a_g0_2;
+        _a_bArr0[_a_base0 + _a_pi0] = _a_b0;
+        atomicMax(&_a_maxB0[_a_grp0], _a_b0);
+    }
+    __syncthreads();
+    if (threadIdx.x == 0) {
+        long long _a_pkf0 = _a_ctr0[_a_grp0];
+        int _a_np0 = (int)(_a_pkf0 >> 32);
+        int _a_tot0 = (int)(_a_pkf0 & 4294967295);
+        if (_a_np0 > 0) {
+            child_agg<<<_a_tot0, _a_maxB0[_a_grp0]>>>(_a_arr0_0 + _a_base0, _a_arr0_1 + _a_base0, _a_scan0 + _a_base0, _a_bArr0 + _a_base0, _a_np0);
+        }
+    }
+}
+";
+const TODAY_CHILD_SERIAL: &str = "\
+#define _THRESHOLD 64
+
+__global__ void child(int* data, int n) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    if (i < n) {
+        data[i] = data[i] + 1;
+    }
+}
+
+__device__ void child_serial(int* data, int n, dim3 _s_gDim, dim3 _s_bDim) {
+    for (int _s_bz = 0; _s_bz < _s_gDim.z; ++_s_bz) {
+        for (int _s_by = 0; _s_by < _s_gDim.y; ++_s_by) {
+            for (int _s_bx = 0; _s_bx < _s_gDim.x; ++_s_bx) {
+                for (int _s_tz = 0; _s_tz < _s_bDim.z; ++_s_tz) {
+                    for (int _s_ty = 0; _s_ty < _s_bDim.y; ++_s_ty) {
+                        for (int _s_tx = 0; _s_tx < _s_bDim.x; ++_s_tx) {
+                            int i = _s_bx * _s_bDim.x + _s_tx;
+                            if (i < n) {
+                                data[i] = data[i] + 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+__device__ void child_serial(int* data, int n) {
+    data[0] = n;
+}
+
+__global__ void parent(int* data, int* offsets, int numV) {
+    int v = blockIdx.x * blockDim.x + threadIdx.x;
+    if (v < numV) {
+        int count = offsets[v + 1] - offsets[v];
+        int _threads0 = count;
+        if (_threads0 >= _THRESHOLD) {
+            child<<<(_threads0 + 31) / 32, 32>>>(data + offsets[v], count);
+        }
+        else {
+            child_serial(data + offsets[v], count, (_threads0 + 31) / 32, 32);
+        }
+    }
+}
+";
+const TODAY_COARSEN_BODY: &str = "\
+#define _CFACTOR 2
+
+__device__ void _child_coarsen_body(int* data, int n, int _c_gDim, int _c_bx) {
+    int i = _c_bx * blockDim.x + threadIdx.x;
+    if (i >= n) {
+        return;
+    }
+    data[i] = data[i] + 1;
+}
+
+__global__ void child(int* data, int n, int _c_gDim) {
+    for (int _c_bx = blockIdx.x; _c_bx < _c_gDim; _c_bx += gridDim.x) {
+        _child_coarsen_body(data, n, _c_gDim, _c_bx);
+    }
+}
+
+__device__ void _child_coarsen_body(int* data, int n) {
+    data[0] = n;
+}
+
+__global__ void parent(int* data, int* offsets, int numV) {
+    int v = blockIdx.x * blockDim.x + threadIdx.x;
+    if (v < numV) {
+        int count = offsets[v + 1] - offsets[v];
+        {
+            int _c_gDim0 = (count + 31) / 32;
+            int _c_cgDim0 = (_c_gDim0 + _CFACTOR - 1) / _CFACTOR;
+            child<<<_c_cgDim0, 32>>>(data + offsets[v], count, _c_gDim0);
+        }
+    }
+}
+";
+const TODAY_CHILD_AGG: &str = "\
+__global__ void child(int* data, int n) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    if (i < n) {
+        data[i] = data[i] + 1;
+    }
+}
+
+__global__ void child_agg(int* a, int* b, int* c, int* d, int e) {
+    a[threadIdx.x] = e;
+}
+
+__global__ void parent(int* data, int* offsets, int numV, int** _a_arr0_0, int* _a_arr0_1, int* _a_scan0, int* _a_bArr0, long long* _a_ctr0, int* _a_maxB0, int _a_slots0) {
+    int _a_g0 = 0;
+    int _a_b0 = 0;
+    int* _a_arg0_0;
+    int _a_arg0_1;
+    int v = blockIdx.x * blockDim.x + threadIdx.x;
+    if (v < numV) {
+        int count = offsets[v + 1] - offsets[v];
+        {
+            _a_g0 = (count + 31) / 32;
+            _a_b0 = 32;
+            _a_arg0_0 = data + offsets[v];
+            _a_arg0_1 = count;
+        }
+    }
+    int _a_grp0 = blockIdx.x;
+    int _a_base0 = _a_grp0 * _a_slots0;
+    if (_a_g0 > 0) {
+        long long _a_pk0 = atomicAdd(&_a_ctr0[_a_grp0], ((long long)1 << 32) + (long long)_a_g0);
+        int _a_pi0 = (int)(_a_pk0 >> 32);
+        int _a_sp0 = (int)(_a_pk0 & 4294967295);
+        _a_arr0_0[_a_base0 + _a_pi0] = _a_arg0_0;
+        _a_arr0_1[_a_base0 + _a_pi0] = _a_arg0_1;
+        _a_scan0[_a_base0 + _a_pi0] = _a_sp0 + _a_g0;
         _a_bArr0[_a_base0 + _a_pi0] = _a_b0;
         atomicMax(&_a_maxB0[_a_grp0], _a_b0);
     }
