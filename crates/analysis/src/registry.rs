@@ -8,9 +8,9 @@ use std::collections::{HashMap, HashSet};
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaunchSite {
     /// Function containing the launch.
-    pub parent: String,
+    pub parent: Name,
     /// Kernel being launched.
-    pub kernel: String,
+    pub kernel: Name,
     /// Whether the parent is itself a `__global__` kernel (a *dynamic*
     /// launch) as opposed to a host-side launch.
     pub from_device: bool,
@@ -53,7 +53,7 @@ pub fn launch_sites(program: &Program) -> Vec<LaunchSite> {
 
 /// Returns the set of function names `func` calls directly (plain calls,
 /// not launches), restricted to functions defined in the program.
-pub fn direct_callees(program: &Program, func: &Function) -> HashSet<String> {
+pub fn direct_callees(program: &Program, func: &Function) -> HashSet<Name> {
     let defined: HashSet<&str> = program.functions().map(|f| f.name.as_str()).collect();
     let mut callees = HashSet::new();
     for stmt in &func.body {
@@ -70,7 +70,7 @@ pub fn direct_callees(program: &Program, func: &Function) -> HashSet<String> {
 
 /// The call graph over functions defined in the program (direct calls only;
 /// launches are not edges).
-pub fn call_graph(program: &Program) -> HashMap<String, HashSet<String>> {
+pub fn call_graph(program: &Program) -> HashMap<Name, HashSet<Name>> {
     program
         .functions()
         .map(|f| (f.name.clone(), direct_callees(program, f)))
@@ -82,7 +82,7 @@ pub fn call_graph(program: &Program) -> HashMap<String, HashSet<String>> {
 pub fn reachable_functions<'p>(program: &'p Program, root: &str) -> Vec<&'p Function> {
     let graph = call_graph(program);
     let mut seen = HashSet::new();
-    let mut stack = vec![root.to_string()];
+    let mut stack = vec![Name::new(root)];
     let mut result = Vec::new();
     while let Some(name) = stack.pop() {
         if !seen.insert(name.clone()) {

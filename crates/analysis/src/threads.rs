@@ -185,7 +185,7 @@ const PLACEHOLDER: &str = "__dpopt_n_slot__";
 fn rename_placeholder(e: &mut Expr, replacement: &str) {
     dp_frontend::visit::walk_expr_mut(e, &mut |x| {
         if x.kind.as_ident() == Some(PLACEHOLDER) {
-            x.kind = ExprKind::Ident(replacement.to_string());
+            x.kind = ExprKind::Ident(Name::new(replacement));
         }
     });
 }

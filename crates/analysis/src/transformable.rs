@@ -17,20 +17,20 @@ pub enum Blocker {
     /// intrinsic such as `__syncthreads` or a warp-level primitive.
     SyncIntrinsic {
         /// The intrinsic name.
-        intrinsic: String,
+        intrinsic: Name,
         /// The function that contains the call.
-        in_function: String,
+        in_function: Name,
     },
     /// The kernel (or a device function it calls) declares `__shared__`
     /// memory.
     SharedMemory {
         /// The function that declares it.
-        in_function: String,
+        in_function: Name,
     },
     /// The kernel definition was not found in the translation unit.
     MissingDefinition {
         /// The missing kernel name.
-        kernel: String,
+        kernel: Name,
     },
 }
 
@@ -74,7 +74,7 @@ impl fmt::Display for Blocker {
 pub fn serialization_blockers(program: &Program, kernel: &str) -> Vec<Blocker> {
     if program.function(kernel).is_none() {
         return vec![Blocker::MissingDefinition {
-            kernel: kernel.to_string(),
+            kernel: Name::new(kernel),
         }];
     }
     let mut blockers = Vec::new();

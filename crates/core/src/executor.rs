@@ -31,7 +31,7 @@ impl RunReport {
 }
 
 struct PendingHostAgg {
-    agg_kernel: String,
+    agg_kernel: dp_frontend::Name,
     arg_ptrs: Vec<i64>,
     scan_ptr: i64,
     barr_ptr: i64,

@@ -6,6 +6,7 @@
 //! the paper's Fig. 10 is produced: the VM attributes each executed
 //! instruction to the origin of the statement it was lowered from.
 
+pub use crate::name::Name;
 use crate::span::Span;
 use std::fmt;
 
@@ -283,6 +284,9 @@ pub struct Expr {
     pub origin: CodeOrigin,
 }
 
+// A node is one cache line: a name stored inline must not make it larger.
+const _: () = assert!(std::mem::size_of::<Expr>() == 64);
+
 impl Expr {
     /// Creates an expression with the given span and `Original` origin.
     pub fn new(kind: ExprKind, span: Span) -> Expr {
@@ -303,7 +307,7 @@ impl Expr {
     }
 
     /// Shorthand for a synthetic identifier expression.
-    pub fn ident(name: impl Into<String>, origin: CodeOrigin) -> Expr {
+    pub fn ident(name: impl Into<Name>, origin: CodeOrigin) -> Expr {
         Expr::synth(ExprKind::Ident(name.into()), origin)
     }
 
@@ -318,12 +322,12 @@ impl Expr {
     }
 
     /// Shorthand for a synthetic `base.field` member access.
-    pub fn member(base: Expr, field: impl Into<String>, origin: CodeOrigin) -> Expr {
+    pub fn member(base: Expr, field: impl Into<Name>, origin: CodeOrigin) -> Expr {
         Expr::synth(ExprKind::Member(Box::new(base), field.into()), origin)
     }
 
     /// Shorthand for a synthetic call expression.
-    pub fn call(name: impl Into<String>, args: Vec<Expr>, origin: CodeOrigin) -> Expr {
+    pub fn call(name: impl Into<Name>, args: Vec<Expr>, origin: CodeOrigin) -> Expr {
         Expr::synth(ExprKind::Call(name.into(), args), origin)
     }
 
@@ -343,7 +347,7 @@ pub enum ExprKind {
     /// `true` / `false`.
     BoolLit(bool),
     /// Variable or builtin reference (`threadIdx` etc. are plain idents).
-    Ident(String),
+    Ident(Name),
     /// Binary operation.
     Binary(BinOp, Box<Expr>, Box<Expr>),
     /// Prefix unary operation.
@@ -362,11 +366,11 @@ pub enum ExprKind {
     /// `cond ? a : b`.
     Ternary(Box<Expr>, Box<Expr>, Box<Expr>),
     /// Direct call `f(args)`; builtins are resolved by name downstream.
-    Call(String, Vec<Expr>),
+    Call(Name, Vec<Expr>),
     /// `base[index]`.
     Index(Box<Expr>, Box<Expr>),
     /// `base.field` (dim3 components).
-    Member(Box<Expr>, String),
+    Member(Box<Expr>, Name),
     /// `(type) expr`.
     Cast(Type, Box<Expr>),
     /// `dim3(x)`, `dim3(x, y)`, `dim3(x, y, z)`.
@@ -387,7 +391,7 @@ impl ExprKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Declarator {
     /// Variable name.
-    pub name: String,
+    pub name: Name,
     /// `Some(len)` for array declarations `T name[len]` (only allowed with
     /// `__shared__` or constant length local arrays).
     pub array_len: Option<Expr>,
@@ -444,7 +448,7 @@ impl Stmt {
     }
 
     /// Shorthand for a synthetic single-declarator declaration.
-    pub fn decl(ty: Type, name: impl Into<String>, init: Option<Expr>, origin: CodeOrigin) -> Stmt {
+    pub fn decl(ty: Type, name: impl Into<Name>, init: Option<Expr>, origin: CodeOrigin) -> Stmt {
         Stmt::synth(
             StmtKind::Decl(VarDecl {
                 ty,
@@ -520,7 +524,7 @@ pub enum StmtKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaunchStmt {
     /// Name of the launched kernel.
-    pub kernel: String,
+    pub kernel: Name,
     /// Grid dimension expression (int or dim3).
     pub grid: Expr,
     /// Block dimension expression (int or dim3).
@@ -561,7 +565,7 @@ pub struct Param {
     /// Parameter type.
     pub ty: Type,
     /// Parameter name.
-    pub name: String,
+    pub name: Name,
 }
 
 /// A function definition.
@@ -572,7 +576,7 @@ pub struct Function {
     /// Return type.
     pub ret: Type,
     /// Function name.
-    pub name: String,
+    pub name: Name,
     /// Parameters in order.
     pub params: Vec<Param>,
     /// Body statements (the subset requires definitions, not declarations).
@@ -596,7 +600,7 @@ pub enum Item {
     /// A `#define NAME <integer>` object macro (understood, re-printed).
     Define {
         /// Macro name.
-        name: String,
+        name: Name,
         /// Integer value.
         value: i64,
     },
@@ -664,7 +668,7 @@ impl Program {
         self.items.insert(
             0,
             Item::Define {
-                name: name.to_string(),
+                name: name.into(),
                 value,
             },
         );

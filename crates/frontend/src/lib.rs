@@ -37,6 +37,7 @@
 pub mod ast;
 pub mod error;
 pub mod lexer;
+pub mod name;
 pub mod parser;
 pub mod printer;
 pub mod span;
@@ -48,6 +49,7 @@ pub use ast::{
     Param, Program, Stmt, StmtKind, Type, UnOp, VarDecl,
 };
 pub use error::ParseError;
+pub use name::Name;
 pub use parser::parse;
 pub use printer::print_program;
 pub use span::Span;

@@ -116,11 +116,11 @@ impl<'s> Parser<'s> {
         }
     }
 
-    fn expect_ident(&mut self) -> Result<String> {
+    fn expect_ident(&mut self) -> Result<Name> {
         match *self.peek() {
             TokenKind::Ident(name) => {
                 self.bump();
-                Ok(name.to_string())
+                Ok(Name::new(name))
             }
             _ => Err(self.unexpected("expected identifier")),
         }
@@ -831,11 +831,11 @@ impl<'s> Parser<'s> {
                         }
                     }
                     Ok(Expr::new(
-                        ExprKind::Call(name.to_string(), args),
+                        ExprKind::Call(Name::new(name), args),
                         start.join(self.prev_span()),
                     ))
                 } else {
-                    Ok(Expr::new(ExprKind::Ident(name.to_string()), start))
+                    Ok(Expr::new(ExprKind::Ident(Name::new(name)), start))
                 }
             }
             TokenKind::Punct(Punct::LParen) => {
@@ -861,7 +861,7 @@ fn parse_directive(text: &str) -> Item {
             if let Some(v) = parsed {
                 if name.chars().all(|c| c == '_' || c.is_ascii_alphanumeric()) {
                     return Item::Define {
-                        name: name.to_string(),
+                        name: Name::new(name),
                         value: v,
                     };
                 }

@@ -293,7 +293,7 @@ pub fn replace_builtin_member(stmt: &mut Stmt, base: &str, field: &str, replacem
     walk_stmt_exprs_mut(stmt, &mut |e| {
         if let ExprKind::Member(b, fld) = &e.kind {
             if fld == field && b.kind.as_ident() == Some(base) {
-                e.kind = ExprKind::Ident(replacement.to_string());
+                e.kind = ExprKind::Ident(Name::new(replacement));
             }
         }
     });
@@ -307,7 +307,7 @@ pub fn replace_builtin_member(stmt: &mut Stmt, base: &str, field: &str, replacem
 pub fn replace_builtin_ident(stmt: &mut Stmt, base: &str, replacement: &str) {
     walk_stmt_exprs_mut(stmt, &mut |e| {
         if e.kind.as_ident() == Some(base) {
-            e.kind = ExprKind::Ident(replacement.to_string());
+            e.kind = ExprKind::Ident(Name::new(replacement));
         }
     });
 }

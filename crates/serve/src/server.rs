@@ -1067,7 +1067,7 @@ fn dispatch(
                 .program()
                 .functions()
                 .filter(|f| f.is_kernel())
-                .map(|f| Json::Str(f.name.clone()))
+                .map(|f| Json::Str(f.name.as_str().to_owned()))
                 .collect();
             proto::ok_response(
                 id,

@@ -51,7 +51,7 @@ pub fn apply(program: &mut Program, config: &AggConfig) -> TransformManifest {
     if agg_threshold.is_some() && config.granularity != AggGranularity::Block {
         manifest.diagnostics.push(Diagnostic {
             pass: "aggregation",
-            function: String::new(),
+            function: Name::EMPTY,
             message: format!(
                 "aggregation threshold requires block granularity (got {}); ignoring it",
                 config.granularity
@@ -64,13 +64,17 @@ pub fn apply(program: &mut Program, config: &AggConfig) -> TransformManifest {
         program.set_define(AGG_THRESHOLD_MACRO, t);
     }
 
-    let parent_names: Vec<String> = program
+    let parent_names: Vec<Name> = program
         .functions()
         .filter(|f| f.qual == FnQual::Global)
         .map(|f| f.name.clone())
         .collect();
 
     let mut site_counter = 0usize;
+    let mut agg_kernels = AggKernels {
+        taken: function_names(program),
+        of_child: Vec::new(),
+    };
     for parent in parent_names {
         transform_parent(
             program,
@@ -78,6 +82,7 @@ pub fn apply(program: &mut Program, config: &AggConfig) -> TransformManifest {
             config.granularity,
             agg_threshold,
             &mut site_counter,
+            &mut agg_kernels,
             &mut manifest,
         );
     }
@@ -101,25 +106,38 @@ pub fn apply(program: &mut Program, config: &AggConfig) -> TransformManifest {
     manifest
 }
 
+/// The aggregated kernels the pass has generated: two sites that launch
+/// the same child, in one parent or in two, share one.
+struct AggKernels {
+    /// Every function name in the program or generated: an aggregated
+    /// kernel is named fresh against these.
+    taken: HashSet<Name>,
+    /// Each aggregated child, with the name of its aggregated kernel.
+    of_child: Vec<(Name, Name)>,
+}
+
 /// One aggregated launch site: its number in the program, the kernel it
 /// launched, how many arguments it passed, and the identifiers of its
 /// parent, which no name it generates there may take.
 struct SiteInfo<'p> {
     id: usize,
-    child: String,
+    child: Name,
     args: usize,
     used: &'p HashSet<&'p str>,
 }
 
 impl SiteInfo<'_> {
     /// The name `base` takes at this site: `_a_g` is `_a_g3` at site 3.
-    fn name(&self, base: &str) -> String {
-        fresh_name(format!("{base}{}", self.id), self.used)
+    fn name(&self, base: &str) -> Name {
+        fresh_name(Name::from_fmt(format_args!("{base}{}", self.id)), self.used)
     }
 
     /// The name of argument `j`'s variable or buffer at this site.
-    fn arg(&self, base: &str, j: usize) -> String {
-        fresh_name(format!("{base}{}_{j}", self.id), self.used)
+    fn arg(&self, base: &str, j: usize) -> Name {
+        fresh_name(
+            Name::from_fmt(format_args!("{base}{}_{j}", self.id)),
+            self.used,
+        )
     }
 }
 
@@ -139,6 +157,7 @@ fn transform_parent(
     granularity: AggGranularity,
     agg_threshold: Option<i64>,
     site_counter: &mut usize,
+    agg_kernels: &mut AggKernels,
     manifest: &mut TransformManifest,
 ) {
     let Some(parent) = program.function(parent_name) else {
@@ -150,7 +169,7 @@ fn transform_parent(
     if contains_return(&parent.body) {
         manifest.diagnostics.push(Diagnostic {
             pass: "aggregation",
-            function: parent_name.to_string(),
+            function: Name::new(parent_name),
             message: "parent kernel uses early return; the uniform aggregation epilogue \
                       would not be reached by all threads"
                 .to_string(),
@@ -188,9 +207,22 @@ fn transform_parent(
     let mut new_body = Vec::new();
     let mut epilogue = Vec::new();
     let mut new_params = Vec::new();
-    let mut agg_kernels: Vec<(String, Function)> = Vec::new();
+    let mut new_kernels: Vec<(Name, Function)> = Vec::new();
     for site in &walk.sites {
         let child_fn = program.function(&site.child).expect("validated");
+        // The aggregated child kernel, generated once per child.
+        let agg_kernel = match agg_kernels.of_child.iter().find(|(c, _)| *c == site.child) {
+            Some((_, kernel)) => kernel.clone(),
+            None => {
+                let base = Name::from_fmt(format_args!("{}_agg", site.child));
+                let name = claim_fresh_name(base, &mut agg_kernels.taken);
+                new_kernels.push((site.child.clone(), build_agg_child(name.clone(), child_fn)));
+                agg_kernels
+                    .of_child
+                    .push((site.child.clone(), name.clone()));
+                name
+            }
+        };
         for name in ["_a_g", "_a_b"] {
             new_body.push(Stmt::decl(
                 Type::Int,
@@ -209,7 +241,12 @@ fn transform_parent(
                 ty: p.ty.clone(),
             });
         }
-        epilogue.extend(build_epilogue(site, granularity, agg_threshold));
+        epilogue.extend(build_epilogue(
+            site,
+            &agg_kernel,
+            granularity,
+            agg_threshold,
+        ));
 
         let mut buffer = |ty: Type, name: &str, kind: BufferParam| {
             new_params.push(param(ty, &site.name(name)));
@@ -234,17 +271,8 @@ fn transform_parent(
         }
         buffer(Type::Int, "_a_slots", BufferParam::SlotsPerGroup);
 
-        // Generate the aggregated child kernel (once per child).
-        let agg_kernel = format!("{}_agg", site.child);
-        if program.function(&agg_kernel).is_none()
-            && !agg_kernels.iter().any(|(_, k)| k.name == agg_kernel)
-        {
-            let kernel = build_agg_child(&agg_kernel, child_fn);
-            agg_kernels.push((site.child.clone(), kernel));
-        }
-
         manifest.agg_sites.push(AggSiteMeta {
-            parent: parent_name.to_string(),
+            parent: Name::new(parent_name),
             child: site.child.clone(),
             agg_kernel,
             granularity,
@@ -261,7 +289,7 @@ fn transform_parent(
     let parent = program.function_mut(parent_name).expect("parent exists");
     parent.body = new_body;
     parent.params.extend(new_params);
-    for (child, kernel) in agg_kernels {
+    for (child, kernel) in new_kernels {
         let pos = program
             .items
             .iter()
@@ -305,7 +333,7 @@ fn replace_launches(stmt: &mut Stmt, loop_depth: usize, walk: &mut Walk) {
             if let Err(message) = validate_site(walk.program, launch, loop_depth) {
                 walk.diagnostics.push(Diagnostic {
                     pass: "aggregation",
-                    function: walk.parent.to_string(),
+                    function: Name::new(walk.parent),
                     message,
                     span: stmt.span,
                 });
@@ -384,6 +412,7 @@ fn validate_site(program: &Program, launch: &LaunchStmt, loop_depth: usize) -> R
 /// last thread launch the aggregated child.
 fn build_epilogue(
     site: &SiteInfo,
+    agg_kernel: &Name,
     granularity: AggGranularity,
     agg_threshold: Option<i64>,
 ) -> Vec<Stmt> {
@@ -397,7 +426,7 @@ fn build_epilogue(
         "_a_scan", "_a_bArr", "_a_ctr", "_a_maxB", "_a_fin", "_a_part", "_a_slots",
     ]
     .map(|n| site.name(n));
-    let arrs: Vec<String> = (0..site.args).map(|j| site.arg("_a_arr", j)).collect();
+    let arrs: Vec<Name> = (0..site.args).map(|j| site.arg("_a_arr", j)).collect();
 
     let group = match granularity {
         AggGranularity::Warp => {
@@ -461,7 +490,7 @@ fn build_epilogue(
         .collect();
     agg_args.push(a.id(&np));
     let agg_launch = a.launch(
-        format!("{}_agg", site.child),
+        agg_kernel.clone(),
         a.id(&tot),
         a.index(&maxb, a.id(&grp)),
         agg_args,
@@ -539,7 +568,7 @@ fn build_epilogue(
 /// (Fig. 7 lines 01–11): a binary search of the scanned grid dimensions
 /// finds the parent whose launch this block belongs to, and the child's
 /// parameters and x-dimension builtins are rebound to that launch's.
-fn build_agg_child(name: &str, child_fn: &Function) -> Function {
+fn build_agg_child(name: Name, child_fn: &Function) -> Function {
     use BinOp::{Add, Div, Gt, Lt, Sub};
     let d = Gen(CodeOrigin::DisaggLogic);
     // The kernel is the child's parameters and body under generated
@@ -550,8 +579,8 @@ fn build_agg_child(name: &str, child_fn: &Function) -> Function {
         "_da_scan", "_da_bArr", "_da_np",
     ]
     .map(|n| fresh_name(n, &used));
-    let arrs: Vec<String> = (0..child_fn.params.len())
-        .map(|j| fresh_name(format!("_da_arr{j}"), &used))
+    let arrs: Vec<Name> = (0..child_fn.params.len())
+        .map(|j| fresh_name(Name::from_fmt(format_args!("_da_arr{j}")), &used))
         .collect();
 
     let mut params: Vec<Param> = (child_fn.params.iter().zip(&arrs))
@@ -612,7 +641,7 @@ fn build_agg_child(name: &str, child_fn: &Function) -> Function {
         replace_builtin_member(stmt, "blockDim", "x", &bd);
     }
     body.push(d.if_(d.bin(Lt, d.dot("threadIdx", "x"), d.id(&bd)), child_body));
-    gen_function(FnQual::Global, name.to_string(), params, body)
+    gen_function(FnQual::Global, name, params, body)
 }
 
 #[cfg(test)]

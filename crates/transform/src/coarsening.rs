@@ -15,6 +15,7 @@ use crate::manifest::{CoarsenSiteMeta, Diagnostic, TransformManifest};
 use crate::util::*;
 use dp_frontend::ast::*;
 use dp_frontend::visit::{for_each_stmt, replace_builtin_member};
+use std::collections::HashSet;
 
 /// Name of the compile-time coarsening-factor macro.
 pub const CFACTOR_MACRO: &str = "_CFACTOR";
@@ -30,32 +31,34 @@ pub fn apply(program: &mut Program, factor: i64) -> TransformManifest {
 
     // Candidate children: kernels launched from device code.
     let sites = dp_analysis::launch_sites(program);
-    let mut children: Vec<String> = Vec::new();
+    let mut children: Vec<Name> = Vec::new();
     for site in &sites {
         if site.from_device && !children.contains(&site.kernel) {
             children.push(site.kernel.clone());
         }
     }
 
+    let mut taken = function_names(program);
     for child in children {
-        if let Err(diag) = coarsen_child(program, &child, &sites) {
+        if let Err(diag) = coarsen_child(program, &child, &sites, &mut taken) {
             manifest.diagnostics.push(diag);
             continue;
         }
         rewrite_launch_sites(program, &child);
-        manifest.coarsen_sites.push(CoarsenSiteMeta {
-            child: child.clone(),
-            factor,
-        });
+        manifest
+            .coarsen_sites
+            .push(CoarsenSiteMeta { child, factor });
     }
     manifest
 }
 
-/// Checks preconditions and rewrites the child kernel in place.
+/// Checks preconditions and rewrites the child kernel in place; a body
+/// function it generates is named fresh against the function names `taken`.
 fn coarsen_child(
     program: &mut Program,
     child: &str,
     sites: &[dp_analysis::LaunchSite],
+    taken: &mut HashSet<Name>,
 ) -> Result<(), Diagnostic> {
     let Some(child_fn) = program.function(child) else {
         return Err(diag(child, "child kernel is not defined"));
@@ -104,7 +107,8 @@ fn coarsen_child(
     if contains_return(&body) {
         // `return` would abort the remaining coarsening iterations, so the
         // body moves to a device function (per-original-block semantics).
-        let body_name = format!("_{child}_coarsen_body");
+        let body_name =
+            claim_fresh_name(Name::from_fmt(format_args!("_{child}_coarsen_body")), taken);
         let mut body_params = child_fn.params.clone();
         body_params.push(param(Type::Int, &bx));
         let args = body_params.iter().map(|p| c.id(&p.name)).collect();
@@ -143,8 +147,11 @@ fn rewrite_launch_sites(program: &mut Program, child: &str) {
         for stmt in &func.body {
             for_each_stmt(stmt, &mut |s| {
                 if launches_child(s) {
-                    let g = fresh_name(format!("_c_gDim{counter}"), &used);
-                    names.push((g, fresh_name(format!("_c_cgDim{counter}"), &used)));
+                    let g = fresh_name(Name::from_fmt(format_args!("_c_gDim{counter}")), &used);
+                    names.push((
+                        g,
+                        fresh_name(Name::from_fmt(format_args!("_c_cgDim{counter}")), &used),
+                    ));
                     counter += 1;
                 }
             });
@@ -190,7 +197,7 @@ fn rewrite_launch_sites(program: &mut Program, child: &str) {
 fn diag(child: &str, message: &str) -> Diagnostic {
     Diagnostic {
         pass: "coarsening",
-        function: child.to_string(),
+        function: Name::new(child),
         message: message.to_string(),
         span: dp_frontend::Span::SYNTH,
     }

@@ -9,7 +9,7 @@
 //! executor consumes it.
 
 use crate::config::AggGranularity;
-use dp_frontend::ast::Type;
+use dp_frontend::ast::{Name, Type};
 use dp_frontend::Span;
 use std::fmt;
 
@@ -19,7 +19,7 @@ pub struct Diagnostic {
     /// Which pass emitted it.
     pub pass: &'static str,
     /// The function containing the site.
-    pub function: String,
+    pub function: Name,
     /// Human-readable reason.
     pub message: String,
     /// Source location of the site.
@@ -70,11 +70,11 @@ pub enum BufferParam {
 #[derive(Debug, Clone, PartialEq)]
 pub struct AggSiteMeta {
     /// Parent kernel that contains the aggregation logic.
-    pub parent: String,
+    pub parent: Name,
     /// Original child kernel name.
-    pub child: String,
+    pub child: Name,
     /// Generated aggregated child kernel name.
-    pub agg_kernel: String,
+    pub agg_kernel: Name,
     /// Aggregation granularity.
     pub granularity: AggGranularity,
     /// Hidden parameters appended to the parent, in order.
@@ -135,18 +135,18 @@ impl AggSiteMeta {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThresholdSiteMeta {
     /// Function containing the launch.
-    pub parent: String,
+    pub parent: Name,
     /// Child kernel.
-    pub child: String,
+    pub child: Name,
     /// Generated serial device function.
-    pub serial_fn: String,
+    pub serial_fn: Name,
 }
 
 /// Metadata for one coarsened child kernel.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoarsenSiteMeta {
     /// The coarsened child kernel.
-    pub child: String,
+    pub child: Name,
     /// Coarsening factor applied at its launch sites.
     pub factor: i64,
 }

@@ -33,13 +33,17 @@ pub fn apply(program: &mut Program, threshold: i64) -> TransformManifest {
     let mut manifest = TransformManifest::new();
     program.set_define(THRESHOLD_MACRO, threshold);
 
-    let parent_names: Vec<String> = program
+    let parent_names: Vec<Name> = program
         .functions()
         .filter(|f| matches!(f.qual, FnQual::Global | FnQual::Device))
         .map(|f| f.name.clone())
         .collect();
 
-    let mut serial_fns: Vec<Function> = Vec::new();
+    let mut serials = Serials {
+        taken: function_names(program),
+        of_child: Vec::new(),
+        functions: Vec::new(),
+    };
     let mut counter = 0usize;
 
     for parent_name in parent_names {
@@ -62,7 +66,7 @@ pub fn apply(program: &mut Program, threshold: i64) -> TransformManifest {
             program,
             &parent_name,
             &used,
-            &mut serial_fns,
+            &mut serials,
             &mut manifest,
             &mut counter,
         );
@@ -73,23 +77,28 @@ pub fn apply(program: &mut Program, threshold: i64) -> TransformManifest {
     }
 
     // Insert generated serial functions right after their child kernels.
-    for serial in serial_fns {
-        let child_name = serial
-            .name
-            .strip_suffix("_serial_body")
-            .or_else(|| serial.name.strip_suffix("_serial"))
-            .unwrap_or(&serial.name)
-            .to_string();
+    for (child, serial) in serials.functions {
         let pos = program
             .items
             .iter()
-            .position(|item| matches!(item, Item::Function(f) if f.name == child_name))
+            .position(|item| matches!(item, Item::Function(f) if f.name == child))
             .map(|p| p + 1)
             .unwrap_or(program.items.len());
         program.items.insert(pos, Item::Function(serial));
     }
 
     manifest
+}
+
+/// The serial versions of children the pass has generated so far.
+struct Serials {
+    /// Every function name in the program or generated: a generated
+    /// function is named fresh against these.
+    taken: HashSet<Name>,
+    /// Each serialized child, with the name of its serial function.
+    of_child: Vec<(Name, Name)>,
+    /// Each generated function, with the child it goes after.
+    functions: Vec<(Name, Function)>,
 }
 
 /// Rewrites every non-block body of control statements into a block so the
@@ -139,7 +148,7 @@ fn process_block(
     program: &Program,
     parent_name: &str,
     used: &HashSet<&str>,
-    serial_fns: &mut Vec<Function>,
+    serials: &mut Serials,
     manifest: &mut TransformManifest,
     counter: &mut usize,
 ) {
@@ -153,7 +162,7 @@ fn process_block(
                     program,
                     parent_name,
                     used,
-                    serial_fns,
+                    serials,
                     manifest,
                     counter,
                 );
@@ -169,7 +178,7 @@ fn process_block(
                         program,
                         parent_name,
                         used,
-                        serial_fns,
+                        serials,
                         manifest,
                         counter,
                     );
@@ -181,7 +190,7 @@ fn process_block(
                             program,
                             parent_name,
                             used,
-                            serial_fns,
+                            serials,
                             manifest,
                             counter,
                         );
@@ -197,7 +206,7 @@ fn process_block(
                         program,
                         parent_name,
                         used,
-                        serial_fns,
+                        serials,
                         manifest,
                         counter,
                     );
@@ -219,7 +228,7 @@ fn process_block(
             let reasons: Vec<String> = blockers.iter().map(|b| b.to_string()).collect();
             manifest.diagnostics.push(Diagnostic {
                 pass: "thresholding",
-                function: parent_name.to_string(),
+                function: Name::new(parent_name),
                 message: format!("child not serializable: {}", reasons.join("; ")),
                 span: launch_span,
             });
@@ -228,11 +237,11 @@ fn process_block(
         }
 
         // Section III-D: extract the desired thread count.
-        let threads_name = fresh_name(format!("_threads{counter}"), used);
+        let threads_name = fresh_name(Name::from_fmt(format_args!("_threads{counter}")), used);
         let Some(tc) = dp_analysis::extract_thread_count(stmts, i, &threads_name) else {
             manifest.diagnostics.push(Diagnostic {
                 pass: "thresholding",
-                function: parent_name.to_string(),
+                function: Name::new(parent_name),
                 message: "no ceiling-division pattern found in grid dimension".to_string(),
                 span: launch_span,
             });
@@ -242,7 +251,7 @@ fn process_block(
         *counter += 1;
 
         // Make sure the serial version of the child exists.
-        let serial_name = ensure_serial_fn(program, &child_name, serial_fns);
+        let serial_name = ensure_serial_fn(program, &child_name, serials);
 
         // Insert `int _threads = N;` before the statement where N lived.
         let mut threads_decl = Stmt::decl(
@@ -255,12 +264,14 @@ fn process_block(
         stmts.insert(tc.insert_before, threads_decl);
         let launch_index = if tc.insert_before <= i { i + 1 } else { i };
 
-        // Build the threshold branch around the launch.
-        let launch_stmt = stmts[launch_index].clone();
+        // Build the threshold branch around the launch, which moves into it.
+        let placeholder = Stmt::synth(StmtKind::Empty, CodeOrigin::ThresholdCheck);
+        let launch_stmt = std::mem::replace(&mut stmts[launch_index], placeholder);
         let StmtKind::Launch(launch) = &launch_stmt.kind else {
             unreachable!("launch index tracked through insertion")
         };
-        let mut serial_args = launch.args.clone();
+        let mut serial_args = Vec::with_capacity(launch.args.len() + 2);
+        serial_args.extend(launch.args.iter().cloned());
         serial_args.push(launch.grid.clone());
         serial_args.push(launch.block.clone());
         let serial_call = Stmt::expr(
@@ -273,7 +284,7 @@ fn process_block(
         );
         let cond = Expr::bin(
             BinOp::Ge,
-            Expr::ident(&threads_name, CodeOrigin::ThresholdCheck),
+            Expr::ident(threads_name, CodeOrigin::ThresholdCheck),
             Expr::ident(THRESHOLD_MACRO, CodeOrigin::ThresholdCheck),
             CodeOrigin::ThresholdCheck,
         );
@@ -293,7 +304,7 @@ fn process_block(
         );
 
         manifest.threshold_sites.push(ThresholdSiteMeta {
-            parent: parent_name.to_string(),
+            parent: Name::new(parent_name),
             child: child_name,
             serial_fn: serial_name,
         });
@@ -303,11 +314,14 @@ fn process_block(
 
 /// Generates (once) the serial `__device__` version of `child`
 /// (Fig. 3b lines 09–15) and returns its name.
-fn ensure_serial_fn(program: &Program, child: &str, serial_fns: &mut Vec<Function>) -> String {
-    let serial_name = format!("{child}_serial");
-    if serial_fns.iter().any(|f| f.name == serial_name) {
-        return serial_name;
+fn ensure_serial_fn(program: &Program, child: &Name, serials: &mut Serials) -> Name {
+    if let Some((_, serial_name)) = serials.of_child.iter().find(|(c, _)| c == child) {
+        return serial_name.clone();
     }
+    let serial_name = claim_fresh_name(
+        Name::from_fmt(format_args!("{child}_serial")),
+        &mut serials.taken,
+    );
     let child_fn = program
         .function(child)
         .expect("caller verified the child kernel exists");
@@ -338,29 +352,30 @@ fn ensure_serial_fn(program: &Program, child: &str, serial_fns: &mut Vec<Functio
         // `return` inside serialization loops would abort all remaining
         // simulated threads, so the body goes into its own device function
         // and `return` keeps per-thread semantics.
-        let body_name = format!("{child}_serial_body");
+        let body_name = claim_fresh_name(
+            Name::from_fmt(format_args!("{child}_serial_body")),
+            &mut serials.taken,
+        );
         let mut body_params = params.clone();
         body_params.extend(idx.iter().map(|n| param(Type::Int, n)));
         let args = body_params.iter().map(|p| t.id(&p.name)).collect();
         let call = t.expr(t.call(&body_name, args));
-        serial_fns.push(gen_function(FnQual::Device, body_name, body_params, body));
+        let body_fn = gen_function(FnQual::Device, body_name, body_params, body);
+        serials.functions.push((child.clone(), body_fn));
         vec![call]
     } else {
         body
     };
     let loops = serial_loops(t, &g, &b, &idx, innermost);
-    serial_fns.push(gen_function(
-        FnQual::Device,
-        serial_name.clone(),
-        params,
-        loops,
-    ));
+    let serial_fn = gen_function(FnQual::Device, serial_name.clone(), params, loops);
+    serials.functions.push((child.clone(), serial_fn));
+    serials.of_child.push((child.clone(), serial_name.clone()));
     serial_name
 }
 
 /// The six nested serialization loops over block and thread indices,
 /// `for (int _s_bz = 0; _s_bz < _s_gDim.z; ++_s_bz)` outermost.
-fn serial_loops(t: Gen, g: &str, b: &str, idx: &[String], innermost: Vec<Stmt>) -> Vec<Stmt> {
+fn serial_loops(t: Gen, g: &str, b: &str, idx: &[Name], innermost: Vec<Stmt>) -> Vec<Stmt> {
     let extents = [(g, "z"), (g, "y"), (g, "x"), (b, "z"), (b, "y"), (b, "x")];
     let mut body = innermost;
     for (var, (dim, field)) in idx.iter().zip(extents).rev() {

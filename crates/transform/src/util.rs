@@ -23,7 +23,9 @@
 use dp_frontend::ast::*;
 use dp_frontend::visit::{for_each_stmt_expr, walk_stmt_exprs_mut, walk_stmt_mut};
 use dp_frontend::Span;
+use std::borrow::Borrow;
 use std::collections::HashSet;
+use std::hash::Hash;
 
 /// Builds generated code: every node gets [`Span::SYNTH`] and this origin.
 /// Each method mirrors the C it stands for; `g.dot("blockIdx", "x")` is
@@ -135,7 +137,7 @@ impl Gen {
     }
 
     /// `kernel<<<grid, block>>>(args);`
-    pub fn launch(self, kernel: String, grid: Expr, block: Expr, args: Vec<Expr>) -> Stmt {
+    pub fn launch(self, kernel: Name, grid: Expr, block: Expr, args: Vec<Expr>) -> Stmt {
         let launch = LaunchStmt {
             kernel,
             grid,
@@ -149,7 +151,7 @@ impl Gen {
 }
 
 /// A generated `qual void name(params) { body }` definition.
-pub fn gen_function(qual: FnQual, name: String, params: Vec<Param>, body: Vec<Stmt>) -> Function {
+pub fn gen_function(qual: FnQual, name: Name, params: Vec<Param>, body: Vec<Stmt>) -> Function {
     Function {
         qual,
         ret: Type::Void,
@@ -164,7 +166,7 @@ pub fn gen_function(qual: FnQual, name: String, params: Vec<Param>, body: Vec<St
 pub fn param(ty: Type, name: &str) -> Param {
     Param {
         ty,
-        name: name.to_string(),
+        name: Name::new(name),
     }
 }
 
@@ -227,15 +229,29 @@ pub fn idents_in_function(func: &Function) -> HashSet<&str> {
 }
 
 /// Returns `base` if unused, otherwise `base_2`, `base_3`, ….
-pub fn fresh_name(base: impl Into<String>, used: &HashSet<&str>) -> String {
+pub fn fresh_name<S: Borrow<str> + Hash + Eq>(base: impl Into<Name>, used: &HashSet<S>) -> Name {
     let base = base.into();
     if !used.contains(base.as_str()) {
         return base;
     }
     (2..)
-        .map(|i| format!("{base}_{i}"))
+        .map(|i| Name::from_fmt(format_args!("{base}_{i}")))
         .find(|candidate| !used.contains(candidate.as_str()))
         .expect("a finite set leaves a suffix free")
+}
+
+/// The names of the program's functions. A function a pass generates is
+/// named with [`claim_fresh_name`] against these, so it never takes the
+/// name of a user's function or of another generated one.
+pub fn function_names(program: &Program) -> HashSet<Name> {
+    program.functions().map(|f| f.name.clone()).collect()
+}
+
+/// [`fresh_name`] against `taken`, which then holds it too.
+pub fn claim_fresh_name(base: Name, taken: &mut HashSet<Name>) -> Name {
+    let name = fresh_name(base, taken);
+    taken.insert(name.clone());
+    name
 }
 
 /// Whether any statement in the function is a `return` (at any depth).

@@ -7,7 +7,7 @@
 //! breakdown is produced.
 
 use crate::trace::OriginCycles;
-use dp_frontend::ast::{CodeOrigin, FnQual, Type};
+use dp_frontend::ast::{CodeOrigin, FnQual, Name, Type};
 use std::collections::HashMap;
 
 /// Index of a compiled function within a [`Module`].
@@ -590,7 +590,7 @@ impl CostModel {
 #[derive(Debug, Clone)]
 pub struct CompiledFunction {
     /// Function name.
-    pub name: String,
+    pub name: Name,
     /// CUDA qualifier.
     pub qual: FnQual,
     /// Declared parameter types (used for call coercions, e.g. `int → dim3`).
@@ -722,7 +722,7 @@ impl CompiledFunction {
 pub struct Module {
     /// Functions, indexed by [`FuncId`].
     pub functions: Vec<CompiledFunction>,
-    by_name: HashMap<String, FuncId>,
+    by_name: HashMap<Name, FuncId>,
 }
 
 impl Module {

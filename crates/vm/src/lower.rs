@@ -19,7 +19,7 @@
 use crate::bytecode::*;
 use crate::error::CompileError;
 use crate::value::SHARED_SPACE_BASE;
-use dp_frontend::ast::{self, CodeOrigin, ExprKind, Program, StmtKind, Type};
+use dp_frontend::ast::{self, CodeOrigin, ExprKind, Name, Program, StmtKind, Type};
 use std::collections::HashMap;
 
 /// Compiles a program to a [`Module`].
@@ -74,7 +74,7 @@ pub fn compile_program_with(
     options: LowerOptions,
 ) -> Result<Module, CompileError> {
     let mut module = Module::new();
-    let mut ids: HashMap<String, FuncId> = HashMap::new();
+    let mut ids: HashMap<Name, FuncId> = HashMap::new();
     let functions: Vec<&ast::Function> = program.functions().collect();
     // Pre-assign ids so forward references and recursion work.
     for (i, f) in functions.iter().enumerate() {
@@ -85,7 +85,7 @@ pub fn compile_program_with(
             )));
         }
     }
-    let defines: HashMap<String, i64> = program
+    let defines: HashMap<Name, i64> = program
         .items
         .iter()
         .filter_map(|item| match item {
@@ -316,13 +316,17 @@ struct LoopCtx {
 
 struct Lowerer<'a> {
     func: &'a ast::Function,
-    ids: &'a HashMap<String, FuncId>,
-    defines: &'a HashMap<String, i64>,
+    ids: &'a HashMap<Name, FuncId>,
+    defines: &'a HashMap<Name, i64>,
     functions: &'a [&'a ast::Function],
     code: Vec<Instr>,
     origins: Vec<CodeOrigin>,
-    scopes: Vec<HashMap<String, u16>>,
-    shared: HashMap<String, u32>,
+    /// Every local in scope with its slot, innermost last: a lookup
+    /// searches from the back, so an inner declaration shadows an outer.
+    locals: Vec<(Name, u16)>,
+    /// Where each open block's locals start in `locals`.
+    scope_starts: Vec<usize>,
+    shared: HashMap<Name, u32>,
     shared_words: u32,
     next_slot: u16,
     tmp_slot: Option<u16>,
@@ -333,8 +337,8 @@ struct Lowerer<'a> {
 impl<'a> Lowerer<'a> {
     fn new(
         func: &'a ast::Function,
-        ids: &'a HashMap<String, FuncId>,
-        defines: &'a HashMap<String, i64>,
+        ids: &'a HashMap<Name, FuncId>,
+        defines: &'a HashMap<Name, i64>,
         functions: &'a [&'a ast::Function],
     ) -> Self {
         Lowerer {
@@ -344,7 +348,8 @@ impl<'a> Lowerer<'a> {
             functions,
             code: Vec::new(),
             origins: Vec::new(),
-            scopes: vec![HashMap::new()],
+            locals: Vec::new(),
+            scope_starts: Vec::new(),
             shared: HashMap::new(),
             shared_words: 0,
             next_slot: 0,
@@ -357,10 +362,7 @@ impl<'a> Lowerer<'a> {
     fn lower(mut self) -> Result<CompiledFunction, CompileError> {
         for param in &self.func.params {
             let slot = self.alloc_slot();
-            self.scopes
-                .last_mut()
-                .unwrap()
-                .insert(param.name.clone(), slot);
+            self.locals.push((param.name.clone(), slot));
         }
         for stmt in &self.func.body {
             self.stmt(stmt)?;
@@ -418,7 +420,17 @@ impl<'a> Lowerer<'a> {
     }
 
     fn lookup(&self, name: &str) -> Option<u16> {
-        self.scopes.iter().rev().find_map(|s| s.get(name).copied())
+        let (_, slot) = self.locals.iter().rev().find(|(local, _)| local == name)?;
+        Some(*slot)
+    }
+
+    fn open_scope(&mut self) {
+        self.scope_starts.push(self.locals.len());
+    }
+
+    fn close_scope(&mut self) {
+        let start = self.scope_starts.pop().expect("a scope is open");
+        self.locals.truncate(start);
     }
 
     // ------------------------------------------------------------------
@@ -505,7 +517,7 @@ impl<'a> Lowerer<'a> {
                 step,
                 body,
             } => {
-                self.scopes.push(HashMap::new());
+                self.open_scope();
                 if let Some(init) = init {
                     self.stmt(init)?;
                 }
@@ -539,7 +551,7 @@ impl<'a> Lowerer<'a> {
                 for at in ctx.break_patches {
                     self.patch(at, end);
                 }
-                self.scopes.pop();
+                self.close_scope();
                 Ok(())
             }
             StmtKind::Return(value) => {
@@ -573,11 +585,11 @@ impl<'a> Lowerer<'a> {
                 Ok(())
             }
             StmtKind::Block(stmts) => {
-                self.scopes.push(HashMap::new());
+                self.open_scope();
                 for s in stmts {
                     self.stmt(s)?;
                 }
-                self.scopes.pop();
+                self.close_scope();
                 Ok(())
             }
             StmtKind::Launch(launch) => self.launch(launch, og),
@@ -625,7 +637,7 @@ impl<'a> Lowerer<'a> {
                 self.emit_conversion(&decl.ty, og);
                 self.emit(Instr::StoreLocal(slot), og);
             }
-            self.scopes.last_mut().unwrap().insert(d.name.clone(), slot);
+            self.locals.push((d.name.clone(), slot));
         }
         Ok(())
     }

@@ -1091,7 +1091,7 @@ impl Machine {
             .collect();
         let mut gtrace = GridTrace {
             id: grid.id,
-            kernel: func.name.clone(),
+            kernel: func.name.as_str().to_owned(),
             grid_dim: grid.grid,
             block_dim: grid.block,
             origin: grid.origin,

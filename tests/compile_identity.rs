@@ -1632,68 +1632,43 @@ fn coarsen_2() -> OptConfig {
     OptConfig::none().coarsen_factor(2)
 }
 
-/// Today thresholding names the serial child `child_serial` whatever the
-/// program holds: the output defines it twice, and lowering refuses it.
+/// Each function a pass generates is named fresh against the program's
+/// functions: the serial child is `child_serial_2` beside the user's
+/// `child_serial`, which nothing calls.
 #[test]
-fn a_user_child_serial_is_defined_twice() {
-    let source = format!("{USER_CHILD_SERIAL}{HYGIENE_PARENT}");
+fn a_user_child_serial_keeps_its_name() {
     check(
         "user child_serial",
-        &source,
+        &format!("{USER_CHILD_SERIAL}{HYGIENE_PARENT}"),
         threshold_64(),
-        TODAY_CHILD_SERIAL,
-        0xdc7fd46e613c695e,
-    );
-    let error = Compiler::new()
-        .config(threshold_64())
-        .compile(&source)
-        .err();
-    let error = error
-        .expect("a duplicate function does not lower")
-        .to_string();
-    assert!(
-        error.contains("duplicate function `child_serial`"),
-        "{error}"
+        HYGIENE_CHILD_SERIAL,
+        0x9a5aecfff1262eb6,
     );
 }
 
 /// Likewise coarsening's body function.
 #[test]
-fn a_user_coarsen_body_is_defined_twice() {
-    let source = format!("{USER_COARSEN_BODY}{HYGIENE_PARENT}");
+fn a_user_coarsen_body_keeps_its_name() {
     check(
         "user _child_coarsen_body",
-        &source,
+        &format!("{USER_COARSEN_BODY}{HYGIENE_PARENT}"),
         coarsen_2(),
-        TODAY_COARSEN_BODY,
-        0xb28579bc5af2be9c,
-    );
-    let error = Compiler::new().config(coarsen_2()).compile(&source).err();
-    let error = error
-        .expect("a duplicate function does not lower")
-        .to_string();
-    assert!(
-        error.contains("duplicate function `_child_coarsen_body`"),
-        "{error}"
+        HYGIENE_COARSEN_BODY,
+        0xb9ef08ea185acbda,
     );
 }
 
-/// And aggregation takes a user `child_agg` for the aggregated child: no
-/// kernel is generated, the parent launches the user's, and the run's
-/// memory is not the untransformed program's.
+/// And the aggregated child: the parent launches the generated
+/// `child_agg_2`, not the user's `child_agg`.
 #[test]
-fn a_user_child_agg_is_launched_as_the_aggregated_child() {
-    let source = format!("{USER_CHILD_AGG}{HYGIENE_PARENT}");
+fn a_user_child_agg_is_not_taken_for_the_aggregated_child() {
     check(
         "user child_agg",
-        &source,
+        &format!("{USER_CHILD_AGG}{HYGIENE_PARENT}"),
         agg_block(),
-        TODAY_CHILD_AGG,
-        0xc85cf92b658031b2,
+        HYGIENE_CHILD_AGG,
+        0x6f35bb1a1ffb65cd,
     );
-    let untransformed = run_hygiene_case(&source, OptConfig::none());
-    assert_eq!(untransformed, vec![1; 150]);
-    assert_ne!(run_hygiene_case(&source, agg_block()), untransformed);
 }
 
 /// Runs `parent` over four vertices whose child grids are 40, 5, 65 and
@@ -1715,23 +1690,41 @@ fn run_hygiene_case(source: &str, config: OptConfig) -> Vec<i64> {
 
 #[test]
 fn each_capture_counter_example_runs_as_written() {
-    for (what, source) in [
+    let with_parent = |child: &str| format!("{child}{HYGIENE_PARENT}");
+    for (what, source, config) in [
         (
             "child local _da_bx",
-            format!("{CHILD_LOCAL_DA_BX}{HYGIENE_PARENT}"),
+            with_parent(CHILD_LOCAL_DA_BX),
+            agg_block(),
         ),
         (
             "child parameter _da_pi",
-            format!("{CHILD_PARAM_DA_PI}{HYGIENE_PARENT}"),
+            with_parent(CHILD_PARAM_DA_PI),
+            agg_block(),
         ),
-        ("parent local _a_g0", PARENT_LOCAL_A_G0.to_string()),
+        (
+            "parent local _a_g0",
+            PARENT_LOCAL_A_G0.to_string(),
+            agg_block(),
+        ),
+        (
+            "user child_serial",
+            with_parent(USER_CHILD_SERIAL),
+            threshold_64(),
+        ),
+        (
+            "user _child_coarsen_body",
+            with_parent(USER_COARSEN_BODY),
+            coarsen_2(),
+        ),
+        ("user child_agg", with_parent(USER_CHILD_AGG), agg_block()),
     ] {
         let untransformed = run_hygiene_case(&source, OptConfig::none());
         assert_eq!(untransformed, vec![1; 150], "{what}: untransformed");
         assert_eq!(
-            run_hygiene_case(&source, agg_block()),
+            run_hygiene_case(&source, config),
             untransformed,
-            "{what}: aggregated"
+            "{what}: transformed"
         );
     }
 }
@@ -1966,7 +1959,7 @@ __global__ void parent(int* data, int* offsets, int numV, int** _a_arr0_0, int* 
     }
 }
 ";
-const TODAY_CHILD_SERIAL: &str = "\
+const HYGIENE_CHILD_SERIAL: &str = "\
 #define _THRESHOLD 64
 
 __global__ void child(int* data, int n) {
@@ -1976,7 +1969,7 @@ __global__ void child(int* data, int n) {
     }
 }
 
-__device__ void child_serial(int* data, int n, dim3 _s_gDim, dim3 _s_bDim) {
+__device__ void child_serial_2(int* data, int n, dim3 _s_gDim, dim3 _s_bDim) {
     for (int _s_bz = 0; _s_bz < _s_gDim.z; ++_s_bz) {
         for (int _s_by = 0; _s_by < _s_gDim.y; ++_s_by) {
             for (int _s_bx = 0; _s_bx < _s_gDim.x; ++_s_bx) {
@@ -2008,15 +2001,15 @@ __global__ void parent(int* data, int* offsets, int numV) {
             child<<<(_threads0 + 31) / 32, 32>>>(data + offsets[v], count);
         }
         else {
-            child_serial(data + offsets[v], count, (_threads0 + 31) / 32, 32);
+            child_serial_2(data + offsets[v], count, (_threads0 + 31) / 32, 32);
         }
     }
 }
 ";
-const TODAY_COARSEN_BODY: &str = "\
+const HYGIENE_COARSEN_BODY: &str = "\
 #define _CFACTOR 2
 
-__device__ void _child_coarsen_body(int* data, int n, int _c_gDim, int _c_bx) {
+__device__ void _child_coarsen_body_2(int* data, int n, int _c_gDim, int _c_bx) {
     int i = _c_bx * blockDim.x + threadIdx.x;
     if (i >= n) {
         return;
@@ -2026,7 +2019,7 @@ __device__ void _child_coarsen_body(int* data, int n, int _c_gDim, int _c_bx) {
 
 __global__ void child(int* data, int n, int _c_gDim) {
     for (int _c_bx = blockIdx.x; _c_bx < _c_gDim; _c_bx += gridDim.x) {
-        _child_coarsen_body(data, n, _c_gDim, _c_bx);
+        _child_coarsen_body_2(data, n, _c_gDim, _c_bx);
     }
 }
 
@@ -2046,11 +2039,41 @@ __global__ void parent(int* data, int* offsets, int numV) {
     }
 }
 ";
-const TODAY_CHILD_AGG: &str = "\
+const HYGIENE_CHILD_AGG: &str = "\
 __global__ void child(int* data, int n) {
     int i = blockIdx.x * blockDim.x + threadIdx.x;
     if (i < n) {
         data[i] = data[i] + 1;
+    }
+}
+
+__global__ void child_agg_2(int** _da_arr0, int* _da_arr1, int* _da_scan, int* _da_bArr, int _da_np) {
+    int _da_lo = 0;
+    int _da_hi = _da_np - 1;
+    while (_da_lo < _da_hi) {
+        int _da_mid = (_da_lo + _da_hi) / 2;
+        if (_da_scan[_da_mid] > blockIdx.x) {
+            _da_hi = _da_mid;
+        }
+        else {
+            _da_lo = _da_mid + 1;
+        }
+    }
+    int _da_pi = _da_lo;
+    int _da_prev = 0;
+    if (_da_pi > 0) {
+        _da_prev = _da_scan[_da_pi - 1];
+    }
+    int* data = _da_arr0[_da_pi];
+    int n = _da_arr1[_da_pi];
+    int _da_gd = _da_scan[_da_pi] - _da_prev;
+    int _da_bx = blockIdx.x - _da_prev;
+    int _da_bd = _da_bArr[_da_pi];
+    if (threadIdx.x < _da_bd) {
+        int i = _da_bx * _da_bd + threadIdx.x;
+        if (i < n) {
+            data[i] = data[i] + 1;
+        }
     }
 }
 
@@ -2091,7 +2114,7 @@ __global__ void parent(int* data, int* offsets, int numV, int** _a_arr0_0, int* 
         int _a_np0 = (int)(_a_pkf0 >> 32);
         int _a_tot0 = (int)(_a_pkf0 & 4294967295);
         if (_a_np0 > 0) {
-            child_agg<<<_a_tot0, _a_maxB0[_a_grp0]>>>(_a_arr0_0 + _a_base0, _a_arr0_1 + _a_base0, _a_scan0 + _a_base0, _a_bArr0 + _a_base0, _a_np0);
+            child_agg_2<<<_a_tot0, _a_maxB0[_a_grp0]>>>(_a_arr0_0 + _a_base0, _a_arr0_1 + _a_base0, _a_scan0 + _a_base0, _a_bArr0 + _a_base0, _a_np0);
         }
     }
 }
