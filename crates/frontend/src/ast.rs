@@ -284,7 +284,7 @@ pub struct Expr {
     pub origin: CodeOrigin,
 }
 
-// A node is one cache line: a name stored inline must not make it larger.
+// An expression stays 64 bytes: a name stored inline must not grow it.
 const _: () = assert!(std::mem::size_of::<Expr>() == 64);
 
 impl Expr {

@@ -10,6 +10,10 @@
 //!   borrow the source text (an identifier is a slice of it, never a copy),
 //! - [`parser::parse`] — recursive-descent parser producing an
 //!   [`ast::Program`]; the AST owns its names, so it outlives the source,
+//! - [`Name`] — the identifier every node, analysis and pass holds: a name
+//!   of up to 22 bytes is stored inline, so parsing a program or making a
+//!   fresh name does not allocate a string per identifier, and it hashes,
+//!   compares and prints exactly as its `str` does,
 //! - [`printer::print_program`] — pretty-printer back to `.cu`-subset text,
 //!   written into one `String`,
 //! - [`visit`] — AST walkers shared by the analyses and passes.

@@ -121,12 +121,6 @@ impl Deref for Name {
     }
 }
 
-impl AsRef<str> for Name {
-    fn as_ref(&self) -> &str {
-        self.as_str()
-    }
-}
-
 impl Borrow<str> for Name {
     fn borrow(&self) -> &str {
         self.as_str()
@@ -177,33 +171,12 @@ impl From<&str> for Name {
     }
 }
 
-impl From<&String> for Name {
-    fn from(text: &String) -> Name {
-        Name::new(text)
-    }
-}
-
 impl From<String> for Name {
     fn from(text: String) -> Name {
         if text.len() <= Name::INLINE_LEN {
             Name::new(&text)
         } else {
             Name(Repr::Heap(text.into_boxed_str()))
-        }
-    }
-}
-
-impl From<&Name> for Name {
-    fn from(name: &Name) -> Name {
-        name.clone()
-    }
-}
-
-impl From<Name> for String {
-    fn from(name: Name) -> String {
-        match name.0 {
-            Repr::Heap(text) => text.into(),
-            Repr::Inline { .. } => name.as_str().to_string(),
         }
     }
 }
@@ -226,24 +199,6 @@ impl PartialEq<String> for Name {
     }
 }
 
-impl PartialEq<Name> for str {
-    fn eq(&self, other: &Name) -> bool {
-        self == other.as_str()
-    }
-}
-
-impl PartialEq<Name> for &str {
-    fn eq(&self, other: &Name) -> bool {
-        *self == other.as_str()
-    }
-}
-
-impl PartialEq<Name> for String {
-    fn eq(&self, other: &Name) -> bool {
-        self == other.as_str()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,14 +211,14 @@ mod tests {
         assert!(matches!(Name::new(&limit).0, Repr::Inline { .. }));
         let long = format!("{limit}y");
         assert!(matches!(Name::new(&long).0, Repr::Heap(_)));
-        assert_eq!(Name::new(&long), long);
+        assert_eq!(Name::new(&long).as_str(), long);
     }
 
     #[test]
     fn from_fmt_crosses_the_inline_limit() {
         let base = "b".repeat(Name::INLINE_LEN - 2);
         let name = Name::from_fmt(format_args!("{base}_{}", 123));
-        assert_eq!(name, format!("{base}_123"));
+        assert_eq!(name.as_str(), format!("{base}_123"));
         assert!(matches!(name.0, Repr::Heap(_)));
         assert_eq!(Name::from_fmt(format_args!("_a_g{}", 3)), "_a_g3");
     }

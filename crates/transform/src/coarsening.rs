@@ -172,7 +172,7 @@ fn rewrite_launch_sites(program: &mut Program, child: &str) {
                 launch.args.push(c.id(&g_name));
                 let g_decl = Stmt::decl(
                     Type::Int,
-                    &g_name,
+                    g_name.clone(),
                     Some(one_dimensional(grid)),
                     CodeOrigin::CoarsenLoop,
                 );

@@ -19,6 +19,15 @@
 //! while the program still holds the old one, and the copy is assigned back
 //! after the last read ([`contains_launch`] keeps functions that launch
 //! nothing, most of them, out of even that).
+//!
+//! Every name a pass makes is a [`Name`], formatted in place with
+//! [`Name::from_fmt`] rather than into a `String`, and fresh ([`fresh_name`])
+//! against what it could capture: a variable against the identifiers of
+//! the function it lands in, a generated function against every function
+//! of the program and every other one the pass generates
+//! ([`claim_fresh_name`]). A pass keeps each generated function together
+//! with the child it was made for, so that it never has to read a name
+//! back to learn where the function belongs.
 
 use dp_frontend::ast::*;
 use dp_frontend::visit::{for_each_stmt_expr, walk_stmt_exprs_mut, walk_stmt_mut};

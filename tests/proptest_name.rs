@@ -47,8 +47,8 @@ fn hash_of<T: Hash + ?Sized>(value: &T) -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// Text, `Debug`, `Display` (padded too), `Hash` and the `String`
-    /// conversions agree with the `String`'s.
+    /// Text, `Debug`, `Display` (padded too), `Hash` and the conversion
+    /// from `String` agree with the `String`'s.
     #[test]
     fn a_name_reads_as_its_string(s in arb_text()) {
         let name = Name::new(&s);
@@ -60,9 +60,8 @@ proptest! {
         prop_assert_eq!(hash_of(&name), hash_of(&s));
         prop_assert_eq!(hash_of(&name), hash_of(s.as_str()));
         prop_assert_eq!(Name::from(s.clone()), name.clone());
-        prop_assert_eq!(String::from(name.clone()), s.clone());
+        prop_assert_eq!(name.to_string(), s.clone());
         prop_assert_eq!(&name, &s);
-        prop_assert_eq!(&s, &name);
         prop_assert_eq!(&name, s.as_str());
     }
 
