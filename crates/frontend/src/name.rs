@@ -69,6 +69,8 @@ impl Name {
 }
 
 impl Repr {
+    /// Called on every hash, comparison and scope lookup: checking the
+    /// bytes again here gave back most of what inline names save.
     fn as_str(&self) -> &str {
         match self {
             Repr::Inline { len, bytes } => {
