@@ -54,9 +54,6 @@ impl Name {
     /// The name `format!` would make of `args`, built without a `String`:
     /// `Name::from_fmt(format_args!("_a_g{site}"))`.
     pub fn from_fmt(args: fmt::Arguments<'_>) -> Name {
-        if let Some(text) = args.as_str() {
-            return Name::new(text);
-        }
         let mut name = Name::EMPTY;
         name.0.write_fmt(args).expect("a name's writer never fails");
         name
@@ -106,12 +103,6 @@ impl fmt::Write for Repr {
     fn write_str(&mut self, text: &str) -> fmt::Result {
         self.push(text);
         Ok(())
-    }
-}
-
-impl Default for Name {
-    fn default() -> Name {
-        Name::EMPTY
     }
 }
 
@@ -170,16 +161,6 @@ impl fmt::Display for Name {
 impl From<&str> for Name {
     fn from(text: &str) -> Name {
         Name::new(text)
-    }
-}
-
-impl From<String> for Name {
-    fn from(text: String) -> Name {
-        if text.len() <= Name::INLINE_LEN {
-            Name::new(&text)
-        } else {
-            Name(Repr::Heap(text.into_boxed_str()))
-        }
     }
 }
 

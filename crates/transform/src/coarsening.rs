@@ -148,10 +148,8 @@ fn rewrite_launch_sites(program: &mut Program, child: &str) {
             for_each_stmt(stmt, &mut |s| {
                 if launches_child(s) {
                     let g = fresh_name(Name::from_fmt(format_args!("_c_gDim{counter}")), &used);
-                    names.push((
-                        g,
-                        fresh_name(Name::from_fmt(format_args!("_c_cgDim{counter}")), &used),
-                    ));
+                    let cg = fresh_name(Name::from_fmt(format_args!("_c_cgDim{counter}")), &used);
+                    names.push((g, cg));
                     counter += 1;
                 }
             });
