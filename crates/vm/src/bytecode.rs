@@ -227,9 +227,38 @@ pub enum Instr {
     CmpBranch(BinKind, u32),
 }
 
+/// A superinstruction's parts ([`Instr::expansion`]), held inline:
+/// [`Instr::IncLocal`]'s six are the most.
+#[derive(Clone, Copy)]
+struct Parts {
+    len: u8,
+    parts: [Instr; 6],
+}
+
+impl Parts {
+    #[inline]
+    fn of(parts: &[Instr]) -> Parts {
+        let mut all = [Instr::Pop; 6];
+        all[..parts.len()].copy_from_slice(parts);
+        Parts {
+            len: parts.len() as u8,
+            parts: all,
+        }
+    }
+}
+
+impl std::ops::Deref for Parts {
+    type Target = [Instr];
+
+    fn deref(&self) -> &[Instr] {
+        &self.parts[..self.len as usize]
+    }
+}
+
 impl Instr {
     /// The original instruction sequence a fused superinstruction replaces
-    /// (`None` for primitive instructions).
+    /// (`None` for primitive instructions), held inline: asking allocates
+    /// nothing.
     ///
     /// The expansion is the *canonical* form: [`Instr::IncLocal`] expands to
     /// the prefix/`Add` sequence even when it was fused from the postfix or
@@ -237,43 +266,32 @@ impl Instr {
     /// accounting is unaffected). [`Instr::cost`] and [`Instr::width`] are
     /// this expansion's sums, which is what keeps fused execution
     /// trace-identical to unfused execution.
-    pub fn expansion(&self) -> Option<Vec<Instr>> {
-        match *self {
-            Instr::BinLocals(op, a, b) => Some(vec![
-                Instr::LoadLocal(a),
-                Instr::LoadLocal(b),
-                Instr::Bin(op),
+    #[inline]
+    pub fn expansion(&self) -> Option<impl std::ops::Deref<Target = [Instr]>> {
+        use Instr::*;
+        let parts = match *self {
+            BinLocals(op, a, b) => Parts::of(&[LoadLocal(a), LoadLocal(b), Bin(op)]),
+            BinImm(op, v) => Parts::of(&[PushInt(v), Bin(op)]),
+            IncLocal(slot, v) => Parts::of(&[
+                LoadLocal(slot),
+                PushInt(v),
+                Bin(BinKind::Add),
+                Dup,
+                StoreLocal(slot),
+                Pop,
             ]),
-            Instr::BinImm(op, v) => Some(vec![Instr::PushInt(v), Instr::Bin(op)]),
-            Instr::IncLocal(slot, v) => Some(vec![
-                Instr::LoadLocal(slot),
-                Instr::PushInt(v),
-                Instr::Bin(BinKind::Add),
-                Instr::Dup,
-                Instr::StoreLocal(slot),
-                Instr::Pop,
-            ]),
-            Instr::LoadLocalMem(slot) => Some(vec![Instr::LoadLocal(slot), Instr::LoadMem]),
-            Instr::CmpBranchLocals(op, a, b, target) => Some(vec![
-                Instr::LoadLocal(a),
-                Instr::LoadLocal(b),
-                Instr::Bin(op),
-                Instr::JumpIfZero(target),
-            ]),
-            Instr::StoreLoadLocal(slot) => {
-                Some(vec![Instr::StoreLocal(slot), Instr::LoadLocal(slot)])
+            LoadLocalMem(slot) => Parts::of(&[LoadLocal(slot), LoadMem]),
+            CmpBranchLocals(op, a, b, target) => {
+                Parts::of(&[LoadLocal(a), LoadLocal(b), Bin(op), JumpIfZero(target)])
             }
-            Instr::StoreLocalInt(slot) => Some(vec![Instr::CastInt, Instr::StoreLocal(slot)]),
-            Instr::SetLocal(slot) => Some(vec![Instr::Dup, Instr::StoreLocal(slot), Instr::Pop]),
-            Instr::LoadMemAt(a, b) => Some(vec![
-                Instr::LoadLocal(a),
-                Instr::LoadLocal(b),
-                Instr::Bin(BinKind::Add),
-                Instr::LoadMem,
-            ]),
-            Instr::CmpBranch(op, target) => Some(vec![Instr::Bin(op), Instr::JumpIfZero(target)]),
-            _ => None,
-        }
+            StoreLoadLocal(slot) => Parts::of(&[StoreLocal(slot), LoadLocal(slot)]),
+            StoreLocalInt(slot) => Parts::of(&[CastInt, StoreLocal(slot)]),
+            SetLocal(slot) => Parts::of(&[Dup, StoreLocal(slot), Pop]),
+            LoadMemAt(a, b) => Parts::of(&[LoadLocal(a), LoadLocal(b), Bin(BinKind::Add), LoadMem]),
+            CmpBranch(op, target) => Parts::of(&[Bin(op), JumpIfZero(target)]),
+            _ => return None,
+        };
+        Some(parts)
     }
 
     /// The instruction index this instruction may jump to (block cutting and
@@ -424,9 +442,9 @@ impl Instr {
     ///
     /// Both are written out, not computed from [`Instr::expansion`]: a
     /// machine is built per request and asks these of every instruction
-    /// (twice, once for the slot and once for its block), and the expansion
-    /// is a heap allocation. `fused_instructions_cost_their_expansion` holds
-    /// the two spellings together.
+    /// (twice, once for the slot and once for its block).
+    /// `fused_instructions_cost_their_expansion` holds the two spellings
+    /// together.
     pub fn cost(&self, model: &CostModel) -> u64 {
         let bin = |op: BinKind| model.cycles(Instr::Bin(op).cost_class());
         match *self {

@@ -88,13 +88,12 @@
 
 pub mod bytecode;
 pub mod error;
-mod lanes;
-mod loops;
 pub mod lower;
 pub mod machine;
 mod memory;
 mod ops;
 mod reference;
+mod skip;
 pub mod trace;
 pub mod value;
 

@@ -83,12 +83,10 @@
 
 use crate::bytecode::*;
 use crate::error::ExecError;
-use crate::lanes::{self, Charge, Route};
 pub use crate::memory::Memory;
-use crate::ops::{
-    build_tables, coerce, load_address, Flow, FuncTable, StepCtx, ThreadedOp, NO_SKIP,
-};
+use crate::ops::{build_tables, coerce, load_address, Flow, FuncTable, StepCtx, ThreadedOp};
 use crate::reference::run_thread_match;
+use crate::skip::{self, Charge, Route};
 use crate::trace::*;
 use crate::value::{Dim3Table, LaunchDim, Value, SHARED_SPACE_BASE};
 use dp_frontend::ast::{CodeOrigin, FnQual};
@@ -611,8 +609,8 @@ fn run_thread_threaded<const RECORD: bool>(
                 }
                 return Ok(());
             };
-            if !RECORD && leader.skip != NO_SKIP {
-                table.skips[leader.skip as usize].skip(&mut s);
+            if !RECORD && leader.skip {
+                skip::iterations(table, &mut s);
             }
             let charge = &table.charges[leader.charge as usize];
             if *s.env.instr_budget < charge.width {
@@ -797,7 +795,7 @@ fn run_block(
         if threaded && t >= walk_at {
             // Lanes step in x only: a route is shared to the row's end.
             let row = (grid.block[0] - tidx[0]) as u64;
-            match lanes::walk(table, lane, &ctx) {
+            match skip::lanes(table, lane, &ctx, env.dim3s) {
                 Route::Idle(admitted, route) => {
                     let replayed = replays && prefix.recorded;
                     let lanes = admitted.min(row);

@@ -18,8 +18,8 @@
 
 use crate::bytecode::*;
 use crate::error::ExecError;
-use crate::loops::{loop_skips, LoopSkip};
 use crate::machine::{dim_product, fall_off_end, BlockCtx, ExecEnv, Frame, Thread, ThreadStatus};
+use crate::skip;
 use crate::trace::{BlockTrace, LaunchOrigin, LaunchRecord};
 use crate::value::Value;
 use dp_frontend::ast::Type;
@@ -56,13 +56,14 @@ pub(crate) struct ThreadedOp {
     /// Index into [`FuncTable::charges`] of the basic block this slot
     /// leads, or [`NOT_A_LEADER`].
     pub(crate) charge: u32,
-    /// Index into [`FuncTable::skips`] of the loop whose skip is tried at
-    /// this slot, or [`NO_SKIP`].
-    pub(crate) skip: u32,
+    /// A loop skip is tried at this slot (`skip.rs`).
+    pub(crate) skip: bool,
+    /// The block this slot leads holds only what a walk evaluates
+    /// (`skip.rs`): [`Instr::loop_pure`] instructions and `RetVoid`.
+    pub(crate) pure: bool,
 }
 
 pub(crate) const NOT_A_LEADER: u32 = u32::MAX;
-pub(crate) const NO_SKIP: u32 = u32::MAX;
 
 // Splitting a slot into a 32-byte hot half and a cold side array for
 // `Match` measured under 1 % on a cold sweep: not built.
@@ -72,8 +73,6 @@ const _: () = assert!(std::mem::size_of::<ThreadedOp>() == 48);
 pub(crate) struct FuncTable {
     pub(crate) ops: Box<[ThreadedOp]>,
     pub(crate) charges: Box<[BlockCharge]>,
-    /// The summarised loops (`loops.rs`).
-    pub(crate) skips: Box<[LoopSkip]>,
 }
 
 /// Borrow bundle passed to op handlers — the whole mutable per-step state,
@@ -515,7 +514,8 @@ fn threaded_op(instr: Instr) -> ThreadedOp {
         a,
         b,
         charge: NOT_A_LEADER,
-        skip: NO_SKIP,
+        skip: false,
+        pure: false,
     }
 }
 
@@ -531,18 +531,16 @@ pub(crate) fn build_tables(module: &Module, cost: &CostModel) -> Vec<FuncTable> 
             let mut ops: Box<[ThreadedOp]> = f.code.iter().map(|i| threaded_op(*i)).collect();
             let charges: Box<[BlockCharge]> = f.block_charges(cost).into();
             for (i, block) in charges.iter().enumerate() {
-                ops[block.start as usize].charge = i as u32;
+                let code = &f.code[block.start as usize..][..block.len as usize];
+                let leader = &mut ops[block.start as usize];
+                leader.charge = i as u32;
+                leader.pure = (code.iter()).all(|i| i.loop_pure() || *i == Instr::RetVoid);
             }
-            let skips: Box<[LoopSkip]> = loop_skips(f, &charges).into();
-            for (i, skip) in skips.iter().enumerate() {
-                ops[skip.at as usize].skip = i as u32;
-                ops[skip.back as usize].exec = op_jump_back;
+            for (at, back) in skip::loops(f, &charges) {
+                ops[at as usize].skip = true;
+                ops[back as usize].exec = op_jump_back;
             }
-            FuncTable {
-                ops,
-                charges,
-                skips,
-            }
+            FuncTable { ops, charges }
         })
         .collect()
 }

@@ -253,9 +253,10 @@ fn check_fused_depths(fused: &[Instr], unfused_profile: &[i64]) -> usize {
     let mut depth = 0i64;
     let mut original_idx = 0usize;
     for instr in fused {
-        let parts = instr.expansion().unwrap_or_else(|| vec![*instr]);
+        let expansion = instr.expansion();
+        let parts = expansion.as_deref().unwrap_or(std::slice::from_ref(instr));
         let mut inner = depth;
-        for p in &parts {
+        for p in parts {
             let (pops, pushes) = stack_effect(p);
             inner -= pops;
             assert!(inner >= 0, "stack underflow inside {instr:?}");
