@@ -1,8 +1,8 @@
 //! `vmbench` — tracked interpreter-throughput benchmark for the GPU VM.
 //!
-//! Runs BFS- and Bézier-style workloads, a synthetic ALU loop, and a
-//! launch-heavy many-block frontier-expansion kernel through the execution
-//! machine under two configurations per workload:
+//! Runs BFS-, Bézier- and triangle-counting workloads and a launch-heavy
+//! many-block frontier-expansion kernel through the execution machine
+//! under two configurations per workload:
 //!
 //! - **baseline**: the reference interpreter (`match` dispatch, charged per
 //!   instruction) on the unfused program;
@@ -32,7 +32,10 @@
 //! fusion window, a lost replay or a lost skip shows there and in no test.
 //! `bfs-rmat` is CDP BFS, whose small child grids end in idle lanes.
 //! `bfs-serial` is `bfs-rmat` thresholded at 128, so that small child grids
-//! run as the serial loops loop skipping is for.
+//! run as the serial loops loop skipping is for. `tc` is CDP triangle
+//! counting on KRON at its floor size, whose scan and binary-search loops
+//! load on every iteration: its `dispatched_ops` is what a change to the
+//! figures' dominant kernel moves.
 //! Environment knobs: `DPOPT_VMBENCH_REPS` (default 5), `DPOPT_VMBENCH_SCALE` (workload size multiplier, default
 //! 1.0), and `DPOPT_VMBENCH_OUT` (output path override — the CI
 //! bench-regression gate writes a fresh measurement next to the committed
@@ -44,9 +47,10 @@ use dp_sweep::env_parsed;
 use dp_vm::lower::{compile_program_with, LowerOptions};
 use dp_vm::machine::{DispatchProfile, THREADED_OP_BYTES};
 use dp_vm::{Machine, Value};
-use dp_workloads::benchmarks::{bfs::Bfs, bt::Bt, BenchInput, Benchmark};
+use dp_workloads::benchmarks::{bfs::Bfs, bt::Bt, tc::Tc, BenchInput, Benchmark};
 use dp_workloads::datasets::bezier::bezier_lines;
 use dp_workloads::datasets::graphs::rmat;
+use dp_workloads::DatasetId;
 use std::time::Instant;
 
 /// One interpreter configuration.
@@ -149,26 +153,6 @@ fn run_benchmark(
             exec.stats().instructions,
             exec.machine_mut().dispatch_profile(),
         )
-    })
-}
-
-/// The synthetic ALU/loop kernel measured under one VM configuration.
-fn run_alu_loop(config: Config, iters: i64, reps: usize) -> Measurement {
-    let src = "__global__ void k(int* out, int n) { \
-                   int s = 0; \
-                   for (int i = 0; i < n; ++i) { s = s + i * 3 - (s >> 1); } \
-                   out[threadIdx.x] = s; }";
-    let program = parse(src).expect("kernel parses");
-    let module = compile_program_with(&program, LowerOptions { fuse: config.fuse })
-        .expect("kernel compiles");
-    best_of(reps, || {
-        let mut m = Machine::new(module.clone());
-        m.set_dispatch(config.dispatch);
-        let buf = m.alloc(64);
-        m.launch_host("k", 4, 64, &[Value::Int(buf), Value::Int(iters)])
-            .expect("launch");
-        m.run_to_quiescence().expect("run");
-        (m.stats().instructions, m.dispatch_profile())
     })
 }
 
@@ -291,7 +275,9 @@ fn main() {
     let bfs_input = BenchInput::Graph(rmat((10.0 + scale.log2()).round().max(6.0) as u32, 8, 42));
     // Bézier tessellation: float-dominated with per-line child kernels.
     let bt_input = BenchInput::Bezier(bezier_lines((600.0 * scale) as usize, 32, 16.0, 42));
-    let alu_iters = (20_000.0 * scale) as i64;
+    // Triangle counting on KRON at its floor size: every scan and
+    // binary-search iteration loads, so nothing is replayed or skipped.
+    let tc_input = DatasetId::Kron.instantiate((0.001 * scale).min(1.0), 42);
     // Frontier expansion: many-block grids + one multi-block child
     // launch per parent block.
     let frontier_graph = rmat((11.0 + scale.log2()).round().max(7.0) as u32, 16, 42);
@@ -327,10 +313,6 @@ fn main() {
         Box::new(|c, reps| run_benchmark(&Bt, &bt_input, OptConfig::none(), c, reps)),
     );
     measure(
-        "alu-loop",
-        Box::new(|c, reps| run_alu_loop(c, alu_iters, reps)),
-    );
-    measure(
         "frontier-expand",
         Box::new(|c, reps| run_frontier_expand(c, &frontier_graph, reps)),
     );
@@ -338,6 +320,10 @@ fn main() {
     measure(
         "bfs-serial",
         Box::new(|c, reps| run_benchmark(&Bfs, &bfs_input, thresholded, c, reps)),
+    );
+    measure(
+        "tc",
+        Box::new(|c, reps| run_benchmark(&Tc, &tc_input, OptConfig::none(), c, reps)),
     );
 
     println!(
