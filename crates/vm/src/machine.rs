@@ -84,7 +84,9 @@
 use crate::bytecode::*;
 use crate::error::ExecError;
 pub use crate::memory::Memory;
-use crate::ops::{build_tables, coerce, load_address, Flow, FuncTable, StepCtx, ThreadedOp};
+use crate::ops::{
+    build_tables, coerce, load_address, Flow, FuncTable, StepCtx, ThreadedOp, NO_SKIP,
+};
 use crate::reference::run_thread_match;
 use crate::skip::{self, Charge, Route};
 use crate::trace::*;
@@ -146,10 +148,11 @@ pub(crate) struct Thread {
     pub(crate) instructions: u64,
     pub(crate) origin_cycles: OriginCycles,
     pub(crate) tidx: [i64; 3],
-    /// The lane came round a loop with a skip (`loops.rs`) since a skip was
-    /// last tried: only then is one tried, so a lane that runs a loop once
-    /// never pays for trying.
-    pub(crate) looped: bool,
+    /// The lane came round a loop with a skip (`skip.rs`) since one was
+    /// last tried: the loop's try point, and the instruction count at which
+    /// the lane ends the first block of the iteration it begins. Only such a
+    /// lane tries, so a lane that runs a loop once never pays for trying.
+    pub(crate) looped: Option<(u32, u64)>,
     /// Locals vectors of popped frames, reused by later calls so steady-state
     /// call/return traffic allocates nothing.
     pub(crate) spare_locals: Vec<Vec<Value>>,
@@ -170,7 +173,7 @@ impl Default for Thread {
             instructions: 0,
             origin_cycles: OriginCycles::default(),
             tidx: [0; 3],
-            looped: false,
+            looped: None,
             spare_locals: Vec::new(),
         }
     }
@@ -188,7 +191,7 @@ impl Thread {
         self.frame.func = kernel;
         self.status = ThreadStatus::Running;
         self.tidx = tidx;
-        self.looped = false;
+        self.looped = None;
     }
 
     /// Starts an entered lane at its kernel's first instruction with fresh
@@ -609,8 +612,12 @@ fn run_thread_threaded<const RECORD: bool>(
                 }
                 return Ok(());
             };
-            if !RECORD && leader.skip {
-                skip::iterations(table, &mut s);
+            if !RECORD
+                && leader.skip != NO_SKIP
+                && s.thread.looped == Some((leader.skip, s.thread.instructions))
+                && skip::iterations(table, leader.skip, &mut s)
+            {
+                continue;
             }
             let charge = &table.charges[leader.charge as usize];
             if *s.env.instr_budget < charge.width {

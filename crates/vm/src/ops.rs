@@ -56,14 +56,13 @@ pub(crate) struct ThreadedOp {
     /// Index into [`FuncTable::charges`] of the basic block this slot
     /// leads, or [`NOT_A_LEADER`].
     pub(crate) charge: u32,
-    /// A loop skip is tried at this slot (`skip.rs`).
-    pub(crate) skip: bool,
-    /// The block this slot leads holds only what a walk evaluates
-    /// (`skip.rs`): [`Instr::loop_pure`] instructions and `RetVoid`.
-    pub(crate) pure: bool,
+    /// The try point of the loop whose skip is tried at this slot
+    /// (`skip.rs`), or [`NO_SKIP`].
+    pub(crate) skip: u32,
 }
 
 pub(crate) const NOT_A_LEADER: u32 = u32::MAX;
+pub(crate) const NO_SKIP: u32 = u32::MAX;
 
 // Splitting a slot into a 32-byte hot half and a cold side array for
 // `Match` measured under 1 % on a cold sweep: not built.
@@ -73,6 +72,9 @@ const _: () = assert!(std::mem::size_of::<ThreadedOp>() == 48);
 pub(crate) struct FuncTable {
     pub(crate) ops: Box<[ThreadedOp]>,
     pub(crate) charges: Box<[BlockCharge]>,
+    /// Per block: it holds only what a walk evaluates (`skip.rs`),
+    /// [`Instr::loop_pure`] instructions and `RetVoid`.
+    pub(crate) pure: Box<[bool]>,
 }
 
 /// Borrow bundle passed to op handlers — the whole mutable per-step state,
@@ -191,9 +193,10 @@ fn op_jump(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
     Ok(Flow::Next)
 }
 
-/// The back edge of a loop with a skip: the lane has come round it.
+/// The back edge of a loop with a skip: the lane has come round it, and
+/// ends the first block of its next iteration `imm` instructions on.
 fn op_jump_back(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    s.thread.looped = true;
+    s.thread.looped = Some((op.b, s.thread.instructions + op.imm as u64));
     s.thread.frame.pc = op.a as usize;
     Ok(Flow::Next)
 }
@@ -514,8 +517,7 @@ fn threaded_op(instr: Instr) -> ThreadedOp {
         a,
         b,
         charge: NOT_A_LEADER,
-        skip: false,
-        pure: false,
+        skip: NO_SKIP,
     }
 }
 
@@ -531,16 +533,26 @@ pub(crate) fn build_tables(module: &Module, cost: &CostModel) -> Vec<FuncTable> 
             let mut ops: Box<[ThreadedOp]> = f.code.iter().map(|i| threaded_op(*i)).collect();
             let charges: Box<[BlockCharge]> = f.block_charges(cost).into();
             for (i, block) in charges.iter().enumerate() {
-                let code = &f.code[block.start as usize..][..block.len as usize];
-                let leader = &mut ops[block.start as usize];
-                leader.charge = i as u32;
-                leader.pure = (code.iter()).all(|i| i.loop_pure() || *i == Instr::RetVoid);
+                ops[block.start as usize].charge = i as u32;
             }
-            for (at, back) in skip::loops(f, &charges) {
-                ops[at as usize].skip = true;
-                ops[back as usize].exec = op_jump_back;
+            let pure = (charges.iter())
+                .map(|b| {
+                    f.code[b.start as usize..][..b.len as usize]
+                        .iter()
+                        .all(|i| i.loop_pure() || *i == Instr::RetVoid)
+                })
+                .collect();
+            for (at, back, width, then) in skip::loops(f, &charges) {
+                for pc in then {
+                    let op = &mut ops[pc as usize];
+                    if op.skip == NO_SKIP {
+                        op.skip = at;
+                    }
+                }
+                let op = &mut ops[back as usize];
+                (op.exec, op.b, op.imm) = (op_jump_back, at, width as i64);
             }
-            FuncTable { ops, charges }
+            FuncTable { ops, charges, pure }
         })
         .collect()
 }

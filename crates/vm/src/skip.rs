@@ -167,6 +167,8 @@ struct Walk<'t> {
     /// Indices into the table's charges.
     entered: [u32; BLOCKS_MAX],
     blocks: usize,
+    /// The stack's depth after the first block.
+    first: usize,
 }
 
 impl<'t> Walk<'t> {
@@ -189,6 +191,7 @@ impl<'t> Walk<'t> {
             admitted: i128::MAX,
             entered: [0; BLOCKS_MAX],
             blocks: 0,
+            first: 0,
         }
     }
 
@@ -198,10 +201,10 @@ impl<'t> Walk<'t> {
     }
 
     /// Walks whole blocks of `table` from leader `pc` until the function
-    /// returns or, where `round`, the walk comes back to `pc`, entering each
-    /// block once; `None` where it stops.
+    /// returns or, where `round`, the walk comes back to `pc`, going back
+    /// once: to the loop's head, and so round; `None` where it stops.
     fn run(&mut self, table: &FuncTable, pc: usize, round: bool) -> Option<Exit> {
-        let mut at = pc;
+        let (mut at, mut back) = (pc, false);
         loop {
             // Falling off the end of a void function returns, and charges
             // nothing.
@@ -209,11 +212,7 @@ impl<'t> Walk<'t> {
                 return Some(Exit::Return);
             };
             // A block the walk cannot get through is not begun.
-            let entered = &self.entered[..self.blocks];
-            if !leader.pure
-                || self.blocks == BLOCKS_MAX
-                || (round && entered.contains(&leader.charge))
-            {
+            if !table.pure[leader.charge as usize] || self.blocks == BLOCKS_MAX {
                 return None;
             }
             self.entered[self.blocks] = leader.charge;
@@ -229,6 +228,12 @@ impl<'t> Walk<'t> {
                         Step::Return => return Some(Exit::Return),
                     }
                 }
+            }
+            if self.blocks == 1 {
+                self.first = self.len;
+            }
+            if round && next <= at && std::mem::replace(&mut back, true) {
+                return None;
             }
             at = next;
             if round && at == pc {
@@ -297,12 +302,15 @@ impl<'t> Walk<'t> {
             v @ Value::Dim3 { .. } => Val::Dim3(v),
             Value::Float(_) => return None,
         };
-        self.remember(Local {
-            slot,
-            v,
-            read: true,
-            written: false,
-        })?;
+        // Only a loop's walk asks which locals it read before writing them.
+        if let Steps::Iterations(_) = self.steps {
+            self.remember(Local {
+                slot,
+                v,
+                read: true,
+                written: false,
+            })?;
+        }
         Some(v)
     }
 
@@ -455,29 +463,31 @@ pub(crate) fn lanes(
     }
 }
 
-/// Moves the lane in `s`, which came round a loop to where a skip is tried
-/// (module doc), past the coming iterations that all take the path its
-/// next one takes — as many as the budget covers — and charges them:
-/// cycles, instructions, origin cycles and budget, exactly what dispatching
-/// them would. Touches nothing else when it cannot. Out of line, so the
-/// dispatch loop holds only its two tests.
+/// Moves the lane in `s`, which came round the loop whose try point is
+/// `at` and reached a block its first block goes on to straight from that
+/// block (module doc), back to the try point and past the coming iterations
+/// that all take the path it takes — as many as the budget covers — and
+/// charges them: cycles, instructions, origin cycles and budget, exactly
+/// what dispatching them would. Returns whether it moved the lane, which
+/// touches nothing else when it cannot. Out of line, so the dispatch loop
+/// holds only its tests.
 #[inline(never)]
-pub(crate) fn iterations(table: &FuncTable, s: &mut StepCtx<'_, '_>) {
-    if !std::mem::take(&mut s.thread.looped) {
-        return;
-    }
-    let (thread, pc, dim3s) = (&*s.thread, s.thread.frame.pc, &*s.env.dim3s);
+pub(crate) fn iterations(table: &FuncTable, at: u32, s: &mut StepCtx<'_, '_>) -> bool {
+    s.thread.looped = None;
+    let at = at as usize;
+    let first = &table.charges[table.ops[at].charge as usize];
+    let (thread, dim3s) = (&*s.thread, &*s.env.dim3s);
     // The induction variable: the one local the iteration carries.
     let mut w = Walk::new(thread, s.block, dim3s, Steps::Iterations(None));
-    if !w.round(table, pc) {
-        return;
+    if !w.round(table, at) {
+        return false;
     }
     let mut carried = w.locals[..w.used].iter().filter(|l| l.read && l.written);
     let (Some(&iv), None) = (carried.next(), carried.next()) else {
-        return;
+        return false;
     };
     let (Value::Int(v0), Val::Int(next)) = (thread.frame.locals[iv.slot as usize], iv.v) else {
-        return;
+        return false;
     };
     let step = next.v0.wrapping_sub(v0);
     let mut w = Walk::new(
@@ -486,21 +496,28 @@ pub(crate) fn iterations(table: &FuncTable, s: &mut StepCtx<'_, '_>) {
         dim3s,
         Steps::Iterations(Some((iv.slot, step))),
     );
-    if !w.round(table, pc) {
-        return;
+    if !w.round(table, at) {
+        return false;
     }
     let locals = &w.locals[..w.used];
     match locals.iter().find(|l| l.slot == iv.slot) {
         Some(Local {
             v: Val::Int(next), ..
         }) if next.d == step => {}
-        _ => return,
+        _ => return false,
     }
     let charge = w.charge(table);
-    let k = w.admitted().min(*s.env.instr_budget / charge.width);
+    // The first block ran and was charged: the budget before it is what
+    // the skipped iterations may spend.
+    let budget = *s.env.instr_budget + first.width;
+    let k = w.admitted().min(budget / charge.width);
     if k == 0 {
-        return;
+        return false;
     }
+    // What the first block left on the stack is dropped with it.
+    let Some(depth) = s.thread.stack.len().checked_sub(w.first) else {
+        return false;
+    };
     let (locals, used) = (w.locals, w.used);
     // Each local the iteration writes holds what iteration `k - 1` left.
     for l in locals[..used].iter().filter(|l| l.written) {
@@ -510,22 +527,33 @@ pub(crate) fn iterations(table: &FuncTable, s: &mut StepCtx<'_, '_>) {
         };
     }
     let width = k * charge.width;
-    *s.env.instr_budget -= width;
+    *s.env.instr_budget = budget - width;
     s.env.profile.skipped_iterations += k;
     s.env.profile.skipped_instructions += width;
     let t = &mut *s.thread;
-    t.instructions += width;
-    t.cycles = t.cycles.wrapping_add(k.wrapping_mul(charge.cycles));
-    for (to, c) in t.origin_cycles.0.iter_mut().zip(charge.origin.0) {
-        *to = to.wrapping_add(k.wrapping_mul(c));
+    t.frame.pc = at;
+    t.stack.truncate(depth);
+    t.instructions = t.instructions - first.width + width;
+    t.cycles = (t.cycles.wrapping_sub(first.cycles)).wrapping_add(k.wrapping_mul(charge.cycles));
+    for ((to, c), f) in (t.origin_cycles.0.iter_mut())
+        .zip(charge.origin.0)
+        .zip(first.origin.0)
+    {
+        *to = to.wrapping_sub(f).wrapping_add(k.wrapping_mul(c));
     }
+    true
 }
 
-/// The loops of `f` with a pure way round, as (try point, back edge) pairs
-/// (module doc). A loop's try point is its head's fall-through where the
+/// The loops of `f` with a pure way round (module doc): each one's try
+/// point, back edge, the instructions from the back edge to the end of the
+/// try point's block, and the blocks that block goes on to that a pure way
+/// round may take. A loop's try point is its head's fall-through where the
 /// head ends in a branch out of the loop, and its head otherwise. A
 /// function without a backward `Jump` costs one scan of its code.
-pub(crate) fn loops(f: &CompiledFunction, charges: &[BlockCharge]) -> Vec<(u32, u32)> {
+pub(crate) fn loops(
+    f: &CompiledFunction,
+    charges: &[BlockCharge],
+) -> Vec<(u32, u32, u64, Vec<u32>)> {
     let backs = (f.code.iter().enumerate()).filter_map(|(pc, instr)| match *instr {
         Instr::Jump(head) if head as usize <= pc => Some((head, pc as u32)),
         _ => None,
@@ -554,11 +582,49 @@ pub(crate) fn loops(f: &CompiledFunction, charges: &[BlockCharge]) -> Vec<(u32, 
                 _ => head,
             },
         };
-        if block(at).is_some_and(|a| pure_way_round(&f.code, charges, pure, a)) {
-            found.push((at, back));
+        let Some(a) =
+            block(at).filter(|&a| reruns(&f.code[at as usize..][..charges[a].len as usize]))
+        else {
+            continue;
+        };
+        let then: Vec<u32> = (successors(&f.code, &charges[a]).into_iter().flatten())
+            .filter(|&t| t != at && block(t).is_some_and(|b| pure[b]))
+            .collect();
+        if !then.is_empty() && pure_way_round(&f.code, charges, pure, a) {
+            let width = charges[a].width + if a == h { 0 } else { charges[h].width };
+            found.push((at, back, width, then));
         }
     }
     found
+}
+
+/// Where control may go after `block`: its branch target and its
+/// fall-through.
+fn successors(code: &[Instr], block: &BlockCharge) -> [Option<u32>; 2] {
+    let end = block.start + block.len;
+    match code[end as usize - 1] {
+        Instr::Jump(t) => [Some(t), None],
+        last => [last.branch_target(), Some(end)],
+    }
+}
+
+/// Whether a block, run again from its leader over the locals it left,
+/// computes what it computed: it reads no local before writing it that it
+/// writes.
+fn reruns(code: &[Instr]) -> bool {
+    let (mut read, mut written) = (Vec::new(), Vec::new());
+    for instr in code {
+        let parts = instr.expansion();
+        for part in parts.as_deref().unwrap_or(std::slice::from_ref(instr)) {
+            match *part {
+                Instr::LoadLocal(slot) if !written.contains(&slot) => read.push(slot),
+                Instr::StoreLocal(slot) if read.contains(&slot) => return false,
+                Instr::StoreLocal(slot) => written.push(slot),
+                _ => {}
+            }
+        }
+    }
+    true
 }
 
 /// Whether a path of [`Instr::loop_pure`] blocks leads from block `at` back
@@ -570,12 +636,7 @@ fn pure_way_round(code: &[Instr], charges: &[BlockCharge], pure: &[bool], at: us
         if !pure[b] {
             continue;
         }
-        let end = charges[b].start + charges[b].len;
-        let successors = match code[end as usize - 1] {
-            Instr::Jump(t) => [Some(t), None],
-            last => [last.branch_target(), Some(end)],
-        };
-        for to in successors.into_iter().flatten() {
+        for to in successors(code, &charges[b]).into_iter().flatten() {
             let Ok(next) = charges.binary_search_by_key(&to, |c| c.start) else {
                 continue;
             };
