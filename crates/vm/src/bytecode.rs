@@ -366,11 +366,14 @@ impl Instr {
         }
     }
 
-    /// Whether loop skipping (`loops.rs`) may summarise it: it reads and
-    /// writes only the frame's locals and the operand stack, and what it
-    /// computes from `Int`s is a wrapping sum, difference, product or
-    /// comparison — so a path of these is affine when its products are. A
-    /// superinstruction is pure exactly when every part of its expansion is.
+    /// Whether the walk that skips idle loop iterations and lanes
+    /// (`skip.rs`) may evaluate it: it reads and writes only the frame's
+    /// locals and the operand stack, and what it computes from `Int`s is a
+    /// wrapping sum, difference, product or comparison — so a path of these
+    /// is affine when its products are. A primitive that is pure has a rule
+    /// in the walk's one `step`. A superinstruction is pure exactly when
+    /// every part of its expansion is, and needs no rule: the walk runs its
+    /// expansion.
     pub fn loop_pure(&self) -> bool {
         use BinKind::*;
         match self {

@@ -52,19 +52,20 @@
 //!    loads still read the same bits (see [`machine`], "Dispatch"). They
 //!    are compared only when a device store happened since they were last
 //!    compared.
-//! 5. **Loop skipping**: at table build, each loop whose path from its
-//!    head back to it is [`bytecode::Instr::loop_pure`] and affine in the
-//!    iteration number gets a summary; a lane that came round such a loop
-//!    solves for how many coming iterations stay on the path — a
-//!    thresholded child's idle virtual threads, above all — and jumps past
-//!    them, charged exactly what dispatching them would charge
-//!    (`loops.rs`).
-//! 6. **Lane skipping**: at its start point a block's lane walks on with
-//!    each value affine in its lane offset; where the walk reaches the
-//!    kernel's end through [`bytecode::Instr::loop_pure`] instructions only,
-//!    the lanes its tests admit — a CDP child's idle tail, above all — are
-//!    retired together, each charged exactly what dispatching it would
-//!    charge (`lanes.rs`).
+//! 5. **Loop skipping** (`skip.rs`): a lane that came round a loop with
+//!    a pure way round runs the first block of its next iteration; where
+//!    that block leads it on purely, one walk of the iteration, with each
+//!    value affine in the iteration number, solves for how many coming
+//!    iterations stay on its path — a thresholded child's idle virtual
+//!    threads, above all — and the lane jumps past them, charged exactly
+//!    what dispatching them would charge.
+//! 6. **Lane skipping** (`skip.rs`): at its start point a block's lane
+//!    walks on with each value affine in its lane offset; where the walk
+//!    reaches the kernel's end through [`bytecode::Instr::loop_pure`]
+//!    instructions only, the lanes its tests admit — a CDP child's idle
+//!    tail, above all — are retired together, each charged exactly what
+//!    dispatching it would charge. Both skips share the walk's one `step`
+//!    over primitives.
 //!
 //! To add a new superinstruction, see the checklist on
 //! [`lower::fuse_function`]; for a new primitive, the "New opcodes"

@@ -34,40 +34,40 @@
 //! since they were last compared: the grid counts its stores, and while the
 //! count stands still every logged address holds what it held.
 //!
+//! Idle work is charged, not run (`skip.rs`): one walk, holding each value
+//! as `v0 + n·d` in a step `n`, evaluates the pure instructions a lane has
+//! ahead of it and solves each comparison for how many steps come out as
+//! step 0 does. Neither skip happens under `Match`.
+//!
 //! A loop whose coming iterations all take one **pure, affine path** is
-//! skipped, not interpreted (`loops.rs`). The table holds a summary for
-//! each loop head whose path from the head back to it reads and writes
-//! only the frame's locals and stack, and computes only values affine in
-//! the iteration number — a thresholded child's serial loop over its
+//! skipped, not interpreted — a thresholded child's serial loop over its
 //! virtual threads is one, where an idle thread (`e >= count`) only tests,
-//! computes `e` and loops. When a lane that came round such a loop and
-//! passed its test reaches the block the path takes next, before that
-//! block is charged, the loop evaluates the path at the first two coming
-//! iterations, solves for how many stay on it (and keep every compared
-//! value inside `i64`), moves the lane's locals past them and charges them
-//! — cycles, instructions, origin cycles and budget — exactly what
-//! dispatching them would; at most what the budget covers. Then the block
-//! runs as usual. No skip happens under `Match` or while a prefix is
-//! recorded.
+//! computes `e` and loops. A lane that came round such a loop runs the
+//! first block of its next iteration as usual; if that block leads it into
+//! a pure block, the lane is moved back to where the iteration began, the
+//! walk follows one iteration, with the induction variable as the unknown,
+//! and the lane's locals are moved past the iterations that stay on that
+//! path (and keep every compared value inside `i64`), charged — cycles,
+//! instructions, origin cycles and budget — exactly what dispatching them
+//! would; at most what the budget covers. Then it runs on as usual. No
+//! skip happens while a prefix is recorded.
 //!
 //! A block's lanes whose **remaining path is pure and affine in
-//! `threadIdx.x`** are retired together, not run (`lanes.rs`) — a CDP
-//! child's idle tail, whose lanes only test `e < count` and return. At its
-//! start point (its kernel's entry, or the end of its replayed or recorded
-//! prefix) a lane holds what every lane of its block holds but for its
-//! thread index, so a walk from there with each value held as `v0 + n·d`
-//! in the lane offset `n` finds the route lane `t` takes and, solving each
-//! comparison that depends on `n`, how many lanes from `t` on take it too.
-//! If it ends at the kernel's `RetVoid` through pure instructions only,
-//! those lanes — up to the row's end, for lanes step in x only, and as many
-//! as the budget covers — are retired at once: each is charged its prefix
-//! (lane `t`'s is charged already; a later lane's counts as replayed where
-//! it would have been) and the route's summed block charges, into its
-//! cycles, instructions, origin cycles and the budget. If the walk stops at
-//! an instruction it does not evaluate, the lanes it admits reach that
+//! `threadIdx.x`** are retired together, not run — a CDP child's idle tail,
+//! whose lanes only test `e < count` and return. At its start point (its
+//! kernel's entry, or the end of its replayed or recorded prefix) a lane
+//! holds what every lane of its block holds but for its thread index, so
+//! the walk from there in the lane offset `n` finds the route lane `t`
+//! takes and how many lanes from `t` on take it too. If it ends at the
+//! kernel's `RetVoid` through pure instructions only, those lanes — up to
+//! the row's end, for lanes step in x only, and as many as the budget
+//! covers — are retired at once: each is charged its prefix (lane `t`'s is
+//! charged already; a later lane's counts as replayed where it would have
+//! been) and the route's summed block charges, into its cycles,
+//! instructions, origin cycles and the budget. If the walk stops at an
+//! instruction it does not evaluate, the lanes it admits reach that
 //! instruction the same way: they run as usual, and the next walk is tried
-//! after them, so a run of busy lanes pays one walk. No lane is skipped
-//! under `Match`.
+//! after them, so a run of busy lanes pays one walk.
 //!
 //! A block's lanes run one after another in one reused `Thread`; only a
 //! lane that stops at a barrier keeps a thread of its own until it is
@@ -784,7 +784,7 @@ fn run_block(
     };
 
     // Lane `t`'s thread index, carried `x → y → z` from lane to lane; lanes
-    // from `walk_at` on try a walk (`lanes.rs`) at their start point.
+    // from `walk_at` on try a walk (`skip.rs`) at their start point.
     let mut tidx = [0i64; 3];
     let mut t = 0;
     let mut walk_at = 0;

@@ -4,21 +4,22 @@
 //!
 //! Both are one problem: an iteration and a lane are each one step `n` of a
 //! parallel-for (Moses et al.). A walk runs on from where a lane is with
-//! each value held as `v0 + n·d`, an affine form in `n`. It evaluates only
-//! what [`Instr::loop_pure`] accepts, a superinstruction as its
-//! [`Instr::expansion`], and a kernel's `RetVoid`; it reads the lane's
-//! locals, which must hold `Int`s or a `dim3` that only `Dim3Member` reads,
-//! and takes at each branch the direction step 0 takes. Wrapping `+`, `-`
-//! and `*` are a ring's, so every value is `v0 + n·d` modulo 2^64 as long
-//! as no product has two factors that depend on `n`. A comparison, or a
-//! branch on a value, that depends on `n` is a test: solving it
-//! ([`first_exit`]) says for how many steps from 0 on it comes out as it
-//! does at 0 and keeps its operands inside `i64`, where the form is the
-//! value exactly. The steps every test admits agree on every comparison, so
-//! each result is a constant for them. A walk allocates nothing, and stops
-//! at anything else: a load, a store, an atomic, a launch, a barrier, a
-//! call, a float, a division, a product of two factors that depend on `n`,
-//! or its [`BLOCKS_MAX`]th block.
+//! each value held as `v0 + n·d`, an affine form in `n`. Its one `step`
+//! knows primitives only: what [`Instr::loop_pure`] accepts, and a kernel's
+//! `RetVoid`; a superinstruction runs as its [`Instr::expansion`]. It reads
+//! the lane's locals, which must hold `Int`s or a `dim3` that only
+//! `Dim3Member` reads, and takes at each branch the direction step 0
+//! takes. Wrapping `+`, `-` and `*` are a ring's, so every value is
+//! `v0 + n·d` modulo 2^64 as long as no product has two factors that depend
+//! on `n`. A comparison, or a branch on a value, that depends on `n` is a
+//! test: solving it ([`first_exit`]) says for how many steps from 0 on it
+//! comes out as it does at 0 and keeps its operands inside `i64`, where the
+//! form is the value exactly. The steps every test admits agree on every
+//! comparison, so each result is a constant for them. A walk allocates
+//! nothing, does not begin a block holding anything else (a load, a store,
+//! an atomic, a launch, a barrier, a call, a float, a division), and stops
+//! at a product of two factors that depend on `n` or at its
+//! [`BLOCKS_MAX`]th block.
 //!
 //! **Lanes** ([`lanes`]). Lane `t + n` reads `threadIdx.x = t + n`. At its
 //! start point — its kernel's entry, or the end of its replayed or recorded
@@ -30,24 +31,31 @@
 //! the same instruction the same way, so they run as usual and the next
 //! walk is tried at the lane after them.
 //!
-//! **Loop iterations** ([`iterations`]). At table build, [`loops`] marks
+//! **Loop iterations** ([`iterations`]). At table build, [`loops`] finds
 //! each loop that has a pure way round: its head is the target of a
-//! backward `Jump`, its back edge. A skip is tried at the head's in-loop
-//! successor, so a lane leaving the loop never tries; and only by a lane
-//! that came round the loop: the back edge sets the thread's `looped` flag
-//! and trying clears it. So a loop that a lane runs once — a coarsened
-//! child's grid-stride loop, most often — costs nothing, and of a run of
-//! idle iterations the loop's first and last are interpreted. A try walks
-//! one iteration, from the try point round to it through each block once,
-//! with every value constant. That finds the induction variable, the one
-//! local the iteration reads before it writes it, and its step `s`; every
-//! other local it writes must be written before it is read, and the stack
-//! must end where it began and never be read below that. A second walk
-//! reads the induction variable as `iv + n·s`, so every value is affine in
-//! the iteration number `n`, and the variable must end it as `iv + (n+1)·s`.
-//! The lane's locals move to where `k` iterations leave them, `k` being the
-//! first a test fails at (or what the budget covers); it is charged `k`
-//! times the iteration's summed block charges, and then it runs on as usual.
+//! backward `Jump`, its back edge, and its try point is the head's in-loop
+//! successor, where an iteration begins. Only a lane that came round the
+//! loop tries: the back edge notes, in the thread's `looped`, at which
+//! instruction count the lane will end the iteration's first block. That
+//! block runs as usual, and decides: a lane that goes on into an impure
+//! block is busy and pays nothing more, and one that reaches a pure block
+//! at exactly that count came straight from it, and tries. So a loop that a
+//! lane runs once — a coarsened child's grid-stride loop, most often —
+//! costs nothing, a busy iteration costs a comparison, and of a run of idle
+//! iterations the loop's first and last are interpreted. A try walks one
+//! iteration, from the try point round to it, going back once, with every
+//! value constant: the first block does not read a local it writes before
+//! writing it, so running it again over what it left computes what it
+//! computed. That walk finds the induction variable, the one local the
+//! iteration reads before it writes it, and its step `s`; every other local
+//! it writes must be written before it is read, and the stack must end
+//! where it began and never be read below that. A second walk reads the
+//! induction variable as `iv + n·s`, so every value is affine in the
+//! iteration number `n`, and the variable must end it as `iv + (n+1)·s`.
+//! The lane is moved back to the try point, uncharged the first block, and
+//! its locals move to where `k` iterations leave them, `k` being the first a
+//! test fails at (or what the budget covers); it is charged `k` times the
+//! iteration's summed block charges, and then it runs on as usual.
 
 use crate::bytecode::{BinKind, BlockCharge, CompiledFunction, Instr, Special, UnKind};
 use crate::machine::{BlockCtx, Thread};
@@ -167,8 +175,10 @@ struct Walk<'t> {
     /// Indices into the table's charges.
     entered: [u32; BLOCKS_MAX],
     blocks: usize,
-    /// The stack's depth after the first block.
-    first: usize,
+    /// Where the lane is: the blocks the walk entered before it first
+    /// reached that leader, and the stack's depth there.
+    then: usize,
+    first: Option<(usize, usize)>,
 }
 
 impl<'t> Walk<'t> {
@@ -191,7 +201,8 @@ impl<'t> Walk<'t> {
             admitted: i128::MAX,
             entered: [0; BLOCKS_MAX],
             blocks: 0,
-            first: 0,
+            then: thread.frame.pc,
+            first: None,
         }
     }
 
@@ -211,6 +222,9 @@ impl<'t> Walk<'t> {
             let Some(leader) = table.ops.get(at) else {
                 return Some(Exit::Return);
             };
+            if at == self.then && self.first.is_none() {
+                self.first = Some((self.blocks, self.len));
+            }
             // A block the walk cannot get through is not begun.
             if !table.pure[leader.charge as usize] || self.blocks == BLOCKS_MAX {
                 return None;
@@ -229,9 +243,6 @@ impl<'t> Walk<'t> {
                     }
                 }
             }
-            if self.blocks == 1 {
-                self.first = self.len;
-            }
             if round && next <= at && std::mem::replace(&mut back, true) {
                 return None;
             }
@@ -248,10 +259,10 @@ impl<'t> Walk<'t> {
         self.run(table, pc, true) == Some(Exit::Round) && self.len == 0
     }
 
-    /// What the blocks entered charge.
-    fn charge(&self, table: &FuncTable) -> Charge {
+    /// What the first `n` blocks entered charge.
+    fn charge(&self, table: &FuncTable, n: usize) -> Charge {
         let mut charge = Charge::default();
-        for &b in &self.entered[..self.blocks] {
+        for &b in &self.entered[..n] {
             charge.add(&table.charges[b as usize]);
         }
         charge
@@ -458,7 +469,7 @@ pub(crate) fn lanes(
         }
     }
     match w.run(table, thread.frame.pc, false) {
-        Some(_) => Route::Idle(w.admitted(), w.charge(table)),
+        Some(_) => Route::Idle(w.admitted(), w.charge(table, w.blocks)),
         None => Route::Busy(w.admitted()),
     }
 }
@@ -475,7 +486,6 @@ pub(crate) fn lanes(
 pub(crate) fn iterations(table: &FuncTable, at: u32, s: &mut StepCtx<'_, '_>) -> bool {
     s.thread.looped = None;
     let at = at as usize;
-    let first = &table.charges[table.ops[at].charge as usize];
     let (thread, dim3s) = (&*s.thread, &*s.env.dim3s);
     // The induction variable: the one local the iteration carries.
     let mut w = Walk::new(thread, s.block, dim3s, Steps::Iterations(None));
@@ -506,18 +516,21 @@ pub(crate) fn iterations(table: &FuncTable, at: u32, s: &mut StepCtx<'_, '_>) ->
         }) if next.d == step => {}
         _ => return false,
     }
-    let charge = w.charge(table);
-    // The first block ran and was charged: the budget before it is what
-    // the skipped iterations may spend.
+    // The first blocks ran and were charged: what they left on the stack
+    // is dropped with them, and the budget before them is what the skipped
+    // iterations may spend.
+    let Some((n, left)) = w.first else {
+        return false;
+    };
+    let Some(depth) = s.thread.stack.len().checked_sub(left) else {
+        return false;
+    };
+    let (first, charge) = (w.charge(table, n), w.charge(table, w.blocks));
     let budget = *s.env.instr_budget + first.width;
     let k = w.admitted().min(budget / charge.width);
     if k == 0 {
         return false;
     }
-    // What the first block left on the stack is dropped with it.
-    let Some(depth) = s.thread.stack.len().checked_sub(w.first) else {
-        return false;
-    };
     let (locals, used) = (w.locals, w.used);
     // Each local the iteration writes holds what iteration `k - 1` left.
     for l in locals[..used].iter().filter(|l| l.written) {
@@ -582,16 +595,32 @@ pub(crate) fn loops(
                 _ => head,
             },
         };
-        let Some(a) =
-            block(at).filter(|&a| reruns(&f.code[at as usize..][..charges[a].len as usize]))
-        else {
+        let Some(a) = block(at) else {
             continue;
         };
-        let then: Vec<u32> = (successors(&f.code, &charges[a]).into_iter().flatten())
-            .filter(|&t| t != at && block(t).is_some_and(|b| pure[b]))
-            .collect();
-        if !then.is_empty() && pure_way_round(&f.code, charges, pure, a) {
-            let width = charges[a].width + if a == h { 0 } else { charges[h].width };
+        // The iteration's first blocks: the try point's, and each pure one
+        // it alone leads into, up to one that branches.
+        let mut first = vec![a];
+        while let [None, Some(t)] | [Some(t), None] = successors(&f.code, &charges[first[0]]) {
+            match block(t) {
+                Some(b) if pure[b] && !first.contains(&b) && first.len() < BLOCKS_MAX => {
+                    first.insert(0, b)
+                }
+                _ => break,
+            }
+        }
+        let code = |b: &usize| &f.code[charges[*b].start as usize..][..charges[*b].len as usize];
+        let then: Vec<u32> = (successors(&f.code, &charges[first[0]])
+            .into_iter()
+            .flatten())
+        .filter(|&t| t != at && block(t).is_some_and(|b| pure[b]))
+        .collect();
+        if !then.is_empty()
+            && reruns(first.iter().rev().flat_map(code))
+            && pure_way_round(&f.code, charges, pure, a)
+        {
+            let head = if a == h { 0 } else { charges[h].width };
+            let width = head + first.iter().map(|&b| charges[b].width).sum::<u64>();
             found.push((at, back, width, then));
         }
     }
@@ -608,10 +637,9 @@ fn successors(code: &[Instr], block: &BlockCharge) -> [Option<u32>; 2] {
     }
 }
 
-/// Whether a block, run again from its leader over the locals it left,
-/// computes what it computed: it reads no local before writing it that it
-/// writes.
-fn reruns(code: &[Instr]) -> bool {
+/// Whether straight-line code, run again over the locals it left, computes
+/// what it computed: it reads no local before writing it that it writes.
+fn reruns<'c>(code: impl Iterator<Item = &'c Instr>) -> bool {
     let (mut read, mut written) = (Vec::new(), Vec::new());
     for instr in code {
         let parts = instr.expansion();
