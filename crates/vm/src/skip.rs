@@ -598,8 +598,14 @@ pub(crate) fn loops(
         let Some(a) = block(at) else {
             continue;
         };
+        if !pure_way_round(&f.code, charges, pure, a) {
+            continue;
+        }
         // The iteration's first blocks: the try point's, and each pure one
-        // it alone leads into, up to one that branches.
+        // it alone leads into, up to one that branches. A lane is tried
+        // where they lead on purely; where running them again would not
+        // compute what they computed, there are none, and it is tried at
+        // the try point.
         let mut first = vec![a];
         while let [None, Some(t)] | [Some(t), None] = successors(&f.code, &charges[first[0]]) {
             match block(t) {
@@ -610,19 +616,18 @@ pub(crate) fn loops(
             }
         }
         let code = |b: &usize| &f.code[charges[*b].start as usize..][..charges[*b].len as usize];
-        let then: Vec<u32> = (successors(&f.code, &charges[first[0]])
-            .into_iter()
-            .flatten())
-        .filter(|&t| t != at && block(t).is_some_and(|b| pure[b]))
-        .collect();
-        if !then.is_empty()
-            && reruns(first.iter().rev().flat_map(code))
-            && pure_way_round(&f.code, charges, pure, a)
-        {
-            let head = if a == h { 0 } else { charges[h].width };
-            let width = head + first.iter().map(|&b| charges[b].width).sum::<u64>();
-            found.push((at, back, width, then));
+        if !reruns(first.iter().rev().flat_map(code)) {
+            first.clear();
         }
+        let then: Vec<u32> = match first.first() {
+            Some(&last) => (successors(&f.code, &charges[last]).into_iter().flatten())
+                .filter(|&t| t != at && block(t).is_some_and(|b| pure[b]))
+                .collect(),
+            None => vec![at],
+        };
+        let head = if a == h { 0 } else { charges[h].width };
+        let width = head + first.iter().map(|&b| charges[b].width).sum::<u64>();
+        found.push((at, back, width, then));
     }
     found
 }

@@ -1638,6 +1638,83 @@ fn skipped_loops_match_the_reference() {
     }
 }
 
+/// Loop shapes the thresholded serial loop does not have: a `while` loop
+/// that steps its counter first (the iteration's first block writes a
+/// local it read, so a lane is tried where the iteration begins), one that
+/// `continue`s back to its head through a second back edge, and a guard on
+/// a conditional expression, whose iteration has two pure ways round. Each
+/// agrees with `Match` fused and unfused at every budget, and pins the
+/// iterations skipped. The first two skip what the table-build summaries
+/// did before one walk replaced them; those gave up on a loop with two pure
+/// ways round, and the walk takes the one the lane takes.
+#[test]
+fn loops_that_do_not_begin_with_their_test_match_the_reference() {
+    let cases = [
+        SkipCase {
+            name: "a while loop that steps its counter first",
+            src: "__global__ void k(int* d, float* f, int n) { \
+                      int at = blockIdx.x * 8 + threadIdx.x; int i = threadIdx.x; \
+                      while (i < 40) { i = i + 3; \
+                          if (i == 31) { d[at] = d[at] * 3 + i; } } }",
+            threads: 3,
+            d_init: vec![],
+            skipped: 66,
+            every_budget: true,
+        },
+        SkipCase {
+            name: "a while loop that continues to its head",
+            src: "__global__ void k(int* d, float* f, int n) { \
+                      int at = blockIdx.x * 8 + threadIdx.x; int i = 0; \
+                      while (i < 30) { i = i + 1; \
+                          if (i < 20 + threadIdx.x) { continue; } \
+                          d[at] = d[at] + i; } }",
+            threads: 3,
+            d_init: vec![],
+            skipped: 114,
+            every_budget: false,
+        },
+        SkipCase {
+            name: "a conditional expression in the guard",
+            src: "__global__ void k(int* d, float* f, int n) { \
+                      int at = blockIdx.x * 8 + threadIdx.x; \
+                      for (int i = 0; i < 24; ++i) { \
+                          int e = (i < 12 ? i : 24 - i) + threadIdx.x; \
+                          if (e > 9) { d[at] = d[at] * 3 + i; } } }",
+            threads: 3,
+            d_init: vec![],
+            skipped: 90,
+            every_budget: false,
+        },
+    ];
+    for case in &cases {
+        let name = case.name;
+        for fuse in [true, false] {
+            let run = |dispatch, budget| {
+                run_prefix_case(case.src, &case.d_init, case.threads, fuse, dispatch, budget)
+            };
+            let (reference, _) = run(DispatchMode::Match, u64::MAX);
+            let (got, profile) = run(DispatchMode::Threaded, u64::MAX);
+            assert_eq!(got, reference, "{name}, fuse={fuse}");
+            assert!(reference.outcome.is_ok(), "{name}: {:?}", reference.outcome);
+            assert_eq!(
+                profile.skipped_iterations, case.skipped,
+                "{name}, fuse={fuse}"
+            );
+            if !case.every_budget {
+                continue;
+            }
+            let charged = u64::MAX - reference.left;
+            for budget in 0..=charged + 1 {
+                assert_eq!(
+                    run(DispatchMode::Threaded, budget).0,
+                    run(DispatchMode::Match, budget).0,
+                    "{name}, fuse={fuse}, budget {budget} of {charged}"
+                );
+            }
+        }
+    }
+}
+
 // ----------------------------------------------------------------------
 // Skipped lanes
 // ----------------------------------------------------------------------
