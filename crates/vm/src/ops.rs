@@ -535,14 +535,14 @@ pub(crate) fn build_tables(module: &Module, cost: &CostModel) -> Vec<FuncTable> 
             for (i, block) in charges.iter().enumerate() {
                 ops[block.start as usize].charge = i as u32;
             }
-            let pure = (charges.iter())
+            let pure: Box<[bool]> = (charges.iter())
                 .map(|b| {
                     f.code[b.start as usize..][..b.len as usize]
                         .iter()
                         .all(|i| i.loop_pure() || *i == Instr::RetVoid)
                 })
                 .collect();
-            for (at, back, width, then) in skip::loops(f, &charges) {
+            for (at, back, width, then) in skip::loops(f, &charges, &pure) {
                 for pc in then {
                     let op = &mut ops[pc as usize];
                     if op.skip == NO_SKIP {

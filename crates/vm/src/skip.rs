@@ -32,30 +32,27 @@
 //! walk is tried at the lane after them.
 //!
 //! **Loop iterations** ([`iterations`]). At table build, [`loops`] finds
-//! each loop that has a pure way round: its head is the target of a
-//! backward `Jump`, its back edge, and its try point is the head's in-loop
-//! successor, where an iteration begins. Only a lane that came round the
-//! loop tries: the back edge notes, in the thread's `looped`, at which
-//! instruction count the lane will end the iteration's first block. That
-//! block runs as usual, and decides: a lane that goes on into an impure
-//! block is busy and pays nothing more, and one that reaches a pure block
-//! at exactly that count came straight from it, and tries. So a loop that a
-//! lane runs once — a coarsened child's grid-stride loop, most often —
-//! costs nothing, a busy iteration costs a comparison, and of a run of idle
-//! iterations the loop's first and last are interpreted. A try walks one
-//! iteration, from the try point round to it, going back once, with every
-//! value constant: the first block does not read a local it writes before
-//! writing it, so running it again over what it left computes what it
-//! computed. That walk finds the induction variable, the one local the
-//! iteration reads before it writes it, and its step `s`; every other local
-//! it writes must be written before it is read, and the stack must end
-//! where it began and never be read below that. A second walk reads the
-//! induction variable as `iv + n·s`, so every value is affine in the
-//! iteration number `n`, and the variable must end it as `iv + (n+1)·s`.
-//! The lane is moved back to the try point, uncharged the first block, and
-//! its locals move to where `k` iterations leave them, `k` being the first a
-//! test fails at (or what the budget covers); it is charged `k` times the
-//! iteration's summed block charges, and then it runs on as usual.
+//! each loop with a pure way round: its head is the target of a backward
+//! `Jump`, and its try point, where an iteration begins, the head's in-loop
+//! successor. Its first blocks are the try point's and each pure one that
+//! alone leads into, up to a branch. The back edge notes, in the thread's
+//! `looped`, the instruction count at which the lane will end them; they
+//! run as usual, and a lane that reaches a pure block at exactly that count
+//! came straight from them, and tries. So a loop a lane runs once costs
+//! nothing, a busy iteration costs a comparison, and of a run of idle
+//! iterations the loop's first and last are interpreted. A try moves the
+//! lane back to the try point, so the first blocks must not read a local
+//! they write before writing it (where they do, a lane tries at the try
+//! point itself). It walks one iteration round, going back once, with every
+//! value constant, to find the induction variable — the one local the
+//! iteration reads before writing it, every other local it writes being
+//! written first — and its step `s`; the stack must end where it began and
+//! never be read below that. A second walk reads the induction variable as
+//! `iv + n·s`, so every value is affine in the iteration number `n`, and
+//! the variable must end it as `iv + (n+1)·s`. The lane's locals move to
+//! where `k` iterations leave them, `k` being the first a test fails at (or
+//! what the budget covers); it is uncharged the first blocks and charged `k`
+//! times the iteration's summed block charges, and then runs on as usual.
 
 use crate::bytecode::{BinKind, BlockCharge, CompiledFunction, Instr, Special, UnKind};
 use crate::machine::{BlockCtx, Thread};
@@ -566,23 +563,14 @@ pub(crate) fn iterations(table: &FuncTable, at: u32, s: &mut StepCtx<'_, '_>) ->
 pub(crate) fn loops(
     f: &CompiledFunction,
     charges: &[BlockCharge],
+    pure: &[bool],
 ) -> Vec<(u32, u32, u64, Vec<u32>)> {
     let backs = (f.code.iter().enumerate()).filter_map(|(pc, instr)| match *instr {
         Instr::Jump(head) if head as usize <= pc => Some((head, pc as u32)),
         _ => None,
     });
-    let mut pure: Option<Vec<bool>> = None;
     let mut found = Vec::new();
     for (head, back) in backs {
-        let pure = pure.get_or_insert_with(|| {
-            (charges.iter())
-                .map(|b| {
-                    f.code[b.start as usize..][..b.len as usize]
-                        .iter()
-                        .all(Instr::loop_pure)
-                })
-                .collect()
-        });
         let block = |pc: u32| charges.binary_search_by_key(&pc, |b| b.start).ok();
         let Some(h) = block(head) else {
             continue;
@@ -637,6 +625,7 @@ pub(crate) fn loops(
 fn successors(code: &[Instr], block: &BlockCharge) -> [Option<u32>; 2] {
     let end = block.start + block.len;
     match code[end as usize - 1] {
+        Instr::RetVoid => [None, None],
         Instr::Jump(t) => [Some(t), None],
         last => [last.branch_target(), Some(end)],
     }
@@ -660,8 +649,7 @@ fn reruns<'c>(code: impl Iterator<Item = &'c Instr>) -> bool {
     true
 }
 
-/// Whether a path of [`Instr::loop_pure`] blocks leads from block `at` back
-/// to it.
+/// Whether a path of pure blocks leads from block `at` back to it.
 fn pure_way_round(code: &[Instr], charges: &[BlockCharge], pure: &[bool], at: usize) -> bool {
     let mut seen = vec![false; charges.len()];
     let mut todo = vec![at];

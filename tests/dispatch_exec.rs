@@ -1643,10 +1643,9 @@ fn skipped_loops_match_the_reference() {
 /// local it read, so a lane is tried where the iteration begins), one that
 /// `continue`s back to its head through a second back edge, and a guard on
 /// a conditional expression, whose iteration has two pure ways round. Each
-/// agrees with `Match` fused and unfused at every budget, and pins the
-/// iterations skipped. The first two skip what the table-build summaries
-/// did before one walk replaced them; those gave up on a loop with two pure
-/// ways round, and the walk takes the one the lane takes.
+/// agrees with `Match` fused and unfused, the first at every budget, and
+/// pins the iterations skipped: a lane skips along the way round it takes,
+/// so the third skips too.
 #[test]
 fn loops_that_do_not_begin_with_their_test_match_the_reference() {
     let cases = [
