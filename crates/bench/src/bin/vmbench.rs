@@ -276,7 +276,7 @@ fn main() {
     // Bézier tessellation: float-dominated with per-line child kernels.
     let bt_input = BenchInput::Bezier(bezier_lines((600.0 * scale) as usize, 32, 16.0, 42));
     // Triangle counting on KRON at its floor size: every scan and
-    // binary-search iteration loads, so nothing is replayed or skipped.
+    // binary-search iteration loads, so no loop skip applies.
     let tc_input = DatasetId::Kron.instantiate((0.001 * scale).min(1.0), 42);
     // Frontier expansion: many-block grids + one multi-block child
     // launch per parent block.

@@ -609,7 +609,7 @@ pub(crate) fn loops(
         }
         let then: Vec<u32> = match first.first() {
             Some(&last) => (successors(&f.code, &charges[last]).into_iter().flatten())
-                .filter(|&t| t != at && block(t).is_some_and(|b| pure[b]))
+                .filter(|&t| block(t).is_some_and(|b| pure[b] && !first.contains(&b)))
                 .collect(),
             None => vec![at],
         };

@@ -1641,11 +1641,13 @@ fn skipped_loops_match_the_reference() {
 /// Loop shapes the thresholded serial loop does not have: a `while` loop
 /// that steps its counter first (the iteration's first block writes a
 /// local it read, so a lane is tried where the iteration begins), one that
-/// `continue`s back to its head through a second back edge, and a guard on
-/// a conditional expression, whose iteration has two pure ways round. Each
+/// `continue`s back to its head through a second back edge, a `do`-`while`
+/// loop among the iteration's first blocks, which goes round twice and is
+/// not skipped, and a guard on a conditional expression, whose iteration
+/// has two pure ways round. Each
 /// agrees with `Match` fused and unfused, the first at every budget, and
 /// pins the iterations skipped: a lane skips along the way round it takes,
-/// so the third skips too.
+/// so the last skips too.
 #[test]
 fn loops_that_do_not_begin_with_their_test_match_the_reference() {
     let cases = [
@@ -1670,6 +1672,18 @@ fn loops_that_do_not_begin_with_their_test_match_the_reference() {
             threads: 3,
             d_init: vec![],
             skipped: 114,
+            every_budget: false,
+        },
+        SkipCase {
+            name: "a do-while loop at the start of the iteration",
+            src: "__global__ void k(int* d, float* f, int n) { \
+                      int at = blockIdx.x * 8 + threadIdx.x; \
+                      for (int i = 0; i < 24; ++i) { \
+                          int j = 0; do { j = j + 1; } while (j < 2); \
+                          if (i + j > 20 + threadIdx.x) { d[at] = d[at] * 3 + i; } } }",
+            threads: 3,
+            d_init: vec![],
+            skipped: 0,
             every_budget: false,
         },
         SkipCase {
