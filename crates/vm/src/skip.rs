@@ -70,7 +70,7 @@ const STACK_MAX: usize = 8;
 const LOCALS_MAX: usize = 16;
 
 /// A value at step `n`: `v0 + n·d`, modulo 2^64.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 struct Affine {
     v0: i64,
     d: i64,
@@ -555,11 +555,12 @@ pub(crate) fn iterations(table: &FuncTable, at: u32, s: &mut StepCtx<'_, '_>) ->
 }
 
 /// The loops of `f` with a pure way round (module doc): each one's try
-/// point, back edge, the instructions from the back edge to the end of the
-/// try point's block, and the blocks that block goes on to that a pure way
-/// round may take. A loop's try point is its head's fall-through where the
-/// head ends in a branch out of the loop, and its head otherwise. A
-/// function without a backward `Jump` costs one scan of its code.
+/// point, back edge, the instructions from the back edge to the end of its
+/// first blocks, and the leaders a lane tries at: the pure blocks the first
+/// blocks go on to, or the try point where there are none. A loop's try
+/// point is its head's fall-through where the head ends in a branch out of
+/// the loop, and its head otherwise. A function without a backward `Jump`
+/// costs one scan of its code.
 pub(crate) fn loops(
     f: &CompiledFunction,
     charges: &[BlockCharge],
