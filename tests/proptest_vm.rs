@@ -1,8 +1,8 @@
 //! Property tests for the VM: arithmetic agrees with a host-side reference
 //! evaluator, atomics are linearizable, the aggregation scan invariant
 //! holds on random degree distributions, and a replayed uniform prefix, a
-//! skipped loop and a skipped lane agree with the reference interpreter on
-//! generated kernels.
+//! skipped loop (counted, `while` and `do`-`while`) and a skipped lane agree
+//! with the reference interpreter on generated kernels.
 
 use dpopt::core::{AggConfig, AggGranularity, Compiler, OptConfig};
 use dpopt::vm::bytecode::Instr;
@@ -706,6 +706,88 @@ proptest! {
         let src = loop_kernel(&l);
         let run = |fuse, dispatch| {
             run_loop_case(&src, [p0, p1, p2], 0, (blocks, threads), fuse, dispatch, budget)
+        };
+        for fuse in [true, false] {
+            let reference = run(fuse, DispatchMode::Match);
+            let got = run(fuse, DispatchMode::Threaded);
+            prop_assert_eq!(&got, &reference, "fuse={}, budget {}:\n{}", fuse, budget, src);
+        }
+    }
+}
+
+/// One generated loop of a shape the counted loops above do not have: a
+/// `while` loop that steps its counter first, one that also `continue`s
+/// through a second back edge, or a `do`-`while` loop; its counter's step
+/// and bound, the temporary its guard reads, and the guard.
+#[derive(Debug, Clone)]
+struct ShapedLoop {
+    shape: usize,
+    step: i64,
+    bound: i64,
+    temp: usize,
+    cmp: usize,
+    operand: i64,
+}
+
+fn arb_shaped_loop() -> impl Strategy<Value = ShapedLoop> {
+    (
+        0usize..3,
+        1i64..4,
+        0i64..40,
+        (0usize..4, 0usize..6, 0i64..40),
+    )
+        .prop_map(|(shape, step, bound, (temp, cmp, operand))| ShapedLoop {
+            shape,
+            step,
+            bound,
+            temp,
+            cmp,
+            operand,
+        })
+}
+
+fn shaped_loop_kernel(l: &ShapedLoop) -> String {
+    let temp = [
+        "int e = i * 2;",
+        "int e = i + p0; e = e - 1;",
+        "int e = (i < 7 ? i : 7 - i);",
+        "int e = i - threadIdx.x;",
+    ][l.temp];
+    let guard = format!("e + threadIdx.x {} {}", CMPS[l.cmp], l.operand);
+    let body = format!("{temp} if ({guard}) {{ d[at] = d[at] * 3 + i; }}");
+    let (step, bound) = (l.step, l.bound);
+    let lp = match l.shape {
+        0 => format!("int i = threadIdx.x; while (i < {bound}) {{ i = i + {step}; {body} }}"),
+        1 => format!(
+            "int i = threadIdx.x; while (i < {bound}) {{ i += {step}; \
+             if (i > p1 * 9) {{ continue; }} {body} }}"
+        ),
+        _ => format!("int i = 0; do {{ i = i + {step}; {body} }} while (i < {bound});"),
+    };
+    format!(
+        "__global__ void k(int* d, int p0, int p1, int p2) {{ \
+         int at = blockIdx.x * blockDim.x + threadIdx.x; {lp} }}"
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The same agreement on loops that do not begin with their test: a
+    /// lane tries once the iteration's first blocks have led it on purely,
+    /// or at the try point where those blocks rewrite a local they read.
+    #[test]
+    fn loops_of_other_shapes_match_the_reference_on_generated_kernels(
+        l in arb_shaped_loop(),
+        p0 in -10i64..40,
+        p1 in 1i64..4,
+        blocks in 1i64..3,
+        threads in 1i64..8,
+        budget in (0i64..4, 0i64..3000).prop_map(|(b, n)| if b == 0 { n as u64 } else { u64::MAX }),
+    ) {
+        let src = shaped_loop_kernel(&l);
+        let run = |fuse, dispatch| {
+            run_loop_case(&src, [p0, p1, 0], 0, (blocks, threads), fuse, dispatch, budget)
         };
         for fuse in [true, false] {
             let reference = run(fuse, DispatchMode::Match);
