@@ -1,5 +1,12 @@
 //! The end-to-end compiler: CUDA-subset source → optimization passes →
 //! transformed source → executable module.
+//!
+//! A compiled program is its outputs — bytecode, manifest and transformed
+//! text. The AST is only how the compiler gets there: [`Compiler::compile`]
+//! frees it before returning, while its nodes are still in cache, rather
+//! than whenever the last handle to the [`Compiled`] goes (in a daemon,
+//! when the cache evicts the entry, on some later request's path). A caller
+//! that needs the tree asks [`Compiler::transform`] for it.
 
 use crate::error::Result;
 use crate::executor::Executor;
@@ -87,19 +94,31 @@ impl Compiler {
         self
     }
 
-    /// Parses, transforms, pretty-prints, and lowers `source`.
+    /// Parses `source` and runs the configured passes over it: the
+    /// transformed tree (with origin tags) and what the passes did.
+    ///
+    /// # Errors
+    ///
+    /// Returns parse errors from the frontend.
+    pub fn transform(&self, source: &str) -> Result<(Program, TransformManifest)> {
+        let mut program = dp_frontend::parse(source)?;
+        let manifest = apply_pipeline(&mut program, &self.config);
+        Ok((program, manifest))
+    }
+
+    /// Transforms, pretty-prints, and lowers `source`. The tree is freed
+    /// before this returns; [`Compiler::transform`] is the way to keep it.
     ///
     /// # Errors
     ///
     /// Returns parse errors from the frontend or lowering errors if the
     /// (transformed) program falls outside the executable subset.
     pub fn compile(&self, source: &str) -> Result<Compiled> {
-        let mut program = dp_frontend::parse(source)?;
-        let manifest = apply_pipeline(&mut program, &self.config);
+        let (program, manifest) = self.transform(source)?;
         let transformed_source = print_program(&program);
         let module = compile_program_with(&program, self.lower)?;
+        drop(program);
         Ok(Compiled {
-            program,
             transformed_source,
             manifest,
             module,
@@ -112,12 +131,12 @@ impl Compiler {
 
 /// A [`Compiled`] shared across threads.
 ///
-/// A compiled program is immutable once built — pure data (AST, bytecode,
-/// manifest, cost tables) with no interior mutability — so one compilation
-/// can fan out to any number of worker threads, each creating its own
-/// [`Executor`] via [`Compiled::executor`]. The sweep engine compiles each
-/// distinct (source, configuration) pair once and shares the handle across
-/// its worker pool.
+/// A compiled program is immutable once built — pure data (bytecode,
+/// manifest, transformed text, cost tables) with no interior mutability —
+/// so one compilation can fan out to any number of worker threads, each
+/// creating its own [`Executor`] via [`Compiled::executor`]. The sweep
+/// engine compiles each distinct (source, configuration) pair once and
+/// shares the handle across its worker pool.
 pub type SharedCompiled = std::sync::Arc<Compiled>;
 
 // `Compiled` must stay shareable across threads (the sweep engine's worker
@@ -128,10 +147,10 @@ const _: () = {
     assert_send_sync::<Compiled>();
 };
 
-/// A compiled program: transformed AST/source, manifest, and bytecode.
+/// A compiled program: bytecode, manifest, and transformed source. It holds
+/// no AST; [`Compiler::transform`] gives the tree to a caller that needs it.
 #[derive(Debug, Clone)]
 pub struct Compiled {
-    program: Program,
     transformed_source: String,
     manifest: TransformManifest,
     module: Module,
@@ -141,11 +160,6 @@ pub struct Compiled {
 }
 
 impl Compiled {
-    /// The transformed program (with origin tags).
-    pub fn program(&self) -> &Program {
-        &self.program
-    }
-
     /// The transformed source text (what the paper's source-to-source
     /// compiler would write to the output `.cu` file).
     pub fn transformed_source(&self) -> &str {

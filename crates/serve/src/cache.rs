@@ -144,8 +144,8 @@ impl CompiledCache {
             (slot, evicted)
         };
         // Freed here, not under the lock every hit on every session takes:
-        // the last handle to a compilation is an AST, a module, a manifest
-        // and a source string.
+        // the last handle to a compilation is a module, a manifest and a
+        // source string.
         drop(evicted);
         // The slot must be filled even if the compiler panics: a forever-
         // pending slot would hang every later request for this key (and,

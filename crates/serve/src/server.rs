@@ -77,6 +77,7 @@ use crate::proto::{
 };
 use dp_core::{Compiler, OptConfig, SharedCompiled, TimingParams};
 use dp_faults::{FaultKind, FaultPlan, FaultPoint};
+use dp_frontend::ast::FnQual;
 use dp_obs::json::{self, object, Json};
 use dp_obs::metrics::{Counter, Histogram};
 use dp_pool::Pool;
@@ -1064,9 +1065,10 @@ fn dispatch(
         Request::Compile { source, config } => {
             let (compile_key, compiled) = cached_compile(state, &source, &config, id)?;
             let kernels: Vec<Json> = compiled
-                .program()
-                .functions()
-                .filter(|f| f.is_kernel())
+                .module()
+                .functions
+                .iter()
+                .filter(|f| f.qual == FnQual::Global)
                 .map(|f| Json::Str(f.name.as_str().to_owned()))
                 .collect();
             proto::ok_response(

@@ -482,6 +482,32 @@ fn transform_keeps_directive_bytes_and_rejects_degenerate_tuning() {
     client.request(&bare_request("shutdown")).expect("shutdown");
 }
 
+/// A `compile` answer lists the `__global__` functions of the lowered
+/// module. Under T+C+A that includes the generated `child_agg` and leaves
+/// out `child_serial`, the `__device__` body thresholding adds. The whole
+/// line is pinned.
+#[test]
+fn compile_lists_generated_kernels_but_no_device_functions() {
+    let endpoint = start_server();
+    let mut client = Client::connect(&endpoint).expect("connect");
+    let src = Json::Str(SRC.to_string()).to_string();
+    let answer = client
+        .roundtrip_line(&format!(
+            r#"{{"op":"compile","source":{src},"threshold":32,"coarsen":2,"agg":"block","id":1}}"#
+        ))
+        .expect("round-trip")
+        .expect("server answered");
+    assert_eq!(
+        answer,
+        concat!(
+            r#"{"diagnostics":[],"id":1,"kernels":["child","child_agg","parent"],"#,
+            r#""key":"53d2f1fd8065300c","ok":true,"op":"compile"}"#,
+            "\n"
+        )
+    );
+    client.request(&bare_request("shutdown")).expect("shutdown");
+}
+
 /// A `sweep-cell` pairing a benchmark with a dataset its driver cannot read
 /// is refused where it is parsed, with one short line — it used to reach
 /// the driver, panic there, and answer with a dump of the whole input.

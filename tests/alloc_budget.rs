@@ -22,6 +22,18 @@
 //! Parsing alone has its own budget. It made 173 allocations while each of
 //! BFS's 73 identifiers was a `String`; a name stored inline makes 100,
 //! the token vector and the tree's own vectors and boxes.
+//!
+//! The same test counts the frees of dropping that compile's `Compiled`,
+//! which in a daemon happens when the cache evicts it, on a later request's
+//! path:
+//!
+//! | | blocks freed when a `Compiled` drops |
+//! |---|---|
+//! | it holds the transformed tree | 650 |
+//! | the tree is freed inside `compile` | 69 |
+//!
+//! The bound is the last row: a `Compiled` that held the tree again would
+//! free it (some 500 to 1 000 blocks) wherever it was evicted.
 
 use dpopt::core::{AggConfig, AggGranularity, Compiler, OptConfig};
 use dpopt::workloads::benchmarks::{bfs::Bfs, Benchmark};
@@ -31,11 +43,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 struct Counting;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static FREES: AtomicU64 = AtomicU64::new(0);
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a relaxed statistic on the side.
-// (`realloc` keeps its default, which calls `alloc`, so a growing `Vec` or
-// `String` counts once per growth.)
+// `GlobalAlloc` contract; the counters are relaxed statistics on the side.
+// (`realloc` keeps its default, which calls `alloc` and `dealloc`, so a
+// growing `Vec` or `String` counts once per growth in each.)
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
@@ -44,6 +57,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        FREES.fetch_add(1, Ordering::Relaxed);
         // SAFETY: `ptr` came from `System.alloc` with this layout.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -58,8 +72,15 @@ fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (value, ALLOCATIONS.load(Ordering::Relaxed) - before)
 }
 
+fn frees_during(f: impl FnOnce()) -> u64 {
+    let before = FREES.load(Ordering::Relaxed);
+    f();
+    FREES.load(Ordering::Relaxed) - before
+}
+
 const COMPILE_ALLOCATIONS: u64 = 934;
 const PARSE_ALLOCATIONS: u64 = 100;
+const COMPILED_FREES: u64 = 69;
 
 #[test]
 fn one_compile_stays_inside_its_allocation_budget() {
@@ -73,10 +94,14 @@ fn one_compile_stays_inside_its_allocation_budget() {
 
     let (_, parse) = allocations_during(|| dpopt::frontend::parse(source).expect("parses"));
     let (compiled, compile) = allocations_during(|| compiler.compile(source).expect("compiles"));
-    let (printed, print) =
-        allocations_during(|| dpopt::frontend::print_program(compiled.program()));
+    let (program, _) = compiler.transform(source).expect("transforms");
+    let (printed, print) = allocations_during(|| dpopt::frontend::print_program(&program));
     assert_eq!(printed, compiled.transformed_source());
-    println!("compile: {compile} allocations, parse: {parse}, print_program: {print}");
+    let dropped = frees_during(|| drop(compiled));
+    println!(
+        "compile: {compile} allocations, parse: {parse}, print_program: {print}; \
+         dropping the compiled program: {dropped} frees"
+    );
 
     assert!(
         compile <= COMPILE_ALLOCATIONS,
@@ -91,5 +116,10 @@ fn one_compile_stays_inside_its_allocation_budget() {
         print <= 32,
         "print_program made {print} allocations for {} bytes; it should only grow its output",
         printed.len()
+    );
+    assert!(
+        dropped <= COMPILED_FREES,
+        "dropping the compiled program made {dropped} frees; the bound is \
+         {COMPILED_FREES}: does a `Compiled` hold the tree again?"
     );
 }

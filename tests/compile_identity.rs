@@ -20,7 +20,7 @@
 //! paste one only when that output is *meant* to change.
 
 use dpopt::core::{AggConfig, AggGranularity, Compiler, OptConfig};
-use dpopt::frontend::ast::Program;
+use dpopt::frontend::ast::{FnQual, Program};
 use dpopt::sweep::key::fnv1a;
 use dpopt::vm::bytecode::CompiledFunction;
 use dpopt::vm::{compile_program_unfused, Value};
@@ -74,20 +74,27 @@ fn configs() -> Vec<(String, OptConfig)> {
 /// the fuser made of it (the bytecode). A change to the VM's instruction
 /// set re-pins the second column and must leave the first alone. `Module`
 /// itself is not `{:?}`-ed: its `by_name` is a `HashMap` and prints in a
-/// per-process order.
+/// per-process order. A `Compiled` holds no tree, so the AST and manifest
+/// come from `Compiler::transform`, the path `compile` itself takes.
 fn digests(source: &str, config: OptConfig) -> (u64, u64) {
-    let compiled = Compiler::new()
-        .config(config)
-        .compile(source)
-        .expect("workload source compiles");
+    let compiler = Compiler::new().config(config);
+    let (program, manifest) = compiler
+        .transform(source)
+        .expect("workload source transforms");
+    let compiled = compiler.compile(source).expect("workload source compiles");
+    assert_eq!(
+        format!("{manifest:?}"),
+        format!("{:?}", compiled.manifest())
+    );
     let passes = format!(
         "{}\u{0}{:?}\u{0}{:?}",
         compiled.transformed_source(),
-        compiled.program(),
-        compiled.manifest(),
+        program,
+        manifest,
     );
     let functions = &compiled.module().functions;
-    widths_conserve_the_unfused_count(compiled.program(), functions, config);
+    widths_conserve_the_unfused_count(&program, functions, config);
+    kernels_are_the_global_functions(&program, functions, config);
     (
         fnv1a(passes.as_bytes()),
         fnv1a(format!("{functions:?}").as_bytes()),
@@ -113,6 +120,26 @@ fn widths_conserve_the_unfused_count(
         );
         assert_eq!(f.code.len(), f.origins.len(), "`{}`", f.name);
     }
+}
+
+/// The `compile` op of a daemon lists the module's `__global__` functions
+/// as the program's kernels: they are the tree's kernels, in program order.
+fn kernels_are_the_global_functions(
+    program: &Program,
+    functions: &[CompiledFunction],
+    config: OptConfig,
+) {
+    let from_module: Vec<&str> = functions
+        .iter()
+        .filter(|f| f.qual == FnQual::Global)
+        .map(|f| f.name.as_str())
+        .collect();
+    let from_tree: Vec<&str> = program
+        .functions()
+        .filter(|f| f.is_kernel())
+        .map(|f| f.name.as_str())
+        .collect();
+    assert_eq!(from_module, from_tree, "under {config:?}");
 }
 
 /// The passes' output — transformed source, AST (spans and origin tags) and

@@ -498,12 +498,13 @@ fn block_charges_summarise_the_ops_they_cover() {
     let (mut functions, mut blocks_seen, mut launches) = (0, 0, 0);
     for bench in all_benchmarks() {
         for variant in &variants {
-            let compiled = match variant {
-                None => Compiler::new().compile(bench.no_cdp_source()),
-                Some(config) => Compiler::new().config(*config).compile(bench.cdp_source()),
-            }
-            .expect("benchmark compiles");
-            let unfused = compile_program_unfused(compiled.program()).expect("lowers");
+            let (compiler, source) = match variant {
+                None => (Compiler::new(), bench.no_cdp_source()),
+                Some(config) => (Compiler::new().config(*config), bench.cdp_source()),
+            };
+            let compiled = compiler.compile(source).expect("benchmark compiles");
+            let (program, _) = compiler.transform(source).expect("benchmark transforms");
+            let unfused = compile_program_unfused(&program).expect("lowers");
             for f in compiled.module().functions.iter().chain(&unfused.functions) {
                 functions += 1;
                 let blocks = f.block_charges(&cost);
