@@ -17,7 +17,16 @@
 //!   outside the process (a request line is parsed before the auth check),
 //!   so a document nested deeper than [`MAX_DEPTH`] is a parse error, not a
 //!   stack overflow.
+//!
+//! The tree's scanner and writers are public, so that a reader or writer of
+//! one known document shape can skip the tree and still read and write
+//! every token byte for byte as the tree does: [`skip_ws`],
+//! [`parse_string`] and [`parse_number`] are the tokens [`parse`] reads,
+//! and [`write_string`], [`write_f64`] and [`Json::write`] are the text
+//! [`Display`](std::fmt::Display) writes. `dp-sweep`'s cache check and
+//! `dp-serve`'s hot requests and answers use them.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -91,30 +100,16 @@ impl Json {
         }
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends the value's compact text to `out` — the bytes
+    /// [`Display`](std::fmt::Display) writes, without a `String` of its own.
+    pub fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Int(v) => {
                 let _ = write!(out, "{v}");
             }
-            Json::Float(v) => {
-                // `{}` is the shortest exact representation; integral floats
-                // print without a fraction and would re-parse as Int, which
-                // `as_f64` converts back losslessly — except -0.0, whose
-                // `{}` form "-0" would reparse as integer 0 and lose the
-                // sign bit, so it keeps an explicit fraction, and past
-                // `i64`, where the parser refuses bare digits as an
-                // overflowing Int, so the float keeps an exponent.
-                assert!(v.is_finite(), "JSON cannot represent {v}");
-                if v.to_bits() == (-0.0f64).to_bits() {
-                    out.push_str("-0.0");
-                } else if v.abs() >= 9_223_372_036_854_775_808.0 {
-                    let _ = write!(out, "{v:e}");
-                } else {
-                    let _ = write!(out, "{v}");
-                }
-            }
+            Json::Float(v) => write_f64(out, *v),
             Json::Str(s) => write_string(out, s),
             Json::Array(items) => {
                 out.push('[');
@@ -152,9 +147,33 @@ impl std::fmt::Display for Json {
     }
 }
 
+/// Appends `v` to `out` as [`Json::Float`] writes it.
+///
+/// `{}` is the shortest exact representation; integral floats print without
+/// a fraction and would re-parse as Int, which `as_f64` converts back
+/// losslessly — except -0.0, whose `{}` form "-0" would reparse as integer 0
+/// and lose the sign bit, so it keeps an explicit fraction, and past `i64`,
+/// where the parser refuses bare digits as an overflowing Int, so the float
+/// keeps an exponent.
+///
+/// # Panics
+///
+/// Panics if `v` is not finite: JSON has no text for it.
+pub fn write_f64(out: &mut String, v: f64) {
+    assert!(v.is_finite(), "JSON cannot represent {v}");
+    if v.to_bits() == (-0.0f64).to_bits() {
+        out.push_str("-0.0");
+    } else if v.abs() >= 9_223_372_036_854_775_808.0 {
+        let _ = write!(out, "{v:e}");
+    } else {
+        let _ = write!(out, "{v}");
+    }
+}
+
 /// Appends `s` to `out` as a JSON string literal, quotes included — the
-/// one string writer (the trace emitter's line builder escapes through it).
-pub(crate) fn write_string(out: &mut String, s: &str) {
+/// one string writer: trees, the trace emitter's line builder and the
+/// daemon's directly written answers all escape through it.
+pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
     // Copy each run of bytes that need no escape with one `push_str`.
     // Every byte that does need one is ASCII, so a run always ends on a
@@ -211,7 +230,10 @@ pub fn parse(text: &str) -> Result<Json, String> {
     Ok(value)
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
+/// Moves `*pos` past the JSON whitespace (space, tab, `\n`, `\r`) at it —
+/// the whitespace [`parse`] skips between tokens.
+#[inline]
+pub fn skip_ws(bytes: &[u8], pos: &mut usize) {
     while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
         *pos += 1;
     }
@@ -277,7 +299,7 @@ fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String
                 }
             }
         }
-        Some(b'"') => parse_string(text, pos).map(Json::Str),
+        Some(b'"') => parse_string(text, pos).map(|s| Json::Str(s.into_owned())),
         Some(b't') => parse_keyword(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_keyword(bytes, pos, "null", Json::Null),
@@ -294,23 +316,39 @@ fn parse_keyword(bytes: &[u8], pos: &mut usize, word: &str, value: Json) -> Resu
     }
 }
 
-fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+/// Reads the string token whose opening quote is at `*pos` — the token
+/// [`parse`] reads for a string value or an object key — and leaves `*pos`
+/// after its closing quote. A string without escapes is borrowed from
+/// `text`; one with escapes is decoded into a `String` sized once, for the
+/// raw text (no escape decodes longer than it is written). Public, like
+/// [`parse_number`], for decoders of one known document shape.
+///
+/// # Errors
+///
+/// Returns a message for an unterminated string or a bad escape.
+pub fn parse_string<'a>(text: &'a str, pos: &mut usize) -> Result<Cow<'a, str>, String> {
     let bytes = text.as_bytes();
     *pos += 1; // opening quote
-    let mut out = String::new();
-    loop {
-        // Copy the run up to the next delimiter in one piece. Both
-        // delimiters are ASCII, so the run ends on a scalar boundary.
-        let run = bytes[*pos..]
+    let start = *pos;
+    // Both delimiters are ASCII, so every run ends on a scalar boundary.
+    let delimiter = |from: usize| {
+        bytes[from..]
             .iter()
             .position(|&b| b == b'"' || b == b'\\')
-            .ok_or_else(|| "unterminated string".to_string())?;
-        let end = *pos + run;
-        out.push_str(&text[*pos..end]);
+            .map(|run| from + run)
+            .ok_or_else(|| "unterminated string".to_string())
+    };
+    let end = delimiter(start)?;
+    if bytes[end] == b'"' {
         *pos = end + 1;
-        if bytes[end] == b'"' {
-            return Ok(out);
-        }
+        return Ok(Cow::Borrowed(&text[start..end]));
+    }
+    let mut out = String::with_capacity(raw_string_len(&bytes[start..]));
+    out.push_str(&text[start..end]);
+    *pos = end;
+    loop {
+        // `*pos` is at a backslash.
+        *pos += 1;
         match bytes.get(*pos) {
             Some(b'"') => out.push('"'),
             Some(b'\\') => out.push('\\'),
@@ -336,7 +374,30 @@ fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
             _ => return Err(format!("invalid escape at byte {pos}")),
         }
         *pos += 1;
+        // Copy the run up to the next delimiter in one piece.
+        let end = delimiter(*pos)?;
+        out.push_str(&text[*pos..end]);
+        *pos = end;
+        if bytes[end] == b'"' {
+            *pos += 1;
+            return Ok(Cow::Owned(out));
+        }
     }
+}
+
+/// The bytes of a string token's body up to its closing quote (or to the
+/// end of `body`, when the token is unterminated): every backslash takes
+/// the byte after it along, so an escaped quote does not end the body.
+fn raw_string_len(body: &[u8]) -> usize {
+    let mut at = 0;
+    while let Some(&b) = body.get(at) {
+        match b {
+            b'"' => break,
+            b'\\' => at += 2,
+            _ => at += 1,
+        }
+    }
+    at.min(body.len())
 }
 
 /// Reads the number token at `*pos` — the token [`parse`] reads for a

@@ -29,6 +29,20 @@
 //! `{"buffer":"d","len":N}` with optional `"offset"` and
 //! `"floats":true`.
 //!
+//! ## Reading and writing a line
+//!
+//! A request line is read by one scanner, the JSON tree's own: the tree
+//! path ([`parse_request_tree`]) parses every op, and the one-pass decoder
+//! ([`decode_request`]) reads the hot ones — `execute`, `compile`,
+//! `transform` — straight into a [`Request`], with the same tokens and the
+//! same rules. The decoder answers only where the tree answers the same
+//! and leaves everything else, every refusal included, to the tree, so the
+//! verdicts and their messages are the tree's. An `execute` or `transform`
+//! success answer is written member by member in the tree's member order
+//! ([`write_execute_answer`], [`write_transform_answer`]), through the
+//! tree's own string and number writers; every other answer is a tree,
+//! encoded once into the answer line. Either way the bytes are the tree's.
+//!
 //! ## Determinism contract
 //!
 //! For every op except `stats` and `metrics`, the response bytes are a
@@ -41,10 +55,14 @@
 //! contract. `cache-push`/`cache-pull` answer from mutable disk-cache
 //! state and sit outside it too.)
 
-use dp_core::OptConfig;
+use dp_core::{AggConfig, AggGranularity, OptConfig};
 use dp_obs::json::{self, object, Json};
-use dp_sweep::spec::{cell_from_json, config_from_json, CellSpec};
+use dp_sweep::spec::{
+    cell_from_json, checked_coarsen_factor, config_from_json, parse_granularity, CellSpec,
+};
 use dp_workloads::benchmarks::Variant;
+use std::borrow::Cow;
+use std::fmt::Write as _;
 use std::io::{BufRead, Read, Write};
 use std::net::TcpStream;
 #[cfg(unix)]
@@ -349,8 +367,17 @@ pub struct ParsedRequest {
     pub body: Result<Request, String>,
 }
 
-/// Parses one NDJSON request line.
+/// Parses one NDJSON request line: by [`decode_request`] when it can
+/// answer, by [`parse_request_tree`] otherwise. Both read the same
+/// `line.trim()`, and the decoder answers only where the tree answers the
+/// same, so the result is always the tree's.
 pub fn parse_request(line: &str) -> ParsedRequest {
+    decode_request(line).unwrap_or_else(|| parse_request_tree(line))
+}
+
+/// Parses one NDJSON request line through the JSON tree: every op, every
+/// refusal and its message.
+pub fn parse_request_tree(line: &str) -> ParsedRequest {
     let doc = match json::parse(line.trim()) {
         Ok(doc) => doc,
         Err(e) => {
@@ -532,6 +559,318 @@ fn parse_execute(doc: &Json) -> Result<ExecuteRequest, String> {
 }
 
 // ----------------------------------------------------------------------
+// One-pass decoder (the hot ops)
+// ----------------------------------------------------------------------
+
+/// The members [`decode_request`] reads, by bit; a member outside this list
+/// sends the line to the tree.
+const MEMBERS: [&str; 13] = [
+    "op",
+    "id",
+    "source",
+    "threshold",
+    "coarsen",
+    "agg",
+    "agg_threshold",
+    "kernel",
+    "grid",
+    "block",
+    "buffers",
+    "args",
+    "read",
+];
+
+/// The bits of [`MEMBERS`] only an `execute` reads (`kernel` onwards).
+const EXECUTE_ONLY: u16 = !0 << 7;
+
+/// Reads an `execute`, `compile` or `transform` line straight into its
+/// [`Request`], in one pass over the same `line.trim()` the tree parses,
+/// through the tree's own tokens ([`json::skip_ws`], [`json::parse_string`],
+/// [`json::parse_number`]) and the tree path's own rules
+/// ([`MAX_EXECUTE_WORDS`], `@buffer` args, [`checked_coarsen_factor`],
+/// [`parse_granularity`], `agg_threshold` needing `agg`). Members come in
+/// any order. `Some` only for a line the tree parses to the same
+/// [`ParsedRequest`]; `None` for anything else — another op, an unknown or
+/// repeated member, a value of another type or range, trailing bytes,
+/// nesting beyond the shape, a refusal — which [`parse_request`] hands to
+/// [`parse_request_tree`]. So every verdict, and every message, is the
+/// tree's.
+pub fn decode_request(line: &str) -> Option<ParsedRequest> {
+    let mut scan = Scan {
+        text: line.trim(),
+        pos: 0,
+    };
+    let mut members = Members::default();
+    scan.object(|scan, name| members.read(scan, name))?;
+    json::skip_ws(scan.text.as_bytes(), &mut scan.pos);
+    (scan.pos == scan.text.len()).then_some(())?;
+    members.request()
+}
+
+/// The members of a hot request line, as [`decode_request`] reads them.
+#[derive(Default)]
+struct Members<'a> {
+    /// The [`MEMBERS`] bits seen so far.
+    seen: u16,
+    op: Option<Cow<'a, str>>,
+    id: Option<Json>,
+    source: Option<Cow<'a, str>>,
+    threshold: Option<i64>,
+    coarsen: Option<i64>,
+    agg: Option<AggGranularity>,
+    agg_threshold: Option<i64>,
+    kernel: Option<Cow<'a, str>>,
+    grid: Option<i64>,
+    block: Option<i64>,
+    buffers: Vec<BufferInit>,
+    args: Vec<Arg>,
+    reads: Vec<ReadSpec>,
+}
+
+impl<'a> Members<'a> {
+    /// Reads the value of member `name`.
+    fn read(&mut self, scan: &mut Scan<'a>, name: &str) -> Option<()> {
+        let bit = 1 << MEMBERS.iter().position(|&m| m == name)?;
+        (self.seen & bit == 0).then_some(())?;
+        self.seen |= bit;
+        match name {
+            "op" => self.op = Some(scan.string()?),
+            "id" => self.id = Some(scan.scalar()?),
+            "source" => self.source = Some(scan.string()?),
+            "threshold" => self.threshold = Some(scan.number()?.as_i64()?),
+            "coarsen" => self.coarsen = Some(scan.number()?.as_i64()?),
+            "agg" => self.agg = Some(parse_granularity(&scan.string()?)?),
+            "agg_threshold" => self.agg_threshold = Some(scan.number()?.as_i64()?),
+            "kernel" => self.kernel = Some(scan.string()?),
+            "grid" => self.grid = Some(scan.number()?.as_i64()?),
+            "block" => self.block = Some(scan.number()?.as_i64()?),
+            "buffers" => {
+                let mut words_left = MAX_EXECUTE_WORDS;
+                scan.array(|scan| {
+                    let buffer = scan.buffer()?;
+                    if let BufferData::Words(words) = buffer.data {
+                        words_left = words_left.checked_sub(words as u64)?;
+                    }
+                    self.buffers.push(buffer);
+                    Some(())
+                })?;
+            }
+            "args" => scan.array(|scan| {
+                let arg = match scan.peek()? {
+                    b'"' => Arg::Buffer(scan.string()?.strip_prefix('@')?.to_string()),
+                    _ => match scan.number()? {
+                        Json::Int(v) => Arg::Int(v),
+                        Json::Float(v) => Arg::Float(v),
+                        _ => return None,
+                    },
+                };
+                self.args.push(arg);
+                Some(())
+            })?,
+            "read" => scan.array(|scan| {
+                self.reads.push(scan.read_spec()?);
+                Some(())
+            })?,
+            _ => return None,
+        }
+        Some(())
+    }
+
+    /// The request the members make, built as the tree path builds it.
+    fn request(self) -> Option<ParsedRequest> {
+        let mut config = OptConfig::none();
+        if let Some(t) = self.threshold {
+            config = config.threshold(t);
+        }
+        if let Some(c) = self.coarsen {
+            config = config.coarsen_factor(checked_coarsen_factor(c).ok()?);
+        }
+        match (self.agg, self.agg_threshold) {
+            (Some(granularity), agg_threshold) => {
+                let mut agg = AggConfig::new(granularity);
+                agg.agg_threshold = agg_threshold;
+                config = config.aggregation(agg);
+            }
+            (None, Some(_)) => return None,
+            (None, None) => {}
+        }
+        let source = self.source?.into_owned();
+        let body = match &*self.op? {
+            "execute" => Request::Execute(Box::new(ExecuteRequest {
+                source,
+                config,
+                kernel: self.kernel?.into_owned(),
+                grid: self.grid?,
+                block: self.block?,
+                buffers: self.buffers,
+                args: self.args,
+                reads: self.reads,
+            })),
+            "compile" if self.seen & EXECUTE_ONLY == 0 => Request::Compile { source, config },
+            "transform" if self.seen & EXECUTE_ONLY == 0 => Request::Transform { source, config },
+            _ => return None,
+        };
+        Some(ParsedRequest {
+            id: self.id,
+            body: Ok(body),
+        })
+    }
+}
+
+/// A cursor over a request line for [`decode_request`]: each read skips
+/// the whitespace before its token, as the tree does.
+struct Scan<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Scan<'a> {
+    /// The next token's first byte.
+    fn peek(&mut self) -> Option<u8> {
+        json::skip_ws(self.text.as_bytes(), &mut self.pos);
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    /// Takes `byte` if it is the next token.
+    fn eat(&mut self, byte: u8) -> bool {
+        let next = self.peek() == Some(byte);
+        self.pos += usize::from(next);
+        next
+    }
+
+    fn expect(&mut self, byte: u8) -> Option<()> {
+        self.eat(byte).then_some(())
+    }
+
+    fn string(&mut self) -> Option<Cow<'a, str>> {
+        (self.peek()? == b'"').then_some(())?;
+        json::parse_string(self.text, &mut self.pos).ok()
+    }
+
+    fn number(&mut self) -> Option<Json> {
+        self.peek()?;
+        json::parse_number(self.text.as_bytes(), &mut self.pos).ok()
+    }
+
+    /// A keyword, spelled out, read as the tree reads it.
+    fn keyword(&mut self, word: &str, value: Json) -> Option<Json> {
+        self.text[self.pos..].starts_with(word).then_some(())?;
+        self.pos += word.len();
+        Some(value)
+    }
+
+    /// Any value but an array or an object.
+    fn scalar(&mut self) -> Option<Json> {
+        match self.peek()? {
+            b'"' => Some(Json::Str(self.string()?.into_owned())),
+            b't' => self.keyword("true", Json::Bool(true)),
+            b'f' => self.keyword("false", Json::Bool(false)),
+            b'n' => self.keyword("null", Json::Null),
+            b'{' | b'[' => None,
+            _ => self.number(),
+        }
+    }
+
+    fn bool(&mut self) -> Option<bool> {
+        match self.scalar()? {
+            Json::Bool(b) => Some(b),
+            _ => None,
+        }
+    }
+
+    /// An object, its members handed to `member` by name.
+    fn object(&mut self, mut member: impl FnMut(&mut Self, &str) -> Option<()>) -> Option<()> {
+        self.expect(b'{')?;
+        if self.eat(b'}') {
+            return Some(());
+        }
+        loop {
+            let name = self.string()?;
+            self.expect(b':')?;
+            member(self, &name)?;
+            if !self.eat(b',') {
+                return self.expect(b'}');
+            }
+        }
+    }
+
+    /// An array, its items handed to `item`.
+    fn array(&mut self, mut item: impl FnMut(&mut Self) -> Option<()>) -> Option<()> {
+        self.expect(b'[')?;
+        if self.eat(b']') {
+            return Some(());
+        }
+        loop {
+            item(self)?;
+            if !self.eat(b',') {
+                return self.expect(b']');
+            }
+        }
+    }
+
+    /// An array of numbers, each converted as the tree path converts it.
+    fn numbers<T>(&mut self, convert: fn(&Json) -> Option<T>) -> Option<Vec<T>> {
+        let mut out = Vec::new();
+        self.array(|scan| {
+            out.push(convert(&scan.number()?)?);
+            Some(())
+        })?;
+        Some(out)
+    }
+
+    /// One `buffers` entry: a `name` and exactly one of `words`, `ints`
+    /// and `floats`.
+    fn buffer(&mut self) -> Option<BufferInit> {
+        let mut name = None;
+        let mut data = None;
+        self.object(|scan, member| {
+            match member {
+                "name" if name.is_none() => name = Some(scan.string()?.into_owned()),
+                "words" if data.is_none() => {
+                    let words = scan.number()?.as_u64()?;
+                    (words <= MAX_EXECUTE_WORDS).then_some(())?;
+                    data = Some(BufferData::Words(words as usize));
+                }
+                "ints" if data.is_none() => {
+                    data = Some(BufferData::Ints(scan.numbers(Json::as_i64)?))
+                }
+                "floats" if data.is_none() => {
+                    data = Some(BufferData::Floats(scan.numbers(Json::as_f64)?));
+                }
+                _ => return None,
+            }
+            Some(())
+        })?;
+        Some(BufferInit {
+            name: name?,
+            data: data?,
+        })
+    }
+
+    /// One `read` entry: `buffer` and `len`, optional `offset` and
+    /// `floats`.
+    fn read_spec(&mut self) -> Option<ReadSpec> {
+        let (mut buffer, mut offset, mut len, mut floats) = (None, None, None, None);
+        self.object(|scan, member| {
+            match member {
+                "buffer" if buffer.is_none() => buffer = Some(scan.string()?.into_owned()),
+                "offset" if offset.is_none() => offset = Some(scan.number()?.as_u64()? as usize),
+                "len" if len.is_none() => len = Some(scan.number()?.as_u64()? as usize),
+                "floats" if floats.is_none() => floats = Some(scan.bool()?),
+                _ => return None,
+            }
+            Some(())
+        })?;
+        Some(ReadSpec {
+            buffer: buffer?,
+            offset: offset.unwrap_or(0),
+            len: len?,
+            floats: floats.unwrap_or(false),
+        })
+    }
+}
+
+// ----------------------------------------------------------------------
 // Request builders (client side)
 // ----------------------------------------------------------------------
 
@@ -671,13 +1010,158 @@ pub fn error_response_kind(id: Option<&Json>, kind: &'static str, message: &str)
     echo_id(object(members), id)
 }
 
+/// What an `execute` launch answers, before it is written.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExecuteAnswer {
+    /// Grids launched from the device.
+    pub device_launches: u64,
+    /// Grids launched from the host, as the timing model counts them.
+    pub host_launches: u64,
+    /// Instructions executed.
+    pub instructions: u64,
+    /// The request's read-backs, in its order.
+    pub outputs: Vec<Output>,
+    /// Simulated time of the launch.
+    pub total_us: f64,
+}
+
+/// One read-back of an [`ExecuteAnswer`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Output {
+    /// The buffer read.
+    pub buffer: String,
+    /// The words read.
+    pub values: Values,
+}
+
+/// The words of one [`Output`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum Values {
+    /// Read as integers.
+    Ints(Vec<i64>),
+    /// Read as floats (`"floats":true`).
+    Floats(Vec<f64>),
+}
+
+/// Writes one object member by member. The members must come in the byte
+/// order of their names — the order [`Json::Object`]'s map iterates in —
+/// so the text is the one the tree writes; a debug assertion checks it.
+struct ObjectWriter<'a> {
+    out: &'a mut String,
+    last: Option<&'static str>,
+}
+
+impl<'a> ObjectWriter<'a> {
+    fn new(out: &'a mut String) -> Self {
+        out.push('{');
+        ObjectWriter { out, last: None }
+    }
+
+    /// Starts member `name` (a name that needs no escape) and returns the
+    /// line its value is written to.
+    fn member(&mut self, name: &'static str) -> &mut String {
+        debug_assert!(
+            self.last.is_none_or(|last| last < name),
+            "member `{name}` written after `{}`",
+            self.last.unwrap_or_default()
+        );
+        if self.last.is_some() {
+            self.out.push(',');
+        }
+        self.last = Some(name);
+        self.out.push('"');
+        self.out.push_str(name);
+        self.out.push_str("\":");
+        self.out
+    }
+
+    /// The echoed `id`, in its place, when the request carried one.
+    fn id(&mut self, id: Option<&Json>) {
+        if let Some(id) = id {
+            id.write(self.member("id"));
+        }
+    }
+
+    fn finish(self) {
+        self.out.push('}');
+    }
+}
+
+/// An integer, as [`Json::Int`] writes one.
+fn write_int(out: &mut String, v: impl std::fmt::Display) {
+    let _ = write!(out, "{v}");
+}
+
+/// Writes an `execute` success answer into `out`: the bytes of
+/// [`ok_response`] for the members the tree would carry, written without
+/// the tree. A counter is written as the `u64` it is; the tree's
+/// [`json::uint`] panics past `i64::MAX`.
+pub fn write_execute_answer(out: &mut String, id: Option<&Json>, answer: &ExecuteAnswer) {
+    let mut w = ObjectWriter::new(out);
+    write_int(w.member("device_launches"), answer.device_launches);
+    write_int(w.member("host_launches"), answer.host_launches);
+    w.id(id);
+    write_int(w.member("instructions"), answer.instructions);
+    w.member("ok").push_str("true");
+    w.member("op").push_str("\"execute\"");
+    write_array(w.member("outputs"), &answer.outputs, |out, output| {
+        let mut o = ObjectWriter::new(out);
+        json::write_string(o.member("buffer"), &output.buffer);
+        match &output.values {
+            Values::Floats(values) => {
+                write_array(o.member("floats"), values, |out, &v| {
+                    json::write_f64(out, v)
+                });
+            }
+            Values::Ints(values) => {
+                write_array(o.member("ints"), values, |out, &v| write_int(out, v))
+            }
+        }
+        o.finish();
+    });
+    json::write_f64(w.member("total_us"), answer.total_us);
+    w.finish();
+}
+
+fn write_array<T>(out: &mut String, items: &[T], item: impl Fn(&mut String, &T)) {
+    out.push('[');
+    for (i, v) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(out, v);
+    }
+    out.push(']');
+}
+
+/// Writes a `transform` success answer into `out`: the bytes of
+/// [`ok_response`] with `diagnostics`, `op` and `source` members, written
+/// without the tree.
+pub fn write_transform_answer(
+    out: &mut String,
+    id: Option<&Json>,
+    diagnostics: &[String],
+    source: &str,
+) {
+    let mut w = ObjectWriter::new(out);
+    write_array(w.member("diagnostics"), diagnostics, |out, d| {
+        json::write_string(out, d);
+    });
+    w.id(id);
+    w.member("ok").push_str("true");
+    w.member("op").push_str("\"transform\"");
+    json::write_string(w.member("source"), source);
+    w.finish();
+}
+
 // ----------------------------------------------------------------------
 // Line framing
 // ----------------------------------------------------------------------
 
 /// Writes one value as an NDJSON line and flushes.
 pub fn write_line(w: &mut impl Write, value: &Json) -> std::io::Result<usize> {
-    let mut text = value.to_string();
+    let mut text = String::new();
+    value.write(&mut text);
     text.push('\n');
     w.write_all(text.as_bytes())?;
     w.flush()?;
@@ -695,9 +1179,9 @@ pub fn read_line(r: &mut impl BufRead) -> std::io::Result<Option<String>> {
 
 /// Outcome of a bounded line read ([`read_line_limited`]).
 #[derive(Debug, PartialEq, Eq)]
-pub enum LineRead {
+pub enum LineRead<L = String> {
     /// One line (trailing newline included when present).
-    Line(String),
+    Line(L),
     /// The line exceeded the byte cap; its bytes were left unconsumed
     /// (the server answers a structured error and closes the connection).
     TooLarge,
@@ -712,38 +1196,50 @@ pub enum LineRead {
 /// line becomes a parse error instead of silently dropping the session.
 /// `max_bytes == 0` means unlimited.
 pub fn read_line_limited(r: &mut impl BufRead, max_bytes: usize) -> std::io::Result<LineRead> {
+    let mut bytes = Vec::new();
+    Ok(match read_line_into(r, max_bytes, &mut bytes)? {
+        LineRead::Line(_) => LineRead::Line(match String::from_utf8(bytes) {
+            Ok(line) => line,
+            Err(e) => String::from_utf8_lossy(e.as_bytes()).into_owned(),
+        }),
+        LineRead::TooLarge => LineRead::TooLarge,
+        LineRead::Eof => LineRead::Eof,
+    })
+}
+
+/// [`read_line_limited`] into a buffer the caller keeps (cleared first):
+/// the line is its raw bytes, as many as were taken from the socket.
+pub(crate) fn read_line_into<'b>(
+    r: &mut impl BufRead,
+    max_bytes: usize,
+    bytes: &'b mut Vec<u8>,
+) -> std::io::Result<LineRead<&'b [u8]>> {
     let max_bytes = if max_bytes == 0 {
         usize::MAX
     } else {
         max_bytes
     };
-    let mut acc: Vec<u8> = Vec::new();
+    bytes.clear();
     loop {
         let buf = r.fill_buf()?;
         if buf.is_empty() {
-            return Ok(if acc.is_empty() {
+            return Ok(if bytes.is_empty() {
                 LineRead::Eof
             } else {
-                LineRead::Line(String::from_utf8_lossy(&acc).into_owned())
+                LineRead::Line(bytes)
             });
         }
-        match buf.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                if acc.len() + pos + 1 > max_bytes {
-                    return Ok(LineRead::TooLarge);
-                }
-                acc.extend_from_slice(&buf[..=pos]);
-                r.consume(pos + 1);
-                return Ok(LineRead::Line(String::from_utf8_lossy(&acc).into_owned()));
-            }
-            None => {
-                let n = buf.len();
-                if acc.len() + n > max_bytes {
-                    return Ok(LineRead::TooLarge);
-                }
-                acc.extend_from_slice(buf);
-                r.consume(n);
-            }
+        let (take, done) = match buf.iter().position(|&b| b == b'\n') {
+            Some(pos) => (pos + 1, true),
+            None => (buf.len(), false),
+        };
+        if bytes.len() + take > max_bytes {
+            return Ok(LineRead::TooLarge);
+        }
+        bytes.extend_from_slice(&buf[..take]);
+        r.consume(take);
+        if done {
+            return Ok(LineRead::Line(bytes));
         }
     }
 }
@@ -1050,6 +1546,39 @@ mod tests {
             panic!("lossy read must succeed");
         };
         assert!(line.contains('\u{FFFD}'), "{line:?}");
+    }
+
+    /// A line's bytes are counted as the socket carried them: a byte that
+    /// is not UTF-8 is one byte read, not the three of the replacement
+    /// character the line is parsed with.
+    #[test]
+    fn bytes_read_counts_the_raw_bytes_of_a_line() {
+        let endpoint = Endpoint::Tcp("127.0.0.1:0".to_string());
+        let server = crate::Server::bind(&endpoint, &crate::ServeOptions::default()).expect("bind");
+        let endpoint = server.endpoint().clone();
+        let daemon = std::thread::spawn(move || server.serve());
+        let mut stream = endpoint.connect().expect("connect");
+        let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
+        let mut ask = |stream: &mut Stream, line: &[u8]| {
+            stream.write_all(line).expect("write");
+            let answer = read_line(&mut reader).expect("read").expect("answer");
+            json::parse(&answer).expect("answers are JSON")
+        };
+        let stats = format!("{}\n", bare_request("stats"));
+        let read_inorder = |stats: Json| {
+            let bytes = stats.get("bytes").and_then(|b| b.get("read_inorder"));
+            bytes.and_then(Json::as_u64).expect("bytes.read_inorder")
+        };
+
+        let before = read_inorder(ask(&mut stream, stats.as_bytes()));
+        let line = b"{\"op\":\"st\xffats\"}\n";
+        let refused = ask(&mut stream, line);
+        assert_eq!(refused.get("kind"), Some(&Json::Str("parse".to_string())));
+        let after = read_inorder(ask(&mut stream, stats.as_bytes()));
+        assert_eq!(after - before, (line.len() + stats.len()) as u64);
+
+        write_line(&mut stream, &bare_request("shutdown")).expect("shutdown");
+        daemon.join().expect("daemon").expect("serve");
     }
 
     #[test]

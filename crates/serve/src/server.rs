@@ -86,7 +86,7 @@ use dp_sweep::{cache as sweep_cache, key};
 use dp_workloads::benchmarks::benchmark_by_name;
 use dp_workloads::BenchInput;
 use std::collections::HashMap;
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::TcpListener;
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -552,12 +552,26 @@ struct Session {
 }
 
 impl Session {
-    /// Writes one response line, charging its bytes to the request's
-    /// session class (`pipelined` = the request carried an `id`).
-    fn write(&self, response: &Json, pipelined: bool) -> std::io::Result<()> {
-        let n = proto::write_line(&mut *self.writer.lock().unwrap(), response)?;
-        BYTES_WRITTEN[pipelined as usize].add(n as u64);
+    /// Writes one encoded response line (newline included) and flushes,
+    /// charging its bytes to the request's session class (`pipelined` =
+    /// the request carried an `id`). The line is encoded before the lock
+    /// is taken: the request threads of a pipelined session contend only
+    /// for the socket, never for each other's encoding.
+    fn write_line(&self, line: &str, pipelined: bool) -> std::io::Result<()> {
+        let mut writer = self.writer.lock().unwrap();
+        writer.write_all(line.as_bytes())?;
+        writer.flush()?;
+        drop(writer);
+        BYTES_WRITTEN[pipelined as usize].add(line.len() as u64);
         Ok(())
+    }
+
+    /// Encodes a response tree as one line, then writes it.
+    fn write(&self, response: &Json, pipelined: bool) -> std::io::Result<()> {
+        let mut line = String::new();
+        response.write(&mut line);
+        line.push('\n');
+        self.write_line(&line, pipelined)
     }
 
     /// Refuses a request: counts the refusal and writes its answer.
@@ -801,8 +815,11 @@ fn run_session(state: Arc<State>, stream: Stream, endpoint: &Endpoint) -> std::i
     // matching `hello` before anything else.
     let options = &state.options;
     let mut authed = options.auth_token.is_none();
+    // The session's request and answer lines, reused from request to
+    // request; a launched request thread encodes into a line of its own.
+    let (mut raw, mut answer_line) = (Vec::new(), String::new());
     loop {
-        let line = match proto::read_line_limited(&mut reader, options.max_request_bytes)? {
+        let bytes = match proto::read_line_into(&mut reader, options.max_request_bytes, &mut raw)? {
             LineRead::Eof => break,
             LineRead::TooLarge => {
                 // Flush outstanding pipelined responses, answer, close:
@@ -815,8 +832,9 @@ fn run_session(state: Arc<State>, stream: Stream, endpoint: &Endpoint) -> std::i
                 session.shutdown_socket();
                 break;
             }
-            LineRead::Line(line) => line,
+            LineRead::Line(bytes) => bytes,
         };
+        let line = String::from_utf8_lossy(bytes);
         if line.trim().is_empty() {
             continue;
         }
@@ -828,7 +846,9 @@ fn run_session(state: Arc<State>, stream: Stream, endpoint: &Endpoint) -> std::i
             break;
         }
         let ParsedRequest { id, body } = proto::parse_request(&line);
-        BYTES_READ[id.is_some() as usize].add(line.len() as u64);
+        // The bytes taken from the socket: a lossily replaced byte is one
+        // byte read, not the three of its replacement character.
+        BYTES_READ[id.is_some() as usize].add(bytes.len() as u64);
         let request = match body {
             Err(e) => {
                 session.refuse(Reject::Parse, id.as_ref(), &e)?;
@@ -897,8 +917,12 @@ fn run_session(state: Arc<State>, stream: Stream, endpoint: &Endpoint) -> std::i
             Request::Stats | Request::Metrics => {
                 op.requests.incr();
                 let started = dp_obs::metrics::now();
-                let (Ok(response) | Err(response)) = dispatch(&state, request, id.as_ref(), None);
-                session.write(&response, id.is_some())?;
+                encode(
+                    dispatch(&state, request, id.as_ref(), None),
+                    id.as_ref(),
+                    &mut answer_line,
+                );
+                session.write_line(&answer_line, id.is_some())?;
                 op.record_since(started);
             }
             request => {
@@ -941,8 +965,16 @@ fn run_session(state: Arc<State>, stream: Stream, endpoint: &Endpoint) -> std::i
                         .name("dp-serve-request".to_string())
                         .spawn(move || {
                             let _pending = pending;
-                            let _ =
-                                answer(&state2, &session2, op, request, id2.as_ref(), slot, guard);
+                            let admitted = Admitted { op, slot, guard };
+                            let mut line = String::new();
+                            let _ = answer(
+                                &state2,
+                                &session2,
+                                request,
+                                id2.as_ref(),
+                                admitted,
+                                &mut line,
+                            );
                         });
                     if spawned.is_err() {
                         // Thread exhaustion; the closure (and its guards)
@@ -952,7 +984,15 @@ fn run_session(state: Arc<State>, stream: Stream, endpoint: &Endpoint) -> std::i
                     }
                 } else {
                     REQUESTS_INLINE.incr();
-                    answer(&state, &session, op, request, id.as_ref(), slot, guard)?;
+                    let admitted = Admitted { op, slot, guard };
+                    answer(
+                        &state,
+                        &session,
+                        request,
+                        id.as_ref(),
+                        admitted,
+                        &mut answer_line,
+                    )?;
                 }
             }
         }
@@ -960,43 +1000,64 @@ fn run_session(state: Arc<State>, stream: Stream, endpoint: &Endpoint) -> std::i
     Ok(())
 }
 
+/// What `run_session` admitted a request with: its op's row, its place in
+/// the execution queue (executions only) and its in-flight count.
+struct Admitted {
+    op: &'static OpRow,
+    slot: Option<QueueSlot>,
+    guard: InflightGuard,
+}
+
 /// Runs one admitted request to its written response, on whichever thread
-/// the threshold chose.
+/// the threshold chose, encoding the response into `line`.
 fn answer(
     state: &Arc<State>,
     session: &Session,
-    op: &'static OpRow,
     request: Request,
     id: Option<&Json>,
-    slot: Option<QueueSlot>,
-    guard: InflightGuard,
+    admitted: Admitted,
+    line: &mut String,
 ) -> std::io::Result<()> {
+    let Admitted { op, slot, guard } = admitted;
     let _span = dp_obs::trace::span_with("serve.request", &[("op", op.name)]);
     let started = dp_obs::metrics::now();
-    let (Ok(response) | Err(response)) = dispatch(state, request, id, slot);
+    encode(dispatch(state, request, id, slot), id, line);
     // Write before the guard drops: a drain must not complete with this
     // response unwritten.
-    deliver(state, session, op.name, &response, id.is_some())?;
+    deliver(state, session, op.name, line, id.is_some())?;
     op.record_since(started);
     drop(guard); // response is on the wire: now drainable
     Ok(())
 }
 
-/// Writes one dispatched response, applying any armed `pre-write` fault.
+/// Encodes a dispatched response into `line` (cleared first) as one NDJSON
+/// line, newline included.
+fn encode(response: Result<Answer, Json>, id: Option<&Json>, line: &mut String) {
+    line.clear();
+    match response {
+        Ok(Answer::Tree(tree)) | Err(tree) => tree.write(line),
+        Ok(Answer::Execute(answer)) => proto::write_execute_answer(line, id, &answer),
+        Ok(Answer::Transform(compiled)) => {
+            let diagnostics = diagnostics(&compiled);
+            let source = compiled.transformed_source();
+            proto::write_transform_answer(line, id, &diagnostics, source);
+        }
+    }
+    line.push('\n');
+}
+
+/// Writes one encoded response line, applying any armed `pre-write` fault.
 fn deliver(
     state: &State,
     session: &Session,
     op: &'static str,
-    response: &Json,
+    line: &str,
     pipelined: bool,
 ) -> std::io::Result<()> {
     match state.fault(FaultPoint::PreWrite, op) {
         Some(FaultKind::TornWrite) => {
-            use std::io::Write;
-            let mut text = response.to_string();
-            text.push('\n');
             let mut writer = session.writer.lock().unwrap();
-            writer.write_all(&text.as_bytes()[..text.len() / 2])?;
+            writer.write_all(&line.as_bytes()[..line.len() / 2])?;
             writer.flush()?;
             writer.shutdown();
             Ok(())
@@ -1006,7 +1067,7 @@ fn deliver(
             Ok(())
         }
         // Filesystem-surface kinds have no meaning on the socket.
-        Some(_) | None => session.write(response, pipelined),
+        Some(_) | None => session.write_line(line, pipelined),
     }
 }
 
@@ -1050,6 +1111,15 @@ fn cached_compile(
         .map_err(|e| proto::error_response(id, &e))
 }
 
+/// A response, not yet encoded. The hot success answers keep their parts
+/// and are written member by member ([`proto::write_execute_answer`],
+/// [`proto::write_transform_answer`]); every other response is its tree.
+enum Answer {
+    Tree(Json),
+    Execute(proto::ExecuteAnswer),
+    Transform(SharedCompiled),
+}
+
 /// Builds one request's response; `Err` is a response too, one that left
 /// early (a compile error, a refusal, an expired deadline, a panic).
 /// `slot` is the place in the execution queue `run_session` admitted an
@@ -1059,9 +1129,9 @@ fn dispatch(
     request: Request,
     id: Option<&Json>,
     slot: Option<QueueSlot>,
-) -> Result<Json, Json> {
+) -> Result<Answer, Json> {
     let admitted = || slot.expect("run_session admits every execution");
-    Ok(match request {
+    Ok(Answer::Tree(match request {
         Request::Compile { source, config } => {
             let (compile_key, compiled) = cached_compile(state, &source, &config, id)?;
             let kernels: Vec<Json> = compiled
@@ -1071,10 +1141,11 @@ fn dispatch(
                 .filter(|f| f.qual == FnQual::Global)
                 .map(|f| Json::Str(f.name.as_str().to_owned()))
                 .collect();
+            let diagnostics = diagnostics(&compiled).into_iter().map(Json::Str).collect();
             proto::ok_response(
                 id,
                 vec![
-                    ("diagnostics", diagnostics_json(&compiled)),
+                    ("diagnostics", Json::Array(diagnostics)),
                     ("kernels", Json::Array(kernels)),
                     ("key", Json::Str(format!("{compile_key:016x}"))),
                     ("op", Json::Str("compile".to_string())),
@@ -1083,25 +1154,16 @@ fn dispatch(
         }
         Request::Transform { source, config } => {
             let (_, compiled) = cached_compile(state, &source, &config, id)?;
-            proto::ok_response(
-                id,
-                vec![
-                    ("diagnostics", diagnostics_json(&compiled)),
-                    ("op", Json::Str("transform".to_string())),
-                    (
-                        "source",
-                        Json::Str(compiled.transformed_source().to_string()),
-                    ),
-                ],
-            )
+            return Ok(Answer::Transform(compiled));
         }
         Request::Execute(request) => {
             let (_, compiled) = cached_compile(state, &request.source, &request.config, id)?;
             if let Some(e) = aggregation_past_limit(&compiled, &request) {
                 return Err(refusal(Reject::Parse, id, &e));
             }
-            let run = || run_execute(&compiled, &request);
-            proto::ok_response(id, state.exec_within(admitted(), "execute", id, run)?)
+            let run = || run_execute(&compiled, *request);
+            let answer = state.exec_within(admitted(), "execute", id, run)?;
+            return Ok(Answer::Execute(answer));
         }
         Request::SweepCell(request) => run_sweep_cell(state, &request, id, admitted())?,
         Request::CachePush { key, entry } => run_cache_push(state, key, &entry, id),
@@ -1110,18 +1172,13 @@ fn dispatch(
         Request::Metrics => metrics_response(id),
         // Answered by `run_session` itself.
         Request::Shutdown | Request::Hello { .. } => proto::error_response(id, "unreachable"),
-    })
+    }))
 }
 
-fn diagnostics_json(compiled: &SharedCompiled) -> Json {
-    Json::Array(
-        compiled
-            .manifest()
-            .diagnostics
-            .iter()
-            .map(|d| Json::Str(d.to_string()))
-            .collect(),
-    )
+/// The diagnostics a `compile` or `transform` answer carries.
+fn diagnostics(compiled: &SharedCompiled) -> Vec<String> {
+    let diagnostics = compiled.manifest().diagnostics.iter();
+    diagnostics.map(ToString::to_string).collect()
 }
 
 /// The aggregation buffers a transformed kernel's launch provisions count
@@ -1162,8 +1219,8 @@ fn aggregation_past_limit(compiled: &SharedCompiled, request: &ExecuteRequest) -
 /// The execution half of an `execute` request, run inside its slot.
 fn run_execute(
     compiled: &SharedCompiled,
-    request: &ExecuteRequest,
-) -> Result<Vec<(&'static str, Json)>, String> {
+    request: ExecuteRequest,
+) -> Result<proto::ExecuteAnswer, String> {
     let mut exec = compiled.executor();
     let mut buffers: HashMap<&str, i64> = HashMap::new();
     for buffer in &request.buffers {
@@ -1197,39 +1254,30 @@ fn run_execute(
         .map_err(|e| e.to_string())?;
     exec.sync().map_err(|e| e.to_string())?;
 
-    let mut outputs = Vec::new();
-    for read in &request.reads {
+    let mut outputs = Vec::with_capacity(request.reads.len());
+    for read in request.reads {
         let ptr = resolve(&read.buffer)? + read.offset as i64;
         let values = if read.floats {
-            let floats = exec
-                .read_f64s(ptr, read.len)
-                .map_err(|e| format!("read `{}`: {e}", read.buffer))?;
-            (
-                "floats",
-                Json::Array(floats.into_iter().map(json::num).collect()),
-            )
+            exec.read_f64s(ptr, read.len).map(proto::Values::Floats)
         } else {
-            let ints = exec
-                .read_i64s(ptr, read.len)
-                .map_err(|e| format!("read `{}`: {e}", read.buffer))?;
-            (
-                "ints",
-                Json::Array(ints.into_iter().map(Json::Int).collect()),
-            )
+            exec.read_i64s(ptr, read.len).map(proto::Values::Ints)
         };
-        outputs.push(object([("buffer", Json::Str(read.buffer.clone())), values]));
+        let values = values.map_err(|e| format!("read `{}`: {e}", read.buffer))?;
+        outputs.push(proto::Output {
+            buffer: read.buffer,
+            values,
+        });
     }
 
     let report = exec.finish();
     let sim = report.simulate(&TimingParams::default());
-    Ok(vec![
-        ("device_launches", json::uint(report.stats.device_launches)),
-        ("host_launches", json::uint(sim.host_launches as u64)),
-        ("instructions", json::uint(report.stats.instructions)),
-        ("op", Json::Str("execute".to_string())),
-        ("outputs", Json::Array(outputs)),
-        ("total_us", json::num(sim.total_us)),
-    ])
+    Ok(proto::ExecuteAnswer {
+        device_launches: report.stats.device_launches,
+        host_launches: sim.host_launches as u64,
+        instructions: report.stats.instructions,
+        outputs,
+        total_us: sim.total_us,
+    })
 }
 
 /// One sweep cell: compile through the cache, memoized dataset, execution
