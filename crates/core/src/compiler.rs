@@ -15,7 +15,8 @@ use dp_frontend::printer::print_program;
 use dp_transform::{apply_pipeline, OptConfig, TransformManifest};
 use dp_vm::bytecode::{CostModel, Module};
 use dp_vm::lower::{compile_program_with, LowerOptions};
-use dp_vm::machine::{DispatchMode, ExecLimits};
+use dp_vm::machine::{DispatchMode, ExecLimits, Image};
+use std::sync::{Arc, OnceLock};
 
 /// Compiles CUDA-subset source with a chosen optimization configuration.
 ///
@@ -125,18 +126,20 @@ impl Compiler {
             cost: self.cost.clone(),
             limits: self.limits,
             dispatch: self.dispatch,
+            loaded: OnceLock::new(),
         })
     }
 }
 
 /// A [`Compiled`] shared across threads.
 ///
-/// A compiled program is immutable once built — pure data (bytecode,
-/// manifest, transformed text, cost tables) with no interior mutability —
-/// so one compilation can fan out to any number of worker threads, each
-/// creating its own [`Executor`] via [`Compiled::executor`]. The sweep
-/// engine compiles each distinct (source, configuration) pair once and
-/// shares the handle across its worker pool.
+/// A compiled program is immutable once built — bytecode, manifest,
+/// transformed text and cost model; its one interior cell is the shared
+/// executor state, written once behind a `OnceLock` — so one compilation
+/// can fan out to any number of worker threads, each creating its own
+/// [`Executor`] via [`Compiled::executor`]. The sweep engine compiles each
+/// distinct (source, configuration) pair once and shares the handle across
+/// its worker pool.
 pub type SharedCompiled = std::sync::Arc<Compiled>;
 
 // `Compiled` must stay shareable across threads (the sweep engine's worker
@@ -149,6 +152,13 @@ const _: () = {
 
 /// A compiled program: bytecode, manifest, and transformed source. It holds
 /// no AST; [`Compiler::transform`] gives the tree to a caller that needs it.
+///
+/// What an executor runs — the bytecode with its dispatch tables (an
+/// [`Image`]) and the manifest its launches read — is built by the first
+/// [`Compiled::executor`] call and shared by every executor after it. It is
+/// not built by [`Compiler::compile`]: the tables cost about a tenth of a
+/// compile, and a program that is only transformed, or never run, would pay
+/// for them for nothing.
 #[derive(Debug, Clone)]
 pub struct Compiled {
     transformed_source: String,
@@ -157,6 +167,14 @@ pub struct Compiled {
     cost: CostModel,
     limits: ExecLimits,
     dispatch: DispatchMode,
+    loaded: OnceLock<Loaded>,
+}
+
+/// The read-only state every executor of one [`Compiled`] shares.
+#[derive(Debug, Clone)]
+struct Loaded {
+    image: Arc<Image>,
+    manifest: Arc<TransformManifest>,
 }
 
 impl Compiled {
@@ -177,12 +195,18 @@ impl Compiled {
     }
 
     /// Creates a fresh executor (simulated GPU) for this program,
-    /// inheriting the compiler's dispatch mode.
+    /// inheriting the compiler's dispatch mode. The first call builds the
+    /// program's [`Image`] and shares it, with the manifest, by `Arc`; every
+    /// executor after it copies and rebuilds nothing of the program, and
+    /// allocates only its own device state.
     pub fn executor(&self) -> Executor {
+        let loaded = self.loaded.get_or_init(|| Loaded {
+            image: Arc::new(Image::new(self.module.clone(), self.cost.clone())),
+            manifest: Arc::new(self.manifest.clone()),
+        });
         let mut exec = Executor::new(
-            self.module.clone(),
-            self.manifest.clone(),
-            self.cost.clone(),
+            Arc::clone(&loaded.image),
+            Arc::clone(&loaded.manifest),
             self.limits,
         );
         exec.machine_mut().set_dispatch(self.dispatch);

@@ -4,12 +4,12 @@
 
 use crate::error::Result;
 use dp_sim::{simulate, HostEvent, SimResult, TimingParams};
-use dp_transform::{AggSiteMeta, BufferParam, TransformManifest};
-use dp_vm::bytecode::{CostModel, Module};
-use dp_vm::machine::{ExecLimits, Machine, MachineStats};
+use dp_transform::{BufferParam, TransformManifest};
+use dp_vm::machine::{ExecLimits, Image, Machine, MachineStats};
 use dp_vm::trace::ExecutionTrace;
 use dp_vm::{ExecError, LaunchDim, Value};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Everything a run produces: the functional trace, machine statistics, and
 /// the host event sequence needed by the timing simulator.
@@ -49,22 +49,23 @@ struct PendingHostAgg {
 /// runtime library plays in the paper's artifact.
 pub struct Executor {
     machine: Machine,
-    manifest: TransformManifest,
+    manifest: Arc<TransformManifest>,
     max_threads_per_block: u64,
     host_events: Vec<HostEvent>,
     pending_host_agg: Vec<PendingHostAgg>,
-    buffer_cache: HashMap<(String, usize, usize), (i64, usize)>,
+    /// Each aggregation buffer's address and capacity in words, by its
+    /// site's index in `manifest.agg_sites` and its parameter's index.
+    buffer_cache: HashMap<(usize, usize), (i64, usize)>,
 }
 
 impl Executor {
     pub(crate) fn new(
-        module: Module,
-        manifest: TransformManifest,
-        cost: CostModel,
+        image: Arc<Image>,
+        manifest: Arc<TransformManifest>,
         limits: ExecLimits,
     ) -> Self {
         Executor {
-            machine: Machine::with_config(module, cost, limits),
+            machine: Machine::from_image(image, limits),
             manifest,
             max_threads_per_block: limits.max_threads_per_block,
             host_events: Vec::new(),
@@ -126,13 +127,11 @@ impl Executor {
         let LaunchDim(b) = block.into();
         let mut full_args = args.to_vec();
 
-        let sites: Vec<AggSiteMeta> = self
-            .manifest
-            .agg_sites
-            .iter()
-            .filter(|s| s.parent == kernel)
-            .cloned()
-            .collect();
+        // The sites are borrowed from the shared manifest while `self`'s
+        // machine is mutated, so the handle is cloned, not the sites.
+        let manifest = Arc::clone(&self.manifest);
+        let sites = manifest.agg_sites.iter().enumerate();
+        let sites = sites.filter(|(_, site)| site.parent == kernel);
         // The buffers are sized from the launch's dimensions, which may come
         // off a socket: a launch the machine is going to refuse is refused
         // here, before anything is provisioned for it, and no size wraps.
@@ -144,7 +143,7 @@ impl Executor {
         };
         let threads = dim_count(b).filter(|t| (1..=self.max_threads_per_block).contains(t));
         let counts = dim_count(g).zip(threads);
-        for (site_idx, site) in sites.iter().enumerate() {
+        for (site_idx, site) in sites {
             let (grid_blocks, block_threads) = counts.ok_or_else(refused)?;
             let mut arg_ptrs = Vec::new();
             let mut scan_ptr = 0;
@@ -164,7 +163,7 @@ impl Executor {
                     .buffer_words(param, grid_blocks, block_threads)
                     .and_then(|words| usize::try_from(words).ok())
                     .ok_or_else(refused)?;
-                let ptr = self.buffer(kernel, site_idx, param_idx, words)?;
+                let ptr = self.buffer((site_idx, param_idx), words)?;
                 match param {
                     BufferParam::ArgArray { .. } => arg_ptrs.push(ptr),
                     BufferParam::GDimScanned => scan_ptr = ptr,
@@ -192,15 +191,9 @@ impl Executor {
         Ok(())
     }
 
-    /// Allocates (or reuses) and zeroes a named aggregation buffer.
-    fn buffer(
-        &mut self,
-        kernel: &str,
-        site_idx: usize,
-        param_idx: usize,
-        words: usize,
-    ) -> Result<i64> {
-        let key = (kernel.to_string(), site_idx, param_idx);
+    /// Allocates (or reuses) and zeroes the aggregation buffer `key` names
+    /// (see `buffer_cache`).
+    fn buffer(&mut self, key: (usize, usize), words: usize) -> Result<i64> {
         let entry = self.buffer_cache.get(&key).copied();
         let ptr = match entry {
             Some((ptr, cap)) if cap >= words => ptr,

@@ -359,17 +359,22 @@ pub fn parse_string<'a>(text: &'a str, pos: &mut usize) -> Result<Cow<'a, str>, 
             Some(b'b') => out.push('\u{8}'),
             Some(b'f') => out.push('\u{c}'),
             Some(b'u') => {
-                let hex = bytes
-                    .get(*pos + 1..*pos + 5)
-                    .ok_or_else(|| "truncated \\u escape".to_string())?;
-                let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                // Surrogate pairs are not needed for the engine's
-                // ASCII-dominated payloads; reject rather than corrupt.
+                let (mut code, hex) = hex4(bytes, *pos + 1)?;
+                *pos += 4;
+                // A scalar above U+FFFF is written as a high surrogate
+                // escape followed by a low one; a surrogate alone, or the
+                // two in the other order, is no scalar and is refused.
+                if (0xD800..0xDC00).contains(&code) && bytes.get(*pos + 1..*pos + 3) == Some(b"\\u")
+                {
+                    let (low, _) = hex4(bytes, *pos + 3)?;
+                    if (0xDC00..0xE000).contains(&low) {
+                        code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                        *pos += 6;
+                    }
+                }
                 let c =
                     char::from_u32(code).ok_or_else(|| format!("unsupported \\u escape {hex}"))?;
                 out.push(c);
-                *pos += 4;
             }
             _ => return Err(format!("invalid escape at byte {pos}")),
         }
@@ -383,6 +388,21 @@ pub fn parse_string<'a>(text: &'a str, pos: &mut usize) -> Result<Cow<'a, str>, 
             return Ok(Cow::Owned(out));
         }
     }
+}
+
+/// The four hex digits of a `\u` escape starting at `at`: their value and
+/// their text.
+fn hex4(bytes: &[u8], at: usize) -> Result<(u32, &str), String> {
+    let hex = bytes
+        .get(at..at + 4)
+        .ok_or_else(|| "truncated \\u escape".to_string())?;
+    let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
+    // `from_str_radix` alone would also take a sign: `\u+041` is no escape.
+    if !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return Err(format!("invalid \\u escape {hex}"));
+    }
+    let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
+    Ok((code, hex))
 }
 
 /// The bytes of a string token's body up to its closing quote (or to the

@@ -88,8 +88,8 @@ fn nested(depth: usize, shape: i64, closed: bool) -> String {
 }
 
 /// The string with every UTF-16 unit written as a `\uXXXX` escape, or
-/// `None` if it holds a scalar outside the basic plane (the parser rejects
-/// surrogate pairs on purpose).
+/// `None` if it holds a scalar outside the basic plane (see
+/// `every_scalar_escaped_parses_back_to_itself` for those).
 fn all_unicode_escapes(s: &str) -> Option<String> {
     let mut out = String::from("\"");
     for c in s.chars() {
@@ -102,8 +102,40 @@ fn all_unicode_escapes(s: &str) -> Option<String> {
     Some(out)
 }
 
+/// Scalar values, every one but the surrogates: half from the basic plane,
+/// half from all seventeen planes.
+fn arb_scalars() -> impl Strategy<Value = Vec<char>> {
+    let scalar = prop_oneof![0u32..0xF800, 0u32..0x10_F800].prop_map(|n| {
+        let n = if n < 0xD800 { n } else { n + 0x800 };
+        char::from_u32(n).expect("a scalar value")
+    });
+    prop::collection::vec(scalar, 0..8)
+}
+
+/// `chars` written as a string token of `\uXXXX` escapes only, one per
+/// UTF-16 unit: a scalar above U+FFFF is a high and a low surrogate
+/// escape, as `json.dumps` and `JSON.stringify` write it.
+fn utf16_escapes(chars: &[char]) -> String {
+    let mut out = String::from("\"");
+    for c in chars {
+        for unit in c.encode_utf16(&mut [0; 2]) {
+            out.push_str(&format!("\\u{unit:04x}"));
+        }
+    }
+    out.push('"');
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Every scalar written as `\u` escapes — a surrogate pair above
+    /// U+FFFF — parses back to itself.
+    #[test]
+    fn every_scalar_escaped_parses_back_to_itself(chars in arb_scalars()) {
+        let text = utf16_escapes(&chars);
+        prop_assert_eq!(parse(&text), Ok(Json::Str(chars.iter().collect())), "token: {}", text);
+    }
 
     /// parse ∘ write is the identity on trees.
     #[test]
@@ -197,4 +229,35 @@ fn string_error_texts_are_pinned() {
     assert_eq!(err(r#""\u12"#), "truncated \\u escape");
     assert_eq!(err(r#""\u"#), "truncated \\u escape");
     assert_eq!(err(r#""\ud800""#), "unsupported \\u escape d800");
+}
+
+/// A surrogate pair reads as its one scalar; a surrogate alone, the two
+/// reversed, or a pair cut short is refused.
+#[test]
+fn only_a_whole_surrogate_pair_is_a_scalar() {
+    assert_eq!(parse(r#""\ud83d\ude00""#), Ok(Json::Str("😀".to_string())));
+    assert_eq!(
+        parse(r#""a\uD83D\uDE00b""#),
+        Ok(Json::Str("a😀b".to_string()))
+    );
+    let err = |text: &str| parse(text).unwrap_err();
+    assert_eq!(err(r#""\ud83d""#), "unsupported \\u escape d83d");
+    assert_eq!(err(r#""\ud83dx""#), "unsupported \\u escape d83d");
+    assert_eq!(err(r#""\ud83d\n""#), "unsupported \\u escape d83d");
+    assert_eq!(err(r#""\ude00""#), "unsupported \\u escape de00");
+    assert_eq!(err(r#""\ude00\ud83d""#), "unsupported \\u escape de00");
+    assert_eq!(err(r#""\ud83d\ud83d""#), "unsupported \\u escape d83d");
+    assert_eq!(err(r#""\ud83dA""#), "unsupported \\u escape d83d");
+    assert_eq!(err(r#""\ud83d\ude0"#), "truncated \\u escape");
+}
+
+/// A `\u` escape is exactly four hex digits: no sign, no other character.
+#[test]
+fn a_unicode_escape_is_four_hex_digits() {
+    assert_eq!(parse(r#""\u0041\u00E9""#), Ok(Json::Str("Aé".to_string())));
+    let err = |text: &str| parse(text).unwrap_err();
+    assert_eq!(err(r#""\u+041""#), "invalid \\u escape +041");
+    assert_eq!(err(r#""\u-041""#), "invalid \\u escape -041");
+    assert_eq!(err(r#""\u00g1""#), "invalid \\u escape 00g1");
+    assert_eq!(err(r#""\ud83d\u+e00""#), "invalid \\u escape +e00");
 }

@@ -476,7 +476,7 @@ fn parse_execute(doc: &Json) -> Result<ExecuteRequest, String> {
 
     let mut buffers = Vec::new();
     let mut words_left = MAX_EXECUTE_WORDS;
-    for b in doc.get("buffers").and_then(Json::as_array).unwrap_or(&[]) {
+    for b in array_member(doc, "buffers")? {
         let name = b
             .get("name")
             .and_then(Json::as_str)
@@ -515,7 +515,7 @@ fn parse_execute(doc: &Json) -> Result<ExecuteRequest, String> {
     }
 
     let mut args = Vec::new();
-    for a in doc.get("args").and_then(Json::as_array).unwrap_or(&[]) {
+    for a in array_member(doc, "args")? {
         args.push(match a {
             Json::Int(v) => Arg::Int(*v),
             Json::Float(v) => Arg::Float(*v),
@@ -530,19 +530,29 @@ fn parse_execute(doc: &Json) -> Result<ExecuteRequest, String> {
     }
 
     let mut reads = Vec::new();
-    for r in doc.get("read").and_then(Json::as_array).unwrap_or(&[]) {
+    for r in array_member(doc, "read")? {
         reads.push(ReadSpec {
             buffer: r
                 .get("buffer")
                 .and_then(Json::as_str)
                 .ok_or("read needs a `buffer`")?
                 .to_string(),
-            offset: r.get("offset").and_then(Json::as_u64).unwrap_or(0) as usize,
+            offset: match r.get("offset") {
+                None => 0,
+                Some(offset) => offset
+                    .as_u64()
+                    .ok_or("read `offset` must be a non-negative integer")?
+                    as usize,
+            },
             len: r
                 .get("len")
                 .and_then(Json::as_u64)
                 .ok_or("read needs a `len`")? as usize,
-            floats: r.get("floats") == Some(&Json::Bool(true)),
+            floats: match r.get("floats") {
+                None => false,
+                Some(Json::Bool(floats)) => *floats,
+                Some(_) => return Err("read `floats` must be a boolean".to_string()),
+            },
         });
     }
 
@@ -556,6 +566,17 @@ fn parse_execute(doc: &Json) -> Result<ExecuteRequest, String> {
         args,
         reads,
     })
+}
+
+/// The items of an optional array member: none when it is absent, a
+/// refusal when it is anything but an array.
+fn array_member<'a>(doc: &'a Json, name: &str) -> Result<&'a [Json], String> {
+    match doc.get(name) {
+        None => Ok(&[]),
+        Some(value) => value
+            .as_array()
+            .ok_or_else(|| format!("`{name}` must be an array")),
+    }
 }
 
 // ----------------------------------------------------------------------

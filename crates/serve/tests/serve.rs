@@ -508,6 +508,98 @@ fn compile_lists_generated_kernels_but_no_device_functions() {
     client.request(&bare_request("shutdown")).expect("shutdown");
 }
 
+/// An `execute` member of the wrong shape is refused, not read as its
+/// default: a `read` that would start at offset 0, read integers or read
+/// nothing, a `buffers` or `args` taken as empty. Each is one `parse` line
+/// that keeps its `id`, and the session keeps answering.
+#[test]
+fn execute_refuses_malformed_members_keeping_their_id() {
+    let endpoint = start_server();
+    let mut client = Client::connect(&endpoint).expect("connect");
+    let src = Json::Str(SRC.to_string()).to_string();
+    let read_offset = "read `offset` must be a non-negative integer";
+    for (id, members, error) in [
+        (
+            1,
+            r#""read":[{"buffer":"d","len":2,"offset":-1}]"#,
+            read_offset,
+        ),
+        (
+            2,
+            r#""read":[{"buffer":"d","len":2,"offset":"x"}]"#,
+            read_offset,
+        ),
+        (
+            3,
+            r#""read":[{"buffer":"d","len":2,"offset":1.5}]"#,
+            read_offset,
+        ),
+        (
+            4,
+            r#""read":[{"buffer":"d","len":2,"floats":"yes"}]"#,
+            "read `floats` must be a boolean",
+        ),
+        (
+            5,
+            r#""read":[{"buffer":"d","len":2,"floats":1}]"#,
+            "read `floats` must be a boolean",
+        ),
+        (
+            6,
+            r#""read":{"buffer":"d","len":2}"#,
+            "`read` must be an array",
+        ),
+        (
+            7,
+            r#""buffers":{"name":"d","words":8}"#,
+            "`buffers` must be an array",
+        ),
+        (8, r#""buffers":null"#, "`buffers` must be an array"),
+        (9, r#""args":"@d""#, "`args` must be an array"),
+    ] {
+        let line = format!(
+            r#"{{"op":"execute","source":{src},"kernel":"parent","grid":1,"block":4,{members},"id":{id}}}"#
+        );
+        let answer = client
+            .roundtrip_line(&line)
+            .expect("round-trip")
+            .expect("server answered");
+        assert_eq!(
+            answer,
+            format!(r#"{{"error":"{error}","id":{id},"kind":"parse","ok":false,"op":"error"}}"#)
+                + "\n",
+            "{members}"
+        );
+    }
+    let stats = client.request(&bare_request("stats")).expect("stats");
+    assert_eq!(stats.get("ok"), Some(&Json::Bool(true)), "{stats}");
+    client.request(&bare_request("shutdown")).expect("shutdown");
+}
+
+/// Text outside the basic plane arrives as a surrogate pair of `\u`
+/// escapes from a standard JSON encoder (Python's `json.dumps` by default):
+/// it is read as its one scalar, and the request is served with its `id`.
+#[test]
+fn compile_reads_an_escaped_surrogate_pair() {
+    let endpoint = start_server();
+    let mut client = Client::connect(&endpoint).expect("connect");
+    // `json.dumps({"op":"compile","source":"// \U0001F600\n__global__ void k() {}","id":3})`
+    let line = r#"{"op": "compile", "source": "// \ud83d\ude00\n__global__ void k() {}", "id": 3}"#;
+    let answer = client
+        .roundtrip_line(line)
+        .expect("round-trip")
+        .expect("server answered");
+    let answer = dp_sweep::json::parse(&answer).expect("answer is JSON");
+    assert_eq!(answer.get("ok"), Some(&Json::Bool(true)), "{answer}");
+    assert_eq!(answer.get("id"), Some(&Json::Int(3)), "{answer}");
+    assert_eq!(
+        answer.get("kernels"),
+        Some(&Json::Array(vec![Json::Str("k".to_string())])),
+        "{answer}"
+    );
+    client.request(&bare_request("shutdown")).expect("shutdown");
+}
+
 /// A `sweep-cell` pairing a benchmark with a dataset its driver cannot read
 /// is refused where it is parsed, with one short line — it used to reach
 /// the driver, panic there, and answer with a dump of the whole input.

@@ -18,9 +18,10 @@
 //! around six ideas (measured by `dp-bench`'s `vmbench` binary, tracked
 //! in `BENCH_vm.json` at the repo root):
 //!
-//! 1. **Direct-threaded dispatch, block-charged accounting**: at machine
-//!    construction every function's instruction stream is decoded into a
-//!    table of op slots — a handler function pointer plus pre-resolved
+//! 1. **Direct-threaded dispatch, block-charged accounting**: once per
+//!    program ([`machine::Image`], shared by every machine that runs it)
+//!    every function's instruction stream is decoded into a table of op
+//!    slots — a handler function pointer plus pre-resolved
 //!    operands — and cut into basic blocks
 //!    ([`bytecode::CompiledFunction::block_charges`]), each with its
 //!    summed cycles, width and per-origin cycles. The hot loop is an
@@ -101,6 +102,6 @@ pub mod value;
 pub use bytecode::{BlockCharge, CostClass, CostModel, Module};
 pub use error::{CompileError, ExecError};
 pub use lower::{compile_program, compile_program_unfused, fuse_module, LowerOptions};
-pub use machine::{DispatchMode, ExecLimits, Machine, MachineStats, Memory};
+pub use machine::{DispatchMode, ExecLimits, Image, Machine, MachineStats, Memory};
 pub use trace::{BlockTrace, ExecutionTrace, GridTrace, LaunchOrigin, LaunchRecord, OriginCycles};
 pub use value::{Dim3Table, LaunchDim, Value};

@@ -9,16 +9,17 @@
 //!
 //! ## Dispatch
 //!
-//! The interpreter is **direct-threaded**: at machine construction every
+//! The interpreter is **direct-threaded**: when an [`Image`] is built every
 //! function's instruction stream is decoded into a table of slots — a
 //! function pointer per opcode plus pre-resolved operands (`ops.rs`) — so
 //! the hot loop is an indirect call per instruction instead of a `match`
-//! over the whole opcode space. Accounting (cycles, width, origin, budget)
-//! is static per basic block, so the table also holds one [`BlockCharge`]
-//! per block and the loop charges it when it dispatches the block's leader,
-//! and nothing otherwise. An opcode that ends a basic block or must observe
-//! an exact `thread.cycles` has to say so in
-//! [`CompiledFunction::block_charges`].
+//! over the whole opcode space. The tables never change, so the machines
+//! that run one program share its image rather than each building them.
+//! Accounting (cycles, width, origin, budget) is static per basic block, so
+//! the table also holds one [`BlockCharge`] per block and the loop charges
+//! it when it dispatches the block's leader, and nothing otherwise. An
+//! opcode that ends a basic block or must observe an exact `thread.cycles`
+//! has to say so in [`CompiledFunction::block_charges`].
 //!
 //! A block's **uniform prefix** — a kernel's instructions from its entry up
 //! to the first that reads a thread index or writes outside the thread's
@@ -94,6 +95,7 @@ use crate::value::{Dim3Table, LaunchDim, Value, SHARED_SPACE_BASE};
 use dp_frontend::ast::{CodeOrigin, FnQual};
 use dp_obs::metrics::Histogram;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Wall time of one `run_to_quiescence` call (a host launch's full
 /// device-side cascade).
@@ -882,14 +884,47 @@ fn linear_to_block_idx(linear: i64, grid_dim: [i64; 3]) -> [i64; 3] {
 // The machine
 // ----------------------------------------------------------------------
 
-/// The simulated GPU: compiled module + memory + launch queue.
-pub struct Machine {
+/// What a machine runs and never changes: the bytecode, the cost model, and
+/// the dispatch tables built from the two (`ops::build_tables`: the decoded
+/// slots, the block charges, the purity flags and the loop skips).
+///
+/// An image is read-only, so any number of machines share one through an
+/// `Arc` ([`Machine::from_image`]): a program run many times builds its
+/// tables once, and a machine made from a shared image allocates only its
+/// own state.
+pub struct Image {
     module: Module,
+    cost: CostModel,
+    tables: Box<[FuncTable]>,
+}
+
+impl Image {
+    /// Builds the dispatch tables of `module` under `cost`.
+    pub fn new(module: Module, cost: CostModel) -> Self {
+        let tables = build_tables(&module, &cost);
+        Image {
+            module,
+            cost,
+            tables,
+        }
+    }
+}
+
+impl std::fmt::Debug for Image {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Image")
+            .field("module", &self.module)
+            .field("cost", &self.cost)
+            .finish_non_exhaustive()
+    }
+}
+
+/// The simulated GPU: a shared [`Image`] + memory + launch queue.
+pub struct Machine {
+    image: Arc<Image>,
     /// Global device memory.
     pub mem: Memory,
     dim3s: Dim3Table,
-    cost: CostModel,
-    tables: Vec<FuncTable>,
     limits: ExecLimits,
     launches: LaunchQueue,
     trace: ExecutionTrace,
@@ -907,15 +942,19 @@ impl Machine {
         Machine::with_config(module, CostModel::default(), ExecLimits::default())
     }
 
-    /// Creates a machine with an explicit cost model and limits.
+    /// Creates a machine with an explicit cost model and limits, building
+    /// its own [`Image`].
     pub fn with_config(module: Module, cost: CostModel, limits: ExecLimits) -> Self {
-        let tables = build_tables(&module, &cost);
+        Machine::from_image(Arc::new(Image::new(module, cost)), limits)
+    }
+
+    /// Creates a machine that runs a shared `image`: nothing of the program
+    /// is copied or rebuilt.
+    pub fn from_image(image: Arc<Image>, limits: ExecLimits) -> Self {
         Machine {
-            module,
+            image,
             mem: Memory::new(),
             dim3s: Dim3Table::default(),
-            cost,
-            tables,
             limits,
             launches: LaunchQueue::default(),
             trace: ExecutionTrace::default(),
@@ -1030,12 +1069,12 @@ impl Machine {
         block: impl Into<LaunchDim>,
         args: &[Value],
     ) -> Result<usize, ExecError> {
-        let id = self
-            .module
+        let module = &self.image.module;
+        let id = module
             .id_of(kernel)
             .ok_or_else(|| ExecError::new(format!("unknown kernel `{kernel}`")))?;
         self.launches.enqueue(
-            &self.module,
+            module,
             &self.limits,
             id,
             grid.into().0,
@@ -1070,11 +1109,9 @@ impl Machine {
         // module/dispatch tables while mutating memory, the launch queue,
         // and thread state.
         let Machine {
-            module,
+            image,
             mem,
             dim3s,
-            cost,
-            tables,
             limits,
             launches,
             trace,
@@ -1084,6 +1121,11 @@ impl Machine {
             arena,
             dispatch,
         } = self;
+        let Image {
+            module,
+            cost,
+            tables,
+        } = &**image;
         let num_blocks = dim_product(grid.grid, "grid")?;
         let func = module.function(grid.kernel);
         // Coerce kernel arguments to their declared parameter types once per
@@ -1140,6 +1182,29 @@ mod tests {
     fn machine(src: &str) -> Machine {
         let p = dp_frontend::parse(src).unwrap();
         Machine::new(compile_program(&p).unwrap())
+    }
+
+    #[test]
+    fn machines_sharing_an_image_keep_their_own_state() {
+        let p =
+            dp_frontend::parse("__global__ void k(int* d, int v) { d[threadIdx.x] = v; }").unwrap();
+        let image = Arc::new(Image::new(
+            compile_program(&p).unwrap(),
+            CostModel::default(),
+        ));
+        let run = |v: i64| {
+            let mut m = Machine::from_image(Arc::clone(&image), ExecLimits::default());
+            let buf = m.alloc(4);
+            m.launch_host("k", 1, 4, &[Value::Int(buf), Value::Int(v)])
+                .unwrap();
+            m.run_to_quiescence().unwrap();
+            (m.read_i64s(buf, 4).unwrap(), m.stats())
+        };
+        let (first, stats) = run(3);
+        let (second, again) = run(5);
+        assert_eq!((first, second), (vec![3; 4], vec![5; 4]));
+        assert_eq!(stats, again, "each machine counts only its own run");
+        assert_eq!(Arc::strong_count(&image), 1, "the machines released it");
     }
 
     #[test]

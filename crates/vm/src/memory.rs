@@ -14,9 +14,11 @@ pub struct Memory {
 
 impl Memory {
     pub(crate) fn new() -> Self {
-        // Address 0 is reserved as a null pointer.
+        // Address 0 is reserved as a null pointer. No word is stored before
+        // the first `alloc`, which grows `data` to cover it too: nothing
+        // below `bump` is addressable until then.
         Memory {
-            data: vec![Value::Int(0)],
+            data: Vec::new(),
             bump: 1,
         }
     }

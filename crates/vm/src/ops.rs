@@ -525,7 +525,7 @@ fn threaded_op(instr: Instr) -> ThreadedOp {
 /// instruction, one charge per basic block carrying the cost model's
 /// cycles and the fusion-transparent width/origin accounting, and one skip
 /// per summarised loop.
-pub(crate) fn build_tables(module: &Module, cost: &CostModel) -> Vec<FuncTable> {
+pub(crate) fn build_tables(module: &Module, cost: &CostModel) -> Box<[FuncTable]> {
     module
         .functions
         .iter()

@@ -129,21 +129,14 @@ impl From<bool> for Value {
 /// A machine's interned `(y, z)` pairs. Indices are valid wherever a word
 /// of that machine can travel: locals, stacks, shared and global memory,
 /// kernel arguments of later grids.
-#[derive(Debug, Clone)]
+///
+/// A table starts empty, so a machine that never interns a pair other than
+/// `(1, 1)` allocates nothing for it; the first other pair seeds it with
+/// `YZ_ZEROS` and `YZ_ONES`.
+#[derive(Debug, Clone, Default)]
 pub struct Dim3Table {
     pairs: Vec<[i64; 2]>,
     index: HashMap<[i64; 2], u32>,
-}
-
-impl Default for Dim3Table {
-    fn default() -> Self {
-        // In the order of `YZ_ZEROS` and `YZ_ONES`.
-        let pairs = vec![[0, 0], [1, 1]];
-        Dim3Table {
-            index: pairs.iter().copied().zip(0..).collect(),
-            pairs,
-        }
-    }
 }
 
 impl Dim3Table {
@@ -152,6 +145,11 @@ impl Dim3Table {
         let yz = if [y, z] == [1, 1] {
             YZ_ONES
         } else {
+            if self.pairs.is_empty() {
+                // In the order of `YZ_ZEROS` and `YZ_ONES`.
+                self.pairs.extend([[0, 0], [1, 1]]);
+                self.index.extend([([0, 0], YZ_ZEROS), ([1, 1], YZ_ONES)]);
+            }
             let next = self.pairs.len();
             *self.index.entry([y, z]).or_insert_with(|| {
                 self.pairs.push([y, z]);
@@ -165,6 +163,7 @@ impl Dim3Table {
     /// does, to `(v, 1, 1)`.
     pub fn resolve(&self, v: Value) -> [i64; 3] {
         match v {
+            Value::Dim3 { x, yz: YZ_ONES } => [x, 1, 1],
             Value::Dim3 { x, yz } => {
                 let [y, z] = self.pairs[yz as usize];
                 [x, y, z]

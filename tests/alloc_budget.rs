@@ -34,6 +34,18 @@
 //!
 //! The bound is the last row: a `Compiled` that held the tree again would
 //! free it (some 500 to 1 000 blocks) wherever it was evicted.
+//!
+//! Running the program has its own row. The first `executor()` builds what
+//! every executor shares (the bytecode with its dispatch tables, and the
+//! manifest); a second builds nothing of the program:
+//!
+//! | | allocations per second `executor()` |
+//! |---|---|
+//! | each executor clones the module and builds its tables | 181 |
+//! | executors share the first one's image and manifest | 1 |
+//!
+//! The one is the empty machine's operand stack. A count above it means an
+//! executor copies or rebuilds the program again.
 
 use dpopt::core::{AggConfig, AggGranularity, Compiler, OptConfig};
 use dpopt::workloads::benchmarks::{bfs::Bfs, Benchmark};
@@ -81,6 +93,7 @@ fn frees_during(f: impl FnOnce()) -> u64 {
 const COMPILE_ALLOCATIONS: u64 = 934;
 const PARSE_ALLOCATIONS: u64 = 100;
 const COMPILED_FREES: u64 = 69;
+const SECOND_EXECUTOR_ALLOCATIONS: u64 = 1;
 
 #[test]
 fn one_compile_stays_inside_its_allocation_budget() {
@@ -98,9 +111,13 @@ fn one_compile_stays_inside_its_allocation_budget() {
     let (printed, print) = allocations_during(|| dpopt::frontend::print_program(&program));
     assert_eq!(printed, compiled.transformed_source());
     let dropped = frees_during(|| drop(compiled));
+    let compiled = compiler.compile(source).expect("compiles");
+    let (_, first) = allocations_during(|| compiled.executor());
+    let (_, second) = allocations_during(|| compiled.executor());
     println!(
         "compile: {compile} allocations, parse: {parse}, print_program: {print}; \
-         dropping the compiled program: {dropped} frees"
+         dropping the compiled program: {dropped} frees; executor: {first} the first, \
+         {second} the second"
     );
 
     assert!(
@@ -121,5 +138,9 @@ fn one_compile_stays_inside_its_allocation_budget() {
         dropped <= COMPILED_FREES,
         "dropping the compiled program made {dropped} frees; the bound is \
          {COMPILED_FREES}: does a `Compiled` hold the tree again?"
+    );
+    assert_eq!(
+        second, SECOND_EXECUTOR_ALLOCATIONS,
+        "a second executor made {second} allocations: does it copy or rebuild the program?"
     );
 }
