@@ -2,18 +2,18 @@
 //!
 //! Static analyses supporting the dynamic-parallelism optimization passes:
 //!
-//! - [`registry`] — kernels, launch sites, and the device call graph,
-//! - [`transformable`] — can a child kernel be serialized? (paper §III-C),
-//! - [`threads`] — desired-thread-count extraction from ceiling-division
+//! - `registry` — kernels, launch sites, and the device call graph,
+//! - `transformable` — can a child kernel be serialized? (paper §III-C),
+//! - `threads` — desired-thread-count extraction from ceiling-division
 //!   grid-dimension expressions (paper §III-D, Fig. 4).
 //!
 //! All analyses operate on the `dp-frontend` AST and are purely syntactic,
 //! matching the paper's source-to-source Clang implementation.
 
-pub mod registry;
-pub mod threads;
-pub mod transformable;
+pub(crate) mod registry;
+pub(crate) mod threads;
+pub(crate) mod transformable;
 
-pub use registry::{call_graph, launch_sites, reachable_functions, LaunchSite};
-pub use threads::{extract_thread_count, structurally_eq, ThreadCount};
-pub use transformable::{is_serializable, serialization_blockers, Blocker};
+pub use registry::{launch_sites, LaunchSite};
+pub use threads::extract_thread_count;
+pub use transformable::serialization_blockers;

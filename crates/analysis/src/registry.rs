@@ -23,7 +23,7 @@ pub struct LaunchSite {
 /// # Examples
 ///
 /// ```
-/// use dp_analysis::registry::launch_sites;
+/// use dp_analysis::launch_sites;
 /// let p = dp_frontend::parse(
 ///     "__global__ void c(int n) { }\n\
 ///      __global__ void p(int n) { c<<<n, 32>>>(n); }").unwrap();
@@ -53,7 +53,7 @@ pub fn launch_sites(program: &Program) -> Vec<LaunchSite> {
 
 /// Returns the set of function names `func` calls directly (plain calls,
 /// not launches), restricted to functions defined in the program.
-pub fn direct_callees(program: &Program, func: &Function) -> HashSet<Name> {
+pub(crate) fn direct_callees(program: &Program, func: &Function) -> HashSet<Name> {
     let defined: HashSet<&str> = program.functions().map(|f| f.name.as_str()).collect();
     let mut callees = HashSet::new();
     for stmt in &func.body {
@@ -70,7 +70,7 @@ pub fn direct_callees(program: &Program, func: &Function) -> HashSet<Name> {
 
 /// The call graph over functions defined in the program (direct calls only;
 /// launches are not edges).
-pub fn call_graph(program: &Program) -> HashMap<Name, HashSet<Name>> {
+pub(crate) fn call_graph(program: &Program) -> HashMap<Name, HashSet<Name>> {
     program
         .functions()
         .map(|f| (f.name.clone(), direct_callees(program, f)))
@@ -79,7 +79,7 @@ pub fn call_graph(program: &Program) -> HashMap<Name, HashSet<Name>> {
 
 /// All functions transitively reachable from `root` through direct calls,
 /// including `root` itself.
-pub fn reachable_functions<'p>(program: &'p Program, root: &str) -> Vec<&'p Function> {
+pub(crate) fn reachable_functions<'p>(program: &'p Program, root: &str) -> Vec<&'p Function> {
     let graph = call_graph(program);
     let mut seen = HashSet::new();
     let mut stack = vec![Name::new(root)];

@@ -340,7 +340,7 @@ fn is_constant_like(e: &Expr, divisor: &Expr) -> bool {
 }
 
 /// Structural expression equality ignoring spans and origins.
-pub fn structurally_eq(a: &Expr, b: &Expr) -> bool {
+pub(crate) fn structurally_eq(a: &Expr, b: &Expr) -> bool {
     use ExprKind::*;
     match (&a.kind, &b.kind) {
         (IntLit(x), IntLit(y)) => x == y,

@@ -65,7 +65,7 @@ impl fmt::Display for Blocker {
 /// # Examples
 ///
 /// ```
-/// use dp_analysis::transformable::serialization_blockers;
+/// use dp_analysis::serialization_blockers;
 /// let p = dp_frontend::parse(
 ///     "__global__ void c(int* d) { __syncthreads(); d[0] = 1; }").unwrap();
 /// let blockers = serialization_blockers(&p, "c");
@@ -110,15 +110,15 @@ pub fn serialization_blockers(program: &Program, kernel: &str) -> Vec<Blocker> {
     blockers
 }
 
-/// `true` when [`serialization_blockers`] finds nothing.
-pub fn is_serializable(program: &Program, kernel: &str) -> bool {
-    serialization_blockers(program, kernel).is_empty()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dp_frontend::parse;
+
+    /// `true` when [`serialization_blockers`] finds nothing.
+    fn is_serializable(program: &Program, kernel: &str) -> bool {
+        serialization_blockers(program, kernel).is_empty()
+    }
 
     #[test]
     fn plain_kernel_is_serializable() {

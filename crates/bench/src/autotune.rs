@@ -27,7 +27,7 @@ pub struct Evaluation {
     /// The configuration tried.
     pub tuned: Tuned,
     /// Simulated time (µs).
-    pub time_us: f64,
+    pub(crate) time_us: f64,
 }
 
 /// Autotuning outcome.

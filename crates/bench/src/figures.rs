@@ -362,7 +362,7 @@ pub fn fig10_report(
 // ----------------------------------------------------------------------
 
 /// Thresholds swept (paper: none, 1..32768; subsampled for runtime).
-pub const FIG11_THRESHOLDS: [Option<i64>; 8] = [
+pub(crate) const FIG11_THRESHOLDS: [Option<i64>; 8] = [
     None,
     Some(1),
     Some(8),
@@ -386,7 +386,7 @@ fn fig11_granularities() -> Vec<(&'static str, Option<AggGranularity>)> {
 }
 
 /// The dataset shown per benchmark in the paper's Fig. 11.
-pub fn fig11_dataset(bench: &str) -> DatasetId {
+pub(crate) fn fig11_dataset(bench: &str) -> DatasetId {
     match bench {
         "BFS" | "MSTF" | "MSTV" | "SSSP" | "TC" => DatasetId::Kron,
         "BT" => DatasetId::T2048C64,

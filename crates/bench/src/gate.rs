@@ -69,18 +69,18 @@ const GATED: [(&str, &str, Worse, &str); 4] = [
 
 /// One workload's committed-vs-fresh comparison.
 #[derive(Debug)]
-pub struct RowComparison {
-    pub name: String,
-    pub committed_instructions: u64,
-    pub fresh_instructions: u64,
+pub(crate) struct RowComparison {
+    pub(crate) name: String,
+    pub(crate) committed_instructions: u64,
+    pub(crate) fresh_instructions: u64,
     /// Per entry of `GATED`, `(committed, fresh)` when the committed
     /// document records the count.
-    pub gated: [Option<(u64, u64)>; GATED.len()],
+    pub(crate) gated: [Option<(u64, u64)>; GATED.len()],
 }
 
 impl RowComparison {
     /// Exact-match accounting contract.
-    pub fn instructions_ok(&self) -> bool {
+    pub(crate) fn instructions_ok(&self) -> bool {
         self.committed_instructions == self.fresh_instructions
     }
 
@@ -107,7 +107,7 @@ impl RowComparison {
 /// The gate's full verdict.
 #[derive(Debug)]
 pub struct GateReport {
-    pub rows: Vec<RowComparison>,
+    pub(crate) rows: Vec<RowComparison>,
 }
 
 impl GateReport {

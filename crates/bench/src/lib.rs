@@ -180,7 +180,7 @@ pub fn scale_for(benchmark: &str, scale: f64) -> f64 {
 }
 
 /// Geometric mean of a slice (empty → 1.0).
-pub fn geomean(xs: &[f64]) -> f64 {
+pub(crate) fn geomean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         return 1.0;
     }
@@ -188,7 +188,7 @@ pub fn geomean(xs: &[f64]) -> f64 {
 }
 
 /// Formats a row of a fixed-width table.
-pub fn row(cols: &[String], widths: &[usize]) -> String {
+pub(crate) fn row(cols: &[String], widths: &[usize]) -> String {
     cols.iter()
         .zip(widths)
         .map(|(c, w)| format!("{c:>w$}", w = *w))

@@ -372,11 +372,11 @@ fn cache_sync(args: &[String]) -> ExitCode {
     let Some(endpoints) = endpoints else {
         return fail("missing endpoints (usage: dpopt cache sync <addr,...> [--dir <path>])");
     };
-    let opts = dp_shard::SyncOptions {
+    let opts = dp_serve::shard::SyncOptions {
         cache_dir: dir.clone(),
-        ..dp_shard::SyncOptions::default()
+        ..dp_serve::shard::SyncOptions::default()
     };
-    let report = match dp_shard::sync_caches(&endpoints, &opts) {
+    let report = match dp_serve::shard::sync_caches(&endpoints, &opts) {
         Ok(r) => r,
         Err(e) => return fail(&format!("cache sync: {e}")),
     };
@@ -524,7 +524,7 @@ fn serve(args: &[String]) -> ExitCode {
     // Fault plans come only from the environment at the CLI layer (the
     // programmatic field is for in-process tests); a malformed spec is a
     // startup failure, not a silently-unarmed plan.
-    match dp_faults::FaultPlan::from_env() {
+    match dp_sweep::faults::FaultPlan::from_env() {
         Ok(plan) => {
             if !plan.is_empty() {
                 dp_obs::diag!("dp-serve: fault injection armed via DPOPT_FAULTS");
@@ -1011,12 +1011,12 @@ fn sweep(args: &[String]) -> ExitCode {
             if opts.jobs != 0 {
                 return fail("--jobs has no effect with --remote (the daemons size their pools)");
             }
-            let shard_opts = dp_shard::ShardOptions {
+            let shard_opts = dp_serve::shard::ShardOptions {
                 cache: opts.cache,
                 cache_dir: opts.cache_dir.clone(),
-                ..dp_shard::ShardOptions::default()
+                ..dp_serve::shard::ShardOptions::default()
             };
-            match dp_shard::shard_sweep(&endpoints, &spec, &shard_opts) {
+            match dp_serve::shard::shard_sweep(&endpoints, &spec, &shard_opts) {
                 Ok(r) => r,
                 Err(e) => return fail(&e),
             }

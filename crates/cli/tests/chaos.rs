@@ -546,7 +546,7 @@ fn sigkill_a_daemon_mid_sharded_sweep_reroutes_with_identical_stdout() {
         ];
         if cells
             .iter()
-            .any(|c| dp_shard::route(c.key, &endpoints) == 0)
+            .any(|c| dp_serve::shard::route(c.key, &endpoints) == 0)
         {
             victim = Some((child, addr_a, stderr_a));
             break;

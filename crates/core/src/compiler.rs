@@ -15,7 +15,7 @@ use dp_frontend::printer::print_program;
 use dp_transform::{apply_pipeline, OptConfig, TransformManifest};
 use dp_vm::bytecode::{CostModel, Module};
 use dp_vm::lower::{compile_program_with, LowerOptions};
-use dp_vm::machine::{DispatchMode, ExecLimits, Image};
+use dp_vm::machine::{DispatchMode, Image};
 use std::sync::{Arc, OnceLock};
 
 /// Compiles CUDA-subset source with a chosen optimization configuration.
@@ -37,7 +37,6 @@ use std::sync::{Arc, OnceLock};
 pub struct Compiler {
     config: OptConfig,
     cost: CostModel,
-    limits: ExecLimits,
     lower: LowerOptions,
     dispatch: DispatchMode,
 }
@@ -54,7 +53,6 @@ impl Compiler {
         Compiler {
             config: OptConfig::none(),
             cost: CostModel::default(),
-            limits: ExecLimits::default(),
             lower: LowerOptions::default(),
             dispatch: DispatchMode::default(),
         }
@@ -78,12 +76,6 @@ impl Compiler {
     /// Overrides the VM instruction cost model.
     pub fn cost_model(mut self, cost: CostModel) -> Self {
         self.cost = cost;
-        self
-    }
-
-    /// Overrides execution limits.
-    pub fn limits(mut self, limits: ExecLimits) -> Self {
-        self.limits = limits;
         self
     }
 
@@ -124,7 +116,6 @@ impl Compiler {
             manifest,
             module,
             cost: self.cost.clone(),
-            limits: self.limits,
             dispatch: self.dispatch,
             loaded: OnceLock::new(),
         })
@@ -165,7 +156,6 @@ pub struct Compiled {
     manifest: TransformManifest,
     module: Module,
     cost: CostModel,
-    limits: ExecLimits,
     dispatch: DispatchMode,
     loaded: OnceLock<Loaded>,
 }
@@ -204,11 +194,7 @@ impl Compiled {
             image: Arc::new(Image::new(self.module.clone(), self.cost.clone())),
             manifest: Arc::new(self.manifest.clone()),
         });
-        let mut exec = Executor::new(
-            Arc::clone(&loaded.image),
-            Arc::clone(&loaded.manifest),
-            self.limits,
-        );
+        let mut exec = Executor::new(Arc::clone(&loaded.image), Arc::clone(&loaded.manifest));
         exec.machine_mut().set_dispatch(self.dispatch);
         exec
     }

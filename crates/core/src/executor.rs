@@ -59,11 +59,8 @@ pub struct Executor {
 }
 
 impl Executor {
-    pub(crate) fn new(
-        image: Arc<Image>,
-        manifest: Arc<TransformManifest>,
-        limits: ExecLimits,
-    ) -> Self {
+    pub(crate) fn new(image: Arc<Image>, manifest: Arc<TransformManifest>) -> Self {
+        let limits = ExecLimits::default();
         Executor {
             machine: Machine::from_image(image, limits),
             manifest,

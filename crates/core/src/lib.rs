@@ -35,9 +35,9 @@
 //! # Ok::<(), dp_core::Error>(())
 //! ```
 
-pub mod compiler;
-pub mod error;
-pub mod executor;
+pub(crate) mod compiler;
+pub(crate) mod error;
+pub(crate) mod executor;
 
 pub use compiler::{Compiled, Compiler, SharedCompiled};
 pub use dp_sim::{HostEvent, SimResult, TimingParams};

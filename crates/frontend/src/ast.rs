@@ -74,7 +74,8 @@ pub enum Type {
 
 impl Type {
     /// Whether the type is an integer type (bool counts as integer).
-    pub fn is_integer(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_integer(&self) -> bool {
         matches!(
             self,
             Type::Bool | Type::Int | Type::UInt | Type::Long | Type::ULong
@@ -82,7 +83,8 @@ impl Type {
     }
 
     /// Whether the type is a floating-point type.
-    pub fn is_float(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_float(&self) -> bool {
         matches!(self, Type::Float | Type::Double)
     }
 
@@ -152,7 +154,7 @@ pub enum BinOp {
 
 impl BinOp {
     /// C source text of the operator.
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             BinOp::Add => "+",
             BinOp::Sub => "-",
@@ -199,7 +201,7 @@ pub enum UnOp {
 
 impl UnOp {
     /// C source text of the operator.
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             UnOp::Neg => "-",
             UnOp::Not => "!",
@@ -239,7 +241,7 @@ pub enum AssignOp {
 
 impl AssignOp {
     /// C source text of the operator.
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             AssignOp::Assign => "=",
             AssignOp::Add => "+=",
@@ -289,7 +291,7 @@ const _: () = assert!(std::mem::size_of::<Expr>() == 64);
 
 impl Expr {
     /// Creates an expression with the given span and `Original` origin.
-    pub fn new(kind: ExprKind, span: Span) -> Expr {
+    pub(crate) fn new(kind: ExprKind, span: Span) -> Expr {
         Expr {
             kind,
             span,
@@ -407,7 +409,7 @@ pub struct VarDecl {
     /// `__shared__` qualifier.
     pub shared: bool,
     /// `const` qualifier (informational; the subset does not enforce it).
-    pub is_const: bool,
+    pub(crate) is_const: bool,
     /// One or more declared names.
     pub declarators: Vec<Declarator>,
 }
@@ -617,7 +619,7 @@ pub struct Program {
 
 impl Program {
     /// Creates an empty program.
-    pub fn new() -> Program {
+    pub(crate) fn new() -> Program {
         Program::default()
     }
 
@@ -674,9 +676,6 @@ impl Program {
         );
     }
 }
-
-/// The reserved builtin index/dimension variable names.
-pub const BUILTIN_DIM_VARS: [&str; 4] = ["threadIdx", "blockIdx", "blockDim", "gridDim"];
 
 /// Names treated as barrier/warp-synchronization intrinsics when deciding
 /// transformability (paper Section III-C).

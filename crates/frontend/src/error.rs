@@ -17,7 +17,7 @@ pub struct ParseError {
 
 impl ParseError {
     /// Creates a new error covering `span`.
-    pub fn new(message: impl Into<String>, span: Span) -> Self {
+    pub(crate) fn new(message: impl Into<String>, span: Span) -> Self {
         ParseError {
             message: message.into(),
             span,
@@ -25,12 +25,14 @@ impl ParseError {
     }
 
     /// The human-readable message (lowercase, no trailing punctuation).
-    pub fn message(&self) -> &str {
+    #[cfg(test)]
+    pub(crate) fn message(&self) -> &str {
         &self.message
     }
 
     /// The source span the error points at.
-    pub fn span(&self) -> Span {
+    #[cfg(test)]
+    pub(crate) fn span(&self) -> Span {
         self.span
     }
 

@@ -1,9 +1,9 @@
 //! Hand-written lexer for the CUDA-C subset.
 //!
-//! The lexer produces a flat [`Token`] stream. Comments and whitespace are
+//! The lexer produces a flat `Token` stream. Comments and whitespace are
 //! skipped; preprocessor lines are either parsed (`#define NAME <int>` is
 //! understood by the parser) or preserved verbatim as
-//! [`TokenKind::Directive`] tokens so a source-to-source pipeline can print
+//! `TokenKind::Directive` tokens so a source-to-source pipeline can print
 //! them back out.
 //!
 //! Tokens borrow the source: an identifier or a directive is a slice of the
@@ -13,7 +13,7 @@
 //!
 //! One CUDA-specific wrinkle handled here: `>>>` is only a launch-close token
 //! in launch position. The lexer always emits `>>>` as
-//! [`Punct::LaunchClose`]; the parser re-splits it when it is actually
+//! `Punct::LaunchClose`; the parser re-splits it when it is actually
 //! parsing nested template-free expressions (the subset has no templates, so
 //! `>>>` never appears outside launches in valid input).
 

@@ -6,7 +6,7 @@
 //!
 //! The crate provides:
 //!
-//! - [`lexer::lex`] — hand-written lexer producing [`token::Token`]s that
+//! - [`lexer::lex`] — hand-written lexer producing `token::Token`s that
 //!   borrow the source text (an identifier is a slice of it, never a copy),
 //! - [`parser::parse`] — recursive-descent parser producing an
 //!   [`ast::Program`]; the AST owns its names, so it outlives the source,
@@ -39,19 +39,16 @@
 //! ```
 
 pub mod ast;
-pub mod error;
+pub(crate) mod error;
 pub mod lexer;
-pub mod name;
+pub(crate) mod name;
 pub mod parser;
 pub mod printer;
 pub mod span;
-pub mod token;
+pub(crate) mod token;
 pub mod visit;
 
-pub use ast::{
-    AssignOp, BinOp, CodeOrigin, Declarator, Expr, ExprKind, FnQual, Function, Item, LaunchStmt,
-    Param, Program, Stmt, StmtKind, Type, UnOp, VarDecl,
-};
+pub use ast::{Expr, Stmt};
 pub use error::ParseError;
 pub use name::Name;
 pub use parser::parse;

@@ -20,9 +20,9 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Span {
     /// Byte offset of the first character.
-    pub start: u32,
+    pub(crate) start: u32,
     /// Byte offset one past the last character.
-    pub end: u32,
+    pub(crate) end: u32,
 }
 
 impl Span {
@@ -64,7 +64,7 @@ impl Span {
     /// The smallest span covering both `self` and `other`.
     ///
     /// Joining with a synthetic span yields the non-synthetic operand.
-    pub fn join(self, other: Span) -> Span {
+    pub(crate) fn join(self, other: Span) -> Span {
         if self.is_synthetic() {
             return other;
         }
@@ -80,7 +80,8 @@ impl Span {
     /// Extracts the text this span covers from `source`.
     ///
     /// Returns an empty string for synthetic or out-of-range spans.
-    pub fn text<'s>(&self, source: &'s str) -> &'s str {
+    #[cfg(test)]
+    pub(crate) fn text<'s>(&self, source: &'s str) -> &'s str {
         if self.is_synthetic() || self.end as usize > source.len() {
             ""
         } else {

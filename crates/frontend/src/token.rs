@@ -12,14 +12,14 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Token<'s> {
     /// What kind of token this is.
-    pub kind: TokenKind<'s>,
+    pub(crate) kind: TokenKind<'s>,
     /// Where in the source it came from.
-    pub span: Span,
+    pub(crate) span: Span,
 }
 
 /// The kinds of tokens produced by [`crate::lexer::Lexer`].
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind<'s> {
+pub(crate) enum TokenKind<'s> {
     /// Integer literal, e.g. `42`, `0x1F`.
     IntLit(i64),
     /// Floating-point literal, e.g. `1.5`, `2e3`, `1.0f`.
@@ -54,14 +54,14 @@ macro_rules! keywords {
     ($($variant:ident => $text:literal),+ $(,)?) => {
         /// Reserved words of the CUDA-C subset.
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-        pub enum Keyword {
+        pub(crate) enum Keyword {
             $(#[doc = concat!("`", $text, "`")] $variant),+
         }
 
         impl Keyword {
             /// Looks up a keyword from its source text.
             #[allow(clippy::should_implement_trait)]
-            pub fn from_str(s: &str) -> Option<Keyword> {
+            pub(crate) fn from_str(s: &str) -> Option<Keyword> {
                 match s {
                     $($text => Some(Keyword::$variant),)+
                     _ => None,
@@ -69,7 +69,7 @@ macro_rules! keywords {
             }
 
             /// The source text of this keyword.
-            pub fn as_str(&self) -> &'static str {
+            pub(crate) fn as_str(&self) -> &'static str {
                 match self {
                     $(Keyword::$variant => $text,)+
                 }
@@ -119,13 +119,13 @@ macro_rules! puncts {
     ($($variant:ident => $text:literal),+ $(,)?) => {
         /// Operators and punctuation of the CUDA-C subset.
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-        pub enum Punct {
+        pub(crate) enum Punct {
             $(#[doc = concat!("`", $text, "`")] $variant),+
         }
 
         impl Punct {
             /// The source text of this punctuation token.
-            pub fn as_str(&self) -> &'static str {
+            pub(crate) fn as_str(&self) -> &'static str {
                 match self {
                     $(Punct::$variant => $text,)+
                 }

@@ -6,7 +6,6 @@
 //! that shape of work.
 
 use crate::ast::*;
-use crate::span::Span;
 
 /// Walks `expr` post-order (children before parents), letting `f` mutate
 /// every node in place.
@@ -154,7 +153,7 @@ pub fn walk_stmt_mut(stmt: &mut Stmt, f: &mut impl FnMut(&mut Stmt)) {
 }
 
 /// Immutable expression walk (post-order).
-pub fn for_each_expr<'a>(expr: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
+pub(crate) fn for_each_expr<'a>(expr: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
     match &expr.kind {
         ExprKind::IntLit(_) | ExprKind::FloatLit(_) | ExprKind::BoolLit(_) | ExprKind::Ident(_) => {
         }
@@ -268,16 +267,17 @@ pub fn for_each_stmt<'a>(stmt: &'a Stmt, f: &mut impl FnMut(&'a Stmt)) {
 ///
 /// Used by round-trip tests: `parse(print(p))` equals `strip_meta(p)` up to
 /// metadata, since printing discards spans.
-pub fn strip_meta(program: &mut Program) {
+#[cfg(test)]
+pub(crate) fn strip_meta(program: &mut Program) {
     for func in program.functions_mut() {
-        func.span = Span::SYNTH;
+        func.span = crate::Span::SYNTH;
         for stmt in &mut func.body {
             walk_stmt_mut(stmt, &mut |s| {
-                s.span = Span::SYNTH;
+                s.span = crate::Span::SYNTH;
                 s.origin = CodeOrigin::Original;
             });
             walk_stmt_exprs_mut(stmt, &mut |e| {
-                e.span = Span::SYNTH;
+                e.span = crate::Span::SYNTH;
                 e.origin = CodeOrigin::Original;
             });
         }

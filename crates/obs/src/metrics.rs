@@ -231,7 +231,7 @@ fn sanitize_label(label: &str) -> String {
 /// Power-of-two bucket upper bounds in microseconds: bucket `k` holds
 /// samples in `(2^(k-1), 2^k]` (bucket 0 holds `0..=1`), bucket
 /// [`OVERFLOW_BUCKET`] holds everything above `2^25`µs (~33.5s).
-pub const NUM_BUCKETS: usize = 27;
+pub(crate) const NUM_BUCKETS: usize = 27;
 const OVERFLOW_BUCKET: usize = NUM_BUCKETS - 1;
 
 #[inline]
@@ -246,7 +246,7 @@ fn bucket_for(us: u64) -> usize {
 
 /// The upper bound (`le`) of bucket `idx`, or `None` for the overflow
 /// bucket.
-pub fn bucket_bound_us(idx: usize) -> Option<u64> {
+pub(crate) fn bucket_bound_us(idx: usize) -> Option<u64> {
     if idx < OVERFLOW_BUCKET {
         Some(1u64 << idx)
     } else {
@@ -255,7 +255,7 @@ pub fn bucket_bound_us(idx: usize) -> Option<u64> {
 }
 
 /// A fixed-bucket latency histogram in microseconds. Declare as a
-/// `static`; record with [`Histogram::record_us`] or the
+/// `static`; record with `Histogram::record_us` or the
 /// [`now`]/[`Histogram::record_since`] pair.
 pub struct Histogram {
     name: &'static str,
@@ -281,7 +281,7 @@ impl Histogram {
 
     /// Records one sample. A no-op branch while recording is disabled.
     #[inline]
-    pub fn record_us(&'static self, us: u64) {
+    pub(crate) fn record_us(&'static self, us: u64) {
         if !enabled() {
             return;
         }
@@ -308,23 +308,23 @@ impl Histogram {
 
 /// A point-in-time copy of one histogram.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistogramSnapshot {
+pub(crate) struct HistogramSnapshot {
     /// Total samples.
-    pub count: u64,
+    pub(crate) count: u64,
     /// Sum of all samples in microseconds.
-    pub sum_us: u64,
+    pub(crate) sum_us: u64,
     /// Largest single sample in microseconds.
-    pub max_us: u64,
+    pub(crate) max_us: u64,
     /// Sparse buckets: `(le_us, count)` for non-empty buckets, in bound
     /// order; the overflow bucket reports `le_us == u64::MAX`.
-    pub buckets: Vec<(u64, u64)>,
+    pub(crate) buckets: Vec<(u64, u64)>,
 }
 
 impl HistogramSnapshot {
     /// The `q`-quantile (`0.0..=1.0`) as the upper bound of the bucket
     /// holding that rank — an over-estimate by at most one bucket width.
     /// The overflow bucket reports `max_us`. Zero samples → 0.
-    pub fn quantile_us(&self, q: f64) -> u64 {
+    pub(crate) fn quantile_us(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -345,9 +345,9 @@ impl HistogramSnapshot {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Snapshot {
     /// Counter totals by name.
-    pub counters: BTreeMap<String, u64>,
+    pub(crate) counters: BTreeMap<String, u64>,
     /// Histograms by name.
-    pub histograms: BTreeMap<String, HistogramSnapshot>,
+    pub(crate) histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
 impl Snapshot {

@@ -106,7 +106,8 @@ pub struct Span {
 impl Span {
     /// The span's id, 0 if tracing is off — feed to nothing; spans
     /// propagate via [`current_ctx`], this accessor exists for tests.
-    pub fn id(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn id(&self) -> u64 {
         self.id
     }
 }
@@ -176,7 +177,7 @@ pub struct TraceCtx(u64);
 
 impl TraceCtx {
     /// The empty context (root parentage).
-    pub const NONE: TraceCtx = TraceCtx(0);
+    pub(crate) const NONE: TraceCtx = TraceCtx(0);
 
     /// Makes this context the running thread's current span until the
     /// guard drops. Spans opened under the guard parent to the captured

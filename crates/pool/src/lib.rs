@@ -39,7 +39,7 @@
 //! 1. Size your concurrency from the shared budget
 //!    ([`jobs::configured_jobs`] or `Pool::shared().threads() + 1`), never
 //!    from a fresh env read.
-//! 2. Submit work with [`Pool::scope`]/[`Pool::run_as`] on
+//! 2. Submit work with [`Pool::scope`]/`Pool::run_as` on
 //!    [`Pool::shared`] — never `std::thread::spawn`/`std::thread::scope`
 //!    (grep-enforced by `crates/pool/tests/no_raw_threads.rs`).
 //! 3. Pick the [`JobClass`] deliberately: `Interactive` only for work a
@@ -52,6 +52,6 @@
 //!    canonical order, never in completion order.
 
 pub mod jobs;
-pub mod pool;
+pub(crate) mod pool;
 
-pub use pool::{checkpoint, is_worker_thread, JobClass, Pool, PoolStats, Scope};
+pub use pool::{checkpoint, JobClass, Pool, Scope};

@@ -117,7 +117,7 @@ struct WorkerCtx {
 /// Whether the current thread is a pool worker (of *any* pool in the
 /// process). Parallel layers use this to stay sequential when they are
 /// already running inside the substrate.
-pub fn is_worker_thread() -> bool {
+pub(crate) fn is_worker_thread() -> bool {
     IS_POOL_WORKER.with(Cell::get)
 }
 
@@ -315,7 +315,7 @@ pub struct PoolStats {
     /// Workers currently parked waiting for work.
     pub idle: usize,
     /// Idle workers not yet promised to a claim-gated job.
-    pub available: usize,
+    pub(crate) available: usize,
     /// Interactive jobs pushed but not yet popped.
     pub queued_interactive: usize,
     /// Bulk jobs pushed but not yet popped.
@@ -467,7 +467,8 @@ impl Pool {
     /// caller is itself a pool worker (nesting degrades instead of
     /// deadlocking). A panicking job yields `Err` with the panic payload
     /// (the worker survives).
-    pub fn run_as<T: Send + 'static>(
+    #[allow(dead_code, reason = "ROADMAP item 14 removes it with the scheduler")]
+    pub(crate) fn run_as<T: Send + 'static>(
         &self,
         class: JobClass,
         f: impl FnOnce() -> T + Send + 'static,
@@ -486,7 +487,7 @@ impl Pool {
         rx.recv().expect("pool worker delivered a result")
     }
 
-    /// Like [`Pool::run_as`], but never queues behind busy workers: the
+    /// Like `Pool::run_as`, but never queues behind busy workers: the
     /// job runs on a *claimed* idle worker, or inline on the calling
     /// thread when none is free. For callers whose own thread is a
     /// legitimate execution vehicle, where "wait in the queue" is strictly
@@ -623,7 +624,7 @@ impl<'scope, 'env> Scope<'scope, 'env> {
     /// Submits a job under `class` that may borrow `'env` data. Runs
     /// inline immediately when the pool has no workers, the caller is a
     /// pool worker, or no idle worker can be claimed
-    /// ([`Shared::try_claim`] — queueing without a claim could stall the
+    /// (`Shared::try_claim` — queueing without a claim could stall the
     /// scope's join behind unrelated work); a panic (inline or on a
     /// worker) is re-raised by the enclosing [`Pool::scope`] after every
     /// job has finished.

@@ -22,7 +22,7 @@ use std::path::Path;
 const POLICED: &[(&str, usize)] = &[
     ("../vm/src", 0),
     ("../sweep/src/lib.rs", 0),
-    ("../shard/src/lib.rs", 0),
+    ("../serve/src/shard.rs", 0),
     ("../serve/src/server.rs", 3),
 ];
 

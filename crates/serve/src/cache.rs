@@ -31,7 +31,7 @@ static CACHE_EVICTIONS: Counter = Counter::new("serve.cache.evictions");
 static CACHE_SF_WAITS: Counter = Counter::new("serve.cache.singleflight_waits");
 
 /// What a finished compilation produced (errors are cached verbatim).
-pub type CompileResult = Result<SharedCompiled, String>;
+pub(crate) type CompileResult = Result<SharedCompiled, String>;
 
 struct Slot {
     result: Mutex<Option<CompileResult>>,
@@ -74,17 +74,17 @@ struct Inner {
 
 /// Live counters of a [`CompiledCache`] (reported by the `stats` op).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CompiledCacheStats {
+pub(crate) struct CompiledCacheStats {
     /// Requests served from an existing entry (ready or in-flight).
-    pub hits: u64,
+    pub(crate) hits: u64,
     /// Requests that performed the compile.
-    pub misses: u64,
+    pub(crate) misses: u64,
     /// Ready entries evicted by the LRU policy.
-    pub evictions: u64,
+    pub(crate) evictions: u64,
     /// Hits that waited on an in-flight compile instead of re-compiling.
-    pub singleflight_waits: u64,
+    pub(crate) singleflight_waits: u64,
     /// Entries currently resident.
-    pub entries: usize,
+    pub(crate) entries: usize,
 }
 
 /// A bounded, single-flight, content-addressed map from compilation key to
@@ -191,7 +191,7 @@ impl CompiledCache {
     }
 
     /// Current counters.
-    pub fn stats(&self) -> CompiledCacheStats {
+    pub(crate) fn stats(&self) -> CompiledCacheStats {
         let inner = self.inner.lock().unwrap();
         CompiledCacheStats {
             hits: inner.hits,

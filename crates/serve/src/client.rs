@@ -1,6 +1,6 @@
 //! The client side: one connection, NDJSON round-trips, connect/read
 //! timeouts with deterministic retry backoff, and the helpers behind
-//! `dpopt --remote` (remote transform; remote sweeps are `dp-shard`'s).
+//! `dpopt --remote` (remote transform; remote sweeps are `dp_serve::shard`'s).
 //!
 //! Two tiers: [`Client`] is one raw connection — connect (optionally with
 //! [`ClientOptions`] timeouts and a bounded, seeded-jitter retry loop),
@@ -59,7 +59,7 @@ impl Default for ClientOptions {
 /// The deterministic wait-before-retry schedule for `opts`: one entry per
 /// retry, exponential in the base with seeded jitter. Pure — the same
 /// options always yield the same schedule.
-pub fn backoff_schedule(opts: &ClientOptions) -> Vec<Duration> {
+pub(crate) fn backoff_schedule(opts: &ClientOptions) -> Vec<Duration> {
     let mut rng = SmallRng::seed_from_u64(opts.backoff_seed);
     (0..opts.retries)
         .map(|k| {
@@ -214,7 +214,7 @@ impl Client {
     /// distinct from server-reported errors (authoritative). A response
     /// that does not parse as JSON counts as transport: it is a torn
     /// write, not an answer.
-    pub fn try_request(&mut self, request: &Json) -> Result<Json, RequestError> {
+    pub(crate) fn try_request(&mut self, request: &Json) -> Result<Json, RequestError> {
         proto::write_line(&mut self.writer, request)
             .map_err(|e| RequestError::Transport(format!("send: {e}")))?;
         let line = proto::read_line(&mut self.reader)
@@ -239,7 +239,7 @@ impl Client {
 /// A client that survives transport faults: on a connect or mid-request
 /// transport failure it reconnects (fresh connection, same options) and
 /// re-sends, up to `opts.retries` times with the deterministic
-/// [`backoff_schedule`]. Only sound for the deterministic ops — which is
+/// `backoff_schedule`. Only sound for the deterministic ops — which is
 /// every op the `--remote` helpers send.
 pub struct ResilientClient {
     endpoint: Endpoint,
@@ -286,19 +286,14 @@ impl ResilientClient {
         }
     }
 
-    /// The endpoint this client targets.
-    pub fn endpoint(&self) -> &Endpoint {
-        &self.endpoint
-    }
-
     /// The live session, connecting (and authenticating, when
     /// `opts.auth_token` is set) first if needed — for callers that
     /// pipeline raw lines through [`Client::writer_mut`] /
     /// [`Client::read_response_line`] instead of strict round-trips (the
-    /// `dp-shard` fleet scheduler). Such callers own their own retry
+    /// fleet scheduler, [`crate::shard`]). Such callers own their own retry
     /// loop: on a transport failure they call [`ResilientClient::reset`]
     /// and re-send everything still unacknowledged.
-    pub fn session(&mut self) -> Result<&mut Client, RequestError> {
+    pub(crate) fn session(&mut self) -> Result<&mut Client, RequestError> {
         self.connected()
     }
 
@@ -306,7 +301,7 @@ impl ResilientClient {
     /// requests in flight), so the next [`ResilientClient::session`] or
     /// [`ResilientClient::request`] reconnects — and re-authenticates —
     /// from scratch.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.client = None;
     }
 

@@ -16,17 +16,17 @@
 //!   bounded, with single-flight deduplication so N concurrent identical
 //!   compiles perform one compile and share the
 //!   [`dp_core::SharedCompiled`].
-//! - **Two scheduling mechanisms** ([`server`]): a request gets its own
+//! - **Two scheduling mechanisms** (`server`): a request gets its own
 //!   thread only when its session has something to overlap it with, and
 //!   `--jobs` execution slots cap the `execute` / `sweep-cell` requests
 //!   running at once. An execution runs on the thread that holds its
 //!   slot, not on a `dp-pool` worker: with the caller blocked on the
 //!   answer, that hop was a launch with nothing to overlap.
-//! - **Deterministic responses** ([`server`]): for every op except
+//! - **Deterministic responses** (`server`): for every op except
 //!   `stats`, response bytes are a pure function of request bytes — cold
 //!   cache, warm cache, or 16 concurrent clients, the bytes are identical.
 //!   `shutdown` drains in-flight requests before the socket closes.
-//! - **Pipelining and backpressure** ([`server`]): requests carrying an
+//! - **Pipelining and backpressure** (`server`): requests carrying an
 //!   `id` are handled concurrently per connection and answered out of
 //!   order (responses echo the `id`); id-less requests keep the legacy
 //!   strictly-in-order protocol byte-for-byte. `--max-connections`,
@@ -38,15 +38,19 @@
 //!   bounded, deterministically-jittered retry loop
 //!   ([`client::ResilientClient`]) behind the `--remote` helpers — sound
 //!   to re-send because the ops are deterministic.
-//! - **Fault injection** ([`dp_faults`]): a test-only
-//!   [`dp_faults::FaultPlan`] ([`ServeOptions::faults`], or `DPOPT_FAULTS`
-//!   for out-of-process runs) arms torn writes, disconnects, delays, and
-//!   panics at named points in the request path; the `faults.rs` suite
-//!   proves the daemon stays serviceable through each.
+//! - **Fault injection** ([`dp_sweep::faults`]): a test-only
+//!   [`dp_sweep::faults::FaultPlan`] ([`ServeOptions::faults`], or
+//!   `DPOPT_FAULTS` for out-of-process runs) arms torn writes,
+//!   disconnects, delays, and panics at named points in the request path;
+//!   the `faults.rs` suite proves the daemon stays serviceable through
+//!   each.
+//! - **The fleet scheduler** ([`shard`]): `dpopt sweep --remote` spreads a
+//!   sweep's pending cells across daemons by rendezvous hash, fails over
+//!   when one is lost, and converges the fleet's caches.
 //!
 //! ```no_run
 //! use dp_serve::proto::{bare_request, Endpoint};
-//! use dp_serve::server::{ServeOptions, Server};
+//! use dp_serve::{ServeOptions, Server};
 //!
 //! let server = Server::bind(
 //!     &Endpoint::Tcp("127.0.0.1:0".to_string()),
@@ -65,9 +69,9 @@
 pub mod cache;
 pub mod client;
 pub mod proto;
-pub mod server;
+pub(crate) mod server;
+pub mod shard;
 
-pub use cache::{CompiledCache, CompiledCacheStats};
-pub use client::{Client, ClientOptions, RequestError, ResilientClient};
-pub use proto::{parse_endpoint_list, Endpoint};
+pub use client::{Client, ClientOptions};
+pub use proto::parse_endpoint_list;
 pub use server::{ServeOptions, Server};

@@ -24,7 +24,8 @@
 //! | `shutdown`   | —                                                             |
 //!
 //! `execute` buffers: `[{"name":"d","words":N}]` (zero-filled) or
-//! `{"name":"d","ints":[…]}` / `{"name":"d","floats":[…]}`; args are
+//! `{"name":"d","ints":[…]}` / `{"name":"d","floats":[…]}`, exactly one
+//! of the three per entry; args are
 //! numbers or `"@name"` buffer references; `read` entries are
 //! `{"buffer":"d","len":N}` with optional `"offset"` and
 //! `"floats":true`.
@@ -170,7 +171,7 @@ pub enum Stream {
 
 impl Stream {
     /// A second handle to the same socket (for split read/write).
-    pub fn try_clone(&self) -> std::io::Result<Stream> {
+    pub(crate) fn try_clone(&self) -> std::io::Result<Stream> {
         match self {
             Stream::Tcp(s) => s.try_clone().map(Stream::Tcp),
             #[cfg(unix)]
@@ -180,7 +181,7 @@ impl Stream {
 
     /// Severs both directions of the socket. Errors are ignored — the
     /// peer may already be gone, which is exactly when this gets called.
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         match self {
             Stream::Tcp(s) => {
                 let _ = s.shutdown(std::net::Shutdown::Both);
@@ -276,14 +277,14 @@ pub struct ReadSpec {
     /// Words to read.
     pub len: usize,
     /// Read as floats instead of integers.
-    pub floats: bool,
+    pub(crate) floats: bool,
 }
 
 /// The most words of `"words"` buffers one `execute` request may ask for
 /// (256 MiB of device memory). A line's `ints`/`floats` are bounded by the
 /// line; `words` is a few bytes that name an allocation, so it has a bound
 /// of its own — a protocol constant, not an option.
-pub const MAX_EXECUTE_WORDS: u64 = 1 << 24;
+pub(crate) const MAX_EXECUTE_WORDS: u64 = 1 << 24;
 
 /// An `execute` request: compile (through the cache), provision buffers,
 /// launch one kernel, synchronize, read back results.
@@ -482,6 +483,14 @@ fn parse_execute(doc: &Json) -> Result<ExecuteRequest, String> {
             .and_then(Json::as_str)
             .ok_or("buffer needs a `name`")?
             .to_string();
+        let given = ["words", "ints", "floats"]
+            .iter()
+            .filter(|m| b.get(m).is_some());
+        if given.count() > 1 {
+            return Err(format!(
+                "buffer `{name}` gives more than one of `words`, `ints`, and `floats`"
+            ));
+        }
         let data = if let Some(w) = b.get("words") {
             let w = w.as_u64().ok_or("`words` must be a non-negative integer")?;
             words_left = words_left.checked_sub(w).ok_or_else(|| {
@@ -491,16 +500,20 @@ fn parse_execute(doc: &Json) -> Result<ExecuteRequest, String> {
                 )
             })?;
             BufferData::Words(w as usize)
-        } else if let Some(ints) = b.get("ints").and_then(Json::as_array) {
+        } else if let Some(ints) = b.get("ints") {
             BufferData::Ints(
-                ints.iter()
+                ints.as_array()
+                    .ok_or("`ints` must be an array")?
+                    .iter()
                     .map(|v| v.as_i64())
                     .collect::<Option<Vec<_>>>()
                     .ok_or("`ints` must be integers")?,
             )
-        } else if let Some(floats) = b.get("floats").and_then(Json::as_array) {
+        } else if let Some(floats) = b.get("floats") {
             BufferData::Floats(
                 floats
+                    .as_array()
+                    .ok_or("`floats` must be an array")?
                     .iter()
                     .map(|v| v.as_f64())
                     .collect::<Option<Vec<_>>>()
@@ -608,7 +621,7 @@ const EXECUTE_ONLY: u16 = !0 << 7;
 /// [`Request`], in one pass over the same `line.trim()` the tree parses,
 /// through the tree's own tokens ([`json::skip_ws`], [`json::parse_string`],
 /// [`json::parse_number`]) and the tree path's own rules
-/// ([`MAX_EXECUTE_WORDS`], `@buffer` args, [`checked_coarsen_factor`],
+/// (`MAX_EXECUTE_WORDS`, `@buffer` args, [`checked_coarsen_factor`],
 /// [`parse_granularity`], `agg_threshold` needing `agg`). Members come in
 /// any order. `Some` only for a line the tree parses to the same
 /// [`ParsedRequest`]; `None` for anything else — another op, an unknown or
@@ -897,7 +910,7 @@ impl<'a> Scan<'a> {
 
 /// The configuration members of a request object, in the shape
 /// [`config_from_json`] parses.
-pub fn config_members(config: &OptConfig) -> Vec<(&'static str, Json)> {
+pub(crate) fn config_members(config: &OptConfig) -> Vec<(&'static str, Json)> {
     let mut members = Vec::new();
     if let Some(t) = config.threshold {
         members.push(("threshold", Json::Int(t)));
@@ -1007,7 +1020,7 @@ pub fn ok_response(id: Option<&Json>, members: Vec<(&'static str, Json)>) -> Jso
 }
 
 /// An error response: `ok:false` + the message + the echoed id.
-pub fn error_response(id: Option<&Json>, message: &str) -> Json {
+pub(crate) fn error_response(id: Option<&Json>, message: &str) -> Json {
     let members = [
         ("ok", Json::Bool(false)),
         ("error", Json::Str(message.to_string())),
@@ -1020,7 +1033,7 @@ pub fn error_response(id: Option<&Json>, message: &str) -> Json {
 /// load-shedding (`overloaded`, `deadline_exceeded`), protocol trouble
 /// (`parse`, `too_large`), lifecycle (`draining`), and crashes (`panic`)
 /// without parsing prose. Domain errors (compile failures, unknown
-/// buffers) keep the legacy kind-less [`error_response`] shape.
+/// buffers) keep the legacy kind-less `error_response` shape.
 pub fn error_response_kind(id: Option<&Json>, kind: &'static str, message: &str) -> Json {
     let members = [
         ("error", Json::Str(message.to_string())),
@@ -1180,7 +1193,7 @@ pub fn write_transform_answer(
 // ----------------------------------------------------------------------
 
 /// Writes one value as an NDJSON line and flushes.
-pub fn write_line(w: &mut impl Write, value: &Json) -> std::io::Result<usize> {
+pub(crate) fn write_line(w: &mut impl Write, value: &Json) -> std::io::Result<usize> {
     let mut text = String::new();
     value.write(&mut text);
     text.push('\n');

@@ -20,15 +20,15 @@
 //! only then is it launched on a short-lived request thread. The one
 //! visible consequence: a line that arrives *while* an inline request runs
 //! is read when that request has answered. Clients that want overlap send
-//! their lines together, as `dp-shard`'s window fill does. An inline
-//! tagged request holds the execution slot it was admitted with until its
-//! response is built, so it never expires. Requests *without* an `id` keep
-//! the legacy strictly-in-order protocol byte-for-byte: the session waits
-//! for every pipelined response to flush, then handles the request inline
-//! — an id-less client cannot observe reordering. Byte accounting and the
-//! echoed `id` depend on the presence of `id`, never on which thread ran
-//! the request. Compilation is deduplicated by the single-flight
-//! [`CompiledCache`].
+//! their lines together, as the fleet scheduler's window fill does
+//! ([`crate::shard`]). An inline tagged request holds the execution slot
+//! it was admitted with until its response is built, so it never expires.
+//! Requests *without* an `id` keep the legacy strictly-in-order protocol
+//! byte-for-byte: the session waits for every pipelined response to flush,
+//! then handles the request inline — an id-less client cannot observe
+//! reordering. Byte accounting and the echoed `id` depend on the presence
+//! of `id`, never on which thread ran the request. Compilation is
+//! deduplicated by the single-flight [`CompiledCache`].
 //!
 //! Where the work runs — two mechanisms: the launched request thread above
 //! and the **slot gate**, `--jobs` execution slots that only `execute` and
@@ -76,11 +76,11 @@ use crate::proto::{
     MAX_EXECUTE_WORDS,
 };
 use dp_core::{Compiler, OptConfig, SharedCompiled, TimingParams};
-use dp_faults::{FaultKind, FaultPlan, FaultPoint};
 use dp_frontend::ast::FnQual;
 use dp_obs::json::{self, object, Json};
 use dp_obs::metrics::{Counter, Histogram};
 use dp_pool::Pool;
+use dp_sweep::faults::{FaultKind, FaultPlan, FaultPoint};
 use dp_sweep::spec::CellSpec;
 use dp_sweep::{cache as sweep_cache, key};
 use dp_workloads::benchmarks::benchmark_by_name;

@@ -1,4 +1,4 @@
-//! # dp-shard — the distributed sweep scheduler
+//! The distributed sweep scheduler.
 //!
 //! `dpopt sweep --remote A,B,C` lands here: the deterministic cell grid of
 //! a [`SweepSpec`] is partitioned across a fleet of `dp-serve` daemons and
@@ -6,7 +6,7 @@
 //! sequential run at any fleet size — the same contract the local engine
 //! keeps at any worker count.
 //!
-//! This crate owns *placement* and nothing else. The cells, their keys,
+//! This module owns *placement* and nothing else. The cells, their keys,
 //! the local cache probe, the label-and-store of an answered cell, the
 //! local execution of whatever no daemon could take, and the spec-order
 //! merge with verification are [`dp_sweep::Sweep`]'s — the calls a local
@@ -46,10 +46,10 @@
 use std::collections::{BTreeSet, VecDeque};
 use std::path::PathBuf;
 
+use crate::client::{backoff_schedule, ClientOptions, RequestError, ResilientClient};
+use crate::proto::{self, Endpoint};
 use dp_obs::json::{uint, Json};
 use dp_obs::metrics::{labeled_counter, Counter};
-use dp_serve::client::{backoff_schedule, ClientOptions, RequestError, ResilientClient};
-use dp_serve::proto::{self, Endpoint};
 use dp_sweep::{cache, CellSummary, DatasetSpec, Sweep, SweepOptions, SweepResult, SweepSpec};
 
 static CELLS_LOCAL_HITS: Counter = Counter::new("shard.cells.local_hits");
@@ -132,7 +132,7 @@ struct DriveOutcome {
 }
 
 /// Runs a sweep across a daemon fleet. Output is byte-identical to
-/// [`run_sweep`] with `--jobs 1` (locally cached cells short-circuit,
+/// [`run_sweep`](dp_sweep::run_sweep) with `--jobs 1` (locally cached cells short-circuit,
 /// remote results merge in spec order, cell 0 is the verification
 /// reference) — including when daemons die mid-sweep, as long as at least
 /// the local machine survives. Requires `Table` datasets and default

@@ -9,9 +9,9 @@
 //! armed programmatically via [`ServeOptions::faults`] so concurrent tests
 //! never share environment state.
 
-use dp_faults::FaultPlan;
 use dp_serve::proto::{bare_request, Endpoint};
 use dp_serve::{Client, ServeOptions, Server};
+use dp_sweep::faults::FaultPlan;
 use dp_sweep::json::Json;
 use std::time::{Duration, Instant};
 

@@ -12,12 +12,12 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
 use std::path::PathBuf;
 
-use dp_faults::FaultPlan;
 use dp_serve::client::ClientOptions;
 use dp_serve::proto::Endpoint;
+use dp_serve::shard::{shard_sweep, sync_caches, ShardOptions, SyncOptions};
 use dp_serve::{ServeOptions, Server};
-use dp_shard::{shard_sweep, sync_caches, ShardOptions, SyncOptions};
 use dp_sweep::cache;
+use dp_sweep::faults::FaultPlan;
 use dp_sweep::json::Json;
 use dp_sweep::{run_sweep, spec_from_json, SweepOptions, SweepResult, SweepSpec};
 

@@ -6,10 +6,10 @@
 //! registry is process-wide, so this file is its own process and holds one
 //! test: the counts it pins are the whole process's.
 
-use dp_faults::FaultPlan;
 use dp_obs::json::{self, Json};
 use dp_serve::proto::{bare_request, Endpoint};
 use dp_serve::{Client, ServeOptions, Server};
+use dp_sweep::faults::FaultPlan;
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::time::{Duration, Instant};

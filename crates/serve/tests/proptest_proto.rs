@@ -523,6 +523,7 @@ fn near_misses_are_left_to_the_tree() {
         (&execute, r#""kernel":"k""#, r#""kernel":null"#),
         (&execute, r#""words":8"#, r#""words":-8"#),
         (&execute, r#""words":8"#, r#""words":16777217"#),
+        (&execute, r#""words":8"#, r#""words":8,"ints":[1]"#),
         (&execute, r#""ints":[1,2]"#, r#""ints":[1,2.5]"#),
         (&execute, r#""floats":[0.5]"#, r#""floats":[true]"#),
         (&execute, r#""len":8"#, r#""len":-1"#),

@@ -556,6 +556,26 @@ fn execute_refuses_malformed_members_keeping_their_id() {
         ),
         (8, r#""buffers":null"#, "`buffers` must be an array"),
         (9, r#""args":"@d""#, "`args` must be an array"),
+        (
+            10,
+            r#""buffers":[{"name":"d","words":32,"ints":[1,2]}]"#,
+            "buffer `d` gives more than one of `words`, `ints`, and `floats`",
+        ),
+        (
+            11,
+            r#""buffers":[{"name":"d","ints":[1],"floats":[0.5]}]"#,
+            "buffer `d` gives more than one of `words`, `ints`, and `floats`",
+        ),
+        (
+            12,
+            r#""buffers":[{"name":"d","ints":5}]"#,
+            "`ints` must be an array",
+        ),
+        (
+            13,
+            r#""buffers":[{"name":"d","floats":"0.5"}]"#,
+            "`floats` must be an array",
+        ),
     ] {
         let line = format!(
             r#"{{"op":"execute","source":{src},"kernel":"parent","grid":1,"block":4,{members},"id":{id}}}"#

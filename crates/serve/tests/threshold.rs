@@ -7,9 +7,9 @@
 //! counters are process-wide, so the tests take turns and compare
 //! before/after readings; this file is its own process.
 
-use dp_faults::FaultPlan;
 use dp_serve::proto::{bare_request, Endpoint};
 use dp_serve::{Client, ServeOptions, Server};
+use dp_sweep::faults::FaultPlan;
 use dp_sweep::json::{self, Json};
 use std::io::Write;
 use std::sync::{Mutex, MutexGuard};

@@ -17,8 +17,8 @@
 //! 3. per-block dispatch and per-block disaggregation instructions scale
 //!    with block count (→ coarsening helps).
 
-pub mod model;
-pub mod params;
+pub(crate) mod model;
+pub(crate) mod params;
 
 pub use model::{simulate, Breakdown, GridTiming, HostEvent, SimResult};
 pub use params::TimingParams;

@@ -61,7 +61,7 @@ impl TimingParams {
     }
 
     /// Threads per block slot.
-    pub fn threads_per_slot(&self) -> u64 {
+    pub(crate) fn threads_per_slot(&self) -> u64 {
         (self.max_threads_per_sm / self.max_blocks_per_sm) as u64
     }
 

@@ -32,17 +32,18 @@
 //!   name, for [`store`] (which seals a summary first and reports whether
 //!   the directory is still usable — [`StoreOutcome`]) and [`receive`].
 //! - [`receive`] takes an entry from a peer — the `cache-push` handler and
-//!   `dp_shard::sync_caches`' pull loop — and publishes or quarantines it.
+//!   `dp_serve::shard::sync_caches`' pull loop — and publishes or quarantines it.
 //! - `scan` walks the directory and owns the naming rules, for [`gc`]
 //!   (quarantined entries go before live ones), [`verify`] (the fsck behind
 //!   `dpopt cache verify [--repair]`) and [`list_keys`].
 //!
-//! All cache I/O except the fsck's goes through [`dp_faults::fs`], so the
+//! All cache I/O except the fsck's goes through `faults::fs`, so the
 //! fault plans in `DPOPT_FAULTS` (torn write, short read, bit flip,
 //! `ENOSPC`, `EIO`, delayed rename) exercise exactly the code paths
 //! production crashes hit — see `crates/cli/tests/chaos.rs` for the
 //! process-level proof.
 
+use crate::faults::{self, FaultPlan};
 use crate::key::{fnv1a, CACHE_FORMAT_VERSION};
 use crate::CellSummary;
 use dp_obs::json::{self, num, object, uint, Json};
@@ -53,9 +54,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 static CACHE_CORRUPT: Counter = Counter::new("sweep.cache.corrupt");
 
-/// The tag cache I/O passes to [`dp_faults::fs`] — fault plans can target
+/// The tag cache I/O passes to [`faults::fs`] — fault plans can target
 /// exactly this traffic with `kind@fs-write:sweep-cache`.
-pub const FS_TAG: &str = "sweep-cache";
+pub(crate) const FS_TAG: &str = "sweep-cache";
 
 /// Cache hit/miss counters for one sweep.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -382,7 +383,7 @@ fn quarantine(dir: &Path, key: u64, reason: &str, rejected: Option<&str>) {
 /// absent or unreadable one is a plain miss.
 fn read_checked(dir: &Path, key: u64) -> Option<(PathBuf, String, CellSummary)> {
     let path = cell_path(dir, key);
-    let text = match dp_faults::fs::read_to_string(&path, FS_TAG) {
+    let text = match faults::fs::read_to_string_with(faults::global(), &path, FS_TAG) {
         Ok(text) => text,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
         Err(e) => {
@@ -530,10 +531,10 @@ fn classify_store_error(e: &std::io::Error) -> StoreOutcome {
 /// Errors are reported to stderr, not raised (the cache is an accelerator,
 /// not a correctness dependency); the [`StoreOutcome`] tells callers when
 /// the directory itself is gone.
-fn publish(plan: &dp_faults::FaultPlan, dir: &Path, key: u64, bytes: &[u8]) -> StoreOutcome {
+fn publish(plan: &FaultPlan, dir: &Path, key: u64, bytes: &[u8]) -> StoreOutcome {
     static PUBLISHES: AtomicU64 = AtomicU64::new(0);
     let path = cell_path(dir, key);
-    if dp_faults::fs::read_to_string_with(plan, &path, FS_TAG)
+    if faults::fs::read_to_string_with(plan, &path, FS_TAG)
         .is_ok_and(|live| live.as_bytes() == bytes)
     {
         touch(&path);
@@ -549,10 +550,10 @@ fn publish(plan: &dp_faults::FaultPlan, dir: &Path, key: u64, bytes: &[u8]) -> S
     if let Err(e) = std::fs::create_dir_all(dir) {
         return failed("create cache dir", dir, e);
     }
-    if let Err(e) = dp_faults::fs::write_with(plan, &tmp, bytes, FS_TAG) {
+    if let Err(e) = faults::fs::write_with(plan, &tmp, bytes, FS_TAG) {
         return failed("write", &tmp, e);
     }
-    if let Err(e) = dp_faults::fs::rename_with(plan, &tmp, &path, FS_TAG) {
+    if let Err(e) = faults::fs::rename_with(plan, &tmp, &path, FS_TAG) {
         return failed("publish", &path, e);
     }
     StoreOutcome::Stored
@@ -563,7 +564,7 @@ fn publish(plan: &dp_faults::FaultPlan, dir: &Path, key: u64, bytes: &[u8]) -> S
 /// callers when the directory itself is gone so they can stop trying.
 pub fn store(dir: &Path, key: u64, summary: &CellSummary) -> StoreOutcome {
     let entry = seal_entry(&summary_json(key, summary).to_string());
-    publish(dp_faults::global(), dir, key, entry.as_bytes())
+    publish(faults::global(), dir, key, entry.as_bytes())
 }
 
 /// Takes a sealed entry a peer offers as the answer to `key` — a
@@ -574,7 +575,7 @@ pub fn store(dir: &Path, key: u64, summary: &CellSummary) -> StoreOutcome {
 /// replication can never spread a bad byte or a mis-keyed entry.
 pub fn receive(dir: &Path, key: u64, entry: &str) -> Result<StoreOutcome, &'static str> {
     match check(entry, key) {
-        Ok(_) => Ok(publish(dp_faults::global(), dir, key, entry.as_bytes())),
+        Ok(_) => Ok(publish(faults::global(), dir, key, entry.as_bytes())),
         Err(reason) => {
             quarantine(dir, key, reason, Some(entry));
             Err(reason)
@@ -968,12 +969,7 @@ mod tests {
     }
 
     /// [`store`] against an explicit fault plan.
-    fn store_with(
-        plan: &dp_faults::FaultPlan,
-        dir: &Path,
-        key: u64,
-        summary: &CellSummary,
-    ) -> StoreOutcome {
+    fn store_with(plan: &FaultPlan, dir: &Path, key: u64, summary: &CellSummary) -> StoreOutcome {
         let entry = seal_entry(&summary_json(key, summary).to_string());
         publish(plan, dir, key, entry.as_bytes())
     }
@@ -1112,7 +1108,7 @@ mod tests {
     fn store_reports_unavailable_on_disk_full() {
         let dir = std::env::temp_dir().join(format!("dp-sweep-full-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let plan = dp_faults::FaultPlan::parse("enospc@fs-write:sweep-cache").unwrap();
+        let plan = faults::FaultPlan::parse("enospc@fs-write:sweep-cache").unwrap();
         assert_eq!(
             store_with(&plan, &dir, 5, &sample_summary("x")),
             StoreOutcome::Unavailable
@@ -1139,7 +1135,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         // torn-write reports success with half the bytes, so the rename
         // publishes a torn entry — exactly what a crash mid-write leaves.
-        let plan = dp_faults::FaultPlan::parse("torn-write@fs-write:sweep-cache").unwrap();
+        let plan = faults::FaultPlan::parse("torn-write@fs-write:sweep-cache").unwrap();
         assert_eq!(
             store_with(&plan, &dir, 6, &sample_summary("x")),
             StoreOutcome::Stored

@@ -4,7 +4,7 @@
 //! fault suite (`crates/serve/tests/faults.rs`) uses the network/exec
 //! points to prove it stays serviceable after torn writes, dropped
 //! connections, injected latency, and worker panics, and the storage
-//! tier ([`fs`]) uses the filesystem points to prove the on-disk caches
+//! tier (`fs`) uses the filesystem points to prove the on-disk caches
 //! survive torn writes, bit flips, short reads, `ENOSPC`, `EIO`, and
 //! delayed renames (see `crates/cli/tests/chaos.rs`). Production runs
 //! with an empty plan — every injection site is a single relaxed check
@@ -25,7 +25,7 @@
 //! - **point** — `session-read` (a request line was read, before
 //!   parsing), `exec` (inside the execution slot, before the work runs),
 //!   `pre-write` (a response is about to be written), `fs-read`,
-//!   `fs-write`, or `fs-rename` (the [`fs`] wrappers, before the real
+//!   `fs-write`, or `fs-rename` (the `fs` wrappers, before the real
 //!   syscall)
 //! - **op** — only fire for this op; omitted means any op. At the
 //!   network points the op is the request op (`compile`, `execute`, …);
@@ -37,7 +37,7 @@
 //! stderr **before** acting on the fault — the chaos harness watches a
 //! child's stderr for these markers to pick deterministic kill points.
 
-pub mod fs;
+pub(crate) mod fs;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -53,7 +53,7 @@ pub enum FaultKind {
     /// crash mid-`write(2)` tells.
     TornWrite,
     /// Sever the connection without writing anything (network points
-    /// only; ignored by the [`fs`] wrappers).
+    /// only; ignored by the `fs` wrappers).
     Disconnect,
     /// Sleep this many milliseconds, then continue normally — the lever
     /// for deterministic saturation and deadline tests, and (at
@@ -94,11 +94,11 @@ pub enum FaultPoint {
     Exec,
     /// A response is about to be written.
     PreWrite,
-    /// An [`fs::read_to_string`] call, before the real read.
+    /// An `fs::read_to_string_with` call, before the real read.
     FsRead,
-    /// An [`fs::write_with`] call, before the real write.
+    /// An `fs::write_with` call, before the real write.
     FsWrite,
-    /// An [`fs::rename_with`] call, before the real rename.
+    /// An `fs::rename_with` call, before the real rename.
     FsRename,
 }
 
@@ -215,7 +215,7 @@ impl FaultPlan {
 /// the environment. A malformed spec disarms with a diagnostic rather
 /// than aborting: the storage tier must degrade, not crash, and the
 /// daemon separately hard-fails its own `from_env` parse at bind time.
-pub fn global() -> &'static FaultPlan {
+pub(crate) fn global() -> &'static FaultPlan {
     static GLOBAL: OnceLock<FaultPlan> = OnceLock::new();
     GLOBAL.get_or_init(|| match FaultPlan::from_env() {
         Ok(plan) => {

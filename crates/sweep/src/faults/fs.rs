@@ -2,7 +2,7 @@
 //! caches go through.
 //!
 //! Each wrapper consults a [`FaultPlan`] (the one it is handed: the
-//! process-global [`global()`](crate::global) plan in production, an
+//! process-global [`global()`](super::global) plan in production, an
 //! explicit one in unit tests) at its matching point and then performs —
 //! or corrupts, delays, or fails — the real syscall:
 //!
@@ -21,7 +21,7 @@
 //! keeps ASCII payloads valid UTF-8 so the corruption reaches the
 //! checksum verifier instead of dying in string decoding.
 
-use crate::{FaultKind, FaultPlan, FaultPoint};
+use super::{FaultKind, FaultPlan, FaultPoint};
 use std::io;
 use std::path::Path;
 
@@ -39,13 +39,8 @@ fn flip_middle_bit(bytes: &mut [u8]) {
     }
 }
 
-/// [`std::fs::read_to_string`] through the global fault plan.
-pub fn read_to_string(path: &Path, tag: &str) -> io::Result<String> {
-    read_to_string_with(crate::global(), path, tag)
-}
-
-/// [`read_to_string`] against an explicit plan.
-pub fn read_to_string_with(plan: &FaultPlan, path: &Path, tag: &str) -> io::Result<String> {
+/// [`std::fs::read_to_string`] through `plan`.
+pub(crate) fn read_to_string_with(plan: &FaultPlan, path: &Path, tag: &str) -> io::Result<String> {
     match plan.fire(FaultPoint::FsRead, tag) {
         Some(FaultKind::DelayMs(ms)) => std::thread::sleep(std::time::Duration::from_millis(ms)),
         Some(FaultKind::Enospc) => return Err(raw(ENOSPC)),
@@ -70,7 +65,12 @@ pub fn read_to_string_with(plan: &FaultPlan, path: &Path, tag: &str) -> io::Resu
 }
 
 /// [`std::fs::write`] through `plan`.
-pub fn write_with(plan: &FaultPlan, path: &Path, contents: &[u8], tag: &str) -> io::Result<()> {
+pub(crate) fn write_with(
+    plan: &FaultPlan,
+    path: &Path,
+    contents: &[u8],
+    tag: &str,
+) -> io::Result<()> {
     match plan.fire(FaultPoint::FsWrite, tag) {
         Some(FaultKind::DelayMs(ms)) => std::thread::sleep(std::time::Duration::from_millis(ms)),
         Some(FaultKind::TornWrite) => {
@@ -95,7 +95,7 @@ pub fn write_with(plan: &FaultPlan, path: &Path, contents: &[u8], tag: &str) -> 
 }
 
 /// [`std::fs::rename`] through `plan`.
-pub fn rename_with(plan: &FaultPlan, from: &Path, to: &Path, tag: &str) -> io::Result<()> {
+pub(crate) fn rename_with(plan: &FaultPlan, from: &Path, to: &Path, tag: &str) -> io::Result<()> {
     match plan.fire(FaultPoint::FsRename, tag) {
         Some(FaultKind::DelayMs(ms)) => std::thread::sleep(std::time::Duration::from_millis(ms)),
         Some(FaultKind::Enospc) => return Err(raw(ENOSPC)),

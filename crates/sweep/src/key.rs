@@ -77,7 +77,7 @@ impl fmt::Write for Fnv1a {
 
 /// Content digest of a caller-provided input (used when a sweep runs on an
 /// in-memory dataset rather than a Table-I id).
-pub fn digest_input(input: &BenchInput) -> u64 {
+pub(crate) fn digest_input(input: &BenchInput) -> u64 {
     // Each vector is written as `len[v0,v1,...];` so field boundaries are
     // unambiguous — without the length prefix, moving an element between
     // adjacent vectors would collide.
@@ -128,13 +128,8 @@ pub fn canonical_granularity(g: AggGranularity) -> String {
 }
 
 /// Canonical string for an optimization configuration.
-pub fn canonical_config(config: &OptConfig) -> String {
+pub(crate) fn canonical_config(config: &OptConfig) -> String {
     Config(config).to_string()
-}
-
-/// Canonical string for a variant (No-CDP, or CDP with a configuration).
-pub fn canonical_variant(variant: &Variant) -> String {
-    VariantCanon(variant).to_string()
 }
 
 // The canonical strings above as `Display`, so a key renders them straight
@@ -277,7 +272,11 @@ impl fmt::Display for Dataset<'_> {
 
 /// The part of a cell's canonical string that every cell of a series
 /// shares: its dataset, timing and cost model.
-pub fn series_tail(dataset: &DatasetSpec, timing: &TimingParams, cost: &CostModel) -> String {
+pub(crate) fn series_tail(
+    dataset: &DatasetSpec,
+    timing: &TimingParams,
+    cost: &CostModel,
+) -> String {
     // Room for the default models' ~230 bytes, so it is allocated once.
     let mut tail = String::with_capacity(320);
     let _ = write!(
@@ -293,7 +292,12 @@ pub fn series_tail(dataset: &DatasetSpec, timing: &TimingParams, cost: &CostMode
 /// [`cell_key`] from its parts: the [`fnv1a`] digest of the source text
 /// and the series' [`series_tail`]. A sweep hashes each source and builds
 /// each tail once, then keys every cell from them.
-pub fn cell_key_from(benchmark: &str, source_digest: u64, variant: &Variant, tail: &str) -> u64 {
+pub(crate) fn cell_key_from(
+    benchmark: &str,
+    source_digest: u64,
+    variant: &Variant,
+    tail: &str,
+) -> u64 {
     Fnv1a::of(format_args!(
         "v{CACHE_FORMAT_VERSION}|bench={benchmark}|src={source_digest:016x}|variant={}{tail}",
         VariantCanon(variant),
@@ -335,6 +339,11 @@ mod tests {
     use super::*;
     use dp_core::AggConfig;
     use dp_workloads::datasets::DatasetId;
+
+    /// Canonical string for a variant (No-CDP, or CDP with a configuration).
+    fn canonical_variant(variant: &Variant) -> String {
+        VariantCanon(variant).to_string()
+    }
 
     #[test]
     fn fnv_is_stable() {

@@ -33,12 +33,13 @@
 //! latch + the one warning); [`Sweep::run_local`] materializes datasets and
 //! runs cells on the pool; [`Sweep::finish`] merges in spec order and
 //! verifies against cell 0. [`run_sweep`] is those calls in sequence.
-//! `dp-shard` makes the same calls and adds only *where* a pending cell is
-//! computed; `dp-serve` answers one cell with [`execute_cell`] and holds a
-//! `ResultCache` of its own for `--disk-cache`. What a cell *is* when it
-//! arrives as bytes — names, ranges, a dataset its benchmark can read — is
-//! decided once too, in [`spec`], for spec files and `sweep-cell` requests
-//! alike.
+//! `dp_serve::shard` makes the same calls and adds only *where* a pending
+//! cell is computed; `dp-serve` answers one cell with [`execute_cell`] and
+//! holds a `ResultCache` of its own for `--disk-cache`. What a cell *is*
+//! when it arrives as bytes — names, ranges, a dataset its benchmark can
+//! read — is decided once too, in [`spec`], for spec files and
+//! `sweep-cell` requests alike. The test-only fault plans that the cache's
+//! file I/O and the daemon's request path fire are in [`faults`].
 //!
 //! ```no_run
 //! use dp_sweep::{DatasetSpec, SeriesSpec, SweepOptions, SweepSpec, VariantSpec};
@@ -62,6 +63,7 @@
 //! ```
 
 pub mod cache;
+pub mod faults;
 pub mod key;
 pub mod spec;
 
@@ -70,7 +72,7 @@ pub use cache::CacheStats;
 /// registry can speak it; `crates/*/src` imports it from there. This is the
 /// path `benchmark/README.md` pins and the integration tests use.
 pub use dp_obs::json;
-pub use key::{digest_input, CACHE_FORMAT_VERSION};
+use key::digest_input;
 pub use spec::spec_from_json;
 
 use dp_core::{Compiler, Error, TimingParams};
@@ -112,7 +114,7 @@ pub enum DatasetSpec {
     Provided {
         /// The input itself.
         input: Arc<BenchInput>,
-        /// Stable content digest ([`digest_input`]).
+        /// Stable content digest (`digest_input`).
         digest: u64,
         /// Display name.
         name: String,
@@ -378,7 +380,7 @@ where
 /// [`dp_pool::jobs::configured_jobs`], so every layer agrees on the
 /// convention. The result is this sweep's concurrency *cap*; actual
 /// helper submissions are additionally gated on idle shared-pool workers.
-pub fn effective_jobs(requested: usize) -> usize {
+pub(crate) fn effective_jobs(requested: usize) -> usize {
     if requested > 0 {
         return requested;
     }
@@ -494,8 +496,8 @@ fn label_of(spec: &SweepSpec, cell: &CellRef) -> String {
 ///
 /// [`run_sweep`] is [`probe`](Sweep::probe), [`run_local`](Sweep::run_local)
 /// on what is [`pending`](Sweep::pending), [`finish`](Sweep::finish). A
-/// scheduler that computes cells elsewhere (`dp-shard`) answers a pending
-/// slot with [`complete`](Sweep::complete) instead, and may hand whatever
+/// scheduler that computes cells elsewhere (`dp_serve::shard`) answers a
+/// pending slot with [`complete`](Sweep::complete) instead, and may hand whatever
 /// it could not place to `run_local`.
 pub struct Sweep<'a> {
     spec: &'a SweepSpec,

@@ -37,9 +37,9 @@ use dp_frontend::visit::replace_builtin_member;
 use std::collections::HashSet;
 
 /// Name of the multi-block group-size macro.
-pub const AGG_GRANULARITY_MACRO: &str = "_AGG_GRANULARITY";
+pub(crate) const AGG_GRANULARITY_MACRO: &str = "_AGG_GRANULARITY";
 /// Name of the aggregation-threshold macro (Section V-B).
-pub const AGG_THRESHOLD_MACRO: &str = "_AGG_THRESHOLD";
+pub(crate) const AGG_THRESHOLD_MACRO: &str = "_AGG_THRESHOLD";
 
 /// Applies aggregation to every dynamic launch site in the program.
 pub fn apply(program: &mut Program, config: &AggConfig) -> TransformManifest {

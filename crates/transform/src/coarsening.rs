@@ -18,7 +18,7 @@ use dp_frontend::visit::{for_each_stmt, replace_builtin_member};
 use std::collections::HashSet;
 
 /// Name of the compile-time coarsening-factor macro.
-pub const CFACTOR_MACRO: &str = "_CFACTOR";
+pub(crate) const CFACTOR_MACRO: &str = "_CFACTOR";
 
 /// Applies coarsening to every child kernel that is dynamically launched.
 ///

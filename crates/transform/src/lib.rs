@@ -19,14 +19,12 @@
 
 pub mod aggregation;
 pub mod coarsening;
-pub mod config;
-pub mod manifest;
-pub mod pipeline;
+pub(crate) mod config;
+pub(crate) mod manifest;
+pub(crate) mod pipeline;
 pub mod thresholding;
-pub mod util;
+pub(crate) mod util;
 
 pub use config::{AggConfig, AggGranularity, OptConfig};
-pub use manifest::{
-    AggSiteMeta, BufferParam, CoarsenSiteMeta, Diagnostic, ThresholdSiteMeta, TransformManifest,
-};
+pub use manifest::{BufferParam, TransformManifest};
 pub use pipeline::apply_pipeline;

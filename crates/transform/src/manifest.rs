@@ -17,13 +17,13 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Diagnostic {
     /// Which pass emitted it.
-    pub pass: &'static str,
+    pub(crate) pass: &'static str,
     /// The function containing the site.
-    pub function: Name,
+    pub(crate) function: Name,
     /// Human-readable reason.
     pub message: String,
     /// Source location of the site.
-    pub span: Span,
+    pub(crate) span: Span,
 }
 
 impl fmt::Display for Diagnostic {
@@ -72,11 +72,11 @@ pub struct AggSiteMeta {
     /// Parent kernel that contains the aggregation logic.
     pub parent: Name,
     /// Original child kernel name.
-    pub child: Name,
+    pub(crate) child: Name,
     /// Generated aggregated child kernel name.
     pub agg_kernel: Name,
     /// Aggregation granularity.
-    pub granularity: AggGranularity,
+    pub(crate) granularity: AggGranularity,
     /// Hidden parameters appended to the parent, in order.
     pub buffer_params: Vec<BufferParam>,
     /// Whether the aggregated launch is performed by the host after the
@@ -88,7 +88,7 @@ impl AggSiteMeta {
     /// Number of groups for a parent launch with `grid_blocks` blocks of
     /// `block_threads` threads; `None` when it does not fit a `u64` (the
     /// dimensions may come off a socket).
-    pub fn group_count(&self, grid_blocks: u64, block_threads: u64) -> Option<u64> {
+    pub(crate) fn group_count(&self, grid_blocks: u64, block_threads: u64) -> Option<u64> {
         match self.granularity {
             AggGranularity::Warp => grid_blocks.checked_mul(block_threads.div_ceil(32)),
             AggGranularity::Block => Some(grid_blocks),
@@ -135,20 +135,20 @@ impl AggSiteMeta {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThresholdSiteMeta {
     /// Function containing the launch.
-    pub parent: Name,
+    pub(crate) parent: Name,
     /// Child kernel.
-    pub child: Name,
+    pub(crate) child: Name,
     /// Generated serial device function.
-    pub serial_fn: Name,
+    pub(crate) serial_fn: Name,
 }
 
 /// Metadata for one coarsened child kernel.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoarsenSiteMeta {
     /// The coarsened child kernel.
-    pub child: Name,
+    pub(crate) child: Name,
     /// Coarsening factor applied at its launch sites.
-    pub factor: i64,
+    pub(crate) factor: i64,
 }
 
 /// Everything the passes report back to the driver.
@@ -166,7 +166,7 @@ pub struct TransformManifest {
 
 impl TransformManifest {
     /// Creates an empty manifest.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -179,7 +179,8 @@ impl TransformManifest {
     }
 
     /// Aggregation metadata for a parent kernel, if any.
-    pub fn agg_site_for_parent(&self, parent: &str) -> Option<&AggSiteMeta> {
+    #[allow(dead_code, reason = "ROADMAP item 20 gives it a caller")]
+    pub(crate) fn agg_site_for_parent(&self, parent: &str) -> Option<&AggSiteMeta> {
         self.agg_sites.iter().find(|s| s.parent == parent)
     }
 }

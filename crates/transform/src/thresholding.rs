@@ -21,7 +21,7 @@ use dp_frontend::visit::{replace_builtin_ident, replace_builtin_member};
 use std::collections::HashSet;
 
 /// Name of the compile-time threshold macro.
-pub const THRESHOLD_MACRO: &str = "_THRESHOLD";
+pub(crate) const THRESHOLD_MACRO: &str = "_THRESHOLD";
 
 /// Applies thresholding to every dynamic launch site in the program.
 ///
@@ -103,7 +103,7 @@ struct Serials {
 
 /// Rewrites every non-block body of control statements into a block so the
 /// pass can treat all statement lists uniformly.
-pub fn normalize_blocks(body: &mut [Stmt]) {
+pub(crate) fn normalize_blocks(body: &mut [Stmt]) {
     for stmt in body {
         dp_frontend::visit::walk_stmt_mut(stmt, &mut |s| {
             let origin = s.origin;

@@ -40,66 +40,66 @@ use std::hash::Hash;
 /// Each method mirrors the C it stands for; `g.dot("blockIdx", "x")` is
 /// `blockIdx.x`, and a statement list in braces is a `Vec<Stmt>`.
 #[derive(Debug, Clone, Copy)]
-pub struct Gen(pub CodeOrigin);
+pub(crate) struct Gen(pub CodeOrigin);
 
 impl Gen {
     /// `name`
-    pub fn id(self, name: &str) -> Expr {
+    pub(crate) fn id(self, name: &str) -> Expr {
         Expr::ident(name, self.0)
     }
 
     /// An integer literal.
-    pub fn int(self, value: i64) -> Expr {
+    pub(crate) fn int(self, value: i64) -> Expr {
         Expr::int(value, self.0)
     }
 
     /// `lhs op rhs`
-    pub fn bin(self, op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
+    pub(crate) fn bin(self, op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
         Expr::bin(op, lhs, rhs, self.0)
     }
 
     /// `base.field`
-    pub fn dot(self, base: &str, field: &str) -> Expr {
+    pub(crate) fn dot(self, base: &str, field: &str) -> Expr {
         Expr::member(self.id(base), field, self.0)
     }
 
     /// `base[index]`
-    pub fn index(self, base: &str, index: Expr) -> Expr {
+    pub(crate) fn index(self, base: &str, index: Expr) -> Expr {
         Expr::index(self.id(base), index, self.0)
     }
 
     /// `name(args)`
-    pub fn call(self, name: &str, args: Vec<Expr>) -> Expr {
+    pub(crate) fn call(self, name: &str, args: Vec<Expr>) -> Expr {
         Expr::call(name, args, self.0)
     }
 
     /// `&operand`
-    pub fn addr(self, operand: Expr) -> Expr {
+    pub(crate) fn addr(self, operand: Expr) -> Expr {
         Expr::synth(ExprKind::Unary(UnOp::AddrOf, Box::new(operand)), self.0)
     }
 
     /// `(ty)operand`
-    pub fn cast(self, ty: Type, operand: Expr) -> Expr {
+    pub(crate) fn cast(self, ty: Type, operand: Expr) -> Expr {
         Expr::synth(ExprKind::Cast(ty, Box::new(operand)), self.0)
     }
 
     /// `lhs op rhs` for an assignment operator `op`.
-    pub fn assign(self, op: AssignOp, lhs: Expr, rhs: Expr) -> Expr {
+    pub(crate) fn assign(self, op: AssignOp, lhs: Expr, rhs: Expr) -> Expr {
         Expr::synth(ExprKind::Assign(op, Box::new(lhs), Box::new(rhs)), self.0)
     }
 
     /// `lhs = rhs;`
-    pub fn set(self, lhs: Expr, rhs: Expr) -> Stmt {
+    pub(crate) fn set(self, lhs: Expr, rhs: Expr) -> Stmt {
         self.expr(self.assign(AssignOp::Assign, lhs, rhs))
     }
 
     /// `expr;`
-    pub fn expr(self, expr: Expr) -> Stmt {
+    pub(crate) fn expr(self, expr: Expr) -> Stmt {
         Stmt::expr(expr, self.0)
     }
 
     /// `ty name = init;`
-    pub fn decl(self, ty: Type, name: &str, init: Expr) -> Stmt {
+    pub(crate) fn decl(self, ty: Type, name: &str, init: Expr) -> Stmt {
         Stmt::decl(ty, name, Some(init), self.0)
     }
 
@@ -109,7 +109,7 @@ impl Gen {
     }
 
     /// `if (cond) { then }`
-    pub fn if_(self, cond: Expr, then: Vec<Stmt>) -> Stmt {
+    pub(crate) fn if_(self, cond: Expr, then: Vec<Stmt>) -> Stmt {
         let then_branch = Box::new(self.block(then));
         let kind = StmtKind::If {
             cond,
@@ -120,7 +120,7 @@ impl Gen {
     }
 
     /// `if (cond) { then } else { els }`
-    pub fn if_else(self, cond: Expr, then: Vec<Stmt>, els: Vec<Stmt>) -> Stmt {
+    pub(crate) fn if_else(self, cond: Expr, then: Vec<Stmt>, els: Vec<Stmt>) -> Stmt {
         let mut stmt = self.if_(cond, then);
         if let StmtKind::If { else_branch, .. } = &mut stmt.kind {
             *else_branch = Some(Box::new(self.block(els)));
@@ -140,13 +140,13 @@ impl Gen {
     }
 
     /// `while (cond) { body }`
-    pub fn while_(self, cond: Expr, body: Vec<Stmt>) -> Stmt {
+    pub(crate) fn while_(self, cond: Expr, body: Vec<Stmt>) -> Stmt {
         let body = Box::new(self.block(body));
         Stmt::synth(StmtKind::While { cond, body }, self.0)
     }
 
     /// `kernel<<<grid, block>>>(args);`
-    pub fn launch(self, kernel: Name, grid: Expr, block: Expr, args: Vec<Expr>) -> Stmt {
+    pub(crate) fn launch(self, kernel: Name, grid: Expr, block: Expr, args: Vec<Expr>) -> Stmt {
         let launch = LaunchStmt {
             kernel,
             grid,
@@ -172,7 +172,7 @@ pub fn gen_function(qual: FnQual, name: Name, params: Vec<Param>, body: Vec<Stmt
 }
 
 /// A parameter `ty name`.
-pub fn param(ty: Type, name: &str) -> Param {
+pub(crate) fn param(ty: Type, name: &str) -> Param {
     Param {
         ty,
         name: Name::new(name),
@@ -181,7 +181,7 @@ pub fn param(ty: Type, name: &str) -> Param {
 
 /// Whether a launch dimension is 1-D: an `int` expression, or a `dim3`
 /// whose y and z are the literal 1.
-pub fn is_one_dimensional(dim: &Expr) -> bool {
+pub(crate) fn is_one_dimensional(dim: &Expr) -> bool {
     match &dim.kind {
         ExprKind::Dim3Ctor(args) => args
             .iter()
@@ -192,7 +192,7 @@ pub fn is_one_dimensional(dim: &Expr) -> bool {
 }
 
 /// The x extent of a 1-D launch dimension.
-pub fn one_dimensional(dim: Expr) -> Expr {
+pub(crate) fn one_dimensional(dim: Expr) -> Expr {
     match dim.kind {
         ExprKind::Dim3Ctor(args) => args.into_iter().next().expect("dim3 has an x extent"),
         kind => Expr { kind, ..dim },
@@ -202,7 +202,7 @@ pub fn one_dimensional(dim: Expr) -> Expr {
 /// Tags every statement and expression in `stmts` with `origin`,
 /// *without* overwriting nested statements already tagged differently
 /// (spliced bodies keep their own origins).
-pub fn tag_origin(stmts: &mut [Stmt], origin: CodeOrigin) {
+pub(crate) fn tag_origin(stmts: &mut [Stmt], origin: CodeOrigin) {
     for stmt in stmts {
         walk_stmt_mut(stmt, &mut |s| {
             if s.origin == CodeOrigin::Original {
@@ -219,7 +219,7 @@ pub fn tag_origin(stmts: &mut [Stmt], origin: CodeOrigin) {
 
 /// Collects every identifier mentioned anywhere in a function, borrowed
 /// from it: pick names with [`fresh_name`] before the function changes.
-pub fn idents_in_function(func: &Function) -> HashSet<&str> {
+pub(crate) fn idents_in_function(func: &Function) -> HashSet<&str> {
     let mut names: HashSet<&str> = func.params.iter().map(|p| p.name.as_str()).collect();
     names.insert(&func.name);
     for stmt in &func.body {
@@ -238,7 +238,10 @@ pub fn idents_in_function(func: &Function) -> HashSet<&str> {
 }
 
 /// Returns `base` if unused, otherwise `base_2`, `base_3`, ….
-pub fn fresh_name<S: Borrow<str> + Hash + Eq>(base: impl Into<Name>, used: &HashSet<S>) -> Name {
+pub(crate) fn fresh_name<S: Borrow<str> + Hash + Eq>(
+    base: impl Into<Name>,
+    used: &HashSet<S>,
+) -> Name {
     let base = base.into();
     if !used.contains(base.as_str()) {
         return base;
@@ -252,24 +255,24 @@ pub fn fresh_name<S: Borrow<str> + Hash + Eq>(base: impl Into<Name>, used: &Hash
 /// The names of the program's functions. A function a pass generates is
 /// named with [`claim_fresh_name`] against these, so it never takes the
 /// name of a user's function or of another generated one.
-pub fn function_names(program: &Program) -> HashSet<Name> {
+pub(crate) fn function_names(program: &Program) -> HashSet<Name> {
     program.functions().map(|f| f.name.clone()).collect()
 }
 
 /// [`fresh_name`] against `taken`, which then holds it too.
-pub fn claim_fresh_name(base: Name, taken: &mut HashSet<Name>) -> Name {
+pub(crate) fn claim_fresh_name(base: Name, taken: &mut HashSet<Name>) -> Name {
     let name = fresh_name(base, taken);
     taken.insert(name.clone());
     name
 }
 
 /// Whether any statement in the function is a `return` (at any depth).
-pub fn contains_return(body: &[Stmt]) -> bool {
+pub(crate) fn contains_return(body: &[Stmt]) -> bool {
     any_stmt(body, |s| matches!(s.kind, StmtKind::Return(_)))
 }
 
 /// Whether any statement in the function is a kernel launch (at any depth).
-pub fn contains_launch(body: &[Stmt]) -> bool {
+pub(crate) fn contains_launch(body: &[Stmt]) -> bool {
     any_stmt(body, |s| matches!(s.kind, StmtKind::Launch(_)))
 }
 
@@ -282,7 +285,7 @@ fn any_stmt(body: &[Stmt], pred: impl Fn(&Stmt) -> bool) -> bool {
 }
 
 /// Whether the body references `base.field` for a builtin dim variable.
-pub fn uses_builtin_member(body: &[Stmt], base: &str, field: &str) -> bool {
+pub(crate) fn uses_builtin_member(body: &[Stmt], base: &str, field: &str) -> bool {
     let mut found = false;
     for stmt in body {
         for_each_stmt_expr(stmt, &mut |e| {
@@ -298,7 +301,7 @@ pub fn uses_builtin_member(body: &[Stmt], base: &str, field: &str) -> bool {
 
 /// Whether the body uses a builtin dim variable as a *whole* value
 /// (not through a member access), e.g. passing `gridDim` to a function.
-pub fn uses_builtin_whole(body: &[Stmt], base: &str) -> bool {
+pub(crate) fn uses_builtin_whole(body: &[Stmt], base: &str) -> bool {
     let mut whole = 0usize;
     let mut member = 0usize;
     for stmt in body {

@@ -11,7 +11,7 @@ use dp_frontend::ast::{CodeOrigin, FnQual, Name, Type};
 use std::collections::HashMap;
 
 /// Index of a compiled function within a [`Module`].
-pub type FuncId = u32;
+pub(crate) type FuncId = u32;
 
 /// Binary operation kinds (typed dynamically by operand values).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -298,14 +298,14 @@ impl Instr {
     /// the fuser ask here). Read off a copy through
     /// [`Instr::branch_target_mut`], which holds the one list of opcodes
     /// that carry a jump target.
-    pub fn branch_target(&self) -> Option<u32> {
+    pub(crate) fn branch_target(&self) -> Option<u32> {
         let mut copy = *self;
         copy.branch_target_mut().copied()
     }
 
     /// The jump target, to rewrite it. A new jumping opcode is a row here
     /// and nowhere else; it then ends a basic block.
-    pub fn branch_target_mut(&mut self) -> Option<&mut u32> {
+    pub(crate) fn branch_target_mut(&mut self) -> Option<&mut u32> {
         match self {
             Instr::Jump(t)
             | Instr::JumpIfZero(t)
@@ -320,7 +320,7 @@ impl Instr {
     /// thread's frame and operand stack (a load is uniform: a replayed prefix
     /// checks what it read, `machine.rs` "Dispatch"). A superinstruction is
     /// lane-uniform exactly when every part of its expansion is.
-    pub fn lane_uniform(&self) -> bool {
+    pub(crate) fn lane_uniform(&self) -> bool {
         match self {
             Instr::PushInt(_)
             | Instr::PushFloat(_)
@@ -374,7 +374,7 @@ impl Instr {
     /// in the walk's one `step`. A superinstruction is pure exactly when
     /// every part of its expansion is, and needs no rule: the walk runs its
     /// expansion.
-    pub fn loop_pure(&self) -> bool {
+    pub(crate) fn loop_pure(&self) -> bool {
         use BinKind::*;
         match self {
             Instr::PushInt(_)
@@ -470,7 +470,7 @@ impl Instr {
     /// (the operation, not the operand moves); the execution machine does
     /// not use this for them — it charges [`Instr::cost`], the sum over the
     /// expansion.
-    pub fn cost_class(&self) -> CostClass {
+    pub(crate) fn cost_class(&self) -> CostClass {
         match self {
             Instr::PushInt(_)
             | Instr::PushFloat(_)
@@ -510,7 +510,7 @@ impl Instr {
 
 /// Instruction cost classes (cycles assigned by [`CostModel`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CostClass {
+pub(crate) enum CostClass {
     /// Simple ALU / register moves.
     Alu,
     /// Integer/float multiply.
@@ -590,7 +590,7 @@ impl Default for CostModel {
 
 impl CostModel {
     /// Cycles for one instruction of the given class.
-    pub fn cycles(&self, class: CostClass) -> u64 {
+    pub(crate) fn cycles(&self, class: CostClass) -> u64 {
         match class {
             CostClass::Alu => self.alu,
             CostClass::Mul => self.mul,
@@ -645,8 +645,8 @@ pub struct BlockCharge {
     pub width: u64,
     /// `cycles` split by the slots' origin tags.
     pub origin: OriginCycles,
-    /// Every slot is [`Instr::lane_uniform`].
-    pub uniform: bool,
+    /// Every slot is `Instr::lane_uniform`.
+    pub(crate) uniform: bool,
 }
 
 impl CompiledFunction {
@@ -658,7 +658,7 @@ impl CompiledFunction {
     /// `Sync` (where a thread resumes). A `Launch` is a block of its own:
     /// it records the thread's cycle count, which therefore has to be
     /// exact when it runs. In a kernel, the first instruction that is not
-    /// [`Instr::lane_uniform`] in a block the uniform prefix reaches is a
+    /// `Instr::lane_uniform` in a block the uniform prefix reaches is a
     /// leader too, so a replayed prefix ends where the kernel first depends
     /// on its thread (`cut_uniform_prefix`).
     pub fn block_charges(&self, cost: &CostModel) -> Vec<BlockCharge> {
@@ -741,7 +741,7 @@ impl CompiledFunction {
 /// A compiled translation unit.
 #[derive(Debug, Clone, Default)]
 pub struct Module {
-    /// Functions, indexed by [`FuncId`].
+    /// Functions, indexed by `FuncId`.
     pub functions: Vec<CompiledFunction>,
     by_name: HashMap<Name, FuncId>,
 }
@@ -766,12 +766,12 @@ impl Module {
     }
 
     /// Looks up a function id by name.
-    pub fn id_of(&self, name: &str) -> Option<FuncId> {
+    pub(crate) fn id_of(&self, name: &str) -> Option<FuncId> {
         self.by_name.get(name).copied()
     }
 
     /// The function for an id.
-    pub fn function(&self, id: FuncId) -> &CompiledFunction {
+    pub(crate) fn function(&self, id: FuncId) -> &CompiledFunction {
         &self.functions[id as usize]
     }
 

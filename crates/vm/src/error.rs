@@ -20,14 +20,9 @@ impl CompileError {
     }
 
     /// Attaches the function being lowered.
-    pub fn in_function(mut self, name: &str) -> Self {
+    pub(crate) fn in_function(mut self, name: &str) -> Self {
         self.function = Some(name.to_string());
         self
-    }
-
-    /// The error message.
-    pub fn message(&self) -> &str {
-        &self.message
     }
 }
 
@@ -65,14 +60,10 @@ impl ExecError {
     }
 
     /// Attaches kernel/block/thread context.
-    pub fn with_context(mut self, context: impl Into<String>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_context(mut self, context: impl Into<String>) -> Self {
         self.0.context = Some(context.into());
         self
-    }
-
-    /// The error message.
-    pub fn message(&self) -> &str {
-        &self.0.message
     }
 }
 

@@ -31,7 +31,7 @@
 //!    [`bytecode::BinKind`]. [`machine::DispatchMode::Match`] selects the
 //!    reference interpreter — primitive instructions only, charged one by
 //!    one, a superinstruction run as its expansion — for differential tests.
-//! 2. **Superinstruction fusion** ([`lower::fuse_function`]): a peephole
+//! 2. **Superinstruction fusion** (`lower::fuse_function`): a peephole
 //!    pass collapses hot stack-shuffle sequences (`LoadLocal;LoadLocal;Bin`,
 //!    `PushInt;Bin`, the six-instruction `i += k` statement pattern,
 //!    `LoadLocal;LoadMem`, `StoreLocal s;LoadLocal s`) into single fused
@@ -48,7 +48,7 @@
 //!    steady-state execution allocates nothing. Kernel arguments are
 //!    coerced once per grid, not per block.
 //! 4. **Uniform-prefix replay**: a kernel's instructions from its entry up
-//!    to the first that is not [`bytecode::Instr::lane_uniform`] are run by
+//!    to the first that is not `bytecode::Instr::lane_uniform` are run by
 //!    a block's first lane and replayed on each later lane whose logged
 //!    loads still read the same bits (see [`machine`], "Dispatch"). They
 //!    are compared only when a device store happened since they were last
@@ -62,14 +62,14 @@
 //!    what dispatching them would charge.
 //! 6. **Lane skipping** (`skip.rs`): at its start point a block's lane
 //!    walks on with each value affine in its lane offset; where the walk
-//!    reaches the kernel's end through [`bytecode::Instr::loop_pure`]
+//!    reaches the kernel's end through `bytecode::Instr::loop_pure`
 //!    instructions only, the lanes its tests admit — a CDP child's idle
 //!    tail, above all — are retired together, each charged exactly what
 //!    dispatching it would charge. Both skips share the walk's one `step`
 //!    over primitives.
 //!
 //! To add a new superinstruction, see the checklist on
-//! [`lower::fuse_function`]; for a new primitive, the "New opcodes"
+//! `lower::fuse_function`; for a new primitive, the "New opcodes"
 //! standing invariant in `ROADMAP.md`.
 //!
 //! ## Example
@@ -89,7 +89,7 @@
 //! ```
 
 pub mod bytecode;
-pub mod error;
+pub(crate) mod error;
 pub mod lower;
 pub mod machine;
 mod memory;
@@ -97,11 +97,11 @@ mod ops;
 mod reference;
 mod skip;
 pub mod trace;
-pub mod value;
+pub(crate) mod value;
 
-pub use bytecode::{BlockCharge, CostClass, CostModel, Module};
+pub use bytecode::CostModel;
 pub use error::{CompileError, ExecError};
-pub use lower::{compile_program, compile_program_unfused, fuse_module, LowerOptions};
-pub use machine::{DispatchMode, ExecLimits, Image, Machine, MachineStats, Memory};
-pub use trace::{BlockTrace, ExecutionTrace, GridTrace, LaunchOrigin, LaunchRecord, OriginCycles};
-pub use value::{Dim3Table, LaunchDim, Value};
+pub use lower::compile_program_unfused;
+pub use machine::{DispatchMode, ExecLimits, Machine, MachineStats};
+pub use trace::{ExecutionTrace, OriginCycles};
+pub use value::{LaunchDim, Value};

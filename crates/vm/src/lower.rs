@@ -7,7 +7,7 @@
 //! compiler could reduce it to. Origin tags flow from statements and
 //! expressions onto the emitted instructions.
 //!
-//! Fusion ([`fuse_function`]) does not change that accounting: it collapses
+//! Fusion (`fuse_function`) does not change that accounting: it collapses
 //! hot stack-shuffle sequences into single superinstructions that are
 //! *costed and counted as their expansions* (see
 //! [`Instr::expansion`](crate::bytecode::Instr::expansion)), so it speeds up
@@ -110,13 +110,6 @@ pub fn compile_program_with(
 // Superinstruction fusion
 // ----------------------------------------------------------------------
 
-/// Runs the peephole fusion pass over every function of a module in place.
-pub fn fuse_module(module: &mut Module) {
-    for f in &mut module.functions {
-        fuse_function(f);
-    }
-}
-
 /// Fuses hot instruction sequences into superinstructions, in place.
 ///
 /// A window of instructions is fused only when (a) it matches one of the
@@ -167,7 +160,7 @@ pub fn fuse_module(module: &mut Module) {
 /// check the handler against that definition, error cases included. A
 /// pattern earns its place with a count of the window and ≥ 3 % on
 /// `sweep-cold` by itself; `benchgate` then holds `dispatched_ops` down.
-pub fn fuse_function(f: &mut CompiledFunction) {
+pub(crate) fn fuse_function(f: &mut CompiledFunction) {
     let n = f.code.len();
     // Instruction indices some jump lands on (code.len() is a valid target
     // for loops that end the function).
@@ -1178,6 +1171,13 @@ fn intrinsic_of(name: &str) -> Option<(Intrinsic, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs the peephole fusion pass over every function of a module in place.
+    fn fuse_module(module: &mut Module) {
+        for f in &mut module.functions {
+            fuse_function(f);
+        }
+    }
 
     fn compile(src: &str) -> Module {
         compile_program(&dp_frontend::parse(src).unwrap()).unwrap()

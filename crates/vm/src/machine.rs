@@ -443,7 +443,7 @@ pub struct MachineStats {
     /// Device-side launch instructions that created a grid.
     pub device_launches: u64,
     /// Launches skipped because the grid size was zero.
-    pub empty_launches: u64,
+    pub(crate) empty_launches: u64,
 }
 
 /// What each dispatcher counts of its own way of working. These differ

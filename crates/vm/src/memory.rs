@@ -24,7 +24,7 @@ impl Memory {
     }
 
     /// Allocates `words` words, returning the base address.
-    pub fn alloc(&mut self, words: usize) -> i64 {
+    pub(crate) fn alloc(&mut self, words: usize) -> i64 {
         let base = self.bump;
         self.bump += words;
         if self.data.len() < self.bump {
@@ -84,7 +84,8 @@ impl Memory {
 
     /// Writes `values` consecutively starting at `addr` (single bounds
     /// check + `copy_from_slice`).
-    pub fn write_range(&mut self, addr: i64, values: &[Value]) -> Result<(), ExecError> {
+    #[cfg(test)]
+    pub(crate) fn write_range(&mut self, addr: i64, values: &[Value]) -> Result<(), ExecError> {
         if values.is_empty() {
             return Ok(());
         }
@@ -94,7 +95,7 @@ impl Memory {
     }
 
     /// Mutable view of `words` consecutive words (single bounds check).
-    pub fn slice_mut(&mut self, addr: i64, words: usize) -> Result<&mut [Value], ExecError> {
+    pub(crate) fn slice_mut(&mut self, addr: i64, words: usize) -> Result<&mut [Value], ExecError> {
         if words == 0 {
             return Ok(&mut []);
         }

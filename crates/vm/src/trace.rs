@@ -10,10 +10,10 @@
 use dp_frontend::ast::CodeOrigin;
 
 /// Number of [`CodeOrigin`] categories.
-pub const N_ORIGINS: usize = 6;
+pub(crate) const N_ORIGINS: usize = 6;
 
 /// Index of an origin in [`OriginCycles`].
-pub fn origin_index(origin: CodeOrigin) -> usize {
+pub(crate) fn origin_index(origin: CodeOrigin) -> usize {
     match origin {
         CodeOrigin::Original => 0,
         CodeOrigin::ThresholdCheck => 1,
@@ -45,7 +45,7 @@ impl OriginCycles {
     }
 
     /// Element-wise accumulation.
-    pub fn merge(&mut self, other: &OriginCycles) {
+    pub(crate) fn merge(&mut self, other: &OriginCycles) {
         for (a, b) in self.0.iter_mut().zip(other.0.iter()) {
             *a += b;
         }
@@ -80,9 +80,9 @@ impl LaunchOrigin {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaunchRecord {
     /// Grid id of the launched child.
-    pub child_grid: usize,
+    pub(crate) child_grid: usize,
     /// Issuing thread's cycle count at the launch instruction.
-    pub issue_cycles: u64,
+    pub(crate) issue_cycles: u64,
 }
 
 /// Per-block execution record.
@@ -129,7 +129,8 @@ pub struct GridTrace {
 
 impl GridTrace {
     /// Total number of blocks.
-    pub fn num_blocks(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn num_blocks(&self) -> u64 {
         (self.grid_dim[0] * self.grid_dim[1] * self.grid_dim[2]) as u64
     }
 

@@ -13,7 +13,7 @@ use std::fmt;
 
 /// Base address of the per-block shared-memory address space. Addresses at
 /// or above this value refer to shared memory.
-pub const SHARED_SPACE_BASE: i64 = 1 << 56;
+pub(crate) const SHARED_SPACE_BASE: i64 = 1 << 56;
 
 /// A tagged VM word.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,7 +57,7 @@ impl Value {
     }
 
     /// The float interpretation of the value.
-    pub fn as_float(&self) -> f64 {
+    pub(crate) fn as_float(&self) -> f64 {
         match self {
             Value::Int(v) => *v as f64,
             Value::Float(v) => *v,
@@ -66,7 +66,7 @@ impl Value {
     }
 
     /// Truthiness (C semantics: non-zero is true).
-    pub fn is_truthy(&self) -> bool {
+    pub(crate) fn is_truthy(&self) -> bool {
         match self {
             Value::Int(v) => *v != 0,
             Value::Float(v) => *v != 0.0,
@@ -76,7 +76,7 @@ impl Value {
 
     /// Coerces a scalar to the `dim3` `(v, 1, 1)`, as CUDA's implicit
     /// `int → dim3` conversion does; a `dim3` is returned as it is.
-    pub fn to_dim3(self) -> Value {
+    pub(crate) fn to_dim3(self) -> Value {
         match self {
             Value::Dim3 { .. } => self,
             other => Value::Dim3 {
@@ -87,7 +87,7 @@ impl Value {
     }
 
     /// Whether this value is a float.
-    pub fn is_float(&self) -> bool {
+    pub(crate) fn is_float(&self) -> bool {
         matches!(self, Value::Float(_))
     }
 }
@@ -134,14 +134,14 @@ impl From<bool> for Value {
 /// `(1, 1)` allocates nothing for it; the first other pair seeds it with
 /// `YZ_ZEROS` and `YZ_ONES`.
 #[derive(Debug, Clone, Default)]
-pub struct Dim3Table {
+pub(crate) struct Dim3Table {
     pairs: Vec<[i64; 2]>,
     index: HashMap<[i64; 2], u32>,
 }
 
 impl Dim3Table {
     /// The `dim3` word for a triple.
-    pub fn intern(&mut self, [x, y, z]: [i64; 3]) -> Value {
+    pub(crate) fn intern(&mut self, [x, y, z]: [i64; 3]) -> Value {
         let yz = if [y, z] == [1, 1] {
             YZ_ONES
         } else {
@@ -161,7 +161,7 @@ impl Dim3Table {
 
     /// The triple a word stands for; scalars coerce as [`Value::to_dim3`]
     /// does, to `(v, 1, 1)`.
-    pub fn resolve(&self, v: Value) -> [i64; 3] {
+    pub(crate) fn resolve(&self, v: Value) -> [i64; 3] {
         match v {
             Value::Dim3 { x, yz: YZ_ONES } => [x, 1, 1],
             Value::Dim3 { x, yz } => {

@@ -62,7 +62,7 @@ impl std::fmt::Display for InputKind {
 
 impl BenchInput {
     /// Which shape this input is.
-    pub fn kind(&self) -> InputKind {
+    pub(crate) fn kind(&self) -> InputKind {
         match self {
             BenchInput::Graph(_) => InputKind::Graph,
             BenchInput::Sat(_) => InputKind::Sat,
@@ -75,7 +75,7 @@ impl BenchInput {
     /// # Panics
     ///
     /// Panics if the input is not a graph (driver/input mismatch is a bug).
-    pub fn graph(&self) -> &CsrGraph {
+    pub(crate) fn graph(&self) -> &CsrGraph {
         match self {
             BenchInput::Graph(g) => g,
             other => panic!("benchmark expected a graph, got {}", other.kind()),
@@ -87,7 +87,7 @@ impl BenchInput {
     /// # Panics
     ///
     /// Panics if the input is not a formula.
-    pub fn sat(&self) -> &KSatFormula {
+    pub(crate) fn sat(&self) -> &KSatFormula {
         match self {
             BenchInput::Sat(f) => f,
             other => panic!("benchmark expected a SAT formula, got {}", other.kind()),
@@ -99,7 +99,7 @@ impl BenchInput {
     /// # Panics
     ///
     /// Panics if the input is not Bézier lines.
-    pub fn bezier(&self) -> &BezierLines {
+    pub(crate) fn bezier(&self) -> &BezierLines {
         match self {
             BenchInput::Bezier(b) => b,
             other => panic!("benchmark expected Bézier lines, got {}", other.kind()),

@@ -12,7 +12,7 @@ use dp_vm::Value;
 pub struct Sssp;
 
 /// "Infinite" distance (fits comfortably in the VM's i64 words).
-pub const INF: i64 = 1 << 40;
+pub(crate) const INF: i64 = 1 << 40;
 
 const CDP: &str = r#"
 __global__ void sssp_child(int* edges, int* weights, int* dist, int* inNext, int* frontierNext, int* nextSize, int srcDist, int edgeBegin, int count) {

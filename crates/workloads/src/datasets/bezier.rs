@@ -23,13 +23,14 @@ pub struct BezierLines {
 
 impl BezierLines {
     /// Number of lines.
-    pub fn num_lines(&self) -> usize {
+    pub(crate) fn num_lines(&self) -> usize {
         self.control_points.len() / 6
     }
 
     /// Host-side reference of the curvature measure the kernel computes:
     /// the distance from the middle control point to the chord midpoint.
-    pub fn curvature(&self, line: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn curvature(&self, line: usize) -> f64 {
         let p = &self.control_points[line * 6..line * 6 + 6];
         let mx = (p[0] + p[4]) / 2.0;
         let my = (p[1] + p[5]) / 2.0;
@@ -40,7 +41,8 @@ impl BezierLines {
 
     /// Host-side reference of the per-line tessellation count (must match
     /// the kernel's computation).
-    pub fn tess_count(&self, line: usize) -> i64 {
+    #[cfg(test)]
+    pub(crate) fn tess_count(&self, line: usize) -> i64 {
         let t = (self.curvature(line) * self.curvature_scale) as i64;
         t.clamp(2, self.max_tess as i64)
     }

@@ -1,7 +1,5 @@
 //! Compressed sparse row graphs used by the graph benchmarks.
 
-use rand::Rng;
-
 /// A directed graph in CSR form with optional edge weights.
 ///
 /// Adjacency lists are sorted (required by the triangle-counting kernel's
@@ -22,7 +20,7 @@ impl CsrGraph {
     /// Builds a CSR graph from an edge list, removing duplicate edges and
     /// self-loops, sorting adjacency lists, and assigning pseudo-random
     /// weights in `[1, 64)` derived from the endpoints (deterministic).
-    pub fn from_edges(num_vertices: usize, edge_list: &[(u32, u32)]) -> CsrGraph {
+    pub(crate) fn from_edges(num_vertices: usize, edge_list: &[(u32, u32)]) -> CsrGraph {
         let mut adj: Vec<Vec<u32>> = vec![Vec::new(); num_vertices];
         for &(u, v) in edge_list {
             let (u, v) = (u as usize, v as usize);
@@ -58,7 +56,7 @@ impl CsrGraph {
     }
 
     /// Out-degree of a vertex.
-    pub fn degree(&self, v: usize) -> usize {
+    pub(crate) fn degree(&self, v: usize) -> usize {
         (self.offsets[v + 1] - self.offsets[v]) as usize
     }
 
@@ -71,7 +69,7 @@ impl CsrGraph {
     }
 
     /// Average out-degree.
-    pub fn avg_degree(&self) -> f64 {
+    pub(crate) fn avg_degree(&self) -> f64 {
         if self.num_vertices == 0 {
             0.0
         } else {
@@ -80,12 +78,12 @@ impl CsrGraph {
     }
 
     /// Neighbours of `v` (sorted).
-    pub fn neighbours(&self, v: usize) -> &[i64] {
+    pub(crate) fn neighbours(&self, v: usize) -> &[i64] {
         &self.edges[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }
 
     /// Adds the reverse of every edge (symmetrizes), dedicating the result.
-    pub fn symmetrized(&self) -> CsrGraph {
+    pub(crate) fn symmetrized(&self) -> CsrGraph {
         let mut edge_list = Vec::with_capacity(self.num_edges() * 2);
         for u in 0..self.num_vertices {
             for &v in self.neighbours(u) {
@@ -98,7 +96,7 @@ impl CsrGraph {
 
     /// A vertex with the highest degree (breadth-first-search source that
     /// reaches a large component).
-    pub fn max_degree_vertex(&self) -> usize {
+    pub(crate) fn max_degree_vertex(&self) -> usize {
         (0..self.num_vertices)
             .max_by_key(|&v| self.degree(v))
             .unwrap_or(0)
@@ -113,19 +111,18 @@ fn edge_weight(u: u32, v: u32) -> i64 {
     (h % 63 + 1) as i64
 }
 
-/// Generates `count` random edges over `n` vertices (helper for tests and
-/// simple workloads).
-pub fn random_edges<R: Rng>(rng: &mut R, n: usize, count: usize) -> Vec<(u32, u32)> {
-    (0..count)
-        .map(|_| (rng.gen_range(0..n) as u32, rng.gen_range(0..n) as u32))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Generates `count` random edges over `n` vertices.
+    fn random_edges<R: Rng>(rng: &mut R, n: usize, count: usize) -> Vec<(u32, u32)> {
+        (0..count)
+            .map(|_| (rng.gen_range(0..n) as u32, rng.gen_range(0..n) as u32))
+            .collect()
+    }
 
     #[test]
     fn builds_sorted_deduped_csr() {

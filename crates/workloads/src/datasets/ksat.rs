@@ -25,22 +25,22 @@ pub struct KSatFormula {
 
 impl KSatFormula {
     /// Number of clauses.
-    pub fn num_clauses(&self) -> usize {
+    pub(crate) fn num_clauses(&self) -> usize {
         self.clause_offsets.len() - 1
     }
 
     /// Total number of literals.
-    pub fn num_lits(&self) -> usize {
+    pub(crate) fn num_lits(&self) -> usize {
         self.lits.len()
     }
 
     /// Occurrences of variable `v` (clause indices).
-    pub fn occurrences(&self, v: usize) -> &[i64] {
+    pub(crate) fn occurrences(&self, v: usize) -> &[i64] {
         &self.occ_clauses[self.var_offsets[v] as usize..self.var_offsets[v + 1] as usize]
     }
 
     /// Maximum occurrences of any variable.
-    pub fn max_var_degree(&self) -> usize {
+    pub(crate) fn max_var_degree(&self) -> usize {
         (0..self.num_vars)
             .map(|v| self.occurrences(v).len())
             .max()

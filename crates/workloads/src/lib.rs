@@ -20,8 +20,5 @@
 pub mod benchmarks;
 pub mod datasets;
 
-pub use benchmarks::{
-    all_benchmarks, benchmark_by_name, run_variant, BenchInput, BenchOutput, Benchmark, InputKind,
-    Variant,
-};
+pub use benchmarks::{all_benchmarks, BenchInput, BenchOutput, Benchmark};
 pub use datasets::{datasets_for, describe, input_kind_for, DatasetId};
