@@ -1,7 +1,8 @@
 //! # dp-pool
 //!
-//! The process-wide worker-thread substrate: one budget, one pool, shared
-//! by every parallel layer in the workspace.
+//! The process-wide worker-thread substrate: one budget, shared by every
+//! parallel layer in the workspace, whose jobs claim a parked worker or
+//! run inline.
 //!
 //! The paper's core move is amortizing launch overhead by aggregating many
 //! small child grids into fewer larger ones; this crate is the software
@@ -18,40 +19,38 @@
 //!   budget minus the caller's own thread. The sweep engine's generation
 //!   runner and the shard scheduler's daemon drivers schedule onto it —
 //!   both claim-gated ([`Scope::spawn_as`]), so it lends idle workers and
-//!   nothing waits in its queues. The serve daemon runs an execution on
+//!   nothing waits in its queue. The serve daemon runs an execution on
 //!   the thread that admitted it and the VM never sees the pool.
 //! - [`Pool::scope`] lets callers borrow stack data into pool jobs (the
 //!   `std::thread::scope` shape, minus the per-call spawns). Submissions
 //!   from *inside* a pool worker degrade to inline execution instead of
 //!   queueing behind themselves, so the pool can never deadlock on nested
 //!   parallelism and nested layers stay sequential.
-//! - Scheduling is **class-aware** ([`JobClass`]): jobs land in per-worker
-//!   deques and idle workers steal across slots, draining every
-//!   [`JobClass::Interactive`] queue (fleet drivers) before any
-//!   [`JobClass::Bulk`] queue (sweep generations, benches). A bulk job
-//!   may call [`checkpoint`] to hand its worker to one waiting interactive
-//!   job; no layer does — with every submission claim-gated no job waits,
-//!   and `steals` and `yields` read 0 on every measured workload.
-//!   [`Pool::stats`] snapshots depths/steals/yields as one [`PoolStats`].
+//! - Every submission is **claim-gated**: a job is queued only after a
+//!   parked worker has been promised to it, and otherwise runs inline on
+//!   the submitting thread, so no job ever waits behind another and one
+//!   FIFO queue is the whole scheduler. [`JobClass`] orders nothing; it
+//!   stays in the signatures because `benchmark/` names it (ROADMAP item
+//!   2 (f)). [`Pool::stats`] snapshots threads, parked workers and queued
+//!   jobs. Serve's `stats.pool` still writes `steals` and `yields` as 0
+//!   for the benchmark's reader; the pool has neither.
 //!
 //! ## Checklist for adding a new parallel layer
 //!
 //! 1. Size your concurrency from the shared budget
 //!    ([`jobs::configured_jobs`] or `Pool::shared().threads() + 1`), never
 //!    from a fresh env read.
-//! 2. Submit work with [`Pool::scope`]/`Pool::run_as` on
+//! 2. Submit work with [`Pool::scope`] and [`Scope::spawn_as`] on
 //!    [`Pool::shared`] — never `std::thread::spawn`/`std::thread::scope`
 //!    (grep-enforced by `crates/pool/tests/no_raw_threads.rs`).
-//! 3. Pick the [`JobClass`] deliberately: `Interactive` only for work a
-//!    human or a remote daemon is blocked on; everything else is `Bulk`.
-//! 4. Have the *caller* participate (run one worker loop itself) and size
-//!    helper submissions from [`Pool::available_workers`] — spawns are
-//!    claim-gated anyway, so a busy pool means graceful degradation to
-//!    sequential execution, not queueing.
-//! 5. Keep results deterministic at any worker count: merge in a
+//! 3. Have the *caller* participate (run one worker loop itself) and size
+//!    helper submissions from [`Pool::available_workers`] — a spawn no
+//!    parked worker can take runs inline, so a busy pool means graceful
+//!    degradation to sequential execution, not queueing.
+//! 4. Keep results deterministic at any worker count: merge in a
 //!    canonical order, never in completion order.
 
 pub mod jobs;
 pub(crate) mod pool;
 
-pub use pool::{checkpoint, JobClass, Pool, Scope};
+pub use pool::{JobClass, Pool, Scope};

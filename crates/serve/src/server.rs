@@ -67,7 +67,7 @@
 //! and the `stats` op's `requests`, `rejects`, `bytes` and `disk_cache`
 //! members read those counters; `metrics` is the registry's own `Json`.
 //! What tests need exact per instance stays an instance book:
-//! [`CompiledCache`]'s counts and the shared pool's steals and yields
+//! [`CompiledCache`]'s counts and the shared pool's snapshot
 //! (`stats.pool` reads [`Pool::shared`]).
 
 use crate::cache::CompiledCache;
@@ -1525,12 +1525,13 @@ fn stats_response(state: &Arc<State>, id: Option<&Json>) -> Json {
                 "pool",
                 object([
                     ("idle", size(pool.idle)),
-                    ("queued", size(pool.queued_total())),
-                    ("queued_bulk", size(pool.queued_bulk)),
-                    ("queued_interactive", size(pool.queued_interactive)),
-                    ("steals", json::uint(pool.steals)),
+                    ("queued", size(pool.queued)),
+                    // The pool neither steals nor yields; the two stay,
+                    // constant, because `benchmark/`'s `DaemonStats::parse`
+                    // reads them.
+                    ("steals", json::uint(0)),
                     ("threads", size(pool.threads)),
-                    ("yields", json::uint(pool.yields)),
+                    ("yields", json::uint(0)),
                 ]),
             ),
             (
