@@ -1,51 +1,70 @@
-//! `Pool::stats().queued_total()` under contention: concurrent submitters against
-//! a saturated pool. The reported depth is a racy snapshot by contract,
-//! so the assertions bracket the true queue length instead of pinning it:
-//! it never exceeds what was submitted, it reaches the full backlog while
-//! the workers are parked, and it returns to zero once the queue drains.
+//! `Pool::stats().queued` under contention: concurrent submitters against
+//! a saturated pool. Every submission is claim-gated, so the depth is
+//! bracketed by the worker count instead of by what was submitted: it
+//! never exceeds `threads`, it stays exactly zero while every worker is
+//! occupied (submissions run inline then), and it returns to zero once
+//! the claimed jobs have been popped.
 
 use dp_pool::{JobClass, Pool};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::sync_channel;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, sync_channel, Sender};
+use std::sync::{Arc, Mutex};
+use std::thread;
 use std::time::{Duration, Instant};
 
-/// Parks every worker of `pool`, returning a sender that releases them.
-/// The returned jobs are *running*, not queued, so the depth baseline
-/// after this is exactly zero.
-fn saturate(pool: &Pool) -> std::sync::mpsc::SyncSender<()> {
-    let workers = pool.threads();
-    let (release_tx, release_rx) = sync_channel::<()>(workers);
-    let release_rx = Arc::new(std::sync::Mutex::new(release_rx));
-    let (entered_tx, entered_rx) = sync_channel::<()>(workers);
-    for _ in 0..workers {
-        let entered_tx = entered_tx.clone();
+/// Occupies every worker of `pool`: one `run_now_as` per worker from a
+/// helper thread, each issued once a worker shows parked (this thread is
+/// the only submitter, so the claim cannot fail), holding its worker until
+/// the returned sender is dropped. The held jobs are *running*, not
+/// queued, so the depth baseline after this is exactly zero.
+fn saturate<'s>(s: &'s thread::Scope<'s, '_>, pool: &'s Pool) -> Sender<()> {
+    let (release_tx, release_rx) = channel::<()>();
+    let release_rx = Arc::new(Mutex::new(release_rx));
+    for _ in 0..pool.threads() {
+        while pool.available_workers() == 0 {
+            thread::yield_now();
+        }
+        let (entered_tx, entered_rx) = sync_channel::<()>(0);
         let release_rx = Arc::clone(&release_rx);
-        pool.submit_as(JobClass::Bulk, move || {
-            entered_tx.send(()).unwrap();
-            let guard = release_rx.lock().unwrap();
-            // A closed channel (sender dropped) releases too.
-            let _ = guard.recv();
+        s.spawn(move || {
+            pool.run_now_as(JobClass::Bulk, move || {
+                entered_tx.send(()).unwrap();
+                // A closed channel (sender dropped) releases too.
+                let _ = release_rx.lock().unwrap().recv();
+            })
+            .unwrap()
         });
-    }
-    for _ in 0..workers {
         entered_rx.recv().unwrap();
     }
+    assert_eq!(pool.idle_workers(), 0);
     release_tx
 }
 
-fn wait_for_drain(pool: &Pool, jobs_done: &AtomicUsize, expect: usize) {
+/// Waits until every worker of `pool` is parked again with nothing queued.
+fn wait_for_drain(pool: &Pool) {
     let deadline = Instant::now() + Duration::from_secs(20);
-    while jobs_done.load(Ordering::SeqCst) < expect || pool.stats().queued_total() > 0 {
-        assert!(
-            Instant::now() < deadline,
-            "pool failed to drain: {}/{} jobs done, depth {}",
-            jobs_done.load(Ordering::SeqCst),
-            expect,
-            pool.stats().queued_total()
-        );
-        std::thread::sleep(Duration::from_millis(2));
+    loop {
+        let stats = pool.stats();
+        if stats.idle == stats.threads && stats.queued == 0 {
+            return;
+        }
+        assert!(Instant::now() < deadline, "pool failed to drain: {stats:?}");
+        thread::sleep(Duration::from_millis(2));
     }
+}
+
+/// Submits `n` scope spawns from the calling thread, checking the depth
+/// bound after each.
+fn submit_scoped(pool: &Pool, n: usize, jobs_done: &AtomicUsize) {
+    pool.scope(|scope| {
+        for _ in 0..n {
+            scope.spawn_as(JobClass::Bulk, || {
+                jobs_done.fetch_add(1, Ordering::SeqCst);
+            });
+            let stats = pool.stats();
+            assert!(stats.queued <= stats.threads, "backlog: {stats:?}");
+        }
+    });
 }
 
 #[test]
@@ -54,102 +73,66 @@ fn queue_depth_brackets_backlog_under_concurrent_submitters() {
     const JOBS_EACH: usize = 25;
     const TOTAL: usize = SUBMITTERS * JOBS_EACH;
 
-    let pool = Arc::new(Pool::new(2));
-    let release = saturate(&pool);
-    assert_eq!(
-        pool.stats().queued_total(),
-        0,
-        "running jobs are not queued"
-    );
+    let pool = Pool::new(2);
+    thread::scope(|s| {
+        let release = saturate(s, &pool);
+        assert_eq!(pool.stats().queued, 0, "running jobs are not queued");
 
-    let jobs_done = Arc::new(AtomicUsize::new(0));
-    let max_seen = Arc::new(AtomicUsize::new(0));
-
-    // Concurrent submitters race the depth reads: every observation made
-    // while submission is in flight must stay within [0, TOTAL].
-    std::thread::scope(|s| {
-        for _ in 0..SUBMITTERS {
-            let pool = Arc::clone(&pool);
-            let jobs_done = Arc::clone(&jobs_done);
-            let max_seen = Arc::clone(&max_seen);
-            s.spawn(move || {
-                for _ in 0..JOBS_EACH {
-                    let jobs_done = Arc::clone(&jobs_done);
-                    pool.submit_as(JobClass::Bulk, move || {
-                        jobs_done.fetch_add(1, Ordering::SeqCst);
-                    });
-                    let depth = pool.stats().queued_total();
-                    assert!(depth <= TOTAL, "depth {depth} exceeds submitted {TOTAL}");
-                    max_seen.fetch_max(depth, Ordering::SeqCst);
-                }
-            });
-        }
-    });
-
-    // Workers are still parked, so at quiescence the snapshot is exact:
-    // every submitted job is sitting in the queue.
-    assert_eq!(pool.stats().queued_total(), TOTAL);
-    assert!(
-        max_seen.load(Ordering::SeqCst) > 0,
-        "submitters racing a saturated pool must observe a backlog"
-    );
-
-    // Release the parked workers; the backlog drains and depth returns to
-    // zero permanently.
-    drop(release);
-    wait_for_drain(&pool, &jobs_done, TOTAL);
-    assert_eq!(jobs_done.load(Ordering::SeqCst), TOTAL);
-    assert_eq!(pool.stats().queued_total(), 0);
-}
-
-#[test]
-fn queue_depth_is_the_total_across_classes() {
-    let pool = Arc::new(Pool::new(2));
-    let release = saturate(&pool);
-    let jobs_done = Arc::new(AtomicUsize::new(0));
-    for class in [
-        JobClass::Bulk,
-        JobClass::Bulk,
-        JobClass::Interactive,
-        JobClass::Bulk,
-        JobClass::Interactive,
-    ] {
-        let jobs_done = Arc::clone(&jobs_done);
-        pool.submit_as(class, move || {
-            jobs_done.fetch_add(1, Ordering::SeqCst);
+        // Concurrent submitters against the saturated pool: no worker can
+        // be claimed, so every job runs inline and nothing is queued.
+        let jobs_done = AtomicUsize::new(0);
+        thread::scope(|inner| {
+            for _ in 0..SUBMITTERS {
+                inner.spawn(|| submit_scoped(&pool, JOBS_EACH, &jobs_done));
+            }
         });
-    }
-    // At quiescence (workers parked) the per-class depths are exact and
-    // the total is their sum.
-    let stats = pool.stats();
-    assert_eq!(stats.queued_bulk, 3);
-    assert_eq!(stats.queued_interactive, 2);
-    assert_eq!(stats.queued_total(), 5);
-    drop(release);
-    wait_for_drain(&pool, &jobs_done, 5);
-    let stats = pool.stats();
-    assert_eq!(stats.queued_total(), 0, "both classes drain to zero");
+        assert_eq!(jobs_done.load(Ordering::SeqCst), TOTAL);
+        assert_eq!(pool.stats().queued, 0, "a saturated pool queues nothing");
+
+        // Released, the workers park and are lent again: concurrent
+        // submitters now race for claims, and the depth stays within
+        // [0, threads] at every read.
+        drop(release);
+        wait_for_drain(&pool);
+        let jobs_done = AtomicUsize::new(0);
+        thread::scope(|inner| {
+            for _ in 0..SUBMITTERS {
+                inner.spawn(|| submit_scoped(&pool, JOBS_EACH, &jobs_done));
+            }
+        });
+        assert_eq!(jobs_done.load(Ordering::SeqCst), TOTAL);
+        wait_for_drain(&pool);
+        assert_eq!(pool.stats().queued, 0);
+    });
 }
 
 #[test]
 fn queue_depth_is_zero_across_repeated_saturation_cycles() {
-    let pool = Arc::new(Pool::new(1));
-    for _ in 0..3 {
-        let release = saturate(&pool);
-        let jobs_done = Arc::new(AtomicUsize::new(0));
-        for _ in 0..10 {
-            let jobs_done = Arc::clone(&jobs_done);
-            pool.submit_as(JobClass::Bulk, move || {
-                jobs_done.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        assert_eq!(pool.stats().queued_total(), 10);
-        drop(release);
-        wait_for_drain(&pool, &jobs_done, 10);
+    let pool = Pool::new(1);
+    for cycle in 0..3 {
+        thread::scope(|s| {
+            let release = saturate(s, &pool);
+            let jobs_done = AtomicUsize::new(0);
+            submit_scoped(&pool, 10, &jobs_done);
+            assert_eq!(jobs_done.load(Ordering::SeqCst), 10);
+            assert_eq!(pool.stats().queued, 0, "cycle {cycle}: saturated");
+            drop(release);
+        });
+        wait_for_drain(&pool);
+        // The freed worker is lent again: a claimed job runs on it.
+        let ran_on_worker = pool
+            .run_now_as(JobClass::Bulk, || {
+                thread::current()
+                    .name()
+                    .is_some_and(|n| n.starts_with("dp-pool-worker-"))
+            })
+            .unwrap();
+        assert!(ran_on_worker, "cycle {cycle}: the worker was not lent");
+        wait_for_drain(&pool);
         assert_eq!(
-            pool.stats().queued_total(),
+            pool.stats().queued,
             0,
-            "each cycle must end fully drained"
+            "cycle {cycle}: depth returns to zero"
         );
     }
 }
