@@ -29,6 +29,13 @@ use dp_sweep::{run_sweep, spec_from_json, SweepOptions, SweepResult};
 use std::io::{BufRead, Write};
 use std::process::ExitCode;
 
+mod alloc;
+
+/// Every `dpopt` command runs on the per-thread small-block cache: a
+/// compile builds and drops its tree in bulk (see `alloc.rs`).
+#[global_allocator]
+static GLOBAL: alloc::ThreadCache = alloc::ThreadCache;
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // Help is decided here, once: no subcommand parser knows the flag.

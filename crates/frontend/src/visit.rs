@@ -299,19 +299,6 @@ pub fn replace_builtin_member(stmt: &mut Stmt, base: &str, field: &str, replacem
     });
 }
 
-/// Replaces every use of the *whole* builtin identifier `base` (e.g. a bare
-/// `gridDim` passed around as `dim3`) with `replacement`.
-///
-/// Member accesses like `gridDim.x` become `replacement.x` because the walk
-/// rewrites the inner identifier.
-pub fn replace_builtin_ident(stmt: &mut Stmt, base: &str, replacement: &str) {
-    walk_stmt_exprs_mut(stmt, &mut |e| {
-        if e.kind.as_ident() == Some(base) {
-            e.kind = ExprKind::Ident(Name::new(replacement));
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,19 +331,6 @@ mod tests {
         });
         assert!(found_bx, "blockIdx.x should be replaced");
         assert!(found_thread, "threadIdx.x should remain");
-    }
-
-    #[test]
-    fn replace_ident_rewrites_member_bases() {
-        let mut s = parse_stmt("y = gridDim.x * 2 + f(gridDim);").unwrap();
-        replace_builtin_ident(&mut s, "gridDim", "_gDim");
-        let mut count = 0;
-        for_each_stmt_expr(&s, &mut |e| {
-            if e.kind.as_ident() == Some("_gDim") {
-                count += 1;
-            }
-        });
-        assert_eq!(count, 2);
     }
 
     #[test]

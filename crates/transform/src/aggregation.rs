@@ -129,12 +129,12 @@ struct SiteInfo<'p> {
 impl SiteInfo<'_> {
     /// The name `base` takes at this site: `_a_g` is `_a_g3` at site 3.
     fn name(&self, base: &str) -> Name {
-        fresh_name(Name::from_fmt(format_args!("{base}{}", self.id)), self.used)
+        fresh_local(Name::from_fmt(format_args!("{base}{}", self.id)), self.used)
     }
 
     /// The name of argument `j`'s variable or buffer at this site.
     fn arg(&self, base: &str, j: usize) -> Name {
-        fresh_name(
+        fresh_local(
             Name::from_fmt(format_args!("{base}{}_{j}", self.id)),
             self.used,
         )
@@ -578,9 +578,9 @@ fn build_agg_child(name: Name, child_fn: &Function) -> Function {
         "_da_lo", "_da_hi", "_da_mid", "_da_pi", "_da_prev", "_da_gd", "_da_bx", "_da_bd",
         "_da_scan", "_da_bArr", "_da_np",
     ]
-    .map(|n| fresh_name(n, &used));
+    .map(|n| fresh_local(n, &used));
     let arrs: Vec<Name> = (0..child_fn.params.len())
-        .map(|j| fresh_name(Name::from_fmt(format_args!("_da_arr{j}")), &used))
+        .map(|j| fresh_local(Name::from_fmt(format_args!("_da_arr{j}")), &used))
         .collect();
 
     let mut params: Vec<Param> = (child_fn.params.iter().zip(&arrs))

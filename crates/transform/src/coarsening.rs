@@ -92,8 +92,8 @@ fn coarsen_child(
 
     let child_fn = program.function_mut(child).expect("checked above");
     let used = idents_in_function(child_fn);
-    let g = fresh_name("_c_gDim", &used);
-    let bx = fresh_name("_c_bx", &used);
+    let g = fresh_local("_c_gDim", &used);
+    let bx = fresh_local("_c_bx", &used);
 
     let mut body = std::mem::take(&mut child_fn.body);
     for stmt in &mut body {
@@ -147,8 +147,8 @@ fn rewrite_launch_sites(program: &mut Program, child: &str) {
         for stmt in &func.body {
             for_each_stmt(stmt, &mut |s| {
                 if launches_child(s) {
-                    let g = fresh_name(Name::from_fmt(format_args!("_c_gDim{counter}")), &used);
-                    let cg = fresh_name(Name::from_fmt(format_args!("_c_cgDim{counter}")), &used);
+                    let g = fresh_local(Name::from_fmt(format_args!("_c_gDim{counter}")), &used);
+                    let cg = fresh_local(Name::from_fmt(format_args!("_c_cgDim{counter}")), &used);
                     names.push((g, cg));
                     counter += 1;
                 }

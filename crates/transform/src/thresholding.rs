@@ -17,7 +17,7 @@
 use crate::manifest::{Diagnostic, ThresholdSiteMeta, TransformManifest};
 use crate::util::*;
 use dp_frontend::ast::*;
-use dp_frontend::visit::{replace_builtin_ident, replace_builtin_member};
+use dp_frontend::visit::walk_stmt_exprs_mut;
 use std::collections::HashSet;
 
 /// Name of the compile-time threshold macro.
@@ -237,7 +237,7 @@ fn process_block(
         }
 
         // Section III-D: extract the desired thread count.
-        let threads_name = fresh_name(Name::from_fmt(format_args!("_threads{counter}")), used);
+        let threads_name = fresh_local(Name::from_fmt(format_args!("_threads{counter}")), used);
         let Some(tc) = dp_analysis::extract_thread_count(stmts, i, &threads_name) else {
             manifest.diagnostics.push(Diagnostic {
                 pass: "thresholding",
@@ -327,22 +327,12 @@ fn ensure_serial_fn(program: &Program, child: &Name, serials: &mut Serials) -> N
         .expect("caller verified the child kernel exists");
 
     let used = idents_in_function(child_fn);
-    let g = fresh_name("_s_gDim", &used);
-    let b = fresh_name("_s_bDim", &used);
-    let idx = ["_s_bz", "_s_by", "_s_bx", "_s_tz", "_s_ty", "_s_tx"].map(|n| fresh_name(n, &used));
+    let g = fresh_local("_s_gDim", &used);
+    let b = fresh_local("_s_bDim", &used);
+    let idx = ["_s_bz", "_s_by", "_s_bx", "_s_tz", "_s_ty", "_s_tx"].map(|n| fresh_local(n, &used));
 
-    // Replace builtin index/dimension uses in a copy of the child body.
     let mut body = child_fn.body.clone();
-    for stmt in &mut body {
-        replace_builtin_member(stmt, "blockIdx", "z", &idx[0]);
-        replace_builtin_member(stmt, "blockIdx", "y", &idx[1]);
-        replace_builtin_member(stmt, "blockIdx", "x", &idx[2]);
-        replace_builtin_member(stmt, "threadIdx", "z", &idx[3]);
-        replace_builtin_member(stmt, "threadIdx", "y", &idx[4]);
-        replace_builtin_member(stmt, "threadIdx", "x", &idx[5]);
-        replace_builtin_ident(stmt, "gridDim", &g);
-        replace_builtin_ident(stmt, "blockDim", &b);
-    }
+    rebind_builtins(&mut body, &g, &b, &idx);
     tag_origin(&mut body, CodeOrigin::ThresholdSerial);
 
     let mut params = child_fn.params.clone();
@@ -371,6 +361,34 @@ fn ensure_serial_fn(program: &Program, child: &Name, serials: &mut Serials) -> N
     serials.functions.push((child.clone(), serial_fn));
     serials.of_child.push((child.clone(), serial_name.clone()));
     serial_name
+}
+
+/// Replaces the builtin indices and dimensions in a copy of a child's body
+/// with the serial child's variables, in one post-order walk: `blockIdx.x`
+/// becomes `idx[2]`, and `gridDim` becomes `g` wherever it stands, so
+/// `gridDim.x` is `g.x` (its base is rewritten before the member is seen).
+/// `idx` is `_s_bz, _s_by, _s_bx, _s_tz, _s_ty, _s_tx`.
+fn rebind_builtins(body: &mut [Stmt], g: &Name, b: &Name, idx: &[Name; 6]) {
+    for stmt in body {
+        walk_stmt_exprs_mut(stmt, &mut |e| {
+            let name = match &e.kind {
+                ExprKind::Member(base, field) => {
+                    let Some(axis) = ["z", "y", "x"].iter().position(|a| field == a) else {
+                        return;
+                    };
+                    match base.kind.as_ident() {
+                        Some("blockIdx") => &idx[axis],
+                        Some("threadIdx") => &idx[3 + axis],
+                        _ => return,
+                    }
+                }
+                ExprKind::Ident(name) if name == "gridDim" => g,
+                ExprKind::Ident(name) if name == "blockDim" => b,
+                _ => return,
+            };
+            e.kind = ExprKind::Ident(name.clone());
+        });
+    }
 }
 
 /// The six nested serialization loops over block and thread indices,
@@ -455,6 +473,23 @@ __global__ void parent(int* data, int* offsets, int numV) {
         assert!(printed.contains("_s_tx"), "{printed}");
         assert!(!printed.contains("threadIdx"), "{printed}");
         assert!(!printed.contains("blockIdx"), "{printed}");
+    }
+
+    #[test]
+    fn serial_child_rebinds_every_builtin_in_one_walk() {
+        let mut body = vec![dp_frontend::parser::parse_stmt(
+            "v = blockIdx.x + blockIdx.y + blockIdx.z + threadIdx.x + threadIdx.y \
+             + threadIdx.z + gridDim.x * blockDim.y + f(gridDim, blockDim) + q.x;",
+        )
+        .unwrap()];
+        let idx = ["_bz", "_by", "_bx", "_tz", "_ty", "_tx"].map(Name::new);
+        rebind_builtins(&mut body, &Name::new("_g"), &Name::new("_b"), &idx);
+        let mut printed = String::new();
+        dp_frontend::printer::print_stmt(&mut printed, &body[0], 0);
+        assert_eq!(
+            printed.trim(),
+            "v = _bx + _by + _bz + _tx + _ty + _tz + _g.x * _b.y + f(_g, _b) + q.x;"
+        );
     }
 
     #[test]

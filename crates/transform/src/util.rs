@@ -23,8 +23,8 @@
 //! Every name a pass makes is a [`Name`], formatted in place with
 //! [`Name::from_fmt`] rather than into a `String`, and fresh ([`fresh_name`])
 //! against what it could capture: a variable against the identifiers of
-//! the function it lands in, a generated function against every function
-//! of the program and every other one the pass generates
+//! the function it lands in ([`fresh_local`]), a generated function against
+//! every function of the program and every other one the pass generates
 //! ([`claim_fresh_name`]). A pass keeps each generated function together
 //! with the child it was made for, so that it never has to read a name
 //! back to learn where the function belongs.
@@ -217,31 +217,49 @@ pub(crate) fn tag_origin(stmts: &mut [Stmt], origin: CodeOrigin) {
     }
 }
 
-/// Collects every identifier mentioned anywhere in a function, borrowed
-/// from it: pick names with [`fresh_name`] before the function changes.
-pub(crate) fn idents_in_function(func: &Function) -> HashSet<&str> {
-    let mut names: HashSet<&str> = func.params.iter().map(|p| p.name.as_str()).collect();
-    names.insert(&func.name);
+/// Collects the identifiers of a function that a local name a pass mints
+/// could take, borrowed from it: pick names with [`fresh_local`] before the
+/// function changes. Every such name starts with `_` (`_a_*`, `_da_*`,
+/// `_c_*`, `_s_*`, `_threads*`), so only those identifiers are kept.
+pub(crate) fn idents_in_function<'f>(func: &'f Function) -> HashSet<&'f str> {
+    let mut names = HashSet::new();
+    let mut add = |name: &'f str| {
+        if name.starts_with('_') {
+            names.insert(name);
+        }
+    };
+    for p in &func.params {
+        add(&p.name);
+    }
+    add(&func.name);
     for stmt in &func.body {
         dp_frontend::visit::for_each_stmt(stmt, &mut |s| {
             if let StmtKind::Decl(d) = &s.kind {
-                names.extend(d.declarators.iter().map(|d| d.name.as_str()));
+                d.declarators.iter().for_each(|d| add(&d.name));
             }
         });
         for_each_stmt_expr(stmt, &mut |e| {
             if let ExprKind::Ident(name) = &e.kind {
-                names.insert(name);
+                add(name);
             }
         });
     }
     names
 }
 
+/// A local name for generated code, fresh against `used`
+/// ([`idents_in_function`], which keeps only names that start with `_`).
+pub(crate) fn fresh_local(base: impl Into<Name>, used: &HashSet<&str>) -> Name {
+    let base = base.into();
+    debug_assert!(
+        base.starts_with('_'),
+        "a generated local name starts with `_`: `{base}`"
+    );
+    fresh_name(base, used)
+}
+
 /// Returns `base` if unused, otherwise `base_2`, `base_3`, ….
-pub(crate) fn fresh_name<S: Borrow<str> + Hash + Eq>(
-    base: impl Into<Name>,
-    used: &HashSet<S>,
-) -> Name {
+fn fresh_name<S: Borrow<str> + Hash + Eq>(base: impl Into<Name>, used: &HashSet<S>) -> Name {
     let base = base.into();
     if !used.contains(base.as_str()) {
         return base;

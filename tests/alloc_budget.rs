@@ -7,17 +7,24 @@
 //!
 //! BFS's `cdp_source()` under T=128, C=16, `multiblock:8`:
 //!
-//! | | allocations per compile | of which `print_program` |
-//! |---|---|---|
-//! | program copied per function | 5 255 | 1 341 |
-//! | passes stopped copying the program | 2 085 | 11 |
-//! | generated code built as syntax, not parsed from text | 1 771 | 11 |
-//! | identifiers are inline `Name`s, not heap `String`s | 934 | 11 |
+//! | | allocations per compile | of which `print_program` | of which small |
+//! |---|---|---|---|
+//! | program copied per function | 5 255 | 1 341 | |
+//! | passes stopped copying the program | 2 085 | 11 | |
+//! | generated code built as syntax, not parsed from text | 1 771 | 11 | |
+//! | identifiers are inline `Name`s, not heap `String`s | 934 | 11 | 835 |
+//! | a pass's set of taken local names holds only `_` names | 924 | 11 | 831 |
 //!
 //! The budget is the last row: a pass that went back to lexing and parsing
 //! template text, to copying a body into place, or to formatting a fresh
 //! name into a `String` would exceed it. If a change needs more, find the
 //! copy before raising it.
+//!
+//! *Small* is at most 512 bytes with alignment at most 16: the requests
+//! the `dpopt` binary's allocator serves from its per-thread lists
+//! (`SMALL_MAX` and `ALIGN` in `crates/cli/src/alloc.rs`). That allocator
+//! is sized for this traffic, so the count is pinned exactly: if it moves,
+//! re-check the allocator's class limit against the new sizes.
 //!
 //! Parsing alone has its own budget. It made 173 allocations while each of
 //! BFS's 73 identifiers was a `String`; a name stored inline makes 100,
@@ -55,6 +62,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 struct Counting;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static SMALL: AtomicU64 = AtomicU64::new(0);
 static FREES: AtomicU64 = AtomicU64::new(0);
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
@@ -64,6 +72,9 @@ static FREES: AtomicU64 = AtomicU64::new(0);
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        if layout.size() <= 512 && layout.align() <= 16 {
+            SMALL.fetch_add(1, Ordering::Relaxed);
+        }
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc(layout) }
     }
@@ -90,7 +101,8 @@ fn frees_during(f: impl FnOnce()) -> u64 {
     FREES.load(Ordering::Relaxed) - before
 }
 
-const COMPILE_ALLOCATIONS: u64 = 934;
+const COMPILE_ALLOCATIONS: u64 = 924;
+const COMPILE_SMALL_ALLOCATIONS: u64 = 831;
 const PARSE_ALLOCATIONS: u64 = 100;
 const COMPILED_FREES: u64 = 69;
 const SECOND_EXECUTOR_ALLOCATIONS: u64 = 1;
@@ -106,7 +118,9 @@ fn one_compile_stays_inside_its_allocation_budget() {
     let source = Bfs.cdp_source();
 
     let (_, parse) = allocations_during(|| dpopt::frontend::parse(source).expect("parses"));
+    let small_before = SMALL.load(Ordering::Relaxed);
     let (compiled, compile) = allocations_during(|| compiler.compile(source).expect("compiles"));
+    let small = SMALL.load(Ordering::Relaxed) - small_before;
     let (program, _) = compiler.transform(source).expect("transforms");
     let (printed, print) = allocations_during(|| dpopt::frontend::print_program(&program));
     assert_eq!(printed, compiled.transformed_source());
@@ -115,7 +129,7 @@ fn one_compile_stays_inside_its_allocation_budget() {
     let (_, first) = allocations_during(|| compiled.executor());
     let (_, second) = allocations_during(|| compiled.executor());
     println!(
-        "compile: {compile} allocations, parse: {parse}, print_program: {print}; \
+        "compile: {compile} allocations ({small} small), parse: {parse}, print_program: {print}; \
          dropping the compiled program: {dropped} frees; executor: {first} the first, \
          {second} the second"
     );
@@ -123,6 +137,11 @@ fn one_compile_stays_inside_its_allocation_budget() {
     assert!(
         compile <= COMPILE_ALLOCATIONS,
         "one compile made {compile} allocations; the budget is {COMPILE_ALLOCATIONS}"
+    );
+    assert_eq!(
+        small, COMPILE_SMALL_ALLOCATIONS,
+        "one compile made {small} small allocations of {compile}: does the \
+         per-thread cache's class limit still fit?"
     );
     assert!(
         parse <= PARSE_ALLOCATIONS,
