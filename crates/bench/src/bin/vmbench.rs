@@ -44,7 +44,7 @@
 use dp_core::{Compiler, DispatchMode, OptConfig};
 use dp_frontend::parse;
 use dp_sweep::env_parsed;
-use dp_vm::lower::{compile_program_with, LowerOptions};
+use dp_vm::lower::{compile_program, compile_program_unfused};
 use dp_vm::machine::{DispatchProfile, THREADED_OP_BYTES};
 use dp_vm::{Machine, Value};
 use dp_workloads::benchmarks::{bfs::Bfs, bt::Bt, tc::Tc, BenchInput, Benchmark};
@@ -197,8 +197,12 @@ __global__ void frontier(int* offsets, int* edges, int* out, int numV) {
 }
 ";
     let program = parse(src).expect("kernel parses");
-    let module = compile_program_with(&program, LowerOptions { fuse: config.fuse })
-        .expect("kernel compiles");
+    let module = if config.fuse {
+        compile_program(&program)
+    } else {
+        compile_program_unfused(&program)
+    }
+    .expect("kernel compiles");
     let num_v = graph.num_vertices as i64;
     let num_e = graph.edges.len();
     best_of(reps, || {

@@ -3,12 +3,12 @@
 //!
 //! A compile builds a tree of small nodes and drops it whole, and a served
 //! `transform` is mostly a compile. BFS's T+C+A compile
-//! (`tests/alloc_budget.rs`) makes 924 allocations, 831 of them at most
+//! (`tests/alloc_budget.rs`) makes 908 allocations, 818 of them at most
 //! 512 bytes with alignment at most 16; by size in bytes:
 //!
 //! | ≤ 16 | 17–32 | 33–48 | 49–64 | 65–128 | 129–256 | 257–512 | > 512 |
 //! |---|---|---|---|---|---|---|---|
-//! | 113 | 12 | 1 | 461 | 38 | 109 | 97 | 93 |
+//! | 113 | 12 | 1 | 461 | 32 | 105 | 94 | 90 |
 //!
 //! An `Expr` is 64 bytes and a `Stmt` 320, and the blocks come to about
 //! 88 KiB in class sizes.
@@ -45,8 +45,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::ptr;
 
-/// The largest request served from a thread's lists, in bytes: 831 of a
-/// compile's 924 allocations (the table above).
+/// The largest request served from a thread's lists, in bytes: 818 of a
+/// compile's 908 allocations (the table above).
 const SMALL_MAX: usize = 512;
 
 /// The class granule and the largest alignment served from the lists:

@@ -1,12 +1,13 @@
 //! The end-to-end compiler: CUDA-subset source → optimization passes →
 //! transformed source → executable module.
 //!
-//! A compiled program is its outputs — bytecode, manifest and transformed
-//! text. The AST is only how the compiler gets there: [`Compiler::compile`]
-//! frees it before returning, while its nodes are still in cache, rather
-//! than whenever the last handle to the [`Compiled`] goes (in a daemon,
-//! when the cache evicts the entry, on some later request's path). A caller
-//! that needs the tree asks [`Compiler::transform`] for it.
+//! A compiled program is its outputs — primitive bytecode, manifest and
+//! transformed text. The AST is only how the compiler gets there:
+//! [`Compiler::compile`] frees it before returning, while its nodes are
+//! still in cache, rather than whenever the last handle to the [`Compiled`]
+//! goes (in a daemon, when the cache evicts the entry, on some later
+//! request's path). A caller that needs the tree asks
+//! [`Compiler::transform`] for it.
 
 use crate::error::Result;
 use crate::executor::Executor;
@@ -14,7 +15,7 @@ use dp_frontend::ast::Program;
 use dp_frontend::printer::print_program;
 use dp_transform::{apply_pipeline, OptConfig, TransformManifest};
 use dp_vm::bytecode::{CostModel, Module};
-use dp_vm::lower::{compile_program_with, LowerOptions};
+use dp_vm::lower::{compile_program_unfused, fuse_module};
 use dp_vm::machine::{DispatchMode, Image};
 use std::sync::{Arc, OnceLock};
 
@@ -37,7 +38,7 @@ use std::sync::{Arc, OnceLock};
 pub struct Compiler {
     config: OptConfig,
     cost: CostModel,
-    lower: LowerOptions,
+    fuse: bool,
     dispatch: DispatchMode,
 }
 
@@ -53,7 +54,7 @@ impl Compiler {
         Compiler {
             config: OptConfig::none(),
             cost: CostModel::default(),
-            lower: LowerOptions::default(),
+            fuse: true,
             dispatch: DispatchMode::default(),
         }
     }
@@ -65,11 +66,13 @@ impl Compiler {
     }
 
     /// Enables or disables the VM's superinstruction-fusion pass (on by
-    /// default). Fusion is accounting-transparent — traces, statistics, and
-    /// origin attribution are identical either way — so disabling it is only
-    /// useful as the baseline when benchmarking the interpreter itself.
+    /// default). Fusion runs when a program's first executor builds its
+    /// image, not in [`Compiler::compile`], so it only decides what that
+    /// image dispatches. It is accounting-transparent — traces, statistics,
+    /// and origin attribution are identical either way — so disabling it is
+    /// only useful as the baseline when benchmarking the interpreter itself.
     pub fn fusion(mut self, on: bool) -> Self {
-        self.lower.fuse = on;
+        self.fuse = on;
         self
     }
 
@@ -99,8 +102,9 @@ impl Compiler {
         Ok((program, manifest))
     }
 
-    /// Transforms, pretty-prints, and lowers `source`. The tree is freed
-    /// before this returns; [`Compiler::transform`] is the way to keep it.
+    /// Transforms, pretty-prints, and lowers `source` to primitive bytecode.
+    /// The tree is freed before this returns; [`Compiler::transform`] is the
+    /// way to keep it. Nothing here fuses: see [`Compiled`].
     ///
     /// # Errors
     ///
@@ -109,13 +113,14 @@ impl Compiler {
     pub fn compile(&self, source: &str) -> Result<Compiled> {
         let (program, manifest) = self.transform(source)?;
         let transformed_source = print_program(&program);
-        let module = compile_program_with(&program, self.lower)?;
+        let module = compile_program_unfused(&program)?;
         drop(program);
         Ok(Compiled {
             transformed_source,
             manifest,
             module,
             cost: self.cost.clone(),
+            fuse: self.fuse,
             dispatch: self.dispatch,
             loaded: OnceLock::new(),
         })
@@ -141,21 +146,23 @@ const _: () = {
     assert_send_sync::<Compiled>();
 };
 
-/// A compiled program: bytecode, manifest, and transformed source. It holds
-/// no AST; [`Compiler::transform`] gives the tree to a caller that needs it.
+/// A compiled program: primitive bytecode, manifest, and transformed source.
+/// It holds no AST; [`Compiler::transform`] gives the tree to a caller that
+/// needs it.
 ///
-/// What an executor runs — the bytecode with its dispatch tables (an
+/// What an executor runs — the fused bytecode with its dispatch tables (an
 /// [`Image`]) and the manifest its launches read — is built by the first
 /// [`Compiled::executor`] call and shared by every executor after it. It is
-/// not built by [`Compiler::compile`]: the tables cost about a tenth of a
-/// compile, and a program that is only transformed, or never run, would pay
-/// for them for nothing.
+/// not built by [`Compiler::compile`]: fusion and the tables together cost
+/// about a fifth of a compile, and a program that is only transformed, or
+/// never run, would pay for them for nothing.
 #[derive(Debug, Clone)]
 pub struct Compiled {
     transformed_source: String,
     manifest: TransformManifest,
     module: Module,
     cost: CostModel,
+    fuse: bool,
     dispatch: DispatchMode,
     loaded: OnceLock<Loaded>,
 }
@@ -179,20 +186,31 @@ impl Compiled {
         &self.manifest
     }
 
-    /// The compiled bytecode module.
+    /// The compiled bytecode module: primitive instructions only, as
+    /// lowered. What executors run is [`fuse_module`] of it (unless
+    /// [`Compiler::fusion`] turned fusion off), made by the first
+    /// [`Compiled::executor`].
     pub fn module(&self) -> &Module {
         &self.module
     }
 
     /// Creates a fresh executor (simulated GPU) for this program,
-    /// inheriting the compiler's dispatch mode. The first call builds the
-    /// program's [`Image`] and shares it, with the manifest, by `Arc`; every
-    /// executor after it copies and rebuilds nothing of the program, and
-    /// allocates only its own device state.
+    /// inheriting the compiler's dispatch mode. The first call fuses the
+    /// bytecode, builds the program's [`Image`] of it and shares it, with
+    /// the manifest, by `Arc`; every executor after it copies, fuses and
+    /// rebuilds nothing of the program, and allocates only its own device
+    /// state.
     pub fn executor(&self) -> Executor {
-        let loaded = self.loaded.get_or_init(|| Loaded {
-            image: Arc::new(Image::new(self.module.clone(), self.cost.clone())),
-            manifest: Arc::new(self.manifest.clone()),
+        let loaded = self.loaded.get_or_init(|| {
+            let module = if self.fuse {
+                fuse_module(&self.module)
+            } else {
+                self.module.clone()
+            };
+            Loaded {
+                image: Arc::new(Image::new(module, self.cost.clone())),
+                manifest: Arc::new(self.manifest.clone()),
+            }
         });
         let mut exec = Executor::new(Arc::clone(&loaded.image), Arc::clone(&loaded.manifest));
         exec.machine_mut().set_dispatch(self.dispatch);
@@ -209,6 +227,7 @@ impl Compiled {
 mod tests {
     use super::*;
     use dp_transform::{AggConfig, AggGranularity};
+    use dp_vm::Value;
 
     const SRC: &str = "\
 __global__ void child(int* d, int n) {
@@ -248,6 +267,41 @@ __global__ void parent(int* d, int* offsets, int numV) {
     fn parse_errors_propagate() {
         let err = Compiler::new().compile("__global__ void k( {").unwrap_err();
         assert!(matches!(err, crate::error::Error::Parse(_)));
+    }
+
+    /// `compile` keeps primitive bytecode and the first executor fuses it:
+    /// the same kernel run under the reference loop, whose `ops` counts one
+    /// per table slot, dispatches fewer slots with fusion on and computes
+    /// and charges exactly the same.
+    #[test]
+    fn the_first_executor_runs_fused_bytecode() {
+        let run = |compiler: Compiler| {
+            let compiled = compiler
+                .config(OptConfig::all())
+                .dispatch(DispatchMode::Match)
+                .compile(SRC)
+                .unwrap();
+            assert!(compiled
+                .module()
+                .functions
+                .iter()
+                .all(|f| f.code.iter().all(|i| i.width() == 1)));
+            let mut exec = compiled.executor();
+            let d = exec.alloc(64);
+            let offsets = exec.alloc_i64s(&[0, 5, 5, 17, 40, 64]);
+            let args = [Value::Int(d), Value::Int(offsets), Value::Int(5)];
+            exec.launch("parent", 1, 32, &args).unwrap();
+            exec.sync().unwrap();
+            let out = exec.read_i64s(d, 64).unwrap();
+            let stats = exec.stats();
+            (out, stats, exec.machine_mut().dispatch_profile().ops)
+        };
+        let (fused_out, fused_stats, fused_ops) = run(Compiler::new());
+        let (out, stats, ops) = run(Compiler::new().fusion(false));
+        assert_eq!(fused_out, out);
+        assert!(out.iter().any(|&v| v > 0));
+        assert_eq!(fused_stats, stats);
+        assert!(fused_ops < ops, "fused {fused_ops} slots, unfused {ops}");
     }
 
     #[test]

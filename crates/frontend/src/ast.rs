@@ -92,22 +92,37 @@ impl Type {
     pub fn ptr_to(self) -> Type {
         Type::Ptr(Box::new(self))
     }
+
+    /// C source text of the type with its pointers taken off, and how many
+    /// there were: `unsigned long long**` is `("unsigned long long", 2)`.
+    pub(crate) fn base_and_stars(&self) -> (&'static str, usize) {
+        let base = match self {
+            Type::Ptr(inner) => {
+                let (base, stars) = inner.base_and_stars();
+                return (base, stars + 1);
+            }
+            Type::Void => "void",
+            Type::Bool => "bool",
+            Type::Int => "int",
+            Type::UInt => "unsigned int",
+            Type::Long => "long long",
+            Type::ULong => "unsigned long long",
+            Type::Float => "float",
+            Type::Double => "double",
+            Type::Dim3 => "dim3",
+        };
+        (base, 0)
+    }
 }
 
 impl fmt::Display for Type {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Type::Void => f.write_str("void"),
-            Type::Bool => f.write_str("bool"),
-            Type::Int => f.write_str("int"),
-            Type::UInt => f.write_str("unsigned int"),
-            Type::Long => f.write_str("long long"),
-            Type::ULong => f.write_str("unsigned long long"),
-            Type::Float => f.write_str("float"),
-            Type::Double => f.write_str("double"),
-            Type::Dim3 => f.write_str("dim3"),
-            Type::Ptr(inner) => write!(f, "{inner}*"),
+        let (base, stars) = self.base_and_stars();
+        f.write_str(base)?;
+        for _ in 0..stars {
+            f.write_str("*")?;
         }
+        Ok(())
     }
 }
 

@@ -26,7 +26,11 @@ pub fn print_program(program: &Program) -> String {
     for (i, item) in program.items.iter().enumerate() {
         match item {
             Item::Define { name, value } => {
-                let _ = writeln!(out, "#define {name} {value}");
+                out.push_str("#define ");
+                out.push_str(name);
+                out.push(' ');
+                push_int(&mut out, *value);
+                out.push('\n');
             }
             Item::Directive(text) => {
                 out.push_str(text);
@@ -50,18 +54,60 @@ pub fn print_function(out: &mut String, func: &Function) {
         FnQual::Device => out.push_str("__device__ "),
         FnQual::Host => {}
     }
-    let _ = write!(out, "{} {}(", func.ret, func.name);
+    push_type(out, &func.ret);
+    out.push(' ');
+    out.push_str(&func.name);
+    out.push('(');
     for (i, p) in func.params.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
-        let _ = write!(out, "{} {}", p.ty, p.name);
+        push_type(out, &p.ty);
+        out.push(' ');
+        out.push_str(&p.name);
     }
     out.push_str(") {\n");
     for stmt in &func.body {
         print_stmt(out, stmt, 1);
     }
     out.push_str("}\n");
+}
+
+/// Appends `ty` as C source text: what its `Display` writes.
+fn push_type(out: &mut String, ty: &Type) {
+    let (base, stars) = ty.base_and_stars();
+    out.push_str(base);
+    for _ in 0..stars {
+        out.push('*');
+    }
+}
+
+/// Appends `v` in decimal: what its `Display` writes.
+fn push_int(out: &mut String, v: i64) {
+    // `i64::MIN` is a sign and 19 digits.
+    let mut text = [0u8; 20];
+    let mut at = text.len();
+    let mut rest = v.unsigned_abs();
+    loop {
+        at -= 1;
+        text[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if v < 0 {
+        at -= 1;
+        text[at] = b'-';
+    }
+    out.push_str(std::str::from_utf8(&text[at..]).expect("digits and a sign are ASCII"));
+}
+
+/// Appends ` op ` for a binary or assignment operator.
+fn push_op(out: &mut String, op: &str) {
+    out.push(' ');
+    out.push_str(op);
+    out.push(' ');
 }
 
 fn push_pad(out: &mut String, indent: usize) {
@@ -192,7 +238,8 @@ fn print_decl(out: &mut String, decl: &VarDecl) {
     if decl.is_const {
         out.push_str("const ");
     }
-    let _ = write!(out, "{} ", decl.ty);
+    push_type(out, &decl.ty);
+    out.push(' ');
     for (i, d) in decl.declarators.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
@@ -244,9 +291,7 @@ pub fn print_expr(expr: &Expr) -> String {
 fn write_expr(out: &mut String, expr: &Expr) {
     let p = prec(expr);
     match &expr.kind {
-        ExprKind::IntLit(v) => {
-            let _ = write!(out, "{v}");
-        }
+        ExprKind::IntLit(v) => push_int(out, *v),
         ExprKind::FloatLit(v) => {
             // Always keep a decimal point or exponent so it re-lexes as float.
             let start = out.len();
@@ -260,7 +305,7 @@ fn write_expr(out: &mut String, expr: &Expr) {
         ExprKind::Ident(name) => out.push_str(name),
         ExprKind::Binary(op, lhs, rhs) => {
             child(out, lhs, p, false);
-            let _ = write!(out, " {op} ");
+            push_op(out, op.as_str());
             child(out, rhs, p, true);
         }
         ExprKind::Unary(op, operand) => {
@@ -291,7 +336,7 @@ fn write_expr(out: &mut String, expr: &Expr) {
         }
         ExprKind::Assign(op, lhs, rhs) => {
             child(out, lhs, p + 1, false);
-            let _ = write!(out, " {} ", op.as_str());
+            push_op(out, op.as_str());
             child(out, rhs, p, false);
         }
         ExprKind::Ternary(c, t, e) => {
@@ -319,7 +364,9 @@ fn write_expr(out: &mut String, expr: &Expr) {
             out.push_str(field);
         }
         ExprKind::Cast(ty, operand) => {
-            let _ = write!(out, "({ty})");
+            out.push('(');
+            push_type(out, ty);
+            out.push(')');
             child(out, operand, p, false);
         }
         ExprKind::Dim3Ctor(args) => {
@@ -516,6 +563,63 @@ __global__ void parent(int* data, int* offsets, int n) {
         let mut out2 = String::new();
         print_stmt(&mut out2, &b, 0);
         assert_eq!(out, out2);
+    }
+
+    #[test]
+    fn direct_writers_match_display() {
+        for v in [i64::MIN, -1, 0, i64::MAX, 7, -10, 1_000_000] {
+            let mut out = String::new();
+            push_int(&mut out, v);
+            assert_eq!(out, v.to_string());
+        }
+        let scalars = [
+            Type::Void,
+            Type::Bool,
+            Type::Int,
+            Type::UInt,
+            Type::Long,
+            Type::ULong,
+            Type::Float,
+            Type::Double,
+            Type::Dim3,
+        ];
+        for base in scalars {
+            for ty in [base.clone(), base.clone().ptr_to(), base.ptr_to().ptr_to()] {
+                let mut out = String::new();
+                push_type(&mut out, &ty);
+                assert_eq!(out, ty.to_string());
+            }
+        }
+        let mut out = String::new();
+        push_type(&mut out, &Type::ULong.ptr_to().ptr_to());
+        assert_eq!(out, "unsigned long long**");
+        use BinOp::*;
+        for op in [
+            Add, Sub, Mul, Div, Rem, Shl, Shr, Lt, Le, Gt, Ge, Eq, Ne, BitAnd, BitOr, BitXor,
+            LogAnd, LogOr,
+        ] {
+            let mut out = String::new();
+            push_op(&mut out, op.as_str());
+            assert_eq!(out, format!(" {op} "));
+        }
+        use AssignOp as A;
+        for op in [
+            A::Assign,
+            A::Add,
+            A::Sub,
+            A::Mul,
+            A::Div,
+            A::Rem,
+            A::And,
+            A::Or,
+            A::Xor,
+            A::Shl,
+            A::Shr,
+        ] {
+            let mut out = String::new();
+            push_op(&mut out, op.as_str());
+            assert_eq!(out, format!(" {} ", op.as_str()));
+        }
     }
 
     #[test]

@@ -12,9 +12,11 @@
 //! *costed and counted as their expansions* (see
 //! [`Instr::expansion`](crate::bytecode::Instr::expansion)), so it speeds up
 //! the interpreter without perturbing traces, statistics, or per-origin
-//! cycle attribution. [`compile_program`] fuses by default; use
-//! [`compile_program_unfused`] (or [`LowerOptions`]) for the
-//! reference-semantics baseline.
+//! cycle attribution. Lowering has one output, primitive bytecode
+//! ([`compile_program_unfused`]); [`fuse_module`] makes the executable
+//! form of it, and [`compile_program`] does both. `dp_core` lowers at
+//! compile time and fuses at a program's first executor, beside its
+//! dispatch tables: a served `transform` never runs what it compiles.
 
 use crate::bytecode::*;
 use crate::error::CompileError;
@@ -22,7 +24,7 @@ use crate::value::SHARED_SPACE_BASE;
 use dp_frontend::ast::{self, CodeOrigin, ExprKind, Name, Program, StmtKind, Type};
 use std::collections::HashMap;
 
-/// Compiles a program to a [`Module`].
+/// Compiles a program to a [`Module`] and fuses it: the executable form.
 ///
 /// # Errors
 ///
@@ -38,41 +40,27 @@ use std::collections::HashMap;
 /// assert!(module.by_name("k").is_some());
 /// ```
 pub fn compile_program(program: &Program) -> Result<Module, CompileError> {
-    compile_program_with(program, LowerOptions::default())
+    let mut module = compile_program_unfused(program)?;
+    for f in &mut module.functions {
+        fuse_function(f);
+    }
+    Ok(module)
 }
 
-/// Compiles a program without the superinstruction-fusion pass.
+/// Compiles a program to primitive bytecode, without the
+/// superinstruction-fusion pass.
 ///
 /// The unfused module executes identically (same results, same
 /// [`ExecutionTrace`](crate::trace::ExecutionTrace), same statistics) but
-/// dispatches every original instruction individually — it is the baseline
-/// the `vmbench` binary measures fusion against.
-pub fn compile_program_unfused(program: &Program) -> Result<Module, CompileError> {
-    compile_program_with(program, LowerOptions { fuse: false })
-}
-
-/// Knobs for [`compile_program_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LowerOptions {
-    /// Run the peephole superinstruction-fusion pass (default `true`).
-    pub fuse: bool,
-}
-
-impl Default for LowerOptions {
-    fn default() -> Self {
-        LowerOptions { fuse: true }
-    }
-}
-
-/// Compiles a program with explicit [`LowerOptions`].
+/// dispatches every original instruction individually. It is what
+/// `dp_core::Compiler::compile` keeps (a program that is only transformed
+/// never pays for fusion; its first executor calls [`fuse_module`]) and
+/// the baseline the `vmbench` binary measures fusion against.
 ///
 /// # Errors
 ///
 /// Same as [`compile_program`].
-pub fn compile_program_with(
-    program: &Program,
-    options: LowerOptions,
-) -> Result<Module, CompileError> {
+pub fn compile_program_unfused(program: &Program) -> Result<Module, CompileError> {
     let mut module = Module::new();
     let mut ids: HashMap<Name, FuncId> = HashMap::new();
     let functions: Vec<&ast::Function> = program.functions().collect();
@@ -95,12 +83,9 @@ pub fn compile_program_with(
         .collect();
 
     for f in &functions {
-        let mut compiled = Lowerer::new(f, &ids, &defines, &functions)
+        let compiled = Lowerer::new(f, &ids, &defines, &functions)
             .lower()
             .map_err(|e| e.in_function(&f.name))?;
-        if options.fuse {
-            fuse_function(&mut compiled);
-        }
         module.add(compiled);
     }
     Ok(module)
@@ -109,6 +94,25 @@ pub fn compile_program_with(
 // ----------------------------------------------------------------------
 // Superinstruction fusion
 // ----------------------------------------------------------------------
+
+/// The fused copy of a module of primitive bytecode: every function run
+/// through the peephole pass below. `dp_core` keeps a compile's bytecode
+/// unfused and calls this when the program's first executor builds its
+/// image, so a program that is only transformed never pays for fusion.
+pub fn fuse_module(module: &Module) -> Module {
+    let mut fused = Module::new();
+    for f in &module.functions {
+        let (code, origins) = fuse(&f.code, &f.origins);
+        fused.add(CompiledFunction {
+            name: f.name.clone(),
+            param_types: f.param_types.clone(),
+            code,
+            origins,
+            ..*f
+        });
+    }
+    fused
+}
 
 /// Fuses hot instruction sequences into superinstructions, in place.
 ///
@@ -161,11 +165,16 @@ pub fn compile_program_with(
 /// pattern earns its place with a count of the window and ≥ 3 % on
 /// `sweep-cold` by itself; `benchgate` then holds `dispatched_ops` down.
 pub(crate) fn fuse_function(f: &mut CompiledFunction) {
-    let n = f.code.len();
+    (f.code, f.origins) = fuse(&f.code, &f.origins);
+}
+
+/// The fused form of one function's `old` code and its origin tags.
+fn fuse(old: &[Instr], old_origins: &[CodeOrigin]) -> (Vec<Instr>, Vec<CodeOrigin>) {
+    let n = old.len();
     // Instruction indices some jump lands on (code.len() is a valid target
     // for loops that end the function).
     let mut is_target = vec![false; n + 1];
-    for t in f.code.iter().filter_map(Instr::branch_target) {
+    for t in old.iter().filter_map(Instr::branch_target) {
         is_target[t as usize] = true;
     }
 
@@ -177,18 +186,18 @@ pub(crate) fn fuse_function(f: &mut CompiledFunction) {
     let mut i = 0;
     while i < n {
         map[i] = code.len() as u32;
-        let width = match try_fuse_at(&f.code[i..], &f.origins[i..], &is_target[i + 1..]) {
+        let width = match try_fuse_at(&old[i..], &old_origins[i..], &is_target[i + 1..]) {
             Some((fused, width)) => {
                 map[i..i + width].fill(code.len() as u32);
                 code.push(fused);
                 width
             }
             None => {
-                code.push(f.code[i]);
+                code.push(old[i]);
                 1
             }
         };
-        origins.push(f.origins[i]);
+        origins.push(old_origins[i]);
         i += width;
     }
     map[n] = code.len() as u32;
@@ -196,8 +205,7 @@ pub(crate) fn fuse_function(f: &mut CompiledFunction) {
     for t in code.iter_mut().filter_map(Instr::branch_target_mut) {
         *t = map[*t as usize];
     }
-    f.code = code;
-    f.origins = origins;
+    (code, origins)
 }
 
 /// Tries to fuse a window starting at `code[0]`; returns the
@@ -302,6 +310,21 @@ fn try_fuse_at(
     None
 }
 
+/// A name's length (255 for any longer) in the top byte over its last
+/// seven bytes: equal names have equal keys, and a name of at most seven
+/// bytes is equal to another exactly when their keys are. Generated locals
+/// differ in their tails (`_a_arr3_1`, `_a_arr3_2`), so unequal keys
+/// settle nearly every comparison a lookup makes.
+fn local_key(name: &str) -> u64 {
+    let bytes = name.as_bytes();
+    let tail = &bytes[bytes.len().saturating_sub(7)..];
+    let mut key = (bytes.len().min(255) as u64) << 56;
+    for (i, &b) in tail.iter().enumerate() {
+        key |= u64::from(b) << (8 * i);
+    }
+    key
+}
+
 struct LoopCtx {
     break_patches: Vec<usize>,
     continue_patches: Vec<usize>,
@@ -314,9 +337,10 @@ struct Lowerer<'a> {
     functions: &'a [&'a ast::Function],
     code: Vec<Instr>,
     origins: Vec<CodeOrigin>,
-    /// Every local in scope with its slot, innermost last: a lookup
-    /// searches from the back, so an inner declaration shadows an outer.
-    locals: Vec<(Name, u16)>,
+    /// Every local in scope with its [`local_key`] and slot, innermost
+    /// last: a lookup searches from the back, so an inner declaration
+    /// shadows an outer.
+    locals: Vec<(u64, Name, u16)>,
     /// Where each open block's locals start in `locals`.
     scope_starts: Vec<usize>,
     shared: HashMap<Name, u32>,
@@ -355,7 +379,7 @@ impl<'a> Lowerer<'a> {
     fn lower(mut self) -> Result<CompiledFunction, CompileError> {
         for param in &self.func.params {
             let slot = self.alloc_slot();
-            self.locals.push((param.name.clone(), slot));
+            self.declare(&param.name, slot);
         }
         for stmt in &self.func.body {
             self.stmt(stmt)?;
@@ -412,8 +436,20 @@ impl<'a> Lowerer<'a> {
         }
     }
 
+    fn declare(&mut self, name: &Name, slot: u16) {
+        self.locals.push((local_key(name), name.clone(), slot));
+    }
+
+    /// The innermost local called `name`. Keys are compared first; a name
+    /// longer than its key's seven bytes is compared in full only when the
+    /// keys match.
     fn lookup(&self, name: &str) -> Option<u16> {
-        let (_, slot) = self.locals.iter().rev().find(|(local, _)| local == name)?;
+        let key = local_key(name);
+        let (_, _, slot) = self
+            .locals
+            .iter()
+            .rev()
+            .find(|(k, local, _)| *k == key && (name.len() <= 7 || local.as_str() == name))?;
         Some(*slot)
     }
 
@@ -630,7 +666,7 @@ impl<'a> Lowerer<'a> {
                 self.emit_conversion(&decl.ty, og);
                 self.emit(Instr::StoreLocal(slot), og);
             }
-            self.locals.push((d.name.clone(), slot));
+            self.declare(&d.name, slot);
         }
         Ok(())
     }
@@ -1172,13 +1208,6 @@ fn intrinsic_of(name: &str) -> Option<(Intrinsic, usize)> {
 mod tests {
     use super::*;
 
-    /// Runs the peephole fusion pass over every function of a module in place.
-    fn fuse_module(module: &mut Module) {
-        for f in &mut module.functions {
-            fuse_function(f);
-        }
-    }
-
     fn compile(src: &str) -> Module {
         compile_program(&dp_frontend::parse(src).unwrap()).unwrap()
     }
@@ -1319,11 +1348,7 @@ mod tests {
     // ------------------------------------------------------------------
 
     fn compile_unfused(src: &str) -> Module {
-        compile_program_with(
-            &dp_frontend::parse(src).unwrap(),
-            LowerOptions { fuse: false },
-        )
-        .unwrap()
+        compile_program_unfused(&dp_frontend::parse(src).unwrap()).unwrap()
     }
 
     /// A two-local kernel of exactly this code, for the fuser alone.
@@ -1643,10 +1668,9 @@ mod tests {
     fn fuse_module_is_idempotent() {
         let src = "__global__ void k(int* d, int n) { \
                        for (int i = 0; i < n; ++i) { d[i] = d[i] + 1; } }";
-        let mut m = compile(src);
+        let m = compile(src);
         let before: Vec<Instr> = m.by_name("k").unwrap().code.clone();
-        fuse_module(&mut m);
-        assert_eq!(m.by_name("k").unwrap().code, before);
+        assert_eq!(fuse_module(&m).by_name("k").unwrap().code, before);
     }
 
     #[test]
@@ -1656,6 +1680,25 @@ mod tests {
             "__global__ void k(int* d) { for (int i = 0; i < 4; ++i) { d[i] = i; } d[0] = i; }",
         );
         assert!(e.to_string().contains("unknown identifier `i`"));
+    }
+
+    #[test]
+    fn locals_whose_keys_match_resolve_by_their_full_names() {
+        // Two names of one length and one seven-byte tail, a short name that
+        // is that tail, and an inner declaration shadowing an outer one.
+        let m = compile(
+            "__global__ void k(int* d) { \
+                 int aaaa_tail123 = 1; int bbbb_tail123 = 2; int tail123 = 3; \
+                 { int aaaa_tail123 = 4; d[0] = aaaa_tail123; } \
+                 d[1] = aaaa_tail123; d[2] = bbbb_tail123; d[3] = tail123; }",
+        );
+        let mut machine = crate::machine::Machine::new(m);
+        let d = machine.alloc(4);
+        machine
+            .launch_host("k", 1, 1, &[crate::value::Value::Int(d)])
+            .unwrap();
+        machine.run_to_quiescence().unwrap();
+        assert_eq!(machine.read_i64s(d, 4).unwrap(), vec![4, 1, 2, 3]);
     }
 
     #[test]

@@ -1519,9 +1519,12 @@ mod tests {
                            if (count > 0) { child<<<(count + 3) / 4, 4>>>(d, count); } } }";
         let run = |fuse: bool| {
             let p = dp_frontend::parse(src).unwrap();
-            let module =
-                crate::lower::compile_program_with(&p, crate::lower::LowerOptions { fuse })
-                    .unwrap();
+            let module = if fuse {
+                crate::lower::compile_program(&p)
+            } else {
+                crate::lower::compile_program_unfused(&p)
+            }
+            .unwrap();
             let mut m = Machine::new(module);
             let d = m.alloc(32);
             let deg = m.alloc_i64s(&[3, 0, 7, 1, 5, 2]);
@@ -1679,9 +1682,12 @@ mod tests {
             // Every observable output of one (fusion, dispatch) configuration.
             let run = |fuse: bool, dispatch: DispatchMode| {
                 let p = dp_frontend::parse(case.src).unwrap();
-                let module =
-                    crate::lower::compile_program_with(&p, crate::lower::LowerOptions { fuse })
-                        .unwrap();
+                let module = if fuse {
+                    crate::lower::compile_program(&p)
+                } else {
+                    crate::lower::compile_program_unfused(&p)
+                }
+                .unwrap();
                 let mut m = Machine::new(module);
                 m.set_dispatch(dispatch);
                 let d = m.alloc(case.words);

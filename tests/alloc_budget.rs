@@ -14,6 +14,7 @@
 //! | generated code built as syntax, not parsed from text | 1 771 | 11 | |
 //! | identifiers are inline `Name`s, not heap `String`s | 934 | 11 | 835 |
 //! | a pass's set of taken local names holds only `_` names | 924 | 11 | 831 |
+//! | the compile keeps primitive bytecode; its first executor fuses it | 908 | 11 | 818 |
 //!
 //! The budget is the last row: a pass that went back to lexing and parsing
 //! template text, to copying a body into place, or to formatting a fresh
@@ -24,7 +25,10 @@
 //! the `dpopt` binary's allocator serves from its per-thread lists
 //! (`SMALL_MAX` and `ALIGN` in `crates/cli/src/alloc.rs`). That allocator
 //! is sized for this traffic, so the count is pinned exactly: if it moves,
-//! re-check the allocator's class limit against the new sizes.
+//! re-check the allocator's class limit against the new sizes. (When
+//! fusion moved to the first executor, the four vectors it made for each of
+//! the program's four functions left the compile: 13 small and 3 larger;
+//! 90 of the 908 are larger than 512 bytes.)
 //!
 //! Parsing alone has its own budget. It made 173 allocations while each of
 //! BFS's 73 identifiers was a `String`; a name stored inline makes 100,
@@ -42,9 +46,17 @@
 //! The bound is the last row: a `Compiled` that held the tree again would
 //! free it (some 500 to 1 000 blocks) wherever it was evicted.
 //!
-//! Running the program has its own row. The first `executor()` builds what
-//! every executor shares (the bytecode with its dispatch tables, and the
-//! manifest); a second builds nothing of the program:
+//! Running the program has its own rows. The first `executor()` builds what
+//! every executor shares (the fused bytecode with its dispatch tables, and
+//! the manifest):
+//!
+//! | | allocations by the first `executor()` |
+//! |---|---|
+//! | it clones the fused module and builds its tables | 180 |
+//! | it fuses the compile's primitive module and builds its tables | 189 |
+//!
+//! The count is pinned exactly: a first executor that stopped fusing, or
+//! fused twice, moves it. A second builds nothing of the program:
 //!
 //! | | allocations per second `executor()` |
 //! |---|---|
@@ -101,10 +113,11 @@ fn frees_during(f: impl FnOnce()) -> u64 {
     FREES.load(Ordering::Relaxed) - before
 }
 
-const COMPILE_ALLOCATIONS: u64 = 924;
-const COMPILE_SMALL_ALLOCATIONS: u64 = 831;
+const COMPILE_ALLOCATIONS: u64 = 908;
+const COMPILE_SMALL_ALLOCATIONS: u64 = 818;
 const PARSE_ALLOCATIONS: u64 = 100;
 const COMPILED_FREES: u64 = 69;
+const FIRST_EXECUTOR_ALLOCATIONS: u64 = 189;
 const SECOND_EXECUTOR_ALLOCATIONS: u64 = 1;
 
 #[test]
@@ -157,6 +170,11 @@ fn one_compile_stays_inside_its_allocation_budget() {
         dropped <= COMPILED_FREES,
         "dropping the compiled program made {dropped} frees; the bound is \
          {COMPILED_FREES}: does a `Compiled` hold the tree again?"
+    );
+    assert_eq!(
+        first, FIRST_EXECUTOR_ALLOCATIONS,
+        "the first executor made {first} allocations: does it still fuse the \
+         program once, and only once?"
     );
     assert_eq!(
         second, SECOND_EXECUTOR_ALLOCATIONS,

@@ -23,6 +23,7 @@ use dpopt::core::{AggConfig, AggGranularity, Compiler, OptConfig};
 use dpopt::frontend::ast::{FnQual, Program};
 use dpopt::sweep::key::fnv1a;
 use dpopt::vm::bytecode::CompiledFunction;
+use dpopt::vm::lower::fuse_module;
 use dpopt::vm::{compile_program_unfused, Value};
 use dpopt::workloads::benchmarks::all_benchmarks;
 
@@ -71,11 +72,14 @@ fn configs() -> Vec<(String, OptConfig)> {
 
 /// The two halves of what a compile hands on, digested apart: what the
 /// passes made (transformed source, AST, manifest) and what the lowerer and
-/// the fuser made of it (the bytecode). A change to the VM's instruction
-/// set re-pins the second column and must leave the first alone. `Module`
-/// itself is not `{:?}`-ed: its `by_name` is a `HashMap` and prints in a
-/// per-process order. A `Compiled` holds no tree, so the AST and manifest
-/// come from `Compiler::transform`, the path `compile` itself takes.
+/// the fuser made of it (the executable bytecode). A change to the VM's
+/// instruction set re-pins the second column and must leave the first
+/// alone. A `Compiled` keeps primitive bytecode and its first executor
+/// fuses it, so the second column digests `fuse_module` of the compiled
+/// module: what executors run. `Module` itself is not `{:?}`-ed: its
+/// `by_name` is a `HashMap` and prints in a per-process order. A `Compiled`
+/// holds no tree, so the AST and manifest come from `Compiler::transform`,
+/// the path `compile` itself takes.
 fn digests(source: &str, config: OptConfig) -> (u64, u64) {
     let compiler = Compiler::new().config(config);
     let (program, manifest) = compiler
@@ -92,25 +96,48 @@ fn digests(source: &str, config: OptConfig) -> (u64, u64) {
         program,
         manifest,
     );
-    let functions = &compiled.module().functions;
-    widths_conserve_the_unfused_count(&program, functions, config);
-    kernels_are_the_global_functions(&program, functions, config);
+    let primitive = &compiled.module().functions;
+    compiled_module_is_primitive(&program, primitive, config);
+    let fused = fuse_module(compiled.module()).functions;
+    widths_conserve_the_unfused_count(&fused, primitive, config);
+    kernels_are_the_global_functions(&program, &fused, config);
     (
         fnv1a(passes.as_bytes()),
-        fnv1a(format!("{functions:?}").as_bytes()),
+        fnv1a(format!("{fused:?}").as_bytes()),
     )
+}
+
+/// What `compile` keeps is the lowerer's primitive bytecode of the
+/// transformed tree: no superinstruction, and nothing else changed.
+fn compiled_module_is_primitive(
+    program: &Program,
+    primitive: &[CompiledFunction],
+    config: OptConfig,
+) {
+    for f in primitive {
+        assert!(
+            f.code.iter().all(|i| i.width() == 1),
+            "`{}` under {config:?} holds a superinstruction",
+            f.name
+        );
+    }
+    let unfused = compile_program_unfused(program).expect("lowers unfused");
+    assert_eq!(
+        format!("{primitive:?}"),
+        format!("{:?}", unfused.functions),
+        "under {config:?}"
+    );
 }
 
 /// Fusion is accounting-transparent on every workload source under every
 /// config: a function's widths sum to the length of its unfused code.
 fn widths_conserve_the_unfused_count(
-    program: &Program,
     fused: &[CompiledFunction],
+    unfused: &[CompiledFunction],
     config: OptConfig,
 ) {
-    let unfused = compile_program_unfused(program).expect("lowers unfused");
-    assert_eq!(fused.len(), unfused.functions.len());
-    for (f, u) in fused.iter().zip(&unfused.functions) {
+    assert_eq!(fused.len(), unfused.len());
+    for (f, u) in fused.iter().zip(unfused) {
         let widths: u32 = f.code.iter().map(|i| i.width()).sum();
         assert_eq!(
             widths as usize,

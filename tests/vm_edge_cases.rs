@@ -464,7 +464,8 @@ fn launch_dimensions_that_overflow_are_an_error_not_a_wrap() {
 fn block_charges_summarise_the_ops_they_cover() {
     use dpopt::core::{AggConfig, AggGranularity};
     use dpopt::vm::bytecode::Instr;
-    use dpopt::vm::{compile_program_unfused, CostModel, OriginCycles};
+    use dpopt::vm::lower::fuse_module;
+    use dpopt::vm::{CostModel, OriginCycles};
     use dpopt::workloads::benchmarks::all_benchmarks;
 
     // Distinct primes, so a cycle charged to the wrong class shows.
@@ -495,17 +496,23 @@ fn block_charges_summarise_the_ops_they_cover() {
         Some(none().coarsen_factor(16).aggregation(agg())),
         Some(none().threshold(128).coarsen_factor(16).aggregation(agg())),
     ];
-    let (mut functions, mut blocks_seen, mut launches) = (0, 0, 0);
+    let (mut functions, mut blocks_seen, mut launches, mut superinstructions) = (0, 0, 0, 0);
     for bench in all_benchmarks() {
         for variant in &variants {
             let (compiler, source) = match variant {
                 None => (Compiler::new(), bench.no_cdp_source()),
                 Some(config) => (Compiler::new().config(*config), bench.cdp_source()),
             };
+            // `compile` keeps primitive bytecode; executors run it fused.
             let compiled = compiler.compile(source).expect("benchmark compiles");
-            let (program, _) = compiler.transform(source).expect("benchmark transforms");
-            let unfused = compile_program_unfused(&program).expect("lowers");
-            for f in compiled.module().functions.iter().chain(&unfused.functions) {
+            let fused = fuse_module(compiled.module());
+            superinstructions += fused
+                .functions
+                .iter()
+                .flat_map(|f| &f.code)
+                .filter(|i| i.width() > 1)
+                .count();
+            for f in fused.functions.iter().chain(&compiled.module().functions) {
                 functions += 1;
                 let blocks = f.block_charges(&cost);
                 let is_leader =
@@ -554,4 +561,8 @@ fn block_charges_summarise_the_ops_they_cover() {
         }
     }
     assert!(functions >= 7 * 9 * 2 && blocks_seen > 1_000 && launches > 50);
+    assert!(
+        superinstructions > 1_000,
+        "the fused half fused {superinstructions} windows"
+    );
 }
