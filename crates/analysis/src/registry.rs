@@ -1,8 +1,7 @@
-//! Kernel registry, launch-site discovery, and the device call graph.
+//! Launch-site discovery.
 
 use dp_frontend::ast::*;
-use dp_frontend::visit::{for_each_stmt, for_each_stmt_expr};
-use std::collections::{HashMap, HashSet};
+use dp_frontend::visit::for_each_stmt;
 
 /// A dynamic-parallelism launch site found in a function body.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,56 +50,10 @@ pub fn launch_sites(program: &Program) -> Vec<LaunchSite> {
     sites
 }
 
-/// Returns the set of function names `func` calls directly (plain calls,
-/// not launches), restricted to functions defined in the program.
-pub(crate) fn direct_callees(program: &Program, func: &Function) -> HashSet<Name> {
-    let defined: HashSet<&str> = program.functions().map(|f| f.name.as_str()).collect();
-    let mut callees = HashSet::new();
-    for stmt in &func.body {
-        for_each_stmt_expr(stmt, &mut |e| {
-            if let ExprKind::Call(name, _) = &e.kind {
-                if defined.contains(name.as_str()) {
-                    callees.insert(name.clone());
-                }
-            }
-        });
-    }
-    callees
-}
-
-/// The call graph over functions defined in the program (direct calls only;
-/// launches are not edges).
-pub(crate) fn call_graph(program: &Program) -> HashMap<Name, HashSet<Name>> {
-    program
-        .functions()
-        .map(|f| (f.name.clone(), direct_callees(program, f)))
-        .collect()
-}
-
-/// All functions transitively reachable from `root` through direct calls,
-/// including `root` itself.
-pub(crate) fn reachable_functions<'p>(program: &'p Program, root: &str) -> Vec<&'p Function> {
-    let graph = call_graph(program);
-    let mut seen = HashSet::new();
-    let mut stack = vec![Name::new(root)];
-    let mut result = Vec::new();
-    while let Some(name) = stack.pop() {
-        if !seen.insert(name.clone()) {
-            continue;
-        }
-        if let Some(func) = program.function(&name) {
-            result.push(func);
-            if let Some(callees) = graph.get(&name) {
-                stack.extend(callees.iter().cloned());
-            }
-        }
-    }
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::facts::ProgramFacts;
     use dp_frontend::parse;
 
     const SRC: &str = "\
@@ -130,34 +83,40 @@ void host_main(int* d, int n) {
     #[test]
     fn call_graph_has_direct_edges_only() {
         let p = parse(SRC).unwrap();
-        let g = call_graph(&p);
-        assert!(g["chain"].contains("helper"));
-        assert!(g["child"].contains("chain"));
+        let facts = ProgramFacts::of(&p);
+        assert_eq!(facts.direct_callees("chain"), ["helper"]);
+        assert_eq!(facts.direct_callees("child"), ["chain"]);
         assert!(
-            !g["child"].contains("helper"),
+            !facts.direct_callees("child").contains(&"helper"),
             "transitive edge should be absent"
         );
         // Launches are not call edges.
-        assert!(g["parent"].is_empty());
+        assert!(facts.direct_callees("parent").is_empty());
     }
 
     #[test]
     fn reachability_is_transitive() {
         let p = parse(SRC).unwrap();
-        let names: Vec<&str> = reachable_functions(&p, "child")
+        let facts = ProgramFacts::of(&p);
+        let names: Vec<&str> = facts
+            .reachable("child")
             .iter()
-            .map(|f| f.name.as_str())
+            .map(|f| f.name().as_str())
             .collect();
-        assert!(names.contains(&"child"));
-        assert!(names.contains(&"chain"));
-        assert!(names.contains(&"helper"));
-        assert!(!names.contains(&"parent"));
+        assert_eq!(names, ["child", "chain", "helper"]);
+        // Summarizing what `child` reaches walks nothing else.
+        let reached = ProgramFacts::reachable_from(&p, "child");
+        assert!(reached.get("helper").is_some());
+        assert!(reached.get("parent").is_none() && reached.get("host_main").is_none());
     }
 
     #[test]
     fn unknown_root_yields_empty() {
         let p = parse(SRC).unwrap();
-        assert!(reachable_functions(&p, "nope").is_empty());
+        assert!(ProgramFacts::of(&p).reachable("nope").is_empty());
+        assert!(ProgramFacts::reachable_from(&p, "nope")
+            .get("nope")
+            .is_none());
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //! shared memory. Kernels that fail the check are left untouched and the
 //! reason is reported as a [`Blocker`].
 
-use crate::registry::reachable_functions;
+use crate::facts::ProgramFacts;
 use dp_frontend::ast::*;
-use dp_frontend::visit::{for_each_stmt, for_each_stmt_expr};
 use std::fmt;
 
 /// Why a child kernel cannot be serialized by thresholding.
@@ -62,6 +61,14 @@ impl fmt::Display for Blocker {
 /// its threads (directly or in a callee) is rejected, as is one that uses
 /// shared memory.
 ///
+/// It walks the body of `kernel` and of each function that body reaches
+/// through direct calls, once each, and nothing else of the program. The
+/// reasons come function by function, `kernel` first and its callees
+/// breadth first in the order of their first calls; within a function,
+/// each top-level statement's shared memory before its synchronization.
+/// [`ProgramFacts::serialization_blockers`] gives the same answer from
+/// summaries a pass already holds.
+///
 /// # Examples
 ///
 /// ```
@@ -72,42 +79,7 @@ impl fmt::Display for Blocker {
 /// assert_eq!(blockers.len(), 1);
 /// ```
 pub fn serialization_blockers(program: &Program, kernel: &str) -> Vec<Blocker> {
-    if program.function(kernel).is_none() {
-        return vec![Blocker::MissingDefinition {
-            kernel: Name::new(kernel),
-        }];
-    }
-    let mut blockers = Vec::new();
-    for func in reachable_functions(program, kernel) {
-        for stmt in &func.body {
-            for_each_stmt(stmt, &mut |s| {
-                if let StmtKind::Decl(decl) = &s.kind {
-                    if decl.shared {
-                        let blocker = Blocker::SharedMemory {
-                            in_function: func.name.clone(),
-                        };
-                        if !blockers.contains(&blocker) {
-                            blockers.push(blocker);
-                        }
-                    }
-                }
-            });
-            for_each_stmt_expr(stmt, &mut |e| {
-                if let ExprKind::Call(name, _) = &e.kind {
-                    if SYNC_INTRINSICS.contains(&name.as_str()) {
-                        let blocker = Blocker::SyncIntrinsic {
-                            intrinsic: name.clone(),
-                            in_function: func.name.clone(),
-                        };
-                        if !blockers.contains(&blocker) {
-                            blockers.push(blocker);
-                        }
-                    }
-                }
-            });
-        }
-    }
-    blockers
+    ProgramFacts::reachable_from(program, kernel).serialization_blockers(kernel)
 }
 
 #[cfg(test)]

@@ -3,15 +3,17 @@
 //!
 //! A compile builds a tree of small nodes and drops it whole, and a served
 //! `transform` is mostly a compile. BFS's T+C+A compile
-//! (`tests/alloc_budget.rs`) makes 908 allocations, 818 of them at most
+//! (`tests/alloc_budget.rs`) makes 806 allocations, 725 of them at most
 //! 512 bytes with alignment at most 16; by size in bytes:
 //!
 //! | ≤ 16 | 17–32 | 33–48 | 49–64 | 65–128 | 129–256 | 257–512 | > 512 |
 //! |---|---|---|---|---|---|---|---|
-//! | 113 | 12 | 1 | 461 | 32 | 105 | 94 | 90 |
+//! | 114 | 11 | 1 | 395 | 24 | 94 | 86 | 81 |
 //!
-//! An `Expr` is 64 bytes and a `Stmt` 320, and the blocks come to about
-//! 88 KiB in class sizes.
+//! An `Expr` is 64 bytes and a `Stmt` 320, and the small blocks come to
+//! 76 560 bytes in class sizes. (Before the passes stopped copying the
+//! parents they rewrite, the compile made 908 allocations, 818 of them
+//! small, with the same shape: 461 of them 49–64 bytes, 90 above 512.)
 //!
 //! glibc 2.36's per-thread cache holds 7 blocks of a size, so a tree
 //! built or dropped in bulk takes the arena's locked path for nearly every
@@ -45,8 +47,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::ptr;
 
-/// The largest request served from a thread's lists, in bytes: 818 of a
-/// compile's 908 allocations (the table above).
+/// The largest request served from a thread's lists, in bytes: 725 of a
+/// compile's 806 allocations (the table above).
 const SMALL_MAX: usize = 512;
 
 /// The class granule and the largest alignment served from the lists:

@@ -178,26 +178,57 @@ pub fn write_string(out: &mut String, s: &str) {
     // Copy each run of bytes that need no escape with one `push_str`.
     // Every byte that does need one is ASCII, so a run always ends on a
     // scalar boundary.
+    let bytes = s.as_bytes();
     let mut run = 0;
-    for (i, b) in s.bytes().enumerate() {
-        if b >= 0x20 && b != b'"' && b != b'\\' {
-            continue;
-        }
+    while let Some(i) = next_escape(bytes, run) {
         out.push_str(&s[run..i]);
         run = i + 1;
-        match b {
+        match bytes[i] {
             b'"' => out.push_str("\\\""),
             b'\\' => out.push_str("\\\\"),
             b'\n' => out.push_str("\\n"),
             b'\r' => out.push_str("\\r"),
             b'\t' => out.push_str("\\t"),
             b => {
-                let _ = write!(out, "\\u{b:04x}");
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)].into());
+                out.push(HEX[usize::from(b & 0xf)].into());
             }
         }
     }
     out.push_str(&s[run..]);
     out.push('"');
+}
+
+/// The index of the first byte at or after `from` that a string literal
+/// must escape: `"`, `\` or a control byte below 0x20. It reads eight
+/// bytes a step, as one little-endian word: a transformed program is
+/// kilobytes of text with an escape (its newlines) every few dozen bytes.
+fn next_escape(bytes: &[u8], from: usize) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([1; 8]);
+    const HIGH: u64 = ONES * 0x80;
+    // `(v - ONES) & !v` sets a byte's high bit where the byte of `v` is 0,
+    // and `(w - ONES * 0x20) & !w` where the byte of `w` is below 0x20. A
+    // borrow can set bits above the first such byte too, never below it,
+    // so the lowest marked byte is the first that needs an escape.
+    let zero = |v: u64| v.wrapping_sub(ONES) & !v;
+    let mut i = from;
+    while let Some(chunk) = bytes.get(i..i + 8) {
+        let w = u64::from_le_bytes(chunk.try_into().expect("eight bytes"));
+        let control = w.wrapping_sub(ONES * 0x20) & !w;
+        let quote = zero(w ^ (ONES * u64::from(b'"')));
+        let backslash = zero(w ^ (ONES * u64::from(b'\\')));
+        let marked = (control | quote | backslash) & HIGH;
+        if marked != 0 {
+            return Some(i + marked.trailing_zeros() as usize / 8);
+        }
+        i += 8;
+    }
+    bytes[i..]
+        .iter()
+        .position(|&b| b < 0x20 || b == b'"' || b == b'\\')
+        .map(|at| i + at)
 }
 
 /// Builds a [`Json::Object`] from key/value pairs.

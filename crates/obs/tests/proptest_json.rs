@@ -1,9 +1,10 @@
 //! Property tests for `dp_obs::json`, the parser every socket line,
 //! cache entry and sweep spec goes through: writer/parser round-trips over
 //! strings that exercise every escape, byte-mutated documents that must
-//! fail cleanly, and nesting on both sides of the cap.
+//! fail cleanly, nesting on both sides of the cap, and the string writer's
+//! word-at-a-time scan against a byte-at-a-time one.
 
-use dp_obs::json::{parse, Json, MAX_DEPTH};
+use dp_obs::json::{parse, write_string, Json, MAX_DEPTH};
 use proptest::prelude::*;
 
 /// Characters a generated string draws from: plain ASCII, every character
@@ -189,6 +190,112 @@ proptest! {
         for (cut, _) in text.char_indices() {
             let _ = parse(&text[..cut]);
         }
+    }
+}
+
+/// What `write_string` wrote when it looked at one byte at a time: the
+/// reference its eight-byte scan is held to.
+fn write_string_bytewise(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => out.push_str(&format!("\\u{b:04x}")),
+        }
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+/// Characters the scan must find or pass over: the quote, the backslash,
+/// every control byte, DEL, and scalars of two, three and four UTF-8 bytes,
+/// among them ones whose continuation bytes are a quote, a backslash or a
+/// control byte with the high bit set (`\u{80}`, `\u{9f}`, `\u{722}` is
+/// `DC A2`).
+fn special_chars() -> Vec<char> {
+    let mut chars: Vec<char> = (0u8..0x20).map(char::from).collect();
+    chars.extend([
+        '"',
+        '\\',
+        '\u{7f}',
+        'é',
+        '\u{80}',
+        '\u{9f}',
+        '\u{722}',
+        'ÿ',
+        '€',
+        '\u{ffff}',
+        '😀',
+        '\u{10ffff}',
+    ]);
+    chars
+}
+
+/// Both writers' output for `s`, and its parse.
+fn assert_writers_agree(s: &str) {
+    let (mut fast, mut slow) = (String::new(), String::new());
+    write_string(&mut fast, s);
+    write_string_bytewise(&mut slow, s);
+    assert_eq!(fast, slow, "input {s:?}");
+    assert_eq!(parse(&fast), Ok(Json::Str(s.to_string())));
+}
+
+/// Each special character alone, first and last, after every prefix and
+/// before every suffix of up to 17 plain bytes: at every offset of an
+/// eight-byte word, and in the byte-at-a-time tail.
+#[test]
+fn the_word_scan_finds_every_escape_at_every_offset() {
+    for c in special_chars() {
+        for pre in 0..=17 {
+            for post in 0..=17 {
+                let s = format!("{}{c}{}", "a".repeat(pre), "b".repeat(post));
+                assert_writers_agree(&s);
+                assert_writers_agree(&format!("{c}{s}{c}"));
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Runs of plain text between special characters, starting or ending
+    /// with either: the scan restarts after each escape at a different
+    /// offset, so every escape lands at every position of a word.
+    #[test]
+    fn the_word_scan_writes_what_the_byte_loop_wrote(
+        pieces in prop::collection::vec((0usize..20, 0usize..44, 0usize..4), 0..16),
+        lead in 0usize..44,
+    ) {
+        let chars = special_chars();
+        let plain = ['a', ' ', '/', '~', 'é', '\u{7f}', '😀'];
+        let mut s = String::new();
+        if lead < chars.len() {
+            s.push(chars[lead]);
+        }
+        for (run, special, filler) in pieces {
+            for _ in 0..run {
+                s.push(plain[(run + filler) % plain.len()]);
+            }
+            if special < chars.len() {
+                s.push(chars[special]);
+            }
+        }
+        let (mut fast, mut slow) = (String::new(), String::new());
+        write_string(&mut fast, &s);
+        write_string_bytewise(&mut slow, &s);
+        prop_assert_eq!(&fast, &slow, "input {:?}", s);
+        prop_assert_eq!(parse(&fast), Ok(Json::Str(s)));
     }
 }
 

@@ -34,7 +34,6 @@ use crate::thresholding::normalize_blocks;
 use crate::util::*;
 use dp_frontend::ast::*;
 use dp_frontend::visit::replace_builtin_member;
-use std::collections::HashSet;
 
 /// Name of the multi-block group-size macro.
 pub(crate) const AGG_GRANULARITY_MACRO: &str = "_AGG_GRANULARITY";
@@ -71,16 +70,23 @@ pub fn apply(program: &mut Program, config: &AggConfig) -> TransformManifest {
         .collect();
 
     let mut site_counter = 0usize;
-    let mut agg_kernels = AggKernels {
-        taken: function_names(program),
-        of_child: Vec::new(),
-    };
+    // Each aggregated child, with the name of its aggregated kernel: two
+    // sites that launch the same child, in one parent or in two, share one.
+    let mut agg_kernels: Vec<(Name, Name)> = Vec::new();
+    // The program as the pass found it. Rewriting a parent adds `_a_` names,
+    // `.x` members of the builtins and launches of aggregated kernels, which
+    // changes nothing a later site asks of that parent as a child (its
+    // `_da_` names, whole uses and y and z members), so its summary stays.
+    let facts = ProgramFacts::of(program);
     for parent in parent_names {
         transform_parent(
             program,
+            &facts,
             &parent,
-            config.granularity,
-            agg_threshold,
+            AggConfig {
+                granularity: config.granularity,
+                agg_threshold,
+            },
             &mut site_counter,
             &mut agg_kernels,
             &mut manifest,
@@ -88,13 +94,15 @@ pub fn apply(program: &mut Program, config: &AggConfig) -> TransformManifest {
     }
 
     // Device-function launch sites cannot host the epilogue; report them.
-    for site in dp_analysis::launch_sites(program) {
+    // The pass rewrote only `__global__` functions and added only those, so
+    // these are the sites it found.
+    for site in facts.launch_sites() {
         if site.from_device {
             if let Some(f) = program.function(&site.parent) {
                 if f.qual == FnQual::Device {
                     manifest.diagnostics.push(Diagnostic {
                         pass: "aggregation",
-                        function: site.parent.clone(),
+                        function: site.parent,
                         message: "launch inside a __device__ function cannot be aggregated"
                             .to_string(),
                         span: site.span,
@@ -106,67 +114,64 @@ pub fn apply(program: &mut Program, config: &AggConfig) -> TransformManifest {
     manifest
 }
 
-/// The aggregated kernels the pass has generated: two sites that launch
-/// the same child, in one parent or in two, share one.
-struct AggKernels {
-    /// Every function name in the program or generated: an aggregated
-    /// kernel is named fresh against these.
-    taken: HashSet<Name>,
-    /// Each aggregated child, with the name of its aggregated kernel.
-    of_child: Vec<(Name, Name)>,
-}
-
 /// One aggregated launch site: its number in the program, the kernel it
-/// launched, how many arguments it passed, and the identifiers of its
-/// parent, which no name it generates there may take.
+/// launched, how many arguments it passed, and the summary of its parent,
+/// whose identifiers no name it generates there may take.
 struct SiteInfo<'p> {
     id: usize,
     child: Name,
     args: usize,
-    used: &'p HashSet<&'p str>,
+    used: BodyFacts<'p>,
 }
 
 impl SiteInfo<'_> {
     /// The name `base` takes at this site: `_a_g` is `_a_g3` at site 3.
     fn name(&self, base: &str) -> Name {
-        fresh_local(Name::from_fmt(format_args!("{base}{}", self.id)), self.used)
+        fresh_local(numbered(base, self.id), self.used)
     }
 
     /// The name of argument `j`'s variable or buffer at this site.
     fn arg(&self, base: &str, j: usize) -> Name {
-        fresh_local(
-            Name::from_fmt(format_args!("{base}{}_{j}", self.id)),
-            self.used,
-        )
+        let (mut id, mut arg) = ([0; 20], [0; 20]);
+        let name = concat(&[base, decimal(self.id, &mut id), "_", decimal(j, &mut arg)]);
+        fresh_local(name, self.used)
     }
 }
 
 /// What [`replace_launches`] carries through one parent's body.
 struct Walk<'p> {
     program: &'p Program,
+    /// Summaries of the program's functions.
+    facts: &'p ProgramFacts,
     parent: &'p str,
-    used: &'p HashSet<&'p str>,
+    used: BodyFacts<'p>,
     next_id: usize,
     sites: Vec<SiteInfo<'p>>,
     diagnostics: Vec<Diagnostic>,
 }
 
+/// Aggregates the launches of `parent_name` under `config`, whose threshold
+/// the caller has already dropped if the granularity cannot take one.
 fn transform_parent(
     program: &mut Program,
+    facts: &ProgramFacts,
     parent_name: &str,
-    granularity: AggGranularity,
-    agg_threshold: Option<i64>,
+    config: AggConfig,
     site_counter: &mut usize,
-    agg_kernels: &mut AggKernels,
+    agg_kernels: &mut Vec<(Name, Name)>,
     manifest: &mut TransformManifest,
 ) {
-    let Some(parent) = program.function(parent_name) else {
+    let AggConfig {
+        granularity,
+        agg_threshold,
+    } = config;
+    let (Some(parent), Some(used)) = (program.function(parent_name), facts.get(parent_name)) else {
         return;
     };
-    if !contains_launch(&parent.body) {
+    if !used.has_launch() {
         return;
     }
-    if contains_return(&parent.body) {
+    if used.has_return() {
         manifest.diagnostics.push(Diagnostic {
             pass: "aggregation",
             function: Name::new(parent_name),
@@ -179,18 +184,17 @@ fn transform_parent(
     }
 
     // A child is read from `program` all the way down to building its
-    // aggregated kernel, and a kernel that launches itself is its own
-    // child: the parent is rewritten on a copy of its body, and nothing is
-    // written to `program` before the last child has been read.
-    let mut body = parent.body.clone();
+    // aggregated kernel, and nothing is written to `program` before the
+    // last child has been read.
+    let mut body = body_to_rewrite(program, used);
     normalize_blocks(&mut body);
 
     // Replace each valid launch statement with participation assignments.
-    let used = idents_in_function(parent);
     let mut walk = Walk {
         program,
+        facts,
         parent: parent_name,
-        used: &used,
+        used,
         next_id: *site_counter,
         sites: Vec::new(),
         diagnostics: Vec::new(),
@@ -211,15 +215,18 @@ fn transform_parent(
     for site in &walk.sites {
         let child_fn = program.function(&site.child).expect("validated");
         // The aggregated child kernel, generated once per child.
-        let agg_kernel = match agg_kernels.of_child.iter().find(|(c, _)| *c == site.child) {
+        let agg_kernel = match agg_kernels.iter().find(|(c, _)| *c == site.child) {
             Some((_, kernel)) => kernel.clone(),
             None => {
-                let base = Name::from_fmt(format_args!("{}_agg", site.child));
-                let name = claim_fresh_name(base, &mut agg_kernels.taken);
-                new_kernels.push((site.child.clone(), build_agg_child(name.clone(), child_fn)));
-                agg_kernels
-                    .of_child
-                    .push((site.child.clone(), name.clone()));
+                // Fresh against the program's functions and the kernels
+                // generated before.
+                let name = fresh_name(concat(&[&site.child, "_agg"]), |name| {
+                    facts.get(name).is_some() || agg_kernels.iter().any(|(_, k)| k == name)
+                });
+                let child_facts = facts.get(&site.child).expect("validated");
+                let kernel = build_agg_child(name.clone(), child_fn, child_facts);
+                new_kernels.push((site.child.clone(), kernel));
+                agg_kernels.push((site.child.clone(), name.clone()));
                 name
             }
         };
@@ -330,7 +337,7 @@ fn replace_launches(stmt: &mut Stmt, loop_depth: usize, walk: &mut Walk) {
             return;
         }
         StmtKind::Launch(launch) => {
-            if let Err(message) = validate_site(walk.program, launch, loop_depth) {
+            if let Err(message) = validate_site(walk.program, walk.facts, launch, loop_depth) {
                 walk.diagnostics.push(Diagnostic {
                     pass: "aggregation",
                     function: Name::new(walk.parent),
@@ -368,7 +375,14 @@ fn replace_launches(stmt: &mut Stmt, loop_depth: usize, walk: &mut Walk) {
     walk.sites.push(site);
 }
 
-fn validate_site(program: &Program, launch: &LaunchStmt, loop_depth: usize) -> Result<(), String> {
+/// Whether `launch` can be aggregated: asked of the child's summary, not
+/// of its body.
+fn validate_site(
+    program: &Program,
+    facts: &ProgramFacts,
+    launch: &LaunchStmt,
+    loop_depth: usize,
+) -> Result<(), String> {
     if loop_depth > 0 {
         return Err(
             "launch inside a loop cannot be aggregated (a parent thread would \
@@ -390,14 +404,15 @@ fn validate_site(program: &Program, launch: &LaunchStmt, loop_depth: usize) -> R
     if !is_one_dimensional(&launch.grid) || !is_one_dimensional(&launch.block) {
         return Err("aggregation supports only 1-D launch configurations".to_string());
     }
+    let child = facts.get(&launch.kernel).expect("defined above");
     for base in ["gridDim", "blockDim"] {
-        if uses_builtin_whole(&child.body, base) {
+        if child.uses_whole(base) {
             return Err(format!("child uses `{base}` as a whole value"));
         }
     }
     for base in ["gridDim", "blockDim", "blockIdx", "threadIdx"] {
         for field in ["y", "z"] {
-            if uses_builtin_member(&child.body, base, field) {
+            if child.uses_member(base, field) {
                 return Err(format!(
                     "child uses `{base}.{field}`; aggregation rebinds only the x dimension"
                 ));
@@ -568,19 +583,18 @@ fn build_epilogue(
 /// (Fig. 7 lines 01–11): a binary search of the scanned grid dimensions
 /// finds the parent whose launch this block belongs to, and the child's
 /// parameters and x-dimension builtins are rebound to that launch's.
-fn build_agg_child(name: Name, child_fn: &Function) -> Function {
+fn build_agg_child(name: Name, child_fn: &Function, used: BodyFacts) -> Function {
     use BinOp::{Add, Div, Gt, Lt, Sub};
     let d = Gen(CodeOrigin::DisaggLogic);
     // The kernel is the child's parameters and body under generated
-    // names: each must be fresh against the child.
-    let used = idents_in_function(child_fn);
+    // names: each must be fresh against the child, whose summary is `used`.
     let [lo, hi, mid, pi, prev, gd, bx, bd, scan, barr, np] = [
         "_da_lo", "_da_hi", "_da_mid", "_da_pi", "_da_prev", "_da_gd", "_da_bx", "_da_bd",
         "_da_scan", "_da_bArr", "_da_np",
     ]
-    .map(|n| fresh_local(n, &used));
+    .map(|n| fresh_local(n, used));
     let arrs: Vec<Name> = (0..child_fn.params.len())
-        .map(|j| fresh_local(Name::from_fmt(format_args!("_da_arr{j}")), &used))
+        .map(|j| fresh_local(numbered("_da_arr", j), used))
         .collect();
 
     let mut params: Vec<Param> = (child_fn.params.iter().zip(&arrs))

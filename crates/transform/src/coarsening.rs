@@ -14,8 +14,7 @@
 use crate::manifest::{CoarsenSiteMeta, Diagnostic, TransformManifest};
 use crate::util::*;
 use dp_frontend::ast::*;
-use dp_frontend::visit::{for_each_stmt, replace_builtin_member};
-use std::collections::HashSet;
+use dp_frontend::visit::replace_builtin_member;
 
 /// Name of the compile-time coarsening-factor macro.
 pub(crate) const CFACTOR_MACRO: &str = "_CFACTOR";
@@ -30,40 +29,42 @@ pub fn apply(program: &mut Program, factor: i64) -> TransformManifest {
     program.set_define(CFACTOR_MACRO, factor);
 
     // Candidate children: kernels launched from device code.
-    let sites = dp_analysis::launch_sites(program);
-    let mut children: Vec<Name> = Vec::new();
+    let mut facts = ProgramFacts::of(program);
+    let sites: Vec<dp_analysis::LaunchSite> = facts.launch_sites().collect();
+    let mut children: Vec<&Name> = Vec::new();
     for site in &sites {
-        if site.from_device && !children.contains(&site.kernel) {
-            children.push(site.kernel.clone());
+        if site.from_device && !children.contains(&&site.kernel) {
+            children.push(&site.kernel);
         }
     }
 
-    let mut taken = function_names(program);
     for child in children {
-        if let Err(diag) = coarsen_child(program, &child, &sites, &mut taken) {
+        if let Err(diag) = coarsen_child(program, &mut facts, child, &sites) {
             manifest.diagnostics.push(diag);
             continue;
         }
-        rewrite_launch_sites(program, &child);
-        manifest
-            .coarsen_sites
-            .push(CoarsenSiteMeta { child, factor });
+        rewrite_launch_sites(program, &facts, child);
+        manifest.coarsen_sites.push(CoarsenSiteMeta {
+            child: child.clone(),
+            factor,
+        });
     }
     manifest
 }
 
-/// Checks preconditions and rewrites the child kernel in place; a body
-/// function it generates is named fresh against the function names `taken`.
+/// Checks preconditions and rewrites the child kernel in place. A body
+/// function it generates is named fresh against every function `facts`
+/// summarizes: the program's, and the body functions generated before.
 fn coarsen_child(
     program: &mut Program,
+    facts: &mut ProgramFacts,
     child: &str,
     sites: &[dp_analysis::LaunchSite],
-    taken: &mut HashSet<Name>,
 ) -> Result<(), Diagnostic> {
-    let Some(child_fn) = program.function(child) else {
+    let Some(used) = facts.get(child) else {
         return Err(diag(child, "child kernel is not defined"));
     };
-    if uses_builtin_whole(&child_fn.body, "gridDim") {
+    if used.uses_whole("gridDim") {
         return Err(diag(
             child,
             "child uses gridDim as a whole value; x-dimension coarsening would be unsound",
@@ -71,18 +72,8 @@ fn coarsen_child(
     }
     // Every launch site must have a 1-D (int-like) grid expression.
     for site in sites.iter().filter(|s| s.kernel == child) {
-        let parent = program.function(&site.parent).expect("site parent exists");
-        let mut ok = true;
-        for stmt in &parent.body {
-            for_each_stmt(stmt, &mut |s| {
-                if let StmtKind::Launch(l) = &s.kind {
-                    if l.kernel == child && !is_one_dimensional(&l.grid) {
-                        ok = false;
-                    }
-                }
-            });
-        }
-        if !ok {
+        let parent = facts.get(&site.parent).expect("site parent exists");
+        if parent.launches_multi_dimensional(child) {
             return Err(diag(
                 child,
                 "launch site uses a multi-dimensional grid; only x-dimension coarsening is supported",
@@ -90,10 +81,10 @@ fn coarsen_child(
         }
     }
 
-    let child_fn = program.function_mut(child).expect("checked above");
-    let used = idents_in_function(child_fn);
-    let g = fresh_local("_c_gDim", &used);
-    let bx = fresh_local("_c_bx", &used);
+    let g = fresh_local("_c_gDim", used);
+    let bx = fresh_local("_c_bx", used);
+    let has_return = used.has_return();
+    let child_fn = program.function_mut(child).expect("summarized above");
 
     let mut body = std::mem::take(&mut child_fn.body);
     for stmt in &mut body {
@@ -104,11 +95,11 @@ fn coarsen_child(
 
     let c = Gen(CodeOrigin::CoarsenLoop);
     let mut body_fn = None;
-    if contains_return(&body) {
+    if has_return {
         // `return` would abort the remaining coarsening iterations, so the
         // body moves to a device function (per-original-block semantics).
-        let body_name =
-            claim_fresh_name(Name::from_fmt(format_args!("_{child}_coarsen_body")), taken);
+        let base = concat(&["_", child, "_coarsen_body"]);
+        let body_name = fresh_name(base, |name| facts.get(name).is_some());
         let mut body_params = child_fn.params.clone();
         body_params.push(param(Type::Int, &bx));
         let args = body_params.iter().map(|p| c.id(&p.name)).collect();
@@ -121,46 +112,43 @@ fn coarsen_child(
     child_fn.body = vec![c.for_(&bx, c.dot("blockIdx", "x"), cond, step, body)];
 
     if let Some(body_fn) = body_fn {
-        // Insert the body function before the child kernel.
+        // Insert the body function before the child kernel. What the child
+        // launched, the body function launches now: summarize both again.
+        let body_name = body_fn.name.clone();
         let pos = program
             .items
             .iter()
             .position(|item| matches!(item, Item::Function(f) if f.name == child))
             .unwrap_or(0);
         program.items.insert(pos, Item::Function(body_fn));
+        facts.refresh(program, child);
+        facts.refresh(program, &body_name);
     }
     Ok(())
 }
 
 /// Rewrites every launch of `child` (device and host) to launch the
 /// coarsened grid and pass the original grid dimension (Fig. 6 lines 08–10).
-fn rewrite_launch_sites(program: &mut Program, child: &str) {
+/// Only the functions whose summaries launch `child` are walked. Their
+/// summaries stay as they are: the rewrite adds names no later site or
+/// child takes, and keeps every launch and its grid's dimensions.
+fn rewrite_launch_sites(program: &mut Program, facts: &ProgramFacts, child: &str) {
     let mut counter = 0usize;
-    let launches_child = |s: &Stmt| matches!(&s.kind, StmtKind::Launch(l) if l.kernel == child);
     for func in program.functions_mut() {
-        if !contains_launch(&func.body) {
+        let used = facts.get(&func.name).expect("every function is summarized");
+        if !used.launches(child) {
             continue;
         }
-        // Each site's two names, fresh against the function they land in.
-        let used = idents_in_function(func);
-        let mut names = Vec::new();
-        for stmt in &func.body {
-            for_each_stmt(stmt, &mut |s| {
-                if launches_child(s) {
-                    let g = fresh_local(Name::from_fmt(format_args!("_c_gDim{counter}")), &used);
-                    let cg = fresh_local(Name::from_fmt(format_args!("_c_cgDim{counter}")), &used);
-                    names.push((g, cg));
-                    counter += 1;
-                }
-            });
-        }
-        let mut names = names.into_iter();
         for stmt in &mut func.body {
             dp_frontend::visit::walk_stmt_mut(stmt, &mut |s| {
-                if !launches_child(s) {
+                if !matches!(&s.kind, StmtKind::Launch(l) if l.kernel == child) {
                     return;
                 }
-                let (g_name, cg_name) = names.next().expect("one pair per launch");
+                // The site's two names, fresh against the function as it
+                // was before this rewrite.
+                let g_name = fresh_local(numbered("_c_gDim", counter), used);
+                let cg_name = fresh_local(numbered("_c_cgDim", counter), used);
+                counter += 1;
                 let c = Gen(CodeOrigin::CoarsenLoop);
                 let StmtKind::Launch(mut launch) = std::mem::replace(&mut s.kind, StmtKind::Empty)
                 else {

@@ -18,7 +18,6 @@ use crate::manifest::{Diagnostic, ThresholdSiteMeta, TransformManifest};
 use crate::util::*;
 use dp_frontend::ast::*;
 use dp_frontend::visit::walk_stmt_exprs_mut;
-use std::collections::HashSet;
 
 /// Name of the compile-time threshold macro.
 pub(crate) const THRESHOLD_MACRO: &str = "_THRESHOLD";
@@ -40,36 +39,39 @@ pub fn apply(program: &mut Program, threshold: i64) -> TransformManifest {
         .collect();
 
     let mut serials = Serials {
-        taken: function_names(program),
         of_child: Vec::new(),
         functions: Vec::new(),
     };
     let mut counter = 0usize;
+    // The program as the pass found it. Rewriting a parent adds `_threads`
+    // names, branches and calls to serial functions the program does not
+    // have yet, which changes nothing a later site asks of that parent as a
+    // child or a callee, so its summary stays.
+    let facts = ProgramFacts::of(program);
 
     for parent_name in parent_names {
-        let parent = program
-            .function(&parent_name)
-            .expect("name was collected from this program");
-        if !contains_launch(&parent.body) {
-            let parent = program.function_mut(&parent_name).expect("found above");
+        let parent_facts = facts.get(&parent_name).expect("summarized above");
+        if !parent_facts.has_launch() {
+            let parent = program
+                .function_mut(&parent_name)
+                .expect("name was collected from this program");
             normalize_blocks(&mut parent.body);
             continue;
         }
-        // Generating a serial child reads everything the child reaches, and
-        // under recursion that includes this parent: rewrite a copy of the
-        // body, so `program` still holds the definition the pass found.
-        let mut body = parent.body.clone();
+        // Generating a serial child reads the child's body, which is this
+        // parent's own if it launches itself.
+        let mut body = body_to_rewrite(program, parent_facts);
         normalize_blocks(&mut body);
-        let used = idents_in_function(parent);
-        process_block(
-            &mut body,
+        let mut pass = Pass {
             program,
-            &parent_name,
-            &used,
-            &mut serials,
-            &mut manifest,
-            &mut counter,
-        );
+            facts: &facts,
+            parent: &parent_name,
+            used: parent_facts,
+            serials: &mut serials,
+            manifest: &mut manifest,
+            counter: &mut counter,
+        };
+        pass.process_block(&mut body);
         program
             .function_mut(&parent_name)
             .expect("name was collected from this program")
@@ -92,13 +94,21 @@ pub fn apply(program: &mut Program, threshold: i64) -> TransformManifest {
 
 /// The serial versions of children the pass has generated so far.
 struct Serials {
-    /// Every function name in the program or generated: a generated
-    /// function is named fresh against these.
-    taken: HashSet<Name>,
     /// Each serialized child, with the name of its serial function.
     of_child: Vec<(Name, Name)>,
     /// Each generated function, with the child it goes after.
     functions: Vec<(Name, Function)>,
+}
+
+impl Serials {
+    /// Whether a function is named `name`: one of the program's, which
+    /// `facts` summarizes, or one the pass has named. A generated function
+    /// is named fresh against these.
+    fn is_taken(&self, facts: &ProgramFacts, name: &str) -> bool {
+        facts.get(name).is_some()
+            || self.of_child.iter().any(|(_, serial)| serial == name)
+            || self.functions.iter().any(|(_, f)| f.name == name)
+    }
 }
 
 /// Rewrites every non-block body of control statements into a block so the
@@ -141,118 +151,94 @@ fn ensure_block(stmt: &mut Box<Stmt>, origin: CodeOrigin) {
     }
 }
 
-/// Thresholds every launch in `stmts`, a statement list of the parent
-/// `parent_name`, whose identifiers are `used`.
-fn process_block(
-    stmts: &mut Vec<Stmt>,
-    program: &Program,
-    parent_name: &str,
-    used: &HashSet<&str>,
-    serials: &mut Serials,
-    manifest: &mut TransformManifest,
-    counter: &mut usize,
-) {
-    let mut i = 0;
-    while i < stmts.len() {
-        // Recurse into nested statement lists first.
-        match &mut stmts[i].kind {
-            StmtKind::Block(inner) => {
-                process_block(
-                    inner,
-                    program,
-                    parent_name,
-                    used,
-                    serials,
-                    manifest,
-                    counter,
-                );
-            }
-            StmtKind::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                if let StmtKind::Block(inner) = &mut then_branch.kind {
-                    process_block(
-                        inner,
-                        program,
-                        parent_name,
-                        used,
-                        serials,
-                        manifest,
-                        counter,
-                    );
-                }
-                if let Some(e) = else_branch {
-                    if let StmtKind::Block(inner) = &mut e.kind {
-                        process_block(
-                            inner,
-                            program,
-                            parent_name,
-                            used,
-                            serials,
-                            manifest,
-                            counter,
-                        );
+/// What [`Pass::process_block`] carries through one parent's body.
+struct Pass<'p> {
+    program: &'p Program,
+    /// Summaries of the program's functions.
+    facts: &'p ProgramFacts,
+    parent: &'p str,
+    /// The parent's summary: no name generated in it may take one it uses.
+    used: BodyFacts<'p>,
+    serials: &'p mut Serials,
+    manifest: &'p mut TransformManifest,
+    counter: &'p mut usize,
+}
+
+impl Pass<'_> {
+    /// Thresholds every launch in `stmts`, a statement list of the parent.
+    fn process_block(&mut self, stmts: &mut Vec<Stmt>) {
+        let mut i = 0;
+        while i < stmts.len() {
+            // Recurse into nested statement lists first.
+            match &mut stmts[i].kind {
+                StmtKind::Block(inner) => self.process_block(inner),
+                StmtKind::If {
+                    then_branch,
+                    else_branch,
+                    ..
+                } => {
+                    if let StmtKind::Block(inner) = &mut then_branch.kind {
+                        self.process_block(inner);
+                    }
+                    if let Some(e) = else_branch {
+                        if let StmtKind::Block(inner) = &mut e.kind {
+                            self.process_block(inner);
+                        }
                     }
                 }
-            }
-            StmtKind::For { body, .. }
-            | StmtKind::While { body, .. }
-            | StmtKind::DoWhile { body, .. } => {
-                if let StmtKind::Block(inner) = &mut body.kind {
-                    process_block(
-                        inner,
-                        program,
-                        parent_name,
-                        used,
-                        serials,
-                        manifest,
-                        counter,
-                    );
+                StmtKind::For { body, .. }
+                | StmtKind::While { body, .. }
+                | StmtKind::DoWhile { body, .. } => {
+                    if let StmtKind::Block(inner) = &mut body.kind {
+                        self.process_block(inner);
+                    }
                 }
+                _ => {}
             }
-            _ => {}
+            i = match &stmts[i].kind {
+                StmtKind::Launch(_) => self.threshold(stmts, i),
+                _ => i + 1,
+            };
         }
+    }
 
+    /// Thresholds the launch `stmts[i]`, returning the index of the
+    /// statement after it.
+    fn threshold(&mut self, stmts: &mut Vec<Stmt>, i: usize) -> usize {
         let StmtKind::Launch(launch) = &stmts[i].kind else {
-            i += 1;
-            continue;
+            unreachable!("called on a launch")
         };
         let child_name = launch.kernel.clone();
         let launch_span = stmts[i].span;
 
         // Section III-C: reject non-serializable children.
-        let blockers = dp_analysis::serialization_blockers(program, &child_name);
+        let blockers = self.facts.serialization_blockers(&child_name);
         if !blockers.is_empty() {
             let reasons: Vec<String> = blockers.iter().map(|b| b.to_string()).collect();
-            manifest.diagnostics.push(Diagnostic {
+            self.manifest.diagnostics.push(Diagnostic {
                 pass: "thresholding",
-                function: Name::new(parent_name),
+                function: Name::new(self.parent),
                 message: format!("child not serializable: {}", reasons.join("; ")),
                 span: launch_span,
             });
-            i += 1;
-            continue;
+            return i + 1;
         }
 
         // Section III-D: extract the desired thread count.
-        let threads_name = fresh_local(Name::from_fmt(format_args!("_threads{counter}")), used);
+        let threads_name = fresh_local(numbered("_threads", *self.counter), self.used);
         let Some(tc) = dp_analysis::extract_thread_count(stmts, i, &threads_name) else {
-            manifest.diagnostics.push(Diagnostic {
+            self.manifest.diagnostics.push(Diagnostic {
                 pass: "thresholding",
-                function: Name::new(parent_name),
+                function: Name::new(self.parent),
                 message: "no ceiling-division pattern found in grid dimension".to_string(),
                 span: launch_span,
             });
-            i += 1;
-            continue;
+            return i + 1;
         };
-        *counter += 1;
+        *self.counter += 1;
 
         // Make sure the serial version of the child exists.
-        let serial_name = ensure_serial_fn(program, &child_name, serials);
-
+        let serial_name = ensure_serial_fn(self.program, self.facts, &child_name, self.serials);
         // Insert `int _threads = N;` before the statement where N lived.
         let mut threads_decl = Stmt::decl(
             Type::Int,
@@ -303,33 +289,40 @@ fn process_block(
             CodeOrigin::ThresholdCheck,
         );
 
-        manifest.threshold_sites.push(ThresholdSiteMeta {
-            parent: Name::new(parent_name),
+        self.manifest.threshold_sites.push(ThresholdSiteMeta {
+            parent: Name::new(self.parent),
             child: child_name,
             serial_fn: serial_name,
         });
-        i = launch_index + 1;
+        launch_index + 1
     }
 }
 
 /// Generates (once) the serial `__device__` version of `child`
 /// (Fig. 3b lines 09–15) and returns its name.
-fn ensure_serial_fn(program: &Program, child: &Name, serials: &mut Serials) -> Name {
+fn ensure_serial_fn(
+    program: &Program,
+    facts: &ProgramFacts,
+    child: &Name,
+    serials: &mut Serials,
+) -> Name {
     if let Some((_, serial_name)) = serials.of_child.iter().find(|(c, _)| c == child) {
         return serial_name.clone();
     }
-    let serial_name = claim_fresh_name(
-        Name::from_fmt(format_args!("{child}_serial")),
-        &mut serials.taken,
-    );
+    let serial_name = fresh_name(concat(&[child, "_serial"]), |name| {
+        serials.is_taken(facts, name)
+    });
+    serials.of_child.push((child.clone(), serial_name.clone()));
     let child_fn = program
         .function(child)
         .expect("caller verified the child kernel exists");
 
-    let used = idents_in_function(child_fn);
-    let g = fresh_local("_s_gDim", &used);
-    let b = fresh_local("_s_bDim", &used);
-    let idx = ["_s_bz", "_s_by", "_s_bx", "_s_tz", "_s_ty", "_s_tx"].map(|n| fresh_local(n, &used));
+    let used = facts
+        .get(child)
+        .expect("caller verified the child kernel exists");
+    let g = fresh_local("_s_gDim", used);
+    let b = fresh_local("_s_bDim", used);
+    let idx = ["_s_bz", "_s_by", "_s_bx", "_s_tz", "_s_ty", "_s_tx"].map(|n| fresh_local(n, used));
 
     let mut body = child_fn.body.clone();
     rebind_builtins(&mut body, &g, &b, &idx);
@@ -338,14 +331,13 @@ fn ensure_serial_fn(program: &Program, child: &Name, serials: &mut Serials) -> N
     let mut params = child_fn.params.clone();
     params.extend([param(Type::Dim3, &g), param(Type::Dim3, &b)]);
     let t = Gen(CodeOrigin::ThresholdSerial);
-    let innermost = if contains_return(&child_fn.body) {
+    let innermost = if used.has_return() {
         // `return` inside serialization loops would abort all remaining
         // simulated threads, so the body goes into its own device function
         // and `return` keeps per-thread semantics.
-        let body_name = claim_fresh_name(
-            Name::from_fmt(format_args!("{child}_serial_body")),
-            &mut serials.taken,
-        );
+        let body_name = fresh_name(concat(&[child, "_serial_body"]), |name| {
+            serials.is_taken(facts, name)
+        });
         let mut body_params = params.clone();
         body_params.extend(idx.iter().map(|n| param(Type::Int, n)));
         let args = body_params.iter().map(|p| t.id(&p.name)).collect();
@@ -359,7 +351,6 @@ fn ensure_serial_fn(program: &Program, child: &Name, serials: &mut Serials) -> N
     let loops = serial_loops(t, &g, &b, &idx, innermost);
     let serial_fn = gen_function(FnQual::Device, serial_name.clone(), params, loops);
     serials.functions.push((child.clone(), serial_fn));
-    serials.of_child.push((child.clone(), serial_name.clone()));
     serial_name
 }
 

@@ -15,26 +15,34 @@
 //! has half rewritten: a kernel can launch itself, or launch a child that
 //! calls back into it, and then the child's serial or aggregated version is
 //! built from — and its serializability judged on — the parent *as the pass
-//! found it*. So a launching parent is rewritten on a copy of its body
-//! while the program still holds the old one, and the copy is assigned back
-//! after the last read ([`contains_launch`] keeps functions that launch
-//! nothing, most of them, out of even that).
+//! found it*. So a launching parent's body is taken out of the program,
+//! rewritten and put back after the last read ([`body_to_rewrite`]), and a
+//! parent that launches itself, whose body is its child's, is rewritten on
+//! a copy while the program still holds the old one. A function that
+//! launches nothing, most of them, is left out of even that.
 //!
-//! Every name a pass makes is a [`Name`], formatted in place with
-//! [`Name::from_fmt`] rather than into a `String`, and fresh ([`fresh_name`])
-//! against what it could capture: a variable against the identifiers of
-//! the function it lands in ([`fresh_local`]), a generated function against
-//! every function of the program and every other one the pass generates
-//! ([`claim_fresh_name`]). A pass keeps each generated function together
-//! with the child it was made for, so that it never has to read a name
-//! back to learn where the function belongs.
+//! A pass does not walk a function to ask it a question. It summarizes
+//! every function once, when it starts ([`ProgramFacts`]: one walk per
+//! body), and asks the summaries whether a function launches, returns,
+//! reads a builtin, what it calls and what blocks serializing it. It
+//! summarizes a function again only when its rewrite changed an answer a
+//! later question gets: coarsening, after a child's body moved into its
+//! body function.
+//!
+//! Every name a pass makes is a [`Name`], written in place from its text
+//! and decimal numbers ([`concat`], [`numbered`]) rather than formatted,
+//! and fresh ([`fresh_name`]) against what it could capture: a variable
+//! against the identifiers of the function it lands in ([`fresh_local`],
+//! asking [`BodyFacts::is_taken`]), a generated function against every
+//! function of the program and every other one the pass generates. A pass
+//! keeps each generated function together with the child it was made for,
+//! so that it never has to read a name back to learn where the function
+//! belongs.
 
+pub(crate) use dp_analysis::{is_one_dimensional, BodyFacts, ProgramFacts};
 use dp_frontend::ast::*;
-use dp_frontend::visit::{for_each_stmt_expr, walk_stmt_exprs_mut, walk_stmt_mut};
+use dp_frontend::visit::{walk_stmt_exprs_mut, walk_stmt_mut};
 use dp_frontend::Span;
-use std::borrow::Borrow;
-use std::collections::HashSet;
-use std::hash::Hash;
 
 /// Builds generated code: every node gets [`Span::SYNTH`] and this origin.
 /// Each method mirrors the C it stands for; `g.dot("blockIdx", "x")` is
@@ -179,18 +187,6 @@ pub(crate) fn param(ty: Type, name: &str) -> Param {
     }
 }
 
-/// Whether a launch dimension is 1-D: an `int` expression, or a `dim3`
-/// whose y and z are the literal 1.
-pub(crate) fn is_one_dimensional(dim: &Expr) -> bool {
-    match &dim.kind {
-        ExprKind::Dim3Ctor(args) => args
-            .iter()
-            .skip(1)
-            .all(|a| matches!(a.kind, ExprKind::IntLit(1))),
-        _ => true,
-    }
-}
-
 /// The x extent of a 1-D launch dimension.
 pub(crate) fn one_dimensional(dim: Expr) -> Expr {
     match dim.kind {
@@ -217,127 +213,90 @@ pub(crate) fn tag_origin(stmts: &mut [Stmt], origin: CodeOrigin) {
     }
 }
 
-/// Collects the identifiers of a function that a local name a pass mints
-/// could take, borrowed from it: pick names with [`fresh_local`] before the
-/// function changes. Every such name starts with `_` (`_a_*`, `_da_*`,
-/// `_c_*`, `_s_*`, `_threads*`), so only those identifiers are kept.
-pub(crate) fn idents_in_function<'f>(func: &'f Function) -> HashSet<&'f str> {
-    let mut names = HashSet::new();
-    let mut add = |name: &'f str| {
-        if name.starts_with('_') {
-            names.insert(name);
-        }
-    };
-    for p in &func.params {
-        add(&p.name);
+/// The body a pass rewrites for `parent`, to be put back when it is done:
+/// taken out of `program`, or, if the parent launches itself, copied, so
+/// that the body read as the child's is the one the pass found.
+pub(crate) fn body_to_rewrite(program: &mut Program, parent: BodyFacts) -> Vec<Stmt> {
+    let func = program
+        .function_mut(parent.name())
+        .expect("a summarized function is in the program");
+    if parent.launches(parent.name()) {
+        func.body.clone()
+    } else {
+        std::mem::take(&mut func.body)
     }
-    add(&func.name);
-    for stmt in &func.body {
-        dp_frontend::visit::for_each_stmt(stmt, &mut |s| {
-            if let StmtKind::Decl(d) = &s.kind {
-                d.declarators.iter().for_each(|d| add(&d.name));
-            }
-        });
-        for_each_stmt_expr(stmt, &mut |e| {
-            if let ExprKind::Ident(name) = &e.kind {
-                add(name);
-            }
-        });
-    }
-    names
 }
 
-/// A local name for generated code, fresh against `used`
-/// ([`idents_in_function`], which keeps only names that start with `_`).
-pub(crate) fn fresh_local(base: impl Into<Name>, used: &HashSet<&str>) -> Name {
+/// A local name for generated code, fresh against the identifiers of the
+/// function it lands in, as summarized before the function changes (the
+/// summary keeps only names that start with `_`, as every generated local
+/// name does).
+pub(crate) fn fresh_local(base: impl Into<Name>, used: BodyFacts) -> Name {
     let base = base.into();
     debug_assert!(
         base.starts_with('_'),
         "a generated local name starts with `_`: `{base}`"
     );
-    fresh_name(base, used)
+    fresh_name(base, |name| used.is_taken(name))
 }
 
-/// Returns `base` if unused, otherwise `base_2`, `base_3`, ….
-fn fresh_name<S: Borrow<str> + Hash + Eq>(base: impl Into<Name>, used: &HashSet<S>) -> Name {
-    let base = base.into();
-    if !used.contains(base.as_str()) {
+/// Returns `base` if it is not `taken`, otherwise the first of `base_2`,
+/// `base_3`, … that is not. A generated function is named with it against
+/// the functions the pass's [`ProgramFacts`] summarizes and those the pass
+/// has named, so it never takes the name of a user's function or of
+/// another generated one.
+pub(crate) fn fresh_name(base: Name, taken: impl Fn(&str) -> bool) -> Name {
+    if !taken(&base) {
         return base;
     }
+    let mut digits = [0; 20];
     (2..)
-        .map(|i| Name::from_fmt(format_args!("{base}_{i}")))
-        .find(|candidate| !used.contains(candidate.as_str()))
+        .map(|i| concat(&[&base, "_", decimal(i, &mut digits)]))
+        .find(|candidate| !taken(candidate))
         .expect("a finite set leaves a suffix free")
 }
 
-/// The names of the program's functions. A function a pass generates is
-/// named with [`claim_fresh_name`] against these, so it never takes the
-/// name of a user's function or of another generated one.
-pub(crate) fn function_names(program: &Program) -> HashSet<Name> {
-    program.functions().map(|f| f.name.clone()).collect()
-}
-
-/// [`fresh_name`] against `taken`, which then holds it too.
-pub(crate) fn claim_fresh_name(base: Name, taken: &mut HashSet<Name>) -> Name {
-    let name = fresh_name(base, taken);
-    taken.insert(name.clone());
-    name
-}
-
-/// Whether any statement in the function is a `return` (at any depth).
-pub(crate) fn contains_return(body: &[Stmt]) -> bool {
-    any_stmt(body, |s| matches!(s.kind, StmtKind::Return(_)))
-}
-
-/// Whether any statement in the function is a kernel launch (at any depth).
-pub(crate) fn contains_launch(body: &[Stmt]) -> bool {
-    any_stmt(body, |s| matches!(s.kind, StmtKind::Launch(_)))
-}
-
-fn any_stmt(body: &[Stmt], pred: impl Fn(&Stmt) -> bool) -> bool {
-    let mut found = false;
-    for stmt in body {
-        dp_frontend::visit::for_each_stmt(stmt, &mut |s| found |= pred(s));
+/// The name made of `parts` end to end. One that fits inline is put
+/// together on the stack; a longer one is joined once and boxed.
+pub(crate) fn concat(parts: &[&str]) -> Name {
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    if len > Name::INLINE_LEN {
+        return Name::new(&parts.concat());
     }
-    found
+    let mut bytes = [0; Name::INLINE_LEN];
+    let mut at = 0;
+    for part in parts {
+        bytes[at..at + part.len()].copy_from_slice(part.as_bytes());
+        at += part.len();
+    }
+    Name::new(std::str::from_utf8(&bytes[..len]).expect("whole strings joined are UTF-8"))
 }
 
-/// Whether the body references `base.field` for a builtin dim variable.
-pub(crate) fn uses_builtin_member(body: &[Stmt], base: &str, field: &str) -> bool {
-    let mut found = false;
-    for stmt in body {
-        for_each_stmt_expr(stmt, &mut |e| {
-            if let ExprKind::Member(b, fld) = &e.kind {
-                if fld == field && b.kind.as_ident() == Some(base) {
-                    found = true;
-                }
-            }
-        });
-    }
-    found
+/// `base` followed by `n` in decimal: `numbered("_a_g", 3)` is `_a_g3`.
+pub(crate) fn numbered(base: &str, n: usize) -> Name {
+    concat(&[base, decimal(n, &mut [0; 20])])
 }
 
-/// Whether the body uses a builtin dim variable as a *whole* value
-/// (not through a member access), e.g. passing `gridDim` to a function.
-pub(crate) fn uses_builtin_whole(body: &[Stmt], base: &str) -> bool {
-    let mut whole = 0usize;
-    let mut member = 0usize;
-    for stmt in body {
-        for_each_stmt_expr(stmt, &mut |e| match &e.kind {
-            ExprKind::Ident(name) if name == base => whole += 1,
-            ExprKind::Member(b, _) if b.kind.as_ident() == Some(base) => member += 1,
-            _ => {}
-        });
+/// `n` in decimal, written at the end of `digits`: what its `Display`
+/// writes.
+pub(crate) fn decimal(mut n: usize, digits: &mut [u8; 20]) -> &str {
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
     }
-    // Each member access contains one ident occurrence; any excess means a
-    // bare use.
-    whole > member
+    std::str::from_utf8(&digits[at..]).expect("digits are ASCII")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dp_frontend::parser::parse_stmt;
+    use std::collections::HashSet;
 
     /// What the parser makes of `src`, with every span erased and every
     /// origin set to `origin`: the tree a builder must equal.
@@ -404,25 +363,54 @@ mod tests {
         assert_eq!(stmts[1].origin, CodeOrigin::AggLogic);
     }
 
+    /// The summaries of a program whose one function `f` has the body
+    /// `src`.
+    fn facts(src: &str) -> ProgramFacts {
+        let f = gen_function(FnQual::Device, "f".into(), vec![], body(src));
+        ProgramFacts::of(&Program {
+            items: vec![Item::Function(f)],
+        })
+    }
+
     #[test]
     fn fresh_name_avoids_collisions() {
         let used: HashSet<&str> = ["_bx", "_bx_2"].into();
-        assert_eq!(fresh_name("_bx", &used), "_bx_3");
-        assert_eq!(fresh_name("_tx", &used), "_tx");
+        let taken = |name: &str| used.contains(name);
+        assert_eq!(fresh_name("_bx".into(), taken), "_bx_3");
+        assert_eq!(fresh_name("_tx".into(), taken), "_tx");
+        let facts = facts("int _bx = 0; _bx_2 = _bx;");
+        assert_eq!(fresh_local("_bx", facts.get("f").unwrap()), "_bx_3");
+        let long = "_a_name_longer_than_inline";
+        assert_eq!(fresh_name(long.into(), |n| n == long), format!("{long}_2"));
+    }
+
+    #[test]
+    fn generated_names_are_what_format_makes() {
+        let mut digits = [0; 20];
+        for n in [0, 7, 10, 99, 12345, usize::MAX] {
+            assert_eq!(decimal(n, &mut digits), n.to_string());
+            assert_eq!(numbered("_a_g", n), format!("_a_g{n}"));
+        }
+        let child = "c".repeat(Name::INLINE_LEN);
+        assert_eq!(concat(&[&child, "_serial"]), format!("{child}_serial"));
+        assert_eq!(concat(&["_", "k", "_coarsen_body"]), "_k_coarsen_body");
+        assert_eq!(concat(&[]), Name::EMPTY);
     }
 
     #[test]
     fn contains_return_finds_nested() {
-        assert!(contains_return(&body("if (x) { for (;;) { return; } }")));
-        assert!(!contains_return(&body("x = 1;")));
+        let has_return = |src| facts(src).get("f").unwrap().has_return();
+        assert!(has_return("if (x) { for (;;) { return; } }"));
+        assert!(!has_return("x = 1;"));
     }
 
     #[test]
     fn builtin_member_and_whole_use() {
-        let body = body("int i = blockIdx.x; f(gridDim);");
-        assert!(uses_builtin_member(&body, "blockIdx", "x"));
-        assert!(!uses_builtin_member(&body, "blockIdx", "y"));
-        assert!(uses_builtin_whole(&body, "gridDim"));
-        assert!(!uses_builtin_whole(&body, "blockIdx"));
+        let facts = facts("int i = blockIdx.x; f(gridDim);");
+        let f = facts.get("f").unwrap();
+        assert!(f.uses_member("blockIdx", "x"));
+        assert!(!f.uses_member("blockIdx", "y"));
+        assert!(f.uses_whole("gridDim"));
+        assert!(!f.uses_whole("blockIdx"));
     }
 }

@@ -765,6 +765,20 @@ impl Module {
         id
     }
 
+    /// The module of `functions`, which stand one for one, in order and
+    /// under the same names, for this module's: the name index is copied,
+    /// not built again.
+    pub(crate) fn with_functions(&self, functions: Vec<CompiledFunction>) -> Module {
+        debug_assert!(functions
+            .iter()
+            .map(|f| &f.name)
+            .eq(self.functions.iter().map(|f| &f.name)));
+        Module {
+            functions,
+            by_name: self.by_name.clone(),
+        }
+    }
+
     /// Looks up a function id by name.
     pub(crate) fn id_of(&self, name: &str) -> Option<FuncId> {
         self.by_name.get(name).copied()

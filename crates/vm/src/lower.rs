@@ -100,18 +100,21 @@ pub fn compile_program_unfused(program: &Program) -> Result<Module, CompileError
 /// unfused and calls this when the program's first executor builds its
 /// image, so a program that is only transformed never pays for fusion.
 pub fn fuse_module(module: &Module) -> Module {
-    let mut fused = Module::new();
-    for f in &module.functions {
-        let (code, origins) = fuse(&f.code, &f.origins);
-        fused.add(CompiledFunction {
-            name: f.name.clone(),
-            param_types: f.param_types.clone(),
-            code,
-            origins,
-            ..*f
-        });
-    }
-    fused
+    let functions = module
+        .functions
+        .iter()
+        .map(|f| {
+            let (code, origins) = fuse(&f.code, &f.origins);
+            CompiledFunction {
+                name: f.name.clone(),
+                param_types: f.param_types.clone(),
+                code,
+                origins,
+                ..*f
+            }
+        })
+        .collect();
+    module.with_functions(functions)
 }
 
 /// Fuses hot instruction sequences into superinstructions, in place.
@@ -168,25 +171,30 @@ pub(crate) fn fuse_function(f: &mut CompiledFunction) {
     (f.code, f.origins) = fuse(&f.code, &f.origins);
 }
 
+/// Marks, in [`fuse`]'s index map, an old index that some jump lands on.
+/// No new index reaches it: a function has fewer than `u32::MAX`
+/// instructions.
+const JUMP_TARGET: u32 = u32::MAX;
+
 /// The fused form of one function's `old` code and its origin tags.
 fn fuse(old: &[Instr], old_origins: &[CodeOrigin]) -> (Vec<Instr>, Vec<CodeOrigin>) {
     let n = old.len();
-    // Instruction indices some jump lands on (code.len() is a valid target
-    // for loops that end the function).
-    let mut is_target = vec![false; n + 1];
-    for t in old.iter().filter_map(Instr::branch_target) {
-        is_target[t as usize] = true;
-    }
-
     let mut code = Vec::with_capacity(n);
     let mut origins = Vec::with_capacity(n);
     // map[old index] = new index; interior indices of fused windows keep
-    // the window's new index but are never jump targets (checked above).
+    // the window's new index but are never jump targets (checked below).
+    // Before the scan reaches an index, `map` holds whether a jump lands
+    // there (code.len() is a valid target for loops that end the
+    // function): the scan writes an index only once it has passed it, and
+    // a window only looks at the marks ahead of it.
     let mut map = vec![0u32; n + 1];
+    for t in old.iter().filter_map(Instr::branch_target) {
+        map[t as usize] = JUMP_TARGET;
+    }
     let mut i = 0;
     while i < n {
         map[i] = code.len() as u32;
-        let width = match try_fuse_at(&old[i..], &old_origins[i..], &is_target[i + 1..]) {
+        let width = match try_fuse_at(&old[i..], &old_origins[i..], &map[i + 1..]) {
             Some((fused, width)) => {
                 map[i..i + width].fill(code.len() as u32);
                 code.push(fused);
@@ -209,18 +217,19 @@ fn fuse(old: &[Instr], old_origins: &[CodeOrigin]) -> (Vec<Instr>, Vec<CodeOrigi
 }
 
 /// Tries to fuse a window starting at `code[0]`; returns the
-/// superinstruction and the window width. `targets_after` holds the
-/// jump-target flags for the instructions *after* the window start.
+/// superinstruction and the window width. `marks_after` holds [`fuse`]'s
+/// map for the instructions *after* the window start, where a jump target
+/// is [`JUMP_TARGET`].
 fn try_fuse_at(
     code: &[Instr],
     origins: &[CodeOrigin],
-    targets_after: &[bool],
+    marks_after: &[u32],
 ) -> Option<(Instr, usize)> {
     use Instr::*;
     let fusible = |width: usize| {
         code.len() >= width
             && origins[1..width].iter().all(|o| *o == origins[0])
-            && targets_after[..width - 1].iter().all(|t| !t)
+            && marks_after[..width - 1].iter().all(|&m| m != JUMP_TARGET)
     };
     let inc_delta = |op: BinKind, k: i64| match op {
         BinKind::Add => Some(k),
@@ -279,7 +288,7 @@ fn try_fuse_at(
         // The tail of `int x = e;`. Where the store is reloaded at once,
         // `StoreLoadLocal` keeps it: two slots either way.
         if let [CastInt, StoreLocal(s), ..] = *code {
-            if try_fuse_at(&code[1..], &origins[1..], &targets_after[1..]).is_none() {
+            if try_fuse_at(&code[1..], &origins[1..], &marks_after[1..]).is_none() {
                 return Some((StoreLocalInt(s), 2));
             }
         }
@@ -300,7 +309,7 @@ fn try_fuse_at(
             // this width-2 window swallow the first instruction of a wider
             // pattern starting at the reload (e.g. the 4-wide
             // `CmpBranchLocals`); only fuse when that costs nothing.
-            let steals_wider_window = try_fuse_at(&code[1..], &origins[1..], &targets_after[1..])
+            let steals_wider_window = try_fuse_at(&code[1..], &origins[1..], &marks_after[1..])
                 .is_some_and(|(_, width)| width >= 3);
             if s == s2 && !steals_wider_window {
                 return Some((StoreLoadLocal(s), 2));
