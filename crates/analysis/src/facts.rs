@@ -221,6 +221,14 @@ impl ProgramFacts {
         facts
     }
 
+    /// Every function's summary, as of the latest [`refresh`](Self::refresh).
+    pub fn functions(&self) -> impl Iterator<Item = BodyFacts<'_>> {
+        self.funcs.iter().map(move |summary| BodyFacts {
+            facts: self,
+            summary,
+        })
+    }
+
     /// The summary of the function named `name`.
     pub fn get(&self, name: &str) -> Option<BodyFacts<'_>> {
         let summary = self.funcs.iter().find(|f| f.name == name)?;

@@ -732,9 +732,9 @@ fn sweep_stdout_is_identical_with_all_diagnostics_enabled() {
         "{}",
         String::from_utf8_lossy(&report.stderr)
     );
-    // Only spans every run emits: a `pool.job` span needs a pool worker to
-    // claim a cell before the caller's own loop has run them all, and the
-    // pool lends idle workers only (no schedule is promised).
+    // Only spans every run emits: a `pool.job` span needs a free token
+    // and a helper that claims a cell before the caller's own loop has run
+    // them all (no schedule is promised).
     let table = String::from_utf8(report.stdout).unwrap();
     assert!(table.contains("sweep.cell"), "{table}");
     assert!(table.contains("vm.run"), "{table}");

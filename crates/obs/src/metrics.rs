@@ -14,7 +14,7 @@
 //!   it into the global registry, once, behind a [`Once`].
 //! - **Sharded counters.** Each counter spreads increments over
 //!   cache-line-padded shards indexed by a per-thread slot, so the serve
-//!   session threads and pool workers do not bounce one line.
+//!   session threads and pool threads do not bounce one line.
 //! - **Fixed buckets.** Histograms bucket microseconds by powers of two
 //!   (`le` = 1µs, 2µs, … 2^25µs ≈ 33.5s, plus an overflow bucket), so
 //!   p50/p90/p99 are derivable from a snapshot without recording having
@@ -144,7 +144,7 @@ pub struct Counter {
 
 impl Counter {
     /// A counter handle. `name` is its registry key — dotted lowercase by
-    /// convention (`pool.jobs.queued`).
+    /// convention (`pool.jobs.spawned`).
     pub const fn new(name: &'static str) -> Counter {
         Counter {
             name,

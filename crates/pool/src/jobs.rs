@@ -1,19 +1,10 @@
-//! The `DPOPT_JOBS` convention and a process-wide worker-thread budget.
-//!
-//! Several subsystems can run work in parallel: the sweep engine
-//! parallelizes across experiment cells, the execution machine
-//! parallelizes across the blocks of a grid, and the serve daemon runs
-//! requests concurrently. All draw from **one shared budget** resolved
-//! once per process, with the precedence
-//!
-//! > `--jobs` flag ([`resolve_jobs`]) > `DPOPT_JOBS` env > available
-//! > parallelism
-//!
-//! so nesting layers — a sweep whose cells each run large grids — never
-//! oversubscribes the host. The budget *is* the shared pool:
-//! [`crate::Pool::shared`] is sized to [`configured_jobs`] minus one, the
-//! threads beyond the caller's own (a single-threaded process with
-//! `DPOPT_JOBS=1` has a shared pool of zero workers).
+//! The `DPOPT_JOBS` convention: the job count every parallel layer (sweep
+//! cells, shard daemon drivers, serve's execution slots) sizes itself
+//! from, resolved once per process with the precedence `--jobs` flag
+//! ([`resolve_jobs`]) > `DPOPT_JOBS` env > available parallelism, so
+//! nested layers never oversubscribe the host. [`crate::Pool::shared`]
+//! holds [`configured_jobs`] minus one tokens: `DPOPT_JOBS=1` starts no
+//! job thread.
 
 use std::sync::OnceLock;
 

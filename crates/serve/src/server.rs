@@ -1525,10 +1525,10 @@ fn stats_response(state: &Arc<State>, id: Option<&Json>) -> Json {
                 "pool",
                 object([
                     ("idle", size(pool.idle)),
-                    ("queued", size(pool.queued)),
-                    // The pool neither steals nor yields; the two stay,
-                    // constant, because `benchmark/`'s `DaemonStats::parse`
-                    // reads them.
+                    // The pool neither queues, steals nor yields. The three
+                    // stay, constant, for the pinned shape: `benchmark/`'s
+                    // `DaemonStats::parse` reads `steals` and `yields`.
+                    ("queued", json::uint(0)),
                     ("steals", json::uint(0)),
                     ("threads", size(pool.threads)),
                     ("yields", json::uint(0)),

@@ -225,7 +225,7 @@ fn tagged_request_without_a_free_slot_is_launched_and_expires_on_time() {
 /// An execution runs on the thread that holds its slot — the session
 /// thread or the launched request thread — and never on the shared pool:
 /// after id-less, inline and launched `execute` and `sweep-cell` traffic
-/// the pool has been handed no job, queued or inline. The pool's counters
+/// the pool has been handed no job, spawned or inline. The pool's counters
 /// belong to the process too, and nothing else in this file feeds them.
 #[test]
 fn the_daemon_submits_nothing_to_the_pool() {
@@ -266,7 +266,7 @@ fn the_daemon_submits_nothing_to_the_pool() {
         "two were sent together"
     );
     assert_eq!(
-        counters(&mut client, ["pool.jobs.queued", "pool.jobs.inline"]),
+        counters(&mut client, ["pool.jobs.spawned", "pool.jobs.inline"]),
         [0, 0],
         "an execution was handed to the pool"
     );

@@ -10,9 +10,9 @@
 //! - **Declarative specs.** A [`SweepSpec`] is a list of [`SeriesSpec`]s;
 //!   each series is one benchmark on one dataset across an ordered variant
 //!   list. Expansion to cells is deterministic.
-//! - **Parallel execution.** Cells run on the shared persistent worker
-//!   pool ([`dp_pool::Pool::shared`], sized once from the `DPOPT_JOBS`
-//!   budget — no per-generation thread spawns). Every worker owns its
+//! - **Parallel execution.** Cells run under the shared worker budget
+//!   ([`dp_pool::Pool::shared`], sized once from `DPOPT_JOBS`): the caller
+//!   and one scoped helper thread per free token. Every worker owns its
 //!   own `Executor`/VM state — nothing mutable is shared — and results are
 //!   **merged in spec order**, so output is byte-identical to sequential
 //!   execution regardless of worker count.
@@ -379,7 +379,7 @@ where
 /// `DPOPT_JOBS` > available parallelism (min 1). The resolution is
 /// [`dp_pool::jobs::configured_jobs`], so every layer agrees on the
 /// convention. The result is this sweep's concurrency *cap*; actual
-/// helper submissions are additionally gated on idle shared-pool workers.
+/// helper submissions are additionally gated on free shared-pool tokens.
 pub(crate) fn effective_jobs(requested: usize) -> usize {
     if requested > 0 {
         return requested;
@@ -452,10 +452,10 @@ pub fn enumerate_cells(spec: &SweepSpec) -> Result<Vec<CellRef>, String> {
 /// compiled once.
 type CompileCache = Mutex<HashMap<String, Arc<OnceLock<dp_core::SharedCompiled>>>>;
 
-/// Calls `body(i)` for every `i < n` on the shared persistent worker pool:
-/// helper loops are pool submissions (gated on actually-idle workers, at
-/// most `jobs - 1` of them) and the calling thread always runs one loop
-/// itself — nothing is reserved or spawned per call.
+/// Calls `body(i)` for every `i < n` under the shared worker budget:
+/// helper loops are pool submissions (one per free token, at most
+/// `jobs - 1` of them, each on a thread that ends with the call) and the
+/// calling thread always runs one loop itself.
 fn for_each_on_pool(jobs: usize, n: usize, body: impl Fn(usize) + Sync) {
     if n == 0 {
         return;
@@ -470,10 +470,7 @@ fn for_each_on_pool(jobs: usize, n: usize, body: impl Fn(usize) + Sync) {
     };
     let pool = dp_pool::Pool::shared();
     pool.scope(|scope| {
-        let helpers = pool
-            .available_workers()
-            .min(jobs.saturating_sub(1))
-            .min(n - 1);
+        let helpers = pool.idle_workers().min(jobs.saturating_sub(1)).min(n - 1);
         for _ in 0..helpers {
             scope.spawn_as(dp_pool::JobClass::Bulk, work);
         }

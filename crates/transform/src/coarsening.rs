@@ -39,7 +39,7 @@ pub fn apply(program: &mut Program, factor: i64) -> TransformManifest {
     }
 
     for child in children {
-        if let Err(diag) = coarsen_child(program, &mut facts, child, &sites) {
+        if let Err(diag) = coarsen_child(program, &mut facts, child) {
             manifest.diagnostics.push(diag);
             continue;
         }
@@ -59,7 +59,6 @@ fn coarsen_child(
     program: &mut Program,
     facts: &mut ProgramFacts,
     child: &str,
-    sites: &[dp_analysis::LaunchSite],
 ) -> Result<(), Diagnostic> {
     let Some(used) = facts.get(child) else {
         return Err(diag(child, "child kernel is not defined"));
@@ -70,15 +69,17 @@ fn coarsen_child(
             "child uses gridDim as a whole value; x-dimension coarsening would be unsound",
         ));
     }
-    // Every launch site must have a 1-D (int-like) grid expression.
-    for site in sites.iter().filter(|s| s.kernel == child) {
-        let parent = facts.get(&site.parent).expect("site parent exists");
-        if parent.launches_multi_dimensional(child) {
-            return Err(diag(
-                child,
-                "launch site uses a multi-dimensional grid; only x-dimension coarsening is supported",
-            ));
-        }
+    // Every launch site must have a 1-D (int-like) grid expression: the
+    // sites as they are now, in every function that launches the child,
+    // a body function this pass generated for another child included.
+    if facts
+        .functions()
+        .any(|f| f.launches_multi_dimensional(child))
+    {
+        return Err(diag(
+            child,
+            "launch site uses a multi-dimensional grid; only x-dimension coarsening is supported",
+        ));
     }
 
     let g = fresh_local("_c_gDim", used);
@@ -315,6 +316,42 @@ __global__ void parent(int* d, int n) {
         assert!(manifest.diagnostics[0]
             .message
             .contains("multi-dimensional"));
+    }
+
+    /// The grandchild's only launch moves into `_child_coarsen_body` when
+    /// `child` is coarsened; that launch's y extent must still refuse it.
+    #[test]
+    fn multi_dimensional_launch_from_a_generated_body_is_rejected() {
+        let src = "\
+__global__ void grand(int* d) { d[blockIdx.x + blockIdx.y] = 1; }
+__global__ void parent(int* d, int n) {
+    child<<<(n + 31) / 32, 32>>>(d, n);
+}
+__global__ void child(int* d, int n) {
+    if (n == 0) { return; }
+    grand<<<dim3((n + 31) / 32, 2, 1), 32>>>(d);
+}
+";
+        let mut p = dp_frontend::parse(src).unwrap();
+        let manifest = apply(&mut p, 16);
+        let coarsened: Vec<&str> = manifest
+            .coarsen_sites
+            .iter()
+            .map(|s| s.child.as_str())
+            .collect();
+        assert_eq!(coarsened, ["child"]);
+        assert_eq!(manifest.diagnostics.len(), 1);
+        assert_eq!(manifest.diagnostics[0].function.as_str(), "grand");
+        assert!(manifest.diagnostics[0]
+            .message
+            .contains("multi-dimensional"));
+        let out = print_program(&p);
+        assert!(out.contains("_child_coarsen_body"), "{out}");
+        assert!(
+            out.contains("grand<<<dim3((n + 31) / 32, 2, 1), 32>>>(d);"),
+            "{out}"
+        );
+        assert!(out.contains("__global__ void grand(int* d) {"), "{out}");
     }
 
     #[test]
