@@ -18,13 +18,12 @@
 //!   so a document nested deeper than [`MAX_DEPTH`] is a parse error, not a
 //!   stack overflow.
 //!
-//! The tree's scanner and writers are public, so that a reader or writer of
-//! one known document shape can skip the tree and still read and write
-//! every token byte for byte as the tree does: [`skip_ws`],
-//! [`parse_string`] and [`parse_number`] are the tokens [`parse`] reads,
-//! and [`write_string`], [`write_f64`] and [`Json::write`] are the text
-//! [`Display`](std::fmt::Display) writes. `dp-sweep`'s cache check and
-//! `dp-serve`'s hot requests and answers use them.
+//! A reader or writer of one known document shape can skip the tree and
+//! still read and write every token byte for byte as the tree does:
+//! [`Cursor`] reads the tokens [`parse`] reads, through the tree's own
+//! scanner, and [`write_string`], [`write_f64`] and [`Json::write`] are
+//! the text [`Display`](std::fmt::Display) writes. `dp-sweep`'s cache check
+//! and `dp-serve`'s hot requests and answers use them.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -264,7 +263,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
 /// Moves `*pos` past the JSON whitespace (space, tab, `\n`, `\r`) at it —
 /// the whitespace [`parse`] skips between tokens.
 #[inline]
-pub fn skip_ws(bytes: &[u8], pos: &mut usize) {
+fn skip_ws(bytes: &[u8], pos: &mut usize) {
     while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
         *pos += 1;
     }
@@ -351,13 +350,8 @@ fn parse_keyword(bytes: &[u8], pos: &mut usize, word: &str, value: Json) -> Resu
 /// [`parse`] reads for a string value or an object key — and leaves `*pos`
 /// after its closing quote. A string without escapes is borrowed from
 /// `text`; one with escapes is decoded into a `String` sized once, for the
-/// raw text (no escape decodes longer than it is written). Public, like
-/// [`parse_number`], for decoders of one known document shape.
-///
-/// # Errors
-///
-/// Returns a message for an unterminated string or a bad escape.
-pub fn parse_string<'a>(text: &'a str, pos: &mut usize) -> Result<Cow<'a, str>, String> {
+/// raw text (no escape decodes longer than it is written).
+fn parse_string<'a>(text: &'a str, pos: &mut usize) -> Result<Cow<'a, str>, String> {
     let bytes = text.as_bytes();
     *pos += 1; // opening quote
     let start = *pos;
@@ -453,14 +447,9 @@ fn raw_string_len(body: &[u8]) -> usize {
 
 /// Reads the number token at `*pos` — the token [`parse`] reads for a
 /// number value, by the same `str::parse` call — and leaves `*pos` after
-/// it. Public for decoders of one known document shape that must read
-/// every number exactly as the tree does.
-///
-/// # Errors
-///
-/// Returns a message when the token is empty or does not parse.
+/// it.
 #[inline]
-pub fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
@@ -487,6 +476,161 @@ pub fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             .parse::<i64>()
             .map(Json::Int)
             .map_err(|e| format!("bad number `{token}`: {e}"))
+    }
+}
+
+/// A cursor over one JSON text, for a reader of one known document shape
+/// that skips the tree: each read skips the whitespace before its token and
+/// reads the token through the tree's own scanner, so a value it accepts is
+/// the value [`parse`] reads there. Every read is `None` where the text is
+/// not the token asked for, and the reader then leaves the text to the
+/// tree, whose verdict and message it keeps. The cursor has no nesting cap:
+/// the shape its reader asks for bounds the nesting.
+pub struct Cursor<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// A cursor at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Cursor { text, pos: 0 }
+    }
+
+    /// The next token's first byte; `None` when only whitespace is left.
+    #[inline]
+    pub fn peek(&mut self) -> Option<u8> {
+        skip_ws(self.text.as_bytes(), &mut self.pos);
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    /// Takes `byte` if it is the next token.
+    #[inline]
+    pub fn eat(&mut self, byte: u8) -> bool {
+        let next = self.peek() == Some(byte);
+        self.pos += usize::from(next);
+        next
+    }
+
+    /// Takes `byte`, which must be the next token.
+    #[inline]
+    pub fn expect(&mut self, byte: u8) -> Option<()> {
+        self.eat(byte).then_some(())
+    }
+
+    /// A string, borrowed from the text unless it has escapes.
+    #[inline]
+    pub fn string(&mut self) -> Option<Cow<'a, str>> {
+        (self.peek()? == b'"').then_some(())?;
+        parse_string(self.text, &mut self.pos).ok()
+    }
+
+    /// A number: [`Json::Int`] or [`Json::Float`], as the tree reads it.
+    #[inline]
+    pub fn number(&mut self) -> Option<Json> {
+        self.peek()?;
+        parse_number(self.text.as_bytes(), &mut self.pos).ok()
+    }
+
+    /// Any value but an array or an object.
+    pub fn scalar(&mut self) -> Option<Json> {
+        match self.peek()? {
+            b'"' => Some(Json::Str(self.string()?.into_owned())),
+            b't' => self.keyword("true", Json::Bool(true)),
+            b'f' => self.keyword("false", Json::Bool(false)),
+            b'n' => self.keyword("null", Json::Null),
+            b'{' | b'[' => None,
+            _ => self.number(),
+        }
+    }
+
+    /// `true` or `false`.
+    pub fn bool(&mut self) -> Option<bool> {
+        match self.scalar()? {
+            Json::Bool(b) => Some(b),
+            _ => None,
+        }
+    }
+
+    /// A keyword, spelled out, read as the tree reads it.
+    fn keyword(&mut self, word: &str, value: Json) -> Option<Json> {
+        self.text[self.pos..].starts_with(word).then_some(())?;
+        self.pos += word.len();
+        Some(value)
+    }
+
+    /// An object, its members handed to `member` by name, in the order the
+    /// text gives them.
+    pub fn object(&mut self, mut member: impl FnMut(&mut Self, &str) -> Option<()>) -> Option<()> {
+        self.expect(b'{')?;
+        if self.eat(b'}') {
+            return Some(());
+        }
+        loop {
+            let name = self.string()?;
+            self.expect(b':')?;
+            member(self, &name)?;
+            if !self.eat(b',') {
+                return self.expect(b'}');
+            }
+        }
+    }
+
+    /// An object whose members are all among `names`, each at most once,
+    /// handed to `member` by name. The set of members given comes back as
+    /// bits: bit `i` for `names[i]`. A name outside `names`, or one given
+    /// twice, is `None`, where the tree would read another member or keep
+    /// the last of two.
+    pub fn members(
+        &mut self,
+        names: &[&str],
+        mut member: impl FnMut(&mut Self, &str) -> Option<()>,
+    ) -> Option<u64> {
+        debug_assert!(names.len() <= 64, "one bit a member");
+        let mut seen = 0u64;
+        self.object(|cursor, name| {
+            let bit = 1 << names.iter().position(|&n| n == name)?;
+            (seen & bit == 0).then_some(())?;
+            seen |= bit;
+            member(cursor, name)
+        })?;
+        Some(seen)
+    }
+
+    /// An array, its items handed to `item`.
+    pub fn array(&mut self, mut item: impl FnMut(&mut Self) -> Option<()>) -> Option<()> {
+        self.expect(b'[')?;
+        if self.eat(b']') {
+            return Some(());
+        }
+        loop {
+            item(self)?;
+            if !self.eat(b',') {
+                return self.expect(b']');
+            }
+        }
+    }
+
+    /// An array of numbers, each converted by `convert`, in a vector
+    /// allocated once: its length is counted from the commas before the
+    /// first `]`, which no number token holds. An empty array, whatever
+    /// its whitespace, allocates nothing.
+    pub fn numbers<T>(&mut self, convert: fn(&Json) -> Option<T>) -> Option<Vec<T>> {
+        (self.peek()? == b'[').then_some(())?;
+        let rest = &self.text.as_bytes()[self.pos + 1..];
+        let items = &rest[..rest.iter().position(|&b| b == b']')?];
+        let mut at = 0;
+        skip_ws(items, &mut at);
+        let mut out = Vec::with_capacity(if at == items.len() {
+            0
+        } else {
+            1 + items.iter().filter(|&&b| b == b',').count()
+        });
+        self.array(|cursor| {
+            out.push(convert(&cursor.number()?)?);
+            Some(())
+        })?;
+        Some(out)
     }
 }
 
@@ -562,6 +706,26 @@ mod tests {
             let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
             assert_eq!(err, "nesting deeper than 128");
         }
+    }
+
+    #[test]
+    fn cursor_number_arrays_are_allocated_once() {
+        for (text, len) in [("[]", 0), ("[ \n]", 0), ("[1]", 1), ("[ 1 , 2,3 ]", 3)] {
+            let items = Cursor::new(text).numbers(Json::as_i64).unwrap();
+            assert_eq!((items.len(), items.capacity()), (len, len), "{text}");
+        }
+        assert_eq!(Cursor::new("[1,]").numbers(Json::as_i64), None);
+        assert_eq!(Cursor::new("[1.5]").numbers(Json::as_i64), None);
+    }
+
+    #[test]
+    fn cursor_members_are_known_and_given_once() {
+        let read = |text| Cursor::new(text).members(&["a", "b"], |c, _| c.number().map(drop));
+        assert_eq!(read("{}"), Some(0));
+        assert_eq!(read(r#"{ "b" : 1 }"#), Some(0b10));
+        assert_eq!(read(r#"{"\u0061":1,"b":2}"#), Some(0b11));
+        assert_eq!(read(r#"{"a":1,"a":2}"#), None);
+        assert_eq!(read(r#"{"c":1}"#), None);
     }
 
     #[test]

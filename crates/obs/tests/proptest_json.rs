@@ -4,8 +4,9 @@
 //! fail cleanly, nesting on both sides of the cap, and the string writer's
 //! word-at-a-time scan against a byte-at-a-time one.
 
-use dp_obs::json::{parse, write_string, Json, MAX_DEPTH};
+use dp_obs::json::{parse, write_string, Cursor, Json, MAX_DEPTH};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// Characters a generated string draws from: plain ASCII, every character
 /// `write_string` escapes (quote, backslash, `\n` `\r` `\t`, other
@@ -160,7 +161,7 @@ proptest! {
     }
 
     /// Valid documents with bytes overwritten, inserted or removed — then
-    /// made UTF-8 again the way `read_line_limited` does — never panic the
+    /// made UTF-8 again the way the daemon's session does — never panic the
     /// parser; they parse or fail with a message.
     #[test]
     fn mutated_documents_never_panic(
@@ -190,6 +191,162 @@ proptest! {
         for (cut, _) in text.char_indices() {
             let _ = parse(&text[..cut]);
         }
+    }
+}
+
+/// A whole document read by a reader built from nothing but
+/// `Cursor::object`, `Cursor::array` and `Cursor::scalar`, dispatched on
+/// `Cursor::peek`: below `MAX_DEPTH` it must accept what `parse` accepts,
+/// as the same tree, and refuse what `parse` refuses.
+fn cursor_parse(text: &str) -> Option<Json> {
+    fn value(cursor: &mut Cursor) -> Option<Json> {
+        match cursor.peek()? {
+            b'{' => {
+                let mut members = BTreeMap::new();
+                cursor.object(|cursor, name| {
+                    members.insert(name.to_string(), value(cursor)?);
+                    Some(())
+                })?;
+                Some(Json::Object(members))
+            }
+            b'[' => {
+                let mut items = Vec::new();
+                cursor.array(|cursor| {
+                    items.push(value(cursor)?);
+                    Some(())
+                })?;
+                Some(Json::Array(items))
+            }
+            _ => cursor.scalar(),
+        }
+    }
+    let mut cursor = Cursor::new(text);
+    let doc = value(&mut cursor)?;
+    cursor.peek().is_none().then_some(doc)
+}
+
+/// `text` read by the cursor and by the tree: the same tree or both a
+/// refusal (`Debug` tells `-0.0` from `0.0`).
+fn assert_cursor_reads_as_the_tree(text: &str) -> Result<(), TestCaseError> {
+    let tree = parse(text).ok();
+    prop_assert_eq!(
+        format!("{:?}", cursor_parse(text)),
+        format!("{tree:?}"),
+        "document {:?}",
+        text
+    );
+    Ok(())
+}
+
+/// Bytes a JSON token or separator starts or ends with: an edit that
+/// writes one of them makes a near miss (a trailing comma, a missing
+/// colon, a cut keyword) far more often than an arbitrary byte does.
+const SIGNIFICANT: &[u8] = b",:[]{}\"\\ \n01-.etn";
+
+/// An edit's byte: arbitrary below 256, one of `SIGNIFICANT` above.
+fn edit_byte(pick: usize) -> u8 {
+    u8::try_from(pick).unwrap_or_else(|_| SIGNIFICANT[pick % SIGNIFICANT.len()])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Written documents, the same documents with whitespace between
+    /// their tokens, and both with bytes overwritten, inserted or removed:
+    /// the cursor reads each as the tree does.
+    #[test]
+    fn the_cursor_reads_what_the_tree_reads(
+        v in arb_json(),
+        spaces in prop::collection::vec((0usize..4096, 0usize..5), 0..6),
+        near in (0usize..4096, 0usize..512),
+        edits in prop::collection::vec((0usize..3, 0usize..4096, 0usize..512), 0..6),
+    ) {
+        let text = v.to_string();
+        prop_assert_eq!(cursor_parse(&text), Some(v), "document {}", text);
+        // Whitespace before a structural byte is whitespace between tokens
+        // whenever the byte is outside a string; inside one, it is text.
+        let structural = |b: u8| matches!(b, b'{' | b'}' | b'[' | b']' | b',' | b':');
+        let mut bytes = text.into_bytes();
+        for (at, ws) in spaces {
+            let at = at % (bytes.len() + 1);
+            if at == bytes.len() || structural(bytes[at]) {
+                bytes.insert(at, b"  \t\n\r"[ws]);
+            }
+        }
+        assert_cursor_reads_as_the_tree(&String::from_utf8_lossy(&bytes))?;
+        // One byte put before a structural one: a trailing comma, a
+        // doubled colon, a closer without its opener.
+        let before: Vec<usize> = (0..bytes.len()).filter(|&i| structural(bytes[i])).collect();
+        if let Some(&at) = before.get(near.0 % before.len().max(1)) {
+            let mut near_miss = bytes.clone();
+            near_miss.insert(at, SIGNIFICANT[near.1 % SIGNIFICANT.len()]);
+            assert_cursor_reads_as_the_tree(&String::from_utf8_lossy(&near_miss))?;
+        }
+        for (kind, at, pick) in edits {
+            let at = at % (bytes.len() + 1);
+            match kind {
+                0 if at < bytes.len() => bytes[at] = edit_byte(pick),
+                1 if at < bytes.len() => { bytes.remove(at); }
+                _ => bytes.insert(at, edit_byte(pick)),
+            }
+            assert_cursor_reads_as_the_tree(&String::from_utf8_lossy(&bytes))?;
+        }
+    }
+
+    /// Nested documents below the cap read as the tree reads them.
+    #[test]
+    fn the_cursor_reads_nesting_below_the_cap(depth in 1usize..MAX_DEPTH, shape in 0i64..i64::MAX) {
+        assert_cursor_reads_as_the_tree(&nested(depth, shape, true))?;
+        assert_cursor_reads_as_the_tree(&nested(depth, shape, false))?;
+    }
+}
+
+/// Documents one token or separator away from valid: the cursor refuses
+/// each, as the tree does, and reads each valid neighbour as the tree does.
+#[test]
+fn the_cursor_refuses_the_near_misses_the_tree_refuses() {
+    let near_misses = [
+        "",
+        " ",
+        "[1,]",
+        "[,1]",
+        "[1 2]",
+        "[1]]",
+        "[}",
+        "{]",
+        "{,}",
+        "{\"a\":1,}",
+        "{\"a\" 1}",
+        "{\"a\":}",
+        "{\"a\"::1}",
+        "{1:2}",
+        "{\"a\":1}}",
+        "{\"a\":1 \"b\":2}",
+        "\"abc",
+        "\"a\\q\"",
+        "tru",
+        "nul",
+        "fals",
+        "truex",
+        "-",
+        "1e",
+        "--1",
+        "1 2",
+        "[1,2",
+        "{\"a\"",
+        "\u{b}1",
+        "[\u{a0}1]",
+    ];
+    for text in near_misses {
+        assert_eq!(parse(text).ok(), None, "the tree takes {text:?}");
+        assert_eq!(cursor_parse(text), None, "the cursor takes {text:?}");
+    }
+    for text in [
+        " [ 1 , -2.5e3 ,\"\\u0041\"] ",
+        "{ \"a\" : { } , \"b\" : [ ] }",
+        "\ttrue\r\n",
+    ] {
+        assert_eq!(cursor_parse(text), Some(parse(text).unwrap()), "{text:?}");
     }
 }
 

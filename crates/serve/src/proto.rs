@@ -32,13 +32,16 @@
 //!
 //! ## Reading and writing a line
 //!
-//! A request line is read by one scanner, the JSON tree's own: the tree
+//! The session takes a line from the socket with [`read_line_into`],
+//! never buffering past the request cap, and makes its bytes UTF-8
+//! lossily. The line is read by one scanner, the JSON tree's own: the tree
 //! path ([`parse_request_tree`]) parses every op, and the one-pass decoder
 //! ([`decode_request`]) reads the hot ones — `execute`, `compile`,
-//! `transform` — straight into a [`Request`], with the same tokens and the
-//! same rules. The decoder answers only where the tree answers the same
-//! and leaves everything else, every refusal included, to the tree, so the
-//! verdicts and their messages are the tree's. An `execute` or `transform`
+//! `transform` — straight into a [`Request`] through [`json::Cursor`],
+//! with the same tokens and the same rules. The decoder answers only where
+//! the tree answers the same and leaves everything else, every refusal
+//! included, to the tree, so the verdicts and their messages are the
+//! tree's. An `execute` or `transform`
 //! success answer is written member by member in the tree's member order
 //! ([`write_execute_answer`], [`write_transform_answer`]), through the
 //! tree's own string and number writers; every other answer is a tree,
@@ -57,7 +60,7 @@
 //! state and sit outside it too.)
 
 use dp_core::{AggConfig, AggGranularity, OptConfig};
-use dp_obs::json::{self, object, Json};
+use dp_obs::json::{self, object, Cursor, Json};
 use dp_sweep::spec::{
     cell_from_json, checked_coarsen_factor, config_from_json, parse_granularity, CellSpec,
 };
@@ -615,13 +618,12 @@ const MEMBERS: [&str; 13] = [
 ];
 
 /// The bits of [`MEMBERS`] only an `execute` reads (`kernel` onwards).
-const EXECUTE_ONLY: u16 = !0 << 7;
+const EXECUTE_ONLY: u64 = !0 << 7;
 
 /// Reads an `execute`, `compile` or `transform` line straight into its
 /// [`Request`], in one pass over the same `line.trim()` the tree parses,
-/// through the tree's own tokens ([`json::skip_ws`], [`json::parse_string`],
-/// [`json::parse_number`]) and the tree path's own rules
-/// (`MAX_EXECUTE_WORDS`, `@buffer` args, [`checked_coarsen_factor`],
+/// through the tree's own tokens ([`json::Cursor`]) and the tree path's own
+/// rules (`MAX_EXECUTE_WORDS`, `@buffer` args, [`checked_coarsen_factor`],
 /// [`parse_granularity`], `agg_threshold` needing `agg`). Members come in
 /// any order. `Some` only for a line the tree parses to the same
 /// [`ParsedRequest`]; `None` for anything else — another op, an unknown or
@@ -630,22 +632,16 @@ const EXECUTE_ONLY: u16 = !0 << 7;
 /// [`parse_request_tree`]. So every verdict, and every message, is the
 /// tree's.
 pub fn decode_request(line: &str) -> Option<ParsedRequest> {
-    let mut scan = Scan {
-        text: line.trim(),
-        pos: 0,
-    };
+    let mut cursor = Cursor::new(line.trim());
     let mut members = Members::default();
-    scan.object(|scan, name| members.read(scan, name))?;
-    json::skip_ws(scan.text.as_bytes(), &mut scan.pos);
-    (scan.pos == scan.text.len()).then_some(())?;
-    members.request()
+    let seen = cursor.members(&MEMBERS, |cursor, name| members.read(cursor, name))?;
+    cursor.peek().is_none().then_some(())?;
+    members.request(seen)
 }
 
 /// The members of a hot request line, as [`decode_request`] reads them.
 #[derive(Default)]
 struct Members<'a> {
-    /// The [`MEMBERS`] bits seen so far.
-    seen: u16,
     op: Option<Cow<'a, str>>,
     id: Option<Json>,
     source: Option<Cow<'a, str>>,
@@ -663,25 +659,22 @@ struct Members<'a> {
 
 impl<'a> Members<'a> {
     /// Reads the value of member `name`.
-    fn read(&mut self, scan: &mut Scan<'a>, name: &str) -> Option<()> {
-        let bit = 1 << MEMBERS.iter().position(|&m| m == name)?;
-        (self.seen & bit == 0).then_some(())?;
-        self.seen |= bit;
+    fn read(&mut self, cursor: &mut Cursor<'a>, name: &str) -> Option<()> {
         match name {
-            "op" => self.op = Some(scan.string()?),
-            "id" => self.id = Some(scan.scalar()?),
-            "source" => self.source = Some(scan.string()?),
-            "threshold" => self.threshold = Some(scan.number()?.as_i64()?),
-            "coarsen" => self.coarsen = Some(scan.number()?.as_i64()?),
-            "agg" => self.agg = Some(parse_granularity(&scan.string()?)?),
-            "agg_threshold" => self.agg_threshold = Some(scan.number()?.as_i64()?),
-            "kernel" => self.kernel = Some(scan.string()?),
-            "grid" => self.grid = Some(scan.number()?.as_i64()?),
-            "block" => self.block = Some(scan.number()?.as_i64()?),
+            "op" => self.op = Some(cursor.string()?),
+            "id" => self.id = Some(cursor.scalar()?),
+            "source" => self.source = Some(cursor.string()?),
+            "threshold" => self.threshold = Some(cursor.number()?.as_i64()?),
+            "coarsen" => self.coarsen = Some(cursor.number()?.as_i64()?),
+            "agg" => self.agg = Some(parse_granularity(&cursor.string()?)?),
+            "agg_threshold" => self.agg_threshold = Some(cursor.number()?.as_i64()?),
+            "kernel" => self.kernel = Some(cursor.string()?),
+            "grid" => self.grid = Some(cursor.number()?.as_i64()?),
+            "block" => self.block = Some(cursor.number()?.as_i64()?),
             "buffers" => {
                 let mut words_left = MAX_EXECUTE_WORDS;
-                scan.array(|scan| {
-                    let buffer = scan.buffer()?;
+                cursor.array(|cursor| {
+                    let buffer = read_buffer(cursor)?;
                     if let BufferData::Words(words) = buffer.data {
                         words_left = words_left.checked_sub(words as u64)?;
                     }
@@ -689,10 +682,10 @@ impl<'a> Members<'a> {
                     Some(())
                 })?;
             }
-            "args" => scan.array(|scan| {
-                let arg = match scan.peek()? {
-                    b'"' => Arg::Buffer(scan.string()?.strip_prefix('@')?.to_string()),
-                    _ => match scan.number()? {
+            "args" => cursor.array(|cursor| {
+                let arg = match cursor.peek()? {
+                    b'"' => Arg::Buffer(cursor.string()?.strip_prefix('@')?.to_string()),
+                    _ => match cursor.number()? {
                         Json::Int(v) => Arg::Int(v),
                         Json::Float(v) => Arg::Float(v),
                         _ => return None,
@@ -701,8 +694,8 @@ impl<'a> Members<'a> {
                 self.args.push(arg);
                 Some(())
             })?,
-            "read" => scan.array(|scan| {
-                self.reads.push(scan.read_spec()?);
+            "read" => cursor.array(|cursor| {
+                self.reads.push(read_spec(cursor)?);
                 Some(())
             })?,
             _ => return None,
@@ -710,8 +703,9 @@ impl<'a> Members<'a> {
         Some(())
     }
 
-    /// The request the members make, built as the tree path builds it.
-    fn request(self) -> Option<ParsedRequest> {
+    /// The request the members make, built as the tree path builds it;
+    /// `seen` holds the [`MEMBERS`] bits the line gave.
+    fn request(self, seen: u64) -> Option<ParsedRequest> {
         let mut config = OptConfig::none();
         if let Some(t) = self.threshold {
             config = config.threshold(t);
@@ -740,8 +734,8 @@ impl<'a> Members<'a> {
                 args: self.args,
                 reads: self.reads,
             })),
-            "compile" if self.seen & EXECUTE_ONLY == 0 => Request::Compile { source, config },
-            "transform" if self.seen & EXECUTE_ONLY == 0 => Request::Transform { source, config },
+            "compile" if seen & EXECUTE_ONLY == 0 => Request::Compile { source, config },
+            "transform" if seen & EXECUTE_ONLY == 0 => Request::Transform { source, config },
             _ => return None,
         };
         Some(ParsedRequest {
@@ -751,157 +745,51 @@ impl<'a> Members<'a> {
     }
 }
 
-/// A cursor over a request line for [`decode_request`]: each read skips
-/// the whitespace before its token, as the tree does.
-struct Scan<'a> {
-    text: &'a str,
-    pos: usize,
+/// One `buffers` entry: a `name` and exactly one of `words`, `ints` and
+/// `floats`.
+fn read_buffer(cursor: &mut Cursor) -> Option<BufferInit> {
+    let (mut name, mut data) = (None, None);
+    let seen = cursor.members(&["name", "words", "ints", "floats"], |cursor, member| {
+        match member {
+            "name" => name = Some(cursor.string()?.into_owned()),
+            "words" => {
+                let words = cursor.number()?.as_u64()?;
+                (words <= MAX_EXECUTE_WORDS).then_some(())?;
+                data = Some(BufferData::Words(words as usize));
+            }
+            "ints" => data = Some(BufferData::Ints(cursor.numbers(Json::as_i64)?)),
+            "floats" => data = Some(BufferData::Floats(cursor.numbers(Json::as_f64)?)),
+            _ => return None,
+        }
+        Some(())
+    })?;
+    // Bits 1 to 3 are the data members: exactly one is set.
+    (seen >> 1).is_power_of_two().then_some(())?;
+    Some(BufferInit {
+        name: name?,
+        data: data?,
+    })
 }
 
-impl<'a> Scan<'a> {
-    /// The next token's first byte.
-    fn peek(&mut self) -> Option<u8> {
-        json::skip_ws(self.text.as_bytes(), &mut self.pos);
-        self.text.as_bytes().get(self.pos).copied()
-    }
-
-    /// Takes `byte` if it is the next token.
-    fn eat(&mut self, byte: u8) -> bool {
-        let next = self.peek() == Some(byte);
-        self.pos += usize::from(next);
-        next
-    }
-
-    fn expect(&mut self, byte: u8) -> Option<()> {
-        self.eat(byte).then_some(())
-    }
-
-    fn string(&mut self) -> Option<Cow<'a, str>> {
-        (self.peek()? == b'"').then_some(())?;
-        json::parse_string(self.text, &mut self.pos).ok()
-    }
-
-    fn number(&mut self) -> Option<Json> {
-        self.peek()?;
-        json::parse_number(self.text.as_bytes(), &mut self.pos).ok()
-    }
-
-    /// A keyword, spelled out, read as the tree reads it.
-    fn keyword(&mut self, word: &str, value: Json) -> Option<Json> {
-        self.text[self.pos..].starts_with(word).then_some(())?;
-        self.pos += word.len();
-        Some(value)
-    }
-
-    /// Any value but an array or an object.
-    fn scalar(&mut self) -> Option<Json> {
-        match self.peek()? {
-            b'"' => Some(Json::Str(self.string()?.into_owned())),
-            b't' => self.keyword("true", Json::Bool(true)),
-            b'f' => self.keyword("false", Json::Bool(false)),
-            b'n' => self.keyword("null", Json::Null),
-            b'{' | b'[' => None,
-            _ => self.number(),
+/// One `read` entry: `buffer` and `len`, optional `offset` and `floats`.
+fn read_spec(cursor: &mut Cursor) -> Option<ReadSpec> {
+    let (mut buffer, mut offset, mut len, mut floats) = (None, 0, None, false);
+    cursor.members(&["buffer", "offset", "len", "floats"], |cursor, member| {
+        match member {
+            "buffer" => buffer = Some(cursor.string()?.into_owned()),
+            "offset" => offset = cursor.number()?.as_u64()? as usize,
+            "len" => len = Some(cursor.number()?.as_u64()? as usize),
+            "floats" => floats = cursor.bool()?,
+            _ => return None,
         }
-    }
-
-    fn bool(&mut self) -> Option<bool> {
-        match self.scalar()? {
-            Json::Bool(b) => Some(b),
-            _ => None,
-        }
-    }
-
-    /// An object, its members handed to `member` by name.
-    fn object(&mut self, mut member: impl FnMut(&mut Self, &str) -> Option<()>) -> Option<()> {
-        self.expect(b'{')?;
-        if self.eat(b'}') {
-            return Some(());
-        }
-        loop {
-            let name = self.string()?;
-            self.expect(b':')?;
-            member(self, &name)?;
-            if !self.eat(b',') {
-                return self.expect(b'}');
-            }
-        }
-    }
-
-    /// An array, its items handed to `item`.
-    fn array(&mut self, mut item: impl FnMut(&mut Self) -> Option<()>) -> Option<()> {
-        self.expect(b'[')?;
-        if self.eat(b']') {
-            return Some(());
-        }
-        loop {
-            item(self)?;
-            if !self.eat(b',') {
-                return self.expect(b']');
-            }
-        }
-    }
-
-    /// An array of numbers, each converted as the tree path converts it.
-    fn numbers<T>(&mut self, convert: fn(&Json) -> Option<T>) -> Option<Vec<T>> {
-        let mut out = Vec::new();
-        self.array(|scan| {
-            out.push(convert(&scan.number()?)?);
-            Some(())
-        })?;
-        Some(out)
-    }
-
-    /// One `buffers` entry: a `name` and exactly one of `words`, `ints`
-    /// and `floats`.
-    fn buffer(&mut self) -> Option<BufferInit> {
-        let mut name = None;
-        let mut data = None;
-        self.object(|scan, member| {
-            match member {
-                "name" if name.is_none() => name = Some(scan.string()?.into_owned()),
-                "words" if data.is_none() => {
-                    let words = scan.number()?.as_u64()?;
-                    (words <= MAX_EXECUTE_WORDS).then_some(())?;
-                    data = Some(BufferData::Words(words as usize));
-                }
-                "ints" if data.is_none() => {
-                    data = Some(BufferData::Ints(scan.numbers(Json::as_i64)?))
-                }
-                "floats" if data.is_none() => {
-                    data = Some(BufferData::Floats(scan.numbers(Json::as_f64)?));
-                }
-                _ => return None,
-            }
-            Some(())
-        })?;
-        Some(BufferInit {
-            name: name?,
-            data: data?,
-        })
-    }
-
-    /// One `read` entry: `buffer` and `len`, optional `offset` and
-    /// `floats`.
-    fn read_spec(&mut self) -> Option<ReadSpec> {
-        let (mut buffer, mut offset, mut len, mut floats) = (None, None, None, None);
-        self.object(|scan, member| {
-            match member {
-                "buffer" if buffer.is_none() => buffer = Some(scan.string()?.into_owned()),
-                "offset" if offset.is_none() => offset = Some(scan.number()?.as_u64()? as usize),
-                "len" if len.is_none() => len = Some(scan.number()?.as_u64()? as usize),
-                "floats" if floats.is_none() => floats = Some(scan.bool()?),
-                _ => return None,
-            }
-            Some(())
-        })?;
-        Some(ReadSpec {
-            buffer: buffer?,
-            offset: offset.unwrap_or(0),
-            len: len?,
-            floats: floats.unwrap_or(false),
-        })
-    }
+        Some(())
+    })?;
+    Some(ReadSpec {
+        buffer: buffer?,
+        offset,
+        len: len?,
+        floats,
+    })
 }
 
 // ----------------------------------------------------------------------
@@ -1211,11 +1099,11 @@ pub fn read_line(r: &mut impl BufRead) -> std::io::Result<Option<String>> {
     Ok(Some(line))
 }
 
-/// Outcome of a bounded line read ([`read_line_limited`]).
+/// Outcome of a bounded line read ([`read_line_into`]).
 #[derive(Debug, PartialEq, Eq)]
-pub enum LineRead<L = String> {
-    /// One line (trailing newline included when present).
-    Line(L),
+pub enum LineRead<'b> {
+    /// One line's raw bytes (trailing newline included when present).
+    Line(&'b [u8]),
     /// The line exceeded the byte cap; its bytes were left unconsumed
     /// (the server answers a structured error and closes the connection).
     TooLarge,
@@ -1223,31 +1111,19 @@ pub enum LineRead<L = String> {
     Eof,
 }
 
-/// Reads one line of at most `max_bytes` bytes (newline included) without
-/// ever buffering more than the cap — a hostile or broken client cannot
-/// make the server allocate an unbounded line. Invalid UTF-8 is replaced
-/// lossily rather than surfaced as an I/O error, so one binary-garbage
-/// line becomes a parse error instead of silently dropping the session.
-/// `max_bytes == 0` means unlimited.
-pub fn read_line_limited(r: &mut impl BufRead, max_bytes: usize) -> std::io::Result<LineRead> {
-    let mut bytes = Vec::new();
-    Ok(match read_line_into(r, max_bytes, &mut bytes)? {
-        LineRead::Line(_) => LineRead::Line(match String::from_utf8(bytes) {
-            Ok(line) => line,
-            Err(e) => String::from_utf8_lossy(e.as_bytes()).into_owned(),
-        }),
-        LineRead::TooLarge => LineRead::TooLarge,
-        LineRead::Eof => LineRead::Eof,
-    })
-}
-
-/// [`read_line_limited`] into a buffer the caller keeps (cleared first):
-/// the line is its raw bytes, as many as were taken from the socket.
-pub(crate) fn read_line_into<'b>(
+/// Reads one line of at most `max_bytes` bytes (newline included) into
+/// `bytes`, a buffer the caller keeps (cleared first), without ever
+/// buffering more than the cap — a hostile or broken client cannot make
+/// the server allocate an unbounded line. The line is its raw bytes, as
+/// many as were taken from the socket; the server makes them UTF-8 with
+/// `String::from_utf8_lossy`, so one binary-garbage line becomes a parse
+/// error instead of an I/O error that drops the session. `max_bytes == 0`
+/// means unlimited.
+pub fn read_line_into<'b>(
     r: &mut impl BufRead,
     max_bytes: usize,
     bytes: &'b mut Vec<u8>,
-) -> std::io::Result<LineRead<&'b [u8]>> {
+) -> std::io::Result<LineRead<'b>> {
     let max_bytes = if max_bytes == 0 {
         usize::MAX
     } else {
@@ -1559,26 +1435,32 @@ mod tests {
     #[test]
     fn limited_reads_enforce_the_cap() {
         use std::io::Cursor;
+        let mut raw = Vec::new();
         let mut r = Cursor::new(b"short\nlonger line\n".to_vec());
         assert_eq!(
-            read_line_limited(&mut r, 8).unwrap(),
-            LineRead::Line("short\n".to_string())
+            read_line_into(&mut r, 8, &mut raw).unwrap(),
+            LineRead::Line(b"short\n")
         );
-        assert_eq!(read_line_limited(&mut r, 8).unwrap(), LineRead::TooLarge);
+        assert_eq!(
+            read_line_into(&mut r, 8, &mut raw).unwrap(),
+            LineRead::TooLarge
+        );
 
         // Unlimited (0) accepts anything and reports clean EOF after.
         let mut r = Cursor::new(b"x".repeat(100_000));
-        let LineRead::Line(line) = read_line_limited(&mut r, 0).unwrap() else {
+        let LineRead::Line(line) = read_line_into(&mut r, 0, &mut raw).unwrap() else {
             panic!("unlimited read must succeed");
         };
         assert_eq!(line.len(), 100_000);
-        assert_eq!(read_line_limited(&mut r, 0).unwrap(), LineRead::Eof);
+        assert_eq!(read_line_into(&mut r, 0, &mut raw).unwrap(), LineRead::Eof);
 
-        // Invalid UTF-8 is replaced, not an I/O error.
+        // Invalid UTF-8 is a line, not an I/O error, and the session's
+        // lossy step replaces it.
         let mut r = Cursor::new(b"\xff\xfe{\"op\"}\n".to_vec());
-        let LineRead::Line(line) = read_line_limited(&mut r, 64).unwrap() else {
+        let LineRead::Line(line) = read_line_into(&mut r, 64, &mut raw).unwrap() else {
             panic!("lossy read must succeed");
         };
+        let line = String::from_utf8_lossy(line);
         assert!(line.contains('\u{FFFD}'), "{line:?}");
     }
 

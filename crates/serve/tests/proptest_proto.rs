@@ -1,6 +1,6 @@
-//! Property tests for the request path's own parsers: `read_line_limited`
-//! (socket bytes → one bounded line) and `proto::parse_request` (line →
-//! `Request`). Whatever arrives, neither panics; a line over the cap is
+//! Property tests for the request path's own parsers: `read_line_into`
+//! (socket bytes → one bounded line, made UTF-8 as the session does) and
+//! `proto::parse_request` (line → `Request`). Whatever arrives, neither panics; a line over the cap is
 //! `TooLarge` with no more than the cap buffered; every refusal is a
 //! message the server can answer as one `kind:"parse"` line; and an `id`
 //! outlives a malformed body.
@@ -75,9 +75,9 @@ proptest! {
     /// Arbitrary bytes, made a line the way the session does.
     #[test]
     fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(0u8..255, 0..200)) {
-        let mut reader = Cursor::new(bytes);
-        while let LineRead::Line(line) = proto::read_line_limited(&mut reader, 64).unwrap() {
-            assert_answerable(&proto::parse_request(&line))?;
+        let (mut reader, mut raw) = (Cursor::new(bytes), Vec::new());
+        while let LineRead::Line(line) = proto::read_line_into(&mut reader, 64, &mut raw).unwrap() {
+            assert_answerable(&proto::parse_request(&String::from_utf8_lossy(line)))?;
         }
     }
 
@@ -145,7 +145,7 @@ proptest! {
         );
     }
 
-    /// `read_line_limited` hands back exactly the lines under the cap and
+    /// `read_line_into` hands back exactly the lines under the cap and
     /// stops at the first one over it, having taken no more than the cap
     /// from the socket.
     #[test]
@@ -160,9 +160,10 @@ proptest! {
             input.push(b'\n');
         }
         let mut reader = BufReader::with_capacity(chunk, Cursor::new(input));
+        let mut raw = Vec::new();
         for len in &lengths {
             let taken_before = reader.get_ref().position() as usize - reader.buffer().len();
-            let read = proto::read_line_limited(&mut reader, cap).unwrap();
+            let read = proto::read_line_into(&mut reader, cap, &mut raw).unwrap();
             let taken = reader.get_ref().position() as usize - reader.buffer().len() - taken_before;
             if len + 1 > cap {
                 prop_assert_eq!(read, LineRead::TooLarge);
@@ -174,7 +175,7 @@ proptest! {
             };
             prop_assert_eq!(line.len(), len + 1);
         }
-        prop_assert_eq!(proto::read_line_limited(&mut reader, cap).unwrap(), LineRead::Eof);
+        prop_assert_eq!(proto::read_line_into(&mut reader, cap, &mut raw).unwrap(), LineRead::Eof);
         prop_assert!(reader.fill_buf().unwrap().is_empty());
     }
 }

@@ -46,7 +46,7 @@
 use crate::faults::{self, FaultPlan};
 use crate::key::{fnv1a, CACHE_FORMAT_VERSION};
 use crate::CellSummary;
-use dp_obs::json::{self, num, object, uint, Json};
+use dp_obs::json::{self, num, object, uint, Cursor, Json};
 use dp_obs::metrics::Counter;
 use std::fmt::{self, Write as _};
 use std::path::{Path, PathBuf};
@@ -164,9 +164,10 @@ fn renders_as(text: &str, shown: impl fmt::Display) -> bool {
 /// corrupt about it, the strings quarantine diagnostics and `cache verify`
 /// print. Nothing here allocates by a number read from `text`.
 ///
-/// A body in exactly the shape [`summary_json`] writes, naming `key`, is
-/// decoded in one pass (`decode_summary`); any other body is parsed as a
-/// JSON tree and decided there, with the same verdict.
+/// A body that gives each member [`summary_json`] writes exactly once,
+/// naming `key`, is decoded in one pass (`decode_summary`), however it
+/// spells its whitespace, member order and strings; any other body is
+/// parsed as a JSON tree and decided there, with the same verdict.
 pub fn check(text: &str, key: u64) -> Result<CellSummary, &'static str> {
     let Some(idx) = text.rfind(FOOTER_MARK) else {
         // No footer. A pre-checksum (v1) entry still decodes as versioned
@@ -244,112 +245,45 @@ const MEMBERS: [&str; 16] = [
     "warp_avg_total_us",
 ];
 
-/// [`check`]'s one pass over a body in the shape [`summary_json`] writes,
-/// straight into a summary: no whitespace, each of the [`MEMBERS`] exactly
-/// once under an unescaped name, every number read by
-/// [`json::parse_number`] and converted as [`Json::as_f64`] /
-/// [`Json::as_u64`] / [`Json::as_i64`] do, nothing after the closing
-/// brace, the version current and the key `key`. It answers only then, and
-/// such a body is one the tree path accepts with the same summary; for
-/// anything else it says `None` and the tree path decides. So the verdicts
-/// are the tree's by construction.
+/// [`check`]'s one pass over a body that gives each of the [`MEMBERS`]
+/// exactly once, in any order, spelled as the tree reads JSON (whitespace
+/// between tokens, escapes in strings), straight into a summary: every
+/// token read by [`json::Cursor`] and every number converted as
+/// [`Json::as_f64`] / [`Json::as_u64`] / [`Json::as_i64`] do, nothing but
+/// whitespace after the closing brace, the version current and the key
+/// `key`. It answers only then, and such a body is one the tree path
+/// accepts with the same summary; for anything else it says `None` and the
+/// tree path decides. So the verdicts are the tree's by construction.
 fn decode_summary(body: &str, key: u64) -> Option<CellSummary> {
-    let mut r = Reader { text: body, pos: 0 };
+    let mut cursor = Cursor::new(body);
     let mut s = CellSummary {
         verified: true,
         from_cache: true,
         ..CellSummary::default()
     };
-    let mut seen = 0u16;
-    r.expect(b'{')?;
-    loop {
-        let name = r.string()?;
-        r.expect(b':')?;
-        let bit = 1 << MEMBERS.iter().position(|&m| m == name)?;
-        if seen & bit != 0 {
-            return None;
-        }
-        seen |= bit;
+    let seen = cursor.members(&MEMBERS, |c, name| {
         match name {
-            "version" => (r.number()?.as_u64()? == u64::from(CACHE_FORMAT_VERSION)).then_some(())?,
-            "key" => renders_as(r.string()?, format_args!("{key:016x}")).then_some(())?,
-            "total_us" => s.total_us = r.number()?.as_f64()?,
-            "device_span_us" => s.device_span_us = r.number()?.as_f64()?,
-            "parent_us" => s.parent_us = r.number()?.as_f64()?,
-            "child_us" => s.child_us = r.number()?.as_f64()?,
-            "launch_us" => s.launch_us = r.number()?.as_f64()?,
-            "aggregation_us" => s.aggregation_us = r.number()?.as_f64()?,
-            "disaggregation_us" => s.disaggregation_us = r.number()?.as_f64()?,
-            "warp_avg_total_us" => s.warp_avg_total_us = r.number()?.as_f64()?,
-            "device_launches" => s.device_launches = r.number()?.as_u64()?,
-            "host_launches" => s.host_launches = r.number()?.as_u64()?,
-            "origin_cycles_total" => s.origin_cycles_total = r.number()?.as_u64()?,
-            "instructions" => s.instructions = r.number()?.as_u64()?,
-            "output_ints" => s.output_ints = r.numbers(Json::as_i64)?,
-            "output_floats" => s.output_floats = r.numbers(Json::as_f64)?,
+            "version" => (c.number()?.as_u64()? == u64::from(CACHE_FORMAT_VERSION)).then_some(())?,
+            "key" => renders_as(&c.string()?, format_args!("{key:016x}")).then_some(())?,
+            "total_us" => s.total_us = c.number()?.as_f64()?,
+            "device_span_us" => s.device_span_us = c.number()?.as_f64()?,
+            "parent_us" => s.parent_us = c.number()?.as_f64()?,
+            "child_us" => s.child_us = c.number()?.as_f64()?,
+            "launch_us" => s.launch_us = c.number()?.as_f64()?,
+            "aggregation_us" => s.aggregation_us = c.number()?.as_f64()?,
+            "disaggregation_us" => s.disaggregation_us = c.number()?.as_f64()?,
+            "warp_avg_total_us" => s.warp_avg_total_us = c.number()?.as_f64()?,
+            "device_launches" => s.device_launches = c.number()?.as_u64()?,
+            "host_launches" => s.host_launches = c.number()?.as_u64()?,
+            "origin_cycles_total" => s.origin_cycles_total = c.number()?.as_u64()?,
+            "instructions" => s.instructions = c.number()?.as_u64()?,
+            "output_ints" => s.output_ints = c.numbers(Json::as_i64)?,
+            "output_floats" => s.output_floats = c.numbers(Json::as_f64)?,
             _ => return None,
         }
-        if !r.eat(b',') {
-            break;
-        }
-    }
-    r.expect(b'}')?;
-    (r.pos == body.len() && seen == u16::MAX).then_some(s)
-}
-
-/// A cursor over a compact JSON text, for [`decode_summary`].
-struct Reader<'a> {
-    text: &'a str,
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn eat(&mut self, byte: u8) -> bool {
-        let next = self.text.as_bytes().get(self.pos) == Some(&byte);
-        self.pos += usize::from(next);
-        next
-    }
-
-    fn expect(&mut self, byte: u8) -> Option<()> {
-        self.eat(byte).then_some(())
-    }
-
-    /// A string without escapes: the bytes between its quotes.
-    fn string(&mut self) -> Option<&'a str> {
-        self.expect(b'"')?;
-        let rest = &self.text[self.pos..];
-        let len = rest.find(['"', '\\'])?;
-        (rest.as_bytes()[len] == b'"').then_some(())?;
-        self.pos += len + 1;
-        Some(&rest[..len])
-    }
-
-    fn number(&mut self) -> Option<Json> {
-        json::parse_number(self.text.as_bytes(), &mut self.pos).ok()
-    }
-
-    /// An array of numbers, each converted by `convert`, in a vector
-    /// allocated once: its length is counted from the commas before `]`.
-    fn numbers<T>(&mut self, convert: fn(&Json) -> Option<T>) -> Option<Vec<T>> {
-        self.expect(b'[')?;
-        let rest = &self.text[self.pos..];
-        let items = &rest[..rest.find(']')?];
-        let mut out = Vec::with_capacity(match items {
-            "" => 0,
-            _ => 1 + items.bytes().filter(|&b| b == b',').count(),
-        });
-        if self.eat(b']') {
-            return Some(out);
-        }
-        loop {
-            out.push(convert(&self.number()?)?);
-            if !self.eat(b',') {
-                break;
-            }
-        }
-        self.expect(b']')?;
-        Some(out)
-    }
+        Some(())
+    })?;
+    (cursor.peek().is_none() && seen == (1 << MEMBERS.len()) - 1).then_some(s)
 }
 
 /// Puts a failed entry aside as `<key>.corrupt` so it is never re-parsed
@@ -944,6 +878,19 @@ mod tests {
             decode_summary(&body, 8).is_none(),
             "another key is the tree's to refuse"
         );
+        // Whitespace between tokens, and a member name spelled with an
+        // escape, read as the tree reads them.
+        let spaced = body
+            .replace(',', " ,\n\t")
+            .replace(':', "\r: ")
+            .replace('[', "[ ");
+        let escaped = body.replacen("\"total_us\"", "\"tot\\u0061l_us\"", 1);
+        for respelled in [format!(" {spaced}\n"), escaped] {
+            assert_ne!(respelled, body);
+            let decoded =
+                decode_summary(&respelled, 7).expect("a respelled body decodes in one pass");
+            assert_eq!(summary_json(7, &decoded).to_string(), body, "{respelled}");
+        }
     }
 
     fn sample_summary(label: &str) -> CellSummary {

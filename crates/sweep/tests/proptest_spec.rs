@@ -268,7 +268,7 @@ proptest! {
     }
 
     /// A valid spec with bytes overwritten, inserted or removed — then made
-    /// UTF-8 again the way `read_line_limited` does — parses or fails with
+    /// UTF-8 again the way the daemon's session does — parses or fails with
     /// a message, as a spec and (when it is still JSON) as a cell.
     #[test]
     fn mutated_specs_never_panic(

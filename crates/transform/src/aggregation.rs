@@ -115,26 +115,55 @@ pub fn apply(program: &mut Program, config: &AggConfig) -> TransformManifest {
 }
 
 /// One aggregated launch site: its number in the program, the kernel it
-/// launched, how many arguments it passed, and the summary of its parent,
-/// whose identifiers no name it generates there may take.
+/// launched, the summary of its parent, whose identifiers no name it
+/// generates there may take, and the names the launch's replacement, the
+/// parent's declarations and the epilogue all use, each made once.
 struct SiteInfo<'p> {
     id: usize,
     child: Name,
-    args: usize,
     used: BodyFacts<'p>,
+    /// `_a_gS` and `_a_bS`: the launch's grid and block, 0 for a thread
+    /// that does not launch.
+    g: Name,
+    b: Name,
+    /// Per argument `j`: its variable `_a_argS_j` and its buffer
+    /// `_a_arrS_j`.
+    args: Vec<(Name, Name)>,
 }
 
-impl SiteInfo<'_> {
-    /// The name `base` takes at this site: `_a_g` is `_a_g3` at site 3.
-    fn name(&self, base: &str) -> Name {
-        fresh_local(numbered(base, self.id), self.used)
+impl<'p> SiteInfo<'p> {
+    fn new(id: usize, child: Name, args: usize, used: BodyFacts<'p>) -> Self {
+        let name = |base: &str| fresh_local(numbered(base, id), used);
+        let arg = |base: &str, j: usize| {
+            let (mut site, mut arg) = ([0; 20], [0; 20]);
+            let name = concat(&[base, decimal(id, &mut site), "_", decimal(j, &mut arg)]);
+            fresh_local(name, used)
+        };
+        SiteInfo {
+            id,
+            child,
+            used,
+            g: name("_a_g"),
+            b: name("_a_b"),
+            args: (0..args)
+                .map(|j| (arg("_a_arg", j), arg("_a_arr", j)))
+                .collect(),
+        }
     }
 
-    /// The name of argument `j`'s variable or buffer at this site.
-    fn arg(&self, base: &str, j: usize) -> Name {
-        let (mut id, mut arg) = ([0; 20], [0; 20]);
-        let name = concat(&[base, decimal(self.id, &mut id), "_", decimal(j, &mut arg)]);
-        fresh_local(name, self.used)
+    /// The buffer parameters `_a_scanS`, `_a_bArrS`, `_a_ctrS`, `_a_maxBS`,
+    /// `_a_finS`, `_a_partS` and `_a_slotsS`, which the parent's signature
+    /// and the epilogue share.
+    fn buffers(&self) -> [Name; 7] {
+        [
+            "_a_scan", "_a_bArr", "_a_ctr", "_a_maxB", "_a_fin", "_a_part", "_a_slots",
+        ]
+        .map(|n| self.name(n))
+    }
+
+    /// The name `base` takes at this site: `_a_grp` is `_a_grp3` at site 3.
+    fn name(&self, base: &str) -> Name {
+        fresh_local(numbered(base, self.id), self.used)
     }
 }
 
@@ -230,53 +259,56 @@ fn transform_parent(
                 name
             }
         };
-        for name in ["_a_g", "_a_b"] {
+        for name in [&site.g, &site.b] {
             new_body.push(Stmt::decl(
                 Type::Int,
-                site.name(name),
+                name.clone(),
                 Some(Expr::int(0, CodeOrigin::AggLogic)),
                 CodeOrigin::AggLogic,
             ));
         }
         let mut buffer_params = Vec::new();
-        for (j, p) in child_fn.params.iter().enumerate() {
-            let arg = site.arg("_a_arg", j);
-            new_body.push(Stmt::decl(p.ty.clone(), arg, None, CodeOrigin::AggLogic));
-            new_params.push(param(p.ty.clone().ptr_to(), &site.arg("_a_arr", j)));
+        for (j, (p, (arg, arr))) in child_fn.params.iter().zip(&site.args).enumerate() {
+            new_body.push(Stmt::decl(
+                p.ty.clone(),
+                arg.clone(),
+                None,
+                CodeOrigin::AggLogic,
+            ));
+            new_params.push(param(p.ty.clone().ptr_to(), arr));
             buffer_params.push(BufferParam::ArgArray {
                 index: j,
                 ty: p.ty.clone(),
             });
         }
+        let buffers = site.buffers();
         epilogue.extend(build_epilogue(
             site,
+            &buffers,
             &agg_kernel,
             granularity,
             agg_threshold,
         ));
 
-        let mut buffer = |ty: Type, name: &str, kind: BufferParam| {
-            new_params.push(param(ty, &site.name(name)));
+        let [scan, barr, ctr, maxb, fin, part, slots] = &buffers;
+        let mut buffer = |ty: Type, name: &Name, kind: BufferParam| {
+            new_params.push(param(ty, name));
             buffer_params.push(kind);
         };
-        buffer(Type::Int.ptr_to(), "_a_scan", BufferParam::GDimScanned);
-        buffer(Type::Int.ptr_to(), "_a_bArr", BufferParam::BDimArray);
-        buffer(Type::Long.ptr_to(), "_a_ctr", BufferParam::PackedCounter);
-        buffer(Type::Int.ptr_to(), "_a_maxB", BufferParam::MaxBDim);
+        buffer(Type::Int.ptr_to(), scan, BufferParam::GDimScanned);
+        buffer(Type::Int.ptr_to(), barr, BufferParam::BDimArray);
+        buffer(Type::Long.ptr_to(), ctr, BufferParam::PackedCounter);
+        buffer(Type::Int.ptr_to(), maxb, BufferParam::MaxBDim);
         if matches!(
             granularity,
             AggGranularity::Warp | AggGranularity::MultiBlock(_)
         ) {
-            buffer(Type::Int.ptr_to(), "_a_fin", BufferParam::FinishedCounter);
+            buffer(Type::Int.ptr_to(), fin, BufferParam::FinishedCounter);
         }
         if agg_threshold.is_some() {
-            buffer(
-                Type::Int.ptr_to(),
-                "_a_part",
-                BufferParam::ParticipantCounter,
-            );
+            buffer(Type::Int.ptr_to(), part, BufferParam::ParticipantCounter);
         }
-        buffer(Type::Int, "_a_slots", BufferParam::SlotsPerGroup);
+        buffer(Type::Int, slots, BufferParam::SlotsPerGroup);
 
         manifest.agg_sites.push(AggSiteMeta {
             parent: Name::new(parent_name),
@@ -353,22 +385,17 @@ fn replace_launches(stmt: &mut Stmt, loop_depth: usize, walk: &mut Walk) {
     let StmtKind::Launch(launch) = std::mem::replace(&mut stmt.kind, StmtKind::Empty) else {
         unreachable!("matched above")
     };
-    let site = SiteInfo {
-        id: walk.next_id,
-        child: launch.kernel,
-        args: launch.args.len(),
-        used: walk.used,
-    };
+    let site = SiteInfo::new(walk.next_id, launch.kernel, launch.args.len(), walk.used);
     walk.next_id += 1;
 
     // `{ _a_gS = grid; _a_bS = block; _a_argS_j = arg_j; ... }`
     let a = Gen(CodeOrigin::AggLogic);
     let mut stmts = vec![
-        a.set(a.id(&site.name("_a_g")), one_dimensional(launch.grid)),
-        a.set(a.id(&site.name("_a_b")), one_dimensional(launch.block)),
+        a.set(a.id(&site.g), one_dimensional(launch.grid)),
+        a.set(a.id(&site.b), one_dimensional(launch.block)),
     ];
-    for (j, arg) in launch.args.into_iter().enumerate() {
-        stmts.push(a.set(a.id(&site.arg("_a_arg", j)), arg));
+    for ((var, _), arg) in site.args.iter().zip(launch.args) {
+        stmts.push(a.set(a.id(var), arg));
     }
     stmt.kind = StmtKind::Block(stmts);
     stmt.origin = CodeOrigin::AggLogic;
@@ -427,21 +454,19 @@ fn validate_site(
 /// last thread launch the aggregated child.
 fn build_epilogue(
     site: &SiteInfo,
+    buffers: &[Name; 7],
     agg_kernel: &Name,
     granularity: AggGranularity,
     agg_threshold: Option<i64>,
 ) -> Vec<Stmt> {
     use BinOp::{Add, BitAnd, Div, Eq, Ge, Gt, Mul, Shl, Shr, Sub};
     let a = Gen(CodeOrigin::AggLogic);
-    let [g, b, grp, base, pk, pi, sp, pkf, np, tot] = [
-        "_a_g", "_a_b", "_a_grp", "_a_base", "_a_pk", "_a_pi", "_a_sp", "_a_pkf", "_a_np", "_a_tot",
+    let (g, b) = (&site.g, &site.b);
+    let [grp, base, pk, pi, sp, pkf, np, tot] = [
+        "_a_grp", "_a_base", "_a_pk", "_a_pi", "_a_sp", "_a_pkf", "_a_np", "_a_tot",
     ]
     .map(|n| site.name(n));
-    let [scan, barr, ctr, maxb, fin, part, slots] = [
-        "_a_scan", "_a_bArr", "_a_ctr", "_a_maxB", "_a_fin", "_a_part", "_a_slots",
-    ]
-    .map(|n| site.name(n));
-    let arrs: Vec<Name> = (0..site.args).map(|j| site.arg("_a_arr", j)).collect();
+    let [scan, barr, ctr, maxb, fin, part, slots] = buffers;
 
     let group = match granularity {
         AggGranularity::Warp => {
@@ -465,13 +490,13 @@ fn build_epilogue(
     let at_slot = |buffer: &str| a.index(buffer, a.bin(Add, a.id(&base), a.id(&pi)));
     let high = |packed: &str| a.cast(Type::Int, a.bin(Shr, a.id(packed), a.int(32)));
     let low = |packed: &str| a.cast(Type::Int, a.bin(BitAnd, a.id(packed), a.int(4294967295)));
-    let participates = || a.bin(Gt, a.id(&g), a.int(0));
+    let participates = || a.bin(Gt, a.id(g), a.int(0));
     let sync = || a.expr(a.call("__syncthreads", vec![]));
     let fence = || a.expr(a.call("__threadfence", vec![]));
     let finished = || {
         a.bin(
             Add,
-            a.call("atomicAdd", vec![of_group(&fin), a.int(1)]),
+            a.call("atomicAdd", vec![of_group(fin), a.int(1)]),
             a.int(1),
         )
     };
@@ -481,37 +506,38 @@ fn build_epilogue(
     let one_and_g = a.bin(
         Add,
         a.bin(Shl, a.cast(Type::Long, a.int(1)), a.int(32)),
-        a.cast(Type::Long, a.id(&g)),
+        a.cast(Type::Long, a.id(g)),
     );
     let mut store = vec![
         a.decl(
             Type::Long,
             &pk,
-            a.call("atomicAdd", vec![of_group(&ctr), one_and_g]),
+            a.call("atomicAdd", vec![of_group(ctr), one_and_g]),
         ),
         a.decl(Type::Int, &pi, high(&pk)),
         a.decl(Type::Int, &sp, low(&pk)),
     ];
-    for (j, arr) in arrs.iter().enumerate() {
-        store.push(a.set(at_slot(arr), a.id(&site.arg("_a_arg", j))));
+    for (arg, arr) in &site.args {
+        store.push(a.set(at_slot(arr), a.id(arg)));
     }
-    store.push(a.set(at_slot(&scan), a.bin(Add, a.id(&sp), a.id(&g))));
-    store.push(a.set(at_slot(&barr), a.id(&b)));
-    store.push(a.expr(a.call("atomicMax", vec![of_group(&maxb), a.id(&b)])));
+    store.push(a.set(at_slot(scan), a.bin(Add, a.id(&sp), a.id(g))));
+    store.push(a.set(at_slot(barr), a.id(b)));
+    store.push(a.expr(a.call("atomicMax", vec![of_group(maxb), a.id(b)])));
     let store_phase = a.if_(participates(), store);
 
-    let mut agg_args: Vec<Expr> = (arrs.iter().chain([&scan, &barr]))
+    let arrs = site.args.iter().map(|(_, arr)| arr);
+    let mut agg_args: Vec<Expr> = (arrs.chain([scan, barr]))
         .map(|buffer| a.bin(Add, a.id(buffer), a.id(&base)))
         .collect();
     agg_args.push(a.id(&np));
     let agg_launch = a.launch(
         agg_kernel.clone(),
         a.id(&tot),
-        a.index(&maxb, a.id(&grp)),
+        a.index(maxb, a.id(&grp)),
         agg_args,
     );
     let read_and_launch = vec![
-        a.decl(Type::Long, &pkf, a.index(&ctr, a.id(&grp))),
+        a.decl(Type::Long, &pkf, a.index(ctr, a.id(&grp))),
         a.decl(Type::Int, &np, high(&pkf)),
         a.decl(Type::Int, &tot, low(&pkf)),
         a.if_(a.bin(Gt, a.id(&np), a.int(0)), vec![agg_launch]),
@@ -554,19 +580,17 @@ fn build_epilogue(
 
     let mut stmts = vec![
         a.decl(Type::Int, &grp, group),
-        a.decl(Type::Int, &base, a.bin(Mul, a.id(&grp), a.id(&slots))),
+        a.decl(Type::Int, &base, a.bin(Mul, a.id(&grp), a.id(slots))),
     ];
     let mut aggregate = vec![store_phase];
     aggregate.extend(completion);
     if agg_threshold.is_some() {
         // Section V-B: count participants first; aggregate only when enough
         // parent threads participate, otherwise launch directly.
-        let count = a.expr(a.call("atomicAdd", vec![of_group(&part), a.int(1)]));
-        let enough = a.bin(Ge, a.index(&part, a.id(&grp)), a.id(AGG_THRESHOLD_MACRO));
-        let args = (0..site.args)
-            .map(|j| a.id(&site.arg("_a_arg", j)))
-            .collect();
-        let direct = a.launch(site.child.clone(), a.id(&g), a.id(&b), args);
+        let count = a.expr(a.call("atomicAdd", vec![of_group(part), a.int(1)]));
+        let enough = a.bin(Ge, a.index(part, a.id(&grp)), a.id(AGG_THRESHOLD_MACRO));
+        let args = site.args.iter().map(|(arg, _)| a.id(arg)).collect();
+        let direct = a.launch(site.child.clone(), a.id(g), a.id(b), args);
         let direct = vec![a.if_(participates(), vec![direct])];
         stmts.extend([
             a.if_(participates(), vec![count]),
