@@ -1115,37 +1115,55 @@ fn write_table(
     Ok(())
 }
 
-/// Serializes a merged sweep result as JSON (cells in spec order).
+/// Serializes a merged sweep result as JSON (cells in spec order): the
+/// bytes the tree writes (`result_json_tree`, kept as the test oracle),
+/// written member by member in the byte order of their names, without the
+/// tree. A count is written as the `u64` it is; the tree's [`json::uint`]
+/// panics past `i64::MAX`.
 fn result_json(result: &SweepResult) -> String {
-    let cells: Vec<Json> = result
-        .series
-        .iter()
-        .flat_map(|series| {
-            series.cells.iter().map(|cell| {
-                json::object([
-                    ("benchmark", Json::Str(series.benchmark.clone())),
-                    ("dataset", Json::Str(series.dataset_name.clone())),
-                    ("variant", Json::Str(cell.label.clone())),
-                    ("total_us", Json::Float(cell.total_us)),
-                    ("device_launches", json::uint(cell.device_launches)),
-                    ("host_launches", json::uint(cell.host_launches)),
-                    ("instructions", json::uint(cell.instructions)),
-                    ("verified", Json::Bool(cell.verified)),
-                    ("cached", Json::Bool(cell.from_cache)),
-                ])
-            })
-        })
-        .collect();
-    let doc = json::object([
-        ("tool", Json::Str("dpopt sweep".to_string())),
-        ("jobs", json::uint(result.jobs as u64)),
-        ("cache_hits", json::uint(result.cache.hits as u64)),
-        ("cache_misses", json::uint(result.cache.misses as u64)),
-        ("cells", Json::Array(cells)),
-    ]);
-    let mut text = doc.to_string();
-    text.push('\n');
-    text
+    let cells: usize = result.series.iter().map(|s| s.cells.len()).sum();
+    let mut out = String::with_capacity(96 + 192 * cells);
+    out.push_str("{\"cache_hits\":");
+    push_uint(&mut out, result.cache.hits as u64);
+    out.push_str(",\"cache_misses\":");
+    push_uint(&mut out, result.cache.misses as u64);
+    out.push_str(",\"cells\":[");
+    let cells = result.series.iter();
+    let cells = cells.flat_map(|series| series.cells.iter().map(move |cell| (series, cell)));
+    for (i, (series, cell)) in cells.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"benchmark\":");
+        json::write_string(&mut out, &series.benchmark);
+        out.push_str(",\"cached\":");
+        out.push_str(if cell.from_cache { "true" } else { "false" });
+        out.push_str(",\"dataset\":");
+        json::write_string(&mut out, &series.dataset_name);
+        out.push_str(",\"device_launches\":");
+        push_uint(&mut out, cell.device_launches);
+        out.push_str(",\"host_launches\":");
+        push_uint(&mut out, cell.host_launches);
+        out.push_str(",\"instructions\":");
+        push_uint(&mut out, cell.instructions);
+        out.push_str(",\"total_us\":");
+        json::write_f64(&mut out, cell.total_us);
+        out.push_str(",\"variant\":");
+        json::write_string(&mut out, &cell.label);
+        out.push_str(",\"verified\":");
+        out.push_str(if cell.verified { "true" } else { "false" });
+        out.push('}');
+    }
+    out.push_str("],\"jobs\":");
+    push_uint(&mut out, result.jobs as u64);
+    out.push_str(",\"tool\":\"dpopt sweep\"}\n");
+    out
+}
+
+/// Appends `v` in decimal, as [`Json::Int`] writes a non-negative one.
+fn push_uint(out: &mut String, v: u64) {
+    use std::fmt::Write as _;
+    let _ = write!(out, "{v}");
 }
 
 fn parse_arg(args: &[String], i: &mut usize) -> Option<i64> {
@@ -1158,4 +1176,102 @@ fn parse_arg(args: &[String], i: &mut usize) -> Option<i64> {
 fn fail(msg: &str) -> ExitCode {
     eprintln!("error: {msg}");
     ExitCode::FAILURE
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dp_sweep::{CacheStats, CellSummary, SeriesResult};
+
+    /// The tree `result_json` used to build: the oracle for its bytes.
+    fn result_json_tree(result: &SweepResult) -> String {
+        let cells: Vec<Json> = result
+            .series
+            .iter()
+            .flat_map(|series| {
+                series.cells.iter().map(|cell| {
+                    json::object([
+                        ("benchmark", Json::Str(series.benchmark.clone())),
+                        ("dataset", Json::Str(series.dataset_name.clone())),
+                        ("variant", Json::Str(cell.label.clone())),
+                        ("total_us", Json::Float(cell.total_us)),
+                        ("device_launches", json::uint(cell.device_launches)),
+                        ("host_launches", json::uint(cell.host_launches)),
+                        ("instructions", json::uint(cell.instructions)),
+                        ("verified", Json::Bool(cell.verified)),
+                        ("cached", Json::Bool(cell.from_cache)),
+                    ])
+                })
+            })
+            .collect();
+        let doc = json::object([
+            ("tool", Json::Str("dpopt sweep".to_string())),
+            ("jobs", json::uint(result.jobs as u64)),
+            ("cache_hits", json::uint(result.cache.hits as u64)),
+            ("cache_misses", json::uint(result.cache.misses as u64)),
+            ("cells", Json::Array(cells)),
+        ]);
+        let mut text = doc.to_string();
+        text.push('\n');
+        text
+    }
+
+    fn cell(label: &str, total_us: f64, counts: u64, hit: bool) -> CellSummary {
+        CellSummary {
+            label: label.to_string(),
+            total_us,
+            device_launches: counts,
+            host_launches: counts / 3,
+            instructions: counts.wrapping_mul(7) % (i64::MAX as u64),
+            verified: !hit,
+            from_cache: hit,
+            ..CellSummary::default()
+        }
+    }
+
+    #[test]
+    fn result_json_writes_the_trees_bytes() {
+        let series = |benchmark: &str, dataset: &str, cells| SeriesResult {
+            benchmark: benchmark.to_string(),
+            dataset_name: dataset.to_string(),
+            dataset_description: None,
+            cells,
+        };
+        let full = SweepResult {
+            series: vec![
+                series(
+                    "BFS",
+                    "KRON",
+                    vec![
+                        cell("No-CDP", 1234.5678, 0, true),
+                        cell("CDP+T\"128\"\\\n\u{1}é", -0.0, 42, false),
+                        cell("CDP+A", 9_223_372_036_854_775_808.0, i64::MAX as u64, true),
+                        cell("", 1.5e300, 1 << 40, false),
+                    ],
+                ),
+                series("tab\there", "", vec![]),
+                series("SP", "3SAT", vec![cell("x", 0.1, 7, true)]),
+            ],
+            cache: CacheStats {
+                hits: 3,
+                misses: 2,
+                enabled: true,
+            },
+            jobs: 2,
+        };
+        let empty = SweepResult {
+            series: vec![],
+            cache: CacheStats::default(),
+            jobs: 1,
+        };
+        for result in [&full, &empty] {
+            assert_eq!(result_json(result), result_json_tree(result));
+        }
+        assert!(result_json(&full).contains("\"total_us\":-0.0,"));
+        assert!(result_json(&full).contains("\"total_us\":9.223372036854776e18,"));
+        assert_eq!(
+            result_json(&empty),
+            "{\"cache_hits\":0,\"cache_misses\":0,\"cells\":[],\"jobs\":1,\"tool\":\"dpopt sweep\"}\n"
+        );
+    }
 }

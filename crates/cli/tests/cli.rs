@@ -783,3 +783,56 @@ fn a_closed_stdout_fails_the_sweep_cleanly_and_still_writes_the_json() {
     std::fs::remove_file(&spec).ok();
     std::fs::remove_file(&json_out).ok();
 }
+
+/// `dpopt` is a static executable: it has no `PT_INTERP` program header,
+/// so a process starts without the dynamic loader mapping and binding libc
+/// before `main` — a fixed cost every short command (a warm sweep) pays.
+/// The flag that makes it so is in `.cargo/config.toml`.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+#[test]
+fn dpopt_links_statically() {
+    const PT_INTERP: u32 = 3;
+    let elf = std::fs::read(env!("CARGO_BIN_EXE_dpopt")).unwrap();
+    assert_eq!(&elf[..5], b"\x7fELF\x02", "a 64-bit ELF file");
+    let field = |at: usize, len: usize| {
+        let bytes = &elf[at..at + len];
+        bytes
+            .iter()
+            .rev()
+            .fold(0usize, |v, &b| v << 8 | usize::from(b))
+    };
+    let (phoff, phentsize, phnum) = (field(0x20, 8), field(0x36, 2), field(0x38, 2));
+    let interp = (0..phnum).any(|i| field(phoff + i * phentsize, 4) == PT_INTERP as usize);
+    assert!(
+        !interp,
+        "dpopt has a PT_INTERP header: it was linked against the dynamic loader. \
+         `.cargo/config.toml` links it statically (`-C target-feature=+crt-static`); \
+         an environment RUSTFLAGS replaces that flag"
+    );
+}
+
+/// A static `dpopt` still resolves host names: `getaddrinfo` loads the
+/// resolver's NSS modules at run time. `localhost` reaches a daemon bound
+/// to `127.0.0.1`.
+#[test]
+fn the_client_resolves_a_host_name() {
+    let (mut server, addr, _server_stderr) = spawn_server();
+    let port = addr.rsplit(':').next().unwrap();
+    let named = format!("localhost:{port}");
+    let stats = dpopt()
+        .args(["client", "--connect", &named, "--op", "stats"])
+        .output()
+        .unwrap();
+    let text = String::from_utf8_lossy(&stats.stdout);
+    assert!(
+        stats.status.success() && text.contains("\"op\":\"stats\""),
+        "{text}{}",
+        String::from_utf8_lossy(&stats.stderr)
+    );
+    let down = dpopt()
+        .args(["client", "--connect", &named, "--op", "shutdown"])
+        .output()
+        .unwrap();
+    assert!(down.status.success());
+    assert!(server.wait().unwrap().success());
+}

@@ -155,12 +155,14 @@ impl std::fmt::Display for Json {
 /// where the parser refuses bare digits as an overflowing Int, so the float
 /// keeps an exponent.
 ///
-/// # Panics
-///
-/// Panics if `v` is not finite: JSON has no text for it.
+/// JSON has no number for an infinity or a NaN: one is written `null`, as
+/// `JSON.stringify` writes it, so no writer panics on a value it was handed.
+/// A reader expecting a number refuses it; the daemon refuses such a
+/// read-back before writing its answer.
 pub fn write_f64(out: &mut String, v: f64) {
-    assert!(v.is_finite(), "JSON cannot represent {v}");
-    if v.to_bits() == (-0.0f64).to_bits() {
+    if !v.is_finite() {
+        out.push_str("null");
+    } else if v.to_bits() == (-0.0f64).to_bits() {
         out.push_str("-0.0");
     } else if v.abs() >= 9_223_372_036_854_775_808.0 {
         let _ = write!(out, "{v:e}");
@@ -446,37 +448,63 @@ fn raw_string_len(body: &[u8]) -> usize {
 }
 
 /// Reads the number token at `*pos` — the token [`parse`] reads for a
-/// number value, by the same `str::parse` call — and leaves `*pos` after
-/// it.
+/// number value — and leaves `*pos` after it. The token follows JSON's
+/// grammar, `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`, checked in one
+/// walk over its bytes. One without a fraction or an exponent is a
+/// [`Json::Int`] (refused past `i64`); any other is the [`Json::Float`]
+/// `str::parse` reads, refused when it overflows to infinity, which JSON
+/// has no text for.
 #[inline]
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let mut float = false;
-    while let Some(&b) = bytes.get(*pos) {
-        match b {
-            b'0'..=b'9' => *pos += 1,
-            b'.' | b'e' | b'E' | b'+' | b'-' => {
-                float = true;
-                *pos += 1;
-            }
-            _ => break,
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
         }
+        *pos > from
+    };
+    *pos += usize::from(bytes.get(*pos) == Some(&b'-'));
+    let int = *pos;
+    // One leading zero, and only as the whole integer part.
+    let mut valid = digits(pos) && (bytes[int] != b'0' || *pos == int + 1);
+    let mut float = false;
+    if valid && bytes.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        float = true;
+        valid = digits(pos);
     }
+    if valid && matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        float = true;
+        *pos += usize::from(matches!(bytes.get(*pos), Some(b'+' | b'-')));
+        valid = digits(pos);
+    }
+    if !valid {
+        return Err(bad_number(bytes, start, *pos));
+    }
+    // Every byte of the token is ASCII.
     let token = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
     if float {
-        token
-            .parse::<f64>()
-            .map(Json::Float)
-            .map_err(|e| format!("bad number `{token}`: {e}"))
+        match token.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(Json::Float(v)),
+            Ok(_) => Err(format!("number `{token}` overflows to infinity")),
+            Err(e) => Err(format!("bad number `{token}`: {e}")),
+        }
     } else {
         token
             .parse::<i64>()
             .map(Json::Int)
             .map_err(|e| format!("bad number `{token}`: {e}"))
     }
+}
+
+/// The message for a number token refused at `end`, the byte there
+/// included.
+#[cold]
+fn bad_number(bytes: &[u8], start: usize, end: usize) -> String {
+    let token = String::from_utf8_lossy(&bytes[start..bytes.len().min(end + 1)]);
+    format!("bad number `{token}` at byte {start}")
 }
 
 /// A cursor over one JSON text, for a reader of one known document shape
@@ -682,11 +710,65 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_floats_are_written_null() {
+        for v in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let mut out = String::new();
+            write_f64(&mut out, v);
+            assert_eq!(out, "null");
+            assert_eq!(Json::Array(vec![Json::Float(v)]).to_string(), "[null]");
+        }
+    }
+
+    #[test]
     fn large_integers_stay_exact() {
         let v = parse("[9007199254740993, -9007199254740993]").unwrap();
         let items = v.as_array().unwrap();
         assert_eq!(items[0].as_i64(), Some(9_007_199_254_740_993));
         assert_eq!(items[1].as_i64(), Some(-9_007_199_254_740_993));
+    }
+
+    #[test]
+    fn numbers_follow_the_json_grammar() {
+        for (text, value) in [
+            ("0", Json::Int(0)),
+            ("-0", Json::Int(0)),
+            ("10", Json::Int(10)),
+            ("0.5", Json::Float(0.5)),
+            ("-0.0", Json::Float(-0.0)),
+            ("1e5", Json::Float(1e5)),
+            ("1E+5", Json::Float(1e5)),
+            ("2.5e-3", Json::Float(2.5e-3)),
+            ("1e-400", Json::Float(0.0)),
+            ("-1.7976931348623157e308", Json::Float(f64::MIN)),
+        ] {
+            assert_eq!(parse(text), Ok(value), "{text}");
+        }
+        for text in [
+            "01",
+            "-01",
+            "00",
+            "1.",
+            ".5",
+            "-.5",
+            "+1",
+            "1.e5",
+            "1e",
+            "1e+",
+            "-",
+            "--1",
+            "1e400",
+            "-1e400",
+            "0x10",
+            "1.5.2",
+            "9223372036854775808",
+        ] {
+            assert!(parse(text).is_err(), "`{text}` parses");
+        }
+        assert_eq!(
+            parse("[1e400]").unwrap_err(),
+            "number `1e400` overflows to infinity"
+        );
+        assert_eq!(parse("01").unwrap_err(), "bad number `01` at byte 0");
     }
 
     #[test]

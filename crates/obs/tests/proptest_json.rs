@@ -336,6 +336,17 @@ fn the_cursor_refuses_the_near_misses_the_tree_refuses() {
         "{\"a\"",
         "\u{b}1",
         "[\u{a0}1]",
+        "01",
+        "-01",
+        "00",
+        "1.",
+        ".5",
+        "-.5",
+        "+1",
+        "1.e5",
+        "1e400",
+        "[-1e400]",
+        "{\"a\":01}",
     ];
     for text in near_misses {
         assert_eq!(parse(text).ok(), None, "the tree takes {text:?}");

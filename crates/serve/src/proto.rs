@@ -28,7 +28,9 @@
 //! of the three per entry; args are
 //! numbers or `"@name"` buffer references; `read` entries are
 //! `{"buffer":"d","len":N}` with optional `"offset"` and
-//! `"floats":true`.
+//! `"floats":true`. A float read-back that holds an infinity or a NaN has
+//! no JSON number: the `execute` answers an error naming the buffer and
+//! the word (`` read `d`: `d[1]` is inf, … ``) instead.
 //!
 //! ## Reading and writing a line
 //!
@@ -963,6 +965,19 @@ pub enum Values {
     Ints(Vec<i64>),
     /// Read as floats (`"floats":true`).
     Floats(Vec<f64>),
+}
+
+impl Values {
+    /// Words read as floats, refused when one is an infinity or a NaN,
+    /// which JSON has no number for: `Err` gives the first such word's
+    /// index and value. The daemon answers that read as an `execute` error,
+    /// so an answer's floats are always numbers on the wire.
+    pub fn floats(values: Vec<f64>) -> Result<Values, (usize, f64)> {
+        match values.iter().position(|v| !v.is_finite()) {
+            Some(at) => Err((at, values[at])),
+            None => Ok(Values::Floats(values)),
+        }
+    }
 }
 
 /// Writes one object member by member. The members must come in the byte

@@ -1258,9 +1258,19 @@ fn run_execute(
     for read in request.reads {
         let ptr = resolve(&read.buffer)? + read.offset as i64;
         let values = if read.floats {
-            exec.read_f64s(ptr, read.len).map(proto::Values::Floats)
+            let values = exec.read_f64s(ptr, read.len).map_err(|e| e.to_string());
+            values.and_then(|values| {
+                proto::Values::floats(values).map_err(|(at, v)| {
+                    let at = read.offset + at;
+                    format!(
+                        "`{}[{at}]` is {v}, which JSON has no number for",
+                        read.buffer
+                    )
+                })
+            })
         } else {
-            exec.read_i64s(ptr, read.len).map(proto::Values::Ints)
+            let values = exec.read_i64s(ptr, read.len);
+            values.map(proto::Values::Ints).map_err(|e| e.to_string())
         };
         let values = values.map_err(|e| format!("read `{}`: {e}", read.buffer))?;
         outputs.push(proto::Output {

@@ -261,6 +261,16 @@ impl Bits {
         }
     }
 
+    /// A float that may have no JSON number: an infinity or a NaN one time
+    /// in four, else [`Bits::float`].
+    fn any_float(&mut self) -> f64 {
+        match self.below(8) {
+            0 => self.pick(&[f64::INFINITY, f64::NEG_INFINITY]),
+            1 => f64::from_bits(f64::NAN.to_bits() | self.below(1 << 20) as u64),
+            _ => self.float(),
+        }
+    }
+
     /// A string with characters a writer must escape and a reader must
     /// unescape.
     fn string(&mut self) -> String {
@@ -463,7 +473,9 @@ proptest! {
     }
 
     /// `execute` and `transform` answers written member by member are the
-    /// bytes the tree writes.
+    /// bytes the tree writes, an infinity or a NaN included (`null` on
+    /// both paths); the daemon's read-back refuses exactly the floats that
+    /// have no JSON number, naming the first.
     #[test]
     fn direct_answers_are_the_trees_bytes(seed in i64::MIN..i64::MAX) {
         let mut bits = Bits(seed as u64);
@@ -474,7 +486,7 @@ proptest! {
                 let values = if bits.below(2) == 0 {
                     proto::Values::Ints((0..bits.below(5)).map(|_| bits.int()).collect())
                 } else {
-                    proto::Values::Floats((0..bits.below(5)).map(|_| bits.float()).collect())
+                    proto::Values::Floats((0..bits.below(5)).map(|_| bits.any_float()).collect())
                 };
                 proto::Output { buffer: bits.string(), values }
             })
@@ -484,8 +496,14 @@ proptest! {
             host_launches: counter(&mut bits),
             instructions: counter(&mut bits),
             outputs,
-            total_us: bits.float(),
+            total_us: bits.any_float(),
         };
+        for output in &answer.outputs {
+            if let proto::Values::Floats(values) = &output.values {
+                let refused = proto::Values::floats(values.clone()).err().map(|(at, _)| at);
+                prop_assert_eq!(refused, values.iter().position(|v| !v.is_finite()));
+            }
+        }
         let mut line = String::new();
         proto::write_execute_answer(&mut line, id.as_ref(), &answer);
         prop_assert_eq!(&line, &execute_answer_tree(id.as_ref(), &answer));

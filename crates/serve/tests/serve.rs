@@ -586,6 +586,54 @@ fn execute_refuses_malformed_members_keeping_their_id() {
     client.request(&bare_request("shutdown")).expect("shutdown");
 }
 
+/// A float read-back of an infinity has no JSON number: the read is an
+/// `execute` error naming the buffer and the word, and the session goes on
+/// to answer `stats`. (The session thread used to panic in the float
+/// writer, and the client got no answer.)
+#[test]
+fn a_non_finite_float_read_back_is_an_error_on_a_live_session() {
+    let endpoint = start_server_with(ServeOptions {
+        jobs: 1,
+        ..ServeOptions::default()
+    });
+    let mut client = Client::connect(&endpoint).expect("connect");
+    let src = Json::Str("__global__ void k(float* d) { d[1] = 1.0 / 0.0; }".to_string());
+    let read = |offset: usize, id: u32| {
+        format!(
+            r#"{{"op":"execute","source":{src},"kernel":"k","grid":1,"block":1,
+               "buffers":[{{"name":"d","floats":[0.5,0.5,0.25]}}],"args":["@d"],
+               "read":[{{"buffer":"d","len":{},"offset":{offset},"floats":true}}],"id":{id}}}"#,
+            3 - offset
+        )
+        .replace('\n', " ")
+    };
+    for (offset, id) in [(0, 1), (1, 2)] {
+        let answer = client
+            .roundtrip_line(&read(offset, id))
+            .expect("round-trip")
+            .expect("the session answers");
+        assert!(
+            answer.contains(r#""error":"read `d`: `d[1]` is inf, which JSON has no number for""#)
+                && answer.contains(&format!(r#""id":{id},"#))
+                && answer.contains(r#""ok":false"#),
+            "{answer}"
+        );
+    }
+    // The words around it read as they were written.
+    let line = read(2, 3);
+    let answer = client
+        .roundtrip_line(&line)
+        .expect("round-trip")
+        .expect("answer");
+    assert!(
+        answer.contains(r#""outputs":[{"buffer":"d","floats":[0.25]}]"#),
+        "{answer}"
+    );
+    let stats = client.request(&bare_request("stats")).expect("stats");
+    assert_eq!(stats.get("ok"), Some(&Json::Bool(true)), "{stats}");
+    client.request(&bare_request("shutdown")).expect("shutdown");
+}
+
 /// Text outside the basic plane arrives as a surrogate pair of `\u`
 /// escapes from a standard JSON encoder (Python's `json.dumps` by default):
 /// it is read as its one scalar, and the request is served with its `id`.

@@ -49,6 +49,7 @@ use crate::CellSummary;
 use dp_obs::json::{self, num, object, uint, Cursor, Json};
 use dp_obs::metrics::Counter;
 use std::fmt::{self, Write as _};
+use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -97,13 +98,12 @@ fn cell_path(dir: &Path, key: u64) -> PathBuf {
     dir.join(format!("{key:016x}.json"))
 }
 
-/// Best-effort LRU touch: bumps a cache file's modification time so
-/// [`gc`] treats recently *used* entries as recently *valuable*. Failure
-/// is harmless (the entry just ages by its write time).
-fn touch(path: &Path) {
-    if let Ok(f) = std::fs::File::options().write(true).open(path) {
-        let _ = f.set_modified(std::time::SystemTime::now());
-    }
+/// Best-effort LRU touch: bumps the modification time of a cache file, on
+/// the handle it was just read through, so [`gc`] treats recently *used*
+/// entries as recently *valuable*. Failure is harmless (the entry just ages
+/// by its write time).
+fn touch(entry: &File) {
+    let _ = entry.set_modified(std::time::SystemTime::now());
 }
 
 // ----------------------------------------------------------------------
@@ -311,14 +311,14 @@ fn quarantine(dir: &Path, key: u64, reason: &str, rejected: Option<&str>) {
     }
 }
 
-/// Reads the entry filed under `key` and [`check`]s it: `Some` (its path,
-/// raw text and summary) only for a current entry that answers `key`. A
-/// corrupt one is quarantined — never served, never re-parsed; a stale,
-/// absent or unreadable one is a plain miss.
-fn read_checked(dir: &Path, key: u64) -> Option<(PathBuf, String, CellSummary)> {
+/// Reads the entry filed under `key` and [`check`]s it: `Some` (the handle
+/// it was read through, its raw text and summary) only for a current entry
+/// that answers `key`. A corrupt one is quarantined — never served, never
+/// re-parsed; a stale, absent or unreadable one is a plain miss.
+fn read_checked(dir: &Path, key: u64) -> Option<(File, String, CellSummary)> {
     let path = cell_path(dir, key);
-    let text = match faults::fs::read_to_string_with(faults::global(), &path, FS_TAG) {
-        Ok(text) => text,
+    let (entry, text) = match faults::fs::read_to_string_with(faults::global(), &path, FS_TAG) {
+        Ok(read) => read,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
         Err(e) => {
             // Transient read failure: the bytes on disk may be fine, so
@@ -328,7 +328,7 @@ fn read_checked(dir: &Path, key: u64) -> Option<(PathBuf, String, CellSummary)> 
         }
     };
     match check(&text, key) {
-        Ok(summary) => Some((path, text, summary)),
+        Ok(summary) => Some((entry, text, summary)),
         Err(STALE) => None,
         Err(reason) => {
             quarantine(dir, key, reason, None);
@@ -339,10 +339,11 @@ fn read_checked(dir: &Path, key: u64) -> Option<(PathBuf, String, CellSummary)> 
 
 /// Loads a cached summary, if present and **verified** ([`check`]). A
 /// *hit* (and only a hit — stale entries must keep aging toward eviction)
-/// refreshes the entry's modification time, the LRU clock used by [`gc`].
+/// refreshes the entry's modification time, the LRU clock used by [`gc`],
+/// on the handle it was read through: a hit opens its entry once.
 pub fn load(dir: &Path, key: u64) -> Option<CellSummary> {
-    let (path, _, summary) = read_checked(dir, key)?;
-    touch(&path);
+    let (entry, _, summary) = read_checked(dir, key)?;
+    touch(&entry);
     Some(summary)
 }
 
@@ -468,11 +469,11 @@ fn classify_store_error(e: &std::io::Error) -> StoreOutcome {
 fn publish(plan: &FaultPlan, dir: &Path, key: u64, bytes: &[u8]) -> StoreOutcome {
     static PUBLISHES: AtomicU64 = AtomicU64::new(0);
     let path = cell_path(dir, key);
-    if faults::fs::read_to_string_with(plan, &path, FS_TAG)
-        .is_ok_and(|live| live.as_bytes() == bytes)
-    {
-        touch(&path);
-        return StoreOutcome::Stored;
+    if let Ok((live, text)) = faults::fs::read_to_string_with(plan, &path, FS_TAG) {
+        if text.as_bytes() == bytes {
+            touch(&live);
+            return StoreOutcome::Stored;
+        }
     }
     let n = PUBLISHES.fetch_add(1, Ordering::Relaxed);
     let tmp = dir.join(format!("{key:016x}.tmp.{}.{n}", std::process::id()));

@@ -22,7 +22,8 @@
 //! checksum verifier instead of dying in string decoding.
 
 use super::{FaultKind, FaultPlan, FaultPoint};
-use std::io;
+use std::fs::File;
+use std::io::{self, Read};
 use std::path::Path;
 
 const ENOSPC: i32 = 28;
@@ -39,29 +40,45 @@ fn flip_middle_bit(bytes: &mut [u8]) {
     }
 }
 
-/// [`std::fs::read_to_string`] through `plan`.
-pub(crate) fn read_to_string_with(plan: &FaultPlan, path: &Path, tag: &str) -> io::Result<String> {
-    match plan.fire(FaultPoint::FsRead, tag) {
+/// [`std::fs::read_to_string`] through `plan`, keeping the handle the text
+/// was read through: the file is opened read-write, or read-only when
+/// writing is refused, so a caller can set its modification time without
+/// opening it again (best effort, as any write to it is).
+pub(crate) fn read_to_string_with(
+    plan: &FaultPlan,
+    path: &Path,
+    tag: &str,
+) -> io::Result<(File, String)> {
+    let fault = plan.fire(FaultPoint::FsRead, tag);
+    match fault {
         Some(FaultKind::DelayMs(ms)) => std::thread::sleep(std::time::Duration::from_millis(ms)),
         Some(FaultKind::Enospc) => return Err(raw(ENOSPC)),
         Some(FaultKind::Eio) => return Err(raw(EIO)),
-        Some(FaultKind::ShortRead) => {
-            let text = std::fs::read_to_string(path)?;
+        Some(FaultKind::Panic) => panic!("injected fs-read panic ({tag})"),
+        _ => {}
+    }
+    let mut file = match File::options().read(true).write(true).open(path) {
+        Err(e) if e.kind() != io::ErrorKind::NotFound => File::open(path)?,
+        opened => opened?,
+    };
+    let text = if fault == Some(FaultKind::BitFlip) {
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+        flip_middle_bit(&mut bytes);
+        String::from_utf8_lossy(&bytes).into_owned()
+    } else {
+        let mut text = String::new();
+        file.read_to_string(&mut text)?;
+        if fault == Some(FaultKind::ShortRead) {
             let mut cut = text.len() / 2;
-            while cut > 0 && !text.is_char_boundary(cut) {
+            while !text.is_char_boundary(cut) {
                 cut -= 1;
             }
-            return Ok(text[..cut].to_string());
+            text.truncate(cut);
         }
-        Some(FaultKind::BitFlip) => {
-            let mut bytes = std::fs::read(path)?;
-            flip_middle_bit(&mut bytes);
-            return Ok(String::from_utf8_lossy(&bytes).into_owned());
-        }
-        Some(FaultKind::Panic) => panic!("injected fs-read panic ({tag})"),
-        Some(FaultKind::TornWrite) | Some(FaultKind::Disconnect) | None => {}
-    }
-    std::fs::read_to_string(path)
+        text
+    };
+    Ok((file, text))
 }
 
 /// [`std::fs::write`] through `plan`.
@@ -124,7 +141,7 @@ mod tests {
         let plan = FaultPlan::default();
         write_with(&plan, &path, b"hello world", "t").unwrap();
         assert_eq!(
-            read_to_string_with(&plan, &path, "t").unwrap(),
+            read_to_string_with(&plan, &path, "t").unwrap().1,
             "hello world"
         );
         let dest = dir.join("g.txt");
@@ -163,16 +180,71 @@ mod tests {
         let path = dir.join("f.txt");
         std::fs::write(&path, "0123456789").unwrap();
         let plan = FaultPlan::parse("bit-flip@fs-read;short-read@fs-read").unwrap();
-        let flipped = read_to_string_with(&plan, &path, "t").unwrap();
+        let flipped = read_to_string_with(&plan, &path, "t").unwrap().1;
         assert_ne!(flipped, "0123456789");
         assert_eq!(flipped.len(), 10, "bit flip preserves length");
-        let short = read_to_string_with(&plan, &path, "t").unwrap();
+        let short = read_to_string_with(&plan, &path, "t").unwrap().1;
         assert_eq!(short, "01234");
         // Both entries disarmed: clean read.
         assert_eq!(
-            read_to_string_with(&plan, &path, "t").unwrap(),
+            read_to_string_with(&plan, &path, "t").unwrap().1,
             "0123456789"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_read_fault_kind_fires_as_before() {
+        let dir = tmp_dir("kinds");
+        let path = dir.join("f.txt");
+        std::fs::write(&path, "0123456789").unwrap();
+        let plan = FaultPlan::parse(
+            "enospc@fs-read;eio@fs-read;delay-ms1@fs-read;torn-write@fs-read;disconnect@fs-read",
+        )
+        .unwrap();
+        let err = |plan| {
+            read_to_string_with(plan, &path, "t")
+                .unwrap_err()
+                .raw_os_error()
+        };
+        assert_eq!(err(&plan), Some(ENOSPC));
+        assert_eq!(err(&plan), Some(EIO));
+        // A delay reads whole; the write-side and network kinds read whole.
+        for _ in 0..4 {
+            assert_eq!(
+                read_to_string_with(&plan, &path, "t").unwrap().1,
+                "0123456789"
+            );
+        }
+        let panics = FaultPlan::parse("panic@fs-read").unwrap();
+        let read = std::panic::catch_unwind(|| read_to_string_with(&panics, &path, "t").is_ok());
+        assert!(read.is_err(), "an injected panic panics");
+        let missing = read_to_string_with(&panics, &dir.join("absent"), "t").unwrap_err();
+        assert_eq!(missing.kind(), io::ErrorKind::NotFound);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_read_handle_sets_the_modification_time() {
+        let dir = tmp_dir("touch");
+        let path = dir.join("f.txt");
+        std::fs::write(&path, "x").unwrap();
+        let old = std::time::SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(1 << 30);
+        for (i, writable) in [true, false].into_iter().enumerate() {
+            let mut perms = std::fs::metadata(&path).unwrap().permissions();
+            perms.set_readonly(!writable);
+            std::fs::set_permissions(&path, perms).unwrap();
+            let (file, text) = read_to_string_with(&FaultPlan::default(), &path, "t").unwrap();
+            assert_eq!(text, "x");
+            let when = old + std::time::Duration::from_secs(i as u64);
+            // A handle opened read-only still sets the time for the file's
+            // owner; for anyone else the touch is the best effort it was.
+            let touched = file.set_modified(when);
+            assert!(touched.is_ok() || !writable, "{touched:?}");
+            if touched.is_ok() {
+                assert_eq!(std::fs::metadata(&path).unwrap().modified().unwrap(), when);
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

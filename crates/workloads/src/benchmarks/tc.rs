@@ -168,7 +168,7 @@ mod tests {
     #[test]
     fn counts_known_triangle() {
         // K3 plus a pendant vertex: exactly one triangle.
-        let g = CsrGraph::from_edges(4, &[(0, 1), (1, 2), (0, 2), (2, 3)]).symmetrized();
+        let g = CsrGraph::undirected(4, &[(0, 1), (1, 2), (0, 2), (2, 3)]);
         let input = BenchInput::Graph(g);
         let run = run_variant(&Tc, Variant::Cdp(OptConfig::none()), &input).unwrap();
         assert_eq!(run.output.ints, vec![1]);

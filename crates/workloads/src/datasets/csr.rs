@@ -17,33 +17,60 @@ pub struct CsrGraph {
 }
 
 impl CsrGraph {
-    /// Builds a CSR graph from an edge list, removing duplicate edges and
-    /// self-loops, sorting adjacency lists, and assigning pseudo-random
-    /// weights in `[1, 64)` derived from the endpoints (deterministic).
+    /// The directed graph of an edge list, as [`CsrGraph::from_arcs`]
+    /// builds it.
+    #[cfg(test)]
     pub(crate) fn from_edges(num_vertices: usize, edge_list: &[(u32, u32)]) -> CsrGraph {
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); num_vertices];
-        for &(u, v) in edge_list {
-            let (u, v) = (u as usize, v as usize);
-            if u == v || u >= num_vertices || v >= num_vertices {
-                continue;
-            }
-            adj[u].push(v as u32);
+        CsrGraph::from_arcs(num_vertices, edge_list.iter().copied())
+    }
+
+    /// The undirected graph of an edge list: the edges and their reverses,
+    /// as [`CsrGraph::from_arcs`] builds them.
+    pub(crate) fn undirected(num_vertices: usize, edge_list: &[(u32, u32)]) -> CsrGraph {
+        let both = edge_list.iter().flat_map(|&(u, v)| [(u, v), (v, u)]);
+        CsrGraph::from_arcs(num_vertices, both)
+    }
+
+    /// Builds a CSR graph from arcs, removing duplicate arcs, self-loops and
+    /// out-of-range endpoints, sorting adjacency lists, and assigning
+    /// pseudo-random weights in `[1, 64)` derived from the endpoints
+    /// (deterministic). Each row's length is counted into `start` in one
+    /// pass over the arcs, the arcs are placed in one column array in a
+    /// second, and each row is then sorted in place and copied out without
+    /// its duplicates.
+    fn from_arcs(n: usize, arcs: impl Iterator<Item = (u32, u32)> + Clone) -> CsrGraph {
+        let arcs = arcs.filter(move |&(u, v)| u != v && (u as usize) < n && (v as usize) < n);
+        let mut start = vec![0usize; n + 1];
+        for (u, _) in arcs.clone() {
+            start[u as usize + 1] += 1;
         }
-        let mut offsets = Vec::with_capacity(num_vertices + 1);
-        let mut edges = Vec::new();
-        let mut weights = Vec::new();
+        for u in 0..n {
+            start[u + 1] += start[u];
+        }
+        let mut next = start.clone();
+        let mut columns = vec![0u32; start[n]];
+        for (u, v) in arcs {
+            let at = &mut next[u as usize];
+            columns[*at] = v;
+            *at += 1;
+        }
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut edges = Vec::with_capacity(columns.len());
+        let mut weights = Vec::with_capacity(columns.len());
         offsets.push(0);
-        for (u, list) in adj.iter_mut().enumerate() {
-            list.sort_unstable();
-            list.dedup();
-            for &v in list.iter() {
-                edges.push(v as i64);
-                weights.push(edge_weight(u as u32, v));
+        for u in 0..n {
+            let row = &mut columns[start[u]..start[u + 1]];
+            row.sort_unstable();
+            for (i, &v) in row.iter().enumerate() {
+                if i == 0 || row[i - 1] != v {
+                    edges.push(i64::from(v));
+                    weights.push(edge_weight(u as u32, v));
+                }
             }
             offsets.push(edges.len() as i64);
         }
         CsrGraph {
-            num_vertices,
+            num_vertices: n,
             offsets,
             edges,
             weights,
@@ -78,20 +105,9 @@ impl CsrGraph {
     }
 
     /// Neighbours of `v` (sorted).
+    #[cfg(test)]
     pub(crate) fn neighbours(&self, v: usize) -> &[i64] {
         &self.edges[self.offsets[v] as usize..self.offsets[v + 1] as usize]
-    }
-
-    /// Adds the reverse of every edge (symmetrizes), dedicating the result.
-    pub(crate) fn symmetrized(&self) -> CsrGraph {
-        let mut edge_list = Vec::with_capacity(self.num_edges() * 2);
-        for u in 0..self.num_vertices {
-            for &v in self.neighbours(u) {
-                edge_list.push((u as u32, v as u32));
-                edge_list.push((v as u32, u as u32));
-            }
-        }
-        CsrGraph::from_edges(self.num_vertices, &edge_list)
     }
 
     /// A vertex with the highest degree (breadth-first-search source that
@@ -109,6 +125,57 @@ fn edge_weight(u: u32, v: u32) -> i64 {
         ^ (v as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     h ^= h >> 31;
     (h % 63 + 1) as i64
+}
+
+/// What [`CsrGraph::from_edges`] and [`CsrGraph::undirected`] replace — a
+/// vector per vertex, and the undirected graph built twice — kept as the
+/// reference they must equal.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::{edge_weight, CsrGraph};
+
+    pub(crate) fn from_edges(num_vertices: usize, edge_list: &[(u32, u32)]) -> CsrGraph {
+        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); num_vertices];
+        for &(u, v) in edge_list {
+            let (u, v) = (u as usize, v as usize);
+            if u == v || u >= num_vertices || v >= num_vertices {
+                continue;
+            }
+            adj[u].push(v as u32);
+        }
+        let mut offsets = Vec::with_capacity(num_vertices + 1);
+        let mut edges = Vec::new();
+        let mut weights = Vec::new();
+        offsets.push(0);
+        for (u, list) in adj.iter_mut().enumerate() {
+            list.sort_unstable();
+            list.dedup();
+            for &v in list.iter() {
+                edges.push(v as i64);
+                weights.push(edge_weight(u as u32, v));
+            }
+            offsets.push(edges.len() as i64);
+        }
+        CsrGraph {
+            num_vertices,
+            offsets,
+            edges,
+            weights,
+        }
+    }
+
+    /// Adds the reverse of every edge (symmetrizes), deduplicating the
+    /// result.
+    pub(crate) fn symmetrized(g: &CsrGraph) -> CsrGraph {
+        let mut edge_list = Vec::with_capacity(g.num_edges() * 2);
+        for u in 0..g.num_vertices {
+            for &v in g.neighbours(u) {
+                edge_list.push((u as u32, v as u32));
+                edge_list.push((v as u32, u as u32));
+            }
+        }
+        from_edges(g.num_vertices, &edge_list)
+    }
 }
 
 #[cfg(test)]
@@ -146,10 +213,22 @@ mod tests {
 
     #[test]
     fn symmetrize_doubles_reachability() {
-        let g = CsrGraph::from_edges(3, &[(0, 1), (1, 2)]);
-        let s = g.symmetrized();
+        let s = CsrGraph::undirected(3, &[(0, 1), (1, 2)]);
         assert_eq!(s.neighbours(1), &[0, 2]);
         assert_eq!(s.neighbours(2), &[1]);
+    }
+
+    #[test]
+    fn the_counted_csr_equals_the_vector_per_vertex_one() {
+        let mut rng = SmallRng::seed_from_u64(5);
+        for (n, count) in [(0, 0), (1, 3), (4, 0), (10, 100), (300, 2000)] {
+            let mut edges = random_edges(&mut rng, n.max(1), count);
+            edges.push((n as u32, 0)); // out of range: dropped
+            let directed = CsrGraph::from_edges(n, &edges);
+            assert_eq!(directed, oracle::from_edges(n, &edges));
+            let undirected = oracle::symmetrized(&oracle::from_edges(n, &edges));
+            assert_eq!(CsrGraph::undirected(n, &edges), undirected);
+        }
     }
 
     #[test]

@@ -12,6 +12,11 @@ use crate::datasets::csr::CsrGraph;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+/// R-MAT partition probabilities `(a, b, c)`; `d` is the rest.
+const A: f64 = 0.57;
+const B: f64 = 0.19;
+const C: f64 = 0.19;
+
 /// R-MAT generator (Graph500 flavour, substituting for KRON).
 ///
 /// `scale` gives `2^scale` vertices; `edge_factor` edges are drawn per
@@ -19,30 +24,41 @@ use rand::{Rng, SeedableRng};
 /// 0.05)`, then the graph is symmetrized ("-simple" variants of the
 /// Graph500 graphs are undirected with dedup).
 pub fn rmat(scale: u32, edge_factor: u32, seed: u64) -> CsrGraph {
-    let n = 1usize << scale;
+    CsrGraph::undirected(1 << scale, &rmat_edges(scale, edge_factor, seed, quadrant))
+}
+
+/// The quadrant a draw `r` in `[0, 1)` picks, as `(du, dv)`: `(0, 0)` below
+/// `a`, `(0, 1)` below `a + b`, `(1, 0)` below `a + b + c`, else `(1, 1)`.
+/// The three comparisons are computed without a branch — a draw cannot be
+/// predicted, and an if-chain over 39k draws mispredicts: `du` is whether
+/// `r` passed `a + b`, and `dv` whether it passed an odd number of the
+/// three bounds.
+#[inline]
+fn quadrant(r: f64) -> (usize, usize) {
+    let past = |bound: f64| usize::from(r >= bound);
+    (past(A + B), past(A) ^ past(A + B) ^ past(A + B + C))
+}
+
+/// R-MAT's directed edge draws, each bit's quadrant picked by `quadrant`.
+fn rmat_edges(
+    scale: u32,
+    edge_factor: u32,
+    seed: u64,
+    quadrant: impl Fn(f64) -> (usize, usize),
+) -> Vec<(u32, u32)> {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let (a, b, c) = (0.57, 0.19, 0.19);
-    let m = n * edge_factor as usize;
+    let m = (1usize << scale) * edge_factor as usize;
     let mut edge_list = Vec::with_capacity(m);
     for _ in 0..m {
         let (mut u, mut v) = (0usize, 0usize);
         for bit in (0..scale).rev() {
-            let r: f64 = rng.gen();
-            let (du, dv) = if r < a {
-                (0, 0)
-            } else if r < a + b {
-                (0, 1)
-            } else if r < a + b + c {
-                (1, 0)
-            } else {
-                (1, 1)
-            };
+            let (du, dv) = quadrant(rng.gen());
             u |= du << bit;
             v |= dv << bit;
         }
         edge_list.push((u as u32, v as u32));
     }
-    CsrGraph::from_edges(n, &edge_list).symmetrized()
+    edge_list
 }
 
 /// Power-law web-like graph (substituting for cnr-2000).
@@ -53,6 +69,10 @@ pub fn rmat(scale: u32, edge_factor: u32, seed: u64) -> CsrGraph {
 /// 325k vertices), plus a local-link component; symmetrized to match the
 /// benchmarks' undirected use.
 pub fn web(num_vertices: usize, out_degree: usize, seed: u64) -> CsrGraph {
+    CsrGraph::undirected(num_vertices, &web_edges(num_vertices, out_degree, seed))
+}
+
+fn web_edges(num_vertices: usize, out_degree: usize, seed: u64) -> Vec<(u32, u32)> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut edge_list: Vec<(u32, u32)> = Vec::with_capacity(num_vertices * out_degree);
     for v in 0..num_vertices {
@@ -70,7 +90,7 @@ pub fn web(num_vertices: usize, out_degree: usize, seed: u64) -> CsrGraph {
             edge_list.push((v as u32, target));
         }
     }
-    CsrGraph::from_edges(num_vertices, &edge_list).symmetrized()
+    edge_list
 }
 
 /// Road-network-like graph (substituting for USA-road-d.NY).
@@ -79,9 +99,12 @@ pub fn web(num_vertices: usize, out_degree: usize, seed: u64) -> CsrGraph {
 /// deletions: average degree ≈ 3, maximum degree ≤ 8 — the uniformly low
 /// nested parallelism of Section VIII-D.
 pub fn road(width: usize, height: usize, seed: u64) -> CsrGraph {
-    let n = width * height;
+    CsrGraph::undirected(width * height, &road_edges(width, height, seed))
+}
+
+fn road_edges(width: usize, height: usize, seed: u64) -> Vec<(u32, u32)> {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut edge_list = Vec::with_capacity(n * 3);
+    let mut edge_list = Vec::with_capacity(width * height * 3);
     let idx = |x: usize, y: usize| (y * width + x) as u32;
     for y in 0..height {
         for x in 0..width {
@@ -99,7 +122,58 @@ pub fn road(width: usize, height: usize, seed: u64) -> CsrGraph {
             }
         }
     }
-    CsrGraph::from_edges(n, &edge_list).symmetrized()
+    edge_list
+}
+
+/// The generators as they were built before the quadrant pick lost its
+/// branches and the CSR its vector per vertex: the reference the datasets
+/// must equal.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+    use crate::datasets::csr::oracle::{from_edges, symmetrized};
+
+    fn quadrant(r: f64) -> (usize, usize) {
+        let (a, b, c) = (A, B, C);
+        if r < a {
+            (0, 0)
+        } else if r < a + b {
+            (0, 1)
+        } else if r < a + b + c {
+            (1, 0)
+        } else {
+            (1, 1)
+        }
+    }
+
+    pub(crate) fn rmat(scale: u32, edge_factor: u32, seed: u64) -> CsrGraph {
+        let edges = rmat_edges(scale, edge_factor, seed, quadrant);
+        symmetrized(&from_edges(1 << scale, &edges))
+    }
+
+    pub(crate) fn web(num_vertices: usize, out_degree: usize, seed: u64) -> CsrGraph {
+        let edges = web_edges(num_vertices, out_degree, seed);
+        symmetrized(&from_edges(num_vertices, &edges))
+    }
+
+    pub(crate) fn road(width: usize, height: usize, seed: u64) -> CsrGraph {
+        symmetrized(&from_edges(
+            width * height,
+            &road_edges(width, height, seed),
+        ))
+    }
+
+    #[test]
+    fn the_branchless_quadrant_is_the_if_chain() {
+        let edges = [0.0, A, A + B, A + B + C, 1.0];
+        let near = edges
+            .iter()
+            .flat_map(|&e: &f64| [e.next_down(), e, e.next_up()]);
+        let grid = (0..=1000).map(|i| f64::from(i) / 1000.0);
+        for r in near.chain(grid) {
+            assert_eq!(super::quadrant(r), quadrant(r), "r = {r}");
+        }
+    }
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@ pub mod ksat;
 
 use crate::benchmarks::{BenchInput, InputKind};
 use bezier::bezier_lines;
-use graphs::{rmat, road, web};
+use csr::CsrGraph;
 use ksat::random_ksat;
 
 /// The paper's datasets (Table I plus the road graph of Section VIII-D).
@@ -95,6 +95,11 @@ impl DatasetId {
     ///
     /// Panics if `scale` is not in `(0, 1]`.
     pub fn instantiate(&self, scale: f64, seed: u64) -> BenchInput {
+        self.instantiate_with(scale, seed, &GRAPHS)
+    }
+
+    fn instantiate_with(&self, scale: f64, seed: u64, graphs: &Graphs) -> BenchInput {
+        let Graphs { rmat, web, road } = graphs;
         assert!(scale > 0.0 && scale <= 1.0, "scale must be in (0, 1]");
         match self {
             DatasetId::Kron => {
@@ -133,6 +138,20 @@ impl DatasetId {
         }
     }
 }
+
+/// The graph generators [`DatasetId::instantiate`] calls, as a table so a
+/// test can instantiate the same datasets through the reference generators.
+struct Graphs {
+    rmat: fn(u32, u32, u64) -> CsrGraph,
+    web: fn(usize, usize, u64) -> CsrGraph,
+    road: fn(usize, usize, u64) -> CsrGraph,
+}
+
+const GRAPHS: Graphs = Graphs {
+    rmat: graphs::rmat,
+    web: graphs::web,
+    road: graphs::road,
+};
 
 /// The benchmark → datasets mapping of Table I.
 pub fn datasets_for(benchmark: &str) -> Vec<DatasetId> {
@@ -182,6 +201,34 @@ pub fn describe(input: &BenchInput) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_table1_dataset_equals_the_reference_generators() {
+        let reference = Graphs {
+            rmat: graphs::oracle::rmat,
+            web: graphs::oracle::web,
+            road: graphs::oracle::road,
+        };
+        let graph = |input| match input {
+            BenchInput::Graph(g) => g,
+            _ => unreachable!("a graph dataset"),
+        };
+        for id in DatasetId::ALL
+            .into_iter()
+            .filter(|id| id.kind() == InputKind::Graph)
+        {
+            for scale in [0.001, 0.01] {
+                for seed in [0, 1, 7, 42] {
+                    assert_eq!(
+                        graph(id.instantiate(scale, seed)),
+                        graph(id.instantiate_with(scale, seed, &reference)),
+                        "{} at {scale}, seed {seed}",
+                        id.name()
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn every_dataset_instantiates_at_small_scale() {
