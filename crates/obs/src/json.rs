@@ -13,17 +13,20 @@
 //!   reproduce cold-run output *byte for byte*.
 //! - **Exact integers.** Number tokens without `.`/`e` parse as [`Json::Int`]
 //!   (`i64`), so instruction and launch counters never pass through `f64`.
-//! - **Bounded nesting.** The parser is recursive and reads bytes from
+//! - **Bounded nesting.** The reader is recursive and reads bytes from
 //!   outside the process (a request line is parsed before the auth check),
 //!   so a document nested deeper than [`MAX_DEPTH`] is a parse error, not a
 //!   stack overflow.
 //!
-//! A reader or writer of one known document shape can skip the tree and
-//! still read and write every token byte for byte as the tree does:
-//! [`Cursor`] reads the tokens [`parse`] reads, through the tree's own
-//! scanner, and [`write_string`], [`write_f64`] and [`Json::write`] are
-//! the text [`Display`](std::fmt::Display) writes. `dp-sweep`'s cache check
-//! and `dp-serve`'s hot requests and answers use them.
+//! The grammar has one reader, [`Cursor`]. [`parse`] is its
+//! [`Cursor::value`] and a check that nothing follows; a reader of one
+//! known document shape (`dp-sweep`'s cache check, `dp-serve`'s hot
+//! requests and the shard's `sweep-cell` answers) asks the same cursor for
+//! the tokens it expects and skips the tree. A read fails with an
+//! [`Error`], an offset and a kind, which [`Error::message`] renders as
+//! [`parse`] reports it. [`write_string`], [`write_f64`] and [`Json::write`] are the
+//! text [`Display`](std::fmt::Display) writes, for writers that skip the
+//! tree too.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -242,24 +245,97 @@ pub fn object(members: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
     )
 }
 
-/// The deepest nesting of arrays and objects [`parse`] accepts. The deepest
-/// document the workspace writes nests 6.
+/// The deepest nesting of arrays and objects a [`Cursor`] reads. The
+/// deepest document the workspace writes nests 6.
 pub const MAX_DEPTH: usize = 128;
 
-/// Parses a JSON document.
+/// Parses a JSON document: one [`Cursor::value`], then nothing but
+/// whitespace.
 ///
 /// # Errors
 ///
-/// Returns a message with the byte offset of the first syntax error, or
-/// `nesting deeper than 128` for a document past [`MAX_DEPTH`].
+/// The read's [`Error`] as a message: the byte offset of the first syntax
+/// error, or `nesting deeper than 128` for a document past [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, String> {
-    let mut pos = 0;
-    let value = parse_value(text, &mut pos, 0)?;
-    skip_ws(text.as_bytes(), &mut pos);
-    if pos != text.len() {
-        return Err(format!("trailing content at byte {pos}"));
+    let mut cursor = Cursor::new(text);
+    let value = cursor.value().and_then(|v| cursor.finish().map(|()| v));
+    value.map_err(|e| e.message(text))
+}
+
+/// Why a [`Cursor`] read failed: the byte it failed at and what is wrong
+/// there, which only [`Error::message`] spells out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Error {
+    at: usize,
+    kind: Kind,
+}
+
+/// What a [`Cursor`] read gives.
+pub type Result<T, E = Error> = std::result::Result<T, E>;
+
+/// What is wrong at an [`Error`]'s offset.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// The message, whatever the offset.
+    Plain(&'static str),
+    /// The message, then ` at byte <offset>`.
+    At(&'static str),
+    /// An array or object opens inside [`MAX_DEPTH`] others.
+    TooDeep,
+    /// An object key that is another value than a string, read whole.
+    KeyNotString,
+    /// A `\u` escape whose four bytes are not four hex digits.
+    BadUnicode,
+    /// A `\u` escape naming a surrogate outside a high-low pair.
+    Surrogate,
+    /// A number token that leaves JSON's grammar at the byte given.
+    Number(usize),
+    /// A number token, ending before the byte given, past `i64` or `f64`.
+    Range(usize),
+}
+
+impl Kind {
+    fn at(self, at: usize) -> Error {
+        Error { at, kind: self }
     }
-    Ok(value)
+}
+
+impl Error {
+    /// The message [`parse`] gives for this error in `text`, the text the
+    /// failed read was reading.
+    #[cold]
+    pub fn message(self, text: &str) -> String {
+        let Error { at, kind } = self;
+        let bytes = text.as_bytes();
+        match kind {
+            Kind::Plain(message) => message.to_string(),
+            Kind::At(what) => format!("{what} at byte {at}"),
+            Kind::TooDeep => format!("nesting deeper than {MAX_DEPTH}"),
+            Kind::KeyNotString => {
+                // The key was read whole once already, so it reads again.
+                let key = Cursor::new(&text[at..]).value().unwrap_or(Json::Null);
+                format!("object key must be a string, got {key:?}")
+            }
+            Kind::BadUnicode => match std::str::from_utf8(&bytes[at..at + 4]) {
+                Ok(hex) => format!("invalid \\u escape {hex}"),
+                Err(e) => e.to_string(),
+            },
+            Kind::Surrogate => format!("unsupported \\u escape {}", &text[at..at + 4]),
+            Kind::Number(end) => {
+                let token = String::from_utf8_lossy(&bytes[at..bytes.len().min(end + 1)]);
+                format!("bad number `{token}` at byte {at}")
+            }
+            Kind::Range(end) => {
+                let token = &text[at..end];
+                match token.parse::<i64>() {
+                    Err(e) if !token.contains(['.', 'e', 'E']) => {
+                        format!("bad number `{token}`: {e}")
+                    }
+                    _ => format!("number `{token}` overflows to infinity"),
+                }
+            }
+        }
+    }
 }
 
 /// Moves `*pos` past the JSON whitespace (space, tab, `\n`, `\r`) at it —
@@ -271,89 +347,12 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-/// `depth` counts the arrays and objects already open around this value.
-fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!("nesting deeper than {MAX_DEPTH}")),
-        Some(b'{') => {
-            *pos += 1;
-            let mut members = BTreeMap::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Object(members));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = match parse_value(text, pos, depth + 1)? {
-                    Json::Str(s) => s,
-                    other => return Err(format!("object key must be a string, got {other:?}")),
-                };
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) != Some(&b':') {
-                    return Err(format!("expected `:` at byte {pos}"));
-                }
-                *pos += 1;
-                let value = parse_value(text, pos, depth + 1)?;
-                members.insert(key, value);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Object(members));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Array(items));
-            }
-            loop {
-                items.push(parse_value(text, pos, depth + 1)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Array(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => parse_string(text, pos).map(|s| Json::Str(s.into_owned())),
-        Some(b't') => parse_keyword(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_keyword(bytes, pos, "null", Json::Null),
-        Some(_) => parse_number(bytes, pos),
-    }
-}
-
-fn parse_keyword(bytes: &[u8], pos: &mut usize, word: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(value)
-    } else {
-        Err(format!("invalid token at byte {pos}"))
-    }
-}
-
 /// Reads the string token whose opening quote is at `*pos` — the token
 /// [`parse`] reads for a string value or an object key — and leaves `*pos`
 /// after its closing quote. A string without escapes is borrowed from
 /// `text`; one with escapes is decoded into a `String` sized once, for the
 /// raw text (no escape decodes longer than it is written).
-fn parse_string<'a>(text: &'a str, pos: &mut usize) -> Result<Cow<'a, str>, String> {
+fn parse_string<'a>(text: &'a str, pos: &mut usize) -> Result<Cow<'a, str>> {
     let bytes = text.as_bytes();
     *pos += 1; // opening quote
     let start = *pos;
@@ -363,7 +362,7 @@ fn parse_string<'a>(text: &'a str, pos: &mut usize) -> Result<Cow<'a, str>, Stri
             .iter()
             .position(|&b| b == b'"' || b == b'\\')
             .map(|run| from + run)
-            .ok_or_else(|| "unterminated string".to_string())
+            .ok_or(Kind::Plain("unterminated string").at(from))
     };
     let end = delimiter(start)?;
     if bytes[end] == b'"' {
@@ -386,24 +385,23 @@ fn parse_string<'a>(text: &'a str, pos: &mut usize) -> Result<Cow<'a, str>, Stri
             Some(b'b') => out.push('\u{8}'),
             Some(b'f') => out.push('\u{c}'),
             Some(b'u') => {
-                let (mut code, hex) = hex4(bytes, *pos + 1)?;
+                let first = *pos + 1;
+                let mut code = hex4(bytes, first)?;
                 *pos += 4;
                 // A scalar above U+FFFF is written as a high surrogate
                 // escape followed by a low one; a surrogate alone, or the
                 // two in the other order, is no scalar and is refused.
                 if (0xD800..0xDC00).contains(&code) && bytes.get(*pos + 1..*pos + 3) == Some(b"\\u")
                 {
-                    let (low, _) = hex4(bytes, *pos + 3)?;
+                    let low = hex4(bytes, *pos + 3)?;
                     if (0xDC00..0xE000).contains(&low) {
                         code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
                         *pos += 6;
                     }
                 }
-                let c =
-                    char::from_u32(code).ok_or_else(|| format!("unsupported \\u escape {hex}"))?;
-                out.push(c);
+                out.push(char::from_u32(code).ok_or(Kind::Surrogate.at(first))?);
             }
-            _ => return Err(format!("invalid escape at byte {pos}")),
+            _ => return Err(Kind::At("invalid escape").at(*pos)),
         }
         *pos += 1;
         // Copy the run up to the next delimiter in one piece.
@@ -417,19 +415,16 @@ fn parse_string<'a>(text: &'a str, pos: &mut usize) -> Result<Cow<'a, str>, Stri
     }
 }
 
-/// The four hex digits of a `\u` escape starting at `at`: their value and
-/// their text.
-fn hex4(bytes: &[u8], at: usize) -> Result<(u32, &str), String> {
+/// The value of the four hex digits of a `\u` escape starting at `at`.
+fn hex4(bytes: &[u8], at: usize) -> Result<u32> {
     let hex = bytes
         .get(at..at + 4)
-        .ok_or_else(|| "truncated \\u escape".to_string())?;
-    let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
+        .ok_or(Kind::Plain("truncated \\u escape").at(at))?;
     // `from_str_radix` alone would also take a sign: `\u+041` is no escape.
-    if !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return Err(format!("invalid \\u escape {hex}"));
-    }
-    let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-    Ok((code, hex))
+    let hex = std::str::from_utf8(hex).ok();
+    let hex = hex.filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()));
+    let code = hex.and_then(|hex| u32::from_str_radix(hex, 16).ok());
+    code.ok_or(Kind::BadUnicode.at(at))
 }
 
 /// The bytes of a string token's body up to its closing quote (or to the
@@ -455,7 +450,7 @@ fn raw_string_len(body: &[u8]) -> usize {
 /// `str::parse` reads, refused when it overflows to infinity, which JSON
 /// has no text for.
 #[inline]
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json> {
     let start = *pos;
     let digits = |pos: &mut usize| {
         let from = *pos;
@@ -481,172 +476,255 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         valid = digits(pos);
     }
     if !valid {
-        return Err(bad_number(bytes, start, *pos));
+        return Err(Kind::Number(*pos).at(start));
     }
     // Every byte of the token is ASCII.
-    let token = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-    if float {
-        match token.parse::<f64>() {
-            Ok(v) if v.is_finite() => Ok(Json::Float(v)),
-            Ok(_) => Err(format!("number `{token}` overflows to infinity")),
-            Err(e) => Err(format!("bad number `{token}`: {e}")),
-        }
-    } else {
+    let token = std::str::from_utf8(&bytes[start..*pos]).unwrap_or_default();
+    let value = if float {
         token
-            .parse::<i64>()
-            .map(Json::Int)
-            .map_err(|e| format!("bad number `{token}`: {e}"))
-    }
+            .parse::<f64>()
+            .ok()
+            .filter(|v| v.is_finite())
+            .map(Json::Float)
+    } else {
+        token.parse::<i64>().ok().map(Json::Int)
+    };
+    value.ok_or(Kind::Range(*pos).at(start))
 }
 
-/// The message for a number token refused at `end`, the byte there
-/// included.
-#[cold]
-fn bad_number(bytes: &[u8], start: usize, end: usize) -> String {
-    let token = String::from_utf8_lossy(&bytes[start..bytes.len().min(end + 1)]);
-    format!("bad number `{token}` at byte {start}")
-}
-
-/// A cursor over one JSON text, for a reader of one known document shape
-/// that skips the tree: each read skips the whitespace before its token and
-/// reads the token through the tree's own scanner, so a value it accepts is
-/// the value [`parse`] reads there. Every read is `None` where the text is
-/// not the token asked for, and the reader then leaves the text to the
-/// tree, whose verdict and message it keeps. The cursor has no nesting cap:
-/// the shape its reader asks for bounds the nesting.
+/// A cursor over one JSON text: the workspace's one reader of the grammar.
+/// [`Cursor::value`] reads any value as a tree, which is what [`parse`]
+/// does; a reader of one known document shape asks for the tokens it
+/// expects instead and skips the tree. Each read skips the whitespace
+/// before its token, and fails with an [`Error`] where the text is not the
+/// token asked for. Arrays and objects nest at most [`MAX_DEPTH`] deep,
+/// whoever reads them.
 pub struct Cursor<'a> {
     text: &'a str,
     pos: usize,
+    /// The arrays and objects open around the read position.
+    depth: usize,
 }
 
 impl<'a> Cursor<'a> {
     /// A cursor at the start of `text`.
     pub fn new(text: &'a str) -> Self {
-        Cursor { text, pos: 0 }
+        Cursor {
+            text,
+            pos: 0,
+            depth: 0,
+        }
     }
 
     /// The next token's first byte; `None` when only whitespace is left.
     #[inline]
-    pub fn peek(&mut self) -> Option<u8> {
+    fn peek(&mut self) -> Option<u8> {
         skip_ws(self.text.as_bytes(), &mut self.pos);
         self.text.as_bytes().get(self.pos).copied()
     }
 
+    /// The next token's first byte, which must be there.
+    #[inline]
+    fn next(&mut self) -> Result<u8> {
+        self.peek()
+            .ok_or(Kind::Plain("unexpected end of input").at(self.pos))
+    }
+
     /// Takes `byte` if it is the next token.
     #[inline]
-    pub fn eat(&mut self, byte: u8) -> bool {
+    fn eat(&mut self, byte: u8) -> bool {
         let next = self.peek() == Some(byte);
         self.pos += usize::from(next);
         next
     }
 
-    /// Takes `byte`, which must be the next token.
-    #[inline]
-    pub fn expect(&mut self, byte: u8) -> Option<()> {
-        self.eat(byte).then_some(())
+    /// Takes `byte`, which must be the next token: `what` was expected.
+    fn expect(&mut self, byte: u8, what: &'static str) -> Result<()> {
+        let eaten = self.eat(byte);
+        eaten.then_some(()).ok_or(Kind::At(what).at(self.pos))
     }
 
-    /// A string, borrowed from the text unless it has escapes.
-    #[inline]
-    pub fn string(&mut self) -> Option<Cow<'a, str>> {
-        (self.peek()? == b'"').then_some(())?;
-        parse_string(self.text, &mut self.pos).ok()
+    /// A refusal at the read position, for a reader of one shape that does
+    /// not take the well-formed value there.
+    pub fn refused(&self) -> Error {
+        Kind::At("unexpected token").at(self.pos)
     }
 
-    /// A number: [`Json::Int`] or [`Json::Float`], as the tree reads it.
-    #[inline]
-    pub fn number(&mut self) -> Option<Json> {
-        self.peek()?;
-        parse_number(self.text.as_bytes(), &mut self.pos).ok()
+    /// Nothing but whitespace is left: the end of a document.
+    pub fn finish(&mut self) -> Result<()> {
+        match self.peek() {
+            None => Ok(()),
+            Some(_) => Err(Kind::At("trailing content").at(self.pos)),
+        }
     }
 
-    /// Any value but an array or an object.
-    pub fn scalar(&mut self) -> Option<Json> {
-        match self.peek()? {
-            b'"' => Some(Json::Str(self.string()?.into_owned())),
+    /// Any value, as a tree.
+    pub fn value(&mut self) -> Result<Json> {
+        match self.next()? {
+            b'{' => {
+                let mut members = BTreeMap::new();
+                self.object(|cursor, name| {
+                    members.insert(name.to_string(), cursor.value()?);
+                    Ok(())
+                })?;
+                Ok(Json::Object(members))
+            }
+            b'[' => {
+                let mut items = Vec::new();
+                self.array(|cursor| {
+                    items.push(cursor.value()?);
+                    Ok(())
+                })?;
+                Ok(Json::Array(items))
+            }
+            b'"' => Ok(Json::Str(self.string()?.into_owned())),
             b't' => self.keyword("true", Json::Bool(true)),
             b'f' => self.keyword("false", Json::Bool(false)),
             b'n' => self.keyword("null", Json::Null),
-            b'{' | b'[' => None,
             _ => self.number(),
         }
     }
 
+    /// The value `read` takes; where `read` refuses it, `None`, once the
+    /// value is read past as [`Cursor::value`] reads it. Only a syntax
+    /// error fails.
+    pub fn or_skip<T>(&mut self, read: impl FnOnce(&mut Self) -> Result<T>) -> Result<Option<T>> {
+        let at = self.pos;
+        read(self).map(Some).or_else(|_| {
+            self.pos = at;
+            self.value().map(|_| None)
+        })
+    }
+
+    /// A string, borrowed from the text unless it has escapes.
+    #[inline]
+    pub fn string(&mut self) -> Result<Cow<'a, str>> {
+        if self.next()? != b'"' {
+            return Err(self.refused());
+        }
+        parse_string(self.text, &mut self.pos)
+    }
+
+    /// A number: [`Json::Int`] or [`Json::Float`].
+    #[inline]
+    fn number(&mut self) -> Result<Json> {
+        self.next()?;
+        parse_number(self.text.as_bytes(), &mut self.pos)
+    }
+
+    /// A number, converted by `convert`, which may refuse it.
+    #[inline]
+    pub fn number_as<T>(&mut self, convert: fn(&Json) -> Option<T>) -> Result<T> {
+        let number = self.number()?;
+        convert(&number).ok_or(self.refused())
+    }
+
     /// `true` or `false`.
-    pub fn bool(&mut self) -> Option<bool> {
-        match self.scalar()? {
-            Json::Bool(b) => Some(b),
-            _ => None,
+    pub fn bool(&mut self) -> Result<bool> {
+        match self.value()? {
+            Json::Bool(b) => Ok(b),
+            _ => Err(self.refused()),
         }
     }
 
-    /// A keyword, spelled out, read as the tree reads it.
-    fn keyword(&mut self, word: &str, value: Json) -> Option<Json> {
-        self.text[self.pos..].starts_with(word).then_some(())?;
+    /// A keyword, spelled out.
+    fn keyword(&mut self, word: &str, value: Json) -> Result<Json> {
+        if !self.text[self.pos..].starts_with(word) {
+            return Err(Kind::At("invalid token").at(self.pos));
+        }
         self.pos += word.len();
-        Some(value)
+        Ok(value)
+    }
+
+    /// Takes `open`, which must be the next token, and runs `read` one
+    /// level deeper.
+    fn nested(&mut self, open: u8, read: impl FnOnce(&mut Self) -> Result<()>) -> Result<()> {
+        if self.next()? != open {
+            return Err(self.refused());
+        }
+        if self.depth == MAX_DEPTH {
+            return Err(Kind::TooDeep.at(self.pos));
+        }
+        self.pos += 1;
+        self.depth += 1;
+        let read = read(self);
+        self.depth -= 1;
+        read
     }
 
     /// An object, its members handed to `member` by name, in the order the
     /// text gives them.
-    pub fn object(&mut self, mut member: impl FnMut(&mut Self, &str) -> Option<()>) -> Option<()> {
-        self.expect(b'{')?;
-        if self.eat(b'}') {
-            return Some(());
-        }
-        loop {
-            let name = self.string()?;
-            self.expect(b':')?;
-            member(self, &name)?;
-            if !self.eat(b',') {
-                return self.expect(b'}');
+    pub fn object(&mut self, mut member: impl FnMut(&mut Self, &str) -> Result<()>) -> Result<()> {
+        self.nested(b'{', |cursor| {
+            if cursor.eat(b'}') {
+                return Ok(());
             }
-        }
+            loop {
+                // A key of another type is read whole before it is refused:
+                // a syntax error inside it comes first.
+                if cursor.next()? != b'"' {
+                    let at = cursor.pos;
+                    cursor.value()?;
+                    return Err(Kind::KeyNotString.at(at));
+                }
+                let name = cursor.string()?;
+                cursor.expect(b':', "expected `:`")?;
+                member(cursor, &name)?;
+                if !cursor.eat(b',') {
+                    return cursor.expect(b'}', "expected `,` or `}`");
+                }
+            }
+        })
     }
 
     /// An object whose members are all among `names`, each at most once,
     /// handed to `member` by name. The set of members given comes back as
     /// bits: bit `i` for `names[i]`. A name outside `names`, or one given
-    /// twice, is `None`, where the tree would read another member or keep
-    /// the last of two.
+    /// twice, is refused.
     pub fn members(
         &mut self,
         names: &[&str],
-        mut member: impl FnMut(&mut Self, &str) -> Option<()>,
-    ) -> Option<u64> {
+        mut member: impl FnMut(&mut Self, &str) -> Result<()>,
+    ) -> Result<u64> {
         debug_assert!(names.len() <= 64, "one bit a member");
         let mut seen = 0u64;
         self.object(|cursor, name| {
-            let bit = 1 << names.iter().position(|&n| n == name)?;
-            (seen & bit == 0).then_some(())?;
-            seen |= bit;
+            let bit = names.iter().position(|&n| n == name).map(|i| 1 << i);
+            match bit {
+                Some(bit) if seen & bit == 0 => seen |= bit,
+                _ => return Err(cursor.refused()),
+            }
             member(cursor, name)
         })?;
-        Some(seen)
+        Ok(seen)
     }
 
     /// An array, its items handed to `item`.
-    pub fn array(&mut self, mut item: impl FnMut(&mut Self) -> Option<()>) -> Option<()> {
-        self.expect(b'[')?;
-        if self.eat(b']') {
-            return Some(());
-        }
-        loop {
-            item(self)?;
-            if !self.eat(b',') {
-                return self.expect(b']');
+    pub fn array(&mut self, mut item: impl FnMut(&mut Self) -> Result<()>) -> Result<()> {
+        self.nested(b'[', |cursor| {
+            if cursor.eat(b']') {
+                return Ok(());
             }
-        }
+            loop {
+                item(cursor)?;
+                if !cursor.eat(b',') {
+                    return cursor.expect(b']', "expected `,` or `]`");
+                }
+            }
+        })
     }
 
     /// An array of numbers, each converted by `convert`, in a vector
     /// allocated once: its length is counted from the commas before the
     /// first `]`, which no number token holds. An empty array, whatever
     /// its whitespace, allocates nothing.
-    pub fn numbers<T>(&mut self, convert: fn(&Json) -> Option<T>) -> Option<Vec<T>> {
-        (self.peek()? == b'[').then_some(())?;
+    pub fn numbers<T>(&mut self, convert: fn(&Json) -> Option<T>) -> Result<Vec<T>> {
+        if self.next()? != b'[' {
+            return Err(self.refused());
+        }
         let rest = &self.text.as_bytes()[self.pos + 1..];
-        let items = &rest[..rest.iter().position(|&b| b == b']')?];
+        let end = rest.iter().position(|&b| b == b']');
+        let items = &rest[..end.ok_or(self.refused())?];
         let mut at = 0;
         skip_ws(items, &mut at);
         let mut out = Vec::with_capacity(if at == items.len() {
@@ -655,10 +733,10 @@ impl<'a> Cursor<'a> {
             1 + items.iter().filter(|&&b| b == b',').count()
         });
         self.array(|cursor| {
-            out.push(convert(&cursor.number()?)?);
-            Some(())
+            out.push(cursor.number_as(convert)?);
+            Ok(())
         })?;
-        Some(out)
+        Ok(out)
     }
 }
 
@@ -796,18 +874,38 @@ mod tests {
             let items = Cursor::new(text).numbers(Json::as_i64).unwrap();
             assert_eq!((items.len(), items.capacity()), (len, len), "{text}");
         }
-        assert_eq!(Cursor::new("[1,]").numbers(Json::as_i64), None);
-        assert_eq!(Cursor::new("[1.5]").numbers(Json::as_i64), None);
+        assert!(Cursor::new("[1,]").numbers(Json::as_i64).is_err());
+        assert!(Cursor::new("[1.5]").numbers(Json::as_i64).is_err());
     }
 
     #[test]
     fn cursor_members_are_known_and_given_once() {
-        let read = |text| Cursor::new(text).members(&["a", "b"], |c, _| c.number().map(drop));
+        let read = |text| {
+            let mut cursor = Cursor::new(text);
+            cursor
+                .members(&["a", "b"], |c, _| c.number().map(drop))
+                .ok()
+        };
         assert_eq!(read("{}"), Some(0));
         assert_eq!(read(r#"{ "b" : 1 }"#), Some(0b10));
         assert_eq!(read(r#"{"\u0061":1,"b":2}"#), Some(0b11));
         assert_eq!(read(r#"{"a":1,"a":2}"#), None);
         assert_eq!(read(r#"{"c":1}"#), None);
+    }
+
+    #[test]
+    fn or_skip_reads_past_another_shape_and_fails_on_bad_syntax() {
+        let read = |text| {
+            let mut cursor = Cursor::new(text);
+            let n = cursor.or_skip(|c| c.number_as(Json::as_u64));
+            n.and_then(|n| cursor.finish().map(|()| n))
+        };
+        assert_eq!(read(" 7 "), Ok(Some(7)));
+        assert_eq!(read("-7"), Ok(None));
+        assert_eq!(read(r#"[{"a":[1,"x"]}]"#), Ok(None));
+        assert_eq!(read("[1,]").unwrap_err().kind, Kind::Number(3));
+        let deep = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        assert_eq!(read(&deep).unwrap_err().kind, Kind::TooDeep);
     }
 
     #[test]

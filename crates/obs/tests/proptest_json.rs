@@ -1,10 +1,12 @@
 //! Property tests for `dp_obs::json`, the parser every socket line,
 //! cache entry and sweep spec goes through: writer/parser round-trips over
 //! strings that exercise every escape, byte-mutated documents that must
-//! fail cleanly, nesting on both sides of the cap, and the string writer's
-//! word-at-a-time scan against a byte-at-a-time one.
+//! fail cleanly, `parse` against a second reader of the grammar
+//! (`oracle_parse`, messages included), nesting on both sides of the cap,
+//! and the string writer's word-at-a-time scan against a byte-at-a-time
+//! one.
 
-use dp_obs::json::{parse, write_string, Cursor, Json, MAX_DEPTH};
+use dp_obs::json::{parse, write_string, Json, MAX_DEPTH};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -194,44 +196,129 @@ proptest! {
     }
 }
 
-/// A whole document read by a reader built from nothing but
-/// `Cursor::object`, `Cursor::array` and `Cursor::scalar`, dispatched on
-/// `Cursor::peek`: below `MAX_DEPTH` it must accept what `parse` accepts,
-/// as the same tree, and refuse what `parse` refuses.
-fn cursor_parse(text: &str) -> Option<Json> {
-    fn value(cursor: &mut Cursor) -> Option<Json> {
-        match cursor.peek()? {
-            b'{' => {
-                let mut members = BTreeMap::new();
-                cursor.object(|cursor, name| {
-                    members.insert(name.to_string(), value(cursor)?);
-                    Some(())
-                })?;
-                Some(Json::Object(members))
-            }
-            b'[' => {
-                let mut items = Vec::new();
-                cursor.array(|cursor| {
-                    items.push(value(cursor)?);
-                    Some(())
-                })?;
-                Some(Json::Array(items))
-            }
-            _ => cursor.scalar(),
-        }
+/// `text` read by a second reader of the grammar, the oracle `parse` is
+/// held to: a recursive walk of its own over objects, arrays and keywords,
+/// with its own nesting cap and messages, and the token scanners `parse`
+/// reads strings and numbers with (`scalar_at`).
+fn oracle_parse(text: &str) -> Result<Json, String> {
+    let mut pos = 0;
+    let value = parse_value(text, &mut pos, 0)?;
+    skip_ws(text.as_bytes(), &mut pos);
+    if pos != text.len() {
+        return Err(format!("trailing content at byte {pos}"));
     }
-    let mut cursor = Cursor::new(text);
-    let doc = value(&mut cursor)?;
-    cursor.peek().is_none().then_some(doc)
+    Ok(value)
 }
 
-/// `text` read by the cursor and by the tree: the same tree or both a
-/// refusal (`Debug` tells `-0.0` from `0.0`).
+fn skip_ws(bytes: &[u8], pos: &mut usize) {
+    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
+        *pos += 1;
+    }
+}
+
+/// `depth` counts the arrays and objects already open around this value.
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
+    skip_ws(bytes, pos);
+    match bytes.get(*pos) {
+        None => Err("unexpected end of input".to_string()),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!("nesting deeper than {MAX_DEPTH}")),
+        Some(b'{') => {
+            *pos += 1;
+            let mut members = BTreeMap::new();
+            skip_ws(bytes, pos);
+            if bytes.get(*pos) == Some(&b'}') {
+                *pos += 1;
+                return Ok(Json::Object(members));
+            }
+            loop {
+                skip_ws(bytes, pos);
+                let key = match parse_value(text, pos, depth + 1)? {
+                    Json::Str(s) => s,
+                    other => return Err(format!("object key must be a string, got {other:?}")),
+                };
+                skip_ws(bytes, pos);
+                if bytes.get(*pos) != Some(&b':') {
+                    return Err(format!("expected `:` at byte {pos}"));
+                }
+                *pos += 1;
+                let value = parse_value(text, pos, depth + 1)?;
+                members.insert(key, value);
+                skip_ws(bytes, pos);
+                match bytes.get(*pos) {
+                    Some(b',') => *pos += 1,
+                    Some(b'}') => {
+                        *pos += 1;
+                        return Ok(Json::Object(members));
+                    }
+                    _ => return Err(format!("expected `,` or `}}` at byte {pos}")),
+                }
+            }
+        }
+        Some(b'[') => {
+            *pos += 1;
+            let mut items = Vec::new();
+            skip_ws(bytes, pos);
+            if bytes.get(*pos) == Some(&b']') {
+                *pos += 1;
+                return Ok(Json::Array(items));
+            }
+            loop {
+                items.push(parse_value(text, pos, depth + 1)?);
+                skip_ws(bytes, pos);
+                match bytes.get(*pos) {
+                    Some(b',') => *pos += 1,
+                    Some(b']') => {
+                        *pos += 1;
+                        return Ok(Json::Array(items));
+                    }
+                    _ => return Err(format!("expected `,` or `]` at byte {pos}")),
+                }
+            }
+        }
+        Some(b't') => parse_keyword(bytes, pos, "true", Json::Bool(true)),
+        Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
+        Some(b'n') => parse_keyword(bytes, pos, "null", Json::Null),
+        Some(_) => scalar_at(text, pos),
+    }
+}
+
+fn parse_keyword(bytes: &[u8], pos: &mut usize, word: &str, value: Json) -> Result<Json, String> {
+    if bytes[*pos..].starts_with(word.as_bytes()) {
+        *pos += word.len();
+        Ok(value)
+    } else {
+        Err(format!("invalid token at byte {pos}"))
+    }
+}
+
+/// The string or number token at `*pos`, read by the scanners `parse`
+/// reads tokens with, and `*pos` moved past it and the whitespace after
+/// it. `parse` reads a copy of the text with every byte before the token
+/// blanked, so each offset in a message is the same; past the token it
+/// stops, and says where, with `trailing content at byte N`.
+fn scalar_at(text: &str, pos: &mut usize) -> Result<Json, String> {
+    let blanked = format!("{:1$}{2}", "", *pos, &text[*pos..]);
+    let next = match parse(&blanked) {
+        Ok(value) => {
+            *pos = text.len();
+            return Ok(value);
+        }
+        Err(e) => match e.strip_prefix("trailing content at byte ") {
+            Some(next) => next.parse().expect("an offset"),
+            None => return Err(e),
+        },
+    };
+    *pos = next;
+    Ok(parse(&blanked[..next]).expect("the token read once"))
+}
+
+/// `text` read by `parse` and by the oracle: the same tree (`Debug` tells
+/// `-0.0` from `0.0`) or the same message.
 fn assert_cursor_reads_as_the_tree(text: &str) -> Result<(), TestCaseError> {
-    let tree = parse(text).ok();
     prop_assert_eq!(
-        format!("{:?}", cursor_parse(text)),
-        format!("{tree:?}"),
+        format!("{:?}", parse(text)),
+        format!("{:?}", oracle_parse(text)),
         "document {:?}",
         text
     );
@@ -262,7 +349,7 @@ proptest! {
         edits in prop::collection::vec((0usize..3, 0usize..4096, 0usize..512), 0..6),
     ) {
         let text = v.to_string();
-        prop_assert_eq!(cursor_parse(&text), Some(v), "document {}", text);
+        prop_assert_eq!(oracle_parse(&text), Ok(v), "document {}", text);
         // Whitespace before a structural byte is whitespace between tokens
         // whenever the byte is outside a string; inside one, it is text.
         let structural = |b: u8| matches!(b, b'{' | b'}' | b'[' | b']' | b',' | b':');
@@ -349,15 +436,17 @@ fn the_cursor_refuses_the_near_misses_the_tree_refuses() {
         "{\"a\":01}",
     ];
     for text in near_misses {
-        assert_eq!(parse(text).ok(), None, "the tree takes {text:?}");
-        assert_eq!(cursor_parse(text), None, "the cursor takes {text:?}");
+        assert!(oracle_parse(text).is_err(), "the tree takes {text:?}");
+        assert_eq!(parse(text), oracle_parse(text), "{text:?}");
     }
     for text in [
         " [ 1 , -2.5e3 ,\"\\u0041\"] ",
         "{ \"a\" : { } , \"b\" : [ ] }",
         "\ttrue\r\n",
+        "{[1,{}]:2}",
+        "{\"a\":1,null:2}",
     ] {
-        assert_eq!(cursor_parse(text), Some(parse(text).unwrap()), "{text:?}");
+        assert_eq!(parse(text), oracle_parse(text), "{text:?}");
     }
 }
 
@@ -484,10 +573,9 @@ proptest! {
         let doc = doc.unwrap();
         prop_assert_eq!(parse(&doc.to_string()), Ok(doc));
         for closed in [true, false] {
-            prop_assert_eq!(
-                parse(&nested(MAX_DEPTH + excess, shape, closed)),
-                Err(format!("nesting deeper than {MAX_DEPTH}"))
-            );
+            let text = nested(MAX_DEPTH + excess, shape, closed);
+            prop_assert_eq!(parse(&text), Err(format!("nesting deeper than {MAX_DEPTH}")));
+            prop_assert_eq!(oracle_parse(&text), parse(&text));
         }
     }
 }

@@ -19,6 +19,7 @@
 //! | `sweep-cell` | `benchmark`, `dataset` (`id`/`scale`/`seed`), `variant`       |
 //! | `cache-push` | `key` (16-hex), `entry` (sealed cache bytes, verbatim)        |
 //! | `cache-pull` | optional `key` (16-hex); without one, lists held keys         |
+//! | `hello`      | optional `token` (a daemon's `--auth-token`)                  |
 //! | `stats`      | —                                                             |
 //! | `metrics`    | —                                                             |
 //! | `shutdown`   | —                                                             |
@@ -36,15 +37,18 @@
 //!
 //! The session takes a line from the socket with [`read_line_into`],
 //! never buffering past the request cap, and makes its bytes UTF-8
-//! lossily. The line is read by one scanner, the JSON tree's own: the tree
-//! path ([`parse_request_tree`]) parses every op, and the one-pass decoder
-//! ([`decode_request`]) reads the hot ones — `execute`, `compile`,
-//! `transform` — straight into a [`Request`] through [`json::Cursor`],
-//! with the same tokens and the same rules. The decoder answers only where
-//! the tree answers the same and leaves everything else, every refusal
-//! included, to the tree, so the verdicts and their messages are the
-//! tree's. An `execute` or `transform`
-//! success answer is written member by member in the tree's member order
+//! lossily. The line is read by the one JSON reader, [`json::Cursor`]. The
+//! tree path ([`parse_request_tree`]) reads every op from the tree
+//! [`json::parse`] builds with it, and renders a syntax error as `bad
+//! request JSON: …`. The one-pass decoder ([`decode_request`]) reads the
+//! hot ones — `execute`, `compile`, `transform` — straight into a
+//! [`Request`] with the same cursor and the tree path's rules. The decoder
+//! answers only where the tree answers the same and leaves everything
+//! else, every refusal included, to the tree, so the verdicts and their
+//! messages are the tree's. A `sweep-cell` answer is read back, by
+//! `shard`, with the cache's own decoder
+//! ([`dp_sweep::cache::SummaryBody`]). An `execute` or `transform` success
+//! answer is written member by member in the tree's member order
 //! ([`write_execute_answer`], [`write_transform_answer`]), through the
 //! tree's own string and number writers; every other answer is a tree,
 //! encoded once into the answer line. Either way the bytes are the tree's.
@@ -63,6 +67,7 @@
 
 use dp_core::{AggConfig, AggGranularity, OptConfig};
 use dp_obs::json::{self, object, Cursor, Json};
+use dp_sweep::key::parse_key;
 use dp_sweep::spec::{
     cell_from_json, checked_coarsen_factor, config_from_json, parse_granularity, CellSpec,
 };
@@ -452,8 +457,8 @@ fn parse_body(doc: &Json) -> Result<Request, String> {
 /// integer is accepted too.
 fn parse_cache_key(v: &Json) -> Result<u64, String> {
     if let Some(hex) = v.as_str() {
-        return u64::from_str_radix(hex, 16)
-            .map_err(|_| format!("`key` must be a 16-hex cell key, got `{hex}`"));
+        return parse_key(hex)
+            .ok_or_else(|| format!("`key` must be a 16-hex cell key, got `{hex}`"));
     }
     v.as_u64()
         .ok_or_else(|| "`key` must be a 16-hex cell key".to_string())
@@ -624,20 +629,22 @@ const EXECUTE_ONLY: u64 = !0 << 7;
 
 /// Reads an `execute`, `compile` or `transform` line straight into its
 /// [`Request`], in one pass over the same `line.trim()` the tree parses,
-/// through the tree's own tokens ([`json::Cursor`]) and the tree path's own
-/// rules (`MAX_EXECUTE_WORDS`, `@buffer` args, [`checked_coarsen_factor`],
-/// [`parse_granularity`], `agg_threshold` needing `agg`). Members come in
-/// any order. `Some` only for a line the tree parses to the same
-/// [`ParsedRequest`]; `None` for anything else — another op, an unknown or
-/// repeated member, a value of another type or range, trailing bytes,
-/// nesting beyond the shape, a refusal — which [`parse_request`] hands to
-/// [`parse_request_tree`]. So every verdict, and every message, is the
-/// tree's.
+/// with the cursor the tree is read with ([`json::Cursor`]) and the tree
+/// path's own rules (`MAX_EXECUTE_WORDS`, `@buffer` args,
+/// [`checked_coarsen_factor`], [`parse_granularity`], `agg_threshold`
+/// needing `agg`). Members come in any order. `Some` only for a line the
+/// tree parses to the same [`ParsedRequest`]; `None` for anything else —
+/// another op, an unknown or repeated member, a value of another type or
+/// range, trailing bytes, nesting beyond the shape, a refusal — which
+/// [`parse_request`] hands to [`parse_request_tree`]. So every verdict, and
+/// every message, is the tree's.
 pub fn decode_request(line: &str) -> Option<ParsedRequest> {
     let mut cursor = Cursor::new(line.trim());
     let mut members = Members::default();
-    let seen = cursor.members(&MEMBERS, |cursor, name| members.read(cursor, name))?;
-    cursor.peek().is_none().then_some(())?;
+    let seen = cursor
+        .members(&MEMBERS, |c, name| members.read(c, name))
+        .ok()?;
+    cursor.finish().ok()?;
     members.request(seen)
 }
 
@@ -661,48 +668,55 @@ struct Members<'a> {
 
 impl<'a> Members<'a> {
     /// Reads the value of member `name`.
-    fn read(&mut self, cursor: &mut Cursor<'a>, name: &str) -> Option<()> {
+    fn read(&mut self, cursor: &mut Cursor<'a>, name: &str) -> json::Result<()> {
         match name {
             "op" => self.op = Some(cursor.string()?),
-            "id" => self.id = Some(cursor.scalar()?),
+            // An array or object id is the tree's to echo.
+            "id" => match cursor.value()? {
+                Json::Array(_) | Json::Object(_) => return Err(cursor.refused()),
+                id => self.id = Some(id),
+            },
             "source" => self.source = Some(cursor.string()?),
-            "threshold" => self.threshold = Some(cursor.number()?.as_i64()?),
-            "coarsen" => self.coarsen = Some(cursor.number()?.as_i64()?),
-            "agg" => self.agg = Some(parse_granularity(&cursor.string()?)?),
-            "agg_threshold" => self.agg_threshold = Some(cursor.number()?.as_i64()?),
+            "threshold" => self.threshold = Some(cursor.number_as(Json::as_i64)?),
+            "coarsen" => self.coarsen = Some(cursor.number_as(Json::as_i64)?),
+            "agg" => self.agg = Some(parse_granularity(&cursor.string()?).ok_or(cursor.refused())?),
+            "agg_threshold" => self.agg_threshold = Some(cursor.number_as(Json::as_i64)?),
             "kernel" => self.kernel = Some(cursor.string()?),
-            "grid" => self.grid = Some(cursor.number()?.as_i64()?),
-            "block" => self.block = Some(cursor.number()?.as_i64()?),
+            "grid" => self.grid = Some(cursor.number_as(Json::as_i64)?),
+            "block" => self.block = Some(cursor.number_as(Json::as_i64)?),
             "buffers" => {
                 let mut words_left = MAX_EXECUTE_WORDS;
                 cursor.array(|cursor| {
                     let buffer = read_buffer(cursor)?;
                     if let BufferData::Words(words) = buffer.data {
-                        words_left = words_left.checked_sub(words as u64)?;
+                        words_left = words_left
+                            .checked_sub(words as u64)
+                            .ok_or(cursor.refused())?;
                     }
                     self.buffers.push(buffer);
-                    Some(())
+                    Ok(())
                 })?;
             }
             "args" => cursor.array(|cursor| {
-                let arg = match cursor.peek()? {
-                    b'"' => Arg::Buffer(cursor.string()?.strip_prefix('@')?.to_string()),
-                    _ => match cursor.number()? {
-                        Json::Int(v) => Arg::Int(v),
-                        Json::Float(v) => Arg::Float(v),
-                        _ => return None,
-                    },
+                let arg = match cursor.value()? {
+                    Json::Int(v) => Arg::Int(v),
+                    Json::Float(v) => Arg::Float(v),
+                    Json::Str(mut name) if name.starts_with('@') => {
+                        name.remove(0);
+                        Arg::Buffer(name)
+                    }
+                    _ => return Err(cursor.refused()),
                 };
                 self.args.push(arg);
-                Some(())
+                Ok(())
             })?,
             "read" => cursor.array(|cursor| {
                 self.reads.push(read_spec(cursor)?);
-                Some(())
+                Ok(())
             })?,
-            _ => return None,
+            _ => return Err(cursor.refused()),
         }
-        Some(())
+        Ok(())
     }
 
     /// The request the members make, built as the tree path builds it;
@@ -749,49 +763,53 @@ impl<'a> Members<'a> {
 
 /// One `buffers` entry: a `name` and exactly one of `words`, `ints` and
 /// `floats`.
-fn read_buffer(cursor: &mut Cursor) -> Option<BufferInit> {
+fn read_buffer(cursor: &mut Cursor) -> json::Result<BufferInit> {
     let (mut name, mut data) = (None, None);
     let seen = cursor.members(&["name", "words", "ints", "floats"], |cursor, member| {
         match member {
             "name" => name = Some(cursor.string()?.into_owned()),
             "words" => {
-                let words = cursor.number()?.as_u64()?;
-                (words <= MAX_EXECUTE_WORDS).then_some(())?;
+                let words = cursor.number_as(Json::as_u64)?;
+                if words > MAX_EXECUTE_WORDS {
+                    return Err(cursor.refused());
+                }
                 data = Some(BufferData::Words(words as usize));
             }
             "ints" => data = Some(BufferData::Ints(cursor.numbers(Json::as_i64)?)),
             "floats" => data = Some(BufferData::Floats(cursor.numbers(Json::as_f64)?)),
-            _ => return None,
+            _ => return Err(cursor.refused()),
         }
-        Some(())
+        Ok(())
     })?;
     // Bits 1 to 3 are the data members: exactly one is set.
-    (seen >> 1).is_power_of_two().then_some(())?;
-    Some(BufferInit {
-        name: name?,
-        data: data?,
-    })
+    match (name, data) {
+        (Some(name), Some(data)) if (seen >> 1).is_power_of_two() => Ok(BufferInit { name, data }),
+        _ => Err(cursor.refused()),
+    }
 }
 
 /// One `read` entry: `buffer` and `len`, optional `offset` and `floats`.
-fn read_spec(cursor: &mut Cursor) -> Option<ReadSpec> {
+fn read_spec(cursor: &mut Cursor) -> json::Result<ReadSpec> {
     let (mut buffer, mut offset, mut len, mut floats) = (None, 0, None, false);
     cursor.members(&["buffer", "offset", "len", "floats"], |cursor, member| {
         match member {
             "buffer" => buffer = Some(cursor.string()?.into_owned()),
-            "offset" => offset = cursor.number()?.as_u64()? as usize,
-            "len" => len = Some(cursor.number()?.as_u64()? as usize),
+            "offset" => offset = cursor.number_as(Json::as_u64)? as usize,
+            "len" => len = Some(cursor.number_as(Json::as_u64)? as usize),
             "floats" => floats = cursor.bool()?,
-            _ => return None,
+            _ => return Err(cursor.refused()),
         }
-        Some(())
+        Ok(())
     })?;
-    Some(ReadSpec {
-        buffer: buffer?,
-        offset,
-        len: len?,
-        floats,
-    })
+    match (buffer, len) {
+        (Some(buffer), Some(len)) => Ok(ReadSpec {
+            buffer,
+            offset,
+            len,
+            floats,
+        }),
+        _ => Err(cursor.refused()),
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -1305,6 +1323,16 @@ mod tests {
             .body
             .unwrap_err();
         assert!(err.contains("16-hex"), "{err}");
+        // A string key has one spelling, `{key:016x}`: no sign, no short
+        // or padded form, no upper case.
+        for near in ["+7", "7", "000000000000000A", "00000000000000000007"] {
+            let line = format!(r#"{{"op":"cache-pull","key":"{near}"}}"#);
+            let err = parse_request(&line).body.unwrap_err();
+            assert_eq!(
+                err,
+                format!("`key` must be a 16-hex cell key, got `{near}`")
+            );
+        }
         let err = parse_request(r#"{"op":"cache-push","entry":"x"}"#)
             .body
             .unwrap_err();

@@ -48,9 +48,11 @@ use std::path::PathBuf;
 
 use crate::client::{backoff_schedule, ClientOptions, RequestError, ResilientClient};
 use crate::proto::{self, Endpoint};
-use dp_obs::json::{uint, Json};
+use dp_obs::json::{uint, Cursor, Json};
 use dp_obs::metrics::{labeled_counter, Counter};
-use dp_sweep::{cache, CellSummary, DatasetSpec, Sweep, SweepOptions, SweepResult, SweepSpec};
+use dp_sweep::cache::{self, SummaryBody};
+use dp_sweep::key::parse_key;
+use dp_sweep::{CellSummary, DatasetSpec, Sweep, SweepOptions, SweepResult, SweepSpec};
 
 static CELLS_LOCAL_HITS: Counter = Counter::new("shard.cells.local_hits");
 static CELLS_ROUTED: Counter = Counter::new("shard.cells.routed");
@@ -180,8 +182,9 @@ pub fn shard_sweep(
     CELLS_LOCAL_HITS.add((cells.len() - pending.len()) as u64);
 
     // One request per cell, pipeline id = its slot, prebuilt so every
-    // (re)send of a cell is the identical byte sequence.
-    let requests: Vec<Json> = cells
+    // (re)send of a cell is the identical byte sequence, with the key its
+    // answer must name.
+    let requests: Vec<(u64, Json)> = cells
         .iter()
         .enumerate()
         .map(|(slot, cell)| {
@@ -201,7 +204,7 @@ pub fn shard_sweep(
             if let Json::Object(members) = &mut request {
                 members.insert("id".to_string(), uint(slot as u64));
             }
-            request
+            (cell.key, request)
         })
         .collect();
 
@@ -346,7 +349,7 @@ fn drive_daemon(
     endpoint_idx: usize,
     endpoint: &Endpoint,
     opts: ClientOptions,
-    requests: &[Json],
+    requests: &[(u64, Json)],
     slots: &[usize],
 ) -> DriveOutcome {
     let schedule = backoff_schedule(&opts);
@@ -388,7 +391,7 @@ fn drive_daemon(
 /// (a slot leaves it only when its response has been read).
 fn drive_session(
     client: &mut ResilientClient,
-    requests: &[Json],
+    requests: &[(u64, Json)],
     remaining: &mut VecDeque<usize>,
     done: &mut Vec<(usize, CellSummary)>,
 ) -> Result<(), RequestError> {
@@ -398,7 +401,7 @@ fn drive_session(
     loop {
         while in_flight.len() < IN_FLIGHT_WINDOW {
             let Some(slot) = queue.pop_front() else { break };
-            proto::write_line(session.writer_mut(), &requests[slot])
+            proto::write_line(session.writer_mut(), &requests[slot].1)
                 .map_err(|e| RequestError::Transport(format!("send: {e}")))?;
             in_flight.insert(slot);
         }
@@ -409,37 +412,51 @@ fn drive_session(
             .read_response_line()
             .map_err(|e| RequestError::Transport(format!("receive: {e}")))?
             .ok_or_else(|| RequestError::Transport("server closed the connection".to_string()))?;
-        let response = dp_obs::json::parse(line.trim())
-            .map_err(|e| RequestError::Transport(format!("torn response: {e}")))?;
-        let Some(slot) = response
-            .get("id")
-            .and_then(Json::as_u64)
-            .map(|v| v as usize)
-        else {
-            return Err(RequestError::Transport(
-                "response missing pipeline id".to_string(),
-            ));
-        };
-        if !in_flight.remove(&slot) {
-            return Err(RequestError::Transport(format!(
-                "unexpected response id {slot}"
-            )));
-        }
-        if response.get("ok") != Some(&Json::Bool(true)) {
-            return Err(RequestError::Server(
-                response
-                    .get("error")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unknown server error")
-                    .to_string(),
-            ));
-        }
-        let summary = cache::summary_from_json(&response).ok_or_else(|| {
-            RequestError::Transport(format!("malformed sweep-cell response for id {slot}"))
-        })?;
+        let (slot, summary) = read_answer(&line, requests, &mut in_flight)?;
         done.push((slot, summary));
         remaining.retain(|&s| s != slot);
     }
+}
+
+/// Reads one `sweep-cell` answer line in one walk: the slot its `id`
+/// names, which must be in flight and leaves it, and the summary, which
+/// the cache's own decoder reads and binds to the slot's key as it binds a
+/// cached entry. An answer for another cell is a transport error, as a
+/// torn one is: the daemon is not answering what was asked.
+fn read_answer(
+    line: &str,
+    requests: &[(u64, Json)],
+    in_flight: &mut BTreeSet<usize>,
+) -> Result<(usize, CellSummary), RequestError> {
+    let transport = |message: String| RequestError::Transport(message);
+    let line = line.trim();
+    let (mut id, mut ok, mut error) = (None, false, None);
+    let mut cursor = Cursor::new(line);
+    let body = SummaryBody::read(&mut cursor, |c, name| {
+        match name {
+            "id" => id = c.or_skip(|c| c.number_as(Json::as_u64))?,
+            "ok" => ok = c.or_skip(Cursor::bool)? == Some(true),
+            "error" => error = c.or_skip(Cursor::string)?,
+            _ => drop(c.value()?),
+        }
+        Ok(())
+    })
+    .and_then(|body| cursor.finish().map(|()| body))
+    .map_err(|e| transport(format!("torn response: {}", e.message(line))))?;
+    let slot = id.ok_or_else(|| transport("response missing pipeline id".to_string()))? as usize;
+    if !in_flight.remove(&slot) {
+        return Err(transport(format!("unexpected response id {slot}")));
+    }
+    if !ok {
+        let error = error.as_deref().unwrap_or("unknown server error");
+        return Err(RequestError::Server(error.to_string()));
+    }
+    let summary = body.verdict(requests[slot].0).map_err(|reason| {
+        transport(format!(
+            "malformed sweep-cell response for id {slot} ({reason})"
+        ))
+    })?;
+    Ok((slot, summary))
 }
 
 // ----------------------------------------------------------------------
@@ -504,7 +521,7 @@ pub fn sync_caches(endpoints: &[Endpoint], opts: &SyncOptions) -> Result<SyncRep
         have.push(
             keys.iter()
                 .filter_map(|k| k.as_str())
-                .filter_map(|k| u64::from_str_radix(k, 16).ok())
+                .filter_map(parse_key)
                 .collect(),
         );
     }
@@ -635,6 +652,35 @@ mod tests {
                     "key {key:016x} moved although its daemon survived"
                 );
             }
+        }
+    }
+
+    /// An answer is bound to the cell it was asked for: one whose `key`
+    /// names another cell is a transport fault, never merged.
+    #[test]
+    fn an_answer_for_another_cell_is_refused() {
+        let answer = |key: u64| {
+            let mut answer = cache::summary_json(key, &CellSummary::default());
+            if let Json::Object(members) = &mut answer {
+                members.insert("id".to_string(), uint(0));
+                members.insert("ok".to_string(), Json::Bool(true));
+                members.insert("op".to_string(), Json::Str("sweep-cell".to_string()));
+            }
+            answer.to_string()
+        };
+        let requests = [(7, Json::Null)];
+        let read = |line: &str| read_answer(line, &requests, &mut BTreeSet::from([0]));
+        let (slot, summary) = read(&answer(7)).expect("the answer for the cell asked");
+        assert_eq!(slot, 0);
+        assert_eq!(
+            cache::summary_json(7, &summary),
+            cache::summary_json(7, &CellSummary::default())
+        );
+        match read(&answer(8)) {
+            Err(RequestError::Transport(message)) => {
+                assert!(message.contains("key mismatch"), "{message}");
+            }
+            other => panic!("an answer for another cell: {other:?}"),
         }
     }
 

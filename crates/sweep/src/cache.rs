@@ -44,10 +44,11 @@
 //! process-level proof.
 
 use crate::faults::{self, FaultPlan};
-use crate::key::{fnv1a, CACHE_FORMAT_VERSION};
+use crate::key::{fnv1a, parse_key, CACHE_FORMAT_VERSION};
 use crate::CellSummary;
 use dp_obs::json::{self, num, object, uint, Cursor, Json};
 use dp_obs::metrics::Counter;
+use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 use std::fs::File;
 use std::path::{Path, PathBuf};
@@ -157,23 +158,19 @@ fn renders_as(text: &str, shown: impl fmt::Display) -> bool {
 
 /// The one verdict on an entry's raw text (body + footer) offered as the
 /// answer to `key`: the footer is exactly what [`store`] writes, its length
-/// and fnv1a checksum match the body, the version is current, the body
-/// (parsed once) decodes as a summary **and names `key`**. `Err` carries
-/// the reason: `"stale format version"` for an intact entry of another
-/// version — decided before the key is looked at — and otherwise what is
-/// corrupt about it, the strings quarantine diagnostics and `cache verify`
-/// print. Nothing here allocates by a number read from `text`.
-///
-/// A body that gives each member [`summary_json`] writes exactly once,
-/// naming `key`, is decoded in one pass (`decode_summary`), however it
-/// spells its whitespace, member order and strings; any other body is
-/// parsed as a JSON tree and decided there, with the same verdict.
+/// and fnv1a checksum match the body, the version is current, and the body
+/// decodes as a summary **that names `key`** ([`decode_summary`]). `Err`
+/// carries the reason: `"stale format version"` for an intact entry of
+/// another version, decided before the key is looked at, and otherwise what
+/// is corrupt about it. These are the strings quarantine diagnostics and
+/// `cache verify` print. Nothing here allocates by a number read from
+/// `text`.
 pub fn check(text: &str, key: u64) -> Result<CellSummary, &'static str> {
     let Some(idx) = text.rfind(FOOTER_MARK) else {
         // No footer. A pre-checksum (v1) entry still decodes as versioned
         // JSON — stale, not corrupt; anything else is torn bytes.
-        return match json::parse(text.trim()) {
-            Ok(v) if v.get("version").and_then(Json::as_u64).is_some() => Err(STALE),
+        return match read_body(text.trim()) {
+            Ok(body) if body.version.is_some() => Err(STALE),
             _ => Err("missing checksum footer"),
         };
     };
@@ -205,85 +202,116 @@ pub fn check(text: &str, key: u64) -> Result<CellSummary, &'static str> {
     if version != CACHE_FORMAT_VERSION {
         return Err(STALE);
     }
-    if let Some(summary) = decode_summary(body, key) {
-        return Ok(summary);
-    }
-    let Ok(v) = json::parse(body) else {
-        return Err("undecodable body");
-    };
-    let Some(summary) = summary_from_json(&v) else {
-        // The checksum passed, so the bytes are what the writer meant;
-        // a version field tells stale from a genuine schema bug.
-        return match v.get("version").and_then(Json::as_u64) {
-            Some(n) if n != CACHE_FORMAT_VERSION as u64 => Err(STALE),
-            _ => Err("schema mismatch"),
-        };
-    };
-    match v.get("key").and_then(Json::as_str) {
-        Some(k) if k == format!("{key:016x}") => Ok(summary),
-        _ => Err("key mismatch"),
-    }
+    decode_summary(body, key)
 }
 
-/// The members [`summary_json`] writes, in the order it writes them.
-const MEMBERS: [&str; 16] = [
-    "aggregation_us",
-    "child_us",
-    "device_launches",
-    "device_span_us",
-    "disaggregation_us",
-    "host_launches",
-    "instructions",
-    "key",
-    "launch_us",
-    "origin_cycles_total",
-    "output_floats",
-    "output_ints",
-    "parent_us",
-    "total_us",
-    "version",
-    "warp_avg_total_us",
-];
+/// Decodes a summary body, the text [`summary_json`] writes, as the answer
+/// to `key`: `"undecodable body"` for text that is not one JSON document,
+/// and otherwise [`SummaryBody::verdict`]. Whitespace, member order, escapes
+/// and members it does not know are the text's to choose.
+pub fn decode_summary(body: &str, key: u64) -> Result<CellSummary, &'static str> {
+    read_body(body)
+        .map_err(|_| "undecodable body")?
+        .verdict(key)
+}
 
-/// [`check`]'s one pass over a body that gives each of the [`MEMBERS`]
-/// exactly once, in any order, spelled as the tree reads JSON (whitespace
-/// between tokens, escapes in strings), straight into a summary: every
-/// token read by [`json::Cursor`] and every number converted as
-/// [`Json::as_f64`] / [`Json::as_u64`] / [`Json::as_i64`] do, nothing but
-/// whitespace after the closing brace, the version current and the key
-/// `key`. It answers only then, and such a body is one the tree path
-/// accepts with the same summary; for anything else it says `None` and the
-/// tree path decides. So the verdicts are the tree's by construction.
-fn decode_summary(body: &str, key: u64) -> Option<CellSummary> {
+/// `body`, one JSON document, read by [`SummaryBody::read`].
+fn read_body(body: &str) -> json::Result<SummaryBody<'_>> {
     let mut cursor = Cursor::new(body);
-    let mut s = CellSummary {
-        verified: true,
-        from_cache: true,
-        ..CellSummary::default()
-    };
-    let seen = cursor.members(&MEMBERS, |c, name| {
-        match name {
-            "version" => (c.number()?.as_u64()? == u64::from(CACHE_FORMAT_VERSION)).then_some(())?,
-            "key" => renders_as(&c.string()?, format_args!("{key:016x}")).then_some(())?,
-            "total_us" => s.total_us = c.number()?.as_f64()?,
-            "device_span_us" => s.device_span_us = c.number()?.as_f64()?,
-            "parent_us" => s.parent_us = c.number()?.as_f64()?,
-            "child_us" => s.child_us = c.number()?.as_f64()?,
-            "launch_us" => s.launch_us = c.number()?.as_f64()?,
-            "aggregation_us" => s.aggregation_us = c.number()?.as_f64()?,
-            "disaggregation_us" => s.disaggregation_us = c.number()?.as_f64()?,
-            "warp_avg_total_us" => s.warp_avg_total_us = c.number()?.as_f64()?,
-            "device_launches" => s.device_launches = c.number()?.as_u64()?,
-            "host_launches" => s.host_launches = c.number()?.as_u64()?,
-            "origin_cycles_total" => s.origin_cycles_total = c.number()?.as_u64()?,
-            "instructions" => s.instructions = c.number()?.as_u64()?,
-            "output_ints" => s.output_ints = c.numbers(Json::as_i64)?,
-            "output_floats" => s.output_floats = c.numbers(Json::as_f64)?,
-            _ => return None,
+    let read = SummaryBody::read(&mut cursor, |c, _| c.value().map(drop))?;
+    cursor.finish()?;
+    Ok(read)
+}
+
+/// The bits of [`SummaryBody::fields`] a whole summary sets.
+const ALL_FIELDS: u16 = (1 << 14) - 1;
+
+/// A summary body read in one walk, before its verdict: each member
+/// [`summary_json`] writes, as the last of its name holds it, which is the
+/// member a JSON tree keeps.
+#[derive(Default)]
+pub struct SummaryBody<'a> {
+    summary: CellSummary,
+    /// Bit `i` is set when the last of the `i`-th field's members (in the
+    /// order [`SummaryBody::read`] lists them) holds a value of its type.
+    fields: u16,
+    /// The last `version`, when it is a `u64`.
+    version: Option<u64>,
+    /// The last `key`, when it is a string.
+    key: Option<Cow<'a, str>>,
+}
+
+impl<'a> SummaryBody<'a> {
+    /// Reads the value at `cursor` as a summary body, in one walk. Each
+    /// member is read as the number, array of numbers or string its field
+    /// asks for; a value of another type is read past and makes the member
+    /// wrong. A member that is no field is handed to `other`, which must
+    /// read its value and fail only on a syntax error. A value other than
+    /// an object gives no member. Only a syntax error, nesting past
+    /// [`json::MAX_DEPTH`] included, fails.
+    pub fn read(
+        cursor: &mut Cursor<'a>,
+        mut other: impl FnMut(&mut Cursor<'a>, &str) -> json::Result<()>,
+    ) -> json::Result<Self> {
+        let mut body = SummaryBody::default();
+        (body.summary.verified, body.summary.from_cache) = (true, true);
+        let float = |c: &mut Cursor<'a>| c.or_skip(|c| c.number_as(Json::as_f64));
+        let count = |c: &mut Cursor<'a>| c.or_skip(|c| c.number_as(Json::as_u64));
+        let ints = |c: &mut Cursor<'a>| c.or_skip(|c| c.numbers(Json::as_i64));
+        let floats = |c: &mut Cursor<'a>| c.or_skip(|c| c.numbers(Json::as_f64));
+        cursor.or_skip(|cursor| {
+            cursor.object(|c, name| {
+                let s = &mut body.summary;
+                let (field, given) = match name {
+                    "version" => {
+                        body.version = count(c)?;
+                        return Ok(());
+                    }
+                    "key" => {
+                        body.key = c.or_skip(Cursor::string)?;
+                        return Ok(());
+                    }
+                    "total_us" => (0, float(c)?.map(|v| s.total_us = v)),
+                    "device_span_us" => (1, float(c)?.map(|v| s.device_span_us = v)),
+                    "parent_us" => (2, float(c)?.map(|v| s.parent_us = v)),
+                    "child_us" => (3, float(c)?.map(|v| s.child_us = v)),
+                    "launch_us" => (4, float(c)?.map(|v| s.launch_us = v)),
+                    "aggregation_us" => (5, float(c)?.map(|v| s.aggregation_us = v)),
+                    "disaggregation_us" => (6, float(c)?.map(|v| s.disaggregation_us = v)),
+                    "warp_avg_total_us" => (7, float(c)?.map(|v| s.warp_avg_total_us = v)),
+                    "device_launches" => (8, count(c)?.map(|v| s.device_launches = v)),
+                    "host_launches" => (9, count(c)?.map(|v| s.host_launches = v)),
+                    "origin_cycles_total" => (10, count(c)?.map(|v| s.origin_cycles_total = v)),
+                    "instructions" => (11, count(c)?.map(|v| s.instructions = v)),
+                    "output_ints" => (12, ints(c)?.map(|v| s.output_ints = v)),
+                    "output_floats" => (13, floats(c)?.map(|v| s.output_floats = v)),
+                    _ => return other(c, name),
+                };
+                body.fields = body.fields & !(1 << field) | u16::from(given.is_some()) << field;
+                Ok(())
+            })
+        })?;
+        Ok(body)
+    }
+
+    /// The summary, if the body answers `key`, with the verdicts a JSON
+    /// tree of the body gives: a `version` other than the current one is
+    /// `"stale format version"`, no `u64` version or a field missing or of
+    /// another type is `"schema mismatch"`, and a `key` other than `key`'s
+    /// spelling is `"key mismatch"`, in that order.
+    pub fn verdict(self, key: u64) -> Result<CellSummary, &'static str> {
+        match self.version {
+            Some(v) if v != u64::from(CACHE_FORMAT_VERSION) => Err(STALE),
+            Some(_) if self.fields == ALL_FIELDS => {
+                if self.key.as_deref().and_then(parse_key) == Some(key) {
+                    Ok(self.summary)
+                } else {
+                    Err("key mismatch")
+                }
+            }
+            _ => Err("schema mismatch"),
         }
-        Some(())
-    })?;
-    (cursor.peek().is_none() && seen == (1 << MEMBERS.len()) - 1).then_some(s)
+    }
 }
 
 /// Puts a failed entry aside as `<key>.corrupt` so it is never re-parsed
@@ -353,47 +381,6 @@ pub fn load(dir: &Path, key: u64) -> Option<CellSummary> {
 /// `None`: replicating an old format across the fleet helps nobody.
 pub fn load_sealed(dir: &Path, key: u64) -> Option<String> {
     read_checked(dir, key).map(|(_, text, _)| text)
-}
-
-/// Parses the JSON form written by [`summary_json`] back into a
-/// [`CellSummary`] (label empty, `verified`/`from_cache` set as a cache hit
-/// would be). Returns `None` on schema or version mismatch — the inverse of
-/// [`summary_json`], shared by the disk cache and the `dp-serve` client.
-pub fn summary_from_json(v: &Json) -> Option<CellSummary> {
-    if v.get("version")?.as_u64()? != CACHE_FORMAT_VERSION as u64 {
-        return None;
-    }
-    let f = |name: &str| v.get(name)?.as_f64();
-    let u = |name: &str| v.get(name)?.as_u64();
-    Some(CellSummary {
-        label: String::new(),
-        total_us: f("total_us")?,
-        device_span_us: f("device_span_us")?,
-        parent_us: f("parent_us")?,
-        child_us: f("child_us")?,
-        launch_us: f("launch_us")?,
-        aggregation_us: f("aggregation_us")?,
-        disaggregation_us: f("disaggregation_us")?,
-        warp_avg_total_us: f("warp_avg_total_us")?,
-        device_launches: u("device_launches")?,
-        host_launches: u("host_launches")?,
-        origin_cycles_total: u("origin_cycles_total")?,
-        instructions: u("instructions")?,
-        output_ints: v
-            .get("output_ints")?
-            .as_array()?
-            .iter()
-            .map(|x| x.as_i64())
-            .collect::<Option<Vec<i64>>>()?,
-        output_floats: v
-            .get("output_floats")?
-            .as_array()?
-            .iter()
-            .map(|x| x.as_f64())
-            .collect::<Option<Vec<f64>>>()?,
-        verified: true,
-        from_cache: true,
-    })
 }
 
 /// The persisted JSON form of a summary — the exact object [`store`]
@@ -593,11 +580,7 @@ fn classify(name: &str) -> Option<FileKind> {
     if name.ends_with(".corrupt") {
         return Some(FileKind::Quarantined);
     }
-    let hex = name.strip_suffix(".json")?;
-    if hex.len() != 16 || !hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
-        return None;
-    }
-    u64::from_str_radix(hex, 16).ok().map(FileKind::Entry)
+    parse_key(name.strip_suffix(".json")?).map(FileKind::Entry)
 }
 
 /// Every cache file in `dir` — name, kind, path — sorted by name, which
@@ -868,30 +851,27 @@ mod tests {
 
     #[test]
     fn the_one_pass_decoder_reads_the_members_summary_json_writes() {
-        let Json::Object(members) = summary_json(7, &sample_summary("x")) else {
-            unreachable!("a summary is an object");
-        };
-        assert_eq!(members.keys().collect::<Vec<_>>(), MEMBERS);
         let body = summary_json(7, &sample_summary("x")).to_string();
-        let decoded = decode_summary(&body, 7).expect("a canonical body decodes in one pass");
+        let decoded = decode_summary(&body, 7).expect("a canonical body decodes");
         assert_eq!(summary_json(7, &decoded).to_string(), body);
-        assert!(
-            decode_summary(&body, 8).is_none(),
-            "another key is the tree's to refuse"
-        );
-        // Whitespace between tokens, and a member name spelled with an
-        // escape, read as the tree reads them.
+        assert_eq!(decode_summary(&body, 8).err(), Some("key mismatch"));
+        // Whitespace between tokens, a member name spelled with an escape,
+        // a member it does not know and a member given twice, the last
+        // counting, read as the tree reads them.
         let spaced = body
             .replace(',', " ,\n\t")
             .replace(':', "\r: ")
             .replace('[', "[ ");
         let escaped = body.replacen("\"total_us\"", "\"tot\\u0061l_us\"", 1);
-        for respelled in [format!(" {spaced}\n"), escaped] {
+        let unknown = body.replacen('{', r#"{"label":{"a":[1,"x"]},"#, 1);
+        let repeated = body.replacen('{', r#"{"total_us":"x","#, 1);
+        for respelled in [format!(" {spaced}\n"), escaped, unknown, repeated] {
             assert_ne!(respelled, body);
-            let decoded =
-                decode_summary(&respelled, 7).expect("a respelled body decodes in one pass");
+            let decoded = decode_summary(&respelled, 7).expect("a respelled body decodes");
             assert_eq!(summary_json(7, &decoded).to_string(), body, "{respelled}");
         }
+        let shadowed = body.replacen('}', r#","total_us":null}"#, 1);
+        assert_eq!(decode_summary(&shadowed, 7).err(), Some("schema mismatch"));
     }
 
     fn sample_summary(label: &str) -> CellSummary {

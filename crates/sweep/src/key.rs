@@ -334,6 +334,15 @@ pub fn compiled_key(source: &str, config: &OptConfig) -> u64 {
     ))
 }
 
+/// A key read back from its one spelling, `{key:016x}`: exactly sixteen
+/// lowercase hex digits, with no sign and no padding. It is the name a
+/// cache entry is filed under and the `key` its body and the wire carry.
+pub fn parse_key(hex: &str) -> Option<u64> {
+    let digits = hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+    (hex.len() == 16 && digits).then_some(())?;
+    u64::from_str_radix(hex, 16).ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,6 +352,23 @@ mod tests {
     /// Canonical string for a variant (No-CDP, or CDP with a configuration).
     fn canonical_variant(variant: &Variant) -> String {
         VariantCanon(variant).to_string()
+    }
+
+    #[test]
+    fn a_key_has_one_spelling() {
+        assert_eq!(parse_key("00000000deadbeef"), Some(0xdead_beef));
+        assert_eq!(parse_key(&format!("{:016x}", u64::MAX)), Some(u64::MAX));
+        for near in [
+            "",
+            "7",
+            "deadbeef",
+            "+0000000deadbeef",
+            "00000000DEADBEEF",
+            "00000000000000000007",
+            " 00000000deadbeef",
+        ] {
+            assert_eq!(parse_key(near), None, "{near:?}");
+        }
     }
 
     #[test]

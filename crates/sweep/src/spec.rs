@@ -32,16 +32,18 @@ use dp_workloads::{datasets_for, input_kind_for, DatasetId};
 /// Parses an aggregation granularity spec (`warp`, `block`,
 /// `multiblock:<K>`, `grid`) — the one parser for sweep specs, `dp-serve`
 /// requests and the CLI's `--agg`. `K` becomes `_AGG_GRANULARITY`, which
-/// every transformed parent divides by, so `K < 1` is not a granularity.
+/// every transformed parent divides by, so `K < 1` is not a granularity;
+/// it is spelled `[1-9][0-9]*`, so `+8` and `08` are not `8`.
 pub fn parse_granularity(spec: &str) -> Option<AggGranularity> {
     match spec {
         "warp" => Some(AggGranularity::Warp),
         "block" => Some(AggGranularity::Block),
         "grid" => Some(AggGranularity::Grid),
         other => {
-            let rest = other.strip_prefix("multiblock:")?;
-            let k = rest.parse().ok().filter(|&k| k >= 1)?;
-            Some(AggGranularity::MultiBlock(k))
+            let k = other.strip_prefix("multiblock:")?;
+            // `str::parse` alone would also take a sign and leading zeros.
+            (!k.starts_with('0') && k.bytes().all(|b| b.is_ascii_digit())).then_some(())?;
+            k.parse().ok().map(AggGranularity::MultiBlock)
         }
     }
 }
@@ -304,6 +306,9 @@ mod tests {
         for (variant, needle) in [
             (r#"{"agg": "multiblock:0"}"#, "granularity"),
             (r#"{"agg": "multiblock:-2"}"#, "granularity"),
+            (r#"{"agg": "multiblock:+8"}"#, "granularity"),
+            (r#"{"agg": "multiblock:08"}"#, "granularity"),
+            (r#"{"agg": "multiblock:"}"#, "granularity"),
             (r#"{"coarsen": 0}"#, "`coarsen` must be at least 1"),
             (r#"{"coarsen": -3}"#, "`coarsen` must be at least 1"),
         ] {

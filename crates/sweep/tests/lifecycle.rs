@@ -35,8 +35,8 @@ fn completing_every_slot_from_outside_equals_run_sweep() {
     );
     for (slot, cell) in sweep.cells().iter().enumerate() {
         let computed = &reference.series[cell.series_idx].cells[cell.cell_idx];
-        let wire = cache::summary_json(cell.key, computed);
-        sweep.complete(slot, cache::summary_from_json(&wire).unwrap());
+        let wire = cache::summary_json(cell.key, computed).to_string();
+        sweep.complete(slot, cache::decode_summary(&wire, cell.key).unwrap());
         assert!(!sweep.pending().contains(&slot));
     }
     let merged = sweep.finish();

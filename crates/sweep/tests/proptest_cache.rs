@@ -5,8 +5,9 @@
 //! carries; every refusal is one of eight reasons; whatever is accepted is
 //! the entry `store` would have written for that key; a refused offer
 //! leaves nothing under the live name; and every verdict is the one the
-//! JSON tree gives (`tree_check` below), also on bodies that are valid JSON
-//! in another shape than the one `summary_json` writes.
+//! JSON tree gives (`tree_check` below, which reads a body with
+//! `json::parse` and `summary_from_json`), also on bodies that are valid
+//! JSON in another shape than the one `summary_json` writes.
 
 use dp_sweep::cache::{self, StoreOutcome};
 use dp_sweep::json::{self, Json};
@@ -300,7 +301,7 @@ fn tree_check(text: &str, key: u64) -> Result<String, &'static str> {
         return Err(stale);
     }
     let v = json::parse(body).map_err(|_| "undecodable body")?;
-    let Some(summary) = cache::summary_from_json(&v) else {
+    let Some(summary) = summary_from_json(&v) else {
         return match v.get("version").and_then(Json::as_u64) {
             Some(n) if n != u64::from(CACHE_FORMAT_VERSION) => Err(stale),
             _ => Err("schema mismatch"),
@@ -310,6 +311,46 @@ fn tree_check(text: &str, key: u64) -> Result<String, &'static str> {
         return Err("key mismatch");
     }
     Ok(body_of(key, &summary))
+}
+
+/// Reads a JSON tree of the form `summary_json` writes back into a
+/// summary (label empty, `verified`/`from_cache` set as a cache hit would
+/// be); `None` on a schema or version mismatch.
+fn summary_from_json(v: &Json) -> Option<CellSummary> {
+    if v.get("version")?.as_u64()? != CACHE_FORMAT_VERSION as u64 {
+        return None;
+    }
+    let f = |name: &str| v.get(name)?.as_f64();
+    let u = |name: &str| v.get(name)?.as_u64();
+    Some(CellSummary {
+        label: String::new(),
+        total_us: f("total_us")?,
+        device_span_us: f("device_span_us")?,
+        parent_us: f("parent_us")?,
+        child_us: f("child_us")?,
+        launch_us: f("launch_us")?,
+        aggregation_us: f("aggregation_us")?,
+        disaggregation_us: f("disaggregation_us")?,
+        warp_avg_total_us: f("warp_avg_total_us")?,
+        device_launches: u("device_launches")?,
+        host_launches: u("host_launches")?,
+        origin_cycles_total: u("origin_cycles_total")?,
+        instructions: u("instructions")?,
+        output_ints: v
+            .get("output_ints")?
+            .as_array()?
+            .iter()
+            .map(|x| x.as_i64())
+            .collect::<Option<Vec<i64>>>()?,
+        output_floats: v
+            .get("output_floats")?
+            .as_array()?
+            .iter()
+            .map(|x| x.as_f64())
+            .collect::<Option<Vec<f64>>>()?,
+        verified: true,
+        from_cache: true,
+    })
 }
 
 /// One thing a disk or a peer might hand over as the entry for a key.
@@ -476,6 +517,24 @@ fn huge_footer_numbers_are_compared_not_allocated() {
             cache::check(&with(version, len), 7).err(),
             Some(reason),
             "v{version} len={len}"
+        );
+    }
+}
+
+/// A member `check` does not know is read through to the nesting cap:
+/// 127 levels inside the body's own object are a body, 128 are not.
+#[test]
+fn an_unknown_member_is_read_to_the_nesting_cap() {
+    let key = 7;
+    let body = body_of(key, &summary(&mut Picks(Vec::new().into_iter())));
+    for (depth, verdict) in [(127, Ok(body.clone())), (128, Err("undecodable body"))] {
+        let deep = "[".repeat(depth) + &"]".repeat(depth);
+        let entry = seal(&body.replacen('{', &format!("{{\"zz\":{deep},"), 1));
+        assert_eq!(tree_check(&entry, key), verdict, "depth {depth}");
+        assert_eq!(
+            cache::check(&entry, key).map(|s| body_of(key, &s)),
+            verdict,
+            "depth {depth}"
         );
     }
 }

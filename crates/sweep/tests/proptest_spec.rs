@@ -112,7 +112,11 @@ fn variant(p: &mut Picks) -> Json {
         p.member(
             "agg",
             &strs(&["warp", "block", "grid", "multiblock:8"]),
-            &[strs(&["multiblock:0", "galaxy"]), vec![Json::Int(7)]].concat(),
+            &[
+                strs(&["multiblock:0", "multiblock:+8", "multiblock:08", "galaxy"]),
+                vec![Json::Int(7)],
+            ]
+            .concat(),
         ),
         p.member(
             "agg_threshold",
