@@ -168,6 +168,34 @@ fn read_input(path: &str) -> Result<String, ExitCode> {
     std::fs::read_to_string(path).map_err(|e| fail(&format!("cannot read `{path}`: {e}")))
 }
 
+/// Writes `bytes` to an `-o` file, failing with a message that names the
+/// path. The file is overwritten in place: it is opened without truncation
+/// and cut to `bytes`' length only when it is a regular file that was
+/// longer. It ends as `std::fs::write` leaves it (the same bytes, a symlink
+/// followed, a hard link shared, a new file's permissions from the umask),
+/// but a rewrite of an existing file skips the writeback that ext4
+/// (`auto_da_alloc`) starts on `close` of a file truncated to zero, which
+/// every rerun writing the same `-o` used to wait for. Like
+/// `std::fs::write`, this is not atomic: a reader or a failed write can see
+/// old and new bytes mixed.
+fn write_output(path: &str, bytes: &[u8]) -> Result<(), ExitCode> {
+    let write = || {
+        let mut file = std::fs::OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(path)?;
+        let was = file.metadata()?;
+        file.write_all(bytes)?;
+        let len = bytes.len() as u64;
+        if was.is_file() && was.len() > len {
+            file.set_len(len)?;
+        }
+        Ok::<_, std::io::Error>(())
+    };
+    write().map_err(|e| fail(&format!("cannot write `{path}`: {e}")))
+}
+
 fn transform(args: &[String]) -> ExitCode {
     let mut input = None;
     let mut output = None;
@@ -268,8 +296,8 @@ fn transform(args: &[String]) -> ExitCode {
     }
     match output {
         Some(path) => {
-            if let Err(e) = std::fs::write(&path, transformed) {
-                return fail(&format!("cannot write `{path}`: {e}"));
+            if let Err(code) = write_output(&path, transformed.as_bytes()) {
+                return code;
             }
             eprintln!("wrote {path}");
         }
@@ -1045,8 +1073,8 @@ fn sweep(args: &[String]) -> ExitCode {
         write_table(&mut out, &spec, &result, cache_stats).and_then(|()| out.flush())
     };
     if let Some(path) = output {
-        if let Err(e) = std::fs::write(&path, result_json(&result)) {
-            return fail(&format!("cannot write `{path}`: {e}"));
+        if let Err(code) = write_output(&path, result_json(&result).as_bytes()) {
+            return code;
         }
         eprintln!("wrote {path}");
     }

@@ -784,6 +784,80 @@ fn a_closed_stdout_fails_the_sweep_cleanly_and_still_writes_the_json() {
     std::fs::remove_file(&json_out).ok();
 }
 
+/// `-o` overwrites an existing file in place: over a longer file, and
+/// through a symlink, it leaves exactly the bytes a fresh path gets, and
+/// the link stays a link to the file it named.
+#[test]
+fn sweep_output_overwrites_a_longer_file_and_follows_a_symlink() {
+    let tag = format!("{}-overwrite", std::process::id());
+    let tmp = std::env::temp_dir();
+    let spec = tmp.join(format!("dpopt-spec-{tag}.json"));
+    std::fs::write(&spec, SWEEP_SPEC).unwrap();
+    let sweep_to = |out: &std::path::Path| {
+        let run = dpopt()
+            .args(["sweep", spec.to_str().unwrap(), "--no-cache", "--jobs", "1"])
+            .arg("-o")
+            .arg(out)
+            .output()
+            .unwrap();
+        assert!(
+            run.status.success(),
+            "{}",
+            String::from_utf8_lossy(&run.stderr)
+        );
+    };
+    let fresh = tmp.join(format!("dpopt-out-{tag}-fresh.json"));
+    let _ = std::fs::remove_file(&fresh);
+    sweep_to(&fresh);
+    let expected = std::fs::read(&fresh).unwrap();
+    assert!(expected.ends_with(b"}\n"), "{expected:?}");
+
+    let longer = tmp.join(format!("dpopt-out-{tag}-longer.json"));
+    std::fs::write(&longer, vec![b'x'; 2 * expected.len()]).unwrap();
+    sweep_to(&longer);
+    assert!(
+        std::fs::read(&longer).unwrap() == expected,
+        "a longer file keeps bytes past the new output"
+    );
+
+    #[cfg(unix)]
+    {
+        let target = tmp.join(format!("dpopt-out-{tag}-target.json"));
+        let link = tmp.join(format!("dpopt-out-{tag}-link.json"));
+        std::fs::write(&target, vec![b'y'; expected.len() + 1]).unwrap();
+        let _ = std::fs::remove_file(&link);
+        std::os::unix::fs::symlink(&target, &link).unwrap();
+        sweep_to(&link);
+        let kind = std::fs::symlink_metadata(&link).unwrap().file_type();
+        assert!(kind.is_symlink(), "-o replaced the link: {kind:?}");
+        assert!(std::fs::read(&target).unwrap() == expected);
+        std::fs::remove_file(&link).ok();
+        std::fs::remove_file(&target).ok();
+    }
+
+    std::fs::remove_file(&spec).ok();
+    std::fs::remove_file(&fresh).ok();
+    std::fs::remove_file(&longer).ok();
+}
+
+/// `transform -o` over a longer file leaves exactly the transformed source
+/// the command prints without `-o`.
+#[test]
+fn transform_output_overwrites_a_longer_file() {
+    let input = write_temp("overwrite", EXAMPLE);
+    let output =
+        std::env::temp_dir().join(format!("dpopt-cli-overwrite-{}.cu", std::process::id()));
+    let args = ["transform", input.to_str().unwrap(), "--threshold", "128"];
+    let printed = dpopt().args(args).output().unwrap();
+    assert!(printed.status.success());
+    std::fs::write(&output, vec![b'/'; 4 * printed.stdout.len()]).unwrap();
+    let written = dpopt().args(args).arg("-o").arg(&output).output().unwrap();
+    assert!(written.status.success());
+    assert!(std::fs::read(&output).unwrap() == printed.stdout);
+    std::fs::remove_file(input).ok();
+    std::fs::remove_file(output).ok();
+}
+
 /// `dpopt` is a static executable: it has no `PT_INTERP` program header,
 /// so a process starts without the dynamic loader mapping and binding libc
 /// before `main` — a fixed cost every short command (a warm sweep) pays.

@@ -446,10 +446,12 @@ fn raw_string_len(body: &[u8]) -> usize {
 /// number value — and leaves `*pos` after it. The token follows JSON's
 /// grammar, `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`, checked in one
 /// walk over its bytes. One without a fraction or an exponent is a
-/// [`Json::Int`] (refused past `i64`); any other is the [`Json::Float`]
-/// `str::parse` reads, refused when it overflows to infinity, which JSON
-/// has no text for.
-#[inline]
+/// [`Json::Int`] (refused past `i64`), its value summed up in the same
+/// walk; any other is the [`Json::Float`] `str::parse` reads, refused when
+/// it overflows to infinity, which JSON has no text for. It inlines into
+/// each cursor read, so a caller that converts the number at once never
+/// holds the [`Json`].
+#[inline(always)]
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json> {
     let start = *pos;
     let digits = |pos: &mut usize| {
@@ -459,10 +461,22 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json> {
         }
         *pos > from
     };
-    *pos += usize::from(bytes.get(*pos) == Some(&b'-'));
+    let negative = bytes.get(*pos) == Some(&b'-');
+    *pos += usize::from(negative);
     let int = *pos;
+    // The integer part's magnitude, `None` once it passes `u64`.
+    let mut magnitude = Some(0u64);
+    while let Some(digit) = bytes.get(*pos).and_then(|b| b.checked_sub(b'0')) {
+        if digit > 9 {
+            break;
+        }
+        magnitude = magnitude
+            .and_then(|m| m.checked_mul(10))
+            .and_then(|m| m.checked_add(u64::from(digit)));
+        *pos += 1;
+    }
     // One leading zero, and only as the whole integer part.
-    let mut valid = digits(pos) && (bytes[int] != b'0' || *pos == int + 1);
+    let mut valid = *pos > int && (bytes[int] != b'0' || *pos == int + 1);
     let mut float = false;
     if valid && bytes.get(*pos) == Some(&b'.') {
         *pos += 1;
@@ -478,16 +492,24 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json> {
     if !valid {
         return Err(Kind::Number(*pos).at(start));
     }
-    // Every byte of the token is ASCII.
-    let token = std::str::from_utf8(&bytes[start..*pos]).unwrap_or_default();
     let value = if float {
+        // Every byte of the token is ASCII.
+        let token = std::str::from_utf8(&bytes[start..*pos]).unwrap_or_default();
         token
             .parse::<f64>()
             .ok()
             .filter(|v| v.is_finite())
             .map(Json::Float)
     } else {
-        token.parse::<i64>().ok().map(Json::Int)
+        // `-0` is `Int(0)`, and `-9223372036854775808` is `i64::MIN`.
+        let exact = match magnitude {
+            Some(m) if negative => {
+                (m <= i64::MIN.unsigned_abs()).then(|| 0i64.wrapping_sub_unsigned(m))
+            }
+            Some(m) => i64::try_from(m).ok(),
+            None => None,
+        };
+        exact.map(Json::Int)
     };
     value.ok_or(Kind::Range(*pos).at(start))
 }
@@ -614,8 +636,11 @@ impl<'a> Cursor<'a> {
 
     /// A number, converted by `convert`, which may refuse it.
     #[inline]
-    pub fn number_as<T>(&mut self, convert: fn(&Json) -> Option<T>) -> Result<T> {
-        let number = self.number()?;
+    pub fn number_as<T>(&mut self, convert: impl Fn(&Json) -> Option<T>) -> Result<T> {
+        // Not through `Cursor::number`, which stays a call of its own: with
+        // `parse_number` inlined here, the `Json` never leaves this read.
+        self.next()?;
+        let number = parse_number(self.text.as_bytes(), &mut self.pos)?;
         convert(&number).ok_or(self.refused())
     }
 
@@ -718,7 +743,7 @@ impl<'a> Cursor<'a> {
     /// allocated once: its length is counted from the commas before the
     /// first `]`, which no number token holds. An empty array, whatever
     /// its whitespace, allocates nothing.
-    pub fn numbers<T>(&mut self, convert: fn(&Json) -> Option<T>) -> Result<Vec<T>> {
+    pub fn numbers<T>(&mut self, convert: impl Fn(&Json) -> Option<T>) -> Result<Vec<T>> {
         if self.next()? != b'[' {
             return Err(self.refused());
         }
@@ -733,7 +758,7 @@ impl<'a> Cursor<'a> {
             1 + items.iter().filter(|&&b| b == b',').count()
         });
         self.array(|cursor| {
-            out.push(cursor.number_as(convert)?);
+            out.push(cursor.number_as(&convert)?);
             Ok(())
         })?;
         Ok(out)

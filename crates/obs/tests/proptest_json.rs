@@ -3,10 +3,10 @@
 //! strings that exercise every escape, byte-mutated documents that must
 //! fail cleanly, `parse` against a second reader of the grammar
 //! (`oracle_parse`, messages included), nesting on both sides of the cap,
-//! and the string writer's word-at-a-time scan against a byte-at-a-time
-//! one.
+//! the cursor's number reads against the tree's numbers, and the string
+//! writer's word-at-a-time scan against a byte-at-a-time one.
 
-use dp_obs::json::{parse, write_string, Json, MAX_DEPTH};
+use dp_obs::json::{parse, write_string, Cursor, Error, Json, MAX_DEPTH};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -623,4 +623,229 @@ fn a_unicode_escape_is_four_hex_digits() {
     assert_eq!(err(r#""\u-041""#), "invalid \\u escape -041");
     assert_eq!(err(r#""\u00g1""#), "invalid \\u escape 00g1");
     assert_eq!(err(r#""\ud83d\u+e00""#), "invalid \\u escape +e00");
+}
+
+/// What a number token's integer part is made of, and whether JSON takes
+/// it: `0`, a small or a large `i64`, the edges of `i64` and `u64`, digits
+/// past `u64`, or a leading zero, which JSON refuses.
+fn arb_integer_part() -> impl Strategy<Value = (String, bool)> {
+    const EDGES: &[&str] = &[
+        "9223372036854775807",
+        "9223372036854775808",
+        "9223372036854775809",
+        "18446744073709551615",
+        "18446744073709551616",
+        "99999999999999999999999",
+    ];
+    prop_oneof![
+        Just(("0".to_string(), true)),
+        (1i64..1000).prop_map(|n| (n.to_string(), true)),
+        (1i64..i64::MAX).prop_map(|n| (n.to_string(), true)),
+        (0usize..EDGES.len()).prop_map(|i| (EDGES[i].to_string(), true)),
+        (1i64..i64::MAX, 1i64..1000).prop_map(|(n, more)| (format!("{n}{more}"), true)),
+        (0i64..1000).prop_map(|n| (format!("0{n}"), false)),
+    ]
+}
+
+/// A number token: a sign, an integer part, and maybe a fraction and an
+/// exponent (past `f64` at times), each of which can be cut short. With it
+/// comes the number JSON reads it as, told by the standard library's
+/// parsers and not by the cursor: an `i64` for a token without a fraction
+/// or an exponent, an `f64` for any other, and `None` for a token outside
+/// the grammar or past either type's range.
+fn arb_number_token() -> impl Strategy<Value = (String, Option<Json>)> {
+    let fraction = prop_oneof![
+        Just((String::new(), true)),
+        Just((String::new(), true)),
+        Just((".".to_string(), false)),
+        (0i64..1_000_000).prop_map(|n| (format!(".{n}"), true)),
+    ];
+    let exponent = prop_oneof![
+        Just((String::new(), true)),
+        Just((String::new(), true)),
+        (0usize..6, 0i64..400).prop_map(|(spelling, n)| match spelling {
+            5 => ("e".to_string(), false),
+            _ => (
+                format!("{}{n}", ["e", "E", "e+", "e-", "E-"][spelling]),
+                true
+            ),
+        }),
+    ];
+    (0i64..3, arb_integer_part(), fraction, exponent).prop_map(
+        |(sign, (int, int_ok), (frac, frac_ok), (exp, exp_ok))| {
+            let sign = if sign == 0 { "-" } else { "" };
+            let token = format!("{sign}{int}{frac}{exp}");
+            let value = if !(int_ok && frac_ok && exp_ok) {
+                None
+            } else if frac.is_empty() && exp.is_empty() {
+                token.parse().ok().map(Json::Int)
+            } else {
+                token
+                    .parse()
+                    .ok()
+                    .filter(|v: &f64| v.is_finite())
+                    .map(Json::Float)
+            };
+            (token, value)
+        },
+    )
+}
+
+/// The whitespace a generated array puts around a separator.
+const GAPS: &[&str] = &["", "", " ", "\n", "\t ", " \r\n"];
+
+/// An array of number tokens, with whitespace around its separators and,
+/// at times, a trailing comma.
+fn arb_number_array() -> impl Strategy<Value = String> {
+    let item = (arb_number_token(), 0usize..GAPS.len(), 0usize..GAPS.len());
+    (prop::collection::vec(item, 0..8), 0i64..8).prop_map(|(items, trailing)| {
+        let mut text = "[".to_string();
+        for (i, ((token, _), before, after)) in items.iter().enumerate() {
+            if i > 0 {
+                text.push_str(GAPS[*before]);
+                text.push(',');
+            }
+            text.push_str(GAPS[*after]);
+            text.push_str(token);
+        }
+        if trailing == 0 {
+            text.push(',');
+        }
+        text.push_str(GAPS[trailing as usize % GAPS.len()]);
+        text.push(']');
+        text
+    })
+}
+
+/// `text` read by `Cursor::number_as(convert)` and by `Cursor::value`
+/// followed by `convert`: the same number (`Debug` tells `-0.0` from
+/// `0.0`) and the same text left after it, or a refusal where the tree's
+/// number does not convert, or the tree's own error.
+fn assert_number_reads_as_the_tree<T: std::fmt::Debug>(
+    text: &str,
+    convert: fn(&Json) -> Option<T>,
+) -> Result<(), TestCaseError> {
+    let mut tree = Cursor::new(text);
+    let expected = tree.value().map(|v| convert(&v));
+    let mut cursor = Cursor::new(text);
+    let read = cursor.number_as(convert);
+    match expected {
+        Ok(Some(v)) => {
+            prop_assert_eq!(
+                format!("{read:?}"),
+                format!("{:?}", Ok::<_, Error>(v)),
+                "{:?}",
+                text
+            );
+            prop_assert_eq!(cursor.finish(), tree.finish(), "{:?}", text);
+        }
+        Ok(None) => prop_assert!(read.is_err(), "{:?} converts: {:?}", text, read),
+        Err(e) => prop_assert_eq!(read.err(), Some(e), "{:?}", text),
+    }
+    Ok(())
+}
+
+/// `text` read by `Cursor::numbers(convert)` and by `Cursor::value`
+/// followed by `convert` on each item: the same numbers and the same text
+/// left after them, or a failure on both sides. Where the tree fails, a
+/// `numbers` read that takes every number fails with the tree's error.
+fn assert_numbers_read_as_the_tree<T: std::fmt::Debug>(
+    text: &str,
+    convert: fn(&Json) -> Option<T>,
+) -> Result<(), TestCaseError> {
+    let mut tree = Cursor::new(text);
+    let expected = tree.value().map(|v| {
+        let items = v.as_array()?;
+        items.iter().map(convert).collect::<Option<Vec<T>>>()
+    });
+    let mut cursor = Cursor::new(text);
+    let read = cursor.numbers(convert);
+    match expected {
+        Ok(Some(v)) => {
+            prop_assert_eq!(
+                format!("{read:?}"),
+                format!("{:?}", Ok::<_, Error>(v)),
+                "{:?}",
+                text
+            );
+            prop_assert_eq!(cursor.finish(), tree.finish(), "{:?}", text);
+        }
+        Ok(None) => prop_assert!(read.is_err(), "{:?} converts: {:?}", text, read),
+        Err(e) => {
+            prop_assert!(read.is_err(), "{:?} reads: {:?}", text, read);
+            let any = Cursor::new(text).numbers(|_| Some(()));
+            prop_assert_eq!(any.err(), Some(e), "{:?}", text);
+        }
+    }
+    Ok(())
+}
+
+/// Each of the three conversions the workspace reads numbers with, through
+/// `number_as` on `token` and through `numbers` on `array`.
+fn assert_cursor_numbers_read_as_the_tree(token: &str, array: &str) -> Result<(), TestCaseError> {
+    assert_number_reads_as_the_tree(token, Json::as_i64)?;
+    assert_number_reads_as_the_tree(token, Json::as_u64)?;
+    assert_number_reads_as_the_tree(token, Json::as_f64)?;
+    assert_numbers_read_as_the_tree(array, Json::as_i64)?;
+    assert_numbers_read_as_the_tree(array, Json::as_u64)?;
+    assert_numbers_read_as_the_tree(array, Json::as_f64)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A number token reads as the standard library reads it; it, and an
+    /// array of them, read by the cursor straight into an `i64`, a `u64` or
+    /// an `f64` as the tree's number converts.
+    #[test]
+    fn the_cursor_reads_numbers_as_the_tree_converts_them(
+        number in arb_number_token(),
+        array in arb_number_array(),
+    ) {
+        let (token, value) = number;
+        let tree = Cursor::new(&token).value().ok();
+        prop_assert_eq!(format!("{tree:?}"), format!("{value:?}"), "{:?}", token);
+        assert_cursor_numbers_read_as_the_tree(&token, &array)?;
+    }
+}
+
+/// The number tokens the fast paths are most likely to get wrong: signed
+/// zeros, exponents without a fraction, the edges of `i64`, a negative
+/// `u64`, whitespace before a comma, a trailing comma, a leading zero and
+/// an empty array.
+#[test]
+fn the_cursor_reads_the_edge_numbers_as_the_tree_converts_them() {
+    let tokens = [
+        "-0",
+        "-0.0",
+        "0e0",
+        "1E2",
+        "1.5",
+        "-1",
+        "-9223372036854775808",
+        "9223372036854775807",
+        "9223372036854775808",
+        "-9223372036854775809",
+        "18446744073709551616",
+        " 7 ",
+        "01",
+    ];
+    for token in tokens {
+        assert_cursor_numbers_read_as_the_tree(token, &format!("[{token}]")).unwrap();
+    }
+    for array in ["[1 ,2]", "[1\n,\t2 , 3 ]", "[1,]", "[01]", "[]", "[ ]"] {
+        assert_cursor_numbers_read_as_the_tree("0", array).unwrap();
+    }
+    // `-0` is the integer zero: no sign survives into an `f64`.
+    assert_eq!(parse("-0"), Ok(Json::Int(0)));
+    let zero = Cursor::new("-0").number_as(Json::as_f64).map(f64::to_bits);
+    assert_eq!(zero, Ok(0f64.to_bits()));
+    let zeros = Cursor::new("[-0,-0.0]").numbers(Json::as_f64).unwrap();
+    let bits: Vec<u64> = zeros.into_iter().map(f64::to_bits).collect();
+    assert_eq!(bits, [0f64.to_bits(), (-0f64).to_bits()]);
+    assert_eq!(Cursor::new("-1").number_as(Json::as_u64).ok(), None);
+    assert_eq!(
+        Cursor::new("-9223372036854775808").number_as(Json::as_i64),
+        Ok(i64::MIN)
+    );
 }
