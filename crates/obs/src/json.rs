@@ -20,13 +20,17 @@
 //!
 //! The grammar has one reader, [`Cursor`]. [`parse`] is its
 //! [`Cursor::value`] and a check that nothing follows; a reader of one
-//! known document shape (`dp-sweep`'s cache check, `dp-serve`'s hot
-//! requests and the shard's `sweep-cell` answers) asks the same cursor for
-//! the tokens it expects and skips the tree. A read fails with an
-//! [`Error`], an offset and a kind, which [`Error::message`] renders as
-//! [`parse`] reports it. [`write_string`], [`write_f64`] and [`Json::write`] are the
-//! text [`Display`](std::fmt::Display) writes, for writers that skip the
-//! tree too.
+//! known document shape (`dp-sweep`'s cache check, `dp-serve`'s request
+//! lines and the shard's `sweep-cell` answers) asks the same cursor for the
+//! tokens it expects and skips the tree. Such a reader gives the tree's
+//! verdicts by reading each member with [`Cursor::or_skip`] or
+//! [`Cursor::or_value`]: a value of another shape is read past as
+//! [`Cursor::value`] reads it, so only a syntax error fails the read, at
+//! the byte [`parse`] fails at. A read fails with an [`Error`], an offset
+//! and a kind, which [`Error::message`] renders as [`parse`] reports it.
+//! [`write_string`], [`write_f64`] and [`Json::write`] are the text
+//! [`Display`](std::fmt::Display) writes, for writers that skip the tree
+//! too.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -568,7 +572,7 @@ impl<'a> Cursor<'a> {
 
     /// A refusal at the read position, for a reader of one shape that does
     /// not take the well-formed value there.
-    pub fn refused(&self) -> Error {
+    fn refused(&self) -> Error {
         Kind::At("unexpected token").at(self.pos)
     }
 
@@ -607,15 +611,23 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// The value `read` takes; where `read` refuses it, `None`, once the
-    /// value is read past as [`Cursor::value`] reads it. Only a syntax
-    /// error fails.
-    pub fn or_skip<T>(&mut self, read: impl FnOnce(&mut Self) -> Result<T>) -> Result<Option<T>> {
+    /// The value `read` takes; where `read` refuses it, the value read
+    /// past as [`Cursor::value`] reads it, as a tree. Only a syntax error
+    /// fails.
+    pub fn or_value<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T>,
+    ) -> Result<Result<T, Json>> {
         let at = self.pos;
-        read(self).map(Some).or_else(|_| {
+        read(self).map(Ok).or_else(|_| {
             self.pos = at;
-            self.value().map(|_| None)
+            self.value().map(Err)
         })
+    }
+
+    /// [`Cursor::or_value`], with `None` for the value read past.
+    pub fn or_skip<T>(&mut self, read: impl FnOnce(&mut Self) -> Result<T>) -> Result<Option<T>> {
+        self.or_value(read).map(Result::ok)
     }
 
     /// A string, borrowed from the text unless it has escapes.
@@ -700,28 +712,6 @@ impl<'a> Cursor<'a> {
                 }
             }
         })
-    }
-
-    /// An object whose members are all among `names`, each at most once,
-    /// handed to `member` by name. The set of members given comes back as
-    /// bits: bit `i` for `names[i]`. A name outside `names`, or one given
-    /// twice, is refused.
-    pub fn members(
-        &mut self,
-        names: &[&str],
-        mut member: impl FnMut(&mut Self, &str) -> Result<()>,
-    ) -> Result<u64> {
-        debug_assert!(names.len() <= 64, "one bit a member");
-        let mut seen = 0u64;
-        self.object(|cursor, name| {
-            let bit = names.iter().position(|&n| n == name).map(|i| 1 << i);
-            match bit {
-                Some(bit) if seen & bit == 0 => seen |= bit,
-                _ => return Err(cursor.refused()),
-            }
-            member(cursor, name)
-        })?;
-        Ok(seen)
     }
 
     /// An array, its items handed to `item`.
@@ -904,21 +894,6 @@ mod tests {
     }
 
     #[test]
-    fn cursor_members_are_known_and_given_once() {
-        let read = |text| {
-            let mut cursor = Cursor::new(text);
-            cursor
-                .members(&["a", "b"], |c, _| c.number().map(drop))
-                .ok()
-        };
-        assert_eq!(read("{}"), Some(0));
-        assert_eq!(read(r#"{ "b" : 1 }"#), Some(0b10));
-        assert_eq!(read(r#"{"\u0061":1,"b":2}"#), Some(0b11));
-        assert_eq!(read(r#"{"a":1,"a":2}"#), None);
-        assert_eq!(read(r#"{"c":1}"#), None);
-    }
-
-    #[test]
     fn or_skip_reads_past_another_shape_and_fails_on_bad_syntax() {
         let read = |text| {
             let mut cursor = Cursor::new(text);
@@ -931,6 +906,9 @@ mod tests {
         assert_eq!(read("[1,]").unwrap_err().kind, Kind::Number(3));
         let deep = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
         assert_eq!(read(&deep).unwrap_err().kind, Kind::TooDeep);
+        let mut cursor = Cursor::new(r#" [1, "x"] "#);
+        let value = cursor.or_value(|c| c.numbers(Json::as_i64)).unwrap();
+        assert_eq!(value, Err(parse(r#"[1,"x"]"#).unwrap()));
     }
 
     #[test]

@@ -37,15 +37,13 @@
 //!
 //! The session takes a line from the socket with [`read_line_into`],
 //! never buffering past the request cap, and makes its bytes UTF-8
-//! lossily. The line is read by the one JSON reader, [`json::Cursor`]. The
-//! tree path ([`parse_request_tree`]) reads every op from the tree
-//! [`json::parse`] builds with it, and renders a syntax error as `bad
-//! request JSON: …`. The one-pass decoder ([`decode_request`]) reads the
-//! hot ones — `execute`, `compile`, `transform` — straight into a
-//! [`Request`] with the same cursor and the tree path's rules. The decoder
-//! answers only where the tree answers the same and leaves everything
-//! else, every refusal included, to the tree, so the verdicts and their
-//! messages are the tree's. A `sweep-cell` answer is read back, by
+//! lossily. [`parse_request`] reads the line, every op and every refusal,
+//! in one pass of the one JSON reader, [`json::Cursor`]: a member's value
+//! is read into its typed field, and one of another shape is read past, so
+//! that only a syntax error stops the pass. The verdicts and their messages
+//! are those of the line's JSON tree ([`json::parse`]) read member by
+//! member, which `tests/proptest_proto.rs` keeps as its oracle. A
+//! `sweep-cell` answer is read back, by
 //! `shard`, with the cache's own decoder
 //! ([`dp_sweep::cache::SummaryBody`]). An `execute` or `transform` success
 //! answer is written member by member in the tree's member order
@@ -65,14 +63,13 @@
 //! contract. `cache-push`/`cache-pull` answer from mutable disk-cache
 //! state and sit outside it too.)
 
-use dp_core::{AggConfig, AggGranularity, OptConfig};
+use dp_core::OptConfig;
 use dp_obs::json::{self, object, Cursor, Json};
 use dp_sweep::key::parse_key;
-use dp_sweep::spec::{
-    cell_from_json, checked_coarsen_factor, config_from_json, parse_granularity, CellSpec,
-};
+use dp_sweep::spec::{cell_from_json, config_from_members, CellSpec};
 use dp_workloads::benchmarks::Variant;
 use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::{BufRead, Read, Write};
 use std::net::TcpStream;
@@ -287,7 +284,7 @@ pub struct ReadSpec {
     /// Words to read.
     pub len: usize,
     /// Read as floats instead of integers.
-    pub(crate) floats: bool,
+    pub floats: bool,
 }
 
 /// The most words of `"words"` buffers one `execute` request may ask for
@@ -378,77 +375,131 @@ pub struct ParsedRequest {
     pub body: Result<Request, String>,
 }
 
-/// Parses one NDJSON request line: by [`decode_request`] when it can
-/// answer, by [`parse_request_tree`] otherwise. Both read the same
-/// `line.trim()`, and the decoder answers only where the tree answers the
-/// same, so the result is always the tree's.
+/// Parses one NDJSON request line, every op and every refusal, in one
+/// [`json::Cursor`] pass over `line.trim()`. A syntax error anywhere in the
+/// line is `bad request JSON: …` with no `id`, whatever member errors come
+/// before it; a valid document that is not an object needs an `op`.
+/// Members come in any order: an unknown one is read past, the last of a
+/// repeated one counts, and the refusals come in one fixed order, not the
+/// text's. So the verdict and its message are those of the line's JSON
+/// tree read member by member.
 pub fn parse_request(line: &str) -> ParsedRequest {
-    decode_request(line).unwrap_or_else(|| parse_request_tree(line))
-}
-
-/// Parses one NDJSON request line through the JSON tree: every op, every
-/// refusal and its message.
-pub fn parse_request_tree(line: &str) -> ParsedRequest {
-    let doc = match json::parse(line.trim()) {
-        Ok(doc) => doc,
-        Err(e) => {
-            return ParsedRequest {
-                id: None,
-                body: Err(format!("bad request JSON: {e}")),
-            }
-        }
+    let text = line.trim();
+    let mut cursor = Cursor::new(text);
+    let mut members = Members::default();
+    let read = cursor
+        .or_skip(|c| c.object(|c, name| members.read(c, name)))
+        .and_then(|_| cursor.finish());
+    let id = members.id.take().filter(|_| read.is_ok());
+    let body = match read {
+        Ok(()) => members.parse_body(),
+        Err(e) => Err(format!("bad request JSON: {}", e.message(text))),
     };
-    let id = doc.get("id").cloned();
-    let body = parse_body(&doc);
     ParsedRequest { id, body }
 }
 
-fn parse_body(doc: &Json) -> Result<Request, String> {
-    let op = doc
-        .get("op")
-        .and_then(Json::as_str)
-        .ok_or("request needs an `op` string")?;
-    match op {
-        "compile" | "transform" => {
-            let source = doc
-                .get("source")
-                .and_then(Json::as_str)
-                .ok_or("`source` must be a string")?
-                .to_string();
-            let config = config_from_json(doc)?;
-            Ok(if op == "compile" {
-                Request::Compile { source, config }
-            } else {
-                Request::Transform { source, config }
+/// The members of a request line, as [`parse_request`] reads them: the
+/// ones the hot ops read typed, `None` when absent or of another type; each
+/// array member's items or its first refusal; the configuration members,
+/// which [`config_from_members`] reads, and every other member as trees.
+#[derive(Default)]
+struct Members<'a> {
+    op: Option<Cow<'a, str>>,
+    id: Option<Json>,
+    source: Option<Cow<'a, str>>,
+    kernel: Option<Cow<'a, str>>,
+    grid: Option<i64>,
+    block: Option<i64>,
+    buffers: Option<Result<Vec<BufferInit>, String>>,
+    args: Option<Result<Vec<Arg>, String>>,
+    reads: Option<Result<Vec<ReadSpec>, String>>,
+    config: [Option<Json>; 4],
+    rest: BTreeMap<String, Json>,
+}
+
+/// The configuration members, in [`Members::config`]'s order.
+const CONFIG: [&str; 4] = ["threshold", "coarsen", "agg", "agg_threshold"];
+
+impl<'a> Members<'a> {
+    /// Reads the value of member `name`. Only a syntax error fails: a value
+    /// of another shape is read past, for [`Members::parse_body`] to refuse.
+    fn read(&mut self, c: &mut Cursor<'a>, name: &str) -> json::Result<()> {
+        let int = |c: &mut Cursor<'a>| c.or_skip(|c| c.number_as(Json::as_i64));
+        match name {
+            "op" => self.op = c.or_skip(Cursor::string)?,
+            "id" => self.id = Some(c.value()?),
+            "source" => self.source = c.or_skip(Cursor::string)?,
+            "kernel" => self.kernel = c.or_skip(Cursor::string)?,
+            "grid" => self.grid = int(c)?,
+            "block" => self.block = int(c)?,
+            "buffers" => {
+                let mut words_left = MAX_EXECUTE_WORDS;
+                let buffer = |c: &mut Cursor| Ok(BufferEntry::read(c)?.init(&mut words_left));
+                self.buffers = Some(items(c, "buffers", buffer)?);
+            }
+            "args" => self.args = Some(items(c, "args", |c| Ok(arg(c.value()?)))?),
+            "read" => self.reads = Some(items(c, "read", |c| Ok(ReadEntry::read(c)?.spec()))?),
+            _ => match CONFIG.iter().position(|&member| member == name) {
+                Some(at) => self.config[at] = Some(c.value()?),
+                None => drop(self.rest.insert(name.to_string(), c.value()?)),
+            },
+        }
+        Ok(())
+    }
+
+    /// The request the members make, or the first refusal in the order
+    /// the ops check their members: `source`, the configuration, `kernel`,
+    /// `grid`, `block`, `buffers`, `args`, `read`.
+    fn parse_body(self) -> Result<Request, String> {
+        let op = self.op.ok_or("request needs an `op` string")?;
+        let rest = Json::Object(self.rest);
+        let source = || self.source.ok_or("`source` must be a string");
+        let config = || {
+            config_from_members(|name| {
+                let at = CONFIG.iter().position(|&member| member == name)?;
+                self.config[at].as_ref()
             })
+        };
+        match &*op {
+            "compile" | "transform" => {
+                let source = source()?.into_owned();
+                let config = config()?;
+                Ok(if op == "compile" {
+                    Request::Compile { source, config }
+                } else {
+                    Request::Transform { source, config }
+                })
+            }
+            "execute" => Ok(Request::Execute(Box::new(ExecuteRequest {
+                source: source()?.into_owned(),
+                config: config()?,
+                kernel: self.kernel.ok_or("`kernel` must be a string")?.into_owned(),
+                grid: self.grid.ok_or("`grid` must be an integer")?,
+                block: self.block.ok_or("`block` must be an integer")?,
+                buffers: self.buffers.transpose()?.unwrap_or_default(),
+                args: self.args.transpose()?.unwrap_or_default(),
+                reads: self.reads.transpose()?.unwrap_or_default(),
+            }))),
+            "sweep-cell" => cell_from_json(&rest).map(|r| Request::SweepCell(Box::new(r))),
+            "hello" => Ok(Request::Hello {
+                token: rest.get("token").and_then(Json::as_str).map(str::to_string),
+            }),
+            "cache-push" => {
+                let key = parse_cache_key(rest.get("key").ok_or("cache-push needs a `key`")?)?;
+                let entry = rest.get("entry").and_then(Json::as_str);
+                let entry = entry.ok_or("`entry` must be a string")?.to_string();
+                Ok(Request::CachePush { key, entry })
+            }
+            "cache-pull" => Ok(Request::CachePull {
+                key: rest.get("key").map(parse_cache_key).transpose()?,
+            }),
+            "stats" => Ok(Request::Stats),
+            "metrics" => Ok(Request::Metrics),
+            "shutdown" => Ok(Request::Shutdown),
+            other => Err(format!(
+                "unknown op `{other}` (hello|compile|transform|execute|sweep-cell|cache-push|cache-pull|stats|metrics|shutdown)"
+            )),
         }
-        "execute" => parse_execute(doc).map(|r| Request::Execute(Box::new(r))),
-        "sweep-cell" => cell_from_json(doc).map(|r| Request::SweepCell(Box::new(r))),
-        "hello" => Ok(Request::Hello {
-            token: doc
-                .get("token")
-                .and_then(Json::as_str)
-                .map(str::to_string),
-        }),
-        "cache-push" => {
-            let key = parse_cache_key(doc.get("key").ok_or("cache-push needs a `key`")?)?;
-            let entry = doc
-                .get("entry")
-                .and_then(Json::as_str)
-                .ok_or("`entry` must be a string")?
-                .to_string();
-            Ok(Request::CachePush { key, entry })
-        }
-        "cache-pull" => {
-            let key = doc.get("key").map(parse_cache_key).transpose()?;
-            Ok(Request::CachePull { key })
-        }
-        "stats" => Ok(Request::Stats),
-        "metrics" => Ok(Request::Metrics),
-        "shutdown" => Ok(Request::Shutdown),
-        other => Err(format!(
-            "unknown op `{other}` (hello|compile|transform|execute|sweep-cell|cache-push|cache-pull|stats|metrics|shutdown)"
-        )),
     }
 }
 
@@ -464,351 +515,160 @@ fn parse_cache_key(v: &Json) -> Result<u64, String> {
         .ok_or_else(|| "`key` must be a 16-hex cell key".to_string())
 }
 
-fn parse_execute(doc: &Json) -> Result<ExecuteRequest, String> {
-    let source = doc
-        .get("source")
-        .and_then(Json::as_str)
-        .ok_or("`source` must be a string")?
-        .to_string();
-    let config = config_from_json(doc)?;
-    let kernel = doc
-        .get("kernel")
-        .and_then(Json::as_str)
-        .ok_or("`kernel` must be a string")?
-        .to_string();
-    let grid = doc
-        .get("grid")
-        .and_then(Json::as_i64)
-        .ok_or("`grid` must be an integer")?;
-    let block = doc
-        .get("block")
-        .and_then(Json::as_i64)
-        .ok_or("`block` must be an integer")?;
-
-    let mut buffers = Vec::new();
-    let mut words_left = MAX_EXECUTE_WORDS;
-    for b in array_member(doc, "buffers")? {
-        let name = b
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("buffer needs a `name`")?
-            .to_string();
-        let given = ["words", "ints", "floats"]
-            .iter()
-            .filter(|m| b.get(m).is_some());
-        if given.count() > 1 {
-            return Err(format!(
-                "buffer `{name}` gives more than one of `words`, `ints`, and `floats`"
-            ));
-        }
-        let data = if let Some(w) = b.get("words") {
-            let w = w.as_u64().ok_or("`words` must be a non-negative integer")?;
-            words_left = words_left.checked_sub(w).ok_or_else(|| {
-                format!(
-                    "buffer `{name}`: `words` {w} takes the request past the limit of \
-                     {MAX_EXECUTE_WORDS} words"
-                )
-            })?;
-            BufferData::Words(w as usize)
-        } else if let Some(ints) = b.get("ints") {
-            BufferData::Ints(
-                ints.as_array()
-                    .ok_or("`ints` must be an array")?
-                    .iter()
-                    .map(|v| v.as_i64())
-                    .collect::<Option<Vec<_>>>()
-                    .ok_or("`ints` must be integers")?,
-            )
-        } else if let Some(floats) = b.get("floats") {
-            BufferData::Floats(
-                floats
-                    .as_array()
-                    .ok_or("`floats` must be an array")?
-                    .iter()
-                    .map(|v| v.as_f64())
-                    .collect::<Option<Vec<_>>>()
-                    .ok_or("`floats` must be numbers")?,
-            )
-        } else {
-            return Err(format!(
-                "buffer `{name}` needs `words`, `ints`, or `floats`"
-            ));
-        };
-        buffers.push(BufferInit { name, data });
-    }
-
-    let mut args = Vec::new();
-    for a in array_member(doc, "args")? {
-        args.push(match a {
-            Json::Int(v) => Arg::Int(*v),
-            Json::Float(v) => Arg::Float(*v),
-            Json::Str(s) => {
-                let name = s
-                    .strip_prefix('@')
-                    .ok_or_else(|| format!("string arg `{s}` must be a `@buffer` reference"))?;
-                Arg::Buffer(name.to_string())
-            }
-            other => return Err(format!("bad arg {other} (number or \"@buffer\")")),
-        });
-    }
-
-    let mut reads = Vec::new();
-    for r in array_member(doc, "read")? {
-        reads.push(ReadSpec {
-            buffer: r
-                .get("buffer")
-                .and_then(Json::as_str)
-                .ok_or("read needs a `buffer`")?
-                .to_string(),
-            offset: match r.get("offset") {
-                None => 0,
-                Some(offset) => offset
-                    .as_u64()
-                    .ok_or("read `offset` must be a non-negative integer")?
-                    as usize,
-            },
-            len: r
-                .get("len")
-                .and_then(Json::as_u64)
-                .ok_or("read needs a `len`")? as usize,
-            floats: match r.get("floats") {
-                None => false,
-                Some(Json::Bool(floats)) => *floats,
-                Some(_) => return Err("read `floats` must be a boolean".to_string()),
-            },
-        });
-    }
-
-    Ok(ExecuteRequest {
-        source,
-        config,
-        kernel,
-        grid,
-        block,
-        buffers,
-        args,
-        reads,
-    })
-}
-
-/// The items of an optional array member: none when it is absent, a
-/// refusal when it is anything but an array.
-fn array_member<'a>(doc: &'a Json, name: &str) -> Result<&'a [Json], String> {
-    match doc.get(name) {
-        None => Ok(&[]),
-        Some(value) => value
-            .as_array()
-            .ok_or_else(|| format!("`{name}` must be an array")),
-    }
-}
-
-// ----------------------------------------------------------------------
-// One-pass decoder (the hot ops)
-// ----------------------------------------------------------------------
-
-/// The members [`decode_request`] reads, by bit; a member outside this list
-/// sends the line to the tree.
-const MEMBERS: [&str; 13] = [
-    "op",
-    "id",
-    "source",
-    "threshold",
-    "coarsen",
-    "agg",
-    "agg_threshold",
-    "kernel",
-    "grid",
-    "block",
-    "buffers",
-    "args",
-    "read",
-];
-
-/// The bits of [`MEMBERS`] only an `execute` reads (`kernel` onwards).
-const EXECUTE_ONLY: u64 = !0 << 7;
-
-/// Reads an `execute`, `compile` or `transform` line straight into its
-/// [`Request`], in one pass over the same `line.trim()` the tree parses,
-/// with the cursor the tree is read with ([`json::Cursor`]) and the tree
-/// path's own rules (`MAX_EXECUTE_WORDS`, `@buffer` args,
-/// [`checked_coarsen_factor`], [`parse_granularity`], `agg_threshold`
-/// needing `agg`). Members come in any order. `Some` only for a line the
-/// tree parses to the same [`ParsedRequest`]; `None` for anything else —
-/// another op, an unknown or repeated member, a value of another type or
-/// range, trailing bytes, nesting beyond the shape, a refusal — which
-/// [`parse_request`] hands to [`parse_request_tree`]. So every verdict, and
-/// every message, is the tree's.
-pub fn decode_request(line: &str) -> Option<ParsedRequest> {
-    let mut cursor = Cursor::new(line.trim());
-    let mut members = Members::default();
-    let seen = cursor
-        .members(&MEMBERS, |c, name| members.read(c, name))
-        .ok()?;
-    cursor.finish().ok()?;
-    members.request(seen)
-}
-
-/// The members of a hot request line, as [`decode_request`] reads them.
-#[derive(Default)]
-struct Members<'a> {
-    op: Option<Cow<'a, str>>,
-    id: Option<Json>,
-    source: Option<Cow<'a, str>>,
-    threshold: Option<i64>,
-    coarsen: Option<i64>,
-    agg: Option<AggGranularity>,
-    agg_threshold: Option<i64>,
-    kernel: Option<Cow<'a, str>>,
-    grid: Option<i64>,
-    block: Option<i64>,
-    buffers: Vec<BufferInit>,
-    args: Vec<Arg>,
-    reads: Vec<ReadSpec>,
-}
-
-impl<'a> Members<'a> {
-    /// Reads the value of member `name`.
-    fn read(&mut self, cursor: &mut Cursor<'a>, name: &str) -> json::Result<()> {
-        match name {
-            "op" => self.op = Some(cursor.string()?),
-            // An array or object id is the tree's to echo.
-            "id" => match cursor.value()? {
-                Json::Array(_) | Json::Object(_) => return Err(cursor.refused()),
-                id => self.id = Some(id),
-            },
-            "source" => self.source = Some(cursor.string()?),
-            "threshold" => self.threshold = Some(cursor.number_as(Json::as_i64)?),
-            "coarsen" => self.coarsen = Some(cursor.number_as(Json::as_i64)?),
-            "agg" => self.agg = Some(parse_granularity(&cursor.string()?).ok_or(cursor.refused())?),
-            "agg_threshold" => self.agg_threshold = Some(cursor.number_as(Json::as_i64)?),
-            "kernel" => self.kernel = Some(cursor.string()?),
-            "grid" => self.grid = Some(cursor.number_as(Json::as_i64)?),
-            "block" => self.block = Some(cursor.number_as(Json::as_i64)?),
-            "buffers" => {
-                let mut words_left = MAX_EXECUTE_WORDS;
-                cursor.array(|cursor| {
-                    let buffer = read_buffer(cursor)?;
-                    if let BufferData::Words(words) = buffer.data {
-                        words_left = words_left
-                            .checked_sub(words as u64)
-                            .ok_or(cursor.refused())?;
-                    }
-                    self.buffers.push(buffer);
-                    Ok(())
-                })?;
-            }
-            "args" => cursor.array(|cursor| {
-                let arg = match cursor.value()? {
-                    Json::Int(v) => Arg::Int(v),
-                    Json::Float(v) => Arg::Float(v),
-                    Json::Str(mut name) if name.starts_with('@') => {
-                        name.remove(0);
-                        Arg::Buffer(name)
-                    }
-                    _ => return Err(cursor.refused()),
-                };
-                self.args.push(arg);
-                Ok(())
-            })?,
-            "read" => cursor.array(|cursor| {
-                self.reads.push(read_spec(cursor)?);
-                Ok(())
-            })?,
-            _ => return Err(cursor.refused()),
-        }
-        Ok(())
-    }
-
-    /// The request the members make, built as the tree path builds it;
-    /// `seen` holds the [`MEMBERS`] bits the line gave.
-    fn request(self, seen: u64) -> Option<ParsedRequest> {
-        let mut config = OptConfig::none();
-        if let Some(t) = self.threshold {
-            config = config.threshold(t);
-        }
-        if let Some(c) = self.coarsen {
-            config = config.coarsen_factor(checked_coarsen_factor(c).ok()?);
-        }
-        match (self.agg, self.agg_threshold) {
-            (Some(granularity), agg_threshold) => {
-                let mut agg = AggConfig::new(granularity);
-                agg.agg_threshold = agg_threshold;
-                config = config.aggregation(agg);
-            }
-            (None, Some(_)) => return None,
-            (None, None) => {}
-        }
-        let source = self.source?.into_owned();
-        let body = match &*self.op? {
-            "execute" => Request::Execute(Box::new(ExecuteRequest {
-                source,
-                config,
-                kernel: self.kernel?.into_owned(),
-                grid: self.grid?,
-                block: self.block?,
-                buffers: self.buffers,
-                args: self.args,
-                reads: self.reads,
-            })),
-            "compile" if seen & EXECUTE_ONLY == 0 => Request::Compile { source, config },
-            "transform" if seen & EXECUTE_ONLY == 0 => Request::Transform { source, config },
-            _ => return None,
-        };
-        Some(ParsedRequest {
-            id: self.id,
-            body: Ok(body),
-        })
-    }
-}
-
-/// One `buffers` entry: a `name` and exactly one of `words`, `ints` and
-/// `floats`.
-fn read_buffer(cursor: &mut Cursor) -> json::Result<BufferInit> {
-    let (mut name, mut data) = (None, None);
-    let seen = cursor.members(&["name", "words", "ints", "floats"], |cursor, member| {
-        match member {
-            "name" => name = Some(cursor.string()?.into_owned()),
-            "words" => {
-                let words = cursor.number_as(Json::as_u64)?;
-                if words > MAX_EXECUTE_WORDS {
-                    return Err(cursor.refused());
+/// The items of an array member, each read and judged by `item`, or the
+/// first item's refusal; a value that is not an array is refused as
+/// `` `name` must be an array ``.
+fn items<'a, T>(
+    c: &mut Cursor<'a>,
+    name: &str,
+    mut item: impl FnMut(&mut Cursor<'a>) -> json::Result<Result<T, String>>,
+) -> json::Result<Result<Vec<T>, String>> {
+    let mut items = Ok(Vec::new());
+    let array = c.or_skip(|c| {
+        c.array(|c| {
+            let verdict = item(c)?;
+            if let Ok(read) = &mut items {
+                match verdict {
+                    Ok(v) => read.push(v),
+                    Err(e) => items = Err(e),
                 }
-                data = Some(BufferData::Words(words as usize));
             }
-            "ints" => data = Some(BufferData::Ints(cursor.numbers(Json::as_i64)?)),
-            "floats" => data = Some(BufferData::Floats(cursor.numbers(Json::as_f64)?)),
-            _ => return Err(cursor.refused()),
-        }
-        Ok(())
+            Ok(())
+        })
     })?;
-    // Bits 1 to 3 are the data members: exactly one is set.
-    match (name, data) {
-        (Some(name), Some(data)) if (seen >> 1).is_power_of_two() => Ok(BufferInit { name, data }),
-        _ => Err(cursor.refused()),
+    Ok(array.map_or_else(|| Err(format!("`{name}` must be an array")), |()| items))
+}
+
+/// One `args` item: a number, or a `"@name"` buffer reference.
+fn arg(value: Json) -> Result<Arg, String> {
+    match value {
+        Json::Int(v) => Ok(Arg::Int(v)),
+        Json::Float(v) => Ok(Arg::Float(v)),
+        Json::Str(mut name) if name.starts_with('@') => {
+            name.remove(0);
+            Ok(Arg::Buffer(name))
+        }
+        Json::Str(s) => Err(format!("string arg `{s}` must be a `@buffer` reference")),
+        other => Err(format!("bad arg {other} (number or \"@buffer\")")),
     }
 }
 
-/// One `read` entry: `buffer` and `len`, optional `offset` and `floats`.
-fn read_spec(cursor: &mut Cursor) -> json::Result<ReadSpec> {
-    let (mut buffer, mut offset, mut len, mut floats) = (None, 0, None, false);
-    cursor.members(&["buffer", "offset", "len", "floats"], |cursor, member| {
-        match member {
-            "buffer" => buffer = Some(cursor.string()?.into_owned()),
-            "offset" => offset = cursor.number_as(Json::as_u64)? as usize,
-            "len" => len = Some(cursor.number_as(Json::as_u64)? as usize),
-            "floats" => floats = cursor.bool()?,
-            _ => return Err(cursor.refused()),
-        }
-        Ok(())
-    })?;
-    match (buffer, len) {
-        (Some(buffer), Some(len)) => Ok(ReadSpec {
-            buffer,
-            offset,
-            len,
-            floats,
-        }),
-        _ => Err(cursor.refused()),
+/// One `buffers` entry, each member as its last occurrence left it; a
+/// value that is not an object has none.
+#[derive(Default)]
+struct BufferEntry {
+    name: Option<String>,
+    /// `Some(None)`: given, but not a non-negative integer.
+    words: Option<Option<u64>>,
+    /// `Some(Err(value))`: given, but not an array of integers.
+    ints: Option<Result<Vec<i64>, Json>>,
+    floats: Option<Result<Vec<f64>, Json>>,
+}
+
+impl BufferEntry {
+    fn read(c: &mut Cursor) -> json::Result<BufferEntry> {
+        let mut entry = BufferEntry::default();
+        c.or_skip(|c| {
+            c.object(|c, member| {
+                match member {
+                    "name" => entry.name = c.or_skip(Cursor::string)?.map(Cow::into_owned),
+                    "words" => entry.words = Some(c.or_skip(|c| c.number_as(Json::as_u64))?),
+                    "ints" => entry.ints = Some(c.or_value(|c| c.numbers(Json::as_i64))?),
+                    "floats" => entry.floats = Some(c.or_value(|c| c.numbers(Json::as_f64))?),
+                    _ => drop(c.value()?),
+                }
+                Ok(())
+            })
+        })?;
+        Ok(entry)
+    }
+
+    /// The buffer the entry asks for, its `words` taken from `words_left`,
+    /// or its refusal.
+    fn init(self, words_left: &mut u64) -> Result<BufferInit, String> {
+        let name = self.name.ok_or("buffer needs a `name`")?;
+        let data = match (self.words, self.ints, self.floats) {
+            (None, None, None) => {
+                return Err(format!(
+                    "buffer `{name}` needs `words`, `ints`, or `floats`"
+                ));
+            }
+            (Some(words), None, None) => {
+                let w = words.ok_or("`words` must be a non-negative integer")?;
+                *words_left = words_left.checked_sub(w).ok_or_else(|| {
+                    format!(
+                        "buffer `{name}`: `words` {w} takes the request past the limit of \
+                         {MAX_EXECUTE_WORDS} words"
+                    )
+                })?;
+                BufferData::Words(w as usize)
+            }
+            (None, Some(ints), None) => {
+                BufferData::Ints(ints.map_err(|v| refusal("ints", "integers", &v))?)
+            }
+            (None, None, Some(floats)) => {
+                BufferData::Floats(floats.map_err(|v| refusal("floats", "numbers", &v))?)
+            }
+            _ => {
+                return Err(format!(
+                    "buffer `{name}` gives more than one of `words`, `ints`, and `floats`"
+                ));
+            }
+        };
+        Ok(BufferInit { name, data })
+    }
+}
+
+/// The refusal of an `ints` or `floats` value that is not an array of
+/// `what`.
+fn refusal(member: &str, what: &str, value: &Json) -> String {
+    match value {
+        Json::Array(_) => format!("`{member}` must be {what}"),
+        _ => format!("`{member}` must be an array"),
+    }
+}
+
+/// One `read` entry, each member as its last occurrence left it; a value
+/// that is not an object has none.
+#[derive(Default)]
+struct ReadEntry {
+    buffer: Option<String>,
+    /// `Some(None)`: given, but not a non-negative integer.
+    offset: Option<Option<u64>>,
+    len: Option<u64>,
+    /// `Some(None)`: given, but not a boolean.
+    floats: Option<Option<bool>>,
+}
+
+impl ReadEntry {
+    fn read(c: &mut Cursor) -> json::Result<ReadEntry> {
+        let mut entry = ReadEntry::default();
+        let count = |c: &mut Cursor| c.or_skip(|c| c.number_as(Json::as_u64));
+        c.or_skip(|c| {
+            c.object(|c, member| {
+                match member {
+                    "buffer" => entry.buffer = c.or_skip(Cursor::string)?.map(Cow::into_owned),
+                    "offset" => entry.offset = Some(count(c)?),
+                    "len" => entry.len = count(c)?,
+                    "floats" => entry.floats = Some(c.or_skip(Cursor::bool)?),
+                    _ => drop(c.value()?),
+                }
+                Ok(())
+            })
+        })?;
+        Ok(entry)
+    }
+
+    /// The read-back the entry asks for, or its refusal.
+    fn spec(self) -> Result<ReadSpec, String> {
+        let offset = self.offset.unwrap_or(Some(0));
+        let floats = self.floats.unwrap_or(Some(false));
+        Ok(ReadSpec {
+            buffer: self.buffer.ok_or("read needs a `buffer`")?,
+            offset: offset.ok_or("read `offset` must be a non-negative integer")? as usize,
+            len: self.len.ok_or("read needs a `len`")? as usize,
+            floats: floats.ok_or("read `floats` must be a boolean")?,
+        })
     }
 }
 
@@ -1460,6 +1320,44 @@ mod tests {
                 r#"{"op":"execute","source":"s","kernel":"k","grid":1,"block":1,"buffers":[{"name":"a","words":16777216},{"name":"b","words":1}],"id":16}"#,
                 "buffer `b`",
                 Some(Json::Int(16)),
+            ),
+            (
+                // A syntax error outranks a member error before it.
+                r#"{"op":"execute","source":7,"id":17,"grid":01}"#,
+                "bad request JSON: bad number `01}` at byte 42",
+                None,
+            ),
+            (
+                // Of a repeated member, the last counts.
+                r#"{"op":"explode","op":"compile","id":18}"#,
+                "`source` must be a string",
+                Some(Json::Int(18)),
+            ),
+            (
+                // Members are checked in one order, not the text's.
+                r#"{"op":"execute","source":"s","grid":"x","id":19}"#,
+                "`kernel` must be a string",
+                Some(Json::Int(19)),
+            ),
+            (
+                r#"{"op":"execute","source":"s","kernel":"k","grid":1,"block":1,"buffers":[{"name":"a","words":16777217},{"words":1}],"id":20}"#,
+                "buffer `a`: `words` 16777217 takes the request past the limit of 16777216 words",
+                Some(Json::Int(20)),
+            ),
+            (
+                r#"{"op":"execute","source":"s","kernel":"k","grid":1,"block":1,"buffers":[{"name":"a","ints":{}}],"id":21}"#,
+                "`ints` must be an array",
+                Some(Json::Int(21)),
+            ),
+            (
+                r#"{"op":"execute","source":"s","kernel":"k","grid":1,"block":1,"buffers":[{"name":"a","ints":[1.5]}],"id":22}"#,
+                "`ints` must be integers",
+                Some(Json::Int(22)),
+            ),
+            (
+                r#"{"op":"explode","id":[1,"x"]}"#,
+                "unknown op `explode` (hello|compile|transform|execute|sweep-cell|cache-push|cache-pull|stats|metrics|shutdown)",
+                Some(Json::Array(vec![Json::Int(1), Json::Str("x".to_string())])),
             ),
         ];
         for (line, fragment, id) in table {

@@ -120,10 +120,10 @@ impl OpRow {
     }
 }
 
-const fn row(name: &'static str, requests: &'static str, latency: Option<Histogram>) -> OpRow {
+const fn row(name: &'static str, requests: Counter, latency: Option<Histogram>) -> OpRow {
     OpRow {
         name,
-        requests: Counter::new(requests),
+        requests,
         latency,
     }
 }
@@ -132,16 +132,16 @@ const fn row(name: &'static str, requests: &'static str, latency: Option<Histogr
 /// wire name, and `stats.requests` is a walk of the counters.
 #[rustfmt::skip]
 static OPS: [OpRow; 10] = [
-    row("compile",    "serve.op.compile",    Some(Histogram::new("serve.req.compile_us"))),
-    row("transform",  "serve.op.transform",  Some(Histogram::new("serve.req.transform_us"))),
-    row("execute",    "serve.op.execute",    Some(Histogram::new("serve.req.execute_us"))),
-    row("sweep-cell", "serve.op.sweep-cell", Some(Histogram::new("serve.req.sweep_cell_us"))),
-    row("cache-push", "serve.op.cache-push", Some(Histogram::new("serve.req.cache_push_us"))),
-    row("cache-pull", "serve.op.cache-pull", Some(Histogram::new("serve.req.cache_pull_us"))),
-    row("stats",      "serve.op.stats",      Some(Histogram::new("serve.req.stats_us"))),
-    row("metrics",    "serve.op.metrics",    Some(Histogram::new("serve.req.metrics_us"))),
-    row("shutdown",   "serve.op.shutdown",   None),
-    row("hello",      "serve.op.hello",      None),
+    row("compile",    Counter::new("serve.op.compile"),    Some(Histogram::new("serve.req.compile_us"))),
+    row("transform",  Counter::new("serve.op.transform"),  Some(Histogram::new("serve.req.transform_us"))),
+    row("execute",    Counter::new("serve.op.execute"),    Some(Histogram::new("serve.req.execute_us"))),
+    row("sweep-cell", Counter::new("serve.op.sweep-cell"), Some(Histogram::new("serve.req.sweep_cell_us"))),
+    row("cache-push", Counter::new("serve.op.cache-push"), Some(Histogram::new("serve.req.cache_push_us"))),
+    row("cache-pull", Counter::new("serve.op.cache-pull"), Some(Histogram::new("serve.req.cache_pull_us"))),
+    row("stats",      Counter::new("serve.op.stats"),      Some(Histogram::new("serve.req.stats_us"))),
+    row("metrics",    Counter::new("serve.op.metrics"),    Some(Histogram::new("serve.req.metrics_us"))),
+    row("shutdown",   Counter::new("serve.op.shutdown"),   None),
+    row("hello",      Counter::new("serve.op.hello"),      None),
 ];
 
 /// The row of a request's op.

@@ -12,7 +12,7 @@
 //! buffer, a 4-word read-back), a compiled-cache hit after the first. By
 //! layer, each measured in process with the calls the daemon makes:
 //!
-//! | layer | JSON tree in and out | one-pass decode, direct answer | shared image |
+//! | layer | JSON tree in and out | hot ops decoded in one pass, direct answer | shared image, one reader of a line |
 //! |---|---|---|---|
 //! | read the line | 2 | 0 | 0 |
 //! | `parse_request` | 36 | 9 | 9 |
@@ -27,7 +27,10 @@
 //!
 //! The first column is the count before the request path skipped the tree:
 //! parse, encode and line I/O together went from 67 to 10, the request's own
-//! strings and vectors and the answer's vector of read-backs. The second is
+//! strings and vectors and the answer's vector of read-backs. The hot ops
+//! were then decoded in one pass beside the tree path; today
+//! `parse_request` reads every op in that one pass, and a member the hot
+//! ops read never becomes a tree, so the count held at 9. The second is
 //! the count while every executor cloned the bytecode and the manifest and
 //! rebuilt the dispatch tables. A program's first executor builds them once
 //! (a `dp_vm::Image`) and every later one shares them, so a hit's executor
@@ -186,7 +189,7 @@ fn a_served_hit_stays_inside_its_allocation_budget() {
 
     assert_eq!(
         parse, PARSE_BUDGET,
-        "the hit line left the one-pass decoder"
+        "the hit line's parse built more than its request: a member the hot ops read went to the tree"
     );
     assert_eq!(encode, ENCODE_BUDGET, "the answer went back to a tree");
     assert_eq!(served, HIT_BUDGET * HITS, "allocations per served hit");

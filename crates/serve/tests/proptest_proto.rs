@@ -3,11 +3,18 @@
 //! `proto::parse_request` (line → `Request`). Whatever arrives, neither panics; a line over the cap is
 //! `TooLarge` with no more than the cap buffered; every refusal is a
 //! message the server can answer as one `kind:"parse"` line; and an `id`
-//! outlives a malformed body.
+//! outlives a malformed body. `parse_request` reads a line in one cursor
+//! pass; on every generated line it must give what
+//! [`oracle_parse_request`], the same line read through the JSON tree,
+//! gives, to the last bit and the last byte of a message.
 
 use dp_core::{AggConfig, AggGranularity, OptConfig};
 use dp_obs::json::{self, Json};
-use dp_serve::proto::{self, LineRead, ParsedRequest};
+use dp_serve::proto::{
+    self, Arg, BufferData, BufferInit, ExecuteRequest, LineRead, ParsedRequest, ReadSpec, Request,
+};
+use dp_sweep::key::parse_key;
+use dp_sweep::spec::{cell_from_json, config_from_json};
 use dp_workloads::benchmarks::Variant;
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Cursor};
@@ -69,6 +76,227 @@ fn assert_answerable(parsed: &ParsedRequest) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+// ----------------------------------------------------------------------
+// The oracle: a request line read through the JSON tree
+// ----------------------------------------------------------------------
+
+/// The most `words` one `execute` may ask for, as the protocol sets it.
+const MAX_EXECUTE_WORDS: u64 = 1 << 24;
+
+/// A request line read through the JSON tree: `json::parse` builds it, and
+/// each op reads its members from it in its own order. Whatever the line,
+/// `parse_request` must give this.
+fn oracle_parse_request(line: &str) -> ParsedRequest {
+    let doc = match json::parse(line.trim()) {
+        Ok(doc) => doc,
+        Err(e) => {
+            return ParsedRequest {
+                id: None,
+                body: Err(format!("bad request JSON: {e}")),
+            }
+        }
+    };
+    let id = doc.get("id").cloned();
+    let body = oracle_body(&doc);
+    ParsedRequest { id, body }
+}
+
+fn oracle_body(doc: &Json) -> Result<Request, String> {
+    let op = doc
+        .get("op")
+        .and_then(Json::as_str)
+        .ok_or("request needs an `op` string")?;
+    match op {
+        "compile" | "transform" => {
+            let source = doc
+                .get("source")
+                .and_then(Json::as_str)
+                .ok_or("`source` must be a string")?
+                .to_string();
+            let config = config_from_json(doc)?;
+            Ok(if op == "compile" {
+                Request::Compile { source, config }
+            } else {
+                Request::Transform { source, config }
+            })
+        }
+        "execute" => oracle_execute(doc).map(|r| Request::Execute(Box::new(r))),
+        "sweep-cell" => cell_from_json(doc).map(|r| Request::SweepCell(Box::new(r))),
+        "hello" => Ok(Request::Hello {
+            token: doc
+                .get("token")
+                .and_then(Json::as_str)
+                .map(str::to_string),
+        }),
+        "cache-push" => {
+            let key = oracle_cache_key(doc.get("key").ok_or("cache-push needs a `key`")?)?;
+            let entry = doc
+                .get("entry")
+                .and_then(Json::as_str)
+                .ok_or("`entry` must be a string")?
+                .to_string();
+            Ok(Request::CachePush { key, entry })
+        }
+        "cache-pull" => {
+            let key = doc.get("key").map(oracle_cache_key).transpose()?;
+            Ok(Request::CachePull { key })
+        }
+        "stats" => Ok(Request::Stats),
+        "metrics" => Ok(Request::Metrics),
+        "shutdown" => Ok(Request::Shutdown),
+        other => Err(format!(
+            "unknown op `{other}` (hello|compile|transform|execute|sweep-cell|cache-push|cache-pull|stats|metrics|shutdown)"
+        )),
+    }
+}
+
+fn oracle_cache_key(v: &Json) -> Result<u64, String> {
+    if let Some(hex) = v.as_str() {
+        return parse_key(hex)
+            .ok_or_else(|| format!("`key` must be a 16-hex cell key, got `{hex}`"));
+    }
+    v.as_u64()
+        .ok_or_else(|| "`key` must be a 16-hex cell key".to_string())
+}
+
+fn oracle_execute(doc: &Json) -> Result<ExecuteRequest, String> {
+    let source = doc
+        .get("source")
+        .and_then(Json::as_str)
+        .ok_or("`source` must be a string")?
+        .to_string();
+    let config = config_from_json(doc)?;
+    let kernel = doc
+        .get("kernel")
+        .and_then(Json::as_str)
+        .ok_or("`kernel` must be a string")?
+        .to_string();
+    let grid = doc
+        .get("grid")
+        .and_then(Json::as_i64)
+        .ok_or("`grid` must be an integer")?;
+    let block = doc
+        .get("block")
+        .and_then(Json::as_i64)
+        .ok_or("`block` must be an integer")?;
+
+    let mut buffers = Vec::new();
+    let mut words_left = MAX_EXECUTE_WORDS;
+    for b in array_member(doc, "buffers")? {
+        let name = b
+            .get("name")
+            .and_then(Json::as_str)
+            .ok_or("buffer needs a `name`")?
+            .to_string();
+        let given = ["words", "ints", "floats"]
+            .iter()
+            .filter(|m| b.get(m).is_some());
+        if given.count() > 1 {
+            return Err(format!(
+                "buffer `{name}` gives more than one of `words`, `ints`, and `floats`"
+            ));
+        }
+        let data = if let Some(w) = b.get("words") {
+            let w = w.as_u64().ok_or("`words` must be a non-negative integer")?;
+            words_left = words_left.checked_sub(w).ok_or_else(|| {
+                format!(
+                    "buffer `{name}`: `words` {w} takes the request past the limit of \
+                     {MAX_EXECUTE_WORDS} words"
+                )
+            })?;
+            BufferData::Words(w as usize)
+        } else if let Some(ints) = b.get("ints") {
+            BufferData::Ints(
+                ints.as_array()
+                    .ok_or("`ints` must be an array")?
+                    .iter()
+                    .map(|v| v.as_i64())
+                    .collect::<Option<Vec<_>>>()
+                    .ok_or("`ints` must be integers")?,
+            )
+        } else if let Some(floats) = b.get("floats") {
+            BufferData::Floats(
+                floats
+                    .as_array()
+                    .ok_or("`floats` must be an array")?
+                    .iter()
+                    .map(|v| v.as_f64())
+                    .collect::<Option<Vec<_>>>()
+                    .ok_or("`floats` must be numbers")?,
+            )
+        } else {
+            return Err(format!(
+                "buffer `{name}` needs `words`, `ints`, or `floats`"
+            ));
+        };
+        buffers.push(BufferInit { name, data });
+    }
+
+    let mut args = Vec::new();
+    for a in array_member(doc, "args")? {
+        args.push(match a {
+            Json::Int(v) => Arg::Int(*v),
+            Json::Float(v) => Arg::Float(*v),
+            Json::Str(s) => {
+                let name = s
+                    .strip_prefix('@')
+                    .ok_or_else(|| format!("string arg `{s}` must be a `@buffer` reference"))?;
+                Arg::Buffer(name.to_string())
+            }
+            other => return Err(format!("bad arg {other} (number or \"@buffer\")")),
+        });
+    }
+
+    let mut reads = Vec::new();
+    for r in array_member(doc, "read")? {
+        reads.push(ReadSpec {
+            buffer: r
+                .get("buffer")
+                .and_then(Json::as_str)
+                .ok_or("read needs a `buffer`")?
+                .to_string(),
+            offset: match r.get("offset") {
+                None => 0,
+                Some(offset) => offset
+                    .as_u64()
+                    .ok_or("read `offset` must be a non-negative integer")?
+                    as usize,
+            },
+            len: r
+                .get("len")
+                .and_then(Json::as_u64)
+                .ok_or("read needs a `len`")? as usize,
+            floats: match r.get("floats") {
+                None => false,
+                Some(Json::Bool(floats)) => *floats,
+                Some(_) => return Err("read `floats` must be a boolean".to_string()),
+            },
+        });
+    }
+
+    Ok(ExecuteRequest {
+        source,
+        config,
+        kernel,
+        grid,
+        block,
+        buffers,
+        args,
+        reads,
+    })
+}
+
+/// The items of an optional array member: none when it is absent, a
+/// refusal when it is anything but an array.
+fn array_member<'a>(doc: &'a Json, name: &str) -> Result<&'a [Json], String> {
+    match doc.get(name) {
+        None => Ok(&[]),
+        Some(value) => value
+            .as_array()
+            .ok_or_else(|| format!("`{name}` must be an array")),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -77,7 +305,9 @@ proptest! {
     fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(0u8..255, 0..200)) {
         let (mut reader, mut raw) = (Cursor::new(bytes), Vec::new());
         while let LineRead::Line(line) = proto::read_line_into(&mut reader, 64, &mut raw).unwrap() {
-            assert_answerable(&proto::parse_request(&String::from_utf8_lossy(line)))?;
+            let line = String::from_utf8_lossy(line);
+            assert_answerable(&proto::parse_request(&line))?;
+            agrees(&line)?;
         }
     }
 
@@ -98,7 +328,9 @@ proptest! {
                 _ => bytes.insert(at, byte),
             }
         }
-        assert_answerable(&proto::parse_request(&String::from_utf8_lossy(&bytes)))?;
+        let line = String::from_utf8_lossy(&bytes);
+        assert_answerable(&proto::parse_request(&line))?;
+        agrees(&line)?;
     }
 
     /// A tagged request with members spoiled or dropped is still JSON, so
@@ -126,9 +358,11 @@ proptest! {
             }
         }
         members.insert("id".to_string(), id.clone());
-        let parsed = proto::parse_request(&Json::Object(members).to_string());
+        let line = Json::Object(members).to_string();
+        let parsed = proto::parse_request(&line);
         prop_assert_eq!(parsed.id.as_ref(), Some(&id));
         assert_answerable(&parsed)?;
+        agrees(&line)?;
     }
 
     /// Nesting past the parser's cap — in the line itself or inside a
@@ -137,6 +371,7 @@ proptest! {
     fn deep_nesting_is_refused(depth in 129usize..200_000, inside in 0usize..2) {
         let deep = "[".repeat(depth);
         let line = if inside == 1 { format!(r#"{{"op":"stats","id":{deep}"#) } else { deep };
+        agrees(&line)?;
         let parsed = proto::parse_request(&line);
         prop_assert_eq!(parsed.id, None);
         prop_assert_eq!(
@@ -181,26 +416,23 @@ proptest! {
 }
 
 // ----------------------------------------------------------------------
-// The one-pass decoder and the direct answer writers against the tree
+// The one-pass reader and the direct answer writers against the tree
 // ----------------------------------------------------------------------
 
-/// Whether the one-pass decoder answered `line`; where it did, its request
-/// must be the tree path's to the last bit (`{:?}` tells `-0.0` from `0.0`).
-fn decoder_agrees(line: &str) -> Result<bool, TestCaseError> {
-    let Some(decoded) = proto::decode_request(line) else {
-        return Ok(false);
-    };
-    let tree = proto::parse_request_tree(line);
+/// `parse_request` gives what the oracle gives for `line`, to the last bit
+/// (`{:?}` tells `-0.0` from `0.0`) and the last byte of a message.
+fn agrees(line: &str) -> Result<(), TestCaseError> {
     prop_assert_eq!(
-        format!("{decoded:?}"),
-        format!("{tree:?}"),
+        format!("{:?}", proto::parse_request(line)),
+        format!("{:?}", oracle_parse_request(line)),
         "line {:?}",
         line
     );
-    Ok(true)
+    Ok(())
 }
 
-/// Whether the decoder reads this op at all.
+/// Whether the request is one of the hot ops, `execute`, `compile` and
+/// `transform`.
 fn is_hot(request: &Json) -> bool {
     matches!(
         request.get("op").and_then(Json::as_str),
@@ -361,6 +593,157 @@ fn respell(value: &Json, bits: &mut Bits) -> String {
 /// allow between tokens.
 const TRIMMED_ONLY: [char; 6] = ['\u{b}', '\u{c}', '\u{85}', '\u{a0}', '\u{2028}', '\u{3000}'];
 
+/// A JSON document whose objects keep their members in the order written,
+/// repeats included: a request the generator spoils, then writes.
+#[derive(Clone)]
+enum Doc {
+    Value(Json),
+    Array(Vec<Doc>),
+    Object(Vec<(String, Doc)>),
+}
+
+impl Doc {
+    fn new(value: &Json) -> Doc {
+        match value {
+            Json::Array(items) => Doc::Array(items.iter().map(Doc::new).collect()),
+            Json::Object(members) => Doc::Object(
+                members
+                    .iter()
+                    .map(|(name, value)| (name.clone(), Doc::new(value)))
+                    .collect(),
+            ),
+            value => Doc::Value(value.clone()),
+        }
+    }
+
+    fn write(&self, out: &mut String) {
+        match self {
+            Doc::Value(value) => value.write(out),
+            Doc::Array(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    item.write(out);
+                }
+                out.push(']');
+            }
+            Doc::Object(members) => {
+                out.push('{');
+                for (i, (name, value)) in members.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    json::write_string(out, name);
+                    out.push(':');
+                    value.write(out);
+                }
+                out.push('}');
+            }
+        }
+    }
+}
+
+/// The names a spoiled member of a request, a `buffers` entry and a `read`
+/// entry may have: the ones some op reads, and one none does. A buffer's
+/// data members come twice, so that an entry often gives two of them.
+#[rustfmt::skip]
+const REQUEST_MEMBERS: &[&str] = &[
+    "op", "id", "source", "kernel", "grid", "block", "buffers", "args", "read", "threshold",
+    "coarsen", "agg", "agg_threshold", "token", "key", "entry", "benchmark", "dataset", "variant",
+    "x",
+];
+const BUFFER_MEMBERS: &[&str] = &["name", "words", "ints", "floats", "words", "ints", "x"];
+const READ_MEMBERS: &[&str] = &["buffer", "offset", "len", "floats", "x"];
+
+/// The values a spoiled member or item may get: the [`spoilers`], and
+/// values some member takes.
+fn values() -> Vec<Json> {
+    let ints = |items: &[i64]| Json::Array(items.iter().map(|&v| Json::Int(v)).collect());
+    let mut values = spoilers();
+    values.extend([
+        Json::Int(8),
+        Json::Int(16_777_216),
+        Json::Int(16_777_217),
+        Json::Float(2.0),
+        Json::Bool(false),
+        Json::Str("d".to_string()),
+        Json::Str("@d".to_string()),
+        Json::Str("execute".to_string()),
+        Json::Str("compile".to_string()),
+        Json::Str("multiblock:8".to_string()),
+        ints(&[]),
+        ints(&[1, 2]),
+        Json::Array(vec![Json::Float(1.5)]),
+        Json::Object(Default::default()),
+        json::object([
+            ("name", Json::Str("g".to_string())),
+            ("words", Json::Int(1 << 24)),
+        ]),
+    ]);
+    values
+}
+
+/// Spoils one place of `doc` with one of `values`: the document itself,
+/// or a member of the request, of a `buffers` entry or of a `read` entry,
+/// or an item of one of its arrays, overwritten, dropped or repeated.
+fn spoil(doc: &mut Doc, bits: &mut Bits, values: &[Json]) {
+    let value = Doc::new(&bits.pick(values));
+    if bits.below(16) == 0 {
+        *doc = value;
+        return;
+    }
+    let Doc::Object(members) = doc else {
+        return;
+    };
+    let (array, names) = bits.pick(&[
+        ("", REQUEST_MEMBERS),
+        ("buffers", BUFFER_MEMBERS),
+        ("buffers", BUFFER_MEMBERS),
+        ("read", READ_MEMBERS),
+        ("args", &[]),
+    ]);
+    // The occurrence of the array that counts is the last.
+    let items = members.iter_mut().rev().find(|(name, _)| name == array);
+    let Some((_, Doc::Array(items))) = items else {
+        return spoil_members(members, REQUEST_MEMBERS, value, bits);
+    };
+    let at = bits.below(items.len() + 1);
+    match (items.get_mut(at), bits.below(4)) {
+        (Some(Doc::Object(entry)), 0 | 1) if !names.is_empty() => {
+            spoil_members(entry, names, value, bits)
+        }
+        (Some(item), 0) => *item = value,
+        (Some(_), 1) => drop(items.remove(at)),
+        (Some(item), 2) => {
+            let item = item.clone();
+            items.insert(bits.below(items.len() + 1), item);
+        }
+        _ => items.insert(at, value),
+    }
+}
+
+/// Overwrites, drops or repeats one member of an object, one of `names`
+/// or one it has.
+fn spoil_members(members: &mut Vec<(String, Doc)>, names: &[&str], value: Doc, bits: &mut Bits) {
+    let name = match members.len() {
+        0 => bits.pick(names).to_string(),
+        given => match bits.below(3) {
+            0 => members[bits.below(given)].0.clone(),
+            _ => bits.pick(names).to_string(),
+        },
+    };
+    match bits.below(3) {
+        0 => match members.iter_mut().find(|(n, _)| *n == name) {
+            Some((_, old)) => *old = value,
+            None => members.push((name, value)),
+        },
+        1 => members.retain(|(n, _)| *n != name),
+        _ => members.insert(bits.below(members.len() + 1), (name, value)),
+    }
+}
+
 /// The `execute` answer as the tree writes it, member for member.
 fn execute_answer_tree(id: Option<&Json>, answer: &proto::ExecuteAnswer) -> String {
     let outputs = answer.outputs.iter().map(|output| {
@@ -388,38 +771,35 @@ fn execute_answer_tree(id: Option<&Json>, answer: &proto::ExecuteAnswer) -> Stri
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases(1024))]
 
-    /// The decoder answers every valid hot request, and on any line —
-    /// valid, spoiled, or with bytes overwritten, inserted or removed — it
-    /// answers only what the tree answers.
+    /// Every valid request parses, and on any line — valid, spoiled
+    /// anywhere (a member of the request, of a `buffers` or `read` entry,
+    /// an item of an array, or the document itself, overwritten, dropped
+    /// or repeated), or with bytes overwritten, inserted or removed — the
+    /// one-pass reader answers what the tree answers. Half the lines are
+    /// an `execute`, whose members have the most rules.
     #[test]
     fn the_decoder_answers_only_as_the_tree_does(
         which in 0usize..64,
-        spoils in prop::collection::vec((0usize..64, 0usize..64), 0..4),
+        seed in i64::MIN..i64::MAX,
         edits in prop::collection::vec((0usize..3, 0usize..4096, 0u8..255), 0..4),
     ) {
+        let mut bits = Bits(seed as u64);
         let requests = valid_requests();
-        let request = &requests[which % requests.len()];
+        let request = &requests[if bits.below(2) == 0 { 2 } else { which % requests.len() }];
         let line = request.to_string();
-        prop_assert_eq!(decoder_agrees(&line)?, is_hot(request), "valid line {}", line);
+        prop_assert!(proto::parse_request(&line).body.is_ok(), "valid line {}", line);
+        agrees(&line)?;
 
-        let Json::Object(mut members) = request.clone() else {
-            unreachable!("requests are objects")
-        };
-        let spoilers = spoilers();
-        for (member, spoiler) in spoils {
-            let name = members.keys().nth(member % members.len()).cloned().expect("non-empty");
-            match spoilers.get(spoiler % (spoilers.len() + 1)) {
-                Some(value) => members.insert(name, value.clone()),
-                None => members.remove(&name),
-            };
-            if members.is_empty() {
-                break;
-            }
+        let (values, mut doc) = (values(), Doc::new(request));
+        for _ in 0..1 + bits.below(4) {
+            spoil(&mut doc, &mut bits, &values);
         }
-        let mut bytes = Json::Object(members).to_string().into_bytes();
-        decoder_agrees(&String::from_utf8_lossy(&bytes))?;
+        let mut text = String::new();
+        doc.write(&mut text);
+        agrees(&text)?;
+        let mut bytes = text.into_bytes();
         for (kind, at, byte) in edits {
             let at = at % (bytes.len() + 1);
             match kind {
@@ -427,15 +807,19 @@ proptest! {
                 1 if at < bytes.len() => { bytes.remove(at); }
                 _ => bytes.insert(at, byte),
             }
-            decoder_agrees(&String::from_utf8_lossy(&bytes))?;
+            agrees(&String::from_utf8_lossy(&bytes))?;
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Hot requests respelled — members in any order, whitespace between
     /// tokens, escapes where none are needed, an `id` of every JSON kind,
-    /// whitespace only `str::trim` knows at the ends — decode as the tree
-    /// parses them; the decoder leaves array and object ids, repeated
-    /// members and trim-only whitespace between tokens to the tree.
+    /// whitespace only `str::trim` knows at the ends — parse as the tree
+    /// parses them, and so do the same lines with a member repeated or
+    /// trim-only whitespace between two tokens.
     #[test]
     fn respelled_hot_requests_decode_as_the_tree_parses_them(
         which in 0usize..64,
@@ -446,30 +830,30 @@ proptest! {
         let Json::Object(mut members) = hot[which % hot.len()].clone() else {
             unreachable!("requests are objects")
         };
-        let id = (bits.below(4) > 0).then(|| bits.id());
-        if let Some(id) = &id {
-            members.insert("id".to_string(), id.clone());
+        if bits.below(4) > 0 {
+            members.insert("id".to_string(), bits.id());
         }
-        let scalar_id = !matches!(id, Some(Json::Array(_) | Json::Object(_)));
         let request = Json::Object(members);
         let trim = |bits: &mut Bits| -> String {
             (0..bits.below(3)).map(|_| bits.pick(&TRIMMED_ONLY)).collect()
         };
         let body = respell(&request, &mut bits);
         let line = format!("{}{}{body}{}{}\n", trim(&mut bits), bits.ws(), bits.ws(), trim(&mut bits));
-        prop_assert_eq!(decoder_agrees(&line)?, scalar_id, "line {:?}", line);
+        agrees(&line)?;
         prop_assert!(proto::parse_request(&line).body.is_ok(), "{}", line);
 
-        // A member given twice: the tree keeps the last, the decoder
-        // declines.
-        let twice = body.replacen('{', &format!("{{\"op\":{},", respell(request.get("op").expect("hot requests name their op"), &mut bits)), 1);
-        prop_assert!(!decoder_agrees(&twice)?, "repeated member decoded: {}", twice);
+        // A member given twice: the last counts.
+        let op = respell(request.get("op").expect("hot requests name their op"), &mut bits);
+        let twice = body.replacen('{', &format!("{{\"op\":{op},"), 1);
+        agrees(&twice)?;
+        prop_assert!(proto::parse_request(&twice).body.is_ok(), "{}", twice);
 
         // Whitespace JSON does not allow, between two tokens.
         let commas: Vec<usize> = body.match_indices(',').map(|(at, _)| at).collect();
         let at = commas[bits.below(commas.len())];
         let spoiled = format!("{}{}{}", &body[..at], bits.pick(&TRIMMED_ONLY), &body[at..]);
-        prop_assert!(!decoder_agrees(&spoiled)?, "{:?}", spoiled);
+        agrees(&spoiled)?;
+        prop_assert!(proto::parse_request(&spoiled).body.is_err(), "{:?}", spoiled);
     }
 
     /// `execute` and `transform` answers written member by member are the
@@ -525,9 +909,9 @@ proptest! {
 }
 
 /// One value of a valid hot request respelled into one its rule refuses:
-/// the tree refuses the line, so the decoder must not answer it.
+/// the reader refuses the line as the tree does, with the same message.
 #[test]
-fn near_misses_are_left_to_the_tree() {
+fn near_misses_are_refused_as_the_tree_refuses_them() {
     let requests = valid_requests();
     let execute = requests[2].to_string();
     let config = OptConfig::all().aggregation(AggConfig {
@@ -543,6 +927,7 @@ fn near_misses_are_left_to_the_tree() {
         (&execute, r#""words":8"#, r#""words":-8"#),
         (&execute, r#""words":8"#, r#""words":16777217"#),
         (&execute, r#""words":8"#, r#""words":8,"ints":[1]"#),
+        (&execute, r#""words":8"#, r#""words":-8,"ints":[1]"#),
         (&execute, r#""ints":[1,2]"#, r#""ints":[1,2.5]"#),
         (&execute, r#""floats":[0.5]"#, r#""floats":[true]"#),
         (&execute, r#""len":8"#, r#""len":-1"#),
@@ -557,8 +942,12 @@ fn near_misses_are_left_to_the_tree() {
     for (line, from, to) in near_misses {
         assert!(line.contains(from), "`{from}` is not in {line}");
         let line = line.replacen(from, to, 1);
-        let tree = proto::parse_request_tree(&line);
+        let tree = oracle_parse_request(&line);
         assert!(tree.body.is_err(), "the tree takes {line}: {:?}", tree.body);
-        assert!(proto::decode_request(&line).is_none(), "decoded {line}");
+        assert_eq!(
+            format!("{:?}", proto::parse_request(&line)),
+            format!("{tree:?}"),
+            "{line}"
+        );
     }
 }

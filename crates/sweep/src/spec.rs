@@ -61,25 +61,34 @@ pub fn checked_coarsen_factor(factor: i64) -> Result<i64, String> {
 /// (`threshold`, `coarsen`, `agg`, `agg_threshold`) — the shape used by
 /// sweep-spec variants and by `dp-serve` `compile`/`transform` requests.
 pub fn config_from_json(v: &Json) -> Result<OptConfig, String> {
+    config_from_members(|name| v.get(name))
+}
+
+/// [`config_from_json`] over members looked up by `get`: the same rules,
+/// for a reader that holds the members without a [`Json::Object`]
+/// (`dp-serve`'s request line).
+pub fn config_from_members<'a>(
+    get: impl Fn(&str) -> Option<&'a Json>,
+) -> Result<OptConfig, String> {
     let mut config = OptConfig::none();
-    if let Some(t) = v.get("threshold") {
+    if let Some(t) = get("threshold") {
         config = config.threshold(t.as_i64().ok_or("`threshold` must be an integer")?);
     }
-    if let Some(c) = v.get("coarsen") {
+    if let Some(c) = get("coarsen") {
         let factor = c.as_i64().ok_or("`coarsen` must be an integer")?;
         config = config.coarsen_factor(checked_coarsen_factor(factor)?);
     }
-    if let Some(a) = v.get("agg") {
+    if let Some(a) = get("agg") {
         let spec = a.as_str().ok_or("`agg` must be a string")?;
         let granularity = parse_granularity(spec).ok_or_else(|| {
             format!("bad granularity `{spec}` (warp|block|multiblock:<K>|grid, K >= 1)")
         })?;
         let mut agg = AggConfig::new(granularity);
-        if let Some(t) = v.get("agg_threshold") {
+        if let Some(t) = get("agg_threshold") {
             agg.agg_threshold = Some(t.as_i64().ok_or("`agg_threshold` must be an integer")?);
         }
         config = config.aggregation(agg);
-    } else if v.get("agg_threshold").is_some() {
+    } else if get("agg_threshold").is_some() {
         return Err("`agg_threshold` needs `agg` (it has no effect on its own)".to_string());
     }
     Ok(config)
